@@ -131,15 +131,7 @@ func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 		//repro:alloc-ok shape-mismatch panic path
 		panic(fmt.Sprintf("linalg: Gemm shape mismatch: op(A)=%dx%d op(B)=%dx%d C=%dx%d", m, k, kb, n, c.Rows, c.Cols))
 	}
-	if beta != 1 {
-		if beta == 0 {
-			c.Zero()
-		} else {
-			for j := 0; j < n; j++ {
-				Scal(beta, c.Col(j))
-			}
-		}
-	}
+	c.Scale(beta)
 	if alpha == 0 || k == 0 {
 		return
 	}

@@ -8,6 +8,23 @@ package linalg
 // role of the optimized vendor BLAS under Chameleon and HiCMA in the paper:
 // the tile kernels of every factorization route through it.
 //
+// Packed layouts, and who owns them. A packed A block is a run of mrReg-row
+// micro-panels, panel[l·mrReg + i] = op(A)[row0+i, l], rows past the operand
+// zero; a packed B block is a run of nrReg-column micro-panels,
+// panel[l·nrReg + j] = op(B)[l, col0+j], padded the same way. Gemm and its
+// siblings own both for the duration of one call: gemmBlocked draws an
+// mcBlk×kcBlk A buffer and a kcBlk×ncBlk B buffer from the workspace pool,
+// refills them block by block and returns them. The exception is PackedA
+// (packed.go), the same A layout over a whole m×k operand with the panel
+// stride as a field: its CALLER owns the buffer and decides how long the
+// panels live. The SOV sweep (internal/mvn) keeps one per row tile of its
+// conditioning values Y — written once by the diagonal kernel, sub-block by
+// sub-block, then read in place by every later row tile's propagation
+// (GemmPackedA) — inside one pooled buffer per lane block that it gets at the
+// start of a column sweep and puts back at the end. No packed copy of a
+// factor tile outlives a call: B is packed per product, which is what keeps
+// a cached factor at its own size.
+//
 // Panel blocking parameters. kcBlk×nrReg and mrReg×kcBlk micro-panels stream
 // from L1; an mcBlk×kcBlk packed A block is meant to stay L2-resident while
 // the macro-kernel sweeps the packed B panels over it.
@@ -46,19 +63,28 @@ func gemmBlocked(transA, transB bool, alpha float64, a, b *Matrix, c *Matrix, m,
 			for ic := 0; ic < m; ic += mcBlk {
 				mcc := min(mcBlk, m-ic)
 				packA(transA, a, apack, ic, pc, mcc, kcc)
-				for jr := 0; jr < nc; jr += nrReg {
-					cols := min(nrReg, nc-jr)
-					bp := bpack[jr*kcc:]
-					for ir := 0; ir < mcc; ir += mrReg {
-						rows := min(mrReg, mcc-ir)
-						microKernel(kcc, apack[ir*kcc:], bp, c, ic+ir, jc+jr, rows, cols, alpha)
-					}
-				}
+				macroKernel(kcc, apack, mrReg*kcc, bpack, c, ic, jc, mcc, nc, alpha)
 			}
 		}
 	}
 	PutVec(bpack)
 	PutVec(apack)
+}
+
+// macroKernel sweeps the packed B panels of one (jc,pc) block over an
+// mcc-row block of packed A: C[ic:ic+mcc, jc:jc+nc] += alpha·A·B. The A
+// micro-panels sit aStride apart in ap — mrReg·kcc for a block packA just
+// filled, the owner's panel stride for a resident PackedA.
+//repro:noalloc
+func macroKernel(kcc int, ap []float64, aStride int, bpack []float64, c *Matrix, ic, jc, mcc, nc int, alpha float64) {
+	for jr := 0; jr < nc; jr += nrReg {
+		cols := min(nrReg, nc-jr)
+		bp := bpack[jr*kcc:]
+		for ir := 0; ir < mcc; ir += mrReg {
+			rows := min(mrReg, mcc-ir)
+			microKernel(kcc, ap[ir/mrReg*aStride:], bp, c, ic+ir, jc+jr, rows, cols, alpha)
+		}
+	}
 }
 
 // packA packs the mcc×kcc block of op(A) at (ic,pc) into mrReg-row
@@ -111,32 +137,64 @@ func packA(transA bool, a *Matrix, dst []float64, ic, pc, mcc, kcc int) {
 // zero-padding ragged right panels.
 //repro:noalloc
 func packB(transB bool, b *Matrix, dst []float64, pc, jc, kcc, nc int) {
+	if transB {
+		packBTrans(b, dst, pc, jc, kcc, nc)
+		return
+	}
 	for jp := 0; jp < nc; jp += nrReg {
 		cols := min(nrReg, nc-jp)
 		panel := dst[jp*kcc : jp*kcc+nrReg*kcc]
-		if !transB {
-			for j := 0; j < cols; j++ {
-				src := b.Col(jc + jp + j)[pc:]
-				for l := 0; l < kcc; l++ {
-					panel[l*nrReg+j] = src[l]
-				}
-			}
-			for j := cols; j < nrReg; j++ {
-				for l := 0; l < kcc; l++ {
-					panel[l*nrReg+j] = 0
-				}
-			}
-		} else {
-			// op(B)[l,j] = B[j,l]: row slice of B's column pc+l, stride 1
-			// along j.
+		for j := 0; j < cols; j++ {
+			src := b.Data[(jc+jp+j)*b.Stride+pc:]
 			for l := 0; l < kcc; l++ {
-				src := b.Col(pc + l)[jc+jp:]
-				o := l * nrReg
-				for j := 0; j < cols; j++ {
-					panel[o+j] = src[j]
-				}
-				for j := cols; j < nrReg; j++ {
-					panel[o+j] = 0
+				panel[l*nrReg+j] = src[l]
+			}
+		}
+		for j := cols; j < nrReg; j++ {
+			for l := 0; l < kcc; l++ {
+				panel[l*nrReg+j] = 0
+			}
+		}
+	}
+}
+
+// packBGroup is how many micro-panels packBTrans fills in one pass over the
+// source columns: 8 panels are 48 consecutive elements of a column, six whole
+// cache lines, and few enough write streams to stay in L1 although the
+// panels lie a multiple of the L1 way size apart.
+const packBGroup = 8 * nrReg
+
+// packBTrans is packB for op(B) = Bᵀ, op(B)[l,j] = B[j,l]: depth step l of
+// every panel comes from column pc+l of B, rows jc…jc+nc−1 at stride 1. A
+// group of panels is filled in one pass over the columns, so every source
+// cache line is read once, whole — the factor tiles the sweep multiplies by
+// arrive cache-cold, and a panel-at-a-time walk fetched each line again for
+// the next panel.
+//repro:noalloc
+func packBTrans(b *Matrix, dst []float64, pc, jc, kcc, nc int) {
+	full := nc / nrReg * nrReg
+	for g0 := 0; g0 < full; g0 += packBGroup {
+		g1 := min(g0+packBGroup, full)
+		for l := 0; l < kcc; l++ {
+			src := b.Data[(pc+l)*b.Stride+jc:]
+			o := l * nrReg
+			for jp := g0; jp < g1; jp += nrReg {
+				s := src[jp : jp+nrReg : jp+nrReg]
+				d := dst[jp*kcc+o : jp*kcc+o+nrReg : jp*kcc+o+nrReg]
+				d[0], d[1], d[2], d[3], d[4], d[5] = s[0], s[1], s[2], s[3], s[4], s[5]
+			}
+		}
+	}
+	if rem := nc - full; rem > 0 {
+		for l := 0; l < kcc; l++ {
+			src := b.Data[(pc+l)*b.Stride+jc+full:]
+			o := full*kcc + l*nrReg
+			d := dst[o : o+nrReg]
+			for j := range d {
+				if j < rem {
+					d[j] = src[j]
+				} else {
+					d[j] = 0
 				}
 			}
 		}

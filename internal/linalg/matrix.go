@@ -95,6 +95,22 @@ func (m *Matrix) Zero() {
 	}
 }
 
+// Scale multiplies every element by beta, the C = beta·C step of the BLAS-3
+// entry points: beta 1 is free, and beta 0 clears rather than multiplies, so
+// it also defines uninitialized (pooled) or non-finite contents.
+//repro:noalloc
+func (m *Matrix) Scale(beta float64) {
+	switch beta {
+	case 1:
+	case 0:
+		m.Zero()
+	default:
+		for j := 0; j < m.Cols; j++ {
+			Scal(beta, m.Col(j))
+		}
+	}
+}
+
 // Fill sets every element to v.
 func (m *Matrix) Fill(v float64) {
 	for j := 0; j < m.Cols; j++ {

@@ -41,13 +41,14 @@ type Factor interface {
 	// ApplyOffDiagLanes computes dst = alpha·y·L(i,j)ᵀ + beta·dst for the
 	// strictly-lower tile (i,j), i > j, in the lane-major (chains × rows)
 	// layout of the chain-blocked sweep: y holds the source tile's
-	// conditioning values and dst the accumulated conditioning sums the A/B
-	// limits of Algorithm 2 are shifted by. (The A and B limits share one
-	// conditioning sum, so a single accumulation replaces the seed's paired
-	// A/B tile updates — half the propagation GEMMs; beta = 0 overwrites
-	// dst, sparing the sweep a zeroing pass over pooled scratch.)
+	// conditioning values — as the packed GEMM operand the sweep keeps them
+	// in, so no apply re-packs them — and dst the accumulated conditioning
+	// sums the A/B limits of Algorithm 2 are shifted by. (The A and B limits
+	// share one conditioning sum, so a single accumulation replaces the
+	// seed's paired A/B tile updates — half the propagation GEMMs; beta = 0
+	// overwrites dst, sparing the sweep a zeroing pass over pooled scratch.)
 	//repro:noalloc
-	ApplyOffDiagLanes(i, j int, alpha float64, y *linalg.Matrix, beta float64, dst *linalg.Matrix)
+	ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, beta float64, dst *linalg.Matrix)
 }
 
 // DenseFactor adapts a dense tiled Cholesky factor to the Factor interface.
@@ -86,8 +87,8 @@ func (f *DenseFactor) Diag(k int) *linalg.Matrix { return f.L.Tile(k, k) }
 
 // ApplyOffDiagLanes implements Factor.
 //repro:noalloc
-func (f *DenseFactor) ApplyOffDiagLanes(i, j int, alpha float64, y *linalg.Matrix, beta float64, dst *linalg.Matrix) {
-	linalg.Gemm(false, true, alpha, y, f.L.Tile(i, j), beta, dst)
+func (f *DenseFactor) ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, beta float64, dst *linalg.Matrix) {
+	linalg.GemmPackedA(alpha, y, true, f.L.Tile(i, j), beta, dst)
 }
 
 // TLRFactor adapts a TLR Cholesky factor to the Factor interface.
@@ -121,8 +122,8 @@ func (f *TLRFactor) Diag(k int) *linalg.Matrix { return f.L.Diag[k] }
 
 // ApplyOffDiagLanes implements Factor.
 //repro:noalloc
-func (f *TLRFactor) ApplyOffDiagLanes(i, j int, alpha float64, y *linalg.Matrix, beta float64, dst *linalg.Matrix) {
-	f.L.Low[i][j].ApplyRightTrans(alpha, y, beta, dst)
+func (f *TLRFactor) ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, beta float64, dst *linalg.Matrix) {
+	f.L.Low[i][j].ApplyRightTransPacked(alpha, y, beta, dst)
 }
 
 // GridFactor adapts a factored engine grid — tiles in whatever mix of
@@ -173,13 +174,13 @@ func (f *GridFactor) Diag(k int) *linalg.Matrix { return f.G.Diag(k) }
 
 // ApplyOffDiagLanes implements Factor.
 //repro:noalloc
-func (f *GridFactor) ApplyOffDiagLanes(i, j int, alpha float64, y *linalg.Matrix, beta float64, dst *linalg.Matrix) {
+func (f *GridFactor) ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, beta float64, dst *linalg.Matrix) {
 	switch t := f.G.At(i, j).(type) {
 	case *tile.DenseF64:
-		linalg.Gemm(false, true, alpha, y, t.D, beta, dst)
+		linalg.GemmPackedA(alpha, y, true, t.D, beta, dst)
 	case *tile.LowRank:
-		t.ApplyRightTrans(alpha, y, beta, dst)
+		t.ApplyRightTransPacked(alpha, y, beta, dst)
 	case *tile.DenseF32:
-		linalg.Gemm(false, true, alpha, y, f.f32[i][j], beta, dst)
+		linalg.GemmPackedA(alpha, y, true, f.f32[i][j], beta, dst)
 	}
 }

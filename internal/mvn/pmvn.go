@@ -141,6 +141,7 @@ func integrate(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float
 		genDim++
 	}
 	inline := o.Inline || rt == nil || rt.Workers() == 1
+	a, b = trimFree(a, b)
 
 	// Accuracy/latency-budgeted queries run the incremental wave path; the
 	// unconstrained paths below are untouched (bit-identical results).
@@ -159,6 +160,19 @@ func integrate(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float
 	}
 	//repro:alloc-ok replicated/custom-generator queries build one generator per replicate
 	return integrateReplicated(rt, f, a, b, o, nu, genDim, inline)
+}
+
+// trimFree cuts the limit vectors after the last constrained row. Rows past
+// it multiply the probability by 1 and nobody reads their Y, so the sweep
+// stops there — no QMC block, Φ⁻¹ or propagation is spent on them — and the
+// result is bit-identical. The generator keeps the factor's full dimension.
+//repro:noalloc
+func trimFree(a, b []float64) ([]float64, []float64) {
+	n := len(a)
+	for n > 0 && math.IsInf(a[n-1], -1) && math.IsInf(b[n-1], 1) {
+		n--
+	}
+	return a[:n], b[:n]
 }
 
 // integrateReplicated runs the replicated (or custom-generator) integration:

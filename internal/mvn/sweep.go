@@ -105,16 +105,29 @@ func freeSpan(a, b []float64, row0, rows int) bool {
 	return true
 }
 
+// condBlock is the row sub-block of the diagonal kernel: rows condition on
+// each other by lane axpys inside a sub-block and on all earlier sub-blocks
+// through one GEMM per sub-block.
+const condBlock = 32
+
 // sweepColumn integrates the lane block of mc chains starting at global
-// sample index kOff through the whole factor and returns Σ_lanes p. With
-// nu > 0 it computes the Student-t variant: the generator's leading
-// coordinate fixes each lane's χ² scale. Everything it touches is pooled or
-// caller-owned; concurrent calls for disjoint columns are safe (the Factor
-// is only read).
+// sample index kOff through the factor rows the trimmed limits a, b cover and
+// returns Σ_lanes p. With nu > 0 it computes the Student-t variant: the
+// generator's leading coordinate fixes each lane's χ² scale. Everything it
+// touches is pooled or caller-owned; concurrent calls for disjoint columns
+// are safe (the Factor is only read).
+//
+// The conditioning values live in yBuf as GEMM-ready panels (linalg.PackedA,
+// one operand per row tile, tile t at offset mp·t·ts) and nowhere else: each
+// tile is packed once, by the diagonal kernel that produces it, and every
+// later row tile's propagation reads the panels in place.
 //repro:noalloc
 func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu float64) float64 {
-	nt, ts := f.NT(), f.TS()
-	yAll := linalg.GetMat(mc, f.N())
+	ts := f.TS()
+	nt := (len(a) + ts - 1) / ts
+	mp := linalg.PackedLen(mc, 1)
+	yBuf := linalg.GetVec(mp * len(a))
+	yT := linalg.GetMat(mc, ts)
 	p := linalg.GetVec(mc)
 	for l := range p {
 		p[l] = 1
@@ -136,9 +149,9 @@ func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu fl
 
 	alive := mc
 	for r := 0; r < nt && alive > 0; r++ {
-		rows := f.TileRows(r)
 		row0 := r * ts
-		yT := linalg.GetMatView(yAll, 0, row0, mc, rows)
+		rows := min(f.TileRows(r), len(a)-row0)
+		yP := linalg.PackedOver(yBuf[mp*row0:], mc, rows)
 		rT := linalg.GetMat(mc, rows)
 		src.fill(rT, kOff, d0Base+row0)
 		if freeSpan(a, b, row0, rows) {
@@ -146,31 +159,28 @@ func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu fl
 			// and no conditioning GEMMs into it at all.
 			stats.PhiInvBatch(rT.Data[:mc*rows], yT.Data[:mc*rows])
 			clampFreeY(yT.Data[:mc*rows])
+			yP.Pack(yT, 0)
 			linalg.PutMat(rT)
-			linalg.PutMatView(yT)
 			continue
 		}
 		// The A and B limits of Algorithm 2 are shifted by the SAME
 		// conditioning sum, so one accumulator tile serves both — half the
 		// propagation GEMMs of the seed's paired A/B updates. The first
 		// apply overwrites (beta 0), so the pooled tile needs no zeroing.
-		var cond *linalg.Matrix
-		if r > 0 {
-			cond = linalg.GetMat(mc, rows)
-			for t := 0; t < r; t++ {
-				yPrev := linalg.GetMatView(yAll, 0, t*ts, mc, f.TileRows(t))
-				beta := 1.0
-				if t == 0 {
-					beta = 0
-				}
-				f.ApplyOffDiagLanes(r, t, 1, yPrev, beta, cond)
-				linalg.PutMatView(yPrev)
-			}
+		cond := linalg.GetMat(mc, f.TileRows(r))
+		if r == 0 {
+			clear(cond.Data)
 		}
-		alive = qmcKernelLanes(f.Diag(r), rT, cond, yT, a, b, row0, s, p, ws, alive)
+		for t := 0; t < r; t++ {
+			beta := 1.0
+			if t == 0 {
+				beta = 0
+			}
+			f.ApplyOffDiagLanes(r, t, 1, linalg.PackedOver(yBuf[mp*t*ts:], mc, ts), beta, cond)
+		}
+		alive = qmcKernelLanes(f.Diag(r), rT, cond, yT, yP, a, b, row0, s, p, ws, alive)
 		linalg.PutMat(cond)
 		linalg.PutMat(rT)
-		linalg.PutMatView(yT)
 	}
 
 	sum := 0.0
@@ -182,20 +192,25 @@ func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu fl
 	}
 	linalg.PutVec(wsBuf)
 	linalg.PutVec(p)
-	linalg.PutMat(yAll)
+	linalg.PutMat(yT)
+	linalg.PutVec(yBuf)
 	return sum
 }
 
 // qmcKernelLanes is Algorithm 3 over one lane block: it advances every lane
-// (chain) of the block through the tile's rows, multiplying the interval
-// probability factors into p and writing the conditioning values into yT.
-// cond holds the inter-tile conditioning sums (nil for the first row tile);
-// intra-tile contributions accumulate on top of it through the lower
-// triangle of lkk, packed row-major once per invocation so the lane axpys
-// read stride-1 coefficients. The (optionally χ²-scaled by s) limits are
-// broadcast per row straight from a and b — no limit tiles exist. It
-// returns the updated count of alive lanes and stops early once none remain
-// (the unread tail of yT stays undefined — the caller abandons the sweep).
+// (chain) of the block through the tile's first yP.K rows, multiplying the
+// interval probability factors into p and leaving the conditioning values
+// packed in yP (yT is the tile-sized scratch they pass through). cond holds
+// the conditioning sums of the earlier row tiles (zeros for the first). The
+// rows go in sub-blocks of condBlock: inside one, row i adds its
+// predecessors' terms through the lower triangle of lkk by lane axpys; a
+// finished sub-block is packed into yP and one GEMM from those panels adds
+// its terms to every remaining column of cond, so all but 1/8 of the
+// intra-tile conditioning runs on the micro-kernel. The (optionally
+// χ²-scaled by s) limits are broadcast per row straight from a and b — no
+// limit tiles exist. It returns the updated count of alive lanes and stops
+// as soon as none remain (yP is then incomplete — the caller abandons the
+// sweep).
 //
 // Rows with most lanes alive run the batched Genz step — shifted limits,
 // the fused PhiIntervalPhiBatch and PhiInvBatch over the contiguous lane
@@ -203,96 +218,96 @@ func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu fl
 // clamps. Once most lanes are dead the scalar chainStep over the survivors
 // is cheaper than full-width batches; both paths compute identical values.
 //repro:noalloc
-func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, a, b []float64, row0 int, s, p []float64, ws laneWS, alive int) int {
-	m := lkk.Rows
+func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []float64, row0 int, s, p []float64, ws laneWS, alive int) int {
+	m := yP.K
 	mc := len(p)
-	rows := linalg.GetVec(m * m)
-	for i := 0; i < m; i++ {
-		ri := rows[i*m : i*m+i+1]
-		for t := 0; t <= i; t++ {
-			ri[t] = lkk.At(i, t)
-		}
-	}
-	for i := 0; i < m && alive > 0; i++ {
-		yCol := yT.Col(i)
-		wCol := rT.Col(i)
-		av, bv := a[row0+i], b[row0+i]
-		if math.IsInf(av, -1) && math.IsInf(bv, 1) {
-			// Free row inside a constrained tile: factor 1, y = Φ⁻¹(w); the
-			// conditioning sum cancels out of the (-∞,+∞) interval entirely.
-			stats.PhiInvBatch(wCol, yCol)
-			clampFreeY(yCol)
-			continue
-		}
-		ri := rows[i*m : i*m+i+1]
-		// The intra-tile terms accumulate directly on top of the inter-tile
-		// sums: cond's column i is consumed exactly once, at this row.
-		acc := ws.acc
-		if cond != nil {
-			acc = cond.Col(i)
-		} else {
-			for l := range acc {
-				acc[l] = 0
-			}
-		}
-		for t := 0; t < i; t++ {
-			if c := ri[t]; c != 0 {
-				linalg.Axpy(c, yT.Col(t), acc)
-			}
-		}
-		d := ri[i]
-		if 4*alive >= 3*mc {
-			// Batch path: shift the broadcast limits by the conditioning
-			// sums. (limit − acc)/d preserves ±∞ limits, so no per-lane
-			// infinity branch is needed.
-			aP, bP := ws.aP, ws.bP
-			shiftLanes(aP, av, acc, d, s)
-			shiftLanes(bP, bv, acc, d, s)
-			stats.PhiIntervalPhiBatch(aP, bP, ws.dif, ws.da)
-			u := ws.u
-			for l := 0; l < mc; l++ {
-				u[l] = ws.da[l] + wCol[l]*ws.dif[l]
-			}
-			stats.PhiInvBatch(u, yCol)
-			for l := 0; l < mc; l++ {
-				switch {
-				case p[l] == 0:
-					yCol[l] = 0 // dead lane: keep Y finite
-				case ws.dif[l] <= 0:
-					yCol[l] = emptyIntervalY(aP[l], bP[l])
-					p[l] = 0
-					alive--
-				default:
-					if y := yCol[l]; math.IsInf(y, 0) || math.IsNaN(y) {
-						yCol[l] = clampTailY(y, aP[l], bP[l])
-					}
-					p[l] *= ws.dif[l]
-					if p[l] == 0 {
-						alive--
-					}
-				}
-			}
-			continue
-		}
-		// Sparse path: only the surviving lanes pay the special functions.
-		for l := 0; l < mc; l++ {
-			if p[l] == 0 {
-				yCol[l] = 0
+	for i0 := 0; i0 < m; i0 += condBlock {
+		i1 := min(i0+condBlock, m)
+		for i := i0; i < i1 && alive > 0; i++ {
+			yCol := yT.Col(i)
+			wCol := rT.Col(i)
+			av, bv := a[row0+i], b[row0+i]
+			if math.IsInf(av, -1) && math.IsInf(bv, 1) {
+				// Free row inside a constrained tile: factor 1, y = Φ⁻¹(w); the
+				// conditioning sum cancels out of the (-∞,+∞) interval entirely.
+				stats.PhiInvBatch(wCol, yCol)
+				clampFreeY(yCol)
 				continue
 			}
-			al, bl := av, bv
-			if s != nil {
-				al, bl = scaleLimit(av, s[l]), scaleLimit(bv, s[l])
+			// The sub-block's own terms accumulate directly on top of the
+			// earlier rows' sums: cond's column i is consumed exactly once,
+			// at this row.
+			acc := cond.Col(i)
+			for t := i0; t < i; t++ {
+				if c := lkk.At(i, t); c != 0 {
+					linalg.Axpy(c, yT.Col(t), acc)
+				}
 			}
-			factor, yi := chainStep(shiftLimit(al, acc[l], d), shiftLimit(bl, acc[l], d), wCol[l])
-			p[l] *= factor
-			yCol[l] = yi
-			if p[l] == 0 {
-				alive--
+			d := lkk.At(i, i)
+			if 4*alive >= 3*mc {
+				// Batch path: shift the broadcast limits by the conditioning
+				// sums. (limit − acc)/d preserves ±∞ limits, so no per-lane
+				// infinity branch is needed.
+				aP, bP := ws.aP, ws.bP
+				shiftLanes(aP, av, acc, d, s)
+				shiftLanes(bP, bv, acc, d, s)
+				stats.PhiIntervalPhiBatch(aP, bP, ws.dif, ws.da)
+				u := ws.u
+				for l := 0; l < mc; l++ {
+					u[l] = ws.da[l] + wCol[l]*ws.dif[l]
+				}
+				stats.PhiInvBatch(u, yCol)
+				for l := 0; l < mc; l++ {
+					switch {
+					case p[l] == 0:
+						yCol[l] = 0 // dead lane: keep Y finite
+					case ws.dif[l] <= 0:
+						yCol[l] = emptyIntervalY(aP[l], bP[l])
+						p[l] = 0
+						alive--
+					default:
+						if y := yCol[l]; math.IsInf(y, 0) || math.IsNaN(y) {
+							yCol[l] = clampTailY(y, aP[l], bP[l])
+						}
+						p[l] *= ws.dif[l]
+						if p[l] == 0 {
+							alive--
+						}
+					}
+				}
+				continue
+			}
+			// Sparse path: only the surviving lanes pay the special functions.
+			for l := 0; l < mc; l++ {
+				if p[l] == 0 {
+					yCol[l] = 0
+					continue
+				}
+				al, bl := av, bv
+				if s != nil {
+					al, bl = scaleLimit(av, s[l]), scaleLimit(bv, s[l])
+				}
+				factor, yi := chainStep(shiftLimit(al, acc[l], d), shiftLimit(bl, acc[l], d), wCol[l])
+				p[l] *= factor
+				yCol[l] = yi
+				if p[l] == 0 {
+					alive--
+				}
 			}
 		}
+		if alive == 0 {
+			return 0
+		}
+		sub := yP.Cols(i0, i1-i0)
+		sub.Pack(yT, i0)
+		if i1 < m {
+			lv := linalg.GetMatView(lkk, i1, i0, m-i1, i1-i0)
+			cv := linalg.GetMatView(cond, 0, i1, mc, m-i1)
+			linalg.GemmPackedA(1, sub, true, lv, 1, cv)
+			linalg.PutMatView(cv)
+			linalg.PutMatView(lv)
+		}
 	}
-	linalg.PutVec(rows)
 	return alive
 }
 

@@ -200,7 +200,8 @@ func narrow32(dst []float32, src []float64) {
 // fix-up semantics mirror sweepColumn exactly — see the comments there.
 //repro:noalloc
 func sweepColumn32(f Factor, sh *ShadowF32, a, b []float64, src *blockSource, kOff, mc int, nu float64) float64 {
-	nt, ts := f.NT(), f.TS()
+	ts := f.TS()
+	nt := (len(a) + ts - 1) / ts // a, b are trimmed: see trimFree
 	yAll := tile.GetMat32(mc, f.N())
 	acc32 := tile.GetVec32(mc)
 	p := linalg.GetVec(mc)
@@ -223,8 +224,8 @@ func sweepColumn32(f Factor, sh *ShadowF32, a, b []float64, src *blockSource, kO
 
 	alive := mc
 	for r := 0; r < nt && alive > 0; r++ {
-		rows := f.TileRows(r)
 		row0 := r * ts
+		rows := min(f.TileRows(r), len(a)-row0)
 		yT := tile.GetMat32View(yAll, row0, rows)
 		rT := linalg.GetMat(mc, rows)
 		src.fill(rT, kOff, d0Base+row0)
@@ -243,7 +244,7 @@ func sweepColumn32(f Factor, sh *ShadowF32, a, b []float64, src *blockSource, kO
 		}
 		var cond *tile.Matrix32
 		if r > 0 {
-			cond = tile.GetMat32(mc, rows)
+			cond = tile.GetMat32(mc, f.TileRows(r))
 			for t := 0; t < r; t++ {
 				yPrev := tile.GetMat32View(yAll, t*ts, f.TileRows(t))
 				beta := float32(1)
@@ -254,7 +255,7 @@ func sweepColumn32(f Factor, sh *ShadowF32, a, b []float64, src *blockSource, kO
 				tile.PutMat32View(yPrev)
 			}
 		}
-		alive = qmcKernelLanes32(sh.diag[r], rows, rT, cond, yT, a, b, row0, s, p, ws, acc32, alive)
+		alive = qmcKernelLanes32(sh.diag[r], f.TileRows(r), rT, cond, yT, a, b, row0, s, p, ws, acc32, alive)
 		tile.PutMat32(cond)
 		linalg.PutMat(rT)
 		tile.PutMat32View(yT)
@@ -274,17 +275,18 @@ func sweepColumn32(f Factor, sh *ShadowF32, a, b []float64, src *blockSource, kO
 	return sum
 }
 
-// qmcKernelLanes32 is qmcKernelLanes over the f32 grid: the packed diagonal
-// arrives pre-converted from the shadow, the conditioning accumulation runs
-// in f32 (Axpy32 lanes), and each row's shifted limits widen the f32 sums
-// back to f64 for the batched Genz step. ws.acc serves as the f64 staging
+// qmcKernelLanes32 is qmcKernelLanes over the f32 grid, without its
+// sub-blocking: the packed diagonal (row stride m) arrives pre-converted from
+// the shadow, the conditioning accumulation runs in f32 (Axpy32 lanes) over
+// the rT.Cols rows the trimmed limits reach, and each row's shifted limits
+// widen the f32 sums back to f64 for the batched Genz step. ws.acc serves as the f64 staging
 // column for Φ⁻¹ output before narrowing; acc32 is the zero-conditioning
 // accumulator for the first tile.
 //repro:noalloc
 func qmcKernelLanes32(packed []float32, m int, rT *linalg.Matrix, cond, yT *tile.Matrix32, a, b []float64, row0 int, s, p []float64, ws laneWS, acc32 []float32, alive int) int {
 	mc := len(p)
 	y64 := ws.acc
-	for i := 0; i < m && alive > 0; i++ {
+	for i := 0; i < rT.Cols && alive > 0; i++ {
 		yCol := yT.Col(i)
 		wCol := rT.Col(i)
 		av, bv := a[row0+i], b[row0+i]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/linalg"
 	"repro/internal/qmc"
 	"repro/internal/taskrt"
@@ -216,5 +217,182 @@ func TestPMVNTLRLaneApplyMatchesDense(t *testing.T) {
 	got := PMVN(rt, NewTLRFactor(tc), a, b, Options{N: N})
 	if math.Abs(got.Prob-want) > 1e-8 {
 		t.Errorf("block-diagonal TLR: %v vs sequential %v", got.Prob, want)
+	}
+}
+
+// gridFromDense wraps a factored dense tile matrix as an adaptive grid whose
+// off-diagonal tiles alternate between dense and (numerically exact)
+// low-rank storage, so one factor exercises both of GridFactor's applies.
+func gridFromDense(tl *tile.Matrix) *GridFactor {
+	g := engine.NewGrid(tl.M, tl.TS)
+	for i := 0; i < tl.MT; i++ {
+		g.Set(i, i, &tile.DenseF64{D: tl.Tile(i, i)})
+		for j := 0; j < i; j++ {
+			if (i+j)%2 == 0 {
+				g.Set(i, j, &tile.DenseF64{D: tl.Tile(i, j)})
+			} else {
+				g.Set(i, j, tile.Compress(tl.Tile(i, j), 1e-14, 0))
+			}
+		}
+	}
+	return NewGridFactor(g)
+}
+
+// TestBlockedSweepMatchesSequential pins the panel-resident sweep — packed Y,
+// sub-blocked diagonal kernel, packed off-diagonal applies — against the
+// scalar SOV reference at tile sizes where the in-tile GEMMs actually run:
+// 40 (one sub-block plus a ragged one), 72 (two plus a ragged one, ragged
+// last tile) and 320 (depth past the packed kernel's kcBlk), with lane blocks
+// that are not a multiple of the register tile, on all three factor kinds,
+// for MVN and MVT. Limits mix finite, half-open and free rows (scattered
+// infinities).
+func TestBlockedSweepMatchesSequential(t *testing.T) {
+	rt := taskrt.New(2)
+	defer rt.Shutdown()
+	for _, tc := range []struct{ n, ts, mc, N int }{
+		{90, 40, 64, 300},
+		{190, 72, 50, 120},
+		{700, 320, 33, 66},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		sigma := randomSPD(tc.n, rng)
+		l, err := linalg.Cholesky(sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := randomLimits(tc.n, rng)
+		tl := tile.FromDense(sigma, tc.ts)
+		if err := tiledalg.Potrf(rt, tl); err != nil {
+			t.Fatal(err)
+		}
+		tc2, err := tlr.CompressSPDPar(rt.NewGroup(), tile.FromDense(sigma, tc.ts), 1e-13, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tlr.Potrf(rt.NewGroup(), tc2); err != nil {
+			t.Fatal(err)
+		}
+		nu := 4.5
+		want := SOVSequential(a, b, l, qmc.NewRichtmyer(tc.n), tc.N)
+		wantT := SOVSequentialT(a, b, l, nu, qmc.NewRichtmyer(tc.n+1), tc.N)
+		opt := Options{N: tc.N, SampleTile: tc.mc}
+		for name, f := range map[string]Factor{
+			"dense": NewDenseFactor(tl), "tlr": NewTLRFactor(tc2), "grid": gridFromDense(tl),
+		} {
+			// Relative: at these dimensions the probabilities are 1e-10 and
+			// below, and an absolute tolerance would pass anything.
+			if got := PMVN(rt, f, a, b, opt).Prob; !(math.Abs(got-want) <= 1e-9*want) {
+				t.Errorf("n=%d ts=%d %s: blocked %v vs sequential %v", tc.n, tc.ts, name, got, want)
+			}
+			if got := PMVT(rt, f, a, b, nu, opt).Prob; !(math.Abs(got-wantT) <= 1e-9*wantT) {
+				t.Errorf("n=%d ts=%d %s: blocked MVT %v vs sequential %v", tc.n, tc.ts, name, got, wantT)
+			}
+		}
+	}
+}
+
+// TestBlockedSweepMostlyDeadLanes: under near-perfect correlation the first
+// constrained row kills most lanes outright (shifted limits tens of σ out),
+// so the rest of the sweep runs the sparse path over a Y grid that is mostly
+// zeros, through sub-block GEMMs that do not know lanes are dead.
+func TestBlockedSweepMostlyDeadLanes(t *testing.T) {
+	const n, ts, N = 100, 40, 512
+	sigma := linalg.NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			sigma.Set(i, j, 0.999)
+		}
+		sigma.Set(j, j, 1)
+	}
+	l, err := linalg.Cholesky(sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := make([]float64, n), posInf(n)
+	a[0] = math.Inf(-1) // y₀ = Φ⁻¹(w) decides which lanes row 1 kills
+	for i := 1; i < n; i++ {
+		a[i] = 1
+	}
+	want := SOVSequential(a, b, l, qmc.NewRichtmyer(n), N)
+	if want <= 0 || want >= 0.5 {
+		t.Fatalf("reference %v: the box no longer kills most lanes but not all", want)
+	}
+	f := newDenseFactor(t, sigma, ts)
+	got := PMVN(nil, f, a, b, Options{N: N, SampleTile: 128}).Prob
+	if math.Abs(got-want) > 1e-9 {
+		t.Errorf("mostly-dead lanes: blocked %v vs sequential %v", got, want)
+	}
+}
+
+// countingGen is a block generator that records the furthest coordinate any
+// caller asked for.
+type countingGen struct {
+	*qmc.Richtmyer
+	maxDim int
+	blocks int
+}
+
+//repro:noalloc
+func (c *countingGen) FillBlock(dst *linalg.Matrix, p0, d0 int) {
+	c.blocks++
+	c.maxDim = max(c.maxDim, d0+dst.Cols)
+	c.Richtmyer.FillBlock(dst, p0, d0)
+}
+
+// TestSweepStopsAtLastConstrainedRow: rows after the last finite limit cost
+// nothing — no QMC block reaches past that row, in the f64 and the f32 sweep,
+// for MVN and (one leading χ² coordinate further) MVT — and the estimate is
+// bit-identical to sweeping the untrimmed limits through every tile.
+func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
+	const n, ts, N, last = 60, 8, 96, 18 // row 18 is in the middle of tile 2
+	rng := rand.New(rand.NewSource(9))
+	f := newDenseFactor(t, randomSPD(n, rng), ts)
+	a, b := make([]float64, n), posInf(n)
+	for i := range a {
+		a[i] = math.Inf(-1)
+	}
+	for _, i := range []int{0, 3, 11, last} {
+		a[i] = -0.4
+	}
+	for _, nu := range []float64{0, 5} {
+		lead := 0
+		if nu > 0 {
+			lead = 1
+		}
+		var probs []float64
+		for _, f32 := range []bool{false, true} {
+			var gens []*countingGen
+			opt := Options{N: N, SampleTile: 32, SweepF32: f32, Inline: true,
+				NewGen: func(dim int, shift []float64) qmc.Generator {
+					g := &countingGen{Richtmyer: qmc.NewRichtmyerShifted(dim, shift)}
+					gens = append(gens, g)
+					return g
+				}}
+			probs = append(probs, integrate(nil, f, a, b, opt.withDefaults(ts), nu).Prob)
+			for _, g := range gens {
+				if g.blocks == 0 || g.maxDim > lead+last+1 {
+					t.Errorf("nu=%g f32=%v: %d blocks, furthest coordinate %d, want ≤ %d", nu, f32, g.blocks, g.maxDim, lead+last+1)
+				}
+			}
+		}
+		// The untrimmed sweep: every tile, free ones included.
+		src := newBlockSource(qmc.NewRichtmyer(n+lead), N)
+		full := 0.0
+		for k := 0; k < N; k += 32 {
+			full += sweepColumn(f, a, b, &src, k, 32, nu)
+		}
+		if got := clampProb(full / N); got != probs[0] {
+			t.Errorf("nu=%g: trimmed sweep %v, full sweep %v: not bit-identical", nu, probs[0], got)
+		}
+	}
+	// Nothing constrained: probability 1 without a single block.
+	g := &countingGen{Richtmyer: qmc.NewRichtmyer(n)}
+	free := make([]float64, n)
+	for i := range free {
+		free[i] = math.Inf(-1)
+	}
+	res := PMVN(nil, f, free, b, Options{N: N, NewGen: func(int, []float64) qmc.Generator { return g }})
+	if res.Prob != 1 || g.blocks != 0 {
+		t.Errorf("all-free box: prob %v after %d blocks", res.Prob, g.blocks)
 	}
 }

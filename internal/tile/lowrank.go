@@ -230,29 +230,41 @@ func roundLRCholQR(bigU, bigV *linalg.Matrix, tol float64, maxRank int) (*linalg
 	return u, v, true
 }
 
-// ApplyRightTrans computes c = alpha·b·(U·Vᵀ)ᵀ + beta·c = alpha·(b·V)·Uᵀ +
-// beta·c without densifying the tile — the cheap level-3 form the TLR PMVN
+// ApplyRightTransPacked computes c = alpha·b·(U·Vᵀ)ᵀ + beta·c = alpha·(b·V)·Uᵀ
+// + beta·c without densifying the tile — the cheap level-3 form the TLR PMVN
 // propagation applies (paper Algorithm 2, lines 11–12), in the lane-major
-// (chains × rows) layout of the chain-blocked sweep: the sample lanes run
-// down the stride-1 axis of b and c. A rank-0 tile still applies the beta
-// scaling (beta = 0 fully defines c, even over uninitialized scratch).
+// (chains × rows) layout of the chain-blocked sweep. b is the sweep's packed
+// Y tile: the tile-wide b·V product reads it in place and only the rank-wide
+// W·Uᵀ product packs anything. A rank-0 tile still applies the beta scaling
+// (beta = 0 fully defines c, even over uninitialized scratch).
 //repro:noalloc
-func (t *LowRank) ApplyRightTrans(alpha float64, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
+func (t *LowRank) ApplyRightTransPacked(alpha float64, b linalg.PackedA, beta float64, c *linalg.Matrix) {
 	k := t.Rank()
 	if k == 0 {
-		switch beta {
-		case 1:
-		case 0:
-			c.Zero()
-		default:
-			for j := 0; j < c.Cols; j++ {
-				linalg.Scal(beta, c.Col(j))
-			}
-		}
+		c.Scale(beta)
 		return
 	}
-	w := linalg.GetMat(b.Rows, k)
-	linalg.Gemm(false, false, 1, b, t.V, 0, w)
+	w := linalg.GetMat(b.M, k)
+	linalg.GemmPackedA(1, b, false, t.V, 0, w)
 	linalg.Gemm(false, true, alpha, w, t.U, beta, c)
 	linalg.PutMat(w)
 }
+
+// ApplyRightTrans is ApplyRightTransPacked for an unpacked b: it packs b into
+// pooled scratch and applies.
+//repro:noalloc
+func (t *LowRank) ApplyRightTrans(alpha float64, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
+	buf := linalg.GetVec(linalg.PackedLen(b.Rows, b.Cols))
+	p := linalg.PackedOver(buf, b.Rows, b.Cols)
+	p.Pack(b, 0)
+	t.ApplyRightTransPacked(alpha, p, beta, c)
+	linalg.PutVec(buf)
+}
+
+// bench/probes.go times these two by these signatures, and a change that
+// claims a gain may not edit bench/: a refactor that moves either one must
+// fail here, at build time, not in the benchmark.
+var (
+	_ func(*LowRank, float64, *linalg.Matrix, float64, *linalg.Matrix)                   = (*LowRank).ApplyRightTrans
+	_ func(bool, bool, float64, *linalg.Matrix, *linalg.Matrix, float64, *linalg.Matrix) = linalg.Gemm
+)
