@@ -203,9 +203,8 @@ type Config struct {
 	// (LRU eviction; each dense factor is O(n²) memory). Default 8; 0
 	// keeps the default, negative means unbounded.
 	FactorCacheCap int
-	// SequentialBatch evaluates batched queries (and the repeated prefix
-	// probabilities of DetectRegion) one after another instead of fanning
-	// them out across the runtime — a debugging / baseline knob.
+	// SequentialBatch evaluates batched queries one after another instead of
+	// fanning them out across the runtime — a debugging / baseline knob.
 	SequentialBatch bool
 	// AdaptiveBand is the number of sub-diagonals MethodAdaptive keeps in
 	// dense float64 (default 1).
@@ -239,7 +238,8 @@ type Config struct {
 	// probability accumulation stay float64, so estimates differ from the
 	// default sweep by well under the QMC error bar. The cached Cholesky
 	// factor stays float64 and is shared with f64 queries; its f32 shadow is
-	// built once per factor on first use.
+	// built once per factor on first use. DetectRegion and DetectRegionCov
+	// integrate on the float64 sweep regardless (see DetectRegion).
 	SweepF32 bool
 }
 
@@ -706,34 +706,64 @@ func (e *Excursion) InRegion(n int) []bool {
 	return mask
 }
 
+// DetectInputError is the error DetectRegion and DetectRegionCov return for
+// a mean, threshold or covariance diagonal that is NaN, infinite or (the
+// diagonal) not positive; nothing is standardized, factorized or cached for
+// such a call.
+type DetectInputError = excursion.InputError
+
 // DetectRegion finds the confidence region where the Gaussian field with
 // the given mean and covariance (from the kernel at locs) exceeds threshold
 // u with joint probability at least conf = 1−α, and evaluates the
-// confidence function at fPoints interpolation nodes (0 = every prefix —
-// the literal Algorithm 1 loop).
+// confidence function F⁺ at every location.
+//
+// One detection is one factorization and one integration: Σ is standardized
+// and factored in the marginal ordering of (mean, u), where every prefix of
+// the ordering is a leading block whose joint probability the SOV sweep
+// passes through on its way to the full dimension (see internal/excursion).
+// The cached factor is therefore keyed by Σ and the ordering: a repeated
+// call is served warm, a new mean or u that reorders the locations
+// refactorizes. The integration runs Config.QMCSize × Config.Replicates
+// chains on the float64 sweep (also for a SweepF32 session — the f32 sweep
+// carries no prefix accumulator).
+//
+// fPoints is unused and kept for source compatibility: it was the number of
+// prefixes the confidence function was integrated at before interpolating;
+// every prefix is now evaluated exactly.
 func (s *Session) DetectRegion(locs []Point, kernel KernelSpec, mean []float64, u, conf float64, fPoints int) (*Excursion, error) {
 	k, err := kernel.build()
 	if err != nil {
 		return nil, err
 	}
+	if len(mean) != len(locs) {
+		return nil, fmt.Errorf("parmvn: mean length %d != dimension %d", len(mean), len(locs))
+	}
 	sigma := cov.Matrix(toGeom(locs), k)
-	return s.detectSigma(sigma, mean, u, conf, fPoints)
+	return s.detectSigma(sigma.Col, mean, u, conf)
 }
 
 // DetectRegionCov is DetectRegion with an explicit covariance matrix (e.g.
-// a posterior covariance from eq. 7).
+// a posterior covariance from eq. 7). Σ is read in place: the only n×n
+// allocations are the standardized, reordered matrix and the factor's tiles.
 func (s *Session) DetectRegionCov(sigma [][]float64, mean []float64, u, conf float64, fPoints int) (*Excursion, error) {
-	m, err := denseFromRows(sigma)
-	if err != nil {
-		return nil, err
-	}
-	return s.detectSigma(m, mean, u, conf, fPoints)
-}
-
-func (s *Session) detectSigma(sigma *linalg.Matrix, mean []float64, u, conf float64, fPoints int) (*Excursion, error) {
-	n := sigma.Rows
+	n := len(sigma)
 	if len(mean) != n {
 		return nil, fmt.Errorf("parmvn: mean length %d != dimension %d", len(mean), n)
+	}
+	for i, row := range sigma {
+		if len(row) != n {
+			return nil, fmt.Errorf("parmvn: covariance row %d has %d entries, want %d", i, len(row), n)
+		}
+	}
+	return s.detectSigma(func(i int) []float64 { return sigma[i] }, mean, u, conf)
+}
+
+// detectSigma is the detection behind both entry points, on the symmetric
+// covariance whose i-th row is row(i), len(mean) rows of len(mean) entries.
+func (s *Session) detectSigma(row func(i int) []float64, mean []float64, u, conf float64) (*Excursion, error) {
+	n := len(mean)
+	if n == 0 {
+		return nil, fmt.Errorf("parmvn: empty problem (dimension 0)")
 	}
 	if conf <= 0 || conf >= 1 {
 		return nil, fmt.Errorf("parmvn: confidence %g must be in (0,1)", conf)
@@ -741,23 +771,27 @@ func (s *Session) detectSigma(sigma *linalg.Matrix, mean []float64, u, conf floa
 	if err := s.validateTileSize(n); err != nil {
 		return nil, err
 	}
-	corr, sd := excursion.CorrelationFromCovariance(sigma)
-	f, err := s.factorForSigma(corr)
+	sd, err := excursion.StdDevs(row, n)
 	if err != nil {
 		return nil, err
 	}
-	c, err := excursion.NewComputer(s.rt, f, mean, sd, u, s.mvnOpts())
+	plan, err := excursion.NewPlan(mean, sd, u)
 	if err != nil {
 		return nil, err
 	}
-	c.Sequential = s.cfg.SequentialBatch
-	res := c.ConfidenceFunction(fPoints)
-	region := c.Region(conf)
+	f, err := s.factorForSigma(plan.Correlation(row, sd))
+	if err != nil {
+		return nil, err
+	}
+	c, err := plan.Integrate(s.rt, f, s.mvnOpts())
+	if err != nil {
+		return nil, err
+	}
 	return &Excursion{
-		Region:   region,
-		F:        res.F,
-		Marginal: c.MarginalProbs(),
-		Order:    append([]int(nil), c.Ordering()...),
+		Region:   c.Region(conf),
+		F:        c.ConfidenceFunction(),
+		Marginal: plan.MarginalProbs(),
+		Order:    append([]int(nil), plan.Ordering()...),
 	}, nil
 }
 

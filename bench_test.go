@@ -43,9 +43,42 @@ func benchLimits(n int, lo float64) (a, b []float64) {
 	return
 }
 
+// detectOnce is one confidence-region detection the way Session.DetectRegion
+// makes it: marginal ordering, the correlation matrix gathered in that
+// ordering, one factorization (dense, or TLR at tlrTol > 0) and one
+// integration that yields every prefix probability.
+func detectOnce(b *testing.B, rt *taskrt.Runtime, corr *linalg.Matrix, mean, sd []float64, u, conf float64, ts int, tlrTol float64) []int {
+	b.Helper()
+	plan, err := excursion.NewPlan(mean, sd, u)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t := tile.FromDense(plan.Correlation(corr.Col, nil), ts)
+	var f mvn.Factor
+	if tlrTol > 0 {
+		a, err := tlr.CompressSPD(t, tlrTol, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tlr.Potrf(rt, a); err != nil {
+			b.Fatal(err)
+		}
+		f = mvn.NewTLRFactor(a)
+	} else {
+		if err := tiledalg.Potrf(rt, t); err != nil {
+			b.Fatal(err)
+		}
+		f = mvn.NewDenseFactor(t)
+	}
+	c, err := plan.Integrate(rt, f, mvn.Options{N: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c.Region(conf)
+}
+
 // BenchmarkFig1CRD is Figure 1's unit of work: one confidence-region
-// detection (bisection over PMVN prefix probabilities) on a posterior-like
-// field, dense factorization.
+// detection on a posterior-like field, dense factorization.
 func BenchmarkFig1CRD(b *testing.B) {
 	sigma := benchCorr(16) // n=256
 	corr, sd := excursion.CorrelationFromCovariance(sigma)
@@ -57,43 +90,34 @@ func BenchmarkFig1CRD(b *testing.B) {
 	defer rt.Shutdown()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := tile.FromDense(corr, 64)
-		if err := tiledalg.Potrf(rt, t); err != nil {
-			b.Fatal(err)
-		}
-		c, err := excursion.NewComputer(rt, mvn.NewDenseFactor(t), mean, sd, 0, mvn.Options{N: 1000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if reg := c.Region(0.9); len(reg) == 0 {
+		if reg := detectOnce(b, rt, corr, mean, sd, 0, 0.9, 64, 0); len(reg) == 0 {
 			b.Fatal("empty region")
 		}
 	}
 }
 
-// BenchmarkFig2Wind is the wind application's unit of work: standardize the
-// synthetic Saudi dataset and detect the 4 m/s 95% region (dense).
-func BenchmarkFig2Wind(b *testing.B) {
+// windProblem is the wind application's detection problem: the standardized
+// synthetic Saudi dataset and the generating Matérn correlation.
+func windProblem(b *testing.B) (corr *linalg.Matrix, mean, sd []float64) {
+	b.Helper()
 	ds, err := wind.Generate(wind.Config{Nx: 14, Ny: 12, Days: 60, Seed: 11})
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, mean, sd := ds.Standardize(40)
+	_, mean, sd = ds.Standardize(40)
 	g := geo.RegularGrid(14, 12)
-	corr := cov.Matrix(g, &cov.Nugget{Kernel: cov.NewMatern(1, 0.12, 1.43391), Tau2: 1e-6})
+	return cov.Matrix(g, &cov.Nugget{Kernel: cov.NewMatern(1, 0.12, 1.43391), Tau2: 1e-6}), mean, sd
+}
+
+// BenchmarkFig2Wind is the wind application's unit of work: detect the
+// 4 m/s 95% region (dense).
+func BenchmarkFig2Wind(b *testing.B) {
+	corr, mean, sd := windProblem(b)
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := tile.FromDense(corr, 42)
-		if err := tiledalg.Potrf(rt, t); err != nil {
-			b.Fatal(err)
-		}
-		c, err := excursion.NewComputer(rt, mvn.NewDenseFactor(t), mean, sd, 4.0, mvn.Options{N: 1000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.Region(0.95)
+		detectOnce(b, rt, corr, mean, sd, 4.0, 0.95, 42, 0)
 	}
 }
 
@@ -101,29 +125,12 @@ func BenchmarkFig2Wind(b *testing.B) {
 // the same detection through a TLR factorization at the paper's 1e-4
 // accuracy.
 func BenchmarkFig3DenseTLRDiff(b *testing.B) {
-	ds, err := wind.Generate(wind.Config{Nx: 14, Ny: 12, Days: 60, Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, mean, sd := ds.Standardize(40)
-	g := geo.RegularGrid(14, 12)
-	corr := cov.Matrix(g, &cov.Nugget{Kernel: cov.NewMatern(1, 0.12, 1.43391), Tau2: 1e-6})
+	corr, mean, sd := windProblem(b)
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := tlr.CompressSPD(tile.FromDense(corr, 42), 1e-4, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tlr.Potrf(rt, a); err != nil {
-			b.Fatal(err)
-		}
-		c, err := excursion.NewComputer(rt, mvn.NewTLRFactor(a), mean, sd, 4.0, mvn.Options{N: 1000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.Region(0.95)
+		detectOnce(b, rt, corr, mean, sd, 4.0, 0.95, 42, 1e-4)
 	}
 }
 

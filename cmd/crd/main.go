@@ -29,7 +29,6 @@ func main() {
 	obs := flag.Float64("obs", 0.25, "fraction of locations observed")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "worker goroutines")
-	batch := flag.Bool("batch", true, "fan the confidence-function probability queries out in parallel (false = sequential baseline)")
 	flag.Parse()
 
 	die := func(err error) {
@@ -52,7 +51,6 @@ func main() {
 	}
 	s := parmvn.NewSession(parmvn.Config{
 		Method: m, Workers: *workers, TileSize: min(max(16, n/8), n), QMCSize: *qmc, TLRTol: 1e-4,
-		SequentialBatch: !*batch,
 	})
 	defer s.Close()
 
@@ -65,7 +63,7 @@ func main() {
 		}
 	}
 	start := time.Now()
-	exc, err := s.DetectRegionCov(sigma, ds.PostMu, *u, *conf, 16)
+	exc, err := s.DetectRegionCov(sigma, ds.PostMu, *u, *conf, 0)
 	if err != nil {
 		die(err)
 	}

@@ -1,0 +1,176 @@
+package parmvn
+
+import (
+	"errors"
+	"math"
+	"testing"
+)
+
+// detectProblem is a 12×12 exponential field whose mean falls from west to
+// east, as rows for DetectRegionCov.
+func detectProblem() (locs []Point, kernel KernelSpec, sigma [][]float64, mean []float64) {
+	locs = Grid(12, 12)
+	kernel = KernelSpec{Family: "exponential", Range: 0.2, Sigma2: 1.4}
+	mean = make([]float64, len(locs))
+	for i, p := range locs {
+		mean[i] = 2.5 - 4*p.X - 0.5*p.Y
+	}
+	return locs, kernel, CovarianceMatrix(locs, kernel), mean
+}
+
+// TestDetectRegionOneFactorOneSweep pins the query plan from outside: a
+// detection is one factorization and one integration (one "qmc" task per
+// sample-tile column), a repeated identical call on the session factorizes
+// nothing, and a new threshold — a new marginal ordering — refactorizes.
+func TestDetectRegionOneFactorOneSweep(t *testing.T) {
+	_, _, sigma, mean := detectProblem()
+	for _, m := range []Method{Dense, TLR, MethodAdaptive} {
+		s := NewSession(Config{Method: m, Workers: 2, TileSize: 36, QMCSize: 360, TLRTol: 1e-6})
+		const columns = 360 / 36 // SampleTile defaults to the tile size
+		first, err := s.DetectRegionCov(sigma, mean, 0, 0.9, 16)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if len(first.Region) == 0 || len(first.Region) == len(mean) {
+			t.Fatalf("%v: region %d of %d is degenerate", m, len(first.Region), len(mean))
+		}
+		if hits, misses := s.Cache().Stats(); hits != 0 || misses != 1 {
+			t.Errorf("%v: first detection: %d cache hits, %d misses, want 0 and 1", m, hits, misses)
+		}
+		if got := s.SchedulerStats().Tasks["qmc"]; got != columns {
+			t.Errorf("%v: first detection ran %d sweep tasks, want %d (one integration)", m, got, columns)
+		}
+		again, err := s.DetectRegionCov(sigma, mean, 0, 0.9, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := s.Cache().Stats(); hits != 1 || misses != 1 {
+			t.Errorf("%v: repeated detection: %d cache hits, %d misses, want 1 and 1", m, hits, misses)
+		}
+		if got := s.SchedulerStats().Tasks["qmc"]; got != 2*columns {
+			t.Errorf("%v: two detections ran %d sweep tasks, want %d", m, got, 2*columns)
+		}
+		for i := range first.F {
+			if again.F[i] != first.F[i] {
+				t.Fatalf("%v: F[%d] = %v warm, %v cold", m, i, again.F[i], first.F[i])
+			}
+		}
+		if _, err := s.DetectRegionCov(sigma, mean, 0.7, 0.9, 16); err != nil {
+			t.Fatal(err)
+		}
+		if _, misses := s.Cache().Stats(); misses != 2 {
+			t.Errorf("%v: a new threshold reorders the locations: %d misses, want 2", m, misses)
+		}
+		s.Close()
+	}
+}
+
+// TestDetectRegionConfidenceFunction: F is exactly non-increasing along
+// Order, 1-bounded, and Region is the prefix of Order where it is ≥ conf.
+func TestDetectRegionConfidenceFunction(t *testing.T) {
+	locs, kernel, _, mean := detectProblem()
+	s := NewSession(Config{TileSize: 48, QMCSize: 1000, Replicates: 2})
+	defer s.Close()
+	exc, err := s.DetectRegion(locs, kernel, mean, 0, 0.8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 1.0
+	for rank, loc := range exc.Order {
+		f := exc.F[loc]
+		if f > prev || f < 0 {
+			t.Fatalf("rank %d: F = %v after %v", rank+1, f, prev)
+		}
+		if in := rank < len(exc.Region); in != (f >= 0.8) || (in && exc.Region[rank] != loc) {
+			t.Fatalf("rank %d: F = %v, region holds %d locations", rank+1, f, len(exc.Region))
+		}
+		prev = f
+	}
+	if k := len(exc.Region); k == 0 || k == len(locs) {
+		t.Fatalf("region %d of %d is degenerate", k, len(locs))
+	}
+}
+
+// TestDetectRegionSweepF32Session: a SweepF32 session detects on the f64
+// sweep (the f32 sweep has no prefix accumulator) — the same region and
+// confidence function, never an all-zero one.
+func TestDetectRegionSweepF32Session(t *testing.T) {
+	_, _, sigma, mean := detectProblem()
+	var excs []*Excursion
+	for _, f32 := range []bool{false, true} {
+		s := NewSession(Config{TileSize: 36, QMCSize: 800, SweepF32: f32})
+		exc, err := s.DetectRegionCov(sigma, mean, 0, 0.9, 16)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		excs = append(excs, exc)
+	}
+	if len(excs[1].Region) == 0 || len(excs[1].Region) != len(excs[0].Region) {
+		t.Errorf("SweepF32 session: region %d locations, f64 session %d", len(excs[1].Region), len(excs[0].Region))
+	}
+	for i, f := range excs[0].F {
+		if math.Abs(excs[1].F[i]-f) > 1e-3 {
+			t.Errorf("F[%d]: %v on a SweepF32 session, %v on an f64 one", i, excs[1].F[i], f)
+		}
+	}
+}
+
+// TestDetectRegionRejectsUnusableInput: NaN, infinite or non-positive inputs
+// are refused with a DetectInputError before anything is standardized,
+// factorized or cached — through both entry points.
+func TestDetectRegionRejectsUnusableInput(t *testing.T) {
+	locs, kernel, sigma, mean := detectProblem()
+	nan, inf := math.NaN(), math.Inf(1)
+	with := func(v []float64, i int, x float64) []float64 {
+		out := append([]float64(nil), v...)
+		out[i] = x
+		return out
+	}
+	withDiag := func(i int, x float64) [][]float64 {
+		out := append([][]float64(nil), sigma...)
+		out[i] = with(sigma[i], i, x)
+		return out
+	}
+	s := NewSession(Config{TileSize: 36, QMCSize: 100})
+	defer s.Close()
+	for _, tc := range []struct {
+		name  string
+		sigma [][]float64
+		mean  []float64
+		u     float64
+		what  string
+		index int
+	}{
+		{"NaN diagonal", withDiag(5, nan), mean, 0, "covariance diagonal", 5},
+		{"zero diagonal", withDiag(0, 0), mean, 0, "covariance diagonal", 0},
+		{"negative diagonal", withDiag(143, -1), mean, 0, "covariance diagonal", 143},
+		{"infinite diagonal", withDiag(7, inf), mean, 0, "covariance diagonal", 7},
+		{"NaN mean", sigma, with(mean, 3, nan), 0, "mean", 3},
+		{"infinite mean", sigma, with(mean, 9, -inf), 0, "mean", 9},
+		{"NaN threshold", sigma, mean, nan, "threshold", -1},
+		{"infinite threshold", sigma, mean, inf, "threshold", -1},
+	} {
+		_, err := s.DetectRegionCov(tc.sigma, tc.mean, tc.u, 0.9, 16)
+		var in *DetectInputError
+		if !errors.As(err, &in) || in.What != tc.what || in.Index != tc.index {
+			t.Errorf("DetectRegionCov, %s: error %v, want DetectInputError{%s, %d}", tc.name, err, tc.what, tc.index)
+		}
+		if tc.what == "covariance diagonal" {
+			continue // a kernel's diagonal is its variance, validated with the spec
+		}
+		_, err = s.DetectRegion(locs, kernel, tc.mean, tc.u, 0.9, 16)
+		if !errors.As(err, &in) || in.What != tc.what || in.Index != tc.index {
+			t.Errorf("DetectRegion, %s: error %v, want DetectInputError{%s, %d}", tc.name, err, tc.what, tc.index)
+		}
+	}
+	if hits, misses := s.Cache().Stats(); hits != 0 || misses != 0 || s.Cache().Len() != 0 {
+		t.Errorf("rejected detections touched the factor cache: %d hits, %d misses, %d entries", hits, misses, s.Cache().Len())
+	}
+	if _, err := s.DetectRegionCov(append(sigma[:143:143], sigma[143][:100]), mean, 0, 0.9, 16); err == nil {
+		t.Error("want error for a ragged covariance row")
+	}
+	if _, err := s.DetectRegionCov(nil, nil, 0, 0.9, 16); err == nil {
+		t.Error("want error for an empty problem")
+	}
+}

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/cov"
+	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/excursion"
 	"repro/internal/geo"
 	"repro/internal/linalg"
 	"repro/internal/mixprec"
@@ -426,5 +428,52 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 		} else if diff := d.MaxAbsDiff(ref); diff != 0 {
 			t.Errorf("worker count changed adaptive factor by %v", diff)
 		}
+	}
+}
+
+// TestAssembleAdaptiveMeasuresMaterializedProbes: a smooth kernel's
+// covariance at locations in SCATTERED order (the marginal-ordered posterior
+// correlation of a confidence-region detection) makes partially pivoted ACA
+// declare convergence at tol 1e-4 with a residual of 0.3 on tile (2,0) (and
+// 6e-4 on (8,0)), beside tiles it compresses soundly. The tile is in hand, so
+// AssembleAdaptive compresses it with a measured tail bound instead, and
+// every low-rank tile it keeps meets the tolerance it was asked for.
+func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
+	const side, ts, tol = 30, 100, 1e-4
+	n := side * side
+	ds, err := datagen.NewSyntheticDataset(side, n/4, "medium", rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := excursion.StdDevs(ds.PostCov.Col, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := excursion.NewPlan(ds.PostMu, sd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corr := plan.Correlation(ds.PostCov.Col, sd)
+	ref := tile.FromDense(corr, ts)
+	g := engine.AssembleAdaptive(nil, tile.FromDense(corr, ts), engine.Policy{Tol: tol})
+	lowRank := 0
+	for i := 0; i < g.NT; i++ {
+		for j := 0; j < i; j++ {
+			lr, ok := g.At(i, j).(*tile.LowRank)
+			if !ok {
+				continue
+			}
+			lowRank++
+			blk, res := ref.Tile(i, j), lr.Dense()
+			for c := 0; c < blk.Cols; c++ {
+				linalg.Axpy(-1, blk.Col(c), res.Col(c))
+			}
+			if rel := res.FrobNorm() / blk.FrobNorm(); rel > tol {
+				t.Errorf("tile (%d,%d): rank %d low-rank form is %.2e from the tile, tolerance %g", i, j, lr.Rank(), rel, tol)
+			}
+		}
+	}
+	if lowRank == 0 {
+		t.Fatal("no low-rank tile: vacuous")
 	}
 }

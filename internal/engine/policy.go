@@ -81,6 +81,20 @@ func (p Policy) probe(m, n int, entry func(i, j int) float64) (*tile.LowRank, bo
 	return nil, false
 }
 
+// probeDense is the compressibility test for a tile that is already
+// materialized: tile.Compress, whose tail bound is measured against the tile
+// itself, with the same one-past-the-limit rank budget as probe. Partially
+// pivoted ACA stops on an estimate of its error, and on a tile that is not
+// smooth in its indices (a smooth kernel at locations in scattered order:
+// the marginal-ordered matrix of confidence-region detection) it declares
+// convergence with residuals thousands of times Tol, so it is kept for the
+// entry-based assemblers, which have no tile to measure against.
+func (p Policy) probeDense(blk *linalg.Matrix) (*tile.LowRank, bool) {
+	limit := p.rankLimit(blk.Rows, blk.Cols)
+	lr := tile.Compress(blk, p.Tol, limit+1)
+	return lr, lr.Rank() <= limit
+}
+
 // AssembleAdaptive builds an engine grid from a symmetric tiled matrix,
 // choosing each lower tile's representation by the policy. The grid aliases
 // src's float64 tiles (the factorization then runs in place), so src must
@@ -106,7 +120,7 @@ func AssembleAdaptive(sub taskrt.Submitter, src *tile.Matrix, p Policy) *Grid {
 				continue
 			}
 			run(func() {
-				if lr, ok := p.probe(blk.Rows, blk.Cols, blk.At); ok {
+				if lr, ok := p.probeDense(blk); ok {
 					g.Set(i, j, lr)
 					return
 				}

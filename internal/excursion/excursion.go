@@ -6,10 +6,25 @@
 // at s exceeds the threshold; the confidence region at level 1−α is the
 // largest prefix whose joint probability still exceeds 1−α.
 //
-// The joint prefix probability is non-increasing in the prefix length, so
-// the region boundary can be found with O(log n) PMVN evaluations
-// (bisection mode) instead of the n evaluations of the literal Algorithm 1
-// loop (exact mode); both are provided and validated against each other.
+// One sweep per detection. The prefixes are nested along the marginal
+// ordering, so the correlation matrix is gathered and factored IN that
+// ordering (Plan.Correlation): every prefix is then a leading block, and the
+// SOV estimator of a leading block's probability is the running product of
+// the same chains after row k — the sequential-integration form Bolin &
+// Lindgren's method is built on. A single full-dimension integration
+// (Plan.Integrate → mvn.PMVNPrefix) therefore yields F⁺ at all n prefixes,
+// exactly, with nothing to interpolate or bisect; each chain's product only
+// shrinks, so F⁺ is non-increasing along the ordering by construction.
+//
+// Cost, in sweep flops with N chains: the literal Algorithm 1 loop is n
+// integrations, n·n²·N; evaluating `nodes` prefixes and bisecting for the
+// boundary was (nodes + log₂n)·n²·N; this plan is one factorization plus one
+// sweep, n³/3 + n²·N. The factor is keyed by the ordering, so a detection
+// with a new mean or threshold refactorizes where the old plan reused a
+// location-ordered factor — still a win whenever n³/3 < (nodes+log₂n−1)·n²·N,
+// i.e. n ≲ 78·N at 16 nodes and n = 2500 (there: ≈170 Gflop → ≈12 Gflop).
+// Marginal order is not spatial order, so a TLR/adaptive factor compresses
+// less than it does for the same field in location order.
 package excursion
 
 import (
@@ -23,6 +38,41 @@ import (
 	"repro/internal/stats"
 	"repro/internal/taskrt"
 )
+
+// InputError reports a detection input — a mean, a standard deviation, a
+// covariance diagonal entry or the threshold — that is not a usable number.
+type InputError struct {
+	What  string // "mean", "sd", "covariance diagonal", "threshold"
+	Index int    // location index; -1 for the threshold
+	Value float64
+}
+
+func (e *InputError) Error() string {
+	if e.Index < 0 {
+		return fmt.Sprintf("excursion: %s = %g is not finite", e.What, e.Value)
+	}
+	return fmt.Sprintf("excursion: %s[%d] = %g is not usable", e.What, e.Index, e.Value)
+}
+
+// finitePositive is written so NaN fails it (s <= 0 is false for NaN).
+func finitePositive(s float64) bool { return s > 0 && !math.IsInf(s, 1) }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// StdDevs returns √Σii for the symmetric n×n matrix whose i-th row (or
+// column) is row(i), rejecting a diagonal entry that is not finite and
+// positive.
+func StdDevs(row func(i int) []float64, n int) ([]float64, error) {
+	sd := make([]float64, n)
+	for i := range sd {
+		d := row(i)[i]
+		if !finitePositive(d) {
+			return nil, &InputError{What: "covariance diagonal", Index: i, Value: d}
+		}
+		sd[i] = math.Sqrt(d)
+	}
+	return sd, nil
+}
 
 // Marginals returns the marginal exceedance probabilities
 // pM[i] = P(X_i > u) = 1 − Φ((u − mean[i])/sd[i])  (Algorithm 1, lines 3–5).
@@ -47,342 +97,215 @@ func Order(pM []float64) []int {
 }
 
 // CorrelationFromCovariance returns the correlation matrix
-// R = D^{-1/2}·Σ·D^{-1/2} and the standard deviations √Σii. The excursion
-// limits are standardized per location, so the MVN integration runs on the
-// correlation matrix.
+// R = D^{-1/2}·Σ·D^{-1/2} in location order and the standard deviations
+// √Σii — what the MC validation samples from.
 func CorrelationFromCovariance(sigma *linalg.Matrix) (*linalg.Matrix, []float64) {
 	n := sigma.Rows
 	sd := make([]float64, n)
-	for i := 0; i < n; i++ {
+	order := make([]int, n)
+	for i := range sd {
 		sd[i] = math.Sqrt(sigma.At(i, i))
+		order[i] = i
 	}
-	r := linalg.NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		src, dst := sigma.Col(j), r.Col(j)
-		for i := 0; i < n; i++ {
-			dst[i] = src[i] / (sd[i] * sd[j])
-		}
-	}
-	return r, sd
+	return orderedCorrelation(sigma.Col, sd, order), sd
 }
 
-// Computer evaluates prefix joint probabilities for one detection problem.
-// Factor must hold the Cholesky factor of the CORRELATION matrix of the
-// field; Mean and SD describe the (posterior) marginal distribution at each
-// location; U is the exceedance threshold.
-type Computer struct {
-	RT     *taskrt.Runtime
-	Factor mvn.Factor
-	Mean   []float64
-	SD     []float64
-	U      float64
-	Opts   mvn.Options
+// orderedCorrelation gathers R[p][q] = Σ[order[p]][order[q]]/(sd·sd) for the
+// symmetric Σ whose i-th row is row(i): one n×n allocation, each row read
+// once. A nil sd means Σ is already a correlation matrix.
+func orderedCorrelation(row func(i int) []float64, sd []float64, order []int) *linalg.Matrix {
+	n := len(order)
+	r := linalg.NewMatrix(n, n)
+	for q, lq := range order {
+		src, dst := row(lq), r.Col(q)
+		for p, lp := range order {
+			dst[p] = src[lp]
+			if sd != nil {
+				dst[p] /= sd[lp] * sd[lq]
+			}
+		}
+	}
+	return r
+}
 
-	// Sequential evaluates PrefixProbs one prefix at a time instead of
-	// fanning the independent PMVN queries out across the runtime.
-	Sequential bool
+// Plan is the part of a detection problem that exists before any factor
+// does: the marginal distribution at each location (Mean, SD), the threshold
+// U, and from them the marginal probabilities and their ordering.
+type Plan struct {
+	Mean []float64
+	SD   []float64
+	U    float64
 
 	// negative selects E⁻ (regions where X < u) instead of E⁺.
 	negative bool
 
 	pM    []float64
 	order []int
-	cache map[int]float64
 }
 
-// NewComputer validates the inputs and precomputes the marginal ordering
-// for positive excursion sets E⁺ (X > u).
-func NewComputer(rt *taskrt.Runtime, f mvn.Factor, mean, sd []float64, u float64, opts mvn.Options) (*Computer, error) {
-	return newComputerDir(rt, f, mean, sd, u, opts, false)
+// NewPlan validates the inputs and computes the marginal ordering for
+// positive excursion sets E⁺ (X > u).
+func NewPlan(mean, sd []float64, u float64) (*Plan, error) {
+	return newPlanDir(mean, sd, u, false)
 }
 
-// NewNegativeComputer is NewComputer for negative excursion sets E⁻
-// (regions where X < u with the given confidence), the mirror-image
-// construction of Bolin & Lindgren.
-func NewNegativeComputer(rt *taskrt.Runtime, f mvn.Factor, mean, sd []float64, u float64, opts mvn.Options) (*Computer, error) {
-	return newComputerDir(rt, f, mean, sd, u, opts, true)
+// NewNegativePlan is NewPlan for negative excursion sets E⁻ (regions where
+// X < u with the given confidence), the mirror-image construction of Bolin &
+// Lindgren.
+func NewNegativePlan(mean, sd []float64, u float64) (*Plan, error) {
+	return newPlanDir(mean, sd, u, true)
 }
 
-func newComputerDir(rt *taskrt.Runtime, f mvn.Factor, mean, sd []float64, u float64, opts mvn.Options, negative bool) (*Computer, error) {
-	n := f.N()
-	if len(mean) != n || len(sd) != n {
-		return nil, fmt.Errorf("excursion: mean/sd lengths (%d,%d) != dimension %d", len(mean), len(sd), n)
+func newPlanDir(mean, sd []float64, u float64, negative bool) (*Plan, error) {
+	if len(mean) != len(sd) {
+		return nil, fmt.Errorf("excursion: mean/sd lengths (%d,%d) differ", len(mean), len(sd))
 	}
-	for i, s := range sd {
-		if s <= 0 {
-			return nil, fmt.Errorf("excursion: sd[%d] = %g must be positive", i, s)
+	if !finite(u) {
+		return nil, &InputError{What: "threshold", Index: -1, Value: u}
+	}
+	for i := range mean {
+		if !finite(mean[i]) {
+			return nil, &InputError{What: "mean", Index: i, Value: mean[i]}
+		}
+		if !finitePositive(sd[i]) {
+			return nil, &InputError{What: "sd", Index: i, Value: sd[i]}
 		}
 	}
-	c := &Computer{RT: rt, Factor: f, Mean: mean, SD: sd, U: u, Opts: opts, negative: negative, cache: map[int]float64{}}
+	p := &Plan{Mean: mean, SD: sd, U: u, negative: negative}
 	if negative {
-		c.pM = make([]float64, n)
-		for i := range c.pM {
-			c.pM[i] = stats.Phi((u - mean[i]) / sd[i]) // P(X_i < u)
+		p.pM = make([]float64, len(mean))
+		for i := range p.pM {
+			p.pM[i] = stats.Phi((u - mean[i]) / sd[i]) // P(X_i < u)
 		}
 	} else {
-		c.pM = Marginals(mean, sd, u)
+		p.pM = Marginals(mean, sd, u)
 	}
-	c.order = Order(c.pM)
-	return c, nil
+	p.order = Order(p.pM)
+	return p, nil
 }
 
 // MarginalProbs returns pM.
-func (c *Computer) MarginalProbs() []float64 { return c.pM }
+func (p *Plan) MarginalProbs() []float64 { return p.pM }
 
 // Ordering returns opM, the indices ordered by decreasing marginal
 // probability.
-func (c *Computer) Ordering() []int { return c.order }
+func (p *Plan) Ordering() []int { return p.order }
+
+// Correlation returns the correlation matrix of the symmetric covariance
+// whose i-th row is row(i), standardized by scale[i] = √Σii (nil when the
+// rows are already a correlation matrix) and permuted into the marginal
+// ordering — the matrix to factor for Integrate. It is gathered straight from
+// the caller's rows.
+func (p *Plan) Correlation(row func(i int) []float64, scale []float64) *linalg.Matrix {
+	return orderedCorrelation(row, scale, p.order)
+}
+
+// Integrate makes the detection's one PMVN integration: f must be a Cholesky
+// factor of p.Correlation(…) (any factor kind). The limits are the
+// standardized thresholds in marginal order, and the sweep's running product
+// after row k is the joint probability of the top-k prefix (Algorithm 1,
+// lines 10–15, for every k at once). The f64 sweep serves it whatever
+// opts.SweepF32 says.
+func (p *Plan) Integrate(rt *taskrt.Runtime, f mvn.Factor, opts mvn.Options) (*Computer, error) {
+	n := len(p.order)
+	if f.N() != n {
+		return nil, fmt.Errorf("excursion: factor dimension %d != %d locations", f.N(), n)
+	}
+	a, b := make([]float64, n), make([]float64, n)
+	for rank, loc := range p.order {
+		lim := (p.U - p.Mean[loc]) / p.SD[loc]
+		if p.negative {
+			a[rank], b[rank] = math.Inf(-1), lim // P(X < u) on the prefix
+		} else {
+			a[rank], b[rank] = lim, math.Inf(1) // P(X > u) on the prefix
+		}
+	}
+	return &Computer{Plan: p, prefix: mvn.PMVNPrefix(rt, f, a, b, opts)}, nil
+}
+
+// Computer holds the joint prefix probabilities of one integrated detection.
+type Computer struct {
+	*Plan
+	prefix mvn.Prefix
+}
 
 // PrefixProb returns the joint probability that the top-k locations (in
-// marginal order) all exceed U: one PMVN evaluation with standardized lower
-// limits on the prefix and −∞ elsewhere (Algorithm 1, lines 10–15). Results
-// are cached per k.
+// marginal order) all exceed U; k ≤ 0 gives 1 and k > n clamps to n.
 func (c *Computer) PrefixProb(k int) float64 {
-	n := c.Factor.N()
-	switch {
-	case k <= 0:
+	if k <= 0 {
 		return 1
-	case k > n:
-		k = n
 	}
-	if p, ok := c.cache[k]; ok {
-		return p
-	}
-	p := c.prefixProbUncached(k, false)
-	c.cache[k] = p
-	return p
+	return c.prefix.Prob[min(k, len(c.order))-1]
 }
 
-// prefixProbUncached runs the single PMVN evaluation for prefix size k
-// (1 ≤ k ≤ n), with pooled limit vectors. It only reads the Computer, so
-// independent prefix sizes may evaluate concurrently; inline runs the
-// integration on the calling goroutine (the batched fan-out sets it so each
-// prefix occupies exactly one worker, and a warm prefix query then runs
-// allocation-free — mostly on the chain-blocked sweep's free-row fast path,
-// since only the prefix locations are constrained).
-func (c *Computer) prefixProbUncached(k int, inline bool) float64 {
-	n := c.Factor.N()
-	a := linalg.GetVec(n)
-	b := linalg.GetVec(n)
-	for i := range a {
-		a[i] = math.Inf(-1)
-		b[i] = math.Inf(1)
+// PrefixStdErr returns the randomized-QMC standard error of PrefixProb(k), 0
+// when the integration ran fewer than two replicates.
+func (c *Computer) PrefixStdErr(k int) float64 {
+	if k <= 0 || c.prefix.StdErr == nil {
+		return 0
 	}
-	for _, loc := range c.order[:k] {
-		lim := (c.U - c.Mean[loc]) / c.SD[loc]
-		if c.negative {
-			b[loc] = lim // P(X < u) on the prefix
-		} else {
-			a[loc] = lim // P(X > u) on the prefix
-		}
-	}
-	opts := c.Opts
-	opts.Inline = inline
-	p := mvn.PMVN(c.RT, c.Factor, a, b, opts).Prob
-	linalg.PutVec(a)
-	linalg.PutVec(b)
-	return p
+	return c.prefix.StdErr[min(k, len(c.order))-1]
 }
 
-// PrefixProbs evaluates the joint prefix probability at every size in ks —
-// the batched counterpart of PrefixProb. Sizes missing from the cache are
-// independent MVN queries against the one shared factor, so they fan out
-// across the runtime (unless Sequential is set); results land in the cache.
-// The output is identical to calling PrefixProb per element.
-func (c *Computer) PrefixProbs(ks []int) []float64 {
-	n := c.Factor.N()
-	out := make([]float64, len(ks))
-	// Resolve degenerate and cached sizes; collect distinct misses.
-	miss := make([]int, 0, len(ks))
-	missSet := map[int]struct{}{}
-	for _, k := range ks {
-		if k <= 0 {
-			continue
-		}
-		if k > n {
-			k = n
-		}
-		if _, ok := c.cache[k]; ok {
-			continue
-		}
-		if _, ok := missSet[k]; !ok {
-			missSet[k] = struct{}{}
-			miss = append(miss, k)
-		}
+// ConfidenceFunction returns F⁺ per location index: the joint probability of
+// the prefix ending at that location, evaluated at every rank.
+func (c *Computer) ConfidenceFunction() []float64 {
+	f := make([]float64, len(c.order))
+	for rank, loc := range c.order {
+		f[loc] = c.prefix.Prob[rank]
 	}
-	// A caller-supplied shared Opts.Rng is consumed when Replicates ≥ 2
-	// (it draws the replicate shifts inside each PMVN call), so those
-	// evaluations must stay sequential to avoid racing on it; with the
-	// default nil Rng every query seeds its own.
-	sharedRng := c.Opts.Rng != nil && c.Opts.Replicates >= 2
-	probs := make([]float64, len(miss))
-	if c.Sequential || sharedRng || len(miss) <= 1 {
-		for i, k := range miss {
-			probs[i] = c.prefixProbUncached(k, false)
-		}
-	} else {
-		// Fan out bounded by the worker count: each query occupies one
-		// worker and sweeps inline (pooled working sets, no per-query task
-		// graphs), so the fan-out is also what bounds the O(n·N) working
-		// memory of the batch (fPoints=0, the literal Algorithm 1 loop,
-		// evaluates every prefix).
-		taskrt.ForEachLimit(len(miss), c.RT.Workers(), func(i int) {
-			probs[i] = c.prefixProbUncached(miss[i], true)
-		})
-	}
-	for i, k := range miss {
-		c.cache[k] = probs[i]
-	}
-	for i, k := range ks {
-		switch {
-		case k <= 0:
-			out[i] = 1
-			continue
-		case k > n:
-			k = n
-		}
-		out[i] = c.cache[k]
-	}
-	return out
-}
-
-// Result is the output of a confidence-function evaluation.
-type Result struct {
-	// Order is opM.
-	Order []int
-	// F is the positive confidence function per location index.
-	F []float64
-	// EvalK and EvalP record the prefix sizes at which PMVN was actually
-	// evaluated and the probabilities obtained there.
-	EvalK []int
-	EvalP []float64
-}
-
-// ConfidenceFunction computes F⁺ for every location. It evaluates the joint
-// prefix probability at `points` prefix sizes (plus 1 and n) and linearly
-// interpolates between them, relying on the monotonicity of the prefix
-// probability; points ≥ n evaluates every prefix exactly — the literal
-// Algorithm 1 loop.
-func (c *Computer) ConfidenceFunction(points int) *Result {
-	n := c.Factor.N()
-	res := &Result{Order: c.order, F: make([]float64, n)}
-	var ks []int
-	if points >= n || points <= 0 {
-		for k := 1; k <= n; k++ {
-			ks = append(ks, k)
-		}
-	} else {
-		if points == 1 {
-			points = 2 // the endpoints 1 and n are always evaluated
-		}
-		seen := map[int]bool{}
-		for i := 0; i < points; i++ {
-			k := 1 + int(math.Round(float64(i)*float64(n-1)/float64(points-1)))
-			if !seen[k] {
-				seen[k] = true
-				ks = append(ks, k)
-			}
-		}
-	}
-	// Batched evaluation: the prefix probabilities are independent MVN
-	// queries against the shared factor, so they run in parallel.
-	ps := c.PrefixProbs(ks)
-	for i := range ps {
-		// Enforce monotonicity against QMC noise.
-		if i > 0 && ps[i] > ps[i-1] {
-			ps[i] = ps[i-1]
-		}
-	}
-	res.EvalK, res.EvalP = ks, ps
-	// Interpolate F along the ordering.
-	for rank := 1; rank <= n; rank++ {
-		loc := c.order[rank-1]
-		res.F[loc] = interpMonotone(ks, ps, rank)
-	}
-	return res
-}
-
-// interpMonotone linearly interpolates the (k, p) table at prefix size k.
-func interpMonotone(ks []int, ps []float64, k int) float64 {
-	i := sort.SearchInts(ks, k)
-	if i < len(ks) && ks[i] == k {
-		return ps[i]
-	}
-	if i == 0 {
-		return ps[0]
-	}
-	if i == len(ks) {
-		return ps[len(ps)-1]
-	}
-	k0, k1 := ks[i-1], ks[i]
-	t := float64(k-k0) / float64(k1-k0)
-	return ps[i-1] + t*(ps[i]-ps[i-1])
+	return f
 }
 
 // Region returns the confidence region E⁺_{u,α} at confidence level conf =
 // 1−α: the indices of the largest marginal-ordered prefix whose joint
-// exceedance probability is still ≥ conf. It uses bisection over the prefix
-// size (the prefix probability is non-increasing), costing O(log n) PMVN
-// evaluations.
+// exceedance probability is still ≥ conf.
 func (c *Computer) Region(conf float64) []int {
-	n := c.Factor.N()
-	if c.PrefixProb(1) < conf {
-		return nil
-	}
-	lo, hi := 1, n // invariant: P(lo) ≥ conf; hi is the first candidate that may fail
-	if c.PrefixProb(n) >= conf {
-		return append([]int(nil), c.order...)
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if c.PrefixProb(mid) >= conf {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return append([]int(nil), c.order[:lo]...)
+	k := sort.Search(len(c.order), func(i int) bool { return c.prefix.Prob[i] < conf })
+	return append([]int(nil), c.order[:k]...)
 }
 
 // MCValidate draws samples of the standardized field (via the correlation
-// Cholesky factor lCorr) and returns the fraction for which EVERY location
-// of the region exceeds the threshold — the MC estimate p̂(α) that should
-// match 1−α when the region is correct (the validation algorithm of the
-// paper's Section V-C).
+// Cholesky factor lCorr, in location order) and returns the fraction for
+// which EVERY location of the region exceeds the threshold — the MC estimate
+// p̂(α) that should match 1−α when the region is correct (the validation
+// algorithm of the paper's Section V-C). Only the region's rows of lCorr·z
+// are formed, from a row gather made once.
 func MCValidate(region []int, mean, sd []float64, u float64, lCorr *linalg.Matrix, samples int, rng *rand.Rand) float64 {
 	if len(region) == 0 {
 		return 1
 	}
-	n := lCorr.Rows
-	z := make([]float64, n)
-	x := make([]float64, n)
-	// Standardized limits per region location.
+	// rows[i] = row region[i] of lCorr up to its diagonal; lim[i] the
+	// standardized limit there.
+	last := 0
+	rows := make([][]float64, len(region))
 	lim := make([]float64, len(region))
 	for i, loc := range region {
+		rows[i] = make([]float64, loc+1)
 		lim[i] = (u - mean[loc]) / sd[loc]
+		last = max(last, loc)
 	}
+	for j := 0; j <= last; j++ {
+		col := lCorr.Col(j)
+		for i, loc := range region {
+			if j <= loc {
+				rows[i][j] = col[loc]
+			}
+		}
+	}
+	z := make([]float64, last+1)
 	hits := 0
+sample:
 	for s := 0; s < samples; s++ {
 		for i := range z {
 			z[i] = rng.NormFloat64()
 		}
-		for i := 0; i < n; i++ {
-			acc := 0.0
-			for j := 0; j <= i; j++ {
-				acc += lCorr.At(i, j) * z[j]
-			}
-			x[i] = acc
-		}
-		ok := true
-		for i, loc := range region {
-			if x[loc] <= lim[i] {
-				ok = false
-				break
+		for i, row := range rows {
+			if linalg.Dot(row, z[:len(row)]) <= lim[i] {
+				continue sample
 			}
 		}
-		if ok {
-			hits++
-		}
+		hits++
 	}
 	return float64(hits) / float64(samples)
 }

@@ -61,22 +61,7 @@ func Fig1(w io.Writer, cfg Config) ([]Fig1Row, error) {
 		}
 		rt := taskrt.New(cfg.workers())
 		ts := side * side / 8
-		fD, err := denseFactor(rt, corr, ts)
-		if err != nil {
-			rt.Shutdown()
-			return nil, err
-		}
-		fT, _, err := tlrFactor(rt, corr, ts, tlrTol)
-		if err != nil {
-			rt.Shutdown()
-			return nil, err
-		}
-		cD, err := newComputer(rt, fD, mu, sd, u, qmcN)
-		if err != nil {
-			rt.Shutdown()
-			return nil, err
-		}
-		cT, err := newComputer(rt, fT, mu, sd, u, qmcN)
+		cD, cT, err := detectDenseTLR(rt, corr, mu, sd, u, ts, tlrTol, qmcN)
 		if err != nil {
 			rt.Shutdown()
 			return nil, err

@@ -37,10 +37,9 @@ func Fig2(w io.Writer, cfg Config) (*Fig2Result, error) {
 		qmcN = 10000
 	}
 	const (
-		u       = 4.0  // m/s threshold, following Chen et al.
-		conf    = 0.95 // paper's confidence level
-		tlrTol  = 1e-4 // paper's wind-experiment accuracy
-		fPoints = 24
+		u      = 4.0  // m/s threshold, following Chen et al.
+		conf   = 0.95 // paper's confidence level
+		tlrTol = 1e-4 // paper's wind-experiment accuracy
 	)
 	ds, err := wind.Generate(wind.Config{Nx: nx, Ny: ny, Days: days, Seed: 11})
 	if err != nil {
@@ -59,24 +58,11 @@ func Fig2(w io.Writer, cfg Config) (*Fig2Result, error) {
 	rt := taskrt.New(cfg.workers())
 	defer rt.Shutdown()
 	ts := max(16, n/10)
-	fD, err := denseFactor(rt, corrM, ts)
+	cD, cT, err := detectDenseTLR(rt, corrM, mean, sd, u, ts, tlrTol, qmcN)
 	if err != nil {
 		return nil, err
 	}
-	fT, _, err := tlrFactor(rt, corrM, ts, tlrTol)
-	if err != nil {
-		return nil, err
-	}
-	cD, err := newComputer(rt, fD, mean, sd, u, qmcN)
-	if err != nil {
-		return nil, err
-	}
-	cT, err := newComputer(rt, fT, mean, sd, u, qmcN)
-	if err != nil {
-		return nil, err
-	}
-	resD := cD.ConfidenceFunction(fPoints)
-	resT := cT.ConfidenceFunction(fPoints)
+	fD, fT := cD.ConfidenceFunction(), cT.ConfidenceFunction()
 	regD := cD.Region(conf)
 	regT := cT.Region(conf)
 
@@ -98,9 +84,9 @@ func Fig2(w io.Writer, cfg Config) (*Fig2Result, error) {
 	diffCount := make([]int, buckets)
 	maxDiff := 0.0
 	for i := 0; i < n; i++ {
-		d := math.Abs(resD.F[i] - resT.F[i])
+		d := math.Abs(fD[i] - fT[i])
 		maxDiff = math.Max(maxDiff, d)
-		bi := int(resD.F[i] * buckets)
+		bi := int(fD[i] * buckets)
 		if bi >= buckets {
 			bi = buckets - 1
 		}

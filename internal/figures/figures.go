@@ -152,7 +152,26 @@ func posteriorOf(sigma *linalg.Matrix, mu []float64, obs []int, y []float64, tau
 	return cov.Posterior(sigma, mu, obs, y, tau2)
 }
 
-// newComputer wraps excursion.NewComputer with the harness defaults.
-func newComputer(rt *taskrt.Runtime, f mvn.Factor, mean, sd []float64, u float64, qmcN int) (*excursion.Computer, error) {
-	return excursion.NewComputer(rt, f, mean, sd, u, mvn.Options{N: qmcN})
+// detectDenseTLR runs one detection problem through a dense and a TLR factor
+// of the same marginal-ordered correlation matrix: corr is the field's
+// correlation in location order, (mean, sd) its marginals.
+func detectDenseTLR(rt *taskrt.Runtime, corr *linalg.Matrix, mean, sd []float64, u float64, ts int, tlrTol float64, qmcN int) (cD, cT *excursion.Computer, err error) {
+	plan, err := excursion.NewPlan(mean, sd, u)
+	if err != nil {
+		return nil, nil, err
+	}
+	ordered := plan.Correlation(corr.Col, nil)
+	fD, err := denseFactor(rt, ordered, ts)
+	if err != nil {
+		return nil, nil, err
+	}
+	fT, _, err := tlrFactor(rt, ordered, ts, tlrTol)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cD, err = plan.Integrate(rt, fD, mvn.Options{N: qmcN}); err != nil {
+		return nil, nil, err
+	}
+	cT, err = plan.Integrate(rt, fT, mvn.Options{N: qmcN})
+	return cD, cT, err
 }

@@ -95,5 +95,5 @@ func PMVT(rt *taskrt.Runtime, f Factor, a, b []float64, nu float64, opt Options)
 	if nu <= 0 {
 		panic("mvn: degrees of freedom must be positive")
 	}
-	return integrate(rt, f, a, b, opt.withDefaults(f.TS()), nu)
+	return integrate(rt, f, a, b, opt.withDefaults(f.TS()), nu, nil)
 }

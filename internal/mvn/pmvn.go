@@ -129,13 +129,15 @@ func PMVN(rt *taskrt.Runtime, f Factor, a, b []float64, opt Options) Result {
 		//repro:alloc-ok shape-mismatch panic path
 		panic(fmt.Sprintf("mvn: limits length %d,%d != dimension %d", len(a), len(b), n))
 	}
-	return integrate(rt, f, a, b, opt.withDefaults(f.TS()), 0)
+	return integrate(rt, f, a, b, opt.withDefaults(f.TS()), 0, nil)
 }
 
 // integrate runs the replicated integration behind PMVN (nu = 0) and PMVT
-// (nu > 0) on defaulted options.
+// (nu > 0) on defaulted options. A non-nil pre (PMVNPrefix, which clears the
+// early-stopping options) additionally receives every replicate's estimate
+// after every row.
 //repro:noalloc
-func integrate(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float64) Result {
+func integrate(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float64, pre prefixAcc) Result {
 	genDim := f.N()
 	if nu > 0 {
 		genDim++
@@ -154,12 +156,12 @@ func integrate(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float
 	// nothing.
 	if o.Replicates == 1 && o.NewGen == nil {
 		g := qmc.GetRichtmyer(genDim, nil)
-		p := runReplicate(rt, f, a, b, g, o, nu, inline)
+		p := runReplicate(rt, f, a, b, g, o, nu, inline, pre.row(0, len(a)))
 		qmc.PutRichtmyer(g)
 		return Result{Prob: clampProb(p), Samples: o.N}
 	}
 	//repro:alloc-ok replicated/custom-generator queries build one generator per replicate
-	return integrateReplicated(rt, f, a, b, o, nu, genDim, inline)
+	return integrateReplicated(rt, f, a, b, o, nu, genDim, inline, pre)
 }
 
 // trimFree cuts the limit vectors after the last constrained row. Rows past
@@ -180,7 +182,7 @@ func trimFree(a, b []float64) ([]float64, []float64) {
 // front, then the replicates run concurrently unless inline. This path
 // allocates by design — one generator per replicate — and is kept out of the
 // //repro:noalloc-certified integrate above.
-func integrateReplicated(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float64, genDim int, inline bool) Result {
+func integrateReplicated(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float64, genDim int, inline bool, pre prefixAcc) Result {
 	rng := o.Rng
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
@@ -200,7 +202,7 @@ func integrateReplicated(rt *taskrt.Runtime, f Factor, a, b []float64, o Options
 	probs := make([]float64, len(gens))
 	if inline || len(gens) == 1 {
 		for rep, gen := range gens {
-			probs[rep] = runReplicate(rt, f, a, b, gen, o, nu, inline)
+			probs[rep] = runReplicate(rt, f, a, b, gen, o, nu, inline, pre.row(rep, len(a)))
 		}
 		return reduceReplicates(probs, o.N)
 	}
@@ -210,7 +212,7 @@ func integrateReplicated(rt *taskrt.Runtime, f Factor, a, b []float64, o Options
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			probs[rep] = runReplicate(rt, f, a, b, gens[rep], o, nu, false)
+			probs[rep] = runReplicate(rt, f, a, b, gens[rep], o, nu, false, pre.row(rep, len(a)))
 		}()
 	}
 	wg.Wait()
@@ -221,8 +223,11 @@ func integrateReplicated(rt *taskrt.Runtime, f Factor, a, b []float64, o Options
 // independent lane blocks, swept inline on the calling goroutine or fanned
 // out as one task each in their own runtime group. The per-column sums land
 // in fixed slots, so the estimate is deterministic regardless of scheduling.
+// A non-nil pre (one entry per row of the trimmed limits) receives the
+// replicate's estimate after every row: each column records into its own
+// buffer and the buffers are summed in column order, like the scalars.
 //repro:noalloc
-func runReplicate(rt *taskrt.Runtime, f Factor, a, b []float64, gen qmc.Generator, o Options, nu float64, inline bool) float64 {
+func runReplicate(rt *taskrt.Runtime, f Factor, a, b []float64, gen qmc.Generator, o Options, nu float64, inline bool, pre []float64) float64 {
 	if gen.Dim() != genDimFor(f, nu) {
 		//repro:alloc-ok dimension-mismatch panic path
 		panic(fmt.Sprintf("mvn: generator dim %d, want %d", gen.Dim(), genDimFor(f, nu)))
@@ -230,6 +235,10 @@ func runReplicate(rt *taskrt.Runtime, f Factor, a, b []float64, gen qmc.Generato
 	n, mc := o.N, o.SampleTile
 	kt := (n + mc - 1) / mc
 	sums := linalg.GetVec(kt)
+	var cols []float64
+	if pre != nil {
+		cols = linalg.GetVec(kt * len(a))
+	}
 	// The f32 shadow is resolved once per replicate, before any column runs
 	// (its one-time build is the only allocating step; warm loads are an
 	// atomic read). nil falls back to the f64 sweep.
@@ -245,25 +254,29 @@ func runReplicate(rt *taskrt.Runtime, f Factor, a, b []float64, gen qmc.Generato
 			if sh != nil {
 				sums[k] = sweepColumn32(f, sh, a, b, &src, k*mc, min(mc, n-k*mc), nu)
 			} else {
-				sums[k] = sweepColumn(f, a, b, &src, k*mc, min(mc, n-k*mc), nu)
+				sums[k] = sweepColumn(f, a, b, &src, k*mc, min(mc, n-k*mc), nu, prefixColOf(cols, k, len(a)))
 			}
 		}
 		src.release()
 	} else {
 		//repro:alloc-ok task fan-out closes over the column index; the warm batched path runs inline
-		runColumnTasks(rt, f, sh, a, b, gen, sums, n, mc, nu)
+		runColumnTasks(rt, f, sh, a, b, gen, sums, cols, n, mc, nu)
 	}
 	sum := 0.0
 	for _, v := range sums {
 		sum += v
 	}
 	linalg.PutVec(sums)
+	if cols != nil {
+		reducePrefixCols(pre, cols, n)
+		linalg.PutVec(cols)
+	}
 	return sum / float64(n)
 }
 
 // runColumnTasks fans the sample-tile columns out as one task each in their
 // own runtime group (the block source and shadow are read-only across them).
-func runColumnTasks(rt *taskrt.Runtime, f Factor, sh *ShadowF32, a, b []float64, gen qmc.Generator, sums []float64, n, mc int, nu float64) {
+func runColumnTasks(rt *taskrt.Runtime, f Factor, sh *ShadowF32, a, b []float64, gen qmc.Generator, sums, cols []float64, n, mc int, nu float64) {
 	src := newBlockSource(gen, n)
 	g := rt.NewGroup()
 	for k := range sums {
@@ -272,7 +285,7 @@ func runColumnTasks(rt *taskrt.Runtime, f Factor, sh *ShadowF32, a, b []float64,
 			if sh != nil {
 				sums[k] = sweepColumn32(f, sh, a, b, &src, k*mc, min(mc, n-k*mc), nu)
 			} else {
-				sums[k] = sweepColumn(f, a, b, &src, k*mc, min(mc, n-k*mc), nu)
+				sums[k] = sweepColumn(f, a, b, &src, k*mc, min(mc, n-k*mc), nu, prefixColOf(cols, k, len(a)))
 			}
 		})
 	}

@@ -121,8 +121,11 @@ const condBlock = 32
 // one operand per row tile, tile t at offset mp·t·ts) and nowhere else: each
 // tile is packed once, by the diagonal kernel that produces it, and every
 // later row tile's propagation reads the panels in place.
+//
+// pre, when non-nil, receives Σ_lanes p after every row (PMVNPrefix); rows
+// the sweep never reaches because every lane died stay exactly 0.
 //repro:noalloc
-func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu float64) float64 {
+func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu float64, pre prefixCol) float64 {
 	ts := f.TS()
 	nt := (len(a) + ts - 1) / ts
 	mp := linalg.PackedLen(mc, 1)
@@ -133,6 +136,7 @@ func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu fl
 		p[l] = 1
 	}
 	ws, wsBuf := getLaneWS(mc)
+	clear(pre)
 	d0Base := 0
 	var s []float64
 	if nu > 0 {
@@ -161,6 +165,7 @@ func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu fl
 			clampFreeY(yT.Data[:mc*rows])
 			yP.Pack(yT, 0)
 			linalg.PutMat(rT)
+			pre.record(row0, rows, p)
 			continue
 		}
 		// The A and B limits of Algorithm 2 are shifted by the SAME
@@ -178,7 +183,7 @@ func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu fl
 			}
 			f.ApplyOffDiagLanes(r, t, 1, linalg.PackedOver(yBuf[mp*t*ts:], mc, ts), beta, cond)
 		}
-		alive = qmcKernelLanes(f.Diag(r), rT, cond, yT, yP, a, b, row0, s, p, ws, alive)
+		alive = qmcKernelLanes(f.Diag(r), rT, cond, yT, yP, a, b, row0, s, p, ws, alive, pre)
 		linalg.PutMat(cond)
 		linalg.PutMat(rT)
 	}
@@ -210,7 +215,7 @@ func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu fl
 // χ²-scaled by s) limits are broadcast per row straight from a and b — no
 // limit tiles exist. It returns the updated count of alive lanes and stops
 // as soon as none remain (yP is then incomplete — the caller abandons the
-// sweep).
+// sweep). pre records Σ_lanes p after every row it completes.
 //
 // Rows with most lanes alive run the batched Genz step — shifted limits,
 // the fused PhiIntervalPhiBatch and PhiInvBatch over the contiguous lane
@@ -218,7 +223,7 @@ func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu fl
 // clamps. Once most lanes are dead the scalar chainStep over the survivors
 // is cheaper than full-width batches; both paths compute identical values.
 //repro:noalloc
-func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []float64, row0 int, s, p []float64, ws laneWS, alive int) int {
+func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []float64, row0 int, s, p []float64, ws laneWS, alive int, pre prefixCol) int {
 	m := yP.K
 	mc := len(p)
 	for i0 := 0; i0 < m; i0 += condBlock {
@@ -232,6 +237,7 @@ func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []
 				// conditioning sum cancels out of the (-∞,+∞) interval entirely.
 				stats.PhiInvBatch(wCol, yCol)
 				clampFreeY(yCol)
+				pre.record(row0+i, 1, p)
 				continue
 			}
 			// The sub-block's own terms accumulate directly on top of the
@@ -275,6 +281,7 @@ func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []
 						}
 					}
 				}
+				pre.record(row0+i, 1, p)
 				continue
 			}
 			// Sparse path: only the surviving lanes pay the special functions.
@@ -294,6 +301,7 @@ func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []
 					alive--
 				}
 			}
+			pre.record(row0+i, 1, p)
 		}
 		if alive == 0 {
 			return 0

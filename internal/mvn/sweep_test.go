@@ -368,7 +368,7 @@ func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 					gens = append(gens, g)
 					return g
 				}}
-			probs = append(probs, integrate(nil, f, a, b, opt.withDefaults(ts), nu).Prob)
+			probs = append(probs, integrate(nil, f, a, b, opt.withDefaults(ts), nu, nil).Prob)
 			for _, g := range gens {
 				if g.blocks == 0 || g.maxDim > lead+last+1 {
 					t.Errorf("nu=%g f32=%v: %d blocks, furthest coordinate %d, want ≤ %d", nu, f32, g.blocks, g.maxDim, lead+last+1)
@@ -379,7 +379,7 @@ func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 		src := newBlockSource(qmc.NewRichtmyer(n+lead), N)
 		full := 0.0
 		for k := 0; k < N; k += 32 {
-			full += sweepColumn(f, a, b, &src, k, 32, nu)
+			full += sweepColumn(f, a, b, &src, k, 32, nu, nil)
 		}
 		if got := clampProb(full / N); got != probs[0] {
 			t.Errorf("nu=%g: trimmed sweep %v, full sweep %v: not bit-identical", nu, probs[0], got)

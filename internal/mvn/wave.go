@@ -130,7 +130,7 @@ func integrateWaves(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu 
 					if sh != nil {
 						slots[rep*cols+c] = sweepColumn32(f, sh, a, b, &ws.srcs[rep], off+c*mc, cm, nu)
 					} else {
-						slots[rep*cols+c] = sweepColumn(f, a, b, &ws.srcs[rep], off+c*mc, cm, nu)
+						slots[rep*cols+c] = sweepColumn(f, a, b, &ws.srcs[rep], off+c*mc, cm, nu, nil)
 					}
 				}
 			}
@@ -221,7 +221,7 @@ func runWaveTasks(rt *taskrt.Runtime, f Factor, sh *ShadowF32, a, b []float64, w
 				if sh != nil {
 					slots[rep*cols+c] = sweepColumn32(f, sh, a, b, &ws.srcs[rep], off+c*mc, cm, nu)
 				} else {
-					slots[rep*cols+c] = sweepColumn(f, a, b, &ws.srcs[rep], off+c*mc, cm, nu)
+					slots[rep*cols+c] = sweepColumn(f, a, b, &ws.srcs[rep], off+c*mc, cm, nu, nil)
 				}
 			})
 		}
