@@ -15,8 +15,9 @@
 //	defer s.Close()
 //	res, err := s.MVNProb(locs, kernel, a, b)
 //
-// The heavy lifting lives in the internal packages (linalg, tlr, taskrt,
-// mvn, excursion); this facade wires them together behind a small surface.
+// The heavy lifting lives in the internal packages (linalg, tile, engine,
+// taskrt, mvn, excursion); this facade wires them together behind a small
+// surface.
 package parmvn
 
 import (
@@ -35,8 +36,6 @@ import (
 	"repro/internal/mvn"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tiledalg"
-	"repro/internal/tlr"
 )
 
 // Method selects how the Cholesky factorization of the covariance matrix is
@@ -179,7 +178,7 @@ func (k KernelSpec) build() (cov.Kernel, error) {
 
 // Config tunes a Session.
 type Config struct {
-	// Method selects Dense or TLR factorization.
+	// Method selects the factor's tile layout: Dense, TLR or MethodAdaptive.
 	Method Method
 	// Workers is the worker-goroutine count (default GOMAXPROCS).
 	Workers int
@@ -195,17 +194,10 @@ type Config struct {
 	// Replicates is the number of randomized QMC replicates used for error
 	// estimates (default 1).
 	Replicates int
-	// NoFactorCache disables the session factor cache, re-assembling and
-	// re-factorizing Σ on every query (the pre-batching behavior; useful as
-	// a benchmarking baseline).
-	NoFactorCache bool
 	// FactorCacheCap bounds how many Cholesky factors the session keeps
 	// (LRU eviction; each dense factor is O(n²) memory). Default 8; 0
 	// keeps the default, negative means unbounded.
 	FactorCacheCap int
-	// SequentialBatch evaluates batched queries one after another instead of
-	// fanning them out across the runtime — a debugging / baseline knob.
-	SequentialBatch bool
 	// AdaptiveBand is the number of sub-diagonals MethodAdaptive keeps in
 	// dense float64 (default 1).
 	AdaptiveBand int
@@ -431,37 +423,28 @@ func (s *Session) policy() engine.Policy {
 	}
 }
 
-// factorize builds the Cholesky factor of an explicit sigma according to the
-// session method and wraps it as an mvn.Factor. All three methods route
-// through the unified factorization engine — they differ only in the tile
-// layout they construct. Assembly/compression fans out tile-by-tile and the
-// factorization task graph runs in its own runtime group, so concurrent
-// queries never wait on each other's barriers.
-func (s *Session) factorize(sigma *linalg.Matrix) (mvn.Factor, error) {
+// factorize builds the Cholesky factor of an explicit sigma: the session
+// method picks the tile layout, the one engine graph factorizes it.
+// Assembly/compression fans out tile-by-tile and the factorization task graph
+// runs in its own runtime group, so concurrent queries never wait on each
+// other's barriers.
+func (s *Session) factorize(sigma *linalg.Matrix) (*mvn.Factor, error) {
 	g := s.rt.NewGroup()
+	src := tile.FromDense(sigma, s.cfg.TileSize)
+	cfg := engine.Config{Tol: s.cfg.TLRTol, MaxRank: s.cfg.TLRMaxRank}
+	var grid *engine.Grid
 	switch s.cfg.Method {
 	case TLR:
-		a, err := tlr.CompressSPDPar(g, tile.FromDense(sigma, s.cfg.TileSize), s.cfg.TLRTol, s.cfg.TLRMaxRank)
-		if err != nil {
-			return nil, err
-		}
-		if err := tlr.Potrf(g, a); err != nil {
-			return nil, err
-		}
-		return mvn.NewTLRFactor(a), nil
+		grid = engine.AssembleTLR(g, src, s.cfg.TLRTol, s.cfg.TLRMaxRank)
 	case MethodAdaptive:
-		grid := engine.AssembleAdaptive(g, tile.FromDense(sigma, s.cfg.TileSize), s.policy())
-		if err := engine.Potrf(g, grid, engine.Config{Tol: s.cfg.TLRTol, MaxRank: s.cfg.TLRMaxRank}); err != nil {
-			return nil, err
-		}
-		return mvn.NewGridFactor(grid), nil
+		grid = engine.AssembleAdaptive(g, src, s.policy())
 	default:
-		t := tile.FromDense(sigma, s.cfg.TileSize)
-		if err := tiledalg.Potrf(g, t); err != nil {
-			return nil, err
-		}
-		return mvn.NewDenseFactor(t), nil
+		grid = engine.AssembleDense(src)
 	}
+	if err := engine.Potrf(g, grid, cfg); err != nil {
+		return nil, err
+	}
+	return mvn.NewFactor(grid), nil
 }
 
 // factorizeKernel builds the Cholesky factor directly from a kernel over a
@@ -475,11 +458,9 @@ func (s *Session) factorize(sigma *linalg.Matrix) (mvn.Factor, error) {
 // lands (unless NoEviction), so the live footprint at large n is the dense
 // band plus the compressed factor. This is the cold-query hot path behind
 // MVNProb/MVTProb.
-func (s *Session) factorizeKernel(g *geo.Geom, k cov.Kernel) (mvn.Factor, error) {
+func (s *Session) factorizeKernel(g *geo.Geom, k cov.Kernel) (*mvn.Factor, error) {
 	grp := s.rt.NewGroup()
-	n := g.Len()
-	ts := s.cfg.TileSize
-	grid, err := engine.NewGridChecked(n, ts)
+	grid, err := engine.NewGridChecked(g.Len(), s.cfg.TileSize)
 	if err != nil {
 		return nil, err
 	}
@@ -490,33 +471,28 @@ func (s *Session) factorizeKernel(g *geo.Geom, k cov.Kernel) (mvn.Factor, error)
 		Evict:   !s.cfg.NoEviction,
 		Window:  s.cfg.StreamWindow,
 	}
+	entry := func(i, j int) float64 {
+		if i == j {
+			return k.Cov(0)
+		}
+		return k.Cov(g.Dist(i, j))
+	}
 	var asm *engine.Assembler
 	switch s.cfg.Method {
 	case TLR:
-		asm = tlr.KernelAssembler(grid, g, k, s.cfg.TLRTol, s.cfg.TLRMaxRank)
+		asm = engine.TLREntryAssembler(grid, entry, s.cfg.TLRTol, s.cfg.TLRMaxRank)
 	case MethodAdaptive:
-		asm = s.policy().EntryAssembler(grid, func(i, j int) float64 {
-			if i == j {
-				return k.Cov(0)
-			}
-			return k.Cov(g.Dist(i, j))
-		})
+		asm = s.policy().EntryAssembler(grid, entry)
 	default:
 		// The dense layout is the exact reference: no eviction, every tile
-		// evaluated densely (cov.Block semantics), factored by the same
-		// engine graph tiledalg routes through.
+		// evaluated densely (cov.Block semantics).
 		cfg.Evict = false
-		asm = engine.DenseEntryAssembler(grid, func(i, j int) float64 {
-			if i == j {
-				return k.Cov(0)
-			}
-			return k.Cov(g.Dist(i, j))
-		})
+		asm = engine.DenseEntryAssembler(grid, entry)
 	}
 	if err := engine.PotrfStream(grp, grid, cfg, asm); err != nil {
 		return nil, err
 	}
-	return mvn.NewGridFactor(grid), nil
+	return mvn.NewFactor(grid), nil
 }
 
 // validateTileSize checks the configured tile size against the problem
@@ -659,8 +635,7 @@ type FactorFootprint struct {
 
 // FactorFootprint builds (or fetches from the session cache) the Cholesky
 // factor for the locations and kernel, and reports its representation mix
-// and payload bytes. Only kernel-built factors carry a tile grid; explicit
-// covariance factors are not inspectable this way.
+// and payload bytes.
 func (s *Session) FactorFootprint(locs []Point, kernel KernelSpec) (FactorFootprint, error) {
 	if err := s.validateTileSize(len(locs)); err != nil {
 		return FactorFootprint{}, err
@@ -669,13 +644,9 @@ func (s *Session) FactorFootprint(locs []Point, kernel KernelSpec) (FactorFootpr
 	if err != nil {
 		return FactorFootprint{}, err
 	}
-	gf, ok := f.(*mvn.GridFactor)
-	if !ok {
-		return FactorFootprint{}, fmt.Errorf("parmvn: %s factor exposes no tile-grid footprint", s.cfg.Method)
-	}
-	mix := gf.G.Mix()
-	evicted, freed := gf.G.EvictStats()
-	b := gf.G.Bytes()
+	mix := f.G.Mix()
+	evicted, freed := f.G.EvictStats()
+	b := f.G.Bytes()
 	return FactorFootprint{
 		Dense64: mix.Dense64, Dense32: mix.Dense32,
 		LowRank: mix.LowRank, MaxRank: mix.MaxRank,

@@ -130,7 +130,7 @@ func (s *Session) MVNProbCovBatch(sigma [][]float64, queries []Bounds) ([]Result
 
 // query evaluates one pre-validated box against the factor (nu = 0 → MVN).
 //repro:noalloc
-func (s *Session) query(f mvn.Factor, a, b []float64, nu float64, opts mvn.Options) Result {
+func (s *Session) query(f *mvn.Factor, a, b []float64, nu float64, opts mvn.Options) Result {
 	var r mvn.Result
 	if nu > 0 {
 		r = mvn.PMVT(s.rt, f, a, b, nu, opts)
@@ -148,9 +148,9 @@ func (s *Session) query(f mvn.Factor, a, b []float64, nu float64, opts mvn.Optio
 // Rng), so result i is bit-identical to a standalone MVNProb/MVTProb with
 // the same inputs regardless of batching or execution order. Empty boxes
 // short-circuit to probability 0 without integrating.
-func (s *Session) evalBatch(f mvn.Factor, queries []Bounds, empty []bool, nu float64, qopts []QueryOpts) ([]Result, error) {
+func (s *Session) evalBatch(f *mvn.Factor, queries []Bounds, empty []bool, nu float64, qopts []QueryOpts) ([]Result, error) {
 	out := make([]Result, len(queries))
-	if s.cfg.SequentialBatch || len(queries) <= 1 {
+	if len(queries) <= 1 {
 		for i, q := range queries {
 			if empty[i] {
 				continue

@@ -53,18 +53,17 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	// The sequential-batch knob must not change the numbers either.
-	seqCfg := cfg
-	seqCfg.SequentialBatch = true
-	s2 := NewSession(seqCfg)
+	// A plain loop of single queries on one session — the first cold, the
+	// rest on the cached factor — gives the same numbers again.
+	s2 := NewSession(cfg)
 	defer s2.Close()
-	got2, err := s2.MVNProbBatch(locs, kernel, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got2[i] != want[i] {
-			t.Errorf("query %d: sequential-batch %+v != sequential %+v", i, got2[i], want[i])
+	for i, q := range queries {
+		r, err := s2.MVNProb(locs, kernel, q.A, q.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != want[i] {
+			t.Errorf("query %d: warm single query %+v != cold %+v", i, r, want[i])
 		}
 	}
 }
@@ -252,27 +251,6 @@ func TestBatchValidatesBeforeFactorizing(t *testing.T) {
 	}
 	if s.Cache().Len() != 0 {
 		t.Errorf("invalid query left %d cache entries", s.Cache().Len())
-	}
-}
-
-func TestNoFactorCacheConfig(t *testing.T) {
-	locs := Grid(4, 4)
-	n := len(locs)
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range b {
-		a[i] = -1
-		b[i] = 1
-	}
-	s := NewSession(Config{QMCSize: 200, TileSize: 8, NoFactorCache: true})
-	defer s.Close()
-	for i := 0; i < 2; i++ {
-		if _, err := s.MVNProb(locs, KernelSpec{Range: 0.1}, a, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, misses := s.Cache().Stats(); hits != 0 || misses != 0 {
-		t.Errorf("disabled cache recorded traffic: hits %d misses %d", hits, misses)
 	}
 }
 

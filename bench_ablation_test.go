@@ -9,15 +9,33 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/linalg"
-	"repro/internal/mixprec"
 	"repro/internal/mvn"
 	"repro/internal/qmc"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tiledalg"
-	"repro/internal/tlr"
 )
+
+// denseOf reassembles a factored grid's lower-triangular factor densely.
+func denseOf(g *engine.Grid) *linalg.Matrix {
+	l := linalg.NewMatrix(g.N, g.N)
+	for i := 0; i < g.NT; i++ {
+		for j := 0; j <= i; j++ {
+			var d *linalg.Matrix
+			switch t := g.At(i, j).(type) {
+			case *tile.DenseF64:
+				d = t.D
+			case *tile.DenseF32:
+				d = t.D.ToDouble()
+			case *tile.LowRank:
+				d = t.Dense()
+			}
+			l.View(i*g.TS, j*g.TS, d.Rows, d.Cols).CopyFrom(d)
+		}
+	}
+	return l
+}
 
 // BenchmarkAblationTileSize sweeps the tile size of one dense MVN
 // integration at n=900, N=500: too-small tiles pay scheduling overhead,
@@ -30,11 +48,7 @@ func BenchmarkAblationTileSize(b *testing.B) {
 			rt := taskrt.New(4)
 			defer rt.Shutdown()
 			for i := 0; i < b.N; i++ {
-				t := tile.FromDense(sigma, ts)
-				if err := tiledalg.Potrf(rt, t); err != nil {
-					b.Fatal(err)
-				}
-				mvn.PMVN(rt, mvn.NewDenseFactor(t), a, up, mvn.Options{N: 500})
+				mvn.PMVN(rt, benchFactor(b, rt, benchGrid(sigma, ts, 0), 0), a, up, mvn.Options{N: 500})
 			}
 		})
 	}
@@ -47,11 +61,7 @@ func BenchmarkAblationSampleTile(b *testing.B) {
 	a, up := benchLimits(900, -0.5)
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
-	t := tile.FromDense(sigma, 90)
-	if err := tiledalg.Potrf(rt, t); err != nil {
-		b.Fatal(err)
-	}
-	f := mvn.NewDenseFactor(t)
+	f := benchFactor(b, rt, benchGrid(sigma, 90, 0), 0)
 	for _, mc := range []int{25, 100, 250, 1000} {
 		b.Run("mc"+strconv.Itoa(mc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -75,11 +85,7 @@ func BenchmarkAblationQMCGenerator(b *testing.B) {
 	}
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
-	t := tile.FromDense(sigma, 64)
-	if err := tiledalg.Potrf(rt, t); err != nil {
-		b.Fatal(err)
-	}
-	f := mvn.NewDenseFactor(t)
+	f := benchFactor(b, rt, benchGrid(sigma, 64, 0), 0)
 	// Converged reference: Richtmyer with a large N.
 	ref := mvn.PMVN(rt, f, a, up, mvn.Options{N: 200000}).Prob
 	gens := map[string]func(dim int, shift []float64) qmc.Generator{
@@ -121,11 +127,7 @@ func BenchmarkAblationReordering(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			rt := taskrt.New(2)
 			defer rt.Shutdown()
-			t := tile.FromDense(tc.s, 13)
-			if err := tiledalg.Potrf(rt, t); err != nil {
-				b.Fatal(err)
-			}
-			f := mvn.NewDenseFactor(t)
+			f := benchFactor(b, rt, benchGrid(tc.s, 13, 0), 0)
 			var rel float64
 			for i := 0; i < b.N; i++ {
 				res := mvn.PMVN(rt, f, tc.av, tc.bv, mvn.Options{N: 500, Replicates: 8})
@@ -152,15 +154,12 @@ func BenchmarkAblationTLRRankCap(b *testing.B) {
 			var resid float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				a, err := tlr.CompressSPD(tile.FromDense(sigma, 90), 1e-9, cap)
-				if err != nil {
-					b.Fatal(err)
-				}
+				g := engine.AssembleTLR(nil, tile.FromDense(sigma, 90), 1e-9, cap)
 				b.StartTimer()
-				if err := tlr.Potrf(rt, a); err != nil {
+				if err := engine.Potrf(rt, g, engine.Config{Tol: 1e-9, MaxRank: cap}); err != nil {
 					b.Fatal(err)
 				}
-				resid += a.ToDense().MaxAbsDiff(want)
+				resid += denseOf(g).MaxAbsDiff(want)
 			}
 			b.ReportMetric(resid/float64(b.N), "maxerr")
 		})
@@ -181,11 +180,22 @@ func BenchmarkAblationMixedPrecisionBand(b *testing.B) {
 			defer rt.Shutdown()
 			var errSum float64
 			for i := 0; i < b.N; i++ {
-				f, err := mixprec.Potrf(rt, tile.FromDense(sigma, 72), band)
-				if err != nil {
+				// Banded layout: float64 within band sub-diagonals, float32 beyond.
+				src := tile.FromDense(sigma, 72)
+				g := engine.NewGrid(src.M, src.TS)
+				for r := 0; r < g.NT; r++ {
+					for c := 0; c <= r; c++ {
+						if r-c <= band {
+							g.Set(r, c, &tile.DenseF64{D: src.Tile(r, c)})
+						} else {
+							g.Set(r, c, &tile.DenseF32{D: tile.ToSingle(src.Tile(r, c))})
+						}
+					}
+				}
+				if err := engine.Potrf(rt, g, engine.Config{}); err != nil {
 					b.Fatal(err)
 				}
-				errSum += f.ToDense().MaxAbsDiff(want)
+				errSum += denseOf(g).MaxAbsDiff(want)
 			}
 			b.ReportMetric(errSum/float64(b.N), "maxerr")
 		})
@@ -202,10 +212,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 			rt := taskrt.New(w)
 			defer rt.Shutdown()
 			for i := 0; i < b.N; i++ {
-				t := tile.FromDense(sigma, 45)
-				if err := tiledalg.Potrf(rt, t); err != nil {
-					b.Fatal(err)
-				}
+				benchFactor(b, rt, benchGrid(sigma, 45, 0), 0)
 			}
 		})
 	}

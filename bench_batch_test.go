@@ -41,24 +41,25 @@ func batchBenchInputs() ([]Point, KernelSpec, []Bounds) {
 // covariance assembly, TLR compression and TLR Cholesky — dominates a
 // single query's QMC integration, so caching the factor pays off even on
 // one core; with more workers the parallel query fan-out compounds it.
-func batchBenchConfig(noCache bool) Config {
-	return Config{Method: TLR, QMCSize: 500, TileSize: 64, NoFactorCache: noCache}
+func batchBenchConfig() Config {
+	return Config{Method: TLR, QMCSize: 500, TileSize: 64}
 }
 
 // BenchmarkBatchVsSequential is the acceptance benchmark: Sequential is 10
-// independent MVNProb calls with the factor cache disabled (every call pays
-// assembly + compression + factorization, the seed behavior); BatchWarm is
+// independent MVNProb calls, the factor cache purged before each (every call
+// pays assembly + compression + factorization, the seed behavior); BatchWarm is
 // one MVNProbBatch against a session whose factor cache already holds the
 // factor. Compare ns/op directly — both do the same 10 queries per op.
 func BenchmarkBatchVsSequential(b *testing.B) {
 	locs, kernel, queries := batchBenchInputs()
 
 	b.Run("Sequential", func(b *testing.B) {
-		s := NewSession(batchBenchConfig(true))
+		s := NewSession(batchBenchConfig())
 		defer s.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
+				s.Cache().Purge()
 				if _, err := s.MVNProb(locs, kernel, q.A, q.B); err != nil {
 					b.Fatal(err)
 				}
@@ -66,7 +67,7 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 		}
 	})
 	b.Run("BatchWarm", func(b *testing.B) {
-		s := NewSession(batchBenchConfig(false))
+		s := NewSession(batchBenchConfig())
 		defer s.Close()
 		// Warm the factor cache, then measure steady-state batches.
 		if _, err := s.MVNProbBatch(locs, kernel, queries[:1]); err != nil {
@@ -88,7 +89,7 @@ func BenchmarkBatchScaling(b *testing.B) {
 	for _, nq := range []int{1, 4, 10} {
 		nq := nq
 		b.Run(fmt.Sprintf("queries=%d", nq), func(b *testing.B) {
-			s := NewSession(batchBenchConfig(false))
+			s := NewSession(batchBenchConfig())
 			defer s.Close()
 			if _, err := s.MVNProbBatch(locs, kernel, queries[:1]); err != nil {
 				b.Fatal(err)
@@ -110,7 +111,7 @@ func BenchmarkFactorCache(b *testing.B) {
 	single := queries[:1]
 
 	b.Run("Miss", func(b *testing.B) {
-		s := NewSession(batchBenchConfig(false))
+		s := NewSession(batchBenchConfig())
 		defer s.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -121,7 +122,7 @@ func BenchmarkFactorCache(b *testing.B) {
 		}
 	})
 	b.Run("Hit", func(b *testing.B) {
-		s := NewSession(batchBenchConfig(false))
+		s := NewSession(batchBenchConfig())
 		defer s.Close()
 		if _, err := s.MVNProbBatch(locs, kernel, single); err != nil {
 			b.Fatal(err)

@@ -1,6 +1,6 @@
 // Benchmarks for the unified factorization engine: the adaptive per-tile
 // representation against the uniform TLR layout on the same covariance, each
-// measured as one cold factorization plus one MVN query (cache disabled, so
+// measured as one cold factorization plus one MVN query (cache purged, so
 // every iteration pays assembly, representation choice and Cholesky).
 //
 //	go test -bench BenchmarkAdaptiveVsTLR -benchtime 3x
@@ -30,11 +30,12 @@ func benchMethod(b *testing.B, method Method) {
 	locs, kernel, lo, hi := engineBenchInputs()
 	s := NewSession(Config{
 		Method: method, TileSize: 48, QMCSize: 500,
-		TLRTol: 1e-4, NoFactorCache: true, AdaptiveF32Norm: 0.5,
+		TLRTol: 1e-4, AdaptiveF32Norm: 0.5,
 	})
 	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s.Cache().Purge()
 		if _, err := s.MVNProb(locs, kernel, lo, hi); err != nil {
 			b.Fatal(err)
 		}

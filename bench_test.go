@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cov"
+	"repro/internal/engine"
 	"repro/internal/excursion"
 	"repro/internal/figures"
 	"repro/internal/geo"
@@ -21,8 +22,6 @@ import (
 	"repro/internal/mvn"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tiledalg"
-	"repro/internal/tlr"
 	"repro/internal/wind"
 )
 
@@ -43,6 +42,24 @@ func benchLimits(n int, lo float64) (a, b []float64) {
 	return
 }
 
+// benchGrid lays sigma out for factorization: the dense layout, or the TLR
+// layout at tol > 0 (the pmvn_init compression the paper leaves untimed).
+func benchGrid(sigma *linalg.Matrix, ts int, tol float64) *engine.Grid {
+	if tol > 0 {
+		return engine.AssembleTLR(nil, tile.FromDense(sigma, ts), tol, 0)
+	}
+	return engine.AssembleDense(tile.FromDense(sigma, ts))
+}
+
+// benchFactor factorizes a benchGrid layout on rt.
+func benchFactor(b *testing.B, rt taskrt.Submitter, g *engine.Grid, tol float64) *mvn.Factor {
+	b.Helper()
+	if err := engine.Potrf(rt, g, engine.Config{Tol: tol}); err != nil {
+		b.Fatal(err)
+	}
+	return mvn.NewFactor(g)
+}
+
 // detectOnce is one confidence-region detection the way Session.DetectRegion
 // makes it: marginal ordering, the correlation matrix gathered in that
 // ordering, one factorization (dense, or TLR at tlrTol > 0) and one
@@ -53,23 +70,7 @@ func detectOnce(b *testing.B, rt *taskrt.Runtime, corr *linalg.Matrix, mean, sd 
 	if err != nil {
 		b.Fatal(err)
 	}
-	t := tile.FromDense(plan.Correlation(corr.Col, nil), ts)
-	var f mvn.Factor
-	if tlrTol > 0 {
-		a, err := tlr.CompressSPD(t, tlrTol, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tlr.Potrf(rt, a); err != nil {
-			b.Fatal(err)
-		}
-		f = mvn.NewTLRFactor(a)
-	} else {
-		if err := tiledalg.Potrf(rt, t); err != nil {
-			b.Fatal(err)
-		}
-		f = mvn.NewDenseFactor(t)
-	}
+	f := benchFactor(b, rt, benchGrid(plan.Correlation(corr.Col, nil), ts, tlrTol), tlrTol)
 	c, err := plan.Integrate(rt, f, mvn.Options{N: 1000})
 	if err != nil {
 		b.Fatal(err)
@@ -143,30 +144,15 @@ func oneMVN(b *testing.B, side, qmcN int, useTLR bool) {
 	ts := max(25, n/10)
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
-	var pre *tlr.Matrix
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if useTLR {
 			b.StopTimer() // compression = pmvn_init, untimed as in the paper
-			var err error
-			pre, _, err = func() (*tlr.Matrix, float64, error) {
-				m, err := tlr.CompressSPD(tile.FromDense(sigma, ts), 1e-3, 0)
-				return m, 0, err
-			}()
-			if err != nil {
-				b.Fatal(err)
-			}
+			pre := benchGrid(sigma, ts, 1e-3)
 			b.StartTimer()
-			if err := tlr.Potrf(rt, pre); err != nil {
-				b.Fatal(err)
-			}
-			mvn.PMVN(rt, mvn.NewTLRFactor(pre), a, up, mvn.Options{N: qmcN})
+			mvn.PMVN(rt, benchFactor(b, rt, pre, 1e-3), a, up, mvn.Options{N: qmcN})
 		} else {
-			t := tile.FromDense(sigma, ts)
-			if err := tiledalg.Potrf(rt, t); err != nil {
-				b.Fatal(err)
-			}
-			mvn.PMVN(rt, mvn.NewDenseFactor(t), a, up, mvn.Options{N: qmcN})
+			mvn.PMVN(rt, benchFactor(b, rt, benchGrid(sigma, ts, 0), 0), a, up, mvn.Options{N: qmcN})
 		}
 	}
 }
@@ -199,21 +185,11 @@ func BenchmarkTable2Speedup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		denseSec := benchSeconds(func() {
-			t := tile.FromDense(sigma, ts)
-			if err := tiledalg.Potrf(rt, t); err != nil {
-				b.Fatal(err)
-			}
-			mvn.PMVN(rt, mvn.NewDenseFactor(t), a, up, mvn.Options{N: qn})
+			mvn.PMVN(rt, benchFactor(b, rt, benchGrid(sigma, ts, 0), 0), a, up, mvn.Options{N: qn})
 		})
-		pre, err := tlr.CompressSPD(tile.FromDense(sigma, ts), 1e-3, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pre := benchGrid(sigma, ts, 1e-3)
 		tlrSec := benchSeconds(func() {
-			if err := tlr.Potrf(rt, pre); err != nil {
-				b.Fatal(err)
-			}
-			mvn.PMVN(rt, mvn.NewTLRFactor(pre), a, up, mvn.Options{N: qn})
+			mvn.PMVN(rt, benchFactor(b, rt, pre, 1e-3), a, up, mvn.Options{N: qn})
 		})
 		b.ReportMetric(denseSec/tlrSec, "speedupX")
 	}
@@ -225,11 +201,7 @@ func BenchmarkFig5Compression(b *testing.B) {
 	sigma := benchCorr(40) // 1600², ts=80: 20×20 tiles
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := tlr.CompressSPD(tile.FromDense(sigma, 80), 1e-3, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, mean := a.RankStats(); mean <= 0 {
+		if g := benchGrid(sigma, 80, 1e-3); g.Mix().MaxRank == 0 {
 			b.Fatal("no compression")
 		}
 	}

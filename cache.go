@@ -39,7 +39,7 @@ type factorKey struct {
 // in-flight build without joining it.
 type cacheEntry struct {
 	once    sync.Once
-	f       mvn.Factor
+	f       *mvn.Factor
 	err     error
 	done    atomic.Bool
 	ready   chan struct{}
@@ -90,7 +90,7 @@ func (c *FactorCache) lookupDone(key factorKey) *cacheEntry {
 
 // getOrBuild returns the factor for key, invoking build at most once per key
 // across all goroutines.
-func (c *FactorCache) getOrBuild(key factorKey, build func() (mvn.Factor, error)) (mvn.Factor, error) {
+func (c *FactorCache) getOrBuild(key factorKey, build func() (*mvn.Factor, error)) (*mvn.Factor, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {
@@ -121,7 +121,7 @@ func (c *FactorCache) getOrBuild(key factorKey, build func() (mvn.Factor, error)
 // upset by a concurrent warm load. Reports whether the factor was
 // installed. Counted as neither hit nor miss; the serving layer counts
 // store loads separately.
-func (c *FactorCache) install(key factorKey, f mvn.Factor) bool {
+func (c *FactorCache) install(key factorKey, f *mvn.Factor) bool {
 	e := &cacheEntry{ready: make(chan struct{}), f: f}
 	e.once.Do(func() {}) // consume the build slot: f is already set
 	e.done.Store(true)
@@ -387,15 +387,11 @@ func (s *Session) Prefactorize(locs []Point, spec KernelSpec) error {
 // specs (defaulted Sigma2, implicit exponential family, family-irrelevant
 // Nu) share a factor.
 //repro:noalloc
-func (s *Session) factorForKernel(locs []Point, spec KernelSpec) (mvn.Factor, error) {
+func (s *Session) factorForKernel(locs []Point, spec KernelSpec) (*mvn.Factor, error) {
 	// Reject malformed specs before keying: error entries must not occupy
 	// the bounded cache and evict real factors.
 	if err := spec.validate(); err != nil {
 		return nil, err
-	}
-	if s.cfg.NoFactorCache {
-		//repro:alloc-ok uncached sessions rebuild per query by configuration
-		return s.buildKernelFactor(locs, spec)
 	}
 	key := s.cfg.key('k', hashPoints(locs), len(locs), spec.normalized())
 	if e := s.cache.lookupDone(key); e != nil {
@@ -404,14 +400,14 @@ func (s *Session) factorForKernel(locs []Point, spec KernelSpec) (mvn.Factor, er
 	// Cold path only: the build closure below is the single allocation the
 	// cache layer ever makes per query, and it is never reached warm.
 	//repro:alloc-ok cache-miss path: the build closure is the one allocation per cold query
-	return s.cache.getOrBuild(key, func() (mvn.Factor, error) {
+	return s.cache.getOrBuild(key, func() (*mvn.Factor, error) {
 		return s.buildKernelFactor(locs, spec)
 	})
 }
 
 // buildKernelFactor builds the kernel from its spec and factorizes its
 // covariance at locs (the cache-miss path).
-func (s *Session) buildKernelFactor(locs []Point, spec KernelSpec) (mvn.Factor, error) {
+func (s *Session) buildKernelFactor(locs []Point, spec KernelSpec) (*mvn.Factor, error) {
 	k, err := spec.build()
 	if err != nil {
 		return nil, err
@@ -421,13 +417,10 @@ func (s *Session) buildKernelFactor(locs []Point, spec KernelSpec) (mvn.Factor, 
 
 // factorForSigma returns the (possibly cached) factor of an explicit matrix,
 // keyed by its content hash.
-func (s *Session) factorForSigma(sigma *linalg.Matrix) (mvn.Factor, error) {
-	if s.cfg.NoFactorCache {
-		return s.factorize(sigma)
-	}
+func (s *Session) factorForSigma(sigma *linalg.Matrix) (*mvn.Factor, error) {
 	key := s.cfg.key('c', hashMatrix(sigma), sigma.Rows, KernelSpec{})
 	if e := s.cache.lookupDone(key); e != nil {
 		return e.f, e.err
 	}
-	return s.cache.getOrBuild(key, func() (mvn.Factor, error) { return s.factorize(sigma) })
+	return s.cache.getOrBuild(key, func() (*mvn.Factor, error) { return s.factorize(sigma) })
 }

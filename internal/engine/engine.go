@@ -2,10 +2,11 @@
 // repository: one right-looking POTRF/TRSM/SYRK/GEMM dependency graph,
 // submitted once, whose kernels dispatch over polymorphic tile
 // representations (dense float64, dense float32, low rank). The dense
-// (Chameleon-style), TLR (HiCMA-style) and mixed-precision factorizations
-// are thin layout constructors over this engine, and the per-tile adaptive
-// representation the paper names as future work falls out of mixing
-// representations freely within one grid.
+// (Chameleon-style), TLR (HiCMA-style) and adaptive factorizations are
+// layouts of one Grid (AssembleDense, AssembleTLR, AssembleAdaptive and their
+// streaming Assembler counterparts); the per-tile adaptive representation the
+// paper names as future work falls out of mixing representations freely
+// within one grid.
 //
 // For out-of-core-shaped problems the engine also runs in streaming mode
 // (PotrfStream): tiles are assembled from a kernel evaluator by per-tile
@@ -154,6 +155,24 @@ func (g *Grid) Mix() Mix {
 	return m
 }
 
+// Ranks returns the rank of each strictly-lower tile, Ranks[i][j] for j < i
+// (the data behind the paper's Figure 5 rank-distribution maps): a low-rank
+// tile's rank, a dense tile's full min(rows, cols).
+func (g *Grid) Ranks() [][]int {
+	r := make([][]int, g.NT)
+	for i := range r {
+		r[i] = make([]int, i)
+		for j := range r[i] {
+			if t, ok := g.tiles[i][j].(*tile.LowRank); ok {
+				r[i][j] = t.Rank()
+			} else {
+				r[i][j] = min(g.TileRows(i), g.TileRows(j))
+			}
+		}
+	}
+	return r
+}
+
 // Bytes reports the payload bytes of the grid's tiles in their current
 // representations (8·r·c dense f64, 4·r·c dense f32, 8·k·(m+n) low rank) —
 // the footprint the eviction and streaming paths exist to shrink.
@@ -220,10 +239,7 @@ const minWindowTasks = 1024
 //	GEMM(T[i][k], T[j][k], T[i][j])   i > j > k
 //
 // with critical-path (panel-first) priorities as StarPU heteroprio-style
-// schedulers use. Kernel arithmetic per representation combination matches
-// the historical dense, TLR and mixed-precision implementations exactly, so
-// layout constructors routing through the engine reproduce their results
-// bit for bit. Errors (non-positive-definite pivots) propagate through the
+// schedulers use. Errors (non-positive-definite pivots) propagate through the
 // submitter's SubmitErr/Err scope. Every tile must be assigned; cfg.Evict
 // and cfg.Window apply here too (eviction never recycles caller-owned
 // buffers).

@@ -12,11 +12,8 @@ import (
 	"repro/internal/excursion"
 	"repro/internal/geo"
 	"repro/internal/linalg"
-	"repro/internal/mixprec"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tiledalg"
-	"repro/internal/tlr"
 )
 
 func covGrid(side int, rng float64) *linalg.Matrix {
@@ -24,8 +21,50 @@ func covGrid(side int, rng float64) *linalg.Matrix {
 	return cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: rng})
 }
 
-// refDensePotrf is the historical sequential dense tile Cholesky: the exact
-// per-tile kernel sequence the pre-engine tiledalg.Potrf executed.
+// randSPD returns GᵀG + n·I for a Gaussian n×n G.
+func randSPD(n int, rng *rand.Rand) *linalg.Matrix {
+	gm := linalg.NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		col := gm.Col(j)
+		for i := range col {
+			col[i] = rng.NormFloat64()
+		}
+	}
+	sigma := linalg.NewMatrix(n, n)
+	linalg.Gemm(true, false, 1, gm, gm, 0, sigma)
+	for i := 0; i < n; i++ {
+		sigma.Add(i, i, float64(n))
+	}
+	return sigma
+}
+
+// potrfOn factorizes g on a fresh runtime of the given worker count.
+func potrfOn(g *engine.Grid, cfg engine.Config, workers int) error {
+	rt := taskrt.New(workers)
+	defer rt.Shutdown()
+	return engine.Potrf(rt, g, cfg)
+}
+
+// bandedGrid is the banded mixed-precision layout: tiles with i−j ≤ band in
+// float64, the rest in float32 (band ≥ nt−1 degenerates to the dense layout).
+func bandedGrid(sigma *linalg.Matrix, ts, band int) *engine.Grid {
+	src := tile.FromDense(sigma, ts)
+	g := engine.NewGrid(src.M, ts)
+	for i := 0; i < g.NT; i++ {
+		for j := 0; j <= i; j++ {
+			if i-j <= band {
+				g.Set(i, j, &tile.DenseF64{D: src.Tile(i, j)})
+			} else {
+				g.Set(i, j, &tile.DenseF32{D: tile.ToSingle(src.Tile(i, j))})
+			}
+		}
+	}
+	return g
+}
+
+// refDensePotrf is the historical sequential dense tile Cholesky: the
+// per-tile kernel sequence of the right-looking algorithm, one kernel at a
+// time.
 func refDensePotrf(a *tile.Matrix) error {
 	nt := a.NT
 	for k := 0; k < nt; k++ {
@@ -51,29 +90,30 @@ func refDensePotrf(a *tile.Matrix) error {
 	return nil
 }
 
-// refTLRPotrf is the historical sequential TLR Cholesky (HiCMA kernels), the
-// arithmetic the pre-engine tlr.Potrf executed.
-func refTLRPotrf(a *tlr.Matrix) error {
-	nt := a.NT
+// refTLRPotrf is the historical sequential TLR Cholesky (HiCMA kernels) on a
+// TLR-layout grid, in place.
+func refTLRPotrf(g *engine.Grid, tol float64) error {
+	nt := g.NT
+	low := func(i, j int) *tile.LowRank { return g.At(i, j).(*tile.LowRank) }
 	for k := 0; k < nt; k++ {
-		if err := linalg.PotrfUnblocked(a.Diag[k]); err != nil {
+		if err := linalg.PotrfUnblocked(g.Diag(k)); err != nil {
 			return err
 		}
 		for i := k + 1; i < nt; i++ {
-			if t := a.Low[i][k]; t.Rank() > 0 {
-				linalg.TrsmLower(linalg.Left, false, 1, a.Diag[k], t.V)
+			if t := low(i, k); t.Rank() > 0 {
+				linalg.TrsmLower(linalg.Left, false, 1, g.Diag(k), t.V)
 			}
 		}
 		for i := k + 1; i < nt; i++ {
-			if t := a.Low[i][k]; t.Rank() > 0 {
+			if t := low(i, k); t.Rank() > 0 {
 				s := linalg.NewMatrix(t.Rank(), t.Rank())
 				linalg.Gemm(true, false, 1, t.V, t.V, 0, s)
 				us := linalg.NewMatrix(t.M, t.Rank())
 				linalg.Gemm(false, false, 1, t.U, s, 0, us)
-				linalg.Gemm(false, true, -1, us, t.U, 1, a.Diag[i])
+				linalg.Gemm(false, true, -1, us, t.U, 1, g.Diag(i))
 			}
 			for j := k + 1; j < i; j++ {
-				ta, tb, c := a.Low[i][k], a.Low[j][k], a.Low[i][j]
+				ta, tb, c := low(i, k), low(j, k), low(i, j)
 				ka, kb := ta.Rank(), tb.Rank()
 				if ka == 0 || kb == 0 {
 					continue
@@ -82,88 +122,68 @@ func refTLRPotrf(a *tlr.Matrix) error {
 				linalg.Gemm(true, false, 1, ta.V, tb.V, 0, s)
 				u2 := linalg.NewMatrix(ta.M, kb)
 				linalg.Gemm(false, false, 1, ta.U, s, 0, u2)
-				c.AddLowRank(-1, u2, tb.U, a.Tol, a.MaxRank)
+				c.AddLowRank(-1, u2, tb.U, tol, 0)
 			}
 		}
 	}
 	for k := 0; k < nt; k++ {
-		a.Diag[k].LowerFromFull()
+		g.Diag(k).LowerFromFull()
 	}
 	return nil
 }
 
-// refMixedPotrf is the historical sequential banded mixed-precision
-// Cholesky, the arithmetic the pre-engine mixprec.Potrf executed.
-func refMixedPotrf(a *tile.Matrix, band int) *mixprec.Factorization {
-	nt := a.MT
-	f := &mixprec.Factorization{N: a.M, TS: a.TS, NT: nt, Band: band}
-	f.D64 = make([][]*linalg.Matrix, nt)
-	f.D32 = make([][]*mixprec.Matrix32, nt)
-	for i := 0; i < nt; i++ {
-		f.D64[i] = make([]*linalg.Matrix, i+1)
-		f.D32[i] = make([]*mixprec.Matrix32, i+1)
-		for j := 0; j <= i; j++ {
-			if f.Tile64(i, j) {
-				f.D64[i][j] = a.Tile(i, j).Clone()
-			} else {
-				f.D32[i][j] = mixprec.ToSingle(a.Tile(i, j))
-			}
+// refMixedPotrf is the historical sequential banded mixed-precision Cholesky
+// on a bandedGrid, in place: the destination tile's precision chooses the
+// arithmetic, operands are converted to it.
+func refMixedPotrf(g *engine.Grid, band int) {
+	nt := g.NT
+	as64 := func(i, j int) *linalg.Matrix {
+		if t, ok := g.At(i, j).(*tile.DenseF32); ok {
+			return t.D.ToDouble()
 		}
+		return g.At(i, j).(*tile.DenseF64).D
+	}
+	as32 := func(i, j int) *tile.Matrix32 {
+		if t, ok := g.At(i, j).(*tile.DenseF64); ok {
+			return tile.ToSingle(t.D)
+		}
+		return g.At(i, j).(*tile.DenseF32).D
 	}
 	for k := 0; k < nt; k++ {
-		dk := f.D64[k][k]
+		dk := g.Diag(k)
 		if err := linalg.PotrfUnblocked(dk); err != nil {
 			panic(err)
 		}
-		var dk32 *mixprec.Matrix32
+		var dk32 *tile.Matrix32
 		if k+band+1 < nt {
-			dk32 = mixprec.ToSingle(dk)
+			dk32 = tile.ToSingle(dk)
 		}
 		for i := k + 1; i < nt; i++ {
-			if f.Tile64(i, k) {
-				linalg.TrsmLower(linalg.Right, true, 1, dk, f.D64[i][k])
-			} else {
-				mixprec.TrsmRightLowerTrans32(dk32, f.D32[i][k])
+			switch t := g.At(i, k).(type) {
+			case *tile.DenseF64:
+				linalg.TrsmLower(linalg.Right, true, 1, dk, t.D)
+			case *tile.DenseF32:
+				tile.TrsmRightLowerTrans32(dk32, t.D)
 			}
 		}
 		for i := k + 1; i < nt; i++ {
 			for j := k + 1; j <= i; j++ {
-				if f.Tile64(i, j) {
-					ai, aj := mixedAs64(f, i, k), mixedAs64(f, j, k)
+				switch c := g.At(i, j).(type) {
+				case *tile.DenseF64:
 					if i == j {
-						linalg.Syrk(false, -1, ai, 1, f.D64[i][j])
+						linalg.Syrk(false, -1, as64(i, k), 1, c.D)
 					} else {
-						linalg.Gemm(false, true, -1, ai, aj, 1, f.D64[i][j])
+						linalg.Gemm(false, true, -1, as64(i, k), as64(j, k), 1, c.D)
 					}
-				} else {
-					ai, aj := mixedAs32(f, i, k), mixedAs32(f, j, k)
-					if i == j {
-						mixprec.Syrk32(-1, ai, f.D32[i][j])
-					} else {
-						mixprec.Gemm32(true, -1, ai, aj, f.D32[i][j])
-					}
+				case *tile.DenseF32:
+					tile.Gemm32(true, -1, as32(i, k), as32(j, k), c.D)
 				}
 			}
 		}
 	}
 	for k := 0; k < nt; k++ {
-		f.D64[k][k].LowerFromFull()
+		g.Diag(k).LowerFromFull()
 	}
-	return f
-}
-
-func mixedAs64(f *mixprec.Factorization, i, j int) *linalg.Matrix {
-	if f.Tile64(i, j) {
-		return f.D64[i][j]
-	}
-	return f.D32[i][j].ToDouble()
-}
-
-func mixedAs32(f *mixprec.Factorization, i, j int) *mixprec.Matrix32 {
-	if f.Tile64(i, j) {
-		return mixprec.ToSingle(f.D64[i][j])
-	}
-	return f.D32[i][j]
 }
 
 // Engine-vs-sequential-reference tolerance. The pre-PR3 versions of these
@@ -195,14 +215,11 @@ func TestEngineDenseMatchesReference(t *testing.T) {
 		if err := refDensePotrf(want); err != nil {
 			t.Fatal(err)
 		}
-		got := tile.FromDense(sigma, ts)
-		rt := taskrt.New(4)
-		err := tiledalg.Potrf(rt, got)
-		rt.Shutdown()
-		if err != nil {
+		got := engine.AssembleDense(tile.FromDense(sigma, ts))
+		if err := potrfOn(got, engine.Config{}, 4); err != nil {
 			t.Fatal(err)
 		}
-		if d := relMaxDiff(got.ToDense(), want.ToDense()); d > engineRefTol {
+		if d := relMaxDiff(densifyFactor(got), want.ToDense()); d > engineRefTol {
 			t.Errorf("ts=%d: engine dense factor differs from reference by %v", ts, d)
 		}
 	}
@@ -216,24 +233,15 @@ func TestEngineDenseMatchesReference(t *testing.T) {
 func TestEngineTLRMatchesReference(t *testing.T) {
 	sigma := covGrid(9, 0.15)
 	for _, tol := range []float64{1e-4, 1e-8} {
-		want, err := tlr.CompressSPD(tile.FromDense(sigma, 12), tol, 0)
-		if err != nil {
+		want := engine.AssembleTLR(nil, tile.FromDense(sigma, 12), tol, 0)
+		got := engine.AssembleTLR(nil, tile.FromDense(sigma, 12), tol, 0)
+		if err := refTLRPotrf(want, tol); err != nil {
 			t.Fatal(err)
 		}
-		got, err := tlr.CompressSPD(tile.FromDense(sigma, 12), tol, 0)
-		if err != nil {
+		if err := potrfOn(got, engine.Config{Tol: tol}, 4); err != nil {
 			t.Fatal(err)
 		}
-		if err := refTLRPotrf(want); err != nil {
-			t.Fatal(err)
-		}
-		rt := taskrt.New(4)
-		err = tlr.Potrf(rt, got)
-		rt.Shutdown()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := relMaxDiff(got.ToDense(), want.ToDense()); d > engineRefTol {
+		if d := relMaxDiff(densifyFactor(got), densifyFactor(want)); d > engineRefTol {
 			t.Errorf("tol=%g: engine TLR factor differs from reference by %v", tol, d)
 		}
 	}
@@ -248,14 +256,13 @@ func TestEngineTLRMatchesReference(t *testing.T) {
 func TestEngineMixedMatchesReference(t *testing.T) {
 	sigma := covGrid(8, 0.15) // n=64
 	for _, band := range []int{0, 1, 3} {
-		want := refMixedPotrf(tile.FromDense(sigma, 8), band)
-		rt := taskrt.New(4)
-		got, err := mixprec.Potrf(rt, tile.FromDense(sigma, 8), band)
-		rt.Shutdown()
-		if err != nil {
+		want := bandedGrid(sigma, 8, band)
+		refMixedPotrf(want, band)
+		got := bandedGrid(sigma, 8, band)
+		if err := potrfOn(got, engine.Config{}, 4); err != nil {
 			t.Fatal(err)
 		}
-		if d := relMaxDiff(got.ToDense(), want.ToDense()); d > 5e-6 {
+		if d := relMaxDiff(densifyFactor(got), densifyFactor(want)); d > 5e-6 {
 			t.Errorf("band=%d: engine mixed factor differs from reference by %v", band, d)
 		}
 	}
@@ -271,15 +278,15 @@ func TestEngineErrorPropagation(t *testing.T) {
 
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
-	if err := tiledalg.Potrf(rt, tile.FromDense(bad, 3)); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+	if err := engine.Potrf(rt, engine.AssembleDense(tile.FromDense(bad, 3)), engine.Config{}); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
 		t.Errorf("runtime scope: want ErrNotPositiveDefinite, got %v", err)
 	}
 	// The error must not leak into the next factorization on the same scope.
-	if err := tiledalg.Potrf(rt, tile.FromDense(good, 4)); err != nil {
+	if err := engine.Potrf(rt, engine.AssembleDense(tile.FromDense(good, 4)), engine.Config{}); err != nil {
 		t.Errorf("runtime reuse after failure: %v", err)
 	}
 	g := rt.NewGroup()
-	if err := tiledalg.Potrf(g, tile.FromDense(bad, 3)); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+	if err := engine.Potrf(g, engine.AssembleDense(tile.FromDense(bad, 3)), engine.Config{}); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
 		t.Errorf("group scope: want ErrNotPositiveDefinite, got %v", err)
 	}
 }
@@ -329,21 +336,7 @@ func TestAdaptiveAssemblyMixesAndFactorizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reassemble L densely and check L·Lᵀ ≈ Σ.
-	l := linalg.NewMatrix(144, 144)
-	for i := 0; i < g.NT; i++ {
-		for j := 0; j <= i; j++ {
-			var d *linalg.Matrix
-			switch tl := g.At(i, j).(type) {
-			case *tile.DenseF64:
-				d = tl.D
-			case *tile.DenseF32:
-				d = tl.D.ToDouble()
-			case *tile.LowRank:
-				d = tl.Dense()
-			}
-			l.View(i*g.TS, j*g.TS, d.Rows, d.Cols).CopyFrom(d)
-		}
-	}
+	l := densifyFactor(g)
 	rec := linalg.NewMatrix(144, 144)
 	linalg.Gemm(false, true, 1, l, l, 0, rec)
 	rec.SymmetrizeFromLower()
@@ -359,75 +352,13 @@ func TestAdaptiveAssemblyMixesAndFactorizes(t *testing.T) {
 // threshold) must not let truncated full-rank tiles masquerade as low rank —
 // the policy must judge the true numerical rank at Tol.
 func TestAdaptivePolicyRejectsIncompressibleTiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 128
-	gm := linalg.NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		col := gm.Col(j)
-		for i := range col {
-			col[i] = rng.NormFloat64()
-		}
-	}
-	sigma := linalg.NewMatrix(n, n)
-	linalg.Gemm(true, false, 1, gm, gm, 0, sigma)
-	for i := 0; i < n; i++ {
-		sigma.Add(i, i, float64(n))
-	}
+	sigma := randSPD(128, rand.New(rand.NewSource(11)))
 	// Off-band tiles of a random SPD matrix are numerically full rank.
 	g := engine.AssembleAdaptive(nil, tile.FromDense(sigma, 32), engine.Policy{
 		Tol: 1e-6, MaxRank: 16, RankFrac: 0.5,
 	})
 	if mix := g.Mix(); mix.LowRank != 0 {
 		t.Errorf("full-rank tiles accepted as low rank: %+v", mix)
-	}
-}
-
-// TestAdaptiveDeterministicAcrossWorkers pins determinism for the mixed
-// representation graph.
-func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 60
-	gm := linalg.NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		col := gm.Col(j)
-		for i := range col {
-			col[i] = rng.NormFloat64()
-		}
-	}
-	sigma := linalg.NewMatrix(n, n)
-	linalg.Gemm(true, false, 1, gm, gm, 0, sigma)
-	for i := 0; i < n; i++ {
-		sigma.Add(i, i, float64(n))
-	}
-	var ref *linalg.Matrix
-	for _, w := range []int{1, 4} {
-		g := engine.AssembleAdaptive(nil, tile.FromDense(sigma, 9), engine.Policy{Tol: 1e-6})
-		rt := taskrt.New(w)
-		err := engine.Potrf(rt, g, engine.Config{Tol: 1e-6})
-		rt.Shutdown()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := linalg.NewMatrix(n, n)
-		for i := 0; i < g.NT; i++ {
-			for j := 0; j <= i; j++ {
-				var m *linalg.Matrix
-				switch tl := g.At(i, j).(type) {
-				case *tile.DenseF64:
-					m = tl.D
-				case *tile.DenseF32:
-					m = tl.D.ToDouble()
-				case *tile.LowRank:
-					m = tl.Dense()
-				}
-				d.View(i*g.TS, j*g.TS, m.Rows, m.Cols).CopyFrom(m)
-			}
-		}
-		if ref == nil {
-			ref = d
-		} else if diff := d.MaxAbsDiff(ref); diff != 0 {
-			t.Errorf("worker count changed adaptive factor by %v", diff)
-		}
 	}
 }
 

@@ -1,0 +1,288 @@
+package engine_test
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/cov"
+	"repro/internal/engine"
+	"repro/internal/geo"
+	"repro/internal/linalg"
+	"repro/internal/taskrt"
+	"repro/internal/tile"
+)
+
+// Tests of the dense, TLR and banded mixed-precision layouts against dense
+// linear algebra (linalg.Cholesky, ‖LLᵀ−Σ‖), as opposed to engine_test.go's
+// comparisons against sequential tile algorithms.
+
+// lowerResidual is max |(L·Lᵀ − Σ)(i,j)| over the lower triangle.
+func lowerResidual(l, sigma *linalg.Matrix) float64 {
+	rec := linalg.NewMatrix(sigma.Rows, sigma.Rows)
+	linalg.Gemm(false, true, 1, l, l, 0, rec)
+	res := 0.0
+	for j := 0; j < sigma.Cols; j++ {
+		for i := j; i < sigma.Rows; i++ {
+			res = math.Max(res, math.Abs(rec.At(i, j)-sigma.At(i, j)))
+		}
+	}
+	return res
+}
+
+// symmetrized densifies an unfactored grid and mirrors its lower triangle up.
+func symmetrized(g *engine.Grid) *linalg.Matrix {
+	d := densifyFactor(g)
+	d.SymmetrizeFromLower()
+	return d
+}
+
+// entryOf evaluates the kernel at the geometry's locations, as the streaming
+// assemblers consume it.
+func entryOf(g *geo.Geom, k cov.Kernel) func(i, j int) float64 {
+	return func(i, j int) float64 {
+		if i == j {
+			return k.Cov(0)
+		}
+		return k.Cov(g.Dist(i, j))
+	}
+}
+
+func TestDenseLayoutMatchesCholesky(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct{ n, ts int }{
+		{8, 4}, {12, 4}, {13, 4}, {20, 7}, {25, 6}, {5, 8}, {32, 8}, {1, 4},
+	} {
+		a := randSPD(tc.n, rng)
+		want, err := linalg.Cholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := engine.AssembleDense(tile.FromDense(a, tc.ts))
+		if err := potrfOn(g, engine.Config{}, 4); err != nil {
+			t.Fatalf("n=%d ts=%d: %v", tc.n, tc.ts, err)
+		}
+		l := densifyFactor(g)
+		if d := l.MaxAbsDiff(want); d > 1e-9 {
+			t.Errorf("n=%d ts=%d: tiled vs dense Cholesky diff %v", tc.n, tc.ts, d)
+		}
+		if d := lowerResidual(l, a); d > 1e-9 {
+			t.Errorf("n=%d ts=%d: LLᵀ reconstruction diff %v", tc.n, tc.ts, d)
+		}
+	}
+}
+
+// TestPotrfTaskCounts: a factorization of nt tile columns runs nt POTRFs,
+// nt(nt−1)/2 TRSMs and SYRKs and nt(nt−1)(nt−2)/6 GEMMs — the counts the
+// cluster simulator and the bench ledger's tasks_total assume.
+func TestPotrfTaskCounts(t *testing.T) {
+	rt := taskrt.New(2)
+	defer rt.Shutdown()
+	const nt = 4
+	g := engine.AssembleDense(tile.FromDense(randSPD(5*nt, rand.New(rand.NewSource(4))), 5))
+	if err := engine.Potrf(rt, g, engine.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	got := rt.Snapshot().Tasks
+	want := map[string]int{"potrf": nt, "trsm": nt * (nt - 1) / 2, "syrk": nt * (nt - 1) / 2, "gemm": nt * (nt - 1) * (nt - 2) / 6}
+	for kind, n := range want {
+		if got[kind] != n {
+			t.Errorf("executed %d %s tasks, want %d (all: %v)", got[kind], kind, n, got)
+		}
+	}
+}
+
+// TestLayoutsDeterministicAcrossWorkers: the factor must be identical
+// regardless of worker count, whatever the representation mix — the task
+// graph fully orders every tile update.
+func TestLayoutsDeterministicAcrossWorkers(t *testing.T) {
+	spd := randSPD(60, rand.New(rand.NewSource(7)))
+	smooth := covGrid(10, 0.1)
+	for _, tc := range []struct {
+		name string
+		cfg  engine.Config
+		mk   func() *engine.Grid
+	}{
+		{"dense", engine.Config{}, func() *engine.Grid { return engine.AssembleDense(tile.FromDense(spd, 5)) }},
+		{"tlr", engine.Config{Tol: 1e-8}, func() *engine.Grid { return engine.AssembleTLR(nil, tile.FromDense(smooth, 25), 1e-8, 0) }},
+		{"mixed", engine.Config{}, func() *engine.Grid { return bandedGrid(covGrid(6, 0.2), 9, 1) }},
+		{"adaptive", engine.Config{Tol: 1e-6}, func() *engine.Grid {
+			return engine.AssembleAdaptive(nil, tile.FromDense(spd, 9), engine.Policy{Tol: 1e-6})
+		}},
+	} {
+		var ref *linalg.Matrix
+		for _, w := range []int{1, 2, 8} {
+			g := tc.mk()
+			if err := potrfOn(g, tc.cfg, w); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			d := densifyFactor(g)
+			if ref == nil {
+				ref = d
+			} else if diff := d.MaxAbsDiff(ref); diff != 0 {
+				t.Errorf("%s: %d workers changed the factor by %v", tc.name, w, diff)
+			}
+		}
+	}
+}
+
+func TestAssembleRejectsNonSquare(t *testing.T) {
+	for name, assemble := range map[string]func(*tile.Matrix){
+		"dense":    func(m *tile.Matrix) { engine.AssembleDense(m) },
+		"tlr":      func(m *tile.Matrix) { engine.AssembleTLR(nil, m, 1e-6, 0) },
+		"adaptive": func(m *tile.Matrix) { engine.AssembleAdaptive(nil, m, engine.Policy{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a 4×6 matrix was laid out as a symmetric grid", name)
+				}
+			}()
+			assemble(tile.New(4, 6, 2))
+		}()
+	}
+}
+
+func TestTLRLayoutRoundTrip(t *testing.T) {
+	sigma := covGrid(10, 0.1) // n=100
+	g := engine.AssembleTLR(nil, tile.FromDense(sigma, 25), 1e-9, 0)
+	if d := symmetrized(g).MaxAbsDiff(sigma); d > 1e-7 {
+		t.Errorf("TLR roundtrip diff %v", d)
+	}
+}
+
+// TestTLRStreamingACAMatchesSVDAssembly: the streaming assembler's ACA tiles
+// and the materialized layout's SVD tiles describe the same matrix.
+func TestTLRStreamingACAMatchesSVDAssembly(t *testing.T) {
+	geom := geo.RegularGrid(10, 10)
+	k := &cov.Exponential{Sigma2: 1, Range: 0.15}
+	const ts, tol = 25, 1e-6
+	svd := engine.AssembleTLR(nil, tile.FromDense(cov.Matrix(geom, k), ts), tol, 0)
+	aca := engine.NewGrid(geom.Len(), ts)
+	materialize(aca, engine.TLREntryAssembler(aca, entryOf(geom, k), tol, 0))
+	if d := symmetrized(aca).MaxAbsDiff(symmetrized(svd)); d > 1e-4 {
+		t.Errorf("ACA vs SVD assembly differ by %v", d)
+	}
+}
+
+// TestTLRRanksDecayWithDistance: in a spatially ordered covariance matrix,
+// tiles far from the diagonal have rank no larger than near-diagonal tiles
+// (the paper's Figure 5 structure), and the layout stores fewer floats than
+// the dense matrix.
+func TestTLRRanksDecayWithDistance(t *testing.T) {
+	sigma := cov.Matrix(geo.RegularGrid(16, 16), &cov.Exponential{Sigma2: 1, Range: 0.234})
+	g := engine.AssembleTLR(nil, tile.FromDense(sigma, 32), 1e-3, 0)
+	if g.NT != 8 {
+		t.Fatalf("NT = %d", g.NT)
+	}
+	ranks := g.Ranks()
+	if near, far := ranks[1][0], ranks[g.NT-1][0]; far > near {
+		t.Errorf("far tile rank %d exceeds near tile rank %d", far, near)
+	}
+	sum, tiles := 0, 0
+	for _, row := range ranks {
+		for _, r := range row {
+			if r < 0 || r > 32 {
+				t.Errorf("rank %d implausible for 32×32 tiles", r)
+			}
+			sum += r
+			tiles++
+		}
+	}
+	// Strong compression: mean rank well below the tile size.
+	if mean := float64(sum) / float64(tiles); mean <= 0 || mean > 16 {
+		t.Errorf("mean rank %v outside (0, 16] at 1e-3 accuracy", mean)
+	}
+	if b, dense := g.Bytes(), int64(8*256*256); b >= dense {
+		t.Errorf("TLR layout stores %d bytes, the dense matrix %d", b, dense)
+	}
+}
+
+func TestTLRPotrfMatchesDenseHighAccuracy(t *testing.T) {
+	sigma := covGrid(12, 0.1) // n=144
+	want, err := linalg.Cholesky(sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := engine.AssembleTLR(nil, tile.FromDense(sigma, 36), 1e-12, 0)
+	if err := potrfOn(g, engine.Config{Tol: 1e-12}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if d := densifyFactor(g).MaxAbsDiff(want); d > 1e-6 {
+		t.Errorf("TLR factor vs dense factor diff %v", d)
+	}
+}
+
+func TestTLRPotrfResidualScalesWithTolerance(t *testing.T) {
+	sigma := covGrid(12, 0.234)
+	norm := sigma.FrobNorm()
+	prev := math.Inf(1)
+	for _, tol := range []float64{1e-2, 1e-5, 1e-9} {
+		g := engine.AssembleTLR(nil, tile.FromDense(sigma, 36), tol, 0)
+		if err := potrfOn(g, engine.Config{Tol: tol}, 2); err != nil {
+			t.Fatalf("tol=%g: %v", tol, err)
+		}
+		relRes := lowerResidual(densifyFactor(g), sigma) / norm
+		if relRes > 50*tol {
+			t.Errorf("tol=%g: relative residual %v too large", tol, relRes)
+		}
+		if relRes > prev*1.5 {
+			t.Errorf("residual did not improve with tighter tol: %v after %v", relRes, prev)
+		}
+		prev = relRes
+	}
+}
+
+func TestTLRPotrfIndefiniteFails(t *testing.T) {
+	bad := linalg.Eye(40)
+	bad.Set(30, 30, -5)
+	g := engine.AssembleTLR(nil, tile.FromDense(bad, 10), 1e-9, 0)
+	if err := potrfOn(g, engine.Config{Tol: 1e-9}, 2); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+		t.Errorf("want ErrNotPositiveDefinite, got %v", err)
+	}
+}
+
+// TestTLRStreamingPotrfEndToEnd: a factor streamed from ACA-assembled tiles
+// reconstructs the matrix like the SVD-assembled one.
+func TestTLRStreamingPotrfEndToEnd(t *testing.T) {
+	geom := geo.RegularGrid(10, 10)
+	k := &cov.Exponential{Sigma2: 1, Range: 0.2}
+	g := streamFactor(t, geom.Len(), 25, engine.Config{Tol: 1e-8}, func(g *engine.Grid) *engine.Assembler {
+		return engine.TLREntryAssembler(g, entryOf(geom, k), 1e-8, 0)
+	})
+	if res := lowerResidual(densifyFactor(g), cov.Matrix(geom, k)); res > 1e-5 {
+		t.Errorf("ACA TLR Cholesky residual %v", res)
+	}
+}
+
+// TestMixedPotrfAccuracyLadder: the residual improves (up to noise) as the
+// double-precision band widens, and hits f64 accuracy at full band.
+func TestMixedPotrfAccuracyLadder(t *testing.T) {
+	sigma := covGrid(8, 0.15) // n=64, 8×8 tiles
+	want, err := linalg.Cholesky(sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs []float64
+	for _, band := range []int{0, 2, 7} {
+		g := bandedGrid(sigma, 8, band)
+		if err := potrfOn(g, engine.Config{}, 3); err != nil {
+			t.Fatalf("band %d: %v", band, err)
+		}
+		errs = append(errs, densifyFactor(g).MaxAbsDiff(want))
+	}
+	if errs[2] > 1e-12 {
+		t.Errorf("full-band mixed factorization differs from f64 by %v", errs[2])
+	}
+	if errs[0] < errs[2] {
+		t.Errorf("band 0 cannot beat full double precision: %v", errs)
+	}
+	// Single precision should still be near-f32-accurate.
+	if errs[0] > 1e-3 {
+		t.Errorf("band 0 error %v too large", errs[0])
+	}
+	if errs[1] > errs[0]+1e-12 {
+		t.Errorf("widening the band did not help: %v", errs)
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/linalg"
@@ -95,6 +96,51 @@ func (p Policy) probeDense(blk *linalg.Matrix) (*tile.LowRank, bool) {
 	return lr, lr.Rank() <= limit
 }
 
+// gridOver returns the empty grid a layout of the symmetric tiled matrix src
+// fills.
+func gridOver(src *tile.Matrix) *Grid {
+	if src.M != src.N {
+		panic(fmt.Sprintf("engine: layout needs a square matrix, got %dx%d", src.M, src.N))
+	}
+	return NewGrid(src.M, src.TS)
+}
+
+// AssembleDense is the dense layout (the paper's Chameleon path): every lower
+// tile of the symmetric tiled matrix enters the grid as dense float64. The
+// grid aliases src's tiles (the factorization then runs in place), so src
+// must not be reused afterwards.
+func AssembleDense(src *tile.Matrix) *Grid {
+	g := gridOver(src)
+	for i := 0; i < g.NT; i++ {
+		for j := 0; j <= i; j++ {
+			g.Set(i, j, &tile.DenseF64{D: src.Tile(i, j)})
+		}
+	}
+	return g
+}
+
+// AssembleTLR is the TLR layout (the HiCMA path): dense float64 diagonal
+// tiles aliasing src, every strictly-lower tile compressed to U·Vᵀ by
+// tile.Compress at relative accuracy tol with rank cap maxRank (0 =
+// uncapped). When sub is non-nil each compression runs as its own "compress"
+// task on it (the caller's group scope); nil compresses serially. Factorize
+// with Config{Tol: tol, MaxRank: maxRank} so the Schur updates recompress at
+// the accuracy the tiles were built to.
+func AssembleTLR(sub taskrt.Submitter, src *tile.Matrix, tol float64, maxRank int) *Grid {
+	g := gridOver(src)
+	run, wait := taskrt.Scatter(sub, "compress")
+	for i := 0; i < g.NT; i++ {
+		i := i
+		g.Set(i, i, &tile.DenseF64{D: src.Tile(i, i)})
+		for j := 0; j < i; j++ {
+			j := j
+			run(func() { g.Set(i, j, tile.Compress(src.Tile(i, j), tol, maxRank)) })
+		}
+	}
+	wait()
+	return g
+}
+
 // AssembleAdaptive builds an engine grid from a symmetric tiled matrix,
 // choosing each lower tile's representation by the policy. The grid aliases
 // src's float64 tiles (the factorization then runs in place), so src must
@@ -102,7 +148,7 @@ func (p Policy) probeDense(blk *linalg.Matrix) (*tile.LowRank, bool) {
 // independent tasks on it (the caller's group scope); nil probes serially.
 func AssembleAdaptive(sub taskrt.Submitter, src *tile.Matrix, p Policy) *Grid {
 	p = p.WithDefaults()
-	g := NewGrid(src.M, src.TS)
+	g := gridOver(src)
 	// Diagonal norms anchor the relative-magnitude test for f32 storage.
 	diagNorm := make([]float64, g.NT)
 	for i := 0; i < g.NT; i++ {

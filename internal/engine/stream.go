@@ -284,6 +284,34 @@ func DenseEntryAssembler(g *Grid, entry func(i, j int) float64) *Assembler {
 	}
 }
 
+// TLREntryAssembler streams the TLR layout — dense float64 diagonal, ACA low
+// rank off the diagonal (O(rank·ts) entry evaluations per tile) at relative
+// accuracy tol with rank cap maxRank (0 = uncapped) — directly inside the
+// factorization graph. A tile whose cross iteration runs out of rank budget
+// (typical for near-diagonal tiles of smooth kernels, where a capped ACA has
+// uncontrolled error) is densified for the optimal truncation instead. The
+// grid must be the one passed to PotrfStream.
+func TLREntryAssembler(g *Grid, entry func(i, j int) float64, tol float64, maxRank int) *Assembler {
+	ts := g.TS
+	return &Assembler{
+		Tile: func(i, j int) tile.Tile {
+			ri, rj := g.TileRows(i), g.TileRows(j)
+			row0, col0 := i*ts, j*ts
+			if i == j {
+				return &tile.DenseF64{D: denseBlockPooled(ri, ri, row0, row0, entry)}
+			}
+			sub := func(r, c int) float64 { return entry(row0+r, col0+c) }
+			lr, ok := tile.CompressACAConv(ri, rj, sub, tol, maxRank)
+			if !ok {
+				d := denseBlockPooled(ri, rj, row0, col0, entry)
+				lr = tile.Compress(d, tol, maxRank)
+				putMat(d)
+			}
+			return lr
+		},
+	}
+}
+
 // denseBlockPooled materializes the r×c block at (row0,col0) of the entry
 // evaluator into a pooled matrix.
 //repro:returns-pooled mat

@@ -11,7 +11,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tlr"
 )
 
 // densifyFactor reassembles the grid's lower-triangular factor densely,
@@ -74,12 +73,7 @@ func streamFactor(t *testing.T, n, ts int, cfg engine.Config, mk func(*engine.Gr
 func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 	geom := geo.RegularGrid(12, 12) // n = 144
 	kern := &cov.Exponential{Sigma2: 1, Range: 0.15}
-	entry := func(i, j int) float64 {
-		if i == j {
-			return kern.Cov(0)
-		}
-		return kern.Cov(geom.Dist(i, j))
-	}
+	entry := entryOf(geom, kern)
 	const tol = 1e-4
 	n := geom.Len()
 
@@ -91,7 +85,7 @@ func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 			return engine.DenseEntryAssembler(g, entry)
 		}},
 		{"tlr", func(g *engine.Grid) *engine.Assembler {
-			return tlr.KernelAssembler(g, geom, kern, tol, 0)
+			return engine.TLREntryAssembler(g, entry, tol, 0)
 		}},
 		{"adaptive", func(g *engine.Grid) *engine.Assembler {
 			p := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5}
@@ -129,12 +123,7 @@ func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 func TestPotrfStreamingEvictionCompresses(t *testing.T) {
 	geom := geo.RegularGrid(16, 16) // n = 256
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.3, 2.5), Tau2: 0.05}
-	entry := func(i, j int) float64 {
-		if i == j {
-			return kern.Cov(0)
-		}
-		return kern.Cov(geom.Dist(i, j))
-	}
+	entry := entryOf(geom, kern)
 	const tol, ts = 1e-4, 32 // nt = 8: 15 off-band eviction candidates
 	n := geom.Len()
 

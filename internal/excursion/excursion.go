@@ -206,7 +206,7 @@ func (p *Plan) Correlation(row func(i int) []float64, scale []float64) *linalg.M
 // after row k is the joint probability of the top-k prefix (Algorithm 1,
 // lines 10–15, for every k at once). The f64 sweep serves it whatever
 // opts.SweepF32 says.
-func (p *Plan) Integrate(rt *taskrt.Runtime, f mvn.Factor, opts mvn.Options) (*Computer, error) {
+func (p *Plan) Integrate(rt *taskrt.Runtime, f *mvn.Factor, opts mvn.Options) (*Computer, error) {
 	n := len(p.order)
 	if f.N() != n {
 		return nil, fmt.Errorf("excursion: factor dimension %d != %d locations", f.N(), n)

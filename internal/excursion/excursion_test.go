@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cov"
+	"repro/internal/engine"
 	"repro/internal/geo"
 	"repro/internal/linalg"
 	"repro/internal/mvn"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tiledalg"
 )
 
 // problem is an exponential field on a k×k grid with a linearly varying mean
@@ -44,13 +44,13 @@ func newProblem(t *testing.T, k int, rang float64) *problem {
 }
 
 // denseFactor factors m with the dense tiled Cholesky.
-func denseFactor(t *testing.T, rt *taskrt.Runtime, m *linalg.Matrix, ts int) mvn.Factor {
+func denseFactor(t *testing.T, rt *taskrt.Runtime, m *linalg.Matrix, ts int) *mvn.Factor {
 	t.Helper()
-	tl := tile.FromDense(m, ts)
-	if err := tiledalg.Potrf(rt, tl); err != nil {
+	g := engine.AssembleDense(tile.FromDense(m, ts))
+	if err := engine.Potrf(rt, g, engine.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	return mvn.NewDenseFactor(tl)
+	return mvn.NewFactor(g)
 }
 
 // detect runs the one-sweep plan on the problem: order, gather, factor,
@@ -220,7 +220,7 @@ func TestPrefixProbIndependentMatchesProduct(t *testing.T) {
 // full-dimension PMVN calls on the LOCATION-ordered factor, call k
 // constraining the top-k locations of the marginal ordering and leaving the
 // rest free. It returns the estimates and their standard errors by rank.
-func algorithm1(rt *taskrt.Runtime, f mvn.Factor, plan *Plan, opts mvn.Options) (prob, se []float64) {
+func algorithm1(rt *taskrt.Runtime, f *mvn.Factor, plan *Plan, opts mvn.Options) (prob, se []float64) {
 	n := f.N()
 	a, b := make([]float64, n), make([]float64, n)
 	for i := range a {

@@ -1,8 +1,8 @@
 // Package factorio is the persistent serialization format for Cholesky
 // factors: a versioned, feature-gated container of checksummed sections
-// holding a factor's tiles (in whatever per-tile representations the
-// factorization chose) plus an opaque caller key blob identifying the
-// problem the factor solves.
+// holding a factor's tile grid (each tile in whatever representation the
+// layout chose) plus an opaque caller key blob identifying the problem the
+// factor solves.
 //
 // Layout (all integers little endian):
 //
@@ -21,7 +21,7 @@
 // is a typed ErrFormat; a future container version or an unknown feature
 // bit is refused up front (ErrVersion/ErrFeature) instead of misparsed.
 // Decode never panics on any input and never allocates more than the input
-// length can justify.
+// length can justify: it parses a byte slice in place.
 //
 // The format stores the factor exactly: float payloads are raw IEEE-754
 // bit patterns, so a decoded factor answers queries bit-identically to the
@@ -34,13 +34,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/engine"
-	"repro/internal/linalg"
 	"repro/internal/mvn"
 	"repro/internal/tile"
-	"repro/internal/tlr"
 )
 
 // Magic identifies a factor container file.
@@ -72,28 +69,23 @@ func formatErr(format string, args ...any) error {
 const (
 	sectionKey   = uint32(1) // opaque caller key blob
 	sectionMeta  = uint32(2) // factor kind + structural header
-	sectionTiles = uint32(3) // tile payloads, order fixed per kind
+	sectionTiles = uint32(3) // tile payloads, lower triangle row by row
 )
 
-// Factor kind tags inside sectionMeta. Persistent format values.
-const (
-	kindDense = byte(1) // mvn.DenseFactor (full tiled dense factor)
-	kindTLR   = byte(2) // mvn.TLRFactor (dense diagonal + low-rank lower)
-	kindGrid  = byte(3) // mvn.GridFactor (adaptive per-tile representations)
-)
-
-// maxSectionBytes bounds a single section so a corrupt length cannot drive
-// a monster allocation before its checksum is ever verified.
-const maxSectionBytes = 1 << 32
+// kindGrid is the factor kind tag inside sectionMeta: a tile grid, every
+// tile self-describing its representation. Persistent format value. Tags 1
+// and 2 named two per-layout encodings (whole-matrix dense, diagonal-then-
+// low-rank TLR) that no store ever wrote — every persisted factor is kernel
+// built, hence a grid; they stay reserved and decode as ErrFormat.
+const kindGrid = byte(3)
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode writes f and its identifying keyBlob as one container to w.
-// Factors must be one of the engine's three concrete types; anything else
-// is an error (no partial output discipline is the caller's job — the
-// store writes to a temp file and renames).
-func Encode(w io.Writer, keyBlob []byte, f mvn.Factor) error {
+// Encode writes f and its identifying keyBlob as one container to w (no
+// partial output discipline is the caller's job — the store writes to a temp
+// file and renames).
+func Encode(w io.Writer, keyBlob []byte, f *mvn.Factor) error {
 	meta, tiles, err := encodeFactor(f)
 	if err != nil {
 		return err
@@ -128,250 +120,139 @@ func Encode(w io.Writer, keyBlob []byte, f mvn.Factor) error {
 	return nil
 }
 
-// Decode reads one container and reconstructs the factor and its key blob.
-// All failures are typed: ErrVersion/ErrFeature for gated-out files,
-// ErrChecksum for corrupted payloads, ErrFormat for everything structural.
-func Decode(r io.Reader) (keyBlob []byte, f mvn.Factor, err error) {
-	hdr := make([]byte, 8+4+8+4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, nil, formatErr("truncated header: %v", err)
+// Decode parses one container and reconstructs the factor and its key blob
+// (which aliases data). All failures are typed: ErrVersion/ErrFeature for
+// gated-out files, ErrChecksum for corrupted payloads, ErrFormat for
+// everything structural. Only the canonical form Encode writes is accepted —
+// the three sections in order, nothing after them — so a decoded factor
+// re-encodes to the bytes it was read from. Sections are sliced out of data,
+// never copied, so no length field can size an allocation.
+func Decode(data []byte) (keyBlob []byte, f *mvn.Factor, err error) {
+	const hdrLen = 8 + 4 + 8 + 4
+	if len(data) < hdrLen {
+		return nil, nil, formatErr("truncated header (%d bytes)", len(data))
 	}
-	if [8]byte(hdr[:8]) != Magic {
-		return nil, nil, formatErr("bad magic %q", hdr[:8])
+	if [8]byte(data[:8]) != Magic {
+		return nil, nil, formatErr("bad magic %q", data[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != Version {
+	if v := binary.LittleEndian.Uint32(data[8:]); v != Version {
 		return nil, nil, fmt.Errorf("%w: file version %d, decoder version %d", ErrVersion, v, Version)
 	}
-	if feats := binary.LittleEndian.Uint64(hdr[12:]); feats != 0 {
+	if feats := binary.LittleEndian.Uint64(data[12:]); feats != 0 {
 		return nil, nil, fmt.Errorf("%w: unknown feature bits %#x", ErrFeature, feats)
 	}
-	nsect := binary.LittleEndian.Uint32(hdr[20:])
-	if nsect > 64 {
-		return nil, nil, formatErr("implausible section count %d", nsect)
+	// Compatible additions are signaled by feature bits (checked above),
+	// incompatible ones by a version bump, so at this version the section
+	// list is exactly key, meta, tiles.
+	if nsect := binary.LittleEndian.Uint32(data[20:]); nsect != 3 {
+		return nil, nil, formatErr("section count %d, want 3", nsect)
 	}
-	sections := map[uint32][]byte{}
-	var sh [12]byte
-	for i := uint32(0); i < nsect; i++ {
-		if _, err := io.ReadFull(r, sh[:]); err != nil {
-			return nil, nil, formatErr("truncated section header: %v", err)
+	rest := data[hdrLen:]
+	var sections [3][]byte
+	for i, want := range []uint32{sectionKey, sectionMeta, sectionTiles} {
+		if len(rest) < 12 {
+			return nil, nil, formatErr("truncated section %d header", want)
 		}
-		id := binary.LittleEndian.Uint32(sh[:])
-		length := binary.LittleEndian.Uint64(sh[4:])
-		if length > maxSectionBytes {
-			return nil, nil, formatErr("section %d length %d exceeds the format bound", id, length)
+		id, length := binary.LittleEndian.Uint32(rest), binary.LittleEndian.Uint64(rest[4:])
+		if id != want {
+			return nil, nil, formatErr("section %d has id %d, want %d", i, id, want)
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, nil, formatErr("truncated section %d payload: %v", id, err)
+		rest = rest[12:]
+		if length > uint64(len(rest)) || uint64(len(rest))-length < 4 {
+			return nil, nil, formatErr("section %d claims %d bytes, %d remain", id, length, len(rest))
 		}
-		var crcb [4]byte
-		if _, err := io.ReadFull(r, crcb[:]); err != nil {
-			return nil, nil, formatErr("truncated section %d checksum: %v", id, err)
+		payload, crc := rest[:length], binary.LittleEndian.Uint32(rest[length:])
+		if got := crc32.Checksum(payload, castagnoli); got != crc {
+			return nil, nil, fmt.Errorf("%w: section %d crc %#x, want %#x", ErrChecksum, id, got, crc)
 		}
-		want := binary.LittleEndian.Uint32(crcb[:])
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			return nil, nil, fmt.Errorf("%w: section %d crc %#x, want %#x", ErrChecksum, id, got, want)
-		}
-		if id < sectionKey || id > sectionTiles {
-			// Unknown sections are structural corruption, not forward
-			// compatibility: compatible additions are signaled by feature
-			// bits (checked above), incompatible ones by a version bump.
-			return nil, nil, formatErr("unknown section id %d", id)
-		}
-		if _, dup := sections[id]; dup {
-			return nil, nil, formatErr("duplicate section %d", id)
-		}
-		sections[id] = payload
+		sections[i], rest = payload, rest[length+4:]
 	}
-	for _, id := range []uint32{sectionKey, sectionMeta, sectionTiles} {
-		if _, ok := sections[id]; !ok {
-			return nil, nil, formatErr("missing section %d", id)
-		}
+	if len(rest) != 0 {
+		return nil, nil, formatErr("%d trailing bytes after the last section", len(rest))
 	}
-	meta, tiles := sections[sectionMeta], sections[sectionTiles]
-	f, err = decodeFactor(meta, tiles)
+	f, err = decodeFactor(sections[1], sections[2])
 	if err != nil {
 		return nil, nil, err
 	}
-	return sections[sectionKey], f, nil
+	return sections[0], f, nil
 }
 
-// metaHeader is the fixed prefix of sectionMeta: kind, n, ts, plus the TLR
-// truncation parameters (zero for the other kinds).
-func appendMeta(kind byte, n, ts int, tol float64, maxRank int) []byte {
-	var b []byte
-	b = append(b, kind)
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	b = binary.LittleEndian.AppendUint32(b, uint32(ts))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(tol))
-	b = binary.LittleEndian.AppendUint32(b, uint32(maxRank))
-	return b
-}
+// metaLen is the fixed size of sectionMeta: kind u8, n u32, ts u32, then 12
+// bytes the reserved per-layout kinds used for truncation parameters, zero
+// for a grid.
+const metaLen = 1 + 4 + 4 + 8 + 4
 
-// encodeFactor flattens one of the three concrete factor types into its
-// meta header and tile payload.
-func encodeFactor(f mvn.Factor) (meta, tiles []byte, err error) {
-	switch ff := f.(type) {
-	case *mvn.DenseFactor:
-		meta = appendMeta(kindDense, ff.L.M, ff.L.TS, 0, 0)
-		// Lower triangle only: the SOV integration reads Diag(k) and the
-		// strictly-lower tiles; the upper triangle of a factored tile.Matrix
-		// is dead storage and decodes as zeros.
-		for i := 0; i < ff.L.MT; i++ {
-			for j := 0; j <= i && j < ff.L.NT; j++ {
-				tiles = tile.AppendMatrix(tiles, ff.L.Tile(i, j))
+// encodeFactor flattens the factor's grid into its meta header and tile
+// payload.
+func encodeFactor(f *mvn.Factor) (meta, tiles []byte, err error) {
+	g := f.G
+	meta = make([]byte, metaLen)
+	meta[0] = kindGrid
+	binary.LittleEndian.PutUint32(meta[1:], uint32(g.N))
+	binary.LittleEndian.PutUint32(meta[5:], uint32(g.TS))
+	for i := 0; i < g.NT; i++ {
+		for j := 0; j <= i; j++ {
+			t := g.At(i, j)
+			if t == nil {
+				return nil, nil, fmt.Errorf("factorio: grid tile (%d,%d) unassigned", i, j)
+			}
+			if tiles, err = tile.AppendTile(tiles, t); err != nil {
+				return nil, nil, err
 			}
 		}
-		return meta, tiles, nil
-	case *mvn.TLRFactor:
-		meta = appendMeta(kindTLR, ff.L.N, ff.L.TS, ff.L.Tol, ff.L.MaxRank)
-		for k := 0; k < ff.L.NT; k++ {
-			tiles = tile.AppendMatrix(tiles, ff.L.Diag[k])
-		}
-		for i := 1; i < ff.L.NT; i++ {
-			for j := 0; j < i; j++ {
-				if tiles, err = tile.AppendTile(tiles, ff.L.Low[i][j]); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		return meta, tiles, nil
-	case *mvn.GridFactor:
-		g := ff.G
-		meta = appendMeta(kindGrid, g.N, g.TS, 0, 0)
-		for i := 0; i < g.NT; i++ {
-			for j := 0; j <= i; j++ {
-				t := g.At(i, j)
-				if t == nil {
-					return nil, nil, fmt.Errorf("factorio: grid tile (%d,%d) unassigned", i, j)
-				}
-				if tiles, err = tile.AppendTile(tiles, t); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		return meta, tiles, nil
-	default:
-		return nil, nil, fmt.Errorf("factorio: unencodable factor type %T", f)
 	}
+	return meta, tiles, nil
 }
 
 // decodeFactor reconstructs the factor from its meta header and tile
 // payload, validating every structural fact the payload claims against the
 // header before installing a tile.
-func decodeFactor(meta, tiles []byte) (mvn.Factor, error) {
-	if len(meta) < 1+4+4+8+4 {
-		return nil, formatErr("meta section too short (%d bytes)", len(meta))
+func decodeFactor(meta, tiles []byte) (*mvn.Factor, error) {
+	if len(meta) != metaLen {
+		return nil, formatErr("meta section is %d bytes, want %d", len(meta), metaLen)
 	}
-	kind := meta[0]
+	if kind := meta[0]; kind != kindGrid {
+		return nil, formatErr("unknown factor kind %d", kind)
+	}
+	if [metaLen - 9]byte(meta[9:]) != [metaLen - 9]byte{} {
+		return nil, formatErr("reserved meta bytes are set")
+	}
 	n := int(binary.LittleEndian.Uint32(meta[1:]))
 	ts := int(binary.LittleEndian.Uint32(meta[5:]))
-	tol := math.Float64frombits(binary.LittleEndian.Uint64(meta[9:]))
-	maxRank := int(binary.LittleEndian.Uint32(meta[17:]))
 	if n <= 0 || ts <= 0 || ts > n {
 		return nil, formatErr("impossible factor shape n=%d ts=%d", n, ts)
 	}
-	nt := (n + ts - 1) / ts
-	tileDims := func(i int) int {
-		if i == nt-1 {
-			if r := n - i*ts; r > 0 {
-				return r
-			}
-		}
-		return ts
+	// Every tile takes at least its kind tag and two dimensions, so the tile
+	// table is sized only once the payload is long enough to fill it.
+	const minTileBytes = 1 + 4 + 4
+	if nt := (n + ts - 1) / ts; nt > len(tiles) || nt*(nt+1)/2 > len(tiles)/minTileBytes {
+		return nil, formatErr("n=%d ts=%d needs more tiles than %d payload bytes hold", n, ts, len(tiles))
 	}
-	wantShape := func(m *linalg.Matrix, r, c int, what string) error {
-		if m.Rows != r || m.Cols != c {
-			return formatErr("%s is %dx%d, want %dx%d", what, m.Rows, m.Cols, r, c)
-		}
-		return nil
+	g, err := engine.NewGridChecked(n, ts)
+	if err != nil {
+		return nil, formatErr("%v", err)
 	}
-	switch kind {
-	case kindDense:
-		l := tile.New(n, n, ts)
-		for i := 0; i < nt; i++ {
-			for j := 0; j <= i; j++ {
-				m, rest, err := tile.DecodeMatrix(tiles)
-				if err != nil {
-					return nil, err
-				}
-				if err := wantShape(m, tileDims(i), tileDims(j), fmt.Sprintf("dense tile (%d,%d)", i, j)); err != nil {
-					return nil, err
-				}
-				l.SetTile(i, j, m)
-				tiles = rest
-			}
-		}
-		if len(tiles) != 0 {
-			return nil, formatErr("%d trailing bytes after dense tiles", len(tiles))
-		}
-		return mvn.NewDenseFactor(l), nil
-	case kindTLR:
-		a := &tlr.Matrix{N: n, TS: ts, NT: nt, Tol: tol, MaxRank: maxRank}
-		a.Diag = make([]*linalg.Matrix, nt)
-		for k := 0; k < nt; k++ {
-			m, rest, err := tile.DecodeMatrix(tiles)
+	for i := 0; i < g.NT; i++ {
+		for j := 0; j <= i; j++ {
+			t, rest, err := tile.DecodeTile(tiles)
 			if err != nil {
-				return nil, err
+				return nil, formatErr("grid tile (%d,%d): %v", i, j, err)
 			}
-			if err := wantShape(m, tileDims(k), tileDims(k), fmt.Sprintf("diagonal tile %d", k)); err != nil {
-				return nil, err
+			r, c := t.Dims()
+			if r != g.TileRows(i) || c != g.TileRows(j) {
+				return nil, formatErr("grid tile (%d,%d) is %dx%d, want %dx%d", i, j, r, c, g.TileRows(i), g.TileRows(j))
 			}
-			a.Diag[k] = m
+			if i == j {
+				if _, ok := t.(*tile.DenseF64); !ok {
+					return nil, formatErr("grid diagonal tile %d decoded as %s, want dense64", i, t.Kind())
+				}
+			}
+			g.Set(i, j, t)
 			tiles = rest
 		}
-		a.Low = make([][]*tlr.LRTile, nt)
-		for i := 1; i < nt; i++ {
-			a.Low[i] = make([]*tlr.LRTile, i)
-			for j := 0; j < i; j++ {
-				t, rest, err := tile.DecodeTile(tiles)
-				if err != nil {
-					return nil, err
-				}
-				lr, ok := t.(*tile.LowRank)
-				if !ok {
-					return nil, formatErr("TLR tile (%d,%d) decoded as %T, want low rank", i, j, t)
-				}
-				if lr.M != tileDims(i) || lr.N != tileDims(j) {
-					return nil, formatErr("TLR tile (%d,%d) is %dx%d, want %dx%d", i, j, lr.M, lr.N, tileDims(i), tileDims(j))
-				}
-				a.Low[i][j] = lr
-				tiles = rest
-			}
-		}
-		if len(tiles) != 0 {
-			return nil, formatErr("%d trailing bytes after TLR tiles", len(tiles))
-		}
-		return mvn.NewTLRFactor(a), nil
-	case kindGrid:
-		g, err := engine.NewGridChecked(n, ts)
-		if err != nil {
-			return nil, formatErr("%v", err)
-		}
-		for i := 0; i < nt; i++ {
-			for j := 0; j <= i; j++ {
-				t, rest, err := tile.DecodeTile(tiles)
-				if err != nil {
-					return nil, err
-				}
-				r, c := t.Dims()
-				if r != tileDims(i) || c != tileDims(j) {
-					return nil, formatErr("grid tile (%d,%d) is %dx%d, want %dx%d", i, j, r, c, tileDims(i), tileDims(j))
-				}
-				if i == j {
-					if _, ok := t.(*tile.DenseF64); !ok {
-						return nil, formatErr("grid diagonal tile %d decoded as %s, want dense64", i, t.Kind())
-					}
-				}
-				g.Set(i, j, t)
-				tiles = rest
-			}
-		}
-		if len(tiles) != 0 {
-			return nil, formatErr("%d trailing bytes after grid tiles", len(tiles))
-		}
-		return mvn.NewGridFactor(g), nil
-	default:
-		return nil, formatErr("unknown factor kind %d", kind)
 	}
+	if len(tiles) != 0 {
+		return nil, formatErr("%d trailing bytes after grid tiles", len(tiles))
+	}
+	return mvn.NewFactor(g), nil
 }

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"math"
+	"os"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/linalg"
 	"repro/internal/mvn"
+	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tlr"
 )
 
 // mat fills a deterministic pseudo-random matrix (xorshift over the seed),
@@ -36,9 +38,10 @@ func mat32(r, c int, seed uint64) *tile.Matrix32 {
 	return m
 }
 
-// testFactors builds one hand-assembled factor of each concrete type over
-// n=10, ts=4 (tile dims 4,4,2 — a ragged edge on purpose).
-func testFactors(t *testing.T) map[string]mvn.Factor {
+// testFactors builds one hand-assembled factor per layout over n=10, ts=4
+// (tile dims 4,4,2 — a ragged edge on purpose): all dense, TLR (with one
+// rank-0 tile), and an adaptive mix holding every wire kind.
+func testFactors(t testing.TB) map[string]*mvn.Factor {
 	t.Helper()
 	const n, ts = 10, 4
 	dims := func(i int) int {
@@ -47,51 +50,45 @@ func testFactors(t *testing.T) map[string]mvn.Factor {
 		}
 		return 4
 	}
-
-	dl := tile.New(n, n, ts)
-	for i := 0; i < dl.MT; i++ {
-		for j := 0; j <= i; j++ {
-			dl.SetTile(i, j, mat(dims(i), dims(j), uint64(10*i+j)))
+	grid := func(seed uint64, off func(i, j int) tile.Tile) *mvn.Factor {
+		g, err := engine.NewGridChecked(n, ts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	tl := &tlr.Matrix{N: n, TS: ts, NT: 3, Tol: 1e-5, MaxRank: 2}
-	tl.Diag = make([]*linalg.Matrix, 3)
-	tl.Low = make([][]*tlr.LRTile, 3)
-	for i := 0; i < 3; i++ {
-		tl.Diag[i] = mat(dims(i), dims(i), uint64(100+i))
-		tl.Low[i] = make([]*tlr.LRTile, i)
-		for j := 0; j < i; j++ {
-			lr := &tile.LowRank{M: dims(i), N: dims(j)}
-			if i != 2 || j != 0 { // leave one rank-0 tile to cover K=0
-				lr.U = mat(dims(i), 1, uint64(200+10*i+j))
-				lr.V = mat(dims(j), 1, uint64(300+10*i+j))
+		for i := 0; i < 3; i++ {
+			g.Set(i, i, &tile.DenseF64{D: mat(dims(i), dims(i), seed+uint64(i))})
+			for j := 0; j < i; j++ {
+				g.Set(i, j, off(i, j))
 			}
-			tl.Low[i][j] = lr
 		}
+		return mvn.NewFactor(g)
 	}
-
-	g, err := engine.NewGridChecked(n, ts)
-	if err != nil {
-		t.Fatal(err)
+	lowRank := func(i, j, k int, seed uint64) *tile.LowRank {
+		return &tile.LowRank{M: dims(i), N: dims(j), U: mat(dims(i), k, seed), V: mat(dims(j), k, seed+1)}
 	}
-	for i := 0; i < 3; i++ {
-		g.Set(i, i, &tile.DenseF64{D: mat(dims(i), dims(i), uint64(400+i))})
-	}
-	// Off-diagonal representation mix: every wire kind in one factor.
-	g.Set(1, 0, &tile.DenseF32{D: mat32(dims(1), dims(0), 500)})
-	g.Set(2, 0, &tile.LowRank{M: dims(2), N: dims(0),
-		U: mat(dims(2), 2, 501), V: mat(dims(0), 2, 502)})
-	g.Set(2, 1, &tile.DenseF64{D: mat(dims(2), dims(1), 503)})
-
-	return map[string]mvn.Factor{
-		"dense": mvn.NewDenseFactor(dl),
-		"tlr":   mvn.NewTLRFactor(tl),
-		"grid":  mvn.NewGridFactor(g),
+	return map[string]*mvn.Factor{
+		"dense": grid(100, func(i, j int) tile.Tile {
+			return &tile.DenseF64{D: mat(dims(i), dims(j), uint64(10*i+j))}
+		}),
+		"tlr": grid(200, func(i, j int) tile.Tile {
+			if i == 2 && j == 0 { // one rank-0 tile to cover K=0
+				return &tile.LowRank{M: dims(i), N: dims(j)}
+			}
+			return lowRank(i, j, 1, uint64(300+10*i+j))
+		}),
+		"adaptive": grid(400, func(i, j int) tile.Tile {
+			switch {
+			case i == 1:
+				return &tile.DenseF32{D: mat32(dims(i), dims(j), 500)}
+			case j == 0:
+				return lowRank(i, j, 2, 501)
+			}
+			return &tile.DenseF64{D: mat(dims(i), dims(j), 503)}
+		}),
 	}
 }
 
-func encode(t *testing.T, keyBlob []byte, f mvn.Factor) []byte {
+func encode(t testing.TB, keyBlob []byte, f *mvn.Factor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Encode(&buf, keyBlob, f); err != nil {
@@ -108,7 +105,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 	for name, f := range testFactors(t) {
 		t.Run(name, func(t *testing.T) {
 			enc := encode(t, key, f)
-			gotKey, dec, err := Decode(bytes.NewReader(enc))
+			gotKey, dec, err := Decode(enc)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -129,9 +126,9 @@ func TestRoundTripBitIdentical(t *testing.T) {
 // TestDecodeTruncation feeds every proper prefix of a valid container to
 // Decode: each must fail with a typed error, never panic, never succeed.
 func TestDecodeTruncation(t *testing.T) {
-	enc := encode(t, []byte("k"), testFactors(t)["grid"])
+	enc := encode(t, []byte("k"), testFactors(t)["adaptive"])
 	for i := 0; i < len(enc); i++ {
-		_, _, err := Decode(bytes.NewReader(enc[:i]))
+		_, _, err := Decode(enc[:i])
 		if err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded successfully", i, len(enc))
 		}
@@ -151,7 +148,7 @@ func TestDecodeCorruption(t *testing.T) {
 		mut := make([]byte, len(enc))
 		copy(mut, enc)
 		mut[i] ^= 0x40
-		_, _, err := Decode(bytes.NewReader(mut))
+		_, _, err := Decode(mut)
 		if err == nil {
 			t.Fatalf("flipped byte %d decoded successfully", i)
 		}
@@ -178,30 +175,35 @@ func TestDecodeGates(t *testing.T) {
 	future := make([]byte, len(enc))
 	copy(future, enc)
 	future[8] = Version + 1 // container version field
-	if _, _, err := Decode(bytes.NewReader(future)); !errors.Is(err, ErrVersion) {
+	if _, _, err := Decode(future); !errors.Is(err, ErrVersion) {
 		t.Errorf("future version: error %v, want ErrVersion", err)
 	}
 
 	feat := make([]byte, len(enc))
 	copy(feat, enc)
 	feat[12] |= 0x01 // feature bitmask
-	if _, _, err := Decode(bytes.NewReader(feat)); !errors.Is(err, ErrFeature) {
+	if _, _, err := Decode(feat); !errors.Is(err, ErrFeature) {
 		t.Errorf("unknown feature bit: error %v, want ErrFeature", err)
 	}
 
 	magic := make([]byte, len(enc))
 	copy(magic, enc)
 	magic[0] ^= 0xFF
-	if _, _, err := Decode(bytes.NewReader(magic)); !errors.Is(err, ErrFormat) {
+	if _, _, err := Decode(magic); !errors.Is(err, ErrFormat) {
 		t.Errorf("bad magic: error %v, want ErrFormat", err)
 	}
 }
 
-// TestEncodeRejectsUnknownFactor pins the encoder's closed type set.
-func TestEncodeRejectsUnknownFactor(t *testing.T) {
+// TestEncodeRejectsUnassignedTile: a grid with a hole is an error, not a
+// container that cannot be decoded.
+func TestEncodeRejectsUnassignedTile(t *testing.T) {
+	g := engine.NewGrid(8, 4)
+	for i := 0; i < 2; i++ {
+		g.Set(i, i, &tile.DenseF64{D: mat(4, 4, uint64(i))})
+	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, nil, nil); err == nil {
-		t.Error("encoding a nil factor succeeded")
+	if err := Encode(&buf, nil, mvn.NewFactor(g)); err == nil {
+		t.Error("encoding a grid without its (1,0) tile succeeded")
 	}
 }
 
@@ -211,37 +213,97 @@ func TestEncodeRejectsUnknownFactor(t *testing.T) {
 // is recomputed to match.
 func TestDecodeRejectsShapeLies(t *testing.T) {
 	// A dense factor whose meta says n=10 but whose tiles are for n=6.
-	small := tile.New(6, 6, 4)
-	for i := 0; i < small.MT; i++ {
+	g := engine.NewGrid(6, 4)
+	for i := 0; i < g.NT; i++ {
 		for j := 0; j <= i; j++ {
-			r, c := 4, 4
-			if i == small.MT-1 {
-				r = 2
-			}
-			if j == small.NT-1 {
-				c = 2
-			}
-			small.SetTile(i, j, mat(r, c, uint64(i*10+j)))
+			g.Set(i, j, &tile.DenseF64{D: mat(g.TileRows(i), g.TileRows(j), uint64(i*10+j))})
 		}
 	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, nil, mvn.NewDenseFactor(small)); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
-	// Patch n in the meta section from 6 to 10 and fix up its CRC. Layout:
-	// 24-byte header, then sections (id u32, len u64, payload, crc u32);
-	// sectionKey payload is empty, so meta's payload starts at 24+16.
-	metaOff := 24 + 16 + 12
-	if enc[metaOff] != kindDense || enc[metaOff+1] != 6 {
+	enc := encode(t, nil, mvn.NewFactor(g))
+	if enc[metaOff] != kindGrid || enc[metaOff+1] != 6 {
 		t.Fatalf("meta starts %d/%d, want kind %d n 6 (layout drifted?)",
-			enc[metaOff], enc[metaOff+1], kindDense)
+			enc[metaOff], enc[metaOff+1], kindGrid)
 	}
 	enc[metaOff+1] = 10
-	payload := enc[metaOff : metaOff+21] // kind + n + ts + tol + maxRank
-	fixCRC(enc[metaOff+21:], payload)
-	if _, _, err := Decode(bytes.NewReader(enc)); !errors.Is(err, ErrFormat) {
+	fixCRC(enc[metaOff+metaLen:], enc[metaOff:metaOff+metaLen])
+	if _, _, err := Decode(enc); !errors.Is(err, ErrFormat) {
 		t.Errorf("shape lie: error %v, want ErrFormat", err)
+	}
+}
+
+// metaOff is where the meta payload starts in a container with an empty key
+// blob: the 24-byte header, the key section (id u32, len u64, no payload,
+// crc u32), then the meta section's own 12-byte header.
+const metaOff = 24 + 16 + 12
+
+// TestDecodeReservedKinds: kind bytes 1 and 2 (the per-layout encodings no
+// store ever held) and set reserved meta bytes are malformed, with a valid
+// checksum or not.
+func TestDecodeReservedKinds(t *testing.T) {
+	for _, patch := range []struct {
+		off int
+		val byte
+	}{{0, 1}, {0, 2}, {0, 4}, {9, 1}, {metaLen - 1, 0x80}} {
+		enc := encode(t, nil, testFactors(t)["tlr"])
+		enc[metaOff+patch.off] = patch.val
+		fixCRC(enc[metaOff+metaLen:], enc[metaOff:metaOff+metaLen])
+		if _, _, err := Decode(enc); !errors.Is(err, ErrFormat) {
+			t.Errorf("meta byte %d = %d: error %v, want ErrFormat", patch.off, patch.val, err)
+		}
+	}
+}
+
+// TestDecodeRejectsNonCanonical: sections out of order and bytes after the
+// last section are refused, so every accepted input is an Encode output.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	enc := encode(t, nil, testFactors(t)["dense"])
+	if _, _, err := Decode(append(enc[:len(enc):len(enc)], 0)); !errors.Is(err, ErrFormat) {
+		t.Errorf("trailing byte: error %v, want ErrFormat", err)
+	}
+	// Swap the (empty) key section with the meta section.
+	key, meta := enc[24:24+16], enc[24+16:metaOff+metaLen+4]
+	swapped := append(append(append([]byte{}, enc[:24]...), meta...), key...)
+	swapped = append(swapped, enc[metaOff+metaLen+4:]...)
+	if _, _, err := Decode(swapped); !errors.Is(err, ErrFormat) {
+		t.Errorf("sections out of order: error %v, want ErrFormat", err)
+	}
+}
+
+// TestDecodeParentContainer: testdata/parent_tlr_n16_ts8.fac was written by
+// SaveFactor at commit e8c79e4 (4×4 grid, exponential range 0.3, TLR, tile 8,
+// tol 1e-4) — the last commit with per-layout factor types. It must decode,
+// answer the query the parent answered with the parent's bits, and re-encode
+// to the same file.
+func TestDecodeParentContainer(t *testing.T) {
+	file, err := os.ReadFile("testdata/parent_tlr_n16_ts8.fac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, f, err := Decode(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.N() != 16 || f.TS() != 8 {
+		t.Fatalf("decoded n=%d ts=%d, want 16 and 8", f.N(), f.TS())
+	}
+	if mix := f.G.Mix(); mix.Dense64 != 2 || mix.LowRank != 1 {
+		t.Errorf("decoded mix %+v, want 2 dense diagonal tiles and 1 low-rank tile", mix)
+	}
+	if re := encode(t, key, f); !bytes.Equal(re, file) {
+		t.Errorf("re-encoded container differs from the parent's file (%d vs %d bytes)", len(re), len(file))
+	}
+	if !linalg.HasVectorKernels() {
+		t.Skip("the parent's probability was recorded with the AVX2 kernels")
+	}
+	a, b := make([]float64, 16), make([]float64, 16)
+	for i := range a {
+		a[i], b[i] = -1, math.Inf(1)
+	}
+	rt := taskrt.New(2)
+	defer rt.Shutdown()
+	const parentProb = 0x3fc45c52bb5827cf
+	if got := math.Float64bits(mvn.PMVN(rt, f, a, b, mvn.Options{N: 300}).Prob); got != parentProb {
+		t.Errorf("probability bits %#x, the parent computed %#x", got, uint64(parentProb))
 	}
 }
 

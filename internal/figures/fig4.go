@@ -4,10 +4,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 
+	"repro/internal/engine"
 	"repro/internal/mvn"
 	"repro/internal/taskrt"
 )
+
+// fig4Runs is how many times Fig4 times each cell, keeping the fastest.
+const fig4Runs = 3
 
 // Fig4Row is one cell of the shared-memory performance sweep.
 type Fig4Row struct {
@@ -23,9 +28,13 @@ type Fig4Row struct {
 // TLR. The paper sweeps four architectures; on one host the architecture
 // axis collapses, but the dense/TLR and dimension/sample-size shapes are
 // preserved. TLR compression (pmvn_init in the paper) is excluded from the
-// timing, as in the paper.
+// timing, as in the paper. Each cell is the fastest of fig4Runs runs: the
+// small cells take ~10 ms, where one scheduler hiccup on a shared host is
+// larger than the dense/TLR difference being reported.
 func Fig4(w io.Writer, cfg Config) ([]Fig4Row, error) {
-	sides := []int{20, 30, 40} // 400, 900, 1600
+	// Table II is read off the largest dimension; below n≈2000 the TLR
+	// factorization is overhead-bound and only ties with dense.
+	sides := []int{20, 30, 50} // 400, 900, 2500
 	qmcSizes := []int{100, 1000}
 	if !cfg.Quick {
 		sides = []int{20, 30, 40, 50, 70} // up to 4900
@@ -51,35 +60,43 @@ func Fig4(w io.Writer, cfg Config) ([]Fig4Row, error) {
 			a[i] = -0.5
 			b[i] = math.Inf(1)
 		}
+		methods := []string{"dense", "tlr"}
 		for _, qn := range qmcSizes {
-			for _, method := range []string{"dense", "tlr"} {
-				rt := taskrt.New(cfg.workers())
-				var sec float64
-				if method == "dense" {
-					sec = timeIt(func() {
-						f, err := denseFactor(rt, sigma, ts)
-						if err != nil {
-							panic(err)
+			rt := taskrt.New(cfg.workers())
+			// The runs alternate between the methods, so a slow phase of the
+			// host falls on both sides of the comparison.
+			best := [2]float64{math.Inf(1), math.Inf(1)}
+			for run := 0; run < fig4Runs; run++ {
+				for m, method := range methods {
+					// A factorization consumes its layout, so every TLR run
+					// compresses afresh, outside the timed region.
+					var pre *engine.Grid
+					if method == "tlr" {
+						pre = tlrCompress(sigma, ts, tlrTol)
+					}
+					runtime.GC() // the collection of set-up garbage is not part of the operation
+					var err error
+					sec := timeIt(func() {
+						var f *mvn.Factor
+						if pre == nil {
+							f, err = denseFactor(rt, sigma, ts)
+						} else {
+							f, err = factorGrid(rt, pre, tlrTol)
 						}
-						mvn.PMVN(rt, f, a, b, mvn.Options{N: qn})
+						if err == nil {
+							mvn.PMVN(rt, f, a, b, mvn.Options{N: qn})
+						}
 					})
-				} else {
-					// Compress first (excluded from timing, like pmvn_init),
-					// then time TLR Cholesky + integration.
-					pre, _, err := tlrPrecompress(sigma, ts, tlrTol)
 					if err != nil {
 						rt.Shutdown()
 						return nil, err
 					}
-					sec = timeIt(func() {
-						if err := tlrPotrf(rt, pre); err != nil {
-							panic(err)
-						}
-						mvn.PMVN(rt, mvn.NewTLRFactor(pre), a, b, mvn.Options{N: qn})
-					})
+					best[m] = math.Min(best[m], sec)
 				}
-				rt.Shutdown()
-				row := Fig4Row{Dim: n, QMCSize: qn, Method: method, Seconds: sec}
+			}
+			rt.Shutdown()
+			for m, method := range methods {
+				row := Fig4Row{Dim: n, QMCSize: qn, Method: method, Seconds: best[m]}
 				rows = append(rows, row)
 				fmt.Fprintf(w, "%8d %8d %8s %12.3f\n", row.Dim, row.QMCSize, row.Method, row.Seconds)
 			}

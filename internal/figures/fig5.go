@@ -32,23 +32,23 @@ func Fig5(w io.Writer, cfg Config) ([]Fig5Result, error) {
 	var out []Fig5Result
 	for _, lv := range Levels {
 		_, sigma := exponentialCorrelation(side, lv.Range)
-		a, meanRank, err := tlrPrecompress(sigma, ts, tol)
-		if err != nil {
-			return nil, fmt.Errorf("fig5 %s: %w", lv.Name, err)
-		}
-		_, maxRank, _ := a.RankStats()
-		res := Fig5Result{Level: lv.Name, N: n, TS: ts, Ranks: a.Ranks(), MeanRank: meanRank, MaxRank: maxRank}
-		for i := 1; i < a.NT; i++ {
-			for j := 0; j < i; j++ {
-				res.Histogram[rankBucket(a.Ranks()[i][j])]++
+		g := tlrCompress(sigma, ts, tol)
+		res := Fig5Result{Level: lv.Name, N: n, TS: ts, Ranks: g.Ranks(), MaxRank: g.Mix().MaxRank}
+		tiles := 0
+		for _, row := range res.Ranks {
+			for _, r := range row {
+				res.Histogram[rankBucket(r)]++
+				res.MeanRank += float64(r)
+				tiles++
 			}
 		}
+		res.MeanRank /= float64(tiles)
 		out = append(out, res)
 		fmt.Fprintf(w, "Figure 5 (%s, range %.3f): %d×%d matrix, tile %d, acc %.0e — mean rank %.1f, max %d\n",
-			lv.Name, lv.Range, n, n, ts, tol, meanRank, maxRank)
+			lv.Name, lv.Range, n, n, ts, tol, res.MeanRank, res.MaxRank)
 		fmt.Fprintf(w, "buckets [1,5]:%d (5,10]:%d (10,20]:%d (20,50]:%d (50,100]:%d (100,∞):%d\n",
 			res.Histogram[0], res.Histogram[1], res.Histogram[2], res.Histogram[3], res.Histogram[4], res.Histogram[5])
-		for i := 0; i < a.NT; i++ {
+		for i := 0; i < g.NT; i++ {
 			for j := 0; j <= i; j++ {
 				if j == i {
 					fmt.Fprintf(w, "%4s", "D")

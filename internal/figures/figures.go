@@ -17,14 +17,13 @@ import (
 	"time"
 
 	"repro/internal/cov"
+	"repro/internal/engine"
 	"repro/internal/excursion"
 	"repro/internal/geo"
 	"repro/internal/linalg"
 	"repro/internal/mvn"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tiledalg"
-	"repro/internal/tlr"
 )
 
 // Config controls the harness.
@@ -60,25 +59,25 @@ func timeIt(f func()) float64 {
 	return time.Since(start).Seconds()
 }
 
-// denseFactor computes the dense tiled Cholesky factor of sigma.
-func denseFactor(rt *taskrt.Runtime, sigma *linalg.Matrix, ts int) (mvn.Factor, error) {
-	t := tile.FromDense(sigma, ts)
-	if err := tiledalg.Potrf(rt, t); err != nil {
+// factorGrid factorizes an assembled layout (tol is the recompression
+// accuracy of its low-rank tiles, 0 for a dense layout).
+func factorGrid(rt *taskrt.Runtime, g *engine.Grid, tol float64) (*mvn.Factor, error) {
+	if err := engine.Potrf(rt, g, engine.Config{Tol: tol}); err != nil {
 		return nil, err
 	}
-	return mvn.NewDenseFactor(t), nil
+	return mvn.NewFactor(g), nil
 }
 
-// tlrFactor compresses sigma at tol and computes the TLR Cholesky factor.
-func tlrFactor(rt *taskrt.Runtime, sigma *linalg.Matrix, ts int, tol float64) (mvn.Factor, *tlr.Matrix, error) {
-	a, err := tlr.CompressSPD(tile.FromDense(sigma, ts), tol, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := tlr.Potrf(rt, a); err != nil {
-		return nil, nil, err
-	}
-	return mvn.NewTLRFactor(a), a, nil
+// denseFactor computes the dense tiled Cholesky factor of sigma.
+func denseFactor(rt *taskrt.Runtime, sigma *linalg.Matrix, ts int) (*mvn.Factor, error) {
+	return factorGrid(rt, engine.AssembleDense(tile.FromDense(sigma, ts)), 0)
+}
+
+// tlrCompress builds the TLR layout of sigma at accuracy tol without
+// factorizing it (the pmvn_init compression step, excluded from the paper's
+// timings).
+func tlrCompress(sigma *linalg.Matrix, ts int, tol float64) *engine.Grid {
+	return engine.AssembleTLR(nil, tile.FromDense(sigma, ts), tol, 0)
 }
 
 // asciiMap renders a scalar field on an nx×ny grid as a small character
@@ -133,20 +132,6 @@ func exponentialCorrelation(side int, rng float64) (*geo.Geom, *linalg.Matrix) {
 	return g, cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: rng})
 }
 
-// tlrPrecompress builds the TLR representation of sigma without factorizing
-// it (the pmvn_init compression step, excluded from the paper's timings).
-func tlrPrecompress(sigma *linalg.Matrix, ts int, tol float64) (*tlr.Matrix, float64, error) {
-	a, err := tlr.CompressSPD(tile.FromDense(sigma, ts), tol, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	_, _, mean := a.RankStats()
-	return a, mean, nil
-}
-
-// tlrPotrf forwards to tlr.Potrf.
-func tlrPotrf(rt *taskrt.Runtime, a *tlr.Matrix) error { return tlr.Potrf(rt, a) }
-
 // posteriorOf forwards to cov.Posterior (eqs. 7–8).
 func posteriorOf(sigma *linalg.Matrix, mu []float64, obs []int, y []float64, tau2 float64) (*linalg.Matrix, []float64, error) {
 	return cov.Posterior(sigma, mu, obs, y, tau2)
@@ -165,7 +150,7 @@ func detectDenseTLR(rt *taskrt.Runtime, corr *linalg.Matrix, mean, sd []float64,
 	if err != nil {
 		return nil, nil, err
 	}
-	fT, _, err := tlrFactor(rt, ordered, ts, tlrTol)
+	fT, err := factorGrid(rt, tlrCompress(ordered, ts, tlrTol), tlrTol)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -202,10 +202,16 @@ func Syrk(trans bool, alpha float64, a *Matrix, beta float64, c *Matrix) {
 	if c.Rows != n || c.Cols != n {
 		panic("linalg: Syrk shape mismatch")
 	}
+	// beta = 0 overwrites: C may be pooled scratch holding NaN or ±Inf, which
+	// a multiplication by zero would keep.
 	if beta != 1 {
 		for j := 0; j < n; j++ {
-			cc := c.Col(j)
-			for i := j; i < n; i++ {
+			cc := c.Col(j)[j:n]
+			if beta == 0 {
+				clear(cc)
+				continue
+			}
+			for i := range cc {
 				cc[i] *= beta
 			}
 		}

@@ -263,6 +263,36 @@ func TestSyrkMatchesGemm(t *testing.T) {
 	}
 }
 
+// TestSyrkBetaZeroOverwrites: beta = 0 defines the lower triangle of C whatever
+// it held — pooled scratch can hold NaN or ±Inf (0·NaN is NaN; a NaN Gram
+// matrix used to push tile.RoundLR off its CholQR path, which made TLR
+// factors depend on what the pool handed out).
+func TestSyrkBetaZeroOverwrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, sz := range [][2]int{{5, 3}, {80, 70}} { // naive and blocked kernels
+		a := randMatrix(sz[0], sz[1], rng)
+		for _, trans := range []bool{false, true} {
+			n := sz[0]
+			if trans {
+				n = sz[1]
+			}
+			want := NewMatrix(n, n)
+			Syrk(trans, 1, a, 0, want)
+			got := NewMatrix(n, n)
+			got.Fill(math.NaN())
+			got.Set(n-1, 0, math.Inf(1))
+			Syrk(trans, 1, a, 0, got)
+			for j := 0; j < n; j++ {
+				for i := j; i < n; i++ {
+					if got.At(i, j) != want.At(i, j) {
+						t.Fatalf("n=%d trans=%v: C(%d,%d) = %v over NaN scratch, %v over zeros", n, trans, i, j, got.At(i, j), want.At(i, j))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTrsmAllVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 6

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/cov"
+	"repro/internal/engine"
 	"repro/internal/geo"
 	"repro/internal/linalg"
 	"repro/internal/qmc"
 	"repro/internal/stats"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tiledalg"
-	"repro/internal/tlr"
 )
 
 // equicorrOracle integrates the 1-D reduction of the equicorrelated MVN
@@ -163,15 +162,32 @@ func TestSOVSequentialEquicorrelated(t *testing.T) {
 	}
 }
 
-func newDenseFactor(t *testing.T, sigma *linalg.Matrix, ts int) *DenseFactor {
+// denseFactorOn factorizes sigma in the dense layout on rt.
+func denseFactorOn(t testing.TB, rt taskrt.Submitter, sigma *linalg.Matrix, ts int) *Factor {
+	t.Helper()
+	g := engine.AssembleDense(tile.FromDense(sigma, ts))
+	if err := engine.Potrf(rt, g, engine.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	return NewFactor(g)
+}
+
+// tlrFactorOn compresses sigma to the TLR layout at tol and factorizes it on
+// rt.
+func tlrFactorOn(t testing.TB, rt taskrt.Submitter, sigma *linalg.Matrix, ts int, tol float64) *Factor {
+	t.Helper()
+	g := engine.AssembleTLR(rt, tile.FromDense(sigma, ts), tol, 0)
+	if err := engine.Potrf(rt, g, engine.Config{Tol: tol}); err != nil {
+		t.Fatal(err)
+	}
+	return NewFactor(g)
+}
+
+func denseFactor(t *testing.T, sigma *linalg.Matrix, ts int) *Factor {
 	t.Helper()
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
-	tl := tile.FromDense(sigma, ts)
-	if err := tiledalg.Potrf(rt, tl); err != nil {
-		t.Fatal(err)
-	}
-	return NewDenseFactor(tl)
+	return denseFactorOn(t, rt, sigma, ts)
 }
 
 func TestPMVNMatchesSequential(t *testing.T) {
@@ -190,7 +206,7 @@ func TestPMVNMatchesSequential(t *testing.T) {
 	const N = 500
 	want := SOVSequential(a, b, l, qmc.NewRichtmyer(n), N)
 
-	f := newDenseFactor(t, sigma, 9)
+	f := denseFactor(t, sigma, 9)
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
 	got := PMVN(rt, f, a, b, Options{N: N, SampleTile: 64})
@@ -214,7 +230,7 @@ func TestPMVNIndependentExact(t *testing.T) {
 		v[i] = 1
 	}
 	want := ProductForm(a, b, v)
-	f := newDenseFactor(t, sigma, 7)
+	f := denseFactor(t, sigma, 7)
 	rt := taskrt.New(3)
 	defer rt.Shutdown()
 	got := PMVN(rt, f, a, b, Options{N: 64})
@@ -232,7 +248,7 @@ func TestPMVNEquicorrelatedOracle(t *testing.T) {
 		b[i] = 1
 	}
 	want := equicorrOracle(b, rho)
-	f := newDenseFactor(t, sigma, 8)
+	f := denseFactor(t, sigma, 8)
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
 	got := PMVN(rt, f, negInf(n), b, Options{N: 20000})
@@ -252,7 +268,7 @@ func TestPMVNDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var ref float64
 	for i, w := range []int{1, 4} {
-		f := newDenseFactor(t, sigma, 5)
+		f := denseFactor(t, sigma, 5)
 		rt := taskrt.New(w)
 		res := PMVN(rt, f, a, b, Options{N: 300})
 		rt.Shutdown()
@@ -274,26 +290,18 @@ func TestPMVNTLRMatchesDense(t *testing.T) {
 	for i := range a {
 		a[i] = -0.2
 	}
-	fD := newDenseFactor(t, sigma, 16)
+	fD := denseFactor(t, sigma, 16)
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
 	dense := PMVN(rt, fD, a, b, Options{N: 4000})
 
-	tl := tlr.BuildFromKernel(g, k, 16, 1e-9, 0)
-	if err := tlr.Potrf(rt, tl); err != nil {
-		t.Fatal(err)
-	}
-	tlrRes := PMVN(rt, NewTLRFactor(tl), a, b, Options{N: 4000})
+	tlrRes := PMVN(rt, tlrFactorOn(t, rt, sigma, 16, 1e-9), a, b, Options{N: 4000})
 	if d := math.Abs(dense.Prob - tlrRes.Prob); d > 1e-6 {
 		t.Errorf("TLR (%v) vs dense (%v) differ by %v", tlrRes.Prob, dense.Prob, d)
 	}
 	// Looser compression keeps the probability within application accuracy
 	// (the paper's 1e-3 observation).
-	tl2 := tlr.BuildFromKernel(g, k, 16, 1e-3, 0)
-	if err := tlr.Potrf(rt, tl2); err != nil {
-		t.Fatal(err)
-	}
-	loose := PMVN(rt, NewTLRFactor(tl2), a, b, Options{N: 4000})
+	loose := PMVN(rt, tlrFactorOn(t, rt, sigma, 16, 1e-3), a, b, Options{N: 4000})
 	if d := math.Abs(dense.Prob - loose.Prob); d > 5e-3 {
 		t.Errorf("1e-3 TLR deviates too much: %v vs %v", loose.Prob, dense.Prob)
 	}
@@ -306,7 +314,7 @@ func TestPMVNReplicatesGiveErrorEstimate(t *testing.T) {
 	for i := range b {
 		b[i] = 0.8
 	}
-	f := newDenseFactor(t, sigma, 8)
+	f := denseFactor(t, sigma, 8)
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
 	res := PMVN(rt, f, negInf(n), b, Options{N: 2000, Replicates: 5})
@@ -323,7 +331,7 @@ func TestPMVNHalfOpenInfiniteLimits(t *testing.T) {
 	// a = -∞, b = +∞ gives probability 1 regardless of Σ.
 	g := geo.RegularGrid(4, 4)
 	sigma := cov.Matrix(g, &cov.Exponential{Sigma2: 2, Range: 0.3})
-	f := newDenseFactor(t, sigma, 4)
+	f := denseFactor(t, sigma, 4)
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
 	res := PMVN(rt, f, negInf(16), posInf(16), Options{N: 50})
@@ -336,7 +344,7 @@ func TestPMVNEmptyBoxIsZero(t *testing.T) {
 	sigma := linalg.Eye(6)
 	a := []float64{1, 1, 1, 1, 1, 1}
 	b := []float64{0, 0, 0, 0, 0, 0} // b < a: empty box
-	f := newDenseFactor(t, sigma, 3)
+	f := denseFactor(t, sigma, 3)
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
 	if res := PMVN(rt, f, a, b, Options{N: 40}); res.Prob != 0 {
@@ -367,7 +375,7 @@ func TestMCPlainAgreesWithPMVN(t *testing.T) {
 	}
 	b := posInf(25)
 	mc := MCPlain(a, b, l, 100000, rand.New(rand.NewSource(3)))
-	f := newDenseFactor(t, sigma, 5)
+	f := denseFactor(t, sigma, 5)
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
 	res := PMVN(rt, f, a, b, Options{N: 10000})

@@ -86,7 +86,7 @@ func scaleLimit(v, s float64) float64 {
 // randomized replicates run concurrently in their own runtime groups, with
 // all shifts pre-drawn from Options.Rng.
 //repro:noalloc
-func PMVT(rt *taskrt.Runtime, f Factor, a, b []float64, nu float64, opt Options) Result {
+func PMVT(rt *taskrt.Runtime, f *Factor, a, b []float64, nu float64, opt Options) Result {
 	n := f.N()
 	if len(a) != n || len(b) != n {
 		//repro:alloc-ok shape-mismatch panic path

@@ -105,7 +105,7 @@ func TestPMVTMatchesSequential(t *testing.T) {
 	}
 	const nu, N = 6, 800
 	want := SOVSequentialT(a, b, l, nu, qmc.NewRichtmyer(26), N)
-	f := newDenseFactor(t, sigma, 5)
+	f := denseFactor(t, sigma, 5)
 	rt := taskrt.New(3)
 	defer rt.Shutdown()
 	got := PMVT(rt, f, a, b, nu, Options{N: N, SampleTile: 100})
@@ -126,7 +126,7 @@ func TestPMVTAgainstMCOracle(t *testing.T) {
 		a[i] = -1
 		b[i] = 1
 	}
-	f := newDenseFactor(t, sigma, 3)
+	f := denseFactor(t, sigma, 3)
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
 	for _, nu := range []float64{3, 10} {
@@ -145,7 +145,7 @@ func TestPMVTAgainstMCOracle(t *testing.T) {
 }
 
 func TestPMVTPanicsOnBadInput(t *testing.T) {
-	f := newDenseFactor(t, linalg.Eye(4), 2)
+	f := denseFactor(t, linalg.Eye(4), 2)
 	rt := taskrt.New(1)
 	defer rt.Shutdown()
 	defer func() {

@@ -42,8 +42,7 @@ type Options struct {
 	// propagation GEMMs and the intra-tile lane axpys — in float32 (see
 	// sweep32.go); the QMC points, special functions and probability
 	// accumulation stay float64, so the estimate differs from the f64 sweep
-	// by well under the QMC error bar. Ignored (f64 sweep) for a custom
-	// Factor that does not implement F32Sweeper.
+	// by well under the QMC error bar.
 	SweepF32 bool
 	// MaxRelErr > 0 enables wave-structured early stopping: the integration
 	// runs replicate-stratified incremental sample waves (see wave.go) and
@@ -123,7 +122,7 @@ type Result struct {
 // across randomized-QMC replicates. PMVN is safe to call from multiple
 // goroutines on one runtime (the Factor is only read).
 //repro:noalloc
-func PMVN(rt *taskrt.Runtime, f Factor, a, b []float64, opt Options) Result {
+func PMVN(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Result {
 	n := f.N()
 	if len(a) != n || len(b) != n {
 		//repro:alloc-ok shape-mismatch panic path
@@ -137,7 +136,7 @@ func PMVN(rt *taskrt.Runtime, f Factor, a, b []float64, opt Options) Result {
 // early-stopping options) additionally receives every replicate's estimate
 // after every row.
 //repro:noalloc
-func integrate(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float64, pre prefixAcc) Result {
+func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, pre prefixAcc) Result {
 	genDim := f.N()
 	if nu > 0 {
 		genDim++
@@ -182,7 +181,7 @@ func trimFree(a, b []float64) ([]float64, []float64) {
 // front, then the replicates run concurrently unless inline. This path
 // allocates by design — one generator per replicate — and is kept out of the
 // //repro:noalloc-certified integrate above.
-func integrateReplicated(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float64, genDim int, inline bool, pre prefixAcc) Result {
+func integrateReplicated(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, genDim int, inline bool, pre prefixAcc) Result {
 	rng := o.Rng
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
@@ -227,7 +226,7 @@ func integrateReplicated(rt *taskrt.Runtime, f Factor, a, b []float64, o Options
 // replicate's estimate after every row: each column records into its own
 // buffer and the buffers are summed in column order, like the scalars.
 //repro:noalloc
-func runReplicate(rt *taskrt.Runtime, f Factor, a, b []float64, gen qmc.Generator, o Options, nu float64, inline bool, pre []float64) float64 {
+func runReplicate(rt *taskrt.Runtime, f *Factor, a, b []float64, gen qmc.Generator, o Options, nu float64, inline bool, pre []float64) float64 {
 	if gen.Dim() != genDimFor(f, nu) {
 		//repro:alloc-ok dimension-mismatch panic path
 		panic(fmt.Sprintf("mvn: generator dim %d, want %d", gen.Dim(), genDimFor(f, nu)))
@@ -241,10 +240,10 @@ func runReplicate(rt *taskrt.Runtime, f Factor, a, b []float64, gen qmc.Generato
 	}
 	// The f32 shadow is resolved once per replicate, before any column runs
 	// (its one-time build is the only allocating step; warm loads are an
-	// atomic read). nil falls back to the f64 sweep.
+	// atomic read). nil selects the f64 sweep.
 	var sh *ShadowF32
 	if o.SweepF32 {
-		sh = shadowFor(f)
+		sh = f.Shadow32()
 	}
 	if inline || kt == 1 {
 		// Kept free of the task path's closures so the block source stays
@@ -276,7 +275,7 @@ func runReplicate(rt *taskrt.Runtime, f Factor, a, b []float64, gen qmc.Generato
 
 // runColumnTasks fans the sample-tile columns out as one task each in their
 // own runtime group (the block source and shadow are read-only across them).
-func runColumnTasks(rt *taskrt.Runtime, f Factor, sh *ShadowF32, a, b []float64, gen qmc.Generator, sums, cols []float64, n, mc int, nu float64) {
+func runColumnTasks(rt *taskrt.Runtime, f *Factor, sh *ShadowF32, a, b []float64, gen qmc.Generator, sums, cols []float64, n, mc int, nu float64) {
 	src := newBlockSource(gen, n)
 	g := rt.NewGroup()
 	for k := range sums {
@@ -294,7 +293,7 @@ func runColumnTasks(rt *taskrt.Runtime, f Factor, sh *ShadowF32, a, b []float64,
 }
 
 //repro:noalloc
-func genDimFor(f Factor, nu float64) int {
+func genDimFor(f *Factor, nu float64) int {
 	if nu > 0 {
 		return f.N() + 1
 	}

@@ -25,7 +25,7 @@ type Prefix struct {
 // whose limits are free past that block. It always runs the fixed-N float64
 // sweep: the accuracy/latency budgets and SweepF32 of opt are ignored (the
 // f32 sweep has its own diagonal kernel and no accumulator).
-func PMVNPrefix(rt *taskrt.Runtime, f Factor, a, b []float64, opt Options) Prefix {
+func PMVNPrefix(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Prefix {
 	n := f.N()
 	if len(a) != n || len(b) != n {
 		panic(fmt.Sprintf("mvn: limits length %d,%d != dimension %d", len(a), len(b), n))

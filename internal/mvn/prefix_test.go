@@ -7,9 +7,6 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/taskrt"
-	"repro/internal/tile"
-	"repro/internal/tiledalg"
-	"repro/internal/tlr"
 )
 
 // leadingBlock returns the limits of the query PMVNPrefix entry k-1 stands
@@ -28,7 +25,7 @@ func relClose(got, want, tol float64) bool {
 }
 
 // TestPrefixMatchesLeadingBlocks: one PMVNPrefix sweep equals n separate
-// leading-block PMVN calls on the same lattice — on all three factor kinds,
+// leading-block PMVN calls on the same lattice — on all three layouts,
 // with a ragged last tile (45 = 5·8 + 5), N not a multiple of SampleTile,
 // free rows inside the prefix and a free tail, one replicate and three (the
 // per-prefix StdErr is then the replicate spread of the separate calls),
@@ -51,19 +48,9 @@ func TestPrefixMatchesLeadingBlocks(t *testing.T) {
 	if free < 5 {
 		t.Fatalf("only %d free rows: the box no longer exercises the free-row paths", free)
 	}
-	tl := tile.FromDense(sigma, ts)
-	if err := tiledalg.Potrf(rt, tl); err != nil {
-		t.Fatal(err)
-	}
-	tc, err := tlr.CompressSPDPar(rt.NewGroup(), tile.FromDense(sigma, ts), 1e-13, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tlr.Potrf(rt.NewGroup(), tc); err != nil {
-		t.Fatal(err)
-	}
-	for name, f := range map[string]Factor{
-		"dense": NewDenseFactor(tl), "tlr": NewTLRFactor(tc), "grid": gridFromDense(tl),
+	dense := denseFactorOn(t, rt, sigma, ts)
+	for name, f := range map[string]*Factor{
+		"dense": dense, "tlr": tlrFactorOn(t, rt.NewGroup(), sigma, ts, 1e-13), "grid": gridFromDense(dense),
 	} {
 		for _, reps := range []int{1, 3} {
 			opt := Options{N: N, SampleTile: mc, Replicates: reps}
@@ -103,7 +90,7 @@ func TestPrefixMatchesLeadingBlocks(t *testing.T) {
 func TestPrefixAllLanesDie(t *testing.T) {
 	const n, ts, N, dead = 60, 16, 96, 21 // row 21 is inside tile 1
 	rng := rand.New(rand.NewSource(5))
-	f := newDenseFactor(t, randomSPD(n, rng), ts)
+	f := denseFactor(t, randomSPD(n, rng), ts)
 	a, b := make([]float64, n), posInf(n)
 	for i := range a {
 		a[i] = -1
@@ -138,7 +125,7 @@ func TestPrefixAllLanesDie(t *testing.T) {
 func TestPrefixIgnoresF32AndBudgets(t *testing.T) {
 	const n, ts = 40, 8
 	rng := rand.New(rand.NewSource(8))
-	f := newDenseFactor(t, randomSPD(n, rng), ts)
+	f := denseFactor(t, randomSPD(n, rng), ts)
 	a, b := randomLimits(n, rng)
 	want := PMVNPrefix(nil, f, a, b, Options{N: 128})
 	got := PMVNPrefix(nil, f, a, b, Options{N: 128, SweepF32: true, MaxRelErr: 0.5, WaveSize: 8})
@@ -155,7 +142,7 @@ func TestPrefixIgnoresF32AndBudgets(t *testing.T) {
 // TestPrefixAllFree: nothing constrained — every prefix is 1 and no sweep runs.
 func TestPrefixAllFree(t *testing.T) {
 	const n = 12
-	f := newDenseFactor(t, randomSPD(n, rand.New(rand.NewSource(2))), 4)
+	f := denseFactor(t, randomSPD(n, rand.New(rand.NewSource(2))), 4)
 	a, b := make([]float64, n), posInf(n)
 	for i := range a {
 		a[i] = math.Inf(-1)
@@ -186,7 +173,7 @@ func TestPrefixMostlyDeadLanes(t *testing.T) {
 	for i := 1; i < n; i++ {
 		a[i] = 1
 	}
-	f := newDenseFactor(t, sigma, ts)
+	f := denseFactor(t, sigma, ts)
 	opt := Options{N: N, SampleTile: 128}
 	got := PMVNPrefix(nil, f, a, b, opt)
 	if last := got.Prob[n-1]; last <= 0 || last >= 0.5 {

@@ -11,8 +11,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/qmc"
 	"repro/internal/taskrt"
-	"repro/internal/tile"
-	"repro/internal/tiledalg"
 )
 
 // TestPMVNProbabilityAxioms checks, over random problems, that the
@@ -27,11 +25,7 @@ func TestPMVNProbabilityAxioms(t *testing.T) {
 		n := side * side
 		g := geo.RegularGrid(side, side)
 		sigma := cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: 0.05 + 0.3*rng.Float64()})
-		tl := tile.FromDense(sigma, max(4, n/3))
-		if err := tiledalg.Potrf(rt, tl); err != nil {
-			return false
-		}
-		fac := NewDenseFactor(tl)
+		fac := denseFactorOn(t, rt, sigma, max(4, n/3))
 		a := make([]float64, n)
 		b := make([]float64, n)
 		a2 := make([]float64, n)
@@ -114,11 +108,7 @@ func TestPMVNExtremeBoxes(t *testing.T) {
 	defer rt.Shutdown()
 	g := geo.RegularGrid(4, 4)
 	sigma := cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: 0.1})
-	tl := tile.FromDense(sigma, 8)
-	if err := tiledalg.Potrf(rt, tl); err != nil {
-		t.Fatal(err)
-	}
-	fac := NewDenseFactor(tl)
+	fac := denseFactorOn(t, rt, sigma, 8)
 	n := 16
 	wide := make([]float64, n)
 	for i := range wide {

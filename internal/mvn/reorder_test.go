@@ -10,8 +10,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/qmc"
 	"repro/internal/taskrt"
-	"repro/internal/tile"
-	"repro/internal/tiledalg"
 )
 
 func isPermutation(perm []int, n int) bool {
@@ -151,11 +149,7 @@ func TestBlockReorderWithPMVN(t *testing.T) {
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
 	run := func(av, bv []float64, s *linalg.Matrix) float64 {
-		tl := tile.FromDense(s, 8)
-		if err := tiledalg.Potrf(rt, tl); err != nil {
-			t.Fatal(err)
-		}
-		return PMVN(rt, NewDenseFactor(tl), av, bv, Options{N: 20000}).Prob
+		return PMVN(rt, denseFactorOn(t, rt, s, 8), av, bv, Options{N: 20000}).Prob
 	}
 	p0 := run(a, b, sigma)
 	p1 := run(ap, bp, sp)

@@ -125,7 +125,7 @@ const condBlock = 32
 // pre, when non-nil, receives Σ_lanes p after every row (PMVNPrefix); rows
 // the sweep never reaches because every lane died stay exactly 0.
 //repro:noalloc
-func sweepColumn(f Factor, a, b []float64, src *blockSource, kOff, mc int, nu float64, pre prefixCol) float64 {
+func sweepColumn(f *Factor, a, b []float64, src *blockSource, kOff, mc int, nu float64, pre prefixCol) float64 {
 	ts := f.TS()
 	nt := (len(a) + ts - 1) / ts
 	mp := linalg.PackedLen(mc, 1)

@@ -62,16 +62,6 @@ type ShadowF32 struct {
 	off  [][]sh32Tile
 }
 
-// F32Sweeper is implemented by factors that can serve the f32 sweep.
-// All in-repo factors implement it; a custom Factor that does not silently
-// falls back to the f64 sweep.
-type F32Sweeper interface {
-	// Shadow32 returns the cached single-precision shadow, building it on
-	// first use (the only allocating step; warm calls are allocation-free).
-	//repro:noalloc
-	Shadow32() *ShadowF32
-}
-
 // shadowBox caches a lazily-built ShadowF32 on a factor: the warm-path load
 // is one atomic read, the one-time build is mutex-serialized.
 type shadowBox struct {
@@ -80,27 +70,31 @@ type shadowBox struct {
 	s     *ShadowF32
 }
 
+// Shadow32 returns the factor's cached single-precision shadow, building it
+// on first use (the only allocating step; warm calls are allocation-free).
 //repro:noalloc
-func (b *shadowBox) loaded() (*ShadowF32, bool) {
-	if b.ready.Load() {
-		return b.s, true
+func (f *Factor) Shadow32() *ShadowF32 {
+	if f.sh32.ready.Load() {
+		return f.sh32.s
 	}
-	return nil, false
+	//repro:alloc-ok one-time f32 shadow build (cold path)
+	return f.sh32.build(f)
 }
 
-func (b *shadowBox) build(f Factor, off func(i, j int) sh32Tile) *ShadowF32 {
+func (b *shadowBox) build(f *Factor) *ShadowF32 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.ready.Load() {
-		b.s = newShadowF32(f, off)
+		b.s = newShadowF32(f)
 		b.ready.Store(true)
 	}
 	return b.s
 }
 
-// newShadowF32 packs the diagonal triangles and materializes every
-// strictly-lower tile through off.
-func newShadowF32(f Factor, off func(i, j int) sh32Tile) *ShadowF32 {
+// newShadowF32 packs the diagonal triangles and converts every
+// strictly-lower tile; tiles the layout already stores in f32 are shared with
+// the grid, not copied.
+func newShadowF32(f *Factor) *ShadowF32 {
 	nt := f.NT()
 	s := &ShadowF32{diag: make([][]float32, nt), off: make([][]sh32Tile, nt)}
 	for r := 0; r < nt; r++ {
@@ -116,73 +110,19 @@ func newShadowF32(f Factor, off func(i, j int) sh32Tile) *ShadowF32 {
 		s.diag[r] = buf
 		s.off[r] = make([]sh32Tile, r)
 		for j := 0; j < r; j++ {
-			s.off[r][j] = off(r, j)
+			switch t := f.G.At(r, j).(type) {
+			case *tile.DenseF64:
+				s.off[r][j] = sh32Tile{d: tile.ToSingle(t.D)}
+			case *tile.LowRank:
+				if t.Rank() > 0 { // a rank-0 tile stays the zero sh32Tile
+					s.off[r][j] = sh32Tile{u: tile.ToSingle(t.U), v: tile.ToSingle(t.V)}
+				}
+			case *tile.DenseF32:
+				s.off[r][j] = sh32Tile{d: t.D}
+			}
 		}
 	}
 	return s
-}
-
-// lowRank32 converts a low-rank tile's factors, or nil pair for rank 0.
-func lowRank32(t *tile.LowRank) sh32Tile {
-	if t.Rank() == 0 {
-		return sh32Tile{}
-	}
-	return sh32Tile{u: tile.ToSingle(t.U), v: tile.ToSingle(t.V)}
-}
-
-// Shadow32 implements F32Sweeper.
-//repro:noalloc
-func (f *DenseFactor) Shadow32() *ShadowF32 {
-	if s, ok := f.sh32.loaded(); ok {
-		return s
-	}
-	//repro:alloc-ok one-time f32 shadow build (cold path)
-	return f.sh32.build(f, func(i, j int) sh32Tile {
-		return sh32Tile{d: tile.ToSingle(f.L.Tile(i, j))}
-	})
-}
-
-// Shadow32 implements F32Sweeper.
-//repro:noalloc
-func (f *TLRFactor) Shadow32() *ShadowF32 {
-	if s, ok := f.sh32.loaded(); ok {
-		return s
-	}
-	//repro:alloc-ok one-time f32 shadow build (cold path)
-	return f.sh32.build(f, func(i, j int) sh32Tile {
-		return lowRank32(f.L.Low[i][j])
-	})
-}
-
-// Shadow32 implements F32Sweeper. Tiles the adaptive policy already stores
-// in f32 are shared with the grid, not copied.
-//repro:noalloc
-func (f *GridFactor) Shadow32() *ShadowF32 {
-	if s, ok := f.sh32.loaded(); ok {
-		return s
-	}
-	//repro:alloc-ok one-time f32 shadow build (cold path)
-	return f.sh32.build(f, func(i, j int) sh32Tile {
-		switch t := f.G.At(i, j).(type) {
-		case *tile.DenseF64:
-			return sh32Tile{d: tile.ToSingle(t.D)}
-		case *tile.LowRank:
-			return lowRank32(t)
-		case *tile.DenseF32:
-			return sh32Tile{d: t.D}
-		}
-		return sh32Tile{}
-	})
-}
-
-// shadowFor resolves the f32 shadow of f, or nil when f cannot serve the
-// f32 sweep (the caller falls back to the f64 path).
-//repro:noalloc
-func shadowFor(f Factor) *ShadowF32 {
-	if fs, ok := f.(F32Sweeper); ok {
-		return fs.Shadow32()
-	}
-	return nil
 }
 
 // narrow32 narrows one lane vector of conditioning values into the f32 Y
@@ -199,7 +139,7 @@ func narrow32(dst []float32, src []float64) {
 // draws, special functions and probability products stay f64. Structure and
 // fix-up semantics mirror sweepColumn exactly — see the comments there.
 //repro:noalloc
-func sweepColumn32(f Factor, sh *ShadowF32, a, b []float64, src *blockSource, kOff, mc int, nu float64) float64 {
+func sweepColumn32(f *Factor, sh *ShadowF32, a, b []float64, src *blockSource, kOff, mc int, nu float64) float64 {
 	ts := f.TS()
 	nt := (len(a) + ts - 1) / ts // a, b are trimmed: see trimFree
 	yAll := tile.GetMat32(mc, f.N())

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cov"
 	"repro/internal/geo"
 	"repro/internal/taskrt"
-	"repro/internal/tlr"
 )
 
 // TestPMVNSweepF32MatchesF64 is the accuracy property for the f32 sweep:
@@ -24,13 +23,9 @@ func TestPMVNSweepF32MatchesF64(t *testing.T) {
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
 
-	tl := tlr.BuildFromKernel(g, k, 16, 1e-7, 0)
-	if err := tlr.Potrf(rt, tl); err != nil {
-		t.Fatal(err)
-	}
-	factors := map[string]Factor{
-		"dense": newDenseFactor(t, sigma, 16),
-		"tlr":   NewTLRFactor(tl),
+	factors := map[string]*Factor{
+		"dense": denseFactor(t, sigma, 16),
+		"tlr":   tlrFactorOn(t, rt, sigma, 16, 1e-7),
 	}
 
 	regimes := []struct {
@@ -73,7 +68,7 @@ func TestPMVTSweepF32MatchesF64(t *testing.T) {
 	k := &cov.Exponential{Sigma2: 1, Range: 0.2}
 	sigma := cov.Matrix(g, k)
 	n := 36
-	f := newDenseFactor(t, sigma, 9)
+	f := denseFactor(t, sigma, 9)
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
 	a := make([]float64, n)
@@ -104,7 +99,7 @@ func TestPMVNSweepF32Deterministic(t *testing.T) {
 	}
 	var ref float64
 	for i, w := range []int{1, 4} {
-		f := newDenseFactor(t, sigma, 5)
+		f := denseFactor(t, sigma, 5)
 		rt := taskrt.New(w)
 		res := PMVN(rt, f, a, b, Options{N: 300, SweepF32: true})
 		rt.Shutdown()
@@ -121,7 +116,7 @@ func TestPMVNSweepF32Deterministic(t *testing.T) {
 func TestPMVNSweepF32EmptyAndOpenBoxes(t *testing.T) {
 	g := geo.RegularGrid(4, 4)
 	sigma := cov.Matrix(g, &cov.Exponential{Sigma2: 2, Range: 0.3})
-	f := newDenseFactor(t, sigma, 4)
+	f := denseFactor(t, sigma, 4)
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
 	if res := PMVN(rt, f, negInf(16), posInf(16), Options{N: 50, SweepF32: true}); res.Prob != 1 {

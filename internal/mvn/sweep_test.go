@@ -10,8 +10,6 @@ import (
 	"repro/internal/qmc"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
-	"repro/internal/tiledalg"
-	"repro/internal/tlr"
 )
 
 // randomSPD builds a random SPD covariance with unit-scale diagonal: a
@@ -75,11 +73,7 @@ func TestChainBlockedMatchesSequentialRandomSPD(t *testing.T) {
 		}
 		a, b := randomLimits(n, rng)
 
-		tl := tile.FromDense(sigma, 7)
-		if err := tiledalg.Potrf(rt, tl); err != nil {
-			t.Fatal(err)
-		}
-		f := NewDenseFactor(tl)
+		f := denseFactorOn(t, rt, sigma, 7)
 
 		want := SOVSequential(a, b, l, qmc.NewRichtmyer(n), N)
 		got := PMVN(rt, f, a, b, Options{N: N, SampleTile: 64})
@@ -106,11 +100,7 @@ func TestPMVNInlineMatchesTasks(t *testing.T) {
 	a, b := randomLimits(n, rng)
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
-	tl := tile.FromDense(sigma, 8)
-	if err := tiledalg.Potrf(rt, tl); err != nil {
-		t.Fatal(err)
-	}
-	f := NewDenseFactor(tl)
+	f := denseFactorOn(t, rt, sigma, 8)
 	for _, reps := range []int{1, 3} {
 		opt := Options{N: 300, SampleTile: 32, Replicates: reps}
 		tasks := PMVN(rt, f, a, b, opt)
@@ -151,11 +141,7 @@ func TestPMVNPrefixShape(t *testing.T) {
 	}
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
-	tl := tile.FromDense(sigma, 8)
-	if err := tiledalg.Potrf(rt, tl); err != nil {
-		t.Fatal(err)
-	}
-	f := NewDenseFactor(tl)
+	f := denseFactorOn(t, rt, sigma, 8)
 	const N = 2000
 	want := SOVSequential(a, b, l, qmc.NewRichtmyer(n), N)
 	got := PMVN(rt, f, a, b, Options{N: N})
@@ -196,14 +182,11 @@ func TestPMVNTLRLaneApplyMatchesDense(t *testing.T) {
 	defer rt.Shutdown()
 	const N = 500
 	want := SOVSequential(a, b, l, qmc.NewRichtmyer(n), N)
-	tc, err := tlr.CompressSPDPar(rt.NewGroup(), tile.FromDense(sigma, 8), 1e-10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := tlrFactorOn(t, rt.NewGroup(), sigma, 8, 1e-10)
 	zero := 0
-	for i := 1; i < tc.NT; i++ {
-		for j := 0; j < i; j++ {
-			if tc.Low[i][j].Rank() == 0 {
+	for _, row := range f.G.Ranks() {
+		for _, r := range row {
+			if r == 0 {
 				zero++
 			}
 		}
@@ -211,31 +194,28 @@ func TestPMVNTLRLaneApplyMatchesDense(t *testing.T) {
 	if zero == 0 {
 		t.Fatal("block-diagonal covariance produced no rank-0 tiles; test is vacuous")
 	}
-	if err := tlr.Potrf(rt.NewGroup(), tc); err != nil {
-		t.Fatal(err)
-	}
-	got := PMVN(rt, NewTLRFactor(tc), a, b, Options{N: N})
+	got := PMVN(rt, f, a, b, Options{N: N})
 	if math.Abs(got.Prob-want) > 1e-8 {
 		t.Errorf("block-diagonal TLR: %v vs sequential %v", got.Prob, want)
 	}
 }
 
-// gridFromDense wraps a factored dense tile matrix as an adaptive grid whose
-// off-diagonal tiles alternate between dense and (numerically exact)
-// low-rank storage, so one factor exercises both of GridFactor's applies.
-func gridFromDense(tl *tile.Matrix) *GridFactor {
-	g := engine.NewGrid(tl.M, tl.TS)
-	for i := 0; i < tl.MT; i++ {
-		g.Set(i, i, &tile.DenseF64{D: tl.Tile(i, i)})
+// gridFromDense re-wraps a dense factor as a mixed grid whose off-diagonal
+// tiles alternate between dense and (numerically exact) low-rank storage, so
+// one factor exercises both of ApplyOffDiagLanes' applies.
+func gridFromDense(f *Factor) *Factor {
+	g := engine.NewGrid(f.N(), f.TS())
+	for i := 0; i < f.NT(); i++ {
+		g.Set(i, i, f.G.At(i, i))
 		for j := 0; j < i; j++ {
 			if (i+j)%2 == 0 {
-				g.Set(i, j, &tile.DenseF64{D: tl.Tile(i, j)})
+				g.Set(i, j, f.G.At(i, j))
 			} else {
-				g.Set(i, j, tile.Compress(tl.Tile(i, j), 1e-14, 0))
+				g.Set(i, j, tile.Compress(f.G.At(i, j).(*tile.DenseF64).D, 1e-14, 0))
 			}
 		}
 	}
-	return NewGridFactor(g)
+	return NewFactor(g)
 }
 
 // TestBlockedSweepMatchesSequential pins the panel-resident sweep — packed Y,
@@ -243,7 +223,7 @@ func gridFromDense(tl *tile.Matrix) *GridFactor {
 // scalar SOV reference at tile sizes where the in-tile GEMMs actually run:
 // 40 (one sub-block plus a ragged one), 72 (two plus a ragged one, ragged
 // last tile) and 320 (depth past the packed kernel's kcBlk), with lane blocks
-// that are not a multiple of the register tile, on all three factor kinds,
+// that are not a multiple of the register tile, on all three layouts,
 // for MVN and MVT. Limits mix finite, half-open and free rows (scattered
 // infinities).
 func TestBlockedSweepMatchesSequential(t *testing.T) {
@@ -261,23 +241,13 @@ func TestBlockedSweepMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b := randomLimits(tc.n, rng)
-		tl := tile.FromDense(sigma, tc.ts)
-		if err := tiledalg.Potrf(rt, tl); err != nil {
-			t.Fatal(err)
-		}
-		tc2, err := tlr.CompressSPDPar(rt.NewGroup(), tile.FromDense(sigma, tc.ts), 1e-13, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tlr.Potrf(rt.NewGroup(), tc2); err != nil {
-			t.Fatal(err)
-		}
+		dense := denseFactorOn(t, rt, sigma, tc.ts)
 		nu := 4.5
 		want := SOVSequential(a, b, l, qmc.NewRichtmyer(tc.n), tc.N)
 		wantT := SOVSequentialT(a, b, l, nu, qmc.NewRichtmyer(tc.n+1), tc.N)
 		opt := Options{N: tc.N, SampleTile: tc.mc}
-		for name, f := range map[string]Factor{
-			"dense": NewDenseFactor(tl), "tlr": NewTLRFactor(tc2), "grid": gridFromDense(tl),
+		for name, f := range map[string]*Factor{
+			"dense": dense, "tlr": tlrFactorOn(t, rt.NewGroup(), sigma, tc.ts, 1e-13), "grid": gridFromDense(dense),
 		} {
 			// Relative: at these dimensions the probabilities are 1e-10 and
 			// below, and an absolute tolerance would pass anything.
@@ -317,7 +287,7 @@ func TestBlockedSweepMostlyDeadLanes(t *testing.T) {
 	if want <= 0 || want >= 0.5 {
 		t.Fatalf("reference %v: the box no longer kills most lanes but not all", want)
 	}
-	f := newDenseFactor(t, sigma, ts)
+	f := denseFactor(t, sigma, ts)
 	got := PMVN(nil, f, a, b, Options{N: N, SampleTile: 128}).Prob
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("mostly-dead lanes: blocked %v vs sequential %v", got, want)
@@ -346,7 +316,7 @@ func (c *countingGen) FillBlock(dst *linalg.Matrix, p0, d0 int) {
 func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 	const n, ts, N, last = 60, 8, 96, 18 // row 18 is in the middle of tile 2
 	rng := rand.New(rand.NewSource(9))
-	f := newDenseFactor(t, randomSPD(n, rng), ts)
+	f := denseFactor(t, randomSPD(n, rng), ts)
 	a, b := make([]float64, n), posInf(n)
 	for i := range a {
 		a[i] = math.Inf(-1)

@@ -85,7 +85,7 @@ func waveParams(o Options) (reps, perRep, wave int) {
 // the block sources, the replicate sums and the per-wave column slots — so a
 // warm budgeted query with the default generator allocates nothing.
 //repro:noalloc
-func integrateWaves(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu float64, genDim int, inline bool) Result {
+func integrateWaves(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, genDim int, inline bool) Result {
 	reps, perRep, wave := waveParams(o)
 	mc := o.SampleTile
 
@@ -110,7 +110,7 @@ func integrateWaves(rt *taskrt.Runtime, f Factor, a, b []float64, o Options, nu 
 	}
 	var sh *ShadowF32
 	if o.SweepF32 {
-		sh = shadowFor(f)
+		sh = f.Shadow32()
 	}
 
 	repSum := linalg.GetVecZero(reps)
@@ -211,7 +211,7 @@ func buildWaveGens(ws *waveState, o Options, genDim, reps, perRep int) {
 // pair in its own runtime group. Slot placement is fixed by the indices, so
 // the reduction order — and therefore the estimate — is independent of task
 // scheduling.
-func runWaveTasks(rt *taskrt.Runtime, f Factor, sh *ShadowF32, a, b []float64, ws *waveState, slots []float64, reps, cols, off, wlen, mc int, nu float64) {
+func runWaveTasks(rt *taskrt.Runtime, f *Factor, sh *ShadowF32, a, b []float64, ws *waveState, slots []float64, reps, cols, off, wlen, mc int, nu float64) {
 	g := rt.NewGroup()
 	for rep := 0; rep < reps; rep++ {
 		for c := 0; c < cols; c++ {

@@ -11,25 +11,20 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/qmc"
 	"repro/internal/taskrt"
-	"repro/internal/tile"
-	"repro/internal/tiledalg"
 )
 
 // waveTestFactor builds a dense Cholesky factor for an n = side² Matérn-like
 // exponential field, plus the dense L the sequential reference consumes.
-func waveTestFactor(t *testing.T, rt *taskrt.Runtime, side, ts int) (*DenseFactor, *linalg.Matrix) {
+func waveTestFactor(t *testing.T, rt *taskrt.Runtime, side, ts int) (*Factor, *linalg.Matrix) {
 	t.Helper()
 	g := geo.RegularGrid(side, side)
 	sigma := cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: 0.2})
-	tl := tile.FromDense(sigma, ts)
-	if err := tiledalg.Potrf(rt, tl); err != nil {
-		t.Fatal(err)
-	}
+	fac := denseFactorOn(t, rt, sigma, ts)
 	l, err := linalg.Cholesky(sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewDenseFactor(tl), l
+	return fac, l
 }
 
 // waveTestLimits builds the three BENCH_query regimes at dimension n.

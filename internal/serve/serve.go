@@ -167,11 +167,6 @@ type flightKey struct {
 // New starts a server. It owns the Sessions it creates; Close releases them.
 func New(cfg Config) *Server {
 	c := cfg.withDefaults()
-	// The serving layer is built on the session factor cache: problem keys,
-	// FactorState coalescing and exactly-once builds all live there.
-	// Serving without it would factorize on every flush, so the flag is
-	// force-cleared rather than honored.
-	c.Session.NoFactorCache = false
 	s := &Server{
 		cfg:       c,
 		factorSem: make(chan struct{}, c.MaxInflightFactor),

@@ -65,25 +65,6 @@ func TestServeBasic(t *testing.T) {
 	}
 }
 
-// TestServeIgnoresNoFactorCache pins that serve.New force-clears
-// Session.NoFactorCache: serving is built on the factor cache, and honoring
-// the flag would factorize on every flush.
-func TestServeIgnoresNoFactorCache(t *testing.T) {
-	cfg := testConfig()
-	cfg.Session.NoFactorCache = true
-	srv := New(cfg)
-	defer srv.Close()
-	for i := 0; i < 2; i++ {
-		if _, err := srv.Do(context.Background(), testRequest(5, 0.2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := srv.Snapshot(); st.Factorizations != 1 || st.CacheMisses != 1 {
-		t.Fatalf("factorizations/misses = %d/%d with NoFactorCache set, want 1/1 (flag must be cleared)",
-			st.Factorizations, st.CacheMisses)
-	}
-}
-
 // TestServeMatchesSession pins that the serving layer is a pass-through: a
 // query served over a Server equals the same query on a directly-owned
 // Session with the same configuration, for each method and for MVN and MVT.

@@ -1,14 +1,12 @@
-package tlr
+package tile
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cov"
 	"repro/internal/geo"
 	"repro/internal/linalg"
-	"repro/internal/taskrt"
 )
 
 func entryOf(a *linalg.Matrix) func(i, j int) float64 {
@@ -17,8 +15,8 @@ func entryOf(a *linalg.Matrix) func(i, j int) float64 {
 
 func TestACAExactForLowRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	u := randMat(18, 3, rng)
-	v := randMat(14, 3, rng)
+	u := randDense(18, 3, rng)
+	v := randDense(14, 3, rng)
 	a := linalg.NewMatrix(18, 14)
 	linalg.Gemm(false, true, 1, u, v, 0, a)
 	lt := CompressACA(18, 14, entryOf(a), 1e-10, 0)
@@ -66,7 +64,7 @@ func TestACAZeroMatrix(t *testing.T) {
 
 func TestACAMaxRankCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	a := randMat(16, 16, rng)
+	a := randDense(16, 16, rng)
 	lt := CompressACA(16, 16, entryOf(a), 1e-15, 5)
 	if lt.Rank() > 5 {
 		t.Errorf("rank %d exceeds cap 5", lt.Rank())
@@ -89,43 +87,5 @@ func TestACADegenerateShapes(t *testing.T) {
 	col := CompressACA(5, 1, func(i, j int) float64 { return float64(i) - 2 }, 1e-12, 0)
 	if col.Rank() != 1 {
 		t.Errorf("5×1 rank %d", col.Rank())
-	}
-}
-
-func TestBuildFromKernelACAMatchesSVDBuild(t *testing.T) {
-	g := geo.RegularGrid(10, 10)
-	k := &cov.Exponential{Sigma2: 1, Range: 0.15}
-	ts := 25
-	svd := BuildFromKernel(g, k, ts, 1e-6, 0)
-	aca := BuildFromKernelACA(nil, g, k, ts, 1e-6, 0)
-	d := aca.SymmetrizeDense().MaxAbsDiff(svd.SymmetrizeDense())
-	if d > 1e-4 {
-		t.Errorf("ACA vs SVD assembly differ by %v", d)
-	}
-}
-
-func TestACAPotrfEndToEnd(t *testing.T) {
-	// An ACA-assembled matrix must factorize and reconstruct like the
-	// SVD-assembled one.
-	g := geo.RegularGrid(10, 10)
-	k := &cov.Exponential{Sigma2: 1, Range: 0.2}
-	sigma := cov.Matrix(g, k)
-	a := BuildFromKernelACA(nil, g, k, 25, 1e-8, 0)
-	rt := taskrt.New(2)
-	defer rt.Shutdown()
-	if err := Potrf(rt, a); err != nil {
-		t.Fatal(err)
-	}
-	l := a.ToDense()
-	rec := linalg.NewMatrix(100, 100)
-	linalg.Gemm(false, true, 1, l, l, 0, rec)
-	res := 0.0
-	for j := 0; j < 100; j++ {
-		for i := j; i < 100; i++ {
-			res = math.Max(res, math.Abs(rec.At(i, j)-sigma.At(i, j)))
-		}
-	}
-	if res > 1e-5 {
-		t.Errorf("ACA TLR Cholesky residual %v", res)
 	}
 }

@@ -1,21 +1,12 @@
-package mixprec
+package tile
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/cov"
-	"repro/internal/geo"
 	"repro/internal/linalg"
-	"repro/internal/taskrt"
-	"repro/internal/tile"
 )
-
-func covGrid(side int, rng float64) *linalg.Matrix {
-	g := geo.RegularGrid(side, side)
-	return cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: rng})
-}
 
 func TestConversionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -91,7 +82,7 @@ func TestSyrk32MatchesDouble(t *testing.T) {
 }
 
 func TestPotrf32Reconstructs(t *testing.T) {
-	sigma := covGrid(5, 0.2)
+	_, sigma := covGrid(5, 0.2)
 	s := ToSingle(sigma)
 	if err := Potrf32(s); err != nil {
 		t.Fatal(err)
@@ -110,79 +101,5 @@ func TestPotrf32RejectsIndefinite(t *testing.T) {
 	a.Set(2, 2, -1)
 	if err := Potrf32(ToSingle(a)); err == nil {
 		t.Error("want error for indefinite matrix")
-	}
-}
-
-func TestMixedPotrfAccuracyLadder(t *testing.T) {
-	// Residual should improve monotonically (up to noise) as the double-
-	// precision band widens, and hit f64 accuracy at full band.
-	sigma := covGrid(8, 0.15) // n=64
-	want, err := linalg.Cholesky(sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := 8 // 8x8 tiles
-	var errs []float64
-	for _, band := range []int{0, 2, 7} {
-		rt := taskrt.New(3)
-		f, err := Potrf(rt, tile.FromDense(sigma, ts), band)
-		rt.Shutdown()
-		if err != nil {
-			t.Fatalf("band %d: %v", band, err)
-		}
-		d := f.ToDense().MaxAbsDiff(want)
-		errs = append(errs, d)
-	}
-	if errs[2] > 1e-12 {
-		t.Errorf("full-band mixed factorization differs from f64 by %v", errs[2])
-	}
-	if errs[0] < errs[2] {
-		t.Errorf("band 0 cannot beat full double precision: %v", errs)
-	}
-	// Single precision should still be near-f32-accurate.
-	if errs[0] > 1e-3 {
-		t.Errorf("band 0 error %v too large", errs[0])
-	}
-	if errs[1] > errs[0]+1e-12 {
-		t.Errorf("widening the band did not help: %v", errs)
-	}
-}
-
-func TestMixedPotrfDeterministicAcrossWorkers(t *testing.T) {
-	sigma := covGrid(6, 0.2)
-	var ref *linalg.Matrix
-	for _, w := range []int{1, 4} {
-		rt := taskrt.New(w)
-		f, err := Potrf(rt, tile.FromDense(sigma, 9), 1)
-		rt.Shutdown()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := f.ToDense()
-		if ref == nil {
-			ref = d
-		} else if diff := d.MaxAbsDiff(ref); diff != 0 {
-			t.Errorf("worker count changed mixed factor by %v", diff)
-		}
-	}
-}
-
-func TestMixedPotrfNonSquare(t *testing.T) {
-	rt := taskrt.New(1)
-	defer rt.Shutdown()
-	if _, err := Potrf(rt, tile.New(4, 6, 2), 1); err == nil {
-		t.Error("want error for non-square matrix")
-	}
-}
-
-func TestSinglePotrfMatchesPotrf32(t *testing.T) {
-	sigma := covGrid(4, 0.25)
-	l, err := SinglePotrf(sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := linalg.Cholesky(sigma)
-	if d := l.MaxAbsDiff(want); d > 1e-4 {
-		t.Errorf("single-precision factor off by %v", d)
 	}
 }

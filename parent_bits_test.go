@@ -1,0 +1,205 @@
+package parmvn
+
+import (
+	"fmt"
+	"math"
+	"os"
+	"testing"
+
+	"repro/internal/linalg"
+)
+
+// The explicit-Σ Dense and TLR paths used to run through their own factor
+// types (a tiled dense matrix and a TLR matrix, each behind its own adapter
+// to the sweep) and now build an engine.Grid like every other path. parentBits holds what the
+// last commit with the three factor types (e8c79e4) returned for the cases
+// of sigmaBitsCases, bit for bit, on a host with the AVX2 kernels; the same
+// table also covers the kernel-built TLR/adaptive paths, whose streaming
+// assemblers moved packages in the same change.
+
+// bitsProblem is an n = nx·ny Matérn field with a nugget (smooth enough that
+// the adaptive policy mixes representations) and a box with finite, half-open
+// and free rows.
+func bitsProblem(nx, ny int) (locs []Point, kernel KernelSpec, a, b []float64) {
+	locs = Grid(nx, ny)
+	kernel = KernelSpec{Family: "matern", Range: 0.2, Nu: 2.5, Nugget: 0.05}
+	n := len(locs)
+	a, b = make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i] = -1.2 - 0.3*math.Sin(float64(i))
+		b[i] = 1.5 + 0.2*math.Cos(float64(i))
+		switch i % 7 {
+		case 3:
+			b[i] = math.Inf(1)
+		case 5:
+			a[i], b[i] = math.Inf(-1), math.Inf(1)
+		}
+	}
+	return locs, kernel, a, b
+}
+
+func bitsConfig(m Method, ts, reps int) Config {
+	return Config{
+		Method: m, Workers: 2, TileSize: ts, QMCSize: 300, Replicates: reps,
+		TLRTol: 1e-4, AdaptiveF32Norm: 0.5,
+	}
+}
+
+// sigmaBitsCases evaluates every pinned case and returns name → float bits.
+func sigmaBitsCases(t *testing.T) map[string][]uint64 {
+	t.Helper()
+	out := map[string][]uint64{}
+	bitsOf := func(r Result) []uint64 {
+		return []uint64{math.Float64bits(r.Prob), math.Float64bits(r.StdErr)}
+	}
+	for _, dims := range [][2]int{{9, 5}, {12, 12}} { // n = 45 (ragged last tile), 144
+		locs, kernel, a, b := bitsProblem(dims[0], dims[1])
+		sigma := CovarianceMatrix(locs, kernel)
+		for _, m := range []Method{Dense, TLR, MethodAdaptive} {
+			for _, ts := range []int{8, 24} {
+				for _, reps := range []int{1, 3} {
+					s := NewSession(bitsConfig(m, ts, reps))
+					res, err := s.MVNProbCov(sigma, a, b)
+					s.Close()
+					if err != nil {
+						t.Fatalf("%v n=%d ts=%d reps=%d: %v", m, len(locs), ts, reps, err)
+					}
+					out[fmt.Sprintf("cov/%v/n%d/ts%d/r%d", m, len(locs), ts, reps)] = bitsOf(res)
+				}
+			}
+		}
+	}
+
+	// Kernel-built factors (streaming assembly) and one Student-t query.
+	locs, kernel, a, b := bitsProblem(12, 12)
+	for _, m := range []Method{TLR, MethodAdaptive} {
+		s := NewSession(bitsConfig(m, 24, 3))
+		res, err := s.MVNProb(locs, kernel, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("kernel/%v/mvn", m)] = bitsOf(res)
+		res, err = s.MVTProb(locs, kernel, 5, a, b)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("kernel/%v/mvt5", m)] = bitsOf(res)
+	}
+
+	// DetectRegionCov's confidence function under TLR: a 128-bit content hash
+	// of F's float bits, then the region size.
+	_, _, sigma, mean := detectProblem()
+	s := NewSession(bitsConfig(TLR, 24, 1))
+	ex, err := s.DetectRegionCov(sigma, mean, 0, 0.9, 0)
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newFNV128a()
+	for _, v := range ex.F {
+		h.writeFloat(v)
+	}
+	sum := h.sum()
+	out["detect/tlr/n144/F"] = []uint64{sum[0], sum[1], uint64(len(ex.Region))}
+	return out
+}
+
+// TestExplicitSigmaMatchesParentBits asserts every case against the bits the
+// parent commit produced.
+func TestExplicitSigmaMatchesParentBits(t *testing.T) {
+	if !linalg.HasVectorKernels() {
+		t.Skip("parentBits were recorded with the AVX2 kernels; the portable kernels round differently")
+	}
+	got := sigmaBitsCases(t)
+	if len(got) != len(parentBits) {
+		t.Errorf("%d cases evaluated, %d recorded", len(got), len(parentBits))
+	}
+	for name, want := range parentBits {
+		g := got[name]
+		if len(g) != len(want) {
+			t.Errorf("%s: got %x, parent %x", name, g, want)
+			continue
+		}
+		for i := range want {
+			if g[i] != want[i] {
+				t.Errorf("%s[%d]: got %#016x, parent %#016x", name, i, g[i], want[i])
+			}
+		}
+	}
+}
+
+// parentBits: recorded at e8c79e4 by sigmaBitsCases (Prob, StdErr float bits per
+// case; the detect row is the two hash words and the region size).
+var parentBits = map[string][]uint64{
+	"cov/adaptive/n144/ts24/r1": {0x3f96b4fe00c7fd36, 0x0000000000000000},
+	"cov/adaptive/n144/ts24/r3": {0x3f96b80a262cf931, 0x3f599046e2852efa},
+	"cov/adaptive/n144/ts8/r1":  {0x3f96b2d0c376946d, 0x0000000000000000},
+	"cov/adaptive/n144/ts8/r3":  {0x3f96b5ef6fef71b5, 0x3f59940015e2e9bf},
+	"cov/adaptive/n45/ts24/r1":  {0x3faf31c131fce898, 0x0000000000000000},
+	"cov/adaptive/n45/ts24/r3":  {0x3fae2fe3aad1ffc8, 0x3f5c8f0f498f9818},
+	"cov/adaptive/n45/ts8/r1":   {0x3faf31c133f83d76, 0x0000000000000000},
+	"cov/adaptive/n45/ts8/r3":   {0x3fae2fe3ab4fcfbb, 0x3f5c8f0f9f32c04c},
+	"cov/dense/n144/ts24/r1":    {0x3f96b395e9bb7247, 0x0000000000000000},
+	"cov/dense/n144/ts24/r3":    {0x3f96b64758886ff9, 0x3f5993e17d1a43f6},
+	"cov/dense/n144/ts8/r1":     {0x3f96b395e9bb7262, 0x0000000000000000},
+	"cov/dense/n144/ts8/r3":     {0x3f96b64758887005, 0x3f5993e17d1a4440},
+	"cov/dense/n45/ts24/r1":     {0x3faf31c131fce898, 0x0000000000000000},
+	"cov/dense/n45/ts24/r3":     {0x3fae2fe3aad1ffc8, 0x3f5c8f0f498f9818},
+	"cov/dense/n45/ts8/r1":      {0x3faf31c131fce88e, 0x0000000000000000},
+	"cov/dense/n45/ts8/r3":      {0x3fae2fe3aad1ffc0, 0x3f5c8f0f498f97da},
+	"cov/tlr/n144/ts24/r1":      {0x3f96b50d08b165bd, 0x0000000000000000},
+	"cov/tlr/n144/ts24/r3":      {0x3f96b729c2ad4e3c, 0x3f597e961749a13d},
+	"cov/tlr/n144/ts8/r1":       {0x3f969079a98132de, 0x0000000000000000},
+	"cov/tlr/n144/ts8/r3":       {0x3f96bbea72dc8374, 0x3f5969ed373fcadc},
+	"cov/tlr/n45/ts24/r1":       {0x3faf31d00ca4463d, 0x0000000000000000},
+	"cov/tlr/n45/ts24/r3":       {0x3fae2fb99ea46907, 0x3f5c9861e60b4804},
+	"cov/tlr/n45/ts8/r1":        {0x3faf20c9e3c307c8, 0x0000000000000000},
+	"cov/tlr/n45/ts8/r3":        {0x3fae2ffdf3c6c133, 0x3f5b5c51989b5b07},
+	"detect/tlr/n144/F":         {0x6bbf31585397e9f0, 0xe02e05709fe1d4d5, 0x0000000000000006},
+	"kernel/adaptive/mvn":       {0x3f96b63caf9cf8d3, 0x3f59928b27f75da2},
+	"kernel/adaptive/mvt5":      {0x3fadc4c3a0b21775, 0x3f6e644414274998},
+	"kernel/tlr/mvn":            {0x3f96b729c2ad4e3c, 0x3f597e961749a13d},
+	"kernel/tlr/mvt5":           {0x3fadc24eba120ac4, 0x3f6e7283e359a0e9},
+}
+
+// TestStoreLoadsParentContainer: a store file the parent commit's SaveFactor
+// wrote (the fixture internal/factorio also decodes) installs under the
+// problem key this commit computes and answers without a factorization.
+func TestStoreLoadsParentContainer(t *testing.T) {
+	file, err := os.ReadFile("internal/factorio/testdata/parent_tlr_n16_ts8.fac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, kernel := Grid(4, 4), KernelSpec{Family: "exponential", Range: 0.3}
+	s := NewSession(Config{Method: TLR, Workers: 2, TileSize: 8, QMCSize: 300, TLRTol: 1e-4})
+	defer s.Close()
+	pk, err := s.ProblemKey(locs, kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenFactorStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.path(pk), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadFactor(st, pk); err != nil {
+		t.Fatalf("the parent's store file does not load: %v", err)
+	}
+	a, b := make([]float64, 16), make([]float64, 16)
+	for i := range a {
+		a[i], b[i] = -1, math.Inf(1)
+	}
+	res, err := s.MVNProb(locs, kernel, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := s.Cache().Stats(); misses != 0 {
+		t.Errorf("%d factorizations after loading the stored factor", misses)
+	}
+	if got := math.Float64bits(res.Prob); linalg.HasVectorKernels() && got != 0x3fc45c52bb5827cf {
+		t.Errorf("probability bits %#x, the parent computed 0x3fc45c52bb5827cf", got)
+	}
+}

@@ -172,7 +172,7 @@ func (s *Session) SaveFactor(st *FactorStore, locs []Point, spec KernelSpec) err
 
 // write encodes one factor container to a temp file and renames it into
 // place under pk's name.
-func (st *FactorStore) write(pk ProblemKey, keyBlob []byte, f mvn.Factor) error {
+func (st *FactorStore) write(pk ProblemKey, keyBlob []byte, f *mvn.Factor) error {
 	tmp, err := os.CreateTemp(st.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("parmvn: factor store: %w", err)
@@ -225,20 +225,15 @@ func (s *Session) LoadFactor(st *FactorStore, pk ProblemKey) error {
 }
 
 // read decodes pk's container from disk.
-func (st *FactorStore) read(pk ProblemKey) ([]byte, mvn.Factor, error) {
-	file, err := os.Open(st.path(pk))
+func (st *FactorStore) read(pk ProblemKey) ([]byte, *mvn.Factor, error) {
+	data, err := os.ReadFile(st.path(pk))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil, ErrStoreMiss
 		}
 		return nil, nil, fmt.Errorf("parmvn: factor store: %w", err)
 	}
-	defer file.Close()
-	blob, f, err := factorio.Decode(bufio.NewReaderSize(file, 1<<20))
-	if err != nil {
-		return nil, nil, err
-	}
-	return blob, f, nil
+	return factorio.Decode(data)
 }
 
 // WarmFromStore installs every stored factor whose key the session's own
@@ -260,15 +255,14 @@ func (s *Session) WarmFromStore(st *FactorStore) (int, error) {
 		if ent.IsDir() || !strings.HasSuffix(ent.Name(), storeExt) {
 			continue
 		}
-		file, err := os.Open(filepath.Join(st.dir, ent.Name()))
+		data, err := os.ReadFile(filepath.Join(st.dir, ent.Name()))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		blob, f, err := factorio.Decode(bufio.NewReaderSize(file, 1<<20))
-		file.Close()
+		blob, f, err := factorio.Decode(data)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", ent.Name(), err)

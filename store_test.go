@@ -27,7 +27,7 @@ func TestEvictPrefersDoneOverBuilding(t *testing.T) {
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		c.getOrBuild(keyBuilding, func() (mvn.Factor, error) {
+		c.getOrBuild(keyBuilding, func() (*mvn.Factor, error) {
 			close(entered)
 			<-release
 			return nil, errors.New("stub build")
@@ -35,12 +35,12 @@ func TestEvictPrefersDoneOverBuilding(t *testing.T) {
 	}()
 	<-entered // keyBuilding is now mid-build with the oldest LRU stamp
 
-	if _, err := c.getOrBuild(keyDone, func() (mvn.Factor, error) { return nil, nil }); err != nil {
+	if _, err := c.getOrBuild(keyDone, func() (*mvn.Factor, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Inserting a third key overflows cap 2. LRU alone would evict
 	// keyBuilding (oldest); the policy must pick keyDone instead.
-	if _, err := c.getOrBuild(keyNew, func() (mvn.Factor, error) { return nil, nil }); err != nil {
+	if _, err := c.getOrBuild(keyNew, func() (*mvn.Factor, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := c.state(keyBuilding); st != FactorBuilding {
@@ -60,14 +60,14 @@ func TestEvictPrefersDoneOverBuilding(t *testing.T) {
 	finished2 := make(chan struct{})
 	go func() {
 		defer close(finished2)
-		c2.getOrBuild(keyBuilding, func() (mvn.Factor, error) {
+		c2.getOrBuild(keyBuilding, func() (*mvn.Factor, error) {
 			close(entered2)
 			<-release2
 			return nil, nil
 		})
 	}()
 	<-entered2
-	if _, err := c2.getOrBuild(keyNew, func() (mvn.Factor, error) { return nil, nil }); err != nil {
+	if _, err := c2.getOrBuild(keyNew, func() (*mvn.Factor, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := c2.state(keyBuilding); st != FactorAbsent {
