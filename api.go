@@ -452,12 +452,14 @@ func (s *Session) factorize(sigma *linalg.Matrix) (*mvn.Factor, error) {
 // assembled by its own task fused into the factorization graph
 // (engine.PotrfStream) in the representation the method's policy chooses —
 // dense blocks for the dense layout and the band, ACA low rank off the
-// band (O(rank·ts) kernel evaluations per tile), the adaptive f32/f64
-// fallback where probing rejects. Submission is windowed (StreamWindow) and
-// trailing TLR/adaptive tiles compress as soon as their last Schur update
-// lands (unless NoEviction), so the live footprint at large n is the dense
-// band plus the compressed factor. This is the cold-query hot path behind
-// MVNProb/MVTProb.
+// band (two kernel runs per cross, O(rank) runs of a tile side per tile),
+// the adaptive f32/f64 fallback where probing rejects. The assemblers read Σ
+// only through one column-run filler over cov.Fill, which evaluates a run
+// of covariances against one location in a single loop.
+// Submission is windowed (StreamWindow) and trailing TLR/adaptive tiles
+// compress as soon as their last Schur update lands (unless NoEviction), so
+// the live footprint at large n is the dense band plus the compressed
+// factor. This is the cold-query hot path behind MVNProb/MVTProb.
 func (s *Session) factorizeKernel(g *geo.Geom, k cov.Kernel) (*mvn.Factor, error) {
 	grp := s.rt.NewGroup()
 	grid, err := engine.NewGridChecked(g.Len(), s.cfg.TileSize)
@@ -471,23 +473,18 @@ func (s *Session) factorizeKernel(g *geo.Geom, k cov.Kernel) (*mvn.Factor, error
 		Evict:   !s.cfg.NoEviction,
 		Window:  s.cfg.StreamWindow,
 	}
-	entry := func(i, j int) float64 {
-		if i == j {
-			return k.Cov(0)
-		}
-		return k.Cov(g.Dist(i, j))
-	}
+	fill := func(dst []float64, row0, j int) { cov.Fill(k, dst, g.Pts[row0:], g.Pts[j]) }
 	var asm *engine.Assembler
 	switch s.cfg.Method {
 	case TLR:
-		asm = engine.TLREntryAssembler(grid, entry, s.cfg.TLRTol, s.cfg.TLRMaxRank)
+		asm = engine.TLREntryAssembler(grid, fill, s.cfg.TLRTol, s.cfg.TLRMaxRank)
 	case MethodAdaptive:
-		asm = s.policy().EntryAssembler(grid, entry)
+		asm = s.policy().EntryAssembler(grid, fill)
 	default:
 		// The dense layout is the exact reference: no eviction, every tile
 		// evaluated densely (cov.Block semantics).
 		cfg.Evict = false
-		asm = engine.DenseEntryAssembler(grid, entry)
+		asm = engine.DenseEntryAssembler(grid, fill)
 	}
 	if err := engine.PotrfStream(grp, grid, cfg, asm); err != nil {
 		return nil, err

@@ -4,6 +4,14 @@
 // synthetic datasets — and implements the posterior covariance/mean update
 // (equations 7–8) used in the confidence-region experiments. It replaces the
 // covariance module of ExaGeoStat.
+//
+// Kernels are evaluated in runs, not entries: Fill computes the covariances
+// between one location and a slice of others in a single loop, and Block, Matrix, CrossMatrix and the streaming tile
+// assemblers are all written over it. Kernel.Cov is the scalar definition
+// every run is bit-identical to. A Matérn kernel of half-integer smoothness
+// (2ν odd: ν = 1/2, 3/2, 5/2, …) is a polynomial in h/a times e^{−h/a} and
+// is evaluated in that closed form, by Cov and Fill alike; it agrees with
+// the Bessel-function expression of equation 6 to 1e-13 relative.
 package cov
 
 import (
@@ -37,6 +45,10 @@ type Matern struct {
 	Range  float64 // a > 0
 	Nu     float64 // ν > 0
 	norm   float64 // cached 1/(2^{ν-1}Γ(ν))
+	// half holds, when 2ν is odd (ν = m + 1/2), the coefficients of the
+	// degree-m polynomial p with C(h) = σ²·p(t)·e^{−t}, t = h/a, highest
+	// degree first; nil for every other ν.
+	half []float64
 }
 
 // NewMatern returns a Matérn kernel; it panics on non-positive parameters.
@@ -47,7 +59,58 @@ func NewMatern(sigma2, rang, nu float64) *Matern {
 	return &Matern{
 		Sigma2: sigma2, Range: rang, Nu: nu,
 		norm: 1 / (math.Pow(2, nu-1) * math.Gamma(nu)),
+		half: halfIntegerPoly(nu),
 	}
+}
+
+// maxHalfOrder bounds the half-integer orders evaluated in closed form;
+// beyond it the factorials below leave float64's exact-integer range and the
+// Bessel path takes over.
+const maxHalfOrder = 8
+
+// halfIntegerPoly returns the closed-form polynomial of a Matérn kernel with
+// ν = m + 1/2, or nil when 2ν is not odd. Substituting K_{m+1/2}(t) =
+// √(π/2t)·e^{−t}·Σ_i (m+i)!/(i!(m−i)!)·(2t)^{−i} into equation 6 leaves
+//
+//	C(h) = σ²·e^{−t}·Σ_{j=0..m} 2^j·m!·(2m−j)! / ((2m)!·(m−j)!·j!) · t^j
+//
+// — 1, 1+t, 1+t+t²/3 for ν = 1/2, 3/2, 5/2.
+func halfIntegerPoly(nu float64) []float64 {
+	m := int(nu)
+	if nu-float64(m) != 0.5 || m > maxHalfOrder {
+		return nil
+	}
+	fact := func(n int) float64 {
+		f := 1.0
+		for i := 2; i <= n; i++ {
+			f *= float64(i)
+		}
+		return f
+	}
+	c := make([]float64, m+1)
+	for j := 0; j <= m; j++ {
+		c[m-j] = math.Ldexp(fact(m)*fact(2*m-j), j) / (fact(2*m) * fact(m-j) * fact(j))
+	}
+	return c
+}
+
+// halfCov evaluates the half-integer closed form at t = h/a > 0: Horner on
+// the polynomial, σ² read from the kernel as the general path reads it, one
+// exponential, and the clamps of the general path (a polynomial that overflowed against an exponential that underflowed
+// is 0, and rounding never carries the value past σ²). Cov and Fill both
+// call it, so a run and the scalar loop agree bit for bit.
+//
+//repro:noalloc
+func halfCov(c []float64, sigma2, t float64) float64 {
+	p := c[0]
+	for _, a := range c[1:] {
+		p = p*t + a
+	}
+	v := sigma2 * p * math.Exp(-t)
+	if !(v >= 0) { // NaN (∞·0) or negative
+		return 0
+	}
+	return min(v, sigma2)
 }
 
 // Cov implements Kernel.
@@ -56,6 +119,9 @@ func (m *Matern) Cov(h float64) float64 {
 		return m.Sigma2
 	}
 	t := h / m.Range
+	if m.half != nil {
+		return halfCov(m.half, m.Sigma2, t)
+	}
 	v := m.Sigma2 * m.norm * math.Pow(t, m.Nu) * stats.BesselK(m.Nu, t)
 	if math.IsNaN(v) || v < 0 {
 		return 0 // deep underflow at extreme distances
@@ -113,27 +179,62 @@ type Nugget struct {
 }
 
 // Cov implements Kernel.
-func (n *Nugget) Cov(h float64) float64 {
-	c := n.Kernel.Cov(h)
+func (n *Nugget) Cov(h float64) float64 { return withNugget(n.Kernel.Cov(h), h, n.Tau2) }
+
+// Variance implements Kernel.
+func (n *Nugget) Variance() float64 { return n.Kernel.Variance() + n.Tau2 }
+
+// Fill evaluates one run of covariances: dst[r] = C(‖pts[r] − q‖) for every
+// r < len(dst), exactly the value k.Cov(pts[r].Dist(q)) returns — the nugget
+// lands on every distance that is exactly zero, not on an index match.
+// len(pts) must be at least len(dst). A half-integer Matérn kernel (under at
+// most one Nugget) runs a loop free of interface dispatch; any other Kernel
+// is evaluated entry by entry.
+func Fill(k Kernel, dst []float64, pts []geo.Point, q geo.Point) {
+	pts = pts[:len(dst)]
+	tau2 := 0.0
+	if n, ok := k.(*Nugget); ok {
+		k, tau2 = n.Kernel, n.Tau2
+	}
+	if m, ok := k.(*Matern); ok && m.half != nil {
+		fillHalf(dst, pts, q, m, tau2)
+		return
+	}
+	for r, p := range pts {
+		h := p.Dist(q)
+		dst[r] = withNugget(k.Cov(h), h, tau2)
+	}
+}
+
+// withNugget is Nugget.Cov's rule on an evaluated covariance c = C(h).
+func withNugget(c, h, tau2 float64) float64 {
 	if h == 0 {
-		c += n.Tau2
+		c += tau2
 	}
 	return c
 }
 
-// Variance implements Kernel.
-func (n *Nugget) Variance() float64 { return n.Kernel.Variance() + n.Tau2 }
+// fillHalf is Fill for a Matérn kernel of half-integer smoothness.
+//
+//repro:noalloc
+func fillHalf(dst []float64, pts []geo.Point, q geo.Point, m *Matern, tau2 float64) {
+	c, sigma2, rang := m.half, m.Sigma2, m.Range
+	for r, p := range pts {
+		h := p.Dist(q)
+		if h == 0 {
+			dst[r] = sigma2 + tau2
+			continue
+		}
+		dst[r] = halfCov(c, sigma2, h/rang)
+	}
+}
 
 // Matrix assembles the full covariance matrix Σ with Σij = C(‖si−sj‖).
 func Matrix(g *geo.Geom, k Kernel) *linalg.Matrix {
 	n := g.Len()
 	sigma := linalg.NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		col := sigma.Col(j)
-		col[j] = k.Cov(0)
-		for i := j + 1; i < n; i++ {
-			col[i] = k.Cov(g.Dist(i, j))
-		}
+		Fill(k, sigma.Col(j)[j:], g.Pts[j:], g.Pts[j])
 	}
 	sigma.SymmetrizeFromLower()
 	return sigma
@@ -143,31 +244,18 @@ func Matrix(g *geo.Geom, k Kernel) *linalg.Matrix {
 // geometries: out[i,j] = C(‖ai − bj‖).
 func CrossMatrix(a, b *geo.Geom, k Kernel) *linalg.Matrix {
 	out := linalg.NewMatrix(a.Len(), b.Len())
-	for j := 0; j < b.Len(); j++ {
-		col := out.Col(j)
-		q := b.Pts[j]
-		for i := 0; i < a.Len(); i++ {
-			col[i] = k.Cov(a.Pts[i].Dist(q))
-		}
+	for j, q := range b.Pts {
+		Fill(k, out.Col(j), a.Pts, q)
 	}
 	return out
 }
 
 // Block fills dst (r×c) with the covariance sub-block whose rows are
-// locations rows[0:r] and columns cols[0:c] of g. This is the tile-assembly
-// kernel the tiled data structures call lazily.
+// locations row0..row0+r and columns col0..col0+c of g, one Fill per column.
+// This is the tile-assembly kernel the tiled data structures call lazily.
 func Block(dst *linalg.Matrix, g *geo.Geom, k Kernel, row0, col0 int) {
 	for j := 0; j < dst.Cols; j++ {
-		col := dst.Col(j)
-		q := g.Pts[col0+j]
-		for i := 0; i < dst.Rows; i++ {
-			p := g.Pts[row0+i]
-			if row0+i == col0+j {
-				col[i] = k.Cov(0)
-			} else {
-				col[i] = k.Cov(p.Dist(q))
-			}
-		}
+		Fill(k, dst.Col(j), g.Pts[row0:], g.Pts[col0+j])
 	}
 }
 

@@ -38,14 +38,24 @@ func symmetrized(g *engine.Grid) *linalg.Matrix {
 	return d
 }
 
-// entryOf evaluates the kernel at the geometry's locations, as the streaming
-// assemblers consume it.
-func entryOf(g *geo.Geom, k cov.Kernel) func(i, j int) float64 {
-	return func(i, j int) float64 {
-		if i == j {
-			return k.Cov(0)
+// fillOf evaluates the kernel at the geometry's locations in runs, as the
+// session hands it to the streaming assemblers.
+func fillOf(g *geo.Geom, k cov.Kernel) engine.RunFill {
+	return func(dst []float64, row0, j int) { cov.Fill(k, dst, g.Pts[row0:], g.Pts[j]) }
+}
+
+// entryOf is the per-entry definition of the same matrix — k.Cov(0) on the
+// diagonal, k.Cov of the distance off it — adapted to the assemblers' run
+// interface one element at a time.
+func entryOf(g *geo.Geom, k cov.Kernel) engine.RunFill {
+	return func(dst []float64, row0, j int) {
+		for r := range dst {
+			if row0+r == j {
+				dst[r] = k.Cov(0)
+			} else {
+				dst[r] = k.Cov(g.Dist(row0+r, j))
+			}
 		}
-		return k.Cov(g.Dist(i, j))
 	}
 }
 

@@ -63,33 +63,34 @@ func (p Policy) rankLimit(m, n int) int {
 	return limit
 }
 
-// probe runs the compressibility test for one off-band tile through ACA
-// with a rank budget one past the acceptance limit: a probe that CONVERGES
-// within the limit is accepted (and IS the tile — no recompute); anything
-// else — budget exhausted, or rounding trimming an unconverged cross set
-// under the limit — means the tile's numerical rank at Tol is not known to
-// fit, so the dense representations take over. Requiring the convergence
-// flag (not just the rounded rank) is what stops a truncated
-// slowly-decaying tile from vacuously passing the rank test with
-// uncontrolled error. Probing by ACA touches O(k(m+n)) entries instead of
-// densify-then-SVD's full-tile spectrum.
-func (p Policy) probe(m, n int, entry func(i, j int) float64) (*tile.LowRank, bool) {
-	limit := p.rankLimit(m, n)
-	lr, converged := tile.CompressACAConv(m, n, entry, p.Tol, limit+1)
+// probe runs the compressibility test for the off-band r×c tile at
+// (row0,col0) through ACA with a rank budget one past the acceptance limit: a
+// probe that CONVERGES within the limit — the cross iteration stopped on its
+// own and its sampled residual agrees — is accepted (and IS the tile — no
+// recompute); anything else — budget exhausted, residual check failed, or
+// rounding trimming an unconverged cross set under the limit — means the
+// tile's numerical rank at Tol is not known to fit, so the dense
+// representations take over. Requiring the convergence flag (not just the
+// rounded rank) is what stops a truncated slowly-decaying tile from
+// vacuously passing the rank test with uncontrolled error. Probing by ACA
+// evaluates O(k) runs instead of densify-then-SVD's full-tile spectrum.
+func (p Policy) probe(r, c, row0, col0 int, fill RunFill) (*tile.LowRank, bool) {
+	limit := p.rankLimit(r, c)
+	lr, converged := acaBlock(r, c, row0, col0, fill, p.Tol, limit+1)
 	if converged && lr.Rank() <= limit {
 		return lr, true
 	}
+	discard(lr)
 	return nil, false
 }
 
 // probeDense is the compressibility test for a tile that is already
 // materialized: tile.Compress, whose tail bound is measured against the tile
 // itself, with the same one-past-the-limit rank budget as probe. Partially
-// pivoted ACA stops on an estimate of its error, and on a tile that is not
-// smooth in its indices (a smooth kernel at locations in scattered order:
-// the marginal-ordered matrix of confidence-region detection) it declares
-// convergence with residuals thousands of times Tol, so it is kept for the
-// entry-based assemblers, which have no tile to measure against.
+// pivoted ACA stops on an estimate of its error and then only samples the
+// residual; with the tile in hand the exact test costs nothing extra, so ACA
+// is kept for the streaming assemblers, which have no tile to measure
+// against.
 func (p Policy) probeDense(blk *linalg.Matrix) (*tile.LowRank, bool) {
 	limit := p.rankLimit(blk.Rows, blk.Cols)
 	lr := tile.Compress(blk, p.Tol, limit+1)
@@ -183,71 +184,14 @@ func AssembleAdaptive(sub taskrt.Submitter, src *tile.Matrix, p Policy) *Grid {
 	return g
 }
 
-// AssembleAdaptiveEntry builds an adaptive engine grid directly from an
-// entry evaluator (typically a covariance kernel over a geometry), without
-// ever materializing the dense matrix: band tiles are assembled densely,
-// off-band tiles are probed by ACA — an accepted probe is the tile, touching
-// only O(k·ts) entries — and only rejected tiles are densified for the
-// f32/f64 fallback. When sub is non-nil the tiles are built as independent
-// tasks on it.
-func AssembleAdaptiveEntry(sub taskrt.Submitter, n, ts int, entry func(i, j int) float64, p Policy) *Grid {
-	p = p.WithDefaults()
-	g := NewGrid(n, ts)
-	run, wait := taskrt.Scatter(sub, "assemble")
-	// Phase 1: diagonal tiles (dense, and the norms anchoring the f32 test).
-	diagNorm := make([]float64, g.NT)
-	for i := 0; i < g.NT; i++ {
-		i := i
-		run(func() {
-			d := denseBlock(g.TileRows(i), g.TileRows(i), i*ts, i*ts, entry)
-			diagNorm[i] = d.FrobNorm()
-			g.Set(i, i, &tile.DenseF64{D: d})
-		})
-	}
-	wait()
-	// Phase 2: off-diagonal tiles.
-	for i := 0; i < g.NT; i++ {
-		i := i
-		ri := g.TileRows(i)
-		for j := 0; j < i; j++ {
-			j := j
-			rj := g.TileRows(j)
-			row0, col0 := i*ts, j*ts
-			sub2 := func(r, c int) float64 { return entry(row0+r, col0+c) }
-			if i-j <= p.Band {
-				run(func() {
-					g.Set(i, j, &tile.DenseF64{D: denseBlock(ri, rj, row0, col0, entry)})
-				})
-				continue
-			}
-			run(func() {
-				if lr, ok := p.probe(ri, rj, sub2); ok {
-					g.Set(i, j, lr)
-					return
-				}
-				blk := denseBlock(ri, rj, row0, col0, entry)
-				scale := math.Sqrt(diagNorm[i] * diagNorm[j])
-				if scale > 0 && blk.FrobNorm() <= p.F32Norm*scale {
-					g.Set(i, j, &tile.DenseF32{D: tile.ToSingle(blk)})
-					return
-				}
-				g.Set(i, j, &tile.DenseF64{D: blk})
-			})
-		}
-	}
-	wait()
-	return g
-}
-
 // EntryAssembler returns a streaming assembler applying the adaptive policy
 // per tile, for PotrfStream: band tiles dense float64, off-band tiles probed
-// by ACA with the dense f32/f64 fallback — the same choices
-// AssembleAdaptiveEntry makes, but each tile built by its own task only when
-// the factorization graph first touches it. DiagFirst routes the diagonal
-// Frobenius norms (anchoring the f32 test) through the engine's norm
+// by ACA with the dense f32/f64 fallback, each tile built by its own task
+// only when the factorization graph first touches it. DiagFirst routes the
+// diagonal Frobenius norms (anchoring the f32 test) through the engine's norm
 // handles, so off-band tiles always observe assembled, unfactored diagonals.
 // Dense tiles draw from the workspace pool (the grid becomes engine-owned).
-func (p Policy) EntryAssembler(g *Grid, entry func(i, j int) float64) *Assembler {
+func (p Policy) EntryAssembler(g *Grid, fill RunFill) *Assembler {
 	p = p.WithDefaults()
 	ts := g.TS
 	diagNorm := make([]float64, g.NT)
@@ -257,18 +201,17 @@ func (p Policy) EntryAssembler(g *Grid, entry func(i, j int) float64) *Assembler
 			ri, rj := g.TileRows(i), g.TileRows(j)
 			row0, col0 := i*ts, j*ts
 			if i == j {
-				d := denseBlockPooled(ri, ri, row0, row0, entry)
+				d := denseBlock(ri, ri, row0, row0, fill)
 				diagNorm[i] = d.FrobNorm()
 				return &tile.DenseF64{D: d}
 			}
 			if i-j <= p.Band {
-				return &tile.DenseF64{D: denseBlockPooled(ri, rj, row0, col0, entry)}
+				return &tile.DenseF64{D: denseBlock(ri, rj, row0, col0, fill)}
 			}
-			sub := func(r, c int) float64 { return entry(row0+r, col0+c) }
-			if lr, ok := p.probe(ri, rj, sub); ok {
+			if lr, ok := p.probe(ri, rj, row0, col0, fill); ok {
 				return lr
 			}
-			blk := denseBlockPooled(ri, rj, row0, col0, entry)
+			blk := denseBlock(ri, rj, row0, col0, fill)
 			scale := math.Sqrt(diagNorm[i] * diagNorm[j])
 			if scale > 0 && blk.FrobNorm() <= p.F32Norm*scale {
 				w := tile.GetMat32(ri, rj)
@@ -279,17 +222,4 @@ func (p Policy) EntryAssembler(g *Grid, entry func(i, j int) float64) *Assembler
 			return &tile.DenseF64{D: blk}
 		},
 	}
-}
-
-// denseBlock materializes the r×c block at (row0,col0) of the entry
-// evaluator.
-func denseBlock(r, c, row0, col0 int, entry func(i, j int) float64) *linalg.Matrix {
-	d := linalg.NewMatrix(r, c)
-	for j := 0; j < c; j++ {
-		col := d.Col(j)
-		for i := 0; i < r; i++ {
-			col[i] = entry(row0+i, col0+j)
-		}
-	}
-	return d
 }

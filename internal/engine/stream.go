@@ -272,38 +272,48 @@ func (l *lazy32) free() {
 	}
 }
 
-// DenseEntryAssembler streams every tile of the entry evaluator densely in
+// RunFill evaluates one column run of the symmetric matrix being assembled:
+// dst[r] = Σ(row0+r, j) for every r < len(dst). It is how every streaming
+// assembler reads Σ — a kernel over a geometry evaluates a run in one
+// specialised loop (cov.Fill) where an entry evaluator would pay a call per
+// element — and, Σ being symmetric, a row run is the same call with the
+// roles swapped: Σ(i, col0+c) = fill(dst, col0, i)[c]. It runs on worker
+// goroutines and must be safe for concurrent calls.
+type RunFill func(dst []float64, row0, j int)
+
+// DenseEntryAssembler streams every tile of the run evaluator densely in
 // float64 — the streaming analogue of the dense layout constructor. The
 // grid must be the one passed to PotrfStream.
-func DenseEntryAssembler(g *Grid, entry func(i, j int) float64) *Assembler {
+func DenseEntryAssembler(g *Grid, fill RunFill) *Assembler {
 	ts := g.TS
 	return &Assembler{
 		Tile: func(i, j int) tile.Tile {
-			return &tile.DenseF64{D: denseBlockPooled(g.TileRows(i), g.TileRows(j), i*ts, j*ts, entry)}
+			return &tile.DenseF64{D: denseBlock(g.TileRows(i), g.TileRows(j), i*ts, j*ts, fill)}
 		},
 	}
 }
 
 // TLREntryAssembler streams the TLR layout — dense float64 diagonal, ACA low
-// rank off the diagonal (O(rank·ts) entry evaluations per tile) at relative
-// accuracy tol with rank cap maxRank (0 = uncapped) — directly inside the
-// factorization graph. A tile whose cross iteration runs out of rank budget
-// (typical for near-diagonal tiles of smooth kernels, where a capped ACA has
-// uncontrolled error) is densified for the optimal truncation instead. The
-// grid must be the one passed to PotrfStream.
-func TLREntryAssembler(g *Grid, entry func(i, j int) float64, tol float64, maxRank int) *Assembler {
+// rank off the diagonal (two runs per cross, O(rank) runs of ts entries per
+// tile) at relative accuracy tol with rank cap maxRank (0 = uncapped) —
+// directly inside the factorization graph. A tile whose cross iteration runs
+// out of rank budget (typical for near-diagonal tiles of smooth kernels, where
+// a capped ACA has uncontrolled error) or fails ACA's sampled residual check
+// (a matrix that is not smooth in its indices) is densified for the optimal
+// truncation instead. The grid must be the one passed to PotrfStream.
+func TLREntryAssembler(g *Grid, fill RunFill, tol float64, maxRank int) *Assembler {
 	ts := g.TS
 	return &Assembler{
 		Tile: func(i, j int) tile.Tile {
 			ri, rj := g.TileRows(i), g.TileRows(j)
 			row0, col0 := i*ts, j*ts
 			if i == j {
-				return &tile.DenseF64{D: denseBlockPooled(ri, ri, row0, row0, entry)}
+				return &tile.DenseF64{D: denseBlock(ri, ri, row0, row0, fill)}
 			}
-			sub := func(r, c int) float64 { return entry(row0+r, col0+c) }
-			lr, ok := tile.CompressACAConv(ri, rj, sub, tol, maxRank)
+			lr, ok := acaBlock(ri, rj, row0, col0, fill, tol, maxRank)
 			if !ok {
-				d := denseBlockPooled(ri, rj, row0, col0, entry)
+				discard(lr)
+				d := denseBlock(ri, rj, row0, col0, fill)
 				lr = tile.Compress(d, tol, maxRank)
 				putMat(d)
 			}
@@ -312,16 +322,30 @@ func TLREntryAssembler(g *Grid, entry func(i, j int) float64, tol float64, maxRa
 	}
 }
 
-// denseBlockPooled materializes the r×c block at (row0,col0) of the entry
-// evaluator into a pooled matrix.
+// acaBlock runs ACA on the r×c block at (row0,col0) of the run evaluator: a
+// pivot column is one run, a residual row the transposed run.
+func acaBlock(r, c, row0, col0 int, fill RunFill, tol float64, maxRank int) (*tile.LowRank, bool) {
+	return tile.CompressACAConv(r, c,
+		func(dst []float64, i int) { fill(dst, col0, row0+i) },
+		func(dst []float64, j int) { fill(dst, row0, col0+j) },
+		tol, maxRank)
+}
+
+// discard recycles the factors of a low-rank tile nothing will reference: a
+// disowned ACA result hands its panels to the fallback that replaces it.
+func discard(t *tile.LowRank) {
+	putMat(t.U)
+	putMat(t.V)
+	t.U, t.V = nil, nil
+}
+
+// denseBlock materializes the r×c block at (row0,col0) of the run evaluator
+// into a pooled matrix, each column filled in place.
 //repro:returns-pooled mat
-func denseBlockPooled(r, c, row0, col0 int, entry func(i, j int) float64) *linalg.Matrix {
+func denseBlock(r, c, row0, col0 int, fill RunFill) *linalg.Matrix {
 	d := getMat(r, c)
 	for j := 0; j < c; j++ {
-		col := d.Col(j)
-		for i := 0; i < r; i++ {
-			col[i] = entry(row0+i, col0+j)
-		}
+		fill(d.Col(j), row0, col0+j)
 	}
 	return d
 }

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/cov"
@@ -112,6 +113,99 @@ func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sameTile reports whether two tiles hold the same representation with the
+// same bits.
+func sameTile(a, b tile.Tile) bool {
+	same := func(x, y *linalg.Matrix) bool {
+		return x.Rows == y.Rows && x.Cols == y.Cols && x.MaxAbsDiff(y) == 0
+	}
+	switch a := a.(type) {
+	case *tile.DenseF64:
+		b, ok := b.(*tile.DenseF64)
+		return ok && same(a.D, b.D)
+	case *tile.DenseF32:
+		b, ok := b.(*tile.DenseF32)
+		return ok && same(a.D.ToDouble(), b.D.ToDouble())
+	case *tile.LowRank:
+		b, ok := b.(*tile.LowRank)
+		return ok && a.Rank() == b.Rank() && (a.Rank() == 0 || same(a.U, b.U) && same(a.V, b.V))
+	}
+	return false
+}
+
+// TestRunAssemblyMatchesPerEntry: every streaming assembler driven by runs
+// (cov.Fill, one loop per tile column or ACA cross) builds, tile for tile and
+// bit for bit, the grid it builds when every element comes from its own
+// Kernel.Cov call — for a nugget over a kernel on Fill's scalar arm, a nugget
+// over one evaluated in closed form and a bare general-ν Matérn, with and
+// without a ragged last tile.
+func TestRunAssemblyMatchesPerEntry(t *testing.T) {
+	geom := geo.RegularGrid(12, 12) // n = 144
+	geom.Pts[77] = geom.Pts[30]     // a zero distance off the diagonal
+	const tol = 1e-4
+	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5}
+	builders := map[string]func(*engine.Grid, engine.RunFill) *engine.Assembler{
+		"dense": engine.DenseEntryAssembler,
+		"tlr": func(g *engine.Grid, fill engine.RunFill) *engine.Assembler {
+			return engine.TLREntryAssembler(g, fill, tol, 0)
+		},
+		"adaptive": policy.EntryAssembler,
+	}
+	kernels := map[string]cov.Kernel{
+		"exponential+nugget": &cov.Nugget{Kernel: &cov.Exponential{Sigma2: 1, Range: 0.15}, Tau2: 0.05},
+		"matern2.5+nugget":   &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05},
+		"matern1.3":          cov.NewMatern(1.2, 0.1, 1.3),
+	}
+	compare := func(name string, got, want *engine.Grid) {
+		t.Helper()
+		for i := 0; i < want.NT; i++ {
+			for j := 0; j <= i; j++ {
+				if !sameTile(got.At(i, j), want.At(i, j)) {
+					t.Fatalf("%s: tile (%d,%d) built from runs (%s) differs from per-entry assembly (%s)",
+						name, i, j, got.At(i, j).Kind(), want.At(i, j).Kind())
+				}
+			}
+		}
+	}
+	for kn, k := range kernels {
+		for _, ts := range []int{24, 20} { // ts=20 leaves a ragged 4-row last tile
+			for bn, mk := range builders {
+				runs, entries := engine.NewGrid(geom.Len(), ts), engine.NewGrid(geom.Len(), ts)
+				materialize(runs, mk(runs, fillOf(geom, k)))
+				materialize(entries, mk(entries, entryOf(geom, k)))
+				compare(kn+"/"+bn, runs, entries)
+			}
+		}
+	}
+}
+
+// TestTLRStreamingResidualCheckOnMarginalOrder is the case ACA's stop rule
+// cannot see: a smooth kernel whose locations arrive ordered by a field value
+// rather than by position (the marginal ordering of confidence-region
+// detection — here the level sets of sin 2πx · sin 2πy, four disjoint loops
+// per level), so a tile couples several far-apart clusters, is not smooth in
+// its indices, and partial pivoting declares convergence with whole clusters
+// unread. Without the residual check the streamed factorization dies on a
+// diagonal pivot of −6; with it, the tiles whose sample disagrees take the
+// densify-and-compress fallback and the factor reconstructs Σ to the
+// tolerance's order.
+func TestTLRStreamingResidualCheckOnMarginalOrder(t *testing.T) {
+	const tol, ts = 1e-4, 90
+	geom := geo.RegularGrid(30, 30) // n = 900
+	level := func(p geo.Point) float64 { return math.Sin(2*math.Pi*p.X) * math.Sin(2*math.Pi*p.Y) }
+	sort.SliceStable(geom.Pts, func(i, j int) bool { return level(geom.Pts[i]) > level(geom.Pts[j]) })
+	k := &cov.Nugget{Kernel: cov.NewMatern(1, 0.1, 2.5), Tau2: 0.1}
+	g := streamFactor(t, geom.Len(), ts, engine.Config{Tol: tol}, func(g *engine.Grid) *engine.Assembler {
+		return engine.TLREntryAssembler(g, fillOf(geom, k), tol, 0)
+	})
+	sigma := cov.Matrix(geom, k)
+	l, res := densifyFactor(g), sigma.Clone()
+	linalg.Gemm(false, true, 1, l, l, -1, res) // LLᵀ − Σ
+	if rel := res.FrobNorm() / sigma.FrobNorm(); rel > 10*tol {
+		t.Errorf("‖LLᵀ − Σ‖/‖Σ‖ = %.3g on a marginal-ordered matrix, want ≤ %g", rel, 10*tol)
 	}
 }
 

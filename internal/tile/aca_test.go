@@ -13,6 +13,18 @@ func entryOf(a *linalg.Matrix) func(i, j int) float64 {
 	return func(i, j int) float64 { return a.At(i, j) }
 }
 
+// runsOf reads a materialized tile the way CompressACAConv does: whole rows
+// and whole columns.
+func runsOf(a *linalg.Matrix) (row, col func(dst []float64, i int)) {
+	row = func(dst []float64, i int) {
+		for j := range dst {
+			dst[j] = a.At(i, j)
+		}
+	}
+	col = func(dst []float64, j int) { copy(dst, a.Col(j)) }
+	return row, col
+}
+
 func TestACAExactForLowRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	u := randDense(18, 3, rng)
@@ -87,5 +99,33 @@ func TestACADegenerateShapes(t *testing.T) {
 	col := CompressACA(5, 1, func(i, j int) float64 { return float64(i) - 2 }, 1e-12, 0)
 	if col.Rank() != 1 {
 		t.Errorf("5×1 rank %d", col.Rank())
+	}
+}
+
+// TestACAResidualCheckCatchesUnseenBlock: partial pivoting picks each next row
+// inside the last pivot column's support, so on a block-diagonal tile it
+// converges on the first block without ever reading the second. The cross
+// iteration's own estimate says converged; the sampled residual must not.
+func TestACAResidualCheckCatchesUnseenBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const h = 32
+	a := linalg.NewMatrix(2*h, 2*h)
+	a.View(0, 0, h, h).CopyFrom(lowRankPlusNoise(h, h, 3, 1e-12, rng))
+	a.View(h, h, h, h).CopyFrom(lowRankPlusNoise(h, h, 3, 1e-12, rng))
+	row, col := runsOf(a)
+	lr, ok := CompressACAConv(2*h, 2*h, row, col, 1e-6, 0)
+	if miss := lr.Dense().MaxAbsDiff(a); miss < 1e-2*a.FrobNorm() {
+		t.Fatalf("the tile no longer defeats partial pivoting (error %g): pick another", miss)
+	}
+	if ok {
+		t.Error("ACA missed half the tile and still reported convergence")
+	}
+	// An honest tile passes the same check at every tolerance.
+	lo := lowRankPlusNoise(2*h, 2*h, 5, 1e-9, rng)
+	row, col = runsOf(lo)
+	for _, tol := range []float64{1e-2, 1e-4, 1e-6} {
+		if _, ok := CompressACAConv(2*h, 2*h, row, col, tol, 0); !ok {
+			t.Errorf("tol=%g: a rank-5 tile failed the residual check", tol)
+		}
 	}
 }

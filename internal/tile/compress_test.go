@@ -120,12 +120,14 @@ func TestCompressACAConvergenceFlag(t *testing.T) {
 	for i := range full.Data {
 		full.Data[i] = rng.NormFloat64()
 	}
-	if _, ok := CompressACAConv(32, 32, full.At, 1e-8, 8); ok {
+	row, col := runsOf(full)
+	if _, ok := CompressACAConv(32, 32, row, col, 1e-8, 8); ok {
 		t.Error("full-rank tile reported converged within rank budget 8")
 	}
 	// Clean low-rank tile converges within budget.
 	lo := lowRankPlusNoise(32, 32, 4, 1e-12, rng)
-	lt, ok := CompressACAConv(32, 32, lo.At, 1e-6, 16)
+	row, col = runsOf(lo)
+	lt, ok := CompressACAConv(32, 32, row, col, 1e-6, 16)
 	if !ok {
 		t.Error("rank-4 tile did not converge within budget 16")
 	}

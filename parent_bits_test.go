@@ -11,11 +11,10 @@ import (
 
 // The explicit-Σ Dense and TLR paths used to run through their own factor
 // types (a tiled dense matrix and a TLR matrix, each behind its own adapter
-// to the sweep) and now build an engine.Grid like every other path. parentBits holds what the
-// last commit with the three factor types (e8c79e4) returned for the cases
-// of sigmaBitsCases, bit for bit, on a host with the AVX2 kernels; the same
-// table also covers the kernel-built TLR/adaptive paths, whose streaming
-// assemblers moved packages in the same change.
+// to the sweep) and now build an engine.Grid like every other path.
+// parentBits holds what a named earlier commit returned for the cases of
+// sigmaBitsCases, bit for bit, on a host with the AVX2 kernels; the same
+// table also covers the kernel-built paths through the streaming assemblers.
 
 // bitsProblem is an n = nx·ny Matérn field with a nugget (smooth enough that
 // the adaptive policy mixes representations) and a box with finite, half-open
@@ -87,6 +86,24 @@ func sigmaBitsCases(t *testing.T) map[string][]uint64 {
 		out[fmt.Sprintf("kernel/%v/mvt5", m)] = bitsOf(res)
 	}
 
+	// Kernel-built factors of the families whose entries the run evaluator
+	// must not move: exponential, powered exponential, general-ν Matérn.
+	for name, kernel := range map[string]KernelSpec{
+		"exponential": {Family: "exponential", Range: 0.2, Nugget: 0.05},
+		"powexp1.4":   {Family: "powexp", Range: 0.2, Nu: 1.4, Nugget: 0.05},
+		"matern1.3":   {Family: "matern", Range: 0.2, Nu: 1.3, Nugget: 0.05},
+	} {
+		for _, m := range []Method{Dense, TLR} {
+			s := NewSession(bitsConfig(m, 24, 3))
+			res, err := s.MVNProb(locs, kernel, a, b)
+			s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("kernel/%v/%s/mvn", m, name)] = bitsOf(res)
+		}
+	}
+
 	// DetectRegionCov's confidence function under TLR: a 128-bit content hash
 	// of F's float bits, then the region size.
 	_, _, sigma, mean := detectProblem()
@@ -129,38 +146,54 @@ func TestExplicitSigmaMatchesParentBits(t *testing.T) {
 	}
 }
 
-// parentBits: recorded at e8c79e4 by sigmaBitsCases (Prob, StdErr float bits per
-// case; the detect row is the two hash words and the region size).
+// parentBits: recorded by sigmaBitsCases (Prob, StdErr float bits per case;
+// the detect row is the two hash words and the region size). The detect row
+// and the kernel/*/{exponential,powexp1.4,matern1.3} rows are the parent's
+// (0eb4a2d) — the exponential-kernel detection since e8c79e4 — and pin
+// everything the run evaluator must not move: math.Hypot distances, the
+// exponential, powered-exponential and general-ν Matérn expressions, and the
+// run-based ACA. The 28 rows of the Matérn-5/2 bitsProblem were re-recorded
+// at the commit that evaluates half-integer Matérn kernels in closed form
+// (polynomial × one exp in place of Pow·BesselK; entries within 1e-13
+// relative, measured worst 7.6e-16 on the n = 4096 benchmark grid): every
+// probability moved by at most 7.4e-15 relative, old → new listed in
+// CHANGES.md (PR 17).
 var parentBits = map[string][]uint64{
-	"cov/adaptive/n144/ts24/r1": {0x3f96b4fe00c7fd36, 0x0000000000000000},
-	"cov/adaptive/n144/ts24/r3": {0x3f96b80a262cf931, 0x3f599046e2852efa},
-	"cov/adaptive/n144/ts8/r1":  {0x3f96b2d0c376946d, 0x0000000000000000},
-	"cov/adaptive/n144/ts8/r3":  {0x3f96b5ef6fef71b5, 0x3f59940015e2e9bf},
-	"cov/adaptive/n45/ts24/r1":  {0x3faf31c131fce898, 0x0000000000000000},
-	"cov/adaptive/n45/ts24/r3":  {0x3fae2fe3aad1ffc8, 0x3f5c8f0f498f9818},
-	"cov/adaptive/n45/ts8/r1":   {0x3faf31c133f83d76, 0x0000000000000000},
-	"cov/adaptive/n45/ts8/r3":   {0x3fae2fe3ab4fcfbb, 0x3f5c8f0f9f32c04c},
-	"cov/dense/n144/ts24/r1":    {0x3f96b395e9bb7247, 0x0000000000000000},
-	"cov/dense/n144/ts24/r3":    {0x3f96b64758886ff9, 0x3f5993e17d1a43f6},
-	"cov/dense/n144/ts8/r1":     {0x3f96b395e9bb7262, 0x0000000000000000},
-	"cov/dense/n144/ts8/r3":     {0x3f96b64758887005, 0x3f5993e17d1a4440},
-	"cov/dense/n45/ts24/r1":     {0x3faf31c131fce898, 0x0000000000000000},
-	"cov/dense/n45/ts24/r3":     {0x3fae2fe3aad1ffc8, 0x3f5c8f0f498f9818},
-	"cov/dense/n45/ts8/r1":      {0x3faf31c131fce88e, 0x0000000000000000},
-	"cov/dense/n45/ts8/r3":      {0x3fae2fe3aad1ffc0, 0x3f5c8f0f498f97da},
-	"cov/tlr/n144/ts24/r1":      {0x3f96b50d08b165bd, 0x0000000000000000},
-	"cov/tlr/n144/ts24/r3":      {0x3f96b729c2ad4e3c, 0x3f597e961749a13d},
-	"cov/tlr/n144/ts8/r1":       {0x3f969079a98132de, 0x0000000000000000},
-	"cov/tlr/n144/ts8/r3":       {0x3f96bbea72dc8374, 0x3f5969ed373fcadc},
-	"cov/tlr/n45/ts24/r1":       {0x3faf31d00ca4463d, 0x0000000000000000},
-	"cov/tlr/n45/ts24/r3":       {0x3fae2fb99ea46907, 0x3f5c9861e60b4804},
-	"cov/tlr/n45/ts8/r1":        {0x3faf20c9e3c307c8, 0x0000000000000000},
-	"cov/tlr/n45/ts8/r3":        {0x3fae2ffdf3c6c133, 0x3f5b5c51989b5b07},
-	"detect/tlr/n144/F":         {0x6bbf31585397e9f0, 0xe02e05709fe1d4d5, 0x0000000000000006},
-	"kernel/adaptive/mvn":       {0x3f96b63caf9cf8d3, 0x3f59928b27f75da2},
-	"kernel/adaptive/mvt5":      {0x3fadc4c3a0b21775, 0x3f6e644414274998},
-	"kernel/tlr/mvn":            {0x3f96b729c2ad4e3c, 0x3f597e961749a13d},
-	"kernel/tlr/mvt5":           {0x3fadc24eba120ac4, 0x3f6e7283e359a0e9},
+	"cov/adaptive/n144/ts24/r1":    {0x3f96b4fe00c7fd09, 0x0000000000000000},
+	"cov/adaptive/n144/ts24/r3":    {0x3f96b80a262cf913, 0x3f599046e2852e09},
+	"cov/adaptive/n144/ts8/r1":     {0x3f96b2d0c3769466, 0x0000000000000000},
+	"cov/adaptive/n144/ts8/r3":     {0x3f96b5ef6fef71ab, 0x3f59940015e2e9ed},
+	"cov/adaptive/n45/ts24/r1":     {0x3faf31c131fce887, 0x0000000000000000},
+	"cov/adaptive/n45/ts24/r3":     {0x3fae2fe3aad1ffb9, 0x3f5c8f0f498f97e4},
+	"cov/adaptive/n45/ts8/r1":      {0x3faf31c133f83d66, 0x0000000000000000},
+	"cov/adaptive/n45/ts8/r3":      {0x3fae2fe3ab4fcfab, 0x3f5c8f0f9f32c03c},
+	"cov/dense/n144/ts24/r1":       {0x3f96b395e9bb7254, 0x0000000000000000},
+	"cov/dense/n144/ts24/r3":       {0x3f96b64758886ff4, 0x3f5993e17d1a43ec},
+	"cov/dense/n144/ts8/r1":        {0x3f96b395e9bb725c, 0x0000000000000000},
+	"cov/dense/n144/ts8/r3":        {0x3f96b64758886ffd, 0x3f5993e17d1a43ff},
+	"cov/dense/n45/ts24/r1":        {0x3faf31c131fce887, 0x0000000000000000},
+	"cov/dense/n45/ts24/r3":        {0x3fae2fe3aad1ffb9, 0x3f5c8f0f498f97e4},
+	"cov/dense/n45/ts8/r1":         {0x3faf31c131fce87e, 0x0000000000000000},
+	"cov/dense/n45/ts8/r3":         {0x3fae2fe3aad1ffb1, 0x3f5c8f0f498f97f1},
+	"cov/tlr/n144/ts24/r1":         {0x3f96b50d08b165ac, 0x0000000000000000},
+	"cov/tlr/n144/ts24/r3":         {0x3f96b729c2ad4e35, 0x3f597e961749a14f},
+	"cov/tlr/n144/ts8/r1":          {0x3f969079a981330d, 0x0000000000000000},
+	"cov/tlr/n144/ts8/r3":          {0x3f96bbea72dc835b, 0x3f5969ed373fc96d},
+	"cov/tlr/n45/ts24/r1":          {0x3faf31d00ca44633, 0x0000000000000000},
+	"cov/tlr/n45/ts24/r3":          {0x3fae2fb99ea468fc, 0x3f5c9861e60b481f},
+	"cov/tlr/n45/ts8/r1":           {0x3faf20c9e3c307b8, 0x0000000000000000},
+	"cov/tlr/n45/ts8/r3":           {0x3fae2ffdf3c6c123, 0x3f5b5c51989b5b2c},
+	"detect/tlr/n144/F":            {0x6bbf31585397e9f0, 0xe02e05709fe1d4d5, 0x0000000000000006},
+	"kernel/adaptive/mvn":          {0x3f96b63caf9cf8d1, 0x3f59928b27f75df1},
+	"kernel/adaptive/mvt5":         {0x3fadc4c3a0b21770, 0x3f6e6444142749ba},
+	"kernel/dense/exponential/mvn": {0x3ea01fefec90ec60, 0x3e4c8e6a8941e82a},
+	"kernel/dense/matern1.3/mvn":   {0x3f5531608cda6967, 0x3f085834f67fe9ba},
+	"kernel/dense/powexp1.4/mvn":   {0x3ec252fbe5cc76d8, 0x3e8717bc6caa1430},
+	"kernel/tlr/exponential/mvn":   {0x3ea017726f7a030c, 0x3e4c7885403cdcc8},
+	"kernel/tlr/matern1.3/mvn":     {0x3f55283f5bb8f269, 0x3f065d371540cccf},
+	"kernel/tlr/mvn":               {0x3f96b729c2ad4e35, 0x3f597e961749a14f},
+	"kernel/tlr/mvt5":              {0x3fadc24eba120ac1, 0x3f6e7283e359a230},
+	"kernel/tlr/powexp1.4/mvn":     {0x3ec23322c21022d6, 0x3e87365ac4913777},
 }
 
 // TestStoreLoadsParentContainer: a store file the parent commit's SaveFactor
