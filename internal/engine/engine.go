@@ -1,18 +1,26 @@
 // Package engine is the single tile-Cholesky task-graph builder of the
-// repository: one right-looking POTRF/TRSM/SYRK/GEMM dependency graph,
-// submitted once, whose kernels dispatch over polymorphic tile
-// representations (dense float64, dense float32, low rank). The dense
-// (Chameleon-style), TLR (HiCMA-style) and adaptive factorizations are
-// layouts of one Grid (AssembleDense, AssembleTLR, AssembleAdaptive and their
-// streaming Assembler counterparts); the per-tile adaptive representation the
-// paper names as future work falls out of mixing representations freely
-// within one grid.
+// repository: one POTRF/TRSM/SYRK/GEMM dependency graph, submitted once,
+// whose kernels dispatch over polymorphic tile representations (dense
+// float64, dense float32, low rank). The dense (Chameleon-style), TLR
+// (HiCMA-style) and adaptive factorizations are layouts of one Grid
+// (AssembleDense, AssembleTLR, AssembleAdaptive and their streaming Assembler
+// counterparts); the per-tile adaptive representation the paper names as
+// future work falls out of mixing representations freely within one grid.
+//
+// The destination tile decides how its Schur updates arrive. A dense tile is
+// updated right-looking, one GEMM task per panel. A low-rank tile is updated
+// left-looking: nothing touches it until the panel before its own, then one
+// task densifies it, applies every update as a plain GEMM and compresses
+// once (finishTile) — where rounding after each update, as HiCMA and the
+// paper do, spent half of a TLR factorization in QR and SVD landing each tile
+// back on the rank it started from.
 //
 // For out-of-core-shaped problems the engine also runs in streaming mode
 // (PotrfStream): tiles are assembled from a kernel evaluator by per-tile
 // tasks fused into the factorization graph, trailing tiles are compressed
 // to low rank as soon as their last Schur update lands (right-looking
-// eviction), and submission is windowed so task-descriptor memory stays
+// eviction — the same finishTile step, on a tile whose updates are in it
+// already), and submission is windowed so task-descriptor memory stays
 // bounded. See stream.go.
 package engine
 
@@ -92,6 +100,7 @@ func NewGrid(n, ts int) *Grid {
 }
 
 // TileRows returns the number of rows of tile row i.
+//
 //repro:noalloc
 func (g *Grid) TileRows(i int) int {
 	if i == g.NT-1 {
@@ -111,11 +120,13 @@ func (g *Grid) Set(i, j int, t tile.Tile) {
 }
 
 // At returns tile (i,j), j ≤ i.
+//
 //repro:noalloc
 func (g *Grid) At(i, j int) tile.Tile { return g.tiles[i][j] }
 
 // Diag returns the dense float64 diagonal tile k; the engine requires
 // diagonal tiles in that representation (they carry the Cholesky pivots).
+//
 //repro:noalloc
 func (g *Grid) Diag(k int) *linalg.Matrix {
 	d, ok := g.tiles[k][k].(*tile.DenseF64)
@@ -177,6 +188,7 @@ func (g *Grid) Ranks() [][]int {
 // representations (8·r·c dense f64, 4·r·c dense f32, 8·k·(m+n) low rank) —
 // the footprint the eviction and streaming paths exist to shrink.
 // Unassigned tiles count zero.
+//
 //repro:noalloc
 func (g *Grid) Bytes() int64 {
 	var b int64
@@ -205,10 +217,11 @@ func (g *Grid) EvictStats() (tiles int, freedBytes int64) {
 
 // Config tunes the engine kernels and the factorization's memory policy.
 type Config struct {
-	// Tol is the recompression tolerance applied when a GEMM lands in a
-	// low-rank destination tile, and the eviction compression tolerance.
+	// Tol is the tolerance of a trailing tile's one compression: a low-rank
+	// tile's after all of its Schur updates have been accumulated, a dense
+	// tile's under Evict.
 	Tol float64
-	// MaxRank caps low-rank tile ranks after recompression (0 = uncapped).
+	// MaxRank caps low-rank tile ranks after that compression (0 = uncapped).
 	MaxRank int
 	// Band is the number of sub-diagonals eviction leaves dense (default 1);
 	// tiles at i-j ≤ Band keep their representation.
@@ -230,13 +243,13 @@ type Config struct {
 const minWindowTasks = 1024
 
 // Potrf factorizes the SPD matrix held by the grid in place: one task graph,
-// the classical right-looking tile Cholesky, whatever each tile's
-// representation —
+// the tile Cholesky, whatever each tile's representation —
 //
 //	POTRF(T[k][k])
 //	TRSM(T[k][k], T[i][k])            i > k
 //	SYRK(T[i][k], T[i][i])            i > k
-//	GEMM(T[i][k], T[j][k], T[i][j])   i > j > k
+//	GEMM(T[i][k], T[j][k], T[i][j])   i > j > k, T[i][j] dense
+//	GEMM(T[i][·], T[j][·], T[i][j])   i > j, once, T[i][j] low rank
 //
 // with critical-path (panel-first) priorities as StarPU heteroprio-style
 // schedulers use. Errors (non-positive-definite pivots) propagate through the
@@ -276,12 +289,12 @@ func syrkInto(a tile.Tile, d *linalg.Matrix) {
 	}
 }
 
-// gemmInto applies C ← C − A·Bᵀ, dispatching on the destination
-// representation: the destination decides the arithmetic (f64, f32 or
-// low-rank concat-and-recompress), the operands are adapted to it. Operand
+// gemmInto applies C ← C − A·Bᵀ into a dense destination, whose precision
+// decides the arithmetic; the operands are adapted to it. A low-rank
+// destination never gets here: its updates are finishTile's. Operand
 // conversions draw from the workspace pools (never the heap), so the tasks
 // of a steady-state factorization allocate nothing here.
-func gemmInto(a, b, c tile.Tile, cfg Config) {
+func gemmInto(a, b, c tile.Tile) {
 	switch c := c.(type) {
 	case *tile.DenseF64:
 		gemmIntoDense64(a, b, c.D)
@@ -294,7 +307,7 @@ func gemmInto(a, b, c tile.Tile, cfg Config) {
 			tile.PutMat32(a32)
 		}
 	case *tile.LowRank:
-		gemmIntoLowRank(a, b, c, cfg)
+		panic("engine: per-update GEMM into a low-rank tile")
 	}
 }
 
@@ -389,104 +402,11 @@ func gemmDense64RightOf(ad *linalg.Matrix, b tile.Tile, dst *linalg.Matrix) {
 	putMat(bd)
 }
 
-// gemmIntoLowRank accumulates the Schur update into a low-rank destination
-// by factor concatenation and recompression.
-func gemmIntoLowRank(a, b tile.Tile, c *tile.LowRank, cfg Config) {
-	la, aIsLR := a.(*tile.LowRank)
-	lb, bIsLR := b.(*tile.LowRank)
-	switch {
-	case aIsLR && bIsLR:
-		// C ← C − U_a·(V_aᵀ·V_b)·U_bᵀ (the HiCMA GEMM).
-		ka, kb := la.Rank(), lb.Rank()
-		if ka == 0 || kb == 0 {
-			return
-		}
-		s := getMat(ka, kb)
-		linalg.Gemm(true, false, 1, la.V, lb.V, 0, s)
-		u2 := getMat(la.M, kb)
-		linalg.Gemm(false, false, 1, la.U, s, 0, u2)
-		c.AddLowRank(-1, u2, lb.U, cfg.Tol, cfg.MaxRank)
-		putMat(u2)
-		putMat(s)
-	case aIsLR:
-		if la.Rank() == 0 {
-			return
-		}
-		if bd, ok := b.(*tile.DenseF64); ok {
-			gemmLRxDenseIntoLR(la, bd.D, c, cfg)
-		} else {
-			bd := to64Pooled(b)
-			gemmLRxDenseIntoLR(la, bd, c, cfg)
-			putMat(bd)
-		}
-	case bIsLR:
-		if lb.Rank() == 0 {
-			return
-		}
-		if ad, ok := a.(*tile.DenseF64); ok {
-			gemmDensexLRIntoLR(ad.D, lb, c, cfg)
-		} else {
-			ad := to64Pooled(a)
-			gemmDensexLRIntoLR(ad, lb, c, cfg)
-			putMat(ad)
-		}
-	default:
-		if ad, ok := a.(*tile.DenseF64); ok {
-			gemmDenseDenseIntoLR(ad.D, b, c, cfg)
-		} else {
-			ad := to64Pooled(a)
-			gemmDenseDenseIntoLR(ad, b, c, cfg)
-			putMat(ad)
-		}
-	}
-}
-
-// gemmLRxDenseIntoLR folds the rank-k_a update U_a·(B·V_a)ᵀ into c.
-func gemmLRxDenseIntoLR(la *tile.LowRank, bd *linalg.Matrix, c *tile.LowRank, cfg Config) {
-	w := getMat(bd.Rows, la.Rank())
-	linalg.Gemm(false, false, 1, bd, la.V, 0, w)
-	c.AddLowRank(-1, la.U, w, cfg.Tol, cfg.MaxRank)
-	putMat(w)
-}
-
-// gemmDensexLRIntoLR folds the rank-k_b update (A·V_b)·U_bᵀ into c.
-func gemmDensexLRIntoLR(ad *linalg.Matrix, lb *tile.LowRank, c *tile.LowRank, cfg Config) {
-	w := getMat(ad.Rows, lb.Rank())
-	linalg.Gemm(false, false, 1, ad, lb.V, 0, w)
-	c.AddLowRank(-1, w, lb.U, cfg.Tol, cfg.MaxRank)
-	putMat(w)
-}
-
-// gemmDenseDenseIntoLR finishes the two-dense-operand case once the left
-// operand is dense float64, adapting the right operand.
-func gemmDenseDenseIntoLR(ad *linalg.Matrix, b tile.Tile, c *tile.LowRank, cfg Config) {
-	if bd, ok := b.(*tile.DenseF64); ok {
-		gemmDense2IntoLR(ad, bd.D, c, cfg)
-		return
-	}
-	bd := to64Pooled(b)
-	gemmDense2IntoLR(ad, bd, c, cfg)
-	putMat(bd)
-}
-
-// gemmDense2IntoLR forms the dense product, compresses it, then folds the
-// factors into c.
-func gemmDense2IntoLR(ad, bd *linalg.Matrix, c *tile.LowRank, cfg Config) {
-	p := getMat(ad.Rows, bd.Rows)
-	linalg.Gemm(false, true, 1, ad, bd, 0, p)
-	lp := tile.Compress(p, cfg.Tol, cfg.MaxRank)
-	putMat(p)
-	if lp.Rank() > 0 {
-		c.AddLowRank(-1, lp.U, lp.V, cfg.Tol, cfg.MaxRank)
-		putMat(lp.U)
-		putMat(lp.V)
-	}
-}
-
 // to64Pooled converts a float32 or low-rank tile into a pooled dense float64
 // matrix; the caller must putMat it. Dense float64 tiles never route here —
 // they pass their matrix through directly, so the hot dense path copies
 // nothing.
+//
 //repro:returns-pooled mat
 func to64Pooled(t tile.Tile) *linalg.Matrix {
 	switch t := t.(type) {
@@ -505,6 +425,7 @@ func to64Pooled(t tile.Tile) *linalg.Matrix {
 // to32Pooled converts a float64 or low-rank tile into a pooled dense float32
 // matrix; the caller must tile.PutMat32 it. Dense float32 tiles never route
 // here.
+//
 //repro:returns-pooled mat32
 func to32Pooled(t tile.Tile) *tile.Matrix32 {
 	switch t := t.(type) {
@@ -523,14 +444,30 @@ func to32Pooled(t tile.Tile) *tile.Matrix32 {
 	panic("engine: to32Pooled on a dense float32 tile")
 }
 
-// evictTile compresses the dense float64 trailing tile (i,j) to low rank at
-// the configured tolerance. It runs as the "evict" task, ordered by the
-// tile's handle after its last Schur update and before the panel that
-// consumes it. Compression is kept only when it shrinks the tile; on grids
-// the engine assembled itself the densified buffer returns to the pool.
-func (g *Grid) evictTile(i, j int, cfg Config) {
+// finishTile is the one compression of a trailing tile (i,j), run between its
+// column's last panel and its own panel solve — the point where its Schur
+// complement is complete. pending is the tile as it stood before any update,
+// for a tile whose updates were deferred: U·Vᵀ is densified into one pooled
+// accumulator, the j updates land there as plain GEMMs in panel order, and the
+// result is compressed once, the sketch started from the rank the tile came
+// with. With pending nil the tile's updates are in it already, and under
+// evict a dense float64 one is compressed — kept only when that shrinks it, its
+// buffer recycled on grids the engine assembled itself.
+func (g *Grid) finishTile(i, j int, pending *tile.LowRank, evict bool, cfg Config) {
+	if pending != nil {
+		acc := getMat(pending.M, pending.N)
+		pending.DenseInto(acc)
+		for k := 0; k < j; k++ {
+			gemmIntoDense64(g.tiles[i][k], g.tiles[j][k], acc)
+		}
+		lr := tile.CompressNear(acc, cfg.Tol, cfg.MaxRank, pending.Rank())
+		putMat(acc)
+		discard(pending)
+		g.tiles[i][j] = exactSize(lr)
+		return
+	}
 	t, ok := g.tiles[i][j].(*tile.DenseF64)
-	if !ok {
+	if !ok || !evict {
 		return
 	}
 	d := t.D
@@ -538,11 +475,10 @@ func (g *Grid) evictTile(i, j int, cfg Config) {
 	lr := tile.Compress(d, cfg.Tol, cfg.MaxRank)
 	if r := lr.Rank(); r > 0 && r*(m+n) >= m*n {
 		// The tile does not compress at this tolerance: keep it dense.
-		putMat(lr.U)
-		putMat(lr.V)
+		discard(lr)
 		return
 	}
-	g.tiles[i][j] = lr
+	g.tiles[i][j] = exactSize(lr)
 	freed := 8 * (int64(m)*int64(n) - int64(lr.Rank())*int64(m+n))
 	if g.owned {
 		putMat(d)

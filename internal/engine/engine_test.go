@@ -90,39 +90,40 @@ func refDensePotrf(a *tile.Matrix) error {
 	return nil
 }
 
-// refTLRPotrf is the historical sequential TLR Cholesky (HiCMA kernels) on a
-// TLR-layout grid, in place.
+// refTLRPotrf is the sequential TLR Cholesky on a TLR-layout grid, in place:
+// diagonal tiles updated panel by panel, a low-rank tile left-looking — just
+// before its own panel solve it is densified, receives its Schur updates in
+// panel order and is compressed once, the sketch started from the rank it
+// came with.
 func refTLRPotrf(g *engine.Grid, tol float64) error {
 	nt := g.NT
 	low := func(i, j int) *tile.LowRank { return g.At(i, j).(*tile.LowRank) }
+	// product returns U_a·(V_aᵀ·V_b) so that A·Bᵀ = product·U_bᵀ.
+	product := func(ta, tb *tile.LowRank) *linalg.Matrix {
+		s := linalg.NewMatrix(ta.Rank(), tb.Rank())
+		linalg.Gemm(true, false, 1, ta.V, tb.V, 0, s)
+		us := linalg.NewMatrix(ta.M, tb.Rank())
+		linalg.Gemm(false, false, 1, ta.U, s, 0, us)
+		return us
+	}
 	for k := 0; k < nt; k++ {
 		if err := linalg.PotrfUnblocked(g.Diag(k)); err != nil {
 			return err
 		}
 		for i := k + 1; i < nt; i++ {
+			if k > 0 {
+				c := low(i, k)
+				acc := c.Dense()
+				for p := 0; p < k; p++ {
+					if ta, tb := low(i, p), low(k, p); ta.Rank() > 0 && tb.Rank() > 0 {
+						linalg.Gemm(false, true, -1, product(ta, tb), tb.U, 1, acc)
+					}
+				}
+				g.Set(i, k, tile.CompressNear(acc, tol, 0, c.Rank()))
+			}
 			if t := low(i, k); t.Rank() > 0 {
 				linalg.TrsmLower(linalg.Left, false, 1, g.Diag(k), t.V)
-			}
-		}
-		for i := k + 1; i < nt; i++ {
-			if t := low(i, k); t.Rank() > 0 {
-				s := linalg.NewMatrix(t.Rank(), t.Rank())
-				linalg.Gemm(true, false, 1, t.V, t.V, 0, s)
-				us := linalg.NewMatrix(t.M, t.Rank())
-				linalg.Gemm(false, false, 1, t.U, s, 0, us)
-				linalg.Gemm(false, true, -1, us, t.U, 1, g.Diag(i))
-			}
-			for j := k + 1; j < i; j++ {
-				ta, tb, c := low(i, k), low(j, k), low(i, j)
-				ka, kb := ta.Rank(), tb.Rank()
-				if ka == 0 || kb == 0 {
-					continue
-				}
-				s := linalg.NewMatrix(ka, kb)
-				linalg.Gemm(true, false, 1, ta.V, tb.V, 0, s)
-				u2 := linalg.NewMatrix(ta.M, kb)
-				linalg.Gemm(false, false, 1, ta.U, s, 0, u2)
-				c.AddLowRank(-1, u2, tb.U, tol, 0)
+				linalg.Gemm(false, true, -1, product(t, t), t.U, 1, g.Diag(i))
 			}
 		}
 	}
@@ -227,8 +228,8 @@ func TestEngineDenseMatchesReference(t *testing.T) {
 
 // TestEngineTLRMatchesReference is the cross-implementation regression test:
 // the engine-backed TLR layout must match the sequential TLR factorization
-// (same compression decisions, same recompression sequence) to kernel
-// roundoff. The compressor is randomized but deterministic (fixed sketch per
+// (same compression decisions, same updates in the same order, the same one
+// recompression per tile) to kernel roundoff. The compressor is randomized but deterministic (fixed sketch per
 // tile shape), so both builds see identical inputs.
 func TestEngineTLRMatchesReference(t *testing.T) {
 	sigma := covGrid(9, 0.15)

@@ -83,48 +83,97 @@ func TestDenseLayoutMatchesCholesky(t *testing.T) {
 	}
 }
 
-// TestPotrfTaskCounts: a factorization of nt tile columns runs nt POTRFs,
-// nt(nt−1)/2 TRSMs and SYRKs and nt(nt−1)(nt−2)/6 GEMMs — the counts the
-// cluster simulator and the bench ledger's tasks_total assume.
+// TestPotrfTaskCounts: a dense factorization of nt tile columns runs nt
+// POTRFs, nt(nt−1)/2 TRSMs and SYRKs and nt(nt−1)(nt−2)/6 GEMMs — the counts
+// the cluster simulator and the bench ledger's tasks_total assume. A TLR one
+// runs one GEMM task per low-rank tile that receives updates, (nt−1)(nt−2)/2,
+// and when streamed assembles only the diagonal and column 0 in tasks of
+// their own: the other tiles are built inside their GEMM task.
 func TestPotrfTaskCounts(t *testing.T) {
-	rt := taskrt.New(2)
-	defer rt.Shutdown()
-	const nt = 4
-	g := engine.AssembleDense(tile.FromDense(randSPD(5*nt, rand.New(rand.NewSource(4))), 5))
-	if err := engine.Potrf(rt, g, engine.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	got := rt.Snapshot().Tasks
-	want := map[string]int{"potrf": nt, "trsm": nt * (nt - 1) / 2, "syrk": nt * (nt - 1) / 2, "gemm": nt * (nt - 1) * (nt - 2) / 6}
-	for kind, n := range want {
-		if got[kind] != n {
-			t.Errorf("executed %d %s tasks, want %d (all: %v)", got[kind], kind, n, got)
+	geom := geo.RegularGrid(12, 12) // n = 144
+	kern := &cov.Exponential{Sigma2: 1, Range: 0.15}
+	const tol = 1e-4
+	for _, nt := range []int{4, 6} {
+		ts := geom.Len() / nt
+		for name, tc := range map[string]struct {
+			run            func(rt *taskrt.Runtime) error
+			gemm, assemble int
+		}{
+			"dense": {func(rt *taskrt.Runtime) error {
+				g := engine.AssembleDense(tile.FromDense(randSPD(5*nt, rand.New(rand.NewSource(4))), 5))
+				return engine.Potrf(rt, g, engine.Config{})
+			}, nt * (nt - 1) * (nt - 2) / 6, 0},
+			"tlr": {func(rt *taskrt.Runtime) error {
+				g := engine.AssembleTLR(nil, tile.FromDense(cov.Matrix(geom, kern), ts), tol, 0)
+				return engine.Potrf(rt, g, engine.Config{Tol: tol})
+			}, (nt - 1) * (nt - 2) / 2, 0},
+			"tlr streamed": {func(rt *taskrt.Runtime) error {
+				g := engine.NewGrid(geom.Len(), ts)
+				return engine.PotrfStream(rt, g, engine.Config{Tol: tol, Evict: true}, engine.TLREntryAssembler(g, fillOf(geom, kern), tol, 0))
+			}, (nt - 1) * (nt - 2) / 2, nt + nt - 1},
+		} {
+			rt := taskrt.New(2)
+			err := tc.run(rt)
+			rt.Shutdown()
+			if err != nil {
+				t.Fatalf("%s nt=%d: %v", name, nt, err)
+			}
+			got := rt.Snapshot().Tasks
+			want := map[string]int{"potrf": nt, "trsm": nt * (nt - 1) / 2, "syrk": nt * (nt - 1) / 2,
+				"gemm": tc.gemm, "assemble": tc.assemble, "evict": 0}
+			for kind, n := range want {
+				if got[kind] != n {
+					t.Errorf("%s nt=%d: executed %d %s tasks, want %d (all: %v)", name, nt, got[kind], kind, n, got)
+				}
+			}
 		}
 	}
 }
 
 // TestLayoutsDeterministicAcrossWorkers: the factor must be identical
 // regardless of worker count, whatever the representation mix — the task
-// graph fully orders every tile update.
+// graph fully orders every tile update, and a low-rank tile applies all of
+// its updates inside one task, in panel order.
 func TestLayoutsDeterministicAcrossWorkers(t *testing.T) {
 	spd := randSPD(60, rand.New(rand.NewSource(7)))
 	smooth := covGrid(10, 0.1)
+	geom := geo.RegularGrid(12, 12)
+	fill := fillOf(geom, &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05})
 	for _, tc := range []struct {
-		name string
-		cfg  engine.Config
-		mk   func() *engine.Grid
+		name    string
+		cfg     engine.Config
+		workers []int
+		mk      func() (*engine.Grid, *engine.Assembler) // nil assembler: materialized
 	}{
-		{"dense", engine.Config{}, func() *engine.Grid { return engine.AssembleDense(tile.FromDense(spd, 5)) }},
-		{"tlr", engine.Config{Tol: 1e-8}, func() *engine.Grid { return engine.AssembleTLR(nil, tile.FromDense(smooth, 25), 1e-8, 0) }},
-		{"mixed", engine.Config{}, func() *engine.Grid { return bandedGrid(covGrid(6, 0.2), 9, 1) }},
-		{"adaptive", engine.Config{Tol: 1e-6}, func() *engine.Grid {
-			return engine.AssembleAdaptive(nil, tile.FromDense(spd, 9), engine.Policy{Tol: 1e-6})
+		{"dense", engine.Config{}, []int{1, 2, 8}, func() (*engine.Grid, *engine.Assembler) {
+			return engine.AssembleDense(tile.FromDense(spd, 5)), nil
+		}},
+		{"tlr", engine.Config{Tol: 1e-8}, []int{1, 2, 8}, func() (*engine.Grid, *engine.Assembler) {
+			return engine.AssembleTLR(nil, tile.FromDense(smooth, 25), 1e-8, 0), nil
+		}},
+		{"mixed", engine.Config{}, []int{1, 2, 8}, func() (*engine.Grid, *engine.Assembler) {
+			return bandedGrid(covGrid(6, 0.2), 9, 1), nil
+		}},
+		{"adaptive", engine.Config{Tol: 1e-6}, []int{1, 2, 8}, func() (*engine.Grid, *engine.Assembler) {
+			return engine.AssembleAdaptive(nil, tile.FromDense(spd, 9), engine.Policy{Tol: 1e-6}), nil
+		}},
+		{"tlr streamed", engine.Config{Tol: 1e-6}, []int{1, 2, 4}, func() (*engine.Grid, *engine.Assembler) {
+			g := engine.NewGrid(geom.Len(), 24)
+			return g, engine.TLREntryAssembler(g, fill, 1e-6, 0)
 		}},
 	} {
 		var ref *linalg.Matrix
-		for _, w := range []int{1, 2, 8} {
-			g := tc.mk()
-			if err := potrfOn(g, tc.cfg, w); err != nil {
+		for _, w := range tc.workers {
+			g, asm := tc.mk()
+			rt := taskrt.New(w)
+			var err error
+			if asm == nil {
+				err = engine.Potrf(rt, g, tc.cfg)
+			} else {
+				err = engine.PotrfStream(rt, g, tc.cfg, asm)
+			}
+			rt.Shutdown()
+			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			d := densifyFactor(g)
@@ -294,5 +343,26 @@ func TestMixedPotrfAccuracyLadder(t *testing.T) {
 	}
 	if errs[1] > errs[0]+1e-12 {
 		t.Errorf("widening the band did not help: %v", errs)
+	}
+}
+
+// TestStreamedTLRFactorsHoldNoSlack: the workspace pool hands out buffers in
+// power-of-two classes, a third more than a TLR factor's U and V fill, and a
+// cached factor lives long. Every low-rank tile of a streamed factor — built
+// in an assemble task (column 0) or compressed by finishTile — must own
+// allocations of exactly its size.
+func TestStreamedTLRFactorsHoldNoSlack(t *testing.T) {
+	geom := geo.RegularGrid(12, 12)
+	k := &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}
+	g := streamFactor(t, geom.Len(), 20, engine.Config{Tol: 1e-6, Evict: true}, func(g *engine.Grid) *engine.Assembler {
+		return engine.TLREntryAssembler(g, fillOf(geom, k), 1e-6, 0)
+	})
+	for i := 0; i < g.NT; i++ {
+		for j := 0; j < i; j++ {
+			lr := g.At(i, j).(*tile.LowRank)
+			if r := lr.Rank(); r == 0 || cap(lr.U.Data) != lr.M*r || cap(lr.V.Data) != lr.N*r {
+				t.Errorf("tile (%d,%d) %dx%d rank %d: cap(U) %d, cap(V) %d", i, j, lr.M, lr.N, r, cap(lr.U.Data), cap(lr.V.Data))
+			}
+		}
 	}
 }

@@ -22,7 +22,21 @@ type Assembler struct {
 	// not the tile handles, so it observes the assembled — never the
 	// factored — diagonal.
 	DiagFirst bool
+	// offDiag is what the constructor knows of every strictly-lower tile's
+	// representation before any has been built; the graph is shaped on it.
+	offDiag offDiag
 }
+
+// offDiag is a graph builder's advance knowledge of an off-diagonal tile:
+// where a low-rank tile's Schur updates go (one accumulate-and-compress
+// instead of a task per update) has to be decided at submission.
+type offDiag int8
+
+const (
+	offUnknown offDiag = iota // decided on the worker that builds the tile
+	offDense
+	offLowRank
+)
 
 // PotrfStream factorizes the SPD matrix defined by the assembler without
 // ever materializing it up front: each tile is built by its own task,
@@ -49,11 +63,18 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 	if nt > maxTileRows {
 		return &SizeError{N: g.N, TS: g.TS, NT: nt}
 	}
+	// f32Panel[j]: column j of a materialized grid holds a single-precision
+	// tile. Read off the grid here, once: after submission starts the workers
+	// replace tiles and the grid is theirs.
+	f32Panel := make([]bool, nt)
 	if asm == nil {
 		for k := 0; k < nt; k++ {
 			for j := 0; j <= k; j++ {
 				if g.tiles[k][j] == nil {
 					return fmt.Errorf("engine: tile (%d,%d) unassigned", k, j)
+				}
+				if g.tiles[k][j].Kind() == tile.KindDenseF32 {
+					f32Panel[j] = true
 				}
 			}
 			if _, ok := g.tiles[k][k].(*tile.DenseF64); !ok {
@@ -85,6 +106,46 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 		}
 	}
 
+	// deferred[i][j] marks a tile that was low rank when the factorization
+	// first saw it — here, or in its assemble task: its Schur updates are not
+	// applied panel by panel but all at once by finishTile. The mark is never
+	// read off the representation later, because a tile eviction compressed is
+	// low rank with every update already in it.
+	deferred := make([][]bool, nt)
+	for i := range deferred {
+		deferred[i] = make([]bool, i)
+		if asm == nil {
+			for j := range deferred[i] {
+				_, deferred[i][j] = g.tiles[i][j].(*tile.LowRank)
+			}
+		}
+	}
+	// known is what submission may assume of tile (i,j): the assembler's
+	// declaration, or the grid as it was handed in.
+	known := func(i, j int) offDiag {
+		switch {
+		case asm != nil:
+			return asm.offDiag
+		case deferred[i][j]:
+			return offLowRank
+		}
+		return offDense
+	}
+	// assemble builds tile (i,j) on a worker. A low-rank tile's factors come
+	// off the pool in its power-of-two classes: one no update will replace
+	// (column 0) moves to exact size, the others are marked for finishTile.
+	assemble := func(i, j int) {
+		t := asm.Tile(i, j)
+		if lr, ok := t.(*tile.LowRank); ok && j < i {
+			if j == 0 {
+				t = exactSize(lr)
+			} else {
+				deferred[i][j] = true
+			}
+		}
+		g.Set(i, j, t)
+	}
+
 	// Streaming assembly bookkeeping: ensure(i,j) submits the tile's
 	// assemble task exactly once, before the first factorization task that
 	// touches it. Norm handles (nh) order adaptive off-diagonal assembly
@@ -104,27 +165,26 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 			}
 		}
 		ensure = func(i, j int) {
-			if assembled[i][j] {
+			if assembled[i][j] || asm.offDiag == offLowRank && 0 < j && j < i {
+				// A tile known to be low rank with updates to receive is
+				// built inside its finishTile task, where its assembly-time
+				// factors live for that task only.
 				return
 			}
 			assembled[i][j] = true
 			if asm.DiagFirst {
 				if i == j {
-					sub.Submit("assemble", 3*nt+2, func() {
-						g.Set(i, i, asm.Tile(i, i))
-					}, taskrt.Write(h[i][i]), taskrt.Write(nh[i]))
+					sub.Submit("assemble", 3*nt+2, func() { assemble(i, i) },
+						taskrt.Write(h[i][i]), taskrt.Write(nh[i]))
 					return
 				}
 				ensure(i, i)
 				ensure(j, j)
-				sub.Submit("assemble", 3*nt+1, func() {
-					g.Set(i, j, asm.Tile(i, j))
-				}, taskrt.Write(h[i][j]), taskrt.Read(nh[i]), taskrt.Read(nh[j]))
+				sub.Submit("assemble", 3*nt+1, func() { assemble(i, j) },
+					taskrt.Write(h[i][j]), taskrt.Read(nh[i]), taskrt.Read(nh[j]))
 				return
 			}
-			sub.Submit("assemble", 3*nt+2, func() {
-				g.Set(i, j, asm.Tile(i, j))
-			}, taskrt.Write(h[i][j]))
+			sub.Submit("assemble", 3*nt+2, func() { assemble(i, j) }, taskrt.Write(h[i][j]))
 		}
 	}
 
@@ -160,16 +220,9 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 		// representation of a panel tile is decided on the workers, so
 		// submission time cannot know whether the copy will be needed.
 		l32 := &lazy32{}
-		needFree := false
+		needFree := f32Panel[k]
 		if asm != nil {
 			needFree = k+1 < nt
-		} else {
-			for i := k + 1; i < nt; i++ {
-				if g.tiles[i][k].Kind() == tile.KindDenseF32 {
-					needFree = true
-					break
-				}
-			}
 		}
 		for i := k + 1; i < nt; i++ {
 			i := i
@@ -195,30 +248,52 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 			}, taskrt.Read(h[i][k]), taskrt.ReadWrite(h[i][i]))
 			for j := k + 1; j < i; j++ {
 				j := j
+				if known(i, j) == offLowRank {
+					continue
+				}
 				if asm != nil {
 					ensure(i, j)
 				}
 				sub.Submit("gemm", 3*nt-3*k-2, func() {
-					gemmInto(g.tiles[i][k], g.tiles[j][k], g.tiles[i][j], cfg)
+					if !deferred[i][j] {
+						gemmInto(g.tiles[i][k], g.tiles[j][k], g.tiles[i][j])
+					}
 				}, taskrt.Read(h[i][k]), taskrt.Read(h[j][k]), taskrt.ReadWrite(h[i][j]))
 			}
 		}
-		// Right-looking eviction: column k+1 received its last Schur update
-		// in this panel (GEMM(i,k+1,k)), so each of its off-band tiles can
-		// compress before panel k+1 consumes it. The ReadWrite dependency
-		// orders the eviction after the tile's last update and before its
-		// panel solve.
-		if cfg.Evict && k+1 < nt {
-			j := k + 1
-			for i := j + 1; i < nt; i++ {
-				if i-j <= band {
-					continue
+		// Column k+1's Schur complement is complete once this panel's solves
+		// are: every tile of it that ends low rank gets its one compression
+		// here, before panel k+1 consumes it. A dense off-band tile under
+		// cfg.Evict has its updates in it and is ordered by its own handle
+		// alone; any other applies them first, reading both operand rows, in
+		// panel order whatever the worker count.
+		for j, i := k+1, k+2; i < nt; i++ {
+			i := i
+			evict := cfg.Evict && i-j > band
+			rep := known(i, j)
+			if rep == offDense {
+				if evict {
+					sub.Submit("evict", 3*nt-3*k-2, func() {
+						g.finishTile(i, j, nil, true, cfg)
+					}, taskrt.ReadWrite(h[i][j]))
 				}
-				i := i
-				sub.Submit("evict", 3*nt-3*k-2, func() {
-					g.evictTile(i, j, cfg)
-				}, taskrt.ReadWrite(h[i][j]))
+				continue
 			}
+			deps := make([]taskrt.Dep, 0, 2*j+1)
+			for p := 0; p < j; p++ {
+				deps = append(deps, taskrt.Read(h[i][p]), taskrt.Read(h[j][p]))
+			}
+			build := asm != nil && rep == offLowRank
+			sub.Submit("gemm", 3*nt-3*k-2, func() {
+				var pending *tile.LowRank
+				switch {
+				case build:
+					pending = asm.Tile(i, j).(*tile.LowRank)
+				case deferred[i][j]:
+					pending = g.tiles[i][j].(*tile.LowRank)
+				}
+				g.finishTile(i, j, pending, evict, cfg)
+			}, append(deps, taskrt.ReadWrite(h[i][j]))...)
 		}
 	}
 	sub.Wait()
@@ -287,6 +362,7 @@ type RunFill func(dst []float64, row0, j int)
 func DenseEntryAssembler(g *Grid, fill RunFill) *Assembler {
 	ts := g.TS
 	return &Assembler{
+		offDiag: offDense,
 		Tile: func(i, j int) tile.Tile {
 			return &tile.DenseF64{D: denseBlock(g.TileRows(i), g.TileRows(j), i*ts, j*ts, fill)}
 		},
@@ -300,10 +376,14 @@ func DenseEntryAssembler(g *Grid, fill RunFill) *Assembler {
 // out of rank budget (typical for near-diagonal tiles of smooth kernels, where
 // a capped ACA has uncontrolled error) or fails ACA's sampled residual check
 // (a matrix that is not smooth in its indices) is densified for the optimal
-// truncation instead. The grid must be the one passed to PotrfStream.
+// truncation instead. Every off-diagonal tile being low rank by construction,
+// the graph is built on it: a tile past column 0 has no assemble task and is
+// built inside the one task that applies its Schur updates. The grid must be
+// the one passed to PotrfStream.
 func TLREntryAssembler(g *Grid, fill RunFill, tol float64, maxRank int) *Assembler {
 	ts := g.TS
 	return &Assembler{
+		offDiag: offLowRank,
 		Tile: func(i, j int) tile.Tile {
 			ri, rj := g.TileRows(i), g.TileRows(j)
 			row0, col0 := i*ts, j*ts
@@ -332,15 +412,31 @@ func acaBlock(r, c, row0, col0 int, fill RunFill, tol float64, maxRank int) (*ti
 }
 
 // discard recycles the factors of a low-rank tile nothing will reference: a
-// disowned ACA result hands its panels to the fallback that replaces it.
+// disowned ACA result hands its panels to the fallback that replaces it, a
+// tile finishTile recompressed to the result.
 func discard(t *tile.LowRank) {
 	putMat(t.U)
 	putMat(t.V)
 	t.U, t.V = nil, nil
 }
 
+// exactSize moves a low-rank tile's pooled factors into allocations of
+// exactly their size and recycles the pooled ones. The pool rounds every
+// buffer up to a power of two, a third more than the factors of a finished
+// TLR grid hold, and a finished tile keeps its factors for the factor's life.
+func exactSize(t *tile.LowRank) *tile.LowRank {
+	if t.Rank() == 0 {
+		return t
+	}
+	u, v := t.U.Clone(), t.V.Clone()
+	discard(t)
+	t.U, t.V = u, v
+	return t
+}
+
 // denseBlock materializes the r×c block at (row0,col0) of the run evaluator
 // into a pooled matrix, each column filled in place.
+//
 //repro:returns-pooled mat
 func denseBlock(r, c, row0, col0 int, fill RunFill) *linalg.Matrix {
 	d := getMat(r, c)

@@ -35,6 +35,13 @@ func densifyFactor(g *engine.Grid) *linalg.Matrix {
 	return l
 }
 
+// relResidual is ‖L·Lᵀ − Σ‖_F / ‖Σ‖_F for the factor held by g.
+func relResidual(g *engine.Grid, sigma *linalg.Matrix) float64 {
+	l, res := densifyFactor(g), sigma.Clone()
+	linalg.Gemm(false, true, 1, l, l, -1, res)
+	return res.FrobNorm() / sigma.FrobNorm()
+}
+
 // materialize assembles every tile of the grid up front by calling the
 // assembler serially — diagonals first, matching the DiagFirst ordering the
 // streaming graph enforces, so norm-dependent policies make the same choices.
@@ -202,9 +209,7 @@ func TestTLRStreamingResidualCheckOnMarginalOrder(t *testing.T) {
 		return engine.TLREntryAssembler(g, fillOf(geom, k), tol, 0)
 	})
 	sigma := cov.Matrix(geom, k)
-	l, res := densifyFactor(g), sigma.Clone()
-	linalg.Gemm(false, true, 1, l, l, -1, res) // LLᵀ − Σ
-	if rel := res.FrobNorm() / sigma.FrobNorm(); rel > 10*tol {
+	if rel := relResidual(g, sigma); rel > 10*tol {
 		t.Errorf("‖LLᵀ − Σ‖/‖Σ‖ = %.3g on a marginal-ordered matrix, want ≤ %g", rel, 10*tol)
 	}
 }
@@ -305,5 +310,60 @@ func TestGridSizeGuard(t *testing.T) {
 	}
 	if err := engine.PotrfStream(rt, engine.NewGrid(8, 4), engine.Config{}, nil); err == nil {
 		t.Error("PotrfStream must reject a nil assembler")
+	}
+}
+
+// TestEvictedAndDeferredTilesInOneGrid: the two ways a trailing tile ends low
+// rank meet in one factorization. Under the adaptive streaming policy with a
+// tight RankFrac, far tiles pass the probe and are assembled low rank — their
+// Schur updates wait for finishTile — while nearer off-band ones are assembled
+// dense, updated panel by panel and compressed by eviction with nothing
+// pending. A tile of the second kind mistaken for the first would have its
+// updates applied twice (the pivot goes to −100).
+func TestEvictedAndDeferredTilesInOneGrid(t *testing.T) {
+	geom := geo.RegularGrid(16, 16) // n = 256
+	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.3, 2.5), Tau2: 0.05}
+	const tol, ts = 1e-4, 32
+	n := geom.Len()
+	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.35, F32Norm: 1e-12}
+	mk := func(g *engine.Grid) *engine.Assembler { return policy.EntryAssembler(g, fillOf(geom, kern)) }
+
+	asIs := engine.NewGrid(n, ts)
+	materialize(asIs, mk(asIs))
+	g := streamFactor(t, n, ts, engine.Config{Tol: tol, Band: 1, Evict: true}, mk)
+
+	// Every evicted tile freed its dense bytes less its factors; every other
+	// tile is counted by Bytes() as it is.
+	var deferred, evicted int
+	var want int64
+	for i := 0; i < g.NT; i++ {
+		for j := 0; j <= i; j++ {
+			lr, isLR := g.At(i, j).(*tile.LowRank)
+			if _, was := asIs.At(i, j).(*tile.LowRank); was {
+				if !isLR {
+					t.Fatalf("tile (%d,%d) was assembled low rank and ended %s", i, j, g.At(i, j).Kind())
+				}
+				if j > 0 { // column 0 receives no update
+					deferred++
+				}
+				want += 8 * int64(lr.Rank()) * int64(lr.M+lr.N)
+				continue
+			}
+			if isLR {
+				evicted++
+			}
+			want += 8 * int64(g.TileRows(i)) * int64(g.TileRows(j))
+		}
+	}
+	gotEvicted, freed := g.EvictStats()
+	if deferred == 0 || evicted == 0 || gotEvicted != evicted {
+		t.Fatalf("%d updated tiles assembled low rank, %d evicted (EvictStats: %d): want both kinds", deferred, evicted, gotEvicted)
+	}
+	if got := g.Bytes() + freed; got != want {
+		t.Errorf("byte accounting: Bytes()+freed = %d, want %d", got, want)
+	}
+
+	if rel := relResidual(g, cov.Matrix(geom, kern)); rel > 10*tol {
+		t.Errorf("‖LLᵀ − Σ‖/‖Σ‖ = %.3g, want ≤ %g", rel, 10*tol)
 	}
 }

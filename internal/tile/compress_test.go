@@ -74,6 +74,53 @@ func TestCompressMatchesFullSVDRank(t *testing.T) {
 	}
 }
 
+// TestCompressNearKeepsCompressContract: an expected rank only chooses where
+// the range finder starts. On a tile with a geometrically decaying spectrum
+// (numerical rank 20 at 1e-6, cap 32) every expectation — none, one whose
+// sketch of 2+16 columns cannot capture 20 directions and must grow, the
+// exact rank, one past the cap — returns Compress's rank to within one and
+// meets the same error bound.
+func TestCompressNearKeepsCompressContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const m, n, tol, maxRank = 120, 100, 1e-6, 32
+	orth := func(r int) *linalg.Matrix {
+		q := linalg.NewMatrix(r, 40)
+		for i := range q.Data {
+			q.Data[i] = rng.NormFloat64()
+		}
+		tau := make([]float64, 40)
+		qf := linalg.QRInPlace(q, tau)
+		out := linalg.NewMatrix(r, 40)
+		qf.ThinQInto(out)
+		return out
+	}
+	u, v := orth(m), orth(n)
+	for j := 0; j < 40; j++ {
+		linalg.Scal(math.Pow(0.5, float64(j)), u.Col(j))
+	}
+	a := linalg.NewMatrix(m, n)
+	linalg.Gemm(false, true, 1, u, v, 0, a)
+	want := Compress(a, tol, maxRank).Rank()
+	if want < 19 || want > 21 {
+		t.Fatalf("Compress found rank %d on a σ_j = 2^-j spectrum at %g", want, tol)
+	}
+	for _, rank := range []int{0, 2, want, maxRank + 68} {
+		for _, at := range []*linalg.Matrix{a, a.Transpose()} {
+			lr := CompressNear(at, tol, maxRank, rank)
+			if d := lr.Rank() - want; d < -1 || d > 1 {
+				t.Errorf("%dx%d expecting %d: rank %d, Compress %d", at.Rows, at.Cols, rank, lr.Rank(), want)
+			}
+			res := lr.Dense()
+			for j := 0; j < at.Cols; j++ {
+				linalg.Axpy(-1, at.Col(j), res.Col(j))
+			}
+			if rel := res.FrobNorm() / at.FrobNorm(); rel > 3*tol {
+				t.Errorf("%dx%d expecting %d: relative error %g", at.Rows, at.Cols, rank, rel)
+			}
+		}
+	}
+}
+
 // TestCompressEdgeCases: empty, zero and tiny tiles.
 func TestCompressEdgeCases(t *testing.T) {
 	if r := Compress(linalg.NewMatrix(0, 5), 1e-4, 0).Rank(); r != 0 {

@@ -16,6 +16,7 @@ type LowRank struct {
 }
 
 // Rank returns the current rank k.
+//
 //repro:noalloc
 func (t *LowRank) Rank() int {
 	if t.U == nil {
@@ -44,9 +45,12 @@ func (t *LowRank) Clone() *LowRank {
 
 // AddLowRank appends a second low-rank term αU₂V₂ᵀ to the tile
 // (A ← U₁V₁ᵀ + α·U₂V₂ᵀ) by concatenating factors and recompressing to tol
-// (capped at maxRank, 0 = uncapped) via the standard QR+SVD rounding. The
-// tile's previous factors are recycled onto the workspace pool, so the
-// factorization's recompression loop is allocation-free at steady state.
+// (capped at maxRank, 0 = uncapped) via the standard QR+SVD rounding — the
+// per-update recompression of HiCMA and the paper. The engine no longer
+// calls it (a low-rank tile accumulates its updates densely and is compressed
+// once, engine.finishTile); it stays as the kernel bench/probes.go times as
+// tile.addlowrank_us. The tile's previous factors are recycled onto the
+// workspace pool, so a loop of updates is allocation-free at steady state.
 //
 // Updates that fall below the rounding floor are dropped without touching
 // the factors: rounding at tol would truncate them anyway, and the skip
@@ -237,6 +241,7 @@ func roundLRCholQR(bigU, bigV *linalg.Matrix, tol float64, maxRank int) (*linalg
 // Y tile: the tile-wide b·V product reads it in place and only the rank-wide
 // W·Uᵀ product packs anything. A rank-0 tile still applies the beta scaling
 // (beta = 0 fully defines c, even over uninitialized scratch).
+//
 //repro:noalloc
 func (t *LowRank) ApplyRightTransPacked(alpha float64, b linalg.PackedA, beta float64, c *linalg.Matrix) {
 	k := t.Rank()
@@ -252,6 +257,7 @@ func (t *LowRank) ApplyRightTransPacked(alpha float64, b linalg.PackedA, beta fl
 
 // ApplyRightTrans is ApplyRightTransPacked for an unpacked b: it packs b into
 // pooled scratch and applies.
+//
 //repro:noalloc
 func (t *LowRank) ApplyRightTrans(alpha float64, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
 	buf := linalg.GetVec(linalg.PackedLen(b.Rows, b.Cols))
@@ -261,10 +267,11 @@ func (t *LowRank) ApplyRightTrans(alpha float64, b *linalg.Matrix, beta float64,
 	linalg.PutVec(buf)
 }
 
-// bench/probes.go times these two by these signatures, and a change that
-// claims a gain may not edit bench/: a refactor that moves either one must
-// fail here, at build time, not in the benchmark.
+// bench/probes.go times these by these signatures, and a change that claims
+// a gain may not edit bench/: a refactor that moves one of them must fail
+// here, at build time, not in the benchmark.
 var (
 	_ func(*LowRank, float64, *linalg.Matrix, float64, *linalg.Matrix)                   = (*LowRank).ApplyRightTrans
+	_ func(*LowRank, float64, *linalg.Matrix, *linalg.Matrix, float64, int)              = (*LowRank).AddLowRank
 	_ func(bool, bool, float64, *linalg.Matrix, *linalg.Matrix, float64, *linalg.Matrix) = linalg.Gemm
 )
