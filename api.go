@@ -224,14 +224,16 @@ type Config struct {
 	// CollectStats attaches a snapshot of the runtime scheduler statistics
 	// (tasks executed per kind, peak ready-queue depth) to each Result.
 	CollectStats bool
-	// SweepF32 runs the QMC sweep's conditioning state (the Y grid and its
-	// GEMM/axpy propagation) in float32, halving the sweep's memory traffic
-	// and using the 16-lane f32 micro-kernel; special functions and
+	// SweepF32 runs the sweep's inter-tile propagation in float32: finished
+	// conditioning values are kept narrowed and the off-diagonal GEMMs —
+	// most of a sweep's flops — run on the 16-lane f32 micro-kernel over an
+	// f32 shadow of the factor's off-diagonal tiles. Everything inside a
+	// tile (the diagonal kernel, the limit shifts, special functions) and the
 	// probability accumulation stay float64, so estimates differ from the
-	// default sweep by well under the QMC error bar. The cached Cholesky
-	// factor stays float64 and is shared with f64 queries; its f32 shadow is
-	// built once per factor on first use. DetectRegion and DetectRegionCov
-	// integrate on the float64 sweep regardless (see DetectRegion).
+	// default sweep by well under the QMC error bar, and not at all on a
+	// factor of one tile. The cached Cholesky factor stays float64 and is
+	// shared with f64 queries; its shadow is built once per factor on first
+	// use. Every integration honours it, DetectRegion's included.
 	SweepF32 bool
 }
 
@@ -692,8 +694,7 @@ type DetectInputError = excursion.InputError
 // The cached factor is therefore keyed by Σ and the ordering: a repeated
 // call is served warm, a new mean or u that reorders the locations
 // refactorizes. The integration runs Config.QMCSize × Config.Replicates
-// chains on the float64 sweep (also for a SweepF32 session — the f32 sweep
-// carries no prefix accumulator).
+// chains, with f32 propagation on a SweepF32 session.
 //
 // fPoints is unused and kept for source compatibility: it was the number of
 // prefixes the confidence function was integrated at before interpolating;

@@ -4,8 +4,6 @@
 // every iteration pays assembly, representation choice and Cholesky).
 //
 //	go test -bench BenchmarkAdaptiveVsTLR -benchtime 3x
-//
-// Results are recorded in BENCH_engine.json to seed the perf trajectory.
 package parmvn
 
 import (

@@ -16,9 +16,6 @@
 //   - wide: a ±6 box, probability ≈ 1 — no chain ever dies, so every row of
 //     every chain runs the special functions (the worst case for the
 //     integrator).
-//
-// Results are recorded in BENCH_query.json alongside the pre-PR4 scalar-path
-// numbers.
 package parmvn
 
 import (
@@ -79,7 +76,7 @@ func benchWarmQuery(b *testing.B, method Method, side int, regime string, sweepF
 
 // BenchmarkQuery: warm-factor MVN queries (N=1000 chains) across methods,
 // sizes, limit regimes and sweep precisions (the default f64 sweep, and the
-// opt-in f32 conditioning sweep recorded as the sweep=f32 rows). The
+// opt-in f32 propagation recorded as the sweep=f32 rows). The
 // earlystop rows run the same query with a 1e-3 relative-error target: the
 // wave path stops as soon as the streaming error estimate meets it, with the
 // same N=1000 as its TOTAL budget — so a cell that cannot converge (hard

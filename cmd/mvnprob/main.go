@@ -92,7 +92,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	serveAddr := flag.String("serve", "", "serve HTTP/JSON queries on this address (same engine configuration) instead of computing one query")
-	sweep := flag.String("sweep", "f64", "QMC sweep precision: f64, or f32 for a float32 conditioning sweep (faster, accuracy within the QMC error bar)")
+	sweep := flag.String("sweep", "f64", "QMC sweep precision: f64, or f32 for float32 inter-tile propagation (faster, accuracy within the QMC error bar)")
 	maxRelErr := flag.Float64("maxrelerr", 0, "early-stop relative-error target: the integration runs incremental waves and stops once the streaming error estimate meets it (0 = fixed -qmc samples)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per query (e.g. 50ms); the running estimate is returned when it expires (0 = none)")
 	scalePath := flag.String("scale", "", "run the out-of-core scaling benchmark (streaming TLR factorize + warm query per size) and write JSON rows to this file")

@@ -91,9 +91,10 @@ func TestDetectRegionConfidenceFunction(t *testing.T) {
 	}
 }
 
-// TestDetectRegionSweepF32Session: a SweepF32 session detects on the f64
-// sweep (the f32 sweep has no prefix accumulator) — the same region and
-// confidence function, never an all-zero one.
+// TestDetectRegionSweepF32Session: a SweepF32 session detects with f32
+// propagation under the same prefix accumulator — the same region and, to
+// well inside the QMC error, the same confidence function, never an all-zero
+// one.
 func TestDetectRegionSweepF32Session(t *testing.T) {
 	_, _, sigma, mean := detectProblem()
 	var excs []*Excursion

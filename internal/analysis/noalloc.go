@@ -51,8 +51,6 @@ var noallocFuncs = map[string]bool{
 	"repro/internal/qmc.PutRichtmyer":  true,
 	"repro/internal/tile.getVec32":     true,
 	"repro/internal/tile.putVec32":     true,
-	"repro/internal/tile.GetVec32":     true,
-	"repro/internal/tile.PutVec32":     true,
 	"repro/internal/tile.GetMat32":     true,
 	"repro/internal/tile.GetMat32Zero": true,
 	"repro/internal/tile.PutMat32":     true,

@@ -37,22 +37,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Axpy32 computes y += alpha·x in single precision; the lane-propagation
-// primitive of the f32 sweep (internal/mvn).
-//repro:noalloc
-func Axpy32(alpha float32, x, y []float32) {
-	if alpha == 0 {
-		return
-	}
-	if hasVectorKernels && len(x) >= vecMinLen {
-		axpy32Vec(alpha, x, y[:len(x)])
-		return
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // Scal computes x *= alpha.
 //repro:noalloc
 func Scal(alpha float64, x []float64) {

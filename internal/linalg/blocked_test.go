@@ -228,9 +228,9 @@ var sink float64
 
 // gemmSeedScalar is a pinned copy of the seed's GEMM kernel (the
 // !transA && transB case): scalar axpy panels with no vector dispatch
-// underneath. It is the historical baseline the blocked-kernel speedups in
-// BENCH_kernels.json are measured against; the live gemmNaive now sits on
-// the vectorized level-1 kernels and is no longer that baseline.
+// underneath. It is the historical baseline BenchmarkKernels measures the
+// blocked-kernel speedups against; the live gemmNaive now sits on the
+// vectorized level-1 kernels and is no longer that baseline.
 func gemmSeedScalar(alpha float64, a, b, c *Matrix, n, k int) {
 	for l := 0; l < k; l++ {
 		ac, bc := a.Col(l), b.Col(l)
@@ -246,8 +246,7 @@ func gemmSeedScalar(alpha float64, a, b, c *Matrix, n, k int) {
 }
 
 // BenchmarkKernels measures the blocked kernels against the historical
-// unpacked ones at the tile sizes the factorizations actually use; results
-// are recorded in BENCH_kernels.json.
+// unpacked ones at the tile sizes the factorizations actually use.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{48, 64, 96, 192} {

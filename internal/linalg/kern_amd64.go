@@ -37,18 +37,10 @@ func daxpy(n int, a float64, x, y *float64)
 //go:noescape
 func drot(n int, x, y *float64, c, s float64)
 
-// saxpy computes y += a·x in single precision (AVX2+FMA, 16 lanes/iter).
-//
-//go:noescape
-//repro:noalloc
-func saxpy(n int, a float32, x, y *float32)
-
 //repro:noalloc
 func dotVec(x, y []float64) float64     { return ddot(len(x), &x[0], &y[0]) }
 //repro:noalloc
 func axpyVec(a float64, x, y []float64) { daxpy(len(x), a, &x[0], &y[0]) }
-//repro:noalloc
-func axpy32Vec(a float32, x, y []float32) { saxpy(len(x), a, &x[0], &y[0]) }
 func rotVec(x, y []float64, c, s float64) {
 	drot(len(x), &x[0], &y[0], c, s)
 }

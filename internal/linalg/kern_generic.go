@@ -24,4 +24,3 @@ func MicroF32(k int, ap, bp []float32, c *[96]float32) {
 func dotVec(x, y []float64) float64        { panic("linalg: no vector kernels") }
 func axpyVec(a float64, x, y []float64)    { panic("linalg: no vector kernels") }
 func rotVec(x, y []float64, c, s float64)  { panic("linalg: no vector kernels") }
-func axpy32Vec(a float32, x, y []float32)  { panic("linalg: no vector kernels") }

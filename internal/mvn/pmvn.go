@@ -38,11 +38,12 @@ type Options struct {
 	// nil or has a single worker, where task submission is pure overhead.
 	// Results are bit-identical either way.
 	Inline bool
-	// SweepF32 runs the sweep's conditioning state — the Y grid, the
-	// propagation GEMMs and the intra-tile lane axpys — in float32 (see
-	// sweep32.go); the QMC points, special functions and probability
-	// accumulation stay float64, so the estimate differs from the f64 sweep
-	// by well under the QMC error bar.
+	// SweepF32 runs the inter-tile propagation in float32: finished Y tiles
+	// are kept narrowed and the off-diagonal GEMMs read the factor's f32
+	// shadow (see sweepColumn). The diagonal kernel, the QMC points, special
+	// functions and probability accumulation stay float64, so the estimate
+	// differs from the f64 sweep by well under the QMC error bar — and not
+	// at all when the factor has a single row tile.
 	SweepF32 bool
 	// MaxRelErr > 0 enables wave-structured early stopping: the integration
 	// runs replicate-stratified incremental sample waves (see wave.go) and
@@ -240,7 +241,7 @@ func runReplicate(rt *taskrt.Runtime, f *Factor, a, b []float64, gen qmc.Generat
 	}
 	// The f32 shadow is resolved once per replicate, before any column runs
 	// (its one-time build is the only allocating step; warm loads are an
-	// atomic read). nil selects the f64 sweep.
+	// atomic read). nil propagates in f64.
 	var sh *ShadowF32
 	if o.SweepF32 {
 		sh = f.Shadow32()
@@ -250,11 +251,7 @@ func runReplicate(rt *taskrt.Runtime, f *Factor, a, b []float64, gen qmc.Generat
 		// on the stack: the warm inline query allocates nothing.
 		src := newBlockSource(gen, n)
 		for k := 0; k < kt; k++ {
-			if sh != nil {
-				sums[k] = sweepColumn32(f, sh, a, b, &src, k*mc, min(mc, n-k*mc), nu)
-			} else {
-				sums[k] = sweepColumn(f, a, b, &src, k*mc, min(mc, n-k*mc), nu, prefixColOf(cols, k, len(a)))
-			}
+			sums[k] = sweepColumn(f, sh, a, b, &src, k*mc, min(mc, n-k*mc), nu, prefixColOf(cols, k, len(a)))
 		}
 		src.release()
 	} else {
@@ -281,11 +278,7 @@ func runColumnTasks(rt *taskrt.Runtime, f *Factor, sh *ShadowF32, a, b []float64
 	for k := range sums {
 		k := k
 		g.Submit("qmc", 0, func() {
-			if sh != nil {
-				sums[k] = sweepColumn32(f, sh, a, b, &src, k*mc, min(mc, n-k*mc), nu)
-			} else {
-				sums[k] = sweepColumn(f, a, b, &src, k*mc, min(mc, n-k*mc), nu, prefixColOf(cols, k, len(a)))
-			}
+			sums[k] = sweepColumn(f, sh, a, b, &src, k*mc, min(mc, n-k*mc), nu, prefixColOf(cols, k, len(a)))
 		})
 	}
 	g.Wait()

@@ -22,16 +22,16 @@ type Prefix struct {
 // PMVNPrefix is PMVN that also keeps what the sweep passes through on its way
 // to the full-dimension estimate: one integration yields the probability of
 // every leading block of (a,b), each bit-identical to a separate PMVN call
-// whose limits are free past that block. It always runs the fixed-N float64
-// sweep: the accuracy/latency budgets and SweepF32 of opt are ignored (the
-// f32 sweep has its own diagonal kernel and no accumulator).
+// whose limits are free past that block and whose options are the same
+// (SweepF32 included). It always runs the fixed-N sweep: the accuracy/latency
+// budgets of opt are ignored.
 func PMVNPrefix(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Prefix {
 	n := f.N()
 	if len(a) != n || len(b) != n {
 		panic(fmt.Sprintf("mvn: limits length %d,%d != dimension %d", len(a), len(b), n))
 	}
 	o := opt.withDefaults(f.TS())
-	o.SweepF32, o.MaxRelErr, o.Deadline, o.Ctx = false, 0, time.Time{}, nil
+	o.MaxRelErr, o.Deadline, o.Ctx = 0, time.Time{}, nil
 	acc := make(prefixAcc, o.Replicates)
 	for rep := range acc {
 		acc[rep] = make([]float64, n)

@@ -2,6 +2,7 @@ package mvn
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cov"
@@ -9,12 +10,12 @@ import (
 	"repro/internal/taskrt"
 )
 
-// TestPMVNSweepF32MatchesF64 is the accuracy property for the f32 sweep:
-// with the conditioning state in float32 (the probability accumulation stays
-// f64), the estimate must land within the QMC error bar of the f64 sweep on
-// the same randomized points — the per-step rounding of order 2⁻²⁴ is far
-// below the QMC sampling error at any practical N. Covers dense and TLR
-// factors across the three query regimes.
+// TestPMVNSweepF32MatchesF64 is the accuracy property for SweepF32: with the
+// inter-tile propagation in float32 (the diagonal kernel and the probability
+// accumulation stay f64), the estimate must land within the QMC error bar of
+// the f64 sweep on the same randomized points — the per-step rounding of
+// order 2⁻²⁴ is far below the QMC sampling error at any practical N. Covers
+// dense and TLR factors across the three query regimes.
 func TestPMVNSweepF32MatchesF64(t *testing.T) {
 	g := geo.RegularGrid(8, 8)
 	k := &cov.Exponential{Sigma2: 1, Range: 0.15}
@@ -62,7 +63,7 @@ func TestPMVNSweepF32MatchesF64(t *testing.T) {
 
 // TestPMVTSweepF32MatchesF64 repeats the accuracy property on the Student-t
 // path: the chi-scale applied to the limits runs in f64, only the
-// conditioning sweep narrows.
+// propagation narrows.
 func TestPMVTSweepF32MatchesF64(t *testing.T) {
 	g := geo.RegularGrid(6, 6)
 	k := &cov.Exponential{Sigma2: 1, Range: 0.2}
@@ -87,8 +88,8 @@ func TestPMVTSweepF32MatchesF64(t *testing.T) {
 	}
 }
 
-// TestPMVNSweepF32Deterministic pins that the f32 sweep, like the f64 one,
-// is bit-deterministic across worker counts.
+// TestPMVNSweepF32Deterministic pins that the sweep under SweepF32, as
+// without it, is bit-deterministic across worker counts.
 func TestPMVNSweepF32Deterministic(t *testing.T) {
 	g := geo.RegularGrid(5, 5)
 	sigma := cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: 0.2})
@@ -130,5 +131,32 @@ func TestPMVNSweepF32EmptyAndOpenBoxes(t *testing.T) {
 	a[3], b[3] = 2, 1 // a > b in one dimension empties the box
 	if res := PMVN(rt, f, a, b, Options{N: 50, SweepF32: true}); res.Prob != 0 {
 		t.Errorf("empty box f32 prob = %v, want exactly 0", res.Prob)
+	}
+}
+
+// TestSweepF32SingleTileBitIdentical pins that precision lives only in the
+// propagation: a factor of one row tile has none, so SweepF32 must return the
+// f64 bits — for MVN and MVT, fixed-N, replicated and budgeted.
+func TestSweepF32SingleTileBitIdentical(t *testing.T) {
+	const n = 30
+	rng := rand.New(rand.NewSource(17))
+	f := denseFactor(t, randomSPD(n, rng), 32)
+	if f.NT() != 1 {
+		t.Fatalf("%d row tiles, want 1", f.NT())
+	}
+	a, b := randomLimits(n, rng)
+	for _, opt := range []Options{
+		{N: 200, SampleTile: 64},
+		{N: 200, SampleTile: 64, Replicates: 3},
+		{N: 400, SampleTile: 64, MaxRelErr: 1e-9},
+	} {
+		f32 := opt
+		f32.SweepF32 = true
+		if got, want := PMVN(nil, f, a, b, f32), PMVN(nil, f, a, b, opt); got != want || want.Prob <= 0 {
+			t.Errorf("%+v: MVN under SweepF32 %+v, f64 %+v", opt, got, want)
+		}
+		if got, want := PMVT(nil, f, a, b, 5, f32), PMVT(nil, f, a, b, 5, opt); got != want || want.Prob <= 0 {
+			t.Errorf("%+v: MVT under SweepF32 %+v, f64 %+v", opt, got, want)
+		}
 	}
 }

@@ -347,12 +347,14 @@ func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 		}
 		// The untrimmed sweep: every tile, free ones included.
 		src := newBlockSource(qmc.NewRichtmyer(n+lead), N)
-		full := 0.0
-		for k := 0; k < N; k += 32 {
-			full += sweepColumn(f, a, b, &src, k, 32, nu, nil)
-		}
-		if got := clampProb(full / N); got != probs[0] {
-			t.Errorf("nu=%g: trimmed sweep %v, full sweep %v: not bit-identical", nu, probs[0], got)
+		for i, sh := range []*ShadowF32{nil, f.Shadow32()} {
+			full := 0.0
+			for k := 0; k < N; k += 32 {
+				full += sweepColumn(f, sh, a, b, &src, k, 32, nu, nil)
+			}
+			if got := clampProb(full / N); got != probs[i] {
+				t.Errorf("nu=%g f32=%v: trimmed sweep %v, full sweep %v: not bit-identical", nu, sh != nil, probs[i], got)
+			}
 		}
 	}
 	// Nothing constrained: probability 1 without a single block.
@@ -364,5 +366,58 @@ func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 	res := PMVN(nil, f, free, b, Options{N: N, NewGen: func(int, []float64) qmc.Generator { return g }})
 	if res.Prob != 1 || g.blocks != 0 {
 		t.Errorf("all-free box: prob %v after %d blocks", res.Prob, g.blocks)
+	}
+}
+
+// TestSweepColumnPrefixTotals: the per-row accumulator a column records is
+// the running form of the scalar it returns — in the f64 sweep and, through
+// the same diagonal kernel, under a shadow: the last row's total is the
+// returned sum bit for bit, the totals never increase, rows of free tiles
+// repeat their predecessor, and the f32 totals track the f64 ones to the
+// precision of the propagation.
+func TestSweepColumnPrefixTotals(t *testing.T) {
+	const n, ts, mc = 70, 16, 48 // ragged last tile, lanes not a multiple of the register tile
+	rng := rand.New(rand.NewSource(13))
+	f := gridFromDense(denseFactor(t, randomSPD(n, rng), ts))
+	a, b := randomLimits(n, rng)
+	for i := 2 * ts; i < 3*ts; i++ { // tile 2 is free: the whole-tile record path
+		a[i], b[i] = math.Inf(-1), math.Inf(1)
+	}
+	for _, nu := range []float64{0, 6} {
+		lead := 0
+		if nu > 0 {
+			lead = 1
+		}
+		src := newBlockSource(qmc.NewRichtmyer(n+lead), mc)
+		var pres [2][]float64
+		for i, sh := range []*ShadowF32{nil, f.Shadow32()} {
+			pre := make([]float64, n)
+			for j := range pre {
+				pre[j] = -1 // sweepColumn clears what it is handed
+			}
+			sum := sweepColumn(f, sh, a, b, &src, 0, mc, nu, pre)
+			if sum <= 0 || pre[n-1] != sum {
+				t.Fatalf("nu=%g f32=%v: last row total %v, returned sum %v", nu, sh != nil, pre[n-1], sum)
+			}
+			for j := 1; j < n; j++ {
+				if pre[j] > pre[j-1] || (j >= 2*ts && j < 3*ts && pre[j] != pre[j-1]) {
+					t.Errorf("nu=%g f32=%v: row %d total %v after %v", nu, sh != nil, j, pre[j], pre[j-1])
+				}
+			}
+			pres[i] = pre
+		}
+		moved := false
+		for j := range pres[0] {
+			if !relClose(pres[1][j], pres[0][j], 1e-5) {
+				t.Errorf("nu=%g row %d: f32 total %v, f64 %v", nu, j, pres[1][j], pres[0][j])
+			}
+			if j < ts && pres[1][j] != pres[0][j] {
+				t.Errorf("nu=%g row %d: first tile has no propagation, yet f32 total %v != f64 %v", nu, j, pres[1][j], pres[0][j])
+			}
+			moved = moved || pres[1][j] != pres[0][j]
+		}
+		if !moved {
+			t.Errorf("nu=%g: f32 totals equal the f64 ones on every row: the shadow was not used", nu)
+		}
 	}
 }

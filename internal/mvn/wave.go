@@ -127,11 +127,7 @@ func integrateWaves(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu
 			for rep := 0; rep < reps; rep++ {
 				for c := 0; c < cols; c++ {
 					cm := min(mc, wlen-c*mc)
-					if sh != nil {
-						slots[rep*cols+c] = sweepColumn32(f, sh, a, b, &ws.srcs[rep], off+c*mc, cm, nu)
-					} else {
-						slots[rep*cols+c] = sweepColumn(f, a, b, &ws.srcs[rep], off+c*mc, cm, nu, nil)
-					}
+					slots[rep*cols+c] = sweepColumn(f, sh, a, b, &ws.srcs[rep], off+c*mc, cm, nu, nil)
 				}
 			}
 		} else {
@@ -218,11 +214,7 @@ func runWaveTasks(rt *taskrt.Runtime, f *Factor, sh *ShadowF32, a, b []float64, 
 			rep, c := rep, c
 			g.Submit("qmc", 0, func() {
 				cm := min(mc, wlen-c*mc)
-				if sh != nil {
-					slots[rep*cols+c] = sweepColumn32(f, sh, a, b, &ws.srcs[rep], off+c*mc, cm, nu)
-				} else {
-					slots[rep*cols+c] = sweepColumn(f, a, b, &ws.srcs[rep], off+c*mc, cm, nu, nil)
-				}
+				slots[rep*cols+c] = sweepColumn(f, sh, a, b, &ws.srcs[rep], off+c*mc, cm, nu, nil)
 			})
 		}
 	}

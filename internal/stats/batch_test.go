@@ -359,7 +359,7 @@ func FuzzPhiIntervalBatch(f *testing.F) {
 }
 
 // BenchmarkSpecials compares the scalar loops against the vector kernels at
-// the sweep's lane-block sizes; recorded in BENCH_kernels.json.
+// the sweep's lane-block sizes.
 func BenchmarkSpecials(b *testing.B) {
 	for _, n := range []int{64, 1000} {
 		x := make([]float64, n)

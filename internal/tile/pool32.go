@@ -38,16 +38,10 @@ func putVec32(v []float32) {
 	f32Pool.Put(p)
 }
 
-// The exported pool mirrors linalg's float64 Get/Put API for the f32 sweep
-// (internal/mvn): pooled vectors, pooled Matrix32 headers, and full-height
+// The exported pool mirrors linalg's float64 Get/Put API for the f32
+// propagation of the sweep (internal/mvn): pooled Matrix32s and full-height
 // column views that share the parent's storage. Same ownership rules as the
 // f64 pool: Put* only what the caller owns outright, never a view's data.
-
-// GetVec32 returns a pooled float32 slice of length n, contents UNDEFINED.
-func GetVec32(n int) []float32 { return getVec32(n) }
-
-// PutVec32 recycles a slice obtained from GetVec32.
-func PutVec32(v []float32) { putVec32(v) }
 
 // mat32HeaderPool recycles Matrix32 headers so pooled Get/Put cycles are
 // allocation-free on the warm path.

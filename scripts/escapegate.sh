@@ -24,12 +24,13 @@ cd "$(dirname "$0")/.."
 
 GOLDEN=scripts/golden/escape.golden
 
-# The certified warm path: the chain-blocked sweep (f64 and f32), the packed
+# The certified warm path: the chain-blocked sweep and the factor's tile
+# applies it propagates through (f64 and the f32 shadow), the packed
 # BLAS-3 kernels (including the resident packed-A operand and the AVX2
 # dispatch shims), the batched special functions with their vector backends,
 # the f32 tile kernels and the QMC block generators. (The scalar fallbacks in
 # sov.go ride along: chainStep is the sweep's sparse path.)
-GATED='^internal/(mvn/(sweep|sweep32|sov|pmvn|wave)|linalg/(blocked|packed|blas|kern_amd64)|stats/(batch|spec_amd64|phinv|stats)|tile/(f32|pool32)|qmc/qmc)\.go'
+GATED='^internal/(mvn/(sweep|factor|sov|pmvn|wave)|linalg/(blocked|packed|blas|kern_amd64)|stats/(batch|spec_amd64|phinv|stats)|tile/(f32|pool32)|qmc/qmc)\.go'
 
 current() {
     go build -gcflags=-m ./internal/mvn ./internal/linalg ./internal/stats ./internal/tile ./internal/qmc 2>&1 |
