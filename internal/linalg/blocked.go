@@ -2,11 +2,24 @@ package linalg
 
 // Cache-blocked, register-tiled BLAS-3 kernels in the GotoBLAS/BLIS style:
 // operands are packed into contiguous panels drawn from the workspace pool,
-// and the innermost computation is an mr×nr register micro-kernel (native
-// AVX2+FMA on amd64, portable Go elsewhere) that amortizes every packed load
-// over nr (resp. mr) fused multiply-adds. This is the layer that plays the
-// role of the optimized vendor BLAS under Chameleon and HiCMA in the paper:
-// the tile kernels of every factorization route through it.
+// and the innermost computation is an mrReg×nrReg register micro-kernel that
+// amortizes every packed load over nrReg (resp. mrReg) fused multiply-adds.
+// This is the layer that plays the role of the optimized vendor BLAS under
+// Chameleon and HiCMA in the paper: the tile kernels of every factorization
+// and the propagation of every sweep route through it.
+//
+// One micro-kernel contract, three implementations. A micro-kernel computes
+//
+//	C[i, j] += alpha · Σ_l ap[l·mrReg + i] · bp[l·nrReg + j]
+//
+// for one full mrReg×nrReg tile, written straight into C: each element is one
+// depth-ordered sum from zero, multiplied by alpha, then added to C — a
+// multiply and an add, not a fused one, so that the three implementations and
+// the masked loop of the ragged edges round alike. AVX-512 (12 ZMM
+// accumulators), AVX2+FMA (the 8×6 YMM body over each half of the panel) and
+// portable Go all read the SAME packed layout, so there is one packA, one
+// macro-kernel and one PackedA whatever the host; kernelISA picks among them
+// once, at start-up (kern_amd64.go).
 //
 // Packed layouts, and who owns them. A packed A block is a run of mrReg-row
 // micro-panels, panel[l·mrReg + i] = op(A)[row0+i, l], rows past the operand
@@ -25,15 +38,22 @@ package linalg
 // factor tile outlives a call: B is packed per product, which is what keeps
 // a cached factor at its own size.
 //
-// Panel blocking parameters. kcBlk×nrReg and mrReg×kcBlk micro-panels stream
-// from L1; an mcBlk×kcBlk packed A block is meant to stay L2-resident while
-// the macro-kernel sweeps the packed B panels over it.
+// Panel blocking parameters. A kcBlk×nrReg B micro-panel stays in L1 while
+// the mrReg×kcBlk A micro-panels stream past it; an mcBlk×kcBlk packed A
+// block is meant to stay L2-resident while the macro-kernel sweeps the packed
+// B panels over it. kcBlk is also the length of one rounding chain: changing
+// it moves the low bits of every product deeper than it.
 const (
-	mrReg = 8   // micro-kernel rows (register tile height, two YMM vectors)
+	mrReg = 16  // micro-kernel rows: one 128-byte depth step of a packed A panel
 	nrReg = 6   // micro-kernel cols (register tile width)
 	kcBlk = 256 // packed panel depth
-	mcBlk = 128 // packed A block rows
+	mcBlk = 128 // packed A block rows (multiple of mrReg)
 	ncBlk = 504 // packed B block cols (multiple of nrReg)
+
+	// MrF32×NrF32 is the single-precision micro-tile (MicroF32): the same
+	// 128-byte depth step, so twice the rows.
+	MrF32 = 2 * mrReg
+	NrF32 = nrReg
 
 	// gemmNaiveCutoff routes tiny products (rank-k cores of the low-rank
 	// arithmetic, boundary slivers) to the unpacked kernel, whose constant
@@ -41,12 +61,22 @@ const (
 	gemmNaiveCutoff = 8192
 )
 
-// HasVectorKernels reports whether the packed kernels run on the native
-// vector micro-kernel (AVX2+FMA). When false, the public dispatchers keep
-// the historical unpacked loops, which beat packing overhead without vector
-// FMA underneath.
+// The micro-kernel implementations, in the order cpuKernelLevel counts them.
+const (
+	isaGo = iota
+	isaAVX2
+	isaAVX512
+)
+
+// HasVectorKernels reports whether the packed kernels run on a native
+// vector micro-kernel (AVX2+FMA at least). When false, the public dispatchers
+// keep the historical unpacked loops, which beat packing overhead without
+// vector FMA underneath.
 //repro:noalloc
 func HasVectorKernels() bool { return hasVectorKernels }
+
+// KernelISA names the micro-kernel in use: "avx512", "avx2" or "go".
+func KernelISA() string { return [...]string{"go", "avx2", "avx512"}[kernelISA] }
 
 // gemmBlocked computes C += alpha·op(A)·op(B) for the already-validated,
 // beta-scaled destination: the five-loop packed algorithm. m, n, k are the
@@ -201,28 +231,22 @@ func packBTrans(b *Matrix, dst []float64, pc, jc, kcc, nc int) {
 	}
 }
 
-// microKernel computes the mrReg×nrReg register tile over the packed
-// micro-panels into stack scratch, then accumulates
-// C[i0:i0+rows, j0:j0+cols] += alpha·tile. rows/cols mask the write-back at
-// ragged edges (the packed operands are zero-padded there).
+// microKernel accumulates one register tile: C[i0:i0+rows, j0:j0+cols] +=
+// alpha·Σ_l a_l·b_lᵀ over the packed micro-panels. A full tile is written by
+// the micro-kernel itself, straight into C; only a full tile may be, because
+// the native kernels store all mrReg×nrReg elements unmasked. A ragged edge
+// tile (the packed operands are zero-padded there) runs the same kernel with
+// alpha 1 into zeroed stack scratch — 0 + 1·t is t exactly — and the masked
+// loop below does the mul-then-add, so an element's value does not depend on
+// which side of an edge it lies.
 //repro:noalloc
 func microKernel(kcc int, ap, bp []float64, c *Matrix, i0, j0, rows, cols int, alpha float64) {
-	var acc [mrReg * nrReg]float64
-	if hasVectorKernels {
-		microF64(kcc, ap, bp, &acc)
-	} else {
-		microF64Go(kcc, ap, bp, &acc)
-	}
-	if rows == mrReg {
-		for j := 0; j < cols; j++ {
-			cc := c.Col(j0 + j)[i0 : i0+mrReg]
-			t := acc[j*mrReg : j*mrReg+mrReg]
-			for i := 0; i < mrReg; i++ {
-				cc[i] += alpha * t[i]
-			}
-		}
+	if rows == mrReg && cols == nrReg {
+		microF64(kcc, ap, bp, c.Data[j0*c.Stride+i0:], c.Stride, alpha)
 		return
 	}
+	var acc [mrReg * nrReg]float64
+	microF64(kcc, ap, bp, acc[:], mrReg, 1)
 	for j := 0; j < cols; j++ {
 		cc := c.Col(j0 + j)[i0:]
 		t := acc[j*mrReg:]
@@ -232,10 +256,12 @@ func microKernel(kcc int, ap, bp []float64, c *Matrix, i0, j0, rows, cols int, a
 	}
 }
 
-// microF64Go is the portable micro-kernel: same packed contract as the
-// native one, two-row register tiles to stay within scalar registers.
+// microF64Go is the portable micro-kernel: the same contract as the native
+// ones (the tile of C at c, ldc between columns, += alpha·Σ_l a_l·b_lᵀ, one
+// depth-ordered sum per element, then multiply, then add), two rows at a time
+// to stay within scalar registers.
 //repro:noalloc
-func microF64Go(kcc int, ap, bp []float64, acc *[mrReg * nrReg]float64) {
+func microF64Go(kcc int, ap, bp, c []float64, ldc int, alpha float64) {
 	for i := 0; i < mrReg; i += 2 {
 		var c00, c01, c02, c03, c04, c05 float64
 		var c10, c11, c12, c13, c14, c15 float64
@@ -257,12 +283,12 @@ func microF64Go(kcc int, ap, bp []float64, acc *[mrReg * nrReg]float64) {
 			c05 += a0 * b5
 			c15 += a1 * b5
 		}
-		acc[0*mrReg+i], acc[0*mrReg+i+1] = c00, c10
-		acc[1*mrReg+i], acc[1*mrReg+i+1] = c01, c11
-		acc[2*mrReg+i], acc[2*mrReg+i+1] = c02, c12
-		acc[3*mrReg+i], acc[3*mrReg+i+1] = c03, c13
-		acc[4*mrReg+i], acc[4*mrReg+i+1] = c04, c14
-		acc[5*mrReg+i], acc[5*mrReg+i+1] = c05, c15
+		t := [nrReg][2]float64{{c00, c10}, {c01, c11}, {c02, c12}, {c03, c13}, {c04, c14}, {c05, c15}}
+		for j := range t {
+			cc := c[j*ldc+i : j*ldc+i+2]
+			cc[0] += alpha * t[j][0]
+			cc[1] += alpha * t[j][1]
+		}
 	}
 }
 

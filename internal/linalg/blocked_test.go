@@ -249,6 +249,20 @@ func gemmSeedScalar(alpha float64, a, b, c *Matrix, n, k int) {
 // unpacked ones at the tile sizes the factorizations actually use.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
+	// The ceiling every packed product chases: one full register tile over
+	// L1-resident micro-panels at full panel depth.
+	b.Run(fmt.Sprintf("MicroKernel/k=%d", kcBlk), func(b *testing.B) {
+		ap, bp := randMat(mrReg, kcBlk, rng).Data, randMat(nrReg, kcBlk, rng).Data
+		c := make([]float64, mrReg*nrReg)
+		if b.N == 1 { // the first call of the ramp: one line per run, which CI greps
+			b.Logf("micro-kernel ISA: %s", KernelISA())
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			microF64(kcBlk, ap, bp, c, mrReg, 1e-3)
+		}
+		b.ReportMetric(2*mrReg*nrReg*kcBlk*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
 	for _, n := range []int{48, 64, 96, 192} {
 		a := randMat(n, n, rng)
 		bb := randMat(n, n, rng)

@@ -4,21 +4,29 @@ package linalg
 
 import "os"
 
-// cpuHasAVX2FMA reports whether the CPU and OS support the AVX2+FMA
-// micro-kernels (implemented in kern_amd64.s).
-func cpuHasAVX2FMA() bool
+// cpuKernelLevel reports what the CPU and the OS together support (see
+// kern_amd64.s): 0 nothing, 1 AVX2+FMA, 2 also AVX512F.
+func cpuKernelLevel() int
 
-// dgemmKern8x6 computes the packed 8×6 double-precision register tile.
+// The micro-kernels of kern_amd64.s, one contract (blocked.go): a full
+// mrReg×nrReg (MrF32×NrF32) tile of C at c, ldc elements between columns,
+// += alpha · packed-A panel · packed-B panel, written unchecked.
 //
 //go:noescape
 //repro:noalloc
-func dgemmKern8x6(k int, ap, bp, c *float64)
+func dgemmKern16x6Z(k int, ap, bp, c *float64, ldc int, alpha float64)
 
-// sgemmKern16x6 computes the packed 16×6 single-precision register tile.
-//
 //go:noescape
 //repro:noalloc
-func sgemmKern16x6(k int, ap, bp, c *float32)
+func dgemmKern16x6Y(k int, ap, bp, c *float64, ldc int, alpha float64)
+
+//go:noescape
+//repro:noalloc
+func sgemmKern32x6Z(k int, ap, bp, c *float32, ldc int, alpha float32)
+
+//go:noescape
+//repro:noalloc
+func sgemmKern32x6Y(k int, ap, bp, c *float32, ldc int, alpha float32)
 
 // ddot returns Σ x[i]·y[i] (AVX2+FMA).
 //
@@ -45,24 +53,45 @@ func rotVec(x, y []float64, c, s float64) {
 	drot(len(x), &x[0], &y[0], c, s)
 }
 
-// hasVectorKernels gates the packed blocked kernels onto the native
-// micro-kernel; when false the portable Go micro-kernel is used and the
-// public dispatchers prefer the historical unpacked loops. Setting
-// REPRO_NOASM to any non-empty value forces the portable path even on
-// vector-capable hosts (same switch internal/stats honours), keeping the
-// fallback loops continuously testable.
-var hasVectorKernels = cpuHasAVX2FMA() && os.Getenv("REPRO_NOASM") == ""
+// kernelISA is the micro-kernel under every packed product, chosen once:
+// the widest the CPU and OS support, or the portable loop when REPRO_NOASM is
+// set to any non-empty value (same switch internal/stats honours), which
+// keeps the fallback loops continuously testable. Only tests assign to it.
+var kernelISA = func() int {
+	if os.Getenv("REPRO_NOASM") != "" {
+		return isaGo
+	}
+	return cpuKernelLevel()
+}()
 
-// microF64 runs the native 8×6 micro-kernel.
+// hasVectorKernels gates the level-1 AVX2 kernels and routes the public
+// dispatchers onto the packed path; when false they prefer the historical
+// unpacked loops.
+var hasVectorKernels = kernelISA != isaGo
+
+// microF64 is the micro-kernel contract on the selected ISA.
 //repro:noalloc
-func microF64(k int, ap, bp []float64, c *[mrReg * nrReg]float64) {
-	dgemmKern8x6(k, &ap[0], &bp[0], &c[0])
+func microF64(k int, ap, bp, c []float64, ldc int, alpha float64) {
+	_ = c[(nrReg-1)*ldc+mrReg-1] // the native kernels store the whole tile unchecked
+	switch kernelISA {
+	case isaAVX512:
+		dgemmKern16x6Z(k, &ap[0], &bp[0], &c[0], ldc, alpha)
+	case isaAVX2:
+		dgemmKern16x6Y(k, &ap[0], &bp[0], &c[0], ldc, alpha)
+	default:
+		microF64Go(k, ap, bp, c, ldc, alpha)
+	}
 }
 
-// MicroF32 exposes the native 16×6 single-precision micro-kernel to the
-// float32 tile kernels (package tile): c[i+16j] = Σ_l ap[16l+i]·bp[6l+j].
-// Callers must check HasVectorKernels first.
+// MicroF32 is the single-precision contract for the float32 tile kernels
+// (package tile): C[MrF32×NrF32 at c, ldc between columns] += alpha · Σ_l
+// ap[MrF32·l+i]·bp[NrF32·l+j]. Callers must check HasVectorKernels first.
 //repro:noalloc
-func MicroF32(k int, ap, bp []float32, c *[96]float32) {
-	sgemmKern16x6(k, &ap[0], &bp[0], &c[0])
+func MicroF32(k int, ap, bp, c []float32, ldc int, alpha float32) {
+	_ = c[(NrF32-1)*ldc+MrF32-1]
+	if kernelISA == isaAVX512 {
+		sgemmKern32x6Z(k, &ap[0], &bp[0], &c[0], ldc, alpha)
+		return
+	}
+	sgemmKern32x6Y(k, &ap[0], &bp[0], &c[0], ldc, alpha)
 }

@@ -1,47 +1,148 @@
-// AVX2+FMA micro-kernels for the packed blocked GEMM (see blocked.go).
-// The 8×6 double / 16×6 single register tiles are the classic BLIS shapes
-// for this ISA: 12 vector accumulators, two packed-A vector loads and six
-// packed-B broadcasts per depth step, keeping both FMA ports saturated.
+// Micro-kernels for the packed blocked GEMM (see blocked.go), and the
+// level-1 AVX2 kernels beside them.
+//
+// One contract, both precisions: a packed A micro-panel holds mr rows per
+// depth step (16 doubles or 32 floats — 128 bytes, two cache lines), a packed
+// B micro-panel nr = 6 values per depth step, and a kernel computes
+//
+//	C[i, j] += alpha · Σ_l ap[mr·l + i] · bp[6·l + j],   i < mr, j < 6,
+//
+// straight into the column-major destination at c with ldc elements between
+// columns. The sum is one FMA chain per element, from +0, in depth order; the
+// write-back is a multiply by alpha and then an add into C — two roundings,
+// NOT an FMA — which is what the Go loop it replaces did, so an answer does
+// not depend on which kernel produced it.
+//
+// Two bodies per precision share that layout. The AVX-512 one (suffix Z)
+// holds the whole mr×6 tile in 12 ZMM accumulators: two 64-byte packed-A
+// loads and six packed-B broadcasts feed 12 FMAs per depth step, which keeps
+// two 512-bit FMA pipes busy. The AVX2 one (suffix Y) is the classic BLIS
+// shape for 16 YMM registers — 12 accumulators over half the panel height —
+// run twice, once over each cache line of the depth step. The Z kernels use
+// AVX512F encodings only (VPXORQ: VXORPD on a ZMM register is AVX512DQ).
 
 #include "textflag.h"
 
-// func cpuHasAVX2FMA() bool
-TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
+// func cpuKernelLevel() int
+//
+// 0: no vector kernels; 1: AVX2+FMA with OS-enabled YMM state; 2: also
+// AVX512F with OS-enabled opmask and ZMM state.
+TEXT ·cpuKernelLevel(SB), NOSPLIT, $0-8
+	MOVQ $0, ret+0(FP)
 	MOVQ $1, AX
 	XORQ CX, CX
 	CPUID
 	// Need FMA (CX bit 12) and OSXSAVE (CX bit 27).
-	MOVL CX, R8
-	ANDL $(1<<12 | 1<<27), R8
-	CMPL R8, $(1<<12 | 1<<27)
-	JNE  no
+	ANDL $(1<<12 | 1<<27), CX
+	CMPL CX, $(1<<12 | 1<<27)
+	JNE  done
 	// OS must have enabled XMM+YMM state (XCR0 bits 1 and 2).
 	XORL CX, CX
 	XGETBV
+	MOVL AX, R8
 	ANDL $6, AX
 	CMPL AX, $6
-	JNE  no
+	JNE  done
 	// AVX2: leaf 7 subleaf 0, BX bit 5.
 	MOVQ $7, AX
 	XORQ CX, CX
 	CPUID
-	ANDL $(1<<5), BX
-	JZ   no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
+	BTL  $5, BX
+	JCC  done
+	MOVQ $1, ret+0(FP)
+	// AVX512F: BX bit 16, and XCR0 bits 5-7 (opmask, ZMM0-15 upper halves,
+	// ZMM16-31) beside bits 1 and 2.
+	BTL  $16, BX
+	JCC  done
+	ANDL $0xE6, R8
+	CMPL R8, $0xE6
+	JNE  done
+	MOVQ $2, ret+0(FP)
+done:
 	RET
 
-// func dgemmKern8x6(k int, ap, bp, c *float64)
-//
-// c[i + 8j] = Σ_l ap[8l+i]·bp[6l+j] for the packed 8-row A micro-panel and
-// 6-column B micro-panel; c is a contiguous 8×6 column-major scratch tile.
-TEXT ·dgemmKern8x6(SB), NOSPLIT, $0-32
+// WBCOL writes one column of the register tile back: (r0, r1) hold its two
+// vectors, DX points at the column and R8 is the column stride in bytes.
+#define WBCOL(MUL, ADD, MOV, alpha, r0, r1, off) \
+	MUL alpha, r0, r0; \
+	MUL alpha, r1, r1; \
+	ADD (DX), r0, r0; \
+	ADD off(DX), r1, r1; \
+	MOV r0, (DX); \
+	MOV r1, off(DX); \
+	ADDQ R8, DX
+
+// func dgemmKern16x6Z(k int, ap, bp, c *float64, ldc int, alpha float64)
+TEXT ·dgemmKern16x6Z(SB), NOSPLIT, $0-48
 	MOVQ k+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
 	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $3, R8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	TESTQ CX, CX
+	JZ   dzwb
+dzloop:
+	VMOVUPD (SI), Z12
+	VMOVUPD 64(SI), Z13
+	VBROADCASTSD (DI), Z14
+	VFMADD231PD Z12, Z14, Z0
+	VFMADD231PD Z13, Z14, Z1
+	VBROADCASTSD 8(DI), Z15
+	VFMADD231PD Z12, Z15, Z2
+	VFMADD231PD Z13, Z15, Z3
+	VBROADCASTSD 16(DI), Z14
+	VFMADD231PD Z12, Z14, Z4
+	VFMADD231PD Z13, Z14, Z5
+	VBROADCASTSD 24(DI), Z15
+	VFMADD231PD Z12, Z15, Z6
+	VFMADD231PD Z13, Z15, Z7
+	VBROADCASTSD 32(DI), Z14
+	VFMADD231PD Z12, Z14, Z8
+	VFMADD231PD Z13, Z14, Z9
+	VBROADCASTSD 40(DI), Z15
+	VFMADD231PD Z12, Z15, Z10
+	VFMADD231PD Z13, Z15, Z11
+	ADDQ $128, SI
+	ADDQ $48, DI
+	DECQ CX
+	JNZ  dzloop
+dzwb:
+	VBROADCASTSD alpha+40(FP), Z14
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z0, Z1, 64)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z2, Z3, 64)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z4, Z5, 64)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z6, Z7, 64)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z8, Z9, 64)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z10, Z11, 64)
+	VZEROUPPER
+	RET
+
+// func dgemmKern16x6Y(k int, ap, bp, c *float64, ldc int, alpha float64)
+//
+// The 8×6 YMM body over rows 0-7, then rows 8-15, of the 16-row panel.
+TEXT ·dgemmKern16x6Y(SB), NOSPLIT, $0-48
+	MOVQ ap+8(FP), SI
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $3, R8
+	MOVQ $2, R9
+dyhalf:
+	MOVQ k+0(FP), CX
+	MOVQ bp+16(FP), DI
+	MOVQ SI, R10
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -55,10 +156,10 @@ TEXT ·dgemmKern8x6(SB), NOSPLIT, $0-32
 	VXORPD Y10, Y10, Y10
 	VXORPD Y11, Y11, Y11
 	TESTQ CX, CX
-	JZ   ddone
-dloop:
-	VMOVUPD (SI), Y12
-	VMOVUPD 32(SI), Y13
+	JZ   dywb
+dyloop:
+	VMOVUPD (R10), Y12
+	VMOVUPD 32(R10), Y13
 	VBROADCASTSD (DI), Y14
 	VFMADD231PD Y12, Y14, Y0
 	VFMADD231PD Y13, Y14, Y1
@@ -77,35 +178,98 @@ dloop:
 	VBROADCASTSD 40(DI), Y15
 	VFMADD231PD Y12, Y15, Y10
 	VFMADD231PD Y13, Y15, Y11
-	ADDQ $64, SI
+	ADDQ $128, R10
 	ADDQ $48, DI
 	DECQ CX
-	JNZ  dloop
-ddone:
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, 64(DX)
-	VMOVUPD Y3, 96(DX)
-	VMOVUPD Y4, 128(DX)
-	VMOVUPD Y5, 160(DX)
-	VMOVUPD Y6, 192(DX)
-	VMOVUPD Y7, 224(DX)
-	VMOVUPD Y8, 256(DX)
-	VMOVUPD Y9, 288(DX)
-	VMOVUPD Y10, 320(DX)
-	VMOVUPD Y11, 352(DX)
+	JNZ  dyloop
+dywb:
+	VBROADCASTSD alpha+40(FP), Y14
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y0, Y1, 32)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y2, Y3, 32)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y4, Y5, 32)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y6, Y7, 32)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y8, Y9, 32)
+	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y10, Y11, 32)
+	// Second half: 8 rows down in the panel and in C, back up six columns.
+	ADDQ $64, SI
+	MOVQ c+24(FP), DX
+	ADDQ $64, DX
+	DECQ R9
+	JNZ  dyhalf
 	VZEROUPPER
 	RET
 
-// func sgemmKern16x6(k int, ap, bp, c *float32)
-//
-// Single-precision twin: 16-row A micro-panels (two 8-float YMM vectors),
-// 6-column B panels, c a contiguous 16×6 column-major scratch tile.
-TEXT ·sgemmKern16x6(SB), NOSPLIT, $0-32
+// func sgemmKern32x6Z(k int, ap, bp, c *float32, ldc int, alpha float32)
+TEXT ·sgemmKern32x6Z(SB), NOSPLIT, $0-44
 	MOVQ k+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
 	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $2, R8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	TESTQ CX, CX
+	JZ   szwb
+szloop:
+	VMOVUPS (SI), Z12
+	VMOVUPS 64(SI), Z13
+	VBROADCASTSS (DI), Z14
+	VFMADD231PS Z12, Z14, Z0
+	VFMADD231PS Z13, Z14, Z1
+	VBROADCASTSS 4(DI), Z15
+	VFMADD231PS Z12, Z15, Z2
+	VFMADD231PS Z13, Z15, Z3
+	VBROADCASTSS 8(DI), Z14
+	VFMADD231PS Z12, Z14, Z4
+	VFMADD231PS Z13, Z14, Z5
+	VBROADCASTSS 12(DI), Z15
+	VFMADD231PS Z12, Z15, Z6
+	VFMADD231PS Z13, Z15, Z7
+	VBROADCASTSS 16(DI), Z14
+	VFMADD231PS Z12, Z14, Z8
+	VFMADD231PS Z13, Z14, Z9
+	VBROADCASTSS 20(DI), Z15
+	VFMADD231PS Z12, Z15, Z10
+	VFMADD231PS Z13, Z15, Z11
+	ADDQ $128, SI
+	ADDQ $24, DI
+	DECQ CX
+	JNZ  szloop
+szwb:
+	VBROADCASTSS alpha+40(FP), Z14
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z0, Z1, 64)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z2, Z3, 64)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z4, Z5, 64)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z6, Z7, 64)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z8, Z9, 64)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z10, Z11, 64)
+	VZEROUPPER
+	RET
+
+// func sgemmKern32x6Y(k int, ap, bp, c *float32, ldc int, alpha float32)
+//
+// The 16×6 YMM body over rows 0-15, then rows 16-31, of the 32-row panel.
+TEXT ·sgemmKern32x6Y(SB), NOSPLIT, $0-44
+	MOVQ ap+8(FP), SI
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $2, R8
+	MOVQ $2, R9
+syhalf:
+	MOVQ k+0(FP), CX
+	MOVQ bp+16(FP), DI
+	MOVQ SI, R10
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -119,10 +283,10 @@ TEXT ·sgemmKern16x6(SB), NOSPLIT, $0-32
 	VXORPS Y10, Y10, Y10
 	VXORPS Y11, Y11, Y11
 	TESTQ CX, CX
-	JZ   sdone
-sloop:
-	VMOVUPS (SI), Y12
-	VMOVUPS 32(SI), Y13
+	JZ   sywb
+syloop:
+	VMOVUPS (R10), Y12
+	VMOVUPS 32(R10), Y13
 	VBROADCASTSS (DI), Y14
 	VFMADD231PS Y12, Y14, Y0
 	VFMADD231PS Y13, Y14, Y1
@@ -141,23 +305,23 @@ sloop:
 	VBROADCASTSS 20(DI), Y15
 	VFMADD231PS Y12, Y15, Y10
 	VFMADD231PS Y13, Y15, Y11
-	ADDQ $64, SI
+	ADDQ $128, R10
 	ADDQ $24, DI
 	DECQ CX
-	JNZ  sloop
-sdone:
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	VMOVUPS Y2, 64(DX)
-	VMOVUPS Y3, 96(DX)
-	VMOVUPS Y4, 128(DX)
-	VMOVUPS Y5, 160(DX)
-	VMOVUPS Y6, 192(DX)
-	VMOVUPS Y7, 224(DX)
-	VMOVUPS Y8, 256(DX)
-	VMOVUPS Y9, 288(DX)
-	VMOVUPS Y10, 320(DX)
-	VMOVUPS Y11, 352(DX)
+	JNZ  syloop
+sywb:
+	VBROADCASTSS alpha+40(FP), Y14
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y0, Y1, 32)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y2, Y3, 32)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y4, Y5, 32)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y6, Y7, 32)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y8, Y9, 32)
+	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y10, Y11, 32)
+	ADDQ $64, SI
+	MOVQ c+24(FP), DX
+	ADDQ $64, DX
+	DECQ R9
+	JNZ  syhalf
 	VZEROUPPER
 	RET
 

@@ -9,13 +9,16 @@ package linalg
 // FMA underneath.
 var hasVectorKernels = false
 
-func microF64(k int, ap, bp []float64, c *[mrReg * nrReg]float64) {
-	microF64Go(k, ap, bp, c)
+// kernelISA: only the portable micro-kernel exists here (see kern_amd64.go).
+var kernelISA = isaGo
+
+func microF64(k int, ap, bp, c []float64, ldc int, alpha float64) {
+	microF64Go(k, ap, bp, c, ldc, alpha)
 }
 
 // MicroF32 exists only on platforms with native kernels; see
 // HasVectorKernels.
-func MicroF32(k int, ap, bp []float32, c *[96]float32) {
+func MicroF32(k int, ap, bp, c []float32, ldc int, alpha float32) {
 	panic("linalg: MicroF32 without vector kernels")
 }
 

@@ -20,7 +20,7 @@ func packMat(a *Matrix) PackedA {
 // runs on whichever micro-kernel the build and REPRO_NOASM select.
 func TestGemmPackedAMatchesGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, m := range []int{1, 7, 8, 9, 244, 256} {
+	for _, m := range []int{1, 8, 15, 16, 17, 31, 33, 244, 256} {
 		for _, k := range []int{1, 32, 256, 320} {
 			a := randMat(m, k, rng)
 			pa := packMat(a)

@@ -161,8 +161,8 @@ func newShadowF32(f *Factor) *ShadowF32 {
 // condLanes is the f32 form of row tile r's whole propagation: cond =
 // Σ_{t<r} Y_t·L(r,t)ᵀ, the f64 sweep's ApplyOffDiagLanes calls, read from the
 // narrowed Y grid y (lanes × rows, tile t at column t·ts), accumulated on the
-// 16×6 f32 micro-kernel and widened into cond once — O(lanes·ts) conversions
-// against the O(lanes·ts²·r) flops that produced them.
+// f32 micro-kernel (tile.Gemm32) and widened into cond once — O(lanes·ts)
+// conversions against the O(lanes·ts²·r) flops that produced them.
 //repro:noalloc
 func (s *ShadowF32) condLanes(r, ts int, y *tile.Matrix32, cond *linalg.Matrix) {
 	c32 := tile.GetMat32Zero(cond.Rows, cond.Cols)

@@ -59,7 +59,8 @@ func (m *Matrix32) ToDouble() *linalg.Matrix {
 
 // Gemm32 computes C += alpha·A·Bᵀ (transB=true) or C += alpha·A·B in
 // float32; the only variants the Cholesky update needs. Large products run
-// through the packed 16×6 vector micro-kernel when the platform has one.
+// through linalg's packed single-precision micro-kernel when the platform has
+// one.
 //repro:noalloc
 func Gemm32(transB bool, alpha float32, a, b, c *Matrix32) {
 	if !transB {
@@ -116,10 +117,11 @@ func gemm32Naive(transB bool, alpha float32, a, b, c *Matrix32) {
 	}
 }
 
-// f32 packed-panel blocking; the micro-tile is 16×6 (two 8-float YMM rows).
+// f32 packed-panel blocking; the micro-tile is linalg's (one layout under
+// every ISA, as in float64).
 const (
-	mr32 = 16
-	nr32 = 6
+	mr32 = linalg.MrF32
+	nr32 = linalg.NrF32
 	kc32 = 256
 	mc32 = 128
 	nc32 = 504
@@ -127,7 +129,8 @@ const (
 
 // gemm32Blocked is the packed single-precision driver: identical structure
 // to the float64 path in linalg (pack op(B) and A panels from pooled
-// buffers, run the register micro-kernel, mask ragged edges on write-back).
+// buffers; the micro-kernel writes full tiles straight into C, ragged edge
+// tiles go through zeroed scratch and a masked write-back).
 //repro:noalloc
 func gemm32Blocked(transB bool, alpha float32, a, b, c *Matrix32, m, n, k int) {
 	apack := getVec32(mc32 * kc32)
@@ -145,8 +148,12 @@ func gemm32Blocked(transB bool, alpha float32, a, b, c *Matrix32, m, n, k int) {
 					bp := bpack[jr*kcc:]
 					for ir := 0; ir < mcc; ir += mr32 {
 						rows := min(mr32, mcc-ir)
+						if rows == mr32 && cols == nr32 {
+							linalg.MicroF32(kcc, apack[ir*kcc:], bp, c.Data[(jc+jr)*c.Rows+ic+ir:], c.Rows, alpha)
+							continue
+						}
 						var acc [mr32 * nr32]float32
-						linalg.MicroF32(kcc, apack[ir*kcc:], bp, &acc)
+						linalg.MicroF32(kcc, apack[ir*kcc:], bp, acc[:], mr32, 1)
 						for j := 0; j < cols; j++ {
 							cc := c.Col(jc + jr + j)[ic+ir:]
 							t := acc[j*mr32:]
