@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"repro/internal/stats"
 	"runtime"
 	"time"
@@ -35,7 +36,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mvn"
 	"repro/internal/taskrt"
-	"repro/internal/tile"
 )
 
 // Method selects how the Cholesky factorization of the covariance matrix is
@@ -425,70 +425,49 @@ func (s *Session) policy() engine.Policy {
 	}
 }
 
-// factorize builds the Cholesky factor of an explicit sigma: the session
-// method picks the tile layout, the one engine graph factorizes it.
-// Assembly/compression fans out tile-by-tile and the factorization task graph
-// runs in its own runtime group, so concurrent queries never wait on each
-// other's barriers.
-func (s *Session) factorize(sigma *linalg.Matrix) (*mvn.Factor, error) {
-	g := s.rt.NewGroup()
-	src := tile.FromDense(sigma, s.cfg.TileSize)
-	cfg := engine.Config{Tol: s.cfg.TLRTol, MaxRank: s.cfg.TLRMaxRank}
-	var grid *engine.Grid
-	switch s.cfg.Method {
-	case TLR:
-		grid = engine.AssembleTLR(g, src, s.cfg.TLRTol, s.cfg.TLRMaxRank)
-	case MethodAdaptive:
-		grid = engine.AssembleAdaptive(g, src, s.policy())
-	default:
-		grid = engine.AssembleDense(src)
-	}
-	if err := engine.Potrf(g, grid, cfg); err != nil {
-		return nil, err
-	}
-	return mvn.NewFactor(grid), nil
-}
-
-// factorizeKernel builds the Cholesky factor directly from a kernel over a
-// geometry, never materializing the dense covariance: every tile is
-// assembled by its own task fused into the factorization graph
-// (engine.PotrfStream) in the representation the method's policy chooses —
-// dense blocks for the dense layout and the band, ACA low rank off the
-// band (two kernel runs per cross, O(rank) runs of a tile side per tile),
-// the adaptive f32/f64 fallback where probing rejects. The assemblers read Σ
-// only through one column-run filler over cov.Fill, which evaluates a run
-// of covariances against one location in a single loop.
-// Submission is windowed (StreamWindow) and trailing TLR/adaptive tiles
-// compress as soon as their last Schur update lands (unless NoEviction), so
-// the live footprint at large n is the dense band plus the compressed
-// factor. This is the cold-query hot path behind MVNProb/MVTProb.
-func (s *Session) factorizeKernel(g *geo.Geom, k cov.Kernel) (*mvn.Factor, error) {
-	grp := s.rt.NewGroup()
-	grid, err := engine.NewGridChecked(g.Len(), s.cfg.TileSize)
+// factorize is the one production factorization: the Cholesky factor of the
+// n×n matrix fill evaluates in runs — a kernel over a geometry (source
+// "kernel") or the caller's explicit Σ read in place (inMemory, source
+// "sigma") — never materialized. Every tile is assembled by its own task fused
+// into the factorization graph (engine.PotrfStream), in a runtime group of its
+// own so concurrent queries never wait on each other's barriers, in the
+// representation the method's policy chooses. A kernel's off-band tiles come
+// from ACA (O(rank) cov.Fill runs of a tile side each), submission is windowed
+// (StreamWindow) and trailing TLR/adaptive tiles compress as soon as their
+// last Schur update lands (unless NoEviction), so the live footprint at large
+// n is the dense band plus the compressed factor. An in-memory Σ's tiles are
+// gathered and compressed in hand; nothing is evicted, submission is eager. A
+// build that finishes or fails logs one slog.Debug line; warm queries never
+// get here.
+func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory bool) (*mvn.Factor, error) {
+	start := time.Now()
+	grid, err := engine.NewGridChecked(n, s.cfg.TileSize)
 	if err != nil {
 		return nil, err
 	}
-	cfg := engine.Config{
-		Tol:     s.cfg.TLRTol,
-		MaxRank: s.cfg.TLRMaxRank,
-		Band:    s.cfg.AdaptiveBand,
-		Evict:   !s.cfg.NoEviction,
-		Window:  s.cfg.StreamWindow,
+	cfg := engine.Config{Tol: s.cfg.TLRTol, MaxRank: s.cfg.TLRMaxRank, Band: s.cfg.AdaptiveBand}
+	if !inMemory {
+		cfg.Evict, cfg.Window = !s.cfg.NoEviction, s.cfg.StreamWindow
 	}
-	fill := func(dst []float64, row0, j int) { cov.Fill(k, dst, g.Pts[row0:], g.Pts[j]) }
 	var asm *engine.Assembler
 	switch s.cfg.Method {
 	case TLR:
-		asm = engine.TLREntryAssembler(grid, fill, s.cfg.TLRTol, s.cfg.TLRMaxRank)
+		asm = engine.TLREntryAssembler(grid, fill, s.cfg.TLRTol, s.cfg.TLRMaxRank, inMemory)
 	case MethodAdaptive:
-		asm = s.policy().EntryAssembler(grid, fill)
+		asm = s.policy().EntryAssembler(grid, fill, inMemory)
 	default:
 		// The dense layout is the exact reference: no eviction, every tile
 		// evaluated densely (cov.Block semantics).
 		cfg.Evict = false
 		asm = engine.DenseEntryAssembler(grid, fill)
 	}
-	if err := engine.PotrfStream(grp, grid, cfg, asm); err != nil {
+	err = engine.PotrfStream(s.rt.NewGroup(), grid, cfg, asm)
+	rejected, early := grid.ProbeStats()
+	slog.Debug("parmvn: factorization", "source", source, "n", n, "tile", s.cfg.TileSize,
+		"method", s.cfg.Method.String(), "mix", grid.Mix(), "factor_bytes", grid.Bytes(),
+		"probes_rejected", rejected, "probes_rejected_early", early,
+		"elapsed", time.Since(start), "err", err)
+	if err != nil {
 		return nil, err
 	}
 	return mvn.NewFactor(grid), nil
@@ -568,7 +547,7 @@ func (s *Session) prob(locs []Point, kernel KernelSpec, nu float64, a, b []float
 }
 
 // MVNProbCov computes Φn(a,b;0,Σ) for an explicit covariance matrix given
-// as rows.
+// as rows (see MVNProbCovBatch).
 func (s *Session) MVNProbCov(sigma [][]float64, a, b []float64) (Result, error) {
 	res, err := s.MVNProbCovBatch(sigma, []Bounds{{A: a, B: b}})
 	if err != nil {
@@ -712,17 +691,16 @@ func (s *Session) DetectRegion(locs []Point, kernel KernelSpec, mean []float64, 
 }
 
 // DetectRegionCov is DetectRegion with an explicit covariance matrix (e.g.
-// a posterior covariance from eq. 7). Σ is read in place: the only n×n
-// allocations are the standardized, reordered matrix and the factor's tiles.
+// a posterior covariance from eq. 7). Σ is read in place, concurrently, by the
+// key pass and the factorization's assemble tasks, permutation and
+// standardization fused into the read: nothing n×n is allocated beyond the
+// factor's own tiles, and the caller must not mutate Σ during the call. Entry
+// (i,j) of the ordered correlation is read from row Order[j] of Σ. A NaN or
+// infinite entry is a DetectInputError{What: "covariance", Index: its row}.
 func (s *Session) DetectRegionCov(sigma [][]float64, mean []float64, u, conf float64, fPoints int) (*Excursion, error) {
 	n := len(sigma)
 	if len(mean) != n {
 		return nil, fmt.Errorf("parmvn: mean length %d != dimension %d", len(mean), n)
-	}
-	for i, row := range sigma {
-		if len(row) != n {
-			return nil, fmt.Errorf("parmvn: covariance row %d has %d entries, want %d", i, len(row), n)
-		}
 	}
 	return s.detectSigma(func(i int) []float64 { return sigma[i] }, mean, u, conf)
 }
@@ -748,7 +726,7 @@ func (s *Session) detectSigma(row func(i int) []float64, mean []float64, u, conf
 	if err != nil {
 		return nil, err
 	}
-	f, err := s.factorForSigma(plan.Correlation(row, sd))
+	f, err := s.factorForSigma(row, n, plan.Ordering(), sd, plan.CorrelationRuns(row, sd))
 	if err != nil {
 		return nil, err
 	}

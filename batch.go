@@ -105,23 +105,24 @@ func (s *Session) probBatch(locs []Point, kernel KernelSpec, nu float64, queries
 }
 
 // MVNProbCovBatch is MVNProbBatch for an explicit covariance matrix given as
-// rows; the factor is cached by matrix content.
+// rows; the factor is cached by matrix content. Σ is read in place,
+// concurrently, and never copied: it must not be mutated during the call, and
+// entry (i,j), i ≥ j, of the factored matrix is read as sigma[j][i]. A NaN or
+// infinite entry is refused with a *DetectInputError naming its row.
 func (s *Session) MVNProbCovBatch(sigma [][]float64, queries []Bounds) ([]Result, error) {
-	m, err := denseFromRows(sigma)
+	n := len(sigma)
+	empty, anyLive, err := validateQueries(n, queries)
 	if err != nil {
 		return nil, err
 	}
-	empty, anyLive, err := validateQueries(m.Rows, queries)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.validateTileSize(m.Rows); err != nil {
+	if err := s.validateTileSize(n); err != nil {
 		return nil, err
 	}
 	if !anyLive {
 		return s.finishBatch(make([]Result, len(queries))), nil
 	}
-	f, err := s.factorForSigma(m)
+	f, err := s.factorForSigma(func(i int) []float64 { return sigma[i] }, n, nil, nil,
+		func(dst []float64, row0, j int) { copy(dst, sigma[j][row0:]) })
 	if err != nil {
 		return nil, err
 	}

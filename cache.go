@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/linalg"
+	"repro/internal/cov"
+	"repro/internal/engine"
 	"repro/internal/mvn"
 )
 
@@ -19,7 +21,7 @@ import (
 // which would silently serve the wrong factor — astronomically unlikely.
 type factorKey struct {
 	kind    byte      // 'k' = kernel at locations, 'c' = explicit matrix content
-	hash    [2]uint64 // FNV-1a/128 over the defining float64 bits
+	hash    [2]uint64 // FNV-1a/128 over the locations' float64 bits ('k'), or sigmaKey's ('c')
 	n       int       // problem dimension, cheap collision guard
 	kernel  KernelSpec
 	method  Method
@@ -255,15 +257,27 @@ func hashPoints(locs []Point) [2]uint64 {
 	return h.sum()
 }
 
-// hashMatrix content-hashes a dense matrix column by column.
-func hashMatrix(m *linalg.Matrix) [2]uint64 {
-	h := newFNV128a()
-	for j := 0; j < m.Cols; j++ {
-		for _, v := range m.Col(j) {
-			h.writeFloat(v)
-		}
+// hashRow digests one row of an explicit covariance two entries at a time —
+// two lanes of multiply-and-fold (the halves of a 128-bit product xored, both
+// factors carrying data) over the bit patterns, every entry contributing — and
+// returns the index of the row's first NaN or infinite entry, or -1. It keys
+// the session cache only: store files and routers see the byte-wise FNV above.
+func hashRow(row []float64) (d [2]uint64, bad int) {
+	const k0, k1, abs, one = 0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f, 1<<63 - 1, 1 << 52
+	h0, h1 := uint64(len(row)), uint64(k1)
+	var nonFinite uint64 // bit 63: some exponent field was all ones
+	for i := 0; i < len(row); i += 2 {
+		x, y := math.Float64bits(row[i]), math.Float64bits(row[min(i+1, len(row)-1)])
+		nonFinite |= (x&abs + one) | (y&abs + one)
+		hi, lo := bits.Mul64(x^h0, y^k0)
+		h0 = hi ^ lo
+		hi, lo = bits.Mul64(bits.RotateLeft64(x, 32)^k1, bits.RotateLeft64(y, 17)^h1)
+		h1 = hi ^ lo
 	}
-	return h.sum()
+	if nonFinite>>63 == 0 {
+		return [2]uint64{h0, h1}, -1
+	}
+	return d, slices.IndexFunc(row, func(v float64) bool { return v-v != 0 })
 }
 
 // key assembles the cache key under an effective (already defaulted)
@@ -412,15 +426,59 @@ func (s *Session) buildKernelFactor(locs []Point, spec KernelSpec) (*mvn.Factor,
 	if err != nil {
 		return nil, err
 	}
-	return s.factorizeKernel(toGeom(locs), k)
+	g := toGeom(locs)
+	return s.factorize("kernel", g.Len(), func(dst []float64, row0, j int) { cov.Fill(k, dst, g.Pts[row0:], g.Pts[j]) }, false)
 }
 
-// factorForSigma returns the (possibly cached) factor of an explicit matrix,
-// keyed by its content hash.
-func (s *Session) factorForSigma(sigma *linalg.Matrix) (*mvn.Factor, error) {
-	key := s.cfg.key('c', hashMatrix(sigma), sigma.Rows, KernelSpec{})
+// sigmaKey is the cache key of the caller's explicit n×n Σ, row(i) its i-th
+// row, factored through order and sd (nil: as given): every entry hashed, the
+// row digests combined in index order with order and sd. The digests are tasks
+// on the session's runtime (a Workers: 1 session stays on one thread), so the
+// key does not depend on the worker count. A NaN or infinite entry is refused,
+// as is a row that is not n long.
+func (s *Session) sigmaKey(row func(i int) []float64, n int, order []int, sd []float64) (factorKey, error) {
+	const rowsPerTask = 32
+	digest := make([][2]uint64, n)
+	bad := make([]int, n)
+	grp := s.rt.NewGroup()
+	for i0 := 0; i0 < n; i0 += rowsPerTask {
+		i0 := i0
+		grp.Submit("key", 0, func() {
+			for i := i0; i < min(i0+rowsPerTask, n); i++ {
+				digest[i], bad[i] = hashRow(row(i))
+			}
+		})
+	}
+	grp.Wait()
+	h := newFNV128a()
+	for i, d := range digest {
+		if len(row(i)) != n {
+			return factorKey{}, fmt.Errorf("parmvn: covariance row %d has %d entries, want %d", i, len(row(i)), n)
+		}
+		if j := bad[i]; j >= 0 {
+			return factorKey{}, &DetectInputError{What: "covariance", Index: i, Value: row(i)[j]}
+		}
+		h.writeUint(d[0])
+		h.writeUint(d[1])
+	}
+	for _, l := range order {
+		h.writeUint(uint64(l))
+	}
+	for _, v := range sd {
+		h.writeFloat(v)
+	}
+	return s.cfg.key('c', h.sum(), n, KernelSpec{}), nil
+}
+
+// factorForSigma returns the (possibly cached) factor of the matrix fill
+// evaluates from that Σ; one that sigmaKey refuses is neither factored nor cached.
+func (s *Session) factorForSigma(row func(i int) []float64, n int, order []int, sd []float64, fill engine.RunFill) (*mvn.Factor, error) {
+	key, err := s.sigmaKey(row, n, order, sd)
+	if err != nil {
+		return nil, err
+	}
 	if e := s.cache.lookupDone(key); e != nil {
 		return e.f, e.err
 	}
-	return s.cache.getOrBuild(key, func() (*mvn.Factor, error) { return s.factorize(sigma) })
+	return s.cache.getOrBuild(key, func() (*mvn.Factor, error) { return s.factorize("sigma", n, fill, true) })
 }

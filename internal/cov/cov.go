@@ -289,7 +289,7 @@ func Posterior(sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, ta
 		}
 		prec.Add(i, i, invTau2)
 	}
-	post, err := linalg.InvSPD(prec)
+	post, err := linalg.InvSPDInPlace(prec) // prec is ours: factor it where it lies
 	if err != nil {
 		return nil, nil, fmt.Errorf("cov: inverting posterior precision: %w", err)
 	}

@@ -27,8 +27,7 @@ type Field struct {
 // Simulate draws one mean-zero realization of the Gaussian field with the
 // given kernel at the locations of g: z = L·e with Σ = L·Lᵀ.
 func Simulate(g *geo.Geom, k cov.Kernel, rng *rand.Rand) (*Field, error) {
-	sigma := cov.Matrix(g, k)
-	l, err := linalg.Cholesky(sigma)
+	l, err := linalg.CholeskyInPlace(cov.Matrix(g, k))
 	if err != nil {
 		return nil, fmt.Errorf("datagen: covariance not PD: %w", err)
 	}

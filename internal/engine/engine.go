@@ -27,6 +27,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/linalg"
 	"repro/internal/taskrt"
@@ -49,6 +50,8 @@ type Grid struct {
 	evictMu    sync.Mutex
 	evicted    int
 	evictFreed int64
+
+	probeRejected, probeRejectedEarly atomic.Int32 // see ProbeStats
 }
 
 // maxTileRows bounds the tile-count of a grid: beyond it the handle table
@@ -213,6 +216,12 @@ func (g *Grid) EvictStats() (tiles int, freedBytes int64) {
 	g.evictMu.Lock()
 	defer g.evictMu.Unlock()
 	return g.evicted, g.evictFreed
+}
+
+// ProbeStats reports how many off-band tiles the adaptive probe rejected
+// during assembly, and how many of those before tile.CompressWithin's core SVD.
+func (g *Grid) ProbeStats() (rejected, early int) {
+	return int(g.probeRejected.Load()), int(g.probeRejectedEarly.Load())
 }
 
 // Config tunes the engine kernels and the factorization's memory policy.

@@ -109,7 +109,7 @@ func TestPotrfTaskCounts(t *testing.T) {
 			}, (nt - 1) * (nt - 2) / 2, 0},
 			"tlr streamed": {func(rt *taskrt.Runtime) error {
 				g := engine.NewGrid(geom.Len(), ts)
-				return engine.PotrfStream(rt, g, engine.Config{Tol: tol, Evict: true}, engine.TLREntryAssembler(g, fillOf(geom, kern), tol, 0))
+				return engine.PotrfStream(rt, g, engine.Config{Tol: tol, Evict: true}, engine.TLREntryAssembler(g, fillOf(geom, kern), tol, 0, false))
 			}, (nt - 1) * (nt - 2) / 2, nt + nt - 1},
 		} {
 			rt := taskrt.New(2)
@@ -159,7 +159,7 @@ func TestLayoutsDeterministicAcrossWorkers(t *testing.T) {
 		}},
 		{"tlr streamed", engine.Config{Tol: 1e-6}, []int{1, 2, 4}, func() (*engine.Grid, *engine.Assembler) {
 			g := engine.NewGrid(geom.Len(), 24)
-			return g, engine.TLREntryAssembler(g, fill, 1e-6, 0)
+			return g, engine.TLREntryAssembler(g, fill, 1e-6, 0, false)
 		}},
 	} {
 		var ref *linalg.Matrix
@@ -219,7 +219,7 @@ func TestTLRStreamingACAMatchesSVDAssembly(t *testing.T) {
 	const ts, tol = 25, 1e-6
 	svd := engine.AssembleTLR(nil, tile.FromDense(cov.Matrix(geom, k), ts), tol, 0)
 	aca := engine.NewGrid(geom.Len(), ts)
-	materialize(aca, engine.TLREntryAssembler(aca, entryOf(geom, k), tol, 0))
+	materialize(aca, engine.TLREntryAssembler(aca, entryOf(geom, k), tol, 0, false))
 	if d := symmetrized(aca).MaxAbsDiff(symmetrized(svd)); d > 1e-4 {
 		t.Errorf("ACA vs SVD assembly differ by %v", d)
 	}
@@ -308,7 +308,7 @@ func TestTLRStreamingPotrfEndToEnd(t *testing.T) {
 	geom := geo.RegularGrid(10, 10)
 	k := &cov.Exponential{Sigma2: 1, Range: 0.2}
 	g := streamFactor(t, geom.Len(), 25, engine.Config{Tol: 1e-8}, func(g *engine.Grid) *engine.Assembler {
-		return engine.TLREntryAssembler(g, entryOf(geom, k), 1e-8, 0)
+		return engine.TLREntryAssembler(g, entryOf(geom, k), 1e-8, 0, false)
 	})
 	if res := lowerResidual(densifyFactor(g), cov.Matrix(geom, k)); res > 1e-5 {
 		t.Errorf("ACA TLR Cholesky residual %v", res)
@@ -355,7 +355,7 @@ func TestStreamedTLRFactorsHoldNoSlack(t *testing.T) {
 	geom := geo.RegularGrid(12, 12)
 	k := &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}
 	g := streamFactor(t, geom.Len(), 20, engine.Config{Tol: 1e-6, Evict: true}, func(g *engine.Grid) *engine.Assembler {
-		return engine.TLREntryAssembler(g, fillOf(geom, k), 1e-6, 0)
+		return engine.TLREntryAssembler(g, fillOf(geom, k), 1e-6, 0, false)
 	})
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j < i; j++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/linalg"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
 )
@@ -84,114 +83,71 @@ func (p Policy) probe(r, c, row0, col0 int, fill RunFill) (*tile.LowRank, bool) 
 	return nil, false
 }
 
-// probeDense is the compressibility test for a tile that is already
-// materialized: tile.Compress, whose tail bound is measured against the tile
-// itself, with the same one-past-the-limit rank budget as probe. Partially
-// pivoted ACA stops on an estimate of its error and then only samples the
-// residual; with the tile in hand the exact test costs nothing extra, so ACA
-// is kept for the streaming assemblers, which have no tile to measure
-// against.
-func (p Policy) probeDense(blk *linalg.Matrix) (*tile.LowRank, bool) {
-	limit := p.rankLimit(blk.Rows, blk.Cols)
-	lr := tile.Compress(blk, p.Tol, limit+1)
-	return lr, lr.Rank() <= limit
-}
-
-// gridOver returns the empty grid a layout of the symmetric tiled matrix src
-// fills.
-func gridOver(src *tile.Matrix) *Grid {
+// materialize lays the symmetric tiled matrix src out through the in-memory
+// assembler mk returns — the layout's one decision code — for Potrf: the
+// diagonal first, then every other tile as an "assemble" task on sub (the
+// caller's group scope; nil builds serially). src is only read.
+func materialize(sub taskrt.Submitter, src *tile.Matrix, mk func(g *Grid, fill RunFill) *Assembler) *Grid {
 	if src.M != src.N {
 		panic(fmt.Sprintf("engine: layout needs a square matrix, got %dx%d", src.M, src.N))
 	}
-	return NewGrid(src.M, src.TS)
-}
-
-// AssembleDense is the dense layout (the paper's Chameleon path): every lower
-// tile of the symmetric tiled matrix enters the grid as dense float64. The
-// grid aliases src's tiles (the factorization then runs in place), so src
-// must not be reused afterwards.
-func AssembleDense(src *tile.Matrix) *Grid {
-	g := gridOver(src)
-	for i := 0; i < g.NT; i++ {
-		for j := 0; j <= i; j++ {
-			g.Set(i, j, &tile.DenseF64{D: src.Tile(i, j)})
+	g := NewGrid(src.M, src.TS)
+	asm := mk(g, func(dst []float64, row0, j int) {
+		for r := range dst {
+			dst[r] = src.At(row0+r, j)
 		}
-	}
-	return g
-}
-
-// AssembleTLR is the TLR layout (the HiCMA path): dense float64 diagonal
-// tiles aliasing src, every strictly-lower tile compressed to U·Vᵀ by
-// tile.Compress at relative accuracy tol with rank cap maxRank (0 =
-// uncapped). When sub is non-nil each compression runs as its own "compress"
-// task on it (the caller's group scope); nil compresses serially. Factorize
-// with Config{Tol: tol, MaxRank: maxRank} so the Schur updates recompress at
-// the accuracy the tiles were built to.
-func AssembleTLR(sub taskrt.Submitter, src *tile.Matrix, tol float64, maxRank int) *Grid {
-	g := gridOver(src)
-	run, wait := taskrt.Scatter(sub, "compress")
+	})
 	for i := 0; i < g.NT; i++ {
-		i := i
-		g.Set(i, i, &tile.DenseF64{D: src.Tile(i, i)})
-		for j := 0; j < i; j++ {
-			j := j
-			run(func() { g.Set(i, j, tile.Compress(src.Tile(i, j), tol, maxRank)) })
-		}
-	}
-	wait()
-	return g
-}
-
-// AssembleAdaptive builds an engine grid from a symmetric tiled matrix,
-// choosing each lower tile's representation by the policy. The grid aliases
-// src's float64 tiles (the factorization then runs in place), so src must
-// not be reused afterwards. When sub is non-nil the per-tile probes run as
-// independent tasks on it (the caller's group scope); nil probes serially.
-func AssembleAdaptive(sub taskrt.Submitter, src *tile.Matrix, p Policy) *Grid {
-	p = p.WithDefaults()
-	g := gridOver(src)
-	// Diagonal norms anchor the relative-magnitude test for f32 storage.
-	diagNorm := make([]float64, g.NT)
-	for i := 0; i < g.NT; i++ {
-		diagNorm[i] = src.Tile(i, i).FrobNorm()
+		g.Set(i, i, asm.Tile(i, i))
 	}
 	run, wait := taskrt.Scatter(sub, "assemble")
 	for i := 0; i < g.NT; i++ {
-		i := i
-		g.Set(i, i, &tile.DenseF64{D: src.Tile(i, i)})
 		for j := 0; j < i; j++ {
-			j := j
-			blk := src.Tile(i, j)
-			if i-j <= p.Band {
-				g.Set(i, j, &tile.DenseF64{D: blk})
-				continue
-			}
-			run(func() {
-				if lr, ok := p.probeDense(blk); ok {
-					g.Set(i, j, lr)
-					return
-				}
-				scale := math.Sqrt(diagNorm[i] * diagNorm[j])
-				if scale > 0 && blk.FrobNorm() <= p.F32Norm*scale {
-					g.Set(i, j, &tile.DenseF32{D: tile.ToSingle(blk)})
-					return
-				}
-				g.Set(i, j, &tile.DenseF64{D: blk})
-			})
+			i, j := i, j
+			run(func() { g.Set(i, j, asm.Tile(i, j)) })
 		}
 	}
 	wait()
 	return g
+}
+
+// AssembleDense is the dense layout (the paper's Chameleon path): every lower
+// tile of the symmetric tiled matrix enters the grid as dense float64.
+func AssembleDense(src *tile.Matrix) *Grid {
+	return materialize(nil, src, DenseEntryAssembler)
+}
+
+// AssembleTLR is the TLR layout (the HiCMA path): dense float64 diagonal
+// tiles, every strictly-lower tile compressed to U·Vᵀ by tile.Compress at
+// relative accuracy tol with rank cap maxRank (0 = uncapped). Factorize with
+// Config{Tol: tol, MaxRank: maxRank} so the Schur updates recompress at the
+// accuracy the tiles were built to.
+func AssembleTLR(sub taskrt.Submitter, src *tile.Matrix, tol float64, maxRank int) *Grid {
+	return materialize(sub, src, func(g *Grid, fill RunFill) *Assembler {
+		return TLREntryAssembler(g, fill, tol, maxRank, true)
+	})
+}
+
+// AssembleAdaptive builds an engine grid from a symmetric tiled matrix,
+// choosing each lower tile's representation by the policy.
+func AssembleAdaptive(sub taskrt.Submitter, src *tile.Matrix, p Policy) *Grid {
+	return materialize(sub, src, func(g *Grid, fill RunFill) *Assembler {
+		return p.EntryAssembler(g, fill, true)
+	})
 }
 
 // EntryAssembler returns a streaming assembler applying the adaptive policy
 // per tile, for PotrfStream: band tiles dense float64, off-band tiles probed
-// by ACA with the dense f32/f64 fallback, each tile built by its own task
-// only when the factorization graph first touches it. DiagFirst routes the
-// diagonal Frobenius norms (anchoring the f32 test) through the engine's norm
-// handles, so off-band tiles always observe assembled, unfactored diagonals.
-// Dense tiles draw from the workspace pool (the grid becomes engine-owned).
-func (p Policy) EntryAssembler(g *Grid, fill RunFill) *Assembler {
+// with the dense f32/f64 fallback, each tile built by its own task only when
+// the factorization graph first touches it. A kernel is probed by ACA, O(k)
+// runs in place of the full tile; an inMemory source, where a run is a copy,
+// by tile.CompressWithin on the tile in hand, whose tail bound is measured
+// against the tile itself where ACA stops on an estimate and only samples the
+// residual. DiagFirst routes the diagonal Frobenius norms (anchoring the f32
+// test) through the engine's norm handles, so off-band tiles always observe
+// assembled, unfactored diagonals. Dense tiles draw from the workspace pool
+// (the grid becomes engine-owned).
+func (p Policy) EntryAssembler(g *Grid, fill RunFill, inMemory bool) *Assembler {
 	p = p.WithDefaults()
 	ts := g.TS
 	diagNorm := make([]float64, g.NT)
@@ -208,10 +164,25 @@ func (p Policy) EntryAssembler(g *Grid, fill RunFill) *Assembler {
 			if i-j <= p.Band {
 				return &tile.DenseF64{D: denseBlock(ri, rj, row0, col0, fill)}
 			}
-			if lr, ok := p.probe(ri, rj, row0, col0, fill); ok {
-				return lr
+			if !inMemory {
+				if lr, ok := p.probe(ri, rj, row0, col0, fill); ok {
+					return lr
+				}
 			}
 			blk := denseBlock(ri, rj, row0, col0, fill)
+			if inMemory {
+				lr, ok := tile.CompressWithin(blk, p.Tol, p.rankLimit(ri, rj))
+				if ok {
+					putMat(blk)
+					return lr
+				}
+				if lr == nil {
+					g.probeRejectedEarly.Add(1)
+				} else {
+					discard(lr)
+				}
+			}
+			g.probeRejected.Add(1)
 			scale := math.Sqrt(diagNorm[i] * diagNorm[j])
 			if scale > 0 && blk.FrobNorm() <= p.F32Norm*scale {
 				w := tile.GetMat32(ri, rj)

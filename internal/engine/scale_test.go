@@ -41,7 +41,7 @@ func TestTLRCompressOnceAtScale(t *testing.T) {
 		var err error
 		if tc.streamed {
 			g = engine.NewGrid(geom.Len(), ts)
-			err = engine.PotrfStream(rt, g, cfg, engine.TLREntryAssembler(g, fillOf(geom, kern), tc.tol, cfg.MaxRank))
+			err = engine.PotrfStream(rt, g, cfg, engine.TLREntryAssembler(g, fillOf(geom, kern), tc.tol, cfg.MaxRank, false))
 		} else {
 			g = engine.AssembleTLR(rt, tile.FromDense(sigma.Clone(), ts), tc.tol, cfg.MaxRank)
 			err = engine.Potrf(rt, g, cfg)

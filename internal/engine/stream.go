@@ -369,18 +369,19 @@ func DenseEntryAssembler(g *Grid, fill RunFill) *Assembler {
 	}
 }
 
-// TLREntryAssembler streams the TLR layout — dense float64 diagonal, ACA low
-// rank off the diagonal (two runs per cross, O(rank) runs of ts entries per
-// tile) at relative accuracy tol with rank cap maxRank (0 = uncapped) —
-// directly inside the factorization graph. A tile whose cross iteration runs
-// out of rank budget (typical for near-diagonal tiles of smooth kernels, where
-// a capped ACA has uncontrolled error) or fails ACA's sampled residual check
-// (a matrix that is not smooth in its indices) is densified for the optimal
-// truncation instead. Every off-diagonal tile being low rank by construction,
-// the graph is built on it: a tile past column 0 has no assemble task and is
-// built inside the one task that applies its Schur updates. The grid must be
-// the one passed to PotrfStream.
-func TLREntryAssembler(g *Grid, fill RunFill, tol float64, maxRank int) *Assembler {
+// TLREntryAssembler streams the TLR layout — dense float64 diagonal, low rank
+// off the diagonal at relative accuracy tol with rank cap maxRank (0 =
+// uncapped) — directly inside the factorization graph. A kernel's tiles come
+// from ACA (two runs per cross, O(rank) runs of ts entries per tile); one whose
+// cross iteration runs out of rank budget (typical for near-diagonal tiles of
+// smooth kernels, where a capped ACA has uncontrolled error) or fails ACA's
+// sampled residual check (a matrix that is not smooth in its indices) is
+// densified for the optimal truncation instead — as is every tile of an
+// inMemory source, where a run is a copy. Every off-diagonal tile being low
+// rank by construction, the graph is built on it: a tile past column 0 has no
+// assemble task and is built inside the one task that applies its Schur
+// updates. The grid must be the one passed to PotrfStream.
+func TLREntryAssembler(g *Grid, fill RunFill, tol float64, maxRank int, inMemory bool) *Assembler {
 	ts := g.TS
 	return &Assembler{
 		offDiag: offLowRank,
@@ -390,13 +391,16 @@ func TLREntryAssembler(g *Grid, fill RunFill, tol float64, maxRank int) *Assembl
 			if i == j {
 				return &tile.DenseF64{D: denseBlock(ri, ri, row0, row0, fill)}
 			}
-			lr, ok := acaBlock(ri, rj, row0, col0, fill, tol, maxRank)
-			if !ok {
+			if !inMemory {
+				lr, ok := acaBlock(ri, rj, row0, col0, fill, tol, maxRank)
+				if ok {
+					return lr
+				}
 				discard(lr)
-				d := denseBlock(ri, rj, row0, col0, fill)
-				lr = tile.Compress(d, tol, maxRank)
-				putMat(d)
 			}
+			d := denseBlock(ri, rj, row0, col0, fill)
+			lr := tile.Compress(d, tol, maxRank)
+			putMat(d)
 			return lr
 		},
 	}

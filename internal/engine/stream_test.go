@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -93,11 +94,11 @@ func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 			return engine.DenseEntryAssembler(g, entry)
 		}},
 		{"tlr", func(g *engine.Grid) *engine.Assembler {
-			return engine.TLREntryAssembler(g, entry, tol, 0)
+			return engine.TLREntryAssembler(g, entry, tol, 0, false)
 		}},
 		{"adaptive", func(g *engine.Grid) *engine.Assembler {
 			p := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5}
-			return p.EntryAssembler(g, entry)
+			return p.EntryAssembler(g, entry, false)
 		}},
 	}
 	for _, b := range builders {
@@ -127,7 +128,17 @@ func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 // same bits.
 func sameTile(a, b tile.Tile) bool {
 	same := func(x, y *linalg.Matrix) bool {
-		return x.Rows == y.Rows && x.Cols == y.Cols && x.MaxAbsDiff(y) == 0
+		if x.Rows != y.Rows || x.Cols != y.Cols {
+			return false
+		}
+		for j := 0; j < x.Cols; j++ {
+			for i, v := range x.Col(j) {
+				if math.Float64bits(v) != math.Float64bits(y.Col(j)[i]) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	switch a := a.(type) {
 	case *tile.DenseF64:
@@ -141,6 +152,86 @@ func sameTile(a, b tile.Tile) bool {
 		return ok && a.Rank() == b.Rank() && (a.Rank() == 0 || same(a.U, b.U) && same(a.V, b.V))
 	}
 	return false
+}
+
+// TestInMemoryStreamMatchesMaterializedBits: an explicit Σ factored through
+// the streaming graph — every tile gathered from memory and compressed in
+// hand by its own task inside PotrfStream — is, tile for tile, the factor of
+// the same layout materialized up front (Assemble* → Potrf): kind, rank and
+// the bits of every stored entry, at one and two workers, on ragged grids. Σ
+// is the Matérn-5/2-plus-nugget field of the root package's pinned-bits
+// problem with a third of its locations swapped at random, so tiles are not
+// smooth in their indices and the adaptive policy uses all three
+// representations.
+func TestInMemoryStreamMatchesMaterializedBits(t *testing.T) {
+	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}
+	const tol = 1e-4
+	var seen engine.Mix
+	for _, tc := range []struct{ nx, ny, ts int }{{9, 5, 8}, {12, 12, 24}} {
+		geom := geo.RegularGrid(tc.nx, tc.ny)
+		rng := rand.New(rand.NewSource(5))
+		for s := 0; s < geom.Len()/6; s++ {
+			i, j := rng.Intn(geom.Len()), rng.Intn(geom.Len())
+			geom.Pts[i], geom.Pts[j] = geom.Pts[j], geom.Pts[i]
+		}
+		sigma := cov.Matrix(geom, kern)
+		fill := func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
+		// Ranks uncapped: a tile of swapped locations is near full rank, and
+		// a TLR factor capped at ts/2 is not positive definite.
+		n, maxRank := geom.Len(), 0
+		policy := engine.Policy{Tol: tol, MaxRank: maxRank, F32Norm: 0.5}
+		cfg := engine.Config{Tol: tol, MaxRank: maxRank}
+		for name, layout := range map[string]struct {
+			materialized func(sub taskrt.Submitter, src *tile.Matrix) *engine.Grid
+			streamed     func(g *engine.Grid) *engine.Assembler
+		}{
+			"dense": {
+				func(_ taskrt.Submitter, src *tile.Matrix) *engine.Grid { return engine.AssembleDense(src) },
+				func(g *engine.Grid) *engine.Assembler { return engine.DenseEntryAssembler(g, fill) },
+			},
+			"tlr": {
+				func(sub taskrt.Submitter, src *tile.Matrix) *engine.Grid {
+					return engine.AssembleTLR(sub, src, tol, maxRank)
+				},
+				func(g *engine.Grid) *engine.Assembler { return engine.TLREntryAssembler(g, fill, tol, maxRank, true) },
+			},
+			"adaptive": {
+				func(sub taskrt.Submitter, src *tile.Matrix) *engine.Grid {
+					return engine.AssembleAdaptive(sub, src, policy)
+				},
+				func(g *engine.Grid) *engine.Assembler { return policy.EntryAssembler(g, fill, true) },
+			},
+		} {
+			for _, workers := range []int{1, 2} {
+				rt := taskrt.New(workers)
+				want := layout.materialized(rt.NewGroup(), tile.FromDense(sigma, tc.ts))
+				err := engine.Potrf(rt.NewGroup(), want, cfg)
+				got := engine.NewGrid(n, tc.ts)
+				if err == nil {
+					err = engine.PotrfStream(rt.NewGroup(), got, cfg, layout.streamed(got))
+				}
+				rt.Shutdown()
+				if err != nil {
+					t.Fatalf("%s n=%d workers=%d: %v", name, n, workers, err)
+				}
+				for i := 0; i < want.NT; i++ {
+					for j := 0; j <= i; j++ {
+						if !sameTile(got.At(i, j), want.At(i, j)) {
+							t.Fatalf("%s n=%d workers=%d: streamed tile (%d,%d) (%s) is not the materialized one (%s)",
+								name, n, workers, i, j, got.At(i, j).Kind(), want.At(i, j).Kind())
+						}
+					}
+				}
+				if m := got.Mix(); name == "adaptive" {
+					seen.Dense32 += m.Dense32
+					seen.LowRank += m.LowRank
+				}
+			}
+		}
+	}
+	if seen.Dense32 == 0 || seen.LowRank == 0 {
+		t.Errorf("adaptive grids held %d float32 and %d low-rank tiles: not every representation was compared", seen.Dense32, seen.LowRank)
+	}
 }
 
 // TestRunAssemblyMatchesPerEntry: every streaming assembler driven by runs
@@ -157,9 +248,11 @@ func TestRunAssemblyMatchesPerEntry(t *testing.T) {
 	builders := map[string]func(*engine.Grid, engine.RunFill) *engine.Assembler{
 		"dense": engine.DenseEntryAssembler,
 		"tlr": func(g *engine.Grid, fill engine.RunFill) *engine.Assembler {
-			return engine.TLREntryAssembler(g, fill, tol, 0)
+			return engine.TLREntryAssembler(g, fill, tol, 0, false)
 		},
-		"adaptive": policy.EntryAssembler,
+		"adaptive": func(g *engine.Grid, fill engine.RunFill) *engine.Assembler {
+			return policy.EntryAssembler(g, fill, false)
+		},
 	}
 	kernels := map[string]cov.Kernel{
 		"exponential+nugget": &cov.Nugget{Kernel: &cov.Exponential{Sigma2: 1, Range: 0.15}, Tau2: 0.05},
@@ -206,7 +299,7 @@ func TestTLRStreamingResidualCheckOnMarginalOrder(t *testing.T) {
 	sort.SliceStable(geom.Pts, func(i, j int) bool { return level(geom.Pts[i]) > level(geom.Pts[j]) })
 	k := &cov.Nugget{Kernel: cov.NewMatern(1, 0.1, 2.5), Tau2: 0.1}
 	g := streamFactor(t, geom.Len(), ts, engine.Config{Tol: tol}, func(g *engine.Grid) *engine.Assembler {
-		return engine.TLREntryAssembler(g, fillOf(geom, k), tol, 0)
+		return engine.TLREntryAssembler(g, fillOf(geom, k), tol, 0, false)
 	})
 	sigma := cov.Matrix(geom, k)
 	if rel := relResidual(g, sigma); rel > 10*tol {
@@ -326,7 +419,7 @@ func TestEvictedAndDeferredTilesInOneGrid(t *testing.T) {
 	const tol, ts = 1e-4, 32
 	n := geom.Len()
 	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.35, F32Norm: 1e-12}
-	mk := func(g *engine.Grid) *engine.Assembler { return policy.EntryAssembler(g, fillOf(geom, kern)) }
+	mk := func(g *engine.Grid) *engine.Assembler { return policy.EntryAssembler(g, fillOf(geom, kern), false) }
 
 	asIs := engine.NewGrid(n, ts)
 	materialize(asIs, mk(asIs))

@@ -7,8 +7,8 @@
 // largest prefix whose joint probability still exceeds 1−α.
 //
 // One sweep per detection. The prefixes are nested along the marginal
-// ordering, so the correlation matrix is gathered and factored IN that
-// ordering (Plan.Correlation): every prefix is then a leading block, and the
+// ordering, so the correlation matrix is factored IN that ordering
+// (Plan.CorrelationRuns): every prefix is then a leading block, and the
 // SOV estimator of a leading block's probability is the running product of
 // the same chains after row k — the sequential-integration form Bolin &
 // Lindgren's method is built on. A single full-dimension integration
@@ -19,12 +19,16 @@
 // Cost, in sweep flops with N chains: the literal Algorithm 1 loop is n
 // integrations, n·n²·N; evaluating `nodes` prefixes and bisecting for the
 // boundary was (nodes + log₂n)·n²·N; this plan is one factorization plus one
-// sweep, n³/3 + n²·N. The factor is keyed by the ordering, so a detection
-// with a new mean or threshold refactorizes where the old plan reused a
-// location-ordered factor — still a win whenever n³/3 < (nodes+log₂n−1)·n²·N,
-// i.e. n ≲ 78·N at 16 nodes and n = 2500 (there: ≈170 Gflop → ≈12 Gflop).
-// Marginal order is not spatial order, so a TLR/adaptive factor compresses
-// less than it does for the same field in location order.
+// sweep, n³/3 + n²·N. The ordered matrix is never stored: the factorization's
+// assemble tasks gather each tile from the caller's rows through
+// CorrelationRuns, n²/2 reads on the workers and no n×n copy. The factor is
+// keyed by the ordering, so a detection with a new mean or threshold
+// refactorizes where the old plan reused a location-ordered factor — still a
+// win whenever n³/3 < (nodes+log₂n−1)·n²·N, i.e. n ≲ 78·N at 16 nodes and
+// n = 2500 (there: ≈170 Gflop → ≈12 Gflop). Marginal order is not spatial
+// order, so a TLR/adaptive factor compresses less than it does for the same
+// field in location order — and cannot be factored in location order either:
+// only in the marginal ordering is every prefix a leading block.
 package excursion
 
 import (
@@ -65,6 +69,9 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 func StdDevs(row func(i int) []float64, n int) ([]float64, error) {
 	sd := make([]float64, n)
 	for i := range sd {
+		if len(row(i)) != n {
+			return nil, fmt.Errorf("excursion: covariance row %d has %d entries, want %d", i, len(row(i)), n)
+		}
 		d := row(i)[i]
 		if !finitePositive(d) {
 			return nil, &InputError{What: "covariance diagonal", Index: i, Value: d}
@@ -107,25 +114,7 @@ func CorrelationFromCovariance(sigma *linalg.Matrix) (*linalg.Matrix, []float64)
 		sd[i] = math.Sqrt(sigma.At(i, i))
 		order[i] = i
 	}
-	return orderedCorrelation(sigma.Col, sd, order), sd
-}
-
-// orderedCorrelation gathers R[p][q] = Σ[order[p]][order[q]]/(sd·sd) for the
-// symmetric Σ whose i-th row is row(i): one n×n allocation, each row read
-// once. A nil sd means Σ is already a correlation matrix.
-func orderedCorrelation(row func(i int) []float64, sd []float64, order []int) *linalg.Matrix {
-	n := len(order)
-	r := linalg.NewMatrix(n, n)
-	for q, lq := range order {
-		src, dst := row(lq), r.Col(q)
-		for p, lp := range order {
-			dst[p] = src[lp]
-			if sd != nil {
-				dst[p] /= sd[lp] * sd[lq]
-			}
-		}
-	}
-	return r
+	return (&Plan{order: order}).Correlation(sigma.Col, sd), sd
 }
 
 // Plan is the part of a detection problem that exists before any factor
@@ -191,13 +180,39 @@ func (p *Plan) MarginalProbs() []float64 { return p.pM }
 // probability.
 func (p *Plan) Ordering() []int { return p.order }
 
-// Correlation returns the correlation matrix of the symmetric covariance
-// whose i-th row is row(i), standardized by scale[i] = √Σii (nil when the
-// rows are already a correlation matrix) and permuted into the marginal
-// ordering — the matrix to factor for Integrate. It is gathered straight from
-// the caller's rows.
+// CorrelationRuns is the one definition of the matrix a detection factors:
+// the correlation matrix of the symmetric covariance whose i-th row is row(i),
+// standardized by scale[i] = √Σii (nil when the rows are already a correlation
+// matrix) and permuted into the marginal ordering, as a column-run evaluator
+// (the signature of engine.RunFill): dst[r] = R(row0+r, j) =
+// row(order[j])[order[row0+r]] / (scale·scale). It reads the caller's rows in
+// place and is safe for concurrent calls.
+func (p *Plan) CorrelationRuns(row func(i int) []float64, scale []float64) func(dst []float64, row0, j int) {
+	return func(dst []float64, row0, j int) {
+		lq := p.order[j]
+		src, run := row(lq), p.order[row0:row0+len(dst)]
+		if scale == nil {
+			for r, lp := range run {
+				dst[r] = src[lp]
+			}
+			return
+		}
+		sq := scale[lq]
+		for r, lp := range run {
+			dst[r] = src[lp] / (scale[lp] * sq)
+		}
+	}
+}
+
+// Correlation materializes CorrelationRuns(row, scale) — the matrix to factor
+// for Integrate — for tests and figures.
 func (p *Plan) Correlation(row func(i int) []float64, scale []float64) *linalg.Matrix {
-	return orderedCorrelation(row, scale, p.order)
+	fill := p.CorrelationRuns(row, scale)
+	r := linalg.NewMatrix(len(p.order), len(p.order))
+	for j := range p.order {
+		fill(r.Col(j), 0, j)
+	}
+	return r
 }
 
 // Integrate makes the detection's one PMVN integration: f must be a Cholesky

@@ -76,31 +76,35 @@ func PotrfBlocked(a *Matrix, nb int) error {
 // Cholesky returns the lower Cholesky factor of the symmetric positive
 // definite matrix a (only the lower triangle of a is read). The input is not
 // modified.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	l := a.Clone()
-	if err := PotrfBlocked(l, 64); err != nil {
+func Cholesky(a *Matrix) (*Matrix, error) { return CholeskyInPlace(a.Clone()) }
+
+// CholeskyInPlace is Cholesky for a caller done with a, which it overwrites.
+func CholeskyInPlace(a *Matrix) (*Matrix, error) {
+	if err := PotrfBlocked(a, 64); err != nil {
 		return nil, err
 	}
-	l.LowerFromFull()
-	return l, nil
+	a.LowerFromFull()
+	return a, nil
 }
 
 // SolveSPD solves A·X = B for symmetric positive definite A, returning X.
 // B is not modified.
-func SolveSPD(a, b *Matrix) (*Matrix, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	x := b.Clone()
-	TrsmLower(Left, false, 1, l, x)
-	TrsmLower(Left, true, 1, l, x)
-	return x, nil
-}
+func SolveSPD(a, b *Matrix) (*Matrix, error) { return solveInPlace(a.Clone(), b.Clone()) }
 
 // InvSPD returns the inverse of a symmetric positive definite matrix.
-func InvSPD(a *Matrix) (*Matrix, error) {
-	return SolveSPD(a, Eye(a.Rows))
+func InvSPD(a *Matrix) (*Matrix, error) { return solveInPlace(a.Clone(), Eye(a.Rows)) }
+
+// InvSPDInPlace is InvSPD overwriting a with its factor: one n×n allocation, not two.
+func InvSPDInPlace(a *Matrix) (*Matrix, error) { return solveInPlace(a, Eye(a.Rows)) }
+
+// solveInPlace overwrites a with its Cholesky factor and x with A⁻¹·x.
+func solveInPlace(a, x *Matrix) (*Matrix, error) {
+	if _, err := CholeskyInPlace(a); err != nil {
+		return nil, err
+	}
+	TrsmLower(Left, false, 1, a, x)
+	TrsmLower(Left, true, 1, a, x)
+	return x, nil
 }
 
 // LogDetFromChol returns log|A| given the lower Cholesky factor of A.

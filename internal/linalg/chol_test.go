@@ -136,6 +136,16 @@ func TestInvSPD(t *testing.T) {
 	if d := prod.MaxAbsDiff(Eye(10)); d > 1e-8 {
 		t.Errorf("A·A⁻¹ differs from I by %v", d)
 	}
+	// The in-place form is the same arithmetic on the caller's storage: the
+	// same bits out, a left holding its own Cholesky factor.
+	l, _ := Cholesky(a)
+	inPlace, err := InvSPDInPlace(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inPlace.MaxAbsDiff(inv) != 0 || a.MaxAbsDiff(l) != 0 {
+		t.Errorf("InvSPDInPlace: inverse differs by %v, a from its factor by %v", inPlace.MaxAbsDiff(inv), a.MaxAbsDiff(l))
+	}
 }
 
 func TestLogDetFromChol(t *testing.T) {

@@ -41,6 +41,20 @@ const (
 // too small only costs growth rounds: the capture test, and with it the
 // accuracy contract, is Compress's. rank ≤ 0 states no expectation.
 func CompressNear(a *linalg.Matrix, tol float64, maxRank, rank int) *LowRank {
+	return compress(a, tol, maxRank, rank, false)
+}
+
+// CompressWithin is Compress(a, tol, limit+1) for a caller that keeps only
+// ranks up to limit: ok reports Rank() ≤ limit. When the capped sketch alone
+// leaves more than the whole truncation budget uncaptured — by a guard far
+// wider than the rounding between ‖A‖²_F − ‖B‖²_F and B's spectrum — truncate is
+// certain to return the cap: the core SVD is skipped and the tile is nil.
+func CompressWithin(a *linalg.Matrix, tol float64, limit int) (t *LowRank, ok bool) {
+	t = compress(a, tol, limit+1, 0, true)
+	return t, t != nil && t.Rank() <= limit
+}
+
+func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) *LowRank {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		// Compress the transpose and swap the factors back.
@@ -51,8 +65,11 @@ func CompressNear(a *linalg.Matrix, tol float64, maxRank, rank int) *LowRank {
 				tc[i] = a.At(j, i)
 			}
 		}
-		t := CompressNear(at, tol, maxRank, rank)
+		t := compress(at, tol, maxRank, rank, within)
 		linalg.PutMat(at)
+		if t == nil {
+			return nil
+		}
 		t.U, t.V = t.V, t.U
 		t.M, t.N = m, n
 		return t
@@ -121,22 +138,26 @@ func CompressNear(a *linalg.Matrix, tol float64, maxRank, rank int) *LowRank {
 		}
 	}
 
-	sv := svdPooled(b, tol)
-	k := sv.truncate(tol, residSq, maxRank)
-	if k > 0 {
-		x1 := linalg.GetMat(l, k)
-		sv.leftScaledInto(x1, k)
-		t.U = linalg.GetMat(m, k)
-		if q != nil {
-			linalg.Gemm(false, false, 1, q, x1, 0, t.U)
-		} else {
-			qf.ApplyQInto(x1, t.U)
+	if within && residSq > (1+1e-6)*tol*tol*froSq {
+		t = nil
+	} else {
+		sv := svdPooled(b, tol)
+		k := sv.truncate(tol, residSq, maxRank)
+		if k > 0 {
+			x1 := linalg.GetMat(l, k)
+			sv.leftScaledInto(x1, k)
+			t.U = linalg.GetMat(m, k)
+			if q != nil {
+				linalg.Gemm(false, false, 1, q, x1, 0, t.U)
+			} else {
+				qf.ApplyQInto(x1, t.U)
+			}
+			linalg.PutMat(x1)
+			t.V = linalg.GetMat(n, k)
+			sv.rightInto(t.V, k)
 		}
-		linalg.PutMat(x1)
-		t.V = linalg.GetMat(n, k)
-		sv.rightInto(t.V, k)
+		sv.release()
 	}
-	sv.release()
 	linalg.PutMat(b)
 	linalg.PutMat(q)
 	linalg.PutVec(tau)

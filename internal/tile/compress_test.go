@@ -121,6 +121,87 @@ func TestCompressNearKeepsCompressContract(t *testing.T) {
 	}
 }
 
+// decaying builds an m×n matrix with singular values decay^k on random
+// orthogonal-ish factors: where decay^limit sits against tol decides whether
+// the capped sketch's capture test is clear, borderline or hopeless.
+func decaying(m, n int, decay float64, rng *rand.Rand) *linalg.Matrix {
+	r := min(m, n)
+	u := linalg.NewMatrix(m, r)
+	v := linalg.NewMatrix(n, r)
+	for i := range u.Data {
+		u.Data[i] = rng.NormFloat64()
+	}
+	for i := range v.Data {
+		v.Data[i] = rng.NormFloat64() / math.Sqrt(float64(m*n))
+	}
+	for k := 0; k < r; k++ {
+		s := math.Pow(decay, float64(k))
+		for i, c := 0, u.Col(k); i < m; i++ {
+			c[i] *= s
+		}
+	}
+	a := linalg.NewMatrix(m, n)
+	linalg.Gemm(false, true, 1, u, v, 0, a)
+	return a
+}
+
+// TestCompressWithinMatchesCompress: CompressWithin(a, tol, limit) accepts
+// exactly the blocks for which Compress(a, tol, limit+1) lands within limit,
+// with bit-equal factors; it may only skip the core SVD (nil tile) on a block
+// the full path rejects, and does skip it on every incompressible one.
+func TestCompressWithinMatchesCompress(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const tol = 1e-4
+	for _, sh := range []struct{ m, n int }{{64, 64}, {256, 256}, {64, 96}} {
+		limit := min(sh.m, sh.n) / 2
+		// tol·decay^-limit: the decay rate at which the spectrum crosses tol
+		// exactly at the limit.
+		edge := math.Pow(tol, 1/float64(limit))
+		blocks := map[string]*linalg.Matrix{
+			"compressible":    lowRankPlusNoise(sh.m, sh.n, 6, 1e-9, rng),
+			"rank=limit":      lowRankPlusNoise(sh.m, sh.n, limit, 1e-12, rng),
+			"rank=limit+1":    lowRankPlusNoise(sh.m, sh.n, limit+1, 1e-12, rng),
+			"rank=limit+20":   lowRankPlusNoise(sh.m, sh.n, limit+20, 1e-12, rng),
+			"zero":            linalg.NewMatrix(sh.m, sh.n),
+			"incompressible":  lowRankPlusNoise(sh.m, sh.n, 1, 1, rng),
+			"incompressible2": decaying(sh.m, sh.n, 0.999, rng),
+		}
+		for _, f := range []float64{0.8, 0.9, 0.95, 0.98, 1, 1.02, 1.05, 1.1, 1.2} {
+			blocks[fmt.Sprintf("borderline/%g", f)] = decaying(sh.m, sh.n, math.Pow(edge, 1/f), rng)
+		}
+		accepted, early := 0, 0
+		for name, a := range blocks {
+			want := Compress(a, tol, limit+1)
+			got, ok := CompressWithin(a, tol, limit)
+			if ok != (want.Rank() <= limit) {
+				t.Errorf("%dx%d %s: accepted=%v, Compress rank %d against limit %d", sh.m, sh.n, name, ok, want.Rank(), limit)
+				continue
+			}
+			if got == nil {
+				early++
+				continue
+			}
+			if !ok && name[:2] == "in" {
+				t.Errorf("%dx%d %s: rejected only after the core SVD", sh.m, sh.n, name)
+			}
+			if got.Rank() != want.Rank() {
+				t.Errorf("%dx%d %s: rank %d, Compress %d", sh.m, sh.n, name, got.Rank(), want.Rank())
+				continue
+			}
+			if ok {
+				accepted++
+			}
+			if got.Rank() > 0 && (got.U.MaxAbsDiff(want.U) != 0 || got.V.MaxAbsDiff(want.V) != 0) {
+				t.Errorf("%dx%d %s: factors differ from Compress's", sh.m, sh.n, name)
+			}
+		}
+		if accepted < 4 || early < 3 {
+			t.Errorf("%dx%d: %d blocks accepted, %d rejected early of %d: the cases do not straddle the limit", sh.m, sh.n, accepted, early, len(blocks))
+		}
+		t.Logf("%dx%d: %d accepted, %d rejected early, %d blocks", sh.m, sh.n, accepted, early, len(blocks))
+	}
+}
+
 // TestCompressEdgeCases: empty, zero and tiny tiles.
 func TestCompressEdgeCases(t *testing.T) {
 	if r := Compress(linalg.NewMatrix(0, 5), 1e-4, 0).Rank(); r != 0 {

@@ -1,0 +1,278 @@
+package parmvn
+
+import (
+	"context"
+	"errors"
+	"log/slog"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+)
+
+// TestExplicitSigmaRejectsNonFinite: one NaN or infinite off-diagonal entry
+// in an explicit Σ is refused with a *DetectInputError naming its row, under
+// every method and through both entry points, before anything is factored or
+// cached. (Under TLR the parent commit died in a worker goroutine: the entry
+// reached tile.Compress and the Golub–Reinsch SVD indexed out of range.)
+func TestExplicitSigmaRejectsNonFinite(t *testing.T) {
+	_, _, sigma, mean := detectProblem()
+	n := len(mean)
+	a, b := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i], b[i] = -1, math.Inf(1)
+	}
+	const row, col = 17, 90
+	for _, m := range []Method{Dense, TLR, MethodAdaptive} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad := append([][]float64(nil), sigma...)
+			bad[row] = append([]float64(nil), sigma[row]...)
+			bad[row][col] = v
+			s := NewSession(Config{Method: m, Workers: 2, TileSize: 36, QMCSize: 100})
+			for name, call := range map[string]func() error{
+				"DetectRegionCov": func() error { _, err := s.DetectRegionCov(bad, mean, 0, 0.9, 0); return err },
+				"MVNProbCov":      func() error { _, err := s.MVNProbCov(bad, a, b); return err },
+			} {
+				err := call()
+				var in *DetectInputError
+				if !errors.As(err, &in) || in.What != "covariance" || in.Index != row {
+					t.Errorf("%v %s, Σ[%d][%d] = %v: error %v, want DetectInputError{covariance, %d}", m, name, row, col, v, err, row)
+				}
+			}
+			if hits, misses := s.Cache().Stats(); hits != 0 || misses != 0 || s.Cache().Len() != 0 {
+				t.Errorf("%v, entry %v: rejected calls touched the factor cache: %d hits, %d misses, %d entries", m, v, hits, misses, s.Cache().Len())
+			}
+			s.Close()
+		}
+	}
+}
+
+// TestSigmaKey: the explicit-Σ cache key sees every entry, the row order, the
+// factoring order and the standardization, and does not see the worker count.
+func TestSigmaKey(t *testing.T) {
+	_, _, sigma, mean := detectProblem()
+	n := len(mean)
+	rowsOf := func(m [][]float64) func(int) []float64 { return func(i int) []float64 { return m[i] } }
+	order, sd := make([]int, n), make([]float64, n)
+	for i := range order {
+		order[i], sd[i] = i, math.Sqrt(sigma[i][i])
+	}
+	with := func(mut func(m [][]float64)) [][]float64 {
+		m := append([][]float64(nil), sigma...)
+		mut(m)
+		return m
+	}
+	s1 := NewSession(Config{Workers: 1, TileSize: 36})
+	defer s1.Close()
+	s2 := NewSession(Config{Workers: 2, TileSize: 36})
+	defer s2.Close()
+	base, err := s1.sigmaKey(rowsOf(sigma), n, order, sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := s2.sigmaKey(rowsOf(sigma), n, order, sd); err != nil || k != base {
+		t.Errorf("two workers: key %x (%v), one worker %x", k.hash, err, base.hash)
+	}
+	swapped := append([]int(nil), order...)
+	swapped[3], swapped[100] = swapped[100], swapped[3]
+	scaled := append([]float64(nil), sd...)
+	scaled[n-1] = math.Nextafter(scaled[n-1], 2)
+	for name, k := range map[string]func() (factorKey, error){
+		"one ulp in the last entry": func() (factorKey, error) {
+			return s2.sigmaKey(rowsOf(with(func(m [][]float64) {
+				m[n-1] = append([]float64(nil), m[n-1]...)
+				m[n-1][n-1] = math.Nextafter(m[n-1][n-1], 2)
+			})), n, order, sd)
+		},
+		"one ulp mid-row, odd index": func() (factorKey, error) {
+			return s2.sigmaKey(rowsOf(with(func(m [][]float64) {
+				m[40] = append([]float64(nil), m[40]...)
+				m[40][77] = math.Nextafter(m[40][77], -1)
+			})), n, order, sd)
+		},
+		"two rows swapped": func() (factorKey, error) {
+			return s2.sigmaKey(rowsOf(with(func(m [][]float64) { m[5], m[6] = m[6], m[5] })), n, order, sd)
+		},
+		"another ordering": func() (factorKey, error) { return s2.sigmaKey(rowsOf(sigma), n, swapped, sd) },
+		"another sd":       func() (factorKey, error) { return s2.sigmaKey(rowsOf(sigma), n, order, scaled) },
+		"no ordering, no sd": func() (factorKey, error) {
+			return s2.sigmaKey(rowsOf(sigma), n, nil, nil)
+		},
+	} {
+		got, err := k()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got == base {
+			t.Errorf("%s: key unchanged", name)
+		}
+	}
+
+	// The key is what the cache is looked up by: a repeated call is a hit.
+	a, b := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i], b[i] = -1, math.Inf(1)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s2.DetectRegionCov(sigma, mean, 0, 0.9, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s2.MVNProbCov(sigma, a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := s2.Cache().Stats(); hits != 2 || misses != 2 {
+		t.Errorf("a detection and a query, each twice: %d hits, %d misses, want 2 and 2", hits, misses)
+	}
+}
+
+// explicitSigmaHeapCeiling is the checked-in budget for the growth of the Go
+// heap during the n = 2048 detection below, over the heap with the caller's Σ
+// (8n² = 32 MiB) already on it. The observed peak is 23–24 MiB: the factor's
+// tiles (9 MiB, most of them low rank), the pooled assembly and sketch buffers
+// and the integration's working set. Gathering Σ into a reordered copy and
+// tiling that, as the path did before it streamed, cannot stay under
+// 2·8n² = 64 MiB (measured at the parent commit: 81 MiB).
+const explicitSigmaHeapCeiling = 32 << 20
+
+// TestExplicitSigmaMemorySmoke: DetectRegionCov reads the caller's Σ in place
+// — no gathered copy, no tiled copy — and the cached factor keeps none of it
+// reachable. Runs in short mode by design.
+func TestExplicitSigmaMemorySmoke(t *testing.T) {
+	locs := Grid(64, 32) // n = 2048
+	n := len(locs)
+	sigma := CovarianceMatrix(locs, KernelSpec{Family: "exponential", Range: 0.1})
+	mean := make([]float64, n)
+	for i, p := range locs {
+		mean[i] = 1.5 - 3*p.X
+	}
+	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 256, TLRTol: 1e-4, QMCSize: 200})
+	defer s.Close()
+
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	runtime.GC()
+	before := heap()
+	var peak atomic.Uint64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			if h := heap(); h > peak.Load() {
+				peak.Store(h)
+			}
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	exc, err := s.DetectRegionCov(sigma, mean, 0, 0.9, 0)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exc.Region) == 0 || len(exc.Region) == n {
+		t.Errorf("region %d of %d is degenerate", len(exc.Region), n)
+	}
+
+	runtime.GC()
+	runtime.GC() // twice: sync.Pool's victim buffers go with the second
+	held := heap()
+	runtime.KeepAlive(sigma)
+	sigma = nil
+	runtime.GC()
+	released := held - min(held, heap())
+	dense := uint64(8 * n * n)
+	growth := peak.Load() - min(before, peak.Load())
+	t.Logf("Σ %d MiB; heap grew %.1f MiB during the call (ceiling %d MiB); dropping Σ afterwards released %.1f MiB",
+		dense>>20, float64(growth)/(1<<20), explicitSigmaHeapCeiling>>20, float64(released)/(1<<20))
+	if s.Cache().Len() != 1 {
+		t.Fatalf("%d cached factors, want 1", s.Cache().Len())
+	}
+	if raceEnabled {
+		// Shadow memory and sync.Pool's put-dropping under the race detector
+		// inflate the heap; the budget is for uninstrumented builds.
+		return
+	}
+	if growth > explicitSigmaHeapCeiling || growth >= dense*3/2 {
+		t.Errorf("heap grew %d bytes during the call, ceiling %d (and 1.5·8n² = %d)", growth, explicitSigmaHeapCeiling, dense*3/2)
+	}
+	if released < dense*9/10 {
+		t.Errorf("dropping Σ released %d bytes of its %d: the cached factor keeps the caller's rows reachable", released, dense)
+	}
+}
+
+// recordHandler keeps every record it is handed.
+type recordHandler struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *recordHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *recordHandler) WithGroup(string) slog.Handler            { return h }
+func (h *recordHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Clone())
+	return nil
+}
+
+// TestFactorizationLogLine: a cold build — from a kernel or from an explicit
+// Σ — emits one debug record on the default logger carrying the factor's
+// facts; a warm call emits nothing.
+func TestFactorizationLogLine(t *testing.T) {
+	h := &recordHandler{}
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(h))
+
+	locs, kernel, a, b := bitsProblem(12, 12)
+	sigma := CovarianceMatrix(locs, kernel)
+	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 24, TLRTol: 1e-4, AdaptiveF32Norm: 0.5, QMCSize: 100})
+	defer s.Close()
+	for i := 0; i < 2; i++ { // the second round is warm
+		if _, err := s.MVNProb(locs, kernel, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.MVNProbCov(sigma, a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(h.recs) != 2 {
+		t.Fatalf("%d log records for two cold builds and two warm calls, want 2", len(h.recs))
+	}
+	for i, source := range []string{"kernel", "sigma"} {
+		r := h.recs[i]
+		attrs := map[string]slog.Value{}
+		r.Attrs(func(a slog.Attr) bool { attrs[a.Key] = a.Value; return true })
+		if r.Level != slog.LevelDebug || r.Message != "parmvn: factorization" {
+			t.Errorf("%s: record %v %q", source, r.Level, r.Message)
+		}
+		if attrs["source"].String() != source || attrs["method"].String() != "adaptive" ||
+			attrs["n"].Int64() != 144 || attrs["tile"].Int64() != 24 {
+			t.Errorf("%s: attrs %v", source, attrs)
+		}
+		mix, _ := attrs["mix"].Any().(engine.Mix)
+		if mix.Dense64+mix.Dense32+mix.LowRank != 21 || mix.LowRank == 0 || mix.MaxRank == 0 {
+			t.Errorf("%s: tile mix %+v, want 21 tiles, some low rank", source, mix)
+		}
+		if attrs["factor_bytes"].Int64() <= 0 || attrs["elapsed"].Duration() <= 0 || !attrs["err"].Equal(slog.AnyValue(nil)) {
+			t.Errorf("%s: bytes %v elapsed %v err %v", source, attrs["factor_bytes"], attrs["elapsed"], attrs["err"])
+		}
+		if rej, early := attrs["probes_rejected"].Int64(), attrs["probes_rejected_early"].Int64(); rej < early || (source == "kernel" && early != 0) {
+			t.Errorf("%s: %d probes rejected, %d early", source, rej, early)
+		}
+	}
+}
