@@ -11,13 +11,19 @@ import (
 
 // The chain-blocked SOV path. One sample-tile column — a lane block of mc
 // chains — runs through the whole factor in a single left-looking sweep:
-// at row tile r the A/B limit tiles are initialized from the limits, all
-// inter-tile conditioning contributions Σ_{t<r} Y_t·L(r,t)ᵀ are applied as
-// lane-major GEMMs, and the diagonal kernel advances every lane through the
-// tile's rows with batched special functions. Work tiles are laid out
+// at row tile r all inter-tile conditioning contributions Σ_{t<r} Y_t·L(r,t)ᵀ
+// are applied as lane-major GEMMs into one accumulator tile, and the diagonal
+// kernel advances every lane through the tile's rows. Work tiles are laid out
 // chain-major (mc × rows): the sample lanes run down the stride-1 axis, so
-// the intra-tile conditioning at row i is i stride-1 axpys across lanes and
-// the Genz step applies Φ/Φ⁻¹ to one contiguous lane vector.
+// the intra-tile conditioning at row i is stride-1 axpys across lanes and the
+// Genz step of a row is one call over contiguous lane vectors.
+//
+// That step (paper Algorithm 3) is typed by the row, not by the lane: a row's
+// limits are two scalars shared by every chain, so stats.GenzRow decides once
+// which is infinite — one erfc per lane for the half-open rows of an excursion
+// or prefix query, two for a two-sided row, none for a free one. A row walks
+// its lane vector five times: shift into erfc arguments, erfc, combine into
+// (dif, u), central Φ⁻¹, and qmcKernelLanes' one scalar pass.
 //
 // Compared to the seed's right-looking task graph (per-(row,column) QMC
 // kernels with GEMM propagation tasks fanned between them), columns are now
@@ -68,26 +74,19 @@ func (s *blockSource) release() {
 	}
 }
 
-// laneWS is the per-column lane scratch: one mc-length vector per
-// intermediate of the batched Genz step.
-type laneWS struct {
-	acc, aP, bP, dif, da, u []float64
-}
-
-// The second result is the pooled backing buffer; callers return it with
+// getLaneWS carves the per-column lane scratch of the Genz step out of one
+// pooled buffer. The second result is that buffer; callers return it with
 // linalg.PutVec when the sweep finishes.
 //
 //repro:returns-pooled vec
 //repro:noalloc
-func getLaneWS(mc int) (laneWS, []float64) {
-	buf := linalg.GetVec(6 * mc)
-	return laneWS{
-		acc: buf[0*mc : 1*mc],
-		aP:  buf[1*mc : 2*mc],
-		bP:  buf[2*mc : 3*mc],
-		dif: buf[3*mc : 4*mc],
-		da:  buf[4*mc : 5*mc],
-		u:   buf[5*mc : 6*mc],
+func getLaneWS(mc int) (stats.GenzLanes, []float64) {
+	buf := linalg.GetVec(4 * mc)
+	return stats.GenzLanes{
+		A:   buf[0*mc : 1*mc],
+		B:   buf[1*mc : 2*mc],
+		Dif: buf[2*mc : 3*mc],
+		U:   buf[3*mc : 4*mc],
 	}, buf
 }
 
@@ -249,13 +248,19 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *blockSource, kOf
 // as soon as none remain (yP is then incomplete — the caller abandons the
 // sweep). pre records Σ_lanes p after every row it completes.
 //
-// Rows with most lanes alive run the batched Genz step — shifted limits,
-// the fused PhiIntervalPhiBatch and PhiInvBatch over the contiguous lane
-// vectors, then a fix-up pass for dead lanes, empty intervals and tail
-// clamps. Once most lanes are dead the scalar chainStep over the survivors
-// is cheaper than full-width batches; both paths compute identical values.
+// Rows with most lanes alive (4·alive ≥ 3·mc) run the batch arm: one
+// stats.GenzRow over the contiguous lane vectors — typed by the row's scalar
+// limits, so a half-open row pays one erfc per lane and nothing for its
+// infinite side — then one scalar pass over the lanes that evaluates Φ⁻¹ on
+// the tail lanes, applies the fix-ups (dead lanes, empty intervals, tail
+// clamps) and multiplies the factors into p. Once most lanes are dead the
+// sparse arm, the scalar chainStep over the survivors, is cheaper than
+// full-width batches. The arms agree to stats.ErfcVecMaxRel, not bit for bit
+// (the vector erfc is not math.Erfc), so a lane's value depends on which side
+// of the threshold its block stood at that row; the guarantee is that the
+// result is a deterministic function of the inputs, whatever the worker count.
 //repro:noalloc
-func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []float64, row0 int, s, p []float64, ws laneWS, alive int, pre prefixCol) int {
+func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []float64, row0 int, s, p []float64, ws stats.GenzLanes, alive int, pre prefixCol) int {
 	m := yP.K
 	mc := len(p)
 	for i0 := 0; i0 < m; i0 += condBlock {
@@ -282,32 +287,28 @@ func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []
 				}
 			}
 			d := lkk.At(i, i)
-			if 4*alive >= 3*mc {
-				// Batch path: shift the broadcast limits by the conditioning
-				// sums. (limit − acc)/d preserves ±∞ limits, so no per-lane
-				// infinity branch is needed.
-				aP, bP := ws.aP, ws.bP
-				shiftLanes(aP, av, acc, d, s)
-				shiftLanes(bP, bv, acc, d, s)
-				stats.PhiIntervalPhiBatch(aP, bP, ws.dif, ws.da)
-				u := ws.u
-				for l := 0; l < mc; l++ {
-					u[l] = ws.da[l] + wCol[l]*ws.dif[l]
-				}
-				stats.PhiInvBatch(u, yCol)
-				for l := 0; l < mc; l++ {
+			if 4*alive >= 3*mc { // batch arm
+				stats.GenzRow(av, bv, acc, d, s, wCol, yCol, ws)
+				dif, u := ws.Dif[:mc], ws.U[:mc]
+				yCol = yCol[:mc]
+				for l := range p {
 					switch {
 					case p[l] == 0:
 						yCol[l] = 0 // dead lane: keep Y finite
-					case ws.dif[l] <= 0:
-						yCol[l] = emptyIntervalY(aP[l], bP[l])
+					case dif[l] <= 0:
+						yCol[l] = emptyIntervalY(ws.Limits(av, bv, l))
 						p[l] = 0
 						alive--
 					default:
-						if y := yCol[l]; math.IsInf(y, 0) || math.IsNaN(y) {
-							yCol[l] = clampTailY(y, aP[l], bP[l])
+						if !stats.PhiInvCentral(u[l]) {
+							y := stats.PhiInv(u[l])
+							if math.IsInf(y, 0) || math.IsNaN(y) {
+								aP, bP := ws.Limits(av, bv, l)
+								y = clampTailY(y, aP, bP)
+							}
+							yCol[l] = y
 						}
-						p[l] *= ws.dif[l]
+						p[l] *= dif[l]
 						if p[l] == 0 {
 							alive--
 						}
@@ -316,7 +317,7 @@ func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []
 				pre.record(row0+i, 1, p)
 				continue
 			}
-			// Sparse path: only the surviving lanes pay the special functions.
+			// Sparse arm: only the surviving lanes pay the special functions.
 			for l := 0; l < mc; l++ {
 				if p[l] == 0 {
 					yCol[l] = 0
@@ -362,28 +363,5 @@ func clampFreeY(ys []float64) {
 		if math.IsInf(y, 0) || math.IsNaN(y) {
 			ys[l] = clampTailY(y, math.Inf(-1), math.Inf(1))
 		}
-	}
-}
-
-// shiftLanes fills dst[l] = (limit·s[l] − acc[l])/d — the per-lane shifted
-// limit of one row. An infinite limit short-circuits to itself across all
-// lanes (the χ² scale and the conditioning shift both preserve it); s is nil
-// for the plain MVN path.
-//repro:noalloc
-func shiftLanes(dst []float64, limit float64, acc []float64, d float64, s []float64) {
-	if math.IsInf(limit, 0) {
-		for l := range dst {
-			dst[l] = limit
-		}
-		return
-	}
-	if s == nil {
-		for l := range dst {
-			dst[l] = (limit - acc[l]) / d
-		}
-		return
-	}
-	for l := range dst {
-		dst[l] = (limit*s[l] - acc[l]) / d
 	}
 }

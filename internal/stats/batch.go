@@ -2,10 +2,18 @@ package stats
 
 import "math"
 
-// Batched special functions for the chain-blocked SOV kernel: the QMC
-// integration applies Φ, Φ⁻¹ and the interval probability to a whole lane
-// block of chains at once, so the batch forms take contiguous slices and
-// keep the inner loops branch-light.
+// Batched special functions for the chain-blocked SOV kernel. The sweep's
+// one consumer is GenzRow, the numeric part of a Genz–Bretz step over the
+// contiguous lane vector of one factor row; ErfcBatch, PhiIntervalBatch and
+// PhiInvBatch are the same kernels behind plain slice forms (free rows use
+// PhiInvBatch; bench/probes.go times all three).
+//
+// GenzRow is typed once per row, from the row's two scalar limits, never per
+// lane: an infinite limit costs nothing — no lane vector is filled with ±Inf
+// and no erfc is evaluated to obtain the constants 0 and 1. It walks the lane
+// vector four times — genzPre, erfc (twice for a two-sided row), genzPost,
+// the central Φ⁻¹ — and leaves the tail-Φ⁻¹ lanes to the one scalar pass in
+// which its caller applies the SOV fix-ups.
 //
 // On amd64 hosts with AVX2+FMA the batch forms dispatch to the 4-lane vector
 // kernels in spec_amd64.s (kill-switch: REPRO_NOASM, see spec_amd64.go); the
@@ -16,8 +24,8 @@ import "math"
 // bounded by the documented tolerances:
 //
 //	ErfcVecMaxRel   relative error of the vector erfc (and everything built
-//	                on it: PhiBatch, PhiIntervalBatch, PhiIntervalPhiBatch)
-//	                against the scalar forms, for results ≥ ErfcVecTinyAbs.
+//	                on it: PhiIntervalBatch, GenzRow's dif and u) against the
+//	                scalar forms, for results ≥ ErfcVecTinyAbs.
 //	ErfcVecTinyAbs  absolute error floor for near-underflow tails: the
 //	                vector exp clamps its argument at −708, so erfc results
 //	                below ~1e-305 can be inflated up to ~1.3e-309 absolute
@@ -25,12 +33,20 @@ import "math"
 //	PhiInvVecMaxRel relative error of the vector Φ⁻¹ central rational (FMA
 //	                contraction only; same AS241 coefficients).
 //
-// The fix-up semantics (dead lanes, empty intervals, tail clamps, NaN and
-// ±Inf handling) are identical on both paths, which the fuzz targets pin.
+// NaN and ±Inf handling is identical on both paths, which the fuzz targets
+// pin.
 const (
 	ErfcVecMaxRel   = 5e-13
 	ErfcVecTinyAbs  = 1e-305
 	PhiInvVecMaxRel = 1e-13
+)
+
+// bench/probes.go times these by these signatures, and a change that claims
+// a gain may not edit bench/: moving one must fail here, at build time.
+var (
+	_ func(x, dst []float64)    = ErfcBatch
+	_ func(a, b, dst []float64) = PhiIntervalBatch
+	_ func(p, dst []float64)    = PhiInvBatch
 )
 
 // erfcArgs is the shared argument preparation of the interval forms: both
@@ -41,25 +57,6 @@ const (
 //repro:noalloc
 func erfcArgs(a, b float64) (sa, sb float64) {
 	return a / Sqrt2, b / Sqrt2
-}
-
-// PhiBatch fills dst[i] = Phi(x[i]). x and dst must have equal length and may
-// alias.
-//repro:noalloc
-func PhiBatch(x, dst []float64) {
-	dst = dst[:len(x)]
-	if hasVecSpecials && len(x) >= 4 {
-		erfcVec(x, dst, -1/Sqrt2, 0.5)
-		return
-	}
-	phiBatchScalar(x, dst)
-}
-
-//repro:noalloc
-func phiBatchScalar(x, dst []float64) {
-	for i, v := range x {
-		dst[i] = 0.5 * math.Erfc(-v/Sqrt2)
-	}
 }
 
 // ErfcBatch fills dst[i] = erfc(x[i]); the raw batched complementary error
@@ -169,53 +166,138 @@ func PhiIntervalAndPhi(a, b float64) (dif, da float64) {
 	}
 }
 
-// PhiIntervalPhiBatch fills dif[i], da[i] = PhiIntervalAndPhi(a[i], b[i])
-// over contiguous lane vectors. Slices must have equal length; dif and da
-// may alias a or b (aliased calls take the scalar path — the vector path
-// stages its erfc streams in dif and da while it still needs a and b).
+// GenzLanes is the lane scratch GenzRow writes, each vector at least as long
+// as the row's lanes: A, B the shifted limits (finite limits only — an infinite
+// one is its own shift, see Limits), Dif = Φ(b′) − Φ(a′), U the Φ⁻¹ argument.
+type GenzLanes struct {
+	A, B, Dif, U []float64
+}
+
+// Limits returns lane l's shifted limits of a row with scalar limits lo, hi.
 //repro:noalloc
-func PhiIntervalPhiBatch(a, b, dif, da []float64) {
-	b = b[:len(a)]
-	dif = dif[:len(a)]
-	da = da[:len(a)]
-	if !hasVecSpecials || len(a) < 4 ||
-		&dif[0] == &a[0] || &dif[0] == &b[0] || &da[0] == &a[0] || &da[0] == &b[0] {
-		phiIntervalPhiBatchScalar(a, b, dif, da)
+func (g GenzLanes) Limits(lo, hi float64, l int) (a, b float64) {
+	a, b = lo, hi
+	if !math.IsInf(lo, 0) {
+		a = g.A[l]
+	}
+	if !math.IsInf(hi, 0) {
+		b = g.B[l]
+	}
+	return a, b
+}
+
+// GenzRow evaluates one Genz–Bretz SOV step for every lane of a factor row
+// with limits lo, hi: given the lanes' conditioning sums acc, the row's pivot
+// d, optional per-lane χ² scales s (nil for MVN) and uniform draws w,
+//
+//	a′ = (lo·s − acc)/d    b′ = (hi·s − acc)/d
+//	(dif, da) = PhiIntervalAndPhi(a′, b′)    u = da + w·dif    y = Φ⁻¹(u)
+//
+// into g and y. y[l] stands only where u[l] is central (PhiInvCentral); the
+// other lanes hold no value, and the caller evaluates PhiInv(g.U[l]) on them
+// itself, in the same pass that applies its fix-ups. None of the slices may
+// alias another.
+//
+// The row is typed by its scalar limits. A half-open row pays one erfc per
+// lane, e = ½erfc(|a′|/√2): (dif, da) = (e, 1−e) for a′ ≥ 0 and (1−e, e) for
+// a′ < 0; an upper-only row has dif = ½erfc(−b′/√2), da = 0. Both are what
+// the two-sided arithmetic returns when its other erfc is evaluated on ±Inf,
+// bit for bit. A NaN in acc, s or d makes the lane's dif NaN. A row with an
+// infinite limit on the wrong side (lo = +Inf or hi = −Inf; empty in every
+// lane) takes the scalar path.
+//repro:noalloc
+func GenzRow(lo, hi float64, acc []float64, d float64, s, w, y []float64, g GenzLanes) {
+	n := len(acc)
+	w, y = w[:n], y[:n]
+	if s != nil {
+		s = s[:n]
+	}
+	a, b, dif, u := g.A[:n], g.B[:n], g.Dif[:n], g.U[:n]
+	loInf, hiInf := math.IsInf(lo, 0), math.IsInf(hi, 0)
+	if !hasVecSpecials || n < 4 || math.IsInf(lo, 1) || math.IsInf(hi, -1) || loInf && hiInf {
+		genzRowScalar(lo, hi, acc, d, s, w, g)
+		phiInvCentralScalar(u, y)
 		return
 	}
-	// e1 = ½erfc(|a|/√2) in dif, e2 = ½erfc(sign(a)·b/√2) in da: for a ≥ 0
-	// these are the right-tail pair (Φ(-a), Φ(-b)); for a < 0 the mirrored
-	// left-tail pair (Φ(a), Φ(b)) — exactly the quantities every branch of
-	// PhiIntervalAndPhi combines.
-	for i, ai := range a {
-		sa, sb := erfcArgs(ai, b[i])
-		if ai >= 0 {
-			dif[i], da[i] = sa, sb
-		} else {
-			dif[i], da[i] = -sa, -sb
-		}
+	switch { // a nil limit vector types the row for the post pass
+	case hiInf:
+		b = nil
+		genzPre(lo, d, acc, s, a, a, dif)
+	case loInf: // the sign of −∞ mirrors every lane
+		a = nil
+		genzPre(hi, d, acc, s, nil, b, dif)
+	default:
+		genzPre(lo, d, acc, s, a, a, dif)
+		genzPre(hi, d, acc, s, a, b, u)
+		erfcVec(u, u, 1, 0.5)
 	}
 	erfcVec(dif, dif, 1, 0.5)
-	erfcVec(da, da, 1, 0.5)
-	for i, ai := range a {
-		e1, e2 := dif[i], da[i]
-		switch {
-		case b[i] <= ai:
-			dif[i], da[i] = 0, 0
-		case ai >= 0:
-			dif[i], da[i] = e1-e2, 1-e1
-		case ai < 0:
-			dif[i], da[i] = e2-e1, e1
-		default: // a is NaN
-			dif[i], da[i] = math.NaN(), math.NaN()
+	genzPost(a, b, w, dif, u)
+	n4 := n &^ 3
+	phiInvCentralSimd(n4, &u[0], &y[0])
+	phiInvCentralScalar(u[n4:], y[n4:])
+}
+
+// genzPre is GenzRow's pre pass for one finite limit lim: the shifted limit
+// (lim·s − acc)/d into lp and its erfc argument ±lp/√2 (erfcArgs' division;
+// negation is exact) into x, negated where the lane's shifted LOWER limit sel
+// is not ≥ 0 (sel nil: everywhere) — the tail-stable side. sel may be lp.
+//repro:noalloc
+func genzPre(lim, d float64, acc, s, sel, lp, x []float64) {
+	for l, c := range acc {
+		v := lim
+		if s != nil {
+			v *= s[l]
 		}
+		v = (v - c) / d
+		lp[l] = v
+		v /= Sqrt2
+		if sel == nil || !(sel[l] >= 0) {
+			v = -v
+		}
+		x[l] = v
 	}
 }
 
+// genzPost is GenzRow's post pass, in place: from e1 = ½erfc(|a′|/√2) in dif
+// and, two-sided, e2 = ½erfc(sign(a′)·b′/√2) in u — the right-tail pair
+// (Φ(−a′), Φ(−b′)) for a′ ≥ 0, else the mirrored (Φ(a′), Φ(b′)): what every
+// branch of PhiIntervalAndPhi combines — to dif and u = da + w·dif. A nil b
+// marks a lower-only row, a nil a an upper-only one (e2 would be 0 or 1).
 //repro:noalloc
-func phiIntervalPhiBatchScalar(a, b, dif, da []float64) {
-	for i, ai := range a {
-		dif[i], da[i] = PhiIntervalAndPhi(ai, b[i])
+func genzPost(a, b, w, dif, u []float64) {
+	for l, e1 := range dif {
+		da := e1
+		switch {
+		case a == nil:
+			da = 0
+		case b == nil && a[l] >= 0:
+			da = 1 - e1
+		case b == nil:
+			dif[l] = 1 - e1
+		case b[l] <= a[l]:
+			dif[l], da = 0, 0
+		case a[l] >= 0:
+			dif[l], da = e1-u[l], 1-e1
+		default:
+			dif[l] = u[l] - e1
+		}
+		u[l] = da + w[l]*dif[l]
+	}
+}
+
+// genzRowScalar is GenzRow's portable pre+erfc+post, lane by lane through
+// PhiIntervalAndPhi, for any pair of limits.
+//repro:noalloc
+func genzRowScalar(lo, hi float64, acc []float64, d float64, s, w []float64, g GenzLanes) {
+	for l, c := range acc {
+		sl := 1.0
+		if s != nil {
+			sl = s[l]
+		}
+		g.A[l], g.B[l] = (lo*sl-c)/d, (hi*sl-c)/d // Limits ignores an infinite limit's
+		df, da := PhiIntervalAndPhi(g.Limits(lo, hi, l))
+		g.Dif[l], g.U[l] = df, da+w[l]*df
 	}
 }
 
@@ -235,8 +317,7 @@ func PhiInvBatch(p, dst []float64) {
 	n := len(p) &^ 3
 	phiInvCentralSimd(n, &p[0], &dst[0])
 	for i := 0; i < n; i++ {
-		q := p[i] - 0.5
-		if !(q >= -0.425 && q <= 0.425) {
+		if !PhiInvCentral(p[i]) {
 			dst[i] = PhiInv(p[i])
 		}
 	}
@@ -245,13 +326,32 @@ func PhiInvBatch(p, dst []float64) {
 
 //repro:noalloc
 func phiInvBatchScalar(p, dst []float64) {
+	for i, v := range p { // tails first: no tail value is central, so dst may be p
+		if !PhiInvCentral(v) {
+			dst[i] = PhiInv(v)
+		}
+	}
+	phiInvCentralScalar(p, dst)
+}
+
+// PhiInvCentral reports whether p lies in AS241's central region
+// |p − ½| ≤ 0.425, where the batch kernels' value stands; elsewhere (NaN
+// included) Φ⁻¹ is PhiInv's scalar tail path.
+//repro:noalloc
+func PhiInvCentral(p float64) bool {
+	q := p - 0.5
+	return q >= -0.425 && q <= 0.425
+}
+
+// phiInvCentralScalar fills dst[i] = PhiInv(p[i]) where p[i] is central, by
+// the rational the vector kernel evaluates; the tail lanes are skipped.
+//repro:noalloc
+func phiInvCentralScalar(p, dst []float64) {
 	for i, v := range p {
-		q := v - 0.5
-		if q >= -0.425 && q <= 0.425 {
+		if PhiInvCentral(v) {
+			q := v - 0.5
 			r := 0.180625 - q*q
 			dst[i] = q * poly8(&ppnd16A, r) / poly8(&ppnd16B, r)
-		} else {
-			dst[i] = PhiInv(v)
 		}
 	}
 }

@@ -113,18 +113,6 @@ func intervalInputs(seed int64) (as, bs []float64) {
 	return as, bs
 }
 
-func TestPhiBatchMatchesScalar(t *testing.T) {
-	xs := phiInputs()
-	dst := make([]float64, len(xs))
-	PhiBatch(xs, dst)
-	for i, x := range xs {
-		want := Phi(x)
-		if !closeTol(dst[i], want, erfcTol(want)) {
-			t.Fatalf("PhiBatch(%g) = %g, scalar %g", x, dst[i], want)
-		}
-	}
-}
-
 func TestErfcBatchMatchesScalar(t *testing.T) {
 	xs := phiInputs()
 	dst := make([]float64, len(xs))
@@ -144,22 +132,16 @@ func TestBatchScalarPathIsExact(t *testing.T) {
 	setVecSpecials(t, false)
 	xs := phiInputs()
 	dst := make([]float64, len(xs))
-	PhiBatch(xs, dst)
+	ErfcBatch(xs, dst)
 	for i, x := range xs {
-		if want := Phi(x); !sameFloat(dst[i], want) {
-			t.Fatalf("scalar PhiBatch(%g) = %g, want %g", x, dst[i], want)
+		if want := math.Erfc(x); !sameFloat(dst[i], want) {
+			t.Fatalf("scalar ErfcBatch(%g) = %g, want %g", x, dst[i], want)
 		}
 	}
 	as, bs := intervalInputs(11)
-	dif := make([]float64, len(as))
-	da := make([]float64, len(as))
-	PhiIntervalPhiBatch(as, bs, dif, da)
 	for i := range as {
-		wd, wa := PhiIntervalAndPhi(as[i], bs[i])
-		if !sameFloat(dif[i], wd) || !sameFloat(da[i], wa) {
-			t.Fatalf("scalar PhiIntervalPhiBatch(%g,%g) = (%g,%g), want (%g,%g)",
-				as[i], bs[i], dif[i], da[i], wd, wa)
-		}
+		checkGenzRow(t, as[i], bs[i], genzAcc, 0.7, nil, genzDraws)
+		checkGenzRow(t, as[i], bs[i], genzAcc, 0.07, genzScales, genzDraws)
 	}
 	ps := append([]float64(nil), hardProbs...)
 	inv := make([]float64, len(ps))
@@ -183,30 +165,101 @@ func TestPhiIntervalBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestPhiIntervalPhiBatchMatchesScalar(t *testing.T) {
+// The lanes every GenzRow row of the tests below is evaluated over:
+// conditioning sums that put the shifted limits in every erfc region and on
+// both sides of zero (with the non-finite ones), χ² scales and draws that
+// reach both Φ⁻¹ tails. 13 lanes: three vector blocks and a ragged one.
+var (
+	genzAcc    = []float64{0, -0.3, 0.3, 2, -2, 9, -9, 30, -30, math.Inf(1), math.Inf(-1), math.NaN(), 1e-9}
+	genzScales = []float64{1, 0.5, 1.7, 0.9, 1.1, 3, 0.2, 1, 1e-3, 1, 1.3, 0.8, 0}
+	genzDraws  = []float64{0.5, 1e-17, 1 - 1e-16, 0.074, 0.926, 0.3, 0.7, 0.999, 1e-300, 0.5, 0.5, 0.5, 0.25}
+)
+
+// checkGenzRow runs GenzRow over one row and compares every lane with the
+// scalar forms it fuses — the shift, PhiIntervalAndPhi, PhiInv: exactly on
+// the scalar path, within the documented tolerances on the vector path.
+func checkGenzRow(t *testing.T, lo, hi float64, acc []float64, d float64, s, w []float64) {
+	t.Helper()
+	n := len(acc)
+	g := GenzLanes{A: make([]float64, n), B: make([]float64, n), Dif: make([]float64, n), U: make([]float64, n)}
+	y := make([]float64, n)
+	GenzRow(lo, hi, acc, d, s, w[:n], y, g)
+	exact := !hasVecSpecials || n < 4
+	for l := range acc {
+		sl := 1.0
+		if s != nil {
+			sl = s[l]
+		}
+		a, b := lo, hi
+		if !math.IsInf(lo, 0) {
+			a = (lo*sl - acc[l]) / d
+		}
+		if !math.IsInf(hi, 0) {
+			b = (hi*sl - acc[l]) / d
+		}
+		if ga, gb := g.Limits(lo, hi, l); !sameFloat(ga, a) || !sameFloat(gb, b) {
+			t.Fatalf("row (%g,%g) lane %d: shifted limits (%g,%g), want (%g,%g)", lo, hi, l, ga, gb, a, b)
+		}
+		dif, da := PhiIntervalAndPhi(a, b)
+		u := da + w[l]*dif
+		difTol, uTol, yRel := intervalTol(a, dif), erfcTol(da)+3e-16+math.Abs(w[l])*intervalTol(a, dif), PhiInvVecMaxRel
+		if exact {
+			difTol, uTol, yRel = 0, 0, 0
+		}
+		if !closeTol(g.Dif[l], dif, difTol) {
+			t.Fatalf("row (%g,%g) lane %d (a′=%g b′=%g): dif = %g, scalar %g", lo, hi, l, a, b, g.Dif[l], dif)
+		}
+		// Structural invariants the sweep relies on, independent of path: an
+		// empty interval is exactly 0 and a live dif is positive.
+		if b <= a && g.Dif[l] != 0 || g.Dif[l] < 0 {
+			t.Fatalf("row (%g,%g) lane %d (a′=%g b′=%g): dif = %g", lo, hi, l, a, b, g.Dif[l])
+		}
+		if onVec := !exact && !math.IsInf(lo, 1) && !math.IsInf(hi, -1) && !(math.IsInf(lo, 0) && math.IsInf(hi, 0)); onVec {
+			// On the vector path a typed row must return, bit for bit, what the
+			// two-sided arithmetic returns over both shifted limits with the
+			// infinite one evaluated too — what the sweep ran before rows were
+			// typed (a live lane's da included, through u).
+			x := []float64{a / Sqrt2, b / Sqrt2}
+			if !(a >= 0) {
+				x[0], x[1] = -x[0], -x[1]
+			}
+			erfcVec(x, x, 1, 0.5)
+			vdif, vda := math.NaN(), math.NaN()
+			switch {
+			case b <= a:
+				vdif, vda = 0, 0
+			case a >= 0:
+				vdif, vda = x[0]-x[1], 1-x[0]
+			case a < 0:
+				vdif, vda = x[1]-x[0], x[0]
+			}
+			if vu := vda + w[l]*vdif; !sameFloat(g.Dif[l], vdif) || vdif > 0 && !sameFloat(g.U[l], vu) {
+				t.Fatalf("row (%g,%g) lane %d (a′=%g b′=%g w=%g): (dif, u) = (%g, %g), two-sided arithmetic (%g, %g)",
+					lo, hi, l, a, b, w[l], g.Dif[l], g.U[l], vdif, vu)
+			}
+		}
+		// u and y are only consumed when the lane survives (dif > 0).
+		if !(dif > 0) {
+			continue
+		}
+		if !closeTol(g.U[l], u, uTol) {
+			t.Fatalf("row (%g,%g) lane %d (a′=%g b′=%g w=%g): u = %g, scalar %g", lo, hi, l, a, b, w[l], g.U[l], u)
+		}
+		// y stands on central lanes; the tail lanes are the caller's.
+		if want := PhiInv(g.U[l]); PhiInvCentral(g.U[l]) && !closeTol(y[l], want, yRel*math.Abs(want)) {
+			t.Fatalf("row (%g,%g) lane %d: y = %g, PhiInv(%g) = %g", lo, hi, l, y[l], g.U[l], want)
+		}
+	}
+}
+
+// TestGenzRowMatchesScalar runs every interval of intervalInputs — the
+// half-open, degenerate and NaN ones among them — as the scalar limits of a
+// row, MVN and MVT.
+func TestGenzRowMatchesScalar(t *testing.T) {
 	as, bs := intervalInputs(7)
-	dif := make([]float64, len(as))
-	da := make([]float64, len(as))
-	PhiIntervalPhiBatch(as, bs, dif, da)
 	for i := range as {
-		wantDif, wantDa := PhiIntervalAndPhi(as[i], bs[i])
-		if !closeTol(dif[i], wantDif, intervalTol(as[i], wantDif)) {
-			t.Fatalf("PhiIntervalPhiBatch(%g,%g) dif = %g, scalar %g", as[i], bs[i], dif[i], wantDif)
-		}
-		// da is only consumed when the lane survives (dif > 0); there it
-		// tracks the scalar pair within the single-value erfc tolerance plus
-		// the one-ulp complement forms.
-		if wantDif > 0 && !closeTol(da[i], wantDa, erfcTol(wantDa)+3e-16) {
-			t.Fatalf("PhiIntervalPhiBatch(%g,%g) da = %g, scalar %g", as[i], bs[i], da[i], wantDa)
-		}
-		// Structural invariants the sweep relies on, independent of path:
-		// dead intervals are exactly (0,0) and live dif is positive.
-		if bs[i] <= as[i] && (dif[i] != 0 || da[i] != 0) {
-			t.Fatalf("empty interval (%g,%g) gave (%g,%g)", as[i], bs[i], dif[i], da[i])
-		}
-		if !math.IsNaN(dif[i]) && dif[i] < 0 {
-			t.Fatalf("negative dif %g for (%g,%g)", dif[i], as[i], bs[i])
-		}
+		checkGenzRow(t, as[i], bs[i], genzAcc, 0.7, nil, genzDraws)
+		checkGenzRow(t, as[i], bs[i], genzAcc, 0.07, genzScales, genzDraws)
 	}
 }
 
@@ -232,24 +285,8 @@ func TestPhiInvBatchMatchesScalar(t *testing.T) {
 }
 
 // TestBatchAliasing: dst may alias the input slice; aliased calls fall back
-// to the scalar path, so they agree with the scalar reference exactly and
-// with the vector result within tolerance.
+// to the scalar path, so they agree with the scalar reference exactly.
 func TestBatchAliasing(t *testing.T) {
-	x := []float64{-2, -0.5, 0, 0.5, 2, -1, 3, 0.1, 1.7}
-	scalar := make([]float64, len(x))
-	phiBatchScalar(x, scalar)
-	vec := make([]float64, len(x))
-	PhiBatch(x, vec)
-	aliased := append([]float64(nil), x...)
-	PhiBatch(aliased, aliased)
-	for i := range x {
-		if !closeTol(aliased[i], scalar[i], erfcTol(scalar[i])) {
-			t.Fatalf("aliased PhiBatch diverged at %d: %g vs %g", i, aliased[i], scalar[i])
-		}
-		if !closeTol(vec[i], scalar[i], erfcTol(scalar[i])) {
-			t.Fatalf("PhiBatch diverged at %d: %g vs %g", i, vec[i], scalar[i])
-		}
-	}
 	p := []float64{0.01, 0.3, 0.5, 0.7, 0.99}
 	wantInv := make([]float64, len(p))
 	phiInvBatchScalar(p, wantInv)
@@ -318,9 +355,9 @@ func FuzzErfcBatch(f *testing.F) {
 	})
 }
 
-// FuzzPhiIntervalBatch pins the interval forms — dif against PhiInterval and
-// the fused pair against PhiIntervalAndPhi — on arbitrary limit pairs,
-// including a ≈ b, reversed, and non-finite limits, across ragged lengths.
+// FuzzPhiIntervalBatch pins dif against PhiInterval on arbitrary limit
+// pairs, including a ≈ b, reversed, and non-finite limits, across ragged
+// lengths.
 func FuzzPhiIntervalBatch(f *testing.F) {
 	f.Add(-1.0, 1.0, 0.5, 0.5000001, uint8(6))
 	f.Add(math.Inf(-1), math.Inf(1), -40.0, 40.0, uint8(4))
@@ -343,18 +380,52 @@ func FuzzPhiIntervalBatch(f *testing.F) {
 				t.Fatalf("PhiIntervalBatch(%g,%g) = %g, scalar %g", a[i], b[i], dst[i], want)
 			}
 		}
-		dif := make([]float64, n)
-		da := make([]float64, n)
-		PhiIntervalPhiBatch(a, b, dif, da)
-		for i := range a {
-			wd, wa := PhiIntervalAndPhi(a[i], b[i])
-			if !closeTol(dif[i], wd, intervalTol(a[i], wd)) {
-				t.Fatalf("PhiIntervalPhiBatch(%g,%g) dif = %g, scalar %g", a[i], b[i], dif[i], wd)
+	})
+}
+
+// FuzzGenzRow pins the row step against the scalar forms lane by lane
+// (checkGenzRow), on the host's path and on the scalar one: any limits, NaN
+// and ±Inf conditioning sums, tiny and huge pivots, with and without χ²
+// scales, lane vectors of 1 to 67.
+func FuzzGenzRow(f *testing.F) {
+	inf := math.Inf(1)
+	f.Add(-0.3, inf, 0.4, -1.2, 0.41, 1.0, 0.37, uint8(66), false)   // the excursion row
+	f.Add(-inf, 0.8, -0.1, 2.5, 0.07, 0.6, 0.91, uint8(12), true)    // upper-only, MVT
+	f.Add(-1.5, 2.0, math.NaN(), inf, 1.0, 1.3, 0.5, uint8(4), true) // two-sided, NaN and +Inf sums
+	f.Add(1.0, inf, 0.0, -inf, 1e-300, 1.0, 1e-17, uint8(2), false)  // tiny pivot, scalar length
+	f.Add(-2.0, -1.0, 3.0, -3.0, 1e300, 0.0, 1-1e-16, uint8(33), true)
+	f.Add(inf, inf, 0.0, 1.0, 1.0, 1.0, 0.5, uint8(8), false) // wrong-side infinity: empty
+	f.Add(-inf, inf, 0.0, 1.0, 1.0, 1.0, 0.5, uint8(8), false)
+	f.Add(2.0, 1.0, 0.3, -0.3, 0.5, 1.0, 0.5, uint8(20), false)
+	f.Fuzz(func(t *testing.T, lo, hi, acc0, acc1, d, s0, w0 float64, nn uint8, scaled bool) {
+		n := 1 + int(nn%67)
+		acc, w := make([]float64, n), make([]float64, n)
+		var s []float64
+		if scaled {
+			s = make([]float64, n)
+		}
+		for l := range acc {
+			// Two seeds and a ramp: neighbouring lanes land in different erfc
+			// regions and on both sides of zero.
+			switch l % 3 {
+			case 0:
+				acc[l] = acc0
+			case 1:
+				acc[l] = acc1
+			default:
+				acc[l] = acc0 + 0.37*float64(l) - acc1
 			}
-			if wd > 0 && !closeTol(da[i], wa, erfcTol(wa)+3e-16) {
-				t.Fatalf("PhiIntervalPhiBatch(%g,%g) da = %g, scalar %g", a[i], b[i], da[i], wa)
+			w[l] = w0
+			if l%4 != 0 {
+				_, w[l] = math.Modf(math.Abs(w0) + 0.6180339887*float64(l))
+			}
+			if scaled {
+				s[l] = s0 * (1 + 0.01*float64(l%5))
 			}
 		}
+		checkGenzRow(t, lo, hi, acc, d, s, w)
+		setVecSpecials(t, false)
+		checkGenzRow(t, lo, hi, acc, d, s, w)
 	})
 }
 
@@ -367,7 +438,6 @@ func BenchmarkSpecials(b *testing.B) {
 		hi := make([]float64, n)
 		pr := make([]float64, n)
 		dst := make([]float64, n)
-		da := make([]float64, n)
 		rng := rand.New(rand.NewSource(4))
 		for i := range x {
 			x[i] = rng.NormFloat64() * 2
@@ -393,18 +463,18 @@ func BenchmarkSpecials(b *testing.B) {
 					ErfcBatch(x, dst)
 				}
 			})
-			b.Run(fmt.Sprintf("phi/%s/n=%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					PhiBatch(x, dst)
-				}
-			})
-			b.Run(fmt.Sprintf("phiintervalphi/%s/n=%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					PhiIntervalPhiBatch(lo, hi, dst, da)
-				}
-			})
+			g := GenzLanes{A: make([]float64, n), B: make([]float64, n), Dif: make([]float64, n), U: make([]float64, n)}
+			for _, row := range []struct {
+				name   string
+				lo, hi float64
+			}{{"lower", -0.3, math.Inf(1)}, {"upper", math.Inf(-1), 0.8}, {"twosided", -1.5, 2}} {
+				b.Run(fmt.Sprintf("genzrow-%s/%s/n=%d", row.name, name, n), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						GenzRow(row.lo, row.hi, x, 0.4, nil, pr, dst, g)
+					}
+				})
+			}
 			b.Run(fmt.Sprintf("phiinv/%s/n=%d", name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
