@@ -192,7 +192,7 @@ type Config struct {
 	// QMCSize is the QMC sample size N (default 2000).
 	QMCSize int
 	// Replicates is the number of randomized QMC replicates used for error
-	// estimates (default 1).
+	// estimates (default 1; a budgeted query runs at least 4).
 	Replicates int
 	// FactorCacheCap bounds how many Cholesky factors the session keeps
 	// (LRU eviction; each dense factor is O(n²) memory). Default 8; 0
@@ -310,13 +310,13 @@ type Result struct {
 }
 
 // QueryOpts are per-query accuracy/latency budgets. The zero value means
-// unconstrained: the query runs the session's fixed QMCSize integration,
-// bit-identical to the path without opts. Setting any budget routes the
-// query through the wave-structured early-stopping integration (see
-// internal/mvn): samples accrue in incremental replicate-stratified waves
-// and the query stops at the first wave boundary where the accuracy target
-// is met or a budget is exhausted, reporting the achieved error and the
-// samples actually paid.
+// unconstrained: QMCSize samples on each of Config.Replicates replicates,
+// bit-identical to the call without opts. There is one integration loop (see
+// internal/mvn); any budget adds its stop test and makes QMCSize the total:
+// samples accrue one lane block per replicate per wave, on at least 4
+// replicates, and the query stops at the first wave boundary where the
+// accuracy target is met or a budget is exhausted, reporting the achieved
+// error and the samples actually paid.
 type QueryOpts struct {
 	// MaxRelErr > 0 stops the integration once the streaming relative-error
 	// estimate drops to this target. Config.QMCSize becomes the TOTAL
@@ -331,9 +331,6 @@ type QueryOpts struct {
 	// over Budget. Serving layers that admit a request at one time and
 	// start integrating later use this form.
 	Deadline time.Time
-	// WaveSize is the number of samples appended per replicate per wave
-	// (rounded up to whole lane blocks). Default: one lane block.
-	WaveSize int
 	// Ctx, when non-nil, is checked between waves: on cancellation the
 	// query returns the partial estimate with its error bar and the
 	// Canceled flag.
@@ -344,7 +341,6 @@ type QueryOpts struct {
 //repro:noalloc
 func (q QueryOpts) apply(o mvn.Options) mvn.Options {
 	o.MaxRelErr = q.MaxRelErr
-	o.WaveSize = q.WaveSize
 	o.Ctx = q.Ctx
 	o.Deadline = q.Deadline
 	if o.Deadline.IsZero() && q.Budget > 0 {

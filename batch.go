@@ -48,8 +48,8 @@ func (s *Session) MVNProbBatch(locs []Point, kernel KernelSpec, queries []Bounds
 
 // MVNProbBatchOpts is MVNProbBatch with per-query accuracy/latency budgets:
 // opts may be nil (all unconstrained), a single element (shared by every
-// query) or one element per query. Budgeted queries run the wave-structured
-// early-stopping integration; unconstrained ones are bit-identical to
+// query) or one element per query. A budget adds the stop test to a query's
+// integration (see QueryOpts); unconstrained ones are bit-identical to
 // MVNProbBatch.
 func (s *Session) MVNProbBatchOpts(locs []Point, kernel KernelSpec, queries []Bounds, opts []QueryOpts) ([]Result, error) {
 	return s.probBatch(locs, kernel, 0, queries, opts)
@@ -145,10 +145,10 @@ func (s *Session) query(f *mvn.Factor, a, b []float64, nu float64, opts mvn.Opti
 }
 
 // evalBatch runs the pre-validated queries against one shared factor. Each
-// query gets a fresh deterministic Options (its own default-seeded shift
-// Rng), so result i is bit-identical to a standalone MVNProb/MVTProb with
-// the same inputs regardless of batching or execution order. Empty boxes
-// short-circuit to probability 0 without integrating.
+// query gets a fresh Options, and its replicate shifts are a deterministic
+// function of them, so result i is bit-identical to a standalone
+// MVNProb/MVTProb with the same inputs regardless of batching or execution
+// order. Empty boxes short-circuit to probability 0 without integrating.
 func (s *Session) evalBatch(f *mvn.Factor, queries []Bounds, empty []bool, nu float64, qopts []QueryOpts) ([]Result, error) {
 	out := make([]Result, len(queries))
 	if len(queries) <= 1 {

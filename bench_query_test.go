@@ -78,7 +78,7 @@ func benchWarmQuery(b *testing.B, method Method, side int, regime string, sweepF
 // sizes, limit regimes and sweep precisions (the default f64 sweep, and the
 // opt-in f32 propagation recorded as the sweep=f32 rows). The
 // earlystop rows run the same query with a 1e-3 relative-error target: the
-// wave path stops as soon as the streaming error estimate meets it, with the
+// integration stops as soon as the streaming error estimate meets it, with the
 // same N=1000 as its TOTAL budget — so a cell that cannot converge (hard
 // regimes) pays at most the fixed-N cost, and an easy cell (wide, prob ≈ 1)
 // stops after the first wave.

@@ -82,9 +82,8 @@ func scaleLimit(v, s float64) float64 {
 
 // PMVT evaluates the MVT probability T_n(a,b;Σ,ν) on the chain-blocked
 // backend: the identical sweep to PMVN, with each lane's limits pre-scaled
-// by its χ² draw (the generator's extra leading coordinate). Like PMVN, the
-// randomized replicates run concurrently in their own runtime groups, with
-// all shifts pre-drawn from Options.Rng.
+// by its χ² draw (the generator's extra leading coordinate). It is the same
+// integration loop as PMVN (integrate), replicates, budgets and all.
 //repro:noalloc
 func PMVT(rt *taskrt.Runtime, f *Factor, a, b []float64, nu float64, opt Options) Result {
 	n := f.N()

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 	"time"
 
-	"repro/internal/linalg"
 	"repro/internal/qmc"
 	"repro/internal/taskrt"
 )
@@ -27,10 +24,9 @@ type Options struct {
 	// pre-expanded once per replicate.
 	NewGen func(dim int, shift []float64) qmc.Generator
 	// Replicates is the number of randomized-shift replicates used for the
-	// error estimate. Default 1 (no error estimate).
+	// error estimate. Default 1 (no error estimate). Replicate 0 is the
+	// unshifted point set; the shifts are deterministic (see replicateShift).
 	Replicates int
-	// Rng drives the replicate shifts. Default: deterministic seed 1.
-	Rng *rand.Rand
 	// Inline runs the integration on the calling goroutine instead of
 	// fanning sample-tile columns out as runtime tasks. Batched callers set
 	// it so each query occupies exactly one worker; a warm (cached-factor)
@@ -45,37 +41,25 @@ type Options struct {
 	// differs from the f64 sweep by well under the QMC error bar — and not
 	// at all when the factor has a single row tile.
 	SweepF32 bool
-	// MaxRelErr > 0 enables wave-structured early stopping: the integration
-	// runs replicate-stratified incremental sample waves (see wave.go) and
-	// stops as soon as the streaming relative-error estimate — the replicate
-	// spread across the waves seen so far, relative to the running estimate —
-	// drops to MaxRelErr. With early stopping active, N is the TOTAL sample
-	// budget across replicates (so an unreachable target never costs more
-	// than the fixed-N path), and Replicates below 2 is raised to a small
-	// default (the error estimate needs a spread).
+	// MaxRelErr > 0 is an accuracy budget. Any budget (this, Deadline or Ctx)
+	// adds a stop test to the integration loop (see wave.go): samples accrue
+	// one lane block per replicate per wave, and the loop stops at the first
+	// wave boundary where the streaming relative-error estimate — the
+	// replicate spread over the waves seen so far, relative to the running
+	// estimate — is down to MaxRelErr. Under a budget N is the TOTAL across
+	// replicates (so an unreachable target never costs more than the same
+	// query without one), and Replicates below 2 is raised to 4 (the error
+	// estimate needs a spread).
 	MaxRelErr float64
-	// Deadline, when nonzero, caps the wall clock of the integration: the
-	// budget is checked between waves and the running estimate is returned
-	// (Converged false) once it expires. At least one wave always runs, so a
-	// blown deadline still yields an estimate with an error bar. Setting
-	// Deadline alone (MaxRelErr 0) routes the query through the wave path.
+	// Deadline, when nonzero, is a wall-clock budget: it is checked between
+	// waves and the running estimate is returned (Converged false) once it
+	// has passed. At least one wave always runs, so a blown deadline still
+	// yields an estimate with an error bar.
 	Deadline time.Time
-	// WaveSize is the number of samples appended to each replicate per wave,
-	// rounded up to whole lane blocks (SampleTile). Default: one lane block.
-	WaveSize int
-	// Ctx, when non-nil, is checked between waves: on cancellation the
-	// integration stops and returns the partial estimate with its error bar
-	// and the Canceled flag, instead of discarding the completed waves. Like
-	// Deadline, a non-nil Ctx routes the query through the wave path.
+	// Ctx, when non-nil, is a budget too: it is checked between waves, and on
+	// cancellation the integration returns the partial estimate with its error
+	// bar and the Canceled flag instead of discarding the completed waves.
 	Ctx context.Context
-}
-
-// earlyStop reports whether the wave-structured path serves this query: any
-// accuracy target, latency budget or cancelable context engages it. With all
-// three unset the fixed-N path runs unchanged (bit-identical results).
-//repro:noalloc
-func (o Options) earlyStop() bool {
-	return o.MaxRelErr > 0 || !o.Deadline.IsZero() || o.Ctx != nil
 }
 
 //repro:noalloc
@@ -132,38 +116,6 @@ func PMVN(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Result {
 	return integrate(rt, f, a, b, opt.withDefaults(f.TS()), 0, nil)
 }
 
-// integrate runs the replicated integration behind PMVN (nu = 0) and PMVT
-// (nu > 0) on defaulted options. A non-nil pre (PMVNPrefix, which clears the
-// early-stopping options) additionally receives every replicate's estimate
-// after every row.
-//repro:noalloc
-func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, pre prefixAcc) Result {
-	genDim := f.N()
-	if nu > 0 {
-		genDim++
-	}
-	inline := o.Inline || rt == nil || rt.Workers() == 1
-	a, b = trimFree(a, b)
-
-	// Accuracy/latency-budgeted queries run the incremental wave path; the
-	// unconstrained paths below are untouched (bit-identical results).
-	if o.earlyStop() {
-		return integrateWaves(rt, f, a, b, o, nu, genDim, inline)
-	}
-
-	// Warm fast path: one replicate, default generator — a pooled lattice
-	// and pooled workspaces end to end, so a cached-factor query allocates
-	// nothing.
-	if o.Replicates == 1 && o.NewGen == nil {
-		g := qmc.GetRichtmyer(genDim, nil)
-		p := runReplicate(rt, f, a, b, g, o, nu, inline, pre.row(0, len(a)))
-		qmc.PutRichtmyer(g)
-		return Result{Prob: clampProb(p), Samples: o.N}
-	}
-	//repro:alloc-ok replicated/custom-generator queries build one generator per replicate
-	return integrateReplicated(rt, f, a, b, o, nu, genDim, inline, pre)
-}
-
 // trimFree cuts the limit vectors after the last constrained row. Rows past
 // it multiply the probability by 1 and nobody reads their Y, so the sweep
 // stops there — no QMC block, Φ⁻¹ or propagation is spent on them — and the
@@ -175,143 +127,6 @@ func trimFree(a, b []float64) ([]float64, []float64) {
 		n--
 	}
 	return a[:n], b[:n]
-}
-
-// integrateReplicated runs the replicated (or custom-generator) integration:
-// all shifts are pre-drawn from the (shared, not goroutine-safe) Rng up
-// front, then the replicates run concurrently unless inline. This path
-// allocates by design — one generator per replicate — and is kept out of the
-// //repro:noalloc-certified integrate above.
-func integrateReplicated(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, genDim int, inline bool, pre prefixAcc) Result {
-	rng := o.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	gens := make([]qmc.Generator, o.Replicates)
-	for rep := range gens {
-		var shift []float64
-		if rep > 0 {
-			shift = qmc.RandomShift(genDim, rng)
-		}
-		if o.NewGen != nil {
-			gens[rep] = o.NewGen(genDim, shift)
-		} else {
-			gens[rep] = qmc.NewRichtmyerShifted(genDim, shift)
-		}
-	}
-	probs := make([]float64, len(gens))
-	if inline || len(gens) == 1 {
-		for rep, gen := range gens {
-			probs[rep] = runReplicate(rt, f, a, b, gen, o, nu, inline, pre.row(rep, len(a)))
-		}
-		return reduceReplicates(probs, o.N)
-	}
-	var wg sync.WaitGroup
-	for rep := range gens {
-		rep := rep
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			probs[rep] = runReplicate(rt, f, a, b, gens[rep], o, nu, false, pre.row(rep, len(a)))
-		}()
-	}
-	wg.Wait()
-	return reduceReplicates(probs, o.N)
-}
-
-// runReplicate evaluates one replicate: the sample-tile columns are
-// independent lane blocks, swept inline on the calling goroutine or fanned
-// out as one task each in their own runtime group. The per-column sums land
-// in fixed slots, so the estimate is deterministic regardless of scheduling.
-// A non-nil pre (one entry per row of the trimmed limits) receives the
-// replicate's estimate after every row: each column records into its own
-// buffer and the buffers are summed in column order, like the scalars.
-//repro:noalloc
-func runReplicate(rt *taskrt.Runtime, f *Factor, a, b []float64, gen qmc.Generator, o Options, nu float64, inline bool, pre []float64) float64 {
-	if gen.Dim() != genDimFor(f, nu) {
-		//repro:alloc-ok dimension-mismatch panic path
-		panic(fmt.Sprintf("mvn: generator dim %d, want %d", gen.Dim(), genDimFor(f, nu)))
-	}
-	n, mc := o.N, o.SampleTile
-	kt := (n + mc - 1) / mc
-	sums := linalg.GetVec(kt)
-	var cols []float64
-	if pre != nil {
-		cols = linalg.GetVec(kt * len(a))
-	}
-	// The f32 shadow is resolved once per replicate, before any column runs
-	// (its one-time build is the only allocating step; warm loads are an
-	// atomic read). nil propagates in f64.
-	var sh *ShadowF32
-	if o.SweepF32 {
-		sh = f.Shadow32()
-	}
-	if inline || kt == 1 {
-		// Kept free of the task path's closures so the block source stays
-		// on the stack: the warm inline query allocates nothing.
-		src := newBlockSource(gen, n)
-		for k := 0; k < kt; k++ {
-			sums[k] = sweepColumn(f, sh, a, b, &src, k*mc, min(mc, n-k*mc), nu, prefixColOf(cols, k, len(a)))
-		}
-		src.release()
-	} else {
-		//repro:alloc-ok task fan-out closes over the column index; the warm batched path runs inline
-		runColumnTasks(rt, f, sh, a, b, gen, sums, cols, n, mc, nu)
-	}
-	sum := 0.0
-	for _, v := range sums {
-		sum += v
-	}
-	linalg.PutVec(sums)
-	if cols != nil {
-		reducePrefixCols(pre, cols, n)
-		linalg.PutVec(cols)
-	}
-	return sum / float64(n)
-}
-
-// runColumnTasks fans the sample-tile columns out as one task each in their
-// own runtime group (the block source and shadow are read-only across them).
-func runColumnTasks(rt *taskrt.Runtime, f *Factor, sh *ShadowF32, a, b []float64, gen qmc.Generator, sums, cols []float64, n, mc int, nu float64) {
-	src := newBlockSource(gen, n)
-	g := rt.NewGroup()
-	for k := range sums {
-		k := k
-		g.Submit("qmc", 0, func() {
-			sums[k] = sweepColumn(f, sh, a, b, &src, k*mc, min(mc, n-k*mc), nu, prefixColOf(cols, k, len(a)))
-		})
-	}
-	g.Wait()
-	src.release()
-}
-
-//repro:noalloc
-func genDimFor(f *Factor, nu float64) int {
-	if nu > 0 {
-		return f.N() + 1
-	}
-	return f.N()
-}
-
-// reduceReplicates averages the replicate estimates and, with ≥2 replicates,
-// attaches the randomized-QMC standard error; n is the per-replicate sample
-// count (the total cost is len(probs)·n).
-func reduceReplicates(probs []float64, n int) Result {
-	mean := 0.0
-	for _, p := range probs {
-		mean += p
-	}
-	mean /= float64(len(probs))
-	res := Result{Prob: clampProb(mean), Samples: len(probs) * n}
-	if len(probs) >= 2 {
-		ss := 0.0
-		for _, p := range probs {
-			ss += (p - mean) * (p - mean)
-		}
-		res.StdErr = math.Sqrt(ss / float64(len(probs)-1) / float64(len(probs)))
-		res.RelErr = relErrOf(mean, res.StdErr)
-	}
-	return res
 }
 
 //repro:noalloc

@@ -23,7 +23,7 @@ type Prefix struct {
 // to the full-dimension estimate: one integration yields the probability of
 // every leading block of (a,b), each bit-identical to a separate PMVN call
 // whose limits are free past that block and whose options are the same
-// (SweepF32 included). It always runs the fixed-N sweep: the accuracy/latency
+// (SweepF32 included). It always integrates a fixed N: the accuracy/latency
 // budgets of opt are ignored.
 func PMVNPrefix(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Prefix {
 	n := f.N()
@@ -32,53 +32,37 @@ func PMVNPrefix(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Pref
 	}
 	o := opt.withDefaults(f.TS())
 	o.MaxRelErr, o.Deadline, o.Ctx = 0, time.Time{}, nil
-	acc := make(prefixAcc, o.Replicates)
-	for rep := range acc {
-		acc[rep] = make([]float64, n)
-	}
+	// One row of running sums per replicate, over the rows the sweep covers:
+	// those past the last constrained one are never swept (trimFree) — they
+	// multiply every chain by 1, so they repeat its estimate (1 when nothing
+	// is constrained at all).
+	swept, _ := trimFree(a, b)
+	rows := len(swept)
+	acc := make([]float64, o.Replicates*rows)
 	integrate(rt, f, a, b, o, 0, acc)
 
-	// Fold the replicates per prefix exactly as reduceReplicates folds the
-	// scalar estimates. Rows past the last constrained one were never swept
-	// (trimFree): they multiply every chain by 1, so they repeat its estimate
-	// (1 when nothing is constrained at all).
-	swept, _ := trimFree(a, b)
+	// Each prefix is the estimator's answer on its column of replicate sums,
+	// exactly as the full-dimension Result is on the scalar sums.
 	pre := Prefix{Prob: make([]float64, n)}
 	if o.Replicates >= 2 {
 		pre.StdErr = make([]float64, n)
 	}
-	last := Result{Prob: 1}
-	col := make([]float64, len(acc))
+	prob, stderr := 1.0, 0.0
+	col := make([]float64, o.Replicates)
 	for i := range pre.Prob {
-		if i < len(swept) {
-			for rep, row := range acc {
-				col[rep] = row[i]
+		if i < rows {
+			for rep := range col {
+				col[rep] = acc[rep*rows+i]
 			}
-			last = reduceReplicates(col, o.N)
+			prob, stderr = estimate(col, float64(o.N))
+			prob = clampProb(prob)
 		}
-		pre.Prob[i] = last.Prob
+		pre.Prob[i] = prob
 		if pre.StdErr != nil {
-			pre.StdErr[i] = last.StdErr
+			pre.StdErr[i] = stderr
 		}
 	}
 	return pre
-}
-
-// prefixAcc is the optional accumulator PMVNPrefix threads through integrate:
-// one row per replicate, entry i receiving that replicate's estimate after
-// row i. nil — PMVN, PMVT — accumulates nothing and leaves the integration
-// bit-identical.
-type prefixAcc [][]float64
-
-// row is the replicate's row cut to the rows the sweep covers, nil for a nil
-// accumulator.
-//
-//repro:noalloc
-func (acc prefixAcc) row(rep, rows int) []float64 {
-	if acc == nil {
-		return nil
-	}
-	return acc[rep][:rows]
 }
 
 // prefixCol is one sample-tile column's share of a prefix sweep: entry i
@@ -86,7 +70,7 @@ func (acc prefixAcc) row(rep, rows int) []float64 {
 // PMVN/PMVT path — so the sweep calls it unconditionally.
 type prefixCol []float64
 
-// prefixColOf cuts column k's share out of a replicate's pooled kt×rows buffer.
+// prefixColOf cuts column k's share out of a wave's pooled columns×rows buffer.
 //
 //repro:noalloc
 func prefixColOf(cols []float64, k, rows int) prefixCol {
@@ -117,18 +101,18 @@ func (c prefixCol) record(row0, rows int, p []float64) {
 	}
 }
 
-// reducePrefixCols sums the kt column buffers in column order — the order
-// runReplicate sums the columns' scalar results in — into the replicate's
-// per-prefix estimates.
+// addPrefixCols adds one wave's column buffers of a replicate, summed in
+// column order — the order integrate sums the columns' scalar results in —
+// to the replicate's running per-prefix sums.
 //
 //repro:noalloc
-func reducePrefixCols(dst, cols []float64, n int) {
+func addPrefixCols(dst, cols []float64) {
 	rows := len(dst)
 	for i := range dst {
 		sum := 0.0
 		for k := i; k < len(cols); k += rows {
 			sum += cols[k]
 		}
-		dst[i] = sum / float64(n)
+		dst[i] += sum
 	}
 }

@@ -132,7 +132,7 @@ func TestPrefixIgnoresBudgets(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	want := PMVNPrefix(nil, f, a, b, Options{N: 128})
-	got := PMVNPrefix(nil, f, a, b, Options{N: 128, MaxRelErr: 0.5, WaveSize: 8, Deadline: time.Now().Add(-time.Hour), Ctx: ctx})
+	got := PMVNPrefix(nil, f, a, b, Options{N: 128, MaxRelErr: 0.5, Deadline: time.Now().Add(-time.Hour), Ctx: ctx})
 	for i := range want.Prob {
 		if got.Prob[i] != want.Prob[i] {
 			t.Fatalf("prefix %d: %v with MaxRelErr/Deadline/Ctx set, %v without", i+1, got.Prob[i], want.Prob[i])

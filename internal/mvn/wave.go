@@ -1,6 +1,7 @@
 package mvn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -11,142 +12,253 @@ import (
 	"repro/internal/taskrt"
 )
 
-// The wave-structured early-stopping integration. A budgeted query — any
-// Options with MaxRelErr, Deadline or Ctx set — runs its QMC samples as
-// incremental waves instead of one fixed-N pass: every wave appends WaveSize
-// samples (whole chain-blocked lane blocks, the PR 4 sweep unit) to each of
-// a small set of randomized-shift replicates, and between waves the
-// replicate spread of the running per-replicate means gives a streaming
-// standard-error estimate. The integration stops at the first wave boundary
-// where the requested relative error is met, the deadline or sample budget
-// is exhausted, or the context is canceled — and reports the achieved
-// error, the samples actually paid and the converged/capped flags.
+// The one integrator. PMVN, PMVT and PMVNPrefix all run integrate: R
+// randomized-shift replicates of one QMC point set, each consumed in lane
+// blocks of SampleTile samples (sweepColumn), in waves. A wave appends the
+// same number of samples to every replicate, one inline call or runtime task
+// per (replicate, lane block); after it the replicate spread of the running
+// per-replicate means is the estimate's standard error.
+//
+// A fixed-N query is one wave — exactly N samples per replicate, the last lane
+// block ragged — with nothing to decide afterwards. A budget (MaxRelErr,
+// Deadline or Ctx) changes the plan, not the loop: N becomes the TOTAL across
+// replicates (ceil(N/reps) each, in whole lane blocks, so an unreachable target
+// costs no more than the fixed-N query), a replicate count below 2 is raised
+// to defaultWaveReps, a wave is one lane block, and between waves the loop
+// stops at the first boundary where the relative error is met, the deadline
+// or the sample cap is reached, or the context is canceled.
 //
 // Determinism: which samples are included is decided by the wave boundary
-// alone. Each replicate's generator is a random-access BlockGenerator (or a
-// sequential generator pre-expanded over the whole budget), so lane blocks
-// are pure functions of their sample indices; per-wave column sums land in
-// fixed slots and reduce in index order. Fixed seeds therefore produce
-// bit-identical estimates and stopping points at any worker count — only
-// the wall-clock checks (Deadline, Ctx) are time-dependent by design.
-//
-// Cost: with early stopping active, Options.N is the TOTAL sample budget
-// across replicates (ceil(N/reps) per replicate), so a query whose accuracy
-// target is unreachable costs no more than the fixed-N path it replaces.
+// alone. A replicate's source serves lane blocks by sample index (a
+// random-access BlockGenerator, or a sequential generator expanded once over
+// the replicate's cap); per-wave column sums land in fixed slots and reduce in
+// index order. Fixed seeds therefore give bit-identical estimates and stopping
+// points inline and at any worker count — only the wall-clock checks
+// (Deadline, Ctx) are time-dependent by design.
 
-// maxWaveReps bounds the wave path's replicate count so the per-replicate
-// generator and block-source state fits the pooled waveState arrays.
-const maxWaveReps = 16
-
-// defaultWaveReps is the replicate count used when the caller left
+// defaultWaveReps is the replicate count of a budgeted query that left
 // Replicates below 2: the streaming error estimate needs a spread, and four
 // replicates buy one at a quarter of the per-replicate budget each.
 const defaultWaveReps = 4
 
-// waveState is the pooled per-query state of a wave integration: one
-// generator and block source per replicate. Pooling it (rather than stack
-// arrays) keeps the warm path allocation-free even though the task fan-out
-// closures capture it.
+// plan is a defaulted query resolved into the shape of the loop.
+type plan struct {
+	reps     int  // randomized-shift replicates
+	perRep   int  // samples per replicate: exact for fixed N, the cap under a budget
+	wave     int  // samples appended to each replicate per wave
+	budgeted bool // MaxRelErr, Deadline or Ctx is set
+}
+
+//repro:noalloc
+func (o Options) plan() plan {
+	if !(o.MaxRelErr > 0) && o.Deadline.IsZero() && o.Ctx == nil {
+		return plan{reps: o.Replicates, perRep: o.N, wave: o.N}
+	}
+	reps, mc := o.Replicates, o.SampleTile
+	if reps < 2 {
+		reps = defaultWaveReps
+	}
+	perRep := (o.N + reps - 1) / reps
+	perRep = (perRep + mc - 1) / mc * mc
+	return plan{reps: reps, perRep: perRep, wave: mc, budgeted: true}
+}
+
+// waveState is the pooled state of one query: what a (replicate, lane block)
+// column reads, one point source per replicate, and the current wave's result
+// slots. It is pooled, not on the stack, because the task fan-out's closures
+// capture it — the warm inline path allocates nothing either way.
 type waveState struct {
-	gens [maxWaveReps]*qmc.Richtmyer // pooled default generators (nil for custom)
-	srcs [maxWaveReps]blockSource
+	f    *Factor
+	sh   *ShadowF32 // nil propagates in f64
+	a, b []float64  // trimmed limits
+	nu   float64
+	mc   int
+
+	srcs    []blockSource
+	lattice bool // srcs hold pooled default lattices (no custom NewGen)
+
+	off, wlen, cols int       // the wave: first sample, samples, lane blocks per replicate
+	slots           []float64 // reps × cols: Σ_lanes p of each column
+	pslots          []float64 // reps × cols × len(a): the same after every row, PMVNPrefix only
 }
 
 var waveStatePool = sync.Pool{New: func() any { return new(waveState) }}
 
-// waveParams resolves the wave-path shape from defaulted Options: the
-// replicate count, the per-replicate sample cap and the per-replicate wave
-// length (both in whole lane blocks of mc chains).
 //repro:noalloc
-func waveParams(o Options) (reps, perRep, wave int) {
-	reps = o.Replicates
-	if reps < 2 {
-		reps = defaultWaveReps
+func getWaveState(reps int) *waveState {
+	ws := waveStatePool.Get().(*waveState)
+	if cap(ws.srcs) < reps {
+		//repro:alloc-ok cold capacity miss: the pooled state grows to the largest replicate count seen
+		ws.srcs = make([]blockSource, reps)
 	}
-	if reps > maxWaveReps {
-		reps = maxWaveReps
-	}
-	mc := o.SampleTile
-	wave = o.WaveSize
-	if wave <= 0 {
-		wave = mc
-	}
-	wave = (wave + mc - 1) / mc * mc
-	perRep = (o.N + reps - 1) / reps
-	perRep = (perRep + mc - 1) / mc * mc
-	if wave > perRep {
-		wave = perRep
-	}
-	return reps, perRep, wave
+	ws.srcs = ws.srcs[:reps]
+	return ws
 }
 
-// integrateWaves runs the replicate-stratified wave integration behind every
-// budgeted PMVN/PMVT query. All working state is pooled — the generators,
-// the block sources, the replicate sums and the per-wave column slots — so a
-// warm budgeted query with the default generator allocates nothing.
+// open builds the replicates' point sources: the one place a generator is
+// constructed. Sequential custom generators are expanded over the whole
+// per-replicate cap here, so waves address samples by index.
+//
 //repro:noalloc
-func integrateWaves(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, genDim int, inline bool) Result {
-	reps, perRep, wave := waveParams(o)
-	mc := o.SampleTile
-
-	ws := waveStatePool.Get().(*waveState)
-	if o.NewGen == nil && o.Rng == nil {
-		// Default generators: pooled shifted Richtmyer lattices, shifts from
-		// the deterministic splitmix recurrence (replicate 0 unshifted).
-		shift := linalg.GetVec(genDim)
-		for rep := 0; rep < reps; rep++ {
-			var sh []float64
-			if rep > 0 {
-				qmc.FillShiftSeeded(shift, uint64(rep))
-				sh = shift
-			}
-			ws.gens[rep] = qmc.GetRichtmyer(genDim, sh)
-			ws.srcs[rep] = blockSource{bg: ws.gens[rep]}
+func (ws *waveState) open(o Options, p plan, genDim int) {
+	var rng *rand.Rand
+	if p.reps > 1 && (!p.budgeted || o.NewGen != nil) {
+		//repro:alloc-ok the math/rand shift source of replicated fixed-N queries
+		rng = rand.New(rand.NewSource(1))
+	}
+	ws.lattice = o.NewGen == nil
+	shift := linalg.GetVec(genDim)
+	for rep := range ws.srcs {
+		if ws.lattice {
+			ws.srcs[rep] = blockSource{bg: qmc.GetRichtmyer(genDim, replicateShift(shift, rep, rng))}
+			continue
 		}
-		linalg.PutVec(shift)
-	} else {
-		//repro:alloc-ok custom-generator / caller-Rng replicates build one generator each
-		buildWaveGens(ws, o, genDim, reps, perRep)
+		//repro:alloc-ok custom generators are built per replicate, each with a shift slice it may keep
+		gen := o.NewGen(genDim, replicateShift(make([]float64, genDim), rep, rng))
+		if gen.Dim() != genDim {
+			//repro:alloc-ok dimension-mismatch panic path
+			panic(fmt.Sprintf("mvn: generator dim %d, want %d", gen.Dim(), genDim))
+		}
+		ws.srcs[rep] = newBlockSource(gen, p.perRep)
 	}
-	var sh *ShadowF32
-	if o.SweepF32 {
-		sh = f.Shadow32()
-	}
+	linalg.PutVec(shift)
+}
 
-	repSum := linalg.GetVecZero(reps)
-	slots := linalg.GetVec(reps * ((wave + mc - 1) / mc))
-	off := 0
+// replicateShift fills dst with replicate rep's Cranley–Patterson shift and
+// returns it; replicate 0 is the unshifted point set (nil). There are two
+// recurrences only because recorded bits pin both: sequential math/rand
+// seed-1 draws (rng non-nil: fixed-N queries and custom generators) are what
+// bench/refs.json's fixed-N operations, parent_bits_test.go and the fixed and
+// halton rows of TestRowTypesMatchParentBits were recorded with; the splitmix
+// recurrence seeded by the replicate index (budgeted queries on the default
+// lattice) is behind refs.json's budgeted operations and the budget rows.
+// Shifting every replicate from one recurrence is ROADMAP item 1(a) and waits
+// for a re-bless of refs.json; this is the site to change then.
+//
+//repro:noalloc
+func replicateShift(dst []float64, rep int, rng *rand.Rand) []float64 {
+	switch {
+	case rep == 0:
+		return nil
+	case rng != nil:
+		//repro:alloc-ok math/rand draws; only replicated fixed-N and custom-generator queries hold an rng
+		qmc.FillShift(dst, rng)
+	default:
+		qmc.FillShiftSeeded(dst, uint64(rep))
+	}
+	return dst
+}
+
+// release returns everything the query drew from pools and drops its
+// references to caller memory before the state goes back to its own pool.
+//
+//repro:noalloc
+func (ws *waveState) release() {
+	for rep := range ws.srcs {
+		if ws.lattice {
+			qmc.PutRichtmyer(ws.srcs[rep].bg.(*qmc.Richtmyer))
+		}
+		ws.srcs[rep].release()
+		ws.srcs[rep] = blockSource{}
+	}
+	linalg.PutVec(ws.slots)
+	linalg.PutVec(ws.pslots)
+	*ws = waveState{srcs: ws.srcs[:0]}
+	waveStatePool.Put(ws)
+}
+
+// column sweeps lane block c of replicate rep in the current wave into its
+// slots. Slot placement is fixed by the indices, so the reduction order — and
+// therefore the estimate — is independent of task scheduling.
+//
+//repro:noalloc
+func (ws *waveState) column(rep, c int) {
+	k := rep*ws.cols + c
+	lanes := min(ws.mc, ws.wlen-c*ws.mc)
+	ws.slots[k] = sweepColumn(ws.f, ws.sh, ws.a, ws.b, &ws.srcs[rep], ws.off+c*ws.mc, lanes, ws.nu, prefixColOf(ws.pslots, k, len(ws.a)))
+}
+
+// fanOut runs the current wave as one task per (replicate, lane block) in its
+// own runtime group (sources, factor and shadow are read-only across them).
+// Lane blocks go out column by column, so the ragged last blocks — the short
+// tasks — are submitted last: the runtime places independent tasks round-robin,
+// and replicate by replicate a two-block query would hand one worker every
+// full block and the other every ragged one.
+func (ws *waveState) fanOut(rt *taskrt.Runtime) {
+	g := rt.NewGroup()
+	for c := 0; c < ws.cols; c++ {
+		for rep := range ws.srcs {
+			rep, c := rep, c
+			g.Submit("qmc", 0, func() { ws.column(rep, c) })
+		}
+	}
+	g.Wait()
+}
+
+// integrate is the integration behind PMVN (nu = 0), PMVT (nu > 0) and
+// PMVNPrefix on defaulted options; see the top of this file. All working state
+// is pooled and sized to the replicate count, so a warm inline query on the
+// default lattice allocates nothing (a replicated fixed-N one, only its
+// math/rand shift source). A non-nil pre (PMVNPrefix, which clears the
+// budgets) holds one row per replicate, len(trimmed a) entries each, and
+// receives Σ_samples p after every row.
+//
+//repro:noalloc
+func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, pre []float64) Result {
+	genDim := f.N()
+	if nu > 0 {
+		genDim++
+	}
+	inline := o.Inline || rt == nil || rt.Workers() == 1
+	a, b = trimFree(a, b)
+	p, mc, rows := o.plan(), o.SampleTile, len(a)
+
+	ws := getWaveState(p.reps)
+	ws.f, ws.a, ws.b, ws.nu, ws.mc = f, a, b, nu, mc
+	if o.SweepF32 {
+		// Resolved once per query, before any column runs: its one-time build
+		// is the only allocating step, warm loads are an atomic read.
+		ws.sh = f.Shadow32()
+	}
+	ws.open(o, p, genDim)
+	maxCols := (p.wave + mc - 1) / mc
+	ws.slots = linalg.GetVec(p.reps * maxCols)
+	if pre != nil {
+		ws.pslots = linalg.GetVec(p.reps * maxCols * rows)
+	}
+	repSum := linalg.GetVecZero(p.reps)
+
 	var res Result
 	for {
-		wlen := wave
-		if off+wlen > perRep {
-			wlen = perRep - off
-		}
-		cols := (wlen + mc - 1) / mc
-		if inline {
-			for rep := 0; rep < reps; rep++ {
+		ws.wlen = min(p.wave, p.perRep-ws.off)
+		cols := (ws.wlen + mc - 1) / mc
+		ws.cols = cols
+		if inline || p.reps*cols == 1 {
+			for rep := 0; rep < p.reps; rep++ {
 				for c := 0; c < cols; c++ {
-					cm := min(mc, wlen-c*mc)
-					slots[rep*cols+c] = sweepColumn(f, sh, a, b, &ws.srcs[rep], off+c*mc, cm, nu, nil)
+					ws.column(rep, c)
 				}
 			}
 		} else {
-			//repro:alloc-ok per-wave task fan-out closes over indices; warm batched queries run inline
-			runWaveTasks(rt, f, sh, a, b, ws, slots, reps, cols, off, wlen, mc, nu)
+			//repro:alloc-ok the task fan-out closes over the column indices; warm batched queries run inline
+			ws.fanOut(rt)
 		}
-		for rep := 0; rep < reps; rep++ {
+		for rep := range repSum {
 			s := 0.0
-			for c := 0; c < cols; c++ {
-				s += slots[rep*cols+c]
+			for _, v := range ws.slots[rep*cols : (rep+1)*cols] {
+				s += v
 			}
 			repSum[rep] += s
+			if pre != nil {
+				addPrefixCols(pre[rep*rows:(rep+1)*rows], ws.pslots[rep*cols*rows:(rep+1)*cols*rows])
+			}
 		}
-		off += wlen
+		ws.off += ws.wlen
 
-		mean, stderr := waveEstimate(repSum[:reps], float64(off))
+		mean, stderr := estimate(repSum, float64(ws.off))
 		res = Result{
 			Prob: clampProb(mean), StdErr: stderr,
-			RelErr: relErrOf(mean, stderr), Samples: reps * off,
+			RelErr: relErrOf(mean, stderr), Samples: p.reps * ws.off,
 		}
 		if o.MaxRelErr > 0 && res.RelErr <= o.MaxRelErr {
 			res.Converged = true
@@ -156,7 +268,7 @@ func integrateWaves(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu
 			res.Canceled = true
 			break
 		}
-		if off >= perRep {
+		if ws.off >= p.perRep {
 			break
 		}
 		if !o.Deadline.IsZero() && !time.Now().Before(o.Deadline) {
@@ -164,88 +276,41 @@ func integrateWaves(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu
 		}
 	}
 
-	linalg.PutVec(slots)
 	linalg.PutVec(repSum)
-	for rep := 0; rep < reps; rep++ {
-		if ws.gens[rep] != nil {
-			qmc.PutRichtmyer(ws.gens[rep])
-			ws.gens[rep] = nil
-		}
-		ws.srcs[rep].release()
-		ws.srcs[rep] = blockSource{}
-	}
-	waveStatePool.Put(ws)
+	ws.release()
 	return res
 }
 
-// buildWaveGens builds the wave replicate sources for a custom generator or
-// a caller-supplied shift Rng. Shifts are pre-drawn sequentially from the
-// (not goroutine-safe) Rng, exactly like integrateReplicated; sequential
-// custom generators are pre-expanded over the whole per-replicate budget
-// once, so waves still address samples by index. This path allocates by
-// design and is kept out of the noalloc-certified fast path above.
-func buildWaveGens(ws *waveState, o Options, genDim, reps, perRep int) {
-	rng := o.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	for rep := 0; rep < reps; rep++ {
-		var shift []float64
-		if rep > 0 {
-			shift = qmc.RandomShift(genDim, rng)
-		}
-		if o.NewGen != nil {
-			ws.srcs[rep] = newBlockSource(o.NewGen(genDim, shift), perRep)
-		} else {
-			ws.gens[rep] = qmc.GetRichtmyer(genDim, shift)
-			ws.srcs[rep] = blockSource{bg: ws.gens[rep]}
-		}
-	}
-}
-
-// runWaveTasks fans one wave out as one task per (replicate, lane-block)
-// pair in its own runtime group. Slot placement is fixed by the indices, so
-// the reduction order — and therefore the estimate — is independent of task
-// scheduling.
-func runWaveTasks(rt *taskrt.Runtime, f *Factor, sh *ShadowF32, a, b []float64, ws *waveState, slots []float64, reps, cols, off, wlen, mc int, nu float64) {
-	g := rt.NewGroup()
-	for rep := 0; rep < reps; rep++ {
-		for c := 0; c < cols; c++ {
-			rep, c := rep, c
-			g.Submit("qmc", 0, func() {
-				cm := min(mc, wlen-c*mc)
-				slots[rep*cols+c] = sweepColumn(f, sh, a, b, &ws.srcs[rep], off+c*mc, cm, nu, nil)
-			})
-		}
-	}
-	g.Wait()
-}
-
-// waveEstimate computes the replicate-stratified running estimate after
-// `samples` samples per replicate: the mean across replicates of each
-// replicate's running mean, and the randomized-QMC standard error of that
-// mean (the replicate spread over the waves seen so far).
+// estimate is the one estimator: from each replicate's Σ p over `samples`
+// samples, the mean across replicates of the replicates' means and the
+// randomized-QMC standard error of that mean — the replicate spread, 0 with a
+// single replicate, which has none.
+//
 //repro:noalloc
-func waveEstimate(repSum []float64, samples float64) (mean, stderr float64) {
+func estimate(repSum []float64, samples float64) (mean, stderr float64) {
 	reps := len(repSum)
 	for _, s := range repSum {
 		mean += s / samples
 	}
 	mean /= float64(reps)
+	if reps < 2 {
+		return mean, 0
+	}
 	ss := 0.0
 	for _, s := range repSum {
 		d := s/samples - mean
 		ss += d * d
 	}
-	stderr = math.Sqrt(ss / float64(reps-1) / float64(reps))
-	return mean, stderr
+	return mean, math.Sqrt(ss / float64(reps-1) / float64(reps))
 }
 
 // relErrOf is the reported relative error: the standard error relative to
 // the estimate's magnitude. An exactly-zero spread (degenerate 0/1 boxes,
-// where every replicate agrees exactly) reports 0, so such queries converge
-// at the first wave boundary; a zero estimate with nonzero spread reports
-// +Inf — the estimate has no relative accuracy to claim.
+// where every replicate agrees exactly, or a single replicate) reports 0, so
+// such budgeted queries converge at the first wave boundary; a zero estimate
+// with nonzero spread reports +Inf — the estimate has no relative accuracy to
+// claim.
+//
 //repro:noalloc
 func relErrOf(mean, stderr float64) float64 {
 	if stderr == 0 {

@@ -121,8 +121,8 @@ func TestWaveDegenerateBoxes(t *testing.T) {
 	defer rt.Shutdown()
 	fac, _ := waveTestFactor(t, rt, 8, 16)
 	n := fac.N()
-	reps, _, wave := waveParams(Options{MaxRelErr: 1e-3}.withDefaults(fac.TS()))
-	wantSamples := reps * wave
+	p := Options{MaxRelErr: 1e-3}.withDefaults(fac.TS()).plan()
+	wantSamples := p.reps * p.wave
 
 	free := make([]float64, n)
 	never := make([]float64, n)
@@ -163,16 +163,16 @@ func TestWaveCancellation(t *testing.T) {
 	if !res.Canceled || res.Converged {
 		t.Fatalf("want Canceled partial result, got %+v", res)
 	}
-	reps, _, wave := waveParams(Options{Ctx: ctx}.withDefaults(fac.TS()))
-	if res.Samples != reps*wave {
-		t.Errorf("canceled at first boundary: want %d samples, got %d", reps*wave, res.Samples)
+	p := Options{Ctx: ctx}.withDefaults(fac.TS()).plan()
+	if res.Samples != p.reps*p.wave {
+		t.Errorf("canceled at first boundary: want %d samples, got %d", p.reps*p.wave, res.Samples)
 	}
 	if res.Prob <= 0 || res.Prob >= 1 || res.StdErr <= 0 {
 		t.Errorf("partial estimate unusable: %+v", res)
 	}
 
-	// An un-canceled context changes nothing but routes through the wave
-	// path: the full budget runs and the result carries an error bar.
+	// An un-canceled context is still a budget: N is the total, spent in
+	// full, and the result carries an error bar.
 	full := PMVN(rt, fac, lim[0], lim[1], Options{N: 4000, Ctx: context.Background()})
 	if full.Canceled || full.Converged || full.StdErr <= 0 {
 		t.Errorf("unconstrained wave run: %+v", full)
@@ -184,7 +184,8 @@ func TestWaveCancellation(t *testing.T) {
 
 // TestWaveDeadline: an already-expired deadline still yields one wave's
 // estimate (budget-capped, not converged); a far future deadline runs the
-// whole budget.
+// whole budget, and so does an unreachable target — on as many replicates as
+// the caller asked for.
 func TestWaveDeadline(t *testing.T) {
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
@@ -192,17 +193,24 @@ func TestWaveDeadline(t *testing.T) {
 	lim := waveTestLimits(fac.N())["excursion"]
 
 	capped := PMVN(rt, fac, lim[0], lim[1], Options{N: 4000, Deadline: time.Now().Add(-time.Second)})
-	reps, _, wave := waveParams(Options{Deadline: time.Unix(1, 0)}.withDefaults(fac.TS()))
-	if capped.Converged || capped.Canceled || capped.Samples != reps*wave {
-		t.Errorf("expired deadline: want one budget-capped wave of %d samples, got %+v", reps*wave, capped)
+	p := Options{Deadline: time.Unix(1, 0)}.withDefaults(fac.TS()).plan()
+	if capped.Converged || capped.Canceled || capped.Samples != p.reps*p.wave {
+		t.Errorf("expired deadline: want one budget-capped wave of %d samples, got %+v", p.reps*p.wave, capped)
 	}
 	uncapped := PMVN(rt, fac, lim[0], lim[1], Options{N: 4000, Deadline: time.Now().Add(time.Hour)})
 	if uncapped.Samples < 4000 {
 		t.Errorf("future deadline stopped early: %+v", uncapped)
 	}
+
+	// A budget keeps the replicate count it was given (it used to be capped at
+	// 16 in silence): every wave is one lane block on each of the 20.
+	many := PMVN(rt, fac, lim[0], lim[1], Options{N: 4000, Replicates: 20, MaxRelErr: 1e-9})
+	if block := 20 * fac.TS(); many.Samples < 4000 || many.Samples%block != 0 {
+		t.Errorf("20 replicates under a budget: %d samples, want a multiple of %d", many.Samples, block)
+	}
 }
 
-// TestWaveMVT: the Student-t wave path (extra leading χ² coordinate) agrees
+// TestWaveMVT: a budgeted Student-t query (extra leading χ² coordinate) agrees
 // with the sequential MVT reference within its reported error bar.
 func TestWaveMVT(t *testing.T) {
 	rt := taskrt.New(2)
@@ -224,8 +232,8 @@ func TestWaveMVT(t *testing.T) {
 	}
 }
 
-// TestWaveF32Sweep: the f32 conditioning sweep runs under the wave path too,
-// within the QMC error bar of the f64 wave estimate.
+// TestWaveF32Sweep: the f32 conditioning sweep runs under a budget too,
+// within the QMC error bar of the f64 estimate.
 func TestWaveF32Sweep(t *testing.T) {
 	rt := taskrt.New(2)
 	defer rt.Shutdown()

@@ -518,8 +518,8 @@ func FillShift(dst []float64, rng *rand.Rand) {
 // FillShiftSeeded fills dst with a Cranley–Patterson shift derived from seed
 // by the splitmix64 recurrence — the allocation-free deterministic
 // counterpart of FillShift for paths that cannot afford a math/rand source
-// (the early-stopping wave integration draws one pooled shifted generator
-// per replicate on the warm serving path). Identical seeds produce identical
+// (a budgeted integration draws one pooled shifted generator per replicate
+// on the warm serving path). Identical seeds produce identical
 // shifts on every platform.
 //repro:noalloc
 func FillShiftSeeded(dst []float64, seed uint64) {

@@ -399,7 +399,8 @@ func (s *Server) queryOpts(ctx context.Context, req *Request) (parmvn.QueryOpts,
 	}
 	if q.MaxRelErr > 0 || !q.Deadline.IsZero() {
 		// Budgeted queries are cancelable mid-integration; unconstrained
-		// ones keep the exact fixed-N path (Ctx would reroute them).
+		// ones stay unconstrained (a Ctx is itself a budget: it would make
+		// QMCSize the total and change their answer).
 		q.Ctx = ctx
 	}
 	return q, degraded

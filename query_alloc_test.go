@@ -43,9 +43,9 @@ func TestWarmQueryZeroAllocs(t *testing.T) {
 }
 
 // TestWarmQueryZeroAllocsEarlyStop: a warm budgeted query — accuracy target
-// plus deadline, routed through the wave-structured early-stopping
-// integration — must also be allocation-free: the wave state, the pooled
-// shifted generators and the replicate accumulators all come from pools.
+// plus deadline, so the integration loop runs several waves and its stop test
+// — must also be allocation-free: the wave state, the pooled shifted
+// generators and the replicate accumulators all come from pools.
 func TestWarmQueryZeroAllocsEarlyStop(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
