@@ -65,7 +65,7 @@ func TestAdaptiveMethodPlumbing(t *testing.T) {
 	s := NewSession(Config{Method: MethodAdaptive})
 	defer s.Close()
 	c := s.Config()
-	if c.AdaptiveBand != 1 || c.AdaptiveRankFrac != 0.5 || c.AdaptiveF32Norm != 0.1 {
+	if c.AdaptiveBand != 1 || c.AdaptiveRankFrac != 0.25 || c.AdaptiveF32Norm != 0.1 {
 		t.Errorf("unexpected adaptive defaults: %+v", c)
 	}
 }

@@ -203,7 +203,9 @@ type Config struct {
 	AdaptiveBand int
 	// AdaptiveRankFrac makes MethodAdaptive store an off-band tile low-rank
 	// when its compressed rank at TLRTol is at most this fraction of the
-	// tile size (default 0.5) — beyond that the factors outweigh the tile.
+	// tile size. The default, 0.25, is where a low-rank tile's cheaper
+	// applies repay the one compression it costs beyond a dense tile (see
+	// README); 0.5 is where its factors merely stop outweighing the tile.
 	AdaptiveRankFrac float64
 	// AdaptiveF32Norm makes MethodAdaptive store an incompressible off-band
 	// tile in float32 when its Frobenius norm, relative to its diagonal
@@ -446,11 +448,13 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 		cfg.Evict, cfg.Window = !s.cfg.NoEviction, s.cfg.StreamWindow
 	}
 	var asm *engine.Assembler
+	rankLimit := 0 // of a full tile under the adaptive policy; no other method probes
 	switch s.cfg.Method {
 	case TLR:
 		asm = engine.TLREntryAssembler(grid, fill, s.cfg.TLRTol, s.cfg.TLRMaxRank, inMemory)
 	case MethodAdaptive:
-		asm = s.policy().EntryAssembler(grid, fill, inMemory)
+		pol := s.policy()
+		asm, rankLimit = pol.EntryAssembler(grid, fill, inMemory), pol.RankLimit(grid.TS, grid.TS)
 	default:
 		// The dense layout is the exact reference: no eviction, every tile
 		// evaluated densely (cov.Block semantics).
@@ -458,10 +462,10 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 		asm = engine.DenseEntryAssembler(grid, fill)
 	}
 	err = engine.PotrfStream(s.rt.NewGroup(), grid, cfg, asm)
-	rejected, early := grid.ProbeStats()
+	probed, rejected, early := grid.ProbeStats()
 	slog.Debug("parmvn: factorization", "source", source, "n", n, "tile", s.cfg.TileSize,
 		"method", s.cfg.Method.String(), "mix", grid.Mix(), "factor_bytes", grid.Bytes(),
-		"probes_rejected", rejected, "probes_rejected_early", early,
+		"rank_limit", rankLimit, "probes", probed, "probes_rejected", rejected, "probes_rejected_early", early,
 		"elapsed", time.Since(start), "err", err)
 	if err != nil {
 		return nil, err

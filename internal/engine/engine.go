@@ -51,7 +51,7 @@ type Grid struct {
 	evicted    int
 	evictFreed int64
 
-	probeRejected, probeRejectedEarly atomic.Int32 // see ProbeStats
+	probes, probeRejected, probeRejectedEarly atomic.Int32 // see ProbeStats
 }
 
 // maxTileRows bounds the tile-count of a grid: beyond it the handle table
@@ -218,10 +218,11 @@ func (g *Grid) EvictStats() (tiles int, freedBytes int64) {
 	return g.evicted, g.evictFreed
 }
 
-// ProbeStats reports how many off-band tiles the adaptive probe rejected
-// during assembly, and how many of those before tile.CompressWithin's core SVD.
-func (g *Grid) ProbeStats() (rejected, early int) {
-	return int(g.probeRejected.Load()), int(g.probeRejectedEarly.Load())
+// ProbeStats reports how many off-band tiles the adaptive policy probed during
+// assembly, how many of them it rejected, and how many of those before
+// tile.CompressWithin's core SVD.
+func (g *Grid) ProbeStats() (probed, rejected, early int) {
+	return int(g.probes.Load()), int(g.probeRejected.Load()), int(g.probeRejectedEarly.Load())
 }
 
 // Config tunes the engine kernels and the factorization's memory policy.

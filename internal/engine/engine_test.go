@@ -363,15 +363,11 @@ func TestAdaptivePolicyRejectsIncompressibleTiles(t *testing.T) {
 	}
 }
 
-// TestAssembleAdaptiveMeasuresMaterializedProbes: a smooth kernel's
-// covariance at locations in SCATTERED order (the marginal-ordered posterior
-// correlation of a confidence-region detection) makes partially pivoted ACA
-// declare convergence at tol 1e-4 with a residual of 0.3 on tile (2,0) (and
-// 6e-4 on (8,0)), beside tiles it compresses soundly. The tile is in hand, so
-// AssembleAdaptive compresses it with a measured tail bound instead, and
-// every low-rank tile it keeps meets the tolerance it was asked for.
-func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
-	const side, ts, tol = 30, 100, 1e-4
+// posteriorCorrelation is a smooth kernel's covariance at locations in
+// SCATTERED order: the marginal-ordered posterior correlation of a
+// confidence-region detection on a side×side field, a quarter of it observed.
+func posteriorCorrelation(t *testing.T, side int) *linalg.Matrix {
+	t.Helper()
 	n := side * side
 	ds, err := datagen.NewSyntheticDataset(side, n/4, "medium", rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -385,9 +381,21 @@ func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr := plan.Correlation(ds.PostCov.Col, sd)
+	return plan.Correlation(ds.PostCov.Col, sd)
+}
+
+// TestAssembleAdaptiveMeasuresMaterializedProbes: on posteriorCorrelation
+// partially pivoted ACA declares convergence at tol 1e-4 with a residual of
+// 0.3 on tile (2,0) (and 6e-4 on (8,0)), beside tiles it compresses soundly.
+// The tile is in hand, so AssembleAdaptive compresses it with a measured tail
+// bound instead, and every low-rank tile it keeps meets the tolerance it was
+// asked for. (At the byte break-even: the default limit keeps none, see
+// TestDefaultRankLimitBothSides.)
+func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
+	const ts, tol = 100, 1e-4
+	corr := posteriorCorrelation(t, 30)
 	ref := tile.FromDense(corr, ts)
-	g := engine.AssembleAdaptive(nil, tile.FromDense(corr, ts), engine.Policy{Tol: tol})
+	g := engine.AssembleAdaptive(nil, tile.FromDense(corr, ts), engine.Policy{Tol: tol, RankFrac: 0.5})
 	lowRank := 0
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j < i; j++ {
@@ -407,5 +415,42 @@ func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 	}
 	if lowRank == 0 {
 		t.Fatal("no low-rank tile: vacuous")
+	}
+}
+
+// TestDefaultRankLimitBothSides: the default rank limit, a quarter of the tile
+// side, switches the low-rank form off where it cannot repay its compression
+// and leaves it on where it does. On posteriorCorrelation — crd_2k's matrix at
+// toy size, off-band ranks past a third of the tile — every probe is rejected
+// and the grid is the dense layout in two precisions; on the benchmark's smooth
+// Matérn-5/2 grid at ts = 256 and tol 1e-6 every off-band tile is still low
+// rank, in memory and probed by ACA from the kernel.
+func TestDefaultRankLimitBothSides(t *testing.T) {
+	corr := posteriorCorrelation(t, 30)
+	g := engine.AssembleAdaptive(nil, tile.FromDense(corr, 100), engine.Policy{Tol: 1e-4})
+	offBand := (g.NT - 1) * (g.NT - 2) / 2
+	if probed, rejected, _ := g.ProbeStats(); g.Mix().LowRank != 0 || probed != offBand || rejected != offBand {
+		t.Errorf("incompressible Σ: mix %+v, %d of %d probes rejected, want all %d and no low-rank tile",
+			g.Mix(), rejected, probed, offBand)
+	}
+
+	geom := geo.RegularGrid(32, 32) // n = 1024: three off-band tiles of 256²
+	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.1, 2.5), Tau2: 0.1}
+	policy := engine.Policy{Tol: 1e-6}
+	limit := policy.WithDefaults().RankLimit(256, 256)
+	if limit != 64 {
+		t.Errorf("default rank limit of a 256² tile is %d, want 64", limit)
+	}
+	inMemory := engine.AssembleAdaptive(nil, tile.FromDense(cov.Matrix(geom, kern), 256), policy)
+	streamed := engine.NewGrid(geom.Len(), 256)
+	materialize(streamed, policy.EntryAssembler(streamed, entryOf(geom, kern), false))
+	for name, g := range map[string]*engine.Grid{"in memory": inMemory, "kernel": streamed} {
+		mix := g.Mix()
+		if probed, rejected, _ := g.ProbeStats(); mix.LowRank != 3 || probed != 3 || rejected != 0 {
+			t.Errorf("smooth Σ, %s: mix %+v, %d of %d probes rejected, want 3 low-rank tiles", name, mix, rejected, probed)
+		}
+		if mix.MaxRank > limit {
+			t.Errorf("smooth Σ, %s: max rank %d past the limit %d", name, mix.MaxRank, limit)
+		}
 	}
 }

@@ -24,8 +24,11 @@ type Policy struct {
 	// MaxRank caps accepted low-rank tile ranks (0 = uncapped).
 	MaxRank int
 	// RankFrac accepts the low-rank representation when the compressed rank
-	// is at most RankFrac·min(tile dims) — beyond that the U/V factors cost
-	// more than the dense tile (default 0.5).
+	// is at most RankFrac·min(tile dims). The default, 0.25, is the measured
+	// break-even, not the byte one (0.5): a low-rank tile costs one
+	// compression more than a dense one to factor and repays it only through
+	// cheaper (Y·V)·Uᵀ applies, which at half the tile side cost what the
+	// dense apply does (table in README, "adaptive per-tile policy").
 	RankFrac float64
 	// F32Norm stores an incompressible off-band tile in float32 when its
 	// Frobenius norm relative to the geometric mean of its diagonal blocks'
@@ -44,7 +47,7 @@ func (p Policy) WithDefaults() Policy {
 		p.Tol = 1e-6
 	}
 	if p.RankFrac <= 0 {
-		p.RankFrac = 0.5
+		p.RankFrac = 0.25
 	}
 	if p.F32Norm <= 0 {
 		p.F32Norm = 0.1
@@ -52,9 +55,9 @@ func (p Policy) WithDefaults() Policy {
 	return p
 }
 
-// rankLimit is the largest low-rank tile rank the policy accepts for an
+// RankLimit is the largest low-rank tile rank the policy accepts for an
 // m×n tile.
-func (p Policy) rankLimit(m, n int) int {
+func (p Policy) RankLimit(m, n int) int {
 	limit := int(p.RankFrac * float64(min(m, n)))
 	if p.MaxRank > 0 && limit > p.MaxRank {
 		limit = p.MaxRank
@@ -74,7 +77,7 @@ func (p Policy) rankLimit(m, n int) int {
 // vacuously passing the rank test with uncontrolled error. Probing by ACA
 // evaluates O(k) runs instead of densify-then-SVD's full-tile spectrum.
 func (p Policy) probe(r, c, row0, col0 int, fill RunFill) (*tile.LowRank, bool) {
-	limit := p.rankLimit(r, c)
+	limit := p.RankLimit(r, c)
 	lr, converged := acaBlock(r, c, row0, col0, fill, p.Tol, limit+1)
 	if converged && lr.Rank() <= limit {
 		return lr, true
@@ -164,6 +167,7 @@ func (p Policy) EntryAssembler(g *Grid, fill RunFill, inMemory bool) *Assembler 
 			if i-j <= p.Band {
 				return &tile.DenseF64{D: denseBlock(ri, rj, row0, col0, fill)}
 			}
+			g.probes.Add(1)
 			if !inMemory {
 				if lr, ok := p.probe(ri, rj, row0, col0, fill); ok {
 					return lr
@@ -171,7 +175,7 @@ func (p Policy) EntryAssembler(g *Grid, fill RunFill, inMemory bool) *Assembler 
 			}
 			blk := denseBlock(ri, rj, row0, col0, fill)
 			if inMemory {
-				lr, ok := tile.CompressWithin(blk, p.Tol, p.rankLimit(ri, rj))
+				lr, ok := tile.CompressWithin(blk, p.Tol, p.RankLimit(ri, rj))
 				if ok {
 					putMat(blk)
 					return lr

@@ -179,7 +179,7 @@ func TestInMemoryStreamMatchesMaterializedBits(t *testing.T) {
 		// Ranks uncapped: a tile of swapped locations is near full rank, and
 		// a TLR factor capped at ts/2 is not positive definite.
 		n, maxRank := geom.Len(), 0
-		policy := engine.Policy{Tol: tol, MaxRank: maxRank, F32Norm: 0.5}
+		policy := engine.Policy{Tol: tol, MaxRank: maxRank, RankFrac: 0.5, F32Norm: 0.5}
 		cfg := engine.Config{Tol: tol, MaxRank: maxRank}
 		for name, layout := range map[string]struct {
 			materialized func(sub taskrt.Submitter, src *tile.Matrix) *engine.Grid

@@ -1,11 +1,6 @@
 package tile
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/linalg"
-)
+import "repro/internal/linalg"
 
 // Matrix32 is a dense column-major float32 matrix (the single-precision
 // mirror of linalg.Matrix), the storage behind DenseF32 tiles.
@@ -224,78 +219,52 @@ func packB32(transB bool, b *Matrix32, dst []float32, pc, jc, kcc, nc int) {
 	}
 }
 
-// Syrk32 computes the lower triangle of C += alpha·A·Aᵀ in float32.
-func Syrk32(alpha float32, a, c *Matrix32) {
-	n := a.Rows
-	if c.Rows != n || c.Cols != n {
-		panic("tile: Syrk32 shape mismatch")
-	}
-	for l := 0; l < a.Cols; l++ {
-		al := a.Col(l)
-		for j := 0; j < n; j++ {
-			v := alpha * al[j]
-			if v == 0 {
-				continue
-			}
-			cc := c.Col(j)
-			for i := j; i < n; i++ {
-				cc[i] += v * al[i]
-			}
-		}
-	}
-}
+// trsmBlock32 is the diagonal-block width of TrsmRightLowerTrans32: the part
+// of the solve left to scalar code is nb/n of its flops.
+const trsmBlock32 = 32
 
 // TrsmRightLowerTrans32 solves X·Lᵀ = B in float32, overwriting b, for
-// lower-triangular l (the panel update of the right-looking Cholesky).
+// lower-triangular l (the panel update of the right-looking Cholesky). The
+// solve is right-looking and blocked: a trsmBlock32-column block of X is
+// solved against its diagonal block of L in place, then folded out of every
+// column to its right by one Gemm32 on the packed micro-kernel. Matrix32
+// carries no stride, so the rows of L under the diagonal block are copied
+// into pooled scratch; the result is a function of l and b alone.
 func TrsmRightLowerTrans32(l, b *Matrix32) {
 	n := l.Rows
 	if l.Cols != n || b.Cols != n {
 		panic("tile: Trsm32 shape mismatch")
 	}
-	for k := 0; k < n; k++ {
-		xk := b.Col(k)
-		for i := 0; i < k; i++ {
-			v := l.At(k, i)
-			if v == 0 {
-				continue
+	for j0 := 0; j0 < n; j0 += trsmBlock32 {
+		j1 := min(j0+trsmBlock32, n)
+		for k := j0; k < j1; k++ {
+			xk := b.Col(k)
+			for i := j0; i < k; i++ {
+				v := l.At(k, i)
+				if v == 0 {
+					continue
+				}
+				xi := b.Col(i)
+				for r := range xk {
+					xk[r] -= v * xi[r]
+				}
 			}
-			xi := b.Col(i)
+			inv := 1 / l.At(k, k)
 			for r := range xk {
-				xk[r] -= v * xi[r]
+				xk[r] *= inv
 			}
 		}
-		inv := 1 / l.At(k, k)
-		for r := range xk {
-			xk[r] *= inv
+		if j1 == n {
+			break
 		}
+		below := GetMat32(n-j1, j1-j0)
+		for j := j0; j < j1; j++ {
+			copy(below.Col(j-j0), l.Col(j)[j1:])
+		}
+		x, rest := GetMat32View(b, j0, j1-j0), GetMat32View(b, j1, n-j1)
+		Gemm32(true, -1, x, below, rest)
+		PutMat32View(rest)
+		PutMat32View(x)
+		PutMat32(below)
 	}
-}
-
-// Potrf32 factorizes the lower triangle in float32.
-func Potrf32(a *Matrix32) error {
-	n := a.Rows
-	for k := 0; k < n; k++ {
-		ck := a.Col(k)
-		d := ck[k]
-		if d <= 0 || d != d {
-			return fmt.Errorf("tile: %w (pivot %d = %g)", linalg.ErrNotPositiveDefinite, k, d)
-		}
-		s := float32(math.Sqrt(float64(d)))
-		ck[k] = s
-		inv := 1 / s
-		for i := k + 1; i < n; i++ {
-			ck[i] *= inv
-		}
-		for j := k + 1; j < n; j++ {
-			v := ck[j]
-			if v == 0 {
-				continue
-			}
-			cj := a.Col(j)
-			for i := j; i < n; i++ {
-				cj[i] -= v * ck[i]
-			}
-		}
-	}
-	return nil
 }

@@ -54,52 +54,52 @@ func TestGemm32MatchesDouble(t *testing.T) {
 	}
 }
 
-func TestSyrk32MatchesDouble(t *testing.T) {
+// TestTrsm32Blocked: the blocked single-precision panel solve against the
+// float64 one over shapes around its 32-column block and the 32×6 micro-tile.
+// L's upper triangle is NaN (the solve must not read it) and b sits between
+// canaries (the trailing GEMM stores full micro-tiles unmasked). It runs on
+// the vector kernels and, under REPRO_NOASM=1, on the unpacked loops.
+func TestTrsm32Blocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := linalg.NewMatrix(5, 3)
-	for j := 0; j < 3; j++ {
-		col := a.Col(j)
-		for i := range col {
-			col[i] = rng.NormFloat64()
-		}
-	}
-	c := linalg.NewMatrix(5, 5)
-	for i := 0; i < 5; i++ {
-		c.Set(i, i, 10)
-	}
-	want := c.Clone()
-	linalg.Syrk(false, -1, a, 1, want)
-	c32 := ToSingle(c)
-	Syrk32(-1, ToSingle(a), c32)
-	got := c32.ToDouble()
-	for j := 0; j < 5; j++ {
-		for i := j; i < 5; i++ {
-			if math.Abs(got.At(i, j)-want.At(i, j)) > 1e-5 {
-				t.Fatalf("Syrk32 mismatch at (%d,%d)", i, j)
+	nan, canary := float32(math.NaN()), math.Float32frombits(canary32Bits)
+	const pad = 40
+	for _, n := range []int{1, 31, 32, 33, 100, 256} {
+		l := NewMatrix32(n, n)
+		for j := 0; j < n; j++ {
+			col := l.Col(j)
+			for i := range col {
+				switch {
+				case i < j:
+					col[i] = nan
+				case i == j:
+					col[i] = 1 + rng.Float32()
+				default:
+					col[i] = float32(rng.NormFloat64()) / float32(n)
+				}
 			}
 		}
-	}
-}
-
-func TestPotrf32Reconstructs(t *testing.T) {
-	_, sigma := covGrid(5, 0.2)
-	s := ToSingle(sigma)
-	if err := Potrf32(s); err != nil {
-		t.Fatal(err)
-	}
-	l := s.ToDouble()
-	l.LowerFromFull()
-	rec := linalg.NewMatrix(25, 25)
-	linalg.Gemm(false, true, 1, l, l, 0, rec)
-	if d := rec.MaxAbsDiff(sigma); d > 1e-4 {
-		t.Errorf("f32 LLᵀ residual %v", d)
-	}
-}
-
-func TestPotrf32RejectsIndefinite(t *testing.T) {
-	a := linalg.Eye(4)
-	a.Set(2, 2, -1)
-	if err := Potrf32(ToSingle(a)); err == nil {
-		t.Error("want error for indefinite matrix")
+		l64 := l.ToDouble()
+		l64.LowerFromFull()
+		for _, m := range []int{1, 17, 256} {
+			buf := make([]float32, m*n+2*pad)
+			for i := range buf {
+				buf[i] = canary
+			}
+			b := &Matrix32{Rows: m, Cols: n, Data: buf[pad : pad+m*n]}
+			for i := range b.Data {
+				b.Data[i] = float32(rng.NormFloat64())
+			}
+			want := b.ToDouble()
+			linalg.TrsmLower(linalg.Right, true, 1, l64, want)
+			TrsmRightLowerTrans32(l, b)
+			if d := b.ToDouble().MaxAbsDiff(want); !(d <= 2e-6*float64(n+4)) {
+				t.Errorf("n=%d m=%d: differs from the float64 solve by %g", n, m, d)
+			}
+			for i := 0; i < pad; i++ {
+				if math.Float32bits(buf[i]) != canary32Bits || math.Float32bits(buf[len(buf)-1-i]) != canary32Bits {
+					t.Fatalf("n=%d m=%d: an element outside b changed", n, m)
+				}
+			}
+		}
 	}
 }

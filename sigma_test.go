@@ -240,7 +240,7 @@ func TestFactorizationLogLine(t *testing.T) {
 
 	locs, kernel, a, b := bitsProblem(12, 12)
 	sigma := CovarianceMatrix(locs, kernel)
-	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 24, TLRTol: 1e-4, AdaptiveF32Norm: 0.5, QMCSize: 100})
+	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 24, TLRTol: 1e-4, AdaptiveRankFrac: 0.5, AdaptiveF32Norm: 0.5, QMCSize: 100})
 	defer s.Close()
 	for i := 0; i < 2; i++ { // the second round is warm
 		if _, err := s.MVNProb(locs, kernel, a, b); err != nil {
@@ -273,6 +273,11 @@ func TestFactorizationLogLine(t *testing.T) {
 		}
 		if rej, early := attrs["probes_rejected"].Int64(), attrs["probes_rejected_early"].Int64(); rej < early || (source == "kernel" && early != 0) {
 			t.Errorf("%s: %d probes rejected, %d early", source, rej, early)
+		}
+		// Ten off-band tiles at NT = 6, each probed once against half the tile side.
+		if probes, rej := attrs["probes"].Int64(), attrs["probes_rejected"].Int64(); attrs["rank_limit"].Int64() != 12 ||
+			probes != 10 || probes-rej != int64(mix.LowRank) {
+			t.Errorf("%s: rank_limit %v, %d probes, %d rejected, %d low-rank tiles", source, attrs["rank_limit"], probes, rej, mix.LowRank)
 		}
 	}
 }
