@@ -503,7 +503,7 @@ func (s *Session) mvnOpts() mvn.Options {
 // parallelizes across queries. Results are identical either way.
 //repro:noalloc
 func (s *Session) MVNProb(locs []Point, kernel KernelSpec, a, b []float64) (Result, error) {
-	return s.prob(locs, kernel, 0, a, b, QueryOpts{})
+	return s.single(problem{locs: locs, kernel: kernel}, a, b, QueryOpts{})
 }
 
 // MVNProbOpts is MVNProb with per-query accuracy/latency budgets: with any
@@ -513,47 +513,13 @@ func (s *Session) MVNProb(locs []Point, kernel KernelSpec, a, b []float64) (Resu
 // query still runs allocation-free end to end — the wave state is pooled.
 //repro:noalloc
 func (s *Session) MVNProbOpts(locs []Point, kernel KernelSpec, a, b []float64, opts QueryOpts) (Result, error) {
-	return s.prob(locs, kernel, 0, a, b, opts)
-}
-
-// prob is the shared direct-query path behind MVNProb (nu = 0) and MVTProb
-// (nu > 0). Validation — limits, tile size, kernel spec — is identical to
-// the batch entry points, and an empty box (some a[i] ≥ b[i]) returns
-// probability 0 without assembling or factorizing anything.
-//repro:noalloc
-func (s *Session) prob(locs []Point, kernel KernelSpec, nu float64, a, b []float64, q QueryOpts) (Result, error) {
-	empty, err := validateQuery(len(locs), a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := s.validateTileSize(len(locs)); err != nil {
-		return Result{}, err
-	}
-	if empty {
-		if err := kernel.validate(); err != nil {
-			return Result{}, err
-		}
-		res := Result{}
-		s.attachStats(&res)
-		return res, nil
-	}
-	f, err := s.factorForKernel(locs, kernel)
-	if err != nil {
-		return Result{}, err
-	}
-	res := s.query(f, a, b, nu, q.apply(s.mvnOpts()))
-	s.attachStats(&res)
-	return res, nil
+	return s.single(problem{locs: locs, kernel: kernel}, a, b, opts)
 }
 
 // MVNProbCov computes Φn(a,b;0,Σ) for an explicit covariance matrix given
 // as rows (see MVNProbCovBatch).
 func (s *Session) MVNProbCov(sigma [][]float64, a, b []float64) (Result, error) {
-	res, err := s.MVNProbCovBatch(sigma, []Bounds{{A: a, B: b}})
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
+	return s.single(problem{sigma: sigma, cov: true}, a, b, QueryOpts{})
 }
 
 // MVTProb computes the multivariate Student-t probability T_n(a,b;Σ,ν)
@@ -562,31 +528,14 @@ func (s *Session) MVNProbCov(sigma [][]float64, a, b []float64) (Result, error) 
 // paper builds on, on the same dense/TLR backends.
 //repro:noalloc
 func (s *Session) MVTProb(locs []Point, kernel KernelSpec, nu float64, a, b []float64) (Result, error) {
-	if err := validateNu(nu); err != nil {
-		return Result{}, err
-	}
-	return s.prob(locs, kernel, nu, a, b, QueryOpts{})
+	return s.single(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, a, b, QueryOpts{})
 }
 
 // MVTProbOpts is MVTProb with per-query accuracy/latency budgets (see
 // QueryOpts and MVNProbOpts).
 //repro:noalloc
 func (s *Session) MVTProbOpts(locs []Point, kernel KernelSpec, nu float64, a, b []float64, opts QueryOpts) (Result, error) {
-	if err := validateNu(nu); err != nil {
-		return Result{}, err
-	}
-	return s.prob(locs, kernel, nu, a, b, opts)
-}
-
-// attachStats snapshots the runtime scheduler statistics onto a result when
-// the session is configured to collect them.
-//repro:noalloc
-func (s *Session) attachStats(r *Result) {
-	if s.cfg.CollectStats {
-		//repro:alloc-ok stats snapshot is an opt-in diagnostic path
-		snap := s.rt.Snapshot()
-		r.Stats = &snap
-	}
+	return s.single(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, a, b, opts)
 }
 
 // SchedulerStats snapshots the session runtime's cumulative scheduler
@@ -615,10 +564,7 @@ type FactorFootprint struct {
 // factor for the locations and kernel, and reports its representation mix
 // and payload bytes.
 func (s *Session) FactorFootprint(locs []Point, kernel KernelSpec) (FactorFootprint, error) {
-	if err := s.validateTileSize(len(locs)); err != nil {
-		return FactorFootprint{}, err
-	}
-	f, err := s.factorForKernel(locs, kernel)
+	f, err := s.factor(problem{locs: locs, kernel: kernel})
 	if err != nil {
 		return FactorFootprint{}, err
 	}
@@ -709,8 +655,8 @@ func (s *Session) DetectRegionCov(sigma [][]float64, mean []float64, u, conf flo
 // covariance whose i-th row is row(i), len(mean) rows of len(mean) entries.
 func (s *Session) detectSigma(row func(i int) []float64, mean []float64, u, conf float64) (*Excursion, error) {
 	n := len(mean)
-	if n == 0 {
-		return nil, fmt.Errorf("parmvn: empty problem (dimension 0)")
+	if err := validateDim(n); err != nil {
+		return nil, err
 	}
 	if conf <= 0 || conf >= 1 {
 		return nil, fmt.Errorf("parmvn: confidence %g must be in (0,1)", conf)

@@ -1,6 +1,7 @@
 package parmvn
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -94,6 +95,93 @@ func TestBatchMatchesSequentialTLR(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("query %d: batch %+v != sequential %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestEntryPointsAgree pins that the query entry points are one path. For
+// every problem — MVN and MVT (ν = 5) on a kernel, MVN on the explicit Σ of
+// the same kernel — and budget — fixed N, MaxRelErr 1e-2 — a direct call, a
+// one-box batch and a three-box batch whose middle box is empty return the
+// same Result for each box, field for field, with nil, shared and per-box
+// opts. The explicit Σ has no opts entry point, so it runs fixed N, nil opts.
+func TestEntryPointsAgree(t *testing.T) {
+	s := NewSession(Config{TileSize: 8, QMCSize: 600, Replicates: 2})
+	defer s.Close()
+	locs := Grid(4, 4)
+	kernel := KernelSpec{Family: "matern", Range: 0.2, Nu: 1.5}
+	sigma := CovarianceMatrix(locs, kernel)
+	boxes := batchQueries(len(locs), 3)
+	boxes[1].A[5], boxes[1].B[5] = 1, 0 // empty: probability exactly 0
+
+	type entry struct {
+		name   string
+		direct func(a, b []float64, o QueryOpts) (Result, error)
+		batch  func(qs []Bounds, opts []QueryOpts) ([]Result, error)
+		opts   bool // has per-query opts entry points
+	}
+	entries := []entry{
+		{"mvn", func(a, b []float64, o QueryOpts) (Result, error) {
+			if o == (QueryOpts{}) {
+				return s.MVNProb(locs, kernel, a, b)
+			}
+			return s.MVNProbOpts(locs, kernel, a, b, o)
+		}, func(qs []Bounds, opts []QueryOpts) ([]Result, error) {
+			if opts == nil {
+				return s.MVNProbBatch(locs, kernel, qs)
+			}
+			return s.MVNProbBatchOpts(locs, kernel, qs, opts)
+		}, true},
+		{"mvt5", func(a, b []float64, o QueryOpts) (Result, error) {
+			if o == (QueryOpts{}) {
+				return s.MVTProb(locs, kernel, 5, a, b)
+			}
+			return s.MVTProbOpts(locs, kernel, 5, a, b, o)
+		}, func(qs []Bounds, opts []QueryOpts) ([]Result, error) {
+			if opts == nil {
+				return s.MVTProbBatch(locs, kernel, 5, qs)
+			}
+			return s.MVTProbBatchOpts(locs, kernel, 5, qs, opts)
+		}, true},
+		{"sigma", func(a, b []float64, _ QueryOpts) (Result, error) {
+			return s.MVNProbCov(sigma, a, b)
+		}, func(qs []Bounds, _ []QueryOpts) ([]Result, error) {
+			return s.MVNProbCovBatch(sigma, qs)
+		}, false},
+	}
+	for _, e := range entries {
+		for _, budget := range []QueryOpts{{}, {MaxRelErr: 1e-2}} {
+			if !e.opts && budget != (QueryOpts{}) {
+				continue
+			}
+			for _, qs := range [][]Bounds{boxes[:1], boxes} {
+				// The opts shapes: nil (every box unconstrained), shared, and
+				// per box (the budget on even boxes only).
+				shapes := [][]QueryOpts{nil}
+				if e.opts {
+					per := make([]QueryOpts, len(qs))
+					for i := 0; i < len(qs); i += 2 {
+						per[i] = budget
+					}
+					shapes = append(shapes, []QueryOpts{budget}, per)
+				}
+				for k, opts := range shapes {
+					name := fmt.Sprintf("%s/maxrelerr=%g/%s/%d-box", e.name, budget.MaxRelErr, []string{"nil", "shared", "per-box"}[k], len(qs))
+					got, err := e.batch(qs, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, q := range qs {
+						want, err := e.direct(q.A, q.B, optAt(opts, i))
+						if err != nil {
+							t.Fatalf("%s: direct box %d: %v", name, i, err)
+						}
+						if got[i] != want {
+							t.Errorf("%s: box %d batch %+v != direct %+v", name, i, got[i], want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -384,13 +384,7 @@ func (s *Session) FactorState(k ProblemKey) (FactorStatus, <-chan struct{}) {
 // factorization failure (e.g. a non-SPD kernel matrix) is returned and also
 // cached, deterministically, for subsequent queries.
 func (s *Session) Prefactorize(locs []Point, spec KernelSpec) error {
-	if len(locs) == 0 {
-		return fmt.Errorf("parmvn: empty problem (dimension 0)")
-	}
-	if err := s.validateTileSize(len(locs)); err != nil {
-		return err
-	}
-	_, err := s.factorForKernel(locs, spec)
+	_, err := s.factor(problem{locs: locs, kernel: spec})
 	return err
 }
 

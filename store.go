@@ -156,13 +156,7 @@ func decodeFactorKey(b []byte) (factorKey, error) {
 // store, atomically (write temp, fsync, rename). Factorization failures
 // are returned and never persisted.
 func (s *Session) SaveFactor(st *FactorStore, locs []Point, spec KernelSpec) error {
-	if len(locs) == 0 {
-		return fmt.Errorf("parmvn: empty problem (dimension 0)")
-	}
-	if err := s.validateTileSize(len(locs)); err != nil {
-		return err
-	}
-	f, err := s.factorForKernel(locs, spec)
+	f, err := s.factor(problem{locs: locs, kernel: spec})
 	if err != nil {
 		return err
 	}

@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// validateQuery is the one validator every query entry point — MVNProb,
-// MVTProb, the batch variants and (via ValidateQuery) the serving layer —
-// runs over an (a,b) integration box, so the direct and batch paths accept
-// exactly the same inputs and reject the rest with identical errors.
+// validateQuery is the one validator of an (a,b) integration box: eval runs
+// it for every query entry point and the serving layer through ValidateQuery,
+// so the direct and batch paths accept exactly the same inputs and reject the
+// rest with identical errors.
 //
 // It rejects a zero-dimensional problem, mis-sized limit vectors and NaN
 // limits (±Inf is the ordinary way to express half-open boxes and is fine).
@@ -17,9 +17,8 @@ import (
 // that without factorizing anything — empty is the report.
 //repro:noalloc
 func validateQuery(n int, a, b []float64) (empty bool, err error) {
-	if n <= 0 {
-		//repro:alloc-ok rejection path
-		return false, fmt.Errorf("parmvn: empty problem (dimension %d)", n)
+	if err := validateDim(n); err != nil {
+		return false, err
 	}
 	if len(a) != n || len(b) != n {
 		//repro:alloc-ok rejection path
@@ -37,6 +36,17 @@ func validateQuery(n int, a, b []float64) (empty bool, err error) {
 	return empty, nil
 }
 
+// validateDim rejects a zero-dimensional problem, for queries and the
+// factor-only calls alike.
+//repro:noalloc
+func validateDim(n int) error {
+	if n <= 0 {
+		//repro:alloc-ok rejection path
+		return fmt.Errorf("parmvn: empty problem (dimension %d)", n)
+	}
+	return nil
+}
+
 // ValidateQuery reports whether (a,b) is a usable integration box for an
 // n-dimensional query, with exactly the acceptance rules of MVNProb and the
 // batch entry points. Serving layers that aggregate queries from independent
@@ -52,6 +62,7 @@ func ValidateQuery(n int, a, b []float64) error {
 // a[i] ≥ b[i] — in which case its probability is exactly 0 and a serving
 // layer can answer without touching (or building) the factor, just as the
 // query entry points do.
+//repro:noalloc
 func EmptyQuery(a, b []float64) bool {
 	for i := range a {
 		if a[i] >= b[i] {
@@ -70,23 +81,4 @@ func validateNu(nu float64) error {
 		return fmt.Errorf("parmvn: degrees of freedom %g must be positive and finite", nu)
 	}
 	return nil
-}
-
-// validateQueries is validateQuery over a batch: it rejects the batch on the
-// first malformed query (wrapping the same error the direct path returns for
-// that query) and otherwise reports which queries are empty boxes, plus
-// whether any query actually needs the factor.
-func validateQueries(n int, queries []Bounds) (empty []bool, anyLive bool, err error) {
-	empty = make([]bool, len(queries))
-	for i, q := range queries {
-		e, err := validateQuery(n, q.A, q.B)
-		if err != nil {
-			return nil, false, fmt.Errorf("parmvn: query %d: %w", i, err)
-		}
-		empty[i] = e
-		if !e {
-			anyLive = true
-		}
-	}
-	return empty, anyLive, nil
 }

@@ -16,6 +16,7 @@ func TestValidationConsistency(t *testing.T) {
 	defer s.Close()
 	locs := Grid(2, 2)
 	kernel := KernelSpec{Family: "exponential", Range: 0.3}
+	sigma := CovarianceMatrix(locs, kernel)
 	nan := math.NaN()
 
 	cases := []struct {
@@ -50,6 +51,15 @@ func TestValidationConsistency(t *testing.T) {
 		if mvtBatchErr == nil || mvtBatchErr.Error() != batchErr.Error() {
 			t.Fatalf("%s: MVT batch error %q != MVN batch error %q", tc.name, mvtBatchErr, batchErr)
 		}
+		// An explicit Σ of the same dimension is refused identically.
+		_, covErr := s.MVNProbCov(sigma, tc.a, tc.b)
+		if covErr == nil || covErr.Error() != directErr.Error() {
+			t.Fatalf("%s: explicit-Σ error %q != MVN error %q", tc.name, covErr, directErr)
+		}
+		_, covBatchErr := s.MVNProbCovBatch(sigma, []Bounds{{A: tc.a, B: tc.b}})
+		if covBatchErr == nil || covBatchErr.Error() != batchErr.Error() {
+			t.Fatalf("%s: explicit-Σ batch error %q != MVN batch error %q", tc.name, covBatchErr, batchErr)
+		}
 	}
 
 	// A multi-query batch names the offending query.
@@ -74,6 +84,56 @@ func TestValidationConsistency(t *testing.T) {
 		if direct.Error() != batch.Error() {
 			t.Fatalf("nu=%g: direct %q != batch %q", nu, direct, batch)
 		}
+	}
+}
+
+// TestFactorOnlyCallsValidateLikeQueries: Prefactorize, SaveFactor and
+// FactorFootprint refuse an empty location set and a tile larger than the
+// problem with exactly the error a query on the same problem returns, before
+// anything is factorized, cached or stored.
+func TestFactorOnlyCallsValidateLikeQueries(t *testing.T) {
+	st, err := OpenFactorStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := KernelSpec{Family: "exponential", Range: 0.3}
+	for _, tc := range []struct {
+		name string
+		tile int
+		locs []Point
+	}{
+		{"nil locations", 4, nil},
+		{"tile larger than n", 16, Grid(3, 3)},
+	} {
+		s := NewSession(Config{TileSize: tc.tile, QMCSize: 100})
+		a, b := make([]float64, len(tc.locs)), make([]float64, len(tc.locs))
+		for i := range a {
+			a[i], b[i] = -1, 1
+		}
+		_, want := s.MVNProb(tc.locs, kernel, a, b)
+		if want == nil {
+			t.Fatalf("%s: the query path accepted the problem", tc.name)
+		}
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"Prefactorize", func() error { return s.Prefactorize(tc.locs, kernel) }},
+			{"SaveFactor", func() error { return s.SaveFactor(st, tc.locs, kernel) }},
+			{"FactorFootprint", func() error { _, err := s.FactorFootprint(tc.locs, kernel); return err }},
+		}
+		for _, c := range calls {
+			if err := c.call(); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: %s error %v, want the query path's %q", tc.name, c.name, err, want)
+			}
+		}
+		if _, misses := s.Cache().Stats(); s.Cache().Len() != 0 || misses != 0 {
+			t.Errorf("%s: cache holds %d factors after %d misses, want 0 and 0", tc.name, s.Cache().Len(), misses)
+		}
+		if n, err := st.Len(); err != nil || n != 0 {
+			t.Errorf("%s: store holds %d factors (%v), want 0", tc.name, n, err)
+		}
+		s.Close()
 	}
 }
 
