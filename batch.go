@@ -76,12 +76,6 @@ func (s *Session) MVTProbBatch(locs []Point, kernel KernelSpec, nu float64, quer
 	return s.batch(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, queries, nil)
 }
 
-// MVTProbBatchOpts is MVTProbBatch with per-query accuracy/latency budgets
-// (see MVNProbBatchOpts for the opts conventions).
-func (s *Session) MVTProbBatchOpts(locs []Point, kernel KernelSpec, nu float64, queries []Bounds, opts []QueryOpts) ([]Result, error) {
-	return s.batch(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, queries, opts)
-}
-
 // MVNProbCovBatch is MVNProbBatch for an explicit covariance matrix given as
 // rows; the factor is cached by matrix content. Σ is read in place,
 // concurrently, and never copied: it must not be mutated during the call, and

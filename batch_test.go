@@ -104,7 +104,8 @@ func TestBatchMatchesSequentialTLR(t *testing.T) {
 // the same kernel — and budget — fixed N, MaxRelErr 1e-2 — a direct call, a
 // one-box batch and a three-box batch whose middle box is empty return the
 // same Result for each box, field for field, with nil, shared and per-box
-// opts. The explicit Σ has no opts entry point, so it runs fixed N, nil opts.
+// opts. The explicit Σ and the Student-t batch have no opts batch entry
+// point, so they run fixed N, nil opts.
 func TestEntryPointsAgree(t *testing.T) {
 	s := NewSession(Config{TileSize: 8, QMCSize: 600, Replicates: 2})
 	defer s.Close()
@@ -118,7 +119,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		name   string
 		direct func(a, b []float64, o QueryOpts) (Result, error)
 		batch  func(qs []Bounds, opts []QueryOpts) ([]Result, error)
-		opts   bool // has per-query opts entry points
+		opts   bool // has a per-query opts batch entry point
 	}
 	entries := []entry{
 		{"mvn", func(a, b []float64, o QueryOpts) (Result, error) {
@@ -133,16 +134,10 @@ func TestEntryPointsAgree(t *testing.T) {
 			return s.MVNProbBatchOpts(locs, kernel, qs, opts)
 		}, true},
 		{"mvt5", func(a, b []float64, o QueryOpts) (Result, error) {
-			if o == (QueryOpts{}) {
-				return s.MVTProb(locs, kernel, 5, a, b)
-			}
 			return s.MVTProbOpts(locs, kernel, 5, a, b, o)
-		}, func(qs []Bounds, opts []QueryOpts) ([]Result, error) {
-			if opts == nil {
-				return s.MVTProbBatch(locs, kernel, 5, qs)
-			}
-			return s.MVTProbBatchOpts(locs, kernel, 5, qs, opts)
-		}, true},
+		}, func(qs []Bounds, _ []QueryOpts) ([]Result, error) {
+			return s.MVTProbBatch(locs, kernel, 5, qs)
+		}, false},
 		{"sigma", func(a, b []float64, _ QueryOpts) (Result, error) {
 			return s.MVNProbCov(sigma, a, b)
 		}, func(qs []Bounds, _ []QueryOpts) ([]Result, error) {

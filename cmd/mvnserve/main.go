@@ -1,9 +1,9 @@
 // Command mvnserve serves MVN/MVT probability queries over HTTP/JSON — the
 // production front door of the engine. It owns a sharded pool of sessions,
 // coalesces concurrent requests for one uncached factorization into a single
-// build, micro-batches same-factor queries into one batch call, and
-// admission-controls factorizations so overload fails fast (503) instead of
-// queueing without bound.
+// build, runs every request as one engine call, and admission-controls
+// factorizations so overload fails fast (503) instead of queueing without
+// bound.
 //
 // Endpoints:
 //
@@ -59,8 +59,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines per session (0 = GOMAXPROCS)")
 	cacheCap := flag.Int("cache-cap", 0, "cached factors per session, LRU (0 = default 8, negative = unbounded)")
 	shards := flag.Int("shards", 0, "session shards (0 = default 4)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batch gathering window for warm queries (0 = default 1ms, negative = off)")
-	maxBatch := flag.Int("max-batch", 0, "queries per batch before an early flush (0 = default 64)")
 	maxFactor := flag.Int("max-factor", 0, "concurrent factorizations (0 = default 2)")
 	factorQueue := flag.Int("factor-queue", 0, "cold keys that may wait for a factorization slot (0 = default 8, negative = none)")
 	maxInflight := flag.Int("max-inflight", 0, "admitted requests before fast-fail (0 = default 1024)")
@@ -122,8 +120,6 @@ func main() {
 		srv := serve.New(serve.Config{
 			Session:           session,
 			Shards:            *shards,
-			BatchWindow:       *batchWindow,
-			MaxBatch:          *maxBatch,
 			MaxInflightFactor: *maxFactor,
 			FactorQueueDepth:  *factorQueue,
 			MaxInFlight:       *maxInflight,

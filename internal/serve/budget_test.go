@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestServeBudgetedQuery runs a max_error-budgeted request end to end and
@@ -161,21 +160,19 @@ func TestServeBudgetValidation(t *testing.T) {
 }
 
 // TestServeInterleavedBudgetStress interleaves deadline-capped and
-// unconstrained queries on ONE shared factor from many goroutines: they
-// coalesce into the same flights and batch calls, and the per-query opts
-// must stay with their queries — every unconstrained result bit-identical
-// across the run, every capped result a valid partial estimate. Race-gated:
-// this exists to put the race detector over the opts fan-in.
+// unconstrained queries on ONE shared factor from many goroutines: they run
+// concurrently on the same session, and the per-query opts must stay with
+// their queries — every unconstrained result bit-identical across the run,
+// every capped result a valid partial estimate. Race-gated: this exists to
+// put the race detector over concurrent queries on one cached factor.
 func TestServeInterleavedBudgetStress(t *testing.T) {
 	if !raceEnabled {
 		t.Skip("stress test is race-gated: run with -race")
 	}
-	cfg := testConfig()
-	cfg.BatchWindow = 200 * time.Microsecond
-	srv := New(cfg)
+	srv := New(testConfig())
 	defer srv.Close()
 
-	// Warm the shared factor so every goroutine below hits warm flights.
+	// Warm the shared factor so every goroutine below queries warm.
 	if _, err := srv.Do(context.Background(), testRequest(6, 0.2)); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // HTTP layer can always map it to a 400 with a field name). When a body is
 // accepted, the decoded request must be structurally sound — consistent
 // dimensions, no NaN limits, dimension within the configured cap — because
-// everything downstream (flight aggregation, batch fan-in) assumes it.
+// everything downstream (routing, the engine call) assumes it.
 func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		``,

@@ -90,8 +90,8 @@ type Response struct {
 	// Degraded reports that admission control loosened the error budget
 	// under queue pressure (max_error > the requested budget).
 	Degraded bool `json:"degraded,omitempty"`
-	// Coalesced reports that this request joined an in-flight
-	// factorization or batch instead of starting its own.
+	// Coalesced reports that this request waited on another request's
+	// factorization instead of starting its own.
 	Coalesced bool    `json:"coalesced,omitempty"`
 	ElapsedMs float64 `json:"elapsed_ms"`
 }

@@ -1,16 +1,15 @@
 // Package serve is the query-serving layer over the parmvn engine: an
 // in-process Server that owns a sharded pool of Sessions, coalesces
 // concurrent requests for one uncached factorization into a single build,
-// micro-batches same-factor queries into one batch call, and admission-
-// controls factorizations so overload degrades into fast-fail backpressure
-// instead of unbounded queues.
+// and admission-controls factorizations so overload degrades into fast-fail
+// backpressure instead of unbounded queues.
 //
 // The layering mirrors the session factor cache one level up: a request's
 // parmvn.ProblemKey routes it to a shard (so all traffic for one covariance
-// lands on one Session and its LRU factor cache), and the per-key flight —
-// created on first arrival, joined by everyone else — is the single-flight
-// unit that factorizes at most once and flushes all gathered queries as one
-// MVNProbBatch/MVTProbBatch call.
+// lands on one Session and its LRU factor cache). A cold key's first request
+// leads its build — store load or admitted factorization — and every other
+// request for the key, MVN or MVT, f32 or f64, waits for it. Every request
+// then runs as one MVNProbOpts/MVTProbOpts call on its own goroutine.
 package serve
 
 import (
@@ -46,20 +45,11 @@ type Config struct {
 	// ProblemKey hash, so one covariance always hits one shard's factor
 	// cache. Default 4.
 	Shards int
-	// BatchWindow is how long a warm-factor flight waits for same-key
-	// queries to gather before flushing them as one batch call. Cold
-	// flights gather for free during factorization. Default 1ms; negative
-	// disables the wait (batching then only happens behind factorizations
-	// and in-flight flushes).
-	BatchWindow time.Duration
-	// MaxBatch flushes a flight early once it has gathered this many
-	// queries. Default 64.
-	MaxBatch int
 	// MaxInflightFactor bounds concurrent factorizations across the whole
 	// server — the expensive, memory-hungry operation overload must not
 	// multiply. Default 2.
 	MaxInflightFactor int
-	// FactorQueueDepth is how many cold-key flights may wait for a
+	// FactorQueueDepth is how many cold-key builds may wait for a
 	// factorization slot; beyond it, cold requests fail fast with
 	// ErrOverloaded. Default 8.
 	FactorQueueDepth int
@@ -81,24 +71,17 @@ type Config struct {
 	// impose; a request's own max_error is never tightened, only loosened
 	// toward (never past) this floor. Default 0.01.
 	MaxErrorFloor float64
-	// Store, when non-nil, is the persistent factor store: a flight whose
-	// factor is neither cached nor building first tries to install the
-	// stored factor (no factorization admission slot needed — loading is
-	// I/O-bound, not O(n³)), and every factorization a flight leads is
-	// written through to the store in the background, so restarts and new
-	// replicas sharing the directory start hot.
+	// Store, when non-nil, is the persistent factor store: a cold key's
+	// build first tries to install the stored factor (no factorization
+	// admission slot needed — loading is I/O-bound, not O(n³)), and every
+	// factorization is written through to the store in the background, so
+	// restarts and new replicas sharing the directory start hot.
 	Store *parmvn.FactorStore
 }
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.MaxInflightFactor <= 0 {
 		c.MaxInflightFactor = 2
@@ -132,17 +115,25 @@ type Server struct {
 	cfg       Config
 	shards    []*shard
 	factorSem chan struct{}
+	saves     sync.WaitGroup // background store write-throughs
 	ctr       counters
 	start     time.Time
 }
 
 // shard owns the Sessions (one per method × tile bucket, created lazily)
-// and the open flights for the problem keys that hash to it.
+// and the cold-key builds in progress for the problem keys that hash to it.
 type shard struct {
 	srv      *Server
 	mu       sync.Mutex
 	sessions map[sessionKey]*parmvn.Session
-	flights  map[flightKey]*flight
+	builds   map[parmvn.ProblemKey]*build
+}
+
+// build is one cold key's factor being made warm. Its leader sets err and
+// then closes done; the requests waiting on it read err only after done.
+type build struct {
+	done chan struct{}
+	err  error
 }
 
 // sessionKey picks the pooled Session a request runs on: everything else in
@@ -151,17 +142,6 @@ type sessionKey struct {
 	method parmvn.Method
 	tile   int
 	f32    bool
-}
-
-// flightKey identifies one coalescible stream of queries: one factorization
-// problem and, for Student-t, one ν (MVN and MVT flights for the same
-// problem share the cached factor, but their queries cannot share one batch
-// call). Sweep precision is part of the key too: f32 and f64 queries run on
-// different pooled sessions, though they still share the cached factor.
-type flightKey struct {
-	pk  parmvn.ProblemKey
-	nu  float64
-	f32 bool
 }
 
 // New starts a server. It owns the Sessions it creates; Close releases them.
@@ -177,21 +157,23 @@ func New(cfg Config) *Server {
 		s.shards[i] = &shard{
 			srv:      s,
 			sessions: map[sessionKey]*parmvn.Session{},
-			flights:  map[flightKey]*flight{},
+			builds:   map[parmvn.ProblemKey]*build{},
 		}
 	}
 	return s
 }
 
-// Close rejects new requests, waits for admitted requests and open flights
-// to drain, and shuts down every pooled session.
+// Close rejects new requests, waits for admitted requests and in-progress
+// store saves to drain, and shuts down every pooled session.
 func (s *Server) Close() {
 	if !s.ctr.closed.CompareAndSwap(false, true) {
 		return
 	}
-	for s.ctr.inFlight.Load() > 0 || s.ctr.openFlights.Load() > 0 {
+	for s.ctr.inFlight.Load() > 0 {
 		time.Sleep(time.Millisecond)
 	}
+	// Only admitted requests start saves, so none starts after the drain.
+	s.saves.Wait()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, sess := range sh.sessions {
@@ -260,25 +242,27 @@ func (sh *shard) session(cfg parmvn.Config) *parmvn.Session {
 }
 
 // Do serves one decoded request in-process (the HTTP handlers call it; Go
-// callers may too). It validates, routes by problem key, joins or starts the
-// key's flight, and waits for the flight to deliver this request's result.
+// callers may too). It validates, routes by problem key, makes the key's
+// factor warm — leading its build or waiting on another request's — and runs
+// the query as one engine call on the caller's goroutine.
 func (s *Server) Do(ctx context.Context, req *Request) (*Response, error) {
 	start := time.Now()
 	s.ctr.requests.Add(1)
-	if s.ctr.inFlight.Add(1) > int64(s.cfg.MaxInFlight) {
-		s.ctr.inFlight.Add(-1)
-		s.ctr.rejected.Add(1)
-		return nil, ErrOverloaded
-	}
+	load := s.ctr.inFlight.Add(1)
 	defer s.ctr.inFlight.Add(-1)
-	// Checked after the in-flight increment: Close flips the flag first and
-	// then drains the gauge, so a request past this check is guaranteed to
-	// finish before Close tears the sessions down.
-	if s.ctr.closed.Load() {
+	var resp *Response
+	var err error
+	switch {
+	case load > int64(s.cfg.MaxInFlight):
+		err = ErrOverloaded
+	case s.ctr.closed.Load():
+		// Checked after the in-flight increment: Close flips the flag first
+		// and then drains the gauge, so a request past this check is
+		// guaranteed to finish before Close tears the sessions down.
 		return nil, errClosed
+	default:
+		resp, err = s.do(ctx, req)
 	}
-
-	resp, err := s.do(ctx, req)
 	switch {
 	case err == nil:
 		resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
@@ -287,7 +271,7 @@ func (s *Server) Do(ctx context.Context, req *Request) (*Response, error) {
 	case errors.As(err, new(*RequestError)):
 		s.ctr.badRequests.Add(1)
 	case errors.Is(err, ErrOverloaded):
-		// counted where it was rejected
+		s.ctr.rejected.Add(1)
 	default:
 		s.ctr.computeErrors.Add(1)
 	}
@@ -326,7 +310,7 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	if parmvn.EmptyQuery(req.A, req.B) {
 		// The box is empty: the probability is exactly 0 and the engine
-		// would never touch the factor, so don't spend a flight — or, on a
+		// would never touch the factor, so don't spend a session — or, on a
 		// cold key, a factorization slot — on it either.
 		resp := &Response{Prob: 0, N: n, Method: method.String()}
 		if sweepF32 {
@@ -338,6 +322,9 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 	if err := validBudgets(req.MaxError, req.DeadlineMs); err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // the caller is gone: no session, no slot
+	}
 	opt, degraded := s.queryOpts(ctx, req)
 
 	cfg := s.sessionConfig(method, n, sweepF32)
@@ -346,36 +333,37 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 		return nil, badReq("kernel", "%v", err)
 	}
 	sh := s.shards[pk.Hash()%uint64(len(s.shards))]
-	ch, coalesced := sh.enqueue(flightKey{pk: pk, nu: req.Nu, f32: sweepF32}, pk, cfg, req, opt)
-	if coalesced {
-		s.ctr.coalesced.Add(1)
+	sess := sh.session(cfg)
+	coalesced, err := sh.ready(ctx, sess, pk, req.Locs, req.Kernel)
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return nil, r.err
-		}
-		resp := &Response{
-			Prob: r.res.Prob, StdErr: r.res.StdErr,
-			Samples: r.res.Samples, Converged: r.res.Converged,
-			Canceled: r.res.Canceled, MaxError: opt.MaxRelErr,
-			Degraded: degraded,
-			N:        n, Method: method.String(), Coalesced: coalesced,
-		}
-		// An infinite relative error (zero estimate, nonzero spread) has no
-		// JSON encoding; the omitted field plus prob/stderr says the same.
-		if !math.IsInf(r.res.RelErr, 0) {
-			resp.RelErr = r.res.RelErr
-		}
-		if sweepF32 {
-			resp.Sweep = "f32"
-		}
-		return resp, nil
-	case <-ctx.Done():
-		// The flight still computes and delivers into the buffered channel;
-		// only this caller stops waiting.
-		return nil, ctx.Err()
+	var r parmvn.Result
+	if req.Nu > 0 {
+		r, err = sess.MVTProbOpts(req.Locs, req.Kernel, req.Nu, req.A, req.B, opt)
+	} else {
+		r, err = sess.MVNProbOpts(req.Locs, req.Kernel, req.A, req.B, opt)
 	}
+	s.ctr.engineCalls.Add(1)
+	if err != nil {
+		return nil, err
+	}
+	resp := &Response{
+		Prob: r.Prob, StdErr: r.StdErr,
+		Samples: r.Samples, Converged: r.Converged,
+		Canceled: r.Canceled, MaxError: opt.MaxRelErr,
+		Degraded: degraded,
+		N:        n, Method: method.String(), Coalesced: coalesced,
+	}
+	// An infinite relative error (zero estimate, nonzero spread) has no JSON
+	// encoding; the omitted field plus prob/stderr says the same.
+	if !math.IsInf(r.RelErr, 0) {
+		resp.RelErr = r.RelErr
+	}
+	if sweepF32 {
+		resp.Sweep = "f32"
+	}
+	return resp, nil
 }
 
 // queryOpts resolves a request's accuracy/latency budgets into engine
@@ -424,187 +412,81 @@ func (s *Server) loadPressure() float64 {
 	return t
 }
 
-// result is what a flight delivers to each of its waiters, exactly once.
-type result struct {
-	res parmvn.Result
-	err error
-}
-
-// flight is the single-flight/micro-batch unit for one flightKey: the first
-// request creates it (and its goroutine), concurrent requests for the same
-// key join it, and it flushes everything it gathered as one batch call.
-// queries, waiters and closed are guarded by the owning shard's mutex; full
-// is closed (under the same mutex, at most once) when MaxBatch is reached,
-// waking a flight sleeping out its batch window so a full batch flushes
-// early.
-type flight struct {
-	sh      *shard
-	key     flightKey
-	pk      parmvn.ProblemKey
-	sess    *parmvn.Session
-	locs    []parmvn.Point
-	kernel  parmvn.KernelSpec
-	full    chan struct{}
-	closed  bool
-	queries []parmvn.Bounds
-	opts    []parmvn.QueryOpts
-	waiters []chan result
-}
-
-// enqueue joins the open flight for fk, or creates one. The returned channel
-// receives this request's result exactly once; coalesced reports whether an
-// existing flight was joined.
-func (sh *shard) enqueue(fk flightKey, pk parmvn.ProblemKey, cfg parmvn.Config, req *Request, opt parmvn.QueryOpts) (<-chan result, bool) {
-	ch := make(chan result, 1)
-	q := parmvn.Bounds{A: req.A, B: req.B}
-	sh.mu.Lock()
-	if f, ok := sh.flights[fk]; ok && !f.closed {
-		f.join(q, opt, ch)
+// ready makes pk's factor warm in sess before the query runs. A warm key
+// returns at once: no channel, no goroutine. On a cold key the first request
+// registers a build and leads it; every other request for the key — MVN or
+// MVT, f32 or f64, since they share the factor — waits on the build or on its
+// own ctx (the build still completes for the others). Then it checks again:
+// a factor evicted in between loops back to a lead, so a rebuild cannot
+// dodge admission control. coalesced reports that this request waited on
+// another request's factorization.
+func (sh *shard) ready(ctx context.Context, sess *parmvn.Session, pk parmvn.ProblemKey, locs []parmvn.Point, kernel parmvn.KernelSpec) (coalesced bool, err error) {
+	for {
+		if st, _ := sess.FactorState(pk); st == parmvn.FactorReady {
+			return coalesced, nil
+		}
+		sh.mu.Lock()
+		b, building := sh.builds[pk]
+		if !building {
+			b = &build{done: make(chan struct{})}
+			sh.builds[pk] = b
+		}
 		sh.mu.Unlock()
-		return ch, true
-	}
-	sh.mu.Unlock()
-	sess := sh.session(cfg)
-	f := &flight{
-		sh: sh, key: fk, pk: pk, sess: sess,
-		locs: req.Locs, kernel: req.Kernel,
-		full:    make(chan struct{}),
-		queries: []parmvn.Bounds{q},
-		opts:    []parmvn.QueryOpts{opt},
-		waiters: []chan result{ch},
-	}
-	sh.mu.Lock()
-	if cur, ok := sh.flights[fk]; ok && !cur.closed {
-		// Lost a race with another creator while the session was resolved:
-		// join theirs instead.
-		cur.join(q, opt, ch)
-		sh.mu.Unlock()
-		return ch, true
-	}
-	sh.flights[fk] = f
-	sh.srv.ctr.openFlights.Add(1)
-	sh.mu.Unlock()
-	go f.run()
-	return ch, false
-}
-
-// join adds one query to an open flight; at MaxBatch the flight stops
-// accepting (the next arrival starts a fresh one) and is woken for an early
-// flush. Called with the shard mutex held on an open (not closed) flight.
-func (f *flight) join(q parmvn.Bounds, opt parmvn.QueryOpts, ch chan result) {
-	f.queries = append(f.queries, q)
-	f.opts = append(f.opts, opt)
-	f.waiters = append(f.waiters, ch)
-	if len(f.queries) >= f.sh.srv.cfg.MaxBatch {
-		f.closed = true
-		delete(f.sh.flights, f.key)
-		close(f.full) // sole closer: closed flights cannot be joined again
-	}
-}
-
-// run drives one flight: resolve the factor (warm → gather for the batch
-// window; building elsewhere → wait for that build; absent → acquire a
-// factorization slot under admission control and prefactorize, gathering
-// joiners for free meanwhile), then flush everything as one batch call and
-// deliver each waiter its result.
-func (f *flight) run() {
-	srv := f.sh.srv
-	defer srv.ctr.openFlights.Add(-1)
-	st, done := f.sess.FactorState(f.pk)
-	switch st {
-	case parmvn.FactorReady:
-		if w := srv.cfg.BatchWindow; w > 0 {
+		if !building {
+			sh.lead(b, sess, pk, locs, kernel)
+		} else {
+			if !coalesced {
+				coalesced = true
+				sh.srv.ctr.coalesced.Add(1)
+			}
 			select {
-			case <-time.After(w):
-			case <-f.full: // MaxBatch reached: flush early
+			case <-b.done:
+			case <-ctx.Done():
+				return coalesced, ctx.Err()
 			}
 		}
+		if b.err != nil {
+			return coalesced, b.err
+		}
+	}
+}
+
+// lead runs one cold key's build and publishes its outcome. It reads the
+// state again first: a build that completed between the caller's check and
+// its registration left the factor Ready, and a query rebuilding an evicted
+// factor leaves it Building — neither takes a slot. An absent factor is
+// installed from the store, or factorized under admission control and then
+// written through to the store in the background.
+func (sh *shard) lead(b *build, sess *parmvn.Session, pk parmvn.ProblemKey, locs []parmvn.Point, kernel parmvn.KernelSpec) {
+	srv := sh.srv
+	switch st, done := sess.FactorState(pk); st {
 	case parmvn.FactorBuilding:
-		// Another flight (same problem, different ν, or a direct API
-		// caller) is already factorizing: coalesce onto its build.
 		<-done
-	default: // FactorAbsent — this flight leads the factorization.
-		if srv.storeLoad(f.sess, f.pk) {
-			// Installed from the persistent store: the key is warm without
-			// ever spending a factorization admission slot.
+	case parmvn.FactorAbsent:
+		if srv.storeLoad(sess, pk) {
 			break
 		}
-		if err := srv.acquireFactorSlot(); err != nil {
-			f.deliverErr(err)
-			return
+		if b.err = srv.acquireFactorSlot(); b.err != nil {
+			break
 		}
 		srv.ctr.factorizations.Add(1)
-		err := f.sess.Prefactorize(f.locs, f.kernel)
+		b.err = sess.Prefactorize(locs, kernel)
 		<-srv.factorSem
-		if err != nil {
-			f.deliverErr(err)
-			return
-		}
-		defer srv.storeSave(f.sess, f.pk, f.locs, f.kernel)
-	}
-	// Re-check before flushing: under hot-set LRU pressure the factor can
-	// be evicted between the state snapshot (or the prefactorization) and
-	// here, in which case the batch call below would rebuild it — an O(n³)
-	// build that must not dodge admission control. The residual window
-	// (eviction after this check) only risks an unadmitted build, never a
-	// wrong result.
-	if st, _ := f.sess.FactorState(f.pk); st != parmvn.FactorReady {
-		if err := srv.acquireFactorSlot(); err != nil {
-			f.deliverErr(err)
-			return
-		}
-		srv.ctr.factorizations.Add(1)
-		defer func() { <-srv.factorSem }()
-	}
-	qs, qo, ws := f.take()
-	var out []parmvn.Result
-	var err error
-	if f.key.nu > 0 {
-		out, err = f.sess.MVTProbBatchOpts(f.locs, f.kernel, f.key.nu, qs, qo)
-	} else {
-		out, err = f.sess.MVNProbBatchOpts(f.locs, f.kernel, qs, qo)
-	}
-	srv.ctr.batches.Add(1)
-	srv.ctr.batchedQueries.Add(uint64(len(qs)))
-	for i, w := range ws {
-		if err != nil {
-			w <- result{err: err}
-		} else {
-			w <- result{res: out[i]}
+		if b.err == nil && srv.cfg.Store != nil {
+			srv.saves.Add(1)
+			go srv.storeSave(sess, pk, locs, kernel)
 		}
 	}
-}
-
-// take closes the flight to joiners and claims its gathered queries.
-func (f *flight) take() ([]parmvn.Bounds, []parmvn.QueryOpts, []chan result) {
-	sh := f.sh
 	sh.mu.Lock()
-	f.closed = true
-	if cur, ok := sh.flights[f.key]; ok && cur == f {
-		delete(sh.flights, f.key)
-	}
-	qs, qo, ws := f.queries, f.opts, f.waiters
+	delete(sh.builds, pk)
 	sh.mu.Unlock()
-	return qs, qo, ws
-}
-
-// deliverErr fails every waiter gathered so far with err. Backpressure
-// rejections are counted here, per shed request — a failed slot acquisition
-// rejects the whole flight, not just its leader.
-func (f *flight) deliverErr(err error) {
-	_, _, ws := f.take()
-	if errors.Is(err, ErrOverloaded) {
-		f.sh.srv.ctr.rejected.Add(uint64(len(ws)))
-	}
-	for _, w := range ws {
-		w <- result{err: err}
-	}
+	close(b.done)
 }
 
 // storeLoad tries to install pk's factor from the persistent store into the
 // session cache. A hit makes the key warm with zero factorizations; a miss
 // (or an unreadable file — corruption is counted but never fatal, the
-// flight just factorizes as if the store were empty) falls through to the
+// build just factorizes as if the store were empty) falls through to the
 // admission-controlled factorization path.
 func (s *Server) storeLoad(sess *parmvn.Session, pk parmvn.ProblemKey) bool {
 	if s.cfg.Store == nil {
@@ -625,12 +507,12 @@ func (s *Server) storeLoad(sess *parmvn.Session, pk parmvn.ProblemKey) bool {
 
 // storeSave writes a freshly built factor through to the persistent store
 // (skipped when a file for the key already exists — replicas sharing one
-// directory race benignly, rename is atomic either way). Runs on the
-// flight goroutine after its waiters were delivered, so it never adds
-// latency to the flight's own queries; the openFlights gauge is still held,
-// so Close waits for in-progress saves.
+// directory race benignly, rename is atomic either way). Runs on a
+// goroutine of its own, so it never adds latency to a request; Close waits
+// for it through s.saves.
 func (s *Server) storeSave(sess *parmvn.Session, pk parmvn.ProblemKey, locs []parmvn.Point, kernel parmvn.KernelSpec) {
-	if s.cfg.Store == nil || s.cfg.Store.Has(pk) {
+	defer s.saves.Done()
+	if s.cfg.Store.Has(pk) {
 		return
 	}
 	if err := sess.SaveFactor(s.cfg.Store, locs, kernel); err != nil {
@@ -653,8 +535,8 @@ func (s *Server) acquireFactorSlot() error {
 	}
 	if s.ctr.factorQueue.Add(1) > int64(s.cfg.FactorQueueDepth) {
 		s.ctr.factorQueue.Add(-1)
-		// Not counted here: deliverErr counts one rejection per request the
-		// failing flight sheds, not one per flight.
+		// Not counted here: Do counts one rejection per request the failed
+		// build sheds, the leader and its waiters alike.
 		return ErrOverloaded
 	}
 	s.factorSem <- struct{}{}

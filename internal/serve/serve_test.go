@@ -215,8 +215,9 @@ func TestServeValidation(t *testing.T) {
 
 // TestServeEmptyBox pins the degenerate-box semantics through the serving
 // layer: a box with a[i] ≥ b[i] has probability exactly 0 and is answered
-// without a flight, a factorization slot, or a session — so statically-zero
-// requests cannot evict real factors or occupy admission capacity.
+// without an engine call, a factorization slot, or a session — so
+// statically-zero requests cannot evict real factors or occupy admission
+// capacity.
 func TestServeEmptyBox(t *testing.T) {
 	srv := New(testConfig())
 	defer srv.Close()
@@ -236,52 +237,26 @@ func TestServeEmptyBox(t *testing.T) {
 	}
 }
 
-// TestServeMaxBatchFlushesEarly pins that a flight gathering MaxBatch
-// queries flushes immediately instead of sleeping out its batch window.
-func TestServeMaxBatchFlushesEarly(t *testing.T) {
-	cfg := testConfig()
-	cfg.BatchWindow = 10 * time.Second // far beyond the test timeout budget
-	cfg.MaxBatch = 2
-	srv := New(cfg)
-	defer srv.Close()
-	// Warm the factor first; a cold flight flushes right after its
-	// factorization, so the giant window does not apply to it.
-	if _, err := srv.Do(context.Background(), testRequest(4, 0.3)); err != nil {
-		t.Fatal(err)
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			defer wg.Done()
-			if _, err := srv.Do(context.Background(), testRequest(4, 0.3)); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("two queries at MaxBatch=2 took %v; the full batch did not flush early", d)
-	}
-}
-
-// TestServeCoalesce pins the acceptance criterion: 32 concurrent clients
-// requesting the same cold problem key trigger exactly one factorization,
-// every client gets exactly one response, and all responses agree.
+// TestServeCoalesce pins the cold-key single-flight: 33 concurrent clients
+// sending MVN, MVT and f32-sweep requests at one cold problem key trigger
+// exactly one factorization, and every client gets an answer bit-identical
+// to a direct Session call with the same opts.
 func TestServeCoalesce(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 64 // hold all 32 in one flight
-	srv := New(cfg)
+	srv := New(testConfig())
 	defer srv.Close()
 
-	const clients = 32
+	// Three request kinds over one covariance, so one ProblemKey.
+	kinds := []func() *Request{
+		func() *Request { return testRequest(8, 0.15) },
+		func() *Request { r := testRequest(8, 0.15); r.Nu = 7; return r },
+		func() *Request { r := testRequest(8, 0.15); r.Sweep = "f32"; return r },
+	}
+	const clients = 33
 	var (
 		start sync.WaitGroup
 		done  sync.WaitGroup
 		gate  = make(chan struct{})
-		probs [clients]float64
+		resps [clients]*Response
 		errs  [clients]error
 	)
 	start.Add(clients)
@@ -289,49 +264,61 @@ func TestServeCoalesce(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		go func(i int) {
 			defer done.Done()
-			req := testRequest(8, 0.15)
+			req := kinds[i%len(kinds)]()
 			start.Done()
 			<-gate
-			resp, err := srv.Do(context.Background(), req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			probs[i] = resp.Prob
+			resps[i], errs[i] = srv.Do(context.Background(), req)
 		}(i)
 	}
 	start.Wait()
 	close(gate)
 	done.Wait()
 
-	for i := 0; i < clients; i++ {
-		if errs[i] != nil {
-			t.Fatalf("client %d: %v", i, errs[i])
+	for k, kind := range kinds {
+		req := kind()
+		sess := parmvn.NewSession(srv.sessionConfig(parmvn.Dense, len(req.Locs), req.Sweep == "f32"))
+		var want parmvn.Result
+		var err error
+		if req.Nu > 0 {
+			want, err = sess.MVTProbOpts(req.Locs, req.Kernel, req.Nu, req.A, req.B, parmvn.QueryOpts{})
+		} else {
+			want, err = sess.MVNProbOpts(req.Locs, req.Kernel, req.A, req.B, parmvn.QueryOpts{})
 		}
-		if probs[i] != probs[0] {
-			t.Fatalf("client %d: prob %g != client 0's %g", i, probs[i], probs[0])
+		sess.Close()
+		if err != nil {
+			t.Fatalf("kind %d session: %v", k, err)
 		}
-		if probs[i] <= 0 || probs[i] > 1 {
-			t.Fatalf("client %d: prob %g not in (0,1]", i, probs[i])
+		for i := k; i < clients; i += len(kinds) {
+			if errs[i] != nil {
+				t.Fatalf("client %d: %v", i, errs[i])
+			}
+			if got := resps[i]; got.Prob != want.Prob || got.StdErr != want.StdErr || got.Samples != want.Samples {
+				t.Fatalf("client %d (kind %d): served %0.17g±%g (%d samples) != session %0.17g±%g (%d)",
+					i, k, got.Prob, got.StdErr, got.Samples, want.Prob, want.StdErr, want.Samples)
+			}
 		}
 	}
 	st := srv.Snapshot()
-	if st.Factorizations != 1 {
-		t.Fatalf("factorizations = %d, want exactly 1 for one cold key", st.Factorizations)
+	if st.Factorizations != 1 || st.CacheMisses != 1 {
+		t.Fatalf("factorizations/cache misses = %d/%d, want 1/1 for one cold key", st.Factorizations, st.CacheMisses)
 	}
-	if st.CacheMisses != 1 {
-		t.Fatalf("cache misses = %d, want exactly 1 (single build)", st.CacheMisses)
+	// How many clients arrive while the build runs is up to the scheduler;
+	// the leader never waits, and the counter agrees with the responses.
+	waited := 0
+	for _, r := range resps {
+		if r.Coalesced {
+			waited++
+		}
 	}
-	if st.Coalesced == 0 {
-		t.Fatalf("coalesced = 0, want most of the %d clients to join the flight", clients)
+	if st.Coalesced != uint64(waited) || waited >= clients {
+		t.Fatalf("coalesced = %d, %d responses say so; want equal and below %d", st.Coalesced, waited, clients)
 	}
 	if st.Requests != clients {
 		t.Fatalf("requests = %d, want %d", st.Requests, clients)
 	}
 }
 
-// TestServeBackpressure pins the other acceptance criterion: a saturated
-// server fails fast with ErrOverloaded instead of queueing without bound.
+// TestServeBackpressure pins that a saturated server fails fast with ErrOverloaded instead of queueing without bound.
 // One slow cold factorization occupies the single slot; with a zero-depth
 // factorization queue, every other cold key must be rejected immediately.
 func TestServeBackpressure(t *testing.T) {
@@ -383,34 +370,36 @@ func TestServeBackpressure(t *testing.T) {
 	}
 }
 
-// TestServeMaxInFlight exercises the total-request cap path.
+// TestServeMaxInFlight exercises the total-request cap: a request held in
+// flight by a cold n = 784 build leaves no room for a second one, which is
+// rejected before it touches a session.
 func TestServeMaxInFlight(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxInFlight = 1
-	cfg.BatchWindow = 20 * time.Millisecond // keep the first request in flight
 	srv := New(cfg)
 	defer srv.Close()
 
-	// Warm the factor so the in-flight request sits in the batch window.
-	if _, err := srv.Do(context.Background(), testRequest(4, 0.3)); err != nil {
-		t.Fatal(err)
-	}
-	held := make(chan struct{})
+	held := make(chan error, 1)
 	go func() {
-		srv.Do(context.Background(), testRequest(4, 0.3))
-		close(held)
+		_, err := srv.Do(context.Background(), testRequest(28, 0.1)) // n=784
+		held <- err
 	}()
-	// Wait for the in-flight gauge, then collide with the cap.
-	for srv.Snapshot().InFlight == 0 {
+	// The lead is counted before the build starts.
+	for srv.Snapshot().Factorizations == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	if _, err := srv.Do(context.Background(), testRequest(4, 0.3)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded at the in-flight cap", err)
 	}
-	<-held
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
+	}
+	if st := srv.Snapshot(); st.Rejected != 1 || st.Sessions != 1 {
+		t.Fatalf("rejected/sessions = %d/%d, want 1/1", st.Rejected, st.Sessions)
+	}
 }
 
-// TestServeMVTSharesFactor pins that MVN and MVT flights for one problem
+// TestServeMVTSharesFactor pins that MVN and MVT requests for one problem
 // share a single cached factor (the key ignores ν).
 func TestServeMVTSharesFactor(t *testing.T) {
 	srv := New(testConfig())
@@ -442,20 +431,56 @@ func TestServeClosed(t *testing.T) {
 	srv.Close() // idempotent
 }
 
-// TestServeContextCancel pins that a canceled waiter returns promptly while
-// the flight still completes for everyone else.
+// TestServeContextCancel pins both cancellation points: a request whose ctx
+// is already done returns ctx.Err() without touching a session or a slot,
+// and a request waiting on another request's cold build stops waiting when
+// its ctx ends, while the build completes for the leader.
 func TestServeContextCancel(t *testing.T) {
-	cfg := testConfig()
-	cfg.BatchWindow = 50 * time.Millisecond
-	srv := New(cfg)
+	srv := New(testConfig())
 	defer srv.Close()
-	// Warm the factor so the next request sits in the batch window.
-	if _, err := srv.Do(context.Background(), testRequest(4, 0.3)); err != nil {
-		t.Fatal(err)
-	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := srv.Do(ctx, testRequest(4, 0.3)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		t.Fatalf("canceled before entry: err = %v, want context.Canceled", err)
+	}
+	if st := srv.Snapshot(); st.Sessions != 0 || st.Factorizations != 0 {
+		t.Fatalf("canceled request spent work: sessions=%d factorizations=%d, want 0/0",
+			st.Sessions, st.Factorizations)
+	}
+
+	leader := make(chan error, 1)
+	go func() {
+		_, err := srv.Do(context.Background(), testRequest(28, 0.1)) // n=784
+		leader <- err
+	}()
+	for srv.Snapshot().Factorizations == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := srv.Do(ctx, testRequest(28, 0.1))
+		waiter <- err
+	}()
+	for srv.Snapshot().Coalesced == 0 {
+		select {
+		case err := <-waiter:
+			<-leader
+			t.Skipf("the build finished before the second request joined it (err %v)", err)
+		default:
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter: err = %v, want context.Canceled", err)
+	}
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if st := srv.Snapshot(); st.Factorizations != 1 || st.CacheMisses != 1 {
+		t.Fatalf("factorizations/cache misses = %d/%d, want 1/1", st.Factorizations, st.CacheMisses)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro"
 )
 
 // counters is the server's live instrumentation — lock-free atomics on the
@@ -19,12 +21,10 @@ type counters struct {
 	computeErrors  atomic.Uint64
 	rejected       atomic.Uint64
 	coalesced      atomic.Uint64
-	batches        atomic.Uint64
-	batchedQueries atomic.Uint64
+	engineCalls    atomic.Uint64
 	factorizations atomic.Uint64
 
 	inFlight    atomic.Int64
-	openFlights atomic.Int64
 	factorQueue atomic.Int64
 
 	storeHits   atomic.Uint64
@@ -135,8 +135,8 @@ func (r *reservoir) percentiles() (p50, p90, p99 float64) {
 }
 
 // Stats is the /stats snapshot: cumulative counters since start plus the
-// current gauges. All counters are monotone except the three gauges
-// (in_flight, open_flights, factor_queue_depth).
+// current gauges. All counters are monotone except the two gauges
+// (in_flight, factor_queue_depth).
 type Stats struct {
 	UptimeSec float64 `json:"uptime_sec"`
 
@@ -149,27 +149,27 @@ type Stats struct {
 	// from the request cap and from the full factorization queue alike.
 	Rejected uint64 `json:"rejected"`
 
-	// Coalesced counts requests that joined an existing flight instead of
-	// starting their own. Factorizations counts factorization leads: every
-	// admission slot acquired for a cold (or evicted-and-rebuilt) key. A
-	// lead can coalesce inside the session cache onto a concurrent build of
-	// the same problem, so this can exceed CacheMisses — the count of
-	// factorizations actually executed — but never by more than the flights
-	// racing per key.
+	// Coalesced counts requests that waited on another request's
+	// factorization instead of starting their own. Factorizations counts
+	// admission slots acquired for cold (or evicted-and-rebuilt) keys; one
+	// build per key makes it equal CacheMisses, the factorizations the
+	// session caches ran, unless a query rebuilt a factor evicted under it.
+	// Batches and BatchedQueries both count engine calls — one per served
+	// query, so their ratio is exactly 1.
 	Coalesced      uint64 `json:"coalesced"`
 	Batches        uint64 `json:"batches"`
 	BatchedQueries uint64 `json:"batched_queries"`
 	Factorizations uint64 `json:"factorizations"`
 
-	// CacheHits/Misses/CachedFactors aggregate the factor caches of every
-	// pooled session; Sessions is the pool size.
+	// CacheHits/Misses/CachedFactors aggregate the factor caches of the
+	// pooled sessions, counting a cache shared by f32/f64 twins once;
+	// Sessions is the pool size.
 	CacheHits     int `json:"cache_hits"`
 	CacheMisses   int `json:"cache_misses"`
 	CachedFactors int `json:"cached_factors"`
 	Sessions      int `json:"sessions"`
 
 	InFlight         int64 `json:"in_flight"`
-	OpenFlights      int64 `json:"open_flights"`
 	FactorQueueDepth int64 `json:"factor_queue_depth"`
 
 	// StoreHits counts cold keys served by installing a factor from the
@@ -232,11 +232,10 @@ func (s *Server) Snapshot() Stats {
 		ComputeErrors:    s.ctr.computeErrors.Load(),
 		Rejected:         s.ctr.rejected.Load(),
 		Coalesced:        s.ctr.coalesced.Load(),
-		Batches:          s.ctr.batches.Load(),
-		BatchedQueries:   s.ctr.batchedQueries.Load(),
+		Batches:          s.ctr.engineCalls.Load(),
+		BatchedQueries:   s.ctr.engineCalls.Load(),
 		Factorizations:   s.ctr.factorizations.Load(),
 		InFlight:         s.ctr.inFlight.Load(),
-		OpenFlights:      s.ctr.openFlights.Load(),
 		FactorQueueDepth: s.ctr.factorQueue.Load(),
 		StoreHits:        s.ctr.storeHits.Load(),
 		StoreMisses:      s.ctr.storeMisses.Load(),
@@ -255,14 +254,18 @@ func (s *Server) Snapshot() Stats {
 	st.LatencyP50Ms, st.LatencyP90Ms, st.LatencyP99Ms = s.ctr.latRes.percentiles()
 	st.RelErrP50, st.RelErrP90, st.RelErrP99 = s.ctr.relErrRes.percentiles()
 	st.SamplesP50, st.SamplesP90, st.SamplesP99 = s.ctr.samplesRes.percentiles()
+	counted := map[*parmvn.FactorCache]bool{}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, sess := range sh.sessions {
-			h, m := sess.Cache().Stats()
-			st.CacheHits += h
-			st.CacheMisses += m
-			st.CachedFactors += sess.Cache().Len()
 			st.Sessions++
+			if c := sess.Cache(); !counted[c] {
+				counted[c] = true
+				h, m := c.Stats()
+				st.CacheHits += h
+				st.CacheMisses += m
+				st.CachedFactors += c.Len()
+			}
 			sched := sess.SchedulerStats()
 			if sched.PeakInflight > st.SchedPeakInflight {
 				st.SchedPeakInflight = sched.PeakInflight
