@@ -70,6 +70,30 @@ func TestAdaptiveMethodPlumbing(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRankLimitHoldsForFactor pins AdaptiveRankFrac's contract on the
+// finished factor: on a rough kernel built from locations (Matérn ν = 0.5,
+// range 0.3, tile 64 — where the probe rejects off-diagonal tiles at the
+// default limit of 16), no tile of the factor ends low rank above the limit.
+// 15×15 is the smallest grid where a rejected tile compressed after its Schur
+// updates lands at rank 21, so any step that recompresses dense tiles breaks
+// the limit here.
+func TestAdaptiveRankLimitHoldsForFactor(t *testing.T) {
+	s := NewSession(Config{Method: MethodAdaptive, TileSize: 64})
+	defer s.Close()
+	locs := Grid(15, 15)
+	fp, err := s.FactorFootprint(locs, KernelSpec{Family: "matern", Range: 0.3, Nu: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Config()
+	if nt := (len(locs) + c.TileSize - 1) / c.TileSize; fp.Dense64 <= nt {
+		t.Fatalf("mix %d/%d/%d: the probe rejected no off-diagonal tile", fp.Dense64, fp.Dense32, fp.LowRank)
+	}
+	if limit := int(c.AdaptiveRankFrac * float64(c.TileSize)); fp.MaxRank > limit {
+		t.Errorf("factor holds a rank-%d tile, above the AdaptiveRankFrac limit %d", fp.MaxRank, limit)
+	}
+}
+
 // TestTileSizeValidatedAtEntryPoints checks every Session entry point rejects
 // a tile size larger than the problem dimension with a clear error instead
 // of failing deep inside tiling.

@@ -206,6 +206,10 @@ type Config struct {
 	// tile size. The default, 0.25, is where a low-rank tile's cheaper
 	// applies repay the one compression it costs beyond a dense tile (see
 	// README); 0.5 is where its factors merely stop outweighing the tile.
+	// The limit holds for the finished factor, not only at assembly: a tile
+	// the probe stores dense stays dense, so every low-rank tile is one the
+	// probe accepted, recompressed once after its Schur updates (which move
+	// a rank by a few columns).
 	AdaptiveRankFrac float64
 	// AdaptiveF32Norm makes MethodAdaptive store an incompressible off-band
 	// tile in float32 when its Frobenius norm, relative to its diagonal
@@ -218,11 +222,6 @@ type Config struct {
 	// O(StreamWindow·NT²) instead of O(NT³). 0 keeps the default (2);
 	// negative submits the whole graph eagerly (the pre-streaming behavior).
 	StreamWindow int
-	// NoEviction disables right-looking compression eviction for
-	// kernel-built TLR/adaptive factors: by default a trailing dense tile is
-	// compressed to low rank at TLRTol as soon as its last Schur update
-	// lands, shrinking the live footprint at large n.
-	NoEviction bool
 	// CollectStats attaches a snapshot of the runtime scheduler statistics
 	// (tasks executed per kind, peak ready-queue depth) to each Result.
 	CollectStats bool
@@ -430,22 +429,20 @@ func (s *Session) policy() engine.Policy {
 // into the factorization graph (engine.PotrfStream), in a runtime group of its
 // own so concurrent queries never wait on each other's barriers, in the
 // representation the method's policy chooses. A kernel's off-band tiles come
-// from ACA (O(rank) cov.Fill runs of a tile side each), submission is windowed
-// (StreamWindow) and trailing TLR/adaptive tiles compress as soon as their
-// last Schur update lands (unless NoEviction), so the live footprint at large
-// n is the dense band plus the compressed factor. An in-memory Σ's tiles are
-// gathered and compressed in hand; nothing is evicted, submission is eager. A
-// build that finishes or fails logs one slog.Debug line; warm queries never
-// get here.
+// from ACA (O(rank) cov.Fill runs of a tile side each) and submission is
+// windowed (StreamWindow), so the live footprint at large n is the factor as
+// assembled. An in-memory Σ's tiles are gathered and compressed in hand;
+// submission is eager. A build that finishes or fails logs one slog.Debug
+// line; warm queries never get here.
 func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory bool) (*mvn.Factor, error) {
 	start := time.Now()
 	grid, err := engine.NewGridChecked(n, s.cfg.TileSize)
 	if err != nil {
 		return nil, err
 	}
-	cfg := engine.Config{Tol: s.cfg.TLRTol, MaxRank: s.cfg.TLRMaxRank, Band: s.cfg.AdaptiveBand}
+	cfg := engine.Config{Tol: s.cfg.TLRTol, MaxRank: s.cfg.TLRMaxRank}
 	if !inMemory {
-		cfg.Evict, cfg.Window = !s.cfg.NoEviction, s.cfg.StreamWindow
+		cfg.Window = s.cfg.StreamWindow
 	}
 	var asm *engine.Assembler
 	rankLimit := 0 // of a full tile under the adaptive policy; no other method probes
@@ -456,9 +453,8 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 		pol := s.policy()
 		asm, rankLimit = pol.EntryAssembler(grid, fill, inMemory), pol.RankLimit(grid.TS, grid.TS)
 	default:
-		// The dense layout is the exact reference: no eviction, every tile
-		// evaluated densely (cov.Block semantics).
-		cfg.Evict = false
+		// The dense layout is the exact reference: every tile evaluated
+		// densely (cov.Block semantics).
 		asm = engine.DenseEntryAssembler(grid, fill)
 	}
 	err = engine.PotrfStream(s.rt.NewGroup(), grid, cfg, asm)
@@ -544,19 +540,17 @@ func (s *Session) MVTProbOpts(locs []Point, kernel KernelSpec, nu float64, a, b 
 func (s *Session) SchedulerStats() taskrt.Stats { return s.rt.Snapshot() }
 
 // FactorFootprint describes the memory shape of a cached Cholesky factor:
-// the per-representation tile counts and the payload bytes, before and
-// after right-looking eviction. It backs the mvnprob -scale driver and
+// the per-representation tile counts and the payload bytes. It backs
 // capacity planning for the serving layer.
 type FactorFootprint struct {
 	// Dense64, Dense32 and LowRank count the factor's tiles by
 	// representation; MaxRank is the largest low-rank tile rank.
 	Dense64, Dense32, LowRank, MaxRank int
-	// Bytes is the factor's payload in its current representations.
+	// Bytes is the factor's payload in its representations.
 	Bytes int64
-	// BytesAssembled is the payload as assembled, before eviction
-	// compressed trailing tiles (Bytes plus the freed amount).
-	BytesAssembled int64
-	// TilesEvicted counts tiles eviction compressed during factorization.
+	// TilesEvicted is always 0: a tile keeps the representation it was
+	// assembled in. It remains for readers of the benchmark ledger's
+	// engine.tiles_evicted row.
 	TilesEvicted int
 }
 
@@ -569,12 +563,10 @@ func (s *Session) FactorFootprint(locs []Point, kernel KernelSpec) (FactorFootpr
 		return FactorFootprint{}, err
 	}
 	mix := f.G.Mix()
-	evicted, freed := f.G.EvictStats()
-	b := f.G.Bytes()
 	return FactorFootprint{
 		Dense64: mix.Dense64, Dense32: mix.Dense32,
 		LowRank: mix.LowRank, MaxRank: mix.MaxRank,
-		Bytes: b, BytesAssembled: b + freed, TilesEvicted: evicted,
+		Bytes: f.G.Bytes(),
 	}, nil
 }
 

@@ -95,9 +95,6 @@ func main() {
 	sweep := flag.String("sweep", "f64", "QMC sweep precision: f64, or f32 for float32 inter-tile propagation (faster, accuracy within the QMC error bar)")
 	maxRelErr := flag.Float64("maxrelerr", 0, "early-stop relative-error target: the integration runs incremental waves and stops once the streaming error estimate meets it (0 = fixed -qmc samples)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per query (e.g. 50ms); the running estimate is returned when it expires (0 = none)")
-	scalePath := flag.String("scale", "", "run the out-of-core scaling benchmark (streaming TLR factorize + warm query per size) and write JSON rows to this file")
-	scaleSizes := flag.String("scale-sizes", "10000,25000,50000", "comma-separated target dimensions for -scale (each rounded to a square grid)")
-	scaleTile := flag.Int("scale-tile", 512, "tile size for -scale runs")
 	flag.Parse()
 
 	sweepF32 := false
@@ -108,14 +105,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "mvnprob: unknown sweep %q (want f64 or f32)\n", *sweep)
 		os.Exit(2)
-	}
-
-	if *scalePath != "" {
-		if err := runScale(*scalePath, *scaleSizes, *scaleTile, *tol, *qmc, *reps, *workers, *rng, *family, *nu, *nugget, *lower); err != nil {
-			fmt.Fprintln(os.Stderr, "mvnprob:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *serveAddr != "" {

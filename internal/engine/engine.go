@@ -17,16 +17,14 @@
 //
 // For out-of-core-shaped problems the engine also runs in streaming mode
 // (PotrfStream): tiles are assembled from a kernel evaluator by per-tile
-// tasks fused into the factorization graph, trailing tiles are compressed
-// to low rank as soon as their last Schur update lands (right-looking
-// eviction — the same finishTile step, on a tile whose updates are in it
-// already), and submission is windowed so task-descriptor memory stays
+// tasks fused into the factorization graph, each in the representation its
+// assembler chooses — the one decision of a tile's representation the engine
+// makes — and submission is windowed so task-descriptor memory stays
 // bounded. See stream.go.
 package engine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/linalg"
@@ -40,16 +38,6 @@ import (
 type Grid struct {
 	N, TS, NT int
 	tiles     [][]tile.Tile // tiles[i][j] valid for j ≤ i
-
-	// owned marks grids whose dense tiles were drawn from the linalg
-	// workspace pool by the engine itself (streaming assembly); only then
-	// may eviction recycle a densified tile's buffer. Grids assembled by
-	// callers alias caller storage and are never recycled.
-	owned bool
-
-	evictMu    sync.Mutex
-	evicted    int
-	evictFreed int64
 
 	probes, probeRejected, probeRejectedEarly atomic.Int32 // see ProbeStats
 }
@@ -189,7 +177,7 @@ func (g *Grid) Ranks() [][]int {
 
 // Bytes reports the payload bytes of the grid's tiles in their current
 // representations (8·r·c dense f64, 4·r·c dense f32, 8·k·(m+n) low rank) —
-// the footprint the eviction and streaming paths exist to shrink.
+// the footprint the low-rank and streaming paths exist to shrink.
 // Unassigned tiles count zero.
 //
 //repro:noalloc
@@ -210,14 +198,6 @@ func (g *Grid) Bytes() int64 {
 	return b
 }
 
-// EvictStats reports how many trailing tiles right-looking eviction
-// compressed during Potrf and the payload bytes that freed.
-func (g *Grid) EvictStats() (tiles int, freedBytes int64) {
-	g.evictMu.Lock()
-	defer g.evictMu.Unlock()
-	return g.evicted, g.evictFreed
-}
-
 // ProbeStats reports how many off-band tiles the adaptive policy probed during
 // assembly, how many of them it rejected, and how many of those before
 // tile.CompressWithin's core SVD.
@@ -227,20 +207,11 @@ func (g *Grid) ProbeStats() (probed, rejected, early int) {
 
 // Config tunes the engine kernels and the factorization's memory policy.
 type Config struct {
-	// Tol is the tolerance of a trailing tile's one compression: a low-rank
-	// tile's after all of its Schur updates have been accumulated, a dense
-	// tile's under Evict.
+	// Tol is the tolerance of a trailing low-rank tile's one compression,
+	// after all of its Schur updates have been accumulated.
 	Tol float64
 	// MaxRank caps low-rank tile ranks after that compression (0 = uncapped).
 	MaxRank int
-	// Band is the number of sub-diagonals eviction leaves dense (default 1);
-	// tiles at i-j ≤ Band keep their representation.
-	Band int
-	// Evict enables right-looking compression eviction: a trailing dense
-	// float64 tile is compressed to low rank at Tol as soon as its last
-	// Schur update lands, before it becomes a panel operand. Compression is
-	// kept only when it shrinks the tile.
-	Evict bool
 	// Window > 0 bounds submission to roughly Window panels of lookahead
 	// (Window·NT² in-flight tasks), keeping task-descriptor memory O(Window·NT²)
 	// instead of O(NT³). Zero submits the whole graph eagerly (historical
@@ -263,9 +234,8 @@ const minWindowTasks = 1024
 //
 // with critical-path (panel-first) priorities as StarPU heteroprio-style
 // schedulers use. Errors (non-positive-definite pivots) propagate through the
-// submitter's SubmitErr/Err scope. Every tile must be assigned; cfg.Evict
-// and cfg.Window apply here too (eviction never recycles caller-owned
-// buffers).
+// submitter's SubmitErr/Err scope. Every tile must be assigned; cfg.Window
+// applies here too.
 func Potrf(rt taskrt.Submitter, g *Grid, cfg Config) error {
 	return potrf(rt, g, cfg, nil)
 }
@@ -454,47 +424,20 @@ func to32Pooled(t tile.Tile) *tile.Matrix32 {
 	panic("engine: to32Pooled on a dense float32 tile")
 }
 
-// finishTile is the one compression of a trailing tile (i,j), run between its
-// column's last panel and its own panel solve — the point where its Schur
-// complement is complete. pending is the tile as it stood before any update,
-// for a tile whose updates were deferred: U·Vᵀ is densified into one pooled
-// accumulator, the j updates land there as plain GEMMs in panel order, and the
-// result is compressed once, the sketch started from the rank the tile came
-// with. With pending nil the tile's updates are in it already, and under
-// evict a dense float64 one is compressed — kept only when that shrinks it, its
-// buffer recycled on grids the engine assembled itself.
-func (g *Grid) finishTile(i, j int, pending *tile.LowRank, evict bool, cfg Config) {
-	if pending != nil {
-		acc := getMat(pending.M, pending.N)
-		pending.DenseInto(acc)
-		for k := 0; k < j; k++ {
-			gemmIntoDense64(g.tiles[i][k], g.tiles[j][k], acc)
-		}
-		lr := tile.CompressNear(acc, cfg.Tol, cfg.MaxRank, pending.Rank())
-		putMat(acc)
-		discard(pending)
-		g.tiles[i][j] = exactSize(lr)
-		return
+// finishTile is the one compression of a trailing low-rank tile (i,j), run
+// between its column's last panel and its own panel solve — the point where
+// its Schur complement is complete. pending is the tile as it stood before any
+// update: U·Vᵀ is densified into one pooled accumulator, the j updates land
+// there as plain GEMMs in panel order, and the result is compressed once, the
+// sketch started from the rank the tile came with.
+func (g *Grid) finishTile(i, j int, pending *tile.LowRank, cfg Config) {
+	acc := getMat(pending.M, pending.N)
+	pending.DenseInto(acc)
+	for k := 0; k < j; k++ {
+		gemmIntoDense64(g.tiles[i][k], g.tiles[j][k], acc)
 	}
-	t, ok := g.tiles[i][j].(*tile.DenseF64)
-	if !ok || !evict {
-		return
-	}
-	d := t.D
-	m, n := d.Rows, d.Cols
-	lr := tile.Compress(d, cfg.Tol, cfg.MaxRank)
-	if r := lr.Rank(); r > 0 && r*(m+n) >= m*n {
-		// The tile does not compress at this tolerance: keep it dense.
-		discard(lr)
-		return
-	}
+	lr := tile.CompressNear(acc, cfg.Tol, cfg.MaxRank, pending.Rank())
+	putMat(acc)
+	discard(pending)
 	g.tiles[i][j] = exactSize(lr)
-	freed := 8 * (int64(m)*int64(n) - int64(lr.Rank())*int64(m+n))
-	if g.owned {
-		putMat(d)
-	}
-	g.evictMu.Lock()
-	g.evicted++
-	g.evictFreed += freed
-	g.evictMu.Unlock()
 }

@@ -109,7 +109,7 @@ func TestPotrfTaskCounts(t *testing.T) {
 			}, (nt - 1) * (nt - 2) / 2, 0},
 			"tlr streamed": {func(rt *taskrt.Runtime) error {
 				g := engine.NewGrid(geom.Len(), ts)
-				return engine.PotrfStream(rt, g, engine.Config{Tol: tol, Evict: true}, engine.TLREntryAssembler(g, fillOf(geom, kern), tol, 0, false))
+				return engine.PotrfStream(rt, g, engine.Config{Tol: tol}, engine.TLREntryAssembler(g, fillOf(geom, kern), tol, 0, false))
 			}, (nt - 1) * (nt - 2) / 2, nt + nt - 1},
 		} {
 			rt := taskrt.New(2)
@@ -120,7 +120,7 @@ func TestPotrfTaskCounts(t *testing.T) {
 			}
 			got := rt.Snapshot().Tasks
 			want := map[string]int{"potrf": nt, "trsm": nt * (nt - 1) / 2, "syrk": nt * (nt - 1) / 2,
-				"gemm": tc.gemm, "assemble": tc.assemble, "evict": 0}
+				"gemm": tc.gemm, "assemble": tc.assemble}
 			for kind, n := range want {
 				if got[kind] != n {
 					t.Errorf("%s nt=%d: executed %d %s tasks, want %d (all: %v)", name, nt, got[kind], kind, n, got)
@@ -354,7 +354,7 @@ func TestMixedPotrfAccuracyLadder(t *testing.T) {
 func TestStreamedTLRFactorsHoldNoSlack(t *testing.T) {
 	geom := geo.RegularGrid(12, 12)
 	k := &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}
-	g := streamFactor(t, geom.Len(), 20, engine.Config{Tol: 1e-6, Evict: true}, func(g *engine.Grid) *engine.Assembler {
+	g := streamFactor(t, geom.Len(), 20, engine.Config{Tol: 1e-6}, func(g *engine.Grid) *engine.Assembler {
 		return engine.TLREntryAssembler(g, fillOf(geom, k), 1e-6, 0, false)
 	})
 	for i := 0; i < g.NT; i++ {

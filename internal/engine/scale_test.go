@@ -35,7 +35,7 @@ func TestTLRCompressOnceAtScale(t *testing.T) {
 		{1e-6, false, 9.51e-07, 33.17}, // 6.94e-07, 34.64
 		{1e-6, true, 1.52e-06, 33.00},  // 1.38e-06, 34.47
 	} {
-		cfg := engine.Config{Tol: tc.tol, MaxRank: ts / 2, Evict: true}
+		cfg := engine.Config{Tol: tc.tol, MaxRank: ts / 2}
 		rt := taskrt.New(2)
 		var g *engine.Grid
 		var err error

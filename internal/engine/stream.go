@@ -41,11 +41,11 @@ const (
 // PotrfStream factorizes the SPD matrix defined by the assembler without
 // ever materializing it up front: each tile is built by its own task,
 // ordered by a Write dependency before the graph first reads it, directly
-// in the representation the assembler chooses. Combined with cfg.Evict and
-// cfg.Window the live footprint is O(n·ts) dense band + the compressed
-// factor + O(Window·NT²) task descriptors — the out-of-core shape that
-// carries n ≥ 25k. The grid must be empty (NewGrid) and is owned by the
-// engine afterwards: its dense tiles draw from the workspace pool.
+// in the representation the assembler chooses, which it keeps. Combined with
+// cfg.Window the live footprint is the factor in those representations +
+// O(Window·NT²) task descriptors — the out-of-core shape that carries
+// n ≥ 25k. The grid must be empty (NewGrid) and is owned by the engine
+// afterwards: its dense tiles draw from the workspace pool.
 func PotrfStream(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 	if asm == nil || asm.Tile == nil {
 		return fmt.Errorf("engine: PotrfStream requires an assembler")
@@ -56,7 +56,7 @@ func PotrfStream(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error
 // potrf is the single task-graph builder behind Potrf (asm == nil,
 // materialized grid) and PotrfStream (tiles assembled on demand). Kernel
 // dispatch happens at execution time — closures read the grid when they
-// run — because assembly and eviction change tile representations after
+// run — because streaming assembly decides tile representations after
 // submission; the handle dependencies make those reads race-free.
 func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 	nt := g.NT
@@ -81,8 +81,6 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 				return fmt.Errorf("engine: diagonal tile %d must be dense float64, got %s", k, g.tiles[k][k].Kind())
 			}
 		}
-	} else {
-		g.owned = true
 	}
 
 	// Windowed submission: bound the in-flight graph to ~Window panels of
@@ -108,9 +106,10 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 
 	// deferred[i][j] marks a tile that was low rank when the factorization
 	// first saw it — here, or in its assemble task: its Schur updates are not
-	// applied panel by panel but all at once by finishTile. The mark is never
-	// read off the representation later, because a tile eviction compressed is
-	// low rank with every update already in it.
+	// applied panel by panel but all at once by finishTile. Every other tile
+	// that receives updates is dense and takes one GEMM task per panel. A tile
+	// keeps the representation it was assembled in, so the mark records that
+	// one decision for the tasks that run after it.
 	deferred := make([][]bool, nt)
 	for i := range deferred {
 		deferred[i] = make([]bool, i)
@@ -188,11 +187,6 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 		}
 	}
 
-	band := cfg.Band
-	if band <= 0 {
-		band = 1
-	}
-
 	for k := 0; k < nt; k++ {
 		k := k
 		if asm != nil {
@@ -263,20 +257,14 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 		}
 		// Column k+1's Schur complement is complete once this panel's solves
 		// are: every tile of it that ends low rank gets its one compression
-		// here, before panel k+1 consumes it. A dense off-band tile under
-		// cfg.Evict has its updates in it and is ordered by its own handle
-		// alone; any other applies them first, reading both operand rows, in
-		// panel order whatever the worker count.
+		// here, before panel k+1 consumes it. A tile known to be dense has its
+		// updates in it and gets no task; any other applies them if it is
+		// deferred, reading both operand rows, in panel order whatever the
+		// worker count.
 		for j, i := k+1, k+2; i < nt; i++ {
 			i := i
-			evict := cfg.Evict && i-j > band
 			rep := known(i, j)
 			if rep == offDense {
-				if evict {
-					sub.Submit("evict", 3*nt-3*k-2, func() {
-						g.finishTile(i, j, nil, true, cfg)
-					}, taskrt.ReadWrite(h[i][j]))
-				}
 				continue
 			}
 			deps := make([]taskrt.Dep, 0, 2*j+1)
@@ -285,14 +273,12 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 			}
 			build := asm != nil && rep == offLowRank
 			sub.Submit("gemm", 3*nt-3*k-2, func() {
-				var pending *tile.LowRank
 				switch {
 				case build:
-					pending = asm.Tile(i, j).(*tile.LowRank)
+					g.finishTile(i, j, asm.Tile(i, j).(*tile.LowRank), cfg)
 				case deferred[i][j]:
-					pending = g.tiles[i][j].(*tile.LowRank)
+					g.finishTile(i, j, g.tiles[i][j].(*tile.LowRank), cfg)
 				}
-				g.finishTile(i, j, pending, evict, cfg)
 			}, append(deps, taskrt.ReadWrite(h[i][j]))...)
 		}
 	}

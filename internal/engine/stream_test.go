@@ -74,9 +74,9 @@ func streamFactor(t *testing.T, n, ts int, cfg engine.Config, mk func(*engine.Gr
 // factor produced by PotrfStream — tiles built by tasks fused into the
 // factorization graph — must match the factor of the same grid assembled up
 // front and run through the non-streaming Potrf. Assembly is deterministic
-// (ACA and the compression sketches are seeded per shape), so without
-// eviction both paths see identical tile representations and the engine
-// performs the identical per-tile kernel sequence; the comparison holds to
+// (ACA and the compression sketches are seeded per shape), so both paths see
+// identical tile representations and the engine performs the identical
+// per-tile kernel sequence; the comparison holds to
 // kernel roundoff, with and without windowed submission, including a ragged
 // last tile.
 func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
@@ -307,59 +307,6 @@ func TestTLRStreamingResidualCheckOnMarginalOrder(t *testing.T) {
 	}
 }
 
-// TestPotrfStreamingEvictionCompresses checks right-looking eviction: on a
-// smooth kernel assembled densely, trailing tiles must actually be compressed
-// to low rank during the factorization, the byte accounting must balance
-// (current bytes + freed bytes = the fully dense assembly), and the evicted
-// factor must still reconstruct the matrix to the compression accuracy.
-func TestPotrfStreamingEvictionCompresses(t *testing.T) {
-	geom := geo.RegularGrid(16, 16) // n = 256
-	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.3, 2.5), Tau2: 0.05}
-	entry := entryOf(geom, kern)
-	const tol, ts = 1e-4, 32 // nt = 8: 15 off-band eviction candidates
-	n := geom.Len()
-
-	mk := func(g *engine.Grid) *engine.Assembler { return engine.DenseEntryAssembler(g, entry) }
-	g := streamFactor(t, n, ts, engine.Config{Tol: tol, Band: 1, Evict: true, Window: 2}, mk)
-
-	evicted, freed := g.EvictStats()
-	if evicted == 0 || freed <= 0 {
-		t.Fatalf("no tiles evicted (evicted=%d freed=%d): right-looking eviction inert", evicted, freed)
-	}
-	mix := g.Mix()
-	if mix.LowRank < evicted {
-		t.Errorf("mix %+v reports fewer low-rank tiles than the %d evictions", mix, evicted)
-	}
-	if mix.Dense64 < g.NT {
-		t.Errorf("diagonal tiles must stay dense float64: %+v", mix)
-	}
-	// Eviction happens after a tile's last Schur update, so its rank is final:
-	// the freed bytes plus the surviving representation must equal the dense
-	// assembly exactly.
-	var denseLower int64
-	for i := 0; i < g.NT; i++ {
-		for j := 0; j <= i; j++ {
-			denseLower += 8 * int64(g.TileRows(i)) * int64(g.TileRows(j))
-		}
-	}
-	if got := g.Bytes() + freed; got != denseLower {
-		t.Errorf("byte accounting: Bytes()+freed = %d, dense assembly = %d", got, denseLower)
-	}
-
-	// The compressed factor still factorizes the matrix: L·Lᵀ ≈ Σ at the
-	// eviction tolerance (the bound is loose — each eviction perturbs a tile
-	// by ~tol·‖tile‖ mid-factorization and the error propagates).
-	l := densifyFactor(g)
-	rec := linalg.NewMatrix(n, n)
-	linalg.Gemm(false, true, 1, l, l, 0, rec)
-	rec.SymmetrizeFromLower()
-	full := cov.Matrix(geom, kern)
-	full.SymmetrizeFromLower()
-	if d := rec.MaxAbsDiff(full); d > 5e-3 {
-		t.Errorf("evicted-factor LLᵀ residual %v", d)
-	}
-}
-
 // TestGridSizeGuard pins the tile-count overflow guard: oversized grids are
 // refused with the typed *SizeError — never a panic or an allocation attempt
 // — by the constructor and by both factorization entry points.
@@ -406,14 +353,14 @@ func TestGridSizeGuard(t *testing.T) {
 	}
 }
 
-// TestEvictedAndDeferredTilesInOneGrid: the two ways a trailing tile ends low
-// rank meet in one factorization. Under the adaptive streaming policy with a
-// tight RankFrac, far tiles pass the probe and are assembled low rank — their
-// Schur updates wait for finishTile — while nearer off-band ones are assembled
-// dense, updated panel by panel and compressed by eviction with nothing
-// pending. A tile of the second kind mistaken for the first would have its
+// TestDeferredAndDenseTilesInOneGrid: the two ways a trailing tile takes its
+// Schur updates meet in one factorization. Under the adaptive streaming policy
+// with a tight RankFrac, far tiles pass the probe and are assembled low rank —
+// their updates wait for finishTile — while nearer off-band ones are assembled
+// dense and updated panel by panel. Every tile ends in the representation it
+// was assembled in; a dense tile mistaken for a deferred one would have its
 // updates applied twice (the pivot goes to −100).
-func TestEvictedAndDeferredTilesInOneGrid(t *testing.T) {
+func TestDeferredAndDenseTilesInOneGrid(t *testing.T) {
 	geom := geo.RegularGrid(16, 16) // n = 256
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.3, 2.5), Tau2: 0.05}
 	const tol, ts = 1e-4, 32
@@ -423,37 +370,25 @@ func TestEvictedAndDeferredTilesInOneGrid(t *testing.T) {
 
 	asIs := engine.NewGrid(n, ts)
 	materialize(asIs, mk(asIs))
-	g := streamFactor(t, n, ts, engine.Config{Tol: tol, Band: 1, Evict: true}, mk)
+	g := streamFactor(t, n, ts, engine.Config{Tol: tol}, mk)
 
-	// Every evicted tile freed its dense bytes less its factors; every other
-	// tile is counted by Bytes() as it is.
-	var deferred, evicted int
-	var want int64
+	var deferred, dense int
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j <= i; j++ {
-			lr, isLR := g.At(i, j).(*tile.LowRank)
-			if _, was := asIs.At(i, j).(*tile.LowRank); was {
-				if !isLR {
-					t.Fatalf("tile (%d,%d) was assembled low rank and ended %s", i, j, g.At(i, j).Kind())
-				}
-				if j > 0 { // column 0 receives no update
-					deferred++
-				}
-				want += 8 * int64(lr.Rank()) * int64(lr.M+lr.N)
-				continue
+			was := asIs.At(i, j).Kind()
+			if got := g.At(i, j).Kind(); got != was {
+				t.Fatalf("tile (%d,%d) was assembled %s and ended %s", i, j, was, got)
 			}
-			if isLR {
-				evicted++
+			switch {
+			case was == tile.KindLowRank && j > 0: // column 0 receives no update
+				deferred++
+			case was == tile.KindDenseF64 && i-j > policy.Band:
+				dense++
 			}
-			want += 8 * int64(g.TileRows(i)) * int64(g.TileRows(j))
 		}
 	}
-	gotEvicted, freed := g.EvictStats()
-	if deferred == 0 || evicted == 0 || gotEvicted != evicted {
-		t.Fatalf("%d updated tiles assembled low rank, %d evicted (EvictStats: %d): want both kinds", deferred, evicted, gotEvicted)
-	}
-	if got := g.Bytes() + freed; got != want {
-		t.Errorf("byte accounting: Bytes()+freed = %d, want %d", got, want)
+	if deferred == 0 || dense == 0 {
+		t.Fatalf("%d updated tiles assembled low rank, %d off-band tiles dense: want both kinds", deferred, dense)
 	}
 
 	if rel := relResidual(g, cov.Matrix(geom, kern)); rel > 10*tol {

@@ -64,9 +64,9 @@ func TestStreamingMemorySmoke(t *testing.T) {
 		t.Errorf("factor footprint %d bytes, want well under the %d-byte dense lower triangle", fp.Bytes, denseLower)
 	}
 	got := peak.Load()
-	t.Logf("peak HeapAlloc %.1f MiB (ceiling %d MiB), factor %.1f MiB, mix %d/%d/%d, evicted %d",
+	t.Logf("peak HeapAlloc %.1f MiB (ceiling %d MiB), factor %.1f MiB, mix %d/%d/%d",
 		float64(got)/(1<<20), streamSmokeHeapCeiling>>20,
-		float64(fp.Bytes)/(1<<20), fp.Dense64, fp.Dense32, fp.LowRank, fp.TilesEvicted)
+		float64(fp.Bytes)/(1<<20), fp.Dense64, fp.Dense32, fp.LowRank)
 	if raceEnabled {
 		// The race detector's shadow memory and its intentional sync.Pool
 		// put-dropping inflate the heap; the ceiling is only meaningful on
