@@ -458,15 +458,19 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 		asm = engine.DenseEntryAssembler(grid, fill)
 	}
 	err = engine.PotrfStream(s.rt.NewGroup(), grid, cfg, asm)
-	probed, rejected, early := grid.ProbeStats()
-	slog.Debug("parmvn: factorization", "source", source, "n", n, "tile", s.cfg.TileSize,
-		"method", s.cfg.Method.String(), "mix", grid.Mix(), "factor_bytes", grid.Bytes(),
-		"rank_limit", rankLimit, "probes", probed, "probes_rejected", rejected, "probes_rejected_early", early,
-		"elapsed", time.Since(start), "err", err)
-	if err != nil {
-		return nil, err
+	var f *mvn.Factor
+	var bytes int64 // none for a failed build
+	if err == nil {
+		f = mvn.NewFactor(grid)
+		bytes = f.Bytes()
 	}
-	return mvn.NewFactor(grid), nil
+	ps := grid.ProbeStats()
+	slog.Debug("parmvn: factorization", "source", source, "n", n, "tile", s.cfg.TileSize,
+		"method", s.cfg.Method.String(), "mix", grid.Mix(), "factor_bytes", bytes,
+		"rank_limit", rankLimit, "probes", ps.Probed, "probes_rejected", ps.Rejected,
+		"probes_rejected_early", ps.RejectedEarly, "probes_skipped", ps.Skipped,
+		"elapsed", time.Since(start), "err", err)
+	return f, err
 }
 
 // validateTileSize checks the configured tile size against the problem
@@ -546,7 +550,10 @@ type FactorFootprint struct {
 	// Dense64, Dense32 and LowRank count the factor's tiles by
 	// representation; MaxRank is the largest low-rank tile rank.
 	Dense64, Dense32, LowRank, MaxRank int
-	// Bytes is the factor's payload in its representations.
+	// Bytes is the factor's payload as the session holds it: every tile in
+	// its representation, plus the float64 copy the sweep keeps of each
+	// Dense32 tile for the factor's life (so such a tile costs 12 bytes an
+	// entry, more than a Dense64 one).
 	Bytes int64
 	// TilesEvicted is always 0: a tile keeps the representation it was
 	// assembled in. It remains for readers of the benchmark ledger's
@@ -566,7 +573,7 @@ func (s *Session) FactorFootprint(locs []Point, kernel KernelSpec) (FactorFootpr
 	return FactorFootprint{
 		Dense64: mix.Dense64, Dense32: mix.Dense32,
 		LowRank: mix.LowRank, MaxRank: mix.MaxRank,
-		Bytes: f.G.Bytes(),
+		Bytes: f.Bytes(),
 	}, nil
 }
 

@@ -17,9 +17,9 @@
 //     completions (Poisson-free, fixed spacing) — latency is measured at a
 //     fixed arrival rate, the way a latency SLO is stated.
 //
-// Each run appends one record to -out (default BENCH_serve.json), so
-// sweeps — 1 backend vs 2 backends behind a router, budget mixes — build
-// up one comparable file.
+// Each run prints its record as one JSON line on stdout, so sweeps — 1
+// backend vs 2 backends behind a router, budget mixes — collect with a shell
+// redirect. The exit status is non-zero when any request failed.
 //
 // Example:
 //
@@ -100,7 +100,6 @@ func main() {
 	maxError := flag.Float64("max-error", 1e-2, "relative-error budget on budgeted requests")
 	mvt := flag.Float64("nu", 0, "send MVT queries with this many degrees of freedom (0 = MVN)")
 	seed := flag.Int64("seed", 1, "PRNG seed for the key/budget schedule")
-	out := flag.String("out", "BENCH_serve.json", "benchmark record file (appended to)")
 	label := flag.String("label", "", "record label, e.g. direct-1 or router-2")
 	flag.Parse()
 
@@ -192,12 +191,14 @@ func main() {
 	}
 	fillLatencies(&rec, w.lats)
 
-	if err := appendRecord(*out, rec); err != nil {
+	if err := json.NewEncoder(os.Stdout).Encode(rec); err != nil {
 		fmt.Fprintln(os.Stderr, "mvnload:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("mvnload: %s %d req in %.1fs — %.1f qps, p50 %.2fms p99 %.2fms, %d errors (%d rejected) -> %s\n",
-		mode, rec.Requests, elapsed, rec.QPS, rec.LatP50Ms, rec.LatP99Ms, rec.Errors, rec.Rejected, *out)
+	if rec.Errors > 0 {
+		fmt.Fprintf(os.Stderr, "mvnload: %d of %d requests failed (%d rejected)\n", rec.Errors, rec.Requests, rec.Rejected)
+		os.Exit(1)
+	}
 }
 
 // pickBody selects the next request body: uniform over keys, budgeted with
@@ -316,20 +317,4 @@ func fillLatencies(rec *runRecord, lats []float64) {
 		sum += v
 	}
 	rec.LatMeanMs = sum / float64(len(sorted))
-}
-
-// appendRecord appends one run to the JSON array in path (creating it).
-func appendRecord(path string, rec runRecord) error {
-	var runs []runRecord
-	if data, err := os.ReadFile(path); err == nil && len(bytes.TrimSpace(data)) > 0 {
-		if err := json.Unmarshal(data, &runs); err != nil {
-			return fmt.Errorf("existing %s is not a run array: %w", path, err)
-		}
-	}
-	runs = append(runs, rec)
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

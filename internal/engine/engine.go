@@ -39,7 +39,7 @@ type Grid struct {
 	N, TS, NT int
 	tiles     [][]tile.Tile // tiles[i][j] valid for j ≤ i
 
-	probes, probeRejected, probeRejectedEarly atomic.Int32 // see ProbeStats
+	probes, probeRejected, probeRejectedEarly, probesSkipped atomic.Int32 // see ProbeStats
 }
 
 // maxTileRows bounds the tile-count of a grid: beyond it the handle table
@@ -198,11 +198,22 @@ func (g *Grid) Bytes() int64 {
 	return b
 }
 
-// ProbeStats reports how many off-band tiles the adaptive policy probed during
-// assembly, how many of them it rejected, and how many of those before
-// tile.CompressWithin's core SVD.
-func (g *Grid) ProbeStats() (probed, rejected, early int) {
-	return int(g.probes.Load()), int(g.probeRejected.Load()), int(g.probeRejectedEarly.Load())
+// ProbeStats counts the adaptive policy's off-band decisions during assembly.
+type ProbeStats struct {
+	// Probed tiles were tested for compressibility; Rejected of them failed,
+	// RejectedEarly of those before tile.CompressWithin's core SVD.
+	Probed, Rejected, RejectedEarly int
+	// Skipped tiles were built dense without a probe: column 0 rejected
+	// every one of its own (see Policy).
+	Skipped int
+}
+
+// ProbeStats reports the grid's adaptive probe counts.
+func (g *Grid) ProbeStats() ProbeStats {
+	return ProbeStats{
+		Probed: int(g.probes.Load()), Rejected: int(g.probeRejected.Load()),
+		RejectedEarly: int(g.probeRejectedEarly.Load()), Skipped: int(g.probesSkipped.Load()),
+	}
 }
 
 // Config tunes the engine kernels and the factorization's memory policy.

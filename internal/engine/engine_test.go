@@ -422,16 +422,18 @@ func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 // side, switches the low-rank form off where it cannot repay its compression
 // and leaves it on where it does. On posteriorCorrelation — crd_2k's matrix at
 // toy size, off-band ranks past a third of the tile — every probe is rejected
-// and the grid is the dense layout in two precisions; on the benchmark's smooth
-// Matérn-5/2 grid at ts = 256 and tol 1e-6 every off-band tile is still low
-// rank, in memory and probed by ACA from the kernel.
+// and the grid is the dense layout in two precisions. Only column 0's NT − 2
+// off-band tiles are probed: once all of them reject, the policy skips the
+// probes of every later column. On the benchmark's smooth Matérn-5/2 grid at
+// ts = 256 and tol 1e-6 every off-band tile is still low rank, in memory and
+// probed by ACA from the kernel.
 func TestDefaultRankLimitBothSides(t *testing.T) {
 	corr := posteriorCorrelation(t, 30)
 	g := engine.AssembleAdaptive(nil, tile.FromDense(corr, 100), engine.Policy{Tol: 1e-4})
 	offBand := (g.NT - 1) * (g.NT - 2) / 2
-	if probed, rejected, _ := g.ProbeStats(); g.Mix().LowRank != 0 || probed != offBand || rejected != offBand {
-		t.Errorf("incompressible Σ: mix %+v, %d of %d probes rejected, want all %d and no low-rank tile",
-			g.Mix(), rejected, probed, offBand)
+	want := engine.ProbeStats{Probed: g.NT - 2, Rejected: g.NT - 2, Skipped: offBand - (g.NT - 2)}
+	if ps := g.ProbeStats(); g.Mix().LowRank != 0 || ps.Probed != want.Probed || ps.Rejected != want.Rejected || ps.Skipped != want.Skipped {
+		t.Errorf("incompressible Σ: mix %+v, probes %+v, want %+v and no low-rank tile", g.Mix(), ps, want)
 	}
 
 	geom := geo.RegularGrid(32, 32) // n = 1024: three off-band tiles of 256²
@@ -443,11 +445,11 @@ func TestDefaultRankLimitBothSides(t *testing.T) {
 	}
 	inMemory := engine.AssembleAdaptive(nil, tile.FromDense(cov.Matrix(geom, kern), 256), policy)
 	streamed := engine.NewGrid(geom.Len(), 256)
-	materialize(streamed, policy.EntryAssembler(streamed, entryOf(geom, kern), false))
+	engine.Materialize(streamed, policy.EntryAssembler(streamed, entryOf(geom, kern), false))
 	for name, g := range map[string]*engine.Grid{"in memory": inMemory, "kernel": streamed} {
 		mix := g.Mix()
-		if probed, rejected, _ := g.ProbeStats(); mix.LowRank != 3 || probed != 3 || rejected != 0 {
-			t.Errorf("smooth Σ, %s: mix %+v, %d of %d probes rejected, want 3 low-rank tiles", name, mix, rejected, probed)
+		if ps := g.ProbeStats(); mix.LowRank != 3 || ps.Probed != 3 || ps.Rejected != 0 {
+			t.Errorf("smooth Σ, %s: mix %+v, probes %+v, want 3 low-rank tiles", name, mix, ps)
 		}
 		if mix.MaxRank > limit {
 			t.Errorf("smooth Σ, %s: max rank %d past the limit %d", name, mix.MaxRank, limit)

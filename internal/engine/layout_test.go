@@ -219,7 +219,7 @@ func TestTLRStreamingACAMatchesSVDAssembly(t *testing.T) {
 	const ts, tol = 25, 1e-6
 	svd := engine.AssembleTLR(nil, tile.FromDense(cov.Matrix(geom, k), ts), tol, 0)
 	aca := engine.NewGrid(geom.Len(), ts)
-	materialize(aca, engine.TLREntryAssembler(aca, entryOf(geom, k), tol, 0, false))
+	engine.Materialize(aca, engine.TLREntryAssembler(aca, entryOf(geom, k), tol, 0, false))
 	if d := symmetrized(aca).MaxAbsDiff(symmetrized(svd)); d > 1e-4 {
 		t.Errorf("ACA vs SVD assembly differ by %v", d)
 	}

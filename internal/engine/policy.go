@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/linalg"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
 )
@@ -15,6 +17,17 @@ import (
 // compress but its norm is small enough that single precision stays below
 // the requested accuracy — falling back to dense float64 for large
 // incompressible tiles.
+//
+// Whether probing can pay is decided once per factorization, from column 0.
+// Its off-band tiles, one at each distance from the diagonal past the band,
+// are probed first; they include the pairs any locality-preserving order
+// makes most compressible. If every one of them is rejected, no later
+// off-band tile is probed: each goes straight to the f32/f64 rule, exactly
+// the tile a rejected probe would have left, so a Σ whose probes all reject
+// gets the same factor bit for bit. The rule is the same for both probe
+// kinds, ACA on a kernel and tile.CompressWithin on an in-memory Σ. A wrong
+// verdict can only leave a compressible tile dense, which costs bytes and
+// apply time, never accuracy.
 type Policy struct {
 	// Band is the number of sub-diagonals kept dense float64 (default 1).
 	Band int
@@ -66,52 +79,92 @@ func (p Policy) RankLimit(m, n int) int {
 }
 
 // probe runs the compressibility test for the off-band r×c tile at
-// (row0,col0) through ACA with a rank budget one past the acceptance limit: a
-// probe that CONVERGES within the limit — the cross iteration stopped on its
-// own and its sampled residual agrees — is accepted (and IS the tile — no
+// (row0,col0) and returns the accepted low-rank tile, or the dense block the
+// f32/f64 rule takes over from.
+//
+// A kernel is probed by ACA with a rank budget one past the acceptance limit:
+// a probe that CONVERGES within the limit — the cross iteration stopped on
+// its own and its sampled residual agrees — is accepted (and IS the tile — no
 // recompute); anything else — budget exhausted, residual check failed, or
 // rounding trimming an unconverged cross set under the limit — means the
-// tile's numerical rank at Tol is not known to fit, so the dense
-// representations take over. Requiring the convergence flag (not just the
-// rounded rank) is what stops a truncated slowly-decaying tile from
-// vacuously passing the rank test with uncontrolled error. Probing by ACA
-// evaluates O(k) runs instead of densify-then-SVD's full-tile spectrum.
-func (p Policy) probe(r, c, row0, col0 int, fill RunFill) (*tile.LowRank, bool) {
+// tile's numerical rank at Tol is not known to fit. Requiring the convergence
+// flag (not just the rounded rank) is what stops a truncated slowly-decaying
+// tile from vacuously passing the rank test with uncontrolled error. Probing
+// by ACA evaluates O(k) runs instead of densify-then-SVD's full-tile
+// spectrum. An inMemory source, where a run is a copy, is probed by
+// tile.CompressWithin on the tile in hand, whose tail bound is measured
+// against the tile itself where ACA stops on an estimate and only samples
+// the residual.
+//
+//repro:returns-pooled mat
+func (p Policy) probe(g *Grid, r, c, row0, col0 int, fill RunFill, inMemory bool) (*tile.LowRank, *linalg.Matrix) {
+	g.probes.Add(1)
 	limit := p.RankLimit(r, c)
-	lr, converged := acaBlock(r, c, row0, col0, fill, p.Tol, limit+1)
-	if converged && lr.Rank() <= limit {
-		return lr, true
+	if !inMemory {
+		lr, converged := acaBlock(r, c, row0, col0, fill, p.Tol, limit+1)
+		if converged && lr.Rank() <= limit {
+			return lr, nil
+		}
+		discard(lr)
 	}
-	discard(lr)
-	return nil, false
+	blk := denseBlock(r, c, row0, col0, fill)
+	if inMemory {
+		lr, ok := tile.CompressWithin(blk, p.Tol, limit)
+		if ok {
+			putMat(blk)
+			return lr, nil
+		}
+		if lr == nil {
+			g.probeRejectedEarly.Add(1)
+		} else {
+			discard(lr)
+		}
+	}
+	g.probeRejected.Add(1)
+	return nil, blk
 }
 
 // materialize lays the symmetric tiled matrix src out through the in-memory
-// assembler mk returns — the layout's one decision code — for Potrf: the
-// diagonal first, then every other tile as an "assemble" task on sub (the
-// caller's group scope; nil builds serially). src is only read.
+// assembler mk returns — the layout's one decision code — for Potrf. src is
+// only read.
 func materialize(sub taskrt.Submitter, src *tile.Matrix, mk func(g *Grid, fill RunFill) *Assembler) *Grid {
 	if src.M != src.N {
 		panic(fmt.Sprintf("engine: layout needs a square matrix, got %dx%d", src.M, src.N))
 	}
 	g := NewGrid(src.M, src.TS)
-	asm := mk(g, func(dst []float64, row0, j int) {
+	assembleAll(sub, g, mk(g, func(dst []float64, row0, j int) {
 		for r := range dst {
 			dst[r] = src.At(row0+r, j)
 		}
-	})
+	}))
+	return g
+}
+
+// assembleAll builds every tile of the empty grid g through asm in the order
+// the streaming graph guarantees: the diagonal first, then column 0, then —
+// after the assembler's verdict, if it has one — every other tile, each
+// off-diagonal tile an "assemble" task on sub (the caller's group scope; nil
+// builds serially).
+func assembleAll(sub taskrt.Submitter, g *Grid, asm *Assembler) {
 	for i := 0; i < g.NT; i++ {
 		g.Set(i, i, asm.Tile(i, i))
 	}
 	run, wait := taskrt.Scatter(sub, "assemble")
-	for i := 0; i < g.NT; i++ {
-		for j := 0; j < i; j++ {
+	for i := 1; i < g.NT; i++ {
+		i := i
+		run(func() { g.Set(i, 0, asm.Tile(i, 0)) })
+	}
+	if asm.verdict != nil {
+		wait()
+		asm.verdict()
+	}
+	for i := 2; i < g.NT; i++ {
+		for j := 1; j < i; j++ {
 			i, j := i, j
 			run(func() { g.Set(i, j, asm.Tile(i, j)) })
 		}
 	}
 	wait()
-	return g
 }
 
 // AssembleDense is the dense layout (the paper's Chameleon path): every lower
@@ -141,21 +194,21 @@ func AssembleAdaptive(sub taskrt.Submitter, src *tile.Matrix, p Policy) *Grid {
 
 // EntryAssembler returns a streaming assembler applying the adaptive policy
 // per tile, for PotrfStream: band tiles dense float64, off-band tiles probed
-// with the dense f32/f64 fallback, each tile built by its own task only when
-// the factorization graph first touches it. A kernel is probed by ACA, O(k)
-// runs in place of the full tile; an inMemory source, where a run is a copy,
-// by tile.CompressWithin on the tile in hand, whose tail bound is measured
-// against the tile itself where ACA stops on an estimate and only samples the
-// residual. DiagFirst routes the diagonal Frobenius norms (anchoring the f32
-// test) through the engine's norm handles, so off-band tiles always observe
-// assembled, unfactored diagonals. Dense tiles draw from the workspace pool
-// (the grid becomes engine-owned).
+// (see probe; after column 0's verdict, or skipped) with the dense f32/f64
+// fallback, each tile built by its own task only when the factorization
+// graph first touches it. DiagFirst routes the diagonal Frobenius norms
+// (anchoring the f32 test) through the engine's norm handles, so off-band
+// tiles always observe assembled, unfactored diagonals. Dense tiles draw from
+// the workspace pool (the grid becomes engine-owned).
 func (p Policy) EntryAssembler(g *Grid, fill RunFill, inMemory bool) *Assembler {
 	p = p.WithDefaults()
 	ts := g.TS
 	diagNorm := make([]float64, g.NT)
+	col0Accepted := make([]bool, g.NT) // written by tile (i,0) alone
+	skip := false                      // set by the verdict
 	return &Assembler{
 		DiagFirst: true,
+		verdict:   func() { skip = !slices.Contains(col0Accepted, true) },
 		Tile: func(i, j int) tile.Tile {
 			ri, rj := g.TileRows(i), g.TileRows(j)
 			row0, col0 := i*ts, j*ts
@@ -167,26 +220,20 @@ func (p Policy) EntryAssembler(g *Grid, fill RunFill, inMemory bool) *Assembler 
 			if i-j <= p.Band {
 				return &tile.DenseF64{D: denseBlock(ri, rj, row0, col0, fill)}
 			}
-			g.probes.Add(1)
-			if !inMemory {
-				if lr, ok := p.probe(ri, rj, row0, col0, fill); ok {
+			var blk *linalg.Matrix
+			if j > 0 && skip {
+				g.probesSkipped.Add(1)
+				blk = denseBlock(ri, rj, row0, col0, fill)
+			} else {
+				lr, rejected := p.probe(g, ri, rj, row0, col0, fill, inMemory)
+				if lr != nil {
+					if j == 0 {
+						col0Accepted[i] = true
+					}
 					return lr
 				}
+				blk = rejected
 			}
-			blk := denseBlock(ri, rj, row0, col0, fill)
-			if inMemory {
-				lr, ok := tile.CompressWithin(blk, p.Tol, p.RankLimit(ri, rj))
-				if ok {
-					putMat(blk)
-					return lr
-				}
-				if lr == nil {
-					g.probeRejectedEarly.Add(1)
-				} else {
-					discard(lr)
-				}
-			}
-			g.probeRejected.Add(1)
 			scale := math.Sqrt(diagNorm[i] * diagNorm[j])
 			if scale > 0 && blk.FrobNorm() <= p.F32Norm*scale {
 				w := tile.GetMat32(ri, rj)

@@ -22,6 +22,13 @@ type Assembler struct {
 	// not the tile handles, so it observes the assembled — never the
 	// factored — diagonal.
 	DiagFirst bool
+	// verdict, when set, runs once after every strictly-lower tile of column 0
+	// is assembled and before any strictly-lower tile of a later column is:
+	// an assembler decides there, from column 0, how it builds the rest (the
+	// adaptive policy's probe verdict). The graph orders it through dedicated
+	// handles — one per column-0 tile, so those assemblies stay concurrent —
+	// and every worker count, and AssembleAdaptive, sees the same verdict.
+	verdict func()
 	// offDiag is what the constructor knows of every strictly-lower tile's
 	// representation before any has been built; the graph is shaped on it.
 	offDiag offDiag
@@ -148,9 +155,12 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 	// Streaming assembly bookkeeping: ensure(i,j) submits the tile's
 	// assemble task exactly once, before the first factorization task that
 	// touches it. Norm handles (nh) order adaptive off-diagonal assembly
-	// after the diagonal norms without entangling the pivot handles.
+	// after the diagonal norms without entangling the pivot handles; column-0
+	// handles (ch) and the verdict handle (vh) order the verdict after column
+	// 0's assemblies and every later column's after the verdict.
 	var assembled [][]bool
-	var nh []*taskrt.Handle
+	var nh, ch []*taskrt.Handle
+	var vh *taskrt.Handle
 	var ensure func(i, j int)
 	if asm != nil {
 		assembled = make([][]bool, nt)
@@ -163,6 +173,13 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 				nh[i] = sub.NewHandle("N(%d)", i)
 			}
 		}
+		if asm.verdict != nil {
+			ch = make([]*taskrt.Handle, nt)
+			for i := 1; i < nt; i++ {
+				ch[i] = sub.NewHandle("C(%d)", i)
+			}
+			vh = sub.NewHandle("V")
+		}
 		ensure = func(i, j int) {
 			if assembled[i][j] || asm.offDiag == offLowRank && 0 < j && j < i {
 				// A tile known to be low rank with updates to receive is
@@ -171,19 +188,24 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 				return
 			}
 			assembled[i][j] = true
+			deps, prio := []taskrt.Dep{taskrt.Write(h[i][j])}, 3*nt+2
 			if asm.DiagFirst {
 				if i == j {
-					sub.Submit("assemble", 3*nt+2, func() { assemble(i, i) },
-						taskrt.Write(h[i][i]), taskrt.Write(nh[i]))
-					return
+					deps = append(deps, taskrt.Write(nh[i]))
+				} else {
+					ensure(i, i)
+					ensure(j, j)
+					deps, prio = append(deps, taskrt.Read(nh[i]), taskrt.Read(nh[j])), 3*nt+1
 				}
-				ensure(i, i)
-				ensure(j, j)
-				sub.Submit("assemble", 3*nt+1, func() { assemble(i, j) },
-					taskrt.Write(h[i][j]), taskrt.Read(nh[i]), taskrt.Read(nh[j]))
-				return
 			}
-			sub.Submit("assemble", 3*nt+2, func() { assemble(i, j) }, taskrt.Write(h[i][j]))
+			switch {
+			case vh == nil || i == j:
+			case j == 0:
+				deps = append(deps, taskrt.Write(ch[i]))
+			default:
+				deps = append(deps, taskrt.Read(vh))
+			}
+			sub.Submit("assemble", prio, func() { assemble(i, j) }, deps...)
 		}
 	}
 
@@ -226,6 +248,14 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 			sub.Submit("trsm", 3*nt-3*k-1, func() {
 				trsmPanel(g, k, i, l32)
 			}, taskrt.Read(h[k][k]), taskrt.ReadWrite(h[i][k]))
+		}
+		if k == 0 && vh != nil {
+			// Column 0 is submitted in full; nothing of a later column yet.
+			deps := make([]taskrt.Dep, 0, nt)
+			for i := 1; i < nt; i++ {
+				deps = append(deps, taskrt.Read(ch[i]))
+			}
+			sub.Submit("verdict", 3*nt+1, asm.verdict, append(deps, taskrt.Write(vh))...)
 		}
 		if needFree {
 			// Runs after every panel solve (they read h[k][k]); recycles the

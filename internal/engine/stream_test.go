@@ -43,20 +43,6 @@ func relResidual(g *engine.Grid, sigma *linalg.Matrix) float64 {
 	return res.FrobNorm() / sigma.FrobNorm()
 }
 
-// materialize assembles every tile of the grid up front by calling the
-// assembler serially — diagonals first, matching the DiagFirst ordering the
-// streaming graph enforces, so norm-dependent policies make the same choices.
-func materialize(g *engine.Grid, asm *engine.Assembler) {
-	for i := 0; i < g.NT; i++ {
-		g.Set(i, i, asm.Tile(i, i))
-	}
-	for i := 0; i < g.NT; i++ {
-		for j := 0; j < i; j++ {
-			g.Set(i, j, asm.Tile(i, j))
-		}
-	}
-}
-
 // streamFactor runs PotrfStream on a fresh grid with a fresh assembler.
 func streamFactor(t *testing.T, n, ts int, cfg engine.Config, mk func(*engine.Grid) *engine.Assembler) *engine.Grid {
 	t.Helper()
@@ -104,7 +90,7 @@ func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 	for _, b := range builders {
 		for _, ts := range []int{24, 20} { // ts=20 leaves a ragged 4-row last tile
 			ref := engine.NewGrid(n, ts)
-			materialize(ref, b.mk(ref))
+			engine.Materialize(ref, b.mk(ref))
 			rt := taskrt.New(4)
 			err := engine.Potrf(rt, ref, engine.Config{Tol: tol})
 			rt.Shutdown()
@@ -274,8 +260,8 @@ func TestRunAssemblyMatchesPerEntry(t *testing.T) {
 		for _, ts := range []int{24, 20} { // ts=20 leaves a ragged 4-row last tile
 			for bn, mk := range builders {
 				runs, entries := engine.NewGrid(geom.Len(), ts), engine.NewGrid(geom.Len(), ts)
-				materialize(runs, mk(runs, fillOf(geom, k)))
-				materialize(entries, mk(entries, entryOf(geom, k)))
+				engine.Materialize(runs, mk(runs, fillOf(geom, k)))
+				engine.Materialize(entries, mk(entries, entryOf(geom, k)))
 				compare(kn+"/"+bn, runs, entries)
 			}
 		}
@@ -369,7 +355,7 @@ func TestDeferredAndDenseTilesInOneGrid(t *testing.T) {
 	mk := func(g *engine.Grid) *engine.Assembler { return policy.EntryAssembler(g, fillOf(geom, kern), false) }
 
 	asIs := engine.NewGrid(n, ts)
-	materialize(asIs, mk(asIs))
+	engine.Materialize(asIs, mk(asIs))
 	g := streamFactor(t, n, ts, engine.Config{Tol: tol}, mk)
 
 	var deferred, dense int

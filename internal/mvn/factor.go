@@ -47,6 +47,21 @@ func NewFactor(g *engine.Grid) *Factor {
 	return f
 }
 
+// Bytes reports the factor's resident payload: the grid's tiles in their
+// representations (engine.Grid.Bytes) plus the float64 promotion of every
+// float32 tile, which the factor keeps for its life.
+func (f *Factor) Bytes() int64 {
+	b := f.G.Bytes()
+	for _, row := range f.f32 {
+		for _, m := range row {
+			if m != nil {
+				b += 8 * int64(m.Rows) * int64(m.Cols)
+			}
+		}
+	}
+	return b
+}
+
 // N returns the problem dimension.
 //repro:noalloc
 func (f *Factor) N() int { return f.G.N }

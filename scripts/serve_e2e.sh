@@ -5,11 +5,12 @@
 #      directory, and assert the first query after restart is served warm
 #      (factorizations 0, store_hits 1);
 #   2. router: run mvnload against one direct backend and against a
-#      2-backend consistent-hash router, recording both runs (plus the
-#      restart-latency probe) into BENCH_serve.json.
+#      2-backend consistent-hash router; mvnload prints each run's record
+#      and exits nonzero if any request failed, and the router must have
+#      forwarded to both backends.
 #
 # Needs: go, curl, python3 (JSON assertions). Exits nonzero on any broken
-# invariant; BENCH_serve.json is left in the working directory for upload.
+# invariant.
 set -euo pipefail
 
 DUR="${MVNLOAD_DURATION:-2s}"
@@ -67,23 +68,13 @@ T1=$(date +%s%N)
 kill "$S2"; wait "$S2" 2>/dev/null || true
 WARM_MS=$(( (T1 - T0) / 1000000 ))
 echo "restart-warm first query: ${WARM_MS}ms, 0 factorizations"
-python3 - "$WARM_MS" <<'EOF'
-import json, os, sys
-runs = []
-if os.path.exists("BENCH_serve.json"):
-    runs = json.load(open("BENCH_serve.json"))
-runs.append({"label": "store-restart-first-query", "mode": "probe",
-             "requests": 1, "latency_p50_ms": float(sys.argv[1]),
-             "note": "first query after restart with -store; 0 factorizations"})
-json.dump(runs, open("BENCH_serve.json", "w"), indent=2)
-EOF
 
 echo "== load: 1 direct backend =="
 "$WORK/mvnserve" -addr 127.0.0.1:18421 -qmc $QMC &
 B1=$!; PIDS+=("$B1")
 wait_healthy http://127.0.0.1:18421
 "$WORK/mvnload" -target http://127.0.0.1:18421 -duration "$DUR" -warmup 1s \
-  -keys 4 -grid 12 -conc 8 -budget-mix 0.5 -out BENCH_serve.json -label direct-1
+  -keys 4 -grid 12 -conc 8 -budget-mix 0.5 -label direct-1
 
 echo "== load: 2 backends behind the router =="
 "$WORK/mvnserve" -addr 127.0.0.1:18422 -qmc $QMC &
@@ -93,20 +84,17 @@ RT=$!; PIDS+=("$RT")
 wait_healthy http://127.0.0.1:18422
 wait_healthy http://127.0.0.1:18423
 "$WORK/mvnload" -target http://127.0.0.1:18423 -duration "$DUR" -warmup 1s \
-  -keys 4 -grid 12 -conc 8 -budget-mix 0.5 -out BENCH_serve.json -label router-2
+  -keys 4 -grid 12 -conc 8 -budget-mix 0.5 -label router-2
 
-# Both backends must have taken traffic and no request may have failed.
+# Both backends must have taken traffic (a failed request has already failed
+# the script through mvnload's exit status).
 python3 <<'EOF'
 import json, sys, urllib.request
 st = json.load(urllib.request.urlopen("http://127.0.0.1:18423/stats"))
 fw = [b["forwarded"] for b in st["backends"]]
 if min(fw) == 0:
     sys.exit(f"router never used one backend: forwarded={fw}")
-runs = json.load(open("BENCH_serve.json"))
-bad = [r["label"] for r in runs if r.get("errors", 0)]
-if bad:
-    sys.exit(f"load runs with errors: {bad}")
-print(f"router forwarded {fw}; {len(runs)} runs recorded")
+print(f"router forwarded {fw}")
 EOF
 
 echo "serve_e2e: ok"

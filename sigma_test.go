@@ -5,6 +5,7 @@ import (
 	"errors"
 	"log/slog"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/tile"
 )
 
 // TestExplicitSigmaRejectsNonFinite: one NaN or infinite off-diagonal entry
@@ -274,10 +276,108 @@ func TestFactorizationLogLine(t *testing.T) {
 		if rej, early := attrs["probes_rejected"].Int64(), attrs["probes_rejected_early"].Int64(); rej < early || (source == "kernel" && early != 0) {
 			t.Errorf("%s: %d probes rejected, %d early", source, rej, early)
 		}
-		// Ten off-band tiles at NT = 6, each probed once against half the tile side.
+		// Ten off-band tiles at NT = 6, each probed once against half the tile
+		// side: column 0 accepts, so no probe is skipped.
 		if probes, rej := attrs["probes"].Int64(), attrs["probes_rejected"].Int64(); attrs["rank_limit"].Int64() != 12 ||
-			probes != 10 || probes-rej != int64(mix.LowRank) {
-			t.Errorf("%s: rank_limit %v, %d probes, %d rejected, %d low-rank tiles", source, attrs["rank_limit"], probes, rej, mix.LowRank)
+			probes != 10 || probes-rej != int64(mix.LowRank) || attrs["probes_skipped"].Int64() != 0 {
+			t.Errorf("%s: rank_limit %v, %d probes, %d rejected, %v skipped, %d low-rank tiles",
+				source, attrs["rank_limit"], probes, rej, attrs["probes_skipped"], mix.LowRank)
 		}
+	}
+}
+
+// TestFactorizationLogLineCountsSkippedProbes: on an explicit Σ with no
+// low-rank structure (GᵀG/n + I, G Gaussian) column 0's NT − 2 off-band probes
+// all reject, and the record counts every other off-band tile as skipped.
+func TestFactorizationLogLineCountsSkippedProbes(t *testing.T) {
+	h := &recordHandler{}
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(h))
+
+	const n, ts = 144, 24
+	rng := rand.New(rand.NewSource(6))
+	g := make([][]float64, n)
+	for k := range g {
+		g[k] = make([]float64, n)
+		for i := range g[k] {
+			g[k][i] = rng.NormFloat64()
+		}
+	}
+	sigma := make([][]float64, n)
+	for i := range sigma {
+		sigma[i] = make([]float64, n)
+		for j := range sigma[i] {
+			for k := range g {
+				sigma[i][j] += g[k][i] * g[k][j] / n
+			}
+		}
+		sigma[i][i]++
+	}
+	a, b := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i], b[i] = -2, 2
+	}
+	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: ts, TLRTol: 1e-4, QMCSize: 100})
+	defer s.Close()
+	if _, err := s.MVNProbCov(sigma, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.recs) != 1 {
+		t.Fatalf("%d log records for one cold build, want 1", len(h.recs))
+	}
+	attrs := map[string]slog.Value{}
+	h.recs[0].Attrs(func(a slog.Attr) bool { attrs[a.Key] = a.Value; return true })
+	const nt = n / ts
+	offBand := int64((nt - 1) * (nt - 2) / 2)
+	if probes, rej, skipped := attrs["probes"].Int64(), attrs["probes_rejected"].Int64(), attrs["probes_skipped"].Int64(); probes != nt-2 || rej != nt-2 || skipped != offBand-(nt-2) {
+		t.Errorf("%d probes, %d rejected, %d skipped: want %d, %d and %d", probes, rej, skipped, nt-2, nt-2, offBand-(nt-2))
+	}
+	if mix, _ := attrs["mix"].Any().(engine.Mix); mix.LowRank != 0 {
+		t.Errorf("tile mix %+v, want no low-rank tile", mix)
+	}
+}
+
+// TestFactorBytesCountPromotedTiles: a Dense32 tile is held twice, in float32
+// by the grid and in float64 by the sweep, and FactorFootprint.Bytes and the
+// factorization record's factor_bytes both count the two.
+func TestFactorBytesCountPromotedTiles(t *testing.T) {
+	h := &recordHandler{}
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(h))
+
+	locs, kernel, _, _ := bitsProblem(12, 12)
+	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 24, TLRTol: 1e-4, AdaptiveF32Norm: 0.5, QMCSize: 100})
+	defer s.Close()
+	fp, err := s.FactorFootprint(locs, kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.factor(problem{locs: locs, kernel: kernel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := f.G.Bytes()
+	for i := 0; i < f.NT(); i++ {
+		for j := 0; j < i; j++ {
+			if d, ok := f.G.At(i, j).(*tile.DenseF32); ok {
+				want += 8 * int64(d.D.Rows) * int64(d.D.Cols)
+			}
+		}
+	}
+	if fp.Dense32 == 0 || fp.Bytes != want || fp.Bytes <= f.G.Bytes() {
+		t.Errorf("%d f32 tiles, footprint %d bytes, grid %d: want %d", fp.Dense32, fp.Bytes, f.G.Bytes(), want)
+	}
+	if len(h.recs) != 1 {
+		t.Fatalf("%d log records for one cold build, want 1", len(h.recs))
+	}
+	var logged int64
+	h.recs[0].Attrs(func(a slog.Attr) bool {
+		if a.Key == "factor_bytes" {
+			logged = a.Value.Int64()
+		}
+		return true
+	})
+	if logged != fp.Bytes {
+		t.Errorf("record factor_bytes %d, footprint %d", logged, fp.Bytes)
 	}
 }
