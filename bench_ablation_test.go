@@ -1,18 +1,15 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: tile
-// size, sample-tile width, QMC generator, variable reordering, TLR rank cap
-// and the mixed-precision band. Custom metrics report accuracy alongside
+// size, sample-tile width, TLR rank cap and the mixed-precision band. Custom metrics report accuracy alongside
 // time where the trade-off is accuracy-vs-speed.
 package parmvn
 
 import (
-	"math"
 	"strconv"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/linalg"
 	"repro/internal/mvn"
-	"repro/internal/qmc"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
 )
@@ -67,73 +64,6 @@ func BenchmarkAblationSampleTile(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mvn.PMVN(rt, f, a, up, mvn.Options{N: 1000, SampleTile: mc})
 			}
-		})
-	}
-}
-
-// BenchmarkAblationQMCGenerator compares the Richtmyer lattice, Halton and
-// plain pseudo-MC on the same integration, reporting the absolute error
-// against a converged reference as a metric.
-func BenchmarkAblationQMCGenerator(b *testing.B) {
-	sigma := benchCorr(16) // n=256
-	// Box [-3,3]^256 keeps the probability near 1/2 so relative errors are
-	// meaningful.
-	a := make([]float64, 256)
-	up := make([]float64, 256)
-	for i := range a {
-		a[i], up[i] = -3, 3
-	}
-	rt := taskrt.New(4)
-	defer rt.Shutdown()
-	f := benchFactor(b, rt, benchGrid(sigma, 64, 0), 0)
-	// Converged reference: Richtmyer with a large N.
-	ref := mvn.PMVN(rt, f, a, up, mvn.Options{N: 200000}).Prob
-	gens := map[string]func(dim int, shift []float64) qmc.Generator{
-		"richtmyer": func(d int, s []float64) qmc.Generator { return qmc.NewRichtmyerShifted(d, s) },
-		"halton":    func(d int, s []float64) qmc.Generator { return qmc.NewHalton(d, s) },
-		"pseudo":    func(d int, s []float64) qmc.Generator { return qmc.NewPseudo(d, 42) },
-	}
-	for name, gen := range gens {
-		b.Run(name, func(b *testing.B) {
-			var errSum float64
-			for i := 0; i < b.N; i++ {
-				res := mvn.PMVN(rt, f, a, up, mvn.Options{N: 2000, NewGen: gen})
-				errSum += math.Abs(res.Prob - ref)
-			}
-			b.ReportMetric(errSum/float64(b.N)/math.Max(ref, 1e-300), "relerr")
-		})
-	}
-}
-
-// BenchmarkAblationReordering reports the randomized-QMC relative spread
-// with and without the Genz–Bretz univariate reordering.
-func BenchmarkAblationReordering(b *testing.B) {
-	side := 5
-	sigma := benchCorr(side)
-	n := side * side
-	a := make([]float64, n)
-	up := make([]float64, n)
-	for i := range a {
-		a[i] = -3 + 4*float64(i%7)/6
-		up[i] = math.Inf(1)
-	}
-	perm := mvn.UnivariateReorder(a, up, sigma)
-	ap, bp, sp := mvn.PermuteProblem(a, up, sigma, perm)
-	for _, tc := range []struct {
-		name   string
-		av, bv []float64
-		s      *linalg.Matrix
-	}{{"original", a, up, sigma}, {"reordered", ap, bp, sp}} {
-		b.Run(tc.name, func(b *testing.B) {
-			rt := taskrt.New(2)
-			defer rt.Shutdown()
-			f := benchFactor(b, rt, benchGrid(tc.s, 13, 0), 0)
-			var rel float64
-			for i := 0; i < b.N; i++ {
-				res := mvn.PMVN(rt, f, tc.av, tc.bv, mvn.Options{N: 500, Replicates: 8})
-				rel += res.StdErr / math.Max(res.Prob, 1e-300)
-			}
-			b.ReportMetric(rel/float64(b.N), "relstderr")
 		})
 	}
 }

@@ -40,100 +40,6 @@ func TestSimulateMomentsMatchKernel(t *testing.T) {
 	}
 }
 
-func TestNegLogLikelihoodGaussianIdentity(t *testing.T) {
-	// For Σ = I (huge nugget-free variance 1 at distance ∞... use a tiny
-	// range so off-diagonals vanish), ℓ = ½Σy² + (n/2)log 2π.
-	g := geo.RegularGrid(4, 4)
-	k := &cov.Exponential{Sigma2: 1, Range: 1e-6}
-	y := make([]float64, 16)
-	rng := rand.New(rand.NewSource(2))
-	for i := range y {
-		y[i] = rng.NormFloat64()
-	}
-	var quad float64
-	for _, v := range y {
-		quad += v * v
-	}
-	want := 0.5*quad + 8*math.Log(2*math.Pi)
-	got := NegLogLikelihood(g, y, k)
-	if math.Abs(got-want) > 1e-6 {
-		t.Errorf("negll %v, want %v", got, want)
-	}
-}
-
-func TestNegLogLikelihoodPrefersTrueParams(t *testing.T) {
-	// The likelihood at the generating parameters should beat clearly wrong
-	// parameters, averaged over realizations.
-	rng := rand.New(rand.NewSource(3))
-	g := geo.RegularGrid(8, 8)
-	truth := &cov.Exponential{Sigma2: 1, Range: 0.15}
-	better, worse := 0, 0
-	for r := 0; r < 20; r++ {
-		f, err := Simulate(g, truth, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		llTrue := NegLogLikelihood(g, f.Values, truth)
-		llWrong := NegLogLikelihood(g, f.Values, &cov.Exponential{Sigma2: 4, Range: 0.8})
-		if llTrue < llWrong {
-			better++
-		} else {
-			worse++
-		}
-	}
-	if better <= worse {
-		t.Errorf("true params won %d/20 likelihood comparisons", better)
-	}
-}
-
-func TestFitExponentialRecoversRange(t *testing.T) {
-	if testing.Short() {
-		t.Skip("MLE fit is slow")
-	}
-	rng := rand.New(rand.NewSource(4))
-	g := geo.RegularGrid(10, 10)
-	truth := &cov.Exponential{Sigma2: 1, Range: 0.1}
-	f, err := Simulate(g, truth, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := FitExponential(g, f.Values, 0.5, 0.3, 400)
-	k := res.Kernel.(*cov.Exponential)
-	// A single realization on 100 points gives rough estimates; require the
-	// right order of magnitude and a better likelihood than the start.
-	if k.Range < 0.02 || k.Range > 0.5 {
-		t.Errorf("fitted range %v implausible (truth 0.1)", k.Range)
-	}
-	if start := NegLogLikelihood(g, f.Values, &cov.Exponential{Sigma2: 0.5, Range: 0.3}); res.NegLL > start {
-		t.Errorf("fit (%v) did not improve on start (%v)", res.NegLL, start)
-	}
-}
-
-func TestFitMaternImprovesLikelihood(t *testing.T) {
-	if testing.Short() {
-		t.Skip("MLE fit is slow")
-	}
-	rng := rand.New(rand.NewSource(5))
-	g := geo.RegularGrid(8, 8)
-	truth := cov.NewMatern(1, 0.12, 1.5)
-	f, err := Simulate(g, truth, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := cov.Matern{Sigma2: 2, Range: 0.3, Nu: 0.8}
-	res := FitMatern(g, f.Values, start, 300)
-	ll0 := NegLogLikelihood(g, f.Values, cov.NewMatern(start.Sigma2, start.Range, start.Nu))
-	if res.NegLL >= ll0 {
-		t.Errorf("Matérn fit did not improve: %v vs %v", res.NegLL, ll0)
-	}
-	p := res.Kernel.Params()
-	for i, v := range p {
-		if v <= 0 || math.IsNaN(v) {
-			t.Errorf("fitted param %d = %v", i, v)
-		}
-	}
-}
-
 func TestSyntheticDatasetShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ds, err := NewSyntheticDataset(8, 20, "medium", rng)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/linalg"
 	"repro/internal/mvn"
-	"repro/internal/qmc"
 	"repro/internal/stats"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
@@ -300,21 +299,16 @@ func TestOneSweepMatchesAlgorithm1(t *testing.T) {
 	}
 }
 
-// countingGen counts the generators an integration builds: one per replicate.
-func countingGen(count *int) func(int, []float64) qmc.Generator {
-	return func(dim int, shift []float64) qmc.Generator {
-		*count++
-		return qmc.NewRichtmyerShifted(dim, shift)
-	}
-}
-
 // TestOneIntegrationPerDetection: everything a detection reads — every
 // prefix, the confidence function, regions at several levels — comes from the
-// one integration Integrate made.
+// one integration Integrate made: the runtime ran the "qmc" tasks of exactly
+// one, a task per (replicate, lane block).
 func TestOneIntegrationPerDetection(t *testing.T) {
 	p := newProblem(t, 5, 0.2)
-	gens := 0
-	c := p.detect(t, nil, 0.1, false, mvn.Options{N: 300, NewGen: countingGen(&gens)})
+	rt := taskrt.New(2)
+	defer rt.Shutdown()
+	opts := mvn.Options{N: 300, SampleTile: 50, Replicates: 2}
+	c := p.detect(t, rt, 0.1, false, opts)
 	for k := 0; k <= 25; k++ {
 		c.PrefixProb(k)
 	}
@@ -322,8 +316,8 @@ func TestOneIntegrationPerDetection(t *testing.T) {
 	for _, conf := range []float64{0.5, 0.9, 0.99} {
 		c.Region(conf)
 	}
-	if gens != 1 {
-		t.Errorf("%d integrations for one detection, want 1", gens)
+	if got, want := rt.Snapshot().Tasks["qmc"], opts.Replicates*opts.N/opts.SampleTile; got != want {
+		t.Errorf("%d qmc tasks for one detection, want the %d of one integration", got, want)
 	}
 }
 

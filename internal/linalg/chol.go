@@ -106,12 +106,3 @@ func solveInPlace(a, x *Matrix) (*Matrix, error) {
 	TrsmLower(Left, true, 1, a, x)
 	return x, nil
 }
-
-// LogDetFromChol returns log|A| given the lower Cholesky factor of A.
-func LogDetFromChol(l *Matrix) float64 {
-	s := 0.0
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s
-}

@@ -147,17 +147,3 @@ func TestInvSPD(t *testing.T) {
 		t.Errorf("InvSPDInPlace: inverse differs by %v, a from its factor by %v", inPlace.MaxAbsDiff(inv), a.MaxAbsDiff(l))
 	}
 }
-
-func TestLogDetFromChol(t *testing.T) {
-	// diag(4, 9) has log det = log 36.
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 4)
-	a.Set(1, 1, 9)
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := LogDetFromChol(l), math.Log(36); math.Abs(got-want) > 1e-14 {
-		t.Errorf("logdet = %v, want %v", got, want)
-	}
-}

@@ -3,8 +3,9 @@
 // parallelized exactly as in the paper: a tiled QMC kernel on the diagonal
 // tile rows (Algorithm 3), task-parallel GEMM propagation to the rows below
 // (Algorithm 2), over a tile Cholesky factor whose off-diagonal tiles are
-// dense or low rank. A sequential reference implementation and a plain
-// Monte Carlo estimator serve as baselines and validation oracles.
+// dense or low rank. The points are the Richtmyer lattice with random shifts;
+// the sequential reference and the plain Monte Carlo oracle the integration is
+// validated against live with the tests.
 package mvn
 
 import (

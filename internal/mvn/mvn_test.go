@@ -384,33 +384,6 @@ func TestMCPlainAgreesWithPMVN(t *testing.T) {
 	}
 }
 
-func TestSampleFieldMoments(t *testing.T) {
-	// Mean and variance of sampled field match mu and diag(Σ).
-	sigma := equicorrMatrix(4, 0.6)
-	l, _ := linalg.Cholesky(sigma)
-	mu := []float64{1, -1, 0.5, 2}
-	rng := rand.New(rand.NewSource(5))
-	const reps = 40000
-	sum := make([]float64, 4)
-	sum2 := make([]float64, 4)
-	x := make([]float64, 4)
-	for r := 0; r < reps; r++ {
-		SampleField(x, mu, l, rng)
-		for i, v := range x {
-			sum[i] += v
-			sum2[i] += (v - mu[i]) * (v - mu[i])
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if m := sum[i] / reps; math.Abs(m-mu[i]) > 0.03 {
-			t.Errorf("mean[%d] = %v, want %v", i, m, mu[i])
-		}
-		if v := sum2[i] / reps; math.Abs(v-1) > 0.03 {
-			t.Errorf("var[%d] = %v, want 1", i, v)
-		}
-	}
-}
-
 func TestProductForm(t *testing.T) {
 	// One dimension, unit variance, [-1,1].
 	p := ProductForm([]float64{-1}, []float64{1}, []float64{1})

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/linalg"
-	"repro/internal/qmc"
 	"repro/internal/stats"
 	"repro/internal/taskrt"
 )
@@ -20,51 +18,6 @@ import (
 // recursion on the scaled limits. This is the capability of the paper's
 // reference R package tlrmvnmvt [17], reproduced on the same tiled
 // dense/TLR backends.
-
-// SOVSequentialT evaluates the MVT probability T_n(a,b;Σ,ν) given the
-// dense lower Cholesky factor l of Σ, using N points from gen, which must
-// have dimension dim+1 (the extra leading coordinate drives the χ² draw).
-func SOVSequentialT(a, b []float64, l *linalg.Matrix, nu float64, gen qmc.Generator, n int) float64 {
-	dim := l.Rows
-	if len(a) != dim || len(b) != dim {
-		panic("mvn: limit vectors must match factor dimension")
-	}
-	if gen.Dim() != dim+1 {
-		panic(fmt.Sprintf("mvn: MVT generator needs dim %d, got %d", dim+1, gen.Dim()))
-	}
-	if nu <= 0 {
-		panic("mvn: degrees of freedom must be positive")
-	}
-	w := make([]float64, dim+1)
-	y := make([]float64, dim)
-	as := make([]float64, dim)
-	bs := make([]float64, dim)
-	sum := 0.0
-	for sIdx := 0; sIdx < n; sIdx++ {
-		gen.Next(w)
-		s := chiScale(w[0], nu)
-		for i := 0; i < dim; i++ {
-			as[i] = scaleLimit(a[i], s)
-			bs[i] = scaleLimit(b[i], s)
-		}
-		p := 1.0
-		for i := 0; i < dim; i++ {
-			acc := 0.0
-			for j := 0; j < i; j++ {
-				acc += l.At(i, j) * y[j]
-			}
-			d := l.At(i, i)
-			factor, yi := chainStep(shiftLimit(as[i], acc, d), shiftLimit(bs[i], acc, d), w[i+1])
-			p *= factor
-			y[i] = yi
-			if p == 0 {
-				break
-			}
-		}
-		sum += p
-	}
-	return sum / float64(n)
-}
 
 // chiScale maps a uniform draw to s = √(χ²inv_ν(w)/ν).
 //repro:noalloc

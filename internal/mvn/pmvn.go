@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/qmc"
 	"repro/internal/taskrt"
 )
 
@@ -17,15 +16,10 @@ type Options struct {
 	// SampleTile is the number of chains per lane block (the m of
 	// Algorithm 3 along the sample axis). Default: the factor tile size.
 	SampleTile int
-	// NewGen builds the point generator for a replicate given its shift;
-	// nil means the Richtmyer lattice (the paper's QMC choice), drawn from a
-	// pool so warm queries allocate nothing. Generators implementing
-	// qmc.BlockGenerator feed the lane blocks by random access; others are
-	// pre-expanded once per replicate.
-	NewGen func(dim int, shift []float64) qmc.Generator
-	// Replicates is the number of randomized-shift replicates used for the
-	// error estimate. Default 1 (no error estimate). Replicate 0 is the
-	// unshifted point set; the shifts are deterministic (see replicateShift).
+	// Replicates is the number of randomized-shift replicates of the
+	// Richtmyer lattice (the paper's QMC point set) used for the error
+	// estimate. Default 1 (no error estimate). Replicate 0 is the unshifted
+	// lattice; the shifts are deterministic (see replicateShift).
 	Replicates int
 	// Inline runs the integration on the calling goroutine instead of
 	// fanning sample-tile columns out as runtime tasks. Batched callers set

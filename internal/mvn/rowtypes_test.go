@@ -13,7 +13,6 @@ import (
 	"repro/internal/cov"
 	"repro/internal/geo"
 	"repro/internal/linalg"
-	"repro/internal/qmc"
 	"repro/internal/taskrt"
 )
 
@@ -90,8 +89,6 @@ func rowTypeCases(t *testing.T) map[string][]uint64 {
 	// stopping point) and one nothing meets (1e-9), the default replicate count
 	// (0 → 4) and 3. Every case runs inline and as tasks on the 2-worker
 	// runtime and must agree with itself before it is compared with the parent.
-	// The halton rows are the one budgeted query that draws the fixed-N shifts:
-	// a custom generator.
 	box := rowTypeBoxes(n)["mixed"]
 	a, b := box[0], box[1]
 	for fname, f := range factors {
@@ -107,8 +104,6 @@ func rowTypeCases(t *testing.T) map[string][]uint64 {
 				}
 			}
 		}
-		halton := func(dim int, shift []float64) qmc.Generator { return qmc.NewHalton(dim, shift) }
-		integratorBits(t, out, fname+"/budget0.05/halton", rt, f, a, b, Options{N: 1999, SampleTile: 50, Replicates: 3, MaxRelErr: 5e-2, NewGen: halton})
 	}
 	return out
 }
@@ -210,8 +205,6 @@ var rowBitsVec = map[string][]uint64{
 	"dense/budget0.05/R3/f32=false/mvt7":  {0x3fc5e618f96abdf4, 0x3f841b75465e8743, 2100, 0},
 	"dense/budget0.05/R3/f32=true/mvn":    {0x3fc3edc020aade11, 0x3f7f4037a6efb198, 300, 1},
 	"dense/budget0.05/R3/f32=true/mvt7":   {0x3fc5e618f678a2a8, 0x3f841b755e13b70d, 2100, 0},
-	"dense/budget0.05/halton/mvn":         {0x3fc651ab70cfe610, 0x3f788dda24d6f72e, 1650, 1},
-	"dense/budget0.05/halton/mvt7":        {0x3fc6d656ec69b0b9, 0x3f815e55357f7a83, 900, 1},
 	"dense/budget1e-09/R0/f32=false/mvn":  {0x3fc532e41c9c3cc0, 0x3f66e0add621071e, 2000, 0},
 	"dense/budget1e-09/R0/f32=false/mvt7": {0x3fc58b7b11a68094, 0x3f805a416c697c24, 2000, 0},
 	"dense/budget1e-09/R0/f32=true/mvn":   {0x3fc532e4185f3f3d, 0x3f66e0ad868d82e3, 2000, 0},
@@ -270,8 +263,6 @@ var rowBitsVec = map[string][]uint64{
 	"tlr/budget0.05/R3/f32=false/mvt7":    {0x3fc5e6392cc0f491, 0x3f841f32bbca7c2b, 2100, 0},
 	"tlr/budget0.05/R3/f32=true/mvn":      {0x3fc3ecac54663142, 0x3f7f346bbde2f904, 300, 1},
 	"tlr/budget0.05/R3/f32=true/mvt7":     {0x3fc5e6393311f2ac, 0x3f841f32ea70856a, 2100, 0},
-	"tlr/budget0.05/halton/mvn":           {0x3fc651ad9fdff37c, 0x3f78957fbc5b3ff3, 1650, 1},
-	"tlr/budget0.05/halton/mvt7":          {0x3fc6d70c6fcd997d, 0x3f816473bf5da782, 900, 1},
 	"tlr/budget1e-09/R0/f32=false/mvn":    {0x3fc53338282c0e24, 0x3f66d84e4b78da8c, 2000, 0},
 	"tlr/budget1e-09/R0/f32=false/mvt7":   {0x3fc58b890fd49417, 0x3f805c3948284a2f, 2000, 0},
 	"tlr/budget1e-09/R0/f32=true/mvn":     {0x3fc533382a187bba, 0x3f66d84d1f5b071f, 2000, 0},
@@ -333,8 +324,6 @@ var rowBitsGo = map[string][]uint64{
 	"dense/budget0.05/R3/f32=false/mvt7":  {0x3fc5e618f96abdf5, 0x3f841b75465e879c, 2100, 0},
 	"dense/budget0.05/R3/f32=true/mvn":    {0x3fc3edc0246a9dc9, 0x3f7f40374d297991, 300, 1},
 	"dense/budget0.05/R3/f32=true/mvt7":   {0x3fc5e618f9028309, 0x3f841b753221370f, 2100, 0},
-	"dense/budget0.05/halton/mvn":         {0x3fc651ab70cfe619, 0x3f788dda24d6f758, 1650, 1},
-	"dense/budget0.05/halton/mvt7":        {0x3fc6d656ec69b0d8, 0x3f815e55357f7bfc, 900, 1},
 	"dense/budget1e-09/R0/f32=false/mvn":  {0x3fc532e41c9c3cb5, 0x3f66e0add6210753, 2000, 0},
 	"dense/budget1e-09/R0/f32=false/mvt7": {0x3fc58b7b11a68092, 0x3f805a416c697c9b, 2000, 0},
 	"dense/budget1e-09/R0/f32=true/mvn":   {0x3fc532e416ea0d1b, 0x3f66e0adc3522a58, 2000, 0},
@@ -393,8 +382,6 @@ var rowBitsGo = map[string][]uint64{
 	"tlr/budget0.05/R3/f32=false/mvt7":    {0x3fc5e6392cc0f48b, 0x3f841f32bbca7d24, 2100, 0},
 	"tlr/budget0.05/R3/f32=true/mvn":      {0x3fc3ecac535348dd, 0x3f7f346b8b7f312a, 300, 1},
 	"tlr/budget0.05/R3/f32=true/mvt7":     {0x3fc5e63931b93425, 0x3f841f32e15b4fc6, 2100, 0},
-	"tlr/budget0.05/halton/mvn":           {0x3fc651ad9fdff39f, 0x3f78957fbc5b46dc, 1650, 1},
-	"tlr/budget0.05/halton/mvt7":          {0x3fc6d70c6fcd9983, 0x3f816473bf5da52f, 900, 1},
 	"tlr/budget1e-09/R0/f32=false/mvn":    {0x3fc53338282c0df2, 0x3f66d84e4b78e017, 2000, 0},
 	"tlr/budget1e-09/R0/f32=false/mvt7":   {0x3fc58b890fd493fb, 0x3f805c3948284b0a, 2000, 0},
 	"tlr/budget1e-09/R0/f32=true/mvn":     {0x3fc533382a9ccfa1, 0x3f66d84e3bffdf59, 2000, 0},

@@ -3,8 +3,6 @@ package mvn
 import (
 	"math"
 
-	"repro/internal/linalg"
-	"repro/internal/qmc"
 	"repro/internal/stats"
 )
 
@@ -61,40 +59,6 @@ func clampTailY(y, aPrime, bPrime float64) float64 {
 	return -8.2
 }
 
-// SOVSequential evaluates Φn(a,b;0,Σ) given the dense lower Cholesky factor
-// l of Σ, using N sample points from gen. It is the direct transcription of
-// Genz's sequential algorithm (the reference the tiled implementation is
-// validated against) and returns the sample mean of the per-chain
-// probability products.
-func SOVSequential(a, b []float64, l *linalg.Matrix, gen qmc.Generator, n int) float64 {
-	dim := l.Rows
-	if len(a) != dim || len(b) != dim {
-		panic("mvn: limit vectors must match factor dimension")
-	}
-	w := make([]float64, dim)
-	y := make([]float64, dim)
-	sum := 0.0
-	for s := 0; s < n; s++ {
-		gen.Next(w)
-		p := 1.0
-		for i := 0; i < dim; i++ {
-			acc := 0.0
-			for j := 0; j < i; j++ {
-				acc += l.At(i, j) * y[j]
-			}
-			d := l.At(i, i)
-			factor, yi := chainStep(shiftLimit(a[i], acc, d), shiftLimit(b[i], acc, d), w[i])
-			p *= factor
-			y[i] = yi
-			if p == 0 {
-				break
-			}
-		}
-		sum += p
-	}
-	return sum / float64(n)
-}
-
 // shiftLimit computes (limit − acc)/d, preserving infinities.
 //repro:noalloc
 func shiftLimit(limit, acc, d float64) float64 {
@@ -102,16 +66,4 @@ func shiftLimit(limit, acc, d float64) float64 {
 		return limit
 	}
 	return (limit - acc) / d
-}
-
-// ProductForm returns the exact MVN probability when Σ is diagonal with
-// variances v: the product of univariate interval probabilities. It is the
-// independent-case oracle used throughout the tests.
-func ProductForm(a, b, v []float64) float64 {
-	p := 1.0
-	for i := range a {
-		sd := math.Sqrt(v[i])
-		p *= stats.PhiInterval(shiftLimit(a[i], 0, sd), shiftLimit(b[i], 0, sd))
-	}
-	return p
 }

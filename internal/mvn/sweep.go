@@ -33,47 +33,6 @@ import (
 // for that block. All working storage is pooled, so a warm query allocates
 // nothing.
 
-// blockSource supplies lane-major QMC point blocks: fill writes
-// dst[lane][d] = coordinate d0+d of point p0+lane. Random-access generators
-// serve blocks directly (and are safe for concurrent column tasks, since
-// FillBlock does not touch sequential state); sequential generators are
-// pre-expanded into a pooled lane-major matrix.
-type blockSource struct {
-	bg  qmc.BlockGenerator
-	pre *linalg.Matrix // (points × dim) lane-major, used when bg is nil
-}
-
-//repro:noalloc
-func newBlockSource(gen qmc.Generator, n int) blockSource {
-	if bg, ok := gen.(qmc.BlockGenerator); ok {
-		return blockSource{bg: bg}
-	}
-	pre := linalg.GetMat(n, gen.Dim())
-	//repro:alloc-ok sequential-generator pre-expansion; the default generator is block-capable
-	qmc.NextBlock(gen, pre, n)
-	return blockSource{pre: pre}
-}
-
-//repro:noalloc
-func (s *blockSource) fill(dst *linalg.Matrix, p0, d0 int) {
-	if s.bg != nil {
-		s.bg.FillBlock(dst, p0, d0)
-		return
-	}
-	for d := 0; d < dst.Cols; d++ {
-		src := s.pre.Col(d0 + d)
-		copy(dst.Col(d), src[p0:p0+dst.Rows])
-	}
-}
-
-//repro:noalloc
-func (s *blockSource) release() {
-	if s.pre != nil {
-		linalg.PutMat(s.pre)
-		s.pre = nil
-	}
-}
-
 // getLaneWS carves the per-column lane scratch of the Genz step out of one
 // pooled buffer. The second result is that buffer; callers return it with
 // linalg.PutVec when the sweep finishes.
@@ -111,11 +70,12 @@ func freeSpan(a, b []float64, row0, rows int) bool {
 const condBlock = 32
 
 // sweepColumn integrates the lane block of mc chains starting at global
-// sample index kOff through the factor rows the trimmed limits a, b cover and
-// returns Σ_lanes p. With nu > 0 it computes the Student-t variant: the
-// generator's leading coordinate fixes each lane's χ² scale. Everything it
-// touches is pooled or caller-owned; concurrent calls for disjoint columns
-// are safe (the Factor is only read).
+// sample index kOff through the factor rows the trimmed limits a, b cover,
+// reading its points from the lattice src, and returns Σ_lanes p. With nu > 0
+// it computes the Student-t variant: the lattice's leading coordinate fixes
+// each lane's χ² scale. Everything it touches is pooled or caller-owned;
+// concurrent calls for disjoint columns are safe (the Factor and the lattice
+// are only read).
 //
 // Finished conditioning values wait for the row tiles below them in one of
 // two forms. Without a shadow they live in yBuf as GEMM-ready panels
@@ -132,7 +92,7 @@ const condBlock = 32
 // pre, when non-nil, receives Σ_lanes p after every row (PMVNPrefix); rows
 // the sweep never reaches because every lane died stay exactly 0.
 //repro:noalloc
-func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *blockSource, kOff, mc int, nu float64, pre prefixCol) float64 {
+func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, kOff, mc int, nu float64, pre prefixCol) float64 {
 	ts := f.TS()
 	nt := (len(a) + ts - 1) / ts
 	mp := linalg.PackedLen(mc, 1)
@@ -157,7 +117,7 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *blockSource, kOf
 		d0Base = 1
 		s = linalg.GetVec(mc)
 		w0 := linalg.GetMat(mc, 1)
-		src.fill(w0, kOff, 0)
+		src.FillBlock(w0, kOff, 0)
 		for l, w := range w0.Col(0) {
 			s[l] = chiScale(w, nu)
 		}
@@ -174,12 +134,11 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *blockSource, kOf
 		}
 		yP := linalg.PackedOver(yBuf[yOff:], mc, rows)
 		rT := linalg.GetMat(mc, rows)
-		src.fill(rT, kOff, d0Base+row0)
+		src.FillBlock(rT, kOff, d0Base+row0)
 		if freeSpan(a, b, row0, rows) {
 			// Unconstrained tile: y = Φ⁻¹(w) for the whole block, factors 1,
 			// and no conditioning GEMMs into it at all.
 			stats.PhiInvBatch(rT.Data[:mc*rows], yT.Data[:mc*rows])
-			clampFreeY(yT.Data[:mc*rows])
 			if sh == nil {
 				yP.Pack(yT, 0)
 			}
@@ -273,7 +232,6 @@ func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []
 				// Free row inside a constrained tile: factor 1, y = Φ⁻¹(w); the
 				// conditioning sum cancels out of the (-∞,+∞) interval entirely.
 				stats.PhiInvBatch(wCol, yCol)
-				clampFreeY(yCol)
 				pre.record(row0+i, 1, p)
 				continue
 			}
@@ -350,18 +308,4 @@ func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []
 		}
 	}
 	return alive
-}
-
-// clampFreeY applies chainStep's tail clamp to the free-row fast path:
-// Φ⁻¹ of an exact 0 or 1 draw (possible with a custom generator that does
-// not clamp its output into (0,1)) would send an infinity into the Y grid
-// and NaN every downstream conditioning sum. The in-repo generators never
-// produce one, so the scan stays branch-predicted free.
-//repro:noalloc
-func clampFreeY(ys []float64) {
-	for l, y := range ys {
-		if math.IsInf(y, 0) || math.IsNaN(y) {
-			ys[l] = clampTailY(y, math.Inf(-1), math.Inf(1))
-		}
-	}
 }

@@ -294,78 +294,54 @@ func TestBlockedSweepMostlyDeadLanes(t *testing.T) {
 	}
 }
 
-// countingGen is a block generator that records the furthest coordinate any
-// caller asked for.
-type countingGen struct {
-	*qmc.Richtmyer
-	maxDim int
-	blocks int
-}
-
-//repro:noalloc
-func (c *countingGen) FillBlock(dst *linalg.Matrix, p0, d0 int) {
-	c.blocks++
-	c.maxDim = max(c.maxDim, d0+dst.Cols)
-	c.Richtmyer.FillBlock(dst, p0, d0)
-}
-
 // TestSweepStopsAtLastConstrainedRow: rows after the last finite limit cost
-// nothing — no QMC block reaches past that row, in the f64 and the f32 sweep,
-// for MVN and (one leading χ² coordinate further) MVT — and the estimate is
-// bit-identical to sweeping the untrimmed limits through every tile.
+// nothing. The integration sweeps only up to that row — its per-row sums are
+// sized to the trimmed rows, which an untrimmed sweep would index past — and
+// its estimate is, bit for bit, the sum of its columns swept with a lattice
+// that ends at the last constrained row (a block past it would index out of
+// the lattice) and the sum of the untrimmed limits swept through every tile,
+// in the f64 and the f32 sweep, for MVN and (one leading χ² coordinate
+// further) MVT.
 func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
-	const n, ts, N, last = 60, 8, 96, 18 // row 18 is in the middle of tile 2
+	const n, ts, N, mc, last = 60, 8, 96, 32, 18 // row 18 is in the middle of tile 2
 	rng := rand.New(rand.NewSource(9))
 	f := denseFactor(t, randomSPD(n, rng), ts)
-	a, b := make([]float64, n), posInf(n)
-	for i := range a {
-		a[i] = math.Inf(-1)
-	}
+	a, b := negInf(n), posInf(n)
 	for _, i := range []int{0, 3, 11, last} {
 		a[i] = -0.4
+	}
+	ta, tb := trimFree(a, b)
+	if len(ta) != last+1 {
+		t.Fatalf("trimmed to %d rows, want %d", len(ta), last+1)
 	}
 	for _, nu := range []float64{0, 5} {
 		lead := 0
 		if nu > 0 {
 			lead = 1
 		}
-		var probs []float64
-		for _, f32 := range []bool{false, true} {
-			var gens []*countingGen
-			opt := Options{N: N, SampleTile: 32, SweepF32: f32, Inline: true,
-				NewGen: func(dim int, shift []float64) qmc.Generator {
-					g := &countingGen{Richtmyer: qmc.NewRichtmyerShifted(dim, shift)}
-					gens = append(gens, g)
-					return g
-				}}
-			probs = append(probs, integrate(nil, f, a, b, opt.withDefaults(ts), nu, nil).Prob)
-			for _, g := range gens {
-				if g.blocks == 0 || g.maxDim > lead+last+1 {
-					t.Errorf("nu=%g f32=%v: %d blocks, furthest coordinate %d, want ≤ %d", nu, f32, g.blocks, g.maxDim, lead+last+1)
-				}
+		short, full := qmc.NewRichtmyer(lead+last+1), qmc.NewRichtmyer(n+lead)
+		for _, sh := range []*ShadowF32{nil, f.Shadow32()} {
+			opt := Options{N: N, SampleTile: mc, SweepF32: sh != nil, Inline: true}
+			got := integrate(nil, f, a, b, opt.withDefaults(ts), nu, make([]float64, len(ta))).Prob
+			trimmed, untrimmed := 0.0, 0.0
+			for k := 0; k < N; k += mc {
+				trimmed += sweepColumn(f, sh, ta, tb, short, k, mc, nu, nil)
+				untrimmed += sweepColumn(f, sh, a, b, full, k, mc, nu, nil)
 			}
-		}
-		// The untrimmed sweep: every tile, free ones included.
-		src := newBlockSource(qmc.NewRichtmyer(n+lead), N)
-		for i, sh := range []*ShadowF32{nil, f.Shadow32()} {
-			full := 0.0
-			for k := 0; k < N; k += 32 {
-				full += sweepColumn(f, sh, a, b, &src, k, 32, nu, nil)
-			}
-			if got := clampProb(full / N); got != probs[i] {
-				t.Errorf("nu=%g f32=%v: trimmed sweep %v, full sweep %v: not bit-identical", nu, sh != nil, probs[i], got)
+			if clampProb(trimmed/N) != got || clampProb(untrimmed/N) != got {
+				t.Errorf("nu=%g f32=%v: integration %v, trimmed sweep %v, full sweep %v: not bit-identical",
+					nu, sh != nil, got, clampProb(trimmed/N), clampProb(untrimmed/N))
 			}
 		}
 	}
-	// Nothing constrained: probability 1 without a single block.
-	g := &countingGen{Richtmyer: qmc.NewRichtmyer(n)}
-	free := make([]float64, n)
-	for i := range free {
-		free[i] = math.Inf(-1)
+	// Nothing constrained: probability 1, and the sweep over the empty trimmed
+	// limits reads no point (a nil lattice would panic).
+	fa, fb := trimFree(negInf(n), b)
+	if sum := sweepColumn(f, nil, fa, fb, nil, 0, mc, 0, nil); sum != mc {
+		t.Errorf("all-free column: Σp = %v, want %d", sum, mc)
 	}
-	res := PMVN(nil, f, free, b, Options{N: N, NewGen: func(int, []float64) qmc.Generator { return g }})
-	if res.Prob != 1 || g.blocks != 0 {
-		t.Errorf("all-free box: prob %v after %d blocks", res.Prob, g.blocks)
+	if res := PMVN(nil, f, negInf(n), b, Options{N: N}); res.Prob != 1 {
+		t.Errorf("all-free box: prob %v", res.Prob)
 	}
 }
 
@@ -388,14 +364,14 @@ func TestSweepColumnPrefixTotals(t *testing.T) {
 		if nu > 0 {
 			lead = 1
 		}
-		src := newBlockSource(qmc.NewRichtmyer(n+lead), mc)
+		src := qmc.NewRichtmyer(n + lead)
 		var pres [2][]float64
 		for i, sh := range []*ShadowF32{nil, f.Shadow32()} {
 			pre := make([]float64, n)
 			for j := range pre {
 				pre[j] = -1 // sweepColumn clears what it is handed
 			}
-			sum := sweepColumn(f, sh, a, b, &src, 0, mc, nu, pre)
+			sum := sweepColumn(f, sh, a, b, src, 0, mc, nu, pre)
 			if sum <= 0 || pre[n-1] != sum {
 				t.Fatalf("nu=%g f32=%v: last row total %v, returned sum %v", nu, sh != nil, pre[n-1], sum)
 			}

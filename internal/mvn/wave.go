@@ -1,7 +1,6 @@
 package mvn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -29,12 +28,11 @@ import (
 // or the sample cap is reached, or the context is canceled.
 //
 // Determinism: which samples are included is decided by the wave boundary
-// alone. A replicate's source serves lane blocks by sample index (a
-// random-access BlockGenerator, or a sequential generator expanded once over
-// the replicate's cap); per-wave column sums land in fixed slots and reduce in
-// index order. Fixed seeds therefore give bit-identical estimates and stopping
-// points inline and at any worker count — only the wall-clock checks
-// (Deadline, Ctx) are time-dependent by design.
+// alone. A replicate's lattice serves lane blocks by sample index (random
+// access, no sequential state); per-wave column sums land in fixed slots and
+// reduce in index order. Fixed seeds therefore give bit-identical estimates
+// and stopping points inline and at any worker count — only the wall-clock
+// checks (Deadline, Ctx) are time-dependent by design.
 
 // defaultWaveReps is the replicate count of a budgeted query that left
 // Replicates below 2: the streaming error estimate needs a spread, and four
@@ -64,9 +62,9 @@ func (o Options) plan() plan {
 }
 
 // waveState is the pooled state of one query: what a (replicate, lane block)
-// column reads, one point source per replicate, and the current wave's result
-// slots. It is pooled, not on the stack, because the task fan-out's closures
-// capture it — the warm inline path allocates nothing either way.
+// column reads, one shifted lattice per replicate, and the current wave's
+// result slots. It is pooled, not on the stack, because the task fan-out's
+// closures capture it — the warm inline path allocates nothing either way.
 type waveState struct {
 	f    *Factor
 	sh   *ShadowF32 // nil propagates in f64
@@ -74,8 +72,7 @@ type waveState struct {
 	nu   float64
 	mc   int
 
-	srcs    []blockSource
-	lattice bool // srcs hold pooled default lattices (no custom NewGen)
+	srcs []*qmc.Richtmyer
 
 	off, wlen, cols int       // the wave: first sample, samples, lane blocks per replicate
 	slots           []float64 // reps × cols: Σ_lanes p of each column
@@ -89,37 +86,25 @@ func getWaveState(reps int) *waveState {
 	ws := waveStatePool.Get().(*waveState)
 	if cap(ws.srcs) < reps {
 		//repro:alloc-ok cold capacity miss: the pooled state grows to the largest replicate count seen
-		ws.srcs = make([]blockSource, reps)
+		ws.srcs = make([]*qmc.Richtmyer, reps)
 	}
 	ws.srcs = ws.srcs[:reps]
 	return ws
 }
 
-// open builds the replicates' point sources: the one place a generator is
-// constructed. Sequential custom generators are expanded over the whole
-// per-replicate cap here, so waves address samples by index.
+// open draws the replicates' shifted lattices: the one place the point set
+// is constructed.
 //
 //repro:noalloc
-func (ws *waveState) open(o Options, p plan, genDim int) {
+func (ws *waveState) open(p plan, genDim int) {
 	var rng *rand.Rand
-	if p.reps > 1 && (!p.budgeted || o.NewGen != nil) {
+	if p.reps > 1 && !p.budgeted {
 		//repro:alloc-ok the math/rand shift source of replicated fixed-N queries
 		rng = rand.New(rand.NewSource(1))
 	}
-	ws.lattice = o.NewGen == nil
 	shift := linalg.GetVec(genDim)
 	for rep := range ws.srcs {
-		if ws.lattice {
-			ws.srcs[rep] = blockSource{bg: qmc.GetRichtmyer(genDim, replicateShift(shift, rep, rng))}
-			continue
-		}
-		//repro:alloc-ok custom generators are built per replicate, each with a shift slice it may keep
-		gen := o.NewGen(genDim, replicateShift(make([]float64, genDim), rep, rng))
-		if gen.Dim() != genDim {
-			//repro:alloc-ok dimension-mismatch panic path
-			panic(fmt.Sprintf("mvn: generator dim %d, want %d", gen.Dim(), genDim))
-		}
-		ws.srcs[rep] = newBlockSource(gen, p.perRep)
+		ws.srcs[rep] = qmc.GetRichtmyer(genDim, replicateShift(shift, rep, rng))
 	}
 	linalg.PutVec(shift)
 }
@@ -127,11 +112,11 @@ func (ws *waveState) open(o Options, p plan, genDim int) {
 // replicateShift fills dst with replicate rep's Cranley–Patterson shift and
 // returns it; replicate 0 is the unshifted point set (nil). There are two
 // recurrences only because recorded bits pin both: sequential math/rand
-// seed-1 draws (rng non-nil: fixed-N queries and custom generators) are what
-// bench/refs.json's fixed-N operations, parent_bits_test.go and the fixed and
-// halton rows of TestRowTypesMatchParentBits were recorded with; the splitmix
-// recurrence seeded by the replicate index (budgeted queries on the default
-// lattice) is behind refs.json's budgeted operations and the budget rows.
+// seed-1 draws (rng non-nil: replicated fixed-N queries) are what
+// bench/refs.json's fixed-N operations, parent_bits_test.go and the fixed rows
+// of TestRowTypesMatchParentBits were recorded with; the splitmix recurrence
+// seeded by the replicate index (budgeted queries) is behind refs.json's
+// budgeted operations and the budget rows.
 // Shifting every replicate from one recurrence is ROADMAP item 1(a) and waits
 // for a re-bless of refs.json; this is the site to change then.
 //
@@ -141,7 +126,7 @@ func replicateShift(dst []float64, rep int, rng *rand.Rand) []float64 {
 	case rep == 0:
 		return nil
 	case rng != nil:
-		//repro:alloc-ok math/rand draws; only replicated fixed-N and custom-generator queries hold an rng
+		//repro:alloc-ok math/rand draws; only replicated fixed-N queries hold an rng
 		qmc.FillShift(dst, rng)
 	default:
 		qmc.FillShiftSeeded(dst, uint64(rep))
@@ -154,12 +139,9 @@ func replicateShift(dst []float64, rep int, rng *rand.Rand) []float64 {
 //
 //repro:noalloc
 func (ws *waveState) release() {
-	for rep := range ws.srcs {
-		if ws.lattice {
-			qmc.PutRichtmyer(ws.srcs[rep].bg.(*qmc.Richtmyer))
-		}
-		ws.srcs[rep].release()
-		ws.srcs[rep] = blockSource{}
+	for rep, src := range ws.srcs {
+		qmc.PutRichtmyer(src)
+		ws.srcs[rep] = nil
 	}
 	linalg.PutVec(ws.slots)
 	linalg.PutVec(ws.pslots)
@@ -175,11 +157,11 @@ func (ws *waveState) release() {
 func (ws *waveState) column(rep, c int) {
 	k := rep*ws.cols + c
 	lanes := min(ws.mc, ws.wlen-c*ws.mc)
-	ws.slots[k] = sweepColumn(ws.f, ws.sh, ws.a, ws.b, &ws.srcs[rep], ws.off+c*ws.mc, lanes, ws.nu, prefixColOf(ws.pslots, k, len(ws.a)))
+	ws.slots[k] = sweepColumn(ws.f, ws.sh, ws.a, ws.b, ws.srcs[rep], ws.off+c*ws.mc, lanes, ws.nu, prefixColOf(ws.pslots, k, len(ws.a)))
 }
 
 // fanOut runs the current wave as one task per (replicate, lane block) in its
-// own runtime group (sources, factor and shadow are read-only across them).
+// own runtime group (lattices, factor and shadow are read-only across them).
 // Lane blocks go out column by column, so the ragged last blocks — the short
 // tasks — are submitted last: the runtime places independent tasks round-robin,
 // and replicate by replicate a two-block query would hand one worker every
@@ -197,11 +179,11 @@ func (ws *waveState) fanOut(rt *taskrt.Runtime) {
 
 // integrate is the integration behind PMVN (nu = 0), PMVT (nu > 0) and
 // PMVNPrefix on defaulted options; see the top of this file. All working state
-// is pooled and sized to the replicate count, so a warm inline query on the
-// default lattice allocates nothing (a replicated fixed-N one, only its
-// math/rand shift source). A non-nil pre (PMVNPrefix, which clears the
-// budgets) holds one row per replicate, len(trimmed a) entries each, and
-// receives Σ_samples p after every row.
+// is pooled and sized to the replicate count, so a warm inline query
+// allocates nothing (a replicated fixed-N one, only its math/rand shift
+// source). A non-nil pre (PMVNPrefix, which clears the budgets) holds one row
+// per replicate, len(trimmed a) entries each, and receives Σ_samples p after
+// every row.
 //
 //repro:noalloc
 func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, pre []float64) Result {
@@ -220,7 +202,7 @@ func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu floa
 		// is the only allocating step, warm loads are an atomic read.
 		ws.sh = f.Shadow32()
 	}
-	ws.open(o, p, genDim)
+	ws.open(p, genDim)
 	maxCols := (p.wave + mc - 1) / mc
 	ws.slots = linalg.GetVec(p.reps * maxCols)
 	if pre != nil {

@@ -24,123 +24,107 @@ func TestPrimes(t *testing.T) {
 	}
 }
 
+// block returns points p0 … p0+npts−1 of g, all dim coordinates, lane-major.
+func block(g *Richtmyer, p0, npts, dim int) *linalg.Matrix {
+	m := linalg.NewMatrix(npts, dim)
+	g.FillBlock(m, p0, 0)
+	return m
+}
+
+// randomShift draws a uniform shift of length dim.
+func randomShift(dim int, rng *rand.Rand) []float64 {
+	s := make([]float64, dim)
+	FillShift(s, rng)
+	return s
+}
+
 func TestGeneratorsInUnitInterval(t *testing.T) {
-	gens := map[string]Generator{
-		"richtmyer": NewRichtmyer(13),
-		"halton":    NewHalton(13, nil),
-		"pseudo":    NewPseudo(13, 1),
-	}
-	for name, g := range gens {
-		dst := make([]float64, 13)
-		for k := 0; k < 5000; k++ {
-			g.Next(dst)
-			for i, v := range dst {
-				if v <= 0 || v >= 1 {
-					t.Fatalf("%s: point %d dim %d = %v outside (0,1)", name, k, i, v)
-				}
+	shifted := GetRichtmyer(13, randomShift(13, rand.New(rand.NewSource(1))))
+	defer PutRichtmyer(shifted)
+	for name, g := range map[string]*Richtmyer{"richtmyer": NewRichtmyer(13), "richtmyer-shifted": shifted} {
+		pts := block(g, 0, 5000, 13)
+		for i, v := range pts.Data {
+			if v <= 0 || v >= 1 {
+				t.Fatalf("%s: entry %d = %v outside (0,1)", name, i, v)
 			}
 		}
 	}
 }
 
-func TestResetReproduces(t *testing.T) {
-	for name, g := range map[string]Generator{
-		"richtmyer": NewRichtmyerShifted(4, []float64{0.1, 0.2, 0.3, 0.4}),
-		"halton":    NewHalton(4, nil),
-		"pseudo":    NewPseudo(4, 42),
-	} {
-		a := make([]float64, 4)
-		b := make([]float64, 4)
-		first := make([][]float64, 10)
-		for k := range first {
-			g.Next(a)
-			first[k] = append([]float64(nil), a...)
-		}
-		g.Reset()
-		for k := range first {
-			g.Next(b)
-			for i := range b {
-				if b[i] != first[k][i] {
-					t.Fatalf("%s: Reset not reproducible at point %d", name, k)
-				}
-			}
-		}
-	}
-}
-
+// TestRichtmyerLatticeStructure is the closed form of FillBlock: entry
+// (lane, d) of the block at (p0, d0) is frac(k·√p_i + Δ_i) with k = p0+lane+1
+// and i = d0+d, folded back into [0,1) and clamped — bit for bit, for the
+// unshifted and a shifted lattice, at any (point, dimension) offset.
 func TestRichtmyerLatticeStructure(t *testing.T) {
-	// Point k must equal frac(k·√p + shift); spot-check dimension 0 (p=2).
-	g := NewRichtmyer(1)
-	dst := make([]float64, 1)
-	sqrt2 := math.Sqrt(2)
-	for k := 1; k <= 100; k++ {
-		g.Next(dst)
-		want := float64(k) * (sqrt2 - 1)
-		want -= math.Floor(want)
-		if math.Abs(dst[0]-want) > 1e-9 {
-			t.Fatalf("point %d = %v, want %v", k, dst[0], want)
-		}
-	}
-}
-
-func TestHaltonBase2Sequence(t *testing.T) {
-	g := NewHalton(1, nil)
-	want := []float64{0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875}
-	dst := make([]float64, 1)
-	for i, w := range want {
-		g.Next(dst)
-		if math.Abs(dst[0]-w) > 1e-15 {
-			t.Fatalf("halton point %d = %v, want %v", i+1, dst[0], w)
+	const dim = 13
+	primes := Primes(dim)
+	shift := randomShift(dim, rand.New(rand.NewSource(9)))
+	shifted := GetRichtmyer(dim, shift)
+	defer PutRichtmyer(shifted)
+	for name, c := range map[string]struct {
+		g     *Richtmyer
+		shift []float64
+	}{"unshifted": {NewRichtmyer(dim), nil}, "shifted": {shifted, shift}} {
+		for _, o := range [][4]int{{0, 0, 40, dim}, {3, 2, 8, 5}, {17, 12, 23, 1}, {1 << 20, 0, 1, dim}} {
+			p0, d0, rows, cols := o[0], o[1], o[2], o[3]
+			blk := linalg.NewMatrix(rows, cols)
+			c.g.FillBlock(blk, p0, d0)
+			for l := 0; l < rows; l++ {
+				for d := 0; d < cols; d++ {
+					s := math.Sqrt(float64(primes[d0+d]))
+					v := float64(p0+l+1) * (s - math.Floor(s))
+					v -= math.Floor(v)
+					if c.shift != nil {
+						if v += c.shift[d0+d]; v >= 1 {
+							v--
+						}
+					}
+					if got, want := blk.At(l, d), clamp01(v); got != want {
+						t.Fatalf("%s: FillBlock(p0=%d,d0=%d)[%d,%d] = %v, closed form %v", name, p0, d0, l, d, got, want)
+					}
+				}
+			}
 		}
 	}
 }
 
 func TestUniformMean(t *testing.T) {
 	// Sample means converge to 1/2 in every dimension.
-	for name, g := range map[string]Generator{
-		"richtmyer": NewRichtmyer(5),
-		"halton":    NewHalton(5, nil),
-	} {
-		const n = 20000
-		sums := make([]float64, 5)
-		dst := make([]float64, 5)
-		for k := 0; k < n; k++ {
-			g.Next(dst)
-			for i, v := range dst {
-				sums[i] += v
-			}
+	const n = 20000
+	pts := block(NewRichtmyer(5), 0, n, 5)
+	for d := 0; d < 5; d++ {
+		s := 0.0
+		for _, v := range pts.Col(d) {
+			s += v
 		}
-		for i, s := range sums {
-			if m := s / n; math.Abs(m-0.5) > 0.01 {
-				t.Errorf("%s dim %d mean %v", name, i, m)
-			}
+		if m := s / n; math.Abs(m-0.5) > 0.01 {
+			t.Errorf("dim %d mean %v", d, m)
 		}
 	}
 }
 
 func TestQMCBeatsMCOnSmoothIntegrand(t *testing.T) {
-	// ∫ Π 12(x_i−1/2)² dx over [0,1]^d: exact value 1 for each factor...
-	// use f = Π (1 + (x_i−1/2)) with exact integral 1. QMC error at N=4096
-	// should be well below MC error averaged over seeds.
+	// f = Π (1 + (x_i−1/2)) has exact integral 1. The lattice's error at
+	// N=4096 should be well below plain MC's, averaged over seeds.
 	const dim, n = 6, 4096
-	integrate := func(g Generator) float64 {
-		dst := make([]float64, dim)
+	f := func(x func(k, d int) float64) float64 {
 		s := 0.0
 		for k := 0; k < n; k++ {
-			g.Next(dst)
-			f := 1.0
-			for _, v := range dst {
-				f *= 1 + (v - 0.5)
+			p := 1.0
+			for d := 0; d < dim; d++ {
+				p *= 1 + (x(k, d) - 0.5)
 			}
-			s += f
+			s += p
 		}
 		return s / n
 	}
-	qmcErr := math.Abs(integrate(NewRichtmyer(dim)) - 1)
+	pts := block(NewRichtmyer(dim), 0, n, dim)
+	qmcErr := math.Abs(f(pts.At) - 1)
 	mcErr := 0.0
 	const trials = 10
 	for s := int64(0); s < trials; s++ {
-		mcErr += math.Abs(integrate(NewPseudo(dim, s)) - 1)
+		rng := rand.New(rand.NewSource(s))
+		mcErr += math.Abs(f(func(int, int) float64 { return rng.Float64() }) - 1)
 	}
 	mcErr /= trials
 	if qmcErr > mcErr {
@@ -150,118 +134,22 @@ func TestQMCBeatsMCOnSmoothIntegrand(t *testing.T) {
 
 func TestShiftedReplicatesDiffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g1 := NewRichtmyerShifted(3, RandomShift(3, rng))
-	g2 := NewRichtmyerShifted(3, RandomShift(3, rng))
-	a, b := make([]float64, 3), make([]float64, 3)
-	g1.Next(a)
-	g2.Next(b)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("differently shifted generators produced identical points")
-	}
-}
-
-func TestFillMatrix(t *testing.T) {
-	g := NewHalton(4, nil)
-	r := linalg.NewMatrix(4, 10)
-	FillMatrix(g, r)
-	// Column j must equal point j.
-	g.Reset()
-	dst := make([]float64, 4)
-	for j := 0; j < 10; j++ {
-		g.Next(dst)
-		for i := range dst {
-			if r.At(i, j) != dst[i] {
-				t.Fatalf("FillMatrix mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestFillMatrixDimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on dim mismatch")
-		}
-	}()
-	FillMatrix(NewHalton(3, nil), linalg.NewMatrix(4, 2))
-}
-
-func TestScrambledHaltonBasics(t *testing.T) {
-	g := NewScrambledHalton(8, 1)
-	dst := make([]float64, 8)
-	for k := 0; k < 3000; k++ {
-		g.Next(dst)
-		for i, v := range dst {
-			if v <= 0 || v >= 1 {
-				t.Fatalf("point %d dim %d = %v", k, i, v)
-			}
-		}
-	}
-	// Reset reproducibility.
-	g.Reset()
-	first := make([]float64, 8)
-	g.Next(first)
-	g.Reset()
-	again := make([]float64, 8)
-	g.Next(again)
-	for i := range first {
-		if first[i] != again[i] {
-			t.Fatal("Reset not reproducible")
-		}
-	}
-}
-
-func TestScrambledHaltonFixesHighDimUniformity(t *testing.T) {
-	// In dimension ~50 the plain Halton base-229 coordinate is badly
-	// non-uniform over short runs; the scrambled version's mean must be
-	// much closer to 1/2.
-	const dim, n = 50, 2000
-	meanLast := func(g Generator) float64 {
-		dst := make([]float64, dim)
-		s := 0.0
-		for k := 0; k < n; k++ {
-			g.Next(dst)
-			s += dst[dim-1]
-		}
-		return s / n
-	}
-	plain := math.Abs(meanLast(NewHalton(dim, nil)) - 0.5)
-	scram := math.Abs(meanLast(NewScrambledHalton(dim, 3)) - 0.5)
-	if scram > plain {
-		t.Errorf("scrambling did not improve uniformity: plain %v, scrambled %v", plain, scram)
-	}
-	if scram > 0.05 {
-		t.Errorf("scrambled Halton still biased: %v", scram)
-	}
-}
-
-func TestScrambledHaltonLargeDimension(t *testing.T) {
-	// Beyond the uint8 table range (primes > 255) the modular-shift path
-	// must still produce valid points.
-	g := NewScrambledHalton(60, 7) // 60th prime is 281
-	dst := make([]float64, 60)
-	for k := 0; k < 500; k++ {
-		g.Next(dst)
-		for i, v := range dst {
-			if v <= 0 || v >= 1 {
-				t.Fatalf("point %d dim %d = %v", k, i, v)
-			}
-		}
+	g1 := GetRichtmyer(3, randomShift(3, rng))
+	a := block(g1, 0, 1, 3)
+	PutRichtmyer(g1)
+	g2 := GetRichtmyer(3, randomShift(3, rng))
+	b := block(g2, 0, 1, 3)
+	PutRichtmyer(g2)
+	if a.MaxAbsDiff(b) == 0 {
+		t.Error("differently shifted lattices produced identical points")
 	}
 }
 
 func TestConstructorsPanicOnBadDim(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewRichtmyer(0) },
-		func() { NewHalton(-1, nil) },
-		func() { NewPseudo(0, 1) },
-		func() { NewRichtmyerShifted(2, []float64{0.5}) },
+		func() { GetRichtmyer(-1, nil) },
+		func() { GetRichtmyer(2, []float64{0.5}) },
 	} {
 		func() {
 			defer func() {
@@ -274,109 +162,23 @@ func TestConstructorsPanicOnBadDim(t *testing.T) {
 	}
 }
 
-// blockGens enumerates the block-capable generators with and without shifts.
-func blockGens(dim int) map[string]BlockGenerator {
-	rng := rand.New(rand.NewSource(9))
-	return map[string]BlockGenerator{
-		"richtmyer":         NewRichtmyer(dim),
-		"richtmyer-shifted": NewRichtmyerShifted(dim, RandomShift(dim, rng)),
-		"halton":            NewHalton(dim, nil),
-		"halton-shifted":    NewHalton(dim, RandomShift(dim, rng)),
-		"scrambled-halton":  NewScrambledHalton(dim, 3),
-	}
-}
-
-// TestFillBlockMatchesSequential: any rectangular block must reproduce the
-// sequential Next values exactly, at any (point, dimension) offset.
-func TestFillBlockMatchesSequential(t *testing.T) {
-	const dim, npts = 13, 40
-	for name, g := range blockGens(dim) {
-		// Reference: the sequential sequence.
-		ref := linalg.NewMatrix(npts, dim)
-		pt := make([]float64, dim)
-		for p := 0; p < npts; p++ {
-			g.Next(pt)
-			for d, v := range pt {
-				ref.Set(p, d, v)
-			}
-		}
-		for _, c := range [][4]int{{0, 0, npts, dim}, {3, 2, 8, 5}, {17, 12, 23, 1}, {npts - 1, 0, 1, dim}} {
-			p0, d0, rows, cols := c[0], c[1], c[2], c[3]
-			blk := linalg.NewMatrix(rows, cols)
-			g.FillBlock(blk, p0, d0)
-			for l := 0; l < rows; l++ {
-				for d := 0; d < cols; d++ {
-					if got, want := blk.At(l, d), ref.At(p0+l, d0+d); got != want {
-						t.Fatalf("%s: FillBlock(p0=%d,d0=%d)[%d,%d] = %v, sequential %v",
-							name, p0, d0, l, d, got, want)
-					}
-				}
-			}
-		}
-		// FillBlock must not have consumed sequential state.
-		if got := g.Pos(); got != npts {
-			t.Fatalf("%s: Pos after %d Next calls = %d", name, npts, got)
-		}
-	}
-}
-
-// TestNextBlockMatchesNext: the lane-major block fill advances the sequence
-// exactly like per-point Next, for block-capable and sequential generators.
-func TestNextBlockMatchesNext(t *testing.T) {
-	const dim, npts = 7, 30
-	gens := map[string]Generator{"pseudo": NewPseudo(dim, 5)}
-	for name, g := range blockGens(dim) {
-		gens[name] = g
-	}
-	for name, g := range gens {
-		g.Reset()
-		ref := linalg.NewMatrix(npts, dim)
-		pt := make([]float64, dim)
-		for p := 0; p < npts; p++ {
-			g.Next(pt)
-			for d, v := range pt {
-				ref.Set(p, d, v)
-			}
-		}
-		g.Reset()
-		blk := linalg.NewMatrix(npts, dim)
-		NextBlock(g, blk, 12)
-		NextBlock(g, blk.View(12, 0, npts-12, dim), npts-12)
-		if d := blk.MaxAbsDiff(ref); d != 0 {
-			t.Fatalf("%s: NextBlock diverges from Next by %v", name, d)
-		}
-	}
-}
-
-// TestPooledRichtmyerMatchesFresh: the pooled constructor is substitutable
-// for NewRichtmyerShifted.
+// TestPooledRichtmyerMatchesFresh: a recycled lattice is indistinguishable
+// from a freshly built one, and an unshifted one does not inherit the shift
+// of its previous use.
 func TestPooledRichtmyerMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	shift := RandomShift(6, rng)
-	fresh := NewRichtmyerShifted(6, shift)
+	shift := randomShift(6, rand.New(rand.NewSource(11)))
+	fresh := new(Richtmyer)
+	initRichtmyer(fresh, 6, shift)
+	want := block(fresh, 0, 50, 6)
 	for round := 0; round < 3; round++ {
 		g := GetRichtmyer(6, shift)
-		fresh.Reset()
-		a, b := make([]float64, 6), make([]float64, 6)
-		for p := 0; p < 50; p++ {
-			g.Next(a)
-			fresh.Next(b)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("round %d point %d: pooled %v vs fresh %v", round, p, a, b)
-				}
-			}
+		if d := block(g, 0, 50, 6).MaxAbsDiff(want); d != 0 {
+			t.Fatalf("round %d: pooled shifted lattice differs from fresh by %v", round, d)
 		}
 		PutRichtmyer(g)
-		// An unshifted pooled generator must not inherit the old shift.
 		g2 := GetRichtmyer(6, nil)
-		un := NewRichtmyer(6)
-		g2.Next(a)
-		un.Next(b)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("round %d: pooled unshifted %v vs fresh %v", round, a, b)
-			}
+		if d := block(g2, 0, 50, 6).MaxAbsDiff(block(NewRichtmyer(6), 0, 50, 6)); d != 0 {
+			t.Fatalf("round %d: pooled unshifted lattice differs from fresh by %v", round, d)
 		}
 		PutRichtmyer(g2)
 	}
