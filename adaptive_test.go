@@ -130,9 +130,9 @@ func TestTileSizeValidatedAtEntryPoints(t *testing.T) {
 	}
 }
 
-// TestCollectStatsAttachesSnapshot checks Result carries scheduler stats
-// when requested and stays lean otherwise.
-func TestCollectStatsAttachesSnapshot(t *testing.T) {
+// TestSchedulerStatsSnapshot checks the session's scheduler statistics after
+// a query: tasks counted per kind, a peak ready-queue depth.
+func TestSchedulerStatsSnapshot(t *testing.T) {
 	locs := Grid(4, 4)
 	n := len(locs)
 	a := make([]float64, n)
@@ -140,31 +140,16 @@ func TestCollectStatsAttachesSnapshot(t *testing.T) {
 	for i := range b {
 		a[i], b[i] = -1, 1
 	}
-	kernel := KernelSpec{Range: 0.15}
-
-	s := NewSession(Config{TileSize: 8, QMCSize: 200, CollectStats: true})
-	res, err := s.MVNProb(locs, kernel, a, b)
-	s.Close()
-	if err != nil {
+	s := NewSession(Config{TileSize: 8, QMCSize: 200})
+	defer s.Close()
+	if _, err := s.MVNProb(locs, KernelSpec{Range: 0.15}, a, b); err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats == nil {
-		t.Fatal("CollectStats: Result.Stats is nil")
+	st := s.SchedulerStats()
+	if st.Total() == 0 || st.Tasks["potrf"] == 0 {
+		t.Errorf("implausible stats snapshot: %+v", st.Tasks)
 	}
-	if res.Stats.Total() == 0 || res.Stats.Tasks["potrf"] == 0 {
-		t.Errorf("implausible stats snapshot: %+v", res.Stats.Tasks)
-	}
-	if res.Stats.PeakReady < 1 {
-		t.Errorf("peak ready-queue depth %d, want ≥ 1", res.Stats.PeakReady)
-	}
-
-	s2 := NewSession(Config{TileSize: 8, QMCSize: 200})
-	res2, err := s2.MVNProb(locs, kernel, a, b)
-	s2.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats != nil {
-		t.Error("Stats must be nil when CollectStats is off")
+	if st.PeakReady < 1 {
+		t.Errorf("peak ready-queue depth %d, want ≥ 1", st.PeakReady)
 	}
 }

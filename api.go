@@ -216,15 +216,6 @@ type Config struct {
 	// blocks', is at most this threshold (default 0.1), keeping the f32
 	// rounding commensurate with TLRTol.
 	AdaptiveF32Norm float64
-	// StreamWindow bounds the factorization task graph to roughly this many
-	// panels of submission lookahead when a factor is built directly from a
-	// kernel (streaming assembly): in-flight task descriptors stay
-	// O(StreamWindow·NT²) instead of O(NT³). 0 keeps the default (2);
-	// negative submits the whole graph eagerly (the pre-streaming behavior).
-	StreamWindow int
-	// CollectStats attaches a snapshot of the runtime scheduler statistics
-	// (tasks executed per kind, peak ready-queue depth) to each Result.
-	CollectStats bool
 	// SweepF32 runs the sweep's inter-tile propagation in float32: finished
 	// conditioning values are kept narrowed and the off-diagonal GEMMs —
 	// most of a sweep's flops — run on the 16-lane f32 micro-kernel over an
@@ -266,12 +257,6 @@ func (c Config) withDefaults() Config {
 	case c.FactorCacheCap < 0:
 		c.FactorCacheCap = 0 // unbounded
 	}
-	switch {
-	case c.StreamWindow == 0:
-		c.StreamWindow = 2
-	case c.StreamWindow < 0:
-		c.StreamWindow = 0 // eager submission
-	}
 	// The engine's policy owns the adaptive defaults; Tol is already
 	// defaulted above through TLRTol.
 	pol := engine.Policy{
@@ -304,10 +289,6 @@ type Result struct {
 	// mid-integration; Prob/StdErr still hold the partial estimate from the
 	// waves that completed.
 	Canceled bool
-	// Stats, populated only when Config.CollectStats is set, is a snapshot
-	// of the session runtime's cumulative scheduler statistics taken when
-	// the query's batch completed (shared across the batch's results).
-	Stats *taskrt.Stats
 }
 
 // QueryOpts are per-query accuracy/latency budgets. The zero value means
@@ -429,11 +410,10 @@ func (s *Session) policy() engine.Policy {
 // into the factorization graph (engine.PotrfStream), in a runtime group of its
 // own so concurrent queries never wait on each other's barriers, in the
 // representation the method's policy chooses. A kernel's off-band tiles come
-// from ACA (O(rank) cov.Fill runs of a tile side each) and submission is
-// windowed (StreamWindow), so the live footprint at large n is the factor as
-// assembled. An in-memory Σ's tiles are gathered and compressed in hand;
-// submission is eager. A build that finishes or fails logs one slog.Debug
-// line; warm queries never get here.
+// from ACA (O(rank) cov.Fill runs of a tile side each); an in-memory Σ's
+// tiles are gathered and compressed in hand. Submission is windowed for both,
+// so the live footprint at large n is the factor as assembled. A build that
+// finishes or fails logs one slog.Debug line; warm queries never get here.
 func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory bool) (*mvn.Factor, error) {
 	start := time.Now()
 	grid, err := engine.NewGridChecked(n, s.cfg.TileSize)
@@ -441,9 +421,6 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 		return nil, err
 	}
 	cfg := engine.Config{Tol: s.cfg.TLRTol, MaxRank: s.cfg.TLRMaxRank}
-	if !inMemory {
-		cfg.Window = s.cfg.StreamWindow
-	}
 	var asm *engine.Assembler
 	rankLimit := 0 // of a full tile under the adaptive policy; no other method probes
 	switch s.cfg.Method {

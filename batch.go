@@ -119,8 +119,7 @@ func (s *Session) batch(p problem, qs []Bounds, opts []QueryOpts) ([]Result, err
 // task graph on the runtime, several fan out one query per worker, inline.
 // Each query's replicate shifts are a deterministic function of its options,
 // so result i is bit-identical whichever way it ran and however the boxes
-// were batched. out (zeroed, len(qs) long) receives the results, all sharing
-// one scheduler-statistics snapshot when the session collects stats.
+// were batched. out (zeroed, len(qs) long) receives the results.
 //repro:noalloc
 func (s *Session) eval(p *problem, qs []Bounds, opts []QueryOpts, out []Result) (bad int, err error) {
 	if p.mvt {
@@ -174,13 +173,6 @@ func (s *Session) eval(p *problem, qs []Bounds, opts []QueryOpts, out []Result) 
 		// No box needs the factor; a malformed kernel spec is still an error.
 		if err := p.kernel.validate(); err != nil {
 			return -1, err
-		}
-	}
-	if s.cfg.CollectStats {
-		//repro:alloc-ok stats snapshot is an opt-in diagnostic path
-		snap := s.rt.Snapshot()
-		for i := range out {
-			out[i].Stats = &snap
 		}
 	}
 	return -1, nil

@@ -1,6 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: tile
-// size, sample-tile width, TLR rank cap and the mixed-precision band. Custom metrics report accuracy alongside
-// time where the trade-off is accuracy-vs-speed.
+// size, sample-tile width and TLR rank cap. Custom metrics report accuracy
+// alongside time where the trade-off is accuracy-vs-speed.
 package parmvn
 
 import (
@@ -77,6 +77,7 @@ func BenchmarkAblationTLRRankCap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fill := func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
 	for _, cap := range []int{4, 8, 16, 45} {
 		b.Run("cap"+strconv.Itoa(cap), func(b *testing.B) {
 			rt := taskrt.New(2)
@@ -84,50 +85,16 @@ func BenchmarkAblationTLRRankCap(b *testing.B) {
 			var resid float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				g := engine.AssembleTLR(nil, tile.FromDense(sigma, 90), 1e-9, cap)
+				pre := engine.NewGrid(900, 90)
+				engine.Assemble(pre, engine.TLREntryAssembler(pre, fill, 1e-9, cap, true))
 				b.StartTimer()
-				if err := engine.Potrf(rt, g, engine.Config{Tol: 1e-9, MaxRank: cap}); err != nil {
+				g := engine.NewGrid(900, 90)
+				if err := engine.PotrfStream(rt, g, engine.Config{Tol: 1e-9, MaxRank: cap}, &engine.Assembler{Tile: pre.At}); err != nil {
 					b.Fatal(err)
 				}
 				resid += denseOf(g).MaxAbsDiff(want)
 			}
 			b.ReportMetric(resid/float64(b.N), "maxerr")
-		})
-	}
-}
-
-// BenchmarkAblationMixedPrecisionBand sweeps the double-precision band of
-// the mixed-precision Cholesky, reporting the factor error vs f64.
-func BenchmarkAblationMixedPrecisionBand(b *testing.B) {
-	sigma := benchCorr(24) // n=576, 8 tiles of 72
-	want, err := linalg.Cholesky(sigma)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, band := range []int{0, 1, 3, 7} {
-		b.Run("band"+strconv.Itoa(band), func(b *testing.B) {
-			rt := taskrt.New(2)
-			defer rt.Shutdown()
-			var errSum float64
-			for i := 0; i < b.N; i++ {
-				// Banded layout: float64 within band sub-diagonals, float32 beyond.
-				src := tile.FromDense(sigma, 72)
-				g := engine.NewGrid(src.M, src.TS)
-				for r := 0; r < g.NT; r++ {
-					for c := 0; c <= r; c++ {
-						if r-c <= band {
-							g.Set(r, c, &tile.DenseF64{D: src.Tile(r, c)})
-						} else {
-							g.Set(r, c, &tile.DenseF32{D: tile.ToSingle(src.Tile(r, c))})
-						}
-					}
-				}
-				if err := engine.Potrf(rt, g, engine.Config{}); err != nil {
-					b.Fatal(err)
-				}
-				errSum += denseOf(g).MaxAbsDiff(want)
-			}
-			b.ReportMetric(errSum/float64(b.N), "maxerr")
 		})
 	}
 }

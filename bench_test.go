@@ -21,7 +21,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mvn"
 	"repro/internal/taskrt"
-	"repro/internal/tile"
 	"repro/internal/wind"
 )
 
@@ -42,19 +41,26 @@ func benchLimits(n int, lo float64) (a, b []float64) {
 	return
 }
 
-// benchGrid lays sigma out for factorization: the dense layout, or the TLR
-// layout at tol > 0 (the pmvn_init compression the paper leaves untimed).
+// benchGrid builds the tiles of sigma's layout without factoring them, sigma
+// read in place as MVNProbCov reads an explicit Σ: the dense layout, or the
+// TLR layout at tol > 0 (the pmvn_init compression the paper leaves untimed).
 func benchGrid(sigma *linalg.Matrix, ts int, tol float64) *engine.Grid {
+	g := engine.NewGrid(sigma.Rows, ts)
+	fill := func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
+	asm := engine.DenseEntryAssembler(g, fill)
 	if tol > 0 {
-		return engine.AssembleTLR(nil, tile.FromDense(sigma, ts), tol, 0)
+		asm = engine.TLREntryAssembler(g, fill, tol, 0, true)
 	}
-	return engine.AssembleDense(tile.FromDense(sigma, ts))
+	engine.Assemble(g, asm)
+	return g
 }
 
-// benchFactor factorizes a benchGrid layout on rt.
-func benchFactor(b *testing.B, rt taskrt.Submitter, g *engine.Grid, tol float64) *mvn.Factor {
+// benchFactor factorizes the tiles of a benchGrid layout on rt, handed to the
+// graph as they stand.
+func benchFactor(b *testing.B, rt taskrt.Submitter, pre *engine.Grid, tol float64) *mvn.Factor {
 	b.Helper()
-	if err := engine.Potrf(rt, g, engine.Config{Tol: tol}); err != nil {
+	g := engine.NewGrid(pre.N, pre.TS)
+	if err := engine.PotrfStream(rt, g, engine.Config{Tol: tol}, &engine.Assembler{Tile: pre.At}); err != nil {
 		b.Fatal(err)
 	}
 	return mvn.NewFactor(g)

@@ -50,24 +50,22 @@ func stopTag(r parmvn.Result) string {
 	}
 }
 
-// printStats reports the scheduler behavior of the run when the session
-// collected statistics (the -stats flag).
-func printStats(res parmvn.Result) {
-	if res.Stats == nil {
-		return
-	}
+// printStats reports the scheduler behavior of the session's run (the
+// -stats flag).
+func printStats(s *parmvn.Session) {
+	st := s.SchedulerStats()
 	fmt.Printf("scheduler      %d tasks executed, peak ready-queue depth %d\n",
-		res.Stats.Total(), res.Stats.PeakReady)
+		st.Total(), st.PeakReady)
 	fmt.Printf("               peak in-flight %d, %d tasks stolen\n",
-		res.Stats.PeakInflight, res.Stats.Stolen)
-	kinds := make([]string, 0, len(res.Stats.Tasks))
-	for k := range res.Stats.Tasks {
+		st.PeakInflight, st.Stolen)
+	kinds := make([]string, 0, len(st.Tasks))
+	for k := range st.Tasks {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
 		fmt.Printf("  %-12s %8d tasks  %10.3fms busy\n",
-			k, res.Stats.Tasks[k], float64(res.Stats.BusyTime[k].Microseconds())/1000)
+			k, st.Tasks[k], float64(st.BusyTime[k].Microseconds())/1000)
 	}
 }
 
@@ -178,8 +176,7 @@ func main() {
 	}
 	s := parmvn.NewSession(parmvn.Config{
 		Method: m, Workers: *workers, TileSize: ts,
-		TLRTol: *tol, QMCSize: *qmc, Replicates: *reps,
-		CollectStats: *stats, SweepF32: sweepF32,
+		TLRTol: *tol, QMCSize: *qmc, Replicates: *reps, SweepF32: sweepF32,
 	})
 	defer s.Close()
 
@@ -235,7 +232,6 @@ func main() {
 		fmt.Printf("batch          %d queries, 1 factorization (cache %d hit / %d miss)\n",
 			*batch, hits, misses)
 		fmt.Printf("elapsed        %.3fs\n", time.Since(start).Seconds())
-		printStats(results[len(results)-1])
 	} else {
 		a := make([]float64, n)
 		b := make([]float64, n)
@@ -255,7 +251,9 @@ func main() {
 			fmt.Printf("achieved       rel err %.3e with %d samples%s\n", res.RelErr, res.Samples, stopTag(res))
 		}
 		fmt.Printf("elapsed        %.3fs\n", time.Since(start).Seconds())
-		printStats(res)
+	}
+	if *stats {
+		printStats(s)
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)

@@ -1,11 +1,11 @@
 // Package engine is the single tile-Cholesky task-graph builder of the
-// repository: one POTRF/TRSM/SYRK/GEMM dependency graph, submitted once,
-// whose kernels dispatch over polymorphic tile representations (dense
-// float64, dense float32, low rank). The dense (Chameleon-style), TLR
-// (HiCMA-style) and adaptive factorizations are layouts of one Grid
-// (AssembleDense, AssembleTLR, AssembleAdaptive and their streaming Assembler
-// counterparts); the per-tile adaptive representation the paper names as
-// future work falls out of mixing representations freely within one grid.
+// repository: one POTRF/TRSM/SYRK/GEMM dependency graph whose kernels
+// dispatch over polymorphic tile representations (dense float64, dense
+// float32, low rank). The dense (Chameleon-style), TLR (HiCMA-style) and
+// adaptive factorizations are layouts of one Grid, each chosen by its
+// Assembler (DenseEntryAssembler, TLREntryAssembler, Policy.EntryAssembler);
+// the per-tile adaptive representation the paper names as future work falls
+// out of mixing representations freely within one grid.
 //
 // The destination tile decides how its Schur updates arrive. A dense tile is
 // updated right-looking, one GEMM task per panel. A low-rank tile is updated
@@ -15,12 +15,12 @@
 // paper do, spent half of a TLR factorization in QR and SVD landing each tile
 // back on the rank it started from.
 //
-// For out-of-core-shaped problems the engine also runs in streaming mode
-// (PotrfStream): tiles are assembled from a kernel evaluator by per-tile
-// tasks fused into the factorization graph, each in the representation its
-// assembler chooses — the one decision of a tile's representation the engine
-// makes — and submission is windowed so task-descriptor memory stays
-// bounded. See stream.go.
+// There is one entry, PotrfStream: tiles are assembled from a run evaluator
+// (a kernel, or a Σ in memory) by per-tile tasks fused into the
+// factorization graph, each in the representation its assembler chooses —
+// the one decision of a tile's representation the engine makes — and
+// submission is windowed so task-descriptor memory stays bounded. Assemble
+// builds the same tiles without factoring them. See stream.go.
 package engine
 
 import (
@@ -28,13 +28,12 @@ import (
 	"sync/atomic"
 
 	"repro/internal/linalg"
-	"repro/internal/taskrt"
 	"repro/internal/tile"
 )
 
 // Grid is a square symmetric tiled matrix holding only its lower triangle,
-// each tile in an arbitrary representation. After Potrf it holds the lower
-// Cholesky factor in the same per-tile representations.
+// each tile in an arbitrary representation. After PotrfStream it holds the
+// lower Cholesky factor in the representations its assembler chose.
 type Grid struct {
 	N, TS, NT int
 	tiles     [][]tile.Tile // tiles[i][j] valid for j ≤ i
@@ -79,9 +78,8 @@ func NewGridChecked(n, ts int) (*Grid, error) {
 	return g, nil
 }
 
-// NewGrid returns an empty n×n grid with tile size ts; every tile must be
-// assigned with Set before factorizing. It panics where NewGridChecked
-// errors.
+// NewGrid returns an empty n×n grid with tile size ts, for PotrfStream or
+// Assemble to fill. It panics where NewGridChecked errors.
 func NewGrid(n, ts int) *Grid {
 	g, err := NewGridChecked(n, ts)
 	if err != nil {
@@ -216,40 +214,23 @@ func (g *Grid) ProbeStats() ProbeStats {
 	}
 }
 
-// Config tunes the engine kernels and the factorization's memory policy.
+// Config tunes the compression of the factorization's low-rank tiles.
 type Config struct {
 	// Tol is the tolerance of a trailing low-rank tile's one compression,
 	// after all of its Schur updates have been accumulated.
 	Tol float64
 	// MaxRank caps low-rank tile ranks after that compression (0 = uncapped).
 	MaxRank int
-	// Window > 0 bounds submission to roughly Window panels of lookahead
-	// (Window·NT² in-flight tasks), keeping task-descriptor memory O(Window·NT²)
-	// instead of O(NT³). Zero submits the whole graph eagerly (historical
-	// behavior).
-	Window int
 }
+
+// window bounds submission to roughly this many panels of lookahead
+// (window·NT² in-flight tasks), keeping task-descriptor memory O(window·NT²)
+// instead of the graph's O(NT³).
+const window = 2
 
 // minWindowTasks floors the windowed-submission limit so small grids never
 // starve the workers: below this the throttle costs more than it saves.
 const minWindowTasks = 1024
-
-// Potrf factorizes the SPD matrix held by the grid in place: one task graph,
-// the tile Cholesky, whatever each tile's representation —
-//
-//	POTRF(T[k][k])
-//	TRSM(T[k][k], T[i][k])            i > k
-//	SYRK(T[i][k], T[i][i])            i > k
-//	GEMM(T[i][k], T[j][k], T[i][j])   i > j > k, T[i][j] dense
-//	GEMM(T[i][·], T[j][·], T[i][j])   i > j, once, T[i][j] low rank
-//
-// with critical-path (panel-first) priorities as StarPU heteroprio-style
-// schedulers use. Errors (non-positive-definite pivots) propagate through the
-// submitter's SubmitErr/Err scope. Every tile must be assigned; cfg.Window
-// applies here too.
-func Potrf(rt taskrt.Submitter, g *Grid, cfg Config) error {
-	return potrf(rt, g, cfg, nil)
-}
 
 // syrkInto applies D ← D − A·Aᵀ for the panel tile a into the dense float64
 // diagonal tile d, in the representation-appropriate form.

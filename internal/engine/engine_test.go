@@ -38,53 +38,48 @@ func randSPD(n int, rng *rand.Rand) *linalg.Matrix {
 	return sigma
 }
 
-// potrfOn factorizes g on a fresh runtime of the given worker count.
-func potrfOn(g *engine.Grid, cfg engine.Config, workers int) error {
-	rt := taskrt.New(workers)
-	defer rt.Shutdown()
-	return engine.Potrf(rt, g, cfg)
-}
-
-// bandedGrid is the banded mixed-precision layout: tiles with i−j ≤ band in
-// float64, the rest in float32 (band ≥ nt−1 degenerates to the dense layout).
-func bandedGrid(sigma *linalg.Matrix, ts, band int) *engine.Grid {
-	src := tile.FromDense(sigma, ts)
-	g := engine.NewGrid(src.M, ts)
-	for i := 0; i < g.NT; i++ {
-		for j := 0; j <= i; j++ {
+// banded is the banded mixed-precision layout of sigma: tiles with i−j ≤ band
+// in float64, the rest in float32 (band ≥ nt−1 degenerates to the dense
+// layout). A hand-built assembler, it declares nothing in advance: the graph
+// learns each tile's representation when its assemble task has run.
+func banded(sigma *linalg.Matrix, band int) layout {
+	return func(g *engine.Grid) *engine.Assembler {
+		return &engine.Assembler{Tile: func(i, j int) tile.Tile {
+			d := blockOf(sigma, g, i, j)
 			if i-j <= band {
-				g.Set(i, j, &tile.DenseF64{D: src.Tile(i, j)})
-			} else {
-				g.Set(i, j, &tile.DenseF32{D: tile.ToSingle(src.Tile(i, j))})
+				return &tile.DenseF64{D: d}
 			}
-		}
+			return &tile.DenseF32{D: tile.ToSingle(d)}
+		}}
 	}
-	return g
 }
 
-// refDensePotrf is the historical sequential dense tile Cholesky: the
-// per-tile kernel sequence of the right-looking algorithm, one kernel at a
-// time.
-func refDensePotrf(a *tile.Matrix) error {
-	nt := a.NT
+// refDensePotrf is the historical sequential dense tile Cholesky, in place
+// on the ts×ts blocks of a: the per-tile kernel sequence of the right-looking
+// algorithm, one kernel at a time.
+func refDensePotrf(a *linalg.Matrix, ts int) error {
+	nt := (a.Rows + ts - 1) / ts
+	blk := func(i, j int) *linalg.Matrix {
+		return a.View(i*ts, j*ts, min(ts, a.Rows-i*ts), min(ts, a.Cols-j*ts))
+	}
 	for k := 0; k < nt; k++ {
-		if err := linalg.PotrfUnblocked(a.Tile(k, k)); err != nil {
+		if err := linalg.PotrfUnblocked(blk(k, k)); err != nil {
 			return err
 		}
 		for i := k + 1; i < nt; i++ {
-			linalg.TrsmLower(linalg.Right, true, 1, a.Tile(k, k), a.Tile(i, k))
+			linalg.TrsmLower(linalg.Right, true, 1, blk(k, k), blk(i, k))
 		}
 		for i := k + 1; i < nt; i++ {
-			linalg.Syrk(false, -1, a.Tile(i, k), 1, a.Tile(i, i))
+			linalg.Syrk(false, -1, blk(i, k), 1, blk(i, i))
 			for j := k + 1; j < i; j++ {
-				linalg.Gemm(false, true, -1, a.Tile(i, k), a.Tile(j, k), 1, a.Tile(i, j))
+				linalg.Gemm(false, true, -1, blk(i, k), blk(j, k), 1, blk(i, j))
 			}
 		}
 	}
 	for k := 0; k < nt; k++ {
-		a.Tile(k, k).LowerFromFull()
+		blk(k, k).LowerFromFull()
 		for j := k + 1; j < nt; j++ {
-			a.Tile(k, j).Zero()
+			blk(k, j).Zero()
 		}
 	}
 	return nil
@@ -134,7 +129,7 @@ func refTLRPotrf(g *engine.Grid, tol float64) error {
 }
 
 // refMixedPotrf is the historical sequential banded mixed-precision Cholesky
-// on a bandedGrid, in place: the destination tile's precision chooses the
+// on an assembled banded layout, in place: the destination tile's precision chooses the
 // arithmetic, operands are converted to it.
 func refMixedPotrf(g *engine.Grid, band int) {
 	nt := g.NT
@@ -212,15 +207,15 @@ func relMaxDiff(a, b *linalg.Matrix) float64 {
 func TestEngineDenseMatchesReference(t *testing.T) {
 	sigma := covGrid(9, 0.2) // n=81
 	for _, ts := range []int{7, 16, 81} {
-		want := tile.FromDense(sigma, ts)
-		if err := refDensePotrf(want); err != nil {
+		want := sigma.Clone()
+		if err := refDensePotrf(want, ts); err != nil {
 			t.Fatal(err)
 		}
-		got := engine.AssembleDense(tile.FromDense(sigma, ts))
-		if err := potrfOn(got, engine.Config{}, 4); err != nil {
+		got, err := potrfOn(sigma.Rows, ts, engine.Config{}, 4, denseLayout(sigma))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if d := relMaxDiff(densifyFactor(got), want.ToDense()); d > engineRefTol {
+		if d := relMaxDiff(densifyFactor(got), want); d > engineRefTol {
 			t.Errorf("ts=%d: engine dense factor differs from reference by %v", ts, d)
 		}
 	}
@@ -234,12 +229,12 @@ func TestEngineDenseMatchesReference(t *testing.T) {
 func TestEngineTLRMatchesReference(t *testing.T) {
 	sigma := covGrid(9, 0.15)
 	for _, tol := range []float64{1e-4, 1e-8} {
-		want := engine.AssembleTLR(nil, tile.FromDense(sigma, 12), tol, 0)
-		got := engine.AssembleTLR(nil, tile.FromDense(sigma, 12), tol, 0)
+		want := assembled(sigma.Rows, 12, tlrLayout(sigma, tol, 0))
 		if err := refTLRPotrf(want, tol); err != nil {
 			t.Fatal(err)
 		}
-		if err := potrfOn(got, engine.Config{Tol: tol}, 4); err != nil {
+		got, err := potrfOn(sigma.Rows, 12, engine.Config{Tol: tol}, 4, tlrLayout(sigma, tol, 0))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if d := relMaxDiff(densifyFactor(got), densifyFactor(want)); d > engineRefTol {
@@ -257,10 +252,10 @@ func TestEngineTLRMatchesReference(t *testing.T) {
 func TestEngineMixedMatchesReference(t *testing.T) {
 	sigma := covGrid(8, 0.15) // n=64
 	for _, band := range []int{0, 1, 3} {
-		want := bandedGrid(sigma, 8, band)
+		want := assembled(sigma.Rows, 8, banded(sigma, band))
 		refMixedPotrf(want, band)
-		got := bandedGrid(sigma, 8, band)
-		if err := potrfOn(got, engine.Config{}, 4); err != nil {
+		got, err := potrfOn(sigma.Rows, 8, engine.Config{}, 4, banded(sigma, band))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if d := relMaxDiff(densifyFactor(got), densifyFactor(want)); d > 5e-6 {
@@ -277,37 +272,22 @@ func TestEngineErrorPropagation(t *testing.T) {
 	bad.Set(5, 5, -2)
 	good := covGrid(3, 0.2)
 
+	factor := func(sub taskrt.Submitter, sigma *linalg.Matrix, ts int) error {
+		g := engine.NewGrid(sigma.Rows, ts)
+		return engine.PotrfStream(sub, g, engine.Config{}, denseLayout(sigma)(g))
+	}
+
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
-	if err := engine.Potrf(rt, engine.AssembleDense(tile.FromDense(bad, 3)), engine.Config{}); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+	if err := factor(rt, bad, 3); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
 		t.Errorf("runtime scope: want ErrNotPositiveDefinite, got %v", err)
 	}
 	// The error must not leak into the next factorization on the same scope.
-	if err := engine.Potrf(rt, engine.AssembleDense(tile.FromDense(good, 4)), engine.Config{}); err != nil {
+	if err := factor(rt, good, 4); err != nil {
 		t.Errorf("runtime reuse after failure: %v", err)
 	}
-	g := rt.NewGroup()
-	if err := engine.Potrf(g, engine.AssembleDense(tile.FromDense(bad, 3)), engine.Config{}); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+	if err := factor(rt.NewGroup(), bad, 3); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
 		t.Errorf("group scope: want ErrNotPositiveDefinite, got %v", err)
-	}
-}
-
-// TestEngineRejectsBadGrids checks layout validation.
-func TestEngineRejectsBadGrids(t *testing.T) {
-	rt := taskrt.New(1)
-	defer rt.Shutdown()
-	g := engine.NewGrid(8, 4)
-	g.Set(0, 0, &tile.DenseF32{D: tile.NewMatrix32(4, 4)})
-	g.Set(1, 1, &tile.DenseF64{D: linalg.Eye(4)})
-	g.Set(1, 0, &tile.DenseF64{D: linalg.NewMatrix(4, 4)})
-	if err := engine.Potrf(rt, g, engine.Config{}); err == nil {
-		t.Error("want error for non-f64 diagonal tile")
-	}
-	g2 := engine.NewGrid(8, 4)
-	g2.Set(0, 0, &tile.DenseF64{D: linalg.Eye(4)})
-	g2.Set(1, 1, &tile.DenseF64{D: linalg.Eye(4)})
-	if err := engine.Potrf(rt, g2, engine.Config{}); err == nil {
-		t.Error("want error for unassigned tile")
 	}
 }
 
@@ -321,20 +301,16 @@ func TestAdaptiveAssemblyMixesAndFactorizes(t *testing.T) {
 	// cannot push it indefinite; it leaves off-diagonal ranks untouched.
 	g12 := geo.RegularGrid(12, 12)
 	sigma := cov.Matrix(g12, &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}) // n=144
-	g := engine.AssembleAdaptive(nil, tile.FromDense(sigma, 24), engine.Policy{
+	g := streamFactor(t, 144, 24, engine.Config{Tol: 1e-4}, adaptiveLayout(sigma, engine.Policy{
 		Band: 1, Tol: 1e-4, RankFrac: 0.5, F32Norm: 0.5,
-	})
+	}))
+	// A tile keeps the representation it was assembled in.
 	mix := g.Mix()
 	if mix.LowRank == 0 {
 		t.Errorf("adaptive policy chose no low-rank tiles: %+v", mix)
 	}
 	if mix.Dense64 < g.NT {
 		t.Errorf("diagonal tiles must stay dense f64: %+v", mix)
-	}
-	rt := taskrt.New(4)
-	defer rt.Shutdown()
-	if err := engine.Potrf(rt, g, engine.Config{Tol: 1e-4}); err != nil {
-		t.Fatal(err)
 	}
 	// Reassemble L densely and check L·Lᵀ ≈ Σ.
 	l := densifyFactor(g)
@@ -355,9 +331,9 @@ func TestAdaptiveAssemblyMixesAndFactorizes(t *testing.T) {
 func TestAdaptivePolicyRejectsIncompressibleTiles(t *testing.T) {
 	sigma := randSPD(128, rand.New(rand.NewSource(11)))
 	// Off-band tiles of a random SPD matrix are numerically full rank.
-	g := engine.AssembleAdaptive(nil, tile.FromDense(sigma, 32), engine.Policy{
+	g := assembled(128, 32, adaptiveLayout(sigma, engine.Policy{
 		Tol: 1e-6, MaxRank: 16, RankFrac: 0.5,
-	})
+	}))
 	if mix := g.Mix(); mix.LowRank != 0 {
 		t.Errorf("full-rank tiles accepted as low rank: %+v", mix)
 	}
@@ -387,15 +363,14 @@ func posteriorCorrelation(t *testing.T, side int) *linalg.Matrix {
 // TestAssembleAdaptiveMeasuresMaterializedProbes: on posteriorCorrelation
 // partially pivoted ACA declares convergence at tol 1e-4 with a residual of
 // 0.3 on tile (2,0) (and 6e-4 on (8,0)), beside tiles it compresses soundly.
-// The tile is in hand, so AssembleAdaptive compresses it with a measured tail
-// bound instead, and every low-rank tile it keeps meets the tolerance it was
-// asked for. (At the byte break-even: the default limit keeps none, see
-// TestDefaultRankLimitBothSides.)
+// The tile is in hand, so the adaptive layout of an in-memory Σ compresses it
+// with a measured tail bound instead, and every low-rank tile it keeps meets
+// the tolerance it was asked for. (At the byte break-even: the default limit
+// keeps none, see TestDefaultRankLimitBothSides.)
 func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 	const ts, tol = 100, 1e-4
 	corr := posteriorCorrelation(t, 30)
-	ref := tile.FromDense(corr, ts)
-	g := engine.AssembleAdaptive(nil, tile.FromDense(corr, ts), engine.Policy{Tol: tol, RankFrac: 0.5})
+	g := assembled(corr.Rows, ts, adaptiveLayout(corr, engine.Policy{Tol: tol, RankFrac: 0.5}))
 	lowRank := 0
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j < i; j++ {
@@ -404,7 +379,7 @@ func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 				continue
 			}
 			lowRank++
-			blk, res := ref.Tile(i, j), lr.Dense()
+			blk, res := blockOf(corr, g, i, j), lr.Dense()
 			for c := 0; c < blk.Cols; c++ {
 				linalg.Axpy(-1, blk.Col(c), res.Col(c))
 			}
@@ -429,7 +404,7 @@ func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 // probed by ACA from the kernel.
 func TestDefaultRankLimitBothSides(t *testing.T) {
 	corr := posteriorCorrelation(t, 30)
-	g := engine.AssembleAdaptive(nil, tile.FromDense(corr, 100), engine.Policy{Tol: 1e-4})
+	g := assembled(corr.Rows, 100, adaptiveLayout(corr, engine.Policy{Tol: 1e-4}))
 	offBand := (g.NT - 1) * (g.NT - 2) / 2
 	want := engine.ProbeStats{Probed: g.NT - 2, Rejected: g.NT - 2, Skipped: offBand - (g.NT - 2)}
 	if ps := g.ProbeStats(); g.Mix().LowRank != 0 || ps.Probed != want.Probed || ps.Rejected != want.Rejected || ps.Skipped != want.Skipped {
@@ -443,10 +418,11 @@ func TestDefaultRankLimitBothSides(t *testing.T) {
 	if limit != 64 {
 		t.Errorf("default rank limit of a 256² tile is %d, want 64", limit)
 	}
-	inMemory := engine.AssembleAdaptive(nil, tile.FromDense(cov.Matrix(geom, kern), 256), policy)
-	streamed := engine.NewGrid(geom.Len(), 256)
-	engine.Materialize(streamed, policy.EntryAssembler(streamed, entryOf(geom, kern), false))
-	for name, g := range map[string]*engine.Grid{"in memory": inMemory, "kernel": streamed} {
+	inMemory := assembled(geom.Len(), 256, adaptiveLayout(cov.Matrix(geom, kern), policy))
+	kernel := assembled(geom.Len(), 256, func(g *engine.Grid) *engine.Assembler {
+		return policy.EntryAssembler(g, entryOf(geom, kern), false)
+	})
+	for name, g := range map[string]*engine.Grid{"in memory": inMemory, "kernel": kernel} {
 		mix := g.Mix()
 		if ps := g.ProbeStats(); mix.LowRank != 3 || ps.Probed != 3 || ps.Rejected != 0 {
 			t.Errorf("smooth Σ, %s: mix %+v, probes %+v, want 3 low-rank tiles", name, mix, ps)

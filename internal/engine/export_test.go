@@ -8,8 +8,3 @@ func NewGridOversized() *Grid {
 	nt := maxTileRows + 1
 	return &Grid{N: nt * 4, TS: 4, NT: nt}
 }
-
-// Materialize assembles every tile of the empty grid g up front, serially, in
-// the order the streaming graph guarantees (diagonal, column 0, the
-// assembler's verdict, the rest), so its decisions are the streamed ones.
-func Materialize(g *Grid, asm *Assembler) { assembleAll(nil, g, asm) }

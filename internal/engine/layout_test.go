@@ -69,8 +69,8 @@ func TestDenseLayoutMatchesCholesky(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := engine.AssembleDense(tile.FromDense(a, tc.ts))
-		if err := potrfOn(g, engine.Config{}, 4); err != nil {
+		g, err := potrfOn(tc.n, tc.ts, engine.Config{}, 4, denseLayout(a))
+		if err != nil {
 			t.Fatalf("n=%d ts=%d: %v", tc.n, tc.ts, err)
 		}
 		l := densifyFactor(g)
@@ -85,10 +85,12 @@ func TestDenseLayoutMatchesCholesky(t *testing.T) {
 
 // TestPotrfTaskCounts: a dense factorization of nt tile columns runs nt
 // POTRFs, nt(nt−1)/2 TRSMs and SYRKs and nt(nt−1)(nt−2)/6 GEMMs — the counts
-// the cluster simulator and the bench ledger's tasks_total assume. A TLR one
-// runs one GEMM task per low-rank tile that receives updates, (nt−1)(nt−2)/2,
-// and when streamed assembles only the diagonal and column 0 in tasks of
-// their own: the other tiles are built inside their GEMM task.
+// the cluster simulator and the bench ledger's tasks_total assume — and
+// assembles each of its nt(nt+1)/2 tiles in a task of its own. A TLR one runs
+// one GEMM task per low-rank tile that receives updates, (nt−1)(nt−2)/2, and
+// assembles only the diagonal and column 0 in tasks of their own: the other
+// tiles are built inside their GEMM task. Both hold for a kernel and for a Σ
+// in memory.
 func TestPotrfTaskCounts(t *testing.T) {
 	geom := geo.RegularGrid(12, 12) // n = 144
 	kern := &cov.Exponential{Sigma2: 1, Range: 0.15}
@@ -96,24 +98,22 @@ func TestPotrfTaskCounts(t *testing.T) {
 	for _, nt := range []int{4, 6} {
 		ts := geom.Len() / nt
 		for name, tc := range map[string]struct {
-			run            func(rt *taskrt.Runtime) error
+			n, ts          int
+			cfg            engine.Config
+			mk             layout
 			gemm, assemble int
 		}{
-			"dense": {func(rt *taskrt.Runtime) error {
-				g := engine.AssembleDense(tile.FromDense(randSPD(5*nt, rand.New(rand.NewSource(4))), 5))
-				return engine.Potrf(rt, g, engine.Config{})
-			}, nt * (nt - 1) * (nt - 2) / 6, 0},
-			"tlr": {func(rt *taskrt.Runtime) error {
-				g := engine.AssembleTLR(nil, tile.FromDense(cov.Matrix(geom, kern), ts), tol, 0)
-				return engine.Potrf(rt, g, engine.Config{Tol: tol})
-			}, (nt - 1) * (nt - 2) / 2, 0},
-			"tlr streamed": {func(rt *taskrt.Runtime) error {
-				g := engine.NewGrid(geom.Len(), ts)
-				return engine.PotrfStream(rt, g, engine.Config{Tol: tol}, engine.TLREntryAssembler(g, fillOf(geom, kern), tol, 0, false))
+			"dense": {5 * nt, 5, engine.Config{}, denseLayout(randSPD(5*nt, rand.New(rand.NewSource(4)))),
+				nt * (nt - 1) * (nt - 2) / 6, nt * (nt + 1) / 2},
+			"tlr": {geom.Len(), ts, engine.Config{Tol: tol}, tlrLayout(cov.Matrix(geom, kern), tol, 0),
+				(nt - 1) * (nt - 2) / 2, nt + nt - 1},
+			"tlr kernel": {geom.Len(), ts, engine.Config{Tol: tol}, func(g *engine.Grid) *engine.Assembler {
+				return engine.TLREntryAssembler(g, fillOf(geom, kern), tol, 0, false)
 			}, (nt - 1) * (nt - 2) / 2, nt + nt - 1},
 		} {
 			rt := taskrt.New(2)
-			err := tc.run(rt)
+			g := engine.NewGrid(tc.n, tc.ts)
+			err := engine.PotrfStream(rt, g, tc.cfg, tc.mk(g))
 			rt.Shutdown()
 			if err != nil {
 				t.Fatalf("%s nt=%d: %v", name, nt, err)
@@ -141,38 +141,22 @@ func TestLayoutsDeterministicAcrossWorkers(t *testing.T) {
 	fill := fillOf(geom, &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05})
 	for _, tc := range []struct {
 		name    string
+		n, ts   int
 		cfg     engine.Config
 		workers []int
-		mk      func() (*engine.Grid, *engine.Assembler) // nil assembler: materialized
+		mk      layout
 	}{
-		{"dense", engine.Config{}, []int{1, 2, 8}, func() (*engine.Grid, *engine.Assembler) {
-			return engine.AssembleDense(tile.FromDense(spd, 5)), nil
-		}},
-		{"tlr", engine.Config{Tol: 1e-8}, []int{1, 2, 8}, func() (*engine.Grid, *engine.Assembler) {
-			return engine.AssembleTLR(nil, tile.FromDense(smooth, 25), 1e-8, 0), nil
-		}},
-		{"mixed", engine.Config{}, []int{1, 2, 8}, func() (*engine.Grid, *engine.Assembler) {
-			return bandedGrid(covGrid(6, 0.2), 9, 1), nil
-		}},
-		{"adaptive", engine.Config{Tol: 1e-6}, []int{1, 2, 8}, func() (*engine.Grid, *engine.Assembler) {
-			return engine.AssembleAdaptive(nil, tile.FromDense(spd, 9), engine.Policy{Tol: 1e-6}), nil
-		}},
-		{"tlr streamed", engine.Config{Tol: 1e-6}, []int{1, 2, 4}, func() (*engine.Grid, *engine.Assembler) {
-			g := engine.NewGrid(geom.Len(), 24)
-			return g, engine.TLREntryAssembler(g, fill, 1e-6, 0, false)
+		{"dense", 60, 5, engine.Config{}, []int{1, 2, 8}, denseLayout(spd)},
+		{"tlr", 100, 25, engine.Config{Tol: 1e-8}, []int{1, 2, 8}, tlrLayout(smooth, 1e-8, 0)},
+		{"mixed", 36, 9, engine.Config{}, []int{1, 2, 8}, banded(covGrid(6, 0.2), 1)},
+		{"adaptive", 60, 9, engine.Config{Tol: 1e-6}, []int{1, 2, 8}, adaptiveLayout(spd, engine.Policy{Tol: 1e-6})},
+		{"tlr kernel", geom.Len(), 24, engine.Config{Tol: 1e-6}, []int{1, 2, 4}, func(g *engine.Grid) *engine.Assembler {
+			return engine.TLREntryAssembler(g, fill, 1e-6, 0, false)
 		}},
 	} {
 		var ref *linalg.Matrix
 		for _, w := range tc.workers {
-			g, asm := tc.mk()
-			rt := taskrt.New(w)
-			var err error
-			if asm == nil {
-				err = engine.Potrf(rt, g, tc.cfg)
-			} else {
-				err = engine.PotrfStream(rt, g, tc.cfg, asm)
-			}
-			rt.Shutdown()
+			g, err := potrfOn(tc.n, tc.ts, tc.cfg, w, tc.mk)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -186,40 +170,24 @@ func TestLayoutsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestAssembleRejectsNonSquare(t *testing.T) {
-	for name, assemble := range map[string]func(*tile.Matrix){
-		"dense":    func(m *tile.Matrix) { engine.AssembleDense(m) },
-		"tlr":      func(m *tile.Matrix) { engine.AssembleTLR(nil, m, 1e-6, 0) },
-		"adaptive": func(m *tile.Matrix) { engine.AssembleAdaptive(nil, m, engine.Policy{}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: a 4×6 matrix was laid out as a symmetric grid", name)
-				}
-			}()
-			assemble(tile.New(4, 6, 2))
-		}()
-	}
-}
-
 func TestTLRLayoutRoundTrip(t *testing.T) {
 	sigma := covGrid(10, 0.1) // n=100
-	g := engine.AssembleTLR(nil, tile.FromDense(sigma, 25), 1e-9, 0)
+	g := assembled(100, 25, tlrLayout(sigma, 1e-9, 0))
 	if d := symmetrized(g).MaxAbsDiff(sigma); d > 1e-7 {
 		t.Errorf("TLR roundtrip diff %v", d)
 	}
 }
 
-// TestTLRStreamingACAMatchesSVDAssembly: the streaming assembler's ACA tiles
-// and the materialized layout's SVD tiles describe the same matrix.
+// TestTLRStreamingACAMatchesSVDAssembly: a kernel's ACA tiles and an
+// in-memory Σ's SVD tiles describe the same matrix.
 func TestTLRStreamingACAMatchesSVDAssembly(t *testing.T) {
 	geom := geo.RegularGrid(10, 10)
 	k := &cov.Exponential{Sigma2: 1, Range: 0.15}
 	const ts, tol = 25, 1e-6
-	svd := engine.AssembleTLR(nil, tile.FromDense(cov.Matrix(geom, k), ts), tol, 0)
-	aca := engine.NewGrid(geom.Len(), ts)
-	engine.Materialize(aca, engine.TLREntryAssembler(aca, entryOf(geom, k), tol, 0, false))
+	svd := assembled(geom.Len(), ts, tlrLayout(cov.Matrix(geom, k), tol, 0))
+	aca := assembled(geom.Len(), ts, func(g *engine.Grid) *engine.Assembler {
+		return engine.TLREntryAssembler(g, entryOf(geom, k), tol, 0, false)
+	})
 	if d := symmetrized(aca).MaxAbsDiff(symmetrized(svd)); d > 1e-4 {
 		t.Errorf("ACA vs SVD assembly differ by %v", d)
 	}
@@ -231,7 +199,7 @@ func TestTLRStreamingACAMatchesSVDAssembly(t *testing.T) {
 // the dense matrix.
 func TestTLRRanksDecayWithDistance(t *testing.T) {
 	sigma := cov.Matrix(geo.RegularGrid(16, 16), &cov.Exponential{Sigma2: 1, Range: 0.234})
-	g := engine.AssembleTLR(nil, tile.FromDense(sigma, 32), 1e-3, 0)
+	g := assembled(256, 32, tlrLayout(sigma, 1e-3, 0))
 	if g.NT != 8 {
 		t.Fatalf("NT = %d", g.NT)
 	}
@@ -264,8 +232,8 @@ func TestTLRPotrfMatchesDenseHighAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := engine.AssembleTLR(nil, tile.FromDense(sigma, 36), 1e-12, 0)
-	if err := potrfOn(g, engine.Config{Tol: 1e-12}, 3); err != nil {
+	g, err := potrfOn(144, 36, engine.Config{Tol: 1e-12}, 3, tlrLayout(sigma, 1e-12, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if d := densifyFactor(g).MaxAbsDiff(want); d > 1e-6 {
@@ -278,8 +246,8 @@ func TestTLRPotrfResidualScalesWithTolerance(t *testing.T) {
 	norm := sigma.FrobNorm()
 	prev := math.Inf(1)
 	for _, tol := range []float64{1e-2, 1e-5, 1e-9} {
-		g := engine.AssembleTLR(nil, tile.FromDense(sigma, 36), tol, 0)
-		if err := potrfOn(g, engine.Config{Tol: tol}, 2); err != nil {
+		g, err := potrfOn(144, 36, engine.Config{Tol: tol}, 2, tlrLayout(sigma, tol, 0))
+		if err != nil {
 			t.Fatalf("tol=%g: %v", tol, err)
 		}
 		relRes := lowerResidual(densifyFactor(g), sigma) / norm
@@ -296,8 +264,7 @@ func TestTLRPotrfResidualScalesWithTolerance(t *testing.T) {
 func TestTLRPotrfIndefiniteFails(t *testing.T) {
 	bad := linalg.Eye(40)
 	bad.Set(30, 30, -5)
-	g := engine.AssembleTLR(nil, tile.FromDense(bad, 10), 1e-9, 0)
-	if err := potrfOn(g, engine.Config{Tol: 1e-9}, 2); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+	if _, err := potrfOn(40, 10, engine.Config{Tol: 1e-9}, 2, tlrLayout(bad, 1e-9, 0)); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
 		t.Errorf("want ErrNotPositiveDefinite, got %v", err)
 	}
 }
@@ -325,8 +292,8 @@ func TestMixedPotrfAccuracyLadder(t *testing.T) {
 	}
 	var errs []float64
 	for _, band := range []int{0, 2, 7} {
-		g := bandedGrid(sigma, 8, band)
-		if err := potrfOn(g, engine.Config{}, 3); err != nil {
+		g, err := potrfOn(64, 8, engine.Config{}, 3, banded(sigma, band))
+		if err != nil {
 			t.Fatalf("band %d: %v", band, err)
 		}
 		errs = append(errs, densifyFactor(g).MaxAbsDiff(want))

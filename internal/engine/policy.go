@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
 	"repro/internal/linalg"
-	"repro/internal/taskrt"
 	"repro/internal/tile"
 )
 
@@ -124,76 +122,8 @@ func (p Policy) probe(g *Grid, r, c, row0, col0 int, fill RunFill, inMemory bool
 	return nil, blk
 }
 
-// materialize lays the symmetric tiled matrix src out through the in-memory
-// assembler mk returns — the layout's one decision code — for Potrf. src is
-// only read.
-func materialize(sub taskrt.Submitter, src *tile.Matrix, mk func(g *Grid, fill RunFill) *Assembler) *Grid {
-	if src.M != src.N {
-		panic(fmt.Sprintf("engine: layout needs a square matrix, got %dx%d", src.M, src.N))
-	}
-	g := NewGrid(src.M, src.TS)
-	assembleAll(sub, g, mk(g, func(dst []float64, row0, j int) {
-		for r := range dst {
-			dst[r] = src.At(row0+r, j)
-		}
-	}))
-	return g
-}
-
-// assembleAll builds every tile of the empty grid g through asm in the order
-// the streaming graph guarantees: the diagonal first, then column 0, then —
-// after the assembler's verdict, if it has one — every other tile, each
-// off-diagonal tile an "assemble" task on sub (the caller's group scope; nil
-// builds serially).
-func assembleAll(sub taskrt.Submitter, g *Grid, asm *Assembler) {
-	for i := 0; i < g.NT; i++ {
-		g.Set(i, i, asm.Tile(i, i))
-	}
-	run, wait := taskrt.Scatter(sub, "assemble")
-	for i := 1; i < g.NT; i++ {
-		i := i
-		run(func() { g.Set(i, 0, asm.Tile(i, 0)) })
-	}
-	if asm.verdict != nil {
-		wait()
-		asm.verdict()
-	}
-	for i := 2; i < g.NT; i++ {
-		for j := 1; j < i; j++ {
-			i, j := i, j
-			run(func() { g.Set(i, j, asm.Tile(i, j)) })
-		}
-	}
-	wait()
-}
-
-// AssembleDense is the dense layout (the paper's Chameleon path): every lower
-// tile of the symmetric tiled matrix enters the grid as dense float64.
-func AssembleDense(src *tile.Matrix) *Grid {
-	return materialize(nil, src, DenseEntryAssembler)
-}
-
-// AssembleTLR is the TLR layout (the HiCMA path): dense float64 diagonal
-// tiles, every strictly-lower tile compressed to U·Vᵀ by tile.Compress at
-// relative accuracy tol with rank cap maxRank (0 = uncapped). Factorize with
-// Config{Tol: tol, MaxRank: maxRank} so the Schur updates recompress at the
-// accuracy the tiles were built to.
-func AssembleTLR(sub taskrt.Submitter, src *tile.Matrix, tol float64, maxRank int) *Grid {
-	return materialize(sub, src, func(g *Grid, fill RunFill) *Assembler {
-		return TLREntryAssembler(g, fill, tol, maxRank, true)
-	})
-}
-
-// AssembleAdaptive builds an engine grid from a symmetric tiled matrix,
-// choosing each lower tile's representation by the policy.
-func AssembleAdaptive(sub taskrt.Submitter, src *tile.Matrix, p Policy) *Grid {
-	return materialize(sub, src, func(g *Grid, fill RunFill) *Assembler {
-		return p.EntryAssembler(g, fill, true)
-	})
-}
-
-// EntryAssembler returns a streaming assembler applying the adaptive policy
-// per tile, for PotrfStream: band tiles dense float64, off-band tiles probed
+// EntryAssembler returns an assembler applying the adaptive policy per tile,
+// for PotrfStream or Assemble: band tiles dense float64, off-band tiles probed
 // (see probe; after column 0's verdict, or skipped) with the dense f32/f64
 // fallback, each tile built by its own task only when the factorization
 // graph first touches it. DiagFirst routes the diagonal Frobenius norms

@@ -6,8 +6,6 @@ import (
 	"repro/internal/cov"
 	"repro/internal/engine"
 	"repro/internal/geo"
-	"repro/internal/taskrt"
-	"repro/internal/tile"
 )
 
 // TestTLRCompressOnceAtScale checks accuracy and rank at the benchmark's tile
@@ -27,7 +25,7 @@ func TestTLRCompressOnceAtScale(t *testing.T) {
 	sigma := cov.Matrix(geom, kern)
 	for _, tc := range []struct {
 		tol                  float64
-		streamed             bool
+		kernel               bool    // ACA from the kernel, else Σ in memory
 		parentRes, parentAvg float64 // ‖LLᵀ−Σ‖_F/‖Σ‖_F and mean off-diagonal rank at the parent
 	}{
 		{1e-4, false, 8.43e-05, 17.61}, // compress-once: 6.45e-05, 18.08
@@ -36,19 +34,15 @@ func TestTLRCompressOnceAtScale(t *testing.T) {
 		{1e-6, true, 1.52e-06, 33.00},  // 1.38e-06, 34.47
 	} {
 		cfg := engine.Config{Tol: tc.tol, MaxRank: ts / 2}
-		rt := taskrt.New(2)
-		var g *engine.Grid
-		var err error
-		if tc.streamed {
-			g = engine.NewGrid(geom.Len(), ts)
-			err = engine.PotrfStream(rt, g, cfg, engine.TLREntryAssembler(g, fillOf(geom, kern), tc.tol, cfg.MaxRank, false))
-		} else {
-			g = engine.AssembleTLR(rt, tile.FromDense(sigma.Clone(), ts), tc.tol, cfg.MaxRank)
-			err = engine.Potrf(rt, g, cfg)
+		mk := tlrLayout(sigma, tc.tol, cfg.MaxRank)
+		if tc.kernel {
+			mk = func(g *engine.Grid) *engine.Assembler {
+				return engine.TLREntryAssembler(g, fillOf(geom, kern), tc.tol, cfg.MaxRank, false)
+			}
 		}
-		rt.Shutdown()
+		g, err := potrfOn(geom.Len(), ts, cfg, 2, mk)
 		if err != nil {
-			t.Fatalf("tol=%g streamed=%v: %v", tc.tol, tc.streamed, err)
+			t.Fatalf("tol=%g kernel=%v: %v", tc.tol, tc.kernel, err)
 		}
 		sum, tiles := 0, 0
 		for _, row := range g.Ranks() {
@@ -59,15 +53,15 @@ func TestTLRCompressOnceAtScale(t *testing.T) {
 		}
 		avg := float64(sum) / float64(tiles)
 		rel := relResidual(g, sigma)
-		t.Logf("tol=%g streamed=%v: ‖LLᵀ−Σ‖/‖Σ‖ = %.3g (parent %.3g), mean rank %.2f (parent %.2f)",
-			tc.tol, tc.streamed, rel, tc.parentRes, avg, tc.parentAvg)
+		t.Logf("tol=%g kernel=%v: ‖LLᵀ−Σ‖/‖Σ‖ = %.3g (parent %.3g), mean rank %.2f (parent %.2f)",
+			tc.tol, tc.kernel, rel, tc.parentRes, avg, tc.parentAvg)
 		if rel > 10*tc.tol || rel > tc.parentRes {
-			t.Errorf("tol=%g streamed=%v: ‖LLᵀ−Σ‖/‖Σ‖ = %.3g, want ≤ %g and ≤ the parent's %.3g",
-				tc.tol, tc.streamed, rel, 10*tc.tol, tc.parentRes)
+			t.Errorf("tol=%g kernel=%v: ‖LLᵀ−Σ‖/‖Σ‖ = %.3g, want ≤ %g and ≤ the parent's %.3g",
+				tc.tol, tc.kernel, rel, 10*tc.tol, tc.parentRes)
 		}
 		if avg > 1.15*tc.parentAvg {
-			t.Errorf("tol=%g streamed=%v: mean off-diagonal rank %.2f, parent %.2f: more than 15 %% up",
-				tc.tol, tc.streamed, avg, tc.parentAvg)
+			t.Errorf("tol=%g kernel=%v: mean off-diagonal rank %.2f, parent %.2f: more than 15 %% up",
+				tc.tol, tc.kernel, avg, tc.parentAvg)
 		}
 	}
 }

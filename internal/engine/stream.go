@@ -9,11 +9,13 @@ import (
 	"repro/internal/tile"
 )
 
-// Assembler builds tiles on demand for the streaming factorization. Tile
-// must return a valid tile for (i,j), j ≤ i, with every diagonal tile dense
-// float64 (the engine's pivot representation); it runs on worker goroutines
-// as "assemble" tasks fused into the factorization graph, so it must be
-// safe for concurrent calls on distinct (i,j).
+// Assembler builds tiles on demand for the factorization. Tile must return a
+// valid tile for (i,j), j ≤ i, each (i,j) once, with every diagonal tile
+// dense float64 (the engine's pivot representation); it runs on worker
+// goroutines as "assemble" tasks fused into the factorization graph, so it
+// must be safe for concurrent calls on distinct (i,j). A hand-built
+// Assembler is free to return tiles built earlier (by Assemble, say); the
+// graph learns each one's representation when its task has run.
 type Assembler struct {
 	Tile func(i, j int) tile.Tile
 	// DiagFirst orders every off-diagonal assembly after its two diagonal
@@ -27,7 +29,7 @@ type Assembler struct {
 	// an assembler decides there, from column 0, how it builds the rest (the
 	// adaptive policy's probe verdict). The graph orders it through dedicated
 	// handles — one per column-0 tile, so those assemblies stay concurrent —
-	// and every worker count, and AssembleAdaptive, sees the same verdict.
+	// and every worker count, and Assemble, sees the same verdict.
 	verdict func()
 	// offDiag is what the constructor knows of every strictly-lower tile's
 	// representation before any has been built; the graph is shaped on it.
@@ -45,14 +47,26 @@ const (
 	offLowRank
 )
 
-// PotrfStream factorizes the SPD matrix defined by the assembler without
-// ever materializing it up front: each tile is built by its own task,
-// ordered by a Write dependency before the graph first reads it, directly
-// in the representation the assembler chooses, which it keeps. Combined with
-// cfg.Window the live footprint is the factor in those representations +
-// O(Window·NT²) task descriptors — the out-of-core shape that carries
-// n ≥ 25k. The grid must be empty (NewGrid) and is owned by the engine
-// afterwards: its dense tiles draw from the workspace pool.
+// PotrfStream is the engine's one factorization: the Cholesky factor of the
+// SPD matrix the assembler defines, as one task graph, the tile Cholesky,
+// whatever each tile's representation —
+//
+//	POTRF(T[k][k])
+//	TRSM(T[k][k], T[i][k])            i > k
+//	SYRK(T[i][k], T[i][i])            i > k
+//	GEMM(T[i][k], T[j][k], T[i][j])   i > j > k, T[i][j] dense
+//	GEMM(T[i][·], T[j][·], T[i][j])   i > j, once, T[i][j] low rank
+//
+// with critical-path (panel-first) priorities as StarPU heteroprio-style
+// schedulers use. The matrix is never materialized up front: each tile is
+// built by its own task, ordered by a Write dependency before the graph first
+// reads it, directly in the representation the assembler chooses, which it
+// keeps. Submission is windowed, so the live footprint is the factor in those
+// representations + O(window·NT²) task descriptors — the out-of-core shape
+// that carries n ≥ 25k. Errors (non-positive-definite pivots) propagate
+// through the submitter's SubmitErr/Err scope. The grid must be empty
+// (NewGrid) and is owned by the engine afterwards: its dense tiles draw from
+// the workspace pool.
 func PotrfStream(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 	if asm == nil || asm.Tile == nil {
 		return fmt.Errorf("engine: PotrfStream requires an assembler")
@@ -60,48 +74,20 @@ func PotrfStream(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error
 	return potrf(rt, g, cfg, asm)
 }
 
-// potrf is the single task-graph builder behind Potrf (asm == nil,
-// materialized grid) and PotrfStream (tiles assembled on demand). Kernel
-// dispatch happens at execution time — closures read the grid when they
-// run — because streaming assembly decides tile representations after
-// submission; the handle dependencies make those reads race-free.
+// potrf builds PotrfStream's task graph. Kernel dispatch happens at
+// execution time — closures read the grid when they run — because assembly
+// decides tile representations after submission; the handle dependencies
+// make those reads race-free.
 func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 	nt := g.NT
 	if nt > maxTileRows {
 		return &SizeError{N: g.N, TS: g.TS, NT: nt}
 	}
-	// f32Panel[j]: column j of a materialized grid holds a single-precision
-	// tile. Read off the grid here, once: after submission starts the workers
-	// replace tiles and the grid is theirs.
-	f32Panel := make([]bool, nt)
-	if asm == nil {
-		for k := 0; k < nt; k++ {
-			for j := 0; j <= k; j++ {
-				if g.tiles[k][j] == nil {
-					return fmt.Errorf("engine: tile (%d,%d) unassigned", k, j)
-				}
-				if g.tiles[k][j].Kind() == tile.KindDenseF32 {
-					f32Panel[j] = true
-				}
-			}
-			if _, ok := g.tiles[k][k].(*tile.DenseF64); !ok {
-				return fmt.Errorf("engine: diagonal tile %d must be dense float64, got %s", k, g.tiles[k][k].Kind())
-			}
-		}
-	}
-
-	// Windowed submission: bound the in-flight graph to ~Window panels of
+	// Windowed submission: bound the in-flight graph to ~window panels of
 	// tasks. The master blocks in Submit until tasks retire; STF dependencies
 	// only point backward in submission order, so the in-flight prefix can
 	// always run to completion and the throttle cannot deadlock.
-	sub := rt
-	if cfg.Window > 0 {
-		limit := cfg.Window * nt * nt
-		if limit < minWindowTasks {
-			limit = minWindowTasks
-		}
-		sub = taskrt.NewThrottle(rt, limit)
-	}
+	sub := taskrt.NewThrottle(rt, max(window*nt*nt, minWindowTasks))
 
 	h := make([][]*taskrt.Handle, nt)
 	for i := 0; i < nt; i++ {
@@ -111,31 +97,14 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 		}
 	}
 
-	// deferred[i][j] marks a tile that was low rank when the factorization
-	// first saw it — here, or in its assemble task: its Schur updates are not
-	// applied panel by panel but all at once by finishTile. Every other tile
-	// that receives updates is dense and takes one GEMM task per panel. A tile
-	// keeps the representation it was assembled in, so the mark records that
-	// one decision for the tasks that run after it.
+	// deferred[i][j] marks a tile its assemble task built low rank: its Schur
+	// updates are not applied panel by panel but all at once by finishTile.
+	// Every other tile that receives updates is dense and takes one GEMM task
+	// per panel. A tile keeps the representation it was assembled in, so the
+	// mark records that one decision for the tasks that run after it.
 	deferred := make([][]bool, nt)
 	for i := range deferred {
 		deferred[i] = make([]bool, i)
-		if asm == nil {
-			for j := range deferred[i] {
-				_, deferred[i][j] = g.tiles[i][j].(*tile.LowRank)
-			}
-		}
-	}
-	// known is what submission may assume of tile (i,j): the assembler's
-	// declaration, or the grid as it was handed in.
-	known := func(i, j int) offDiag {
-		switch {
-		case asm != nil:
-			return asm.offDiag
-		case deferred[i][j]:
-			return offLowRank
-		}
-		return offDense
 	}
 	// assemble builds tile (i,j) on a worker. A low-rank tile's factors come
 	// off the pool in its power-of-two classes: one no update will replace
@@ -152,68 +121,63 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 		g.Set(i, j, t)
 	}
 
-	// Streaming assembly bookkeeping: ensure(i,j) submits the tile's
-	// assemble task exactly once, before the first factorization task that
-	// touches it. Norm handles (nh) order adaptive off-diagonal assembly
-	// after the diagonal norms without entangling the pivot handles; column-0
-	// handles (ch) and the verdict handle (vh) order the verdict after column
-	// 0's assemblies and every later column's after the verdict.
-	var assembled [][]bool
+	// Assembly bookkeeping: ensure(i,j) submits the tile's assemble task
+	// exactly once, before the first factorization task that touches it. Norm
+	// handles (nh) order adaptive off-diagonal assembly after the diagonal
+	// norms without entangling the pivot handles; column-0 handles (ch) and
+	// the verdict handle (vh) order the verdict after column 0's assemblies
+	// and every later column's after the verdict.
+	assembled := make([][]bool, nt)
+	for i := range assembled {
+		assembled[i] = make([]bool, i+1)
+	}
 	var nh, ch []*taskrt.Handle
 	var vh *taskrt.Handle
+	if asm.DiagFirst {
+		nh = make([]*taskrt.Handle, nt)
+		for i := range nh {
+			nh[i] = sub.NewHandle("N(%d)", i)
+		}
+	}
+	if asm.verdict != nil {
+		ch = make([]*taskrt.Handle, nt)
+		for i := 1; i < nt; i++ {
+			ch[i] = sub.NewHandle("C(%d)", i)
+		}
+		vh = sub.NewHandle("V")
+	}
 	var ensure func(i, j int)
-	if asm != nil {
-		assembled = make([][]bool, nt)
-		for i := range assembled {
-			assembled[i] = make([]bool, i+1)
+	ensure = func(i, j int) {
+		if assembled[i][j] || asm.offDiag == offLowRank && 0 < j && j < i {
+			// A tile known to be low rank with updates to receive is built
+			// inside its finishTile task, where its assembly-time factors
+			// live for that task only.
+			return
 		}
+		assembled[i][j] = true
+		deps, prio := []taskrt.Dep{taskrt.Write(h[i][j])}, 3*nt+2
 		if asm.DiagFirst {
-			nh = make([]*taskrt.Handle, nt)
-			for i := range nh {
-				nh[i] = sub.NewHandle("N(%d)", i)
+			if i == j {
+				deps = append(deps, taskrt.Write(nh[i]))
+			} else {
+				ensure(i, i)
+				ensure(j, j)
+				deps, prio = append(deps, taskrt.Read(nh[i]), taskrt.Read(nh[j])), 3*nt+1
 			}
 		}
-		if asm.verdict != nil {
-			ch = make([]*taskrt.Handle, nt)
-			for i := 1; i < nt; i++ {
-				ch[i] = sub.NewHandle("C(%d)", i)
-			}
-			vh = sub.NewHandle("V")
+		switch {
+		case vh == nil || i == j:
+		case j == 0:
+			deps = append(deps, taskrt.Write(ch[i]))
+		default:
+			deps = append(deps, taskrt.Read(vh))
 		}
-		ensure = func(i, j int) {
-			if assembled[i][j] || asm.offDiag == offLowRank && 0 < j && j < i {
-				// A tile known to be low rank with updates to receive is
-				// built inside its finishTile task, where its assembly-time
-				// factors live for that task only.
-				return
-			}
-			assembled[i][j] = true
-			deps, prio := []taskrt.Dep{taskrt.Write(h[i][j])}, 3*nt+2
-			if asm.DiagFirst {
-				if i == j {
-					deps = append(deps, taskrt.Write(nh[i]))
-				} else {
-					ensure(i, i)
-					ensure(j, j)
-					deps, prio = append(deps, taskrt.Read(nh[i]), taskrt.Read(nh[j])), 3*nt+1
-				}
-			}
-			switch {
-			case vh == nil || i == j:
-			case j == 0:
-				deps = append(deps, taskrt.Write(ch[i]))
-			default:
-				deps = append(deps, taskrt.Read(vh))
-			}
-			sub.Submit("assemble", prio, func() { assemble(i, j) }, deps...)
-		}
+		sub.Submit("assemble", prio, func() { assemble(i, j) }, deps...)
 	}
 
 	for k := 0; k < nt; k++ {
 		k := k
-		if asm != nil {
-			ensure(k, k)
-		}
+		ensure(k, k)
 		sub.SubmitErr("potrf", 3*nt-3*k, func() error {
 			dk := g.Diag(k)
 			// Large diagonal tiles run the blocked in-tile Cholesky so the
@@ -232,19 +196,13 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 
 		// Single-precision panel tiles solve against a float32 copy of the
 		// factored diagonal, materialized lazily at execution time by the
-		// first solve that needs it: under streaming assembly the
-		// representation of a panel tile is decided on the workers, so
-		// submission time cannot know whether the copy will be needed.
+		// first solve that needs it: the representation of a panel tile is
+		// decided on the workers, so submission time cannot know whether the
+		// copy will be needed.
 		l32 := &lazy32{}
-		needFree := f32Panel[k]
-		if asm != nil {
-			needFree = k+1 < nt
-		}
 		for i := k + 1; i < nt; i++ {
 			i := i
-			if asm != nil {
-				ensure(i, k)
-			}
+			ensure(i, k)
 			sub.Submit("trsm", 3*nt-3*k-1, func() {
 				trsmPanel(g, k, i, l32)
 			}, taskrt.Read(h[k][k]), taskrt.ReadWrite(h[i][k]))
@@ -257,27 +215,20 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 			}
 			sub.Submit("verdict", 3*nt+1, asm.verdict, append(deps, taskrt.Write(vh))...)
 		}
-		if needFree {
+		if k+1 < nt {
 			// Runs after every panel solve (they read h[k][k]); recycles the
 			// f32 diagonal copy, or no-ops if none was materialized.
 			sub.Submit("free32", 3*nt-3*k-1, l32.free, taskrt.ReadWrite(h[k][k]))
 		}
 		for i := k + 1; i < nt; i++ {
 			i := i
-			if asm != nil {
-				ensure(i, i)
-			}
+			ensure(i, i)
 			sub.Submit("syrk", 3*nt-3*k-2, func() {
 				syrkInto(g.tiles[i][k], g.Diag(i))
 			}, taskrt.Read(h[i][k]), taskrt.ReadWrite(h[i][i]))
-			for j := k + 1; j < i; j++ {
+			for j := k + 1; j < i && asm.offDiag != offLowRank; j++ {
 				j := j
-				if known(i, j) == offLowRank {
-					continue
-				}
-				if asm != nil {
-					ensure(i, j)
-				}
+				ensure(i, j)
 				sub.Submit("gemm", 3*nt-3*k-2, func() {
 					if !deferred[i][j] {
 						gemmInto(g.tiles[i][k], g.tiles[j][k], g.tiles[i][j])
@@ -291,20 +242,15 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 		// updates in it and gets no task; any other applies them if it is
 		// deferred, reading both operand rows, in panel order whatever the
 		// worker count.
-		for j, i := k+1, k+2; i < nt; i++ {
+		for j, i := k+1, k+2; i < nt && asm.offDiag != offDense; i++ {
 			i := i
-			rep := known(i, j)
-			if rep == offDense {
-				continue
-			}
 			deps := make([]taskrt.Dep, 0, 2*j+1)
 			for p := 0; p < j; p++ {
 				deps = append(deps, taskrt.Read(h[i][p]), taskrt.Read(h[j][p]))
 			}
-			build := asm != nil && rep == offLowRank
 			sub.Submit("gemm", 3*nt-3*k-2, func() {
 				switch {
-				case build:
+				case asm.offDiag == offLowRank:
 					g.finishTile(i, j, asm.Tile(i, j).(*tile.LowRank), cfg)
 				case deferred[i][j]:
 					g.finishTile(i, j, g.tiles[i][j].(*tile.LowRank), cfg)
@@ -320,6 +266,29 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 		g.Diag(k).LowerFromFull()
 	}
 	return nil
+}
+
+// Assemble builds every tile of the empty grid g through asm without
+// factoring it, serially, in the order the factorization graph guarantees:
+// the diagonal first, then column 0, then — after the assembler's verdict, if
+// it has one — every other tile. Its tiles are the ones PotrfStream starts
+// from; it is how a layout is inspected (ranks, mix, probes) or built ahead
+// of a factorization, as an Assembler returning them.
+func Assemble(g *Grid, asm *Assembler) {
+	for i := 0; i < g.NT; i++ {
+		g.Set(i, i, asm.Tile(i, i))
+	}
+	for i := 1; i < g.NT; i++ {
+		g.Set(i, 0, asm.Tile(i, 0))
+	}
+	if asm.verdict != nil {
+		asm.verdict()
+	}
+	for i := 2; i < g.NT; i++ {
+		for j := 1; j < i; j++ {
+			g.Set(i, j, asm.Tile(i, j))
+		}
+	}
 }
 
 // trsmPanel solves panel tile (i,k) against the factored diagonal k in the
@@ -372,9 +341,9 @@ func (l *lazy32) free() {
 // goroutines and must be safe for concurrent calls.
 type RunFill func(dst []float64, row0, j int)
 
-// DenseEntryAssembler streams every tile of the run evaluator densely in
-// float64 — the streaming analogue of the dense layout constructor. The
-// grid must be the one passed to PotrfStream.
+// DenseEntryAssembler builds every tile of the run evaluator densely in
+// float64 — the dense layout. The grid must be the one passed to
+// PotrfStream or Assemble.
 func DenseEntryAssembler(g *Grid, fill RunFill) *Assembler {
 	ts := g.TS
 	return &Assembler{
@@ -396,7 +365,7 @@ func DenseEntryAssembler(g *Grid, fill RunFill) *Assembler {
 // inMemory source, where a run is a copy. Every off-diagonal tile being low
 // rank by construction, the graph is built on it: a tile past column 0 has no
 // assemble task and is built inside the one task that applies its Schur
-// updates. The grid must be the one passed to PotrfStream.
+// updates. The grid must be the one passed to PotrfStream or Assemble.
 func TLREntryAssembler(g *Grid, fill RunFill, tol float64, maxRank int, inMemory bool) *Assembler {
 	ts := g.TS
 	return &Assembler{

@@ -43,68 +43,127 @@ func relResidual(g *engine.Grid, sigma *linalg.Matrix) float64 {
 	return res.FrobNorm() / sigma.FrobNorm()
 }
 
-// streamFactor runs PotrfStream on a fresh grid with a fresh assembler.
-func streamFactor(t *testing.T, n, ts int, cfg engine.Config, mk func(*engine.Grid) *engine.Assembler) *engine.Grid {
-	t.Helper()
+// layout builds an assembler on the grid it is to fill.
+type layout func(*engine.Grid) *engine.Assembler
+
+// potrfOn factorizes the layout mk builds on a fresh n×n grid of tile size
+// ts, on a fresh runtime of the given worker count.
+func potrfOn(n, ts int, cfg engine.Config, workers int, mk layout) (*engine.Grid, error) {
 	g := engine.NewGrid(n, ts)
-	rt := taskrt.New(4)
+	rt := taskrt.New(workers)
 	defer rt.Shutdown()
-	if err := engine.PotrfStream(rt, g, cfg, mk(g)); err != nil {
+	return g, engine.PotrfStream(rt, g, cfg, mk(g))
+}
+
+// streamFactor is potrfOn on four workers; an error fails the test.
+func streamFactor(t *testing.T, n, ts int, cfg engine.Config, mk layout) *engine.Grid {
+	t.Helper()
+	g, err := potrfOn(n, ts, cfg, 4, mk)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
+// assembled builds the tiles the layout mk chooses on a fresh n×n grid of
+// tile size ts, without factoring them.
+func assembled(n, ts int, mk layout) *engine.Grid {
+	g := engine.NewGrid(n, ts)
+	engine.Assemble(g, mk(g))
+	return g
+}
+
+// prebuilt hands the factorization the tiles of an assembled grid as they
+// stand: tiles built up front, factored by the one graph.
+func prebuilt(src *engine.Grid) layout {
+	return func(*engine.Grid) *engine.Assembler { return &engine.Assembler{Tile: src.At} }
+}
+
+// sigmaFill reads an in-memory Σ in runs, as a session reads a caller's
+// explicit covariance.
+func sigmaFill(sigma *linalg.Matrix) engine.RunFill {
+	return func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
+}
+
+// denseLayout, tlrLayout and adaptiveLayout are the session's layouts of an
+// in-memory Σ: every tile gathered from sigma, and compressed in hand.
+func denseLayout(sigma *linalg.Matrix) layout {
+	return func(g *engine.Grid) *engine.Assembler { return engine.DenseEntryAssembler(g, sigmaFill(sigma)) }
+}
+
+func tlrLayout(sigma *linalg.Matrix, tol float64, maxRank int) layout {
+	return func(g *engine.Grid) *engine.Assembler {
+		return engine.TLREntryAssembler(g, sigmaFill(sigma), tol, maxRank, true)
+	}
+}
+
+func adaptiveLayout(sigma *linalg.Matrix, p engine.Policy) layout {
+	return func(g *engine.Grid) *engine.Assembler { return p.EntryAssembler(g, sigmaFill(sigma), true) }
+}
+
+// blockOf copies sigma's block of tile (i,j) of g.
+func blockOf(sigma *linalg.Matrix, g *engine.Grid, i, j int) *linalg.Matrix {
+	return sigma.View(i*g.TS, j*g.TS, g.TileRows(i), g.TileRows(j)).Clone()
+}
+
 // TestPotrfStreamingMatchesMaterialized is the streaming-assembly property
 // test: for each assembler family (dense, TLR/ACA, adaptive policy) the
 // factor produced by PotrfStream — tiles built by tasks fused into the
-// factorization graph — must match the factor of the same grid assembled up
-// front and run through the non-streaming Potrf. Assembly is deterministic
-// (ACA and the compression sketches are seeded per shape), so both paths see
-// identical tile representations and the engine performs the identical
-// per-tile kernel sequence; the comparison holds to
-// kernel roundoff, with and without windowed submission, including a ragged
-// last tile.
+// factorization graph — must match a factorization of tiles materialized up
+// front: the sequential tile Cholesky of the dense Σ, the sequential TLR
+// Cholesky of the assembled TLR tiles, and the adaptive tiles assembled up
+// front and handed to the graph as they stand. Assembly is deterministic (ACA
+// and the compression sketches are seeded per shape), so every path sees
+// identical tile representations and performs the same per-tile kernel
+// sequence; the comparison holds to kernel roundoff, including a ragged last
+// tile.
 func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 	geom := geo.RegularGrid(12, 12) // n = 144
 	kern := &cov.Exponential{Sigma2: 1, Range: 0.15}
 	entry := entryOf(geom, kern)
 	const tol = 1e-4
 	n := geom.Len()
+	sigma := linalg.NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		entry(sigma.Col(j), 0, j)
+	}
 
 	builders := []struct {
 		name string
-		mk   func(*engine.Grid) *engine.Assembler
+		mk   layout
+		ref  func(ts int, mk layout) (*linalg.Matrix, error)
 	}{
 		{"dense", func(g *engine.Grid) *engine.Assembler {
 			return engine.DenseEntryAssembler(g, entry)
+		}, func(ts int, _ layout) (*linalg.Matrix, error) {
+			l := sigma.Clone()
+			err := refDensePotrf(l, ts)
+			return l, err
 		}},
 		{"tlr", func(g *engine.Grid) *engine.Assembler {
 			return engine.TLREntryAssembler(g, entry, tol, 0, false)
+		}, func(ts int, mk layout) (*linalg.Matrix, error) {
+			g := assembled(n, ts, mk)
+			err := refTLRPotrf(g, tol)
+			return densifyFactor(g), err
 		}},
 		{"adaptive", func(g *engine.Grid) *engine.Assembler {
 			p := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5}
 			return p.EntryAssembler(g, entry, false)
+		}, func(ts int, mk layout) (*linalg.Matrix, error) {
+			g, err := potrfOn(n, ts, engine.Config{Tol: tol}, 4, prebuilt(assembled(n, ts, mk)))
+			return densifyFactor(g), err
 		}},
 	}
 	for _, b := range builders {
 		for _, ts := range []int{24, 20} { // ts=20 leaves a ragged 4-row last tile
-			ref := engine.NewGrid(n, ts)
-			engine.Materialize(ref, b.mk(ref))
-			rt := taskrt.New(4)
-			err := engine.Potrf(rt, ref, engine.Config{Tol: tol})
-			rt.Shutdown()
+			want, err := b.ref(ts, b.mk)
 			if err != nil {
-				t.Fatalf("%s ts=%d: materialized Potrf: %v", b.name, ts, err)
+				t.Fatalf("%s ts=%d: reference factorization: %v", b.name, ts, err)
 			}
-			want := densifyFactor(ref)
-
-			for _, window := range []int{0, 1} {
-				got := streamFactor(t, n, ts, engine.Config{Tol: tol, Window: window}, b.mk)
-				if d := relMaxDiff(densifyFactor(got), want); d > engineRefTol {
-					t.Errorf("%s ts=%d window=%d: streaming factor differs from materialized by %v",
-						b.name, ts, window, d)
-				}
+			got := streamFactor(t, n, ts, engine.Config{Tol: tol}, b.mk)
+			if d := relMaxDiff(densifyFactor(got), want); d > engineRefTol {
+				t.Errorf("%s ts=%d: streaming factor differs from materialized by %v", b.name, ts, d)
 			}
 		}
 	}
@@ -142,13 +201,13 @@ func sameTile(a, b tile.Tile) bool {
 
 // TestInMemoryStreamMatchesMaterializedBits: an explicit Σ factored through
 // the streaming graph — every tile gathered from memory and compressed in
-// hand by its own task inside PotrfStream — is, tile for tile, the factor of
-// the same layout materialized up front (Assemble* → Potrf): kind, rank and
-// the bits of every stored entry, at one and two workers, on ragged grids. Σ
-// is the Matérn-5/2-plus-nugget field of the root package's pinned-bits
-// problem with a third of its locations swapped at random, so tiles are not
-// smooth in their indices and the adaptive policy uses all three
-// representations.
+// hand by its own task — is, tile for tile, the factor of the same layout's
+// tiles built up front by engine.Assemble and handed to the graph as they
+// stand: kind, rank and the bits of every stored entry, at one and two
+// workers, on ragged grids. Σ is the Matérn-5/2-plus-nugget field of the root
+// package's pinned-bits problem with a third of its locations swapped at
+// random, so tiles are not smooth in their indices and the adaptive policy
+// uses all three representations.
 func TestInMemoryStreamMatchesMaterializedBits(t *testing.T) {
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}
 	const tol = 1e-4
@@ -161,40 +220,23 @@ func TestInMemoryStreamMatchesMaterializedBits(t *testing.T) {
 			geom.Pts[i], geom.Pts[j] = geom.Pts[j], geom.Pts[i]
 		}
 		sigma := cov.Matrix(geom, kern)
-		fill := func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
 		// Ranks uncapped: a tile of swapped locations is near full rank, and
 		// a TLR factor capped at ts/2 is not positive definite.
 		n, maxRank := geom.Len(), 0
 		policy := engine.Policy{Tol: tol, MaxRank: maxRank, RankFrac: 0.5, F32Norm: 0.5}
 		cfg := engine.Config{Tol: tol, MaxRank: maxRank}
-		for name, layout := range map[string]struct {
-			materialized func(sub taskrt.Submitter, src *tile.Matrix) *engine.Grid
-			streamed     func(g *engine.Grid) *engine.Assembler
-		}{
-			"dense": {
-				func(_ taskrt.Submitter, src *tile.Matrix) *engine.Grid { return engine.AssembleDense(src) },
-				func(g *engine.Grid) *engine.Assembler { return engine.DenseEntryAssembler(g, fill) },
-			},
-			"tlr": {
-				func(sub taskrt.Submitter, src *tile.Matrix) *engine.Grid {
-					return engine.AssembleTLR(sub, src, tol, maxRank)
-				},
-				func(g *engine.Grid) *engine.Assembler { return engine.TLREntryAssembler(g, fill, tol, maxRank, true) },
-			},
-			"adaptive": {
-				func(sub taskrt.Submitter, src *tile.Matrix) *engine.Grid {
-					return engine.AssembleAdaptive(sub, src, policy)
-				},
-				func(g *engine.Grid) *engine.Assembler { return policy.EntryAssembler(g, fill, true) },
-			},
+		for name, mk := range map[string]layout{
+			"dense":    denseLayout(sigma),
+			"tlr":      tlrLayout(sigma, tol, maxRank),
+			"adaptive": adaptiveLayout(sigma, policy),
 		} {
 			for _, workers := range []int{1, 2} {
 				rt := taskrt.New(workers)
-				want := layout.materialized(rt.NewGroup(), tile.FromDense(sigma, tc.ts))
-				err := engine.Potrf(rt.NewGroup(), want, cfg)
+				want := engine.NewGrid(n, tc.ts)
+				err := engine.PotrfStream(rt.NewGroup(), want, cfg, prebuilt(assembled(n, tc.ts, mk))(want))
 				got := engine.NewGrid(n, tc.ts)
 				if err == nil {
-					err = engine.PotrfStream(rt.NewGroup(), got, cfg, layout.streamed(got))
+					err = engine.PotrfStream(rt.NewGroup(), got, cfg, mk(got))
 				}
 				rt.Shutdown()
 				if err != nil {
@@ -259,9 +301,8 @@ func TestRunAssemblyMatchesPerEntry(t *testing.T) {
 	for kn, k := range kernels {
 		for _, ts := range []int{24, 20} { // ts=20 leaves a ragged 4-row last tile
 			for bn, mk := range builders {
-				runs, entries := engine.NewGrid(geom.Len(), ts), engine.NewGrid(geom.Len(), ts)
-				engine.Materialize(runs, mk(runs, fillOf(geom, k)))
-				engine.Materialize(entries, mk(entries, entryOf(geom, k)))
+				runs := assembled(geom.Len(), ts, func(g *engine.Grid) *engine.Assembler { return mk(g, fillOf(geom, k)) })
+				entries := assembled(geom.Len(), ts, func(g *engine.Grid) *engine.Assembler { return mk(g, entryOf(geom, k)) })
 				compare(kn+"/"+bn, runs, entries)
 			}
 		}
@@ -295,7 +336,7 @@ func TestTLRStreamingResidualCheckOnMarginalOrder(t *testing.T) {
 
 // TestGridSizeGuard pins the tile-count overflow guard: oversized grids are
 // refused with the typed *SizeError — never a panic or an allocation attempt
-// — by the constructor and by both factorization entry points.
+// — by the constructor and by the factorization.
 func TestGridSizeGuard(t *testing.T) {
 	if _, err := engine.NewGridChecked(8, 0); err == nil {
 		t.Error("want error for tile size 0")
@@ -327,9 +368,6 @@ func TestGridSizeGuard(t *testing.T) {
 	rt := taskrt.New(1)
 	defer rt.Shutdown()
 	big := engine.NewGridOversized()
-	if err := engine.Potrf(rt, big, engine.Config{}); !errors.As(err, &se) {
-		t.Errorf("Potrf on oversized grid: want *SizeError, got %v", err)
-	}
 	asm := &engine.Assembler{Tile: func(i, j int) tile.Tile { return nil }}
 	if err := engine.PotrfStream(rt, big, engine.Config{}, asm); !errors.As(err, &se) {
 		t.Errorf("PotrfStream on oversized grid: want *SizeError, got %v", err)
@@ -354,8 +392,7 @@ func TestDeferredAndDenseTilesInOneGrid(t *testing.T) {
 	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.35, F32Norm: 1e-12}
 	mk := func(g *engine.Grid) *engine.Assembler { return policy.EntryAssembler(g, fillOf(geom, kern), false) }
 
-	asIs := engine.NewGrid(n, ts)
-	engine.Materialize(asIs, mk(asIs))
+	asIs := assembled(n, ts, mk)
 	g := streamFactor(t, n, ts, engine.Config{Tol: tol}, mk)
 
 	var deferred, dense int

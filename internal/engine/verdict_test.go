@@ -7,7 +7,6 @@ import (
 	"repro/internal/cov"
 	"repro/internal/engine"
 	"repro/internal/geo"
-	"repro/internal/linalg"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
 )
@@ -16,22 +15,17 @@ import (
 // are probed first, and when every one of them rejects no later off-band tile
 // is probed.
 
-// sigmaFill reads an in-memory Σ in runs, as a session reads a caller's
-// explicit covariance.
-func sigmaFill(sigma *linalg.Matrix) engine.RunFill {
-	return func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
-}
-
 // TestVerdictSameAtEveryWorkerCount: on crd_2k's matrix at toy size, where
 // column 0 rejects every probe, the factor streamed at one and two workers and
-// the one materialized up front (serially, and on two workers) skip the same
-// probes and hold the same tiles, bit for bit.
+// the tiles assembled up front, serially, and factored at one and two workers
+// skip the same probes and hold the same tiles, bit for bit.
 func TestVerdictSameAtEveryWorkerCount(t *testing.T) {
 	const ts, tol = 50, 1e-4
 	corr := posteriorCorrelation(t, 20)
 	policy, cfg := engine.Policy{Tol: tol}, engine.Config{Tol: tol}
-	want := engine.AssembleAdaptive(nil, tile.FromDense(corr, ts), policy)
-	if err := potrfOn(want, cfg, 1); err != nil {
+	mk := adaptiveLayout(corr, policy)
+	want, err := potrfOn(corr.Rows, ts, cfg, 1, mk)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ps, mix := want.ProbeStats(), want.Mix()
@@ -43,23 +37,27 @@ func TestVerdictSameAtEveryWorkerCount(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		rt := taskrt.New(workers)
 		streamed := engine.NewGrid(corr.Rows, ts)
-		err := engine.PotrfStream(rt.NewGroup(), streamed, cfg, policy.EntryAssembler(streamed, sigmaFill(corr), true))
-		materialized := engine.AssembleAdaptive(rt.NewGroup(), tile.FromDense(corr, ts), policy)
+		err := engine.PotrfStream(rt.NewGroup(), streamed, cfg, mk(streamed))
+		pre := assembled(corr.Rows, ts, mk)
+		materialized := engine.NewGrid(corr.Rows, ts)
 		if err == nil {
-			err = engine.Potrf(rt.NewGroup(), materialized, cfg)
+			err = engine.PotrfStream(rt.NewGroup(), materialized, cfg, prebuilt(pre)(materialized))
 		}
 		rt.Shutdown()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		if streamed.ProbeStats() != ps || pre.ProbeStats() != ps {
+			t.Errorf("workers=%d: probes streamed %+v, assembled %+v, want %+v", workers, streamed.ProbeStats(), pre.ProbeStats(), ps)
+		}
 		for name, g := range map[string]*engine.Grid{"streamed": streamed, "materialized": materialized} {
-			if g.ProbeStats() != ps || g.Mix() != mix {
-				t.Errorf("%s, workers=%d: probes %+v mix %+v, want %+v %+v", name, workers, g.ProbeStats(), g.Mix(), ps, mix)
+			if g.Mix() != mix {
+				t.Errorf("%s, workers=%d: mix %+v, want %+v", name, workers, g.Mix(), mix)
 			}
 			for i := 0; i < g.NT; i++ {
 				for j := 0; j <= i; j++ {
 					if !sameTile(g.At(i, j), want.At(i, j)) {
-						t.Fatalf("%s, workers=%d: tile (%d,%d) differs from the serial materialized factor", name, workers, i, j)
+						t.Fatalf("%s, workers=%d: tile (%d,%d) differs from the one-worker streamed factor", name, workers, i, j)
 					}
 				}
 			}
@@ -85,12 +83,9 @@ func TestVerdictOneAcceptedTileSkipsNothing(t *testing.T) {
 			sigma.Set(c, last+r, x[r]*y[c])
 		}
 	}
-	policy := engine.Policy{Tol: tol}
-	materialized := engine.AssembleAdaptive(nil, tile.FromDense(sigma, ts), policy)
-	rt := taskrt.New(2)
-	streamed := engine.NewGrid(n, ts)
-	err := engine.PotrfStream(rt, streamed, engine.Config{Tol: tol}, policy.EntryAssembler(streamed, sigmaFill(sigma), true))
-	rt.Shutdown()
+	mk := adaptiveLayout(sigma, engine.Policy{Tol: tol})
+	materialized := assembled(n, ts, mk)
+	streamed, err := potrfOn(n, ts, engine.Config{Tol: tol}, 2, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +118,12 @@ func TestVerdictLeavesLaterCompressibleTileDense(t *testing.T) {
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.1, 2.5), Tau2: 0.05}
 	sigma := cov.Matrix(geom, kern)
 	policy := engine.Policy{Tol: tol, F32Norm: 1e-12}
-	ref := tile.FromDense(sigma, ts)
 	limit := policy.WithDefaults().RankLimit(ts, ts)
 
-	inMemory := engine.AssembleAdaptive(nil, ref, policy)
-	kernel := engine.NewGrid(geom.Len(), ts)
-	engine.Materialize(kernel, policy.EntryAssembler(kernel, fillOf(geom, kern), false))
+	inMemory := assembled(geom.Len(), ts, adaptiveLayout(sigma, policy))
+	kernel := assembled(geom.Len(), ts, func(g *engine.Grid) *engine.Assembler {
+		return policy.EntryAssembler(g, fillOf(geom, kern), false)
+	})
 	for name, g := range map[string]*engine.Grid{"in memory": inMemory, "kernel": kernel} {
 		nt := g.NT
 		if ps := g.ProbeStats(); ps.Probed != nt-2 || ps.Rejected != nt-2 || ps.Skipped != (nt-1)*(nt-2)/2-(nt-2) {
@@ -137,13 +132,14 @@ func TestVerdictLeavesLaterCompressibleTileDense(t *testing.T) {
 		compressible := 0
 		for i := 3; i < nt; i++ {
 			for j := 1; j < i-1; j++ {
-				lr, ok := tile.CompressWithin(ref.Tile(i, j), tol, limit)
+				blk := blockOf(sigma, g, i, j)
+				lr, ok := tile.CompressWithin(blk, tol, limit)
 				if !ok {
 					continue
 				}
 				compressible++
 				d, dense := g.At(i, j).(*tile.DenseF64)
-				if !dense || !sameTile(d, &tile.DenseF64{D: ref.Tile(i, j)}) {
+				if !dense || !sameTile(d, &tile.DenseF64{D: blk}) {
 					t.Errorf("%s: tile (%d,%d) compresses to rank %d but is %s, not Σ's tile", name, i, j, lr.Rank(), g.At(i, j).Kind())
 				}
 			}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/mvn"
 	"repro/internal/stats"
 	"repro/internal/taskrt"
-	"repro/internal/tile"
 )
 
 // problem is an exponential field on a k×k grid with a linearly varying mean
@@ -42,11 +41,13 @@ func newProblem(t *testing.T, k int, rang float64) *problem {
 	return &problem{g: g, sigma: sigma, lCorr: lCorr, mean: mean, sd: sd}
 }
 
-// denseFactor factors m with the dense tiled Cholesky.
+// denseFactor factors m with the dense tiled Cholesky, m read in place as a
+// session reads an explicit Σ.
 func denseFactor(t *testing.T, rt *taskrt.Runtime, m *linalg.Matrix, ts int) *mvn.Factor {
 	t.Helper()
-	g := engine.AssembleDense(tile.FromDense(m, ts))
-	if err := engine.Potrf(rt, g, engine.Config{}); err != nil {
+	g := engine.NewGrid(m.Rows, ts)
+	fill := func(dst []float64, row0, j int) { copy(dst, m.Col(j)[row0:]) }
+	if err := engine.PotrfStream(rt, g, engine.Config{}, engine.DenseEntryAssembler(g, fill)); err != nil {
 		t.Fatal(err)
 	}
 	return mvn.NewFactor(g)

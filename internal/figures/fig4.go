@@ -68,8 +68,8 @@ func Fig4(w io.Writer, cfg Config) ([]Fig4Row, error) {
 			best := [2]float64{math.Inf(1), math.Inf(1)}
 			for run := 0; run < fig4Runs; run++ {
 				for m, method := range methods {
-					// A factorization consumes its layout, so every TLR run
-					// compresses afresh, outside the timed region.
+					// A factorization consumes the tiles it is handed, so every
+					// TLR run compresses afresh, outside the timed region.
 					var pre *engine.Grid
 					if method == "tlr" {
 						pre = tlrCompress(sigma, ts, tlrTol)
@@ -79,9 +79,9 @@ func Fig4(w io.Writer, cfg Config) ([]Fig4Row, error) {
 					sec := timeIt(func() {
 						var f *mvn.Factor
 						if pre == nil {
-							f, err = denseFactor(rt, sigma, ts)
+							f, err = factorize(rt, sigma, ts, 0)
 						} else {
-							f, err = factorGrid(rt, pre, tlrTol)
+							f, err = factorCompressed(rt, pre, tlrTol)
 						}
 						if err == nil {
 							mvn.PMVN(rt, f, a, b, mvn.Options{N: qn})

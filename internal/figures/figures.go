@@ -23,7 +23,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mvn"
 	"repro/internal/taskrt"
-	"repro/internal/tile"
 )
 
 // Config controls the harness.
@@ -59,25 +58,44 @@ func timeIt(f func()) float64 {
 	return time.Since(start).Seconds()
 }
 
-// factorGrid factorizes an assembled layout (tol is the recompression
-// accuracy of its low-rank tiles, 0 for a dense layout).
-func factorGrid(rt *taskrt.Runtime, g *engine.Grid, tol float64) (*mvn.Factor, error) {
-	if err := engine.Potrf(rt, g, engine.Config{Tol: tol}); err != nil {
+// factorWith factorizes the layout asm builds on the empty grid g (tol is
+// the recompression accuracy of its low-rank tiles, 0 for a dense layout).
+func factorWith(rt *taskrt.Runtime, g *engine.Grid, tol float64, asm *engine.Assembler) (*mvn.Factor, error) {
+	if err := engine.PotrfStream(rt, g, engine.Config{Tol: tol}, asm); err != nil {
 		return nil, err
 	}
 	return mvn.NewFactor(g), nil
 }
 
-// denseFactor computes the dense tiled Cholesky factor of sigma.
-func denseFactor(rt *taskrt.Runtime, sigma *linalg.Matrix, ts int) (*mvn.Factor, error) {
-	return factorGrid(rt, engine.AssembleDense(tile.FromDense(sigma, ts)), 0)
+// sigmaFill reads sigma in place, in runs, as MVNProbCov reads an explicit Σ.
+func sigmaFill(sigma *linalg.Matrix) engine.RunFill {
+	return func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
+}
+
+// factorize computes the tiled Cholesky factor of sigma the way MVNProbCov
+// does: the dense layout, or the TLR layout at accuracy tol > 0.
+func factorize(rt *taskrt.Runtime, sigma *linalg.Matrix, ts int, tol float64) (*mvn.Factor, error) {
+	g, fill := engine.NewGrid(sigma.Rows, ts), sigmaFill(sigma)
+	asm := engine.DenseEntryAssembler(g, fill)
+	if tol > 0 {
+		asm = engine.TLREntryAssembler(g, fill, tol, 0, true)
+	}
+	return factorWith(rt, g, tol, asm)
 }
 
 // tlrCompress builds the TLR layout of sigma at accuracy tol without
 // factorizing it (the pmvn_init compression step, excluded from the paper's
 // timings).
 func tlrCompress(sigma *linalg.Matrix, ts int, tol float64) *engine.Grid {
-	return engine.AssembleTLR(nil, tile.FromDense(sigma, ts), tol, 0)
+	g := engine.NewGrid(sigma.Rows, ts)
+	engine.Assemble(g, engine.TLREntryAssembler(g, sigmaFill(sigma), tol, 0, true))
+	return g
+}
+
+// factorCompressed factorizes the tiles of a tlrCompress layout as they
+// stand, each handed to the graph by its assemble task.
+func factorCompressed(rt *taskrt.Runtime, pre *engine.Grid, tol float64) (*mvn.Factor, error) {
+	return factorWith(rt, engine.NewGrid(pre.N, pre.TS), tol, &engine.Assembler{Tile: pre.At})
 }
 
 // asciiMap renders a scalar field on an nx×ny grid as a small character
@@ -146,11 +164,11 @@ func detectDenseTLR(rt *taskrt.Runtime, corr *linalg.Matrix, mean, sd []float64,
 		return nil, nil, err
 	}
 	ordered := plan.Correlation(corr.Col, nil)
-	fD, err := denseFactor(rt, ordered, ts)
+	fD, err := factorize(rt, ordered, ts, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	fT, err := factorGrid(rt, tlrCompress(ordered, ts, tlrTol), tlrTol)
+	fT, err := factorize(rt, ordered, ts, tlrTol)
 	if err != nil {
 		return nil, nil, err
 	}

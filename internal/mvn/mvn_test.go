@@ -12,7 +12,6 @@ import (
 	"repro/internal/qmc"
 	"repro/internal/stats"
 	"repro/internal/taskrt"
-	"repro/internal/tile"
 )
 
 // equicorrOracle integrates the 1-D reduction of the equicorrelated MVN
@@ -162,25 +161,32 @@ func TestSOVSequentialEquicorrelated(t *testing.T) {
 	}
 }
 
-// denseFactorOn factorizes sigma in the dense layout on rt.
-func denseFactorOn(t testing.TB, rt taskrt.Submitter, sigma *linalg.Matrix, ts int) *Factor {
+// factorOn factorizes sigma on rt, read in place as a session reads an
+// explicit Σ: the dense layout, or the TLR layout at tol > 0.
+func factorOn(t testing.TB, rt taskrt.Submitter, sigma *linalg.Matrix, ts int, tol float64) *Factor {
 	t.Helper()
-	g := engine.AssembleDense(tile.FromDense(sigma, ts))
-	if err := engine.Potrf(rt, g, engine.Config{}); err != nil {
+	g := engine.NewGrid(sigma.Rows, ts)
+	fill := func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
+	asm := engine.DenseEntryAssembler(g, fill)
+	if tol > 0 {
+		asm = engine.TLREntryAssembler(g, fill, tol, 0, true)
+	}
+	if err := engine.PotrfStream(rt, g, engine.Config{Tol: tol}, asm); err != nil {
 		t.Fatal(err)
 	}
 	return NewFactor(g)
 }
 
-// tlrFactorOn compresses sigma to the TLR layout at tol and factorizes it on
-// rt.
+// denseFactorOn factorizes sigma in the dense layout on rt.
+func denseFactorOn(t testing.TB, rt taskrt.Submitter, sigma *linalg.Matrix, ts int) *Factor {
+	t.Helper()
+	return factorOn(t, rt, sigma, ts, 0)
+}
+
+// tlrFactorOn factorizes sigma in the TLR layout at tol on rt.
 func tlrFactorOn(t testing.TB, rt taskrt.Submitter, sigma *linalg.Matrix, ts int, tol float64) *Factor {
 	t.Helper()
-	g := engine.AssembleTLR(rt, tile.FromDense(sigma, ts), tol, 0)
-	if err := engine.Potrf(rt, g, engine.Config{Tol: tol}); err != nil {
-		t.Fatal(err)
-	}
-	return NewFactor(g)
+	return factorOn(t, rt, sigma, ts, tol)
 }
 
 func denseFactor(t *testing.T, sigma *linalg.Matrix, ts int) *Factor {

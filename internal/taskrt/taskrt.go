@@ -565,19 +565,6 @@ func (th *Throttle) Err() error { return th.sub.Err() }
 // completed.
 func (th *Throttle) Wait() { th.sub.Wait() }
 
-// Scatter adapts an optional Submitter to a fan-out of independent tasks:
-// run executes fn inline when sub is nil, or submits it under name
-// (priority 0, no dependencies) otherwise; wait blocks until every
-// submitted task completed (a no-op when serial). This is the shared
-// scaffolding of the parallel assembly/compression paths, which build
-// disjoint tiles and only need a completion barrier.
-func Scatter(sub Submitter, name string) (run func(func()), wait func()) {
-	if sub == nil {
-		return func(fn func()) { fn() }, func() {}
-	}
-	return func(fn func()) { sub.Submit(name, 0, fn) }, sub.Wait
-}
-
 // ForEachLimit runs fn(i) for every i in [0,n) with at most limit calls in
 // flight — the fan-out shape of batched queries, where each item allocates
 // its whole working set up front, so unbounded spawning would exhaust

@@ -10,6 +10,17 @@ import (
 	"repro/internal/linalg"
 )
 
+func randDense(r, c int, rng *rand.Rand) *linalg.Matrix {
+	m := linalg.NewMatrix(r, c)
+	for j := 0; j < c; j++ {
+		col := m.Col(j)
+		for i := range col {
+			col[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
 // TestApplyRightTransPackedMatchesDense pins both forms of the sweep's
 // low-rank apply — the packed one the sweep calls and the matrix one the
 // benchmark probes — against alpha·b·Dense()ᵀ + beta·c on rank-0, rank-1 and

@@ -1,3 +1,10 @@
+// Package tile provides the tile representations the task-parallel
+// factorization dispatches over — dense float64, dense float32 and low rank
+// U·Vᵀ — with their kernels: the single-precision GEMM and TRSM, the
+// conversions between representations, compression (randomized SVD, ACA) and
+// the tile codec. One tile is owned, locked and computed on by one task at a
+// time; engine.Grid arranges them into the Chameleon/HiCMA-style tiled
+// matrix the paper initializes in pmvn_init().
 package tile
 
 import "repro/internal/linalg"

@@ -216,6 +216,34 @@ func TestExplicitSigmaMemorySmoke(t *testing.T) {
 	}
 }
 
+// TestExplicitSigmaSubmissionIsWindowed: an explicit Σ is factored under the
+// in-flight bound a kernel is, 2·NT² tasks. On 24×24 tiles of 32 rows the
+// graph holds ≈ 2 950 tasks, past the bound of 1 152 and its 1 024-task
+// floor, and a single worker falls behind submission at once: without the
+// window ≈ 2 600 of them are in flight together. The runtime may count one
+// task per worker past the bound: the one that has released its slot and not
+// yet retired.
+func TestExplicitSigmaSubmissionIsWindowed(t *testing.T) {
+	const ts, workers = 32, 1
+	locs := Grid(32, 24) // n = 768
+	n, nt := len(locs), len(locs)/ts
+	sigma := CovarianceMatrix(locs, KernelSpec{Range: 0.1})
+	a, b := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i], b[i] = -1, math.Inf(1)
+	}
+	s := NewSession(Config{Workers: workers, TileSize: ts, QMCSize: 100})
+	defer s.Close()
+	if _, err := s.MVNProbCov(sigma, a, b); err != nil {
+		t.Fatal(err)
+	}
+	st := s.SchedulerStats()
+	if bound := 2 * nt * nt; st.Total() <= bound || st.PeakInflight > bound+workers {
+		t.Errorf("%d tasks, peak in flight %d: want more tasks than the bound %d and at most %d in flight",
+			st.Total(), st.PeakInflight, bound, bound+workers)
+	}
+}
+
 // recordHandler keeps every record it is handed.
 type recordHandler struct {
 	mu   sync.Mutex
