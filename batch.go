@@ -25,7 +25,6 @@ type problem struct {
 }
 
 // dim is the problem dimension.
-//repro:noalloc
 func (p *problem) dim() int {
 	if p.cov {
 		return len(p.sigma)
@@ -36,7 +35,6 @@ func (p *problem) dim() int {
 // optAt resolves the per-query opts of a batch: nil means every query is
 // unconstrained, a single element is shared by all queries, and a
 // len(queries) slice assigns opts query by query (validated up front).
-//repro:noalloc
 func optAt(opts []QueryOpts, i int) QueryOpts {
 	switch len(opts) {
 	case 0:
@@ -88,7 +86,6 @@ func (s *Session) MVNProbCovBatch(sigma [][]float64, queries []Bounds) ([]Result
 // single is the direct entry points' call: eval over one box, its error
 // returned as is. The one-element arrays stay on the stack, which is why eval
 // must not leak its slices.
-//repro:noalloc
 func (s *Session) single(p problem, a, b []float64, opts QueryOpts) (Result, error) {
 	qs, qo, out := [1]Bounds{{A: a, B: b}}, [1]QueryOpts{opts}, [1]Result{}
 	if _, err := s.eval(&p, qs[:], qo[:], out[:]); err != nil {
@@ -120,7 +117,6 @@ func (s *Session) batch(p problem, qs []Bounds, opts []QueryOpts) ([]Result, err
 // Each query's replicate shifts are a deterministic function of its options,
 // so result i is bit-identical whichever way it ran and however the boxes
 // were batched. out (zeroed, len(qs) long) receives the results.
-//repro:noalloc
 func (s *Session) eval(p *problem, qs []Bounds, opts []QueryOpts, out []Result) (bad int, err error) {
 	if p.mvt {
 		if err := validateNu(p.nu); err != nil {
@@ -136,7 +132,6 @@ func (s *Session) eval(p *problem, qs []Bounds, opts []QueryOpts, out []Result) 
 		live = live || !empty
 	}
 	if len(opts) > 1 && len(opts) != len(qs) {
-		//repro:alloc-ok rejection path
 		return -1, fmt.Errorf("parmvn: %d opts for %d queries (want 0, 1 or %d)", len(opts), len(qs), len(qs))
 	}
 	if err := s.validateTileSize(n); err != nil {
@@ -155,13 +150,11 @@ func (s *Session) eval(p *problem, qs []Bounds, opts []QueryOpts, out []Result) 
 			// goroutine, allocation-free when warm. The closure escapes, so it
 			// works on heap copies: capturing qs, opts or out would move a
 			// one-box call's stack arrays to the heap.
-			//repro:alloc-ok multi-box fan-out: the batch's own copies of its boxes, opts and results
 			boxes, qo, res := make([]Bounds, len(qs)), make([]QueryOpts, len(opts)), make([]Result, len(qs))
 			copy(boxes, qs)
 			copy(qo, opts)
 			base, nu := s.mvnOpts(), p.nu
 			base.Inline = true
-			//repro:alloc-ok multi-box fan-out: one closure per batch
 			taskrt.ForEachLimit(len(boxes), s.cfg.Workers, func(i int) {
 				if !EmptyQuery(boxes[i].A, boxes[i].B) {
 					res[i] = s.query(f, boxes[i].A, boxes[i].B, nu, optAt(qo, i).apply(base))
@@ -179,15 +172,13 @@ func (s *Session) eval(p *problem, qs []Bounds, opts []QueryOpts, out []Result) 
 }
 
 // fetch returns the problem's (possibly cached) factor.
-//repro:noalloc
 func (s *Session) fetch(p *problem) (*mvn.Factor, error) {
 	if !p.cov {
 		return s.factorForKernel(p.locs, p.kernel)
 	}
 	sigma := p.sigma
-	//repro:alloc-ok explicit-Σ keying: a row reader over the caller's rows
 	row := func(i int) []float64 { return sigma[i] }
-	//repro:alloc-ok explicit-Σ keying: every entry hashed in tasks, tiles filled from the rows
+	// explicit-Σ keying: every entry hashed in tasks, tiles filled from the rows
 	return s.factorForSigma(row, len(sigma), nil, nil, func(dst []float64, row0, j int) { copy(dst, sigma[j][row0:]) })
 }
 
@@ -206,7 +197,6 @@ func (s *Session) factor(p problem) (*mvn.Factor, error) {
 }
 
 // query evaluates one pre-validated box against the factor (nu = 0 → MVN).
-//repro:noalloc
 func (s *Session) query(f *mvn.Factor, a, b []float64, nu float64, opts mvn.Options) Result {
 	var r mvn.Result
 	if nu > 0 {

@@ -75,7 +75,6 @@ func newFactorCache(cap int) *FactorCache {
 // allocation. It returns nil on a miss or while the first build is still in
 // flight; callers then take getOrBuild (whose build closure is the only
 // allocation, paid on the cold path).
-//repro:noalloc
 func (c *FactorCache) lookupDone(key factorKey) *cacheEntry {
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -221,17 +220,14 @@ type fnv128a struct{ hi, lo uint64 }
 
 const fnvPrimeLo128 = 0x13b // FNV-128 prime is 2^88 + 0x13b
 
-//repro:noalloc
 func newFNV128a() fnv128a {
 	return fnv128a{hi: 0x6c62272e07bb0142, lo: 0x62b821756295c58d}
 }
 
 // writeFloat absorbs the little-endian bytes of v's bit pattern.
-//repro:noalloc
 func (h *fnv128a) writeFloat(v float64) { h.writeUint(math.Float64bits(v)) }
 
 // writeUint absorbs the little-endian bytes of u.
-//repro:noalloc
 func (h *fnv128a) writeUint(u uint64) {
 	for i := 0; i < 8; i++ {
 		h.lo ^= uint64(byte(u >> (8 * i)))
@@ -243,11 +239,9 @@ func (h *fnv128a) writeUint(u uint64) {
 	}
 }
 
-//repro:noalloc
 func (h *fnv128a) sum() [2]uint64 { return [2]uint64{h.hi, h.lo} }
 
 // hashPoints content-hashes a location set.
-//repro:noalloc
 func hashPoints(locs []Point) [2]uint64 {
 	h := newFNV128a()
 	for _, p := range locs {
@@ -282,7 +276,6 @@ func hashRow(row []float64) (d [2]uint64, bad int) {
 
 // key assembles the cache key under an effective (already defaulted)
 // configuration.
-//repro:noalloc
 func (c Config) key(kind byte, hash [2]uint64, n int, spec KernelSpec) factorKey {
 	k := factorKey{
 		kind: kind, hash: hash, n: n, kernel: spec,
@@ -394,7 +387,6 @@ func (s *Session) Prefactorize(locs []Point, spec KernelSpec) error {
 // hash and the lookup. The spec is normalized before keying so equivalent
 // specs (defaulted Sigma2, implicit exponential family, family-irrelevant
 // Nu) share a factor.
-//repro:noalloc
 func (s *Session) factorForKernel(locs []Point, spec KernelSpec) (*mvn.Factor, error) {
 	// Reject malformed specs before keying: error entries must not occupy
 	// the bounded cache and evict real factors.
@@ -407,7 +399,6 @@ func (s *Session) factorForKernel(locs []Point, spec KernelSpec) (*mvn.Factor, e
 	}
 	// Cold path only: the build closure below is the single allocation the
 	// cache layer ever makes per query, and it is never reached warm.
-	//repro:alloc-ok cache-miss path: the build closure is the one allocation per cold query
 	return s.cache.getOrBuild(key, func() (*mvn.Factor, error) {
 		return s.buildKernelFactor(locs, spec)
 	})

@@ -1,7 +1,7 @@
-// Command reprolint statically enforces the repository's hot-path contracts:
-// pool pairing (poolcheck), steady-state allocation freedom (noalloc), lock
-// discipline in the serving path (locksafe) and taskrt group hygiene
-// (taskdiscipline).
+// Command reprolint statically enforces three of the repository's hot-path
+// contracts: pool pairing (poolcheck), lock discipline in the serving path
+// (locksafe) and taskrt group hygiene (taskdiscipline). Allocation freedom
+// is measured at run time instead, by the ZeroAllocs tests.
 //
 // It runs two ways:
 //
@@ -12,8 +12,8 @@
 // needs nothing but the go tool. Vettool mode speaks cmd/go's unit protocol
 // — a -V=full version handshake for the build cache, one vet.cfg JSON file
 // per package, gc export data for imports, and vetx fact files carrying
-// //repro:noalloc and //repro:returns-pooled certifications between
-// packages — so results are incremental and cached like the built-in vet.
+// //repro:returns-pooled annotations between packages — so results are
+// incremental and cached like the built-in vet.
 package main
 
 import (
@@ -94,7 +94,7 @@ func runStandalone(patterns []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ix := analysis.BuildIndex(fset, pkgs)
+	ix := analysis.BuildIndex(pkgs)
 	bad := false
 	for _, p := range pkgs {
 		if !p.Target || p.Pkg == nil {
@@ -131,11 +131,10 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// vetxFacts is reprolint's fact file format: the annotation certifications a
-// package exports to its dependents.
+// vetxFacts is reprolint's fact file format: the pooled-constructor
+// annotations a package exports to its dependents.
 type vetxFacts struct {
-	Noalloc []string          `json:"noalloc,omitempty"`
-	Pooled  map[string]string `json:"pooled,omitempty"`
+	Pooled map[string]string `json:"pooled,omitempty"`
 }
 
 func runVetUnit(cfgPath string) {
@@ -207,10 +206,10 @@ func runVetUnit(cfgPath string) {
 		}
 		var facts vetxFacts
 		if json.Unmarshal(fdata, &facts) == nil {
-			ix.AddFacts(facts.Noalloc, facts.Pooled)
+			ix.AddFacts(facts.Pooled)
 		}
 	}
-	ix.AddPackage(fset, cfg.ImportPath, files)
+	ix.AddPackage(cfg.ImportPath, files)
 	writeFacts(cfg, ix)
 
 	if cfg.VetxOnly {
@@ -234,8 +233,7 @@ func writeFacts(cfg *vetConfig, ix *analysis.Index) {
 	if cfg.VetxOutput == "" {
 		return
 	}
-	noalloc, pooled := ix.Facts()
-	out, err := json.Marshal(vetxFacts{Noalloc: noalloc, Pooled: pooled})
+	out, err := json.Marshal(vetxFacts{Pooled: ix.Facts()})
 	if err != nil {
 		log.Fatal(err)
 	}

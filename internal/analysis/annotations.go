@@ -2,36 +2,21 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
-	"sort"
 	"strings"
 )
 
-// Annotation markers. NoallocMarker on a function's doc comment asserts the
-// function allocates nothing at steady state; AllocOKMarker on (or directly
-// above) a line suppresses noalloc findings for that line, documenting a
-// deliberate cold-path allocation. The markers are ordinary comments, so the
-// contract survives gofmt and shows up in godoc.
-const (
-	NoallocMarker = "//repro:noalloc"
-	AllocOKMarker = "//repro:alloc-ok"
-	// PooledMarker ("//repro:returns-pooled <mat|vec|ints|view|gen|mat32>") on a
-	// constructor marks its result as a pool acquisition, so poolcheck tracks
-	// call sites of wrappers like gaussMat the same way it tracks GetMat.
-	PooledMarker = "//repro:returns-pooled"
-)
+// PooledMarker ("//repro:returns-pooled <mat|vec|ints|view|gen|mat32>") on a
+// constructor marks its result as a pool acquisition, so poolcheck tracks
+// call sites of wrappers like gaussMat the same way it tracks GetMat. The
+// marker is an ordinary comment, so the contract survives gofmt and shows up
+// in godoc.
+const PooledMarker = "//repro:returns-pooled"
 
-// Index is the cross-package annotation database the analyzers consult: the
-// set of noalloc-certified function IDs (see funcID) and the per-file
-// suppression lines. The driver builds it over every loaded package in
-// standalone mode; in vettool mode each package's entries travel between
-// processes as facts (see facts.go).
+// Index is the cross-package annotation database poolcheck consults: the
+// pooled-object constructors by function ID (see funcID). The driver builds
+// it over every loaded package in standalone mode; in vettool mode each
+// package's entries travel between processes as facts (see cmd/reprolint).
 type Index struct {
-	// Noalloc holds funcIDs certified allocation-free, mapped to the
-	// position of their annotation (NoPos for entries imported as facts).
-	Noalloc map[string]token.Pos
-	// allocOK maps filename -> set of line numbers carrying a suppression.
-	allocOK map[string]map[int]bool
 	// Pooled maps funcIDs annotated //repro:returns-pooled to the pool kind
 	// their result belongs to.
 	Pooled map[string]poolKind
@@ -39,11 +24,7 @@ type Index struct {
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{
-		Noalloc: map[string]token.Pos{},
-		allocOK: map[string]map[int]bool{},
-		Pooled:  map[string]poolKind{},
-	}
+	return &Index{Pooled: map[string]poolKind{}}
 }
 
 // ReturnsPooled reports whether id is an annotated pooled-object constructor
@@ -72,33 +53,8 @@ func parsePoolKind(s string) (poolKind, bool) {
 	return 0, false
 }
 
-// IsNoalloc reports whether id was annotated //repro:noalloc.
-func (ix *Index) IsNoalloc(id string) bool {
-	_, ok := ix.Noalloc[id]
-	return ok
-}
-
-// Suppressed reports whether the line at pos (or the line above it) carries
-// an //repro:alloc-ok suppression.
-func (ix *Index) Suppressed(fset *token.FileSet, pos token.Pos) bool {
-	p := fset.Position(pos)
-	lines := ix.allocOK[p.Filename]
-	return lines[p.Line] || lines[p.Line-1]
-}
-
-// AddFact records a noalloc certification imported from another package's
-// facts.
-func (ix *Index) AddFact(id string) {
-	if _, ok := ix.Noalloc[id]; !ok {
-		ix.Noalloc[id] = token.NoPos
-	}
-}
-
 // AddFacts merges a fact set imported from a dependency's vetx file.
-func (ix *Index) AddFacts(noalloc []string, pooled map[string]string) {
-	for _, id := range noalloc {
-		ix.AddFact(id)
-	}
+func (ix *Index) AddFacts(pooled map[string]string) {
 	for id, kind := range pooled {
 		if k, ok := parsePoolKind(kind); ok {
 			if _, have := ix.Pooled[id]; !have {
@@ -111,92 +67,34 @@ func (ix *Index) AddFacts(noalloc []string, pooled map[string]string) {
 // Facts dumps the whole index as exportable facts. Vetx files written from
 // this are transitively complete: the index already merged every
 // dependency's facts before the current package's were added.
-func (ix *Index) Facts() (noalloc []string, pooled map[string]string) {
-	for id := range ix.Noalloc {
-		noalloc = append(noalloc, id)
-	}
-	sort.Strings(noalloc)
+func (ix *Index) Facts() (pooled map[string]string) {
 	pooled = map[string]string{}
 	for id, k := range ix.Pooled {
 		pooled[id] = k.String()
 	}
-	return noalloc, pooled
-}
-
-// PackageFacts returns the noalloc funcIDs belonging to pkgPath, the entries
-// a vettool run exports for dependent packages.
-func (ix *Index) PackageFacts(pkgPath string) []string {
-	var out []string
-	for id := range ix.Noalloc {
-		if strings.HasPrefix(id, pkgPath+".") {
-			out = append(out, id)
-		}
-	}
-	return out
+	return pooled
 }
 
 // AddPackage scans one package's files for annotations. pkgPath qualifies
-// the IDs; the fset must be the one the files were parsed with.
-func (ix *Index) AddPackage(fset *token.FileSet, pkgPath string, files []*ast.File) {
+// the IDs.
+func (ix *Index) AddPackage(pkgPath string, files []*ast.File) {
 	for _, f := range files {
-		// Suppression lines: any comment in the file whose text starts with
-		// the alloc-ok marker.
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, AllocOKMarker) {
-					p := fset.Position(c.Pos())
-					m := ix.allocOK[p.Filename]
-					if m == nil {
-						m = map[int]bool{}
-						ix.allocOK[p.Filename] = m
-					}
-					m[p.Line] = true
-				}
-			}
-		}
 		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if pos := markerPos(d.Doc, NoallocMarker); pos != token.NoPos {
-					ix.Noalloc[declID(pkgPath, d)] = pos
-				}
-				if arg, ok := markerArg(d.Doc, PooledMarker); ok {
-					if k, ok := parsePoolKind(arg); ok {
-						ix.Pooled[declID(pkgPath, d)] = k
-					}
-				}
-			case *ast.GenDecl:
-				// Interface method declarations may carry the annotation: a
-				// call through the interface is then permitted inside noalloc
-				// functions, and every concrete implementation is required
-				// (by the noalloc analyzer) to be annotated itself.
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					it, ok := ts.Type.(*ast.InterfaceType)
-					if !ok {
-						continue
-					}
-					for _, m := range it.Methods.List {
-						if len(m.Names) == 0 {
-							continue // embedded interface
-						}
-						if pos := markerPos(m.Doc, NoallocMarker); pos != token.NoPos {
-							for _, name := range m.Names {
-								ix.Noalloc[pkgPath+".("+ts.Name.Name+")."+name.Name] = pos
-							}
-						}
-					}
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if arg, ok := markerArg(d.Doc, PooledMarker); ok {
+				if k, ok := parsePoolKind(arg); ok {
+					ix.Pooled[declID(pkgPath, d)] = k
 				}
 			}
 		}
 	}
 }
 
-// declID derives the funcID of a declaration syntactically (the types-based
-// funcID and this must agree; TestDeclIDMatchesTypes pins it).
+// declID derives the funcID of a declaration syntactically; it must agree
+// with the types-based funcID.
 func declID(pkgPath string, d *ast.FuncDecl) string {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
 		return pkgPath + "." + d.Name.Name
@@ -230,18 +128,4 @@ func markerArg(g *ast.CommentGroup, marker string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// markerPos returns the position of the first comment in g that begins with
-// marker, or NoPos.
-func markerPos(g *ast.CommentGroup, marker string) token.Pos {
-	if g == nil {
-		return token.NoPos
-	}
-	for _, c := range g.List {
-		if strings.HasPrefix(c.Text, marker) {
-			return c.Pos()
-		}
-	}
-	return token.NoPos
 }

@@ -215,8 +215,8 @@ func runFixturePkg(a *Analyzer, dir string) (*fixtureRun, error) {
 		return nil, fmt.Errorf("typechecking fixture: %v", err)
 	}
 
-	ix := BuildIndex(fset, closure.pkgs)
-	ix.AddPackage(fset, pkgPath, run.files)
+	ix := BuildIndex(closure.pkgs)
+	ix.AddPackage(pkgPath, run.files)
 
 	run.diags, err = RunAnalyzers([]*Analyzer{a}, fset, run.files, pkg, info, ix)
 	return run, err

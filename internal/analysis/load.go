@@ -173,13 +173,13 @@ func (m mapImporter) Import(path string) (*types.Package, error) {
 }
 
 // BuildIndex scans every loaded package for annotations.
-func BuildIndex(fset *token.FileSet, pkgs []*Package) *Index {
+func BuildIndex(pkgs []*Package) *Index {
 	ix := NewIndex()
 	for _, p := range pkgs {
 		if p.Pkg == types.Unsafe {
 			continue
 		}
-		ix.AddPackage(fset, p.Path, p.Files)
+		ix.AddPackage(p.Path, p.Files)
 	}
 	return ix
 }

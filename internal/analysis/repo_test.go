@@ -16,7 +16,7 @@ func TestRepoClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkgs, fset := closure.pkgs, closure.fset
-	ix := BuildIndex(fset, pkgs)
+	ix := BuildIndex(pkgs)
 	for _, p := range pkgs {
 		if !p.Target || p.Pkg == nil {
 			continue

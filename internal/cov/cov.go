@@ -99,8 +99,6 @@ func halfIntegerPoly(nu float64) []float64 {
 // exponential, and the clamps of the general path (a polynomial that overflowed against an exponential that underflowed
 // is 0, and rounding never carries the value past σ²). Cov and Fill both
 // call it, so a run and the scalar loop agree bit for bit.
-//
-//repro:noalloc
 func halfCov(c []float64, sigma2, t float64) float64 {
 	p := c[0]
 	for _, a := range c[1:] {
@@ -215,8 +213,6 @@ func withNugget(c, h, tau2 float64) float64 {
 }
 
 // fillHalf is Fill for a Matérn kernel of half-integer smoothness.
-//
-//repro:noalloc
 func fillHalf(dst []float64, pts []geo.Point, q geo.Point, m *Matern, tau2 float64) {
 	c, sigma2, rang := m.half, m.Sigma2, m.Range
 	for r, p := range pts {

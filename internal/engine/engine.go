@@ -89,8 +89,6 @@ func NewGrid(n, ts int) *Grid {
 }
 
 // TileRows returns the number of rows of tile row i.
-//
-//repro:noalloc
 func (g *Grid) TileRows(i int) int {
 	if i == g.NT-1 {
 		if r := g.N - i*g.TS; r > 0 {
@@ -109,18 +107,13 @@ func (g *Grid) Set(i, j int, t tile.Tile) {
 }
 
 // At returns tile (i,j), j ≤ i.
-//
-//repro:noalloc
 func (g *Grid) At(i, j int) tile.Tile { return g.tiles[i][j] }
 
 // Diag returns the dense float64 diagonal tile k; the engine requires
 // diagonal tiles in that representation (they carry the Cholesky pivots).
-//
-//repro:noalloc
 func (g *Grid) Diag(k int) *linalg.Matrix {
 	d, ok := g.tiles[k][k].(*tile.DenseF64)
 	if !ok {
-		//repro:alloc-ok representation-violation panic path
 		panic(fmt.Sprintf("engine: diagonal tile %d is not dense float64", k))
 	}
 	return d.D
@@ -177,8 +170,6 @@ func (g *Grid) Ranks() [][]int {
 // representations (8·r·c dense f64, 4·r·c dense f32, 8·k·(m+n) low rank) —
 // the footprint the low-rank and streaming paths exist to shrink.
 // Unassigned tiles count zero.
-//
-//repro:noalloc
 func (g *Grid) Bytes() int64 {
 	var b int64
 	for i := 0; i < g.NT; i++ {

@@ -17,8 +17,6 @@ type Point struct {
 }
 
 // Dist returns the Euclidean distance to q.
-//
-//repro:noalloc
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }

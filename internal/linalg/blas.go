@@ -10,7 +10,6 @@ import (
 const vecMinLen = 12
 
 // Dot returns xᵀy.
-//repro:noalloc
 func Dot(x, y []float64) float64 {
 	if hasVectorKernels && len(x) >= vecMinLen {
 		return dotVec(x, y[:len(x)])
@@ -23,7 +22,6 @@ func Dot(x, y []float64) float64 {
 }
 
 // Axpy computes y += alpha·x.
-//repro:noalloc
 func Axpy(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
@@ -38,7 +36,6 @@ func Axpy(alpha float64, x, y []float64) {
 }
 
 // Scal computes x *= alpha.
-//repro:noalloc
 func Scal(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
@@ -101,7 +98,6 @@ func Gemv(transA bool, alpha float64, a *Matrix, x []float64, beta float64, y []
 // Gemm computes C = alpha·op(A)·op(B) + beta·C. op(A) is m×k, op(B) is k×n,
 // C is m×n. Large products run through the packed register-blocked kernel
 // (see blocked.go); tiny ones through the unpacked column-oriented loops.
-//repro:noalloc
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	m, k := a.Rows, a.Cols
 	if transA {
@@ -112,7 +108,6 @@ func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 		kb, n = n, kb
 	}
 	if k != kb || c.Rows != m || c.Cols != n {
-		//repro:alloc-ok shape-mismatch panic path
 		panic(fmt.Sprintf("linalg: Gemm shape mismatch: op(A)=%dx%d op(B)=%dx%d C=%dx%d", m, k, kb, n, c.Rows, c.Cols))
 	}
 	c.Scale(beta)
@@ -130,7 +125,6 @@ func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 // loops, each transpose case ordered to keep the innermost accesses at
 // stride 1. It is the reference implementation the blocked kernel is tested
 // against and the fast path for tiny products.
-//repro:noalloc
 func gemmNaive(transA, transB bool, alpha float64, a, b, c *Matrix, m, n, k int) {
 	switch {
 	case !transA && !transB:

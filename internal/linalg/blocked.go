@@ -72,7 +72,6 @@ const (
 // vector micro-kernel (AVX2+FMA at least). When false, the public dispatchers
 // keep the historical unpacked loops, which beat packing overhead without
 // vector FMA underneath.
-//repro:noalloc
 func HasVectorKernels() bool { return hasVectorKernels }
 
 // KernelISA names the micro-kernel in use: "avx512", "avx2" or "go".
@@ -81,7 +80,6 @@ func KernelISA() string { return [...]string{"go", "avx2", "avx512"}[kernelISA] 
 // gemmBlocked computes C += alpha·op(A)·op(B) for the already-validated,
 // beta-scaled destination: the five-loop packed algorithm. m, n, k are the
 // logical op() dimensions.
-//repro:noalloc
 func gemmBlocked(transA, transB bool, alpha float64, a, b *Matrix, c *Matrix, m, n, k int) {
 	apack := GetVec(mcBlk * kcBlk)
 	bpack := GetVec(kcBlk * ncBlk)
@@ -105,7 +103,6 @@ func gemmBlocked(transA, transB bool, alpha float64, a, b *Matrix, c *Matrix, m,
 // mcc-row block of packed A: C[ic:ic+mcc, jc:jc+nc] += alpha·A·B. The A
 // micro-panels sit aStride apart in ap — mrReg·kcc for a block packA just
 // filled, the owner's panel stride for a resident PackedA.
-//repro:noalloc
 func macroKernel(kcc int, ap []float64, aStride int, bpack []float64, c *Matrix, ic, jc, mcc, nc int, alpha float64) {
 	for jr := 0; jr < nc; jr += nrReg {
 		cols := min(nrReg, nc-jr)
@@ -121,7 +118,6 @@ func macroKernel(kcc int, ap []float64, aStride int, bpack []float64, c *Matrix,
 // micro-panels: dst[panel·(mrReg·kcc) + l·mrReg + i] = op(A)[ic+ip+i, pc+l].
 // Ragged bottom panels are zero-padded so the micro-kernel never branches on
 // the depth loop.
-//repro:noalloc
 func packA(transA bool, a *Matrix, dst []float64, ic, pc, mcc, kcc int) {
 	for ip := 0; ip < mcc; ip += mrReg {
 		rows := min(mrReg, mcc-ip)
@@ -165,7 +161,6 @@ func packA(transA bool, a *Matrix, dst []float64, ic, pc, mcc, kcc int) {
 // packB packs the kcc×nc block of op(B) at (pc,jc) into nrReg-column
 // micro-panels: dst[panel·(nrReg·kcc) + l·nrReg + j] = op(B)[pc+l, jc+jp+j],
 // zero-padding ragged right panels.
-//repro:noalloc
 func packB(transB bool, b *Matrix, dst []float64, pc, jc, kcc, nc int) {
 	if transB {
 		packBTrans(b, dst, pc, jc, kcc, nc)
@@ -200,7 +195,6 @@ const packBGroup = 8 * nrReg
 // cache line is read once, whole — the factor tiles the sweep multiplies by
 // arrive cache-cold, and a panel-at-a-time walk fetched each line again for
 // the next panel.
-//repro:noalloc
 func packBTrans(b *Matrix, dst []float64, pc, jc, kcc, nc int) {
 	full := nc / nrReg * nrReg
 	for g0 := 0; g0 < full; g0 += packBGroup {
@@ -239,7 +233,6 @@ func packBTrans(b *Matrix, dst []float64, pc, jc, kcc, nc int) {
 // alpha 1 into zeroed stack scratch — 0 + 1·t is t exactly — and the masked
 // loop below does the mul-then-add, so an element's value does not depend on
 // which side of an edge it lies.
-//repro:noalloc
 func microKernel(kcc int, ap, bp []float64, c *Matrix, i0, j0, rows, cols int, alpha float64) {
 	if rows == mrReg && cols == nrReg {
 		microF64(kcc, ap, bp, c.Data[j0*c.Stride+i0:], c.Stride, alpha)
@@ -260,7 +253,6 @@ func microKernel(kcc int, ap, bp []float64, c *Matrix, i0, j0, rows, cols int, a
 // ones (the tile of C at c, ldc between columns, += alpha·Σ_l a_l·b_lᵀ, one
 // depth-ordered sum per element, then multiply, then add), two rows at a time
 // to stay within scalar registers.
-//repro:noalloc
 func microF64Go(kcc int, ap, bp, c []float64, ldc int, alpha float64) {
 	for i := 0; i < mrReg; i += 2 {
 		var c00, c01, c02, c03, c04, c05 float64

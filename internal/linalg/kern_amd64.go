@@ -13,31 +13,25 @@ func cpuKernelLevel() int
 // += alpha · packed-A panel · packed-B panel, written unchecked.
 //
 //go:noescape
-//repro:noalloc
 func dgemmKern16x6Z(k int, ap, bp, c *float64, ldc int, alpha float64)
 
 //go:noescape
-//repro:noalloc
 func dgemmKern16x6Y(k int, ap, bp, c *float64, ldc int, alpha float64)
 
 //go:noescape
-//repro:noalloc
 func sgemmKern32x6Z(k int, ap, bp, c *float32, ldc int, alpha float32)
 
 //go:noescape
-//repro:noalloc
 func sgemmKern32x6Y(k int, ap, bp, c *float32, ldc int, alpha float32)
 
 // ddot returns Σ x[i]·y[i] (AVX2+FMA).
 //
 //go:noescape
-//repro:noalloc
 func ddot(n int, x, y *float64) float64
 
 // daxpy computes y += a·x (AVX2+FMA).
 //
 //go:noescape
-//repro:noalloc
 func daxpy(n int, a float64, x, y *float64)
 
 // drot applies the plane rotation (x,y) ← (c·x−s·y, s·x+c·y) (AVX2+FMA).
@@ -45,9 +39,7 @@ func daxpy(n int, a float64, x, y *float64)
 //go:noescape
 func drot(n int, x, y *float64, c, s float64)
 
-//repro:noalloc
 func dotVec(x, y []float64) float64     { return ddot(len(x), &x[0], &y[0]) }
-//repro:noalloc
 func axpyVec(a float64, x, y []float64) { daxpy(len(x), a, &x[0], &y[0]) }
 func rotVec(x, y []float64, c, s float64) {
 	drot(len(x), &x[0], &y[0], c, s)
@@ -70,7 +62,6 @@ var kernelISA = func() int {
 var hasVectorKernels = kernelISA != isaGo
 
 // microF64 is the micro-kernel contract on the selected ISA.
-//repro:noalloc
 func microF64(k int, ap, bp, c []float64, ldc int, alpha float64) {
 	_ = c[(nrReg-1)*ldc+mrReg-1] // the native kernels store the whole tile unchecked
 	switch kernelISA {
@@ -86,7 +77,6 @@ func microF64(k int, ap, bp, c []float64, ldc int, alpha float64) {
 // MicroF32 is the single-precision contract for the float32 tile kernels
 // (package tile): C[MrF32×NrF32 at c, ldc between columns] += alpha · Σ_l
 // ap[MrF32·l+i]·bp[NrF32·l+j]. Callers must check HasVectorKernels first.
-//repro:noalloc
 func MicroF32(k int, ap, bp, c []float32, ldc int, alpha float32) {
 	_ = c[(NrF32-1)*ldc+MrF32-1]
 	if kernelISA == isaAVX512 {

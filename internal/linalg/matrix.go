@@ -36,7 +36,6 @@ func FromColMajor(r, c int, data []float64) *Matrix {
 }
 
 // At returns element (i,j).
-//repro:noalloc
 func (m *Matrix) At(i, j int) float64 { return m.Data[i+j*m.Stride] }
 
 // Set assigns element (i,j).
@@ -46,7 +45,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i+j*m.Stride] = v }
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i+j*m.Stride] += v }
 
 // Col returns column j as a length-Rows slice sharing the backing array.
-//repro:noalloc
 func (m *Matrix) Col(j int) []float64 {
 	if m.Rows == 0 {
 		// A 0×c matrix has Stride 1 but no storage behind it.
@@ -85,7 +83,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 }
 
 // Zero clears every element.
-//repro:noalloc
 func (m *Matrix) Zero() {
 	for j := 0; j < m.Cols; j++ {
 		col := m.Col(j)
@@ -98,7 +95,6 @@ func (m *Matrix) Zero() {
 // Scale multiplies every element by beta, the C = beta·C step of the BLAS-3
 // entry points: beta 1 is free, and beta 0 clears rather than multiplies, so
 // it also defines uninitialized (pooled) or non-finite contents.
-//repro:noalloc
 func (m *Matrix) Scale(beta float64) {
 	switch beta {
 	case 1:

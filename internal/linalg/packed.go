@@ -19,31 +19,25 @@ type PackedA struct {
 }
 
 // PackedLen returns the buffer length an m×k PackedA needs.
-//repro:noalloc
 func PackedLen(m, k int) int { return (m + mrReg - 1) / mrReg * mrReg * k }
 
 // PackedOver lays an m×k PackedA over buf (len ≥ PackedLen(m, k)); its
 // contents are whatever buf held until Pack fills them.
-//repro:noalloc
 func PackedOver(buf []float64, m, k int) PackedA {
 	return PackedA{Data: buf[:PackedLen(m, k)], M: m, K: k, Stride: mrReg * k}
 }
 
 // Cols returns depth steps l0…l0+k−1 of p as an operand sharing p's storage.
-//repro:noalloc
 func (p PackedA) Cols(l0, k int) PackedA {
 	if l0 < 0 || k < 0 || l0+k > p.K {
-		//repro:alloc-ok range panic path
 		panic(fmt.Sprintf("linalg: packed cols [%d,%d) out of %d", l0, l0+k, p.K))
 	}
 	return PackedA{Data: p.Data[l0*mrReg:], M: p.M, K: k, Stride: p.Stride}
 }
 
 // Pack fills p from columns j0…j0+K−1 of a (a.Rows == M).
-//repro:noalloc
 func (p PackedA) Pack(a *Matrix, j0 int) {
 	if a.Rows != p.M || j0 < 0 || j0+p.K > a.Cols {
-		//repro:alloc-ok shape-mismatch panic path
 		panic(fmt.Sprintf("linalg: Pack %dx%d from columns [%d,%d) of %dx%d", p.M, p.K, j0, j0+p.K, a.Rows, a.Cols))
 	}
 	for ip := 0; ip < p.M; ip += mrReg {
@@ -55,7 +49,6 @@ func (p PackedA) Pack(a *Matrix, j0 int) {
 // without its packA pass. Every shape runs the packed kernel — on the
 // portable micro-kernel when the vector one is off — because the unpacked
 // loops need A's columns at stride 1, which a packed operand does not have.
-//repro:noalloc
 func GemmPackedA(alpha float64, a PackedA, transB bool, b *Matrix, beta float64, c *Matrix) {
 	m, k := a.M, a.K
 	kb, n := b.Rows, b.Cols
@@ -63,7 +56,6 @@ func GemmPackedA(alpha float64, a PackedA, transB bool, b *Matrix, beta float64,
 		kb, n = n, kb
 	}
 	if k != kb || c.Rows != m || c.Cols != n {
-		//repro:alloc-ok shape-mismatch panic path
 		panic(fmt.Sprintf("linalg: GemmPackedA shape mismatch: A=%dx%d op(B)=%dx%d C=%dx%d", m, k, kb, n, c.Rows, c.Cols))
 	}
 	c.Scale(beta)

@@ -64,23 +64,18 @@ func (f *Factor) Bytes() int64 {
 }
 
 // N returns the problem dimension.
-//repro:noalloc
 func (f *Factor) N() int { return f.G.N }
 
 // TS returns the tile size.
-//repro:noalloc
 func (f *Factor) TS() int { return f.G.TS }
 
 // NT returns the number of tile rows.
-//repro:noalloc
 func (f *Factor) NT() int { return f.G.NT }
 
 // TileRows returns the number of rows in tile row i.
-//repro:noalloc
 func (f *Factor) TileRows(i int) int { return f.G.TileRows(i) }
 
 // Diag returns the dense diagonal tile k of L (lower triangular).
-//repro:noalloc
 func (f *Factor) Diag(k int) *linalg.Matrix { return f.G.Diag(k) }
 
 // ApplyOffDiagLanes computes dst = alpha·y·L(i,j)ᵀ + beta·dst for the
@@ -92,7 +87,6 @@ func (f *Factor) Diag(k int) *linalg.Matrix { return f.G.Diag(k) }
 // share one conditioning sum, so a single accumulation replaces the
 // seed's paired A/B tile updates — half the propagation GEMMs; beta = 0
 // overwrites dst, sparing the sweep a zeroing pass over pooled scratch.)
-//repro:noalloc
 func (f *Factor) ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, beta float64, dst *linalg.Matrix) {
 	switch t := f.G.At(i, j).(type) {
 	case *tile.DenseF64:
@@ -132,12 +126,10 @@ type shadowBox struct {
 
 // Shadow32 returns the factor's cached single-precision shadow, building it
 // on first use (the only allocating step; warm calls are allocation-free).
-//repro:noalloc
 func (f *Factor) Shadow32() *ShadowF32 {
 	if f.sh32.ready.Load() {
 		return f.sh32.s
 	}
-	//repro:alloc-ok one-time f32 shadow build (cold path)
 	return f.sh32.build(f)
 }
 
@@ -179,7 +171,6 @@ func newShadowF32(f *Factor) *ShadowF32 {
 // narrowed Y grid y (lanes × rows, tile t at column t·ts), accumulated on the
 // f32 micro-kernel (tile.Gemm32) and widened into cond once — O(lanes·ts)
 // conversions against the O(lanes·ts²·r) flops that produced them.
-//repro:noalloc
 func (s *ShadowF32) condLanes(r, ts int, y *tile.Matrix32, cond *linalg.Matrix) {
 	c32 := tile.GetMat32Zero(cond.Rows, cond.Cols)
 	for t := range s.off[r] {
@@ -193,7 +184,6 @@ func (s *ShadowF32) condLanes(r, ts int, y *tile.Matrix32, cond *linalg.Matrix) 
 
 // apply accumulates dst += y·Lᵀ for the shadow tile, the f32 mirror of
 // ApplyOffDiagLanes.
-//repro:noalloc
 func (t *sh32Tile) apply(y, dst *tile.Matrix32) {
 	switch {
 	case t.d != nil:

@@ -20,12 +20,10 @@ import (
 // dense/TLR backends.
 
 // chiScale maps a uniform draw to s = √(χ²inv_ν(w)/ν).
-//repro:noalloc
 func chiScale(w, nu float64) float64 {
 	return math.Sqrt(stats.Chi2Inv(w, nu) / nu)
 }
 
-//repro:noalloc
 func scaleLimit(v, s float64) float64 {
 	if math.IsInf(v, 0) {
 		return v
@@ -37,11 +35,9 @@ func scaleLimit(v, s float64) float64 {
 // backend: the identical sweep to PMVN, with each lane's limits pre-scaled
 // by its χ² draw (the generator's extra leading coordinate). It is the same
 // integration loop as PMVN (integrate), replicates, budgets and all.
-//repro:noalloc
 func PMVT(rt *taskrt.Runtime, f *Factor, a, b []float64, nu float64, opt Options) Result {
 	n := f.N()
 	if len(a) != n || len(b) != n {
-		//repro:alloc-ok shape-mismatch panic path
 		panic(fmt.Sprintf("mvn: limits length %d,%d != dimension %d", len(a), len(b), n))
 	}
 	if nu <= 0 {

@@ -56,7 +56,6 @@ type Options struct {
 	Ctx context.Context
 }
 
-//repro:noalloc
 func (o Options) withDefaults(ts int) Options {
 	if o.N <= 0 {
 		o.N = 1000
@@ -100,11 +99,9 @@ type Result struct {
 // block swept left-looking through the factor, parallel across columns and
 // across randomized-QMC replicates. PMVN is safe to call from multiple
 // goroutines on one runtime (the Factor is only read).
-//repro:noalloc
 func PMVN(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Result {
 	n := f.N()
 	if len(a) != n || len(b) != n {
-		//repro:alloc-ok shape-mismatch panic path
 		panic(fmt.Sprintf("mvn: limits length %d,%d != dimension %d", len(a), len(b), n))
 	}
 	return integrate(rt, f, a, b, opt.withDefaults(f.TS()), 0, nil)
@@ -114,7 +111,6 @@ func PMVN(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Result {
 // it multiply the probability by 1 and nobody reads their Y, so the sweep
 // stops there — no QMC block, Φ⁻¹ or propagation is spent on them — and the
 // result is bit-identical. The generator keeps the factor's full dimension.
-//repro:noalloc
 func trimFree(a, b []float64) ([]float64, []float64) {
 	n := len(a)
 	for n > 0 && math.IsInf(a[n-1], -1) && math.IsInf(b[n-1], 1) {
@@ -123,5 +119,4 @@ func trimFree(a, b []float64) ([]float64, []float64) {
 	return a[:n], b[:n]
 }
 
-//repro:noalloc
 func clampProb(p float64) float64 { return math.Min(1, math.Max(0, p)) }

@@ -71,8 +71,6 @@ func PMVNPrefix(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Pref
 type prefixCol []float64
 
 // prefixColOf cuts column k's share out of a wave's pooled columns×rows buffer.
-//
-//repro:noalloc
 func prefixColOf(cols []float64, k, rows int) prefixCol {
 	if cols == nil {
 		return nil
@@ -87,7 +85,6 @@ func prefixColOf(cols []float64, k, rows int) prefixCol {
 // sweep's loops.
 //
 //go:noinline
-//repro:noalloc
 func (c prefixCol) record(row0, rows int, p []float64) {
 	if c == nil {
 		return
@@ -104,8 +101,6 @@ func (c prefixCol) record(row0, rows int, p []float64) {
 // addPrefixCols adds one wave's column buffers of a replicate, summed in
 // column order — the order integrate sums the columns' scalar results in —
 // to the replicate's running per-prefix sums.
-//
-//repro:noalloc
 func addPrefixCols(dst, cols []float64) {
 	rows := len(dst)
 	for i := range dst {

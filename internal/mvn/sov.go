@@ -13,7 +13,6 @@ import (
 //
 // When the interval probability underflows, the factor is 0 and y falls
 // back to a finite midpoint so downstream arithmetic stays NaN-free.
-//repro:noalloc
 func chainStep(aPrime, bPrime, w float64) (factor, y float64) {
 	diff, da := stats.PhiIntervalAndPhi(aPrime, bPrime)
 	if diff <= 0 {
@@ -30,7 +29,6 @@ func chainStep(aPrime, bPrime, w float64) (factor, y float64) {
 // probability underflowed: a midpoint or the nearer finite limit, keeping
 // downstream arithmetic NaN-free. Shared by the scalar chainStep and the
 // lane-batched kernel so both compute identical values.
-//repro:noalloc
 func emptyIntervalY(aPrime, bPrime float64) (y float64) {
 	switch {
 	case !math.IsInf(aPrime, 0) && !math.IsInf(bPrime, 0):
@@ -45,7 +43,6 @@ func emptyIntervalY(aPrime, bPrime float64) (y float64) {
 
 // clampTailY replaces an extreme tail draw (Φ⁻¹ returned ±∞ or NaN) with the
 // nearer finite limit. Shared by chainStep and the lane-batched kernel.
-//repro:noalloc
 func clampTailY(y, aPrime, bPrime float64) float64 {
 	if math.IsNaN(y) || math.IsInf(y, 1) {
 		if !math.IsInf(bPrime, 1) {
@@ -60,7 +57,6 @@ func clampTailY(y, aPrime, bPrime float64) float64 {
 }
 
 // shiftLimit computes (limit − acc)/d, preserving infinities.
-//repro:noalloc
 func shiftLimit(limit, acc, d float64) float64 {
 	if math.IsInf(limit, 0) {
 		return limit

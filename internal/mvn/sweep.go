@@ -38,7 +38,6 @@ import (
 // linalg.PutVec when the sweep finishes.
 //
 //repro:returns-pooled vec
-//repro:noalloc
 func getLaneWS(mc int) (stats.GenzLanes, []float64) {
 	buf := linalg.GetVec(4 * mc)
 	return stats.GenzLanes{
@@ -54,7 +53,6 @@ func getLaneWS(mc int) (stats.GenzLanes, []float64) {
 // of the conditioning values, so whole free tiles skip their limit tiles and
 // incoming propagation GEMMs entirely — the PrefixProb query shape
 // constrains only a prefix of the locations and leaves most rows free.
-//repro:noalloc
 func freeSpan(a, b []float64, row0, rows int) bool {
 	for i := row0; i < row0+rows; i++ {
 		if !math.IsInf(a[i], -1) || !math.IsInf(b[i], 1) {
@@ -91,7 +89,6 @@ const condBlock = 32
 //
 // pre, when non-nil, receives Σ_lanes p after every row (PMVNPrefix); rows
 // the sweep never reaches because every lane died stay exactly 0.
-//repro:noalloc
 func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, kOff, mc int, nu float64, pre prefixCol) float64 {
 	ts := f.TS()
 	nt := (len(a) + ts - 1) / ts
@@ -218,7 +215,6 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, k
 // (the vector erfc is not math.Erfc), so a lane's value depends on which side
 // of the threshold its block stood at that row; the guarantee is that the
 // result is a deterministic function of the inputs, whatever the worker count.
-//repro:noalloc
 func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []float64, row0 int, s, p []float64, ws stats.GenzLanes, alive int, pre prefixCol) int {
 	m := yP.K
 	mc := len(p)

@@ -47,7 +47,6 @@ type plan struct {
 	budgeted bool // MaxRelErr, Deadline or Ctx is set
 }
 
-//repro:noalloc
 func (o Options) plan() plan {
 	if !(o.MaxRelErr > 0) && o.Deadline.IsZero() && o.Ctx == nil {
 		return plan{reps: o.Replicates, perRep: o.N, wave: o.N}
@@ -81,11 +80,10 @@ type waveState struct {
 
 var waveStatePool = sync.Pool{New: func() any { return new(waveState) }}
 
-//repro:noalloc
 func getWaveState(reps int) *waveState {
 	ws := waveStatePool.Get().(*waveState)
 	if cap(ws.srcs) < reps {
-		//repro:alloc-ok cold capacity miss: the pooled state grows to the largest replicate count seen
+		// cold capacity miss: the pooled state grows to the largest replicate count seen
 		ws.srcs = make([]*qmc.Richtmyer, reps)
 	}
 	ws.srcs = ws.srcs[:reps]
@@ -94,12 +92,10 @@ func getWaveState(reps int) *waveState {
 
 // open draws the replicates' shifted lattices: the one place the point set
 // is constructed.
-//
-//repro:noalloc
 func (ws *waveState) open(p plan, genDim int) {
 	var rng *rand.Rand
 	if p.reps > 1 && !p.budgeted {
-		//repro:alloc-ok the math/rand shift source of replicated fixed-N queries
+		// the one allocation of a warm replicated fixed-N query
 		rng = rand.New(rand.NewSource(1))
 	}
 	shift := linalg.GetVec(genDim)
@@ -119,14 +115,11 @@ func (ws *waveState) open(p plan, genDim int) {
 // budgeted operations and the budget rows.
 // Shifting every replicate from one recurrence is ROADMAP item 1(a) and waits
 // for a re-bless of refs.json; this is the site to change then.
-//
-//repro:noalloc
 func replicateShift(dst []float64, rep int, rng *rand.Rand) []float64 {
 	switch {
 	case rep == 0:
 		return nil
 	case rng != nil:
-		//repro:alloc-ok math/rand draws; only replicated fixed-N queries hold an rng
 		qmc.FillShift(dst, rng)
 	default:
 		qmc.FillShiftSeeded(dst, uint64(rep))
@@ -136,8 +129,6 @@ func replicateShift(dst []float64, rep int, rng *rand.Rand) []float64 {
 
 // release returns everything the query drew from pools and drops its
 // references to caller memory before the state goes back to its own pool.
-//
-//repro:noalloc
 func (ws *waveState) release() {
 	for rep, src := range ws.srcs {
 		qmc.PutRichtmyer(src)
@@ -152,8 +143,6 @@ func (ws *waveState) release() {
 // column sweeps lane block c of replicate rep in the current wave into its
 // slots. Slot placement is fixed by the indices, so the reduction order — and
 // therefore the estimate — is independent of task scheduling.
-//
-//repro:noalloc
 func (ws *waveState) column(rep, c int) {
 	k := rep*ws.cols + c
 	lanes := min(ws.mc, ws.wlen-c*ws.mc)
@@ -184,8 +173,6 @@ func (ws *waveState) fanOut(rt *taskrt.Runtime) {
 // source). A non-nil pre (PMVNPrefix, which clears the budgets) holds one row
 // per replicate, len(trimmed a) entries each, and receives Σ_samples p after
 // every row.
-//
-//repro:noalloc
 func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, pre []float64) Result {
 	genDim := f.N()
 	if nu > 0 {
@@ -222,7 +209,7 @@ func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu floa
 				}
 			}
 		} else {
-			//repro:alloc-ok the task fan-out closes over the column indices; warm batched queries run inline
+			// the task fan-out closes over the column indices; warm batched queries run inline
 			ws.fanOut(rt)
 		}
 		for rep := range repSum {
@@ -267,8 +254,6 @@ func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu floa
 // samples, the mean across replicates of the replicates' means and the
 // randomized-QMC standard error of that mean — the replicate spread, 0 with a
 // single replicate, which has none.
-//
-//repro:noalloc
 func estimate(repSum []float64, samples float64) (mean, stderr float64) {
 	reps := len(repSum)
 	for _, s := range repSum {
@@ -292,8 +277,6 @@ func estimate(repSum []float64, samples float64) (mean, stderr float64) {
 // such budgeted queries converge at the first wave boundary; a zero estimate
 // with nonzero spread reports +Inf — the estimate has no relative accuracy to
 // claim.
-//
-//repro:noalloc
 func relErrOf(mean, stderr float64) float64 {
 	if stderr == 0 {
 		return 0

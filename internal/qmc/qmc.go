@@ -129,8 +129,6 @@ func PutRichtmyer(r *Richtmyer) {
 // holds one QMC dimension across a contiguous run of points, and point p is
 // the lattice's k = p+1. One pass per dimension, stride-1 writes, the lattice
 // recurrence reduced to a multiply, a floor and the shift fold per element.
-//
-//repro:noalloc
 func (r *Richtmyer) FillBlock(dst *linalg.Matrix, p0, d0 int) {
 	for d := 0; d < dst.Cols; d++ {
 		a := r.alpha[d0+d]
@@ -160,8 +158,6 @@ func (r *Richtmyer) FillBlock(dst *linalg.Matrix, p0, d0 int) {
 }
 
 // clamp01 keeps u strictly inside (0,1) so that Φ⁻¹ stays finite.
-//
-//repro:noalloc
 func clamp01(u float64) float64 {
 	const eps = 1e-15
 	if u < eps {
@@ -186,8 +182,6 @@ func FillShift(dst []float64, rng *rand.Rand) {
 // (a budgeted integration draws one pooled shifted lattice per replicate on
 // the warm serving path). Identical seeds produce identical shifts on every
 // platform.
-//
-//repro:noalloc
 func FillShiftSeeded(dst []float64, seed uint64) {
 	x := seed
 	for i := range dst {

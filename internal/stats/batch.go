@@ -54,7 +54,6 @@ var (
 // through this helper, so their branch selections agree bit-for-bit
 // (negating a scaled limit is exact, so ±a/√2 and ±b/√2 all derive from one
 // division each).
-//repro:noalloc
 func erfcArgs(a, b float64) (sa, sb float64) {
 	return a / Sqrt2, b / Sqrt2
 }
@@ -62,7 +61,6 @@ func erfcArgs(a, b float64) (sa, sb float64) {
 // ErfcBatch fills dst[i] = erfc(x[i]); the raw batched complementary error
 // function behind the Φ forms, exported for callers that work on the erfc
 // axis directly. x and dst must have equal length and may alias.
-//repro:noalloc
 func ErfcBatch(x, dst []float64) {
 	dst = dst[:len(x)]
 	if hasVecSpecials && len(x) >= 4 {
@@ -82,7 +80,6 @@ const specChunk = 128
 // PhiIntervalBatch fills dst[i] = PhiInterval(a[i], b[i]), the tail-stable
 // interval probability per lane. The slices must have equal length; dst may
 // alias a or b (aliased calls take the scalar path).
-//repro:noalloc
 func PhiIntervalBatch(a, b, dst []float64) {
 	dst = dst[:len(a)]
 	b = b[:len(a)]
@@ -122,7 +119,6 @@ func PhiIntervalBatch(a, b, dst []float64) {
 	}
 }
 
-//repro:noalloc
 func phiIntervalBatchScalar(a, b, dst []float64) {
 	for i, ai := range a {
 		dst[i] = PhiInterval(ai, b[i])
@@ -139,7 +135,6 @@ func phiIntervalBatchScalar(a, b, dst []float64) {
 // (the chain is dead and the step never forms u). The scalar chainStep and
 // the batched kernel's scalar fallback both evaluate through this function;
 // the vector path agrees within ErfcVecMaxRel.
-//repro:noalloc
 func PhiIntervalAndPhi(a, b float64) (dif, da float64) {
 	if b <= a {
 		return 0, 0
@@ -174,7 +169,6 @@ type GenzLanes struct {
 }
 
 // Limits returns lane l's shifted limits of a row with scalar limits lo, hi.
-//repro:noalloc
 func (g GenzLanes) Limits(lo, hi float64, l int) (a, b float64) {
 	a, b = lo, hi
 	if !math.IsInf(lo, 0) {
@@ -205,7 +199,6 @@ func (g GenzLanes) Limits(lo, hi float64, l int) (a, b float64) {
 // bit for bit. A NaN in acc, s or d makes the lane's dif NaN. A row with an
 // infinite limit on the wrong side (lo = +Inf or hi = −Inf; empty in every
 // lane) takes the scalar path.
-//repro:noalloc
 func GenzRow(lo, hi float64, acc []float64, d float64, s, w, y []float64, g GenzLanes) {
 	n := len(acc)
 	w, y = w[:n], y[:n]
@@ -242,7 +235,6 @@ func GenzRow(lo, hi float64, acc []float64, d float64, s, w, y []float64, g Genz
 // (lim·s − acc)/d into lp and its erfc argument ±lp/√2 (erfcArgs' division;
 // negation is exact) into x, negated where the lane's shifted LOWER limit sel
 // is not ≥ 0 (sel nil: everywhere) — the tail-stable side. sel may be lp.
-//repro:noalloc
 func genzPre(lim, d float64, acc, s, sel, lp, x []float64) {
 	for l, c := range acc {
 		v := lim
@@ -264,7 +256,6 @@ func genzPre(lim, d float64, acc, s, sel, lp, x []float64) {
 // (Φ(−a′), Φ(−b′)) for a′ ≥ 0, else the mirrored (Φ(a′), Φ(b′)): what every
 // branch of PhiIntervalAndPhi combines — to dif and u = da + w·dif. A nil b
 // marks a lower-only row, a nil a an upper-only one (e2 would be 0 or 1).
-//repro:noalloc
 func genzPost(a, b, w, dif, u []float64) {
 	for l, e1 := range dif {
 		da := e1
@@ -288,7 +279,6 @@ func genzPost(a, b, w, dif, u []float64) {
 
 // genzRowScalar is GenzRow's portable pre+erfc+post, lane by lane through
 // PhiIntervalAndPhi, for any pair of limits.
-//repro:noalloc
 func genzRowScalar(lo, hi float64, acc []float64, d float64, s, w []float64, g GenzLanes) {
 	for l, c := range acc {
 		sl := 1.0
@@ -307,7 +297,6 @@ func genzRowScalar(lo, hi float64, acc []float64, d float64, s, w []float64, g G
 // endpoint and invalid lanes (NaN compares false, so it lands in the
 // fallback too). p and dst must have equal length and may alias (aliased
 // calls take the scalar path).
-//repro:noalloc
 func PhiInvBatch(p, dst []float64) {
 	dst = dst[:len(p)]
 	if !hasVecSpecials || len(p) < 4 || &dst[0] == &p[0] {
@@ -324,7 +313,6 @@ func PhiInvBatch(p, dst []float64) {
 	phiInvBatchScalar(p[n:], dst[n:])
 }
 
-//repro:noalloc
 func phiInvBatchScalar(p, dst []float64) {
 	for i, v := range p { // tails first: no tail value is central, so dst may be p
 		if !PhiInvCentral(v) {
@@ -337,7 +325,6 @@ func phiInvBatchScalar(p, dst []float64) {
 // PhiInvCentral reports whether p lies in AS241's central region
 // |p − ½| ≤ 0.425, where the batch kernels' value stands; elsewhere (NaN
 // included) Φ⁻¹ is PhiInv's scalar tail path.
-//repro:noalloc
 func PhiInvCentral(p float64) bool {
 	q := p - 0.5
 	return q >= -0.425 && q <= 0.425
@@ -345,7 +332,6 @@ func PhiInvCentral(p float64) bool {
 
 // phiInvCentralScalar fills dst[i] = PhiInv(p[i]) where p[i] is central, by
 // the rational the vector kernel evaluates; the tail lanes are skipped.
-//repro:noalloc
 func phiInvCentralScalar(p, dst []float64) {
 	for i, v := range p {
 		if PhiInvCentral(v) {
@@ -360,7 +346,6 @@ func phiInvCentralScalar(p, dst []float64) {
 // callers guarantee hasVecSpecials and len ≥ 1. Ragged tails shorter than a
 // lane block run through one extra vector iteration on a stack buffer, so
 // any length is allocation-free. x and dst may alias exactly.
-//repro:noalloc
 func erfcVec(x, dst []float64, mulIn, mulOut float64) {
 	n := len(x) &^ 3
 	if n > 0 {

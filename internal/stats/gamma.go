@@ -7,7 +7,6 @@ import "math"
 // x < a+1 and the Lentz continued fraction for the complement otherwise.
 // It is the backbone of the χ² distribution used by the Student-t (MVT)
 // extension of the SOV algorithm.
-//repro:noalloc
 func GammaP(a, x float64) float64 {
 	switch {
 	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
@@ -27,7 +26,6 @@ func GammaP(a, x float64) float64 {
 
 // GammaQ returns the regularized upper incomplete gamma function
 // Q(a,x) = 1 − P(a,x).
-//repro:noalloc
 func GammaQ(a, x float64) float64 {
 	switch {
 	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
@@ -46,7 +44,6 @@ func GammaQ(a, x float64) float64 {
 }
 
 // gammaSeries evaluates P(a,x) by its power series (x < a+1).
-//repro:noalloc
 func gammaSeries(a, x float64) float64 {
 	lg, _ := math.Lgamma(a)
 	ap := a
@@ -65,7 +62,6 @@ func gammaSeries(a, x float64) float64 {
 
 // gammaCF evaluates Q(a,x) by the modified Lentz continued fraction
 // (x ≥ a+1).
-//repro:noalloc
 func gammaCF(a, x float64) float64 {
 	const tiny = 1e-300
 	lg, _ := math.Lgamma(a)
@@ -96,7 +92,6 @@ func gammaCF(a, x float64) float64 {
 
 // GammaPInv returns x such that P(a,x) = p, by a Wilson–Hilferty initial
 // guess refined with Halley iterations (cf. Numerical Recipes invgammp).
-//repro:noalloc
 func GammaPInv(a, p float64) float64 {
 	switch {
 	case a <= 0 || math.IsNaN(a) || math.IsNaN(p) || p < 0 || p > 1:
@@ -162,7 +157,6 @@ func GammaPInv(a, p float64) float64 {
 
 // Chi2Inv returns the p-quantile of the χ² distribution with k degrees of
 // freedom.
-//repro:noalloc
 func Chi2Inv(p, k float64) float64 {
 	return 2 * GammaPInv(k/2, p)
 }

@@ -72,7 +72,6 @@ var ppnd16F = [8]float64{
 	2.04426310338993978564e-15,
 }
 
-//repro:noalloc
 func poly8(c *[8]float64, r float64) float64 {
 	return ((((((c[7]*r+c[6])*r+c[5])*r+c[4])*r+c[3])*r+c[2])*r+c[1])*r + c[0]
 }
@@ -81,7 +80,6 @@ func poly8(c *[8]float64, r float64) float64 {
 // Φ⁻¹(p), using Wichura's algorithm AS241 (PPND16), accurate to roughly
 // machine precision for p in (0,1). PhiInv(0) is -Inf, PhiInv(1) is +Inf and
 // values outside [0,1] return NaN.
-//repro:noalloc
 func PhiInv(p float64) float64 {
 	switch {
 	case math.IsNaN(p) || p < 0 || p > 1:

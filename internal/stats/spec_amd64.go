@@ -16,7 +16,6 @@ func statsCPUHasAVX2FMA() bool
 // kernel. n must be a positive multiple of 4; x and dst may alias exactly.
 //
 //go:noescape
-//repro:noalloc
 func erfcSimd(n int, x, dst *float64, mulIn, mulOut float64)
 
 // phiInvCentralSimd evaluates the AS241 central rational q·A(r)/B(r) for
@@ -25,7 +24,6 @@ func erfcSimd(n int, x, dst *float64, mulIn, mulOut float64)
 // positive multiple of 4; p and dst may alias exactly.
 //
 //go:noescape
-//repro:noalloc
 func phiInvCentralSimd(n int, p, dst *float64)
 
 // hasVecSpecials gates the batch dispatchers in batch.go onto the AVX2

@@ -19,13 +19,11 @@ const EulerGamma = 0.57721566490153286060651209008240243104
 // Phi returns the standard normal cumulative distribution function
 // P(Z ≤ x). It is accurate in both tails because it is evaluated through
 // erfc rather than erf.
-//repro:noalloc
 func Phi(x float64) float64 {
 	return 0.5 * math.Erfc(-x/Sqrt2)
 }
 
 // PhiDensity returns the standard normal density φ(x).
-//repro:noalloc
 func PhiDensity(x float64) float64 {
 	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
 }
@@ -34,7 +32,6 @@ func PhiDensity(x float64) float64 {
 // tail-stable way: when both endpoints sit in the same tail the difference is
 // evaluated with the complementary error function on that tail so that no
 // catastrophic cancellation of values near 1 occurs.
-//repro:noalloc
 func PhiInterval(a, b float64) float64 {
 	if b <= a {
 		return 0

@@ -221,7 +221,6 @@ func New(workers int) *Runtime {
 }
 
 // Workers returns the size of the worker pool.
-//repro:noalloc
 func (r *Runtime) Workers() int { return r.workers }
 
 // NewHandle registers a named data handle.

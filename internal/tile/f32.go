@@ -15,15 +15,12 @@ func NewMatrix32(r, c int) *Matrix32 {
 }
 
 // At returns element (i,j).
-//repro:noalloc
 func (m *Matrix32) At(i, j int) float32 { return m.Data[i+j*m.Rows] }
 
 // Set assigns element (i,j).
-//repro:noalloc
 func (m *Matrix32) Set(i, j int, v float32) { m.Data[i+j*m.Rows] = v }
 
 // Col returns column j.
-//repro:noalloc
 func (m *Matrix32) Col(j int) []float32 { return m.Data[j*m.Rows : (j+1)*m.Rows] }
 
 // ToSingle converts a float64 matrix to float32.
@@ -56,11 +53,9 @@ func (m *Matrix32) ToDouble() *linalg.Matrix {
 // float32; the only variants the Cholesky update needs. Large products run
 // through linalg's packed single-precision micro-kernel when the platform has
 // one.
-//repro:noalloc
 func Gemm32(transB bool, alpha float32, a, b, c *Matrix32) {
 	if !transB {
 		if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-			//repro:alloc-ok shape-mismatch panic path
 			panic("tile: Gemm32 shape mismatch")
 		}
 	} else if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
@@ -79,7 +74,6 @@ func Gemm32(transB bool, alpha float32, a, b, c *Matrix32) {
 
 // gemm32Naive is the historical unpacked float32 kernel, the reference for
 // the blocked path and the small-product fast path.
-//repro:noalloc
 func gemm32Naive(transB bool, alpha float32, a, b, c *Matrix32) {
 	if !transB {
 		for j := 0; j < c.Cols; j++ {
@@ -126,7 +120,6 @@ const (
 // to the float64 path in linalg (pack op(B) and A panels from pooled
 // buffers; the micro-kernel writes full tiles straight into C, ragged edge
 // tiles go through zeroed scratch and a masked write-back).
-//repro:noalloc
 func gemm32Blocked(transB bool, alpha float32, a, b, c *Matrix32, m, n, k int) {
 	apack := getVec32(mc32 * kc32)
 	bpack := getVec32(kc32 * nc32)
@@ -167,7 +160,6 @@ func gemm32Blocked(transB bool, alpha float32, a, b, c *Matrix32, m, n, k int) {
 
 // packA32 packs the mcc×kcc block of A at (ic,pc) into mr32-row
 // micro-panels, zero-padding ragged bottom panels.
-//repro:noalloc
 func packA32(a *Matrix32, dst []float32, ic, pc, mcc, kcc int) {
 	for ip := 0; ip < mcc; ip += mr32 {
 		rows := min(mr32, mcc-ip)
@@ -187,7 +179,6 @@ func packA32(a *Matrix32, dst []float32, ic, pc, mcc, kcc int) {
 
 // packB32 packs the kcc×nc block of op(B) at (pc,jc) into nr32-column
 // micro-panels, zero-padding ragged right panels.
-//repro:noalloc
 func packB32(transB bool, b *Matrix32, dst []float32, pc, jc, kcc, nc int) {
 	for jp := 0; jp < nc; jp += nr32 {
 		cols := min(nr32, nc-jp)

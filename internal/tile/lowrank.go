@@ -16,8 +16,6 @@ type LowRank struct {
 }
 
 // Rank returns the current rank k.
-//
-//repro:noalloc
 func (t *LowRank) Rank() int {
 	if t.U == nil {
 		return 0
@@ -241,8 +239,6 @@ func roundLRCholQR(bigU, bigV *linalg.Matrix, tol float64, maxRank int) (*linalg
 // Y tile: the tile-wide b·V product reads it in place and only the rank-wide
 // W·Uᵀ product packs anything. A rank-0 tile still applies the beta scaling
 // (beta = 0 fully defines c, even over uninitialized scratch).
-//
-//repro:noalloc
 func (t *LowRank) ApplyRightTransPacked(alpha float64, b linalg.PackedA, beta float64, c *linalg.Matrix) {
 	k := t.Rank()
 	if k == 0 {
@@ -257,8 +253,6 @@ func (t *LowRank) ApplyRightTransPacked(alpha float64, b linalg.PackedA, beta fl
 
 // ApplyRightTrans is ApplyRightTransPacked for an unpacked b: it packs b into
 // pooled scratch and applies.
-//
-//repro:noalloc
 func (t *LowRank) ApplyRightTrans(alpha float64, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
 	buf := linalg.GetVec(linalg.PackedLen(b.Rows, b.Cols))
 	p := linalg.PackedOver(buf, b.Rows, b.Cols)

@@ -15,18 +15,15 @@ import (
 // A box with a[i] ≥ b[i] somewhere is not an error: it has measure zero or
 // is empty, so the query's probability is exactly 0 and the caller returns
 // that without factorizing anything — empty is the report.
-//repro:noalloc
 func validateQuery(n int, a, b []float64) (empty bool, err error) {
 	if err := validateDim(n); err != nil {
 		return false, err
 	}
 	if len(a) != n || len(b) != n {
-		//repro:alloc-ok rejection path
 		return false, fmt.Errorf("parmvn: limits length (%d,%d) != dimension %d", len(a), len(b), n)
 	}
 	for i := range a {
 		if math.IsNaN(a[i]) || math.IsNaN(b[i]) {
-			//repro:alloc-ok rejection path
 			return false, fmt.Errorf("parmvn: limit %d is NaN", i)
 		}
 		if a[i] >= b[i] {
@@ -38,10 +35,8 @@ func validateQuery(n int, a, b []float64) (empty bool, err error) {
 
 // validateDim rejects a zero-dimensional problem, for queries and the
 // factor-only calls alike.
-//repro:noalloc
 func validateDim(n int) error {
 	if n <= 0 {
-		//repro:alloc-ok rejection path
 		return fmt.Errorf("parmvn: empty problem (dimension %d)", n)
 	}
 	return nil
@@ -62,7 +57,6 @@ func ValidateQuery(n int, a, b []float64) error {
 // a[i] ≥ b[i] — in which case its probability is exactly 0 and a serving
 // layer can answer without touching (or building) the factor, just as the
 // query entry points do.
-//repro:noalloc
 func EmptyQuery(a, b []float64) bool {
 	for i := range a {
 		if a[i] >= b[i] {
@@ -74,10 +68,8 @@ func EmptyQuery(a, b []float64) bool {
 
 // validateNu is the shared degrees-of-freedom check of the MVT entry points
 // (NaN fails the positivity test like any non-positive value).
-//repro:noalloc
 func validateNu(nu float64) error {
 	if !(nu > 0) || math.IsInf(nu, 1) {
-		//repro:alloc-ok rejection path
 		return fmt.Errorf("parmvn: degrees of freedom %g must be positive and finite", nu)
 	}
 	return nil
