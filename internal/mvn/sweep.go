@@ -22,8 +22,9 @@ import (
 // limits are two scalars shared by every chain, so stats.GenzRow decides once
 // which is infinite — one erfc per lane for the half-open rows of an excursion
 // or prefix query, two for a two-sided row, none for a free one. A row walks
-// its lane vector five times: shift into erfc arguments, erfc, combine into
-// (dif, u), central Φ⁻¹, and qmcKernelLanes' one scalar pass.
+// its lane vector five times, four of them in AVX2 — shift into erfc
+// arguments, erfc, combine into (dif, u), Φ⁻¹ (central and tail lanes) —
+// and qmcKernelLanes' one scalar pass, which only applies the fix-ups.
 //
 // Compared to the seed's right-looking task graph (per-(row,column) QMC
 // kernels with GEMM propagation tasks fanned between them), columns are now
@@ -207,9 +208,10 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, k
 // Rows with most lanes alive (4·alive ≥ 3·mc) run the batch arm: one
 // stats.GenzRow over the contiguous lane vectors — typed by the row's scalar
 // limits, so a half-open row pays one erfc per lane and nothing for its
-// infinite side — then one scalar pass over the lanes that evaluates Φ⁻¹ on
-// the tail lanes, applies the fix-ups (dead lanes, empty intervals, tail
-// clamps) and multiplies the factors into p. Once most lanes are dead the
+// infinite side, and returns y on every lane but those whose u is not a
+// normal number in (0,1) — then one scalar pass over the lanes that applies
+// the fix-ups (dead lanes, empty intervals, the flagged lanes' scalar Φ⁻¹
+// and its tail clamp) and multiplies the factors into p. Once most lanes are dead the
 // sparse arm, the scalar chainStep over the survivors, is cheaper than
 // full-width batches. The arms agree to stats.ErfcVecMaxRel, not bit for bit
 // (the vector erfc is not math.Erfc), so a lane's value depends on which side
@@ -254,7 +256,7 @@ func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []
 						p[l] = 0
 						alive--
 					default:
-						if !stats.PhiInvCentral(u[l]) {
+						if math.IsNaN(yCol[l]) { // flagged by GenzRow
 							y := stats.PhiInv(u[l])
 							if math.IsInf(y, 0) || math.IsNaN(y) {
 								aP, bP := ws.Limits(av, bv, l)

@@ -128,7 +128,8 @@ func PutRichtmyer(r *Richtmyer) {
 // point p0+lane, for lane < dst.Rows and d < dst.Cols: each column of dst
 // holds one QMC dimension across a contiguous run of points, and point p is
 // the lattice's k = p+1. One pass per dimension, stride-1 writes, the lattice
-// recurrence reduced to a multiply, a floor and the shift fold per element.
+// recurrence reduced to a multiply, a floor and the shift fold (a second
+// floor) per element.
 func (r *Richtmyer) FillBlock(dst *linalg.Matrix, p0, d0 int) {
 	for d := 0; d < dst.Cols; d++ {
 		a := r.alpha[d0+d]
@@ -148,9 +149,7 @@ func (r *Richtmyer) FillBlock(dst *linalg.Matrix, p0, d0 int) {
 			v := k * a
 			v -= math.Floor(v)
 			v += sh
-			if v >= 1 {
-				v--
-			}
+			v -= math.Floor(v) // v ∈ [0, 2): exactly "if v ≥ 1 { v-- }", without the branch
 			col[l] = clamp01(v)
 			k++
 		}

@@ -88,6 +88,52 @@ func TestRichtmyerLatticeStructure(t *testing.T) {
 	}
 }
 
+// TestFillBlockFoldMatchesBranchyFold pins the shift fold, which reduces
+// v = frac(k·α) + Δ ∈ [0, 2) by a second floor, to the branchy
+// "if v ≥ 1 { v-- }" it replaces, bit for bit: ragged block lengths 1…67,
+// unshifted and shifted, with shifts that put v at or next to 1.
+func TestFillBlockFoldMatchesBranchyFold(t *testing.T) {
+	const dim = 7
+	rng := rand.New(rand.NewSource(35))
+	alpha := richtmyerAlpha(dim)
+	shifts := [][]float64{nil, randomShift(dim, rng), randomShift(dim, rng)}
+	edge := make([]float64, dim) // Δ = 1 − frac(α) hits v = 1 at k = 1
+	for d, a := range alpha {
+		edge[d] = 1 - a
+		if d%2 == 1 {
+			edge[d] = math.Nextafter(edge[d], 0)
+		}
+	}
+	shifts = append(shifts, edge, []float64{0, 1 - 0x1p-53, 0.5, 0x1p-53, 0.999999, 1e-300, 0.25})
+	for _, shift := range shifts {
+		g := GetRichtmyer(dim, shift)
+		for rows := 1; rows <= 67; rows++ {
+			p0 := rng.Intn(5000)
+			if rows%5 == 0 {
+				p0 = 0
+			}
+			blk := linalg.NewMatrix(rows, dim)
+			g.FillBlock(blk, p0, 0)
+			for l := 0; l < rows; l++ {
+				for d := 0; d < dim; d++ {
+					v := float64(p0+l+1) * alpha[d]
+					v -= math.Floor(v)
+					if shift != nil {
+						v += shift[d]
+						if v >= 1 {
+							v--
+						}
+					}
+					if got, want := blk.At(l, d), clamp01(v); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("shift %v rows %d: FillBlock(p0=%d)[%d,%d] = %v, branchy fold %v", shift != nil, rows, p0, l, d, got, want)
+					}
+				}
+			}
+		}
+		PutRichtmyer(g)
+	}
+}
+
 func TestUniformMean(t *testing.T) {
 	// Sample means converge to 1/2 in every dimension.
 	const n = 20000

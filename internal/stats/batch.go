@@ -12,16 +12,20 @@ import "math"
 // lane: an infinite limit costs nothing — no lane vector is filled with ±Inf
 // and no erfc is evaluated to obtain the constants 0 and 1. It walks the lane
 // vector four times — genzPre, erfc (twice for a two-sided row), genzPost,
-// the central Φ⁻¹ — and leaves the tail-Φ⁻¹ lanes to the one scalar pass in
-// which its caller applies the SOV fix-ups.
+// Φ⁻¹ on central and tail lanes — and leaves to its caller's one scalar pass
+// only the SOV fix-ups and the lanes whose u is not a normal number in (0,1)
+// (flagged NaN in y).
 //
 // On amd64 hosts with AVX2+FMA the batch forms dispatch to the 4-lane vector
 // kernels in spec_amd64.s (kill-switch: REPRO_NOASM, see spec_amd64.go); the
 // scalar loops below remain the portable fallback and the reference the
-// property/fuzz tests in batch_test.go compare against. The vector erfc
-// re-evaluates the FDLIBM rationals branch-free with a single-split
-// exponential, so results are NOT bit-identical to math.Erfc; agreement is
-// bounded by the documented tolerances:
+// property/fuzz tests in batch_test.go compare against. genzPre, genzPost
+// and the tail of Φ⁻¹ are the scalar code's operations in its order, with no
+// FMA where the Go code has none (Go compiles none at GOAMD64=v1), so their
+// vector forms return the scalar bits. The vector erfc re-evaluates the
+// FDLIBM rationals with a single-split exponential and FMA, and the central
+// Φ⁻¹ rational uses FMA, so those results are NOT bit-identical to
+// math.Erfc / PhiInv; agreement is bounded by the documented tolerances:
 //
 //	ErfcVecMaxRel   relative error of the vector erfc (and everything built
 //	                on it: PhiIntervalBatch, GenzRow's dif and u) against the
@@ -31,7 +35,8 @@ import "math"
 //	                below ~1e-305 can be inflated up to ~1.3e-309 absolute
 //	                (DBL_MIN/|x|) instead of rounding to subnormals/zero.
 //	PhiInvVecMaxRel relative error of the vector Φ⁻¹ central rational (FMA
-//	                contraction only; same AS241 coefficients).
+//	                contraction only; same AS241 coefficients). Tail lanes
+//	                are exact.
 //
 // NaN and ±Inf handling is identical on both paths, which the fuzz targets
 // pin.
@@ -187,10 +192,11 @@ func (g GenzLanes) Limits(lo, hi float64, l int) (a, b float64) {
 //	a′ = (lo·s − acc)/d    b′ = (hi·s − acc)/d
 //	(dif, da) = PhiIntervalAndPhi(a′, b′)    u = da + w·dif    y = Φ⁻¹(u)
 //
-// into g and y. y[l] stands only where u[l] is central (PhiInvCentral); the
-// other lanes hold no value, and the caller evaluates PhiInv(g.U[l]) on them
-// itself, in the same pass that applies its fix-ups. None of the slices may
-// alias another.
+// into g and y. y[l] is Φ⁻¹(u[l]) wherever u[l] is a normal number in (0,1)
+// (see phiInvLanes); on every other lane — u at or beyond an endpoint,
+// subnormal or NaN — y[l] is NaN, and the caller evaluates PhiInv(g.U[l])
+// there itself, in the same pass that applies its fix-ups. None of the
+// slices may alias another.
 //
 // The row is typed by its scalar limits. A half-open row pays one erfc per
 // lane, e = ½erfc(|a′|/√2): (dif, da) = (e, 1−e) for a′ ≥ 0 and (1−e, e) for
@@ -209,7 +215,7 @@ func GenzRow(lo, hi float64, acc []float64, d float64, s, w, y []float64, g Genz
 	loInf, hiInf := math.IsInf(lo, 0), math.IsInf(hi, 0)
 	if !hasVecSpecials || n < 4 || math.IsInf(lo, 1) || math.IsInf(hi, -1) || loInf && hiInf {
 		genzRowScalar(lo, hi, acc, d, s, w, g)
-		phiInvCentralScalar(u, y)
+		phiInvLanesScalar(u, y)
 		return
 	}
 	switch { // a nil limit vector types the row for the post pass
@@ -226,16 +232,20 @@ func GenzRow(lo, hi float64, acc []float64, d float64, s, w, y []float64, g Genz
 	}
 	erfcVec(dif, dif, 1, 0.5)
 	genzPost(a, b, w, dif, u)
-	n4 := n &^ 3
-	phiInvCentralSimd(n4, &u[0], &y[0])
-	phiInvCentralScalar(u[n4:], y[n4:])
+	phiInvLanes(u, y)
 }
 
 // genzPre is GenzRow's pre pass for one finite limit lim: the shifted limit
 // (lim·s − acc)/d into lp and its erfc argument ±lp/√2 (erfcArgs' division;
 // negation is exact) into x, negated where the lane's shifted LOWER limit sel
 // is not ≥ 0 (sel nil: everywhere) — the tail-stable side. sel may be lp.
+// With the vector kernels the whole lane blocks run in genzPreSimd, the same
+// operations in the same order.
 func genzPre(lim, d float64, acc, s, sel, lp, x []float64) {
+	if n4 := len(acc) &^ 3; hasVecSpecials && n4 > 0 {
+		genzPreSimd(n4, lim, d, &acc[0], first(s), first(sel), &lp[0], &x[0])
+		acc, s, sel, lp, x = acc[n4:], from(s, n4), from(sel, n4), lp[n4:], x[n4:]
+	}
 	for l, c := range acc {
 		v := lim
 		if s != nil {
@@ -251,12 +261,32 @@ func genzPre(lim, d float64, acc, s, sel, lp, x []float64) {
 	}
 }
 
+// Row kinds of genzPostSimd, from genzPost's nil limit vectors.
+const (
+	postTwoSided = iota
+	postLower
+	postUpper
+)
+
 // genzPost is GenzRow's post pass, in place: from e1 = ½erfc(|a′|/√2) in dif
 // and, two-sided, e2 = ½erfc(sign(a′)·b′/√2) in u — the right-tail pair
 // (Φ(−a′), Φ(−b′)) for a′ ≥ 0, else the mirrored (Φ(a′), Φ(b′)): what every
 // branch of PhiIntervalAndPhi combines — to dif and u = da + w·dif. A nil b
 // marks a lower-only row, a nil a an upper-only one (e2 would be 0 or 1).
+// With the vector kernels the whole lane blocks run in genzPostSimd, bit for
+// bit.
 func genzPost(a, b, w, dif, u []float64) {
+	if n4 := len(dif) &^ 3; hasVecSpecials && n4 > 0 {
+		kind := postTwoSided
+		switch {
+		case a == nil:
+			kind = postUpper
+		case b == nil:
+			kind = postLower
+		}
+		genzPostSimd(n4, kind, first(a), first(b), &w[0], &dif[0], &u[0])
+		a, b, w, dif, u = from(a, n4), from(b, n4), w[n4:], dif[n4:], u[n4:]
+	}
 	for l, e1 := range dif {
 		da := e1
 		switch {
@@ -277,6 +307,22 @@ func genzPost(a, b, w, dif, u []float64) {
 	}
 }
 
+// first returns &s[0], or nil for an absent (nil) scale, selector or limit
+// vector; from returns s[i:], keeping nil nil.
+func first(s []float64) *float64 {
+	if s == nil {
+		return nil
+	}
+	return &s[0]
+}
+
+func from(s []float64, i int) []float64 {
+	if s == nil {
+		return nil
+	}
+	return s[i:]
+}
+
 // genzRowScalar is GenzRow's portable pre+erfc+post, lane by lane through
 // PhiIntervalAndPhi, for any pair of limits.
 func genzRowScalar(lo, hi float64, acc []float64, d float64, s, w []float64, g GenzLanes) {
@@ -291,53 +337,59 @@ func genzRowScalar(lo, hi float64, acc []float64, d float64, s, w []float64, g G
 	}
 }
 
-// PhiInvBatch fills dst[i] = PhiInv(p[i]). The central region
-// |p−1/2| ≤ 0.425 — the bulk of uniform QMC draws — is a single rational
-// polynomial, vectorized over all lanes with a scalar fix-up pass for tail,
-// endpoint and invalid lanes (NaN compares false, so it lands in the
-// fallback too). p and dst must have equal length and may alias (aliased
-// calls take the scalar path).
+// PhiInvBatch fills dst[i] = PhiInv(p[i]). On the vector path every whole
+// lane block runs in phiInvSimd — the central rational, and PhiInv's tail bit
+// for bit — and the lanes it flags (endpoints, subnormal, out-of-range and
+// NaN p) take the scalar PhiInv. p and dst must have equal length and may
+// alias (aliased calls take the scalar path).
 func PhiInvBatch(p, dst []float64) {
 	dst = dst[:len(p)]
 	if !hasVecSpecials || len(p) < 4 || &dst[0] == &p[0] {
 		phiInvBatchScalar(p, dst)
 		return
 	}
-	n := len(p) &^ 3
-	phiInvCentralSimd(n, &p[0], &dst[0])
-	for i := 0; i < n; i++ {
-		if !PhiInvCentral(p[i]) {
+	phiInvLanes(p, dst)
+	for i, y := range dst {
+		if math.IsNaN(y) {
 			dst[i] = PhiInv(p[i])
 		}
 	}
-	phiInvBatchScalar(p[n:], dst[n:])
 }
 
 func phiInvBatchScalar(p, dst []float64) {
-	for i, v := range p { // tails first: no tail value is central, so dst may be p
-		if !PhiInvCentral(v) {
-			dst[i] = PhiInv(v)
-		}
-	}
-	phiInvCentralScalar(p, dst)
-}
-
-// PhiInvCentral reports whether p lies in AS241's central region
-// |p − ½| ≤ 0.425, where the batch kernels' value stands; elsewhere (NaN
-// included) Φ⁻¹ is PhiInv's scalar tail path.
-func PhiInvCentral(p float64) bool {
-	q := p - 0.5
-	return q >= -0.425 && q <= 0.425
-}
-
-// phiInvCentralScalar fills dst[i] = PhiInv(p[i]) where p[i] is central, by
-// the rational the vector kernel evaluates; the tail lanes are skipped.
-func phiInvCentralScalar(p, dst []float64) {
 	for i, v := range p {
-		if PhiInvCentral(v) {
-			q := v - 0.5
-			r := 0.180625 - q*q
-			dst[i] = q * poly8(&ppnd16A, r) / poly8(&ppnd16B, r)
+		dst[i] = PhiInv(v)
+	}
+}
+
+// phiInvLanes fills dst[i] = Φ⁻¹(p[i]) for every p[i] that is a normal
+// number in (0,1), and NaN — the flag for the scalar PhiInv — elsewhere: the
+// whole lane blocks through phiInvSimd when the vector kernels are on, the
+// ragged lanes (and every lane without them) through phiInvLanesScalar.
+// p and dst may alias exactly.
+func phiInvLanes(p, dst []float64) {
+	if n4 := len(p) &^ 3; hasVecSpecials && n4 > 0 {
+		var tmp [2 * tailChunk]float64
+		for o := 0; o < n4; o += tailChunk {
+			m := min(n4-o, tailChunk)
+			phiInvSimd(m, &p[o], &dst[o], &tmp[0])
+		}
+		p, dst = p[n4:], dst[n4:]
+	}
+	phiInvLanesScalar(p, dst)
+}
+
+// tailChunk is phiInvLanes' lane chunk: one stack-resident scratch vector
+// holds a chunk's packed tail lanes and their indices.
+const tailChunk = 64
+
+// phiInvLanesScalar is phiInvLanes lane by lane through PhiInv.
+func phiInvLanesScalar(p, dst []float64) {
+	for i, v := range p {
+		if v >= 0x1p-1022 && v < 1 {
+			dst[i] = PhiInv(v)
+		} else {
+			dst[i] = math.NaN()
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -238,17 +240,42 @@ func checkGenzRow(t *testing.T, lo, hi float64, acc []float64, d float64, s, w [
 					lo, hi, l, a, b, w[l], g.Dif[l], g.U[l], vdif, vu)
 			}
 		}
-		// u and y are only consumed when the lane survives (dif > 0).
-		if !(dif > 0) {
-			continue
-		}
-		if !closeTol(g.U[l], u, uTol) {
+		// y is Φ⁻¹ of the lane's own u on every lane (checkPhiInvLane).
+		checkPhiInvLane(t, g.U[l], y[l], yRel)
+		// u is only consumed when the lane survives (dif > 0).
+		if dif > 0 && !closeTol(g.U[l], u, uTol) {
 			t.Fatalf("row (%g,%g) lane %d (a′=%g b′=%g w=%g): u = %g, scalar %g", lo, hi, l, a, b, w[l], g.U[l], u)
 		}
-		// y stands on central lanes; the tail lanes are the caller's.
-		if want := PhiInv(g.U[l]); PhiInvCentral(g.U[l]) && !closeTol(y[l], want, yRel*math.Abs(want)) {
-			t.Fatalf("row (%g,%g) lane %d: y = %g, PhiInv(%g) = %g", lo, hi, l, y[l], g.U[l], want)
+	}
+}
+
+// phiInvCentral reports whether p lies in AS241's central region
+// |p − ½| ≤ 0.425, where the vector Φ⁻¹ evaluates the central rational (with
+// FMA, so to PhiInvVecMaxRel); elsewhere (NaN included) its value is
+// PhiInv's tail, bit for bit, or the NaN flag.
+func phiInvCentral(p float64) bool {
+	q := p - 0.5
+	return q >= -0.425 && q <= 0.425
+}
+
+// checkPhiInvLane checks one lane of phiInvLanes (and of GenzRow's y): for p
+// a normal number in (0,1), y is PhiInv(p) — bit for bit on a tail lane,
+// within centralRel on a central one (0 demands the scalar bits there too) —
+// and elsewhere y is the NaN flag.
+func checkPhiInvLane(t *testing.T, p, y, centralRel float64) {
+	t.Helper()
+	want := PhiInv(p)
+	switch {
+	case !(p >= 0x1p-1022 && p < 1):
+		if !math.IsNaN(y) {
+			t.Fatalf("Φ⁻¹ lane p = %g (%#x): y = %g, want the NaN flag", p, math.Float64bits(p), y)
 		}
+	case phiInvCentral(p):
+		if !closeTol(y, want, centralRel*math.Abs(want)) {
+			t.Fatalf("Φ⁻¹ central lane p = %g: y = %g, PhiInv %g", p, y, want)
+		}
+	case math.Float64bits(y) != math.Float64bits(want):
+		t.Fatalf("Φ⁻¹ tail lane p = %g (%#x): y = %g (%#x), PhiInv %g (%#x)", p, math.Float64bits(p), y, math.Float64bits(y), want, math.Float64bits(want))
 	}
 }
 
@@ -330,6 +357,303 @@ func TestBatchRaggedLengths(t *testing.T) {
 	}
 }
 
+// Bit-exact pins of the vector kernels. The hashes were recorded with the
+// kernels of the commit before the all-tail erfc skip, the blended region-1/2
+// division and the vector tail Φ⁻¹: changing how a block is evaluated may not
+// change a single lane's bits.
+
+// erfcBlockInputs builds 4-lane blocks whose lanes are drawn from the erfc
+// kernel's regions — central, region 2, tail (finite and ±Inf) and NaN —
+// so that every composition occurs: all-tail blocks, mixed ones, NaN ones.
+func erfcBlockInputs() []float64 {
+	rng := rand.New(rand.NewSource(35))
+	lane := func(kind int) float64 {
+		sign := 1.0
+		if rng.Intn(2) == 0 {
+			sign = -1
+		}
+		switch kind {
+		case 0: // region 1
+			return sign * rng.Float64() * 0.84375
+		case 1: // region 2
+			return sign * (0.84375 + rng.Float64()*0.40625)
+		case 2: // tail, ra/sa
+			return sign * (1.25 + rng.Float64()*(1/0.35-1.25))
+		case 3: // tail, rb/sb, into underflow
+			return sign * (1 / 0.35) * (1 + rng.Float64()*9)
+		case 4:
+			return sign * math.Inf(1)
+		default:
+			return math.NaN()
+		}
+	}
+	var xs []float64
+	edges := []float64{0, 0.84375, 1.25, 1 / 0.35, 26.5, 27.2, 28}
+	for _, e := range edges {
+		xs = append(xs, e, -e, math.Nextafter(e, 0), -math.Nextafter(e, 0))
+	}
+	for b := 0; b < 4000; b++ {
+		switch b % 4 {
+		case 0: // all tail
+			for l := 0; l < 4; l++ {
+				xs = append(xs, lane(2+rng.Intn(3)))
+			}
+		default:
+			for l := 0; l < 4; l++ {
+				xs = append(xs, lane(rng.Intn(6)))
+			}
+		}
+	}
+	return xs
+}
+
+// floatsHash is FNV-1a over the bit patterns of xs.
+func floatsHash(xs []float64) uint64 {
+	h := fnv.New64a()
+	for _, x := range xs {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+	}
+	return h.Sum64()
+}
+
+// phiInvPinInputs are uniforms like the sweep's draws (15 % tail lanes) with
+// the tail pushed hard against 0 and 1 and across r = 5 (p ≈ e⁻²⁵), the band
+// edges, endpoints and NaN — no subnormal p.
+func phiInvPinInputs() []float64 {
+	rng := rand.New(rand.NewSource(36))
+	ps := []float64{0, 1, -0.1, 1.1, math.NaN(), 0.075, 0.925, math.Nextafter(0.075, 0), math.Nextafter(0.925, 1),
+		math.Exp(-25), math.Nextafter(math.Exp(-25), 0), math.Nextafter(math.Exp(-25), 1), 0x1p-1022, 1 - 0x1p-53}
+	for i := 0; i < 4000; i++ {
+		ps = append(ps, rng.Float64())
+	}
+	for i := 0; i < 1000; i++ {
+		e := math.Exp(-rng.Float64() * 700)
+		if rng.Intn(2) == 0 {
+			e = 1 - e*0.075
+		}
+		ps = append(ps, e)
+	}
+	return ps
+}
+
+// TestErfcVecMatchesParentBits pins erfcSimd's output over all-tail, mixed
+// and NaN blocks to the recorded bits, at both output scales the callers use.
+func TestErfcVecMatchesParentBits(t *testing.T) {
+	setVecSpecials(t, true)
+	xs := erfcBlockInputs()
+	dst := make([]float64, len(xs))
+	for _, c := range []struct {
+		mulOut float64
+		want   uint64
+	}{{1, 0xacf4cb9fc3be2c70}, {0.5, 0x50c1cf77290994ab}} {
+		erfcVec(xs, dst, 1, c.mulOut)
+		if got := floatsHash(dst); got != c.want {
+			t.Errorf("erfcVec(·, mulOut %g): hash %#x, recorded %#x", c.mulOut, got, c.want)
+		}
+	}
+}
+
+// TestErfcVecLaneIndependent: a lane's erfc does not depend on its block —
+// every lane of a mixed, all-tail or NaN block equals the same argument
+// evaluated in a block of four copies (which is all-tail, all-central or
+// all-NaN).
+func TestErfcVecLaneIndependent(t *testing.T) {
+	setVecSpecials(t, true)
+	xs := erfcBlockInputs()
+	dst := make([]float64, len(xs))
+	erfcVec(xs, dst, 1, 0.5)
+	var blk [4]float64
+	for i, x := range xs {
+		blk = [4]float64{x, x, x, x}
+		erfcVec(blk[:], blk[:], 1, 0.5)
+		if math.Float64bits(blk[0]) != math.Float64bits(dst[i]) {
+			t.Fatalf("erfc(%g): %g in its block of %v, %g alone", x, dst[i], xs[i&^3:i&^3+4], blk[0])
+		}
+	}
+}
+
+// TestPhiInvBatchMatchesParentBits pins PhiInvBatch's vector path (central
+// rational and tail) to the bits recorded when every tail lane took the
+// scalar PhiInv.
+func TestPhiInvBatchMatchesParentBits(t *testing.T) {
+	setVecSpecials(t, true)
+	ps := phiInvPinInputs()
+	dst := make([]float64, len(ps))
+	PhiInvBatch(ps, dst)
+	if got, want := floatsHash(dst), uint64(0xccfcabb14ebc02a); got != want {
+		t.Errorf("PhiInvBatch: hash %#x, recorded %#x", got, want)
+	}
+}
+
+// phiInvTailProbs are tail and edge probabilities for the exactness tests:
+// hardProbs, the central band's edges 0.075/0.925 and their neighbours, the
+// near/far tail boundary r = 5 (p ≈ e⁻²⁵) from both sides, subnormals and
+// random tail p down to the smallest normal.
+func phiInvTailProbs() []float64 {
+	ps := append([]float64(nil), hardProbs...)
+	for _, e := range []float64{0.075, 0.925, math.Exp(-25), 1 - math.Exp(-25), 0x1p-1022, 1 - 0x1p-53} {
+		ps = append(ps, e, math.Nextafter(e, 0), math.Nextafter(e, 1))
+	}
+	ps = append(ps, 1e-320, 1e-310, math.Nextafter(0x1p-1022, 0), math.Inf(1), math.Inf(-1))
+	// archLog's reduction compares the mantissa with √2/2: at it and around.
+	for _, k := range []int{-4, -10, -100, -1000} {
+		m := math.Ldexp(7.07106781186547524401e-01, k)
+		ps = append(ps, m, math.Nextafter(m, 0), math.Nextafter(m, 1))
+	}
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 3000; i++ {
+		p := 0.075 * rng.Float64()
+		if i%3 == 0 {
+			p = math.Exp(-rng.Float64() * 708)
+		}
+		if i%2 == 0 {
+			p = 1 - p
+		}
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// TestPhiInvVecTailIsExact: the vector Φ⁻¹ returns PhiInv's bits on every
+// tail lane and the NaN flag on every lane it leaves to the scalar PhiInv,
+// whatever the lane's position and its neighbours (central, tail, NaN lanes,
+// so the packing of the tail lanes is exercised), at block and ragged
+// lengths; PhiInvBatch is PhiInv on every tail lane. On a host without the
+// vector kernels (or under REPRO_NOASM) it pins the scalar lanes the same way.
+func TestPhiInvVecTailIsExact(t *testing.T) {
+	ps := phiInvTailProbs()
+	neighbours := []float64{0.5, 0.3, 0.01, 0.999, math.NaN(), 0, 1e-200}
+	for i, p := range ps {
+		n := 4 + i%9 // 4…12 lanes: whole blocks and ragged ones
+		in, y := make([]float64, n), make([]float64, n)
+		for l := range in {
+			in[l] = neighbours[(i+3*l)%len(neighbours)]
+		}
+		in[i%n] = p
+		phiInvLanes(in, y)
+		for l := range in {
+			checkPhiInvLane(t, in[l], y[l], PhiInvVecMaxRel)
+		}
+		PhiInvBatch(in, y)
+		for l, v := range in {
+			if want := PhiInv(v); !phiInvCentral(v) && !sameFloat(y[l], want) {
+				t.Fatalf("PhiInvBatch(%g) = %g, PhiInv %g", v, y[l], want)
+			}
+		}
+	}
+	// One long vector: the tail lanes of many blocks packed together, across
+	// the kernel's chunks, and enough random tail p (about 1 in 2000 tells
+	// one fused multiply-add in the log's polynomial from the scalar bits).
+	rng := rand.New(rand.NewSource(39))
+	for i := 0; i < 1<<18; i++ {
+		p := rng.Float64()
+		if i%3 == 0 {
+			p = math.Exp(-rng.Float64() * 708)
+		}
+		ps = append(ps, p)
+	}
+	y := make([]float64, len(ps))
+	phiInvLanes(ps, y)
+	for l, p := range ps {
+		checkPhiInvLane(t, p, y[l], PhiInvVecMaxRel)
+	}
+}
+
+// genzLims are the finite row limits TestGenzPrePostMatchGoLoops shifts.
+var genzLims = []float64{-0.3, 1.7, 0, -8}
+
+// TestGenzPrePostMatchGoLoops pins genzPreSimd and genzPostSimd to the Go
+// loops they replace, bit for bit: every row type, with and without χ²
+// scales, NaN and ±Inf conditioning sums, NaN/equal/reversed shifted limits,
+// lane vectors of 1…13 (the ragged tail runs the Go loop on both paths).
+func TestGenzPrePostMatchGoLoops(t *testing.T) {
+	setVecSpecials(t, true)
+	rng := rand.New(rand.NewSource(38))
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + trial%13
+		acc, s, e1, e2, w := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		a, b := make([]float64, n), make([]float64, n)
+		for l := 0; l < n; l++ {
+			acc[l] = genzAcc[(trial+l)%len(genzAcc)] + rng.NormFloat64()
+			s[l] = genzScales[(trial+l)%len(genzScales)]
+			e1[l], e2[l], w[l] = 0.5*rng.Float64(), 0.5*rng.Float64(), rng.Float64()
+			a[l], b[l] = rng.NormFloat64()*3, rng.NormFloat64()*3
+			switch rng.Intn(8) {
+			case 0:
+				a[l] = math.NaN()
+			case 1:
+				b[l] = a[l]
+			case 2:
+				e1[l] = math.NaN()
+			case 3:
+				a[l] = 0
+			}
+		}
+		if trial%5 == 0 {
+			acc[trial%n] = math.Inf(1 - 2*(trial%2))
+		}
+		d := []float64{0.7, 0.07, 1e-300, -0.5}[trial%4]
+		lim := genzLims[trial%len(genzLims)]
+		var scale []float64
+		if trial%2 == 1 {
+			scale = s
+		}
+		// Pre: lower-only/first two-sided (sel = lp), second two-sided
+		// (sel = a), upper-only (sel nil).
+		for kind := 0; kind < 3; kind++ {
+			run := func(vec bool) (lp, x []float64) {
+				hasVecSpecials = vec
+				defer func() { hasVecSpecials = true }()
+				lp, x = make([]float64, n), make([]float64, n)
+				var sel []float64
+				switch kind {
+				case 0:
+					sel = lp
+				case 1:
+					sel = a
+				}
+				genzPre(lim, d, acc, scale, sel, lp, x)
+				return lp, x
+			}
+			lpV, xV := run(true)
+			lpG, xG := run(false)
+			if !same(lpV, lpG) || !same(xV, xG) {
+				t.Fatalf("genzPre kind %d n %d lim %g d %g scaled %v: vector (%v, %v), Go (%v, %v)", kind, n, lim, d, scale != nil, lpV, xV, lpG, xG)
+			}
+		}
+		// Post: two-sided, lower-only (b nil), upper-only (a nil).
+		for kind := 0; kind < 3; kind++ {
+			run := func(vec bool) (dif, u []float64) {
+				hasVecSpecials = vec
+				defer func() { hasVecSpecials = true }()
+				dif, u = append([]float64(nil), e1...), append([]float64(nil), e2...)
+				pa, pb := a, b
+				switch kind {
+				case 1:
+					pb = nil
+				case 2:
+					pa, pb = nil, nil
+				}
+				genzPost(pa, pb, w, dif, u)
+				return dif, u
+			}
+			difV, uV := run(true)
+			difG, uG := run(false)
+			if !same(difV, difG) || !same(uV, uG) {
+				t.Fatalf("genzPost kind %d n %d: vector (%v, %v), Go (%v, %v)", kind, n, difV, uV, difG, uG)
+			}
+		}
+	}
+}
+
 // FuzzErfcBatch pins vector-vs-scalar erfc agreement on arbitrary inputs,
 // including NaN/±Inf bit patterns and ragged slice lengths.
 func FuzzErfcBatch(f *testing.F) {
@@ -383,10 +707,48 @@ func FuzzPhiIntervalBatch(f *testing.F) {
 	})
 }
 
+// FuzzPhiInvTail pins the vector Φ⁻¹ lane by lane (checkPhiInvLane): the
+// four seeds, their complements and their neighbours in ulps fill lane
+// vectors of 1…67 in shifting positions, so any p meets every lane position
+// and every kind of neighbour; then the scalar path the same way.
+func FuzzPhiInvTail(f *testing.F) {
+	f.Add(0.01, 0.5, 1e-300, 5e-324, uint8(9), uint8(1))
+	f.Add(0.075, 0.925, math.Exp(-25), 0.0, uint8(66), uint8(3))
+	f.Add(math.NaN(), 1.0, -0.1, 0x1p-1022, uint8(4), uint8(0))
+	f.Add(0.0749999, 0.9250001, 1-1e-16, 1e-17, uint8(12), uint8(7))
+	f.Fuzz(func(t *testing.T, p0, p1, p2, p3 float64, nn, rot uint8) {
+		seed := [4]float64{p0, p1, p2, p3}
+		n := 1 + int(nn%67)
+		p, y := make([]float64, n), make([]float64, n)
+		for l := range p {
+			v := seed[(l+int(rot))%4]
+			switch l % 5 {
+			case 1:
+				v = 1 - v
+			case 3:
+				v = math.Nextafter(v, 0)
+			}
+			p[l] = v
+		}
+		for _, vec := range []bool{true, false} {
+			if vec && !hasVecSpecials {
+				continue
+			}
+			old := hasVecSpecials
+			hasVecSpecials = vec
+			phiInvLanes(p, y)
+			hasVecSpecials = old
+			for l := range p {
+				checkPhiInvLane(t, p[l], y[l], PhiInvVecMaxRel)
+			}
+		}
+	})
+}
+
 // FuzzGenzRow pins the row step against the scalar forms lane by lane
-// (checkGenzRow), on the host's path and on the scalar one: any limits, NaN
-// and ±Inf conditioning sums, tiny and huge pivots, with and without χ²
-// scales, lane vectors of 1 to 67.
+// (checkGenzRow, y on tail lanes bit for bit), on the host's path and on the
+// scalar one: any limits, NaN and ±Inf conditioning sums, tiny and huge
+// pivots, with and without χ² scales, lane vectors of 1 to 67.
 func FuzzGenzRow(f *testing.F) {
 	inf := math.Inf(1)
 	f.Add(-0.3, inf, 0.4, -1.2, 0.41, 1.0, 0.37, uint8(66), false)   // the excursion row
@@ -397,6 +759,8 @@ func FuzzGenzRow(f *testing.F) {
 	f.Add(inf, inf, 0.0, 1.0, 1.0, 1.0, 0.5, uint8(8), false) // wrong-side infinity: empty
 	f.Add(-inf, inf, 0.0, 1.0, 1.0, 1.0, 0.5, uint8(8), false)
 	f.Add(2.0, 1.0, 0.3, -0.3, 0.5, 1.0, 0.5, uint8(20), false)
+	f.Add(-2.0, inf, 0.2, -0.4, 0.3, 1.0, 0.01, uint8(63), false) // tail draws
+	f.Add(-inf, 1.0, 0.5, 9.0, 0.3, 0.8, 1e-300, uint8(17), true)
 	f.Fuzz(func(t *testing.T, lo, hi, acc0, acc1, d, s0, w0 float64, nn uint8, scaled bool) {
 		n := 1 + int(nn%67)
 		acc, w := make([]float64, n), make([]float64, n)
@@ -430,58 +794,70 @@ func FuzzGenzRow(f *testing.F) {
 }
 
 // BenchmarkSpecials compares the scalar loops against the vector kernels at
-// the sweep's lane-block sizes.
+// the sweep's lane-block sizes, on two inputs. "central" is mostly central
+// erfc arguments. "excursion" looks like the sweep on an excursion box: erfc
+// arguments almost all in the tail region (|x| ≥ 1.25), conditioning sums
+// that put a lower-only row's shifted limit there too, and uniform draws, 15 %
+// of whose lanes — in about half of the 4-lane blocks — lie outside AS241's
+// central band.
 func BenchmarkSpecials(b *testing.B) {
 	for _, n := range []int{64, 1000} {
-		x := make([]float64, n)
-		lo := make([]float64, n)
-		hi := make([]float64, n)
-		pr := make([]float64, n)
-		dst := make([]float64, n)
-		rng := rand.New(rand.NewSource(4))
-		for i := range x {
-			x[i] = rng.NormFloat64() * 2
-			lo[i] = rng.NormFloat64() - 1
-			hi[i] = lo[i] + 2 + rng.Float64()
-			// The sweep hands PhiInvBatch uniforms scaled into (0,1), so
-			// that is the representative input (mostly central-branch).
-			pr[i] = rng.Float64()
-		}
-		for _, vec := range []bool{false, true} {
-			if vec && !hasVecSpecials {
-				continue
-			}
-			old := hasVecSpecials
-			hasVecSpecials = vec
-			name := "scalar"
-			if vec {
-				name = "vec"
-			}
-			b.Run(fmt.Sprintf("erfc/%s/n=%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ErfcBatch(x, dst)
+		for _, in := range []string{"central", "excursion"} {
+			x := make([]float64, n)
+			acc := make([]float64, n)
+			pr := make([]float64, n)
+			dst := make([]float64, n)
+			rng := rand.New(rand.NewSource(4))
+			lo, d := -0.3, 0.4
+			for i := range x {
+				x[i] = rng.NormFloat64() * 2
+				acc[i] = x[i]
+				if in == "excursion" {
+					x[i] = math.Copysign(1.25+math.Abs(rng.NormFloat64())*2, rng.NormFloat64())
+					if rng.Intn(40) == 0 {
+						x[i] = (rng.Float64() - 0.5) * 2.5
+					}
+					acc[i] = rng.NormFloat64() * 0.3
+					lo, d = -2, 0.3
 				}
-			})
-			g := GenzLanes{A: make([]float64, n), B: make([]float64, n), Dif: make([]float64, n), U: make([]float64, n)}
-			for _, row := range []struct {
-				name   string
-				lo, hi float64
-			}{{"lower", -0.3, math.Inf(1)}, {"upper", math.Inf(-1), 0.8}, {"twosided", -1.5, 2}} {
-				b.Run(fmt.Sprintf("genzrow-%s/%s/n=%d", row.name, name, n), func(b *testing.B) {
+				pr[i] = rng.Float64() // the sweep's uniforms: 15 % tail lanes
+			}
+			for _, vec := range []bool{false, true} {
+				if vec && !hasVecSpecials {
+					continue
+				}
+				old := hasVecSpecials
+				hasVecSpecials = vec
+				name := "scalar"
+				if vec {
+					name = "vec"
+				}
+				b.Run(fmt.Sprintf("erfc/%s/%s/n=%d", in, name, n), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						GenzRow(row.lo, row.hi, x, 0.4, nil, pr, dst, g)
+						ErfcBatch(x, dst)
 					}
 				})
-			}
-			b.Run(fmt.Sprintf("phiinv/%s/n=%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					PhiInvBatch(pr, dst)
+				g := GenzLanes{A: make([]float64, n), B: make([]float64, n), Dif: make([]float64, n), U: make([]float64, n)}
+				for _, row := range []struct {
+					name   string
+					lo, hi float64
+				}{{"lower", lo, math.Inf(1)}, {"upper", math.Inf(-1), 0.8}, {"twosided", lo, 2}} {
+					b.Run(fmt.Sprintf("genzrow-%s/%s/%s/n=%d", row.name, in, name, n), func(b *testing.B) {
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							GenzRow(row.lo, row.hi, acc, d, nil, pr, dst, g)
+						}
+					})
 				}
-			})
-			hasVecSpecials = old
+				b.Run(fmt.Sprintf("phiinv/%s/%s/n=%d", in, name, n), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						PhiInvBatch(pr, dst)
+					}
+				})
+				hasVecSpecials = old
+			}
 		}
 	}
 }

@@ -13,6 +13,14 @@ func erfcSimd(n int, x, dst *float64, mulIn, mulOut float64) {
 	panic("stats: erfcSimd without vector kernels")
 }
 
-func phiInvCentralSimd(n int, p, dst *float64) {
-	panic("stats: phiInvCentralSimd without vector kernels")
+func phiInvSimd(n int, p, dst, tmp *float64) {
+	panic("stats: phiInvSimd without vector kernels")
+}
+
+func genzPreSimd(n int, lim, d float64, acc, s, sel, lp, x *float64) {
+	panic("stats: genzPreSimd without vector kernels")
+}
+
+func genzPostSimd(n, kind int, a, b, w, dif, u *float64) {
+	panic("stats: genzPostSimd without vector kernels")
 }
