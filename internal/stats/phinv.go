@@ -98,7 +98,14 @@ func PhiInv(p float64) float64 {
 	if q > 0 {
 		r = 1 - p
 	}
-	r = math.Sqrt(-math.Log(r))
+	if r < 0x1p-1022 {
+		// Go's amd64 math.Log reads a subnormal's exponent field as if it
+		// were normal (Log(5e-324) = −709.09, not −744.44): scale into the
+		// normal range first. Normal r keeps math.Log's bits.
+		r = math.Sqrt(-(math.Log(r*0x1p54) - 54*math.Ln2))
+	} else {
+		r = math.Sqrt(-math.Log(r))
+	}
 	var x float64
 	if r <= 5 {
 		r -= 1.6

@@ -328,3 +328,49 @@ func BenchmarkBesselK(b *testing.B) {
 	}
 	_ = s
 }
+
+// TestPhiInvSubnormal: a subnormal p gets its true quantile — Φ(PhiInv(p))
+// returns p to 1e-12 relative through the tail-stable Φ — and PhiInv is
+// monotone and continuous across the smallest normal number, where the log's
+// argument changes from scaled to plain.
+func TestPhiInvSubnormal(t *testing.T) {
+	for _, p := range []float64{5e-324, 1e-320, 1e-310} {
+		x := PhiInv(p)
+		if got := Phi(x); math.Abs(got-p) > 1e-12*p {
+			t.Errorf("Phi(PhiInv(%g)) = %g (x = %.17g)", p, got, x)
+		}
+	}
+	if x := PhiInv(5e-324); math.Abs(x+38.47) > 0.01 {
+		t.Errorf("PhiInv(5e-324) = %.17g, want ≈ −38.47", x)
+	}
+	const tiny = 2.2250738585072014e-308 // smallest normal
+	// Neighbouring floats (non-decreasing: the quantile moves by less than
+	// its ulp) and a geometric grid (increasing) on both sides of tiny.
+	var ps []float64
+	p := tiny
+	for i := 0; i < 16; i++ {
+		p = math.Nextafter(p, 0)
+	}
+	for i := 0; i < 33; i++ {
+		ps = append(ps, p)
+		p = math.Nextafter(p, 1)
+	}
+	for i, prev := 0, math.Inf(-1); i < len(ps); i++ {
+		x := PhiInv(ps[i])
+		if x < prev {
+			t.Fatalf("PhiInv decreases at p = %g (%#x): %.17g after %.17g", ps[i], math.Float64bits(ps[i]), x, prev)
+		}
+		prev = x
+	}
+	if lo, hi := PhiInv(math.Nextafter(tiny, 0)), PhiInv(tiny); hi-lo > 1e-13 {
+		t.Errorf("PhiInv jumps at the smallest normal: %.17g → %.17g", lo, hi)
+	}
+	prev := math.Inf(-1)
+	for p := tiny / 16; p < 16*tiny; p *= 1.01 {
+		x := PhiInv(p)
+		if !(x > prev) {
+			t.Fatalf("PhiInv(%g) = %.17g, not above %.17g", p, x, prev)
+		}
+		prev = x
+	}
+}
