@@ -211,9 +211,9 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, k
 // infinite side, and returns y on every lane but those whose u is not a
 // normal number in (0,1) — then one scalar pass over the lanes that applies
 // the fix-ups (dead lanes, empty intervals, the flagged lanes' scalar Φ⁻¹
-// and its tail clamp) and multiplies the factors into p. Once most lanes are dead the
-// sparse arm, the scalar chainStep over the survivors, is cheaper than
-// full-width batches. The arms agree to stats.ErfcVecMaxRel, not bit for bit
+// and its tail clamp) and multiplies the factors into p. Once most lanes are
+// dead the sparse arm, the scalar chainStep over the survivors, is cheaper
+// than full-width batches. The arms agree to stats.ErfcVecMaxRel, not bit for bit
 // (the vector erfc is not math.Erfc), so a lane's value depends on which side
 // of the threshold its block stood at that row; the guarantee is that the
 // result is a deterministic function of the inputs, whatever the worker count.

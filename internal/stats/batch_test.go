@@ -654,6 +654,28 @@ func TestGenzPrePostMatchGoLoops(t *testing.T) {
 	}
 }
 
+// TestSpecialsZeroAllocs: the batch forms allocate nothing, at a ragged
+// length (the vector blocks plus Go-loop lanes) on either path.
+func TestSpecialsZeroAllocs(t *testing.T) {
+	const n = 67
+	acc, w, y, s := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	g := GenzLanes{A: make([]float64, n), B: make([]float64, n), Dif: make([]float64, n), U: make([]float64, n)}
+	for l := range acc {
+		acc[l], w[l], s[l] = 0.3*float64(l%7)-1, float64(l)/n+0.001, 1
+	}
+	for name, f := range map[string]func(){
+		"GenzRow/lower":    func() { GenzRow(-2, math.Inf(1), acc, 0.3, nil, w, y, g) },
+		"GenzRow/upper":    func() { GenzRow(math.Inf(-1), 0.5, acc, 0.3, s, w, y, g) },
+		"GenzRow/twosided": func() { GenzRow(-2, 1, acc, 0.3, nil, w, y, g) },
+		"PhiInvBatch":      func() { PhiInvBatch(w, y) },
+		"ErfcBatch":        func() { ErfcBatch(acc, y) },
+	} {
+		if a := testing.AllocsPerRun(20, f); a != 0 {
+			t.Errorf("%s: %v allocs/op", name, a)
+		}
+	}
+}
+
 // FuzzErfcBatch pins vector-vs-scalar erfc agreement on arbitrary inputs,
 // including NaN/±Inf bit patterns and ragged slice lengths.
 func FuzzErfcBatch(f *testing.F) {

@@ -9,7 +9,8 @@ import (
 
 // statsCPUHasAVX2FMA reports whether the CPU and OS support the AVX2+FMA
 // special-function kernels in spec_amd64.s (the same probe internal/linalg
-// runs for its micro-kernels; duplicated so stats stays dependency-free).
+// runs for its micro-kernels, plus POPCNT; duplicated so stats stays
+// dependency-free).
 func statsCPUHasAVX2FMA() bool
 
 // erfcSimd fills dst[0:n] with mulOut·erfc(mulIn·x[i]) using the 4-lane AVX2
@@ -35,7 +36,8 @@ func phiInvSimd(n int, p, dst, tmp *float64)
 func genzPreSimd(n int, lim, d float64, acc, s, sel, lp, x *float64)
 
 // genzPostSimd is genzPost's vector form over lanes [0, n), n a positive
-// multiple of 4, bit for bit (no FMA); kind is the row's postKind.
+// multiple of 4, bit for bit (no FMA); kind is postTwoSided, postLower or
+// postUpper.
 //
 //go:noescape
 func genzPostSimd(n, kind int, a, b, w, dif, u *float64)

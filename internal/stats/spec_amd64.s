@@ -56,6 +56,10 @@
 //	    60 log2e    61 ln2hi   62 ln2lo   63..67 expP1..expP5
 //	    68 2^52+1023  69 −708  70 0.5625  71 0.5    72 0.180625
 //	    73..80 ppnd16A[0..7]              81..87 ppnd16B[1..7]
+//	    88 mantissa mask  89 2^52  90 2^52+1022  91 √2/2  92..98 archLog L1..L7
+//	    99 1.6   100 5    101 0.425  102 2^-1022  103 +Inf  104 √2
+//	   105 sign mask     106..113 ppnd16C[0..7]  114..120 ppnd16D[1..7]
+//	   121..128 ppnd16E[0..7]        129..135 ppnd16F[1..7]   136 NaN
 
 #include "textflag.h"
 
@@ -202,10 +206,11 @@ TEXT ·statsCPUHasAVX2FMA(SB), NOSPLIT, $0-1
 	MOVQ $1, AX
 	XORQ CX, CX
 	CPUID
-	// Need FMA (CX bit 12) and OSXSAVE (CX bit 27).
+	// Need FMA (CX bit 12), POPCNT (CX bit 23, phiInvSimd) and OSXSAVE
+	// (CX bit 27).
 	MOVL CX, R8
-	ANDL $(1<<12 | 1<<27), R8
-	CMPL R8, $(1<<12 | 1<<27)
+	ANDL $(1<<12 | 1<<23 | 1<<27), R8
+	CMPL R8, $(1<<12 | 1<<23 | 1<<27)
 	JNE  no
 	// OS must have enabled XMM+YMM state (XCR0 bits 1 and 2).
 	XORL CX, CX
