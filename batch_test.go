@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // batchQueries builds nq lower-limit sweeps over the given dimension.
@@ -357,7 +358,10 @@ func TestBatchValidation(t *testing.T) {
 // TestConcurrentSessionUse hammers one session from many goroutines — mixed
 // cache hits, a concurrent first factorization, and parallel query graphs —
 // and checks every goroutine sees the same deterministic results. Run under
-// -race this is the session-concurrency safety test.
+// -race this is the session-concurrency safety test. Last, a cold build with
+// a second caller waiting on it must leave the cache lock to everyone else:
+// a warm key's state (what the server checks first) reads while the build
+// still runs.
 func TestConcurrentSessionUse(t *testing.T) {
 	locs := Grid(6, 6)
 	kernels := []KernelSpec{
@@ -412,8 +416,38 @@ func TestConcurrentSessionUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All 24 calls over 2 distinct factors: exactly 2 misses.
-	if _, misses := s.Cache().Stats(); misses != 2 {
+	hits, misses := s.Cache().Stats()
+	if misses != 2 {
 		t.Errorf("misses = %d, want 2", misses)
+	}
+
+	big := Grid(28, 28) // n = 784: the build outlasts a scheduling slice on one CPU
+	cold := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { cold <- s.Prefactorize(big, kernels[0]) }()
+	}
+	// One caller leads the build (a miss), the other joins it (a hit).
+	for h, m := s.Cache().Stats(); h == hits || m == misses; h, m = s.Cache().Stats() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	warmKey, err := cfg.ProblemKey(locs, kernels[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldKey, err := cfg.ProblemKey(big, kernels[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.FactorState(warmKey); st != FactorReady {
+		t.Errorf("warm key state %v, want ready", st)
+	}
+	if st, _ := s.FactorState(coldKey); st != FactorBuilding {
+		t.Error("the warm key's state was readable only after the cold build finished")
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-cold; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

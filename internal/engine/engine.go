@@ -369,8 +369,6 @@ func gemmDense64RightOf(ad *linalg.Matrix, b tile.Tile, dst *linalg.Matrix) {
 // matrix; the caller must putMat it. Dense float64 tiles never route here —
 // they pass their matrix through directly, so the hot dense path copies
 // nothing.
-//
-//repro:returns-pooled mat
 func to64Pooled(t tile.Tile) *linalg.Matrix {
 	switch t := t.(type) {
 	case *tile.DenseF32:
@@ -388,8 +386,6 @@ func to64Pooled(t tile.Tile) *linalg.Matrix {
 // to32Pooled converts a float64 or low-rank tile into a pooled dense float32
 // matrix; the caller must tile.PutMat32 it. Dense float32 tiles never route
 // here.
-//
-//repro:returns-pooled mat32
 func to32Pooled(t tile.Tile) *tile.Matrix32 {
 	switch t := t.(type) {
 	case *tile.DenseF64:

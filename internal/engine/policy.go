@@ -92,9 +92,8 @@ func (p Policy) RankLimit(m, n int) int {
 // spectrum. An inMemory source, where a run is a copy, is probed by
 // tile.CompressWithin on the tile in hand, whose tail bound is measured
 // against the tile itself where ACA stops on an estimate and only samples
-// the residual.
-//
-//repro:returns-pooled mat
+// the residual. The caller owns a returned dense block and hands it back with
+// putMat once it has built the tile from it.
 func (p Policy) probe(g *Grid, r, c, row0, col0 int, fill RunFill, inMemory bool) (*tile.LowRank, *linalg.Matrix) {
 	g.probes.Add(1)
 	limit := p.RankLimit(r, c)

@@ -424,9 +424,7 @@ func exactSize(t *tile.LowRank) *tile.LowRank {
 }
 
 // denseBlock materializes the r×c block at (row0,col0) of the run evaluator
-// into a pooled matrix, each column filled in place.
-//
-//repro:returns-pooled mat
+// into a pooled matrix, each column filled in place; the caller putMats it.
 func denseBlock(r, c, row0, col0 int, fill RunFill) *linalg.Matrix {
 	d := getMat(r, c)
 	for j := 0; j < c; j++ {

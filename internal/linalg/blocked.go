@@ -95,8 +95,8 @@ func gemmBlocked(transA, transB bool, alpha float64, a, b *Matrix, c *Matrix, m,
 			}
 		}
 	}
-	PutVec(bpack)
-	PutVec(apack)
+	PutVec(&bpack)
+	PutVec(&apack)
 }
 
 // macroKernel sweeps the packed B panels of one (jc,pc) block over an

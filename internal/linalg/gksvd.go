@@ -27,14 +27,14 @@ func GolubReinschSVD(a, v *Matrix, s []float64) bool {
 		return true
 	}
 	rv1 := GetVec(n)
-	defer PutVec(rv1)
+	defer PutVec(&rv1)
 	// rbuf gathers one row of a at a time so the right-reflector passes run
 	// stride-1; sums carries the per-row inner products so the trailing
 	// update is column-oriented Axpys instead of stride-n row walks.
 	rbuf := GetVec(n)
-	defer PutVec(rbuf)
+	defer PutVec(&rbuf)
 	sums := GetVec(m)
-	defer PutVec(sums)
+	defer PutVec(&sums)
 	var g, scale, anorm float64
 
 	// Householder reduction to bidiagonal form.

@@ -73,5 +73,5 @@ func GemmPackedA(alpha float64, a PackedA, transB bool, b *Matrix, beta float64,
 			}
 		}
 	}
-	PutVec(bpack)
+	PutVec(&bpack)
 }

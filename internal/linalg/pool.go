@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // The workspace pool recycles float64 scratch buffers across the hot kernel
@@ -28,6 +29,14 @@ const vecClasses = 31
 // sync.Pool.Put(&v) would heap-allocate the box on every call).
 var boxPool = sync.Pool{New: func() any { return new([]float64) }}
 
+// outstandingVecs counts the buffers GetVec has handed out and PutVec has
+// not yet taken back. A warm query returns every buffer it takes; a
+// factorization keeps exactly one per dense float64 tile it stores.
+var outstandingVecs atomic.Int64
+
+// OutstandingVecs reports how many GetVec buffers are out of the pool.
+func OutstandingVecs() int64 { return outstandingVecs.Load() }
+
 // vecClass returns the smallest class whose buffers hold n floats.
 func vecClass(n int) int { return bits.Len(uint(n - 1)) }
 
@@ -38,6 +47,7 @@ func GetVec(n int) []float64 {
 	if n <= 0 {
 		return nil
 	}
+	outstandingVecs.Add(1)
 	c := vecClass(n)
 	if c < vecClasses {
 		if p, _ := vecPools[c].Get().(*[]float64); p != nil {
@@ -50,20 +60,25 @@ func GetVec(n int) []float64 {
 	return make([]float64, 1<<c)[:n]
 }
 
-// PutVec recycles a slice obtained from GetVec (or any slice whose backing
-// array the caller owns outright — never a view into shared storage). The
-// buffer is filed under the largest class its capacity fully covers, so a
-// later Get from that class always fits.
-func PutVec(v []float64) {
-	if cap(v) == 0 {
+// PutVec recycles the slice *v obtained from GetVec (or any slice whose
+// backing array the caller owns outright — never a view into shared storage)
+// and sets *v to nil, as PutMat clears its matrix: a later use of the
+// variable reads an empty slice, not memory the pool may have handed to
+// another owner. The buffer is filed under the largest class its capacity
+// fully covers, so a later Get from that class always fits.
+func PutVec(v *[]float64) {
+	buf := *v
+	*v = nil
+	if cap(buf) == 0 {
 		return
 	}
-	c := bits.Len(uint(cap(v))) - 1 // floor log2
+	outstandingVecs.Add(-1)
+	c := bits.Len(uint(cap(buf))) - 1 // floor log2
 	if c >= vecClasses {
 		c = vecClasses - 1
 	}
 	p := boxPool.Get().(*[]float64)
-	*p = v[:cap(v)]
+	*p = buf[:cap(buf)]
 	vecPools[c].Put(p)
 }
 
@@ -107,8 +122,7 @@ func PutMat(m *Matrix) {
 	if m == nil {
 		return
 	}
-	PutVec(m.Data)
-	m.Data = nil
+	PutVec(&m.Data)
 	matHeaderPool.Put(m)
 }
 

@@ -52,7 +52,7 @@ func SVD(a *Matrix) *SVDResult {
 		copy(vs.Col(k), v.Col(j))
 		ss[k] = s[j]
 	}
-	PutVec(s)
+	PutVec(&s)
 	PutMat(v)
 	PutMat(w)
 	return &SVDResult{U: us, S: ss, V: vs}
@@ -120,7 +120,7 @@ func JacobiSVDTol(w, v *Matrix, s []float64, offTol float64) {
 			break
 		}
 	}
-	PutVec(nrm)
+	PutVec(&nrm)
 	for j := 0; j < n; j++ {
 		s[j] = Nrm2(w.Col(j))
 	}

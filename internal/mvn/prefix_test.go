@@ -104,7 +104,7 @@ func TestPrefixAllLanesDie(t *testing.T) {
 		for i := range v {
 			v[i] = 7
 		}
-		linalg.PutVec(v)
+		linalg.PutVec(&v)
 	}
 	for _, reps := range []int{1, 2} {
 		got := PMVNPrefix(nil, f, a, b, Options{N: N, SampleTile: 32, Replicates: reps})

@@ -37,8 +37,6 @@ import (
 // getLaneWS carves the per-column lane scratch of the Genz step out of one
 // pooled buffer. The second result is that buffer; callers return it with
 // linalg.PutVec when the sweep finishes.
-//
-//repro:returns-pooled vec
 func getLaneWS(mc int) (stats.GenzLanes, []float64) {
 	buf := linalg.GetVec(4 * mc)
 	return stats.GenzLanes{
@@ -102,10 +100,7 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, k
 	}
 	yBuf := linalg.GetVec(mp * panels)
 	yT := linalg.GetMat(mc, ts)
-	p := linalg.GetVec(mc)
-	for l := range p {
-		p[l] = 1
-	}
+	p := ones(linalg.GetVec(mc))
 	ws, wsBuf := getLaneWS(mc)
 	clear(pre)
 	d0Base := 0
@@ -180,14 +175,24 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, k
 		sum += v
 	}
 	if s != nil {
-		linalg.PutVec(s)
+		linalg.PutVec(&s)
 	}
-	linalg.PutVec(wsBuf)
-	linalg.PutVec(p)
+	linalg.PutVec(&wsBuf)
+	linalg.PutVec(&p)
 	linalg.PutMat(yT)
-	linalg.PutVec(yBuf)
+	linalg.PutVec(&yBuf)
 	tile.PutMat32(y32)
 	return sum
+}
+
+// ones sets every element of v to 1 and returns it. The caller's variable is
+// address-taken by its PutVec, so a loop over it there would keep a bounds
+// check on every element.
+func ones(v []float64) []float64 {
+	for i := range v {
+		v[i] = 1
+	}
+	return v
 }
 
 // qmcKernelLanes is Algorithm 3 over one lane block: it advances every lane

@@ -102,7 +102,7 @@ func (ws *waveState) open(p plan, genDim int) {
 	for rep := range ws.srcs {
 		ws.srcs[rep] = qmc.GetRichtmyer(genDim, replicateShift(shift, rep, rng))
 	}
-	linalg.PutVec(shift)
+	linalg.PutVec(&shift)
 }
 
 // replicateShift fills dst with replicate rep's Cranley–Patterson shift and
@@ -134,8 +134,8 @@ func (ws *waveState) release() {
 		qmc.PutRichtmyer(src)
 		ws.srcs[rep] = nil
 	}
-	linalg.PutVec(ws.slots)
-	linalg.PutVec(ws.pslots)
+	linalg.PutVec(&ws.slots)
+	linalg.PutVec(&ws.pslots)
 	*ws = waveState{srcs: ws.srcs[:0]}
 	waveStatePool.Put(ws)
 }
@@ -245,7 +245,7 @@ func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu floa
 		}
 	}
 
-	linalg.PutVec(repSum)
+	linalg.PutVec(&repSum)
 	ws.release()
 	return res
 }

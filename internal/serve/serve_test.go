@@ -320,13 +320,21 @@ func TestServeCoalesce(t *testing.T) {
 
 // TestServeBackpressure pins that a saturated server fails fast with ErrOverloaded instead of queueing without bound.
 // One slow cold factorization occupies the single slot; with a zero-depth
-// factorization queue, every other cold key must be rejected immediately.
+// factorization queue, every other cold key must be rejected immediately,
+// and a warm key on the same shard and session must answer while the build
+// runs: no shard or cache lock is held across a factorization.
 func TestServeBackpressure(t *testing.T) {
 	cfg := testConfig()
+	cfg.Shards = 1 // the warm key below shares the blocker's shard
 	cfg.MaxInflightFactor = 1
 	cfg.FactorQueueDepth = -1 // → 0 after defaulting: no waiting at all
 	srv := New(cfg)
 	defer srv.Close()
+
+	warm := testRequest(6, 0.3) // n=36: the blocker's tile size, so its session
+	if _, err := srv.Do(context.Background(), warm); err != nil {
+		t.Fatal(err)
+	}
 
 	// Occupy the only factorization slot with a big cold problem.
 	blockerDone := make(chan error, 1)
@@ -336,8 +344,15 @@ func TestServeBackpressure(t *testing.T) {
 	}()
 	// Wait until the blocker holds the slot (its factorization lead is
 	// counted before the build starts).
-	for srv.Snapshot().Factorizations == 0 {
+	for srv.Snapshot().Factorizations == 1 {
 		time.Sleep(200 * time.Microsecond)
+	}
+
+	if _, err := srv.Do(context.Background(), warm); err != nil {
+		t.Fatalf("warm key during the cold build: %v", err)
+	}
+	if len(srv.factorSem) == 0 {
+		t.Fatal("the warm key answered only after the cold build released its slot")
 	}
 
 	// Every distinct cold key now fails fast.

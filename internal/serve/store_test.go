@@ -22,19 +22,63 @@ func storeConfig(t *testing.T, dir string) Config {
 }
 
 // TestServerStoreWarmRestart is the serving-layer restart contract: a
-// server that factorized with a store attached writes the factor through;
-// a second server sharing the directory serves its first query for that
-// key warm — zero factorizations, one store hit.
+// server that factorized with a store attached writes the factor through,
+// off the shard locks; a second server sharing the directory serves its
+// first query for that key warm — zero factorizations, one store hit.
 func TestServerStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"grid":{"nx":4,"ny":4},"kernel":{"family":"exponential","range":0.3},"lower":-1}`
 
 	srv1, ts1 := newTestHTTP(t, storeConfig(t, dir))
+	// A write-through under a shard lock would stall every query routed to
+	// that shard for the length of a file write and fsync. While a save's
+	// temp file is in the directory, a watcher tries every shard lock; a try
+	// counts only if the file is still there after it.
+	saving := func() bool {
+		tmp, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+		return len(tmp) > 0
+	}
+	stop, watched := make(chan struct{}), make(chan struct{})
+	var lockHeld, lockFree bool
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !saving() {
+				continue
+			}
+			free := true
+			for _, sh := range srv1.shards {
+				if !sh.mu.TryLock() {
+					free = false
+					continue
+				}
+				sh.mu.Unlock()
+			}
+			switch {
+			case !saving():
+			case free:
+				lockFree = true
+				return
+			default:
+				lockHeld = true
+			}
+		}
+	}()
 	if status, out := post(t, ts1.URL+"/v1/mvnprob", body); status != http.StatusOK {
 		t.Fatalf("cold query status %d: %v", status, out)
 	}
 	// The write-through runs after the response is delivered; wait for it.
 	waitFor(t, "store write-through", func() bool { return srv1.Snapshot().StoreSaves == 1 })
+	close(stop)
+	<-watched
+	if lockHeld && !lockFree {
+		t.Fatal("a shard lock was held while the store write-through ran")
+	}
 	st := srv1.Snapshot()
 	if st.Factorizations != 1 || st.StoreMisses != 1 || st.StoreHits != 0 {
 		t.Fatalf("first server factorizations/misses/hits = %d/%d/%d, want 1/1/0",

@@ -176,8 +176,8 @@ func CompressACAConv(m, n int, row, col func(dst []float64, i int), tol float64,
 			converged = residualWithin(t, row, rowBuf, acaResidualSlack*tol*math.Sqrt(math.Max(normSq, 0)))
 		}
 	}
-	linalg.PutVec(rowBuf)
-	linalg.PutVec(colBuf)
+	linalg.PutVec(&rowBuf)
+	linalg.PutVec(&colBuf)
 	linalg.PutMat(us)
 	linalg.PutMat(vs)
 	return t, converged

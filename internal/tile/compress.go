@@ -129,7 +129,7 @@ func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) *Lo
 		}
 		linalg.PutMat(b)
 		linalg.PutMat(q)
-		linalg.PutVec(tau)
+		linalg.PutVec(&tau)
 		linalg.PutMat(y)
 		q = nil
 		l *= 2
@@ -160,7 +160,7 @@ func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) *Lo
 	}
 	linalg.PutMat(b)
 	linalg.PutMat(q)
-	linalg.PutVec(tau)
+	linalg.PutVec(&tau)
 	linalg.PutMat(y)
 	return t
 }
@@ -181,9 +181,8 @@ func frobSq(a *linalg.Matrix) float64 {
 // gaussMat returns a pooled r×c matrix of standard normal samples from a
 // splitmix64 stream seeded only by the shape: the sketch is independent of
 // the data (which is all the randomized analysis needs) and deterministic
-// across runs, workers and repeated calls.
-//
-//repro:returns-pooled mat
+// across runs, workers and repeated calls. The caller returns it with
+// linalg.PutMat.
 func gaussMat(r, c int) *linalg.Matrix {
 	m := linalg.GetMat(r, c)
 	state := uint64(r)<<32 ^ uint64(c) ^ 0x9e3779b97f4a7c15

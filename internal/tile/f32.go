@@ -154,8 +154,8 @@ func gemm32Blocked(transB bool, alpha float32, a, b, c *Matrix32, m, n, k int) {
 			}
 		}
 	}
-	putVec32(bpack)
-	putVec32(apack)
+	putVec32(&bpack)
+	putVec32(&apack)
 }
 
 // packA32 packs the mcc×kcc block of A at (ic,pc) into mr32-row

@@ -151,8 +151,8 @@ func RoundLR(bigU, bigV *linalg.Matrix, tol float64, maxRank int) (*linalg.Matri
 	}
 	sv.release()
 	linalg.PutMat(core)
-	linalg.PutVec(tauU)
-	linalg.PutVec(tauV)
+	linalg.PutVec(&tauU)
+	linalg.PutVec(&tauV)
 	return u, v
 }
 
@@ -258,7 +258,7 @@ func (t *LowRank) ApplyRightTrans(alpha float64, b *linalg.Matrix, beta float64,
 	p := linalg.PackedOver(buf, b.Rows, b.Cols)
 	p.Pack(b, 0)
 	t.ApplyRightTransPacked(alpha, p, beta, c)
-	linalg.PutVec(buf)
+	linalg.PutVec(&buf)
 }
 
 // bench/probes.go times these by these signatures, and a change that claims

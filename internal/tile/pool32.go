@@ -1,6 +1,9 @@
 package tile
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Pooled float32 scratch for the packed single-precision kernels, same box
 // discipline as the linalg float64 pool (the boxes cycle through their own
@@ -10,8 +13,19 @@ var (
 	f32BoxPool = sync.Pool{New: func() any { return new([]float32) }}
 )
 
+// outstandingVec32 counts the buffers getVec32 has handed out and putVec32
+// has not yet taken back; a factorization keeps one per dense float32 tile.
+var outstandingVec32 atomic.Int64
+
+// OutstandingVec32 reports how many float32 pool buffers are out of the pool.
+func OutstandingVec32() int64 { return outstandingVec32.Load() }
+
 // getVec32 returns a pooled float32 slice of length n, contents UNDEFINED.
 func getVec32(n int) []float32 {
+	if n <= 0 {
+		return nil
+	}
+	outstandingVec32.Add(1)
 	var buf []float32
 	if p, _ := f32Pool.Get().(*[]float32); p != nil {
 		buf = *p
@@ -28,13 +42,17 @@ func getVec32(n int) []float32 {
 	return buf[:n]
 }
 
-// putVec32 recycles a slice obtained from getVec32.
-func putVec32(v []float32) {
-	if cap(v) == 0 {
+// putVec32 recycles the slice *v obtained from getVec32 and sets *v to nil,
+// as linalg.PutVec does.
+func putVec32(v *[]float32) {
+	buf := *v
+	*v = nil
+	if cap(buf) == 0 {
 		return
 	}
+	outstandingVec32.Add(-1)
 	p := f32BoxPool.Get().(*[]float32)
-	*p = v[:cap(v)]
+	*p = buf[:cap(buf)]
 	f32Pool.Put(p)
 }
 
@@ -69,8 +87,7 @@ func PutMat32(m *Matrix32) {
 	if m == nil {
 		return
 	}
-	putVec32(m.Data)
-	m.Data = nil
+	putVec32(&m.Data)
 	mat32HeaderPool.Put(m)
 }
 

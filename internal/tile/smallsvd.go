@@ -167,7 +167,7 @@ func (sv *smallSVD) rightInto(x *linalg.Matrix, k int) {
 func (sv *smallSVD) release() {
 	linalg.PutMat(sv.w)
 	linalg.PutMat(sv.v)
-	linalg.PutVec(sv.s)
-	linalg.PutVec(sv.ss)
+	linalg.PutVec(&sv.s)
+	linalg.PutVec(&sv.ss)
 	linalg.PutInts(sv.idx)
 }

@@ -1,0 +1,62 @@
+package parmvn
+
+import (
+	"testing"
+
+	"repro/internal/linalg"
+	"repro/internal/tile"
+)
+
+// The pool-balance gate. Every pooled buffer has one owner, and the owner
+// hands it back: a warm query returns every buffer it takes, and a cold
+// factorization keeps exactly one per dense tile it stores (float64 tiles
+// from linalg's pool, float32 tiles from tile's). The pools count the
+// buffers they have handed out and not taken back, so a missing Put on
+// either path shows as a count that drifts, and a double Put as one that
+// falls short. CI runs this with the ZeroAllocs rows, on the vector kernels
+// and again with REPRO_NOASM=1.
+
+// TestPoolBalance factorizes largeBox at tile 64 in every layout, with both
+// sweeps, and checks the outstanding-buffer counts after the cold build and
+// after each of several rounds of warm calls through every entry point.
+func TestPoolBalance(t *testing.T) {
+	q := largeBox()
+	for _, m := range []Method{Dense, TLR, MethodAdaptive} {
+		for _, f32 := range []bool{false, true} {
+			sweep := "f64"
+			if f32 {
+				sweep = "f32"
+			}
+			t.Run(m.String()+"/"+sweep, func(t *testing.T) {
+				s := NewSession(Config{Workers: 2, TileSize: 64, QMCSize: 200, TLRTol: 1e-6, Method: m, SweepF32: f32})
+				defer s.Close()
+				base64, base32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
+				fp, err := s.FactorFootprint(q.locs, q.kernel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m != Dense && fp.Dense32+fp.LowRank == 0 {
+					t.Fatalf("%v factor holds only dense float64 tiles: %+v", m, fp)
+				}
+				want64, want32 := base64+int64(fp.Dense64), base32+int64(fp.Dense32)
+				check := func(when string) {
+					t.Helper()
+					got64, got32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
+					if got64 != want64 || got32 != want32 {
+						t.Fatalf("%s: %d f64 and %d f32 buffers outstanding, want %d and %d (one per Dense64/Dense32 tile of %+v)",
+							when, got64-base64, got32-base32, fp.Dense64, fp.Dense32, fp)
+					}
+				}
+				check("cold factorization")
+				for round := 0; round < 3; round++ {
+					for _, c := range warmCalls {
+						if _, err := c.call(s, q); err != nil {
+							t.Fatal(err)
+						}
+						check("warm " + c.name)
+					}
+				}
+			})
+		}
+	}
+}

@@ -5,12 +5,15 @@
 # the bounds checks the compiler could NOT eliminate in the gated files: the
 # packed BLAS-3 kernels (blocked.go) and the chain-blocked sweep (sweep.go),
 # whose portable fallback loops are the hot path on machines without the
-# AVX2+FMA micro-kernels. The gate fails when a gated file gains bounds
-# checks over the checked-in golden counts — the usual way a "harmless"
-# refactor of an inner loop quietly reintroduces per-element branches.
+# AVX2+FMA micro-kernels. The gate fails when a source line of a gated file
+# carries more bounds checks than the checked-in golden allows — the usual
+# way a "harmless" refactor of an inner loop quietly reintroduces
+# per-element branches.
 #
-# Counts, not line numbers, are compared, so edits elsewhere in the file do
-# not trip the gate. When a count drops (more checks eliminated) the gate
+# Checks are counted per source line, keyed by the line's text rather than
+# its number, so edits elsewhere in the file do not trip the gate, and a
+# check that moves from a one-time reslice into the loop it guarded does
+# (the file's total would not change). When a line loses checks the gate
 # still passes but asks for a re-bless so the ceiling stays tight:
 #
 #   scripts/bcegate.sh --update
@@ -18,24 +21,27 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GOLDEN=scripts/golden/bce.golden
-GATED='^internal/(linalg/blocked|mvn/sweep)\.go'
+GATED='^internal/(linalg/blocked|mvn/sweep)\.go:'
 
-# One "file count" line per gated file. sort -u first: the same diagnostic
-# can be replayed once per build action that names the package.
+# One "count<TAB>file<TAB>line text" row per gated source line that keeps a
+# bounds check. sort -u first: the same diagnostic can be replayed once per
+# build action that names the package.
 current() {
     go build -gcflags=-d=ssa/check_bce ./internal/linalg ./internal/mvn 2>&1 |
         grep -E ': Found (IsInBounds|IsSliceInBounds)$' |
-        sort -u |
-        sed -E 's/^([^:]*):.*/\1/' |
         grep -E "$GATED" |
-        sort | uniq -c | awk '{print $2, $1}'
+        sort -u |
+        while IFS=: read -r file line _; do
+            printf '%s\t%s\n' "$file" "$(sed -n "${line}p" "$file" | sed -E 's/^[[:space:]]+//')"
+        done |
+        sort | uniq -c | sed -E 's/^ *([0-9]+) /\1\t/'
 }
 
 if [[ "${1:-}" == "--update" ]]; then
     mkdir -p "$(dirname "$GOLDEN")"
     current > "$GOLDEN"
-    cat "$GOLDEN"
-    echo "bcegate: golden counts updated"
+    cut -f2 "$GOLDEN" | sort | uniq -c
+    echo "bcegate: golden updated"
     exit 0
 fi
 
@@ -44,30 +50,32 @@ if [[ ! -f "$GOLDEN" ]]; then
     exit 1
 fi
 
-rc=0
-improved=0
-while read -r file count; do
-    golden=$(awk -v f="$file" '$1 == f {print $2}' "$GOLDEN")
-    if [[ -z "$golden" ]]; then
-        echo "bcegate: $file not in golden list — run scripts/bcegate.sh --update" >&2
-        rc=1
-    elif (( count > golden )); then
-        echo "bcegate: FAIL $file: $count bounds checks remain (golden $golden) — an inner loop regressed; restructure the indexing or re-bless deliberately" >&2
-        rc=1
-    elif (( count < golden )); then
-        echo "bcegate: note $file improved to $count bounds checks (golden $golden) — re-bless with scripts/bcegate.sh --update"
-        improved=1
-    else
-        echo "bcegate: ok $file: $count bounds checks (at golden ceiling)"
-    fi
-done < <(current)
-
-# A gated file disappearing from the build entirely should be loud too.
-while read -r file _; do
-    if ! current | awk -v f="$file" '$1 == f {found=1} END {exit !found}'; then
-        echo "bcegate: golden file $file produced no diagnostics — deleted or renamed? run scripts/bcegate.sh --update" >&2
-        rc=1
-    fi
-done < "$GOLDEN"
-
-exit $rc
+awk -F'\t' '
+    NR == FNR { golden[$2 FS $3] = $1; files[$2] = 1; next }
+    {
+        key = $2 FS $3; seen[$2] = 1; total[$2] += $1
+        if ($1 > golden[key]) {
+            printf "bcegate: FAIL %s: %d bounds check(s) on `%s` (golden %d) — an inner loop regressed; restructure the indexing or re-bless deliberately\n", $2, $1, $3, golden[key] > "/dev/stderr"
+            rc = 1
+        } else if ($1 < golden[key]) {
+            improved[$2] = 1
+        }
+        cur[key] = 1
+    }
+    END {
+        for (key in golden) {
+            split(key, k, FS)
+            if (!(key in cur) && k[1] in seen) improved[k[1]] = 1
+        }
+        for (f in files) {
+            if (!(f in seen)) {
+                printf "bcegate: golden file %s produced no diagnostics — deleted or renamed? run scripts/bcegate.sh --update\n", f > "/dev/stderr"
+                rc = 1
+            } else if (f in improved) {
+                printf "bcegate: note %s: %d bounds checks, fewer on some line than the golden — re-bless with scripts/bcegate.sh --update\n", f, total[f]
+            } else {
+                printf "bcegate: ok %s: %d bounds checks\n", f, total[f]
+            }
+        }
+        exit rc
+    }' "$GOLDEN" <(current)

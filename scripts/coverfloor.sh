@@ -21,15 +21,14 @@ if [[ -z "$PROFILE" ]]; then
     PROFILE="$(mktemp)"
     trap 'rm -f "$PROFILE"' EXIT
     go test -coverprofile="$PROFILE" \
-        -coverpkg=repro,repro/internal/serve,repro/internal/analysis \
-        . ./internal/serve ./internal/analysis > /dev/null
+        -coverpkg=repro,repro/internal/serve \
+        . ./internal/serve > /dev/null
 fi
 
 # Floors (percent). Measured at recording time (2026-07): serve 90.4,
-# api.go 89.4, cache.go 93.7, validate.go 95.8; (2026-10-16, three
-# analyzers once noalloc was deleted): internal/analysis 86.7. Each floor
-# sits ~8 points under the measurement to absorb small refactors while still
-# tripping on a lost test file.
+# api.go 89.4, cache.go 93.7, validate.go 95.8. Each floor sits ~8 points
+# under the measurement to absorb small refactors while still tripping on a
+# lost test file.
 # batch.go holds the one query path every entry point runs (2026-10: 85.3
 # before the entry points merged, 98.7 after), so its floor is 90.
 check() {
@@ -60,5 +59,4 @@ check "api.go"              "^repro/api\\.go$"       80 || rc=1
 check "cache.go"            "^repro/cache\\.go$"     85 || rc=1
 check "batch.go"            "^repro/batch\\.go$"     90 || rc=1
 check "validate.go"         "^repro/validate\\.go$"  88 || rc=1
-check "internal/analysis"   "^repro/internal/analysis/" 79 || rc=1
 exit $rc
