@@ -11,7 +11,15 @@
 // every run is bit-identical to. A Matérn kernel of half-integer smoothness
 // (2ν odd: ν = 1/2, 3/2, 5/2, …) is a polynomial in h/a times e^{−h/a} and
 // is evaluated in that closed form, by Cov and Fill alike; it agrees with
-// the Bessel-function expression of equation 6 to 1e-13 relative.
+// the Bessel-function expression of equation 6 to 1e-13 relative. The
+// exponential kernel runs the same closed form with p = 1.
+//
+// On an AVX2+FMA host (the CPU probe of internal/stats; REPRO_NOASM=1 turns
+// it off) the closed form runs four entries at a time in fill_amd64.s. The
+// body replays the amd64 math.Hypot and math.Exp operation for operation,
+// so each entry is the scalar loop's bits, not an approximation of them: a
+// 4-entry block it cannot replay (a NaN or infinite coordinate, h/a > 708)
+// and a ragged tail go to the scalar loop.
 package cov
 
 import (
@@ -185,24 +193,39 @@ func (n *Nugget) Variance() float64 { return n.Kernel.Variance() + n.Tau2 }
 // Fill evaluates one run of covariances: dst[r] = C(‖pts[r] − q‖) for every
 // r < len(dst), exactly the value k.Cov(pts[r].Dist(q)) returns — the nugget
 // lands on every distance that is exactly zero, not on an index match.
-// len(pts) must be at least len(dst). A half-integer Matérn kernel (under at
-// most one Nugget) runs a loop free of interface dispatch; any other Kernel
-// is evaluated entry by entry.
+// len(pts) must be at least len(dst). A half-integer Matérn kernel, or an
+// Exponential (ν = 1/2) with σ² in (0, MaxFloat64] and a > 0, under at most
+// one Nugget, runs the closed-form loop free of interface dispatch; any other
+// Kernel is evaluated entry by entry. (A NaN distance reads 0 on the closed
+// form, as Matern.Cov reads it, where Exponential.Cov returns NaN.)
 func Fill(k Kernel, dst []float64, pts []geo.Point, q geo.Point) {
 	pts = pts[:len(dst)]
 	tau2 := 0.0
 	if n, ok := k.(*Nugget); ok {
 		k, tau2 = n.Kernel, n.Tau2
 	}
-	if m, ok := k.(*Matern); ok && m.half != nil {
-		fillHalf(dst, pts, q, m, tau2)
-		return
+	switch k := k.(type) {
+	case *Matern:
+		if k.half != nil {
+			fillHalf(dst, pts, q, k.half, k.Sigma2, k.Range, tau2)
+			return
+		}
+	case *Exponential:
+		// σ²·1 = σ² and (−h)/a = −(h/a), so the closed form is Cov's bits;
+		// the gate keeps it off the parameters where its clamps would not be.
+		if vecParams(k.Sigma2, k.Range) {
+			fillHalf(dst, pts, q, expPoly, k.Sigma2, k.Range, tau2)
+			return
+		}
 	}
 	for r, p := range pts {
 		h := p.Dist(q)
 		dst[r] = withNugget(k.Cov(h), h, tau2)
 	}
 }
+
+// expPoly is the exponential kernel's closed-form polynomial, p(t) = 1.
+var expPoly = []float64{1}
 
 // withNugget is Nugget.Cov's rule on an evaluated covariance c = C(h).
 func withNugget(c, h, tau2 float64) float64 {
@@ -212,13 +235,37 @@ func withNugget(c, h, tau2 float64) float64 {
 	return c
 }
 
-// fillHalf is Fill for a Matérn kernel of half-integer smoothness.
-func fillHalf(dst []float64, pts []geo.Point, q geo.Point, m *Matern, tau2 float64) {
-	c, sigma2, rang := m.half, m.Sigma2, m.Range
-	for r, p := range pts {
+// vecParams reports whether σ² and a are in the range where the vector body
+// replays halfCov's clamps (and the exponential's closed form is Cov's):
+// 0 < σ² ≤ MaxFloat64 and a > 0.
+func vecParams(sigma2, rang float64) bool {
+	return sigma2 > 0 && sigma2 <= math.MaxFloat64 && rang > 0
+}
+
+// fillHalf is Fill for a closed-form kernel σ²·p(t)·e^{−t}: on the AVX2 body
+// four entries at a time where fillVec holds, and the scalar loop on every
+// block the body leaves and on the ragged tail.
+func fillHalf(dst []float64, pts []geo.Point, q geo.Point, c []float64, sigma2, rang, tau2 float64) {
+	diag := sigma2 + tau2
+	r := 0
+	if fillVec && vecParams(sigma2, rang) {
+		for n4 := len(dst) &^ 3; r < n4; r += 4 {
+			r += fillHalfAVX2(dst[r:n4], pts[r:n4], q, c, sigma2, diag, rang)
+			if r == n4 {
+				break
+			}
+			fillHalfScalar(dst[r:r+4], pts[r:r+4], q, c, sigma2, diag, rang)
+		}
+	}
+	fillHalfScalar(dst[r:], pts[r:], q, c, sigma2, diag, rang)
+}
+
+// fillHalfScalar is fillHalf's loop one entry at a time.
+func fillHalfScalar(dst []float64, pts []geo.Point, q geo.Point, c []float64, sigma2, diag, rang float64) {
+	for r, p := range pts[:len(dst)] {
 		h := p.Dist(q)
 		if h == 0 {
-			dst[r] = sigma2 + tau2
+			dst[r] = diag
 			continue
 		}
 		dst[r] = halfCov(c, sigma2, h/rang)
@@ -248,7 +295,9 @@ func CrossMatrix(a, b *geo.Geom, k Kernel) *linalg.Matrix {
 
 // Block fills dst (r×c) with the covariance sub-block whose rows are
 // locations row0..row0+r and columns col0..col0+c of g, one Fill per column.
-// This is the tile-assembly kernel the tiled data structures call lazily.
+// This is the tile-assembly kernel the tiled data structures call lazily. A
+// closed-form kernel's columns run on the vector body where the host has it,
+// with the scalar loop's bits (see the package doc).
 func Block(dst *linalg.Matrix, g *geo.Geom, k Kernel, row0, col0 int) {
 	for j := 0; j < dst.Cols; j++ {
 		Fill(k, dst.Col(j), g.Pts[row0:], g.Pts[col0+j])

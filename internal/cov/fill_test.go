@@ -230,13 +230,15 @@ func TestAssemblersMatchPerEntryDefinitions(t *testing.T) {
 }
 
 // FuzzFill: for a Matérn kernel (under a nugget when tau2 > 0) of arbitrary
-// smoothness and range, a run equals the scalar loop bit for bit, and a
+// smoothness and range, and for the exponential kernel of the same range and
+// nugget, a run equals the scalar loop bit for bit on both Fill paths, and a
 // half-integer ν stays within 1e-13 of the Bessel expression.
 func FuzzFill(f *testing.F) {
 	f.Add(2.5, 0.2, 0.05, int64(1), uint8(17))
 	f.Add(0.5, 1e-3, 0.0, int64(2), uint8(255))
 	f.Add(1.3, 3.0, 1.0, int64(3), uint8(1))
 	f.Add(7.5, 0.05, 0.0, int64(4), uint8(64))
+	f.Add(2.5, 1e-3, 0.01, int64(5), uint8(200)) // far field: t > 708 beyond h ≈ 0.7
 	f.Fuzz(func(t *testing.T, nu, rang, tau2 float64, seed int64, n uint8) {
 		if !(nu > 0 && nu < 40 && rang > 1e-6 && rang < 1e6 && tau2 >= 0 && tau2 < 1e6) {
 			t.Skip()
@@ -246,13 +248,17 @@ func FuzzFill(f *testing.F) {
 			nu = r
 		}
 		m := NewMatern(1.3, rang, nu)
-		var k Kernel = m
+		var k, e Kernel = m, &Exponential{Sigma2: 1.3, Range: rang}
 		if tau2 > 0 {
-			k = &Nugget{Kernel: m, Tau2: tau2}
+			k, e = &Nugget{Kernel: k, Tau2: tau2}, &Nugget{Kernel: e, Tau2: tau2}
 		}
 		g := scatteredWithDuplicates(int(n)+1, seed)
 		q := g.Pts[int(seed&0xff)%g.Len()]
-		checkFill(t, fmt.Sprintf("ν=%g a=%g τ²=%g", nu, rang, tau2), k, g.Pts, q)
+		name := fmt.Sprintf("ν=%g a=%g τ²=%g", nu, rang, tau2)
+		checkFill(t, name, k, g.Pts, q)
+		checkFillPaths(t, name, k, g.Pts, q)
+		checkFill(t, "exponential "+name, e, g.Pts, q)
+		checkFillPaths(t, "exponential "+name, e, g.Pts, q)
 		if m.half == nil {
 			return
 		}
@@ -266,16 +272,115 @@ func FuzzFill(f *testing.F) {
 	})
 }
 
+// withFillVec runs f with the vector body switched on or off.
+func withFillVec(vec bool, f func()) {
+	defer func(old bool) { fillVec = old }(fillVec)
+	fillVec = vec
+	f()
+}
+
+// checkFillPaths holds the vector Fill to the scalar Fill, bit for bit; it
+// is a no-op where the host has no vector body.
+func checkFillPaths(t *testing.T, name string, k Kernel, pts []geo.Point, q geo.Point) {
+	t.Helper()
+	if !fillVec {
+		return
+	}
+	vec, scalar := make([]float64, len(pts)), make([]float64, len(pts))
+	withFillVec(true, func() { Fill(k, vec, pts, q) })
+	withFillVec(false, func() { Fill(k, scalar, pts, q) })
+	for r := range pts {
+		if math.Float64bits(vec[r]) != math.Float64bits(scalar[r]) {
+			t.Fatalf("%s: vector Fill[%d] = %v (%#x), scalar Fill = %v (%#x), h = %v", name, r,
+				vec[r], math.Float64bits(vec[r]), scalar[r], math.Float64bits(scalar[r]), pts[r].Dist(q))
+		}
+	}
+}
+
+// TestFillVectorMatchesScalar holds the vector body to the scalar loop bit
+// for bit: every kernel of fillKernels and the far-field ones (a = 1e-3, so
+// t > 708 from h ≈ 0.71) × run lengths 0–9, 16 and 256 × offsets, over runs
+// holding zero distances, one NaN and one infinite coordinate. It also pins
+// where the body hands a block back to the scalar loop.
+func TestFillVectorMatchesScalar(t *testing.T) {
+	if !fillVec {
+		t.Skip("no vector Fill body on this host (or REPRO_NOASM set)")
+	}
+	kernels := fillKernels()
+	for name, k := range map[string]Kernel{
+		"matern2.5/far":    NewMatern(1.7, 1e-3, 2.5),
+		"exponential/far":  &Exponential{Sigma2: 1.7, Range: 1e-3},
+		"matern0.5/far+ng": &Nugget{Kernel: NewMatern(1.7, 1e-3, 0.5), Tau2: 0.07},
+	} {
+		kernels[name] = k
+	}
+	g := scatteredWithDuplicates(300, 17)
+	bad := append([]geo.Point(nil), g.Pts...)
+	bad[21].X, bad[130].Y = math.NaN(), math.Inf(-1)
+	for name, k := range kernels {
+		for _, pts := range [][]geo.Point{g.Pts, bad} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 256} {
+				for _, row0 := range []int{0, 1, 17, 40} { // 17, 40: the NaN and −Inf lanes at 4 and 90
+					for _, qi := range []int{0, 3, 4, 21, 299} { // 3, 4 duplicates; 21 NaN in bad
+						checkFillPaths(t, fmt.Sprintf("%s n=%d row0=%d q=%d", name, n, row0, qi),
+							k, pts[row0:row0+n], pts[qi])
+					}
+				}
+			}
+		}
+	}
+
+	// Where the body stops: the first block holding a NaN, an infinite or a
+	// far-field lane; a zero distance stays on the body.
+	c := []float64{1. / 3, 1, 1} // ν = 5/2
+	dst := make([]float64, 16)
+	for _, tc := range []struct {
+		name string
+		edit func(p []geo.Point)
+		rang float64
+		want int
+	}{
+		{"clean", func([]geo.Point) {}, 0.1, 16},
+		{"zero distance", func(p []geo.Point) { p[6] = p[0] }, 0.1, 16},
+		{"NaN", func(p []geo.Point) { p[9].Y = math.NaN() }, 0.1, 8},
+		{"+Inf", func(p []geo.Point) { p[13].X = math.Inf(1) }, 0.1, 12},
+		{"far", func(p []geo.Point) { p[5].X += 0.8 }, 1e-3, 4},
+	} {
+		pts := make([]geo.Point, 16)
+		for i := range pts {
+			pts[i] = geo.Point{X: 0.3 + 1e-5*float64(i), Y: 0.4}
+		}
+		tc.edit(pts)
+		if got := fillHalfAVX2(dst, pts, pts[0], c, 1.7, 1.77, tc.rang); got != tc.want {
+			t.Errorf("%s: the body wrote %d entries, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // BenchmarkBlock assembles one 256×256 off-diagonal tile of a Matérn-5/2 +
-// nugget covariance, the unit of work of a streamed "assemble" task.
+// nugget covariance, the unit of work of a streamed "assemble" task, on the
+// Fill path the host selects (logged), and again on the scalar loop:
+// `go test -bench Block ./internal/cov` prints the two rates side by side.
 func BenchmarkBlock(b *testing.B) {
 	const ts = 256
 	g := geo.JitteredGrid(32, 32, 0.4, rand.New(rand.NewSource(1)))
 	k := &Nugget{Kernel: NewMatern(1, 0.1, 2.5), Tau2: 1e-4}
 	blk := linalg.NewMatrix(ts, ts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Block(blk, g, k, 2*ts, 0)
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Block(blk, g, k, 2*ts, 0)
+		}
+		b.ReportMetric(float64(b.N)*ts*ts/b.Elapsed().Seconds()/1e6, "Mentries/s")
 	}
-	b.ReportMetric(float64(b.N)*ts*ts/b.Elapsed().Seconds()/1e6, "Mentries/s")
+	path := "scalar"
+	if fillVec {
+		path = "avx2"
+	}
+	b.Run("host", func(b *testing.B) {
+		if b.N == 1 { // the first call of the ramp: one line per run
+			b.Logf("Fill path: %s", path)
+		}
+		run(b)
+	})
+	b.Run("scalar", func(b *testing.B) { withFillVec(false, func() { run(b) }) })
 }

@@ -134,6 +134,7 @@ func GetMatView(parent *Matrix, i, j, r, c int) *Matrix {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > parent.Rows || j+c > parent.Cols {
 		panic(fmt.Sprintf("linalg: view (%d,%d,%d,%d) out of %dx%d", i, j, r, c, parent.Rows, parent.Cols))
 	}
+	outstandingViews.Add(1)
 	m := matHeaderPool.Get().(*Matrix)
 	m.Rows, m.Cols, m.Stride, m.Data = r, c, parent.Stride, parent.Data[i+j*parent.Stride:]
 	return m
@@ -145,9 +146,21 @@ func PutMatView(m *Matrix) {
 	if m == nil {
 		return
 	}
+	outstandingViews.Add(-1)
 	m.Data = nil
 	matHeaderPool.Put(m)
 }
+
+// outstandingViews and outstandingInts count, as outstandingVecs does, the
+// GetMatView headers and GetInts slices not yet handed back. No factor keeps
+// either, so both return to their base after every call.
+var outstandingViews, outstandingInts atomic.Int64
+
+// OutstandingMatViews reports how many GetMatView headers are out of the pool.
+func OutstandingMatViews() int64 { return outstandingViews.Load() }
+
+// OutstandingInts reports how many GetInts slices are out of the pool.
+func OutstandingInts() int64 { return outstandingInts.Load() }
 
 // intPool recycles []int index scratch (sort permutations of the small-core
 // SVDs), same box discipline as the float pool.
@@ -166,6 +179,9 @@ func GetInts(n int) []int {
 	if cap(buf) < n {
 		buf = make([]int, roundUpPow2(n))
 	}
+	if cap(buf) > 0 { // what PutInts takes back
+		outstandingInts.Add(1)
+	}
 	return buf[:n]
 }
 
@@ -174,6 +190,7 @@ func PutInts(v []int) {
 	if cap(v) == 0 {
 		return
 	}
+	outstandingInts.Add(-1)
 	p := intBoxPool.Get().(*[]int)
 	*p = v[:cap(v)]
 	intPool.Put(p)

@@ -7,11 +7,11 @@ import (
 	"os"
 )
 
-// statsCPUHasAVX2FMA reports whether the CPU and OS support the AVX2+FMA
+// CPUHasAVX2FMA reports whether the CPU and OS support the AVX2+FMA
 // special-function kernels in spec_amd64.s (the same probe internal/linalg
 // runs for its micro-kernels, plus POPCNT; duplicated so stats stays
-// dependency-free).
-func statsCPUHasAVX2FMA() bool
+// dependency-free). internal/cov gates its vector Fill body on it too.
+func CPUHasAVX2FMA() bool
 
 // erfcSimd fills dst[0:n] with mulOut·erfc(mulIn·x[i]) using the 4-lane AVX2
 // kernel. n must be a positive multiple of 4; x and dst may alias exactly.
@@ -46,7 +46,7 @@ func genzPostSimd(n, kind int, a, b, w, dif, u *float64)
 // kernels. Setting REPRO_NOASM to any non-empty value forces the portable
 // scalar path, so the fallback stays continuously testable on
 // vector-capable hosts (mirrors the switch in internal/linalg).
-var hasVecSpecials = statsCPUHasAVX2FMA() && os.Getenv("REPRO_NOASM") == ""
+var hasVecSpecials = CPUHasAVX2FMA() && os.Getenv("REPRO_NOASM") == ""
 
 // specTab holds every constant the vector kernels use, each replicated ×4 so
 // the assembly's FMA/compare memory operands read a broadcast lane block

@@ -201,8 +201,8 @@
 #define C_F7    4320(R15)
 #define C_NAN   4352(R15)
 
-// func statsCPUHasAVX2FMA() bool
-TEXT ·statsCPUHasAVX2FMA(SB), NOSPLIT, $0-1
+// func CPUHasAVX2FMA() bool
+TEXT ·CPUHasAVX2FMA(SB), NOSPLIT, $0-1
 	MOVQ $1, AX
 	XORQ CX, CX
 	CPUID

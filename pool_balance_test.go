@@ -10,11 +10,11 @@ import (
 // The pool-balance gate. Every pooled buffer has one owner, and the owner
 // hands it back: a warm query returns every buffer it takes, and a cold
 // factorization keeps exactly one per dense tile it stores (float64 tiles
-// from linalg's pool, float32 tiles from tile's). The pools count the
-// buffers they have handed out and not taken back, so a missing Put on
-// either path shows as a count that drifts, and a double Put as one that
-// falls short. CI runs this with the ZeroAllocs rows, on the vector kernels
-// and again with REPRO_NOASM=1.
+// from linalg's pool, float32 tiles from tile's) and no int slice or view
+// header. The pools count the items they have handed out and not taken
+// back, so a missing Put on either path shows as a count that drifts, and a
+// double Put as one that falls short. CI runs this with the ZeroAllocs rows,
+// on the vector kernels and again with REPRO_NOASM=1.
 
 // TestPoolBalance factorizes largeBox at tile 64 in every layout, with both
 // sweeps, and checks the outstanding-buffer counts after the cold build and
@@ -31,6 +31,7 @@ func TestPoolBalance(t *testing.T) {
 				s := NewSession(Config{Workers: 2, TileSize: 64, QMCSize: 200, TLRTol: 1e-6, Method: m, SweepF32: f32})
 				defer s.Close()
 				base64, base32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
+				baseInts, baseViews := linalg.OutstandingInts(), linalg.OutstandingMatViews()
 				fp, err := s.FactorFootprint(q.locs, q.kernel)
 				if err != nil {
 					t.Fatal(err)
@@ -45,6 +46,9 @@ func TestPoolBalance(t *testing.T) {
 					if got64 != want64 || got32 != want32 {
 						t.Fatalf("%s: %d f64 and %d f32 buffers outstanding, want %d and %d (one per Dense64/Dense32 tile of %+v)",
 							when, got64-base64, got32-base32, fp.Dense64, fp.Dense32, fp)
+					}
+					if ints, views := linalg.OutstandingInts()-baseInts, linalg.OutstandingMatViews()-baseViews; ints != 0 || views != 0 {
+						t.Fatalf("%s: %d int slices and %d view headers outstanding, want 0 and 0", when, ints, views)
 					}
 				}
 				check("cold factorization")
