@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"repro/internal/stats"
 	"runtime"
 	"time"
@@ -251,15 +252,15 @@ func (c Config) withDefaults() Config {
 	case c.FactorCacheCap < 0:
 		c.FactorCacheCap = 0 // unbounded
 	}
-	// The engine's policy owns the adaptive defaults; Tol is already
-	// defaulted above through TLRTol.
-	pol := engine.Policy{
-		Band: c.AdaptiveBand, Tol: c.TLRTol,
-		RankFrac: c.AdaptiveRankFrac, F32Norm: c.AdaptiveF32Norm,
-	}.WithDefaults()
-	c.AdaptiveBand = pol.Band
-	c.AdaptiveRankFrac = pol.RankFrac
-	c.AdaptiveF32Norm = pol.F32Norm
+	if c.AdaptiveBand <= 0 {
+		c.AdaptiveBand = 1
+	}
+	if c.AdaptiveRankFrac <= 0 {
+		c.AdaptiveRankFrac = 0.25
+	}
+	if c.AdaptiveF32Norm <= 0 {
+		c.AdaptiveF32Norm = 0.1
+	}
 	return c
 }
 
@@ -385,14 +386,22 @@ func denseFromRows(sigma [][]float64) (*linalg.Matrix, error) {
 	return m, nil
 }
 
-// policy assembles the engine policy from the session configuration.
+// policy is the engine policy of the session's method: the dense layout is
+// a band covering every tile, TLR no band and low rank up to half the tile
+// side, the adaptive layout its configured thresholds.
 func (s *Session) policy() engine.Policy {
-	return engine.Policy{
-		Band:     s.cfg.AdaptiveBand,
-		Tol:      s.cfg.TLRTol,
-		MaxRank:  s.cfg.TLRMaxRank,
-		RankFrac: s.cfg.AdaptiveRankFrac,
-		F32Norm:  s.cfg.AdaptiveF32Norm,
+	switch s.cfg.Method {
+	case TLR:
+		return engine.Policy{Tol: s.cfg.TLRTol, RankFrac: 0.5}
+	case MethodAdaptive:
+		return engine.Policy{
+			Band:     s.cfg.AdaptiveBand,
+			Tol:      s.cfg.TLRTol,
+			RankFrac: s.cfg.AdaptiveRankFrac,
+			F32Norm:  s.cfg.AdaptiveF32Norm,
+		}
+	default:
+		return engine.Policy{Band: math.MaxInt}
 	}
 }
 
@@ -413,21 +422,9 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 	if err != nil {
 		return nil, err
 	}
-	cfg := engine.Config{Tol: s.cfg.TLRTol, MaxRank: s.cfg.TLRMaxRank}
-	var asm *engine.Assembler
-	rankLimit := 0 // of a full tile under the adaptive policy; no other method probes
-	switch s.cfg.Method {
-	case TLR:
-		asm = engine.TLREntryAssembler(grid, fill, s.cfg.TLRTol, s.cfg.TLRMaxRank, inMemory)
-	case MethodAdaptive:
-		pol := s.policy()
-		asm, rankLimit = pol.EntryAssembler(grid, fill, inMemory), pol.RankLimit(grid.TS, grid.TS)
-	default:
-		// The dense layout is the exact reference: every tile evaluated
-		// densely (cov.Block semantics).
-		asm = engine.DenseEntryAssembler(grid, fill)
-	}
-	err = engine.PotrfStream(s.rt.NewGroup(), grid, cfg, asm)
+	pol := s.policy()
+	rankLimit := pol.RankLimit(grid.TS, grid.TS) // of a full tile; 0 for the dense layout
+	err = engine.PotrfStream(s.rt.NewGroup(), grid, pol.EntryAssembler(grid, fill, inMemory))
 	var f *mvn.Factor
 	var bytes int64 // none for a failed build
 	if err == nil {

@@ -47,12 +47,17 @@ func benchLimits(n int, lo float64) (a, b []float64) {
 func benchGrid(sigma *linalg.Matrix, ts int, tol float64) *engine.Grid {
 	g := engine.NewGrid(sigma.Rows, ts)
 	fill := func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
-	asm := engine.DenseEntryAssembler(g, fill)
-	if tol > 0 {
-		asm = engine.TLREntryAssembler(g, fill, tol, 0, true)
-	}
-	engine.Assemble(g, asm)
+	engine.Assemble(g, benchLayout(tol).EntryAssembler(g, fill, true))
 	return g
+}
+
+// benchLayout is the session's preset for the dense layout (tol = 0) or the
+// TLR layout at accuracy tol > 0.
+func benchLayout(tol float64) engine.Policy {
+	if tol > 0 {
+		return engine.Policy{Tol: tol, RankFrac: 0.5}
+	}
+	return engine.Policy{Band: math.MaxInt}
 }
 
 // benchFactor factorizes the tiles of a benchGrid layout on rt, handed to the
@@ -60,7 +65,7 @@ func benchGrid(sigma *linalg.Matrix, ts int, tol float64) *engine.Grid {
 func benchFactor(b *testing.B, rt taskrt.Submitter, pre *engine.Grid, tol float64) *mvn.Factor {
 	b.Helper()
 	g := engine.NewGrid(pre.N, pre.TS)
-	if err := engine.PotrfStream(rt, g, engine.Config{Tol: tol}, &engine.Assembler{Tile: pre.At}); err != nil {
+	if err := engine.PotrfStream(rt, g, &engine.Assembler{Tile: pre.At, Policy: benchLayout(tol)}); err != nil {
 		b.Fatal(err)
 	}
 	return mvn.NewFactor(g)

@@ -41,7 +41,7 @@ func BenchmarkRankBreakEven(b *testing.B) {
 		d.Scale(1e-9 / ts)
 		linalg.Gemm(false, true, 1, randn(ts, k), randn(ts, k), 1, d)
 		var lr *tile.LowRank
-		compress := fastest(func() { lr = tile.CompressNear(d, tol, 0, k) })
+		compress := fastest(func() { lr, _ = tile.CompressNear(d, tol, 0, k) })
 		if lr.Rank() != k {
 			b.Fatalf("rank %d tile compressed to rank %d", k, lr.Rank())
 		}

@@ -1,26 +1,26 @@
 // Package engine is the single tile-Cholesky task-graph builder of the
 // repository: one POTRF/TRSM/SYRK/GEMM dependency graph whose kernels
 // dispatch over polymorphic tile representations (dense float64, dense
-// float32, low rank). The dense (Chameleon-style), TLR (HiCMA-style) and
-// adaptive factorizations are layouts of one Grid, each chosen by its
-// Assembler (DenseEntryAssembler, TLREntryAssembler, Policy.EntryAssembler);
-// the per-tile adaptive representation the paper names as future work falls
-// out of mixing representations freely within one grid.
+// float32, low rank). There is one factor representation, a Grid, and one
+// assembler, Policy.EntryAssembler: the dense (Chameleon-style), TLR
+// (HiCMA-style) and adaptive factorizations are presets of the one Policy —
+// a dense band around the diagonal, and off it a tile low rank where it
+// compresses at the tolerance within the rank limit, float32 where it is
+// small, float64 otherwise. The per-tile adaptive representation the paper
+// names as future work falls out of mixing representations within one grid.
 //
-// The destination tile decides how its Schur updates arrive. A dense tile is
-// updated right-looking, one GEMM task per panel. A low-rank tile is updated
-// left-looking: nothing touches it until the panel before its own, then one
-// task densifies it, applies every update as a plain GEMM and compresses
-// once (finishTile) — where rounding after each update, as HiCMA and the
-// paper do, spent half of a TLR factorization in QR and SVD landing each tile
-// back on the rank it started from.
+// The band decides how a tile's Schur updates arrive. A band tile is dense
+// and updated right-looking, one GEMM task per panel. An off-band tile is
+// updated left-looking: nothing touches it until the panel before its own,
+// then one task builds it, applies every update in panel order and, if it is
+// low rank, compresses once (finishTile) — never past the tolerance: a tile
+// that does not meet it within its byte break-even stays dense.
 //
 // There is one entry, PotrfStream: tiles are assembled from a run evaluator
-// (a kernel, or a Σ in memory) by per-tile tasks fused into the
-// factorization graph, each in the representation its assembler chooses —
-// the one decision of a tile's representation the engine makes — and
-// submission is windowed so task-descriptor memory stays bounded. Assemble
-// builds the same tiles without factoring them. See stream.go.
+// (a kernel, or a Σ in memory) by tasks fused into the factorization graph,
+// each in the representation the policy chooses, and submission is windowed
+// so task-descriptor memory stays bounded. Assemble builds the same tiles
+// without factoring them. See stream.go.
 package engine
 
 import (
@@ -203,15 +203,6 @@ func (g *Grid) ProbeStats() ProbeStats {
 		Probed: int(g.probes.Load()), Rejected: int(g.probeRejected.Load()),
 		RejectedEarly: int(g.probeRejectedEarly.Load()), Skipped: int(g.probesSkipped.Load()),
 	}
-}
-
-// Config tunes the compression of the factorization's low-rank tiles.
-type Config struct {
-	// Tol is the tolerance of a trailing low-rank tile's one compression,
-	// after all of its Schur updates have been accumulated.
-	Tol float64
-	// MaxRank caps low-rank tile ranks after that compression (0 = uncapped).
-	MaxRank int
 }
 
 // window bounds submission to roughly this many panels of lookahead
@@ -403,20 +394,45 @@ func to32Pooled(t tile.Tile) *tile.Matrix32 {
 	panic("engine: to32Pooled on a dense float32 tile")
 }
 
-// finishTile is the one compression of a trailing low-rank tile (i,j), run
-// between its column's last panel and its own panel solve — the point where
-// its Schur complement is complete. pending is the tile as it stood before any
-// update: U·Vᵀ is densified into one pooled accumulator, the j updates land
-// there as plain GEMMs in panel order, and the result is compressed once, the
-// sketch started from the rank the tile came with.
-func (g *Grid) finishTile(i, j int, pending *tile.LowRank, cfg Config) {
+// finishTile builds the off-band tile (i,j), j > 0, from t, its assembled
+// form, once its column's last panel has been applied — the point where its
+// Schur complement is complete — and before its own panel solve. A dense
+// tile (float64 or float32) takes the j updates as the same gemmInto calls,
+// in panel order, that a band tile takes one task each. A low-rank tile is
+// densified into one pooled accumulator, the updates land there as plain
+// GEMMs in panel order, and the result is compressed once, the sketch started
+// from the rank the tile came with — where rounding after each update, as
+// HiCMA and the paper do, spent half of a TLR factorization in QR and SVD
+// landing each tile back on the rank it started from. The compression may
+// use up to the tile's byte break-even; if Tol is not met within it, the
+// tile keeps the dense accumulator instead of a truncation.
+func (g *Grid) finishTile(i, j int, t tile.Tile, tol float64) {
+	pending, ok := t.(*tile.LowRank)
+	if !ok {
+		for k := 0; k < j; k++ {
+			gemmInto(g.tiles[i][k], g.tiles[j][k], t)
+		}
+		g.tiles[i][j] = t
+		return
+	}
 	acc := getMat(pending.M, pending.N)
 	pending.DenseInto(acc)
 	for k := 0; k < j; k++ {
 		gemmIntoDense64(g.tiles[i][k], g.tiles[j][k], acc)
 	}
-	lr := tile.CompressNear(acc, cfg.Tol, cfg.MaxRank, pending.Rank())
-	putMat(acc)
+	lr, met := tile.CompressNear(acc, tol, breakEven(pending.M, pending.N), pending.Rank())
 	discard(pending)
+	if !met {
+		if lr != nil {
+			discard(lr)
+		}
+		g.tiles[i][j] = &tile.DenseF64{D: acc}
+		return
+	}
+	putMat(acc)
 	g.tiles[i][j] = exactSize(lr)
 }
+
+// breakEven is the largest rank whose factors, k·(m+n) entries, take no more
+// room than the m×n tile: half the side of a square tile.
+func breakEven(m, n int) int { return m * n / (m + n) }

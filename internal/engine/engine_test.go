@@ -40,11 +40,11 @@ func randSPD(n int, rng *rand.Rand) *linalg.Matrix {
 
 // banded is the banded mixed-precision layout of sigma: tiles with i−j ≤ band
 // in float64, the rest in float32 (band ≥ nt−1 degenerates to the dense
-// layout). A hand-built assembler, it declares nothing in advance: the graph
-// learns each tile's representation when its assemble task has run.
+// layout). A hand-built assembler, it states its band: the tiles off it are
+// built and updated in one task each.
 func banded(sigma *linalg.Matrix, band int) layout {
 	return func(g *engine.Grid) *engine.Assembler {
-		return &engine.Assembler{Tile: func(i, j int) tile.Tile {
+		return &engine.Assembler{Policy: engine.Policy{Band: band}, Tile: func(i, j int) tile.Tile {
 			d := blockOf(sigma, g, i, j)
 			if i-j <= band {
 				return &tile.DenseF64{D: d}
@@ -86,13 +86,19 @@ func refDensePotrf(a *linalg.Matrix, ts int) error {
 }
 
 // refTLRPotrf is the sequential TLR Cholesky on a TLR-layout grid, in place:
-// diagonal tiles updated panel by panel, a low-rank tile left-looking — just
-// before its own panel solve it is densified, receives its Schur updates in
-// panel order and is compressed once, the sketch started from the rank it
-// came with.
+// diagonal tiles updated panel by panel, an off-diagonal tile left-looking —
+// just before its own panel solve it receives its Schur updates in panel
+// order; a low-rank one is densified first and compressed once afterwards,
+// the sketch started from the rank it came with, within its byte break-even
+// or else kept dense.
 func refTLRPotrf(g *engine.Grid, tol float64) error {
 	nt := g.NT
-	low := func(i, j int) *tile.LowRank { return g.At(i, j).(*tile.LowRank) }
+	asDense := func(t tile.Tile) *linalg.Matrix {
+		if lr, ok := t.(*tile.LowRank); ok {
+			return lr.Dense()
+		}
+		return t.(*tile.DenseF64).D
+	}
 	// product returns U_a·(V_aᵀ·V_b) so that A·Bᵀ = product·U_bᵀ.
 	product := func(ta, tb *tile.LowRank) *linalg.Matrix {
 		s := linalg.NewMatrix(ta.Rank(), tb.Rank())
@@ -107,18 +113,37 @@ func refTLRPotrf(g *engine.Grid, tol float64) error {
 		}
 		for i := k + 1; i < nt; i++ {
 			if k > 0 {
-				c := low(i, k)
-				acc := c.Dense()
+				c := g.At(i, k)
+				acc := asDense(c)
 				for p := 0; p < k; p++ {
-					if ta, tb := low(i, p), low(k, p); ta.Rank() > 0 && tb.Rank() > 0 {
-						linalg.Gemm(false, true, -1, product(ta, tb), tb.U, 1, acc)
+					ta, aLR := g.At(i, p).(*tile.LowRank)
+					tb, bLR := g.At(k, p).(*tile.LowRank)
+					switch {
+					case aLR && bLR:
+						if ta.Rank() > 0 && tb.Rank() > 0 {
+							linalg.Gemm(false, true, -1, product(ta, tb), tb.U, 1, acc)
+						}
+					default:
+						linalg.Gemm(false, true, -1, asDense(g.At(i, p)), asDense(g.At(k, p)), 1, acc)
 					}
 				}
-				g.Set(i, k, tile.CompressNear(acc, tol, 0, c.Rank()))
+				if lr, ok := c.(*tile.LowRank); ok {
+					var t tile.Tile = &tile.DenseF64{D: acc}
+					if nl, met := tile.CompressNear(acc, tol, lr.M*lr.N/(lr.M+lr.N), lr.Rank()); met {
+						t = nl
+					}
+					g.Set(i, k, t)
+				}
 			}
-			if t := low(i, k); t.Rank() > 0 {
-				linalg.TrsmLower(linalg.Left, false, 1, g.Diag(k), t.V)
-				linalg.Gemm(false, true, -1, product(t, t), t.U, 1, g.Diag(i))
+			switch t := g.At(i, k).(type) {
+			case *tile.LowRank:
+				if t.Rank() > 0 {
+					linalg.TrsmLower(linalg.Left, false, 1, g.Diag(k), t.V)
+					linalg.Gemm(false, true, -1, product(t, t), t.U, 1, g.Diag(i))
+				}
+			case *tile.DenseF64:
+				linalg.TrsmLower(linalg.Right, true, 1, g.Diag(k), t.D)
+				linalg.Syrk(false, -1, t.D, 1, g.Diag(i))
 			}
 		}
 	}
@@ -211,7 +236,7 @@ func TestEngineDenseMatchesReference(t *testing.T) {
 		if err := refDensePotrf(want, ts); err != nil {
 			t.Fatal(err)
 		}
-		got, err := potrfOn(sigma.Rows, ts, engine.Config{}, 4, denseLayout(sigma))
+		got, err := potrfOn(sigma.Rows, ts, 4, denseLayout(sigma))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +254,11 @@ func TestEngineDenseMatchesReference(t *testing.T) {
 func TestEngineTLRMatchesReference(t *testing.T) {
 	sigma := covGrid(9, 0.15)
 	for _, tol := range []float64{1e-4, 1e-8} {
-		want := assembled(sigma.Rows, 12, tlrLayout(sigma, tol, 0))
+		want := assembled(sigma.Rows, 12, tlrLayout(sigma, tol))
 		if err := refTLRPotrf(want, tol); err != nil {
 			t.Fatal(err)
 		}
-		got, err := potrfOn(sigma.Rows, 12, engine.Config{Tol: tol}, 4, tlrLayout(sigma, tol, 0))
+		got, err := potrfOn(sigma.Rows, 12, 4, tlrLayout(sigma, tol))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +279,7 @@ func TestEngineMixedMatchesReference(t *testing.T) {
 	for _, band := range []int{0, 1, 3} {
 		want := assembled(sigma.Rows, 8, banded(sigma, band))
 		refMixedPotrf(want, band)
-		got, err := potrfOn(sigma.Rows, 8, engine.Config{}, 4, banded(sigma, band))
+		got, err := potrfOn(sigma.Rows, 8, 4, banded(sigma, band))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +299,7 @@ func TestEngineErrorPropagation(t *testing.T) {
 
 	factor := func(sub taskrt.Submitter, sigma *linalg.Matrix, ts int) error {
 		g := engine.NewGrid(sigma.Rows, ts)
-		return engine.PotrfStream(sub, g, engine.Config{}, denseLayout(sigma)(g))
+		return engine.PotrfStream(sub, g, denseLayout(sigma)(g))
 	}
 
 	rt := taskrt.New(2)
@@ -301,7 +326,7 @@ func TestAdaptiveAssemblyMixesAndFactorizes(t *testing.T) {
 	// cannot push it indefinite; it leaves off-diagonal ranks untouched.
 	g12 := geo.RegularGrid(12, 12)
 	sigma := cov.Matrix(g12, &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}) // n=144
-	g := streamFactor(t, 144, 24, engine.Config{Tol: 1e-4}, adaptiveLayout(sigma, engine.Policy{
+	g := streamFactor(t, 144, 24, adaptiveLayout(sigma, engine.Policy{
 		Band: 1, Tol: 1e-4, RankFrac: 0.5, F32Norm: 0.5,
 	}))
 	// A tile keeps the representation it was assembled in.
@@ -324,16 +349,14 @@ func TestAdaptiveAssemblyMixesAndFactorizes(t *testing.T) {
 	}
 }
 
-// TestAdaptivePolicyRejectsIncompressibleTiles pins the acceptance rule: a
-// rank cap (the session default is TileSize/2, exactly the RankFrac
-// threshold) must not let truncated full-rank tiles masquerade as low rank —
-// the policy must judge the true numerical rank at Tol.
+// TestAdaptivePolicyRejectsIncompressibleTiles pins the acceptance rule: the
+// rank limit (here TileSize/2, the TLR preset's) must not let truncated
+// full-rank tiles masquerade as low rank — the policy must judge the true
+// numerical rank at Tol.
 func TestAdaptivePolicyRejectsIncompressibleTiles(t *testing.T) {
 	sigma := randSPD(128, rand.New(rand.NewSource(11)))
 	// Off-band tiles of a random SPD matrix are numerically full rank.
-	g := assembled(128, 32, adaptiveLayout(sigma, engine.Policy{
-		Tol: 1e-6, MaxRank: 16, RankFrac: 0.5,
-	}))
+	g := assembled(128, 32, adaptiveLayout(sigma, engine.Policy{Band: 1, Tol: 1e-6, RankFrac: 0.5}))
 	if mix := g.Mix(); mix.LowRank != 0 {
 		t.Errorf("full-rank tiles accepted as low rank: %+v", mix)
 	}
@@ -370,7 +393,7 @@ func posteriorCorrelation(t *testing.T, side int) *linalg.Matrix {
 func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 	const ts, tol = 100, 1e-4
 	corr := posteriorCorrelation(t, 30)
-	g := assembled(corr.Rows, ts, adaptiveLayout(corr, engine.Policy{Tol: tol, RankFrac: 0.5}))
+	g := assembled(corr.Rows, ts, adaptiveLayout(corr, engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.1}))
 	lowRank := 0
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j < i; j++ {
@@ -404,7 +427,7 @@ func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 // probed by ACA from the kernel.
 func TestDefaultRankLimitBothSides(t *testing.T) {
 	corr := posteriorCorrelation(t, 30)
-	g := assembled(corr.Rows, 100, adaptiveLayout(corr, engine.Policy{Tol: 1e-4}))
+	g := assembled(corr.Rows, 100, adaptiveLayout(corr, adaptive(1e-4)))
 	offBand := (g.NT - 1) * (g.NT - 2) / 2
 	want := engine.ProbeStats{Probed: g.NT - 2, Rejected: g.NT - 2, Skipped: offBand - (g.NT - 2)}
 	if ps := g.ProbeStats(); g.Mix().LowRank != 0 || ps.Probed != want.Probed || ps.Rejected != want.Rejected || ps.Skipped != want.Skipped {
@@ -413,10 +436,10 @@ func TestDefaultRankLimitBothSides(t *testing.T) {
 
 	geom := geo.RegularGrid(32, 32) // n = 1024: three off-band tiles of 256²
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.1, 2.5), Tau2: 0.1}
-	policy := engine.Policy{Tol: 1e-6}
-	limit := policy.WithDefaults().RankLimit(256, 256)
+	policy := adaptive(1e-6)
+	limit := policy.RankLimit(256, 256)
 	if limit != 64 {
-		t.Errorf("default rank limit of a 256² tile is %d, want 64", limit)
+		t.Errorf("adaptive rank limit of a 256² tile is %d, want 64", limit)
 	}
 	inMemory := assembled(geom.Len(), 256, adaptiveLayout(cov.Matrix(geom, kern), policy))
 	kernel := assembled(geom.Len(), 256, func(g *engine.Grid) *engine.Assembler {

@@ -69,7 +69,7 @@ func TestDenseLayoutMatchesCholesky(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := potrfOn(tc.n, tc.ts, engine.Config{}, 4, denseLayout(a))
+		g, err := potrfOn(tc.n, tc.ts, 4, denseLayout(a))
 		if err != nil {
 			t.Fatalf("n=%d ts=%d: %v", tc.n, tc.ts, err)
 		}
@@ -99,21 +99,20 @@ func TestPotrfTaskCounts(t *testing.T) {
 		ts := geom.Len() / nt
 		for name, tc := range map[string]struct {
 			n, ts          int
-			cfg            engine.Config
 			mk             layout
 			gemm, assemble int
 		}{
-			"dense": {5 * nt, 5, engine.Config{}, denseLayout(randSPD(5*nt, rand.New(rand.NewSource(4)))),
+			"dense": {5 * nt, 5, denseLayout(randSPD(5*nt, rand.New(rand.NewSource(4)))),
 				nt * (nt - 1) * (nt - 2) / 6, nt * (nt + 1) / 2},
-			"tlr": {geom.Len(), ts, engine.Config{Tol: tol}, tlrLayout(cov.Matrix(geom, kern), tol, 0),
+			"tlr": {geom.Len(), ts, tlrLayout(cov.Matrix(geom, kern), tol),
 				(nt - 1) * (nt - 2) / 2, nt + nt - 1},
-			"tlr kernel": {geom.Len(), ts, engine.Config{Tol: tol}, func(g *engine.Grid) *engine.Assembler {
-				return engine.TLREntryAssembler(g, fillOf(geom, kern), tol, 0, false)
+			"tlr kernel": {geom.Len(), ts, func(g *engine.Grid) *engine.Assembler {
+				return tlr(tol).EntryAssembler(g, fillOf(geom, kern), false)
 			}, (nt - 1) * (nt - 2) / 2, nt + nt - 1},
 		} {
 			rt := taskrt.New(2)
 			g := engine.NewGrid(tc.n, tc.ts)
-			err := engine.PotrfStream(rt, g, tc.cfg, tc.mk(g))
+			err := engine.PotrfStream(rt, g, tc.mk(g))
 			rt.Shutdown()
 			if err != nil {
 				t.Fatalf("%s nt=%d: %v", name, nt, err)
@@ -142,21 +141,20 @@ func TestLayoutsDeterministicAcrossWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		n, ts   int
-		cfg     engine.Config
 		workers []int
 		mk      layout
 	}{
-		{"dense", 60, 5, engine.Config{}, []int{1, 2, 8}, denseLayout(spd)},
-		{"tlr", 100, 25, engine.Config{Tol: 1e-8}, []int{1, 2, 8}, tlrLayout(smooth, 1e-8, 0)},
-		{"mixed", 36, 9, engine.Config{}, []int{1, 2, 8}, banded(covGrid(6, 0.2), 1)},
-		{"adaptive", 60, 9, engine.Config{Tol: 1e-6}, []int{1, 2, 8}, adaptiveLayout(spd, engine.Policy{Tol: 1e-6})},
-		{"tlr kernel", geom.Len(), 24, engine.Config{Tol: 1e-6}, []int{1, 2, 4}, func(g *engine.Grid) *engine.Assembler {
-			return engine.TLREntryAssembler(g, fill, 1e-6, 0, false)
+		{"dense", 60, 5, []int{1, 2, 8}, denseLayout(spd)},
+		{"tlr", 100, 25, []int{1, 2, 8}, tlrLayout(smooth, 1e-8)},
+		{"mixed", 36, 9, []int{1, 2, 8}, banded(covGrid(6, 0.2), 1)},
+		{"adaptive", 60, 9, []int{1, 2, 8}, adaptiveLayout(spd, adaptive(1e-6))},
+		{"tlr kernel", geom.Len(), 24, []int{1, 2, 4}, func(g *engine.Grid) *engine.Assembler {
+			return tlr(1e-6).EntryAssembler(g, fill, false)
 		}},
 	} {
 		var ref *linalg.Matrix
 		for _, w := range tc.workers {
-			g, err := potrfOn(tc.n, tc.ts, tc.cfg, w, tc.mk)
+			g, err := potrfOn(tc.n, tc.ts, w, tc.mk)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -172,7 +170,7 @@ func TestLayoutsDeterministicAcrossWorkers(t *testing.T) {
 
 func TestTLRLayoutRoundTrip(t *testing.T) {
 	sigma := covGrid(10, 0.1) // n=100
-	g := assembled(100, 25, tlrLayout(sigma, 1e-9, 0))
+	g := assembled(100, 25, tlrLayout(sigma, 1e-9))
 	if d := symmetrized(g).MaxAbsDiff(sigma); d > 1e-7 {
 		t.Errorf("TLR roundtrip diff %v", d)
 	}
@@ -184,9 +182,9 @@ func TestTLRStreamingACAMatchesSVDAssembly(t *testing.T) {
 	geom := geo.RegularGrid(10, 10)
 	k := &cov.Exponential{Sigma2: 1, Range: 0.15}
 	const ts, tol = 25, 1e-6
-	svd := assembled(geom.Len(), ts, tlrLayout(cov.Matrix(geom, k), tol, 0))
+	svd := assembled(geom.Len(), ts, tlrLayout(cov.Matrix(geom, k), tol))
 	aca := assembled(geom.Len(), ts, func(g *engine.Grid) *engine.Assembler {
-		return engine.TLREntryAssembler(g, entryOf(geom, k), tol, 0, false)
+		return tlr(tol).EntryAssembler(g, entryOf(geom, k), false)
 	})
 	if d := symmetrized(aca).MaxAbsDiff(symmetrized(svd)); d > 1e-4 {
 		t.Errorf("ACA vs SVD assembly differ by %v", d)
@@ -199,7 +197,7 @@ func TestTLRStreamingACAMatchesSVDAssembly(t *testing.T) {
 // the dense matrix.
 func TestTLRRanksDecayWithDistance(t *testing.T) {
 	sigma := cov.Matrix(geo.RegularGrid(16, 16), &cov.Exponential{Sigma2: 1, Range: 0.234})
-	g := assembled(256, 32, tlrLayout(sigma, 1e-3, 0))
+	g := assembled(256, 32, tlrLayout(sigma, 1e-3))
 	if g.NT != 8 {
 		t.Fatalf("NT = %d", g.NT)
 	}
@@ -232,7 +230,7 @@ func TestTLRPotrfMatchesDenseHighAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := potrfOn(144, 36, engine.Config{Tol: 1e-12}, 3, tlrLayout(sigma, 1e-12, 0))
+	g, err := potrfOn(144, 36, 3, tlrLayout(sigma, 1e-12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +244,7 @@ func TestTLRPotrfResidualScalesWithTolerance(t *testing.T) {
 	norm := sigma.FrobNorm()
 	prev := math.Inf(1)
 	for _, tol := range []float64{1e-2, 1e-5, 1e-9} {
-		g, err := potrfOn(144, 36, engine.Config{Tol: tol}, 2, tlrLayout(sigma, tol, 0))
+		g, err := potrfOn(144, 36, 2, tlrLayout(sigma, tol))
 		if err != nil {
 			t.Fatalf("tol=%g: %v", tol, err)
 		}
@@ -264,7 +262,7 @@ func TestTLRPotrfResidualScalesWithTolerance(t *testing.T) {
 func TestTLRPotrfIndefiniteFails(t *testing.T) {
 	bad := linalg.Eye(40)
 	bad.Set(30, 30, -5)
-	if _, err := potrfOn(40, 10, engine.Config{Tol: 1e-9}, 2, tlrLayout(bad, 1e-9, 0)); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+	if _, err := potrfOn(40, 10, 2, tlrLayout(bad, 1e-9)); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
 		t.Errorf("want ErrNotPositiveDefinite, got %v", err)
 	}
 }
@@ -274,8 +272,8 @@ func TestTLRPotrfIndefiniteFails(t *testing.T) {
 func TestTLRStreamingPotrfEndToEnd(t *testing.T) {
 	geom := geo.RegularGrid(10, 10)
 	k := &cov.Exponential{Sigma2: 1, Range: 0.2}
-	g := streamFactor(t, geom.Len(), 25, engine.Config{Tol: 1e-8}, func(g *engine.Grid) *engine.Assembler {
-		return engine.TLREntryAssembler(g, entryOf(geom, k), 1e-8, 0, false)
+	g := streamFactor(t, geom.Len(), 25, func(g *engine.Grid) *engine.Assembler {
+		return tlr(1e-8).EntryAssembler(g, entryOf(geom, k), false)
 	})
 	if res := lowerResidual(densifyFactor(g), cov.Matrix(geom, k)); res > 1e-5 {
 		t.Errorf("ACA TLR Cholesky residual %v", res)
@@ -292,7 +290,7 @@ func TestMixedPotrfAccuracyLadder(t *testing.T) {
 	}
 	var errs []float64
 	for _, band := range []int{0, 2, 7} {
-		g, err := potrfOn(64, 8, engine.Config{}, 3, banded(sigma, band))
+		g, err := potrfOn(64, 8, 3, banded(sigma, band))
 		if err != nil {
 			t.Fatalf("band %d: %v", band, err)
 		}
@@ -321,15 +319,23 @@ func TestMixedPotrfAccuracyLadder(t *testing.T) {
 func TestStreamedTLRFactorsHoldNoSlack(t *testing.T) {
 	geom := geo.RegularGrid(12, 12)
 	k := &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}
-	g := streamFactor(t, geom.Len(), 20, engine.Config{Tol: 1e-6}, func(g *engine.Grid) *engine.Assembler {
-		return engine.TLREntryAssembler(g, fillOf(geom, k), 1e-6, 0, false)
+	g := streamFactor(t, geom.Len(), 24, func(g *engine.Grid) *engine.Assembler {
+		return tlr(1e-4).EntryAssembler(g, fillOf(geom, k), false)
 	})
+	var built [2]int // low-rank tiles in column 0, and past it
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j < i; j++ {
-			lr := g.At(i, j).(*tile.LowRank)
+			lr, ok := g.At(i, j).(*tile.LowRank)
+			if !ok {
+				continue
+			}
+			built[min(j, 1)]++
 			if r := lr.Rank(); r == 0 || cap(lr.U.Data) != lr.M*r || cap(lr.V.Data) != lr.N*r {
 				t.Errorf("tile (%d,%d) %dx%d rank %d: cap(U) %d, cap(V) %d", i, j, lr.M, lr.N, r, cap(lr.U.Data), cap(lr.V.Data))
 			}
 		}
+	}
+	if built[0] == 0 || built[1] == 0 {
+		t.Errorf("%d low-rank tiles in column 0 and %d past it: want both", built[0], built[1])
 	}
 }

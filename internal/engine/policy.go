@@ -8,13 +8,20 @@ import (
 	"repro/internal/tile"
 )
 
-// Policy is the per-tile adaptive representation rule: dense float64 on a
-// band around the diagonal (the Cholesky pivots and their strongest
-// couplings), and off the band either low rank — when the tile compresses
-// well at the configured tolerance — or dense float32 — when it does not
-// compress but its norm is small enough that single precision stays below
-// the requested accuracy — falling back to dense float64 for large
-// incompressible tiles.
+// Policy is the one per-tile representation rule: dense float64 on a band
+// around the diagonal (the Cholesky pivots and their strongest couplings),
+// and off the band either low rank — when the tile compresses at Tol within
+// the rank limit — or dense float32 — when it does not compress but its norm
+// is small enough that single precision stays below the requested accuracy —
+// falling back to dense float64. The dense, TLR and adaptive layouts are
+// presets of it: a band that covers every tile; no band, a rank limit of half
+// the tile side and no float32; one sub-diagonal, a quarter and float32.
+//
+// A tile is low rank only if its tolerance is met within the limit: an
+// off-band tile is probed, and one whose probe does not converge there stays
+// dense. After its Schur updates a low-rank tile is compressed once more,
+// within its byte break-even (see finishTile), and stays dense if tol is not
+// met there either. No tile is ever truncated past Tol.
 //
 // Whether probing can pay is decided once per factorization, from column 0.
 // Its off-band tiles, one at each distance from the diagonal past the band,
@@ -27,54 +34,37 @@ import (
 // verdict can only leave a compressible tile dense, which costs bytes and
 // apply time, never accuracy.
 type Policy struct {
-	// Band is the number of sub-diagonals kept dense float64 (default 1).
+	// Band is the number of sub-diagonals kept dense float64; a band of at
+	// least NT−1 tiles makes every tile dense (the dense layout).
 	Band int
-	// Tol is the low-rank compression tolerance (shared with recompression
-	// during the factorization).
+	// Tol is the relative accuracy of every low-rank tile, at assembly and
+	// at its recompression after the Schur updates.
 	Tol float64
-	// MaxRank caps accepted low-rank tile ranks (0 = uncapped).
-	MaxRank int
 	// RankFrac accepts the low-rank representation when the compressed rank
-	// is at most RankFrac·min(tile dims). The default, 0.25, is the measured
-	// break-even, not the byte one (0.5): a low-rank tile costs one
-	// compression more than a dense one to factor and repays it only through
-	// cheaper (Y·V)·Uᵀ applies, which at half the tile side cost what the
-	// dense apply does (table in README, "adaptive per-tile policy").
+	// is at most RankFrac·min(tile dims) (0: no tile is low rank).
 	RankFrac float64
 	// F32Norm stores an incompressible off-band tile in float32 when its
 	// Frobenius norm relative to the geometric mean of its diagonal blocks'
 	// norms is at most F32Norm, so the f32 rounding (~1e-7 relative) stays
-	// commensurate with the compression tolerance (default 0.1).
+	// commensurate with the compression tolerance (0: no float32 tile).
 	F32Norm float64
-}
-
-// WithDefaults fills unset policy knobs. It is the single source of the
-// adaptive defaults; the api.Config defaulting delegates here.
-func (p Policy) WithDefaults() Policy {
-	if p.Band <= 0 {
-		p.Band = 1
-	}
-	if p.Tol <= 0 {
-		p.Tol = 1e-6
-	}
-	if p.RankFrac <= 0 {
-		p.RankFrac = 0.25
-	}
-	if p.F32Norm <= 0 {
-		p.F32Norm = 0.1
-	}
-	return p
 }
 
 // RankLimit is the largest low-rank tile rank the policy accepts for an
 // m×n tile.
 func (p Policy) RankLimit(m, n int) int {
-	limit := int(p.RankFrac * float64(min(m, n)))
-	if p.MaxRank > 0 && limit > p.MaxRank {
-		limit = p.MaxRank
-	}
-	return limit
+	return int(p.RankFrac * float64(min(m, n)))
 }
+
+// offBand reports whether tile (i,j), j < i, lies outside the dense band.
+func (p Policy) offBand(i, j int) bool { return i-j > p.Band }
+
+// hasOffBand reports whether a grid of nt tile rows has any off-band tile.
+func (p Policy) hasOffBand(nt int) bool { return p.Band < nt-1 }
+
+// diagFirst reports whether off-band assembly reads the diagonal norms (the
+// f32 test), so the graph must order it after the diagonal assemblies.
+func (p Policy) diagFirst(nt int) bool { return p.hasOffBand(nt) && p.F32Norm > 0 }
 
 // probe runs the compressibility test for the off-band r×c tile at
 // (row0,col0) and returns the accepted low-rank tile, or the dense block the
@@ -121,48 +111,56 @@ func (p Policy) probe(g *Grid, r, c, row0, col0 int, fill RunFill, inMemory bool
 	return nil, blk
 }
 
-// EntryAssembler returns an assembler applying the adaptive policy per tile,
-// for PotrfStream or Assemble: band tiles dense float64, off-band tiles probed
-// (see probe; after column 0's verdict, or skipped) with the dense f32/f64
-// fallback, each tile built by its own task only when the factorization
-// graph first touches it. DiagFirst routes the diagonal Frobenius norms
-// (anchoring the f32 test) through the engine's norm handles, so off-band
-// tiles always observe assembled, unfactored diagonals. Dense tiles draw from
-// the workspace pool (the grid becomes engine-owned).
+// EntryAssembler returns the engine's assembler: the policy applied to every
+// tile of the run evaluator, for PotrfStream or Assemble. Band tiles are
+// dense float64; off-band tiles are probed (see probe; after column 0's
+// verdict, or skipped) with the dense f32/f64 fallback. Every tile is built by
+// a task of the factorization graph only when the graph first needs it. When
+// float32 tiles can exist, the diagonal Frobenius norms anchoring their test
+// reach the off-band tiles through the engine's norm handles, so those always
+// observe assembled, unfactored diagonals. Dense tiles draw from the
+// workspace pool (the grid becomes engine-owned). The grid must be the one
+// passed to PotrfStream or Assemble.
 func (p Policy) EntryAssembler(g *Grid, fill RunFill, inMemory bool) *Assembler {
-	p = p.WithDefaults()
 	ts := g.TS
-	diagNorm := make([]float64, g.NT)
+	asm := &Assembler{Policy: p}
+	var diagNorm []float64
+	if p.diagFirst(g.NT) {
+		diagNorm = make([]float64, g.NT)
+	}
 	col0Accepted := make([]bool, g.NT) // written by tile (i,0) alone
 	skip := false                      // set by the verdict
-	return &Assembler{
-		DiagFirst: true,
-		verdict:   func() { skip = !slices.Contains(col0Accepted, true) },
-		Tile: func(i, j int) tile.Tile {
-			ri, rj := g.TileRows(i), g.TileRows(j)
-			row0, col0 := i*ts, j*ts
-			if i == j {
-				d := denseBlock(ri, ri, row0, row0, fill)
+	if p.hasOffBand(g.NT) {
+		asm.verdict = func() { skip = !slices.Contains(col0Accepted, true) }
+	}
+	asm.Tile = func(i, j int) tile.Tile {
+		ri, rj := g.TileRows(i), g.TileRows(j)
+		row0, col0 := i*ts, j*ts
+		if i == j {
+			d := denseBlock(ri, ri, row0, row0, fill)
+			if diagNorm != nil {
 				diagNorm[i] = d.FrobNorm()
-				return &tile.DenseF64{D: d}
 			}
-			if i-j <= p.Band {
-				return &tile.DenseF64{D: denseBlock(ri, rj, row0, col0, fill)}
-			}
-			var blk *linalg.Matrix
-			if j > 0 && skip {
-				g.probesSkipped.Add(1)
-				blk = denseBlock(ri, rj, row0, col0, fill)
-			} else {
-				lr, rejected := p.probe(g, ri, rj, row0, col0, fill, inMemory)
-				if lr != nil {
-					if j == 0 {
-						col0Accepted[i] = true
-					}
-					return lr
+			return &tile.DenseF64{D: d}
+		}
+		if !p.offBand(i, j) {
+			return &tile.DenseF64{D: denseBlock(ri, rj, row0, col0, fill)}
+		}
+		var blk *linalg.Matrix
+		if j > 0 && skip {
+			g.probesSkipped.Add(1)
+			blk = denseBlock(ri, rj, row0, col0, fill)
+		} else {
+			lr, rejected := p.probe(g, ri, rj, row0, col0, fill, inMemory)
+			if lr != nil {
+				if j == 0 {
+					col0Accepted[i] = true
 				}
-				blk = rejected
+				return lr
 			}
+			blk = rejected
+		}
+		if diagNorm != nil {
 			scale := math.Sqrt(diagNorm[i] * diagNorm[j])
 			if scale > 0 && blk.FrobNorm() <= p.F32Norm*scale {
 				w := tile.GetMat32(ri, rj)
@@ -170,7 +168,8 @@ func (p Policy) EntryAssembler(g *Grid, fill RunFill, inMemory bool) *Assembler 
 				putMat(blk)
 				return &tile.DenseF32{D: w}
 			}
-			return &tile.DenseF64{D: blk}
-		},
+		}
+		return &tile.DenseF64{D: blk}
 	}
+	return asm
 }

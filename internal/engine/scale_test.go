@@ -33,14 +33,13 @@ func TestTLRCompressOnceAtScale(t *testing.T) {
 		{1e-6, false, 9.51e-07, 33.17}, // 6.94e-07, 34.64
 		{1e-6, true, 1.52e-06, 33.00},  // 1.38e-06, 34.47
 	} {
-		cfg := engine.Config{Tol: tc.tol, MaxRank: ts / 2}
-		mk := tlrLayout(sigma, tc.tol, cfg.MaxRank)
+		mk := tlrLayout(sigma, tc.tol)
 		if tc.kernel {
 			mk = func(g *engine.Grid) *engine.Assembler {
-				return engine.TLREntryAssembler(g, fillOf(geom, kern), tc.tol, cfg.MaxRank, false)
+				return tlr(tc.tol).EntryAssembler(g, fillOf(geom, kern), false)
 			}
 		}
-		g, err := potrfOn(geom.Len(), ts, cfg, 2, mk)
+		g, err := potrfOn(geom.Len(), ts, 2, mk)
 		if err != nil {
 			t.Fatalf("tol=%g kernel=%v: %v", tc.tol, tc.kernel, err)
 		}

@@ -11,41 +11,27 @@ import (
 
 // Assembler builds tiles on demand for the factorization. Tile must return a
 // valid tile for (i,j), j ≤ i, each (i,j) once, with every diagonal tile
-// dense float64 (the engine's pivot representation); it runs on worker
-// goroutines as "assemble" tasks fused into the factorization graph, so it
-// must be safe for concurrent calls on distinct (i,j). A hand-built
-// Assembler is free to return tiles built earlier (by Assemble, say); the
-// graph learns each one's representation when its task has run.
+// dense float64 (the engine's pivot representation) and every tile inside
+// Policy's band dense; it runs on worker goroutines as tasks of the
+// factorization graph, so it must be safe for concurrent calls on distinct
+// (i,j). Policy.EntryAssembler is the engine's one assembler; a hand-built
+// one is free to return tiles built earlier (by Assemble, say), and states
+// through Policy the band those tiles were built with and the tolerance of
+// their recompression.
 type Assembler struct {
 	Tile func(i, j int) tile.Tile
-	// DiagFirst orders every off-diagonal assembly after its two diagonal
-	// blocks' assemblies (for policies that read diagonal norms, like the
-	// adaptive f32 test). The ordering runs through dedicated norm handles,
-	// not the tile handles, so it observes the assembled — never the
-	// factored — diagonal.
-	DiagFirst bool
+	// Policy shapes the graph: a tile inside its band takes one GEMM task per
+	// panel, one outside it is built and finished in one task (finishTile),
+	// whose recompression runs at Policy.Tol.
+	Policy Policy
 	// verdict, when set, runs once after every strictly-lower tile of column 0
 	// is assembled and before any strictly-lower tile of a later column is:
 	// an assembler decides there, from column 0, how it builds the rest (the
-	// adaptive policy's probe verdict). The graph orders it through dedicated
-	// handles — one per column-0 tile, so those assemblies stay concurrent —
-	// and every worker count, and Assemble, sees the same verdict.
+	// policy's probe verdict). The graph orders it through dedicated handles
+	// — one per column-0 tile, so those assemblies stay concurrent — and
+	// every worker count, and Assemble, sees the same verdict.
 	verdict func()
-	// offDiag is what the constructor knows of every strictly-lower tile's
-	// representation before any has been built; the graph is shaped on it.
-	offDiag offDiag
 }
-
-// offDiag is a graph builder's advance knowledge of an off-diagonal tile:
-// where a low-rank tile's Schur updates go (one accumulate-and-compress
-// instead of a task per update) has to be decided at submission.
-type offDiag int8
-
-const (
-	offUnknown offDiag = iota // decided on the worker that builds the tile
-	offDense
-	offLowRank
-)
 
 // PotrfStream is the engine's one factorization: the Cholesky factor of the
 // SPD matrix the assembler defines, as one task graph, the tile Cholesky,
@@ -54,31 +40,33 @@ const (
 //	POTRF(T[k][k])
 //	TRSM(T[k][k], T[i][k])            i > k
 //	SYRK(T[i][k], T[i][i])            i > k
-//	GEMM(T[i][k], T[j][k], T[i][j])   i > j > k, T[i][j] dense
-//	GEMM(T[i][·], T[j][·], T[i][j])   i > j, once, T[i][j] low rank
+//	GEMM(T[i][k], T[j][k], T[i][j])   i > j > k, T[i][j] inside the band
+//	GEMM(T[i][·], T[j][·], T[i][j])   i > j > 0, once, T[i][j] off the band
 //
 // with critical-path (panel-first) priorities as StarPU heteroprio-style
 // schedulers use. The matrix is never materialized up front: each tile is
-// built by its own task, ordered by a Write dependency before the graph first
-// reads it, directly in the representation the assembler chooses, which it
-// keeps. Submission is windowed, so the live footprint is the factor in those
-// representations + O(window·NT²) task descriptors — the out-of-core shape
-// that carries n ≥ 25k. Errors (non-positive-definite pivots) propagate
+// built by a task, ordered by a Write dependency before the graph first reads
+// it, directly in the representation the assembler chooses. A tile inside
+// the band, or in column 0, has an assemble task of its own; an off-band tile
+// past column 0 is built inside the one task that applies its Schur updates
+// (finishTile). Submission is windowed, so the live footprint is the factor
+// in those representations + O(window·NT²) task descriptors — the out-of-core
+// shape that carries n ≥ 25k. Errors (non-positive-definite pivots) propagate
 // through the submitter's SubmitErr/Err scope. The grid must be empty
 // (NewGrid) and is owned by the engine afterwards: its dense tiles draw from
 // the workspace pool.
-func PotrfStream(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
+func PotrfStream(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 	if asm == nil || asm.Tile == nil {
 		return fmt.Errorf("engine: PotrfStream requires an assembler")
 	}
-	return potrf(rt, g, cfg, asm)
+	return potrf(rt, g, asm)
 }
 
 // potrf builds PotrfStream's task graph. Kernel dispatch happens at
 // execution time — closures read the grid when they run — because assembly
 // decides tile representations after submission; the handle dependencies
 // make those reads race-free.
-func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
+func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 	nt := g.NT
 	if nt > maxTileRows {
 		return &SizeError{N: g.N, TS: g.TS, NT: nt}
@@ -96,44 +84,24 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 			h[i][j] = sub.NewHandle("T(%d,%d)", i, j)
 		}
 	}
-
-	// deferred[i][j] marks a tile its assemble task built low rank: its Schur
-	// updates are not applied panel by panel but all at once by finishTile.
-	// Every other tile that receives updates is dense and takes one GEMM task
-	// per panel. A tile keeps the representation it was assembled in, so the
-	// mark records that one decision for the tasks that run after it.
-	deferred := make([][]bool, nt)
-	for i := range deferred {
-		deferred[i] = make([]bool, i)
-	}
-	// assemble builds tile (i,j) on a worker. A low-rank tile's factors come
-	// off the pool in its power-of-two classes: one no update will replace
-	// (column 0) moves to exact size, the others are marked for finishTile.
-	assemble := func(i, j int) {
-		t := asm.Tile(i, j)
-		if lr, ok := t.(*tile.LowRank); ok && j < i {
-			if j == 0 {
-				t = exactSize(lr)
-			} else {
-				deferred[i][j] = true
-			}
-		}
-		g.Set(i, j, t)
-	}
+	pol := asm.Policy
+	// built reports a tile built inside its finishTile task.
+	built := func(i, j int) bool { return j > 0 && pol.offBand(i, j) }
 
 	// Assembly bookkeeping: ensure(i,j) submits the tile's assemble task
 	// exactly once, before the first factorization task that touches it. Norm
-	// handles (nh) order adaptive off-diagonal assembly after the diagonal
-	// norms without entangling the pivot handles; column-0 handles (ch) and
-	// the verdict handle (vh) order the verdict after column 0's assemblies
-	// and every later column's after the verdict.
+	// handles (nh) order off-band assembly after the diagonal norms without
+	// entangling the pivot handles; column-0 handles (ch) and the verdict
+	// handle (vh) order the verdict after column 0's assemblies and every
+	// later column's after the verdict. assembleDeps adds both orderings to
+	// an off-band tile's task.
 	assembled := make([][]bool, nt)
 	for i := range assembled {
 		assembled[i] = make([]bool, i+1)
 	}
 	var nh, ch []*taskrt.Handle
 	var vh *taskrt.Handle
-	if asm.DiagFirst {
+	if pol.diagFirst(nt) {
 		nh = make([]*taskrt.Handle, nt)
 		for i := range nh {
 			nh[i] = sub.NewHandle("N(%d)", i)
@@ -147,32 +115,42 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 		vh = sub.NewHandle("V")
 	}
 	var ensure func(i, j int)
-	ensure = func(i, j int) {
-		if assembled[i][j] || asm.offDiag == offLowRank && 0 < j && j < i {
-			// A tile known to be low rank with updates to receive is built
-			// inside its finishTile task, where its assembly-time factors
-			// live for that task only.
-			return
-		}
-		assembled[i][j] = true
-		deps, prio := []taskrt.Dep{taskrt.Write(h[i][j])}, 3*nt+2
-		if asm.DiagFirst {
-			if i == j {
-				deps = append(deps, taskrt.Write(nh[i]))
-			} else {
-				ensure(i, i)
-				ensure(j, j)
-				deps, prio = append(deps, taskrt.Read(nh[i]), taskrt.Read(nh[j])), 3*nt+1
-			}
+	assembleDeps := func(deps []taskrt.Dep, i, j int) []taskrt.Dep {
+		if nh != nil {
+			ensure(i, i)
+			ensure(j, j)
+			deps = append(deps, taskrt.Read(nh[i]), taskrt.Read(nh[j]))
 		}
 		switch {
-		case vh == nil || i == j:
+		case vh == nil:
 		case j == 0:
 			deps = append(deps, taskrt.Write(ch[i]))
 		default:
 			deps = append(deps, taskrt.Read(vh))
 		}
-		sub.Submit("assemble", prio, func() { assemble(i, j) }, deps...)
+		return deps
+	}
+	ensure = func(i, j int) {
+		if assembled[i][j] || built(i, j) {
+			return
+		}
+		assembled[i][j] = true
+		deps, prio := []taskrt.Dep{taskrt.Write(h[i][j])}, 3*nt+2
+		switch {
+		case i == j && nh != nil:
+			deps = append(deps, taskrt.Write(nh[i]))
+		case i != j && pol.offBand(i, j):
+			deps, prio = assembleDeps(deps, i, j), 3*nt+1
+		}
+		sub.Submit("assemble", prio, func() {
+			t := asm.Tile(i, j)
+			if lr, ok := t.(*tile.LowRank); ok {
+				// Column 0 receives no update: its factors move off the pool
+				// to their exact size now.
+				t = exactSize(lr)
+			}
+			g.Set(i, j, t)
+		}, deps...)
 	}
 
 	for k := 0; k < nt; k++ {
@@ -226,36 +204,31 @@ func potrf(rt taskrt.Submitter, g *Grid, cfg Config, asm *Assembler) error {
 			sub.Submit("syrk", 3*nt-3*k-2, func() {
 				syrkInto(g.tiles[i][k], g.Diag(i))
 			}, taskrt.Read(h[i][k]), taskrt.ReadWrite(h[i][i]))
-			for j := k + 1; j < i && asm.offDiag != offLowRank; j++ {
+			for j := max(k+1, i-pol.Band); j < i; j++ { // the band tiles of row i
 				j := j
 				ensure(i, j)
 				sub.Submit("gemm", 3*nt-3*k-2, func() {
-					if !deferred[i][j] {
-						gemmInto(g.tiles[i][k], g.tiles[j][k], g.tiles[i][j])
-					}
+					gemmInto(g.tiles[i][k], g.tiles[j][k], g.tiles[i][j])
 				}, taskrt.Read(h[i][k]), taskrt.Read(h[j][k]), taskrt.ReadWrite(h[i][j]))
 			}
 		}
 		// Column k+1's Schur complement is complete once this panel's solves
-		// are: every tile of it that ends low rank gets its one compression
-		// here, before panel k+1 consumes it. A tile known to be dense has its
-		// updates in it and gets no task; any other applies them if it is
-		// deferred, reading both operand rows, in panel order whatever the
-		// worker count.
-		for j, i := k+1, k+2; i < nt && asm.offDiag != offDense; i++ {
+		// are: every off-band tile of it is built here, in one task that
+		// reads both operand rows and applies its updates in panel order
+		// whatever the worker count, before panel k+1 consumes it.
+		for j, i := k+1, k+2; i < nt; i++ {
 			i := i
-			deps := make([]taskrt.Dep, 0, 2*j+1)
+			if !pol.offBand(i, j) {
+				continue
+			}
+			deps := make([]taskrt.Dep, 0, 2*j+4)
 			for p := 0; p < j; p++ {
 				deps = append(deps, taskrt.Read(h[i][p]), taskrt.Read(h[j][p]))
 			}
+			deps = assembleDeps(append(deps, taskrt.ReadWrite(h[i][j])), i, j)
 			sub.Submit("gemm", 3*nt-3*k-2, func() {
-				switch {
-				case asm.offDiag == offLowRank:
-					g.finishTile(i, j, asm.Tile(i, j).(*tile.LowRank), cfg)
-				case deferred[i][j]:
-					g.finishTile(i, j, g.tiles[i][j].(*tile.LowRank), cfg)
-				}
-			}, append(deps, taskrt.ReadWrite(h[i][j]))...)
+				g.finishTile(i, j, asm.Tile(i, j), pol.Tol)
+			}, deps...)
 		}
 	}
 	sub.Wait()
@@ -340,56 +313,6 @@ func (l *lazy32) free() {
 // roles swapped: Σ(i, col0+c) = fill(dst, col0, i)[c]. It runs on worker
 // goroutines and must be safe for concurrent calls.
 type RunFill func(dst []float64, row0, j int)
-
-// DenseEntryAssembler builds every tile of the run evaluator densely in
-// float64 — the dense layout. The grid must be the one passed to
-// PotrfStream or Assemble.
-func DenseEntryAssembler(g *Grid, fill RunFill) *Assembler {
-	ts := g.TS
-	return &Assembler{
-		offDiag: offDense,
-		Tile: func(i, j int) tile.Tile {
-			return &tile.DenseF64{D: denseBlock(g.TileRows(i), g.TileRows(j), i*ts, j*ts, fill)}
-		},
-	}
-}
-
-// TLREntryAssembler streams the TLR layout — dense float64 diagonal, low rank
-// off the diagonal at relative accuracy tol with rank cap maxRank (0 =
-// uncapped) — directly inside the factorization graph. A kernel's tiles come
-// from ACA (two runs per cross, O(rank) runs of ts entries per tile); one whose
-// cross iteration runs out of rank budget (typical for near-diagonal tiles of
-// smooth kernels, where a capped ACA has uncontrolled error) or fails ACA's
-// sampled residual check (a matrix that is not smooth in its indices) is
-// densified for the optimal truncation instead — as is every tile of an
-// inMemory source, where a run is a copy. Every off-diagonal tile being low
-// rank by construction, the graph is built on it: a tile past column 0 has no
-// assemble task and is built inside the one task that applies its Schur
-// updates. The grid must be the one passed to PotrfStream or Assemble.
-func TLREntryAssembler(g *Grid, fill RunFill, tol float64, maxRank int, inMemory bool) *Assembler {
-	ts := g.TS
-	return &Assembler{
-		offDiag: offLowRank,
-		Tile: func(i, j int) tile.Tile {
-			ri, rj := g.TileRows(i), g.TileRows(j)
-			row0, col0 := i*ts, j*ts
-			if i == j {
-				return &tile.DenseF64{D: denseBlock(ri, ri, row0, row0, fill)}
-			}
-			if !inMemory {
-				lr, ok := acaBlock(ri, rj, row0, col0, fill, tol, maxRank)
-				if ok {
-					return lr
-				}
-				discard(lr)
-			}
-			d := denseBlock(ri, rj, row0, col0, fill)
-			lr := tile.Compress(d, tol, maxRank)
-			putMat(d)
-			return lr
-		},
-	}
-}
 
 // acaBlock runs ACA on the r×c block at (row0,col0) of the run evaluator: a
 // pivot column is one run, a residual row the transposed run.

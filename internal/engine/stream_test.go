@@ -48,17 +48,17 @@ type layout func(*engine.Grid) *engine.Assembler
 
 // potrfOn factorizes the layout mk builds on a fresh n×n grid of tile size
 // ts, on a fresh runtime of the given worker count.
-func potrfOn(n, ts int, cfg engine.Config, workers int, mk layout) (*engine.Grid, error) {
+func potrfOn(n, ts int, workers int, mk layout) (*engine.Grid, error) {
 	g := engine.NewGrid(n, ts)
 	rt := taskrt.New(workers)
 	defer rt.Shutdown()
-	return g, engine.PotrfStream(rt, g, cfg, mk(g))
+	return g, engine.PotrfStream(rt, g, mk(g))
 }
 
 // streamFactor is potrfOn on four workers; an error fails the test.
-func streamFactor(t *testing.T, n, ts int, cfg engine.Config, mk layout) *engine.Grid {
+func streamFactor(t *testing.T, n, ts int, mk layout) *engine.Grid {
 	t.Helper()
-	g, err := potrfOn(n, ts, cfg, 4, mk)
+	g, err := potrfOn(n, ts, 4, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,10 @@ func assembled(n, ts int, mk layout) *engine.Grid {
 }
 
 // prebuilt hands the factorization the tiles of an assembled grid as they
-// stand: tiles built up front, factored by the one graph.
-func prebuilt(src *engine.Grid) layout {
-	return func(*engine.Grid) *engine.Assembler { return &engine.Assembler{Tile: src.At} }
+// stand: tiles built up front under the policy p, whose band and tolerance
+// the hand-built assembler states, factored by the one graph.
+func prebuilt(src *engine.Grid, p engine.Policy) layout {
+	return func(*engine.Grid) *engine.Assembler { return &engine.Assembler{Tile: src.At, Policy: p} }
 }
 
 // sigmaFill reads an in-memory Σ in runs, as a session reads a caller's
@@ -85,17 +86,20 @@ func sigmaFill(sigma *linalg.Matrix) engine.RunFill {
 	return func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
 }
 
-// denseLayout, tlrLayout and adaptiveLayout are the session's layouts of an
-// in-memory Σ: every tile gathered from sigma, and compressed in hand.
-func denseLayout(sigma *linalg.Matrix) layout {
-	return func(g *engine.Grid) *engine.Assembler { return engine.DenseEntryAssembler(g, sigmaFill(sigma)) }
+// dense, tlr and adaptive are the session's presets of the policy.
+var dense = engine.Policy{Band: math.MaxInt}
+
+func tlr(tol float64) engine.Policy { return engine.Policy{Tol: tol, RankFrac: 0.5} }
+
+func adaptive(tol float64) engine.Policy {
+	return engine.Policy{Band: 1, Tol: tol, RankFrac: 0.25, F32Norm: 0.1}
 }
 
-func tlrLayout(sigma *linalg.Matrix, tol float64, maxRank int) layout {
-	return func(g *engine.Grid) *engine.Assembler {
-		return engine.TLREntryAssembler(g, sigmaFill(sigma), tol, maxRank, true)
-	}
-}
+// denseLayout, tlrLayout and adaptiveLayout are the session's layouts of an
+// in-memory Σ: every tile gathered from sigma, and compressed in hand.
+func denseLayout(sigma *linalg.Matrix) layout { return adaptiveLayout(sigma, dense) }
+
+func tlrLayout(sigma *linalg.Matrix, tol float64) layout { return adaptiveLayout(sigma, tlr(tol)) }
 
 func adaptiveLayout(sigma *linalg.Matrix, p engine.Policy) layout {
 	return func(g *engine.Grid) *engine.Assembler { return p.EntryAssembler(g, sigmaFill(sigma), true) }
@@ -128,30 +132,30 @@ func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 		entry(sigma.Col(j), 0, j)
 	}
 
+	mixed := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5}
 	builders := []struct {
 		name string
 		mk   layout
 		ref  func(ts int, mk layout) (*linalg.Matrix, error)
 	}{
 		{"dense", func(g *engine.Grid) *engine.Assembler {
-			return engine.DenseEntryAssembler(g, entry)
+			return dense.EntryAssembler(g, entry, false)
 		}, func(ts int, _ layout) (*linalg.Matrix, error) {
 			l := sigma.Clone()
 			err := refDensePotrf(l, ts)
 			return l, err
 		}},
 		{"tlr", func(g *engine.Grid) *engine.Assembler {
-			return engine.TLREntryAssembler(g, entry, tol, 0, false)
+			return tlr(tol).EntryAssembler(g, entry, false)
 		}, func(ts int, mk layout) (*linalg.Matrix, error) {
 			g := assembled(n, ts, mk)
 			err := refTLRPotrf(g, tol)
 			return densifyFactor(g), err
 		}},
 		{"adaptive", func(g *engine.Grid) *engine.Assembler {
-			p := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5}
-			return p.EntryAssembler(g, entry, false)
+			return mixed.EntryAssembler(g, entry, false)
 		}, func(ts int, mk layout) (*linalg.Matrix, error) {
-			g, err := potrfOn(n, ts, engine.Config{Tol: tol}, 4, prebuilt(assembled(n, ts, mk)))
+			g, err := potrfOn(n, ts, 4, prebuilt(assembled(n, ts, mk), mixed))
 			return densifyFactor(g), err
 		}},
 	}
@@ -161,7 +165,7 @@ func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s ts=%d: reference factorization: %v", b.name, ts, err)
 			}
-			got := streamFactor(t, n, ts, engine.Config{Tol: tol}, b.mk)
+			got := streamFactor(t, n, ts, b.mk)
 			if d := relMaxDiff(densifyFactor(got), want); d > engineRefTol {
 				t.Errorf("%s ts=%d: streaming factor differs from materialized by %v", b.name, ts, d)
 			}
@@ -220,23 +224,20 @@ func TestInMemoryStreamMatchesMaterializedBits(t *testing.T) {
 			geom.Pts[i], geom.Pts[j] = geom.Pts[j], geom.Pts[i]
 		}
 		sigma := cov.Matrix(geom, kern)
-		// Ranks uncapped: a tile of swapped locations is near full rank, and
-		// a TLR factor capped at ts/2 is not positive definite.
-		n, maxRank := geom.Len(), 0
-		policy := engine.Policy{Tol: tol, MaxRank: maxRank, RankFrac: 0.5, F32Norm: 0.5}
-		cfg := engine.Config{Tol: tol, MaxRank: maxRank}
-		for name, mk := range map[string]layout{
-			"dense":    denseLayout(sigma),
-			"tlr":      tlrLayout(sigma, tol, maxRank),
-			"adaptive": adaptiveLayout(sigma, policy),
+		n := geom.Len()
+		for name, policy := range map[string]engine.Policy{
+			"dense":    dense,
+			"tlr":      tlr(tol),
+			"adaptive": {Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5},
 		} {
+			mk := adaptiveLayout(sigma, policy)
 			for _, workers := range []int{1, 2} {
 				rt := taskrt.New(workers)
 				want := engine.NewGrid(n, tc.ts)
-				err := engine.PotrfStream(rt.NewGroup(), want, cfg, prebuilt(assembled(n, tc.ts, mk))(want))
+				err := engine.PotrfStream(rt.NewGroup(), want, prebuilt(assembled(n, tc.ts, mk), policy)(want))
 				got := engine.NewGrid(n, tc.ts)
 				if err == nil {
-					err = engine.PotrfStream(rt.NewGroup(), got, cfg, mk(got))
+					err = engine.PotrfStream(rt.NewGroup(), got, mk(got))
 				}
 				rt.Shutdown()
 				if err != nil {
@@ -274,9 +275,11 @@ func TestRunAssemblyMatchesPerEntry(t *testing.T) {
 	const tol = 1e-4
 	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5}
 	builders := map[string]func(*engine.Grid, engine.RunFill) *engine.Assembler{
-		"dense": engine.DenseEntryAssembler,
+		"dense": func(g *engine.Grid, fill engine.RunFill) *engine.Assembler {
+			return dense.EntryAssembler(g, fill, false)
+		},
 		"tlr": func(g *engine.Grid, fill engine.RunFill) *engine.Assembler {
-			return engine.TLREntryAssembler(g, fill, tol, 0, false)
+			return tlr(tol).EntryAssembler(g, fill, false)
 		},
 		"adaptive": func(g *engine.Grid, fill engine.RunFill) *engine.Assembler {
 			return policy.EntryAssembler(g, fill, false)
@@ -325,8 +328,8 @@ func TestTLRStreamingResidualCheckOnMarginalOrder(t *testing.T) {
 	level := func(p geo.Point) float64 { return math.Sin(2*math.Pi*p.X) * math.Sin(2*math.Pi*p.Y) }
 	sort.SliceStable(geom.Pts, func(i, j int) bool { return level(geom.Pts[i]) > level(geom.Pts[j]) })
 	k := &cov.Nugget{Kernel: cov.NewMatern(1, 0.1, 2.5), Tau2: 0.1}
-	g := streamFactor(t, geom.Len(), ts, engine.Config{Tol: tol}, func(g *engine.Grid) *engine.Assembler {
-		return engine.TLREntryAssembler(g, fillOf(geom, k), tol, 0, false)
+	g := streamFactor(t, geom.Len(), ts, func(g *engine.Grid) *engine.Assembler {
+		return tlr(tol).EntryAssembler(g, fillOf(geom, k), false)
 	})
 	sigma := cov.Matrix(geom, k)
 	if rel := relResidual(g, sigma); rel > 10*tol {
@@ -369,49 +372,53 @@ func TestGridSizeGuard(t *testing.T) {
 	defer rt.Shutdown()
 	big := engine.NewGridOversized()
 	asm := &engine.Assembler{Tile: func(i, j int) tile.Tile { return nil }}
-	if err := engine.PotrfStream(rt, big, engine.Config{}, asm); !errors.As(err, &se) {
+	if err := engine.PotrfStream(rt, big, asm); !errors.As(err, &se) {
 		t.Errorf("PotrfStream on oversized grid: want *SizeError, got %v", err)
 	}
-	if err := engine.PotrfStream(rt, engine.NewGrid(8, 4), engine.Config{}, nil); err == nil {
+	if err := engine.PotrfStream(rt, engine.NewGrid(8, 4), nil); err == nil {
 		t.Error("PotrfStream must reject a nil assembler")
 	}
 }
 
-// TestDeferredAndDenseTilesInOneGrid: the two ways a trailing tile takes its
-// Schur updates meet in one factorization. Under the adaptive streaming policy
-// with a tight RankFrac, far tiles pass the probe and are assembled low rank —
-// their updates wait for finishTile — while nearer off-band ones are assembled
-// dense and updated panel by panel. Every tile ends in the representation it
-// was assembled in; a dense tile mistaken for a deferred one would have its
-// updates applied twice (the pivot goes to −100).
-func TestDeferredAndDenseTilesInOneGrid(t *testing.T) {
+// TestBandAndOffBandTilesInOneGrid: the two ways a trailing tile takes its
+// Schur updates meet in one factorization. Under the policy with a band of 1
+// and a tight RankFrac, band tiles are dense and updated panel by panel, while
+// every off-band tile past column 0 is built inside one task that applies all
+// of its updates: far tiles pass the probe and are accumulated and
+// recompressed, nearer ones stay dense (float64 or float32) and take the same
+// GEMMs there. A tile keeps its assembled kind, except that a low-rank one
+// whose tolerance its recompression misses ends dense float64; a tile whose
+// updates were applied twice, or not at all, breaks the residual (a pivot
+// goes to −100).
+func TestBandAndOffBandTilesInOneGrid(t *testing.T) {
 	geom := geo.RegularGrid(16, 16) // n = 256
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.3, 2.5), Tau2: 0.05}
 	const tol, ts = 1e-4, 32
 	n := geom.Len()
-	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.35, F32Norm: 1e-12}
+	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.35, F32Norm: 0.1}
 	mk := func(g *engine.Grid) *engine.Assembler { return policy.EntryAssembler(g, fillOf(geom, kern), false) }
 
 	asIs := assembled(n, ts, mk)
-	g := streamFactor(t, n, ts, engine.Config{Tol: tol}, mk)
+	g := streamFactor(t, n, ts, mk)
 
-	var deferred, dense int
+	kinds := map[string]int{}
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j <= i; j++ {
-			was := asIs.At(i, j).Kind()
-			if got := g.At(i, j).Kind(); got != was {
+			was, got := asIs.At(i, j).Kind(), g.At(i, j).Kind()
+			if got != was && !(was == tile.KindLowRank && got == tile.KindDenseF64) {
 				t.Fatalf("tile (%d,%d) was assembled %s and ended %s", i, j, was, got)
 			}
 			switch {
-			case was == tile.KindLowRank && j > 0: // column 0 receives no update
-				deferred++
-			case was == tile.KindDenseF64 && i-j > policy.Band:
-				dense++
+			case j == 0 || i-j <= policy.Band:
+			case was == tile.KindLowRank:
+				kinds["off-band low rank"]++
+			default:
+				kinds["off-band dense"]++
 			}
 		}
 	}
-	if deferred == 0 || dense == 0 {
-		t.Fatalf("%d updated tiles assembled low rank, %d off-band tiles dense: want both kinds", deferred, dense)
+	if kinds["off-band low rank"] == 0 || kinds["off-band dense"] == 0 {
+		t.Fatalf("off-band tiles past column 0: %v, want both kinds", kinds)
 	}
 
 	if rel := relResidual(g, cov.Matrix(geom, kern)); rel > 10*tol {

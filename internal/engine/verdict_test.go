@@ -22,9 +22,9 @@ import (
 func TestVerdictSameAtEveryWorkerCount(t *testing.T) {
 	const ts, tol = 50, 1e-4
 	corr := posteriorCorrelation(t, 20)
-	policy, cfg := engine.Policy{Tol: tol}, engine.Config{Tol: tol}
+	policy := adaptive(tol)
 	mk := adaptiveLayout(corr, policy)
-	want, err := potrfOn(corr.Rows, ts, cfg, 1, mk)
+	want, err := potrfOn(corr.Rows, ts, 1, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestVerdictSameAtEveryWorkerCount(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		rt := taskrt.New(workers)
 		streamed := engine.NewGrid(corr.Rows, ts)
-		err := engine.PotrfStream(rt.NewGroup(), streamed, cfg, mk(streamed))
+		err := engine.PotrfStream(rt.NewGroup(), streamed, mk(streamed))
 		pre := assembled(corr.Rows, ts, mk)
 		materialized := engine.NewGrid(corr.Rows, ts)
 		if err == nil {
-			err = engine.PotrfStream(rt.NewGroup(), materialized, cfg, prebuilt(pre)(materialized))
+			err = engine.PotrfStream(rt.NewGroup(), materialized, prebuilt(pre, policy)(materialized))
 		}
 		rt.Shutdown()
 		if err != nil {
@@ -83,9 +83,9 @@ func TestVerdictOneAcceptedTileSkipsNothing(t *testing.T) {
 			sigma.Set(c, last+r, x[r]*y[c])
 		}
 	}
-	mk := adaptiveLayout(sigma, engine.Policy{Tol: tol})
+	mk := adaptiveLayout(sigma, adaptive(tol))
 	materialized := assembled(n, ts, mk)
-	streamed, err := potrfOn(n, ts, engine.Config{Tol: tol}, 2, mk)
+	streamed, err := potrfOn(n, ts, 2, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestVerdictLeavesLaterCompressibleTileDense(t *testing.T) {
 	// (8,1) on fall to 10–12.
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.1, 2.5), Tau2: 0.05}
 	sigma := cov.Matrix(geom, kern)
-	policy := engine.Policy{Tol: tol, F32Norm: 1e-12}
-	limit := policy.WithDefaults().RankLimit(ts, ts)
+	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.25, F32Norm: 1e-12}
+	limit := policy.RankLimit(ts, ts)
 
 	inMemory := assembled(geom.Len(), ts, adaptiveLayout(sigma, policy))
 	kernel := assembled(geom.Len(), ts, func(g *engine.Grid) *engine.Assembler {

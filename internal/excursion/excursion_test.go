@@ -47,7 +47,7 @@ func denseFactor(t *testing.T, rt *taskrt.Runtime, m *linalg.Matrix, ts int) *mv
 	t.Helper()
 	g := engine.NewGrid(m.Rows, ts)
 	fill := func(dst []float64, row0, j int) { copy(dst, m.Col(j)[row0:]) }
-	if err := engine.PotrfStream(rt, g, engine.Config{}, engine.DenseEntryAssembler(g, fill)); err != nil {
+	if err := engine.PotrfStream(rt, g, engine.Policy{Band: math.MaxInt}.EntryAssembler(g, fill, true)); err != nil {
 		t.Fatal(err)
 	}
 	return mvn.NewFactor(g)

@@ -58,10 +58,9 @@ func timeIt(f func()) float64 {
 	return time.Since(start).Seconds()
 }
 
-// factorWith factorizes the layout asm builds on the empty grid g (tol is
-// the recompression accuracy of its low-rank tiles, 0 for a dense layout).
-func factorWith(rt *taskrt.Runtime, g *engine.Grid, tol float64, asm *engine.Assembler) (*mvn.Factor, error) {
-	if err := engine.PotrfStream(rt, g, engine.Config{Tol: tol}, asm); err != nil {
+// factorWith factorizes the layout asm builds on the empty grid g.
+func factorWith(rt *taskrt.Runtime, g *engine.Grid, asm *engine.Assembler) (*mvn.Factor, error) {
+	if err := engine.PotrfStream(rt, g, asm); err != nil {
 		return nil, err
 	}
 	return mvn.NewFactor(g), nil
@@ -72,15 +71,20 @@ func sigmaFill(sigma *linalg.Matrix) engine.RunFill {
 	return func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
 }
 
+// layout is the session's preset for the dense layout (tol = 0) or the TLR
+// layout at accuracy tol > 0.
+func layout(tol float64) engine.Policy {
+	if tol > 0 {
+		return engine.Policy{Tol: tol, RankFrac: 0.5}
+	}
+	return engine.Policy{Band: math.MaxInt}
+}
+
 // factorize computes the tiled Cholesky factor of sigma the way MVNProbCov
 // does: the dense layout, or the TLR layout at accuracy tol > 0.
 func factorize(rt *taskrt.Runtime, sigma *linalg.Matrix, ts int, tol float64) (*mvn.Factor, error) {
-	g, fill := engine.NewGrid(sigma.Rows, ts), sigmaFill(sigma)
-	asm := engine.DenseEntryAssembler(g, fill)
-	if tol > 0 {
-		asm = engine.TLREntryAssembler(g, fill, tol, 0, true)
-	}
-	return factorWith(rt, g, tol, asm)
+	g := engine.NewGrid(sigma.Rows, ts)
+	return factorWith(rt, g, layout(tol).EntryAssembler(g, sigmaFill(sigma), true))
 }
 
 // tlrCompress builds the TLR layout of sigma at accuracy tol without
@@ -88,14 +92,14 @@ func factorize(rt *taskrt.Runtime, sigma *linalg.Matrix, ts int, tol float64) (*
 // timings).
 func tlrCompress(sigma *linalg.Matrix, ts int, tol float64) *engine.Grid {
 	g := engine.NewGrid(sigma.Rows, ts)
-	engine.Assemble(g, engine.TLREntryAssembler(g, sigmaFill(sigma), tol, 0, true))
+	engine.Assemble(g, layout(tol).EntryAssembler(g, sigmaFill(sigma), true))
 	return g
 }
 
 // factorCompressed factorizes the tiles of a tlrCompress layout as they
-// stand, each handed to the graph by its assemble task.
+// stand, each handed to the graph by the task that first needs it.
 func factorCompressed(rt *taskrt.Runtime, pre *engine.Grid, tol float64) (*mvn.Factor, error) {
-	return factorWith(rt, engine.NewGrid(pre.N, pre.TS), tol, &engine.Assembler{Tile: pre.At})
+	return factorWith(rt, engine.NewGrid(pre.N, pre.TS), &engine.Assembler{Tile: pre.At, Policy: layout(tol)})
 }
 
 // asciiMap renders a scalar field on an nx×ny grid as a small character

@@ -167,11 +167,11 @@ func factorOn(t testing.TB, rt taskrt.Submitter, sigma *linalg.Matrix, ts int, t
 	t.Helper()
 	g := engine.NewGrid(sigma.Rows, ts)
 	fill := func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
-	asm := engine.DenseEntryAssembler(g, fill)
+	layout := engine.Policy{Band: math.MaxInt}
 	if tol > 0 {
-		asm = engine.TLREntryAssembler(g, fill, tol, 0, true)
+		layout = engine.Policy{Tol: tol, RankFrac: 0.5}
 	}
-	if err := engine.PotrfStream(rt, g, engine.Config{Tol: tol}, asm); err != nil {
+	if err := engine.PotrfStream(rt, g, layout.EntryAssembler(g, fill, true)); err != nil {
 		t.Fatal(err)
 	}
 	return NewFactor(g)

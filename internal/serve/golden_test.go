@@ -26,6 +26,9 @@ import (
 const goldenTol = 1e-6
 
 // goldenCase is one fixture problem with its recorded expected probability.
+// The two tlr cases were re-recorded when TLR stopped truncating tiles past
+// its tolerance: their one off-diagonal tile fails the probe at the rank
+// limit and stays dense, so they now equal the dense factor's answers.
 // Re-record after an intentional numerical change with:
 //
 //	GOLDEN_PRINT=1 go test -run TestGoldenEndToEnd ./internal/serve/
@@ -45,7 +48,7 @@ var goldenCases = []goldenCase{
 		lower:  -1, upper: math.Inf(1), want: 0.1573968786767614},
 	{name: "tlr-mvn-halfopen", method: "tlr",
 		kernel: parmvn.KernelSpec{Family: "exponential", Range: 0.3},
-		lower:  -1, upper: math.Inf(1), want: 0.1574468974571188},
+		lower:  -1, upper: math.Inf(1), want: 0.1573968786767614},
 	{name: "adaptive-mvn-halfopen", method: "adaptive",
 		kernel: parmvn.KernelSpec{Family: "exponential", Range: 0.3},
 		lower:  -1, upper: math.Inf(1), want: 0.1573968786767614},
@@ -54,7 +57,7 @@ var goldenCases = []goldenCase{
 		lower:  -2, upper: 0.5, want: 0.02223374314744166},
 	{name: "tlr-mvt", method: "tlr",
 		kernel: parmvn.KernelSpec{Family: "exponential", Range: 0.3},
-		lower:  -1, upper: math.Inf(1), nu: 6, want: 0.1652857331284753},
+		lower:  -1, upper: math.Inf(1), nu: 6, want: 0.1652342687845313},
 	{name: "adaptive-mvt-powexp", method: "adaptive",
 		kernel: parmvn.KernelSpec{Family: "powexp", Range: 0.25, Nu: 1.4},
 		lower:  -1.5, upper: 1.5, nu: 8, want: 0.1591949765160755},

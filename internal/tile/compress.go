@@ -19,7 +19,8 @@ import (
 // drawn from a deterministic stream keyed by the tile shape, keeping
 // factorizations reproducible across runs and worker counts.
 func Compress(a *linalg.Matrix, tol float64, maxRank int) *LowRank {
-	return CompressNear(a, tol, maxRank, 0)
+	t, _ := compress(a, tol, maxRank, 0, false)
+	return t
 }
 
 // sketchOversample is how many columns past the rank cap the range finder
@@ -40,8 +41,15 @@ const (
 // instead of the widest sketch the cap allows. An expectation that turns out
 // too small only costs growth rounds: the capture test, and with it the
 // accuracy contract, is Compress's. rank ≤ 0 states no expectation.
-func CompressNear(a *linalg.Matrix, tol float64, maxRank, rank int) *LowRank {
-	return compress(a, tol, maxRank, rank, false)
+//
+// Unlike Compress it reports the cap instead of hiding it: ok says the tail
+// bound holds at a rank within maxRank. When it does not, the tile is
+// Compress's truncation, for the caller to discard — or nil, when the capped
+// sketch alone leaves more than the truncation budget uncaptured (the early
+// rejection of CompressWithin). The sketch is Compress's either way, so a
+// block that fits gets Compress's factors bit for bit.
+func CompressNear(a *linalg.Matrix, tol float64, maxRank, rank int) (t *LowRank, ok bool) {
+	return compress(a, tol, maxRank, rank, true)
 }
 
 // CompressWithin is Compress(a, tol, limit+1) for a caller that keeps only
@@ -50,11 +58,15 @@ func CompressNear(a *linalg.Matrix, tol float64, maxRank, rank int) *LowRank {
 // wider than the rounding between ‖A‖²_F − ‖B‖²_F and B's spectrum — truncate is
 // certain to return the cap: the core SVD is skipped and the tile is nil.
 func CompressWithin(a *linalg.Matrix, tol float64, limit int) (t *LowRank, ok bool) {
-	t = compress(a, tol, limit+1, 0, true)
+	t, _ = compress(a, tol, limit+1, 0, true)
 	return t, t != nil && t.Rank() <= limit
 }
 
-func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) *LowRank {
+// compress is the range finder behind Compress, CompressNear and
+// CompressWithin. met reports that the tail bound holds within maxRank
+// (always, when maxRank ≤ 0); when it does not the tile is truncated to the
+// cap, or nil if within and the sketch alone already misses the budget.
+func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) (t *LowRank, met bool) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		// Compress the transpose and swap the factors back.
@@ -65,22 +77,22 @@ func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) *Lo
 				tc[i] = a.At(j, i)
 			}
 		}
-		t := compress(at, tol, maxRank, rank, within)
+		t, met := compress(at, tol, maxRank, rank, within)
 		linalg.PutMat(at)
 		if t == nil {
-			return nil
+			return nil, met
 		}
 		t.U, t.V = t.V, t.U
 		t.M, t.N = m, n
-		return t
+		return t, met
 	}
-	t := &LowRank{M: m, N: n}
+	t = &LowRank{M: m, N: n}
 	if m == 0 || n == 0 {
-		return t
+		return t, true
 	}
 	froSq := frobSq(a)
 	if froSq == 0 {
-		return t
+		return t, true
 	}
 
 	// Range finder: grow the sample until the unexplained energy fits under
@@ -142,7 +154,11 @@ func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) *Lo
 		t = nil
 	} else {
 		sv := svdPooled(b, tol)
-		k := sv.truncate(tol, residSq, maxRank)
+		k := sv.truncate(tol, residSq, 0)
+		met = maxRank <= 0 || k <= maxRank
+		if !met {
+			k = maxRank
+		}
 		if k > 0 {
 			x1 := linalg.GetMat(l, k)
 			sv.leftScaledInto(x1, k)
@@ -162,7 +178,7 @@ func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) *Lo
 	linalg.PutMat(q)
 	linalg.PutVec(&tau)
 	linalg.PutMat(y)
-	return t
+	return t, met
 }
 
 // frobSq returns the plain sum of squares of the entries (no overflow

@@ -79,7 +79,8 @@ func TestCompressMatchesFullSVDRank(t *testing.T) {
 // (numerical rank 20 at 1e-6, cap 32) every expectation — none, one whose
 // sketch of 2+16 columns cannot capture 20 directions and must grow, the
 // exact rank, one past the cap — returns Compress's rank to within one and
-// meets the same error bound.
+// meets the same error bound; under a cap two below that rank it reports the
+// tolerance not met.
 func TestCompressNearKeepsCompressContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const m, n, tol, maxRank = 120, 100, 1e-6, 32
@@ -106,7 +107,10 @@ func TestCompressNearKeepsCompressContract(t *testing.T) {
 	}
 	for _, rank := range []int{0, 2, want, maxRank + 68} {
 		for _, at := range []*linalg.Matrix{a, a.Transpose()} {
-			lr := CompressNear(at, tol, maxRank, rank)
+			lr, ok := CompressNear(at, tol, maxRank, rank)
+			if !ok {
+				t.Fatalf("%dx%d expecting %d: rank %d tile reported past the cap %d", at.Rows, at.Cols, rank, want, maxRank)
+			}
 			if d := lr.Rank() - want; d < -1 || d > 1 {
 				t.Errorf("%dx%d expecting %d: rank %d, Compress %d", at.Rows, at.Cols, rank, lr.Rank(), want)
 			}
@@ -116,6 +120,10 @@ func TestCompressNearKeepsCompressContract(t *testing.T) {
 			}
 			if rel := res.FrobNorm() / at.FrobNorm(); rel > 3*tol {
 				t.Errorf("%dx%d expecting %d: relative error %g", at.Rows, at.Cols, rank, rel)
+			}
+			// A cap below the numerical rank is reported, not truncated to.
+			if lr, ok := CompressNear(at, tol, want-2, rank); ok {
+				t.Errorf("%dx%d expecting %d: rank-%d tile accepted under the cap %d", at.Rows, at.Cols, rank, lr.Rank(), want-2)
 			}
 		}
 	}
