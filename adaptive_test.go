@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // TestMVNProbAdaptiveMatchesDense is the cross-representation property test:
@@ -34,10 +36,7 @@ func TestMVNProbAdaptiveMatchesDense(t *testing.T) {
 		}
 		var probs [2]float64
 		for m, method := range []Method{Dense, MethodAdaptive} {
-			s := NewSession(Config{
-				Method: method, TileSize: 16, QMCSize: 2000, TLRTol: 1e-6,
-				TLRMaxRank: -1, AdaptiveF32Norm: 0.5,
-			})
+			s := NewSession(Config{Method: method, TileSize: 16, QMCSize: 2000, TLRTol: 1e-6})
 			res, err := s.MVNProb(locs, kernel, a, b)
 			s.Close()
 			if err != nil {
@@ -57,21 +56,30 @@ func TestMVNProbAdaptiveMatchesDense(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMethodPlumbing pins the public surface of the new method.
+// TestAdaptiveMethodPlumbing pins the public surface of the methods: their
+// names and the policy each names, at the session's TLRTol. An unknown
+// method is dense, as its name says.
 func TestAdaptiveMethodPlumbing(t *testing.T) {
 	if MethodAdaptive.String() != "adaptive" {
 		t.Errorf("MethodAdaptive.String() = %q", MethodAdaptive.String())
 	}
 	s := NewSession(Config{Method: MethodAdaptive})
 	defer s.Close()
-	c := s.Config()
-	if c.AdaptiveBand != 1 || c.AdaptiveRankFrac != 0.25 || c.AdaptiveF32Norm != 0.1 {
-		t.Errorf("unexpected adaptive defaults: %+v", c)
+	tol := s.Config().TLRTol
+	for m, want := range map[Method]engine.Policy{
+		Dense:          {Band: math.MaxInt, Tol: tol},
+		TLR:            {Tol: tol, RankFrac: 0.5},
+		MethodAdaptive: {Band: 1, Tol: tol, RankFrac: 0.25, F32Norm: 0.1},
+		Method(7):      {Band: math.MaxInt, Tol: tol},
+	} {
+		if got := m.policy(tol); got != want {
+			t.Errorf("%v (%d): policy %+v, want %+v", m, int(m), got, want)
+		}
 	}
 }
 
-// TestAdaptiveRankLimitHoldsForFactor pins AdaptiveRankFrac's contract on the
-// finished factor: on a rough kernel built from locations (Matérn ν = 0.5,
+// TestAdaptiveRankLimitHoldsForFactor pins the adaptive rank limit's contract
+// on the finished factor: on a rough kernel built from locations (Matérn ν = 0.5,
 // range 0.3, tile 64 — where the probe rejects off-diagonal tiles at the
 // default limit of 16), no tile of the factor ends low rank above the limit.
 // 15×15 is the smallest grid where a rejected tile compressed after its Schur
@@ -89,8 +97,8 @@ func TestAdaptiveRankLimitHoldsForFactor(t *testing.T) {
 	if nt := (len(locs) + c.TileSize - 1) / c.TileSize; fp.Dense64 <= nt {
 		t.Fatalf("mix %d/%d/%d: the probe rejected no off-diagonal tile", fp.Dense64, fp.Dense32, fp.LowRank)
 	}
-	if limit := int(c.AdaptiveRankFrac * float64(c.TileSize)); fp.MaxRank > limit {
-		t.Errorf("factor holds a rank-%d tile, above the AdaptiveRankFrac limit %d", fp.MaxRank, limit)
+	if limit := MethodAdaptive.policy(c.TLRTol).RankLimit(c.TileSize, c.TileSize); fp.MaxRank > limit {
+		t.Errorf("factor holds a rank-%d tile, above the adaptive limit %d", fp.MaxRank, limit)
 	}
 }
 

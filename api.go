@@ -39,24 +39,47 @@ import (
 	"repro/internal/taskrt"
 )
 
-// Method selects how the Cholesky factorization of the covariance matrix is
-// computed and stored.
+// Method names the preset of the one tile policy the Cholesky factor is
+// built with (see presets). Every method is the same tile Cholesky on the
+// same engine; the preset decides each tile's representation.
 type Method int
 
 // Factorization methods.
 const (
-	// Dense uses the tiled dense Cholesky (the paper's Chameleon path).
+	// Dense keeps every tile dense float64 (the paper's Chameleon path): the
+	// exact reference.
 	Dense Method = iota
-	// TLR compresses off-diagonal tiles to low rank (the HiCMA path),
-	// trading a user-chosen accuracy for large speedups.
+	// TLR tries every off-diagonal tile as low rank at TLRTol (the HiCMA
+	// path), trading that accuracy for speed. A tile is low rank only if
+	// TLRTol is met within half the tile side; any other stays dense float64.
 	TLR
-	// MethodAdaptive chooses every tile's representation individually: dense
-	// float64 on the diagonal band, low rank where the tile compresses at
-	// TLRTol, dense float32 for small incompressible tiles — the per-tile
-	// policy runs on the unified factorization engine. Thresholds come from
-	// AdaptiveBand, AdaptiveRankFrac and AdaptiveF32Norm.
+	// MethodAdaptive keeps one sub-diagonal dense float64 and tries the
+	// tiles past it as low rank within a quarter of the tile side, the
+	// measured break-even; an incompressible tile whose norm is small
+	// against its diagonal blocks' is stored in float32.
 	MethodAdaptive
 )
+
+// presets is the one table from a Method to the engine policy it names; the
+// session sets Tol from TLRTol. Ranks are limited as a fraction of the tile
+// side (RankFrac); a finished low-rank tile is recompressed within its byte
+// break-even, half the side, and no tile is truncated past TLRTol.
+var presets = [...]engine.Policy{
+	Dense:          {Band: math.MaxInt},
+	TLR:            {RankFrac: 0.5},
+	MethodAdaptive: {Band: 1, RankFrac: 0.25, F32Norm: 0.1},
+}
+
+// policy is the engine policy m names, at accuracy tol; an unknown method
+// is Dense, as String says.
+func (m Method) policy(tol float64) engine.Policy {
+	p := presets[Dense]
+	if m >= 0 && int(m) < len(presets) {
+		p = presets[m]
+	}
+	p.Tol = tol
+	return p
+}
 
 // String returns "dense", "tlr" or "adaptive".
 func (m Method) String() string {
@@ -179,11 +202,9 @@ type Config struct {
 	Workers int
 	// TileSize is the tile size (default 64).
 	TileSize int
-	// TLRTol is the TLR compression accuracy ε (default 1e-6).
+	// TLRTol is the accuracy ε of every low-rank tile under TLR and
+	// MethodAdaptive (default 1e-6).
 	TLRTol float64
-	// TLRMaxRank caps per-tile ranks (default TileSize/2; 0 keeps the
-	// default, negative means uncapped).
-	TLRMaxRank int
 	// QMCSize is the QMC sample size N (default 2000).
 	QMCSize int
 	// Replicates is the number of randomized QMC replicates used for error
@@ -193,24 +214,6 @@ type Config struct {
 	// (LRU eviction; each dense factor is O(n²) memory). Default 8; 0
 	// keeps the default, negative means unbounded.
 	FactorCacheCap int
-	// AdaptiveBand is the number of sub-diagonals MethodAdaptive keeps in
-	// dense float64 (default 1).
-	AdaptiveBand int
-	// AdaptiveRankFrac makes MethodAdaptive store an off-band tile low-rank
-	// when its compressed rank at TLRTol is at most this fraction of the
-	// tile size. The default, 0.25, is where a low-rank tile's cheaper
-	// applies repay the one compression it costs beyond a dense tile (see
-	// README); 0.5 is where its factors merely stop outweighing the tile.
-	// The limit holds for the finished factor, not only at assembly: a tile
-	// the probe stores dense stays dense, so every low-rank tile is one the
-	// probe accepted, recompressed once after its Schur updates (which move
-	// a rank by a few columns).
-	AdaptiveRankFrac float64
-	// AdaptiveF32Norm makes MethodAdaptive store an incompressible off-band
-	// tile in float32 when its Frobenius norm, relative to its diagonal
-	// blocks', is at most this threshold (default 0.1), keeping the f32
-	// rounding commensurate with TLRTol.
-	AdaptiveF32Norm float64
 	// SweepF32 runs the sweep's inter-tile propagation in float32: finished
 	// conditioning values are kept narrowed and the off-diagonal GEMMs —
 	// most of a sweep's flops — run on the 16-lane f32 micro-kernel over an
@@ -234,12 +237,6 @@ func (c Config) withDefaults() Config {
 	if c.TLRTol <= 0 {
 		c.TLRTol = 1e-6
 	}
-	switch {
-	case c.TLRMaxRank == 0:
-		c.TLRMaxRank = c.TileSize / 2
-	case c.TLRMaxRank < 0:
-		c.TLRMaxRank = 0 // uncapped
-	}
 	if c.QMCSize <= 0 {
 		c.QMCSize = 2000
 	}
@@ -251,15 +248,6 @@ func (c Config) withDefaults() Config {
 		c.FactorCacheCap = 8
 	case c.FactorCacheCap < 0:
 		c.FactorCacheCap = 0 // unbounded
-	}
-	if c.AdaptiveBand <= 0 {
-		c.AdaptiveBand = 1
-	}
-	if c.AdaptiveRankFrac <= 0 {
-		c.AdaptiveRankFrac = 0.25
-	}
-	if c.AdaptiveF32Norm <= 0 {
-		c.AdaptiveF32Norm = 0.1
 	}
 	return c
 }
@@ -386,25 +374,6 @@ func denseFromRows(sigma [][]float64) (*linalg.Matrix, error) {
 	return m, nil
 }
 
-// policy is the engine policy of the session's method: the dense layout is
-// a band covering every tile, TLR no band and low rank up to half the tile
-// side, the adaptive layout its configured thresholds.
-func (s *Session) policy() engine.Policy {
-	switch s.cfg.Method {
-	case TLR:
-		return engine.Policy{Tol: s.cfg.TLRTol, RankFrac: 0.5}
-	case MethodAdaptive:
-		return engine.Policy{
-			Band:     s.cfg.AdaptiveBand,
-			Tol:      s.cfg.TLRTol,
-			RankFrac: s.cfg.AdaptiveRankFrac,
-			F32Norm:  s.cfg.AdaptiveF32Norm,
-		}
-	default:
-		return engine.Policy{Band: math.MaxInt}
-	}
-}
-
 // factorize is the one production factorization: the Cholesky factor of the
 // n×n matrix fill evaluates in runs — a kernel over a geometry (source
 // "kernel") or the caller's explicit Σ read in place (inMemory, source
@@ -422,7 +391,7 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 	if err != nil {
 		return nil, err
 	}
-	pol := s.policy()
+	pol := s.cfg.Method.policy(s.cfg.TLRTol)
 	rankLimit := pol.RankLimit(grid.TS, grid.TS) // of a full tile; 0 for the dense layout
 	err = engine.PotrfStream(s.rt.NewGroup(), grid, pol.EntryAssembler(grid, fill, inMemory))
 	var f *mvn.Factor

@@ -52,7 +52,7 @@ func TestMVNProbDenseVsTLR(t *testing.T) {
 	kernel := KernelSpec{Family: "matern", Range: 0.15, Nu: 1.5}
 	var probs []float64
 	for _, m := range []Method{Dense, TLR} {
-		s := NewSession(Config{Method: m, QMCSize: 3000, TileSize: 16, TLRTol: 1e-8, TLRMaxRank: -1})
+		s := NewSession(Config{Method: m, QMCSize: 3000, TileSize: 16, TLRTol: 1e-8})
 		res, err := s.MVNProb(locs, kernel, a, b)
 		s.Close()
 		if err != nil {
@@ -168,13 +168,8 @@ func TestConfigDefaults(t *testing.T) {
 	s := NewSession(Config{})
 	defer s.Close()
 	c := s.Config()
-	if c.TileSize != 64 || c.QMCSize != 2000 || c.TLRTol != 1e-6 || c.TLRMaxRank != 32 {
+	if c.TileSize != 64 || c.QMCSize != 2000 || c.TLRTol != 1e-6 {
 		t.Errorf("unexpected defaults: %+v", c)
-	}
-	s2 := NewSession(Config{TLRMaxRank: -1})
-	defer s2.Close()
-	if s2.Config().TLRMaxRank != 0 {
-		t.Errorf("negative max rank should mean uncapped, got %d", s2.Config().TLRMaxRank)
 	}
 }
 

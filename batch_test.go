@@ -73,7 +73,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 func TestBatchMatchesSequentialTLR(t *testing.T) {
 	locs := Grid(8, 8)
 	kernel := KernelSpec{Family: "matern", Range: 0.15, Nu: 1.5}
-	cfg := Config{Method: TLR, QMCSize: 800, TileSize: 16, TLRTol: 1e-8, TLRMaxRank: -1, Replicates: 2}
+	cfg := Config{Method: TLR, QMCSize: 800, TileSize: 16, TLRTol: 1e-8, Replicates: 2}
 	queries := batchQueries(len(locs), 4)
 
 	want := make([]Result, len(queries))

@@ -28,7 +28,7 @@ func benchMethod(b *testing.B, method Method) {
 	locs, kernel, lo, hi := engineBenchInputs()
 	s := NewSession(Config{
 		Method: method, TileSize: 48, QMCSize: 500,
-		TLRTol: 1e-4, AdaptiveF32Norm: 0.5,
+		TLRTol: 1e-4,
 	})
 	defer s.Close()
 	b.ResetTimer()

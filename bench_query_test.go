@@ -57,7 +57,7 @@ func benchWarmQuery(b *testing.B, method Method, side int, regime string, sweepF
 	lim := queryBenchLimits(n)[regime]
 	s := NewSession(Config{
 		Method: method, TileSize: 64, QMCSize: 1000, TLRTol: 1e-6,
-		AdaptiveF32Norm: 0.5, SweepF32: sweepF32,
+		SweepF32: sweepF32,
 	})
 	defer s.Close()
 	opts := QueryOpts{MaxRelErr: maxRelErr}

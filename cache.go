@@ -20,18 +20,13 @@ import (
 // 128-bit content hash plus the dimension makes an accidental collision —
 // which would silently serve the wrong factor — astronomically unlikely.
 type factorKey struct {
-	kind    byte      // 'k' = kernel at locations, 'c' = explicit matrix content
-	hash    [2]uint64 // FNV-1a/128 over the locations' float64 bits ('k'), or sigmaKey's ('c')
-	n       int       // problem dimension, cheap collision guard
-	kernel  KernelSpec
-	method  Method
-	tile    int
-	tol     float64
-	maxRank int
-	// Adaptive-policy thresholds; zero for the other methods so their keys
-	// are unaffected.
-	band             int
-	rankFrac, f32Cut float64
+	kind   byte      // 'k' = kernel at locations, 'c' = explicit matrix content
+	hash   [2]uint64 // FNV-1a/128 over the locations' float64 bits ('k'), or sigmaKey's ('c')
+	n      int       // problem dimension, cheap collision guard
+	kernel KernelSpec
+	method Method // the preset: band, rank limit and float32 threshold
+	tile   int
+	tol    float64
 }
 
 // cacheEntry builds its factor exactly once; concurrent requesters for the
@@ -277,17 +272,10 @@ func hashRow(row []float64) (d [2]uint64, bad int) {
 // key assembles the cache key under an effective (already defaulted)
 // configuration.
 func (c Config) key(kind byte, hash [2]uint64, n int, spec KernelSpec) factorKey {
-	k := factorKey{
+	return factorKey{
 		kind: kind, hash: hash, n: n, kernel: spec,
-		method: c.Method, tile: c.TileSize,
-		tol: c.TLRTol, maxRank: c.TLRMaxRank,
+		method: c.Method, tile: c.TileSize, tol: c.TLRTol,
 	}
-	if c.Method == MethodAdaptive {
-		k.band = c.AdaptiveBand
-		k.rankFrac = c.AdaptiveRankFrac
-		k.f32Cut = c.AdaptiveF32Norm
-	}
-	return k
 }
 
 // ProblemKey identifies one factorization problem — the covariance content
@@ -307,9 +295,6 @@ func (p ProblemKey) Hash() uint64 {
 	h.writeUint(uint64(p.k.kind)<<32 | uint64(uint32(p.k.n)))
 	h.writeUint(uint64(p.k.method)<<32 | uint64(uint32(p.k.tile)))
 	h.writeFloat(p.k.tol)
-	h.writeUint(uint64(uint32(p.k.maxRank))<<32 | uint64(uint32(p.k.band)))
-	h.writeFloat(p.k.rankFrac)
-	h.writeFloat(p.k.f32Cut)
 	for i := 0; i < len(p.k.kernel.Family); i++ {
 		h.writeUint(uint64(p.k.kernel.Family[i]))
 	}

@@ -16,19 +16,32 @@ import (
 // double Put as one that falls short. CI runs this with the ZeroAllocs rows,
 // on the vector kernels and again with REPRO_NOASM=1.
 
-// TestPoolBalance factorizes largeBox at tile 64 in every layout, with both
+// TestPoolBalance factorizes a problem at tile 64 in every layout, with both
 // sweeps, and checks the outstanding-buffer counts after the cold build and
-// after each of several rounds of warm calls through every entry point.
+// after each of several rounds of warm calls through every entry point. Each
+// layout's factor holds exactly the tiles its row names: largeBox under TLR
+// keeps off-band tiles past column 0 dense (their finish task's dense
+// accumulator is the buffer that stays out), maternBox under the adaptive
+// preset holds every representation.
 func TestPoolBalance(t *testing.T) {
-	q := largeBox()
-	for _, m := range []Method{Dense, TLR, MethodAdaptive} {
+	for _, c := range []struct {
+		m   Method
+		q   warmBox
+		tol float64
+		mix [3]int
+	}{
+		{Dense, largeBox(), 1e-6, [3]int{10, 0, 0}},
+		{TLR, largeBox(), 1e-6, [3]int{9, 0, 1}},
+		{MethodAdaptive, maternBox(), 1e-4, maternMix},
+	} {
+		m, q := c.m, c.q
 		for _, f32 := range []bool{false, true} {
 			sweep := "f64"
 			if f32 {
 				sweep = "f32"
 			}
 			t.Run(m.String()+"/"+sweep, func(t *testing.T) {
-				s := NewSession(Config{Workers: 2, TileSize: 64, QMCSize: 200, TLRTol: 1e-6, Method: m, SweepF32: f32})
+				s := NewSession(Config{Workers: 2, TileSize: 64, QMCSize: 200, TLRTol: c.tol, Method: m, SweepF32: f32})
 				defer s.Close()
 				base64, base32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
 				baseInts, baseViews := linalg.OutstandingInts(), linalg.OutstandingMatViews()
@@ -36,8 +49,17 @@ func TestPoolBalance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m != Dense && fp.Dense32+fp.LowRank == 0 {
-					t.Fatalf("%v factor holds only dense float64 tiles: %+v", m, fp)
+				if err := mixIs(fp, c.mix); err != nil {
+					t.Fatal(err)
+				}
+				if m == TLR {
+					f, err := s.factor(problem{locs: q.locs, kernel: q.kernel})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if late := f.G.At(f.NT()-1, 1); late.Kind() != tile.KindDenseF64 {
+						t.Fatalf("tile (%d,1) is %s: no off-band tile past column 0 stayed dense", f.NT()-1, late.Kind())
+					}
 				}
 				want64, want32 := base64+int64(fp.Dense64), base32+int64(fp.Dense32)
 				check := func(when string) {

@@ -33,12 +33,39 @@ type warmBox struct {
 	a, b   []float64
 }
 
-// mixedBox is bitsProblem's n = 144 Matérn-5/2 field with a nugget: smooth
-// enough that the adaptive policy stores low-rank, f32 and f64 tiles, with
-// finite, half-open and free rows in the box.
+// mixedBox is bitsProblem's n = 144 Matérn-5/2 field with a nugget, with
+// finite, half-open and free rows in the box; at tile 24 and TLRTol 1e-4 the
+// TLR preset stores 3 of its 15 off-diagonal tiles low rank.
 func mixedBox() warmBox {
 	locs, kernel, a, b := bitsProblem(12, 12)
 	return warmBox{locs, kernel, a, b}
+}
+
+// maternBox is a Matérn-3/2 field of range 0.1 on the n = 1024 grid, a box
+// of half-open rows with every seventh free: at tile 64 and TLRTol 1e-4 the
+// adaptive preset stores its 136 tiles as maternMix says.
+func maternBox() warmBox {
+	locs := Grid(32, 32)
+	a, b := make([]float64, len(locs)), make([]float64, len(locs))
+	for i := range a {
+		a[i], b[i] = -2, math.Inf(1)
+		if i%7 == 5 {
+			a[i] = math.Inf(-1)
+		}
+	}
+	return warmBox{locs, KernelSpec{Family: "matern", Range: 0.1, Nu: 1.5}, a, b}
+}
+
+// maternMix is maternBox's adaptive factor at tile 64, TLRTol 1e-4: every
+// representation, the low-rank tiles both in column 0 and past it.
+var maternMix = [3]int{91, 30, 15} // Dense64, Dense32, LowRank
+
+// mixIs checks a footprint's exact tile counts.
+func mixIs(fp FactorFootprint, want [3]int) error {
+	if got := [3]int{fp.Dense64, fp.Dense32, fp.LowRank}; got != want {
+		return fmt.Errorf("tiles %v (Dense64, Dense32, LowRank), want %v: %+v", got, want, fp)
+	}
+	return nil
 }
 
 // largeBox is wide enough at tile 64 that a low-rank apply's second product
@@ -107,30 +134,19 @@ func warmRows() []warmRow {
 	layouts := []struct {
 		name   string
 		method Method
+		tile   int
+		box    warmBox
 		layout func(FactorFootprint) error
 	}{
-		{"dense", Dense, nil},
-		{"tlr", TLR, func(fp FactorFootprint) error {
-			if fp.LowRank == 0 {
-				return fmt.Errorf("no low-rank tile: %+v", fp)
-			}
-			return nil
-		}},
-		{"adaptive", MethodAdaptive, func(fp FactorFootprint) error {
-			if fp.LowRank == 0 || fp.Dense32 == 0 {
-				return fmt.Errorf("want low-rank and f32 tiles: %+v", fp)
-			}
-			return nil
-		}},
+		{"dense", Dense, 24, mixedBox(), nil},
+		{"tlr", TLR, 24, mixedBox(), func(fp FactorFootprint) error { return mixIs(fp, [3]int{18, 0, 3}) }},
+		{"adaptive", MethodAdaptive, 64, maternBox(), func(fp FactorFootprint) error { return mixIs(fp, maternMix) }},
 	}
 	var rows []warmRow
 	for _, l := range layouts {
 		for _, f32 := range []bool{false, true} {
 			cfg := base
-			cfg.Method, cfg.SweepF32 = l.method, f32
-			if l.method == MethodAdaptive {
-				cfg.AdaptiveRankFrac, cfg.AdaptiveF32Norm = 0.5, 0.5
-			}
+			cfg.Method, cfg.TileSize, cfg.SweepF32 = l.method, l.tile, f32
 			sweep := "f64"
 			if f32 {
 				sweep = "f32"
@@ -138,7 +154,7 @@ func warmRows() []warmRow {
 			for _, c := range warmCalls {
 				rows = append(rows, warmRow{
 					name: l.name + "/" + sweep + "/" + c.name, entry: c.name,
-					cfg: cfg, box: mixedBox(), call: c.call, layout: l.layout,
+					cfg: cfg, box: l.box, call: c.call, layout: l.layout,
 				})
 			}
 		}

@@ -268,9 +268,10 @@ func TestFactorizationLogLine(t *testing.T) {
 	defer slog.SetDefault(slog.Default())
 	slog.SetDefault(slog.New(h))
 
-	locs, kernel, a, b := bitsProblem(12, 12)
+	q := maternBox()
+	locs, kernel, a, b := q.locs, q.kernel, q.a, q.b
 	sigma := CovarianceMatrix(locs, kernel)
-	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 24, TLRTol: 1e-4, AdaptiveRankFrac: 0.5, AdaptiveF32Norm: 0.5, QMCSize: 100})
+	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 64, TLRTol: 1e-4, QMCSize: 100})
 	defer s.Close()
 	for i := 0; i < 2; i++ { // the second round is warm
 		if _, err := s.MVNProb(locs, kernel, a, b); err != nil {
@@ -291,12 +292,12 @@ func TestFactorizationLogLine(t *testing.T) {
 			t.Errorf("%s: record %v %q", source, r.Level, r.Message)
 		}
 		if attrs["source"].String() != source || attrs["method"].String() != "adaptive" ||
-			attrs["n"].Int64() != 144 || attrs["tile"].Int64() != 24 {
+			attrs["n"].Int64() != 1024 || attrs["tile"].Int64() != 64 {
 			t.Errorf("%s: attrs %v", source, attrs)
 		}
 		mix, _ := attrs["mix"].Any().(engine.Mix)
-		if mix.Dense64+mix.Dense32+mix.LowRank != 21 || mix.LowRank == 0 || mix.MaxRank == 0 {
-			t.Errorf("%s: tile mix %+v, want 21 tiles, some low rank", source, mix)
+		if mix.Dense64+mix.Dense32+mix.LowRank != 136 || mix.LowRank == 0 || mix.MaxRank == 0 {
+			t.Errorf("%s: tile mix %+v, want 136 tiles, some low rank", source, mix)
 		}
 		if attrs["factor_bytes"].Int64() <= 0 || attrs["elapsed"].Duration() <= 0 || !attrs["err"].Equal(slog.AnyValue(nil)) {
 			t.Errorf("%s: bytes %v elapsed %v err %v", source, attrs["factor_bytes"], attrs["elapsed"], attrs["err"])
@@ -304,10 +305,10 @@ func TestFactorizationLogLine(t *testing.T) {
 		if rej, early := attrs["probes_rejected"].Int64(), attrs["probes_rejected_early"].Int64(); rej < early || (source == "kernel" && early != 0) {
 			t.Errorf("%s: %d probes rejected, %d early", source, rej, early)
 		}
-		// Ten off-band tiles at NT = 6, each probed once against half the tile
-		// side: column 0 accepts, so no probe is skipped.
-		if probes, rej := attrs["probes"].Int64(), attrs["probes_rejected"].Int64(); attrs["rank_limit"].Int64() != 12 ||
-			probes != 10 || probes-rej != int64(mix.LowRank) || attrs["probes_skipped"].Int64() != 0 {
+		// 105 off-band tiles at NT = 16, each probed once against a quarter of
+		// the tile side: column 0 accepts, so no probe is skipped.
+		if probes, rej := attrs["probes"].Int64(), attrs["probes_rejected"].Int64(); attrs["rank_limit"].Int64() != 16 ||
+			probes != 105 || probes-rej != int64(mix.LowRank) || attrs["probes_skipped"].Int64() != 0 {
 			t.Errorf("%s: rank_limit %v, %d probes, %d rejected, %v skipped, %d low-rank tiles",
 				source, attrs["rank_limit"], probes, rej, attrs["probes_skipped"], mix.LowRank)
 		}
@@ -373,8 +374,9 @@ func TestFactorBytesCountPromotedTiles(t *testing.T) {
 	defer slog.SetDefault(slog.Default())
 	slog.SetDefault(slog.New(h))
 
-	locs, kernel, _, _ := bitsProblem(12, 12)
-	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 24, TLRTol: 1e-4, AdaptiveF32Norm: 0.5, QMCSize: 100})
+	q := maternBox()
+	locs, kernel := q.locs, q.kernel
+	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 64, TLRTol: 1e-4, QMCSize: 100})
 	defer s.Close()
 	fp, err := s.FactorFootprint(locs, kernel)
 	if err != nil {

@@ -85,8 +85,11 @@ func (st *FactorStore) Len() (int, error) {
 }
 
 // keyBlobVersion versions the factorKey serialization inside the container
-// key section (the container itself is versioned separately).
-const keyBlobVersion = 1
+// key section (the container itself is versioned separately). Version 1 keys
+// carried the rank cap and adaptive thresholds, and a TLR factor saved under
+// them may hold tiles truncated past TLRTol: a version-1 blob is refused, so
+// its factor is rebuilt.
+const keyBlobVersion = 2
 
 // appendString appends a length-prefixed string.
 func appendString(b []byte, s string) []byte {
@@ -105,10 +108,6 @@ func encodeFactorKey(k factorKey) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(k.method))
 	b = binary.LittleEndian.AppendUint32(b, uint32(k.tile))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(k.tol))
-	b = binary.LittleEndian.AppendUint32(b, uint32(k.maxRank))
-	b = binary.LittleEndian.AppendUint32(b, uint32(k.band))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(k.rankFrac))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(k.f32Cut))
 	b = appendString(b, k.kernel.Family)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(k.kernel.Sigma2))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(k.kernel.Range))
@@ -120,7 +119,7 @@ func encodeFactorKey(k factorKey) []byte {
 // decodeFactorKey parses an encodeFactorKey blob.
 func decodeFactorKey(b []byte) (factorKey, error) {
 	var k factorKey
-	const fixed = 2 + 8 + 8 + 8 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 2
+	const fixed = 2 + 8 + 8 + 8 + 4 + 4 + 8 + 2
 	if len(b) < fixed {
 		return k, fmt.Errorf("parmvn: factor key blob too short (%d bytes)", len(b))
 	}
@@ -134,16 +133,12 @@ func decodeFactorKey(b []byte) (factorKey, error) {
 	k.method = Method(int32(binary.LittleEndian.Uint32(b[26:])))
 	k.tile = int(int32(binary.LittleEndian.Uint32(b[30:])))
 	k.tol = math.Float64frombits(binary.LittleEndian.Uint64(b[34:]))
-	k.maxRank = int(int32(binary.LittleEndian.Uint32(b[42:])))
-	k.band = int(int32(binary.LittleEndian.Uint32(b[46:])))
-	k.rankFrac = math.Float64frombits(binary.LittleEndian.Uint64(b[50:]))
-	k.f32Cut = math.Float64frombits(binary.LittleEndian.Uint64(b[58:]))
-	fl := int(binary.LittleEndian.Uint16(b[66:]))
+	fl := int(binary.LittleEndian.Uint16(b[42:]))
 	if len(b) < fixed+fl+4*8 {
 		return k, fmt.Errorf("parmvn: factor key blob truncated kernel section")
 	}
-	k.kernel.Family = string(b[68 : 68+fl])
-	rest := b[68+fl:]
+	k.kernel.Family = string(b[44 : 44+fl])
+	rest := b[44+fl:]
 	k.kernel.Sigma2 = math.Float64frombits(binary.LittleEndian.Uint64(rest[0:]))
 	k.kernel.Range = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
 	k.kernel.Nu = math.Float64frombits(binary.LittleEndian.Uint64(rest[16:]))

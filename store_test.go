@@ -348,18 +348,18 @@ func TestWarmFromStore(t *testing.T) {
 }
 
 // TestFactorKeyBlobRoundTrip checks the key serialization: decode(encode)
-// is the identity, so the on-disk key identity check is exact.
+// is the identity, so the on-disk key identity check is exact, and a blob of
+// any other version — version 1, which keyed the rank cap, or a future one —
+// is refused.
 func TestFactorKeyBlobRoundTrip(t *testing.T) {
 	k := factorKey{
-		kind:    'k',
-		hash:    [2]uint64{0x0123456789abcdef, 0xfedcba9876543210},
-		n:       400,
-		kernel:  KernelSpec{Family: "matern", Sigma2: 1.5, Range: 0.2, Nu: 2.5, Nugget: 1e-8},
-		method:  MethodAdaptive,
-		tile:    64,
-		tol:     1e-7,
-		maxRank: 48,
-		band:    2, rankFrac: 0.25, f32Cut: 0.5,
+		kind:   'k',
+		hash:   [2]uint64{0x0123456789abcdef, 0xfedcba9876543210},
+		n:      400,
+		kernel: KernelSpec{Family: "matern", Sigma2: 1.5, Range: 0.2, Nu: 2.5, Nugget: 1e-8},
+		method: MethodAdaptive,
+		tile:   64,
+		tol:    1e-7,
 	}
 	got, err := decodeFactorKey(encodeFactorKey(k))
 	if err != nil {
@@ -371,9 +371,11 @@ func TestFactorKeyBlobRoundTrip(t *testing.T) {
 	if _, err := decodeFactorKey(encodeFactorKey(k)[:10]); err == nil {
 		t.Error("truncated key blob decoded successfully")
 	}
-	bad := encodeFactorKey(k)
-	bad[0] = keyBlobVersion + 1
-	if _, err := decodeFactorKey(bad); err == nil {
-		t.Error("future key blob version decoded successfully")
+	for _, v := range []byte{1, keyBlobVersion + 1} {
+		bad := encodeFactorKey(k)
+		bad[0] = v
+		if _, err := decodeFactorKey(bad); err == nil {
+			t.Errorf("key blob version %d decoded successfully", v)
+		}
 	}
 }
