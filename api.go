@@ -22,6 +22,7 @@ package parmvn
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -92,6 +93,22 @@ func (m Method) String() string {
 		return "dense"
 	}
 }
+
+// ErrNotPositiveDefinite reports a covariance whose Cholesky factorization
+// met a non-positive pivot.
+var ErrNotPositiveDefinite = linalg.ErrNotPositiveDefinite
+
+// ErrApproximationIndefinite reports a TLR or adaptive factorization that met
+// a non-positive pivot: the approximation at TLRTol, not necessarily Σ, is
+// indefinite (a tighter TLRTol or the Dense method may succeed). It wraps
+// ErrNotPositiveDefinite; the returned error also names the method, TLRTol,
+// the tile and the pivot.
+var ErrApproximationIndefinite error = approximationIndefinite{}
+
+type approximationIndefinite struct{}
+
+func (approximationIndefinite) Error() string { return "parmvn: approximate factor is indefinite" }
+func (approximationIndefinite) Unwrap() error { return ErrNotPositiveDefinite }
 
 // Point is a spatial location.
 type Point struct {
@@ -196,7 +213,8 @@ func (k KernelSpec) build() (cov.Kernel, error) {
 
 // Config tunes a Session.
 type Config struct {
-	// Method selects the factor's tile layout: Dense, TLR or MethodAdaptive.
+	// Method names the preset of the tile policy the factor is built with:
+	// Dense, TLR or MethodAdaptive.
 	Method Method
 	// Workers is the worker-goroutine count (default GOMAXPROCS).
 	Workers int
@@ -394,6 +412,10 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 	pol := s.cfg.Method.policy(s.cfg.TLRTol)
 	rankLimit := pol.RankLimit(grid.TS, grid.TS) // of a full tile; 0 for the dense layout
 	err = engine.PotrfStream(s.rt.NewGroup(), grid, pol.EntryAssembler(grid, fill, inMemory))
+	if s.cfg.Method != Dense && errors.Is(err, ErrNotPositiveDefinite) {
+		err = fmt.Errorf("%w: method %v, TLRTol %g, tile size %d: %v",
+			ErrApproximationIndefinite, s.cfg.Method, s.cfg.TLRTol, s.cfg.TileSize, err)
+	}
 	var f *mvn.Factor
 	var bytes int64 // none for a failed build
 	if err == nil {

@@ -85,8 +85,6 @@ func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 		}
 	}
 	pol := asm.Policy
-	// built reports a tile built inside its finishTile task.
-	built := func(i, j int) bool { return j > 0 && pol.offBand(i, j) }
 
 	// Assembly bookkeeping: ensure(i,j) submits the tile's assemble task
 	// exactly once, before the first factorization task that touches it. Norm
@@ -131,7 +129,8 @@ func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 		return deps
 	}
 	ensure = func(i, j int) {
-		if assembled[i][j] || built(i, j) {
+		if assembled[i][j] || j > 0 && pol.offBand(i, j) {
+			// An off-band tile past column 0 is built in its finishTile task.
 			return
 		}
 		assembled[i][j] = true

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+
+	"repro"
 )
 
 // Handler returns the server's HTTP surface:
@@ -15,8 +17,10 @@ import (
 //	GET  /healthz     — liveness
 //	GET  /stats       — Stats snapshot (counters, cache, latency)
 //
-// Error mapping: malformed requests → 400 with {"error","field"}, admission
-// rejections → 503 with Retry-After, compute failures → 500.
+// Error mapping: malformed requests → 400 with {"error","field"}, a
+// covariance (or its requested approximation) that is not positive definite
+// → 422, admission rejections → 503 with Retry-After, other compute
+// failures → 500.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/mvnprob", s.handleProb(false))
@@ -76,6 +80,10 @@ func writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &reqErr):
 		writeErr(w, reqErr, http.StatusBadRequest)
+	case errors.Is(err, parmvn.ErrNotPositiveDefinite):
+		// The request is well formed but its covariance, or the approximation
+		// of it the request asked for, admits no Cholesky factor.
+		writeErr(w, err, http.StatusUnprocessableEntity)
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, err, http.StatusServiceUnavailable)

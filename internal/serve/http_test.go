@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -140,6 +141,46 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body = %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestHTTPIndefiniteApproximation: a smooth, nearly singular field (Matérn
+// ν = 2.5, range 0.3, nugget 1e-4 on the n = 1024 grid, tile 64) whose TLR
+// factor at TLRTol 1e-4 meets a negative pivot. The request is well formed
+// and Σ is positive definite, so the server answers 422 with the typed
+// error's text — the method, tolerance, tile and pivot — not 500. The same
+// build through a session fails with ErrApproximationIndefinite, which wraps
+// ErrNotPositiveDefinite, and so does the factor cache's second answer.
+func TestHTTPIndefiniteApproximation(t *testing.T) {
+	cfg := testConfig()
+	cfg.Session = parmvn.Config{QMCSize: 100, TileSize: 64, TLRTol: 1e-4}
+	_, ts := newTestHTTP(t, cfg)
+	status, out := post(t, ts.URL+"/v1/mvnprob",
+		`{"grid":{"nx":32,"ny":32},"kernel":{"family":"matern","range":0.3,"nu":2.5,"nugget":1e-4},"lower":-3,"upper":3,"method":"tlr"}`)
+	msg, _ := out["error"].(string)
+	if status != http.StatusUnprocessableEntity || !strings.Contains(msg, "indefinite") ||
+		!strings.Contains(msg, "method tlr, TLRTol 0.0001, tile size 64") || !strings.Contains(msg, "pivot") {
+		t.Fatalf("status %d, body %v: want 422 naming the method, tolerance, tile and pivot", status, out)
+	}
+
+	sc := cfg.Session
+	sc.Method = parmvn.TLR
+	s := parmvn.NewSession(sc)
+	defer s.Close()
+	locs := parmvn.Grid(32, 32)
+	a, b := make([]float64, len(locs)), make([]float64, len(locs))
+	for i := range a {
+		a[i], b[i] = -3, 3
+	}
+	kernel := parmvn.KernelSpec{Family: "matern", Range: 0.3, Nu: 2.5, Nugget: 1e-4}
+	for call := 0; call < 2; call++ {
+		_, err := s.MVNProb(locs, kernel, a, b)
+		if !errors.Is(err, parmvn.ErrApproximationIndefinite) || !errors.Is(err, parmvn.ErrNotPositiveDefinite) {
+			t.Fatalf("call %d: %v, want ErrApproximationIndefinite wrapping ErrNotPositiveDefinite", call, err)
+		}
+	}
+	if hits, misses := s.Cache().Stats(); hits != 1 || misses != 1 {
+		t.Errorf("cache hits/misses %d/%d, want the failed build cached: 1/1", hits, misses)
 	}
 }
 
