@@ -326,7 +326,7 @@ func TestAdaptiveAssemblyMixesAndFactorizes(t *testing.T) {
 	// cannot push it indefinite; it leaves off-diagonal ranks untouched.
 	g12 := geo.RegularGrid(12, 12)
 	sigma := cov.Matrix(g12, &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}) // n=144
-	g := streamFactor(t, 144, 24, adaptiveLayout(sigma, engine.Policy{
+	g := streamFactor(t, 144, 24, policyLayout(sigma, engine.Policy{
 		Band: 1, Tol: 1e-4, RankFrac: 0.5, F32Norm: 0.5,
 	}))
 	// A tile keeps the representation it was assembled in.
@@ -356,7 +356,7 @@ func TestAdaptiveAssemblyMixesAndFactorizes(t *testing.T) {
 func TestAdaptivePolicyRejectsIncompressibleTiles(t *testing.T) {
 	sigma := randSPD(128, rand.New(rand.NewSource(11)))
 	// Off-band tiles of a random SPD matrix are numerically full rank.
-	g := assembled(128, 32, adaptiveLayout(sigma, engine.Policy{Band: 1, Tol: 1e-6, RankFrac: 0.5}))
+	g := assembled(128, 32, policyLayout(sigma, engine.Policy{Band: 1, Tol: 1e-6, RankFrac: 0.5}))
 	if mix := g.Mix(); mix.LowRank != 0 {
 		t.Errorf("full-rank tiles accepted as low rank: %+v", mix)
 	}
@@ -393,7 +393,7 @@ func posteriorCorrelation(t *testing.T, side int) *linalg.Matrix {
 func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 	const ts, tol = 100, 1e-4
 	corr := posteriorCorrelation(t, 30)
-	g := assembled(corr.Rows, ts, adaptiveLayout(corr, engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.1}))
+	g := assembled(corr.Rows, ts, policyLayout(corr, engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.1}))
 	lowRank := 0
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j < i; j++ {
@@ -427,7 +427,7 @@ func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 // probed by ACA from the kernel.
 func TestDefaultRankLimitBothSides(t *testing.T) {
 	corr := posteriorCorrelation(t, 30)
-	g := assembled(corr.Rows, 100, adaptiveLayout(corr, adaptive(1e-4)))
+	g := assembled(corr.Rows, 100, policyLayout(corr, adaptive(1e-4)))
 	offBand := (g.NT - 1) * (g.NT - 2) / 2
 	want := engine.ProbeStats{Probed: g.NT - 2, Rejected: g.NT - 2, Skipped: offBand - (g.NT - 2)}
 	if ps := g.ProbeStats(); g.Mix().LowRank != 0 || ps.Probed != want.Probed || ps.Rejected != want.Rejected || ps.Skipped != want.Skipped {
@@ -441,7 +441,7 @@ func TestDefaultRankLimitBothSides(t *testing.T) {
 	if limit != 64 {
 		t.Errorf("adaptive rank limit of a 256² tile is %d, want 64", limit)
 	}
-	inMemory := assembled(geom.Len(), 256, adaptiveLayout(cov.Matrix(geom, kern), policy))
+	inMemory := assembled(geom.Len(), 256, policyLayout(cov.Matrix(geom, kern), policy))
 	kernel := assembled(geom.Len(), 256, func(g *engine.Grid) *engine.Assembler {
 		return policy.EntryAssembler(g, entryOf(geom, kern), false)
 	})

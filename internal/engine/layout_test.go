@@ -147,7 +147,7 @@ func TestLayoutsDeterministicAcrossWorkers(t *testing.T) {
 		{"dense", 60, 5, []int{1, 2, 8}, denseLayout(spd)},
 		{"tlr", 100, 25, []int{1, 2, 8}, tlrLayout(smooth, 1e-8)},
 		{"mixed", 36, 9, []int{1, 2, 8}, banded(covGrid(6, 0.2), 1)},
-		{"adaptive", 60, 9, []int{1, 2, 8}, adaptiveLayout(spd, adaptive(1e-6))},
+		{"adaptive", 60, 9, []int{1, 2, 8}, policyLayout(spd, adaptive(1e-6))},
 		{"tlr kernel", geom.Len(), 24, []int{1, 2, 4}, func(g *engine.Grid) *engine.Assembler {
 			return tlr(1e-6).EntryAssembler(g, fill, false)
 		}},

@@ -323,8 +323,7 @@ func acaBlock(r, c, row0, col0 int, fill RunFill, tol float64, maxRank int) (*ti
 }
 
 // discard recycles the factors of a low-rank tile nothing will reference: a
-// disowned ACA result hands its panels to the fallback that replaces it, a
-// tile finishTile recompressed to the result.
+// rejected probe's, or a tile finishTile recompressed or densified.
 func discard(t *tile.LowRank) {
 	putMat(t.U)
 	putMat(t.V)

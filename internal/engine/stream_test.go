@@ -95,15 +95,16 @@ func adaptive(tol float64) engine.Policy {
 	return engine.Policy{Band: 1, Tol: tol, RankFrac: 0.25, F32Norm: 0.1}
 }
 
-// denseLayout, tlrLayout and adaptiveLayout are the session's layouts of an
-// in-memory Σ: every tile gathered from sigma, and compressed in hand.
-func denseLayout(sigma *linalg.Matrix) layout { return adaptiveLayout(sigma, dense) }
-
-func tlrLayout(sigma *linalg.Matrix, tol float64) layout { return adaptiveLayout(sigma, tlr(tol)) }
-
-func adaptiveLayout(sigma *linalg.Matrix, p engine.Policy) layout {
+// policyLayout is the layout p gives an in-memory Σ, as a session builds it:
+// every tile gathered from sigma, and compressed in hand; denseLayout and
+// tlrLayout are two of its presets.
+func policyLayout(sigma *linalg.Matrix, p engine.Policy) layout {
 	return func(g *engine.Grid) *engine.Assembler { return p.EntryAssembler(g, sigmaFill(sigma), true) }
 }
+
+func denseLayout(sigma *linalg.Matrix) layout { return policyLayout(sigma, dense) }
+
+func tlrLayout(sigma *linalg.Matrix, tol float64) layout { return policyLayout(sigma, tlr(tol)) }
 
 // blockOf copies sigma's block of tile (i,j) of g.
 func blockOf(sigma *linalg.Matrix, g *engine.Grid, i, j int) *linalg.Matrix {
@@ -230,7 +231,7 @@ func TestInMemoryStreamMatchesMaterializedBits(t *testing.T) {
 			"tlr":      tlr(tol),
 			"adaptive": {Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5},
 		} {
-			mk := adaptiveLayout(sigma, policy)
+			mk := policyLayout(sigma, policy)
 			for _, workers := range []int{1, 2} {
 				rt := taskrt.New(workers)
 				want := engine.NewGrid(n, tc.ts)
@@ -319,8 +320,8 @@ func TestRunAssemblyMatchesPerEntry(t *testing.T) {
 // per level), so a tile couples several far-apart clusters, is not smooth in
 // its indices, and partial pivoting declares convergence with whole clusters
 // unread. Without the residual check the streamed factorization dies on a
-// diagonal pivot of −6; with it, the tiles whose sample disagrees take the
-// densify-and-compress fallback and the factor reconstructs Σ to the
+// diagonal pivot of −6; with it, the tiles whose sample disagrees are
+// rejected by the probe and stay dense, and the factor reconstructs Σ to the
 // tolerance's order.
 func TestTLRStreamingResidualCheckOnMarginalOrder(t *testing.T) {
 	const tol, ts = 1e-4, 90

@@ -23,7 +23,7 @@ func TestVerdictSameAtEveryWorkerCount(t *testing.T) {
 	const ts, tol = 50, 1e-4
 	corr := posteriorCorrelation(t, 20)
 	policy := adaptive(tol)
-	mk := adaptiveLayout(corr, policy)
+	mk := policyLayout(corr, policy)
 	want, err := potrfOn(corr.Rows, ts, 1, mk)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestVerdictOneAcceptedTileSkipsNothing(t *testing.T) {
 			sigma.Set(c, last+r, x[r]*y[c])
 		}
 	}
-	mk := adaptiveLayout(sigma, adaptive(tol))
+	mk := policyLayout(sigma, adaptive(tol))
 	materialized := assembled(n, ts, mk)
 	streamed, err := potrfOn(n, ts, 2, mk)
 	if err != nil {
@@ -120,7 +120,7 @@ func TestVerdictLeavesLaterCompressibleTileDense(t *testing.T) {
 	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.25, F32Norm: 1e-12}
 	limit := policy.RankLimit(ts, ts)
 
-	inMemory := assembled(geom.Len(), ts, adaptiveLayout(sigma, policy))
+	inMemory := assembled(geom.Len(), ts, policyLayout(sigma, policy))
 	kernel := assembled(geom.Len(), ts, func(g *engine.Grid) *engine.Assembler {
 		return policy.EntryAssembler(g, fillOf(geom, kern), false)
 	})

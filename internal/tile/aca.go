@@ -56,8 +56,8 @@ const (
 // optimality guarantee) or the iteration stopped on its own estimate but
 // the rows residualWithin reads back disagree with the returned tile by more
 // than acaResidualSlack·tol·‖A_k‖_F; callers that need accuracy — e.g. TLR
-// assembly of near-diagonal high-rank tiles — must then fall back to
-// densify-and-compress.
+// assembly of near-diagonal high-rank tiles — must then not use the tile
+// (the engine's probe keeps such a tile dense).
 func CompressACAConv(m, n int, row, col func(dst []float64, i int), tol float64, maxRank int) (*LowRank, bool) {
 	limit := min(m, n)
 	if maxRank > 0 && maxRank < limit {
