@@ -24,10 +24,30 @@ var approxRows = []struct {
 	{"matern2.5/r0.3+nugget1e-4", KernelSpec{Family: "matern", Range: 0.3, Nu: 2.5, Nugget: 1e-4}},
 }
 
+// approxIndefinite names the rows of TestApproximationsMatchDense whose
+// approximate factor is indefinite: the smoothest fields (Matérn ν 2.5),
+// whose covariances are the worst conditioned, at the loosest tolerances,
+// where the tile errors a tolerance allows reach the smallest eigenvalues —
+// a conditioning limit of the approximation, not an engine fault. A row that joins or leaves this set
+// fails the test until the set is edited and the cause named.
+var approxIndefinite = map[string]bool{
+	"matern2.5/r0.1/kernel/tlr/tol0.0001":                 true,
+	"matern2.5/r0.1/sigma/tlr/tol0.0001":                  true,
+	"matern2.5/r0.1/sigma/adaptive/tol0.0001":             true,
+	"matern2.5/r0.3+nugget1e-4/kernel/tlr/tol0.0001":      true,
+	"matern2.5/r0.3+nugget1e-4/kernel/tlr/tol1e-06":       true,
+	"matern2.5/r0.3+nugget1e-4/kernel/adaptive/tol0.0001": true,
+	"matern2.5/r0.3+nugget1e-4/sigma/tlr/tol0.0001":       true,
+	"matern2.5/r0.3+nugget1e-4/sigma/tlr/tol1e-06":        true,
+	"matern2.5/r0.3+nugget1e-4/sigma/adaptive/tol0.0001":  true,
+	"matern2.5/r0.3+nugget1e-4/sigma/adaptive/tol1e-06":   true,
+}
+
 // TestApproximationsMatchDense: every approxRows row answers the box [−3, 3]
 // within 1e-4 relative of the dense factor's answer at the same QMC shifts,
-// or fails with ErrApproximationIndefinite — never a silently truncated
-// factor's answer, never an untyped failure. The shared shifts cancel most of
+// or — exactly the rows approxIndefinite names — fails with
+// ErrApproximationIndefinite: never a silently truncated factor's answer,
+// never an untyped failure. The shared shifts cancel most of
 // the sampling error, not all of it: the worst row's gap to dense reads
 // 4.1e-5 at N = 4000 on one replicate and at 2000 on four, but 1.1e-4 at
 // 2000 on one and 2.7e-4 at 1000 on two, so N stays where the gap has
@@ -69,9 +89,13 @@ func TestApproximationsMatchDense(t *testing.T) {
 					switch {
 					case errors.Is(err, ErrApproximationIndefinite):
 						indefinite++
-						t.Logf("%s: %v", name, err)
+						if !approxIndefinite[name] {
+							t.Errorf("%s: indefinite, and not a row approxIndefinite names: %v", name, err)
+						}
 					case err != nil:
 						t.Errorf("%s: untyped failure: %v", name, err)
+					case approxIndefinite[name]:
+						t.Errorf("%s: answered %.10g, but approxIndefinite names it as indefinite", name, res.Prob)
 					default:
 						rel := math.Abs(res.Prob-dense.Prob) / dense.Prob
 						worst = math.Max(worst, rel)
@@ -82,6 +106,9 @@ func TestApproximationsMatchDense(t *testing.T) {
 				}
 			}
 		}
+	}
+	if indefinite != len(approxIndefinite) {
+		t.Errorf("%d rows indefinite, approxIndefinite names %d", indefinite, len(approxIndefinite))
 	}
 	t.Logf("%d rows indefinite, worst %.2e relative, %v", indefinite, worst, time.Since(start))
 }

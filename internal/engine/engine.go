@@ -140,7 +140,7 @@ func (g *Grid) Mix() Mix {
 				if r := t.Rank(); r > m.MaxRank {
 					m.MaxRank = r
 				}
-			case *tile.DenseF64:
+			case *tile.DenseF64, *tile.PackedF64:
 				m.Dense64++
 			}
 		}
@@ -175,8 +175,9 @@ func (g *Grid) Bytes() int64 {
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j <= i; j++ {
 			switch t := g.tiles[i][j].(type) {
-			case *tile.DenseF64:
-				b += 8 * int64(t.D.Rows) * int64(t.D.Cols)
+			case *tile.DenseF64, *tile.PackedF64:
+				r, c := t.Dims()
+				b += 8 * int64(r) * int64(c)
 			case *tile.DenseF32:
 				b += 4 * int64(t.D.Rows) * int64(t.D.Cols)
 			case *tile.LowRank:

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -312,4 +313,109 @@ func TestDecodeParentContainer(t *testing.T) {
 func fixCRC(dst, payload []byte) {
 	c := crc32.Checksum(payload, castagnoli)
 	dst[0], dst[1], dst[2], dst[3] = byte(c), byte(c>>8), byte(c>>16), byte(c>>24)
+}
+
+// TestEncodePackedFactorColumnMajor: a factor whose dense off-diagonal tiles
+// NewFactor re-laid in place encodes to the bytes of the same grid before
+// the re-lay — the store format stays column-major. The tiles are 13 and 4
+// rows, so the packed order differs from column-major (two full panels and
+// a ragged row), and the grid holds every wire kind.
+func TestEncodePackedFactorColumnMajor(t *testing.T) {
+	const n, ts = 30, 13
+	g, err := engine.NewGridChecked(n, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.NT; i++ {
+		g.Set(i, i, &tile.DenseF64{D: mat(g.TileRows(i), g.TileRows(i), uint64(i))})
+		for j := 0; j < i; j++ {
+			r, c := g.TileRows(i), g.TileRows(j)
+			switch {
+			case i == 2 && j == 0:
+				g.Set(i, j, &tile.DenseF32{D: mat32(r, c, 7)})
+			case i == 2 && j == 1:
+				g.Set(i, j, &tile.LowRank{M: r, N: c, U: mat(r, 2, 8), V: mat(c, 2, 9)})
+			default:
+				g.Set(i, j, &tile.DenseF64{D: mat(r, c, uint64(10*i+j))})
+			}
+		}
+	}
+	colMajor := append([]float64(nil), g.At(1, 0).(*tile.DenseF64).D.Data...)
+	key := []byte("packed")
+	want := encode(t, key, &mvn.Factor{G: g}) // the grid as assembled, not yet re-laid
+	f := mvn.NewFactor(g)
+	p, ok := g.At(1, 0).(*tile.PackedF64)
+	if !ok {
+		t.Fatalf("tile (1,0) is %T after NewFactor, want *tile.PackedF64", g.At(1, 0))
+	}
+	if equalBits(p.P.Data, colMajor) {
+		t.Fatal("the packed order of a 13-row tile equals its column-major order: the test is vacuous")
+	}
+	if got := encode(t, key, f); !bytes.Equal(got, want) {
+		t.Errorf("packed factor encodes to %d bytes differing from the column-major grid's %d", len(got), len(want))
+	}
+}
+
+func equalBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDecodeParentMixedContainer: testdata/parent_mixed_n42_ts16.fac was
+// written by the commit before factor tiles were kept packed (a dense
+// Matérn factor at n = 42, tile 16, its tile (2,0) narrowed to float32), so
+// its dense tiles are stored column-major. Loaded, it must hold them packed,
+// re-encode to the same file, and answer with the bits that commit computed
+// from the same file, in both sweeps, on the vector and on the scalar
+// kernels.
+func TestDecodeParentMixedContainer(t *testing.T) {
+	file, err := os.ReadFile("testdata/parent_mixed_n42_ts16.fac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, f, err := Decode(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mix := f.G.Mix(); f.N() != 42 || f.TS() != 16 || mix.Dense64 != 5 || mix.Dense32 != 1 {
+		t.Fatalf("decoded n=%d ts=%d mix %+v, want 42, 16 and 5 dense64 + 1 dense32 tiles", f.N(), f.TS(), mix)
+	}
+	if _, ok := f.G.At(1, 0).(*tile.PackedF64); !ok {
+		t.Errorf("tile (1,0) decoded as %T, want *tile.PackedF64", f.G.At(1, 0))
+	}
+	if re := encode(t, key, f); !bytes.Equal(re, file) {
+		t.Errorf("re-encoded container differs from the parent's file (%d vs %d bytes)", len(re), len(file))
+	}
+	// Prob and StdErr bits per sweep (f64, f32), recorded by the parent.
+	want := [2][2]uint64{{0x3fde691a41936549, 0x3f7302a34c31a806}, {0x3fde691a419aa3b5, 0x3f7302a3b9fed3e2}}
+	switch {
+	case linalg.HasVectorKernels():
+	case runtime.GOARCH == "amd64":
+		want = [2][2]uint64{{0x3fde691a41936549, 0x3f7302a34c31a823}, {0x3fde691a419aa3b5, 0x3f7302a3b9fed3c6}}
+	default:
+		t.Skip("the parent's answers were recorded on amd64")
+	}
+	n := f.N()
+	a, b := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i], b[i] = -1.5, 2
+		if i%3 == 0 {
+			b[i] = math.Inf(1)
+		}
+	}
+	rt := taskrt.New(2)
+	defer rt.Shutdown()
+	for s, f32 := range []bool{false, true} {
+		r := mvn.PMVN(rt, f, a, b, mvn.Options{N: 300, Replicates: 3, SweepF32: f32})
+		if got := [2]uint64{math.Float64bits(r.Prob), math.Float64bits(r.StdErr)}; got != want[s] {
+			t.Errorf("f32=%v: prob/stderr bits %#x, the parent computed %#x", f32, got, want[s])
+		}
+	}
 }

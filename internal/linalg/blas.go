@@ -35,6 +35,31 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
+// AxpyCols computes acc += Σ_{t<nt} c[t·incC]·y[:, j0+t] over y's first
+// len(acc) rows, the terms in order and a zero coefficient skipped: the Axpy
+// loop over y's columns, with its bits. On the vector kernels each element
+// takes one FMA per term, as daxpy does, but 16 lanes of acc stay in
+// registers across every term instead of being loaded and stored once per
+// term. The coefficients are strided (incC ≥ 1), so a row of a column-major
+// matrix is read in place.
+func AxpyCols(acc, c []float64, incC int, y *Matrix, j0, nt int) {
+	n := len(acc)
+	if n > y.Rows || j0 < 0 || nt < 0 || j0+nt > y.Cols || incC < 1 || (nt > 0 && (nt-1)*incC >= len(c)) {
+		panic(fmt.Sprintf("linalg: AxpyCols of %d lanes, %d terms at stride %d of %d, columns from %d of %dx%d",
+			n, nt, incC, len(c), j0, y.Rows, y.Cols))
+	}
+	if nt == 0 || n == 0 {
+		return
+	}
+	if !hasVectorKernels || n < vecMinLen {
+		for t := 0; t < nt; t++ {
+			Axpy(c[t*incC], y.Col(j0 + t)[:n], acc)
+		}
+		return
+	}
+	axpyColsVec(acc, c, incC, nt, y.Data[j0*y.Stride:], y.Stride)
+}
+
 // Scal computes x *= alpha.
 func Scal(alpha float64, x []float64) {
 	for i := range x {

@@ -27,16 +27,18 @@ package linalg
 // panel[l·nrReg + j] = op(B)[l, col0+j], padded the same way. Gemm and its
 // siblings own both for the duration of one call: gemmBlocked draws an
 // mcBlk×kcBlk A buffer and a kcBlk×ncBlk B buffer from the workspace pool,
-// refills them block by block and returns them. The exception is PackedA
-// (packed.go), the same A layout over a whole m×k operand with the panel
-// stride as a field: its CALLER owns the buffer and decides how long the
-// panels live. The SOV sweep (internal/mvn) keeps one per row tile of its
+// refills them block by block and returns them. Two operands outlive a call
+// instead, both in packed.go, both views over a buffer their CALLER owns.
+// PackedA is the A layout over a whole m×k operand with the panel stride as
+// a field: the SOV sweep (internal/mvn) keeps one per row tile of its
 // conditioning values Y — written once by the diagonal kernel, sub-block by
-// sub-block, then read in place by every later row tile's propagation
-// (GemmPackedA) — inside one pooled buffer per lane block that it gets at the
-// start of a column sweep and puts back at the end. No packed copy of a
-// factor tile outlives a call: B is packed per product, which is what keeps
-// a cached factor at its own size.
+// sub-block, then read in place by every later row tile's propagation —
+// inside one pooled buffer per lane block. PackedB is the B layout of an
+// operand Bᵀ over exactly B's own n·k elements, the ragged panel stored
+// compact: a finished factor's dense off-diagonal tiles are re-laid into it
+// once, in place (mvn.NewFactor), so the propagation (GemmPackedAB) reads
+// both operands in micro-kernel order and packs neither, and the cached
+// factor stays at its own size.
 //
 // Panel blocking parameters. A kcBlk×nrReg B micro-panel stays in L1 while
 // the mrReg×kcBlk A micro-panels stream past it; an mcBlk×kcBlk packed A

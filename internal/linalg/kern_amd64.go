@@ -39,10 +39,19 @@ func daxpy(n int, a float64, x, y *float64)
 //go:noescape
 func drot(n int, x, y *float64, c, s float64)
 
+// daxpyCols computes acc[i] += Σ_t c[t·incc]·y[t·ldy+i], i < n, t < nt, the
+// terms in order and zero coefficients skipped (AVX2+FMA).
+//
+//go:noescape
+func daxpyCols(n, nt int, c *float64, incc int, y *float64, ldy int, acc *float64)
+
 func dotVec(x, y []float64) float64     { return ddot(len(x), &x[0], &y[0]) }
 func axpyVec(a float64, x, y []float64) { daxpy(len(x), a, &x[0], &y[0]) }
 func rotVec(x, y []float64, c, s float64) {
 	drot(len(x), &x[0], &y[0], c, s)
+}
+func axpyColsVec(acc, c []float64, incc, nt int, y []float64, ldy int) {
+	daxpyCols(len(acc), nt, &c[0], incc, &y[0], ldy, &acc[0])
 }
 
 // kernelISA is the micro-kernel under every packed product, chosen once:

@@ -444,3 +444,112 @@ rotscalar:
 rotdone:
 	VZEROUPPER
 	RET
+
+// func daxpyCols(n, nt int, c *float64, incc int, y *float64, ldy int, acc *float64)
+//
+// acc[i] += c[t·incc]·y[t·ldy + i] for t = 0…nt−1 in order, i < n, skipping
+// every t whose coefficient == 0 (a NaN is not skipped): daxpy's one FMA per
+// term and element, but with the accumulators held in registers across all
+// the terms — 16 lanes at a time in four YMM registers, then 4 at a time,
+// then one. The skip test runs once per term and lane block (UCOMISD: equal
+// is ZF=1 with PF=0; unordered sets PF).
+TEXT ·daxpyCols(SB), NOSPLIT, $0-56
+	MOVQ n+0(FP), CX
+	MOVQ nt+8(FP), R8
+	MOVQ c+16(FP), SI
+	MOVQ incc+24(FP), BX
+	SHLQ $3, BX
+	MOVQ y+32(FP), DI
+	MOVQ ldy+40(FP), R9
+	SHLQ $3, R9
+	MOVQ acc+48(FP), DX
+	VXORPD X13, X13, X13
+	TESTQ R8, R8
+	JZ   done1
+cb16:
+	CMPQ CX, $16
+	JLT  cb4
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VMOVUPD 96(DX), Y3
+	MOVQ DI, R10
+	MOVQ SI, R12
+	MOVQ R8, R11
+t16:
+	VBROADCASTSD (R12), Y4
+	VUCOMISD X13, X4
+	JNE  f16
+	JPS  f16
+	JMP  n16
+f16:
+	VFMADD231PD (R10), Y4, Y0
+	VFMADD231PD 32(R10), Y4, Y1
+	VFMADD231PD 64(R10), Y4, Y2
+	VFMADD231PD 96(R10), Y4, Y3
+n16:
+	ADDQ R9, R10
+	ADDQ BX, R12
+	DECQ R11
+	JNZ  t16
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	ADDQ $128, DX
+	ADDQ $128, DI
+	SUBQ $16, CX
+	JMP  cb16
+cb4:
+	CMPQ CX, $4
+	JLT  cb1
+	VMOVUPD (DX), Y0
+	MOVQ DI, R10
+	MOVQ SI, R12
+	MOVQ R8, R11
+t4:
+	VBROADCASTSD (R12), Y4
+	VUCOMISD X13, X4
+	JNE  f4
+	JPS  f4
+	JMP  n4
+f4:
+	VFMADD231PD (R10), Y4, Y0
+n4:
+	ADDQ R9, R10
+	ADDQ BX, R12
+	DECQ R11
+	JNZ  t4
+	VMOVUPD Y0, (DX)
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  cb4
+cb1:
+	TESTQ CX, CX
+	JZ   done1
+	VMOVSD (DX), X0
+	MOVQ DI, R10
+	MOVQ SI, R12
+	MOVQ R8, R11
+t1:
+	VMOVSD (R12), X4
+	VUCOMISD X13, X4
+	JNE  f1
+	JPS  f1
+	JMP  n1
+f1:
+	VFMADD231SD (R10), X4, X0
+n1:
+	ADDQ R9, R10
+	ADDQ BX, R12
+	DECQ R11
+	JNZ  t1
+	VMOVSD X0, (DX)
+	ADDQ $8, DX
+	ADDQ $8, DI
+	DECQ CX
+	JMP  cb1
+done1:
+	VZEROUPPER
+	RET

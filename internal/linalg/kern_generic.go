@@ -24,6 +24,9 @@ func MicroF32(k int, ap, bp, c []float32, ldc int, alpha float32) {
 
 // The level-1 vector kernels are never reached when hasVectorKernels is
 // false; the dispatchers fall back to the scalar loops first.
-func dotVec(x, y []float64) float64        { panic("linalg: no vector kernels") }
-func axpyVec(a float64, x, y []float64)    { panic("linalg: no vector kernels") }
-func rotVec(x, y []float64, c, s float64)  { panic("linalg: no vector kernels") }
+func dotVec(x, y []float64) float64       { panic("linalg: no vector kernels") }
+func axpyVec(a float64, x, y []float64)   { panic("linalg: no vector kernels") }
+func rotVec(x, y []float64, c, s float64) { panic("linalg: no vector kernels") }
+func axpyColsVec(acc, c []float64, incc, nt int, y []float64, ldy int) {
+	panic("linalg: no vector kernels")
+}

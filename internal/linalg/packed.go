@@ -75,3 +75,157 @@ func GemmPackedA(alpha float64, a PackedA, transB bool, b *Matrix, beta float64,
 	}
 	PutVec(&bpack)
 }
+
+// PackedB is an n×k matrix B held as the right operand of C = A·Bᵀ in the
+// micro-kernel order GemmPackedA(…, transB=true, B) would pack it into on
+// every call, so an operand applied many times — a factor tile the sweep
+// multiplies into every lane block — is packed once. The blocks follow that
+// walk: jc over B's rows in ncBlk steps, pc over its columns in kcBlk steps,
+// block (jc, pc) at offset jc·K + pc·nc (nc = min(ncBlk, N−jc), kcc =
+// min(kcBlk, K−pc)). A block holds ⌊nc/nrReg⌋ full micro-panels,
+//
+//	Data[off + p·nrReg·kcc + l·nrReg + j] = B[jc+p·nrReg+j, pc+l],
+//
+// then the rem = nc mod nrReg rows left over, stored compact:
+//
+//	Data[off + full·kcc + l·rem + j] = B[jc+full+j, pc+l].
+//
+// The payload is exactly N·K whatever the shape; GemmPackedAB widens the
+// ragged panel into zero-padded scratch per product. A PackedB is a view:
+// whoever supplied the buffer owns it.
+type PackedB struct {
+	Data []float64
+	N, K int
+}
+
+// PackBInto lays the n×k column-major matrix src (ld elements between
+// columns) into dst[:n·k] in PackedB order, widening float32 sources exactly.
+func PackBInto[T float32 | float64](dst []float64, src []T, ld, n, k int) PackedB {
+	p := PackedB{Data: dst[:n*k], N: n, K: k}
+	for jc := 0; jc < n; jc += ncBlk {
+		nc := min(ncBlk, n-jc)
+		full := nc / nrReg * nrReg
+		rem := nc - full
+		for pc := 0; pc < k; pc += kcBlk {
+			kcc := min(kcBlk, k-pc)
+			blk := p.Data[jc*k+pc*nc : jc*k+pc*nc+nc*kcc]
+			// packBTrans's grouping: a few panels per pass over the columns.
+			for g0 := 0; g0 < full; g0 += packBGroup {
+				g1 := min(g0+packBGroup, full)
+				for l := 0; l < kcc; l++ {
+					col := src[(pc+l)*ld+jc+g0 : (pc+l)*ld+jc+g1]
+					for jp := g0; jp < g1; jp += nrReg {
+						d := blk[jp*kcc+l*nrReg : jp*kcc+l*nrReg+nrReg]
+						s := col[jp-g0 : jp-g0+nrReg]
+						for j := range d {
+							d[j] = float64(s[j])
+						}
+					}
+				}
+			}
+			for l := 0; l < kcc; l++ {
+				col := src[(pc+l)*ld+jc+full : (pc+l)*ld+jc+nc]
+				d := blk[full*kcc+l*rem : full*kcc+l*rem+rem]
+				for j := range d {
+					d[j] = float64(col[j])
+				}
+			}
+		}
+	}
+	return p
+}
+
+// PackBInPlace re-lays b into PackedB order over b's own storage (its first
+// Rows·Cols elements) and returns the operand; b must not be read as a
+// matrix afterwards. The old layout passes through one pooled scratch copy.
+func PackBInPlace(b *Matrix) PackedB {
+	n, k := b.Rows, b.Cols
+	tmp := GetVec(n * k)
+	for j := 0; j < k; j++ {
+		copy(tmp[j*n:j*n+n], b.Col(j))
+	}
+	p := PackBInto(b.Data, tmp, n, n, k)
+	PutVec(&tmp)
+	return p
+}
+
+// UnpackInto writes B back into the n×k matrix dst, column-major: the one
+// way out of PackedB order.
+func (p PackedB) UnpackInto(dst *Matrix) {
+	if dst.Rows != p.N || dst.Cols != p.K {
+		panic(fmt.Sprintf("linalg: UnpackInto %dx%d into %dx%d", p.N, p.K, dst.Rows, dst.Cols))
+	}
+	n, k := p.N, p.K
+	for jc := 0; jc < n; jc += ncBlk {
+		nc := min(ncBlk, n-jc)
+		full := nc / nrReg * nrReg
+		rem := nc - full
+		for pc := 0; pc < k; pc += kcBlk {
+			kcc := min(kcBlk, k-pc)
+			blk := p.Data[jc*k+pc*nc : jc*k+pc*nc+nc*kcc]
+			for l := 0; l < kcc; l++ {
+				col := dst.Col(pc + l)[jc : jc+nc]
+				for jp := 0; jp < full; jp += nrReg {
+					copy(col[jp:jp+nrReg], blk[jp*kcc+l*nrReg:jp*kcc+l*nrReg+nrReg])
+				}
+				copy(col[full:], blk[full*kcc+l*rem:full*kcc+l*rem+rem])
+			}
+		}
+	}
+}
+
+// GemmPackedAB computes C = alpha·A·Bᵀ + beta·C with both operands packed:
+// GemmPackedA(alpha, a, true, B, beta, c) without its packB pass, and with
+// its bits — the full micro-panels are read in place, and a ragged one is
+// widened into pooled scratch holding what packBTrans would have written
+// there, zeros included.
+func GemmPackedAB(alpha float64, a PackedA, b PackedB, beta float64, c *Matrix) {
+	m, k, n := a.M, a.K, b.N
+	if b.K != k || c.Rows != m || c.Cols != n {
+		panic(fmt.Sprintf("linalg: GemmPackedAB shape mismatch: A=%dx%d Bᵀ=%dx%d C=%dx%d", m, k, b.K, n, c.Rows, c.Cols))
+	}
+	c.Scale(beta)
+	if alpha == 0 || k == 0 {
+		return
+	}
+	var wide []float64
+	if n%nrReg != 0 {
+		wide = GetVec(nrReg * min(k, kcBlk))
+	}
+	for jc := 0; jc < n; jc += ncBlk {
+		nc := min(ncBlk, n-jc)
+		full := nc / nrReg * nrReg
+		for pc := 0; pc < k; pc += kcBlk {
+			kcc := min(kcBlk, k-pc)
+			blk := b.Data[jc*k+pc*nc : jc*k+pc*nc+nc*kcc]
+			if full < nc {
+				widenPanel(wide[:nrReg*kcc], blk[full*kcc:], nc-full)
+			}
+			for ic := 0; ic < m; ic += mcBlk {
+				mcc := min(mcBlk, m-ic)
+				ap := a.Data[ic/mrReg*a.Stride+pc*mrReg:]
+				macroKernel(kcc, ap, a.Stride, blk, c, ic, jc, mcc, full, alpha)
+				if full < nc {
+					macroKernel(kcc, ap, a.Stride, wide, c, ic, jc+full, mcc, nc-full, alpha)
+				}
+			}
+		}
+	}
+	PutVec(&wide)
+}
+
+// widenPanel spreads a compact ragged panel (rem values a depth step) into
+// the nrReg-wide micro-panel dst, zero past rem.
+func widenPanel(dst, src []float64, rem int) {
+	for l := 0; l < len(dst)/nrReg; l++ {
+		d := dst[l*nrReg : l*nrReg+nrReg]
+		s := src[l*rem : l*rem+rem]
+		for j := range d {
+			if j < len(s) {
+				d[j] = s[j]
+			} else {
+				d[j] = 0
+			}
+		}
+	}
+}

@@ -25,23 +25,36 @@ import (
 // action of off-diagonal tiles on a lane block of Y values (for the GEMM
 // propagation), applied to each tile in its own representation — a dense
 // GEMM for float64 tiles, the cheap (Y·V)·Uᵀ form for low-rank tiles, which
-// is exactly where the paper's TLR speedup materializes. Float32 tiles are
-// promoted to float64 once at construction so the hot path never pays
-// per-application conversions.
+// is exactly where the paper's TLR speedup materializes.
+//
+// The dense off-diagonal tiles are stored the way those GEMMs read them.
+// NewFactor re-lays every float64 one, in place, into the micro-kernel's
+// B-panel order (a tile.PackedF64 over the same storage), and promotes every
+// float32 one straight into that order, so no product packs a factor tile
+// again and the factor stays at its own size. The diagonal tiles stay
+// column-major. Whatever reads a packed tile as a matrix — the f32 shadow,
+// the store's codec — unpacks it, so the stored file and the footprint are
+// the column-major grid's.
 type Factor struct {
 	G    *engine.Grid
-	f32  [][]*linalg.Matrix // promoted float32 tiles, nil elsewhere
+	f32  [][]linalg.PackedB // promoted float32 tiles, empty elsewhere
 	sh32 shadowBox
 }
 
-// NewFactor wraps a factored engine grid.
+// NewFactor wraps a factored engine grid, packing its dense strictly-lower
+// tiles (see Factor). Tiles already packed, by an earlier NewFactor on the
+// same grid, are left as they are.
 func NewFactor(g *engine.Grid) *Factor {
-	f := &Factor{G: g, f32: make([][]*linalg.Matrix, g.NT)}
+	f := &Factor{G: g, f32: make([][]linalg.PackedB, g.NT)}
 	for i := 0; i < g.NT; i++ {
-		f.f32[i] = make([]*linalg.Matrix, i)
+		f.f32[i] = make([]linalg.PackedB, i)
 		for j := 0; j < i; j++ {
-			if t, ok := g.At(i, j).(*tile.DenseF32); ok {
-				f.f32[i][j] = t.D.ToDouble()
+			switch t := g.At(i, j).(type) {
+			case *tile.DenseF64:
+				g.Set(i, j, &tile.PackedF64{P: linalg.PackBInPlace(t.D)})
+			case *tile.DenseF32:
+				r, c := t.Dims()
+				f.f32[i][j] = linalg.PackBInto(make([]float64, r*c), t.D.Data, r, r, c)
 			}
 		}
 	}
@@ -54,10 +67,8 @@ func NewFactor(g *engine.Grid) *Factor {
 func (f *Factor) Bytes() int64 {
 	b := f.G.Bytes()
 	for _, row := range f.f32 {
-		for _, m := range row {
-			if m != nil {
-				b += 8 * int64(m.Rows) * int64(m.Cols)
-			}
+		for _, p := range row {
+			b += 8 * int64(len(p.Data))
 		}
 	}
 	return b
@@ -82,19 +93,20 @@ func (f *Factor) Diag(k int) *linalg.Matrix { return f.G.Diag(k) }
 // strictly-lower tile (i,j), i > j, in the lane-major (chains × rows)
 // layout of the chain-blocked sweep: y holds the source tile's
 // conditioning values — as the packed GEMM operand the sweep keeps them
-// in, so no apply re-packs them — and dst the accumulated conditioning
-// sums the A/B limits of Algorithm 2 are shifted by. (The A and B limits
+// in, as a dense L(i,j) is kept packed (see Factor), so an apply packs
+// neither — and dst the accumulated conditioning sums the A/B limits of
+// Algorithm 2 are shifted by. (The A and B limits
 // share one conditioning sum, so a single accumulation replaces the
 // seed's paired A/B tile updates — half the propagation GEMMs; beta = 0
 // overwrites dst, sparing the sweep a zeroing pass over pooled scratch.)
 func (f *Factor) ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, beta float64, dst *linalg.Matrix) {
 	switch t := f.G.At(i, j).(type) {
-	case *tile.DenseF64:
-		linalg.GemmPackedA(alpha, y, true, t.D, beta, dst)
+	case *tile.PackedF64:
+		linalg.GemmPackedAB(alpha, y, t.P, beta, dst)
 	case *tile.LowRank:
 		t.ApplyRightTransPacked(alpha, y, beta, dst)
 	case *tile.DenseF32:
-		linalg.GemmPackedA(alpha, y, true, f.f32[i][j], beta, dst)
+		linalg.GemmPackedAB(alpha, y, f.f32[i][j], beta, dst)
 	}
 }
 
@@ -152,8 +164,11 @@ func newShadowF32(f *Factor) *ShadowF32 {
 		s.off[r] = make([]sh32Tile, r)
 		for j := 0; j < r; j++ {
 			switch t := f.G.At(r, j).(type) {
-			case *tile.DenseF64:
-				s.off[r][j] = sh32Tile{d: tile.ToSingle(t.D)}
+			case *tile.PackedF64:
+				m := linalg.GetMat(t.Dims())
+				t.P.UnpackInto(m)
+				s.off[r][j] = sh32Tile{d: tile.ToSingle(m)}
+				linalg.PutMat(m)
 			case *tile.LowRank:
 				if t.Rank() > 0 { // a rank-0 tile stays the zero sh32Tile
 					s.off[r][j] = sh32Tile{u: tile.ToSingle(t.U), v: tile.ToSingle(t.V)}

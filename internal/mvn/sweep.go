@@ -242,11 +242,7 @@ func qmcKernelLanes(lkk, rT, cond, yT *linalg.Matrix, yP linalg.PackedA, a, b []
 			// earlier rows' sums: cond's column i is consumed exactly once,
 			// at this row.
 			acc := cond.Col(i)
-			for t := i0; t < i; t++ {
-				if c := lkk.At(i, t); c != 0 {
-					linalg.Axpy(c, yT.Col(t), acc)
-				}
-			}
+			linalg.AxpyCols(acc, lkk.Data[i+i0*lkk.Stride:], lkk.Stride, yT, i0, i-i0)
 			d := lkk.At(i, i)
 			if 4*alive >= 3*mc { // batch arm
 				stats.GenzRow(av, bv, acc, d, s, wCol, yCol, ws)

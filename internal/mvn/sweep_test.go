@@ -211,7 +211,10 @@ func gridFromDense(f *Factor) *Factor {
 			if (i+j)%2 == 0 {
 				g.Set(i, j, f.G.At(i, j))
 			} else {
-				g.Set(i, j, tile.Compress(f.G.At(i, j).(*tile.DenseF64).D, 1e-14, 0))
+				d := f.G.At(i, j).(*tile.PackedF64)
+				m := linalg.NewMatrix(d.Dims())
+				d.P.UnpackInto(m)
+				g.Set(i, j, tile.Compress(m, 1e-14, 0))
 			}
 		}
 	}

@@ -129,13 +129,23 @@ func PutRichtmyer(r *Richtmyer) {
 // holds one QMC dimension across a contiguous run of points, and point p is
 // the lattice's k = p+1. One pass per dimension, stride-1 writes, the lattice
 // recurrence reduced to a multiply, a floor and the shift fold (a second
-// floor) per element.
+// floor) per element — four lanes at a time on AVX2 (latticeFill, the same
+// operations), the loops below for the rest.
 func (r *Richtmyer) FillBlock(dst *linalg.Matrix, p0, d0 int) {
 	for d := 0; d < dst.Cols; d++ {
 		a := r.alpha[d0+d]
 		col := dst.Col(d)
-		if r.shift == nil {
-			k := float64(p0 + 1)
+		sh, shifted := 0.0, r.shift != nil
+		if shifted {
+			sh = r.shift[d0+d]
+		}
+		k := float64(p0 + 1)
+		if fillVec && len(col) >= 4 {
+			n := len(col) &^ 3
+			latticeFill(col[:n], k, a, sh, shifted)
+			col, k = col[n:], k+float64(n) // k stays an exact integer
+		}
+		if !shifted {
 			for l := range col {
 				v := k * a
 				col[l] = clamp01(v - math.Floor(v))
@@ -143,8 +153,6 @@ func (r *Richtmyer) FillBlock(dst *linalg.Matrix, p0, d0 int) {
 			}
 			continue
 		}
-		sh := r.shift[d0+d]
-		k := float64(p0 + 1)
 		for l := range col {
 			v := k * a
 			v -= math.Floor(v)
@@ -156,14 +164,19 @@ func (r *Richtmyer) FillBlock(dst *linalg.Matrix, p0, d0 int) {
 	}
 }
 
+// clamp01's bounds, shared with the vector body.
+const (
+	clampLo = 1e-15
+	clampHi = 1 - 1e-12
+)
+
 // clamp01 keeps u strictly inside (0,1) so that Φ⁻¹ stays finite.
 func clamp01(u float64) float64 {
-	const eps = 1e-15
-	if u < eps {
-		return eps
+	if u < clampLo {
+		return clampLo
 	}
-	if u > 1-1e-12 {
-		return 1 - 1e-12
+	if u > clampHi {
+		return clampHi
 	}
 	return u
 }

@@ -229,3 +229,81 @@ func TestPooledRichtmyerMatchesFresh(t *testing.T) {
 		PutRichtmyer(g2)
 	}
 }
+
+// fillBoth fills a rows×dim block of g at (p0, d0) with the vector body and
+// with the scalar loops, and returns the first element where they differ.
+func fillBoth(g *Richtmyer, rows, dim, p0, d0 int) (l, d int, vec, scalar float64, same bool) {
+	saved := fillVec
+	defer func() { fillVec = saved }()
+	got, want := linalg.NewMatrix(rows, dim), linalg.NewMatrix(rows, dim)
+	fillVec = true
+	g.FillBlock(got, p0, d0)
+	fillVec = false
+	g.FillBlock(want, p0, d0)
+	for d := 0; d < dim; d++ {
+		for l := 0; l < rows; l++ {
+			if math.Float64bits(got.At(l, d)) != math.Float64bits(want.At(l, d)) {
+				return l, d, got.At(l, d), want.At(l, d), false
+			}
+		}
+	}
+	return 0, 0, 0, 0, true
+}
+
+// TestFillBlockVectorMatchesScalar: the four-lane body is the scalar loops
+// bit for bit, unshifted and shifted (shifts at the fold's edges included),
+// at every length around its 4-lane blocks and at large point indices.
+func TestFillBlockVectorMatchesScalar(t *testing.T) {
+	if !fillVec {
+		t.Skip("no AVX2+FMA here (or REPRO_NOASM set): FillBlock runs its scalar loops only")
+	}
+	const dim = 9 // columns; the lattice has 2 more, for the first-dimension offsets
+	rng := rand.New(rand.NewSource(41))
+	shifts := [][]float64{nil, randomShift(dim+2, rng), {0, 1 - 0x1p-53, 0.5, 0x1p-53, 0.999999, 1e-300, 0.25, 1 - 1e-12, 1e-15, 0.75, 1 - 0x1p-52}}
+	for _, shift := range shifts {
+		g := GetRichtmyer(dim+2, shift)
+		for rows := 1; rows <= 41; rows++ {
+			for _, p0 := range []int{0, rng.Intn(5000), 1<<40 + rng.Intn(1000)} {
+				if l, d, vec, sc, ok := fillBoth(g, rows, dim, p0, rows%3); !ok {
+					t.Fatalf("shift %v rows %d p0 %d: [%d,%d] vector %v, scalar %v", shift != nil, rows, p0, l, d, vec, sc)
+				}
+			}
+		}
+		PutRichtmyer(g)
+	}
+}
+
+// FuzzFillBlock: the four-lane body against the scalar loops bit for bit,
+// over the first point, the block length (1–17), the first dimension and
+// the shift (none, or one value folded into [0, 1)).
+func FuzzFillBlock(f *testing.F) {
+	if !fillVec {
+		f.Skip("no AVX2+FMA here (or REPRO_NOASM set): FillBlock runs its scalar loops only")
+	}
+	f.Add(uint64(0), uint8(4), uint8(0), false, 0.0)
+	f.Add(uint64(4999), uint8(17), uint8(3), true, 0.999999)
+	f.Add(uint64(1<<40), uint8(7), uint8(1), true, 1-0x1p-53)
+	f.Fuzz(func(t *testing.T, p0 uint64, rows, d0 uint8, shifted bool, sh float64) {
+		p := int(p0 % (1 << 50))
+		n := 1 + int(rows)%17
+		d := int(d0) % 8
+		const dim = 3
+		var shift []float64
+		if shifted {
+			if math.IsNaN(sh) || math.IsInf(sh, 0) {
+				sh = 0
+			}
+			sh = math.Abs(sh)
+			sh -= math.Floor(sh)
+			shift = make([]float64, d+dim)
+			for i := range shift {
+				shift[i] = sh
+			}
+		}
+		g := GetRichtmyer(d+dim, shift)
+		defer PutRichtmyer(g)
+		if l, dd, vec, sc, ok := fillBoth(g, n, dim, p, d); !ok {
+			t.Fatalf("p0 %d rows %d d0 %d shift %v: [%d,%d] vector %v, scalar %v", p, n, d, shift, l, dd, vec, sc)
+		}
+	})
+}

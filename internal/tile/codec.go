@@ -140,6 +140,15 @@ func AppendTile(buf []byte, t Tile) ([]byte, error) {
 	case *DenseF64:
 		buf = append(buf, wireDenseF64)
 		return AppendMatrix(buf, tt.D), nil
+	case *PackedF64:
+		// Stored as the DenseF64 it was packed from: the wire format is
+		// column-major whatever the in-memory order.
+		m := linalg.GetMat(tt.P.N, tt.P.K)
+		tt.P.UnpackInto(m)
+		buf = append(buf, wireDenseF64)
+		buf = AppendMatrix(buf, m)
+		linalg.PutMat(m)
+		return buf, nil
 	case *DenseF32:
 		buf = append(buf, wireDenseF32)
 		return AppendMatrix32(buf, tt.D), nil

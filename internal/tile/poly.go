@@ -55,6 +55,21 @@ func (t *DenseF64) Dims() (int, int) { return t.D.Rows, t.D.Cols }
 // Kind implements Tile.
 func (t *DenseF64) Kind() Kind { return KindDenseF64 }
 
+// PackedF64 is a dense double-precision factor tile L re-laid, over its own
+// storage, as the packed right operand of the sweep's products Y·Lᵀ
+// (linalg.PackedB): what a DenseF64 tile becomes once it is part of a
+// finished factor, so no product packs it again. It is Kind KindDenseF64 —
+// the same tile, the same bytes — but a different type, because its payload
+// is not column-major: a reader that wants the matrix goes through
+// P.UnpackInto.
+type PackedF64 struct{ P linalg.PackedB }
+
+// Dims implements Tile.
+func (t *PackedF64) Dims() (int, int) { return t.P.N, t.P.K }
+
+// Kind implements Tile.
+func (t *PackedF64) Kind() Kind { return KindDenseF64 }
+
 // DenseF32 is a dense single-precision tile (the mixed-precision band
 // representation).
 type DenseF32 struct{ D *Matrix32 }

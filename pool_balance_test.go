@@ -13,8 +13,11 @@ import (
 // from linalg's pool, float32 tiles from tile's) and no int slice or view
 // header. The pools count the items they have handed out and not taken
 // back, so a missing Put on either path shows as a count that drifts, and a
-// double Put as one that falls short. CI runs this with the ZeroAllocs rows,
-// on the vector kernels and again with REPRO_NOASM=1.
+// double Put as one that falls short. The factor's own scratch is covered
+// the same way: mvn.NewFactor's copy of each tile it re-lays in place, and
+// the zero-padded panel every packed-factor product widens its ragged rows
+// into, both go back before the counts are read. CI runs this with the
+// ZeroAllocs rows, on the vector kernels and again with REPRO_NOASM=1.
 
 // TestPoolBalance factorizes a problem at tile 64 in every layout, with both
 // sweeps, and checks the outstanding-buffer counts after the cold build and
