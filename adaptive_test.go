@@ -124,7 +124,6 @@ func TestTileSizeValidatedAtEntryPoints(t *testing.T) {
 		err  func() error
 	}{
 		{"MVNProb", func() error { _, err := s.MVNProb(locs, kernel, a, b); return err }},
-		{"MVNProbBatch", func() error { _, err := s.MVNProbBatch(locs, kernel, []Bounds{{A: a, B: b}}); return err }},
 		{"MVNProbCov", func() error { _, err := s.MVNProbCov(sigma, a, b); return err }},
 		{"MVTProb", func() error { _, err := s.MVTProb(locs, kernel, 4, a, b); return err }},
 		{"DetectRegion", func() error { _, err := s.DetectRegion(locs, kernel, mean, 0, 0.9, 4); return err }},

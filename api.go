@@ -306,13 +306,11 @@ type QueryOpts struct {
 	// sample budget across replicates, so an unreachable target never costs
 	// more than the unconstrained query.
 	MaxRelErr float64
-	// Budget caps the query's wall clock, measured from when its
-	// integration starts. At least one wave always runs, so a blown budget
-	// still yields an estimate with an error bar.
-	Budget time.Duration
-	// Deadline is an absolute wall-clock cap; when set it takes precedence
-	// over Budget. Serving layers that admit a request at one time and
-	// start integrating later use this form.
+	// Deadline, when nonzero, is an absolute wall-clock cap, checked between
+	// waves. At least one wave always runs, so a blown deadline still yields
+	// an estimate with an error bar. A cold query spends part of it on the
+	// factorization; to cap the integration alone, Prefactorize first and
+	// set the deadline after.
 	Deadline time.Time
 	// Ctx, when non-nil, is checked between waves: on cancellation the
 	// query returns the partial estimate with its error bar and the
@@ -325,9 +323,6 @@ func (q QueryOpts) apply(o mvn.Options) mvn.Options {
 	o.MaxRelErr = q.MaxRelErr
 	o.Ctx = q.Ctx
 	o.Deadline = q.Deadline
-	if o.Deadline.IsZero() && q.Budget > 0 {
-		o.Deadline = time.Now().Add(q.Budget)
-	}
 	return o
 }
 
@@ -453,10 +448,11 @@ func (s *Session) mvnOpts() mvn.Options {
 // given locations. Repeated queries against the same locations and kernel
 // reuse the session's cached Cholesky factor, and a warm query runs
 // allocation-free end to end (content hash, cache hit, pooled chain-blocked
-// integration); for many queries at once prefer MVNProbBatch, which also
-// parallelizes across queries. Results are identical either way.
+// integration). For many queries at once, call from several goroutines: the
+// session is safe for concurrent use, and each result is identical to the
+// same query run alone.
 func (s *Session) MVNProb(locs []Point, kernel KernelSpec, a, b []float64) (Result, error) {
-	return s.single(problem{locs: locs, kernel: kernel}, a, b, QueryOpts{})
+	return s.eval(problem{locs: locs, kernel: kernel}, a, b, QueryOpts{})
 }
 
 // MVNProbOpts is MVNProb with per-query accuracy/latency budgets: with any
@@ -465,13 +461,16 @@ func (s *Session) MVNProb(locs []Point, kernel KernelSpec, a, b []float64) (Resu
 // (see QueryOpts). A zero opts value is exactly MVNProb. A warm budgeted
 // query still runs allocation-free end to end — the wave state is pooled.
 func (s *Session) MVNProbOpts(locs []Point, kernel KernelSpec, a, b []float64, opts QueryOpts) (Result, error) {
-	return s.single(problem{locs: locs, kernel: kernel}, a, b, opts)
+	return s.eval(problem{locs: locs, kernel: kernel}, a, b, opts)
 }
 
 // MVNProbCov computes Φn(a,b;0,Σ) for an explicit covariance matrix given
-// as rows (see MVNProbCovBatch).
+// as rows; the factor is cached by matrix content. Σ is read in place,
+// concurrently, and never copied: it must not be mutated during the call, and
+// entry (i,j), i ≥ j, of the factored matrix is read as sigma[j][i]. A NaN or
+// infinite entry is refused with a *DetectInputError naming its row.
 func (s *Session) MVNProbCov(sigma [][]float64, a, b []float64) (Result, error) {
-	return s.single(problem{sigma: sigma, cov: true}, a, b, QueryOpts{})
+	return s.eval(problem{sigma: sigma, cov: true}, a, b, QueryOpts{})
 }
 
 // MVTProb computes the multivariate Student-t probability T_n(a,b;Σ,ν)
@@ -479,13 +478,13 @@ func (s *Session) MVNProbCov(sigma [][]float64, a, b []float64) (Result, error) 
 // given locations — the companion capability of the tlrmvnmvt package the
 // paper builds on, on the same dense/TLR backends.
 func (s *Session) MVTProb(locs []Point, kernel KernelSpec, nu float64, a, b []float64) (Result, error) {
-	return s.single(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, a, b, QueryOpts{})
+	return s.eval(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, a, b, QueryOpts{})
 }
 
 // MVTProbOpts is MVTProb with per-query accuracy/latency budgets (see
 // QueryOpts and MVNProbOpts).
 func (s *Session) MVTProbOpts(locs []Point, kernel KernelSpec, nu float64, a, b []float64, opts QueryOpts) (Result, error) {
-	return s.single(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, a, b, opts)
+	return s.eval(problem{locs: locs, kernel: kernel, mvt: true, nu: nu}, a, b, opts)
 }
 
 // SchedulerStats snapshots the session runtime's cumulative scheduler

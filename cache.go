@@ -44,8 +44,8 @@ type cacheEntry struct {
 }
 
 // FactorCache memoizes Cholesky factors (dense tiled or TLR) across the
-// queries of a Session, so a batch of MVN probabilities against one
-// covariance pays the factorization cost once. Keys combine a content hash
+// queries of a Session, so repeated MVN probabilities against one
+// covariance pay the factorization cost once. Keys combine a content hash
 // of the inputs with every configuration knob that changes the factor;
 // entries whose build failed stay cached (factorization errors, e.g. a
 // non-SPD matrix, are deterministic). The cache holds at most cap factors

@@ -3,9 +3,12 @@
 // factorization, and reports the probability, error estimate and timing.
 //
 // With -batch N it evaluates N queries whose lower limits sweep a span of
-// thresholds against the same covariance in one MVNProbBatch call: the
-// factorization is paid once (and cached on the session) and the queries run
-// in parallel on the task runtime.
+// thresholds against the same covariance, one MVNProbOpts call after another
+// on one session: the factorization is paid once and cached, and every query
+// runs on the cached factor.
+//
+// -deadline caps each query's integration: the factor is built first, and
+// each query's deadline starts when that query does.
 //
 // With -cpuprofile/-memprofile it writes pprof profiles of the run, so
 // query-path performance work starts from data (`go tool pprof <file>`).
@@ -84,7 +87,7 @@ func main() {
 	tile := flag.Int("tile", 0, "tile size (0 = auto)")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	tracePath := flag.String("trace", "", "write a Chrome trace of the task execution to this file")
-	batch := flag.Int("batch", 0, "evaluate this many lower-limit thresholds as one batched query (0 = single query)")
+	batch := flag.Int("batch", 0, "evaluate this many lower-limit thresholds on the one cached factor (0 = single query)")
 	batchSpan := flag.Float64("batch-span", 1.0, "lower-limit span covered by the -batch thresholds")
 	stats := flag.Bool("stats", false, "report runtime scheduler statistics (tasks executed, peak ready-queue depth)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -192,66 +195,59 @@ func main() {
 		fmt.Printf("sweep          f32\n")
 	}
 	fmt.Printf("QMC            N=%d, %d replicates\n", *qmc, *reps)
-	qopts := parmvn.QueryOpts{MaxRelErr: *maxRelErr, Budget: *deadline}
 	budgeted := *maxRelErr > 0 || *deadline > 0
 	if budgeted {
 		fmt.Printf("early stop     target rel err %g, deadline %v (N is the total sample budget)\n", *maxRelErr, *deadline)
 	}
-	if *batch > 1 {
-		queries := make([]parmvn.Bounds, *batch)
-		for q := range queries {
-			lo := *lower + *batchSpan*float64(q)/float64(*batch-1)
-			a := make([]float64, n)
-			b := make([]float64, n)
-			for i := range a {
-				a[i] = lo
-				b[i] = *upper
-			}
-			queries[q] = parmvn.Bounds{A: a, B: b}
+	start := time.Now()
+	// Factor first, so that a query's deadline covers its integration alone.
+	if err := s.Prefactorize(locs, kernel); err != nil {
+		fmt.Fprintln(os.Stderr, "mvnprob:", err)
+		os.Exit(1)
+	}
+	query := func(a, b []float64) parmvn.Result {
+		opts := parmvn.QueryOpts{MaxRelErr: *maxRelErr}
+		if *deadline > 0 {
+			opts.Deadline = time.Now().Add(*deadline)
 		}
-		start := time.Now()
-		var batchOpts []parmvn.QueryOpts
-		if budgeted {
-			batchOpts = []parmvn.QueryOpts{qopts} // shared by every query
-		}
-		results, err := s.MVNProbBatchOpts(locs, kernel, queries, batchOpts)
+		res, err := s.MVNProbOpts(locs, kernel, a, b, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mvnprob:", err)
 			os.Exit(1)
 		}
-		for q, r := range results {
+		return res
+	}
+	a := make([]float64, n)
+	b := make([]float64, n)
+	if *batch > 1 {
+		for q := 0; q < *batch; q++ {
+			lo := *lower + *batchSpan*float64(q)/float64(*batch-1)
+			for i := range a {
+				a[i], b[i] = lo, *upper
+			}
+			r := query(a, b)
 			if budgeted {
 				fmt.Printf("  lower %+.4f  probability %.8g  stderr %.2e  relerr %.2e  samples %d%s\n",
-					queries[q].A[0], r.Prob, r.StdErr, r.RelErr, r.Samples, stopTag(r))
+					lo, r.Prob, r.StdErr, r.RelErr, r.Samples, stopTag(r))
 			} else {
-				fmt.Printf("  lower %+.4f  probability %.8g  stderr %.2e\n",
-					queries[q].A[0], r.Prob, r.StdErr)
+				fmt.Printf("  lower %+.4f  probability %.8g  stderr %.2e\n", lo, r.Prob, r.StdErr)
 			}
 		}
 		hits, misses := s.Cache().Stats()
 		fmt.Printf("batch          %d queries, 1 factorization (cache %d hit / %d miss)\n",
 			*batch, hits, misses)
-		fmt.Printf("elapsed        %.3fs\n", time.Since(start).Seconds())
 	} else {
-		a := make([]float64, n)
-		b := make([]float64, n)
 		for i := range a {
-			a[i] = *lower
-			b[i] = *upper
+			a[i], b[i] = *lower, *upper
 		}
-		start := time.Now()
-		res, err := s.MVNProbOpts(locs, kernel, a, b, qopts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mvnprob:", err)
-			os.Exit(1)
-		}
+		res := query(a, b)
 		fmt.Printf("probability    %.8g\n", res.Prob)
 		fmt.Printf("std error      %.2e\n", res.StdErr)
 		if budgeted {
 			fmt.Printf("achieved       rel err %.3e with %d samples%s\n", res.RelErr, res.Samples, stopTag(res))
 		}
-		fmt.Printf("elapsed        %.3fs\n", time.Since(start).Seconds())
 	}
+	fmt.Printf("elapsed        %.3fs\n", time.Since(start).Seconds())
 	if *stats {
 		printStats(s)
 	}

@@ -63,8 +63,6 @@ func main() {
 	factorQueue := flag.Int("factor-queue", 0, "cold keys that may wait for a factorization slot (0 = default 8, negative = none)")
 	maxInflight := flag.Int("max-inflight", 0, "admitted requests before fast-fail (0 = default 1024)")
 	maxDim := flag.Int("max-dim", 0, "maximum problem dimension (0 = default 16384)")
-	degradeAt := flag.Float64("degrade-at", 0, "in-flight load fraction beyond which error budgets are loosened (0 = default 0.75, >=1 disables)")
-	maxErrFloor := flag.Float64("max-error-floor", 0, "loosest relative-error budget degradation may impose at full load (0 = default 0.01)")
 	storeDir := flag.String("store", "", "persistent factor store directory (load cold keys from it, write built factors through to it)")
 	route := flag.String("route", "", "comma-separated backend URLs: run as a consistent-hash router over them instead of serving locally")
 	healthEvery := flag.Duration("health-interval", 0, "router backend health-check period (0 = default 1s)")
@@ -124,8 +122,6 @@ func main() {
 			FactorQueueDepth:  *factorQueue,
 			MaxInFlight:       *maxInflight,
 			MaxDim:            *maxDim,
-			DegradeAt:         *degradeAt,
-			MaxErrorFloor:     *maxErrFloor,
 			Store:             store,
 		})
 		handler = srv.Handler()

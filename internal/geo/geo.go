@@ -95,98 +95,3 @@ func (g *Geom) Rect(x0, x1, y0, y1 float64) *Geom {
 	}
 	return out
 }
-
-// Subset returns the geometry restricted to the given indices, in order.
-func (g *Geom) Subset(idx []int) *Geom {
-	out := &Geom{Pts: make([]Point, len(idx))}
-	for k, i := range idx {
-		out.Pts[k] = g.Pts[i]
-	}
-	return out
-}
-
-// MortonOrder returns a permutation of the location indices sorted along a
-// Z-order (Morton) space-filling curve. Tile low-rank compression depends on
-// spatial locality of the index ordering: Morton ordering keeps nearby
-// points in nearby indices so off-diagonal tiles have decaying ranks.
-func (g *Geom) MortonOrder() []int {
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, p := range g.Pts {
-		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
-		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
-	}
-	sx, sy := maxX-minX, maxY-minY
-	if sx == 0 {
-		sx = 1
-	}
-	if sy == 0 {
-		sy = 1
-	}
-	const bits = 16
-	keys := make([]uint64, len(g.Pts))
-	for i, p := range g.Pts {
-		ix := uint32(((p.X - minX) / sx) * float64((1<<bits)-1))
-		iy := uint32(((p.Y - minY) / sy) * float64((1<<bits)-1))
-		keys[i] = interleave(ix) | interleave(iy)<<1
-	}
-	idx := make([]int, len(g.Pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sortByKey(idx, keys)
-	return idx
-}
-
-// interleave spreads the low 16 bits of v so there is a zero bit between
-// each pair of consecutive bits.
-func interleave(v uint32) uint64 {
-	x := uint64(v) & 0xFFFF
-	x = (x | x<<16) & 0x0000FFFF0000FFFF
-	x = (x | x<<8) & 0x00FF00FF00FF00FF
-	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
-}
-
-func sortByKey(idx []int, keys []uint64) {
-	// Simple bottom-up merge sort on the permutation; stable and
-	// allocation-light for the sizes we use.
-	n := len(idx)
-	buf := make([]int, n)
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := min(lo+width, n)
-			hi := min(lo+2*width, n)
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if keys[idx[i]] <= keys[idx[j]] {
-					buf[k] = idx[i]
-					i++
-				} else {
-					buf[k] = idx[j]
-					j++
-				}
-				k++
-			}
-			for i < mid {
-				buf[k] = idx[i]
-				i++
-				k++
-			}
-			for j < hi {
-				buf[k] = idx[j]
-				j++
-				k++
-			}
-		}
-		copy(idx, buf)
-	}
-}
-
-// Permute returns a copy of g with locations reordered so that
-// out.Pts[k] = g.Pts[perm[k]].
-func (g *Geom) Permute(perm []int) *Geom {
-	return g.Subset(perm)
-}

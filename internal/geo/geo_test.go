@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestRegularGrid(t *testing.T) {
@@ -91,78 +90,5 @@ func TestRectMapsCorners(t *testing.T) {
 		if math.Abs(g.Pts[i].X-w.X) > 1e-12 || math.Abs(g.Pts[i].Y-w.Y) > 1e-12 {
 			t.Errorf("corner %d = %+v, want %+v", i, g.Pts[i], w)
 		}
-	}
-}
-
-func TestSubsetAndPermute(t *testing.T) {
-	g := RegularGrid(4, 4)
-	idx := []int{5, 0, 15}
-	s := g.Subset(idx)
-	for k, i := range idx {
-		if s.Pts[k] != g.Pts[i] {
-			t.Errorf("Subset[%d] = %+v, want %+v", k, s.Pts[k], g.Pts[i])
-		}
-	}
-	perm := make([]int, g.Len())
-	for i := range perm {
-		perm[i] = g.Len() - 1 - i
-	}
-	p := g.Permute(perm)
-	if p.Pts[0] != g.Pts[g.Len()-1] {
-		t.Error("Permute did not reorder")
-	}
-}
-
-func TestMortonOrderIsPermutation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := UniformRandom(100, rng)
-		ord := g.MortonOrder()
-		seen := make([]bool, 100)
-		for _, i := range ord {
-			if i < 0 || i >= 100 || seen[i] {
-				return false
-			}
-			seen[i] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMortonOrderImprovesLocality(t *testing.T) {
-	// Mean distance between index-neighbours should be smaller after Morton
-	// ordering than under a random permutation.
-	rng := rand.New(rand.NewSource(11))
-	g := UniformRandom(400, rng)
-	meanStep := func(idx []int) float64 {
-		s := 0.0
-		for k := 1; k < len(idx); k++ {
-			s += g.Dist(idx[k-1], idx[k])
-		}
-		return s / float64(len(idx)-1)
-	}
-	ord := g.MortonOrder()
-	randIdx := rng.Perm(g.Len())
-	if m, r := meanStep(ord), meanStep(randIdx); m >= r {
-		t.Errorf("Morton locality %v not better than random %v", m, r)
-	}
-}
-
-func TestMortonOrderDegenerateGeometry(t *testing.T) {
-	// All points identical: must still return a valid permutation.
-	g := &Geom{Pts: make([]Point, 10)}
-	ord := g.MortonOrder()
-	if len(ord) != 10 {
-		t.Fatalf("len = %d", len(ord))
-	}
-	seen := map[int]bool{}
-	for _, i := range ord {
-		seen[i] = true
-	}
-	if len(seen) != 10 {
-		t.Error("not a permutation")
 	}
 }

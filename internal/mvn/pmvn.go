@@ -21,13 +21,6 @@ type Options struct {
 	// estimate. Default 1 (no error estimate). Replicate 0 is the unshifted
 	// lattice; the shifts are deterministic (see replicateShift).
 	Replicates int
-	// Inline runs the integration on the calling goroutine instead of
-	// fanning sample-tile columns out as runtime tasks. Batched callers set
-	// it so each query occupies exactly one worker; a warm (cached-factor)
-	// inline query runs allocation-free. It is implied when the runtime is
-	// nil or has a single worker, where task submission is pure overhead.
-	// Results are bit-identical either way.
-	Inline bool
 	// SweepF32 runs the inter-tile propagation in float32: finished Y tiles
 	// are kept narrowed and the off-diagonal GEMMs read the factor's f32
 	// shadow (see sweepColumn). The diagonal kernel, the QMC points, special
@@ -97,8 +90,9 @@ type Result struct {
 // (dense tiled, TLR or adaptive), running the paper's Algorithm 2 with the
 // chain-blocked SOV sweep: every sample-tile column is an independent lane
 // block swept left-looking through the factor, parallel across columns and
-// across randomized-QMC replicates. PMVN is safe to call from multiple
-// goroutines on one runtime (the Factor is only read).
+// across randomized-QMC replicates. A nil or one-worker runtime runs the
+// columns inline on the calling goroutine, with the same bits. PMVN is safe to
+// call from multiple goroutines on one runtime (the Factor is only read).
 func PMVN(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Result {
 	n := f.N()
 	if len(a) != n || len(b) != n {

@@ -57,8 +57,7 @@ func TestPrefixMatchesLeadingBlocks(t *testing.T) {
 		for _, reps := range []int{1, 3} {
 			opt := Options{N: N, SampleTile: mc, Replicates: reps}
 			got := PMVNPrefix(rt, f, a, b, opt)
-			opt.Inline = true
-			inline := PMVNPrefix(rt, f, a, b, opt)
+			inline := PMVNPrefix(nil, f, a, b, opt)
 			if (got.StdErr != nil) != (reps >= 2) || len(got.Prob) != n {
 				t.Fatalf("%s reps=%d: %d probs, StdErr nil = %v", name, reps, len(got.Prob), got.StdErr == nil)
 			}

@@ -120,8 +120,8 @@ func integratorBits(t *testing.T, out map[string][]uint64, name string, rt *task
 		}
 		return []uint64{math.Float64bits(r.Prob), math.Float64bits(r.StdErr), uint64(r.Samples), conv}
 	}
-	eval := func(inline bool) map[string][]uint64 {
-		opt.Inline = inline
+	// A nil runtime runs the integration inline.
+	eval := func(rt *taskrt.Runtime) map[string][]uint64 {
 		m := map[string][]uint64{
 			"/mvn":  resultBits(PMVN(rt, f, a, b, opt)),
 			"/mvt7": resultBits(PMVT(rt, f, a, b, 7, opt)),
@@ -131,8 +131,8 @@ func integratorBits(t *testing.T, out map[string][]uint64, name string, rt *task
 		}
 		return m
 	}
-	tasks := eval(false)
-	for kind, in := range eval(true) {
+	tasks := eval(rt)
+	for kind, in := range eval(nil) {
 		if !slices.Equal(in, tasks[kind]) {
 			t.Errorf("%s%s: inline %x != tasks %x", name, kind, in, tasks[kind])
 		}

@@ -91,8 +91,9 @@ func TestChainBlockedMatchesSequentialRandomSPD(t *testing.T) {
 	}
 }
 
-// TestPMVNInlineMatchesTasks: the inline sweep and the task-fanned sweep
-// must produce bit-identical results — the batch fan-out relies on it.
+// TestPMVNInlineMatchesTasks: the inline sweep (a nil runtime) and the
+// task-fanned sweep must produce bit-identical results — a one-worker session
+// runs inline and must answer as a wider one does.
 func TestPMVNInlineMatchesTasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 30
@@ -104,14 +105,12 @@ func TestPMVNInlineMatchesTasks(t *testing.T) {
 	for _, reps := range []int{1, 3} {
 		opt := Options{N: 300, SampleTile: 32, Replicates: reps}
 		tasks := PMVN(rt, f, a, b, opt)
-		opt.Inline = true
-		inline := PMVN(rt, f, a, b, opt)
+		inline := PMVN(nil, f, a, b, opt)
 		if tasks != inline {
 			t.Errorf("replicates=%d: inline %+v != tasks %+v", reps, inline, tasks)
 		}
 		tasksT := PMVT(rt, f, a, b, 4, opt)
-		opt.Inline = false
-		inlineT := PMVT(rt, f, a, b, 4, opt)
+		inlineT := PMVT(nil, f, a, b, 4, opt)
 		if tasksT != inlineT {
 			t.Errorf("replicates=%d: MVT inline %+v != tasks %+v", reps, inlineT, tasksT)
 		}
@@ -324,7 +323,7 @@ func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 		}
 		short, full := qmc.NewRichtmyer(lead+last+1), qmc.NewRichtmyer(n+lead)
 		for _, sh := range []*ShadowF32{nil, f.Shadow32()} {
-			opt := Options{N: N, SampleTile: mc, SweepF32: sh != nil, Inline: true}
+			opt := Options{N: N, SampleTile: mc, SweepF32: sh != nil}
 			got := integrate(nil, f, a, b, opt.withDefaults(ts), nu, make([]float64, len(ta))).Prob
 			trimmed, untrimmed := 0.0, 0.0
 			for k := 0; k < N; k += mc {

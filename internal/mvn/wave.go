@@ -178,7 +178,7 @@ func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu floa
 	if nu > 0 {
 		genDim++
 	}
-	inline := o.Inline || rt == nil || rt.Workers() == 1
+	inline := rt == nil || rt.Workers() == 1
 	a, b = trimFree(a, b)
 	p, mc, rows := o.plan(), o.SampleTile, len(a)
 
@@ -209,7 +209,8 @@ func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu floa
 				}
 			}
 		} else {
-			// the task fan-out closes over the column indices; warm batched queries run inline
+			// the task fan-out closes over the column indices; a nil or
+			// one-worker runtime keeps a warm query on the loop above
 			ws.fanOut(rt)
 		}
 		for rep := range repSum {

@@ -103,11 +103,9 @@ func TestWaveDeterminismAcrossWorkers(t *testing.T) {
 			if r1 != r8 {
 				t.Errorf("%s target %g: workers=1 %+v != workers=8 %+v", regime, target, r1, r8)
 			}
-			inline := opt
-			inline.Inline = true
-			ri := PMVN(rt8, fac, lim[0], lim[1], inline)
+			ri := PMVN(nil, fac, lim[0], lim[1], opt)
 			if r1 != ri {
-				t.Errorf("%s target %g: inline on 8 workers diverges: %+v != %+v", regime, target, r1, ri)
+				t.Errorf("%s target %g: inline (nil runtime) diverges: %+v != %+v", regime, target, r1, ri)
 			}
 		}
 	}

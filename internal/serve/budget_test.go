@@ -93,14 +93,12 @@ func TestServeDeadlineCapped(t *testing.T) {
 }
 
 // TestServeDegradation pins the SLO-aware degradation ramp: at full
-// in-flight load every query's error budget is loosened to MaxErrorFloor
+// in-flight load every query's error budget is loosened to maxErrorFloor
 // (never past it, and a looser client budget is never tightened), the
 // response is flagged, and the counters see it.
 func TestServeDegradation(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxInFlight = 1 // the request itself saturates the gauge
-	cfg.DegradeAt = 0.5
-	cfg.MaxErrorFloor = 0.05
 	srv := New(cfg)
 	defer srv.Close()
 
@@ -108,8 +106,8 @@ func TestServeDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Degraded || resp.MaxError != 0.05 {
-		t.Fatalf("full load: want budget degraded to the 0.05 floor, got %+v", resp)
+	if !resp.Degraded || resp.MaxError != 0.01 {
+		t.Fatalf("full load: want budget degraded to the 0.01 floor, got %+v", resp)
 	}
 	// A client budget looser than the floor is kept, not tightened.
 	req := testRequest(6, 0.2)

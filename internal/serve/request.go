@@ -50,7 +50,7 @@ type Request struct {
 	// MaxError > 0 is the requested relative-error budget: the integration
 	// runs incremental sample waves and stops as soon as its streaming
 	// error estimate meets the budget. Under queue pressure the server may
-	// degrade (loosen) this budget up to Config.MaxErrorFloor instead of
+	// degrade (loosen) this budget up to a floor of 0.01 instead of
 	// rejecting the request; the response reports the budget actually
 	// applied. 0 = fixed-size integration.
 	MaxError float64

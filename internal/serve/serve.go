@@ -60,17 +60,6 @@ type Config struct {
 	MaxDim int
 	// MaxBodyBytes caps an HTTP request body. Default 8 MiB.
 	MaxBodyBytes int64
-	// DegradeAt is the in-flight load fraction (of MaxInFlight) beyond
-	// which admission control starts degrading: instead of letting the
-	// queue walk toward the 503 cliff at full accuracy, queries get their
-	// relative-error budget loosened — linearly with the excess load, up to
-	// MaxErrorFloor at the cap — so easy queries early-stop and shed
-	// compute. Default 0.75; ≥ 1 disables degradation.
-	DegradeAt float64
-	// MaxErrorFloor is the loosest relative-error budget degradation may
-	// impose; a request's own max_error is never tightened, only loosened
-	// toward (never past) this floor. Default 0.01.
-	MaxErrorFloor float64
 	// Store, when non-nil, is the persistent factor store: a cold key's
 	// build first tries to install the stored factor (no factorization
 	// admission slot needed — loading is I/O-bound, not O(n³)), and every
@@ -99,12 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.DegradeAt <= 0 {
-		c.DegradeAt = 0.75
-	}
-	if c.MaxErrorFloor <= 0 {
-		c.MaxErrorFloor = 0.01
 	}
 	return c
 }
@@ -366,12 +349,23 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
+// Degradation under load: past degradeAt of MaxInFlight admitted requests,
+// instead of letting the queue walk toward the 503 cliff at full accuracy,
+// every query's relative-error budget is loosened — linearly with the excess
+// load, up to maxErrorFloor at the cap — so easy queries early-stop and shed
+// compute. A request's own max_error is never tightened, only loosened
+// toward (never past) the floor.
+const (
+	degradeAt     = 0.75
+	maxErrorFloor = 0.01
+)
+
 // queryOpts resolves a request's accuracy/latency budgets into engine
 // QueryOpts: the deadline becomes absolute at admission (queue and
 // factorization wait count against it), the request context is honored
 // inside the integration whenever the query is budgeted, and under queue
-// pressure the relative-error budget is degraded (loosened, never past
-// MaxErrorFloor) so load sheds compute instead of walking into 503s.
+// pressure the relative-error budget is degraded (see degradeAt) so load
+// sheds compute instead of walking into 503s.
 func (s *Server) queryOpts(ctx context.Context, req *Request) (parmvn.QueryOpts, bool) {
 	q := parmvn.QueryOpts{MaxRelErr: req.MaxError}
 	if req.DeadlineMs > 0 {
@@ -379,7 +373,7 @@ func (s *Server) queryOpts(ctx context.Context, req *Request) (parmvn.QueryOpts,
 	}
 	degraded := false
 	if t := s.loadPressure(); t > 0 {
-		if budget := s.cfg.MaxErrorFloor * t; budget > q.MaxRelErr {
+		if budget := maxErrorFloor * t; budget > q.MaxRelErr {
 			q.MaxRelErr = budget
 			degraded = true
 			s.ctr.degraded.Add(1)
@@ -395,14 +389,10 @@ func (s *Server) queryOpts(ctx context.Context, req *Request) (parmvn.QueryOpts,
 }
 
 // loadPressure maps the in-flight gauge to the degradation ramp: 0 at or
-// below DegradeAt·MaxInFlight, rising linearly to 1 at the cap.
+// below degradeAt·MaxInFlight, rising linearly to 1 at the cap.
 func (s *Server) loadPressure() float64 {
-	at := s.cfg.DegradeAt
-	if at >= 1 {
-		return 0
-	}
 	load := float64(s.ctr.inFlight.Load()) / float64(s.cfg.MaxInFlight)
-	t := (load - at) / (1 - at)
+	t := (load - degradeAt) / (1 - degradeAt)
 	if t <= 0 {
 		return 0
 	}

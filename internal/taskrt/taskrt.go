@@ -177,7 +177,7 @@ func (e *errScope) take() error {
 // Submissions that share data handles must come from a single goroutine (the
 // STF master). Independent task graphs — disjoint handle sets — may be
 // submitted concurrently from multiple goroutines, each through its own
-// Group, which is how batched MVN queries and randomized-QMC replicates
+// Group, which is how concurrent MVN queries and randomized-QMC replicates
 // share one worker pool.
 type Runtime struct {
 	workers int
@@ -444,8 +444,8 @@ func (r *Runtime) Shutdown() {
 // tasks submitted through a Group run on the shared worker pool, but
 // Group.Wait blocks only until the group's own tasks have finished, not the
 // whole runtime. Concurrent goroutines may each submit through their own
-// Group as long as their handle sets are disjoint — this is the per-batch
-// wait scope used by batched MVN queries and parallel QMC replicates.
+// Group as long as their handle sets are disjoint — this is the per-query
+// wait scope used by concurrent MVN queries and parallel QMC replicates.
 type Group struct {
 	rt   *Runtime
 	wg   sync.WaitGroup
@@ -565,9 +565,9 @@ func (th *Throttle) Err() error { return th.sub.Err() }
 func (th *Throttle) Wait() { th.sub.Wait() }
 
 // ForEachLimit runs fn(i) for every i in [0,n) with at most limit calls in
-// flight — the fan-out shape of batched queries, where each item allocates
-// its whole working set up front, so unbounded spawning would exhaust
-// memory long before the worker pool could drain it. limit < 1 means 1.
+// flight — for fan-outs where each item allocates its whole working set up
+// front, so unbounded spawning would exhaust memory long before the worker
+// pool could drain it. limit < 1 means 1.
 func ForEachLimit(n, limit int, fn func(int)) {
 	if limit < 1 {
 		limit = 1

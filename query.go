@@ -1,0 +1,96 @@
+package parmvn
+
+import (
+	"repro/internal/mvn"
+)
+
+// problem is what every query entry point integrates over: either the kernel
+// at locs or, with cov, the caller's explicit Σ rows, and either the normal
+// distribution or, with mvt, the Student-t one with nu degrees of freedom.
+type problem struct {
+	locs   []Point
+	kernel KernelSpec
+	sigma  [][]float64
+	cov    bool
+	mvt    bool
+	nu     float64
+}
+
+// dim is the problem dimension.
+func (p *problem) dim() int {
+	if p.cov {
+		return len(p.sigma)
+	}
+	return len(p.locs)
+}
+
+// eval is the one query path: every exported *Prob* method builds a problem
+// and integrates one box [a,b] over it here. It checks ν, then the box, then
+// the tile size. An empty box (some a[i] ≥ b[i]) has probability exactly 0:
+// nothing is assembled or factorized, though a kernel spec is still
+// validated. Otherwise it fetches the (possibly cached) factor and integrates
+// the box as a task graph on the session runtime — inline on a one-worker
+// session. A query's replicate shifts are a deterministic function of its
+// options, so its result does not depend on the worker count, on the factor
+// being warm or cold, or on the other queries running on the session.
+func (s *Session) eval(p problem, a, b []float64, opts QueryOpts) (Result, error) {
+	if p.mvt {
+		if err := validateNu(p.nu); err != nil {
+			return Result{}, err
+		}
+	}
+	n := p.dim()
+	empty, err := validateQuery(n, a, b)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := s.validateTileSize(n); err != nil {
+		return Result{}, err
+	}
+	if empty {
+		if p.cov {
+			return Result{}, nil
+		}
+		return Result{}, p.kernel.validate()
+	}
+	f, err := s.fetch(&p)
+	if err != nil {
+		return Result{}, err
+	}
+	o := opts.apply(s.mvnOpts())
+	var r mvn.Result
+	if p.mvt {
+		r = mvn.PMVT(s.rt, f, a, b, p.nu, o)
+	} else {
+		r = mvn.PMVN(s.rt, f, a, b, o)
+	}
+	return Result{
+		Prob: r.Prob, StdErr: r.StdErr, RelErr: r.RelErr,
+		Samples: r.Samples, Converged: r.Converged, Canceled: r.Canceled,
+	}, nil
+}
+
+// fetch returns the problem's (possibly cached) factor.
+func (s *Session) fetch(p *problem) (*mvn.Factor, error) {
+	if !p.cov {
+		return s.factorForKernel(p.locs, p.kernel)
+	}
+	sigma := p.sigma
+	row := func(i int) []float64 { return sigma[i] }
+	// explicit-Σ keying: every entry hashed in tasks, tiles filled from the rows
+	return s.factorForSigma(row, len(sigma), nil, nil, func(dst []float64, row0, j int) { copy(dst, sigma[j][row0:]) })
+}
+
+// factor is the factor-only calls' path (Prefactorize, SaveFactor,
+// FactorFootprint): it refuses what a query on p would refuse before touching
+// the cache — an empty problem, a tile size larger than it — and then fetches
+// the factor as a query would.
+func (s *Session) factor(p problem) (*mvn.Factor, error) {
+	if err := validateDim(p.dim()); err != nil {
+		return nil, err
+	}
+	if err := s.validateTileSize(p.dim()); err != nil {
+		return nil, err
+	}
+	return s.fetch(&p)
+}

@@ -96,8 +96,11 @@ func deadBox() warmBox {
 
 const warmNu = 5
 
-// warmBudget makes a query budgeted: several waves and the stop test.
-var warmBudget = QueryOpts{MaxRelErr: 1e-2, Budget: time.Second}
+// warmBudget makes a query budgeted: several waves and the stop test, under
+// a deadline a second from the call.
+func warmBudget() QueryOpts {
+	return QueryOpts{MaxRelErr: 1e-2, Deadline: time.Now().Add(time.Second)}
+}
 
 // warmCalls are the four allocation-free facade entry points.
 var warmCalls = []struct {
@@ -106,11 +109,11 @@ var warmCalls = []struct {
 }{
 	{"MVNProb", func(s *Session, q warmBox) (Result, error) { return s.MVNProb(q.locs, q.kernel, q.a, q.b) }},
 	{"MVNProbOpts", func(s *Session, q warmBox) (Result, error) {
-		return s.MVNProbOpts(q.locs, q.kernel, q.a, q.b, warmBudget)
+		return s.MVNProbOpts(q.locs, q.kernel, q.a, q.b, warmBudget())
 	}},
 	{"MVTProb", func(s *Session, q warmBox) (Result, error) { return s.MVTProb(q.locs, q.kernel, warmNu, q.a, q.b) }},
 	{"MVTProbOpts", func(s *Session, q warmBox) (Result, error) {
-		return s.MVTProbOpts(q.locs, q.kernel, warmNu, q.a, q.b, warmBudget)
+		return s.MVTProbOpts(q.locs, q.kernel, warmNu, q.a, q.b, warmBudget())
 	}},
 }
 
@@ -203,7 +206,7 @@ func warmRows() []warmRow {
 			if EmptyQuery(q.a, q.b) {
 				return Result{}, fmt.Errorf("box is empty")
 			}
-			return s.MVNProbOpts(q.locs, q.kernel, q.a, q.b, warmBudget)
+			return s.MVNProbOpts(q.locs, q.kernel, q.a, q.b, warmBudget())
 		},
 	})
 
@@ -246,10 +249,9 @@ func TestWarmQueryZeroAllocsSweepF32(t *testing.T)  { runWarmRows(t) }
 func TestWarmMVTQueryZeroAllocs(t *testing.T)       { runWarmRows(t) }
 
 // runWarmRows runs the calling test's share of the warm rows, each on its own
-// session (one worker, so the sweep runs inline, as each query of a batch
-// does) after two settling calls — the first factorizes, and under SweepF32
-// builds the f32 shadow — with the collector paused so sync.Pool contents
-// survive the measurement. A row must read exactly its count: more is a
+// session (one worker, so the sweep runs inline) after two settling calls —
+// the first factorizes, and under SweepF32 builds the f32 shadow — with the
+// collector paused so sync.Pool contents survive the measurement. A row must read exactly its count: more is a
 // regression, fewer means the row's comment is stale.
 func runWarmRows(t *testing.T) {
 	if raceEnabled {

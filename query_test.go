@@ -8,9 +8,13 @@ import (
 	"time"
 )
 
-// batchQueries builds nq lower-limit sweeps over the given dimension.
-func batchQueries(n, nq int) []Bounds {
-	qs := make([]Bounds, nq)
+// box is one integration box [a,b].
+type box struct{ a, b []float64 }
+
+// sweepBoxes builds nq boxes over the given dimension whose common lower
+// limit sweeps [-1, 0.5) and whose upper limits are free.
+func sweepBoxes(n, nq int) []box {
+	qs := make([]box, nq)
 	for q := range qs {
 		lo := -1.0 + 1.5*float64(q)/float64(nq)
 		a := make([]float64, n)
@@ -19,196 +23,124 @@ func batchQueries(n, nq int) []Bounds {
 			a[i] = lo
 			b[i] = math.Inf(1)
 		}
-		qs[q] = Bounds{A: a, B: b}
+		qs[q] = box{a, b}
 	}
 	return qs
 }
 
-func TestBatchMatchesSequential(t *testing.T) {
-	locs := Grid(8, 8)
-	kernel := KernelSpec{Family: "exponential", Range: 0.15}
-	cfg := Config{QMCSize: 1000, TileSize: 16, Replicates: 3}
-	queries := batchQueries(len(locs), 5)
+// TestWarmQueryMatchesCold: a run of queries on one session — the first
+// cold, the rest on the cached factor — returns, query for query, the bits of
+// the same queries each run on a fresh session that factorizes from scratch.
+func TestWarmQueryMatchesCold(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kernel KernelSpec
+		cfg    Config
+		nq     int
+	}{
+		{"dense", KernelSpec{Family: "exponential", Range: 0.15}, Config{QMCSize: 1000, TileSize: 16, Replicates: 3}, 5},
+		{"tlr", KernelSpec{Family: "matern", Range: 0.15, Nu: 1.5}, Config{Method: TLR, QMCSize: 800, TileSize: 16, TLRTol: 1e-8, Replicates: 2}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			locs := Grid(8, 8)
+			queries := sweepBoxes(len(locs), tc.nq)
+			want := make([]Result, len(queries))
+			for i, q := range queries {
+				s := NewSession(tc.cfg)
+				r, err := s.MVNProb(locs, tc.kernel, q.a, q.b)
+				s.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = r
+			}
 
-	// Sequential reference: a fresh session per query, so every call
-	// re-factorizes from scratch — the pre-batching behavior.
-	want := make([]Result, len(queries))
-	for i, q := range queries {
-		s := NewSession(cfg)
-		r, err := s.MVNProb(locs, kernel, q.A, q.B)
-		s.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-
-	s := NewSession(cfg)
-	defer s.Close()
-	got, err := s.MVNProbBatch(locs, kernel, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("query %d: batch %+v != sequential %+v", i, got[i], want[i])
-		}
-	}
-
-	// A plain loop of single queries on one session — the first cold, the
-	// rest on the cached factor — gives the same numbers again.
-	s2 := NewSession(cfg)
-	defer s2.Close()
-	for i, q := range queries {
-		r, err := s2.MVNProb(locs, kernel, q.A, q.B)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r != want[i] {
-			t.Errorf("query %d: warm single query %+v != cold %+v", i, r, want[i])
-		}
-	}
-}
-
-func TestBatchMatchesSequentialTLR(t *testing.T) {
-	locs := Grid(8, 8)
-	kernel := KernelSpec{Family: "matern", Range: 0.15, Nu: 1.5}
-	cfg := Config{Method: TLR, QMCSize: 800, TileSize: 16, TLRTol: 1e-8, Replicates: 2}
-	queries := batchQueries(len(locs), 4)
-
-	want := make([]Result, len(queries))
-	for i, q := range queries {
-		s := NewSession(cfg)
-		r, err := s.MVNProb(locs, kernel, q.A, q.B)
-		s.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-
-	s := NewSession(cfg)
-	defer s.Close()
-	got, err := s.MVNProbBatch(locs, kernel, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("query %d: batch %+v != sequential %+v", i, got[i], want[i])
-		}
+			s := NewSession(tc.cfg)
+			defer s.Close()
+			for i, q := range queries {
+				r, err := s.MVNProb(locs, tc.kernel, q.a, q.b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r != want[i] {
+					t.Errorf("query %d: warm %+v != cold %+v", i, r, want[i])
+				}
+			}
+			if hits, misses := s.Cache().Stats(); hits != tc.nq-1 || misses != 1 {
+				t.Errorf("cache %d hits / %d misses, want %d / 1", hits, misses, tc.nq-1)
+			}
+		})
 	}
 }
 
 // TestEntryPointsAgree pins that the query entry points are one path. For
 // every problem — MVN and MVT (ν = 5) on a kernel, MVN on the explicit Σ of
-// the same kernel — and budget — fixed N, MaxRelErr 1e-2 — a direct call, a
-// one-box batch and a three-box batch whose middle box is empty return the
-// same Result for each box, field for field, with nil, shared and per-box
-// opts. The explicit Σ and the Student-t batch have no opts batch entry
-// point, so they run fixed N, nil opts.
+// the same kernel — and budget — fixed N, MaxRelErr 1e-2 — each of three
+// boxes (the middle one empty) reads the same Result, field for field, cold
+// on a one-worker session (the integration inline) and warm on a three-worker
+// one (lane blocks as tasks), through the Opts entry point and, at fixed N,
+// the plain one. The explicit Σ has no Opts entry point, so it runs fixed N.
 func TestEntryPointsAgree(t *testing.T) {
-	s := NewSession(Config{TileSize: 8, QMCSize: 600, Replicates: 2})
-	defer s.Close()
 	locs := Grid(4, 4)
 	kernel := KernelSpec{Family: "matern", Range: 0.2, Nu: 1.5}
 	sigma := CovarianceMatrix(locs, kernel)
-	boxes := batchQueries(len(locs), 3)
-	boxes[1].A[5], boxes[1].B[5] = 1, 0 // empty: probability exactly 0
+	boxes := sweepBoxes(len(locs), 3)
+	boxes[1].a[5], boxes[1].b[5] = 1, 0 // empty: probability exactly 0
 
-	type entry struct {
-		name   string
-		direct func(a, b []float64, o QueryOpts) (Result, error)
-		batch  func(qs []Bounds, opts []QueryOpts) ([]Result, error)
-		opts   bool // has a per-query opts batch entry point
-	}
-	entries := []entry{
-		{"mvn", func(a, b []float64, o QueryOpts) (Result, error) {
-			if o == (QueryOpts{}) {
-				return s.MVNProb(locs, kernel, a, b)
-			}
+	type call func(s *Session, a, b []float64, o QueryOpts) (Result, error)
+	entries := []struct {
+		name        string
+		plain, opts call
+	}{
+		{"mvn", func(s *Session, a, b []float64, _ QueryOpts) (Result, error) {
+			return s.MVNProb(locs, kernel, a, b)
+		}, func(s *Session, a, b []float64, o QueryOpts) (Result, error) {
 			return s.MVNProbOpts(locs, kernel, a, b, o)
-		}, func(qs []Bounds, opts []QueryOpts) ([]Result, error) {
-			if opts == nil {
-				return s.MVNProbBatch(locs, kernel, qs)
-			}
-			return s.MVNProbBatchOpts(locs, kernel, qs, opts)
-		}, true},
-		{"mvt5", func(a, b []float64, o QueryOpts) (Result, error) {
+		}},
+		{"mvt5", func(s *Session, a, b []float64, _ QueryOpts) (Result, error) {
+			return s.MVTProb(locs, kernel, 5, a, b)
+		}, func(s *Session, a, b []float64, o QueryOpts) (Result, error) {
 			return s.MVTProbOpts(locs, kernel, 5, a, b, o)
-		}, func(qs []Bounds, _ []QueryOpts) ([]Result, error) {
-			return s.MVTProbBatch(locs, kernel, 5, qs)
-		}, false},
-		{"sigma", func(a, b []float64, _ QueryOpts) (Result, error) {
+		}},
+		{"sigma", func(s *Session, a, b []float64, _ QueryOpts) (Result, error) {
 			return s.MVNProbCov(sigma, a, b)
-		}, func(qs []Bounds, _ []QueryOpts) ([]Result, error) {
-			return s.MVNProbCovBatch(sigma, qs)
-		}, false},
+		}, nil},
 	}
+	cfg := Config{TileSize: 8, QMCSize: 600, Replicates: 2}
+	one, wide := cfg, cfg
+	one.Workers, wide.Workers = 1, 3
+	warm := NewSession(wide)
+	defer warm.Close()
 	for _, e := range entries {
 		for _, budget := range []QueryOpts{{}, {MaxRelErr: 1e-2}} {
-			if !e.opts && budget != (QueryOpts{}) {
+			calls := []call{e.plain, e.opts}
+			switch {
+			case e.opts == nil && budget != (QueryOpts{}):
 				continue
+			case e.opts == nil:
+				calls = calls[:1]
+			case budget != (QueryOpts{}):
+				calls = calls[1:]
 			}
-			for _, qs := range [][]Bounds{boxes[:1], boxes} {
-				// The opts shapes: nil (every box unconstrained), shared, and
-				// per box (the budget on even boxes only).
-				shapes := [][]QueryOpts{nil}
-				if e.opts {
-					per := make([]QueryOpts, len(qs))
-					for i := 0; i < len(qs); i += 2 {
-						per[i] = budget
-					}
-					shapes = append(shapes, []QueryOpts{budget}, per)
+			for i, q := range boxes {
+				name := fmt.Sprintf("%s/maxrelerr=%g/box %d", e.name, budget.MaxRelErr, i)
+				cold := NewSession(one)
+				want, err := calls[len(calls)-1](cold, q.a, q.b, budget)
+				cold.Close()
+				if err != nil {
+					t.Fatalf("%s: cold: %v", name, err)
 				}
-				for k, opts := range shapes {
-					name := fmt.Sprintf("%s/maxrelerr=%g/%s/%d-box", e.name, budget.MaxRelErr, []string{"nil", "shared", "per-box"}[k], len(qs))
-					got, err := e.batch(qs, opts)
+				for _, c := range calls {
+					got, err := c(warm, q.a, q.b, budget)
 					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+						t.Fatalf("%s: warm: %v", name, err)
 					}
-					for i, q := range qs {
-						want, err := e.direct(q.A, q.B, optAt(opts, i))
-						if err != nil {
-							t.Fatalf("%s: direct box %d: %v", name, i, err)
-						}
-						if got[i] != want {
-							t.Errorf("%s: box %d batch %+v != direct %+v", name, i, got[i], want)
-						}
+					if got != want {
+						t.Errorf("%s: warm on 3 workers %+v != cold inline %+v", name, got, want)
 					}
 				}
 			}
 		}
-	}
-}
-
-func TestMVNProbCovBatch(t *testing.T) {
-	rho := 0.5
-	sigma := [][]float64{{1, rho}, {rho, 1}}
-	s := NewSession(Config{QMCSize: 20000, TileSize: 2})
-	defer s.Close()
-	inf := math.Inf(1)
-	queries := []Bounds{
-		{A: []float64{-inf, -inf}, B: []float64{0, 0}},
-		{A: []float64{-inf, -inf}, B: []float64{inf, inf}},
-	}
-	res, err := s.MVNProbCovBatch(sigma, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orthant := 0.25 + math.Asin(rho)/(2*math.Pi)
-	if math.Abs(res[0].Prob-orthant) > 2e-3 {
-		t.Errorf("orthant %v, want %v", res[0].Prob, orthant)
-	}
-	if math.Abs(res[1].Prob-1) > 1e-12 {
-		t.Errorf("whole-space probability %v, want 1", res[1].Prob)
-	}
-	// Same matrix again: the factor must come from the cache.
-	if _, err := s.MVNProbCovBatch(sigma, queries[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := s.Cache().Stats(); hits != 1 {
-		t.Errorf("cov re-query hits = %d, want 1", hits)
 	}
 }
 
@@ -320,38 +252,35 @@ func TestFactorCacheKernelSpecNormalization(t *testing.T) {
 	}
 }
 
-func TestBatchValidatesBeforeFactorizing(t *testing.T) {
+// TestQueryValidatesBeforeFactorizing: limits of the wrong length, and an
+// invalid kernel with a live box, are errors that build and cache no factor.
+// (An invalid kernel with an empty box: TestInvalidKernelSpecDoesNotPolluteCache.)
+func TestQueryValidatesBeforeFactorizing(t *testing.T) {
 	s := NewSession(Config{QMCSize: 100, TileSize: 8})
 	defer s.Close()
 	locs := Grid(3, 3)
-	short := make([]float64, 5)
-	if _, err := s.MVNProbBatch(locs, KernelSpec{Range: 0.1}, []Bounds{{A: short, B: short}}); err == nil {
-		t.Fatal("want error for short limits")
+	short, lo, hi := make([]float64, 5), make([]float64, 9), make([]float64, 9)
+	for i := range lo {
+		lo[i], hi[i] = -1, 1
 	}
-	// The mis-sized query must have been rejected before any factor was
-	// built or cached.
+	for _, c := range []struct {
+		name   string
+		kernel KernelSpec
+		a, b   []float64
+	}{
+		{"short limits", KernelSpec{Range: 0.1}, short, short},
+		{"short upper limits", KernelSpec{Range: 0.1}, lo, short},
+		{"invalid kernel", KernelSpec{Range: -1}, lo, hi},
+	} {
+		if _, err := s.MVNProb(locs, c.kernel, c.a, c.b); err == nil {
+			t.Errorf("%s: want an error", c.name)
+		}
+	}
 	if _, misses := s.Cache().Stats(); misses != 0 {
-		t.Errorf("invalid query caused %d factorization(s)", misses)
+		t.Errorf("invalid queries caused %d factorization(s)", misses)
 	}
 	if s.Cache().Len() != 0 {
-		t.Errorf("invalid query left %d cache entries", s.Cache().Len())
-	}
-}
-
-func TestBatchValidation(t *testing.T) {
-	s := NewSession(Config{QMCSize: 100, TileSize: 8})
-	defer s.Close()
-	locs := Grid(3, 3)
-	good := make([]float64, 9)
-	if _, err := s.MVNProbBatch(locs, KernelSpec{Range: 0.1}, []Bounds{{A: good, B: good[:5]}}); err == nil {
-		t.Error("want error for short limits in a batch query")
-	}
-	if _, err := s.MVNProbBatch(locs, KernelSpec{Range: -1}, nil); err == nil {
-		t.Error("want error for invalid kernel")
-	}
-	res, err := s.MVNProbBatch(locs, KernelSpec{Range: 0.1}, nil)
-	if err != nil || len(res) != 0 {
-		t.Errorf("empty batch: res %v err %v", res, err)
+		t.Errorf("invalid queries left %d cache entries", s.Cache().Len())
 	}
 }
 
@@ -369,7 +298,7 @@ func TestConcurrentSessionUse(t *testing.T) {
 		{Family: "exponential", Range: 0.3},
 	}
 	cfg := Config{QMCSize: 500, TileSize: 12, Replicates: 2}
-	queries := batchQueries(len(locs), 2)
+	queries := sweepBoxes(len(locs), 2)
 
 	// Reference values from isolated sessions.
 	want := make([][]Result, len(kernels))
@@ -377,7 +306,7 @@ func TestConcurrentSessionUse(t *testing.T) {
 		want[ki] = make([]Result, len(queries))
 		for qi, q := range queries {
 			s := NewSession(cfg)
-			r, err := s.MVNProb(locs, k, q.A, q.B)
+			r, err := s.MVNProb(locs, k, q.a, q.b)
 			s.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -398,7 +327,7 @@ func TestConcurrentSessionUse(t *testing.T) {
 			for it := 0; it < 3; it++ {
 				ki := (g + it) % len(kernels)
 				qi := (g + it) % len(queries)
-				r, err := s.MVNProb(locs, kernels[ki], queries[qi].A, queries[qi].B)
+				r, err := s.MVNProb(locs, kernels[ki], queries[qi].a, queries[qi].b)
 				if err != nil {
 					errs <- err
 					return

@@ -3,7 +3,7 @@
 #
 # Runs the root and serving test suites with a coverage profile over the
 # public facade and internal/serve, computes per-target statement coverage
-# (whole serve package; api.go, cache.go, batch.go, validate.go as files),
+# (whole serve package; api.go, cache.go, query.go, validate.go as files),
 # and fails if any target drops below its recorded floor.
 #
 # The floors are deliberately a few points under the measured values at the
@@ -29,7 +29,7 @@ fi
 # api.go 89.4, cache.go 93.7, validate.go 95.8. Each floor sits ~8 points
 # under the measurement to absorb small refactors while still tripping on a
 # lost test file.
-# batch.go holds the one query path every entry point runs (2026-10: 85.3
+# query.go holds the one query path every entry point runs (2026-10: 85.3
 # before the entry points merged, 98.7 after), so its floor is 90.
 check() {
     local label="$1" pattern="$2" floor="$3"
@@ -57,6 +57,6 @@ rc=0
 check "internal/serve"      "^repro/internal/serve/" 82 || rc=1
 check "api.go"              "^repro/api\\.go$"       80 || rc=1
 check "cache.go"            "^repro/cache\\.go$"     85 || rc=1
-check "batch.go"            "^repro/batch\\.go$"     90 || rc=1
+check "query.go"            "^repro/query\\.go$"     90 || rc=1
 check "validate.go"         "^repro/validate\\.go$"  88 || rc=1
 exit $rc

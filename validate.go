@@ -7,8 +7,8 @@ import (
 
 // validateQuery is the one validator of an (a,b) integration box: eval runs
 // it for every query entry point and the serving layer through ValidateQuery,
-// so the direct and batch paths accept exactly the same inputs and reject the
-// rest with identical errors.
+// so every path accepts exactly the same inputs and rejects the rest with
+// identical errors.
 //
 // It rejects a zero-dimensional problem, mis-sized limit vectors and NaN
 // limits (±Inf is the ordinary way to express half-open boxes and is fine).
@@ -43,11 +43,9 @@ func validateDim(n int) error {
 }
 
 // ValidateQuery reports whether (a,b) is a usable integration box for an
-// n-dimensional query, with exactly the acceptance rules of MVNProb and the
-// batch entry points. Serving layers that aggregate queries from independent
-// requests into shared batch calls validate each request with it up front, so
-// one malformed request is rejected alone instead of failing the whole batch.
-// An empty box (some a[i] ≥ b[i]) is valid — its probability is 0.
+// n-dimensional query, with exactly the acceptance rules of the query entry
+// points, so a serving layer can reject a malformed request before routing
+// it. An empty box (some a[i] ≥ b[i]) is valid — its probability is 0.
 func ValidateQuery(n int, a, b []float64) error {
 	_, err := validateQuery(n, a, b)
 	return err

@@ -1,16 +1,13 @@
 package parmvn
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
 
-// TestValidationConsistency pins that the direct and batch entry points
-// accept exactly the same inputs and reject the rest with identical errors:
-// the batch path wraps the shared validateQuery error with the query index
-// and nothing else. Historically the two paths validated independently and
-// drifted; this test keeps them unified.
+// TestValidationConsistency pins that the MVN, MVT and explicit-Σ entry
+// points accept exactly the same boxes and reject the rest with identical
+// errors, and that the plain and Opts forms of MVTProb refuse the same ν.
 func TestValidationConsistency(t *testing.T) {
 	s := NewSession(Config{TileSize: 2, QMCSize: 100})
 	defer s.Close()
@@ -34,55 +31,27 @@ func TestValidationConsistency(t *testing.T) {
 		if directErr == nil {
 			t.Fatalf("%s: direct path accepted invalid limits", tc.name)
 		}
-		_, batchErr := s.MVNProbBatch(locs, kernel, []Bounds{{A: tc.a, B: tc.b}})
-		if batchErr == nil {
-			t.Fatalf("%s: batch path accepted what the direct path rejects", tc.name)
-		}
-		// The batch error is the direct error wrapped with the query index.
-		unwrapped := errors.Unwrap(batchErr)
-		if unwrapped == nil || unwrapped.Error() != directErr.Error() {
-			t.Fatalf("%s: batch error %q does not wrap the direct error %q", tc.name, batchErr, directErr)
-		}
 		_, mvtErr := s.MVTProb(locs, kernel, 5, tc.a, tc.b)
 		if mvtErr == nil || mvtErr.Error() != directErr.Error() {
 			t.Fatalf("%s: MVT error %q != MVN error %q", tc.name, mvtErr, directErr)
-		}
-		_, mvtBatchErr := s.MVTProbBatch(locs, kernel, 5, []Bounds{{A: tc.a, B: tc.b}})
-		if mvtBatchErr == nil || mvtBatchErr.Error() != batchErr.Error() {
-			t.Fatalf("%s: MVT batch error %q != MVN batch error %q", tc.name, mvtBatchErr, batchErr)
 		}
 		// An explicit Σ of the same dimension is refused identically.
 		_, covErr := s.MVNProbCov(sigma, tc.a, tc.b)
 		if covErr == nil || covErr.Error() != directErr.Error() {
 			t.Fatalf("%s: explicit-Σ error %q != MVN error %q", tc.name, covErr, directErr)
 		}
-		_, covBatchErr := s.MVNProbCovBatch(sigma, []Bounds{{A: tc.a, B: tc.b}})
-		if covBatchErr == nil || covBatchErr.Error() != batchErr.Error() {
-			t.Fatalf("%s: explicit-Σ batch error %q != MVN batch error %q", tc.name, covBatchErr, batchErr)
-		}
 	}
 
-	// A multi-query batch names the offending query.
-	good := Bounds{A: []float64{-1, -1, -1, -1}, B: []float64{1, 1, 1, 1}}
-	bad := Bounds{A: []float64{-1}, B: []float64{1}}
-	_, err := s.MVNProbBatch(locs, kernel, []Bounds{good, bad})
-	if err == nil {
-		t.Fatal("batch accepted a bad query behind a good one")
-	}
-	want := "parmvn: query 1: parmvn: limits length (1,1) != dimension 4"
-	if err.Error() != want {
-		t.Fatalf("batch error = %q, want %q", err, want)
-	}
-
-	// ν validation is shared between direct and batch MVT paths.
+	// ν validation is shared between the plain and Opts MVT entry points.
+	a, b := []float64{-1, -1, -1, -1}, []float64{1, 1, 1, 1}
 	for _, nu := range []float64{0, -3, math.NaN(), math.Inf(1)} {
-		_, direct := s.MVTProb(locs, kernel, nu, good.A, good.B)
-		_, batch := s.MVTProbBatch(locs, kernel, nu, []Bounds{good})
-		if direct == nil || batch == nil {
-			t.Fatalf("nu=%g accepted (direct=%v batch=%v)", nu, direct, batch)
+		_, plain := s.MVTProb(locs, kernel, nu, a, b)
+		_, opts := s.MVTProbOpts(locs, kernel, nu, a, b, QueryOpts{MaxRelErr: 1e-2})
+		if plain == nil || opts == nil {
+			t.Fatalf("nu=%g accepted (MVTProb=%v MVTProbOpts=%v)", nu, plain, opts)
 		}
-		if direct.Error() != batch.Error() {
-			t.Fatalf("nu=%g: direct %q != batch %q", nu, direct, batch)
+		if plain.Error() != opts.Error() {
+			t.Fatalf("nu=%g: MVTProb %q != MVTProbOpts %q", nu, plain, opts)
 		}
 	}
 }
@@ -137,9 +106,9 @@ func TestFactorOnlyCallsValidateLikeQueries(t *testing.T) {
 	}
 }
 
-// TestEmptyBoxConsistency pins the degenerate-box semantics on both paths:
-// a box with some a[i] ≥ b[i] is valid, has probability exactly 0, and does
-// not cost a factorization on either path.
+// TestEmptyBoxConsistency pins the degenerate-box semantics: a box with some
+// a[i] ≥ b[i] is valid, has probability exactly 0, and does not cost a
+// factorization, though an invalid kernel is still an error.
 func TestEmptyBoxConsistency(t *testing.T) {
 	s := NewSession(Config{TileSize: 2, QMCSize: 100})
 	defer s.Close()
@@ -152,9 +121,9 @@ func TestEmptyBoxConsistency(t *testing.T) {
 	if err != nil || res.Prob != 0 {
 		t.Fatalf("direct empty box = (%g, %v), want (0, nil)", res.Prob, err)
 	}
-	batch, err := s.MVNProbBatch(locs, kernel, []Bounds{{A: a, B: b}, {A: a, B: b}})
-	if err != nil || batch[0].Prob != 0 || batch[1].Prob != 0 {
-		t.Fatalf("batch empty boxes = (%v, %v), want zeros", batch, err)
+	sigma := CovarianceMatrix(locs, kernel)
+	if res, err := s.MVNProbCov(sigma, a, b); err != nil || res != (Result{}) {
+		t.Fatalf("explicit-Σ empty box = (%+v, %v), want (zero, nil)", res, err)
 	}
 	if _, misses := s.Cache().Stats(); misses != 0 {
 		t.Fatalf("empty boxes cost %d factorizations, want 0", misses)
@@ -170,21 +139,6 @@ func TestEmptyBoxConsistency(t *testing.T) {
 	// But an invalid kernel still errors, even with an empty box.
 	if _, err := s.MVNProb(locs, KernelSpec{Range: -1}, a, b); err == nil {
 		t.Fatal("empty box masked an invalid kernel")
-	}
-
-	// A mixed batch evaluates the live queries and zeros the empty ones,
-	// identically to the direct path.
-	live := Bounds{A: []float64{-1, -1, -1, -1}, B: []float64{1, 1, 1, 1}}
-	mixed, err := s.MVNProbBatch(locs, kernel, []Bounds{{A: a, B: b}, live})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := s.MVNProb(locs, kernel, live.A, live.B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed[0].Prob != 0 || mixed[1].Prob != direct.Prob {
-		t.Fatalf("mixed batch = %+v, want [0, %g]", mixed, direct.Prob)
 	}
 }
 
