@@ -65,10 +65,26 @@ func TestMVNProbDenseVsTLR(t *testing.T) {
 	}
 }
 
-// TestMVNProbCov checks the explicit-covariance entry point against the
-// bivariate orthant probability and the whole space, and that the same
-// matrix queried again is served from the factor cache.
 func TestMVNProbCov(t *testing.T) {
+	// 2×2 with known orthant probability.
+	rho := 0.5
+	sigma := [][]float64{{1, rho}, {rho, 1}}
+	s := NewSession(Config{QMCSize: 20000, TileSize: 2})
+	defer s.Close()
+	res, err := s.MVNProbCov(sigma, []float64{math.Inf(-1), math.Inf(-1)}, []float64{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.25 + math.Asin(rho)/(2*math.Pi)
+	if math.Abs(res.Prob-want) > 2e-3 {
+		t.Errorf("orthant %v, want %v", res.Prob, want)
+	}
+}
+
+// TestMVNProbCovBatch: a run of explicit-covariance queries on one session —
+// the bivariate orthant, then the whole space — reads the right values, and
+// the same matrix queried again is served from the factor cache.
+func TestMVNProbCovBatch(t *testing.T) {
 	rho := 0.5
 	sigma := [][]float64{{1, rho}, {rho, 1}}
 	s := NewSession(Config{QMCSize: 20000, TileSize: 2})
@@ -78,9 +94,9 @@ func TestMVNProbCov(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0.25 + math.Asin(rho)/(2*math.Pi)
-	if math.Abs(res.Prob-want) > 2e-3 {
-		t.Errorf("orthant %v, want %v", res.Prob, want)
+	orthant := 0.25 + math.Asin(rho)/(2*math.Pi)
+	if math.Abs(res.Prob-orthant) > 2e-3 {
+		t.Errorf("orthant %v, want %v", res.Prob, orthant)
 	}
 	res, err = s.MVNProbCov(sigma, []float64{-inf, -inf}, []float64{inf, inf})
 	if err != nil {

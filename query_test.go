@@ -28,49 +28,48 @@ func sweepBoxes(n, nq int) []box {
 	return qs
 }
 
-// TestWarmQueryMatchesCold: a run of queries on one session — the first
-// cold, the rest on the cached factor — returns, query for query, the bits of
-// the same queries each run on a fresh session that factorizes from scratch.
-func TestWarmQueryMatchesCold(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		kernel KernelSpec
-		cfg    Config
-		nq     int
-	}{
-		{"dense", KernelSpec{Family: "exponential", Range: 0.15}, Config{QMCSize: 1000, TileSize: 16, Replicates: 3}, 5},
-		{"tlr", KernelSpec{Family: "matern", Range: 0.15, Nu: 1.5}, Config{Method: TLR, QMCSize: 800, TileSize: 16, TLRTol: 1e-8, Replicates: 2}, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			locs := Grid(8, 8)
-			queries := sweepBoxes(len(locs), tc.nq)
-			want := make([]Result, len(queries))
-			for i, q := range queries {
-				s := NewSession(tc.cfg)
-				r, err := s.MVNProb(locs, tc.kernel, q.a, q.b)
-				s.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[i] = r
-			}
-
-			s := NewSession(tc.cfg)
-			defer s.Close()
-			for i, q := range queries {
-				r, err := s.MVNProb(locs, tc.kernel, q.a, q.b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r != want[i] {
-					t.Errorf("query %d: warm %+v != cold %+v", i, r, want[i])
-				}
-			}
-			if hits, misses := s.Cache().Stats(); hits != tc.nq-1 || misses != 1 {
-				t.Errorf("cache %d hits / %d misses, want %d / 1", hits, misses, tc.nq-1)
-			}
-		})
+// checkWarmMatchesCold: a batch of queries on one session — the first cold,
+// the rest on the cached factor — returns, query for query, the bits of the
+// same queries each run on a fresh session that factorizes from scratch.
+func checkWarmMatchesCold(t *testing.T, kernel KernelSpec, cfg Config, nq int) {
+	t.Helper()
+	locs := Grid(8, 8)
+	queries := sweepBoxes(len(locs), nq)
+	want := make([]Result, len(queries))
+	for i, q := range queries {
+		s := NewSession(cfg)
+		r, err := s.MVNProb(locs, kernel, q.a, q.b)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
 	}
+
+	s := NewSession(cfg)
+	defer s.Close()
+	for i, q := range queries {
+		r, err := s.MVNProb(locs, kernel, q.a, q.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != want[i] {
+			t.Errorf("query %d: warm %+v != cold %+v", i, r, want[i])
+		}
+	}
+	if hits, misses := s.Cache().Stats(); hits != nq-1 || misses != 1 {
+		t.Errorf("cache %d hits / %d misses, want %d / 1", hits, misses, nq-1)
+	}
+}
+
+func TestBatchMatchesSequential(t *testing.T) {
+	checkWarmMatchesCold(t, KernelSpec{Family: "exponential", Range: 0.15},
+		Config{QMCSize: 1000, TileSize: 16, Replicates: 3}, 5)
+}
+
+func TestBatchMatchesSequentialTLR(t *testing.T) {
+	checkWarmMatchesCold(t, KernelSpec{Family: "matern", Range: 0.15, Nu: 1.5},
+		Config{Method: TLR, QMCSize: 800, TileSize: 16, TLRTol: 1e-8, Replicates: 2}, 4)
 }
 
 // TestEntryPointsAgree pins that the query entry points are one path. For
@@ -252,36 +251,47 @@ func TestFactorCacheKernelSpecNormalization(t *testing.T) {
 	}
 }
 
-// TestQueryValidatesBeforeFactorizing: limits of the wrong length, and an
-// invalid kernel with a live box, are errors that build and cache no factor.
-// (An invalid kernel with an empty box: TestInvalidKernelSpecDoesNotPolluteCache.)
-func TestQueryValidatesBeforeFactorizing(t *testing.T) {
-	s := NewSession(Config{QMCSize: 100, TileSize: 8})
-	defer s.Close()
-	locs := Grid(3, 3)
-	short, lo, hi := make([]float64, 5), make([]float64, 9), make([]float64, 9)
-	for i := range lo {
-		lo[i], hi[i] = -1, 1
-	}
-	for _, c := range []struct {
-		name   string
-		kernel KernelSpec
-		a, b   []float64
-	}{
-		{"short limits", KernelSpec{Range: 0.1}, short, short},
-		{"short upper limits", KernelSpec{Range: 0.1}, lo, short},
-		{"invalid kernel", KernelSpec{Range: -1}, lo, hi},
-	} {
-		if _, err := s.MVNProb(locs, c.kernel, c.a, c.b); err == nil {
-			t.Errorf("%s: want an error", c.name)
-		}
-	}
+// checkNoFactor fails unless the session's cache is still empty.
+func checkNoFactor(t *testing.T, s *Session) {
+	t.Helper()
 	if _, misses := s.Cache().Stats(); misses != 0 {
 		t.Errorf("invalid queries caused %d factorization(s)", misses)
 	}
 	if s.Cache().Len() != 0 {
 		t.Errorf("invalid queries left %d cache entries", s.Cache().Len())
 	}
+}
+
+// TestBatchValidatesBeforeFactorizing: limits of the wrong length are an
+// error that builds and caches no factor.
+func TestBatchValidatesBeforeFactorizing(t *testing.T) {
+	s := NewSession(Config{QMCSize: 100, TileSize: 8})
+	defer s.Close()
+	short := make([]float64, 5)
+	if _, err := s.MVNProb(Grid(3, 3), KernelSpec{Range: 0.1}, short, short); err == nil {
+		t.Fatal("want error for short limits")
+	}
+	checkNoFactor(t, s)
+}
+
+// TestBatchValidation: short upper limits, and an invalid kernel with a live
+// box, are errors that build and cache no factor. (An invalid kernel with an
+// empty box: TestInvalidKernelSpecDoesNotPolluteCache.)
+func TestBatchValidation(t *testing.T) {
+	s := NewSession(Config{QMCSize: 100, TileSize: 8})
+	defer s.Close()
+	locs := Grid(3, 3)
+	lo, hi := make([]float64, 9), make([]float64, 9)
+	for i := range lo {
+		lo[i], hi[i] = -1, 1
+	}
+	if _, err := s.MVNProb(locs, KernelSpec{Range: 0.1}, lo, hi[:5]); err == nil {
+		t.Error("want error for short upper limits")
+	}
+	if _, err := s.MVNProb(locs, KernelSpec{Range: -1}, lo, hi); err == nil {
+		t.Error("want error for invalid kernel")
+	}
+	checkNoFactor(t, s)
 }
 
 // TestConcurrentSessionUse hammers one session from many goroutines — mixed
