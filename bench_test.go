@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/cov"
+	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/excursion"
 	"repro/internal/figures"
@@ -21,7 +21,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mvn"
 	"repro/internal/taskrt"
-	"repro/internal/wind"
 )
 
 // benchCorr builds the medium-correlation exponential covariance on a
@@ -112,7 +111,7 @@ func BenchmarkFig1CRD(b *testing.B) {
 // synthetic Saudi dataset and the generating Matérn correlation.
 func windProblem(b *testing.B) (corr *linalg.Matrix, mean, sd []float64) {
 	b.Helper()
-	ds, err := wind.Generate(wind.Config{Nx: 14, Ny: 12, Days: 60, Seed: 11})
+	ds, err := datagen.GenerateWind(datagen.WindConfig{Nx: 14, Ny: 12, Days: 60, Seed: 11})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,30 +239,6 @@ func BenchmarkFig6MCValidation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		excursion.MCValidate(region, mean, sd, 0, l, 2000, rng)
-	}
-}
-
-// BenchmarkFig7ClusterSim runs one simulated distributed configuration of
-// Figure 7 per iteration (dense, 128 nodes, n = 360,000).
-func BenchmarkFig7ClusterSim(b *testing.B) {
-	w := cluster.Workload{N: 360000, TileSize: 980, QMC: 10000, SampleTS: 500, MeanRank: 145, PropFlopScale: 2.5}
-	for i := 0; i < b.N; i++ {
-		chol, pmvn := cluster.MVNMakespan(cluster.ShaheenII(128), w)
-		if chol <= 0 || pmvn <= 0 {
-			b.Fatal("bad makespan")
-		}
-	}
-}
-
-// BenchmarkTable3Speedup reports the simulated distributed TLR speedup as a
-// custom metric (the paper's Table III entry for 128 nodes).
-func BenchmarkTable3Speedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		wd := cluster.Workload{N: 360000, TileSize: 980, QMC: 10000, SampleTS: 500, MeanRank: 145, PropFlopScale: 2.5}
-		cd, pd := cluster.MVNMakespan(cluster.ShaheenII(128), wd)
-		wd.TLR = true
-		ct, pt := cluster.MVNMakespan(cluster.ShaheenII(128), wd)
-		b.ReportMetric((cd+pd)/(ct+pt), "speedupX")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/wind"
+	"repro/internal/datagen"
 )
 
 func main() {
@@ -34,7 +34,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "windfarm:", err)
 		os.Exit(1)
 	}
-	ds, err := wind.Generate(wind.Config{Nx: *nx, Ny: *ny, Days: *days, Seed: *seed})
+	ds, err := datagen.GenerateWind(datagen.WindConfig{Nx: *nx, Ny: *ny, Days: *days, Seed: *seed})
 	if err != nil {
 		die(err)
 	}

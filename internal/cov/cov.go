@@ -6,8 +6,8 @@
 // covariance module of ExaGeoStat.
 //
 // Kernels are evaluated in runs, not entries: Fill computes the covariances
-// between one location and a slice of others in a single loop, and Block, Matrix, CrossMatrix and the streaming tile
-// assemblers are all written over it. Kernel.Cov is the scalar definition
+// between one location and a slice of others in a single loop, and Block,
+// Matrix and the streaming tile assemblers are all written over it. Kernel.Cov is the scalar definition
 // every run is bit-identical to. A Matérn kernel of half-integer smoothness
 // (2ν odd: ν = 1/2, 3/2, 5/2, …) is a polynomial in h/a times e^{−h/a} and
 // is evaluated in that closed form, by Cov and Fill alike; it agrees with
@@ -281,16 +281,6 @@ func Matrix(g *geo.Geom, k Kernel) *linalg.Matrix {
 	}
 	sigma.SymmetrizeFromLower()
 	return sigma
-}
-
-// CrossMatrix assembles the rectangular cross-covariance between two
-// geometries: out[i,j] = C(‖ai − bj‖).
-func CrossMatrix(a, b *geo.Geom, k Kernel) *linalg.Matrix {
-	out := linalg.NewMatrix(a.Len(), b.Len())
-	for j, q := range b.Pts {
-		Fill(k, out.Col(j), a.Pts, q)
-	}
-	return out
 }
 
 // Block fills dst (r×c) with the covariance sub-block whose rows are

@@ -161,25 +161,6 @@ func TestBlockMatchesMatrix(t *testing.T) {
 	}
 }
 
-func TestCrossMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := geo.UniformRandom(6, rng)
-	b := geo.UniformRandom(9, rng)
-	k := &Exponential{Sigma2: 1, Range: 0.2}
-	c := CrossMatrix(a, b, k)
-	if c.Rows != 6 || c.Cols != 9 {
-		t.Fatalf("shape %dx%d", c.Rows, c.Cols)
-	}
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 9; j++ {
-			want := k.Cov(a.Pts[i].Dist(b.Pts[j]))
-			if c.At(i, j) != want {
-				t.Fatalf("cross (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestPosteriorShrinksVariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := geo.JitteredGrid(6, 6, 0.2, rng)

@@ -183,8 +183,8 @@ func TestHalfIntegerMaternMatchesBessel(t *testing.T) {
 	}
 }
 
-// TestAssemblersMatchPerEntryDefinitions writes out what Block, Matrix and
-// CrossMatrix computed entry by entry before they were built on Fill.
+// TestAssemblersMatchPerEntryDefinitions writes out what Block and Matrix
+// computed entry by entry before they were built on Fill.
 func TestAssemblersMatchPerEntryDefinitions(t *testing.T) {
 	a := scatteredWithDuplicates(41, 5)
 	b := scatteredWithDuplicates(23, 6)
@@ -199,14 +199,6 @@ func TestAssemblersMatchPerEntryDefinitions(t *testing.T) {
 				}
 				if full.At(i, j) != want {
 					t.Fatalf("%s: Matrix(%d,%d) = %v, want %v", name, i, j, full.At(i, j), want)
-				}
-			}
-		}
-		cross := CrossMatrix(a, b, k)
-		for i := 0; i < a.Len(); i++ {
-			for j := 0; j < b.Len(); j++ {
-				if want := k.Cov(a.Pts[i].Dist(b.Pts[j])); cross.At(i, j) != want {
-					t.Fatalf("%s: CrossMatrix(%d,%d) = %v, want %v", name, i, j, cross.At(i, j), want)
 				}
 			}
 		}

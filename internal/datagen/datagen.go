@@ -1,7 +1,8 @@
 // Package datagen simulates stationary Gaussian random fields — the role
 // ExaGeoStat plays in the paper's synthetic experiments: the datasets of
 // Section V-B (exponential kernel, ranges 0.033/0.1/0.234) and the posterior
-// covariance and mean their confidence regions are detected on.
+// covariance and mean their confidence regions are detected on — and the
+// synthetic Saudi-Arabia wind record of its application (GenerateWind).
 package datagen
 
 import (
@@ -22,26 +23,46 @@ type Field struct {
 }
 
 // Simulate draws one mean-zero realization of the Gaussian field with the
-// given kernel at the locations of g: z = L·e with Σ = L·Lᵀ.
+// given kernel at the locations of g.
 func Simulate(g *geo.Geom, k cov.Kernel, rng *rand.Rand) (*Field, error) {
-	l, err := linalg.CholeskyInPlace(cov.Matrix(g, k))
+	field, err := newSampler(cov.Matrix(g, k))
+	if err != nil {
+		return nil, err
+	}
+	z := make([]float64, g.Len())
+	field.draw(rng, z)
+	return &Field{Geom: g, Values: z, Kernel: k}, nil
+}
+
+// sampler draws mean-zero realizations z = L·e of a Gaussian field, Σ = L·Lᵀ
+// factored once and e standard normal: one draw for Simulate, one per day for
+// the wind generator's anomaly.
+type sampler struct {
+	l *linalg.Matrix
+	e []float64
+}
+
+// newSampler factors sigma in place.
+func newSampler(sigma *linalg.Matrix) (*sampler, error) {
+	l, err := linalg.CholeskyInPlace(sigma)
 	if err != nil {
 		return nil, fmt.Errorf("datagen: covariance not PD: %w", err)
 	}
-	n := g.Len()
-	e := make([]float64, n)
-	for i := range e {
-		e[i] = rng.NormFloat64()
+	return &sampler{l: l, e: make([]float64, l.Rows)}, nil
+}
+
+// draw fills z with one realization, e drawn from rng.
+func (s *sampler) draw(rng *rand.Rand, z []float64) {
+	for i := range s.e {
+		s.e[i] = rng.NormFloat64()
 	}
-	z := make([]float64, n)
-	for i := 0; i < n; i++ {
+	for i := range z {
 		acc := 0.0
 		for j := 0; j <= i; j++ {
-			acc += l.At(i, j) * e[j]
+			acc += s.l.At(i, j) * s.e[j]
 		}
 		z[i] = acc
 	}
-	return &Field{Geom: g, Values: z, Kernel: k}, nil
 }
 
 // PaperSyntheticRanges are the three exponential-kernel range parameters of

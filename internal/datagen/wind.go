@@ -1,13 +1,4 @@
-// Package wind generates a synthetic stand-in for the Saudi-Arabia wind
-// speed dataset the paper analyzes (hourly WRF reanalysis aggregated to
-// daily means over 53,362 locations, 2013–2016). The real data is not
-// redistributable, so this generator produces a field with the same
-// structure the application code exercises: an orography-flavoured mean
-// surface (elevated winds in the north, east and southwest mountains, as in
-// the paper's Figure 2a), a smooth spatially correlated daily anomaly with
-// temporal AR(1) persistence and a seasonal cycle, on a longitude/latitude
-// box over the Arabian peninsula.
-package wind
+package datagen
 
 import (
 	"math"
@@ -15,20 +6,28 @@ import (
 
 	"repro/internal/cov"
 	"repro/internal/geo"
-	"repro/internal/linalg"
 )
 
-// Domain is the approximate Saudi-Arabia bounding box of the paper's maps.
-var Domain = struct{ Lon0, Lon1, Lat0, Lat1 float64 }{34, 56, 16, 33}
+// The wind generator is a synthetic stand-in for the Saudi-Arabia wind speed
+// dataset the paper analyzes (hourly WRF reanalysis aggregated to daily means
+// over 53,362 locations, 2013–2016). The real data is not redistributable, so
+// GenerateWind produces a field with the same structure the application code
+// exercises: an orography-flavoured mean surface (elevated winds in the north,
+// east and southwest mountains, as in the paper's Figure 2a), a smooth
+// spatially correlated daily anomaly with temporal AR(1) persistence and a
+// seasonal cycle, on a longitude/latitude box over the Arabian peninsula.
 
-// Dataset is a simulated multi-day wind speed record.
-type Dataset struct {
+// windDomain is the approximate Saudi-Arabia bounding box of the paper's maps.
+var windDomain = struct{ Lon0, Lon1, Lat0, Lat1 float64 }{34, 56, 16, 33}
+
+// WindDataset is a simulated multi-day wind speed record.
+type WindDataset struct {
 	Geom   *geo.Geom   // locations in lon/lat
 	Speeds [][]float64 // Speeds[d][i]: daily mean wind speed (m/s) on day d at location i
 }
 
 // Days returns the number of simulated days.
-func (d *Dataset) Days() int { return len(d.Speeds) }
+func (d *WindDataset) Days() int { return len(d.Speeds) }
 
 // meanSurface is the "climatological" wind speed in m/s: a 5 m/s base with
 // bumps over the northern plateau, the eastern coast and the southwestern
@@ -48,8 +47,8 @@ func meanSurface(p geo.Point) float64 {
 	return v
 }
 
-// Config controls the generator.
-type Config struct {
+// WindConfig controls the generator.
+type WindConfig struct {
 	Nx, Ny int     // grid resolution over the domain
 	Days   int     // number of simulated days
 	Seed   int64   // RNG seed
@@ -59,7 +58,7 @@ type Config struct {
 	AR1    float64 // day-to-day persistence (default 0.6)
 }
 
-func (c Config) withDefaults() Config {
+func (c WindConfig) withDefaults() WindConfig {
 	if c.Nx <= 0 {
 		c.Nx = 24
 	}
@@ -84,41 +83,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Generate simulates the dataset. The spatial anomaly field uses a Matérn
-// kernel factorized once and shared across days; wind speeds are floored at
-// 0.2 m/s to stay physical.
-func Generate(cfg Config) (*Dataset, error) {
+// GenerateWind simulates the dataset. The spatial anomaly field uses a
+// Matérn kernel factorized once and shared across days; wind speeds are
+// floored at 0.2 m/s to stay physical.
+func GenerateWind(cfg WindConfig) (*WindDataset, error) {
 	c := cfg.withDefaults()
 	rng := rand.New(rand.NewSource(c.Seed))
 	unit := geo.RegularGrid(c.Nx, c.Ny)
 	k := cov.NewMatern(1, c.Range, c.Nu)
-	sigma := cov.Matrix(unit, &cov.Nugget{Kernel: k, Tau2: 1e-8})
-	l, err := linalg.Cholesky(sigma)
+	field, err := newSampler(cov.Matrix(unit, &cov.Nugget{Kernel: k, Tau2: 1e-8}))
 	if err != nil {
 		return nil, err
 	}
-	g := unit.Rect(Domain.Lon0, Domain.Lon1, Domain.Lat0, Domain.Lat1)
+	g := unit.Rect(windDomain.Lon0, windDomain.Lon1, windDomain.Lat0, windDomain.Lat1)
 	n := g.Len()
 	base := make([]float64, n)
 	for i, p := range g.Pts {
 		base[i] = meanSurface(p)
 	}
-	d := &Dataset{Geom: g, Speeds: make([][]float64, c.Days)}
+	d := &WindDataset{Geom: g, Speeds: make([][]float64, c.Days)}
 	anom := make([]float64, n)  // AR(1) state
 	fresh := make([]float64, n) // innovation
-	z := make([]float64, n)
 	innovScale := math.Sqrt(1 - c.AR1*c.AR1)
 	for day := 0; day < c.Days; day++ {
-		for i := range z {
-			z[i] = rng.NormFloat64()
-		}
-		for i := 0; i < n; i++ {
-			acc := 0.0
-			for j := 0; j <= i; j++ {
-				acc += l.At(i, j) * z[j]
-			}
-			fresh[i] = acc
-		}
+		field.draw(rng, fresh)
 		season := 0.8 * math.Sin(2*math.Pi*float64(day)/365+1.1)
 		row := make([]float64, n)
 		for i := 0; i < n; i++ {
@@ -142,7 +130,7 @@ func Generate(cfg Config) (*Dataset, error) {
 // z_i = (speed_i − mean_i)/sd_i with the per-location mean and standard
 // deviation taken over all days — the preprocessing the paper applies
 // before fitting the Matérn model (Section V-C.2).
-func (d *Dataset) Standardize(day int) (z, mean, sd []float64) {
+func (d *WindDataset) Standardize(day int) (z, mean, sd []float64) {
 	n := d.Geom.Len()
 	days := float64(d.Days())
 	mean = make([]float64, n)

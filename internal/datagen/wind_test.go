@@ -1,4 +1,4 @@
-package wind
+package datagen
 
 import (
 	"math"
@@ -7,12 +7,12 @@ import (
 	"repro/internal/geo"
 )
 
-func small() Config {
-	return Config{Nx: 10, Ny: 8, Days: 60, Seed: 1}
+func smallWind() WindConfig {
+	return WindConfig{Nx: 10, Ny: 8, Days: 60, Seed: 1}
 }
 
 func TestGenerateShapes(t *testing.T) {
-	d, err := Generate(small())
+	d, err := GenerateWind(smallWind())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestGenerateShapes(t *testing.T) {
 }
 
 func TestSpeedsPhysical(t *testing.T) {
-	d, err := Generate(small())
+	d, err := GenerateWind(smallWind())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +44,17 @@ func TestSpeedsPhysical(t *testing.T) {
 }
 
 func TestDomainCoordinates(t *testing.T) {
-	d, _ := Generate(small())
+	d, _ := GenerateWind(smallWind())
 	for _, p := range d.Geom.Pts {
-		if p.X < Domain.Lon0 || p.X > Domain.Lon1 || p.Y < Domain.Lat0 || p.Y > Domain.Lat1 {
+		if p.X < windDomain.Lon0 || p.X > windDomain.Lon1 || p.Y < windDomain.Lat0 || p.Y > windDomain.Lat1 {
 			t.Fatalf("point %+v outside domain", p)
 		}
 	}
 }
 
 func TestDeterministicBySeed(t *testing.T) {
-	a, _ := Generate(small())
-	b, _ := Generate(small())
+	a, _ := GenerateWind(smallWind())
+	b, _ := GenerateWind(smallWind())
 	for day := range a.Speeds {
 		for i := range a.Speeds[day] {
 			if a.Speeds[day][i] != b.Speeds[day][i] {
@@ -62,9 +62,9 @@ func TestDeterministicBySeed(t *testing.T) {
 			}
 		}
 	}
-	cfg := small()
+	cfg := smallWind()
 	cfg.Seed = 2
-	c, _ := Generate(cfg)
+	c, _ := GenerateWind(cfg)
 	same := true
 	for i := range a.Speeds[0] {
 		if a.Speeds[0][i] != c.Speeds[0][i] {
@@ -89,9 +89,9 @@ func TestMeanSurfaceStructure(t *testing.T) {
 }
 
 func TestStandardizeMoments(t *testing.T) {
-	cfg := small()
+	cfg := smallWind()
 	cfg.Days = 200
-	d, err := Generate(cfg)
+	d, err := GenerateWind(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +124,9 @@ func TestStandardizeMoments(t *testing.T) {
 
 func TestSpatialCorrelationPositive(t *testing.T) {
 	// Neighbouring locations must be positively correlated across days.
-	cfg := small()
+	cfg := smallWind()
 	cfg.Days = 150
-	d, _ := Generate(cfg)
+	d, _ := GenerateWind(cfg)
 	i, j := 0, 1 // adjacent grid points
 	var si, sj, sij, s2i, s2j float64
 	days := float64(d.Days())
@@ -162,9 +162,9 @@ func TestSpatialCorrelationPositive(t *testing.T) {
 }
 
 func TestTemporalPersistence(t *testing.T) {
-	cfg := small()
+	cfg := smallWind()
 	cfg.Days = 200
-	d, _ := Generate(cfg)
+	d, _ := GenerateWind(cfg)
 	// Lag-1 autocorrelation of the standardized series at a location should
 	// be positive (AR(1) with coefficient 0.6).
 	var num, den float64

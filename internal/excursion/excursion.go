@@ -125,9 +125,6 @@ type Plan struct {
 	SD   []float64
 	U    float64
 
-	// negative selects E⁻ (regions where X < u) instead of E⁺.
-	negative bool
-
 	pM    []float64
 	order []int
 }
@@ -135,17 +132,6 @@ type Plan struct {
 // NewPlan validates the inputs and computes the marginal ordering for
 // positive excursion sets E⁺ (X > u).
 func NewPlan(mean, sd []float64, u float64) (*Plan, error) {
-	return newPlanDir(mean, sd, u, false)
-}
-
-// NewNegativePlan is NewPlan for negative excursion sets E⁻ (regions where
-// X < u with the given confidence), the mirror-image construction of Bolin &
-// Lindgren.
-func NewNegativePlan(mean, sd []float64, u float64) (*Plan, error) {
-	return newPlanDir(mean, sd, u, true)
-}
-
-func newPlanDir(mean, sd []float64, u float64, negative bool) (*Plan, error) {
 	if len(mean) != len(sd) {
 		return nil, fmt.Errorf("excursion: mean/sd lengths (%d,%d) differ", len(mean), len(sd))
 	}
@@ -160,17 +146,8 @@ func newPlanDir(mean, sd []float64, u float64, negative bool) (*Plan, error) {
 			return nil, &InputError{What: "sd", Index: i, Value: sd[i]}
 		}
 	}
-	p := &Plan{Mean: mean, SD: sd, U: u, negative: negative}
-	if negative {
-		p.pM = make([]float64, len(mean))
-		for i := range p.pM {
-			p.pM[i] = stats.Phi((u - mean[i]) / sd[i]) // P(X_i < u)
-		}
-	} else {
-		p.pM = Marginals(mean, sd, u)
-	}
-	p.order = Order(p.pM)
-	return p, nil
+	pM := Marginals(mean, sd, u)
+	return &Plan{Mean: mean, SD: sd, U: u, pM: pM, order: Order(pM)}, nil
 }
 
 // MarginalProbs returns pM.
@@ -228,12 +205,7 @@ func (p *Plan) Integrate(rt *taskrt.Runtime, f *mvn.Factor, opts mvn.Options) (*
 	}
 	a, b := make([]float64, n), make([]float64, n)
 	for rank, loc := range p.order {
-		lim := (p.U - p.Mean[loc]) / p.SD[loc]
-		if p.negative {
-			a[rank], b[rank] = math.Inf(-1), lim // P(X < u) on the prefix
-		} else {
-			a[rank], b[rank] = lim, math.Inf(1) // P(X > u) on the prefix
-		}
+		a[rank], b[rank] = (p.U-p.Mean[loc])/p.SD[loc], math.Inf(1) // P(X > u) on the prefix
 	}
 	return &Computer{Plan: p, prefix: mvn.PMVNPrefix(rt, f, a, b, opts)}, nil
 }

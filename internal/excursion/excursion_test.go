@@ -55,9 +55,9 @@ func denseFactor(t *testing.T, rt *taskrt.Runtime, m *linalg.Matrix, ts int) *mv
 
 // detect runs the one-sweep plan on the problem: order, gather, factor,
 // integrate (inline for a nil rt).
-func (p *problem) detect(t *testing.T, rt *taskrt.Runtime, u float64, negative bool, opts mvn.Options) *Computer {
+func (p *problem) detect(t *testing.T, rt *taskrt.Runtime, u float64, opts mvn.Options) *Computer {
 	t.Helper()
-	plan, err := newPlanDir(p.mean, p.sd, u, negative)
+	plan, err := NewPlan(p.mean, p.sd, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func setup(t *testing.T, k int, rang, u float64, opts mvn.Options) (*Computer, *
 	t.Helper()
 	p := newProblem(t, k, rang)
 	rt := taskrt.New(4)
-	return p.detect(t, rt, u, false, opts), p, rt
+	return p.detect(t, rt, u, opts), p, rt
 }
 
 func TestMarginals(t *testing.T) {
@@ -227,12 +227,7 @@ func algorithm1(rt *taskrt.Runtime, f *mvn.Factor, plan *Plan, opts mvn.Options)
 		a[i], b[i] = math.Inf(-1), math.Inf(1)
 	}
 	for _, loc := range plan.order {
-		lim := (plan.U - plan.Mean[loc]) / plan.SD[loc]
-		if plan.negative {
-			b[loc] = lim
-		} else {
-			a[loc] = lim
-		}
+		a[loc] = (plan.U - plan.Mean[loc]) / plan.SD[loc]
 		res := mvn.PMVN(rt, f, a, b, opts)
 		prob, se = append(prob, res.Prob), append(se, res.StdErr)
 	}
@@ -240,13 +235,13 @@ func algorithm1(rt *taskrt.Runtime, f *mvn.Factor, plan *Plan, opts mvn.Options)
 }
 
 // TestOneSweepMatchesAlgorithm1 compares the one-sweep plan with the literal
-// loop at n = 144, for E⁺ and E⁻: the confidence function within the combined
+// loop at n = 144: the confidence function within the combined
 // QMC error at every rank (the two integrate in different variable orders, so
 // the draws differ), region sizes within a few locations, and the region's MC
 // coverage no lower than the confidence level allows.
 func TestOneSweepMatchesAlgorithm1(t *testing.T) {
 	if testing.Short() {
-		t.Skip("144 full-dimension reference integrations per direction")
+		t.Skip("144 full-dimension reference integrations")
 	}
 	p := newProblem(t, 12, 0.25)
 	n := len(p.mean)
@@ -255,47 +250,34 @@ func TestOneSweepMatchesAlgorithm1(t *testing.T) {
 	corr, _ := CorrelationFromCovariance(p.sigma)
 	fLoc := denseFactor(t, rt, corr, 36)
 	opts := mvn.Options{N: 500, Replicates: 8}
-	for _, negative := range []bool{false, true} {
-		u := -1.2
-		if negative {
-			u = 1.0
+	const u = -1.2
+	c := p.detect(t, rt, u, opts)
+	ref, refSE := algorithm1(rt, fLoc, c.Plan, opts)
+	worst := 0.0
+	for k := 1; k <= n; k++ {
+		got, se := c.PrefixProb(k), c.PrefixStdErr(k)
+		z := math.Abs(got-ref[k-1]) / math.Hypot(se, refSE[k-1])
+		if worst = math.Max(worst, z); z > 4 {
+			t.Errorf("rank %d: one sweep %.6g ± %.2g, Algorithm 1 %.6g ± %.2g", k, got, se, ref[k-1], refSE[k-1])
 		}
-		c := p.detect(t, rt, u, negative, opts)
-		ref, refSE := algorithm1(rt, fLoc, c.Plan, opts)
-		worst := 0.0
-		for k := 1; k <= n; k++ {
-			got, se := c.PrefixProb(k), c.PrefixStdErr(k)
-			z := math.Abs(got-ref[k-1]) / math.Hypot(se, refSE[k-1])
-			if worst = math.Max(worst, z); z > 4 {
-				t.Errorf("negative=%v rank %d: one sweep %.6g ± %.2g, Algorithm 1 %.6g ± %.2g", negative, k, got, se, ref[k-1], refSE[k-1])
-			}
+	}
+	t.Logf("worst |ΔF| is %.2f combined standard errors", worst)
+	for _, conf := range []float64{0.5, 0.8, 0.95} {
+		region := c.Region(conf)
+		want := 0
+		for want < n && ref[want] >= conf {
+			want++
 		}
-		t.Logf("negative=%v: worst |ΔF| is %.2f combined standard errors", negative, worst)
-		for _, conf := range []float64{0.5, 0.8, 0.95} {
-			region := c.Region(conf)
-			want := 0
-			for want < n && ref[want] >= conf {
-				want++
-			}
-			if want == 0 || want == n {
-				t.Fatalf("negative=%v conf %v: reference region %d of %d is degenerate", negative, conf, want, n)
-			}
-			if d := len(region) - want; d < -2 || d > 2 {
-				t.Errorf("negative=%v conf %v: region %d locations, Algorithm 1 %d", negative, conf, len(region), want)
-			}
-			// MCValidate counts exceedances; E⁻ is E⁺ of the mirrored field.
-			mean, thr := p.mean, u
-			if negative {
-				mean, thr = make([]float64, n), -u
-				for i, m := range p.mean {
-					mean[i] = -m
-				}
-			}
-			const samples = 40000
-			phat := MCValidate(region, mean, p.sd, thr, p.lCorr, samples, rand.New(rand.NewSource(9)))
-			if sigma := math.Sqrt(conf * (1 - conf) / samples); phat < conf-3*sigma {
-				t.Errorf("negative=%v conf %v: MC coverage %v of a %d-location region, below %v − 3σ", negative, conf, phat, len(region), conf)
-			}
+		if want == 0 || want == n {
+			t.Fatalf("conf %v: reference region %d of %d is degenerate", conf, want, n)
+		}
+		if d := len(region) - want; d < -2 || d > 2 {
+			t.Errorf("conf %v: region %d locations, Algorithm 1 %d", conf, len(region), want)
+		}
+		const samples = 40000
+		phat := MCValidate(region, p.mean, p.sd, u, p.lCorr, samples, rand.New(rand.NewSource(9)))
+		if sigma := math.Sqrt(conf * (1 - conf) / samples); phat < conf-3*sigma {
+			t.Errorf("conf %v: MC coverage %v of a %d-location region, below %v − 3σ", conf, phat, len(region), conf)
 		}
 	}
 }
@@ -309,7 +291,7 @@ func TestOneIntegrationPerDetection(t *testing.T) {
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
 	opts := mvn.Options{N: 300, SampleTile: 50, Replicates: 2}
-	c := p.detect(t, rt, 0.1, false, opts)
+	c := p.detect(t, rt, 0.1, opts)
 	for k := 0; k <= 25; k++ {
 		c.PrefixProb(k)
 	}
@@ -330,8 +312,8 @@ func TestIntegrateParallelMatchesInline(t *testing.T) {
 	defer rt.Shutdown()
 	for _, reps := range []int{1, 3} {
 		opts := mvn.Options{N: 300, SampleTile: 64, Replicates: reps}
-		par := p.detect(t, rt, 0.2, false, opts)
-		seq := p.detect(t, nil, 0.2, false, opts)
+		par := p.detect(t, rt, 0.2, opts)
+		seq := p.detect(t, nil, 0.2, opts)
 		for k := 1; k <= 36; k++ {
 			if par.PrefixProb(k) != seq.PrefixProb(k) || par.PrefixStdErr(k) != seq.PrefixStdErr(k) {
 				t.Errorf("reps=%d rank %d: parallel %v ± %v, inline %v ± %v", reps, k,
@@ -479,12 +461,10 @@ func TestNewPlanValidation(t *testing.T) {
 		{"NaN threshold", ok, ok, nan, "threshold", -1},
 		{"infinite threshold", ok, ok, inf, "threshold", -1},
 	} {
-		for _, mk := range []func([]float64, []float64, float64) (*Plan, error){NewPlan, NewNegativePlan} {
-			_, err := mk(tc.mean, tc.sd, tc.u)
-			var in *InputError
-			if !errors.As(err, &in) || in.What != tc.what || in.Index != tc.index {
-				t.Errorf("%s: error %v, want InputError{%s, %d}", tc.name, err, tc.what, tc.index)
-			}
+		_, err := NewPlan(tc.mean, tc.sd, tc.u)
+		var in *InputError
+		if !errors.As(err, &in) || in.What != tc.what || in.Index != tc.index {
+			t.Errorf("%s: error %v, want InputError{%s, %d}", tc.name, err, tc.what, tc.index)
 		}
 	}
 	for _, d := range []float64{0, -2, nan, inf} {
@@ -505,60 +485,5 @@ func TestNewPlanValidation(t *testing.T) {
 	}
 	if _, err := plan.Integrate(rt, denseFactor(t, rt, linalg.Eye(6), 3), mvn.Options{}); err == nil {
 		t.Error("want error for factor dimension mismatch")
-	}
-}
-
-func TestNegativeRegionMirrorsPositive(t *testing.T) {
-	// By symmetry of the Gaussian field, E⁻ at threshold −u with mean −m
-	// equals E⁺ at u with mean m: same ordering, same factor, mirrored
-	// limits.
-	p := newProblem(t, 4, 0.25)
-	rt := taskrt.New(4)
-	defer rt.Shutdown()
-	opts := mvn.Options{N: 4000}
-	c := p.detect(t, rt, 0.2, false, opts)
-	neg := *p
-	neg.mean = make([]float64, len(p.mean))
-	for i, m := range p.mean {
-		neg.mean[i] = -m
-	}
-	cNeg := neg.detect(t, rt, -0.2, true, opts)
-	// Marginals mirror exactly.
-	pPos := c.MarginalProbs()
-	pNeg := cNeg.MarginalProbs()
-	for i := range pPos {
-		if math.Abs(pPos[i]-pNeg[i]) > 1e-12 {
-			t.Fatalf("marginal mirror broken at %d: %v vs %v", i, pPos[i], pNeg[i])
-		}
-	}
-	// Prefix probabilities mirror to QMC accuracy.
-	for _, k := range []int{1, 4, 9, 16} {
-		pp, pn := c.PrefixProb(k), cNeg.PrefixProb(k)
-		if math.Abs(pp-pn) > 5e-3 {
-			t.Errorf("prefix %d: %v vs %v", k, pp, pn)
-		}
-	}
-	// Regions mirror.
-	rp := c.Region(0.8)
-	rn := cNeg.Region(0.8)
-	if len(rp) != len(rn) {
-		t.Errorf("mirrored regions differ in size: %d vs %d", len(rp), len(rn))
-	}
-}
-
-func TestNegativeRegionDetectsLowField(t *testing.T) {
-	// With a mean surface that dips in the east, E⁻ at u=0 must select
-	// eastern (high-x) locations.
-	p := newProblem(t, 5, 0.2)
-	rt := taskrt.New(4)
-	defer rt.Shutdown()
-	region := p.detect(t, rt, 0, true, mvn.Options{N: 3000}).Region(0.8)
-	if len(region) == 0 {
-		t.Fatal("empty negative region")
-	}
-	for _, loc := range region {
-		if p.g.Pts[loc].X < 0.5 {
-			t.Errorf("negative region contains western location %d (mean %.2f)", loc, p.mean[loc])
-		}
 	}
 }

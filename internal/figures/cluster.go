@@ -1,26 +1,25 @@
-// Package cluster is a discrete-event simulator of the distributed-memory
-// execution of the tiled MVN pipeline on a Cray-XC40-like machine: tiles
-// are owned 2D-block-cyclically by nodes, each task executes on the node
-// owning its output tile, inter-node tile transfers pay latency plus
-// bytes/bandwidth, and every node schedules its tasks over a fixed number
-// of cores. It stands in for the paper's Shaheen-II runs (Figure 7,
-// Table III), reproducing the scaling *shape* from the same task DAG and
-// communication volume.
+package figures
+
+import (
+	"container/heap"
+	"math"
+)
+
+// The distributed-memory timings of Figure 7 and Table III come from a
+// discrete-event model of the tiled MVN pipeline on a Cray-XC40-like machine:
+// tiles are owned 2D-block-cyclically by nodes, each task executes on the
+// node owning its output tile, inter-node tile transfers pay latency plus
+// bytes/bandwidth, and every node schedules its tasks over a fixed number of
+// cores. It stands in for the paper's Shaheen-II runs, reproducing the
+// scaling *shape* from the same task DAG and communication volume.
 //
 // Matching the paper's distributed implementation, the TLR variant
 // accelerates only the Cholesky factorization; the QMC propagation GEMMs
 // stay dense ("A and B are non-admissible"), which is why distributed TLR
 // speedups (≈1.3–1.8X) are far below the shared-memory ones.
-package cluster
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-)
-
-// Config describes the simulated machine.
-type Config struct {
+// clusterConfig describes the simulated machine.
+type clusterConfig struct {
 	Nodes         int
 	CoresPerNode  int
 	GflopsPerCore float64 // sustained double-precision Gflop/s per core
@@ -28,87 +27,16 @@ type Config struct {
 	BandwidthBps  float64 // per-link bandwidth in bytes/s
 }
 
-// ShaheenII returns a configuration calibrated to the paper's Cray XC40
+// shaheenII returns a configuration calibrated to the paper's Cray XC40
 // nodes (dual-socket 16-core Haswell @ 2.3 GHz, Aries interconnect).
-func ShaheenII(nodes int) Config {
-	return Config{
+func shaheenII(nodes int) clusterConfig {
+	return clusterConfig{
 		Nodes:         nodes,
 		CoresPerNode:  32,
 		GflopsPerCore: 16, // sustained DGEMM per core
 		LatencySec:    1.5e-6,
 		BandwidthBps:  8e9,
 	}
-}
-
-// task is a node-pinned unit of work in the simulated DAG.
-type task struct {
-	node   int
-	flops  float64
-	finish float64
-	// deps are the predecessor tasks with the bytes that must move if the
-	// producer lives on a different node.
-	deps []dataDep
-}
-
-type dataDep struct {
-	t     *task
-	bytes float64
-}
-
-// Sim accumulates a DAG and computes its makespan under the configuration.
-type Sim struct {
-	cfg   Config
-	tasks []*task
-	cores [][]float64 // per node: min-heap of core-free times
-}
-
-// NewSim returns an empty simulation for the machine cfg.
-func NewSim(cfg Config) *Sim {
-	if cfg.Nodes < 1 || cfg.CoresPerNode < 1 {
-		panic(fmt.Sprintf("cluster: invalid config %+v", cfg))
-	}
-	s := &Sim{cfg: cfg, cores: make([][]float64, cfg.Nodes)}
-	for i := range s.cores {
-		s.cores[i] = make([]float64, cfg.CoresPerNode)
-	}
-	return s
-}
-
-// Add appends a task pinned to node with the given flop cost and
-// dependencies; it must be called in a valid topological order (dependencies
-// added first). It returns the task for use as a later dependency.
-func (s *Sim) Add(node int, flops float64, deps ...dataDep) *task {
-	t := &task{node: node, flops: flops, deps: deps}
-	s.tasks = append(s.tasks, t)
-	return t
-}
-
-// Dep declares a dependency carrying the given payload bytes.
-func Dep(t *task, bytes float64) dataDep { return dataDep{t: t, bytes: bytes} }
-
-// Run executes the list-scheduling simulation and returns the makespan in
-// seconds. Tasks start when their data has arrived and a core on their node
-// is free, in submission order (the STF order a dynamic runtime would also
-// respect for equal priorities).
-func (s *Sim) Run() float64 {
-	makespan := 0.0
-	for _, t := range s.tasks {
-		ready := 0.0
-		for _, d := range t.deps {
-			arrive := d.t.finish
-			if d.t.node != t.node && d.bytes > 0 {
-				arrive += s.cfg.LatencySec + d.bytes/s.cfg.BandwidthBps
-			}
-			ready = math.Max(ready, arrive)
-		}
-		h := coreHeap(s.cores[t.node])
-		start := math.Max(ready, h[0])
-		t.finish = start + t.flops/(s.cfg.GflopsPerCore*1e9)
-		h[0] = t.finish
-		heap.Fix(&h, 0)
-		makespan = math.Max(makespan, t.finish)
-	}
-	return makespan
 }
 
 type coreHeap []float64
@@ -128,8 +56,8 @@ func grid(nodes int) (pr, pc int) {
 	return pr, nodes / pr
 }
 
-// Workload describes one MVN problem instance for the simulator.
-type Workload struct {
+// workload describes one MVN problem instance for the simulator.
+type workload struct {
 	N        int     // problem dimension
 	TileSize int     // tile size (the paper's 980-style TLR tiles)
 	QMC      int     // QMC sample size
@@ -145,17 +73,17 @@ type Workload struct {
 
 const bytesPerFloat = 8
 
-// machine is the streaming counterpart of Sim: it tracks per-node core
-// availability and computes task finish times in submission order without
-// materializing the DAG, so paper-scale tile counts (nt ≈ 776 → tens of
-// millions of GEMM tasks) simulate in seconds.
+// machine tracks per-node core availability and computes task finish times
+// in submission order (the STF order a dynamic runtime would also respect
+// for equal priorities) without materializing the DAG, so paper-scale tile
+// counts (nt ≈ 776 → tens of millions of GEMM tasks) simulate in seconds.
 type machine struct {
-	cfg   Config
-	cores [][]float64
+	cfg   clusterConfig
+	cores [][]float64 // per node: min-heap of core-free times
 	mk    float64
 }
 
-func newMachine(cfg Config) *machine {
+func newMachine(cfg clusterConfig) *machine {
 	m := &machine{cfg: cfg, cores: make([][]float64, cfg.Nodes)}
 	for i := range m.cores {
 		m.cores[i] = make([]float64, cfg.CoresPerNode)
@@ -186,10 +114,10 @@ func (m *machine) arrive(t float64, from, to int, bytes float64) float64 {
 	return t + m.cfg.LatencySec + bytes/m.cfg.BandwidthBps
 }
 
-// MVNMakespan simulates one full MVN integration (Cholesky + tiled QMC
+// mvnMakespan simulates one full MVN integration (Cholesky + tiled QMC
 // propagation) on the machine and returns (cholesky seconds, pmvn seconds).
-// The DAG is streamed in STF submission order, matching Sim's semantics.
-func MVNMakespan(cfg Config, w Workload) (cholSec, pmvnSec float64) {
+// The DAG is streamed in STF submission order.
+func mvnMakespan(cfg clusterConfig, w workload) (cholSec, pmvnSec float64) {
 	nt := (w.N + w.TileSize - 1) / w.TileSize
 	pr, pc := grid(cfg.Nodes)
 	owner := func(i, j int) int { return (i%pr)*pc + j%pc }

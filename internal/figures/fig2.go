@@ -6,10 +6,10 @@ import (
 	"math"
 
 	"repro/internal/cov"
+	"repro/internal/datagen"
 	"repro/internal/geo"
 	"repro/internal/linalg"
 	"repro/internal/taskrt"
-	"repro/internal/wind"
 )
 
 // Fig2Result summarizes the wind-speed application (paper Figures 2 and 3).
@@ -41,7 +41,7 @@ func Fig2(w io.Writer, cfg Config) (*Fig2Result, error) {
 		conf   = 0.95 // paper's confidence level
 		tlrTol = 1e-4 // paper's wind-experiment accuracy
 	)
-	ds, err := wind.Generate(wind.Config{Nx: nx, Ny: ny, Days: days, Seed: 11})
+	ds, err := datagen.GenerateWind(datagen.WindConfig{Nx: nx, Ny: ny, Days: days, Seed: 11})
 	if err != nil {
 		return nil, err
 	}

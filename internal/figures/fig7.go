@@ -3,8 +3,6 @@ package figures
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/cluster"
 )
 
 // Fig7Row is one simulated distributed-memory timing.
@@ -18,11 +16,11 @@ type Fig7Row struct {
 }
 
 // Fig7 reproduces the distributed-memory scaling study (paper Figure 7) on
-// the discrete-event Shaheen-II simulator, at the paper's exact dimensions
-// and node counts: the left panel sweeps 16–128 nodes up to n = 360,000;
-// the right panel 64–512 nodes up to n = 760,384. The TLR variant
-// accelerates only the Cholesky step, matching the paper's distributed
-// implementation.
+// the discrete-event Shaheen-II simulator (mvnMakespan), at the paper's exact
+// dimensions and node counts: the left panel sweeps 16–128 nodes up to
+// n = 360,000; the right panel 64–512 nodes up to n = 760,384. The TLR
+// variant accelerates only the Cholesky step, matching the paper's
+// distributed implementation.
 func Fig7(w io.Writer, cfg Config) ([]Fig7Row, error) {
 	type panel struct {
 		dims  []int
@@ -44,7 +42,7 @@ func Fig7(w io.Writer, cfg Config) ([]Fig7Row, error) {
 		sampleTS = 500 // chains per tile column; fine enough to keep the QMC
 		// chain critical path below the per-node work share
 		meanRank  = 145 // the paper's maximum-rank setting, used as mean (conservative)
-		propScale = 2.5 // tall-skinny GEMM efficiency (see cluster.Workload)
+		propScale = 2.5 // tall-skinny GEMM efficiency (see workload)
 	)
 	var rows []Fig7Row
 	for pi, p := range panels {
@@ -53,11 +51,11 @@ func Fig7(w io.Writer, cfg Config) ([]Fig7Row, error) {
 		for _, nodes := range p.nodes {
 			for _, dim := range p.dims {
 				for _, method := range []string{"dense", "tlr"} {
-					wl := cluster.Workload{
+					wl := workload{
 						N: dim, TileSize: tileSize, QMC: qmcN, SampleTS: sampleTS,
 						TLR: method == "tlr", MeanRank: meanRank, PropFlopScale: propScale,
 					}
-					chol, pmvn := cluster.MVNMakespan(cluster.ShaheenII(nodes), wl)
+					chol, pmvn := mvnMakespan(shaheenII(nodes), wl)
 					row := Fig7Row{Dim: dim, Nodes: nodes, Method: method,
 						CholSec: chol, PMVNSec: pmvn, TotalSec: chol + pmvn}
 					rows = append(rows, row)

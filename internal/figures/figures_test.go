@@ -178,8 +178,7 @@ func TestFig6Timing(t *testing.T) {
 }
 
 func TestFig7AndTable3(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := Fig7(&buf, quick)
+	rows, err := quickFig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +207,7 @@ func TestFig7AndTable3(t *testing.T) {
 			}
 		}
 	}
+	var buf bytes.Buffer
 	sp := Table3(&buf, rows)
 	for n, s := range sp {
 		// The paper's Table III: modest 1.3–1.8X overall speedups. Allow a

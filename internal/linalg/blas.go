@@ -353,21 +353,3 @@ func trsmLowerUnblocked(side TrsmSide, trans bool, l, b *Matrix) {
 		}
 	}
 }
-
-// TrmmLowerNoTrans computes B = L·B in place for lower-triangular l.
-func TrmmLowerNoTrans(l, b *Matrix) {
-	n := l.Rows
-	if l.Cols != n || b.Rows != n {
-		panic("linalg: TrmmLowerNoTrans shape mismatch")
-	}
-	for j := 0; j < b.Cols; j++ {
-		x := b.Col(j)
-		for i := n - 1; i >= 0; i-- {
-			s := 0.0
-			for k := 0; k <= i; k++ {
-				s += l.At(i, k) * x[k]
-			}
-			x[i] = s
-		}
-	}
-}

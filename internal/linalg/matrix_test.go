@@ -342,16 +342,3 @@ func TestTrsmAlphaScaling(t *testing.T) {
 		}
 	}
 }
-
-func TestTrmmLowerNoTrans(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	l, _ := Cholesky(randSPD(5, rng))
-	b := randMatrix(5, 3, rng)
-	want := NewMatrix(5, 3)
-	Gemm(false, false, 1, l, b, 0, want)
-	got := b.Clone()
-	TrmmLowerNoTrans(l, got)
-	if d := got.MaxAbsDiff(want); d > 1e-12 {
-		t.Errorf("Trmm diff %v", d)
-	}
-}

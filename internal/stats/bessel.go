@@ -159,28 +159,3 @@ func besselKCF2(mu, x float64) (kmu, kmu1 float64) {
 	kmu1 = kmu * (mu + x + 0.5 - h) / x
 	return
 }
-
-// BesselKScaled returns e^x · K_ν(x), which stays representable for large x
-// where K_ν itself underflows. It follows the same evaluation strategy as
-// BesselK.
-func BesselKScaled(nu, x float64) float64 {
-	if x <= 700 {
-		k := BesselK(nu, x)
-		if k > 0 && !math.IsInf(k, 1) {
-			return k * math.Exp(x)
-		}
-	}
-	// Large-x asymptotic expansion: K_ν(x) ~ sqrt(π/2x)·e^{-x}·Σ a_k(ν)/x^k.
-	mu4 := 4 * nu * nu
-	s := 1.0
-	term := 1.0
-	for k := 1; k <= 12; k++ {
-		num := mu4 - float64((2*k-1)*(2*k-1))
-		term *= num / (8 * float64(k) * x)
-		s += term
-		if math.Abs(term) < 1e-17*math.Abs(s) {
-			break
-		}
-	}
-	return math.Sqrt(math.Pi/(2*x)) * s
-}

@@ -24,25 +24,6 @@ func GammaP(a, x float64) float64 {
 	return 1 - gammaCF(a, x)
 }
 
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(a,x) = 1 − P(a,x).
-func GammaQ(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x < 0:
-		return math.NaN()
-	case x == 0:
-		return 1
-	case math.IsInf(x, 1):
-		return 0
-	}
-	if x < a+1 {
-		return 1 - gammaSeries(a, x)
-	}
-	return gammaCF(a, x)
-}
-
 // gammaSeries evaluates P(a,x) by its power series (x < a+1).
 func gammaSeries(a, x float64) float64 {
 	lg, _ := math.Lgamma(a)

@@ -24,18 +24,6 @@ func TestGammaPKnownValues(t *testing.T) {
 	}
 }
 
-func TestGammaPQComplement(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		a := 0.1 + 10*rng.Float64()
-		x := 12 * rng.Float64()
-		p, q := GammaP(a, x), GammaQ(a, x)
-		if !almostEq(p+q, 1, 1e-12) {
-			t.Fatalf("P+Q = %v at a=%v x=%v", p+q, a, x)
-		}
-	}
-}
-
 func TestGammaPEdges(t *testing.T) {
 	if GammaP(2, 0) != 0 {
 		t.Error("P(a,0) should be 0")

@@ -277,23 +277,6 @@ func TestBesselKEdgeCases(t *testing.T) {
 	}
 }
 
-func TestBesselKScaled(t *testing.T) {
-	for _, c := range []struct{ nu, x float64 }{{0.5, 1}, {1.5, 10}, {0.3, 50}, {2.5, 200}} {
-		want := BesselK(c.nu, c.x) * math.Exp(c.x)
-		got := BesselKScaled(c.nu, c.x)
-		if !almostEq(got, want, 1e-10) {
-			t.Errorf("BesselKScaled(%v,%v) = %v, want %v", c.nu, c.x, got, want)
-		}
-	}
-	// Far beyond the underflow point the scaled version must stay finite and
-	// close to the asymptotic sqrt(π/2x).
-	v := BesselKScaled(0.5, 2000)
-	want := math.Sqrt(math.Pi / (2 * 2000.0))
-	if !almostEq(v, want, 1e-10) {
-		t.Errorf("BesselKScaled(0.5,2000) = %v, want %v", v, want)
-	}
-}
-
 func TestBesselKMonotoneInX(t *testing.T) {
 	f := func(raw float64) bool {
 		x := 0.1 + math.Abs(math.Mod(raw, 10))

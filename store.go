@@ -116,36 +116,6 @@ func encodeFactorKey(k factorKey) []byte {
 	return b
 }
 
-// decodeFactorKey parses an encodeFactorKey blob.
-func decodeFactorKey(b []byte) (factorKey, error) {
-	var k factorKey
-	const fixed = 2 + 8 + 8 + 8 + 4 + 4 + 8 + 2
-	if len(b) < fixed {
-		return k, fmt.Errorf("parmvn: factor key blob too short (%d bytes)", len(b))
-	}
-	if b[0] != keyBlobVersion {
-		return k, fmt.Errorf("parmvn: factor key blob version %d, want %d", b[0], keyBlobVersion)
-	}
-	k.kind = b[1]
-	k.hash[0] = binary.LittleEndian.Uint64(b[2:])
-	k.hash[1] = binary.LittleEndian.Uint64(b[10:])
-	k.n = int(binary.LittleEndian.Uint64(b[18:]))
-	k.method = Method(int32(binary.LittleEndian.Uint32(b[26:])))
-	k.tile = int(int32(binary.LittleEndian.Uint32(b[30:])))
-	k.tol = math.Float64frombits(binary.LittleEndian.Uint64(b[34:]))
-	fl := int(binary.LittleEndian.Uint16(b[42:]))
-	if len(b) < fixed+fl+4*8 {
-		return k, fmt.Errorf("parmvn: factor key blob truncated kernel section")
-	}
-	k.kernel.Family = string(b[44 : 44+fl])
-	rest := b[44+fl:]
-	k.kernel.Sigma2 = math.Float64frombits(binary.LittleEndian.Uint64(rest[0:]))
-	k.kernel.Range = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
-	k.kernel.Nu = math.Float64frombits(binary.LittleEndian.Uint64(rest[16:]))
-	k.kernel.Nugget = math.Float64frombits(binary.LittleEndian.Uint64(rest[24:]))
-	return k, nil
-}
-
 // SaveFactor persists the Cholesky factor for spec's kernel at locs —
 // building and caching it first if the session has not already — into the
 // store, atomically (write temp, fsync, rename). Factorization failures
@@ -223,57 +193,4 @@ func (st *FactorStore) read(pk ProblemKey) ([]byte, *mvn.Factor, error) {
 		return nil, nil, fmt.Errorf("parmvn: factor store: %w", err)
 	}
 	return factorio.Decode(data)
-}
-
-// WarmFromStore installs every stored factor whose key the session's own
-// configuration would produce — same method, tile size and tolerances —
-// into the factor cache, and reports how many were installed. Factors
-// saved under other configurations are skipped, corrupt or gated-out files
-// are skipped (the store stays usable even with a damaged entry; the
-// first error encountered is returned after the scan so callers can log
-// it). With a bounded cache the LRU eviction still applies: warming more
-// factors than FactorCacheCap keeps only the last ones installed.
-func (s *Session) WarmFromStore(st *FactorStore) (int, error) {
-	ents, err := os.ReadDir(st.dir)
-	if err != nil {
-		return 0, fmt.Errorf("parmvn: factor store: %w", err)
-	}
-	installed := 0
-	var firstErr error
-	for _, ent := range ents {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), storeExt) {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(st.dir, ent.Name()))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		blob, f, err := factorio.Decode(data)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", ent.Name(), err)
-			}
-			continue
-		}
-		key, err := decodeFactorKey(blob)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", ent.Name(), err)
-			}
-			continue
-		}
-		// The stored key is trusted only if this session would key the same
-		// problem identically: reconstruct the key from the session config
-		// and the stored content identity, and require an exact match.
-		if key != s.cfg.key(key.kind, key.hash, key.n, key.kernel) {
-			continue
-		}
-		if s.cache.install(key, f) {
-			installed++
-		}
-	}
-	return installed, firstErr
 }

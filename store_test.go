@@ -1,9 +1,9 @@
 package parmvn
 
 import (
+	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/factorio"
@@ -284,74 +284,11 @@ func TestStoreCorruption(t *testing.T) {
 	s4.Close()
 }
 
-// TestWarmFromStore saves several factors and warms fresh sessions from the
-// directory: a matching configuration installs them all, a mismatched one
-// installs none, and a damaged file is skipped (reported, not fatal).
-func TestWarmFromStore(t *testing.T) {
-	locs, _, a, b := storeTestProblem()
-	cfg := Config{TileSize: 8, QMCSize: 200, Workers: 1}
-	st, err := OpenFactorStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []KernelSpec{
-		{Family: "exponential", Range: 0.1},
-		{Family: "exponential", Range: 0.25},
-	}
-	s := NewSession(cfg)
-	defer s.Close()
-	for _, spec := range specs {
-		if err := s.SaveFactor(st, locs, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, err := st.Len(); err != nil || n != 2 {
-		t.Fatalf("store len = %d (%v), want 2", n, err)
-	}
-
-	warm := NewSession(cfg)
-	defer warm.Close()
-	n, err := warm.WarmFromStore(st)
-	if err != nil || n != 2 {
-		t.Fatalf("warm install = %d (%v), want 2", n, err)
-	}
-	for _, spec := range specs {
-		if _, err := warm.MVNProb(locs, spec, a, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, misses := warm.Cache().Stats(); hits != 2 || misses != 0 {
-		t.Errorf("warmed session hits/misses = %d/%d, want 2/0", hits, misses)
-	}
-
-	// A session whose configuration keys problems differently installs
-	// nothing: the stored factors were not built for it.
-	cold := NewSession(Config{TileSize: 8, QMCSize: 200, Workers: 1, Method: TLR, TLRTol: 1e-5})
-	defer cold.Close()
-	if n, err := cold.WarmFromStore(st); err != nil || n != 0 {
-		t.Errorf("mismatched config installed %d (%v), want 0", n, err)
-	}
-
-	// A damaged file is skipped and reported without losing the good ones.
-	if err := os.WriteFile(filepath.Join(st.Dir(), "deadbeef00000000.fac"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	warm2 := NewSession(cfg)
-	defer warm2.Close()
-	n, err = warm2.WarmFromStore(st)
-	if n != 2 {
-		t.Errorf("warm with damaged file installed %d, want 2", n)
-	}
-	if err == nil {
-		t.Error("damaged file was not reported")
-	}
-}
-
-// TestFactorKeyBlobRoundTrip checks the key serialization: decode(encode)
-// is the identity, so the on-disk key identity check is exact, and a blob of
-// any other version — version 1, which keyed the rank cap, or a future one —
-// is refused.
-func TestFactorKeyBlobRoundTrip(t *testing.T) {
+// TestFactorKeyBlobSeparatesKeys checks the key serialization LoadFactor
+// compares byte for byte: it leads with keyBlobVersion, equal keys encode
+// equally, and changing any one field — the content hash, n, the method, the
+// tile size, the tolerance or any kernel parameter — changes the blob.
+func TestFactorKeyBlobSeparatesKeys(t *testing.T) {
 	k := factorKey{
 		kind:   'k',
 		hash:   [2]uint64{0x0123456789abcdef, 0xfedcba9876543210},
@@ -361,21 +298,31 @@ func TestFactorKeyBlobRoundTrip(t *testing.T) {
 		tile:   64,
 		tol:    1e-7,
 	}
-	got, err := decodeFactorKey(encodeFactorKey(k))
-	if err != nil {
-		t.Fatal(err)
+	blob := encodeFactorKey(k)
+	if blob[0] != keyBlobVersion {
+		t.Errorf("blob version %d, want %d", blob[0], keyBlobVersion)
 	}
-	if got != k {
-		t.Errorf("round trip changed the key:\n got %+v\nwant %+v", got, k)
+	if !bytes.Equal(blob, encodeFactorKey(k)) {
+		t.Error("equal keys encode differently")
 	}
-	if _, err := decodeFactorKey(encodeFactorKey(k)[:10]); err == nil {
-		t.Error("truncated key blob decoded successfully")
-	}
-	for _, v := range []byte{1, keyBlobVersion + 1} {
-		bad := encodeFactorKey(k)
-		bad[0] = v
-		if _, err := decodeFactorKey(bad); err == nil {
-			t.Errorf("key blob version %d decoded successfully", v)
+	for name, edit := range map[string]func(*factorKey){
+		"kind":   func(k *factorKey) { k.kind = 's' },
+		"hash0":  func(k *factorKey) { k.hash[0]++ },
+		"hash1":  func(k *factorKey) { k.hash[1]++ },
+		"n":      func(k *factorKey) { k.n++ },
+		"method": func(k *factorKey) { k.method = TLR },
+		"tile":   func(k *factorKey) { k.tile++ },
+		"tol":    func(k *factorKey) { k.tol *= 2 },
+		"family": func(k *factorKey) { k.kernel.Family = "maternx" },
+		"sigma2": func(k *factorKey) { k.kernel.Sigma2++ },
+		"range":  func(k *factorKey) { k.kernel.Range++ },
+		"nu":     func(k *factorKey) { k.kernel.Nu++ },
+		"nugget": func(k *factorKey) { k.kernel.Nugget++ },
+	} {
+		k2 := k
+		edit(&k2)
+		if bytes.Equal(blob, encodeFactorKey(k2)) {
+			t.Errorf("changing %s leaves the blob unchanged", name)
 		}
 	}
 }
