@@ -8,8 +8,7 @@ import "math"
 // scheme LAPACK's dbdsqr-based solvers use. On return a is overwritten with
 // U (m×n, orthonormal columns), v (n×n, must be provided) holds V, and s
 // (length n) the singular values — non-negative but UNSORTED. It reports
-// false if the QR iteration failed to converge (callers fall back to the
-// slower one-sided Jacobi, which cannot fail).
+// false if the QR iteration failed to converge.
 //
 // Compared with Jacobi — O(sweeps·n²) length-m inner products that resist
 // convergence acceleration — the shifted QR iteration deflates one singular

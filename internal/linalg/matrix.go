@@ -1,8 +1,9 @@
 // Package linalg is the dense linear-algebra substrate: a column-major
 // matrix type with shared-backing views, the BLAS-3 kernels the tiled
 // algorithms are built from (GEMM, SYRK, TRSM), Cholesky factorization,
-// Householder QR and a one-sided Jacobi SVD. It plays the role Intel MKL and
-// the Chameleon kernels play in the paper.
+// Householder QR and the Golub–Reinsch SVD (with a one-sided Jacobi SVD the
+// tests use as reference). It plays the role Intel MKL and the Chameleon
+// kernels play in the paper.
 package linalg
 
 import (

@@ -15,9 +15,9 @@ type SVDResult struct {
 }
 
 // SVD computes the thin singular value decomposition of a using the
-// one-sided Jacobi method (Hestenes), which is simple, robust and accurate
-// for the small tile-sized matrices used by TLR compression. The input is
-// not modified.
+// one-sided Jacobi method (Hestenes), which is simple, robust and accurate:
+// it is the reference the tests hold GolubReinschSVD and the TLR compressors
+// to. The input is not modified.
 func SVD(a *Matrix) *SVDResult {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -32,7 +32,7 @@ func SVD(a *Matrix) *SVDResult {
 		v.Set(i, i, 1)
 	}
 	s := GetVec(n)
-	JacobiSVDInPlace(w, v, s)
+	jacobiSVD(w, v, s)
 	// Normalize the columns of W into U and sort by decreasing singular
 	// value.
 	idx := make([]int, n)
@@ -58,26 +58,14 @@ func SVD(a *Matrix) *SVDResult {
 	return &SVDResult{U: us, S: ss, V: vs}
 }
 
-// JacobiSVDInPlace computes a thin SVD of w in place by one-sided Jacobi
-// (Hestenes) plane rotations: on return the columns of w are U·diag(s)
-// (unsorted — column j has norm s[j]), v has accumulated the rotations (it
-// must be the identity on entry; it exits as the right singular vectors),
-// and s (length w.Cols) holds the singular values. This is the
-// allocation-free core behind SVD and the low-rank recompression path.
-func JacobiSVDInPlace(w, v *Matrix, s []float64) {
-	JacobiSVDTol(w, v, s, 1e-14)
-}
-
-// JacobiSVDTol is JacobiSVDInPlace with an explicit convergence threshold on
-// the largest pairwise column cosine (floored at 1e-14). Looser thresholds
-// save sweeps when the factorization only needs the spectrum for a
-// truncation decision: the product W·Vᵀ is exactly preserved by every
-// rotation, so an early stop only blurs the singular-value estimates by
-// ~offTol, never the reconstruction.
-func JacobiSVDTol(w, v *Matrix, s []float64, offTol float64) {
-	if offTol < 1e-14 {
-		offTol = 1e-14
-	}
+// jacobiSVD computes a thin SVD of w in place by one-sided Jacobi (Hestenes)
+// plane rotations: on return the columns of w are U·diag(s) (unsorted —
+// column j has norm s[j]), v has accumulated the rotations (it must be the
+// identity on entry; it exits as the right singular vectors), and s (length
+// w.Cols) holds the singular values. Sweeps stop once the largest pairwise
+// column cosine is below 1e-14.
+func jacobiSVD(w, v *Matrix, s []float64) {
+	const offTol = 1e-14
 	n := w.Cols
 	const eps = 1e-15
 	// Column square norms are the diagonal of the Gram matrix; caching them

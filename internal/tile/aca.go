@@ -50,14 +50,15 @@ const (
 // CompressACAConv is CompressACA over runs — row(dst, i) fills the n entries
 // of tile row i, col(dst, j) the m entries of tile column j, one call per
 // cross where an entry evaluator would take m+n — reporting whether the
-// result is a controlled-error approximation. A false return means either
-// the rank budget was exhausted before the cross iteration converged
-// (unlike a truncated SVD, a budget-capped cross approximation has no
-// optimality guarantee) or the iteration stopped on its own estimate but
-// the rows residualWithin reads back disagree with the returned tile by more
-// than acaResidualSlack·tol·‖A_k‖_F; callers that need accuracy — e.g. TLR
-// assembly of near-diagonal high-rank tiles — must then not use the tile
-// (the engine's probe keeps such a tile dense).
+// result is a controlled-error approximation. A false return means the rank
+// budget was exhausted before the cross iteration converged (unlike a
+// truncated SVD, a budget-capped cross approximation has no optimality
+// guarantee), the iteration stopped on its own estimate but the rows
+// residualWithin reads back disagree with the returned tile by more than
+// acaResidualSlack·tol·‖A_k‖_F, or the rounding's SVD failed to converge;
+// callers that need accuracy — e.g. TLR assembly of near-diagonal high-rank
+// tiles — must then not use the tile (the engine's probe keeps such a tile
+// dense).
 func CompressACAConv(m, n int, row, col func(dst []float64, i int), tol float64, maxRank int) (*LowRank, bool) {
 	limit := min(m, n)
 	if maxRank > 0 && maxRank < limit {
@@ -170,8 +171,11 @@ func CompressACAConv(m, n int, row, col func(dst []float64, i int), tol float64,
 		// Recompress: ACA overshoots the rank slightly; rounding restores
 		// the SVD-grade truncation the rest of the TLR stack expects.
 		// RoundLR overwrites the views, which is fine — the panels are
-		// recycled right after.
-		t.U, t.V = RoundLR(us.View(0, 0, m, k), vs.View(0, 0, n, k), tol, maxRank)
+		// recycled right after. A rounding whose SVD fails leaves a rank-0
+		// tile, reported as not converged.
+		var ok bool
+		t.U, t.V, ok = RoundLR(us.View(0, 0, m, k), vs.View(0, 0, n, k), tol, maxRank)
+		converged = converged && ok
 		if converged {
 			converged = residualWithin(t, row, rowBuf, acaResidualSlack*tol*math.Sqrt(math.Max(normSq, 0)))
 		}

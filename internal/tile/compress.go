@@ -17,7 +17,8 @@ import (
 // the tail bound holds, so the result meets the same accuracy contract as
 // the full SVD while the dominant cost becomes blocked GEMM. The sketch is
 // drawn from a deterministic stream keyed by the tile shape, keeping
-// factorizations reproducible across runs and worker counts.
+// factorizations reproducible across runs and worker counts. The tile is nil
+// if the core SVD fails to converge.
 func Compress(a *linalg.Matrix, tol float64, maxRank int) *LowRank {
 	t, _ := compress(a, tol, maxRank, 0, false)
 	return t
@@ -46,8 +47,9 @@ const (
 // bound holds at a rank within maxRank. When it does not, the tile is
 // Compress's truncation, for the caller to discard — or nil, when the capped
 // sketch alone leaves more than the truncation budget uncaptured (the early
-// rejection of CompressWithin). The sketch is Compress's either way, so a
-// block that fits gets Compress's factors bit for bit.
+// rejection of CompressWithin, or a core SVD that fails to converge). The
+// sketch is Compress's either way, so a block that fits gets Compress's
+// factors bit for bit.
 func CompressNear(a *linalg.Matrix, tol float64, maxRank, rank int) (t *LowRank, ok bool) {
 	return compress(a, tol, maxRank, rank, true)
 }
@@ -56,7 +58,8 @@ func CompressNear(a *linalg.Matrix, tol float64, maxRank, rank int) (t *LowRank,
 // ranks up to limit: ok reports Rank() ≤ limit. When the capped sketch alone
 // leaves more than the whole truncation budget uncaptured — by a guard far
 // wider than the rounding between ‖A‖²_F − ‖B‖²_F and B's spectrum — truncate is
-// certain to return the cap: the core SVD is skipped and the tile is nil.
+// certain to return the cap: the core SVD is skipped and the tile is nil, as
+// it is when that SVD fails to converge.
 func CompressWithin(a *linalg.Matrix, tol float64, limit int) (t *LowRank, ok bool) {
 	t, _ = compress(a, tol, limit+1, 0, true)
 	return t, t != nil && t.Rank() <= limit
@@ -65,7 +68,8 @@ func CompressWithin(a *linalg.Matrix, tol float64, limit int) (t *LowRank, ok bo
 // compress is the range finder behind Compress, CompressNear and
 // CompressWithin. met reports that the tail bound holds within maxRank
 // (always, when maxRank ≤ 0); when it does not the tile is truncated to the
-// cap, or nil if within and the sketch alone already misses the budget.
+// cap, or nil if within and the sketch alone already misses the budget. A
+// core SVD that fails to converge returns (nil, false).
 func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) (t *LowRank, met bool) {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -150,10 +154,12 @@ func compress(a *linalg.Matrix, tol float64, maxRank, rank int, within bool) (t 
 		}
 	}
 
+	var sv smallSVD
 	if within && residSq > (1+1e-6)*tol*tol*froSq {
 		t = nil
+	} else if sv, met = svdPooled(b); !met {
+		t = nil
 	} else {
-		sv := svdPooled(b, tol)
 		k := sv.truncate(tol, residSq, 0)
 		met = maxRank <= 0 || k <= maxRank
 		if !met {

@@ -57,7 +57,9 @@ func (t *LowRank) Clone() *LowRank {
 // singular values folded in) and V's orthonormal — so ‖A‖_F is exactly the
 // norm of U's column norms, while the update norm is bounded by the
 // triangle inequality over its rank-1 terms. The safety factor keeps the
-// sum of all drops across a factorization step sequence under tol.
+// sum of all drops across a factorization step sequence under tol. If the
+// rounding's SVD fails to converge the tile keeps the unrounded sum, rank
+// k₁+k₂.
 func (t *LowRank) AddLowRank(alpha float64, u2, v2 *linalg.Matrix, tol float64, maxRank int) {
 	k1, k2 := t.Rank(), u2.Cols
 	if k2 == 0 {
@@ -77,22 +79,29 @@ func (t *LowRank) AddLowRank(alpha float64, u2, v2 *linalg.Matrix, tol float64, 
 			return
 		}
 	}
-	ku := k1 + k2
-	bigU := linalg.GetMat(t.M, ku)
-	bigV := linalg.GetMat(t.N, ku)
-	for j := 0; j < k1; j++ {
-		copy(bigU.Col(j), t.U.Col(j))
-		copy(bigV.Col(j), t.V.Col(j))
+	concat := func() (bigU, bigV *linalg.Matrix) {
+		bigU = linalg.GetMat(t.M, k1+k2)
+		bigV = linalg.GetMat(t.N, k1+k2)
+		for j := 0; j < k1; j++ {
+			copy(bigU.Col(j), t.U.Col(j))
+			copy(bigV.Col(j), t.V.Col(j))
+		}
+		for j := 0; j < k2; j++ {
+			uc := bigU.Col(k1 + j)
+			copy(uc, u2.Col(j))
+			linalg.Scal(alpha, uc)
+			copy(bigV.Col(k1+j), v2.Col(j))
+		}
+		return bigU, bigV
 	}
-	for j := 0; j < k2; j++ {
-		uc := bigU.Col(k1 + j)
-		copy(uc, u2.Col(j))
-		linalg.Scal(alpha, uc)
-		copy(bigV.Col(k1+j), v2.Col(j))
-	}
-	u, v := RoundLR(bigU, bigV, tol, maxRank)
+	bigU, bigV := concat()
+	u, v, ok := RoundLR(bigU, bigV, tol, maxRank)
 	linalg.PutMat(bigU)
 	linalg.PutMat(bigV)
+	if !ok {
+		// RoundLR overwrote the concatenation: rebuild it as the factors.
+		u, v = concat()
+	}
 	linalg.PutMat(t.U)
 	linalg.PutMat(t.V)
 	t.U, t.V = u, v
@@ -110,10 +119,16 @@ func (t *LowRank) AddLowRank(alpha float64, u2, v2 *linalg.Matrix, tol float64, 
 // the panels' spread is ~1/tol, so the path is gated to tol ≥ 1e-5 (error
 // ≤ ~1e-6, far under the truncation) with Householder as the fallback
 // whenever the Gram matrix is numerically semidefinite.
-func RoundLR(bigU, bigV *linalg.Matrix, tol float64, maxRank int) (*linalg.Matrix, *linalg.Matrix) {
+//
+// ok is false when the core SVD fails to converge (essentially never); the
+// inputs are overwritten then too, and no factors are returned.
+func RoundLR(bigU, bigV *linalg.Matrix, tol float64, maxRank int) (u, v *linalg.Matrix, ok bool) {
 	if tol >= 1e-5 {
-		if u, v, ok := roundLRCholQR(bigU, bigV, tol, maxRank); ok {
-			return u, v
+		if core := cholQRCore(bigU, bigV); core != nil {
+			return roundCore(core, tol, maxRank, func(x1, x2, u, v *linalg.Matrix) {
+				linalg.Gemm(false, false, 1, bigU, x1, 0, u)
+				linalg.Gemm(false, false, 1, bigV, x2, 0, v)
+			}, bigU.Rows, bigV.Rows)
 		}
 	}
 	m, n, ku := bigU.Rows, bigV.Rows, bigU.Cols
@@ -130,30 +145,40 @@ func RoundLR(bigU, bigV *linalg.Matrix, tol float64, maxRank int) (*linalg.Matri
 	linalg.Gemm(false, true, 1, ru, rv, 0, core)
 	linalg.PutMat(ru)
 	linalg.PutMat(rv)
+	u, v, ok = roundCore(core, tol, maxRank, func(x1, x2, u, v *linalg.Matrix) {
+		qu.ApplyQInto(x1, u)
+		qv.ApplyQInto(x2, v)
+	}, m, n)
+	linalg.PutVec(&tauU)
+	linalg.PutVec(&tauV)
+	return u, v, ok
+}
 
-	// Thin SVD of the small core with pooled scratch (working in core
-	// itself); x1 picks up the left vectors scaled by the kept singular
-	// values, x2 the right vectors.
-	sv := svdPooled(core, tol)
-	k := sv.truncate(tol, 0, maxRank)
-	var u, v *linalg.Matrix
-	if k > 0 {
-		x1 := linalg.GetMat(p, k)
-		x2 := linalg.GetMat(q, k)
+// roundCore finishes RoundLR on the small core of the orthonormalized
+// panels, which it recycles: a thin SVD truncated at tol (capped at maxRank),
+// then apply maps x1 — the kept left vectors scaled by their singular
+// values — and x2 — the kept right vectors — through the panels' bases into
+// the m×k and n×k factors.
+func roundCore(core *linalg.Matrix, tol float64, maxRank int, apply func(x1, x2, u, v *linalg.Matrix), m, n int) (u, v *linalg.Matrix, ok bool) {
+	sv, ok := svdPooled(core)
+	if !ok {
+		linalg.PutMat(core)
+		return nil, nil, false
+	}
+	if k := sv.truncate(tol, 0, maxRank); k > 0 {
+		x1 := linalg.GetMat(core.Rows, k)
+		x2 := linalg.GetMat(core.Cols, k)
 		sv.leftScaledInto(x1, k)
 		sv.rightInto(x2, k)
 		u = linalg.GetMat(m, k)
 		v = linalg.GetMat(n, k)
-		qu.ApplyQInto(x1, u)
-		qv.ApplyQInto(x2, v)
+		apply(x1, x2, u, v)
 		linalg.PutMat(x1)
 		linalg.PutMat(x2)
 	}
 	sv.release()
 	linalg.PutMat(core)
-	linalg.PutVec(&tauU)
-	linalg.PutVec(&tauV)
-	return u, v
+	return u, v, true
 }
 
 // shiftedChol factorizes the Gram matrix g after adding the standard
@@ -176,34 +201,34 @@ func shiftedChol(g *linalg.Matrix) bool {
 	return linalg.PotrfUnblocked(g) == nil
 }
 
-// roundLRCholQR is the level-3 rounding path: B = Q̃·L̃ᵀ with
-// L̃ = chol(BᵀB + δI), so Q̃ = B·L̃⁻ᵀ materializes via SYRK + TRSM and the
-// final factors via GEMM. It reports false — leaving the inputs intact —
-// when a shifted Gram factorization still breaks down (essentially never)
-// or the panels are too short for a nonsingular Gram.
-func roundLRCholQR(bigU, bigV *linalg.Matrix, tol float64, maxRank int) (*linalg.Matrix, *linalg.Matrix, bool) {
+// cholQRCore is the level-3 orthogonalization: B = Q̃·L̃ᵀ with
+// L̃ = chol(BᵀB + δI), so Q̃ = B·L̃⁻ᵀ materializes via SYRK + TRSM in place of
+// each panel, and the core Ru·Rvᵀ = L̃uᵀ·L̃v is returned, pooled. It returns
+// nil — leaving the inputs intact — when a shifted Gram factorization still
+// breaks down (essentially never) or the panels are too short for a
+// nonsingular Gram.
+func cholQRCore(bigU, bigV *linalg.Matrix) *linalg.Matrix {
 	m, n, ku := bigU.Rows, bigV.Rows, bigU.Cols
 	if ku > m || ku > n {
-		return nil, nil, false
+		return nil
 	}
 	gu := linalg.GetMat(ku, ku)
 	linalg.Syrk(true, 1, bigU, 0, gu)
 	if !shiftedChol(gu) {
 		linalg.PutMat(gu)
-		return nil, nil, false
+		return nil
 	}
 	gv := linalg.GetMat(ku, ku)
 	linalg.Syrk(true, 1, bigV, 0, gv)
 	if !shiftedChol(gv) {
 		linalg.PutMat(gv)
 		linalg.PutMat(gu)
-		return nil, nil, false
+		return nil
 	}
 	// SYRK only writes the lower triangles; clear the junk above the
 	// diagonal before level-3 ops touch the full matrices.
 	gu.LowerFromFull()
 	gv.LowerFromFull()
-	// core = Ru·Rvᵀ = Luᵀ·Lv.
 	core := linalg.GetMat(ku, ku)
 	linalg.Gemm(true, false, 1, gu, gv, 0, core)
 	// Orthonormalize the panels in place: Q = B·L⁻ᵀ.
@@ -211,25 +236,7 @@ func roundLRCholQR(bigU, bigV *linalg.Matrix, tol float64, maxRank int) (*linalg
 	linalg.TrsmLower(linalg.Right, true, 1, gv, bigV)
 	linalg.PutMat(gu)
 	linalg.PutMat(gv)
-
-	sv := svdPooled(core, tol)
-	k := sv.truncate(tol, 0, maxRank)
-	var u, v *linalg.Matrix
-	if k > 0 {
-		x1 := linalg.GetMat(ku, k)
-		x2 := linalg.GetMat(ku, k)
-		sv.leftScaledInto(x1, k)
-		sv.rightInto(x2, k)
-		u = linalg.GetMat(m, k)
-		v = linalg.GetMat(n, k)
-		linalg.Gemm(false, false, 1, bigU, x1, 0, u)
-		linalg.Gemm(false, false, 1, bigV, x2, 0, v)
-		linalg.PutMat(x1)
-		linalg.PutMat(x2)
-	}
-	sv.release()
-	linalg.PutMat(core)
-	return u, v, true
+	return core
 }
 
 // ApplyRightTransPacked computes c = alpha·b·(U·Vᵀ)ᵀ + beta·c = alpha·(b·V)·Uᵀ

@@ -6,22 +6,22 @@ import "repro/internal/linalg"
 // behind low-rank rounding and the randomized compressor. Everything it
 // holds comes from the workspace pool; release returns it.
 type smallSVD struct {
-	w      *linalg.Matrix // left factor work matrix (rows ≥ cols)
-	v      *linalg.Matrix // right factor (orthonormal)
-	s      []float64      // unsorted singular values
-	idx    []int          // decreasing order of s
-	ss     []float64      // s sorted decreasingly
-	trans  bool           // SVD ran on the transpose (core had rows < cols)
-	scaled bool           // w columns carry U·s (Jacobi fallback) vs U (GR)
+	w     *linalg.Matrix // left singular vectors (rows ≥ cols)
+	v     *linalg.Matrix // right singular vectors
+	s     []float64      // unsorted singular values
+	idx   []int          // decreasing order of s
+	ss    []float64      // s sorted decreasingly
+	trans bool           // SVD ran on the transpose (core had rows < cols)
 }
 
-// svdPooled computes the thin SVD of core (p×q) with pooled scratch; core is
-// not modified. The heavy lifting is Golub–Reinsch (bidiagonalization +
-// shifted QR); the one-sided Jacobi — slower but unconditionally convergent
-// — is the fallback, with its sweep threshold tied to the downstream
-// truncation tolerance tol.
-func svdPooled(core *linalg.Matrix, tol float64) smallSVD {
-	sv := smallSVD{}
+// golubReinsch is the SVD svdPooled runs; a test swaps it for one that fails.
+var golubReinsch = linalg.GolubReinschSVD
+
+// svdPooled computes the thin SVD of core (p×q) with pooled scratch by
+// Golub–Reinsch (bidiagonalization + shifted QR); core is not modified. ok is
+// false, and nothing is held, when the QR iteration does not converge — which
+// essentially never happens; every caller then keeps its tile dense.
+func svdPooled(core *linalg.Matrix) (sv smallSVD, ok bool) {
 	p, q := core.Rows, core.Cols
 	if p >= q {
 		sv.w = linalg.GetMat(p, q)
@@ -39,29 +39,11 @@ func svdPooled(core *linalg.Matrix, tol float64) smallSVD {
 	r := sv.w.Cols
 	sv.v = linalg.GetMat(r, r)
 	sv.s = linalg.GetVec(r)
-	if !linalg.GolubReinschSVD(sv.w, sv.v, sv.s) {
-		// QR iteration failed (essentially never in practice): redo with
-		// Jacobi, which cannot fail. Restore the work matrix first.
-		if !sv.trans {
-			sv.w.CopyFrom(core)
-		} else {
-			for j := 0; j < p; j++ {
-				wc := sv.w.Col(j)
-				for i := 0; i < q; i++ {
-					wc[i] = core.At(j, i)
-				}
-			}
-		}
-		sv.v.Zero()
-		for i := 0; i < r; i++ {
-			sv.v.Set(i, i, 1)
-		}
-		off := tol * 1e-2
-		if off > 1e-8 {
-			off = 1e-8
-		}
-		linalg.JacobiSVDTol(sv.w, sv.v, sv.s, off)
-		sv.scaled = true
+	if !golubReinsch(sv.w, sv.v, sv.s) {
+		linalg.PutMat(sv.w)
+		linalg.PutMat(sv.v)
+		linalg.PutVec(&sv.s)
+		return smallSVD{}, false
 	}
 	// Decreasing order by insertion sort: r is micro-tile sized.
 	sv.idx = linalg.GetInts(r)
@@ -80,7 +62,7 @@ func svdPooled(core *linalg.Matrix, tol float64) smallSVD {
 	for i, j := range sv.idx {
 		sv.ss[i] = sv.s[j]
 	}
-	return sv
+	return sv, true
 }
 
 // truncate returns the rank keeping the relative Frobenius tail within tol,
@@ -117,16 +99,12 @@ func (sv *smallSVD) truncate(tol, extraTailSq float64, maxRank int) int {
 // leftScaledInto writes the top-k left singular vectors scaled by their
 // singular values (U·diag(S), p×k) into x.
 func (sv *smallSVD) leftScaledInto(x *linalg.Matrix, k int) {
+	src := sv.w
+	if sv.trans {
+		src = sv.v
+	}
 	for j := 0; j < k; j++ {
 		col := sv.idx[j]
-		src := sv.w
-		if sv.trans {
-			src = sv.v
-		}
-		if !sv.trans && sv.scaled {
-			copy(x.Col(j), src.Col(col)) // Jacobi w columns are already U·s
-			continue
-		}
 		xc, sc := x.Col(j), src.Col(col)
 		s := sv.s[col]
 		for i := range xc {
@@ -138,28 +116,12 @@ func (sv *smallSVD) leftScaledInto(x *linalg.Matrix, k int) {
 // rightInto writes the top-k right singular vectors (orthonormal, q×k)
 // into x.
 func (sv *smallSVD) rightInto(x *linalg.Matrix, k int) {
+	src := sv.v
+	if sv.trans {
+		src = sv.w
+	}
 	for j := 0; j < k; j++ {
-		col := sv.idx[j]
-		src := sv.v
-		if sv.trans {
-			src = sv.w
-		}
-		if sv.trans && sv.scaled {
-			// Jacobi w columns carry U·s: normalize.
-			xc, wc := x.Col(j), src.Col(col)
-			if s := sv.s[col]; s > 0 {
-				inv := 1 / s
-				for i := range xc {
-					xc[i] = inv * wc[i]
-				}
-			} else {
-				for i := range xc {
-					xc[i] = 0
-				}
-			}
-			continue
-		}
-		copy(x.Col(j), src.Col(col))
+		copy(x.Col(j), src.Col(sv.idx[j]))
 	}
 }
 
