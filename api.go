@@ -415,7 +415,7 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 	var bytes int64 // none for a failed build
 	if err == nil {
 		f = mvn.NewFactor(grid)
-		bytes = f.Bytes()
+		bytes = grid.Bytes()
 	}
 	ps := grid.ProbeStats()
 	slog.Debug("parmvn: factorization", "source", source, "n", n, "tile", s.cfg.TileSize,
@@ -499,10 +499,9 @@ type FactorFootprint struct {
 	// Dense64, Dense32 and LowRank count the factor's tiles by
 	// representation; MaxRank is the largest low-rank tile rank.
 	Dense64, Dense32, LowRank, MaxRank int
-	// Bytes is the factor's payload as the session holds it: every tile in
-	// its representation, plus the float64 copy the sweep keeps of each
-	// Dense32 tile for the factor's life (so such a tile costs 12 bytes an
-	// entry, more than a Dense64 one).
+	// Bytes is the factor's payload as the session holds it: every tile once,
+	// in its representation (8 bytes an entry dense float64, 4 float32,
+	// 8·rank·(rows+cols) low rank).
 	Bytes int64
 	// TilesEvicted is always 0: a tile keeps the representation it was
 	// assembled in. It remains for readers of the benchmark ledger's
@@ -522,7 +521,7 @@ func (s *Session) FactorFootprint(locs []Point, kernel KernelSpec) (FactorFootpr
 	return FactorFootprint{
 		Dense64: mix.Dense64, Dense32: mix.Dense32,
 		LowRank: mix.LowRank, MaxRank: mix.MaxRank,
-		Bytes: f.Bytes(),
+		Bytes: f.G.Bytes(),
 	}, nil
 }
 

@@ -1,5 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: tile
-// size, sample-tile width and worker count.
+// size and worker count.
 package parmvn
 
 import (
@@ -22,23 +22,6 @@ func BenchmarkAblationTileSize(b *testing.B) {
 			defer rt.Shutdown()
 			for i := 0; i < b.N; i++ {
 				mvn.PMVN(rt, benchFactor(b, rt, benchGrid(sigma, ts, 0), 0), a, up, mvn.Options{N: 500})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSampleTile sweeps the chains-per-tile-column width of
-// the QMC sampling axis.
-func BenchmarkAblationSampleTile(b *testing.B) {
-	sigma := benchCorr(30)
-	a, up := benchLimits(900, -0.5)
-	rt := taskrt.New(4)
-	defer rt.Shutdown()
-	f := benchFactor(b, rt, benchGrid(sigma, 90, 0), 0)
-	for _, mc := range []int{25, 100, 250, 1000} {
-		b.Run("mc"+strconv.Itoa(mc), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mvn.PMVN(rt, f, a, up, mvn.Options{N: 1000, SampleTile: mc})
 			}
 		})
 	}

@@ -26,7 +26,7 @@ func TestDetectRegionOneFactorOneSweep(t *testing.T) {
 	_, _, sigma, mean := detectProblem()
 	for _, m := range []Method{Dense, TLR, MethodAdaptive} {
 		s := NewSession(Config{Method: m, Workers: 2, TileSize: 36, QMCSize: 360, TLRTol: 1e-6})
-		const columns = 360 / 36 // SampleTile defaults to the tile size
+		const columns = 360 / 36 // lane blocks are the tile size wide
 		first, err := s.DetectRegionCov(sigma, mean, 0, 0.9, 16)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)

@@ -290,8 +290,9 @@ func TestOneIntegrationPerDetection(t *testing.T) {
 	p := newProblem(t, 5, 0.2)
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
-	opts := mvn.Options{N: 300, SampleTile: 50, Replicates: 2}
+	opts := mvn.Options{N: 300, Replicates: 2}
 	c := p.detect(t, rt, 0.1, opts)
+	lanes := max(4, len(p.mean)/4) // detect's tile size, the lane width
 	for k := 0; k <= 25; k++ {
 		c.PrefixProb(k)
 	}
@@ -299,7 +300,7 @@ func TestOneIntegrationPerDetection(t *testing.T) {
 	for _, conf := range []float64{0.5, 0.9, 0.99} {
 		c.Region(conf)
 	}
-	if got, want := rt.Snapshot().Tasks["qmc"], opts.Replicates*opts.N/opts.SampleTile; got != want {
+	if got, want := rt.Snapshot().Tasks["qmc"], opts.Replicates*((opts.N+lanes-1)/lanes); got != want {
 		t.Errorf("%d qmc tasks for one detection, want the %d of one integration", got, want)
 	}
 }
@@ -311,7 +312,7 @@ func TestIntegrateParallelMatchesInline(t *testing.T) {
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
 	for _, reps := range []int{1, 3} {
-		opts := mvn.Options{N: 300, SampleTile: 64, Replicates: reps}
+		opts := mvn.Options{N: 300, Replicates: reps}
 		par := p.detect(t, rt, 0.2, opts)
 		seq := p.detect(t, nil, 0.2, opts)
 		for k := 1; k <= 36; k++ {

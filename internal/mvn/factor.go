@@ -27,51 +27,32 @@ import (
 // GEMM for float64 tiles, the cheap (Y·V)·Uᵀ form for low-rank tiles, which
 // is exactly where the paper's TLR speedup materializes.
 //
-// The dense off-diagonal tiles are stored the way those GEMMs read them.
-// NewFactor re-lays every float64 one, in place, into the micro-kernel's
-// B-panel order (a tile.PackedF64 over the same storage), and promotes every
-// float32 one straight into that order, so no product packs a factor tile
-// again and the factor stays at its own size. The diagonal tiles stay
+// The dense float64 off-diagonal tiles are stored the way those GEMMs read
+// them: NewFactor re-lays each one, in place, into the micro-kernel's B-panel
+// order (a tile.PackedF64 over the same storage), so no product packs it
+// again. A float32 tile is kept only as float32 and widened into that order
+// in pooled scratch by each apply. Every tile is held once, so the factor's
+// payload is its grid's (engine.Grid.Bytes). The diagonal tiles stay
 // column-major. Whatever reads a packed tile as a matrix — the f32 shadow,
-// the store's codec — unpacks it, so the stored file and the footprint are
-// the column-major grid's.
+// the store's codec — unpacks it, so the stored file is the column-major
+// grid's.
 type Factor struct {
 	G    *engine.Grid
-	f32  [][]linalg.PackedB // promoted float32 tiles, empty elsewhere
 	sh32 shadowBox
 }
 
-// NewFactor wraps a factored engine grid, packing its dense strictly-lower
-// tiles (see Factor). Tiles already packed, by an earlier NewFactor on the
-// same grid, are left as they are.
+// NewFactor wraps a factored engine grid, packing its dense float64
+// strictly-lower tiles (see Factor). Tiles already packed, by an earlier
+// NewFactor on the same grid, are left as they are.
 func NewFactor(g *engine.Grid) *Factor {
-	f := &Factor{G: g, f32: make([][]linalg.PackedB, g.NT)}
 	for i := 0; i < g.NT; i++ {
-		f.f32[i] = make([]linalg.PackedB, i)
 		for j := 0; j < i; j++ {
-			switch t := g.At(i, j).(type) {
-			case *tile.DenseF64:
+			if t, ok := g.At(i, j).(*tile.DenseF64); ok {
 				g.Set(i, j, &tile.PackedF64{P: linalg.PackBInPlace(t.D)})
-			case *tile.DenseF32:
-				r, c := t.Dims()
-				f.f32[i][j] = linalg.PackBInto(make([]float64, r*c), t.D.Data, r, r, c)
 			}
 		}
 	}
-	return f
-}
-
-// Bytes reports the factor's resident payload: the grid's tiles in their
-// representations (engine.Grid.Bytes) plus the float64 promotion of every
-// float32 tile, which the factor keeps for its life.
-func (f *Factor) Bytes() int64 {
-	b := f.G.Bytes()
-	for _, row := range f.f32 {
-		for _, p := range row {
-			b += 8 * int64(len(p.Data))
-		}
-	}
-	return b
+	return &Factor{G: g}
 }
 
 // N returns the problem dimension.
@@ -93,12 +74,13 @@ func (f *Factor) Diag(k int) *linalg.Matrix { return f.G.Diag(k) }
 // strictly-lower tile (i,j), i > j, in the lane-major (chains × rows)
 // layout of the chain-blocked sweep: y holds the source tile's
 // conditioning values — as the packed GEMM operand the sweep keeps them
-// in, as a dense L(i,j) is kept packed (see Factor), so an apply packs
-// neither — and dst the accumulated conditioning sums the A/B limits of
-// Algorithm 2 are shifted by. (The A and B limits
-// share one conditioning sum, so a single accumulation replaces the
-// seed's paired A/B tile updates — half the propagation GEMMs; beta = 0
-// overwrites dst, sparing the sweep a zeroing pass over pooled scratch.)
+// in, as a dense float64 L(i,j) is kept packed (see Factor), so an apply
+// packs neither; a float32 L(i,j) is widened into a pooled packed copy —
+// and dst the accumulated conditioning sums the A/B limits of Algorithm 2
+// are shifted by. (The A and B limits share one conditioning sum, so a
+// single accumulation replaces the seed's paired A/B tile updates — half
+// the propagation GEMMs; beta = 0 overwrites dst, sparing the sweep a
+// zeroing pass over pooled scratch.)
 func (f *Factor) ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, beta float64, dst *linalg.Matrix) {
 	switch t := f.G.At(i, j).(type) {
 	case *tile.PackedF64:
@@ -106,7 +88,10 @@ func (f *Factor) ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, be
 	case *tile.LowRank:
 		t.ApplyRightTransPacked(alpha, y, beta, dst)
 	case *tile.DenseF32:
-		linalg.GemmPackedAB(alpha, y, f.f32[i][j], beta, dst)
+		r, c := t.Dims()
+		buf := linalg.GetVec(r * c)
+		linalg.GemmPackedAB(alpha, y, linalg.PackBInto(buf, t.D.Data, r, r, c), beta, dst)
+		linalg.PutVec(&buf)
 	}
 }
 

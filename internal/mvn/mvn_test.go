@@ -215,7 +215,7 @@ func TestPMVNMatchesSequential(t *testing.T) {
 	f := denseFactor(t, sigma, 9)
 	rt := taskrt.New(4)
 	defer rt.Shutdown()
-	got := PMVN(rt, f, a, b, Options{N: N, SampleTile: 64})
+	got := PMVN(rt, f, a, b, Options{N: N})
 	if math.Abs(got.Prob-want) > 1e-9 {
 		t.Errorf("tiled %v vs sequential %v", got.Prob, want)
 	}

@@ -43,5 +43,6 @@ func PMVT(rt *taskrt.Runtime, f *Factor, a, b []float64, nu float64, opt Options
 	if nu <= 0 {
 		panic("mvn: degrees of freedom must be positive")
 	}
-	return integrate(rt, f, a, b, opt.withDefaults(f.TS()), nu, nil)
+	o := opt.withDefaults()
+	return integrate(rt, f, a, b, o, laneWidth(f, o), nu, nil)
 }

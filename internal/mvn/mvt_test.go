@@ -108,7 +108,7 @@ func TestPMVTMatchesSequential(t *testing.T) {
 	f := denseFactor(t, sigma, 5)
 	rt := taskrt.New(3)
 	defer rt.Shutdown()
-	got := PMVT(rt, f, a, b, nu, Options{N: N, SampleTile: 100})
+	got := PMVT(rt, f, a, b, nu, Options{N: N})
 	if math.Abs(got.Prob-want) > 1e-9 {
 		t.Errorf("tiled MVT %v vs sequential %v", got.Prob, want)
 	}

@@ -11,11 +11,10 @@ import (
 
 // Options configures a PMVN integration.
 type Options struct {
-	// N is the QMC sample size (number of chains). Default 1000.
+	// N is the QMC sample size (number of chains). Default 1000. The chains
+	// run in lane blocks of the factor's tile size (the m of Algorithm 3
+	// along the sample axis), or N if that is smaller: see laneWidth.
 	N int
-	// SampleTile is the number of chains per lane block (the m of
-	// Algorithm 3 along the sample axis). Default: the factor tile size.
-	SampleTile int
 	// Replicates is the number of randomized-shift replicates of the
 	// Richtmyer lattice (the paper's QMC point set) used for the error
 	// estimate. Default 1 (no error estimate). Replicate 0 is the unshifted
@@ -49,21 +48,19 @@ type Options struct {
 	Ctx context.Context
 }
 
-func (o Options) withDefaults(ts int) Options {
+func (o Options) withDefaults() Options {
 	if o.N <= 0 {
 		o.N = 1000
-	}
-	if o.SampleTile <= 0 {
-		o.SampleTile = ts
-	}
-	if o.SampleTile > o.N {
-		o.SampleTile = o.N
 	}
 	if o.Replicates <= 0 {
 		o.Replicates = 1
 	}
 	return o
 }
+
+// laneWidth is the number of chains per lane block of a defaulted query on
+// f: the tile size, capped by N.
+func laneWidth(f *Factor, o Options) int { return min(f.TS(), o.N) }
 
 // Result is a PMVN probability estimate with its randomized-QMC error
 // estimate (zero when Replicates < 2).
@@ -98,7 +95,8 @@ func PMVN(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Result {
 	if len(a) != n || len(b) != n {
 		panic(fmt.Sprintf("mvn: limits length %d,%d != dimension %d", len(a), len(b), n))
 	}
-	return integrate(rt, f, a, b, opt.withDefaults(f.TS()), 0, nil)
+	o := opt.withDefaults()
+	return integrate(rt, f, a, b, o, laneWidth(f, o), 0, nil)
 }
 
 // trimFree cuts the limit vectors after the last constrained row. Rows past

@@ -30,8 +30,14 @@ func PMVNPrefix(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Pref
 	if len(a) != n || len(b) != n {
 		panic(fmt.Sprintf("mvn: limits length %d,%d != dimension %d", len(a), len(b), n))
 	}
-	o := opt.withDefaults(f.TS())
+	o := opt.withDefaults()
 	o.MaxRelErr, o.Deadline, o.Ctx = 0, time.Time{}, nil
+	return prefix(rt, f, a, b, o, laneWidth(f, o))
+}
+
+// prefix is PMVNPrefix on defaulted fixed-N options, in lane blocks of mc.
+func prefix(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, mc int) Prefix {
+	n := f.N()
 	// One row of running sums per replicate, over the rows the sweep covers:
 	// those past the last constrained one are never swept (trimFree) — they
 	// multiply every chain by 1, so they repeat its estimate (1 when nothing
@@ -39,7 +45,7 @@ func PMVNPrefix(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Pref
 	swept, _ := trimFree(a, b)
 	rows := len(swept)
 	acc := make([]float64, o.Replicates*rows)
-	integrate(rt, f, a, b, o, 0, acc)
+	integrate(rt, f, a, b, o, mc, 0, acc)
 
 	// Each prefix is the estimator's answer on its column of replicate sums,
 	// exactly as the full-dimension Result is on the scalar sums.

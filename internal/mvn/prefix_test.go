@@ -28,12 +28,12 @@ func relClose(got, want, tol float64) bool {
 
 // TestPrefixMatchesLeadingBlocks: one PMVNPrefix sweep equals n separate
 // leading-block PMVN calls on the same lattice — on all three layouts,
-// with a ragged last tile (45 = 5·8 + 5), N not a multiple of SampleTile,
+// with a ragged last tile (45 = 5·8 + 5), N not a multiple of the lane width,
 // free rows inside the prefix and a free tail, one replicate and three (the
 // per-prefix StdErr is then the replicate spread of the separate calls),
 // inline and as column tasks.
 func TestPrefixMatchesLeadingBlocks(t *testing.T) {
-	const n, ts, N, mc = 45, 8, 150, 64
+	const n, ts, N = 45, 8, 150
 	rt := taskrt.New(3)
 	defer rt.Shutdown()
 	rng := rand.New(rand.NewSource(21))
@@ -55,7 +55,7 @@ func TestPrefixMatchesLeadingBlocks(t *testing.T) {
 		"dense": dense, "tlr": tlrFactorOn(t, rt.NewGroup(), sigma, ts, 1e-13), "grid": gridFromDense(dense),
 	} {
 		for _, reps := range []int{1, 3} {
-			opt := Options{N: N, SampleTile: mc, Replicates: reps}
+			opt := Options{N: N, Replicates: reps}
 			got := PMVNPrefix(rt, f, a, b, opt)
 			inline := PMVNPrefix(nil, f, a, b, opt)
 			if (got.StdErr != nil) != (reps >= 2) || len(got.Prob) != n {
@@ -106,7 +106,7 @@ func TestPrefixAllLanesDie(t *testing.T) {
 		linalg.PutVec(&v)
 	}
 	for _, reps := range []int{1, 2} {
-		got := PMVNPrefix(nil, f, a, b, Options{N: N, SampleTile: 32, Replicates: reps})
+		got := PMVNPrefix(nil, f, a, b, Options{N: N, Replicates: reps})
 		for i, p := range got.Prob {
 			switch {
 			case i < dead && !(p > 0 && p <= 1):
@@ -213,7 +213,7 @@ func TestPrefixMostlyDeadLanes(t *testing.T) {
 		a[i] = 1
 	}
 	f := denseFactor(t, sigma, ts)
-	opt := Options{N: N, SampleTile: 128}
+	opt := Options{N: N}
 	got := PMVNPrefix(nil, f, a, b, opt)
 	if last := got.Prob[n-1]; last <= 0 || last >= 0.5 {
 		t.Fatalf("full-dimension estimate %v: the box no longer kills most lanes but not all", last)

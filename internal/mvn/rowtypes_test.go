@@ -50,7 +50,10 @@ func rowTypeBoxes(n int) map[string][2][]float64 {
 
 // rowTypeCases evaluates every pinned case: name → float bits (Prob, StdErr,
 // and in the integrator's rows Samples and Converged; for a prefix case a hash
-// of every Prob and StdErr, then the last Prob).
+// of every Prob and StdErr, then the last Prob). The cases call integrate and
+// prefix — PMVN, PMVT and PMVNPrefix past their argument checks — with the
+// lane widths the tables were recorded at, 64 and 50: wider than the factors'
+// tile of 16, the width the entry points use.
 func rowTypeCases(t *testing.T) map[string][]uint64 {
 	t.Helper()
 	const n, ts = 80, 16
@@ -70,13 +73,13 @@ func rowTypeCases(t *testing.T) map[string][]uint64 {
 			// of 3 lanes, below the vector kernels' minimum length.
 			for _, shape := range [][2]int{{256, 64}, {203, 50}} {
 				for _, f32 := range []bool{false, true} {
-					opt := Options{N: shape[0], SampleTile: shape[1], Replicates: 2, SweepF32: f32}
+					opt, mc := Options{N: shape[0], Replicates: 2, SweepF32: f32}, shape[1]
 					name := fmt.Sprintf("%s/%s/N%d/f32=%v", fname, bname, shape[0], f32)
-					r := PMVN(rt, f, a, b, opt)
+					r := integrate(rt, f, a, b, opt, mc, 0, nil)
 					out[name+"/mvn"] = []uint64{math.Float64bits(r.Prob), math.Float64bits(r.StdErr)}
-					r = PMVT(rt, f, a, b, 7, opt)
+					r = integrate(rt, f, a, b, opt, mc, 7, nil)
 					out[name+"/mvt7"] = []uint64{math.Float64bits(r.Prob), math.Float64bits(r.StdErr)}
-					out[name+"/prefix"] = prefixBits(PMVNPrefix(rt, f, a, b, opt))
+					out[name+"/prefix"] = prefixBits(prefix(rt, f, a, b, opt, mc))
 				}
 			}
 		}
@@ -95,12 +98,12 @@ func rowTypeCases(t *testing.T) map[string][]uint64 {
 		for _, f32 := range []bool{false, true} {
 			for _, reps := range []int{1, 3, 5} {
 				name := fmt.Sprintf("%s/fixed/R%d/f32=%v", fname, reps, f32)
-				integratorBits(t, out, name, rt, f, a, b, Options{N: 203, SampleTile: 50, Replicates: reps, SweepF32: f32})
+				integratorBits(t, out, name, rt, f, a, b, Options{N: 203, Replicates: reps, SweepF32: f32}, 50)
 			}
 			for _, target := range []float64{5e-2, 1e-9} {
 				for _, reps := range []int{0, 3} {
 					name := fmt.Sprintf("%s/budget%g/R%d/f32=%v", fname, target, reps, f32)
-					integratorBits(t, out, name, rt, f, a, b, Options{N: 1999, SampleTile: 50, Replicates: reps, MaxRelErr: target, SweepF32: f32})
+					integratorBits(t, out, name, rt, f, a, b, Options{N: 1999, Replicates: reps, MaxRelErr: target, SweepF32: f32}, 50)
 				}
 			}
 		}
@@ -109,9 +112,10 @@ func rowTypeCases(t *testing.T) map[string][]uint64 {
 }
 
 // integratorBits evaluates one integrator case of rowTypeCases, inline and as
-// tasks: Prob, StdErr, Samples and Converged of PMVN and PMVT (ν = 7), and for
-// a fixed-N case PMVNPrefix hashed like the row-step cases.
-func integratorBits(t *testing.T, out map[string][]uint64, name string, rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) {
+// tasks, in lane blocks of mc: Prob, StdErr, Samples and Converged of PMVN and
+// PMVT (ν = 7), and for a fixed-N case PMVNPrefix hashed like the row-step
+// cases.
+func integratorBits(t *testing.T, out map[string][]uint64, name string, rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options, mc int) {
 	t.Helper()
 	resultBits := func(r Result) []uint64 {
 		conv := uint64(0)
@@ -121,13 +125,14 @@ func integratorBits(t *testing.T, out map[string][]uint64, name string, rt *task
 		return []uint64{math.Float64bits(r.Prob), math.Float64bits(r.StdErr), uint64(r.Samples), conv}
 	}
 	// A nil runtime runs the integration inline.
+	o := opt.withDefaults()
 	eval := func(rt *taskrt.Runtime) map[string][]uint64 {
 		m := map[string][]uint64{
-			"/mvn":  resultBits(PMVN(rt, f, a, b, opt)),
-			"/mvt7": resultBits(PMVT(rt, f, a, b, 7, opt)),
+			"/mvn":  resultBits(integrate(rt, f, a, b, o, mc, 0, nil)),
+			"/mvt7": resultBits(integrate(rt, f, a, b, o, mc, 7, nil)),
 		}
-		if opt.MaxRelErr == 0 {
-			m["/prefix"] = prefixBits(PMVNPrefix(rt, f, a, b, opt))
+		if o.MaxRelErr == 0 {
+			m["/prefix"] = prefixBits(prefix(rt, f, a, b, o, mc))
 		}
 		return m
 	}

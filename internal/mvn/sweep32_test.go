@@ -146,9 +146,9 @@ func TestSweepF32SingleTileBitIdentical(t *testing.T) {
 	}
 	a, b := randomLimits(n, rng)
 	for _, opt := range []Options{
-		{N: 200, SampleTile: 64},
-		{N: 200, SampleTile: 64, Replicates: 3},
-		{N: 400, SampleTile: 64, MaxRelErr: 1e-9},
+		{N: 200},
+		{N: 200, Replicates: 3},
+		{N: 400, MaxRelErr: 1e-9},
 	} {
 		f32 := opt
 		f32.SweepF32 = true

@@ -76,7 +76,7 @@ func TestChainBlockedMatchesSequentialRandomSPD(t *testing.T) {
 		f := denseFactorOn(t, rt, sigma, 7)
 
 		want := SOVSequential(a, b, l, qmc.NewRichtmyer(n), N)
-		got := PMVN(rt, f, a, b, Options{N: N, SampleTile: 64})
+		got := PMVN(rt, f, a, b, Options{N: N})
 		tol := 1e-9 * math.Max(1, math.Abs(want))
 		if math.Abs(got.Prob-want) > tol {
 			t.Errorf("seed %d (n=%d): chain-blocked %v vs sequential %v", seed, n, got.Prob, want)
@@ -84,7 +84,7 @@ func TestChainBlockedMatchesSequentialRandomSPD(t *testing.T) {
 
 		nu := 3 + 5*rng.Float64()
 		wantT := SOVSequentialT(a, b, l, nu, qmc.NewRichtmyer(n+1), N)
-		gotT := PMVT(rt, f, a, b, nu, Options{N: N, SampleTile: 64})
+		gotT := PMVT(rt, f, a, b, nu, Options{N: N})
 		if math.Abs(gotT.Prob-wantT) > tol {
 			t.Errorf("seed %d (n=%d, nu=%.2f): chain-blocked MVT %v vs sequential %v", seed, n, nu, gotT.Prob, wantT)
 		}
@@ -103,7 +103,7 @@ func TestPMVNInlineMatchesTasks(t *testing.T) {
 	defer rt.Shutdown()
 	f := denseFactorOn(t, rt, sigma, 8)
 	for _, reps := range []int{1, 3} {
-		opt := Options{N: 300, SampleTile: 32, Replicates: reps}
+		opt := Options{N: 300, Replicates: reps}
 		tasks := PMVN(rt, f, a, b, opt)
 		inline := PMVN(nil, f, a, b, opt)
 		if tasks != inline {
@@ -225,16 +225,17 @@ func gridFromDense(f *Factor) *Factor {
 // scalar SOV reference at tile sizes where the in-tile GEMMs actually run:
 // 40 (one sub-block plus a ragged one), 72 (two plus a ragged one, ragged
 // last tile) and 320 (depth past the packed kernel's kcBlk), with lane blocks
-// that are not a multiple of the register tile, on all three layouts,
+// — the tile size, or N where that is smaller — that are not a multiple of
+// the register tile, on all three layouts,
 // for MVN and MVT. Limits mix finite, half-open and free rows (scattered
 // infinities).
 func TestBlockedSweepMatchesSequential(t *testing.T) {
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
-	for _, tc := range []struct{ n, ts, mc, N int }{
-		{90, 40, 64, 300},
-		{190, 72, 50, 120},
-		{700, 320, 33, 66},
+	for _, tc := range []struct{ n, ts, N int }{
+		{90, 40, 300},
+		{190, 72, 120},
+		{700, 320, 66},
 	} {
 		rng := rand.New(rand.NewSource(int64(tc.n)))
 		sigma := randomSPD(tc.n, rng)
@@ -247,7 +248,7 @@ func TestBlockedSweepMatchesSequential(t *testing.T) {
 		nu := 4.5
 		want := SOVSequential(a, b, l, qmc.NewRichtmyer(tc.n), tc.N)
 		wantT := SOVSequentialT(a, b, l, nu, qmc.NewRichtmyer(tc.n+1), tc.N)
-		opt := Options{N: tc.N, SampleTile: tc.mc}
+		opt := Options{N: tc.N}
 		for name, f := range map[string]*Factor{
 			"dense": dense, "tlr": tlrFactorOn(t, rt.NewGroup(), sigma, tc.ts, 1e-13), "grid": gridFromDense(dense),
 		} {
@@ -290,7 +291,7 @@ func TestBlockedSweepMostlyDeadLanes(t *testing.T) {
 		t.Fatalf("reference %v: the box no longer kills most lanes but not all", want)
 	}
 	f := denseFactor(t, sigma, ts)
-	got := PMVN(nil, f, a, b, Options{N: N, SampleTile: 128}).Prob
+	got := PMVN(nil, f, a, b, Options{N: N}).Prob
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("mostly-dead lanes: blocked %v vs sequential %v", got, want)
 	}
@@ -305,7 +306,8 @@ func TestBlockedSweepMostlyDeadLanes(t *testing.T) {
 // in the f64 and the f32 sweep, for MVN and (one leading χ² coordinate
 // further) MVT.
 func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
-	const n, ts, N, mc, last = 60, 8, 96, 32, 18 // row 18 is in the middle of tile 2
+	const n, ts, N, last = 60, 8, 96, 18 // row 18 is in the middle of tile 2
+	const mc = ts                        // the lane width
 	rng := rand.New(rand.NewSource(9))
 	f := denseFactor(t, randomSPD(n, rng), ts)
 	a, b := negInf(n), posInf(n)
@@ -323,8 +325,8 @@ func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 		}
 		short, full := qmc.NewRichtmyer(lead+last+1), qmc.NewRichtmyer(n+lead)
 		for _, sh := range []*ShadowF32{nil, f.Shadow32()} {
-			opt := Options{N: N, SampleTile: mc, SweepF32: sh != nil}
-			got := integrate(nil, f, a, b, opt.withDefaults(ts), nu, make([]float64, len(ta))).Prob
+			opt := Options{N: N, SweepF32: sh != nil}
+			got := integrate(nil, f, a, b, opt.withDefaults(), mc, nu, make([]float64, len(ta))).Prob
 			trimmed, untrimmed := 0.0, 0.0
 			for k := 0; k < N; k += mc {
 				trimmed += sweepColumn(f, sh, ta, tb, short, k, mc, nu, nil)

@@ -13,7 +13,7 @@ import (
 
 // The one integrator. PMVN, PMVT and PMVNPrefix all run integrate: R
 // randomized-shift replicates of one QMC point set, each consumed in lane
-// blocks of SampleTile samples (sweepColumn), in waves. A wave appends the
+// blocks of mc samples (sweepColumn; laneWidth), in waves. A wave appends the
 // same number of samples to every replicate, one inline call or runtime task
 // per (replicate, lane block); after it the replicate spread of the running
 // per-replicate means is the estimate's standard error.
@@ -47,11 +47,11 @@ type plan struct {
 	budgeted bool // MaxRelErr, Deadline or Ctx is set
 }
 
-func (o Options) plan() plan {
+func (o Options) plan(mc int) plan {
 	if !(o.MaxRelErr > 0) && o.Deadline.IsZero() && o.Ctx == nil {
 		return plan{reps: o.Replicates, perRep: o.N, wave: o.N}
 	}
-	reps, mc := o.Replicates, o.SampleTile
+	reps := o.Replicates
 	if reps < 2 {
 		reps = defaultWaveReps
 	}
@@ -167,20 +167,21 @@ func (ws *waveState) fanOut(rt *taskrt.Runtime) {
 }
 
 // integrate is the integration behind PMVN (nu = 0), PMVT (nu > 0) and
-// PMVNPrefix on defaulted options; see the top of this file. All working state
+// PMVNPrefix on defaulted options, in lane blocks of mc samples; see the top
+// of this file. All working state
 // is pooled and sized to the replicate count, so a warm inline query
 // allocates nothing (a replicated fixed-N one, only its math/rand shift
 // source). A non-nil pre (PMVNPrefix, which clears the budgets) holds one row
 // per replicate, len(trimmed a) entries each, and receives Σ_samples p after
 // every row.
-func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, nu float64, pre []float64) Result {
+func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, mc int, nu float64, pre []float64) Result {
 	genDim := f.N()
 	if nu > 0 {
 		genDim++
 	}
 	inline := rt == nil || rt.Workers() == 1
 	a, b = trimFree(a, b)
-	p, mc, rows := o.plan(), o.SampleTile, len(a)
+	p, rows := o.plan(mc), len(a)
 
 	ws := getWaveState(p.reps)
 	ws.f, ws.a, ws.b, ws.nu, ws.mc = f, a, b, nu, mc

@@ -119,7 +119,7 @@ func TestWaveDegenerateBoxes(t *testing.T) {
 	defer rt.Shutdown()
 	fac, _ := waveTestFactor(t, rt, 8, 16)
 	n := fac.N()
-	p := Options{MaxRelErr: 1e-3}.withDefaults(fac.TS()).plan()
+	p := Options{MaxRelErr: 1e-3}.withDefaults().plan(fac.TS())
 	wantSamples := p.reps * p.wave
 
 	free := make([]float64, n)
@@ -161,7 +161,7 @@ func TestWaveCancellation(t *testing.T) {
 	if !res.Canceled || res.Converged {
 		t.Fatalf("want Canceled partial result, got %+v", res)
 	}
-	p := Options{Ctx: ctx}.withDefaults(fac.TS()).plan()
+	p := Options{Ctx: ctx}.withDefaults().plan(fac.TS())
 	if res.Samples != p.reps*p.wave {
 		t.Errorf("canceled at first boundary: want %d samples, got %d", p.reps*p.wave, res.Samples)
 	}
@@ -191,7 +191,7 @@ func TestWaveDeadline(t *testing.T) {
 	lim := waveTestLimits(fac.N())["excursion"]
 
 	capped := PMVN(rt, fac, lim[0], lim[1], Options{N: 4000, Deadline: time.Now().Add(-time.Second)})
-	p := Options{Deadline: time.Unix(1, 0)}.withDefaults(fac.TS()).plan()
+	p := Options{Deadline: time.Unix(1, 0)}.withDefaults().plan(fac.TS())
 	if capped.Converged || capped.Canceled || capped.Samples != p.reps*p.wave {
 		t.Errorf("expired deadline: want one budget-capped wave of %d samples, got %+v", p.reps*p.wave, capped)
 	}

@@ -366,48 +366,72 @@ func TestFactorizationLogLineCountsSkippedProbes(t *testing.T) {
 	}
 }
 
-// TestFactorBytesCountPromotedTiles: a Dense32 tile is held twice, in float32
-// by the grid and in float64 by the sweep, and FactorFootprint.Bytes and the
-// factorization record's factor_bytes both count the two.
-func TestFactorBytesCountPromotedTiles(t *testing.T) {
+// TestFootprintIsTilePayload: FactorFootprint.Bytes, and the cold build's
+// factor_bytes record, is the payload of the factor's live tiles, each held
+// once in its representation, for the dense, TLR and adaptive presets on
+// maternBox (whose adaptive factor holds float32 tiles). A float32 tile costs
+// 4 bytes an entry, so the adaptive factor is no larger than the dense one.
+func TestFootprintIsTilePayload(t *testing.T) {
 	h := &recordHandler{}
 	defer slog.SetDefault(slog.Default())
 	slog.SetDefault(slog.New(h))
 
 	q := maternBox()
-	locs, kernel := q.locs, q.kernel
-	s := NewSession(Config{Method: MethodAdaptive, Workers: 2, TileSize: 64, TLRTol: 1e-4, QMCSize: 100})
-	defer s.Close()
-	fp, err := s.FactorFootprint(locs, kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := s.factor(problem{locs: locs, kernel: kernel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := f.G.Bytes()
-	for i := 0; i < f.NT(); i++ {
-		for j := 0; j < i; j++ {
-			if d, ok := f.G.At(i, j).(*tile.DenseF32); ok {
-				want += 8 * int64(d.D.Rows) * int64(d.D.Cols)
+	footprint := map[Method]FactorFootprint{}
+	for _, m := range []Method{Dense, TLR, MethodAdaptive} {
+		h.recs = nil
+		s := NewSession(Config{Method: m, Workers: 2, TileSize: 64, TLRTol: 1e-4, QMCSize: 100})
+		defer s.Close()
+		fp, err := s.FactorFootprint(q.locs, q.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		footprint[m] = fp
+		f, err := s.factor(problem{locs: q.locs, kernel: q.kernel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live int64
+		for i := 0; i < f.NT(); i++ {
+			for j := 0; j <= i; j++ {
+				switch tt := f.G.At(i, j).(type) {
+				case *tile.DenseF64:
+					live += 8 * int64(len(tt.D.Data))
+				case *tile.PackedF64:
+					live += 8 * int64(len(tt.P.Data))
+				case *tile.DenseF32:
+					live += 4 * int64(len(tt.D.Data))
+				case *tile.LowRank:
+					if tt.Rank() > 0 {
+						live += 8 * int64(len(tt.U.Data)+len(tt.V.Data))
+					}
+				default:
+					t.Fatalf("%v: tile (%d,%d) is %T", m, i, j, tt)
+				}
 			}
 		}
-	}
-	if fp.Dense32 == 0 || fp.Bytes != want || fp.Bytes <= f.G.Bytes() {
-		t.Errorf("%d f32 tiles, footprint %d bytes, grid %d: want %d", fp.Dense32, fp.Bytes, f.G.Bytes(), want)
-	}
-	if len(h.recs) != 1 {
-		t.Fatalf("%d log records for one cold build, want 1", len(h.recs))
-	}
-	var logged int64
-	h.recs[0].Attrs(func(a slog.Attr) bool {
-		if a.Key == "factor_bytes" {
-			logged = a.Value.Int64()
+		if fp.Bytes != live {
+			t.Errorf("%v: footprint %d bytes, live tiles %d", m, fp.Bytes, live)
 		}
-		return true
-	})
-	if logged != fp.Bytes {
-		t.Errorf("record factor_bytes %d, footprint %d", logged, fp.Bytes)
+		if len(h.recs) != 1 {
+			t.Fatalf("%v: %d log records for one cold build, want 1", m, len(h.recs))
+		}
+		var logged int64
+		h.recs[0].Attrs(func(a slog.Attr) bool {
+			if a.Key == "factor_bytes" {
+				logged = a.Value.Int64()
+			}
+			return true
+		})
+		if logged != fp.Bytes {
+			t.Errorf("%v: record factor_bytes %d, footprint %d", m, logged, fp.Bytes)
+		}
+	}
+	dense, adaptive := footprint[Dense], footprint[MethodAdaptive]
+	if adaptive.Dense32 == 0 || footprint[TLR].LowRank == 0 {
+		t.Fatalf("adaptive %+v, TLR %+v: want float32 and low-rank tiles", adaptive, footprint[TLR])
+	}
+	if adaptive.Bytes > dense.Bytes {
+		t.Errorf("adaptive factor %d bytes, dense %d", adaptive.Bytes, dense.Bytes)
 	}
 }
