@@ -12,8 +12,8 @@ import (
 // Options configures a PMVN integration.
 type Options struct {
 	// N is the QMC sample size (number of chains). Default 1000. The chains
-	// run in lane blocks of the factor's tile size (the m of Algorithm 3
-	// along the sample axis), or N if that is smaller: see laneWidth.
+	// run in lane blocks as wide as the factor's tiles (the m of Algorithm 3
+	// along the sample axis), or N if that is smaller.
 	N int
 	// Replicates is the number of randomized-shift replicates of the
 	// Richtmyer lattice (the paper's QMC point set) used for the error

@@ -168,10 +168,9 @@ func (ws *waveState) fanOut(rt *taskrt.Runtime) {
 
 // integrate is the integration behind PMVN (nu = 0), PMVT (nu > 0) and
 // PMVNPrefix on defaulted options, in lane blocks of mc samples; see the top
-// of this file. All working state
-// is pooled and sized to the replicate count, so a warm inline query
-// allocates nothing (a replicated fixed-N one, only its math/rand shift
-// source). A non-nil pre (PMVNPrefix, which clears the budgets) holds one row
+// of this file. All working state is pooled and sized to the replicate count,
+// so a warm inline query allocates nothing (a replicated fixed-N one, only
+// its math/rand shift source). A non-nil pre (PMVNPrefix, which clears the budgets) holds one row
 // per replicate, len(trimmed a) entries each, and receives Σ_samples p after
 // every row.
 func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, mc int, nu float64, pre []float64) Result {
