@@ -488,8 +488,9 @@ func (s *Session) MVTProbOpts(locs []Point, kernel KernelSpec, nu float64, a, b 
 }
 
 // SchedulerStats snapshots the session runtime's cumulative scheduler
-// statistics: per-kind task counts and busy time, peak ready-queue depth,
-// peak in-flight task descriptors, and tasks executed by work stealing.
+// statistics: per-kind task counts and busy time, peak ready-queue depth and
+// peak in-flight task descriptors. Its Stolen field is always 0: the runtime
+// has one ready queue.
 func (s *Session) SchedulerStats() taskrt.Stats { return s.rt.Snapshot() }
 
 // FactorFootprint describes the memory shape of a cached Cholesky factor:

@@ -59,8 +59,7 @@ func printStats(s *parmvn.Session) {
 	st := s.SchedulerStats()
 	fmt.Printf("scheduler      %d tasks executed, peak ready-queue depth %d\n",
 		st.Total(), st.PeakReady)
-	fmt.Printf("               peak in-flight %d, %d tasks stolen\n",
-		st.PeakInflight, st.Stolen)
+	fmt.Printf("               peak in-flight %d\n", st.PeakInflight)
 	kinds := make([]string, 0, len(st.Tasks))
 	for k := range st.Tasks {
 		kinds = append(kinds, k)

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"container/heap"
 	"math"
 )
 
@@ -38,14 +37,6 @@ func shaheenII(nodes int) clusterConfig {
 		BandwidthBps:  8e9,
 	}
 }
-
-type coreHeap []float64
-
-func (h coreHeap) Len() int           { return len(h) }
-func (h coreHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h coreHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *coreHeap) Push(x any)        { *h = append(*h, x.(float64)) }
-func (h *coreHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // grid returns a near-square process grid pr×pc = nodes.
 func grid(nodes int) (pr, pc int) {
@@ -94,15 +85,33 @@ func newMachine(cfg clusterConfig) *machine {
 // run executes one task on node at the given data-ready time and returns
 // its finish time.
 func (m *machine) run(node int, flops, ready float64) float64 {
-	h := coreHeap(m.cores[node])
+	h := m.cores[node]
 	start := math.Max(ready, h[0])
 	finish := start + flops/(m.cfg.GflopsPerCore*1e9)
 	h[0] = finish
-	heap.Fix(&h, 0)
+	siftDown(h)
 	if finish > m.mk {
 		m.mk = finish
 	}
 	return finish
+}
+
+// siftDown restores the min-heap order of h after its root grew.
+func siftDown(h []float64) {
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && h[j+1] < h[j] {
+			j++
+		}
+		if !(h[j] < h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // arrive returns when data produced at time t on node `from` becomes usable

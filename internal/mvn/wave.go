@@ -152,9 +152,8 @@ func (ws *waveState) column(rep, c int) {
 // fanOut runs the current wave as one task per (replicate, lane block) in its
 // own runtime group (lattices, factor and shadow are read-only across them).
 // Lane blocks go out column by column, so the ragged last blocks — the short
-// tasks — are submitted last: the runtime places independent tasks round-robin,
-// and replicate by replicate a two-block query would hand one worker every
-// full block and the other every ragged one.
+// tasks — are submitted last and, at equal priority, run last: they fill the
+// tail while the full blocks are still finishing.
 func (ws *waveState) fanOut(rt *taskrt.Runtime) {
 	g := rt.NewGroup()
 	for c := 0; c < ws.cols; c++ {

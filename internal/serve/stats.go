@@ -215,8 +215,10 @@ type Stats struct {
 	SamplesP99 float64 `json:"samples_p99"`
 
 	// SchedPeakInflight is the largest in-flight task-descriptor count any
-	// pooled session's runtime reached (the windowed-submission bound);
-	// SchedStolen sums the tasks executed by work stealing across sessions.
+	// pooled session's runtime reached (the windowed-submission bound).
+	// SchedStolen is always 0: each runtime has one ready queue, so no task
+	// is stolen. It remains for readers of the benchmark ledger's
+	// taskrt.stolen row.
 	SchedPeakInflight int `json:"sched_peak_inflight"`
 	SchedStolen       int `json:"sched_stolen"`
 }
@@ -270,7 +272,6 @@ func (s *Server) Snapshot() Stats {
 			if sched.PeakInflight > st.SchedPeakInflight {
 				st.SchedPeakInflight = sched.PeakInflight
 			}
-			st.SchedStolen += sched.Stolen
 		}
 		sh.mu.Unlock()
 	}

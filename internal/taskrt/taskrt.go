@@ -2,13 +2,10 @@
 // algorithm is written as a sequence of task submissions, each declaring how
 // it accesses named data handles (read, write or read-write), and the
 // runtime infers the dependency DAG from those declarations — the
-// "sequential task flow" model. Ready tasks are executed by a pool of worker
-// goroutines through per-worker priority queues with owner-computes
-// affinity: a ready task is enqueued on the worker that last wrote the data
-// it writes (its output tile is warm in that worker's cache), idle workers
-// steal the best-priority task from the busiest-looking peer, and within a
-// queue the original priority semantics (higher first, submission order as
-// tie-break) are preserved.
+// "sequential task flow" model. Ready tasks wait in one priority queue shared
+// by a pool of worker goroutines (StarPU's central "prio" policy): a free
+// worker takes the highest-priority ready task, the earlier submission
+// winning ties, whichever worker produced its inputs.
 //
 // This is the substrate on which the tiled Cholesky factorization and the
 // tiled PMVN integration (Algorithms 1–3 of the paper, red boxes (a)–(d))
@@ -35,15 +32,12 @@ const (
 
 // Handle identifies a piece of data (typically one tile) whose access
 // sequence defines task dependencies. Handles are created by
-// Runtime.NewHandle; the dependency fields are only mutated during task
-// submission, which is single-threaded by the STF contract, while owner (the
-// worker that last completed a writer task — the locality hint) is guarded
-// by the runtime scheduler lock.
+// Runtime.NewHandle; its fields are only mutated during task submission,
+// which is single-threaded by the STF contract.
 type Handle struct {
 	name       string
 	lastWriter *task
 	readers    []*task
-	owner      int // worker that last wrote the data; -1 = unwritten
 }
 
 // String returns the debug name of the handle.
@@ -71,9 +65,6 @@ type task struct {
 	seq      int64  // submission order, tie-breaker for determinism
 	onDone   func() // completion callback (group bookkeeping), may be nil
 
-	writes []*Handle // handles this task writes; writes[0] is the affinity key
-	queue  int       // worker queue the ready task was placed on
-
 	mu         sync.Mutex
 	remaining  int
 	done       bool
@@ -94,21 +85,20 @@ func (t *task) addSuccessor(succ *task) bool {
 
 // Stats aggregates per-task-kind execution counts and busy time, plus the
 // scheduler-behavior signals the CLI and the serving layer report: the peak
-// depth of the ready queues (how far ahead of the workers the submitted
-// graph ran), the peak number of live task descriptors (how much graph a
-// windowed submission actually kept in flight) and how many ready tasks were
-// stolen off their affinity owner's queue.
+// depth of the ready queue (how far ahead of the workers the submitted graph
+// ran) and the peak number of live task descriptors (how much graph a
+// windowed submission actually kept in flight).
 type Stats struct {
 	Tasks    map[string]int
 	BusyTime map[string]time.Duration
-	// PeakReady is the deepest the ready queues have been (summed).
+	// PeakReady is the deepest the ready queue has been.
 	PeakReady int
 	// PeakInflight is the most task descriptors alive at once — submitted
 	// but not yet finished, whether waiting on dependencies, ready or
 	// running. Windowed submission bounds exactly this number.
 	PeakInflight int
-	// Stolen counts ready tasks executed by a worker other than the one
-	// their owner-computes affinity placed them on.
+	// Stolen is always 0: there is one ready queue, so no task is stolen.
+	// It stays because the benchmark ledger reads it.
 	Stolen int
 }
 
@@ -183,14 +173,13 @@ type Runtime struct {
 	workers int
 
 	mu           sync.Mutex
-	cond         *sync.Cond // workers: some ready queue not empty / closed
+	cond         *sync.Cond // workers: ready queue not empty / closed
 	idle         *sync.Cond // waiters: inflight dropped to zero
-	queues       []taskHeap // one priority queue per worker
-	readyCount   int        // tasks across all queues
+	ready        taskHeap   // the one ready queue
 	closed       bool
 	seq          int64
 	inflight     int // tasks submitted but not yet finished
-	peakReady    int // deepest the ready queues have been (summed)
+	peakReady    int // deepest the ready queue has been
 	peakInflight int // most task descriptors alive at once
 
 	statsMu sync.Mutex
@@ -209,7 +198,6 @@ func New(workers int) *Runtime {
 	}
 	r := &Runtime{
 		workers: workers,
-		queues:  make([]taskHeap, workers),
 		stats:   Stats{Tasks: map[string]int{}, BusyTime: map[string]time.Duration{}},
 	}
 	r.cond = sync.NewCond(&r.mu)
@@ -225,7 +213,7 @@ func (r *Runtime) Workers() int { return r.workers }
 
 // NewHandle registers a named data handle.
 func (r *Runtime) NewHandle(format string, args ...any) *Handle {
-	return &Handle{name: fmt.Sprintf(format, args...), owner: -1}
+	return &Handle{name: fmt.Sprintf(format, args...)}
 }
 
 // Submit enqueues a task. The runtime derives its dependencies from how
@@ -284,7 +272,6 @@ func (r *Runtime) submit(name string, priority int, fn func(), onDone func(), de
 			}
 			d.H.lastWriter = t
 			d.H.readers = nil
-			t.writes = append(t.writes, d.H)
 		default:
 			panic("taskrt: invalid access mode")
 		}
@@ -304,70 +291,30 @@ func (r *Runtime) submit(name string, priority int, fn func(), onDone func(), de
 	}
 }
 
-// push places a ready task on a worker queue: the one that last wrote the
-// task's output handle when known (owner-computes affinity — the data the
-// task is about to touch is warm in that worker's cache), otherwise spread
-// round-robin by submission sequence.
+// push places a ready task on the ready queue.
 func (r *Runtime) push(t *task) {
 	r.mu.Lock()
 	t.seq = r.seq
 	r.seq++
-	q := -1
-	if len(t.writes) > 0 {
-		q = t.writes[0].owner
-	}
-	if q < 0 {
-		q = int(t.seq) % len(r.queues)
-	}
-	t.queue = q
-	heap.Push(&r.queues[q], t)
-	r.readyCount++
-	if r.readyCount > r.peakReady {
-		r.peakReady = r.readyCount
+	heap.Push(&r.ready, t)
+	if len(r.ready) > r.peakReady {
+		r.peakReady = len(r.ready)
 	}
 	r.mu.Unlock()
 	r.cond.Signal()
 }
 
-// take pops the next task for worker id under r.mu: its own queue first
-// (affinity), otherwise it steals the best-priority ready task among the
-// other queues' tops, so the global priority semantics still decide what an
-// idle worker picks up.
-func (r *Runtime) take(id int) *task {
-	if len(r.queues[id]) > 0 {
-		r.readyCount--
-		return heap.Pop(&r.queues[id]).(*task)
-	}
-	victim := -1
-	for q := range r.queues {
-		if q == id || len(r.queues[q]) == 0 {
-			continue
-		}
-		if victim < 0 || taskBefore(r.queues[q][0], r.queues[victim][0]) {
-			victim = q
-		}
-	}
-	if victim < 0 {
-		return nil
-	}
-	r.readyCount--
-	return heap.Pop(&r.queues[victim]).(*task)
-}
-
 func (r *Runtime) worker(id int) {
 	for {
 		r.mu.Lock()
-		var t *task
-		for {
-			if t = r.take(id); t != nil || r.closed {
-				break
-			}
+		for len(r.ready) == 0 && !r.closed {
 			r.cond.Wait()
 		}
-		if t == nil {
+		if len(r.ready) == 0 {
 			r.mu.Unlock()
 			return
 		}
+		t := heap.Pop(&r.ready).(*task)
 		r.mu.Unlock()
 
 		start := time.Now()
@@ -378,21 +325,7 @@ func (r *Runtime) worker(id int) {
 		r.statsMu.Lock()
 		r.stats.Tasks[t.name]++
 		r.stats.BusyTime[t.name] += elapsed
-		if t.queue != id {
-			r.stats.Stolen++
-		}
 		r.statsMu.Unlock()
-
-		// Record ownership of the written data before any successor can
-		// become ready: a successor pushed after this point reads the
-		// owner under the same scheduler lock.
-		if len(t.writes) > 0 {
-			r.mu.Lock()
-			for _, h := range t.writes {
-				h.owner = id
-			}
-			r.mu.Unlock()
-		}
 
 		t.mu.Lock()
 		t.done = true
@@ -597,7 +530,7 @@ func (r *Runtime) Snapshot() Stats {
 	defer r.statsMu.Unlock()
 	s := Stats{
 		Tasks: map[string]int{}, BusyTime: map[string]time.Duration{},
-		PeakReady: peak, PeakInflight: peakIn, Stolen: r.stats.Stolen,
+		PeakReady: peak, PeakInflight: peakIn,
 	}
 	for k, v := range r.stats.Tasks {
 		s.Tasks[k] = v
@@ -608,22 +541,18 @@ func (r *Runtime) Snapshot() Stats {
 	return s
 }
 
-// taskBefore reports whether a should run before b: higher priority first,
-// earlier submission as tie-break.
-func taskBefore(a, b *task) bool {
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	return a.seq < b.seq
-}
-
 // taskHeap is a max-heap on (priority, earlier submission wins ties).
 type taskHeap []*task
 
-func (h taskHeap) Len() int           { return len(h) }
-func (h taskHeap) Less(i, j int) bool { return taskBefore(h[i], h[j]) }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(*task)) }
+func (h taskHeap) Len() int { return len(h) }
+func (h taskHeap) Less(i, j int) bool {
+	if h[i].priority != h[j].priority {
+		return h[i].priority > h[j].priority
+	}
+	return h[i].seq < h[j].seq
+}
+func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*task)) }
 func (h *taskHeap) Pop() any {
 	old := *h
 	n := len(old)

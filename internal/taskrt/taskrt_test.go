@@ -180,6 +180,55 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
+// TestFreedWorkerRunsHighestPriority pins the one ready queue: with two
+// workers both busy, a high-priority task writing data the first worker last
+// wrote and a low-priority one writing the second worker's data become ready;
+// when the second worker frees, it runs the high-priority task first. A
+// scheduler that queues a task on the worker that last wrote its output runs
+// the low-priority task there first.
+func TestFreedWorkerRunsHighestPriority(t *testing.T) {
+	r := New(2)
+	defer r.Shutdown()
+	hx, hy := r.NewHandle("x"), r.NewHandle("y")
+	started := make(chan struct{})
+	blocker := func(release chan struct{}) func() {
+		return func() { started <- struct{}{}; <-release }
+	}
+	relAX, relAY, relX, relY := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+	defer close(relX)
+
+	// Worker X writes hx and worker Y writes hy; both run at once, so they
+	// are two workers.
+	gx, gy := r.NewGroup(), r.NewGroup()
+	gx.Submit("ax", 0, blocker(relAX), Write(hx))
+	gy.Submit("ay", 0, blocker(relAY), Write(hy))
+	<-started
+	<-started
+	// X finishes its write and is held; then Y finishes its write and is held.
+	close(relAX)
+	gx.Wait()
+	r.Submit("holdX", 0, blocker(relX))
+	<-started
+	close(relAY)
+	gy.Wait()
+	r.Submit("holdY", 0, blocker(relY))
+	<-started
+
+	var mu sync.Mutex
+	var order []string
+	run := func(name string) func() {
+		return func() { mu.Lock(); order = append(order, name); mu.Unlock() }
+	}
+	g := r.NewGroup()
+	g.Submit("hi", 10, run("hi"), Write(hx))
+	g.Submit("lo", 0, run("lo"), Write(hy))
+	close(relY)
+	g.Wait()
+	if len(order) != 2 || order[0] != "hi" {
+		t.Fatalf("freed worker ran %v, want hi first", order)
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	r := New(2)
 	defer r.Shutdown()

@@ -86,10 +86,10 @@ func TestThrottleReleasesOnError(t *testing.T) {
 	}
 }
 
-// TestStatsPeakInflightAndStolen checks the two scheduler counters added for
-// the windowed/locality scheduler are populated: with a gated dependency
-// fan the in-flight peak must reach the full graph size.
-func TestStatsPeakInflightAndStolen(t *testing.T) {
+// TestStatsPeakInflight checks the in-flight counter added for windowed
+// submission is populated: with a gated dependency fan the in-flight peak
+// must reach the full graph size.
+func TestStatsPeakInflight(t *testing.T) {
 	rt := New(2)
 	defer rt.Shutdown()
 	gate := make(chan struct{})
@@ -103,8 +103,5 @@ func TestStatsPeakInflightAndStolen(t *testing.T) {
 	s := rt.Snapshot()
 	if s.PeakInflight != 10 {
 		t.Errorf("peak in-flight %d, want 10", s.PeakInflight)
-	}
-	if s.Stolen < 0 || s.Stolen > s.Total() {
-		t.Errorf("stolen %d out of range (total %d)", s.Stolen, s.Total())
 	}
 }
