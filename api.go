@@ -232,16 +232,10 @@ type Config struct {
 	// (LRU eviction; each dense factor is O(n²) memory). Default 8; 0
 	// keeps the default, negative means unbounded.
 	FactorCacheCap int
-	// SweepF32 runs the sweep's inter-tile propagation in float32: finished
-	// conditioning values are kept narrowed and the off-diagonal GEMMs —
-	// most of a sweep's flops — run on the 16-lane f32 micro-kernel over an
-	// f32 shadow of the factor's off-diagonal tiles. Everything inside a
-	// tile (the diagonal kernel, the limit shifts, special functions) and the
-	// probability accumulation stay float64, so estimates differ from the
-	// default sweep by well under the QMC error bar, and not at all on a
-	// factor of one tile. The cached Cholesky factor stays float64 and is
-	// shared with f64 queries; its shadow is built once per factor on first
-	// use. Every integration honours it, DetectRegion's included.
+	// SweepF32 is ignored: every query runs the one float64 sweep, bit for
+	// bit what a session without it returns. The float32 sweep it used to
+	// select is gone; the field stays only until the benchmark, which still
+	// sets it, changes next.
 	SweepF32 bool
 }
 
@@ -347,8 +341,8 @@ func (s *Session) Cache() *FactorCache { return s.cache }
 
 // ShareCache redirects s's factor lookups to peer's cache, so sessions
 // whose configurations differ only in knobs outside the factor key (e.g.
-// SweepF32) reuse one set of Cholesky factors instead of each building its
-// own. Must be called before s serves its first query.
+// QMCSize or Replicates) reuse one set of Cholesky factors instead of each
+// building its own. Must be called before s serves its first query.
 func (s *Session) ShareCache(peer *Session) { s.cache = peer.cache }
 
 // Config returns the session's effective (defaulted) configuration.
@@ -441,7 +435,7 @@ func (s *Session) validateTileSize(n int) error {
 }
 
 func (s *Session) mvnOpts() mvn.Options {
-	return mvn.Options{N: s.cfg.QMCSize, Replicates: s.cfg.Replicates, SweepF32: s.cfg.SweepF32}
+	return mvn.Options{N: s.cfg.QMCSize, Replicates: s.cfg.Replicates}
 }
 
 // MVNProb computes Φn(a,b;0,Σ) where Σ is assembled from the kernel at the
@@ -567,7 +561,7 @@ type DetectInputError = excursion.InputError
 // The cached factor is therefore keyed by Σ and the ordering: a repeated
 // call is served warm, a new mean or u that reorders the locations
 // refactorizes. The integration runs Config.QMCSize × Config.Replicates
-// chains, with f32 propagation on a SweepF32 session.
+// chains.
 //
 // fPoints is unused and kept for source compatibility: it was the number of
 // prefixes the confidence function was integrated at before interpolating;

@@ -50,14 +50,13 @@ func queryBenchLimits(n int) map[string][2][]float64 {
 	}
 }
 
-func benchWarmQuery(b *testing.B, method Method, side int, regime string, sweepF32 bool, maxRelErr float64) {
+func benchWarmQuery(b *testing.B, method Method, side int, regime string, maxRelErr float64) {
 	locs := Grid(side, side)
 	n := len(locs)
 	kernel := KernelSpec{Family: "matern", Range: 0.2, Nu: 2.5, Nugget: 0.05}
 	lim := queryBenchLimits(n)[regime]
 	s := NewSession(Config{
 		Method: method, TileSize: 64, QMCSize: 1000, TLRTol: 1e-6,
-		SweepF32: sweepF32,
 	})
 	defer s.Close()
 	opts := QueryOpts{MaxRelErr: maxRelErr}
@@ -75,9 +74,7 @@ func benchWarmQuery(b *testing.B, method Method, side int, regime string, sweepF
 }
 
 // BenchmarkQuery: warm-factor MVN queries (N=1000 chains) across methods,
-// sizes, limit regimes and sweep precisions (the default f64 sweep, and the
-// opt-in f32 propagation recorded as the sweep=f32 rows). The
-// earlystop rows run the same query with a 1e-3 relative-error target: the
+// sizes and limit regimes. The earlystop rows run the same query with a 1e-3 relative-error target: the
 // integration stops as soon as the streaming error estimate meets it, with the
 // same N=1000 as its TOTAL budget — so a cell that cannot converge (hard
 // regimes) pays at most the fixed-N cost, and an easy cell (wide, prob ≈ 1)
@@ -86,17 +83,13 @@ func BenchmarkQuery(b *testing.B) {
 	for _, m := range []Method{Dense, TLR, MethodAdaptive} {
 		for _, side := range []int{24, 40} { // n = 576, 1600
 			for _, regime := range []string{"excursion", "prefix", "wide"} {
-				for _, sweep := range []string{"f64", "f32"} {
-					m, side, regime, sweep := m, side, regime, sweep
-					name := m.String() + "/n=" + itoa(side*side) + "/" + regime + "/sweep=" + sweep
-					b.Run(name, func(b *testing.B) {
-						benchWarmQuery(b, m, side, regime, sweep == "f32", 0)
-					})
-				}
 				m, side, regime := m, side, regime
-				name := m.String() + "/n=" + itoa(side*side) + "/" + regime + "/earlystop=1e-3"
-				b.Run(name, func(b *testing.B) {
-					benchWarmQuery(b, m, side, regime, false, 1e-3)
+				name := m.String() + "/n=" + itoa(side*side) + "/" + regime
+				b.Run(name+"/sweep=f64", func(b *testing.B) {
+					benchWarmQuery(b, m, side, regime, 0)
+				})
+				b.Run(name+"/earlystop=1e-3", func(b *testing.B) {
+					benchWarmQuery(b, m, side, regime, 1e-3)
 				})
 			}
 		}

@@ -13,23 +13,17 @@
 // With -cpuprofile/-memprofile it writes pprof profiles of the run, so
 // query-path performance work starts from data (`go tool pprof <file>`).
 //
-// With -serve ADDR it becomes a query server instead: the same engine
-// configuration behind the mvnserve HTTP/JSON endpoints (see cmd/mvnserve
-// for the full set of serving knobs).
-//
 // Example:
 //
 //	mvnprob -grid 40 -kernel exponential -range 0.1 -lower -0.5 -method tlr -qmc 5000
 //	mvnprob -grid 32 -batch 10 -batch-span 1.5
 //	mvnprob -grid 32 -batch 20 -cpuprofile cpu.prof -memprofile mem.prof
-//	mvnprob -method tlr -qmc 5000 -serve :8080
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -37,7 +31,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/serve"
 )
 
 // stopTag names how a budgeted query stopped: converged on its error
@@ -91,48 +84,9 @@ func main() {
 	stats := flag.Bool("stats", false, "report runtime scheduler statistics (tasks executed, peak ready-queue depth)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
-	serveAddr := flag.String("serve", "", "serve HTTP/JSON queries on this address (same engine configuration) instead of computing one query")
-	sweep := flag.String("sweep", "f64", "QMC sweep precision: f64, or f32 for float32 inter-tile propagation (faster, accuracy within the QMC error bar)")
 	maxRelErr := flag.Float64("maxrelerr", 0, "early-stop relative-error target: the integration runs incremental waves and stops once the streaming error estimate meets it (0 = fixed -qmc samples)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per query (e.g. 50ms); the running estimate is returned when it expires (0 = none)")
 	flag.Parse()
-
-	sweepF32 := false
-	switch *sweep {
-	case "f64":
-	case "f32":
-		sweepF32 = true
-	default:
-		fmt.Fprintf(os.Stderr, "mvnprob: unknown sweep %q (want f64 or f32)\n", *sweep)
-		os.Exit(2)
-	}
-
-	if *serveAddr != "" {
-		m := parmvn.Dense
-		switch *method {
-		case "dense":
-		case "tlr":
-			m = parmvn.TLR
-		case "adaptive":
-			m = parmvn.MethodAdaptive
-		default:
-			// A server started with a typoed method would silently serve
-			// dense; fail loudly instead (single-query mode keeps its
-			// historical lenient default).
-			fmt.Fprintf(os.Stderr, "mvnprob: unknown method %q\n", *method)
-			os.Exit(2)
-		}
-		srv := serve.New(serve.Config{Session: parmvn.Config{
-			Method: m, Workers: *workers, TileSize: *tile,
-			TLRTol: *tol, QMCSize: *qmc, Replicates: *reps,
-		}})
-		fmt.Printf("mvnprob: serving on %s (method %s, qmc %d, %d replicates)\n", *serveAddr, *method, *qmc, *reps)
-		if err := http.ListenAndServe(*serveAddr, srv.Handler()); err != nil {
-			fmt.Fprintln(os.Stderr, "mvnprob:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -178,7 +132,7 @@ func main() {
 	}
 	s := parmvn.NewSession(parmvn.Config{
 		Method: m, Workers: *workers, TileSize: ts,
-		TLRTol: *tol, QMCSize: *qmc, Replicates: *reps, SweepF32: sweepF32,
+		TLRTol: *tol, QMCSize: *qmc, Replicates: *reps,
 	})
 	defer s.Close()
 
@@ -190,9 +144,6 @@ func main() {
 	kernel := parmvn.KernelSpec{Family: *family, Range: *rng, Nu: *nu, Nugget: *nugget}
 	fmt.Printf("dimension      %d\n", n)
 	fmt.Printf("method         %s (tile %d)\n", m, ts)
-	if sweepF32 {
-		fmt.Printf("sweep          f32\n")
-	}
 	fmt.Printf("QMC            N=%d, %d replicates\n", *qmc, *reps)
 	budgeted := *maxRelErr > 0 || *deadline > 0
 	if budgeted {

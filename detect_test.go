@@ -3,6 +3,7 @@ package parmvn
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -91,28 +92,52 @@ func TestDetectRegionConfidenceFunction(t *testing.T) {
 	}
 }
 
-// TestDetectRegionSweepF32Session: a SweepF32 session detects with f32
-// propagation under the same prefix accumulator — the same region and, to
-// well inside the QMC error, the same confidence function, never an all-zero
-// one.
-func TestDetectRegionSweepF32Session(t *testing.T) {
-	_, _, sigma, mean := detectProblem()
-	var excs []*Excursion
-	for _, f32 := range []bool{false, true} {
-		s := NewSession(Config{TileSize: 36, QMCSize: 800, SweepF32: f32})
-		exc, err := s.DetectRegionCov(sigma, mean, 0, 0.9, 16)
-		s.Close()
-		if err != nil {
+// TestSweepF32FieldIsInert: Config.SweepF32 selects nothing. On a factor of
+// four row tiles, where the float32 sweep it used to select moved the low
+// bits, a session with it set answers MVNProb, MVTProb and DetectRegionCov
+// bit for bit like a session without it, under every preset.
+func TestSweepF32FieldIsInert(t *testing.T) {
+	locs, kernel, sigma, mean := detectProblem()
+	a, b := make([]float64, len(locs)), make([]float64, len(locs))
+	for i := range a {
+		a[i], b[i] = -0.6+0.4*math.Sin(float64(i)), math.Inf(1)
+	}
+	type answers struct {
+		mvn, mvt Result
+		exc      *Excursion
+	}
+	run := func(m Method, f32 bool) answers {
+		s := NewSession(Config{Method: m, Workers: 2, TileSize: 36, QMCSize: 400, Replicates: 3, TLRTol: 1e-6, SweepF32: f32})
+		defer s.Close()
+		var got answers
+		var err error
+		if got.mvn, err = s.MVNProb(locs, kernel, a, b); err != nil {
 			t.Fatal(err)
 		}
-		excs = append(excs, exc)
+		if got.mvt, err = s.MVTProb(locs, kernel, 6, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if got.exc, err = s.DetectRegionCov(sigma, mean, 0, 0.9, 16); err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	if len(excs[1].Region) == 0 || len(excs[1].Region) != len(excs[0].Region) {
-		t.Errorf("SweepF32 session: region %d locations, f64 session %d", len(excs[1].Region), len(excs[0].Region))
-	}
-	for i, f := range excs[0].F {
-		if math.Abs(excs[1].F[i]-f) > 1e-3 {
-			t.Errorf("F[%d]: %v on a SweepF32 session, %v on an f64 one", i, excs[1].F[i], f)
+	for _, m := range []Method{Dense, TLR, MethodAdaptive} {
+		want, got := run(m, false), run(m, true)
+		if got.mvn != want.mvn {
+			t.Errorf("%v: MVNProb %+v with SweepF32, %+v without", m, got.mvn, want.mvn)
+		}
+		if got.mvt != want.mvt {
+			t.Errorf("%v: MVTProb %+v with SweepF32, %+v without", m, got.mvt, want.mvt)
+		}
+		if !reflect.DeepEqual(got.exc, want.exc) {
+			for i, f := range want.exc.F {
+				if got.exc.F[i] != f {
+					t.Errorf("%v: DetectRegionCov F[%d] = %v with SweepF32, %v without", m, i, got.exc.F[i], f)
+					break
+				}
+			}
+			t.Errorf("%v: DetectRegionCov region %v with SweepF32, %v without", m, got.exc.Region, want.exc.Region)
 		}
 	}
 }

@@ -270,11 +270,11 @@ func gemmInto(a, b, c tile.Tile) {
 // operand is already float32, adapting the right operand.
 func gemm32RightOf(a32 *tile.Matrix32, b tile.Tile, dst *tile.Matrix32) {
 	if bd, ok := b.(*tile.DenseF32); ok {
-		tile.Gemm32(true, -1, a32, bd.D, dst)
+		tile.Gemm32(-1, a32, bd.D, dst)
 		return
 	}
 	b32 := to32Pooled(b)
-	tile.Gemm32(true, -1, a32, b32, dst)
+	tile.Gemm32(-1, a32, b32, dst)
 	tile.PutMat32(b32)
 }
 

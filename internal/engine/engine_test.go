@@ -197,7 +197,7 @@ func refMixedPotrf(g *engine.Grid, band int) {
 						linalg.Gemm(false, true, -1, as64(i, k), as64(j, k), 1, c.D)
 					}
 				case *tile.DenseF32:
-					tile.Gemm32(true, -1, as32(i, k), as32(j, k), c.D)
+					tile.Gemm32(-1, as32(i, k), as32(j, k), c.D)
 				}
 			}
 		}

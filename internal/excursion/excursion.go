@@ -196,8 +196,8 @@ func (p *Plan) Correlation(row func(i int) []float64, scale []float64) *linalg.M
 // factor of p.Correlation(…) (any factor kind). The limits are the
 // standardized thresholds in marginal order, and the sweep's running product
 // after row k is the joint probability of the top-k prefix (Algorithm 1,
-// lines 10–15, for every k at once). Of opts it takes the sample size, the
-// replicates and SweepF32; budgets are ignored (mvn.PMVNPrefix).
+// lines 10–15, for every k at once). Of opts it takes the sample size and
+// the replicates; budgets are ignored (mvn.PMVNPrefix).
 func (p *Plan) Integrate(rt *taskrt.Runtime, f *mvn.Factor, opts mvn.Options) (*Computer, error) {
 	n := len(p.order)
 	if f.N() != n {

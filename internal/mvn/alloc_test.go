@@ -21,25 +21,23 @@ func TestWarmPrefixZeroAllocs(t *testing.T) {
 	for _, n := range []int{40, 100} {
 		factors[n] = denseFactor(t, equicorrMatrix(n, 0.5), 16)
 	}
-	for _, f32 := range []bool{false, true} {
-		for _, reps := range []int{1, 3} {
-			want := 3.0 // acc, col, Prob
-			if reps >= 2 {
-				want += 2 // StdErr and the shift source
+	for _, reps := range []int{1, 3} {
+		want := 3.0 // acc, col, Prob
+		if reps >= 2 {
+			want += 2 // StdErr and the shift source
+		}
+		for n, f := range factors {
+			a, b := make([]float64, n), posInf(n)
+			for i := range a {
+				a[i] = -1 + 0.5*math.Sin(float64(i))
 			}
-			for n, f := range factors {
-				a, b := make([]float64, n), posInf(n)
-				for i := range a {
-					a[i] = -1 + 0.5*math.Sin(float64(i))
-				}
-				opt := Options{N: 96, Replicates: reps, SweepF32: f32}
-				run := func() { PMVNPrefix(nil, f, a, b, opt) }
-				run()
-				run()
-				if got := testing.AllocsPerRun(10, run); got != want {
-					t.Errorf("n=%d f32=%v reps=%d: PMVNPrefix allocated %v times per call, want %v (its result slices)",
-						n, f32, reps, got, want)
-				}
+			opt := Options{N: 96, Replicates: reps}
+			run := func() { PMVNPrefix(nil, f, a, b, opt) }
+			run()
+			run()
+			if got := testing.AllocsPerRun(10, run); got != want {
+				t.Errorf("n=%d reps=%d: PMVNPrefix allocated %v times per call, want %v (its result slices)",
+					n, reps, got, want)
 			}
 		}
 	}

@@ -9,9 +9,6 @@
 package mvn
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/engine"
 	"repro/internal/linalg"
 	"repro/internal/tile"
@@ -33,12 +30,10 @@ import (
 // again. A float32 tile is kept only as float32 and widened into that order
 // in pooled scratch by each apply. Every tile is held once, so the factor's
 // payload is its grid's (engine.Grid.Bytes). The diagonal tiles stay
-// column-major. Whatever reads a packed tile as a matrix — the f32 shadow,
-// the store's codec — unpacks it, so the stored file is the column-major
-// grid's.
+// column-major. Whatever reads a packed tile as a matrix — the store's
+// codec — unpacks it, so the stored file is the column-major grid's.
 type Factor struct {
-	G    *engine.Grid
-	sh32 shadowBox
+	G *engine.Grid
 }
 
 // NewFactor wraps a factored engine grid, packing its dense float64
@@ -92,106 +87,5 @@ func (f *Factor) ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, be
 		buf := linalg.GetVec(r * c)
 		linalg.GemmPackedAB(alpha, y, linalg.PackBInto(buf, t.D.Data, r, r, c), beta, dst)
 		linalg.PutVec(&buf)
-	}
-}
-
-// ShadowF32 is the single-precision shadow of a factor's strictly-lower
-// tiles, what Options.SweepF32 propagates through: the off-diagonal GEMMs
-// dominate the sweep's flop count but reach the Genz step only through the
-// shifted limits (limit − cond)/d, whose accuracy requirement is set by the
-// QMC error bar, not by double precision. The shadow is built lazily on first
-// use and cached on the factor (which stays f64 — it is shared with the f64
-// sweep and the serving cache); the diagonal tiles have no shadow, the
-// diagonal kernel being f64 in either mode.
-type ShadowF32 struct {
-	off [][]sh32Tile
-}
-
-// sh32Tile is one strictly-lower shadow tile: dense d, or the low-rank pair
-// u·vᵀ (all nil for a rank-0 tile, whose application is a no-op).
-type sh32Tile struct {
-	d, u, v *tile.Matrix32
-}
-
-// shadowBox caches a lazily-built ShadowF32 on a factor: the warm-path load
-// is one atomic read, the one-time build is mutex-serialized.
-type shadowBox struct {
-	mu    sync.Mutex
-	ready atomic.Bool
-	s     *ShadowF32
-}
-
-// Shadow32 returns the factor's cached single-precision shadow, building it
-// on first use (the only allocating step; warm calls are allocation-free).
-func (f *Factor) Shadow32() *ShadowF32 {
-	if f.sh32.ready.Load() {
-		return f.sh32.s
-	}
-	return f.sh32.build(f)
-}
-
-func (b *shadowBox) build(f *Factor) *ShadowF32 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.ready.Load() {
-		b.s = newShadowF32(f)
-		b.ready.Store(true)
-	}
-	return b.s
-}
-
-// newShadowF32 converts every strictly-lower tile; tiles the layout already
-// stores in f32 are shared with the grid, not copied.
-func newShadowF32(f *Factor) *ShadowF32 {
-	nt := f.NT()
-	s := &ShadowF32{off: make([][]sh32Tile, nt)}
-	for r := 0; r < nt; r++ {
-		s.off[r] = make([]sh32Tile, r)
-		for j := 0; j < r; j++ {
-			switch t := f.G.At(r, j).(type) {
-			case *tile.PackedF64:
-				m := linalg.GetMat(t.Dims())
-				t.P.UnpackInto(m)
-				s.off[r][j] = sh32Tile{d: tile.ToSingle(m)}
-				linalg.PutMat(m)
-			case *tile.LowRank:
-				if t.Rank() > 0 { // a rank-0 tile stays the zero sh32Tile
-					s.off[r][j] = sh32Tile{u: tile.ToSingle(t.U), v: tile.ToSingle(t.V)}
-				}
-			case *tile.DenseF32:
-				s.off[r][j] = sh32Tile{d: t.D}
-			}
-		}
-	}
-	return s
-}
-
-// condLanes is the f32 form of row tile r's whole propagation: cond =
-// Σ_{t<r} Y_t·L(r,t)ᵀ, the f64 sweep's ApplyOffDiagLanes calls, read from the
-// narrowed Y grid y (lanes × rows, tile t at column t·ts), accumulated on the
-// f32 micro-kernel (tile.Gemm32) and widened into cond once — O(lanes·ts)
-// conversions against the O(lanes·ts²·r) flops that produced them.
-func (s *ShadowF32) condLanes(r, ts int, y *tile.Matrix32, cond *linalg.Matrix) {
-	c32 := tile.GetMat32Zero(cond.Rows, cond.Cols)
-	for t := range s.off[r] {
-		yT := tile.GetMat32View(y, t*ts, ts)
-		s.off[r][t].apply(yT, c32)
-		tile.PutMat32View(yT)
-	}
-	c32.ToDoubleInto(cond)
-	tile.PutMat32(c32)
-}
-
-// apply accumulates dst += y·Lᵀ for the shadow tile, the f32 mirror of
-// ApplyOffDiagLanes.
-func (t *sh32Tile) apply(y, dst *tile.Matrix32) {
-	switch {
-	case t.d != nil:
-		tile.Gemm32(true, 1, y, t.d, dst)
-	case t.u != nil:
-		w := tile.GetMat32Zero(y.Rows, t.u.Cols)
-		tile.Gemm32(false, 1, y, t.v, w)
-		tile.Gemm32(true, 1, w, t.u, dst)
-		tile.PutMat32(w)
 	}
 }

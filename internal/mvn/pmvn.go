@@ -20,13 +20,6 @@ type Options struct {
 	// estimate. Default 1 (no error estimate). Replicate 0 is the unshifted
 	// lattice; the shifts are deterministic (see replicateShift).
 	Replicates int
-	// SweepF32 runs the inter-tile propagation in float32: finished Y tiles
-	// are kept narrowed and the off-diagonal GEMMs read the factor's f32
-	// shadow (see sweepColumn). The diagonal kernel, the QMC points, special
-	// functions and probability accumulation stay float64, so the estimate
-	// differs from the f64 sweep by well under the QMC error bar — and not
-	// at all when the factor has a single row tile.
-	SweepF32 bool
 	// MaxRelErr > 0 is an accuracy budget. Any budget (this, Deadline or Ctx)
 	// adds a stop test to the integration loop (see wave.go): samples accrue
 	// one lane block per replicate per wave, and the loop stops at the first

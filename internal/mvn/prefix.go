@@ -22,9 +22,9 @@ type Prefix struct {
 // PMVNPrefix is PMVN that also keeps what the sweep passes through on its way
 // to the full-dimension estimate: one integration yields the probability of
 // every leading block of (a,b), each bit-identical to a separate PMVN call
-// whose limits are free past that block and whose options are the same
-// (SweepF32 included). It always integrates a fixed N: the accuracy/latency
-// budgets of opt are ignored.
+// whose limits are free past that block and whose options are the same. It
+// always integrates a fixed N: the accuracy/latency budgets of opt are
+// ignored.
 func PMVNPrefix(rt *taskrt.Runtime, f *Factor, a, b []float64, opt Options) Prefix {
 	n := f.N()
 	if len(a) != n || len(b) != n {

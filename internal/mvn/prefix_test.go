@@ -142,42 +142,6 @@ func TestPrefixIgnoresBudgets(t *testing.T) {
 	}
 }
 
-// TestPrefixSweepF32: PMVNPrefix honours SweepF32 — every prefix is what the
-// f32 propagation makes of it (close to the f64 prefix, not equal to it past
-// the first tile), still non-increasing, and the last one is PMVN's answer
-// under the same options bit for bit.
-func TestPrefixSweepF32(t *testing.T) {
-	const n, ts = 40, 8
-	rng := rand.New(rand.NewSource(8))
-	dense := denseFactor(t, randomSPD(n, rng), ts)
-	a, b := randomLimits(n, rng)
-	a[n-1], b[n-1] = -1, 1 // constrained last row: Prob[n-1] is a swept value
-	for name, f := range map[string]*Factor{"dense": dense, "grid": gridFromDense(dense)} {
-		for _, reps := range []int{1, 3} {
-			opt := Options{N: 128, Replicates: reps}
-			want := PMVNPrefix(nil, f, a, b, opt)
-			opt.SweepF32 = true
-			got := PMVNPrefix(nil, f, a, b, opt)
-			moved := false
-			for i := range want.Prob {
-				if !relClose(got.Prob[i], want.Prob[i], 1e-6) || got.Prob[i] <= 0 {
-					t.Errorf("%s reps=%d prefix %d: %v under SweepF32, %v in f64", name, reps, i+1, got.Prob[i], want.Prob[i])
-				}
-				if i > 0 && got.Prob[i] > got.Prob[i-1] {
-					t.Errorf("%s reps=%d: prefix %d increases: %v > %v", name, reps, i+1, got.Prob[i], got.Prob[i-1])
-				}
-				moved = moved || got.Prob[i] != want.Prob[i]
-			}
-			if !moved {
-				t.Errorf("%s reps=%d: SweepF32 prefixes equal the f64 ones everywhere: the flag was ignored", name, reps)
-			}
-			if full := PMVN(nil, f, a, b, opt); full.Prob != got.Prob[n-1] || (reps >= 2 && full.StdErr != got.StdErr[n-1]) {
-				t.Errorf("%s reps=%d: PMVN %+v != last prefix %v ± %v", name, reps, full, got.Prob[n-1], got.StdErr)
-			}
-		}
-	}
-}
-
 // TestPrefixAllFree: nothing constrained — every prefix is 1 and no sweep runs.
 func TestPrefixAllFree(t *testing.T) {
 	const n = 12

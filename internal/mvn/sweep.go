@@ -6,7 +6,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/qmc"
 	"repro/internal/stats"
-	"repro/internal/tile"
 )
 
 // The chain-blocked SOV path. One sample-tile column — a lane block of mc
@@ -74,31 +73,19 @@ const condBlock = 32
 // concurrent calls for disjoint columns are safe (the Factor and the lattice
 // are only read).
 //
-// Finished conditioning values wait for the row tiles below them in one of
-// two forms. Without a shadow they live in yBuf as GEMM-ready panels
-// (linalg.PackedA, one operand per row tile, tile t at offset mp·t·ts) and
-// nowhere else: each tile is packed once, by the diagonal kernel that
-// produces it, and every later row tile's propagation reads the panels in
-// place. With sh (Options.SweepF32) each finished tile is narrowed into the
-// f32 grid y32 and the propagation runs on the shadow's f32 tiles
-// (ShadowF32.condLanes); yBuf is then a single tile's panel, the diagonal
-// kernel's scratch. That is the whole difference: the kernel, the limit
-// shifts and the probability products are the same f64 code, so a factor of
-// one row tile gives the same bits either way.
+// Finished conditioning values wait for the row tiles below them in yBuf as
+// GEMM-ready panels (linalg.PackedA, one operand per row tile, tile t at
+// offset mp·t·ts) and nowhere else: each tile is packed once, by the diagonal
+// kernel that produces it, and every later row tile's propagation reads the
+// panels in place.
 //
 // pre, when non-nil, receives Σ_lanes p after every row (PMVNPrefix); rows
 // the sweep never reaches because every lane died stay exactly 0.
-func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, kOff, mc int, nu float64, pre prefixCol) float64 {
+func sweepColumn(f *Factor, a, b []float64, src *qmc.Richtmyer, kOff, mc int, nu float64, pre prefixCol) float64 {
 	ts := f.TS()
 	nt := (len(a) + ts - 1) / ts
 	mp := linalg.PackedLen(mc, 1)
-	panels := len(a)
-	var y32 *tile.Matrix32
-	if sh != nil {
-		panels = min(ts, len(a))
-		y32 = tile.GetMat32(mc, len(a))
-	}
-	yBuf := linalg.GetVec(mp * panels)
+	yBuf := linalg.GetVec(mp * len(a))
 	yT := linalg.GetMat(mc, ts)
 	p := ones(linalg.GetVec(mc))
 	ws, wsBuf := getLaneWS(mc)
@@ -121,10 +108,7 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, k
 	for r := 0; r < nt && alive > 0; r++ {
 		row0 := r * ts
 		rows := min(f.TileRows(r), len(a)-row0)
-		yOff := 0
-		if sh == nil {
-			yOff = mp * row0
-		}
+		yOff := mp * row0
 		yP := linalg.PackedOver(yBuf[yOff:], mc, rows)
 		rT := linalg.GetMat(mc, rows)
 		src.FillBlock(rT, kOff, d0Base+row0)
@@ -132,9 +116,7 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, k
 			// Unconstrained tile: y = Φ⁻¹(w) for the whole block, factors 1,
 			// and no conditioning GEMMs into it at all.
 			stats.PhiInvBatch(rT.Data[:mc*rows], yT.Data[:mc*rows])
-			if sh == nil {
-				yP.Pack(yT, 0)
-			}
+			yP.Pack(yT, 0)
 			pre.record(row0, rows, p)
 		} else {
 			// The A and B limits of Algorithm 2 are shifted by the SAME
@@ -142,30 +124,18 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, k
 			// propagation GEMMs of the seed's paired A/B updates. The first
 			// apply overwrites (beta 0), so the pooled tile needs no zeroing.
 			cond := linalg.GetMat(mc, f.TileRows(r))
-			switch {
-			case r == 0:
+			if r == 0 {
 				clear(cond.Data)
-			case sh != nil:
-				sh.condLanes(r, ts, y32, cond)
-			default:
-				for t := 0; t < r; t++ {
-					beta := 1.0
-					if t == 0 {
-						beta = 0
-					}
-					f.ApplyOffDiagLanes(r, t, 1, linalg.PackedOver(yBuf[mp*t*ts:], mc, ts), beta, cond)
+			}
+			for t := 0; t < r; t++ {
+				beta := 1.0
+				if t == 0 {
+					beta = 0
 				}
+				f.ApplyOffDiagLanes(r, t, 1, linalg.PackedOver(yBuf[mp*t*ts:], mc, ts), beta, cond)
 			}
 			alive = qmcKernelLanes(f.Diag(r), rT, cond, yT, yP, a, b, row0, s, p, ws, alive, pre)
 			linalg.PutMat(cond)
-		}
-		if sh != nil {
-			// Finished tile → f32 grid: with the f32 accumulation it feeds,
-			// the only rounding SweepF32 adds.
-			yv, yv32 := linalg.GetMatView(yT, 0, 0, mc, rows), tile.GetMat32View(y32, row0, rows)
-			tile.ToSingleInto(yv, yv32)
-			tile.PutMat32View(yv32)
-			linalg.PutMatView(yv)
 		}
 		linalg.PutMat(rT)
 	}
@@ -181,7 +151,6 @@ func sweepColumn(f *Factor, sh *ShadowF32, a, b []float64, src *qmc.Richtmyer, k
 	linalg.PutVec(&p)
 	linalg.PutMat(yT)
 	linalg.PutVec(&yBuf)
-	tile.PutMat32(y32)
 	return sum
 }
 

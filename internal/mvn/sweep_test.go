@@ -303,8 +303,7 @@ func TestBlockedSweepMostlyDeadLanes(t *testing.T) {
 // its estimate is, bit for bit, the sum of its columns swept with a lattice
 // that ends at the last constrained row (a block past it would index out of
 // the lattice) and the sum of the untrimmed limits swept through every tile,
-// in the f64 and the f32 sweep, for MVN and (one leading χ² coordinate
-// further) MVT.
+// for MVN and (one leading χ² coordinate further) MVT.
 func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 	const n, ts, N, last = 60, 8, 96, 18 // row 18 is in the middle of tile 2
 	const mc = ts                        // the lane width
@@ -324,24 +323,22 @@ func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 			lead = 1
 		}
 		short, full := qmc.NewRichtmyer(lead+last+1), qmc.NewRichtmyer(n+lead)
-		for _, sh := range []*ShadowF32{nil, f.Shadow32()} {
-			opt := Options{N: N, SweepF32: sh != nil}
-			got := integrate(nil, f, a, b, opt.withDefaults(), mc, nu, make([]float64, len(ta))).Prob
-			trimmed, untrimmed := 0.0, 0.0
-			for k := 0; k < N; k += mc {
-				trimmed += sweepColumn(f, sh, ta, tb, short, k, mc, nu, nil)
-				untrimmed += sweepColumn(f, sh, a, b, full, k, mc, nu, nil)
-			}
-			if clampProb(trimmed/N) != got || clampProb(untrimmed/N) != got {
-				t.Errorf("nu=%g f32=%v: integration %v, trimmed sweep %v, full sweep %v: not bit-identical",
-					nu, sh != nil, got, clampProb(trimmed/N), clampProb(untrimmed/N))
-			}
+		opt := Options{N: N}
+		got := integrate(nil, f, a, b, opt.withDefaults(), mc, nu, make([]float64, len(ta))).Prob
+		trimmed, untrimmed := 0.0, 0.0
+		for k := 0; k < N; k += mc {
+			trimmed += sweepColumn(f, ta, tb, short, k, mc, nu, nil)
+			untrimmed += sweepColumn(f, a, b, full, k, mc, nu, nil)
+		}
+		if clampProb(trimmed/N) != got || clampProb(untrimmed/N) != got {
+			t.Errorf("nu=%g: integration %v, trimmed sweep %v, full sweep %v: not bit-identical",
+				nu, got, clampProb(trimmed/N), clampProb(untrimmed/N))
 		}
 	}
 	// Nothing constrained: probability 1, and the sweep over the empty trimmed
 	// limits reads no point (a nil lattice would panic).
 	fa, fb := trimFree(negInf(n), b)
-	if sum := sweepColumn(f, nil, fa, fb, nil, 0, mc, 0, nil); sum != mc {
+	if sum := sweepColumn(f, fa, fb, nil, 0, mc, 0, nil); sum != mc {
 		t.Errorf("all-free column: Σp = %v, want %d", sum, mc)
 	}
 	if res := PMVN(nil, f, negInf(n), b, Options{N: N}); res.Prob != 1 {
@@ -350,11 +347,9 @@ func TestSweepStopsAtLastConstrainedRow(t *testing.T) {
 }
 
 // TestSweepColumnPrefixTotals: the per-row accumulator a column records is
-// the running form of the scalar it returns — in the f64 sweep and, through
-// the same diagonal kernel, under a shadow: the last row's total is the
-// returned sum bit for bit, the totals never increase, rows of free tiles
-// repeat their predecessor, and the f32 totals track the f64 ones to the
-// precision of the propagation.
+// the running form of the scalar it returns: the last row's total is the
+// returned sum bit for bit, the totals never increase, and rows of free tiles
+// repeat their predecessor.
 func TestSweepColumnPrefixTotals(t *testing.T) {
 	const n, ts, mc = 70, 16, 48 // ragged last tile, lanes not a multiple of the register tile
 	rng := rand.New(rand.NewSource(13))
@@ -369,35 +364,18 @@ func TestSweepColumnPrefixTotals(t *testing.T) {
 			lead = 1
 		}
 		src := qmc.NewRichtmyer(n + lead)
-		var pres [2][]float64
-		for i, sh := range []*ShadowF32{nil, f.Shadow32()} {
-			pre := make([]float64, n)
-			for j := range pre {
-				pre[j] = -1 // sweepColumn clears what it is handed
-			}
-			sum := sweepColumn(f, sh, a, b, src, 0, mc, nu, pre)
-			if sum <= 0 || pre[n-1] != sum {
-				t.Fatalf("nu=%g f32=%v: last row total %v, returned sum %v", nu, sh != nil, pre[n-1], sum)
-			}
-			for j := 1; j < n; j++ {
-				if pre[j] > pre[j-1] || (j >= 2*ts && j < 3*ts && pre[j] != pre[j-1]) {
-					t.Errorf("nu=%g f32=%v: row %d total %v after %v", nu, sh != nil, j, pre[j], pre[j-1])
-				}
-			}
-			pres[i] = pre
+		pre := make([]float64, n)
+		for j := range pre {
+			pre[j] = -1 // sweepColumn clears what it is handed
 		}
-		moved := false
-		for j := range pres[0] {
-			if !relClose(pres[1][j], pres[0][j], 1e-5) {
-				t.Errorf("nu=%g row %d: f32 total %v, f64 %v", nu, j, pres[1][j], pres[0][j])
-			}
-			if j < ts && pres[1][j] != pres[0][j] {
-				t.Errorf("nu=%g row %d: first tile has no propagation, yet f32 total %v != f64 %v", nu, j, pres[1][j], pres[0][j])
-			}
-			moved = moved || pres[1][j] != pres[0][j]
+		sum := sweepColumn(f, a, b, src, 0, mc, nu, pre)
+		if sum <= 0 || pre[n-1] != sum {
+			t.Fatalf("nu=%g: last row total %v, returned sum %v", nu, pre[n-1], sum)
 		}
-		if !moved {
-			t.Errorf("nu=%g: f32 totals equal the f64 ones on every row: the shadow was not used", nu)
+		for j := 1; j < n; j++ {
+			if pre[j] > pre[j-1] || (j >= 2*ts && j < 3*ts && pre[j] != pre[j-1]) {
+				t.Errorf("nu=%g: row %d total %v after %v", nu, j, pre[j], pre[j-1])
+			}
 		}
 	}
 }

@@ -66,8 +66,7 @@ func (o Options) plan(mc int) plan {
 // closures capture it — the warm inline path allocates nothing either way.
 type waveState struct {
 	f    *Factor
-	sh   *ShadowF32 // nil propagates in f64
-	a, b []float64  // trimmed limits
+	a, b []float64 // trimmed limits
 	nu   float64
 	mc   int
 
@@ -146,11 +145,11 @@ func (ws *waveState) release() {
 func (ws *waveState) column(rep, c int) {
 	k := rep*ws.cols + c
 	lanes := min(ws.mc, ws.wlen-c*ws.mc)
-	ws.slots[k] = sweepColumn(ws.f, ws.sh, ws.a, ws.b, ws.srcs[rep], ws.off+c*ws.mc, lanes, ws.nu, prefixColOf(ws.pslots, k, len(ws.a)))
+	ws.slots[k] = sweepColumn(ws.f, ws.a, ws.b, ws.srcs[rep], ws.off+c*ws.mc, lanes, ws.nu, prefixColOf(ws.pslots, k, len(ws.a)))
 }
 
 // fanOut runs the current wave as one task per (replicate, lane block) in its
-// own runtime group (lattices, factor and shadow are read-only across them).
+// own runtime group (lattices and factor are read-only across them).
 // Lane blocks go out column by column, so the ragged last blocks — the short
 // tasks — are submitted last and, at equal priority, run last: they fill the
 // tail while the full blocks are still finishing.
@@ -183,11 +182,6 @@ func integrate(rt *taskrt.Runtime, f *Factor, a, b []float64, o Options, mc int,
 
 	ws := getWaveState(p.reps)
 	ws.f, ws.a, ws.b, ws.nu, ws.mc = f, a, b, nu, mc
-	if o.SweepF32 {
-		// Resolved once per query, before any column runs: its one-time build
-		// is the only allocating step, warm loads are an atomic read.
-		ws.sh = f.Shadow32()
-	}
 	ws.open(p, genDim)
 	maxCols := (p.wave + mc - 1) / mc
 	ws.slots = linalg.GetVec(p.reps * maxCols)

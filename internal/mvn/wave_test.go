@@ -229,19 +229,3 @@ func TestWaveMVT(t *testing.T) {
 			diff, tol, res.Prob, ref, res.Samples)
 	}
 }
-
-// TestWaveF32Sweep: the f32 conditioning sweep runs under a budget too,
-// within the QMC error bar of the f64 estimate.
-func TestWaveF32Sweep(t *testing.T) {
-	rt := taskrt.New(2)
-	defer rt.Shutdown()
-	fac, _ := waveTestFactor(t, rt, 8, 16)
-	lim := waveTestLimits(fac.N())["excursion"]
-	opt := Options{N: 4000, Replicates: 4, MaxRelErr: 1e-3}
-	f64 := PMVN(rt, fac, lim[0], lim[1], opt)
-	opt.SweepF32 = true
-	f32 := PMVN(rt, fac, lim[0], lim[1], opt)
-	if diff := math.Abs(f64.Prob - f32.Prob); diff > 5*(f64.StdErr+f32.StdErr)+1e-6 {
-		t.Errorf("f32 wave sweep diverges: f64 %.8g f32 %.8g (diff %.3g)", f64.Prob, f32.Prob, diff)
-	}
-}

@@ -88,7 +88,7 @@ func TestGoldenEndToEnd(t *testing.T) {
 	for _, gc := range goldenCases {
 		// Surface 1: the Go API, on a session configured like the pool's.
 		method := mustMethod(t, gc.method)
-		sess := parmvn.NewSession(srv.sessionConfig(method, len(locs), false))
+		sess := parmvn.NewSession(srv.sessionConfig(method, len(locs)))
 		a := make([]float64, len(locs))
 		b := make([]float64, len(locs))
 		for i := range a {

@@ -15,7 +15,7 @@ import (
 // ErrOverloaded (503) or a compute failure (500).
 type RequestError struct {
 	// Field names what was wrong ("body", "locs", "grid", "kernel",
-	// "limits", "nu", "method").
+	// "limits", "nu", "method", "sweep").
 	Field string
 	// Reason says why.
 	Reason string
@@ -42,11 +42,6 @@ type Request struct {
 	// Method optionally overrides the server's default factorization
 	// method: "dense", "tlr" or "adaptive" ("" = server default).
 	Method string
-	// Sweep selects the QMC sweep precision: "f32" runs the conditioning
-	// state in float32 (faster, accuracy within the QMC error bar), "f64"
-	// or "" the default double-precision sweep. The cached factor is shared
-	// across both.
-	Sweep string
 	// MaxError > 0 is the requested relative-error budget: the integration
 	// runs incremental sample waves and stops as soon as its streaming
 	// error estimate meets the budget. Under queue pressure the server may
@@ -67,9 +62,6 @@ type Response struct {
 	StdErr float64 `json:"stderr"`
 	N      int     `json:"n"`
 	Method string  `json:"method"`
-	// Sweep echoes the sweep precision the query ran with ("f32"; omitted
-	// for the default f64 sweep).
-	Sweep string `json:"sweep,omitempty"`
 	// RelErr is the achieved relative-error estimate StdErr/|Prob| (omitted
 	// when no replicate spread was computed, or when the estimate is zero
 	// with nonzero spread — a relative error would be infinite).
@@ -136,10 +128,13 @@ type wireGrid struct {
 //	  "lower": -0.5, "upper": 1.0,      // or broadcast scalars instead of a/b
 //	  "nu": 7,                          // mvtprob only: degrees of freedom
 //	  "method": "tlr",                  // optional: dense | tlr | adaptive
-//	  "sweep": "f32",                   // optional: f64 (default) | f32
+//	  "sweep": "f64",                   // optional: only f64, the one sweep
 //	  "max_error": 1e-3,                // optional: relative-error budget (early stop)
 //	  "deadline_ms": 50                 // optional: integration wall-clock cap
 //	}
+//
+// Sweep is read only to refuse a request for the removed float32 sweep: ""
+// and "f64" name the one sweep, anything else is a 400.
 type wireRequest struct {
 	Locs       [][]float64 `json:"locs"`
 	Grid       *wireGrid   `json:"grid"`
@@ -174,12 +169,12 @@ func DecodeRequest(data []byte, lim Limits) (*Request, error) {
 		return nil, badReq("body", "%v", err)
 	}
 
-	req := &Request{
-		Nu: w.Nu, Method: w.Method, Sweep: w.Sweep,
-		MaxError: w.MaxError, DeadlineMs: w.DeadlineMs,
+	if w.Sweep != "" && w.Sweep != "f64" {
+		return nil, badReq("sweep", "sweep %q: only \"f64\" is accepted (the float32 sweep was removed)", w.Sweep)
 	}
-	if err := validSweep(req.Sweep); err != nil {
-		return nil, err
+	req := &Request{
+		Nu: w.Nu, Method: w.Method,
+		MaxError: w.MaxError, DeadlineMs: w.DeadlineMs,
 	}
 	if err := validBudgets(req.MaxError, req.DeadlineMs); err != nil {
 		return nil, err
@@ -275,17 +270,6 @@ func limitVector(field string, arr []*float64, scalar *float64, n int, open floa
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// validSweep accepts the sweep-precision selector: "" (default f64), "f64"
-// or "f32". Shared by DecodeRequest and Server.do so in-process callers get
-// identical treatment.
-func validSweep(s string) error {
-	switch s {
-	case "", "f64", "f32":
-		return nil
-	}
-	return badReq("sweep", "unknown sweep %q (want f64 or f32)", s)
-}
 
 // validBudgets accepts the per-request accuracy/latency budgets: both
 // optional (0 = unset), both finite and non-negative, max_error below 1 (a

@@ -391,7 +391,7 @@ func (r *Router) routeHash(body []byte) (uint64, error) {
 	if err := req.Kernel.Validate(); err != nil {
 		return 0, badReq("kernel", "%v", err)
 	}
-	cfg := sessionConfigFor(r.cfg.Session, method, len(req.Locs), req.Sweep == "f32")
+	cfg := sessionConfigFor(r.cfg.Session, method, len(req.Locs))
 	pk, err := cfg.ProblemKey(req.Locs, req.Kernel)
 	if err != nil {
 		return 0, badReq("kernel", "%v", err)

@@ -124,7 +124,6 @@ type build struct {
 type sessionKey struct {
 	method parmvn.Method
 	tile   int
-	f32    bool
 }
 
 // New starts a server. It owns the Sessions it creates; Close releases them.
@@ -185,15 +184,15 @@ func tileFor(n, base int) int {
 // sessionConfig is the exact parmvn.Config the pooled session for (method,
 // n) is built from — and therefore also the config whose ProblemKey routes
 // the request, keeping routing and caching definitionally consistent.
-func (s *Server) sessionConfig(method parmvn.Method, n int, sweepF32 bool) parmvn.Config {
-	return sessionConfigFor(s.cfg.Session, method, n, sweepF32)
+func (s *Server) sessionConfig(method parmvn.Method, n int) parmvn.Config {
+	return sessionConfigFor(s.cfg.Session, method, n)
 }
 
 // sessionConfigFor derives the per-request session configuration from a
 // base config. Shared with the router, which must compute the same
 // ProblemKey for a request as the backend serving it — same base config in,
 // same key out — so one covariance lands on one backend's cache.
-func sessionConfigFor(base parmvn.Config, method parmvn.Method, n int, sweepF32 bool) parmvn.Config {
+func sessionConfigFor(base parmvn.Config, method parmvn.Method, n int) parmvn.Config {
 	cfg := base
 	cfg.Method = method
 	bt := cfg.TileSize
@@ -201,23 +200,16 @@ func sessionConfigFor(base parmvn.Config, method parmvn.Method, n int, sweepF32 
 		bt = 64
 	}
 	cfg.TileSize = tileFor(n, bt)
-	cfg.SweepF32 = sweepF32
 	return cfg
 }
 
 // session returns the shard's session for cfg, creating it on first use.
 func (sh *shard) session(cfg parmvn.Config) *parmvn.Session {
-	k := sessionKey{method: cfg.Method, tile: cfg.TileSize, f32: cfg.SweepF32}
+	k := sessionKey{method: cfg.Method, tile: cfg.TileSize}
 	sh.mu.Lock()
 	sess, ok := sh.sessions[k]
 	if !ok {
 		sess = parmvn.NewSession(cfg)
-		// The f32 and f64 sweeps of one (method, tile) differ only in
-		// query-time precision; the Cholesky factor is identical (sweep is
-		// outside the factor key), so twin sessions share one cache.
-		if twin, ok := sh.sessions[sessionKey{method: k.method, tile: k.tile, f32: !k.f32}]; ok {
-			sess.ShareCache(twin)
-		}
 		sh.sessions[k] = sess
 	}
 	sh.mu.Unlock()
@@ -281,10 +273,6 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 	} else {
 		s.ctr.mvn.Add(1)
 	}
-	if err := validSweep(req.Sweep); err != nil {
-		return nil, err
-	}
-	sweepF32 := req.Sweep == "f32"
 	if err := req.Kernel.Validate(); err != nil {
 		return nil, badReq("kernel", "%v", err)
 	}
@@ -295,11 +283,7 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 		// The box is empty: the probability is exactly 0 and the engine
 		// would never touch the factor, so don't spend a session — or, on a
 		// cold key, a factorization slot — on it either.
-		resp := &Response{Prob: 0, N: n, Method: method.String()}
-		if sweepF32 {
-			resp.Sweep = "f32"
-		}
-		return resp, nil
+		return &Response{Prob: 0, N: n, Method: method.String()}, nil
 	}
 
 	if err := validBudgets(req.MaxError, req.DeadlineMs); err != nil {
@@ -310,7 +294,7 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	opt, degraded := s.queryOpts(ctx, req)
 
-	cfg := s.sessionConfig(method, n, sweepF32)
+	cfg := s.sessionConfig(method, n)
 	pk, err := cfg.ProblemKey(req.Locs, req.Kernel)
 	if err != nil {
 		return nil, badReq("kernel", "%v", err)
@@ -342,9 +326,6 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 	// encoding; the omitted field plus prob/stderr says the same.
 	if !math.IsInf(r.RelErr, 0) {
 		resp.RelErr = r.RelErr
-	}
-	if sweepF32 {
-		resp.Sweep = "f32"
 	}
 	return resp, nil
 }

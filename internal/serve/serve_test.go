@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -78,7 +80,7 @@ func TestServeMatchesSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		cfg := srv.sessionConfig(mustMethod(t, method), len(req.Locs), false)
+		cfg := srv.sessionConfig(mustMethod(t, method), len(req.Locs))
 		sess := parmvn.NewSession(cfg)
 		want, err := sess.MVNProb(req.Locs, req.Kernel, req.A, req.B)
 		sess.Close()
@@ -108,63 +110,40 @@ func TestServeMatchesSession(t *testing.T) {
 	}
 }
 
-// TestServeSweepF32 pins the f32 sweep path through the serving layer: the
-// response echoes the sweep it ran with, the result stays within the QMC
-// error bar of the f64 sweep, and both precisions share one cached factor
-// (sweep is excluded from the factor key; only the pooled sessions differ).
-func TestServeSweepF32(t *testing.T) {
-	srv := New(testConfig())
-	defer srv.Close()
-	ctx := context.Background()
-
-	r64, err := srv.Do(ctx, testRequest(6, 0.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r64.Sweep != "" {
-		t.Fatalf("f64 sweep echo = %q, want empty", r64.Sweep)
+// TestServeSweepF32Refused pins the one sweep at the wire: "sweep":"f32"
+// (or any value but "f64") is a 400 naming the field, from DecodeRequest and
+// over HTTP, before any session or factor is touched, while "f64" and an
+// omitted field are the same query, bit for bit.
+func TestServeSweepF32Refused(t *testing.T) {
+	const body = `{"grid":{"nx":5,"ny":5},"kernel":{"family":"exponential","range":0.2},"lower":-1%s}`
+	for _, sweep := range []string{"f32", "half"} {
+		_, err := DecodeRequest([]byte(fmt.Sprintf(body, `,"sweep":"`+sweep+`"`)), Limits{})
+		var reqErr *RequestError
+		if !errors.As(err, &reqErr) || reqErr.Field != "sweep" {
+			t.Fatalf("sweep %q: DecodeRequest err = %v, want a *RequestError on field sweep", sweep, err)
+		}
 	}
 
-	req := testRequest(6, 0.2)
-	req.Sweep = "f32"
-	r32, err := srv.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	srv, ts := newTestHTTP(t, testConfig())
+	status, out := post(t, ts.URL+"/v1/mvnprob", fmt.Sprintf(body, `,"sweep":"f32"`))
+	if status != http.StatusBadRequest || out["field"] != "sweep" {
+		t.Fatalf(`"sweep":"f32" over HTTP: status %d, body %v; want 400 on field sweep`, status, out)
 	}
-	if r32.Sweep != "f32" {
-		t.Fatalf("f32 sweep echo = %q, want %q", r32.Sweep, "f32")
-	}
-	if math.Abs(r32.Prob-r64.Prob) > 1e-3+3*(r32.StdErr+r64.StdErr) {
-		t.Fatalf("f32 prob %g vs f64 %g beyond error bar (stderr %g/%g)",
-			r32.Prob, r64.Prob, r32.StdErr, r64.StdErr)
-	}
-	if st := srv.Snapshot(); st.Factorizations != 1 {
-		t.Fatalf("factorizations = %d, want 1 (f32 and f64 share the cached factor)",
-			st.Factorizations)
+	if st := srv.Snapshot(); st.Sessions != 0 || st.Factorizations != 0 {
+		t.Fatalf("a refused request spent work: sessions=%d factorizations=%d", st.Sessions, st.Factorizations)
 	}
 
-	// The explicit "f64" spelling is accepted and equals the default.
-	req64 := testRequest(6, 0.2)
-	req64.Sweep = "f64"
-	rExp, err := srv.Do(ctx, req64)
-	if err != nil {
-		t.Fatal(err)
+	var answers [2]map[string]any
+	for i, sweep := range []string{"", `,"sweep":"f64"`} {
+		status, answers[i] = post(t, ts.URL+"/v1/mvnprob", fmt.Sprintf(body, sweep))
+		if status != http.StatusOK {
+			t.Fatalf("sweep %q: status %d, body %v", sweep, status, answers[i])
+		}
 	}
-	if rExp.Prob != r64.Prob {
-		t.Fatalf(`sweep "f64" prob %g != default prob %g`, rExp.Prob, r64.Prob)
-	}
-
-	// Wire-level: the sweep field decodes and bad values are rejected.
-	body := []byte(`{"grid":{"nx":3,"ny":3},"kernel":{"family":"exponential","range":0.2},"lower":-1,"sweep":"f32"}`)
-	dec, err := DecodeRequest(body, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Sweep != "f32" {
-		t.Fatalf("decoded sweep = %q, want %q", dec.Sweep, "f32")
-	}
-	if _, err := DecodeRequest([]byte(`{"grid":{"nx":3,"ny":3},"kernel":{"family":"exponential","range":0.2},"sweep":"half"}`), Limits{}); err == nil {
-		t.Fatal("bad sweep value decoded without error")
+	for _, k := range []string{"prob", "stderr", "samples"} {
+		if answers[0][k] != answers[1][k] {
+			t.Fatalf(`%s: %v with "sweep":"f64", %v without`, k, answers[1][k], answers[0][k])
+		}
 	}
 }
 
@@ -192,7 +171,6 @@ func TestServeValidation(t *testing.T) {
 		{"short a", func(r *Request) { r.A = r.A[:3] }, "limits"},
 		{"nan limit", func(r *Request) { r.B[2] = math.NaN() }, "limits"},
 		{"bad method", func(r *Request) { r.Method = "sparse" }, "method"},
-		{"bad sweep", func(r *Request) { r.Sweep = "f16" }, "sweep"},
 		{"bad nu", func(r *Request) { r.Nu = -2 }, "nu"},
 		{"huge", func(r *Request) { r.Locs = parmvn.Grid(200, 200) }, "locs"},
 	}
@@ -238,18 +216,17 @@ func TestServeEmptyBox(t *testing.T) {
 }
 
 // TestServeCoalesce pins the cold-key single-flight: 33 concurrent clients
-// sending MVN, MVT and f32-sweep requests at one cold problem key trigger
+// sending MVN and MVT requests at one cold problem key trigger
 // exactly one factorization, and every client gets an answer bit-identical
 // to a direct Session call with the same opts.
 func TestServeCoalesce(t *testing.T) {
 	srv := New(testConfig())
 	defer srv.Close()
 
-	// Three request kinds over one covariance, so one ProblemKey.
+	// Two request kinds over one covariance, so one ProblemKey.
 	kinds := []func() *Request{
 		func() *Request { return testRequest(8, 0.15) },
 		func() *Request { r := testRequest(8, 0.15); r.Nu = 7; return r },
-		func() *Request { r := testRequest(8, 0.15); r.Sweep = "f32"; return r },
 	}
 	const clients = 33
 	var (
@@ -276,7 +253,7 @@ func TestServeCoalesce(t *testing.T) {
 
 	for k, kind := range kinds {
 		req := kind()
-		sess := parmvn.NewSession(srv.sessionConfig(parmvn.Dense, len(req.Locs), req.Sweep == "f32"))
+		sess := parmvn.NewSession(srv.sessionConfig(parmvn.Dense, len(req.Locs)))
 		var want parmvn.Result
 		var err error
 		if req.Nu > 0 {

@@ -49,16 +49,11 @@ func (m *Matrix32) ToDouble() *linalg.Matrix {
 	return out
 }
 
-// Gemm32 computes C += alpha·A·Bᵀ (transB=true) or C += alpha·A·B in
-// float32; the only variants the Cholesky update needs. Large products run
-// through linalg's packed single-precision micro-kernel when the platform has
-// one.
-func Gemm32(transB bool, alpha float32, a, b, c *Matrix32) {
-	if !transB {
-		if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-			panic("tile: Gemm32 shape mismatch")
-		}
-	} else if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
+// Gemm32 computes C += alpha·A·Bᵀ in float32, the one product the Cholesky
+// update and the panel solve need. Large products run through linalg's
+// packed single-precision micro-kernel when the platform has one.
+func Gemm32(alpha float32, a, b, c *Matrix32) {
+	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic("tile: Gemm32 shape mismatch")
 	}
 	m, n, k := c.Rows, c.Cols, a.Cols
@@ -66,31 +61,15 @@ func Gemm32(transB bool, alpha float32, a, b, c *Matrix32) {
 		return
 	}
 	if linalg.HasVectorKernels() && m*n*k > 8192 {
-		gemm32Blocked(transB, alpha, a, b, c, m, n, k)
+		gemm32Blocked(alpha, a, b, c, m, n, k)
 		return
 	}
-	gemm32Naive(transB, alpha, a, b, c)
+	gemm32Naive(alpha, a, b, c)
 }
 
 // gemm32Naive is the historical unpacked float32 kernel, the reference for
 // the blocked path and the small-product fast path.
-func gemm32Naive(transB bool, alpha float32, a, b, c *Matrix32) {
-	if !transB {
-		for j := 0; j < c.Cols; j++ {
-			cc, bc := c.Col(j), b.Col(j)
-			for l := 0; l < a.Cols; l++ {
-				v := alpha * bc[l]
-				if v == 0 {
-					continue
-				}
-				ac := a.Col(l)
-				for i := range cc {
-					cc[i] += v * ac[i]
-				}
-			}
-		}
-		return
-	}
+func gemm32Naive(alpha float32, a, b, c *Matrix32) {
 	for l := 0; l < a.Cols; l++ {
 		ac, bc := a.Col(l), b.Col(l)
 		for j := 0; j < c.Cols; j++ {
@@ -117,17 +96,17 @@ const (
 )
 
 // gemm32Blocked is the packed single-precision driver: identical structure
-// to the float64 path in linalg (pack op(B) and A panels from pooled
+// to the float64 path in linalg (pack Bᵀ and A panels from pooled
 // buffers; the micro-kernel writes full tiles straight into C, ragged edge
 // tiles go through zeroed scratch and a masked write-back).
-func gemm32Blocked(transB bool, alpha float32, a, b, c *Matrix32, m, n, k int) {
+func gemm32Blocked(alpha float32, a, b, c *Matrix32, m, n, k int) {
 	apack := getVec32(mc32 * kc32)
 	bpack := getVec32(kc32 * nc32)
 	for jc := 0; jc < n; jc += nc32 {
 		nc := min(nc32, n-jc)
 		for pc := 0; pc < k; pc += kc32 {
 			kcc := min(kc32, k-pc)
-			packB32(transB, b, bpack, pc, jc, kcc, nc)
+			packB32(b, bpack, pc, jc, kcc, nc)
 			for ic := 0; ic < m; ic += mc32 {
 				mcc := min(mc32, m-ic)
 				packA32(a, apack, ic, pc, mcc, kcc)
@@ -177,34 +156,20 @@ func packA32(a *Matrix32, dst []float32, ic, pc, mcc, kcc int) {
 	}
 }
 
-// packB32 packs the kcc×nc block of op(B) at (pc,jc) into nr32-column
+// packB32 packs the kcc×nc block of Bᵀ at (pc,jc) into nr32-column
 // micro-panels, zero-padding ragged right panels.
-func packB32(transB bool, b *Matrix32, dst []float32, pc, jc, kcc, nc int) {
+func packB32(b *Matrix32, dst []float32, pc, jc, kcc, nc int) {
 	for jp := 0; jp < nc; jp += nr32 {
 		cols := min(nr32, nc-jp)
 		panel := dst[jp*kcc : jp*kcc+nr32*kcc]
-		if !transB {
+		for l := 0; l < kcc; l++ {
+			src := b.Col(pc + l)[jc+jp:]
+			o := l * nr32
 			for j := 0; j < cols; j++ {
-				src := b.Col(jc + jp + j)[pc:]
-				for l := 0; l < kcc; l++ {
-					panel[l*nr32+j] = src[l]
-				}
+				panel[o+j] = src[j]
 			}
 			for j := cols; j < nr32; j++ {
-				for l := 0; l < kcc; l++ {
-					panel[l*nr32+j] = 0
-				}
-			}
-		} else {
-			for l := 0; l < kcc; l++ {
-				src := b.Col(pc + l)[jc+jp:]
-				o := l * nr32
-				for j := 0; j < cols; j++ {
-					panel[o+j] = src[j]
-				}
-				for j := cols; j < nr32; j++ {
-					panel[o+j] = 0
-				}
+				panel[o+j] = 0
 			}
 		}
 	}
@@ -253,7 +218,7 @@ func TrsmRightLowerTrans32(l, b *Matrix32) {
 			copy(below.Col(j-j0), l.Col(j)[j1:])
 		}
 		x, rest := GetMat32View(b, j0, j1-j0), GetMat32View(b, j1, n-j1)
-		Gemm32(true, -1, x, below, rest)
+		Gemm32(-1, x, below, rest)
 		PutMat32View(rest)
 		PutMat32View(x)
 		PutMat32(below)

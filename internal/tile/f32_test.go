@@ -39,18 +39,18 @@ func TestGemm32MatchesDouble(t *testing.T) {
 	want := c.Clone()
 	linalg.Gemm(false, true, -1, a, b, 1, want)
 	c32 := ToSingle(c)
-	Gemm32(true, -1, ToSingle(a), ToSingle(b), c32)
+	Gemm32(-1, ToSingle(a), ToSingle(b), c32)
 	if d := c32.ToDouble().MaxAbsDiff(want); d > 1e-5 {
-		t.Errorf("Gemm32 transB diff %v", d)
+		t.Errorf("Gemm32 diff %v", d)
 	}
-	// No-transpose variant.
-	b2 := mk(4, 5)
+	// A second B and a positive alpha.
+	b2 := mk(5, 4)
 	want2 := c.Clone()
-	linalg.Gemm(false, false, 2, a, b2, 1, want2)
+	linalg.Gemm(false, true, 2, a, b2, 1, want2)
 	c322 := ToSingle(c)
-	Gemm32(false, 2, ToSingle(a), ToSingle(b2), c322)
+	Gemm32(2, ToSingle(a), ToSingle(b2), c322)
 	if d := c322.ToDouble().MaxAbsDiff(want2); d > 1e-5 {
-		t.Errorf("Gemm32 notrans diff %v", d)
+		t.Errorf("Gemm32 alpha=2 diff %v", d)
 	}
 }
 

@@ -31,7 +31,7 @@ type gemm32Case struct {
 
 // gemm32Cases visits the shape classes of the packed f32 kernel: m around
 // its 32-row micro-tile, n around 6, depth 1, sub-panel, exact and past the
-// panel depth, both B orientations, alpha rotating through {1, -1, 0.37}.
+// panel depth, alpha rotating through {1, -1, 0.37}.
 func gemm32Cases(visit func(gemm32Case)) {
 	canary := math.Float32frombits(canary32Bits)
 	const pad = 40
@@ -46,40 +46,35 @@ func gemm32Cases(visit func(gemm32Case)) {
 	for _, k := range []int{1, 30, 256, 300} {
 		for _, m := range []int{1, 16, 31, 32, 33, 48, 250, 256} {
 			for _, n := range []int{1, 5, 6, 7, 17, 250, 256} {
-				for _, transB := range []bool{false, true} {
-					k, m, n, transB := k, m, n, transB
-					num++
-					seed, alpha := uint64(num), []float32{1, -1, 0.37}[num%3]
-					a, b := NewMatrix32(m, k), NewMatrix32(k, n)
-					if transB {
-						b = NewMatrix32(n, k)
-					}
-					buf := make([]float32, m*n+2*pad)
-					c := &Matrix32{Rows: m, Cols: n, Data: buf[pad : pad+m*n]}
-					want := NewMatrix32(m, n)
-					visit(gemm32Case{
-						name: fmt.Sprintf("m=%d/n=%d/k=%d/tB=%v/alpha=%g", m, n, k, transB, alpha),
-						k:    k,
-						run: func() (*Matrix32, *Matrix32, bool) {
-							x = seed
-							fill(a)
-							fill(b)
-							for i := range buf {
-								buf[i] = canary
-							}
-							fill(c)
-							copy(want.Data, c.Data)
-							Gemm32(transB, alpha, a, b, c)
-							gemm32Naive(transB, alpha, a, b, want)
-							intact := true
-							for i := 0; i < pad; i++ {
-								intact = intact && math.Float32bits(buf[i]) == canary32Bits &&
-									math.Float32bits(buf[len(buf)-1-i]) == canary32Bits
-							}
-							return c, want, intact
-						},
-					})
-				}
+				k, m, n := k, m, n
+				num++
+				seed, alpha := uint64(num), []float32{1, -1, 0.37}[num%3]
+				a, b := NewMatrix32(m, k), NewMatrix32(n, k)
+				buf := make([]float32, m*n+2*pad)
+				c := &Matrix32{Rows: m, Cols: n, Data: buf[pad : pad+m*n]}
+				want := NewMatrix32(m, n)
+				visit(gemm32Case{
+					name: fmt.Sprintf("m=%d/n=%d/k=%d/alpha=%g", m, n, k, alpha),
+					k:    k,
+					run: func() (*Matrix32, *Matrix32, bool) {
+						x = seed
+						fill(a)
+						fill(b)
+						for i := range buf {
+							buf[i] = canary
+						}
+						fill(c)
+						copy(want.Data, c.Data)
+						Gemm32(alpha, a, b, c)
+						gemm32Naive(alpha, a, b, want)
+						intact := true
+						for i := 0; i < pad; i++ {
+							intact = intact && math.Float32bits(buf[i]) == canary32Bits &&
+								math.Float32bits(buf[len(buf)-1-i]) == canary32Bits
+						}
+						return c, want, intact
+					},
+				})
 			}
 		}
 	}

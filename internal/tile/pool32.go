@@ -56,8 +56,8 @@ func putVec32(v *[]float32) {
 	f32Pool.Put(p)
 }
 
-// The exported pool mirrors linalg's float64 Get/Put API for the f32
-// propagation of the sweep (internal/mvn): pooled Matrix32s and full-height
+// The exported pool mirrors linalg's float64 Get/Put API for the engine's
+// float32 tile updates and the panel solve: pooled Matrix32s and full-height
 // column views that share the parent's storage. Same ownership rules as the
 // f64 pool: Put* only what the caller owns outright, never a view's data.
 
@@ -67,21 +67,14 @@ var mat32HeaderPool = sync.Pool{New: func() any { return new(Matrix32) }}
 
 // GetMat32 returns a pooled r×c float32 matrix whose contents are UNDEFINED:
 // the caller's first operation must fully overwrite it (note Gemm32 only
-// accumulates — zero first or use GetMat32Zero).
+// accumulates — zero it first).
 func GetMat32(r, c int) *Matrix32 {
 	m := mat32HeaderPool.Get().(*Matrix32)
 	m.Rows, m.Cols, m.Data = r, c, getVec32(r*c)
 	return m
 }
 
-// GetMat32Zero returns a pooled zeroed r×c float32 matrix.
-func GetMat32Zero(r, c int) *Matrix32 {
-	m := GetMat32(r, c)
-	clear(m.Data)
-	return m
-}
-
-// PutMat32 recycles a matrix obtained from GetMat32/GetMat32Zero (never a
+// PutMat32 recycles a matrix obtained from GetMat32 (never a
 // view — see PutMat32View). The caller must drop its pointer.
 func PutMat32(m *Matrix32) {
 	if m == nil {

@@ -19,10 +19,10 @@ import (
 // into, both go back before the counts are read. CI runs this with the
 // ZeroAllocs rows, on the vector kernels and again with REPRO_NOASM=1.
 
-// TestPoolBalance factorizes a problem at tile 64 in every layout, with both
-// sweeps, and checks the outstanding-buffer counts after the cold build and
-// after each of several rounds of warm calls through every entry point. Each
-// layout's factor holds exactly the tiles its row names: largeBox under TLR
+// TestPoolBalance factorizes a problem at tile 64 in every layout and checks
+// the outstanding-buffer counts after the cold build and after each of
+// several rounds of warm calls through every entry point. Each layout's
+// factor holds exactly the tiles its row names: largeBox under TLR
 // keeps off-band tiles past column 0 dense (their finish task's dense
 // accumulator is the buffer that stays out), maternBox under the adaptive
 // preset holds every representation.
@@ -38,54 +38,48 @@ func TestPoolBalance(t *testing.T) {
 		{MethodAdaptive, maternBox(), 1e-4, maternMix},
 	} {
 		m, q := c.m, c.q
-		for _, f32 := range []bool{false, true} {
-			sweep := "f64"
-			if f32 {
-				sweep = "f32"
+		t.Run(m.String()+"/f64", func(t *testing.T) {
+			s := NewSession(Config{Workers: 2, TileSize: 64, QMCSize: 200, TLRTol: c.tol, Method: m})
+			defer s.Close()
+			base64, base32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
+			baseInts, baseViews := linalg.OutstandingInts(), linalg.OutstandingMatViews()
+			fp, err := s.FactorFootprint(q.locs, q.kernel)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(m.String()+"/"+sweep, func(t *testing.T) {
-				s := NewSession(Config{Workers: 2, TileSize: 64, QMCSize: 200, TLRTol: c.tol, Method: m, SweepF32: f32})
-				defer s.Close()
-				base64, base32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
-				baseInts, baseViews := linalg.OutstandingInts(), linalg.OutstandingMatViews()
-				fp, err := s.FactorFootprint(q.locs, q.kernel)
+			if err := mixIs(fp, c.mix); err != nil {
+				t.Fatal(err)
+			}
+			if m == TLR {
+				f, err := s.factor(problem{locs: q.locs, kernel: q.kernel})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := mixIs(fp, c.mix); err != nil {
-					t.Fatal(err)
+				if late := f.G.At(f.NT()-1, 1); late.Kind() != tile.KindDenseF64 {
+					t.Fatalf("tile (%d,1) is %s: no off-band tile past column 0 stayed dense", f.NT()-1, late.Kind())
 				}
-				if m == TLR {
-					f, err := s.factor(problem{locs: q.locs, kernel: q.kernel})
-					if err != nil {
+			}
+			want64, want32 := base64+int64(fp.Dense64), base32+int64(fp.Dense32)
+			check := func(when string) {
+				t.Helper()
+				got64, got32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
+				if got64 != want64 || got32 != want32 {
+					t.Fatalf("%s: %d f64 and %d f32 buffers outstanding, want %d and %d (one per Dense64/Dense32 tile of %+v)",
+						when, got64-base64, got32-base32, fp.Dense64, fp.Dense32, fp)
+				}
+				if ints, views := linalg.OutstandingInts()-baseInts, linalg.OutstandingMatViews()-baseViews; ints != 0 || views != 0 {
+					t.Fatalf("%s: %d int slices and %d view headers outstanding, want 0 and 0", when, ints, views)
+				}
+			}
+			check("cold factorization")
+			for round := 0; round < 3; round++ {
+				for _, c := range warmCalls {
+					if _, err := c.call(s, q); err != nil {
 						t.Fatal(err)
 					}
-					if late := f.G.At(f.NT()-1, 1); late.Kind() != tile.KindDenseF64 {
-						t.Fatalf("tile (%d,1) is %s: no off-band tile past column 0 stayed dense", f.NT()-1, late.Kind())
-					}
+					check("warm " + c.name)
 				}
-				want64, want32 := base64+int64(fp.Dense64), base32+int64(fp.Dense32)
-				check := func(when string) {
-					t.Helper()
-					got64, got32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
-					if got64 != want64 || got32 != want32 {
-						t.Fatalf("%s: %d f64 and %d f32 buffers outstanding, want %d and %d (one per Dense64/Dense32 tile of %+v)",
-							when, got64-base64, got32-base32, fp.Dense64, fp.Dense32, fp)
-					}
-					if ints, views := linalg.OutstandingInts()-baseInts, linalg.OutstandingMatViews()-baseViews; ints != 0 || views != 0 {
-						t.Fatalf("%s: %d int slices and %d view headers outstanding, want 0 and 0", when, ints, views)
-					}
-				}
-				check("cold factorization")
-				for round := 0; round < 3; round++ {
-					for _, c := range warmCalls {
-						if _, err := c.call(s, q); err != nil {
-							t.Fatal(err)
-						}
-						check("warm " + c.name)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

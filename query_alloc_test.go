@@ -13,14 +13,13 @@ import (
 // The zero-allocation gate. A warm query — its factor cached, the pools
 // settled — allocates nothing on the heap from the facade call down to the
 // micro-kernels: content hash, cache hit, validation, the pooled wave state,
-// the sweep over every tile representation in both precisions, the special
-// functions. The warmRows table measures exactly that, with
+// the sweep over every tile representation, the special functions. The warmRows table measures exactly that, with
 // testing.AllocsPerRun, one row per warm path; it is the one allocation gate,
 // so it sees the compiler's escape decisions (a stack array that moves to the
 // heap fails here) and every function the warm paths reach. Four tests run
 // it, each its own share of the rows (warmSuite): TestWarmQueryZeroAllocs,
-// TestWarmQueryZeroAllocsEarlyStop, TestWarmQueryZeroAllocsSweepF32 and
-// TestWarmMVTQueryZeroAllocs. The rows that
+// TestWarmQueryZeroAllocsEarlyStop and TestWarmMVTQueryZeroAllocs. The rows
+// that
 // start below the facade (mvn.PMVNPrefix, cov.Fill) sit in their packages'
 // ZeroAllocs tests. `go test -run ZeroAllocs ./...` runs them all; CI runs it
 // on the vector kernels and again with REPRO_NOASM=1, which routes the same
@@ -69,8 +68,7 @@ func mixIs(fp FactorFootprint, want [3]int) error {
 }
 
 // largeBox is wide enough at tile 64 that a low-rank apply's second product
-// (lanes × tile × rank) passes linalg's naive-GEMM cutoff and the f32
-// shadow's products pass Gemm32's blocked threshold.
+// (lanes × tile × rank) passes linalg's naive-GEMM cutoff.
 func largeBox() warmBox {
 	locs := Grid(16, 16)
 	a, b := make([]float64, len(locs)), make([]float64, len(locs))
@@ -147,19 +145,13 @@ func warmRows() []warmRow {
 	}
 	var rows []warmRow
 	for _, l := range layouts {
-		for _, f32 := range []bool{false, true} {
-			cfg := base
-			cfg.Method, cfg.TileSize, cfg.SweepF32 = l.method, l.tile, f32
-			sweep := "f64"
-			if f32 {
-				sweep = "f32"
-			}
-			for _, c := range warmCalls {
-				rows = append(rows, warmRow{
-					name: l.name + "/" + sweep + "/" + c.name, entry: c.name,
-					cfg: cfg, box: l.box, call: c.call, layout: l.layout,
-				})
-			}
+		cfg := base
+		cfg.Method, cfg.TileSize = l.method, l.tile
+		for _, c := range warmCalls {
+			rows = append(rows, warmRow{
+				name: l.name + "/f64/" + c.name, entry: c.name,
+				cfg: cfg, box: l.box, call: c.call, layout: l.layout,
+			})
 		}
 	}
 
@@ -176,21 +168,17 @@ func warmRows() []warmRow {
 
 	large := base
 	large.Method, large.TileSize, large.TLRTol = TLR, 64, 1e-6
-	for _, f32 := range []bool{false, true} {
-		cfg := large
-		cfg.SweepF32 = f32
-		rows = append(rows, warmRow{
-			name: fmt.Sprintf("tlr-ts64/f32=%v/MVNProb", f32), entry: warmCalls[0].name,
-			cfg: cfg, box: largeBox(), call: warmCalls[0].call,
-			layout: func(fp FactorFootprint) error {
-				// 64 lanes × 64 rows × rank must exceed both 8192-flop thresholds.
-				if fp.MaxRank < 3 {
-					return fmt.Errorf("max rank %d: the low-rank products stay below the blocked kernels", fp.MaxRank)
-				}
-				return nil
-			},
-		})
-	}
+	rows = append(rows, warmRow{
+		name: "tlr-ts64/f32=false/MVNProb", entry: warmCalls[0].name,
+		cfg: large, box: largeBox(), call: warmCalls[0].call,
+		layout: func(fp FactorFootprint) error {
+			// 64 lanes × 64 rows × rank must exceed the 8192-flop threshold.
+			if fp.MaxRank < 3 {
+				return fmt.Errorf("max rank %d: the low-rank products stay below the blocked kernel", fp.MaxRank)
+			}
+			return nil
+		},
+	})
 
 	// What the server runs per warm request before and around the query.
 	rows = append(rows, warmRow{
@@ -226,16 +214,13 @@ func warmRows() []warmRow {
 }
 
 // warmSuite names the test that runs a row; every row lands in exactly one.
-// The Student-t entry points go to TestWarmMVTQueryZeroAllocs, the Gaussian
-// rows under SweepF32 to TestWarmQueryZeroAllocsSweepF32, the budgeted
+// The Student-t entry points go to TestWarmMVTQueryZeroAllocs, the budgeted
 // Gaussian rows to TestWarmQueryZeroAllocsEarlyStop and the fixed-N ones to
 // TestWarmQueryZeroAllocs.
 func warmSuite(row warmRow) string {
 	switch {
 	case strings.HasPrefix(row.entry, "MVT"):
 		return "TestWarmMVTQueryZeroAllocs"
-	case row.cfg.SweepF32:
-		return "TestWarmQueryZeroAllocsSweepF32"
 	case row.entry == "MVNProbOpts":
 		return "TestWarmQueryZeroAllocsEarlyStop"
 	default:
@@ -245,13 +230,12 @@ func warmSuite(row warmRow) string {
 
 func TestWarmQueryZeroAllocs(t *testing.T)          { runWarmRows(t) }
 func TestWarmQueryZeroAllocsEarlyStop(t *testing.T) { runWarmRows(t) }
-func TestWarmQueryZeroAllocsSweepF32(t *testing.T)  { runWarmRows(t) }
 func TestWarmMVTQueryZeroAllocs(t *testing.T)       { runWarmRows(t) }
 
 // runWarmRows runs the calling test's share of the warm rows, each on its own
 // session (one worker, so the sweep runs inline) after two settling calls —
-// the first factorizes, and under SweepF32 builds the f32 shadow — with the
-// collector paused so sync.Pool contents survive the measurement. A row must read exactly its count: more is a
+// the first factorizes — with the collector paused so sync.Pool contents
+// survive the measurement. A row must read exactly its count: more is a
 // regression, fewer means the row's comment is stale.
 func runWarmRows(t *testing.T) {
 	if raceEnabled {
