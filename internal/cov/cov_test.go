@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/geo"
 	"repro/internal/linalg"
 )
 
@@ -113,7 +112,7 @@ func TestNugget(t *testing.T) {
 
 func TestMatrixSymmetricUnitDiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := geo.UniformRandom(30, rng)
+	g := uniformRandom(30, rng)
 	k := &Exponential{Sigma2: 1.5, Range: 0.1}
 	s := Matrix(g, k)
 	for i := 0; i < 30; i++ {
@@ -136,7 +135,7 @@ func TestMatrixIsPositiveDefinite(t *testing.T) {
 	// Exponential covariance on distinct points is strictly PD; Cholesky
 	// must succeed across correlation strengths including the paper's three.
 	rng := rand.New(rand.NewSource(2))
-	g := geo.JitteredGrid(7, 7, 0.3, rng)
+	g := jitteredGrid(7, 7, 0.3, rng)
 	for _, rng2 := range []float64{0.033, 0.1, 0.234} {
 		s := Matrix(g, &Exponential{Sigma2: 1, Range: rng2})
 		if _, err := linalg.Cholesky(s); err != nil {
@@ -147,7 +146,7 @@ func TestMatrixIsPositiveDefinite(t *testing.T) {
 
 func TestBlockMatchesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := geo.UniformRandom(20, rng)
+	g := uniformRandom(20, rng)
 	k := NewMatern(1, 0.1, 1.5)
 	full := Matrix(g, k)
 	blk := linalg.NewMatrix(5, 7)
@@ -163,7 +162,7 @@ func TestBlockMatchesMatrix(t *testing.T) {
 
 func TestPosteriorShrinksVariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := geo.JitteredGrid(6, 6, 0.2, rng)
+	g := jitteredGrid(6, 6, 0.2, rng)
 	sigma := Matrix(g, &Exponential{Sigma2: 1, Range: 0.2})
 	mu := make([]float64, g.Len())
 	obs := []int{0, 7, 14, 21, 28, 35}
@@ -197,7 +196,7 @@ func TestPosteriorShrinksVariance(t *testing.T) {
 func TestPosteriorAgainstDirectFormula(t *testing.T) {
 	// Compare against literally materializing A and computing eq. 7–8.
 	rng := rand.New(rand.NewSource(6))
-	g := geo.UniformRandom(12, rng)
+	g := uniformRandom(12, rng)
 	sigma := Matrix(g, &Exponential{Sigma2: 1, Range: 0.3})
 	mu := make([]float64, 12)
 	for i := range mu {
@@ -246,7 +245,7 @@ func TestPosteriorAgainstDirectFormula(t *testing.T) {
 
 func TestPosteriorErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := geo.UniformRandom(5, rng)
+	g := uniformRandom(5, rng)
 	sigma := Matrix(g, &Exponential{Sigma2: 1, Range: 0.2})
 	if _, _, err := Posterior(sigma, make([]float64, 4), nil, nil, 1); err == nil {
 		t.Error("want error for mu length mismatch")

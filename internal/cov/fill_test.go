@@ -56,7 +56,7 @@ func fillKernels() map[string]Kernel {
 // scatteredWithDuplicates is a uniform random geometry in which every fifth
 // point repeats its predecessor exactly.
 func scatteredWithDuplicates(n int, seed int64) *geo.Geom {
-	g := geo.UniformRandom(n, rand.New(rand.NewSource(seed)))
+	g := uniformRandom(n, rand.New(rand.NewSource(seed)))
 	for i := 4; i < n; i += 5 {
 		g.Pts[i] = g.Pts[i-1]
 	}
@@ -355,7 +355,7 @@ func TestFillVectorMatchesScalar(t *testing.T) {
 // `go test -bench Block ./internal/cov` prints the two rates side by side.
 func BenchmarkBlock(b *testing.B) {
 	const ts = 256
-	g := geo.JitteredGrid(32, 32, 0.4, rand.New(rand.NewSource(1)))
+	g := jitteredGrid(32, 32, 0.4, rand.New(rand.NewSource(1)))
 	k := &Nugget{Kernel: NewMatern(1, 0.1, 2.5), Tau2: 1e-4}
 	blk := linalg.NewMatrix(ts, ts)
 	run := func(b *testing.B) {

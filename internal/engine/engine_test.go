@@ -21,6 +21,20 @@ func covGrid(side int, rng float64) *linalg.Matrix {
 	return cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: rng})
 }
 
+// toSingle is a float32 copy of m.
+func toSingle(m *linalg.Matrix) *tile.Matrix32 {
+	out := tile.NewMatrix32(m.Rows, m.Cols)
+	tile.ToSingleInto(m, out)
+	return out
+}
+
+// toDouble is a float64 copy of m.
+func toDouble(m *tile.Matrix32) *linalg.Matrix {
+	out := linalg.NewMatrix(m.Rows, m.Cols)
+	m.ToDoubleInto(out)
+	return out
+}
+
 // randSPD returns GᵀG + n·I for a Gaussian n×n G.
 func randSPD(n int, rng *rand.Rand) *linalg.Matrix {
 	gm := linalg.NewMatrix(n, n)
@@ -49,7 +63,7 @@ func banded(sigma *linalg.Matrix, band int) layout {
 			if i-j <= band {
 				return &tile.DenseF64{D: d}
 			}
-			return &tile.DenseF32{D: tile.ToSingle(d)}
+			return &tile.DenseF32{D: toSingle(d)}
 		}}
 	}
 }
@@ -160,13 +174,13 @@ func refMixedPotrf(g *engine.Grid, band int) {
 	nt := g.NT
 	as64 := func(i, j int) *linalg.Matrix {
 		if t, ok := g.At(i, j).(*tile.DenseF32); ok {
-			return t.D.ToDouble()
+			return toDouble(t.D)
 		}
 		return g.At(i, j).(*tile.DenseF64).D
 	}
 	as32 := func(i, j int) *tile.Matrix32 {
 		if t, ok := g.At(i, j).(*tile.DenseF64); ok {
-			return tile.ToSingle(t.D)
+			return toSingle(t.D)
 		}
 		return g.At(i, j).(*tile.DenseF32).D
 	}
@@ -177,7 +191,7 @@ func refMixedPotrf(g *engine.Grid, band int) {
 		}
 		var dk32 *tile.Matrix32
 		if k+band+1 < nt {
-			dk32 = tile.ToSingle(dk)
+			dk32 = toSingle(dk)
 		}
 		for i := k + 1; i < nt; i++ {
 			switch t := g.At(i, k).(type) {

@@ -26,7 +26,7 @@ func densifyFactor(g *engine.Grid) *linalg.Matrix {
 			case *tile.DenseF64:
 				d = t.D
 			case *tile.DenseF32:
-				d = t.D.ToDouble()
+				d = toDouble(t.D)
 			case *tile.LowRank:
 				d = t.Dense()
 			}
@@ -196,7 +196,7 @@ func sameTile(a, b tile.Tile) bool {
 		return ok && same(a.D, b.D)
 	case *tile.DenseF32:
 		b, ok := b.(*tile.DenseF32)
-		return ok && same(a.D.ToDouble(), b.D.ToDouble())
+		return ok && same(toDouble(a.D), toDouble(b.D))
 	case *tile.LowRank:
 		b, ok := b.(*tile.LowRank)
 		return ok && a.Rank() == b.Rank() && (a.Rank() == 0 || same(a.U, b.U) && same(a.V, b.V))

@@ -225,15 +225,6 @@ func (c *Computer) PrefixProb(k int) float64 {
 	return c.prefix.Prob[min(k, len(c.order))-1]
 }
 
-// PrefixStdErr returns the randomized-QMC standard error of PrefixProb(k), 0
-// when the integration ran fewer than two replicates.
-func (c *Computer) PrefixStdErr(k int) float64 {
-	if k <= 0 || c.prefix.StdErr == nil {
-		return 0
-	}
-	return c.prefix.StdErr[min(k, len(c.order))-1]
-}
-
 // ConfidenceFunction returns F⁺ per location index: the joint probability of
 // the prefix ending at that location, evaluated at every rank.
 func (c *Computer) ConfidenceFunction() []float64 {

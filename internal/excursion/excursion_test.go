@@ -488,3 +488,12 @@ func TestNewPlanValidation(t *testing.T) {
 		t.Error("want error for factor dimension mismatch")
 	}
 }
+
+// PrefixStdErr returns the randomized-QMC standard error of PrefixProb(k), 0
+// when the integration ran fewer than two replicates.
+func (c *Computer) PrefixStdErr(k int) float64 {
+	if k <= 0 || c.prefix.StdErr == nil {
+		return 0
+	}
+	return c.prefix.StdErr[min(k, len(c.order))-1]
+}

@@ -1,6 +1,5 @@
 // Package geo provides the spatial-geometry substrate: 2-D point sets on
-// regular grids or irregular (jittered / uniform random) layouts, and the
-// pairwise distances the covariance kernels consume. It mirrors the location
+// regular grids, and the pairwise distances the covariance kernels consume. It mirrors the location
 // generator of ExaGeoStat that the paper uses to produce its synthetic
 // datasets.
 package geo
@@ -8,7 +7,6 @@ package geo
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Point is a location in the plane.
@@ -58,31 +56,6 @@ func frac(i, n int) float64 {
 		return 0.5
 	}
 	return float64(i) / float64(n-1)
-}
-
-// JitteredGrid returns a regular nx×ny grid with each point perturbed by a
-// uniform offset of at most `jitter` grid cells in each coordinate. This is
-// the "irregularly distributed locations" layout ExaGeoStat generates: it
-// keeps points distinct and spread while breaking the lattice structure.
-func JitteredGrid(nx, ny int, jitter float64, rng *rand.Rand) *Geom {
-	g := RegularGrid(nx, ny)
-	hx := 1.0 / float64(max(nx-1, 1))
-	hy := 1.0 / float64(max(ny-1, 1))
-	for i := range g.Pts {
-		g.Pts[i].X += (rng.Float64()*2 - 1) * jitter * hx
-		g.Pts[i].Y += (rng.Float64()*2 - 1) * jitter * hy
-	}
-	g.Nx, g.Ny = 0, 0
-	return g
-}
-
-// UniformRandom returns n points drawn uniformly from the unit square.
-func UniformRandom(n int, rng *rand.Rand) *Geom {
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
-	}
-	return &Geom{Pts: pts}
 }
 
 // Rect returns a copy of g affinely mapped from the unit square onto the

@@ -92,3 +92,28 @@ func TestRectMapsCorners(t *testing.T) {
 		}
 	}
 }
+
+// JitteredGrid returns a regular nx×ny grid with each point perturbed by a
+// uniform offset of at most `jitter` grid cells in each coordinate. This is
+// the "irregularly distributed locations" layout ExaGeoStat generates: it
+// keeps points distinct and spread while breaking the lattice structure.
+func JitteredGrid(nx, ny int, jitter float64, rng *rand.Rand) *Geom {
+	g := RegularGrid(nx, ny)
+	hx := 1.0 / float64(max(nx-1, 1))
+	hy := 1.0 / float64(max(ny-1, 1))
+	for i := range g.Pts {
+		g.Pts[i].X += (rng.Float64()*2 - 1) * jitter * hx
+		g.Pts[i].Y += (rng.Float64()*2 - 1) * jitter * hy
+	}
+	g.Nx, g.Ny = 0, 0
+	return g
+}
+
+// UniformRandom returns n points drawn uniformly from the unit square.
+func UniformRandom(n int, rng *rand.Rand) *Geom {
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	return &Geom{Pts: pts}
+}

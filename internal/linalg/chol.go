@@ -87,10 +87,6 @@ func CholeskyInPlace(a *Matrix) (*Matrix, error) {
 	return a, nil
 }
 
-// SolveSPD solves A·X = B for symmetric positive definite A, returning X.
-// B is not modified.
-func SolveSPD(a, b *Matrix) (*Matrix, error) { return solveInPlace(a.Clone(), b.Clone()) }
-
 // InvSPD returns the inverse of a symmetric positive definite matrix.
 func InvSPD(a *Matrix) (*Matrix, error) { return solveInPlace(a.Clone(), Eye(a.Rows)) }
 

@@ -147,3 +147,7 @@ func TestInvSPD(t *testing.T) {
 		t.Errorf("InvSPDInPlace: inverse differs by %v, a from its factor by %v", inPlace.MaxAbsDiff(inv), a.MaxAbsDiff(l))
 	}
 }
+
+// SolveSPD solves A·X = B for symmetric positive definite A, returning X.
+// B is not modified.
+func SolveSPD(a, b *Matrix) (*Matrix, error) { return solveInPlace(a.Clone(), b.Clone()) }

@@ -28,14 +28,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Stride: max(r, 1), Data: make([]float64, r*c)}
 }
 
-// FromColMajor wraps an existing column-major slice (no copy).
-func FromColMajor(r, c int, data []float64) *Matrix {
-	if len(data) < r*c {
-		panic("linalg: slice too short for dimensions")
-	}
-	return &Matrix{Rows: r, Cols: c, Stride: max(r, 1), Data: data}
-}
-
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i+j*m.Stride] }
 

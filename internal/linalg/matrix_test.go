@@ -342,3 +342,11 @@ func TestTrsmAlphaScaling(t *testing.T) {
 		}
 	}
 }
+
+// FromColMajor wraps an existing column-major slice (no copy).
+func FromColMajor(r, c int, data []float64) *Matrix {
+	if len(data) < r*c {
+		panic("linalg: slice too short for dimensions")
+	}
+	return &Matrix{Rows: r, Cols: c, Stride: max(r, 1), Data: data}
+}

@@ -125,16 +125,8 @@ func (f *QRFactor) ApplyQInto(x, out *Matrix) {
 	}
 }
 
-// ThinQ returns the m×k orthonormal factor, k = min(m,n), by accumulating
-// the Householder reflectors against the identity.
-func (f *QRFactor) ThinQ() *Matrix {
-	q := NewMatrix(f.QR.Rows, min(f.QR.Rows, f.QR.Cols))
-	f.ThinQInto(q)
-	return q
-}
-
-// ThinQInto writes the m×k orthonormal factor into q, the allocation-free
-// form of ThinQ.
+// ThinQInto writes the m×k orthonormal factor, k = min(m,n), into q by
+// accumulating the Householder reflectors against the identity.
 func (f *QRFactor) ThinQInto(q *Matrix) {
 	m, n := f.QR.Rows, f.QR.Cols
 	k := min(m, n)

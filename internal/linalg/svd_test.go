@@ -251,3 +251,36 @@ func TestQRZeroColumn(t *testing.T) {
 		t.Errorf("QR with zero column: diff %v", d)
 	}
 }
+
+// ThinQ returns the m×k orthonormal factor, k = min(m,n), by accumulating
+// the Householder reflectors against the identity.
+func (f *QRFactor) ThinQ() *Matrix {
+	q := NewMatrix(f.QR.Rows, min(f.QR.Rows, f.QR.Cols))
+	f.ThinQInto(q)
+	return q
+}
+
+// TruncationRank returns the smallest k such that the trailing singular
+// values satisfy ‖S[k:]‖₂ ≤ tol·‖S‖₂, i.e. a relative Frobenius-norm
+// truncation. It returns at least 1 when any singular value is nonzero.
+func TruncationRank(s []float64, tol float64) int {
+	total := 0.0
+	for _, v := range s {
+		total += v * v
+	}
+	if total == 0 {
+		return 0
+	}
+	thresh := tol * tol * total
+	tail := 0.0
+	k := len(s)
+	for k > 0 {
+		v := s[k-1]
+		if tail+v*v > thresh {
+			break
+		}
+		tail += v * v
+		k--
+	}
+	return max(k, 1)
+}

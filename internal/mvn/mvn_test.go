@@ -19,7 +19,7 @@ import (
 // ∫ φ(t)·Π Φ((b_i − √ρ·t)/√(1−ρ)) dt.
 func equicorrOracle(b []float64, rho float64) float64 {
 	f := func(t float64) float64 {
-		v := stats.PhiDensity(t)
+		v := math.Exp(-0.5*t*t) / math.Sqrt(2*math.Pi) // φ(t)
 		for _, bi := range b {
 			v *= stats.Phi((bi - math.Sqrt(rho)*t) / math.Sqrt(1-rho))
 		}

@@ -18,7 +18,7 @@ import (
 func SOVSequential(a, b []float64, l *linalg.Matrix, gen *qmc.Richtmyer, n int) float64 {
 	dim := l.Rows
 	w := make([]float64, dim)
-	pt := linalg.FromColMajor(1, dim, w)
+	pt := &linalg.Matrix{Rows: 1, Cols: dim, Stride: 1, Data: w}
 	y := make([]float64, dim)
 	sum := 0.0
 	for s := 0; s < n; s++ {
@@ -48,7 +48,7 @@ func SOVSequential(a, b []float64, l *linalg.Matrix, gen *qmc.Richtmyer, n int) 
 func SOVSequentialT(a, b []float64, l *linalg.Matrix, nu float64, gen *qmc.Richtmyer, n int) float64 {
 	dim := l.Rows
 	w := make([]float64, dim+1)
-	pt := linalg.FromColMajor(1, dim+1, w)
+	pt := &linalg.Matrix{Rows: 1, Cols: dim + 1, Stride: 1, Data: w}
 	y := make([]float64, dim)
 	sum := 0.0
 	for sIdx := 0; sIdx < n; sIdx++ {

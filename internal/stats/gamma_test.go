@@ -127,3 +127,87 @@ func BenchmarkChi2Inv(b *testing.B) {
 	}
 	_ = s
 }
+
+// StudentTCDF returns P(T ≤ t) for the Student-t distribution with ν > 0
+// degrees of freedom, via the regularized incomplete beta function
+// evaluated through its continued fraction.
+func StudentTCDF(t, nu float64) float64 {
+	if math.IsNaN(t) || nu <= 0 {
+		return math.NaN()
+	}
+	if math.IsInf(t, 1) {
+		return 1
+	}
+	if math.IsInf(t, -1) {
+		return 0
+	}
+	x := nu / (nu + t*t)
+	ib := 0.5 * incBeta(nu/2, 0.5, x)
+	if t >= 0 {
+		return 1 - ib
+	}
+	return ib
+}
+
+// incBeta is the regularized incomplete beta function I_x(a,b).
+func incBeta(a, b, x float64) float64 {
+	switch {
+	case x <= 0:
+		return 0
+	case x >= 1:
+		return 1
+	}
+	lga, _ := math.Lgamma(a)
+	lgb, _ := math.Lgamma(b)
+	lgab, _ := math.Lgamma(a + b)
+	front := math.Exp(lgab - lga - lgb + a*math.Log(x) + b*math.Log(1-x))
+	if x < (a+1)/(a+b+2) {
+		return front * betaCF(a, b, x) / a
+	}
+	return 1 - front*betaCF(b, a, 1-x)/b
+}
+
+// betaCF is the Lentz continued fraction for the incomplete beta function.
+func betaCF(a, b, x float64) float64 {
+	const tiny = 1e-300
+	qab := a + b
+	qap := a + 1
+	qam := a - 1
+	c := 1.0
+	d := 1 - qab*x/qap
+	if math.Abs(d) < tiny {
+		d = tiny
+	}
+	d = 1 / d
+	h := d
+	for m := 1; m <= 300; m++ {
+		m2 := 2 * m
+		aa := float64(m) * (b - float64(m)) * x / ((qam + float64(m2)) * (a + float64(m2)))
+		d = 1 + aa*d
+		if math.Abs(d) < tiny {
+			d = tiny
+		}
+		c = 1 + aa/c
+		if math.Abs(c) < tiny {
+			c = tiny
+		}
+		d = 1 / d
+		h *= d * c
+		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + float64(m2)) * (qap + float64(m2)))
+		d = 1 + aa*d
+		if math.Abs(d) < tiny {
+			d = tiny
+		}
+		c = 1 + aa/c
+		if math.Abs(c) < tiny {
+			c = tiny
+		}
+		d = 1 / d
+		del := d * c
+		h *= del
+		if math.Abs(del-1) < 1e-15 {
+			break
+		}
+	}
+	return h
+}

@@ -23,11 +23,6 @@ func Phi(x float64) float64 {
 	return 0.5 * math.Erfc(-x/Sqrt2)
 }
 
-// PhiDensity returns the standard normal density φ(x).
-func PhiDensity(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
-}
-
 // PhiInterval returns P(a < Z ≤ b) for a standard normal Z, computed in a
 // tail-stable way: when both endpoints sit in the same tail the difference is
 // evaluated with the complementary error function on that tail so that no

@@ -357,3 +357,8 @@ func TestPhiInvSubnormal(t *testing.T) {
 		prev = x
 	}
 }
+
+// PhiDensity returns the standard normal density φ(x).
+func PhiDensity(x float64) float64 {
+	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
+}

@@ -345,3 +345,14 @@ func TestWorkersClamped(t *testing.T) {
 		t.Error("task did not run with clamped pool")
 	}
 }
+
+// TraceEventCount returns the number of recorded events (for tests and
+// sanity checks).
+func (r *Runtime) TraceEventCount() int {
+	r.trace.mu.Lock()
+	defer r.trace.mu.Unlock()
+	return len(r.trace.events)
+}
+
+// DisableTracing stops recording.
+func (r *Runtime) DisableTracing() { r.trace.enabled.Store(false) }

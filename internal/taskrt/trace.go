@@ -50,9 +50,6 @@ func (r *Runtime) EnableTracing() {
 	r.trace.enabled.Store(true)
 }
 
-// DisableTracing stops recording.
-func (r *Runtime) DisableTracing() { r.trace.enabled.Store(false) }
-
 // chromeEvent is the Chrome trace-event JSON schema ("X" complete events).
 type chromeEvent struct {
 	Name string `json:"name"`
@@ -89,12 +86,4 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// TraceEventCount returns the number of recorded events (for tests and
-// sanity checks).
-func (r *Runtime) TraceEventCount() int {
-	r.trace.mu.Lock()
-	defer r.trace.mu.Unlock()
-	return len(r.trace.events)
 }

@@ -63,8 +63,10 @@ func TestCompressRandomizedAccuracy(t *testing.T) {
 func TestCompressMatchesFullSVDRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := lowRankPlusNoise(60, 44, 12, 1e-9, rng)
+	// The reference: the same relative Frobenius-tail rule applied to the
+	// full Jacobi spectrum.
 	res := linalg.SVD(a)
-	want := linalg.TruncationRank(res.S, 1e-4)
+	want := (&smallSVD{ss: res.S}).truncate(1e-4, 0, 0)
 	got := Compress(a, 1e-4, 0).Rank()
 	if got != want {
 		t.Errorf("rank %d, full-SVD reference %d", got, want)

@@ -2,11 +2,11 @@ package tile
 
 import "repro/internal/linalg"
 
-// In-place conversion kernels between the tile representations. The
-// allocating forms (ToSingle, ToDouble, LowRank.Dense) build their result on
-// the Go heap and suit one-off construction; the Into forms write into a
-// caller-supplied (typically pooled) destination, so the factorization's
-// mixed-representation updates convert operands without allocating per task.
+// In-place conversion kernels between the tile representations. They write
+// into a caller-supplied (typically pooled) destination, so the
+// factorization's mixed-representation updates convert operands without
+// allocating per task; LowRank.Dense is the allocating form for one-off
+// construction.
 
 // ToSingleInto converts a into the preallocated float32 matrix dst, which
 // must have a's shape.

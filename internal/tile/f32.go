@@ -23,32 +23,6 @@ func (m *Matrix32) Set(i, j int, v float32) { m.Data[i+j*m.Rows] = v }
 // Col returns column j.
 func (m *Matrix32) Col(j int) []float32 { return m.Data[j*m.Rows : (j+1)*m.Rows] }
 
-// ToSingle converts a float64 matrix to float32.
-func ToSingle(a *linalg.Matrix) *Matrix32 {
-	out := NewMatrix32(a.Rows, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		src := a.Col(j)
-		dst := out.Col(j)
-		for i, v := range src {
-			dst[i] = float32(v)
-		}
-	}
-	return out
-}
-
-// ToDouble converts back to float64.
-func (m *Matrix32) ToDouble() *linalg.Matrix {
-	out := linalg.NewMatrix(m.Rows, m.Cols)
-	for j := 0; j < m.Cols; j++ {
-		src := m.Col(j)
-		dst := out.Col(j)
-		for i, v := range src {
-			dst[i] = float64(v)
-		}
-	}
-	return out
-}
-
 // Gemm32 computes C += alpha·A·Bᵀ in float32, the one product the Cholesky
 // update and the panel solve need. Large products run through linalg's
 // packed single-precision micro-kernel when the platform has one.

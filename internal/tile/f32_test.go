@@ -103,3 +103,29 @@ func TestTrsm32Blocked(t *testing.T) {
 		}
 	}
 }
+
+// ToSingle converts a float64 matrix to float32.
+func ToSingle(a *linalg.Matrix) *Matrix32 {
+	out := NewMatrix32(a.Rows, a.Cols)
+	for j := 0; j < a.Cols; j++ {
+		src := a.Col(j)
+		dst := out.Col(j)
+		for i, v := range src {
+			dst[i] = float32(v)
+		}
+	}
+	return out
+}
+
+// ToDouble converts back to float64.
+func (m *Matrix32) ToDouble() *linalg.Matrix {
+	out := linalg.NewMatrix(m.Rows, m.Cols)
+	for j := 0; j < m.Cols; j++ {
+		src := m.Col(j)
+		dst := out.Col(j)
+		for i, v := range src {
+			dst[i] = float64(v)
+		}
+	}
+	return out
+}
