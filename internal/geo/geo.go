@@ -1,7 +1,7 @@
 // Package geo provides the spatial-geometry substrate: 2-D point sets on
-// regular grids, and the pairwise distances the covariance kernels consume. It mirrors the location
-// generator of ExaGeoStat that the paper uses to produce its synthetic
-// datasets.
+// regular grids, and the pairwise distances the covariance kernels consume.
+// It mirrors the location generator of ExaGeoStat that the paper uses to
+// produce its synthetic datasets.
 package geo
 
 import (

@@ -110,11 +110,11 @@ func TestServeMatchesSession(t *testing.T) {
 	}
 }
 
-// TestServeSweepF32Refused pins the one sweep at the wire: "sweep":"f32"
+// TestServeRefusesF32Sweep pins the one sweep at the wire: "sweep":"f32"
 // (or any value but "f64") is a 400 naming the field, from DecodeRequest and
 // over HTTP, before any session or factor is touched, while "f64" and an
 // omitted field are the same query, bit for bit.
-func TestServeSweepF32Refused(t *testing.T) {
+func TestServeRefusesF32Sweep(t *testing.T) {
 	const body = `{"grid":{"nx":5,"ny":5},"kernel":{"family":"exponential","range":0.2},"lower":-1%s}`
 	for _, sweep := range []string{"f32", "half"} {
 		_, err := DecodeRequest([]byte(fmt.Sprintf(body, `,"sweep":"`+sweep+`"`)), Limits{})
