@@ -5,7 +5,7 @@
 //
 // The key set is K distinct covariance models (same grid, kernel range
 // varied), so -keys controls how hard the factor cache and — through a
-// router — the consistent-hash placement are exercised: K=1 is a pure
+// router — the router's key placement are exercised: K=1 is a pure
 // warm-path benchmark, K larger than the cache capacity forces eviction
 // traffic.
 //

@@ -20,9 +20,10 @@
 // factorizations.
 //
 // With -route URL1,URL2,... the process runs as a thin router instead:
-// requests are placed on backends by consistent hashing on their
-// ProblemKey, backends are health-checked, failed proxies retry the next
-// replica, and membership changes hand off only the affected keys.
+// requests are placed on backends by rendezvous hashing on their
+// ProblemKey, backends are health-checked, failed proxies retry the key's
+// next-ranked backend, and a backend going down or up moves only its own
+// keys.
 //
 // Example:
 //
@@ -64,7 +65,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "admitted requests before fast-fail (0 = default 1024)")
 	maxDim := flag.Int("max-dim", 0, "maximum problem dimension (0 = default 16384)")
 	storeDir := flag.String("store", "", "persistent factor store directory (load cold keys from it, write built factors through to it)")
-	route := flag.String("route", "", "comma-separated backend URLs: run as a consistent-hash router over them instead of serving locally")
+	route := flag.String("route", "", "comma-separated backend URLs: run as a router over them instead of serving locally, placing each problem key on one backend by rendezvous hashing")
 	healthEvery := flag.Duration("health-interval", 0, "router backend health-check period (0 = default 1s)")
 	flag.Parse()
 

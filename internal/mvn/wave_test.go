@@ -27,7 +27,9 @@ func waveTestFactor(t *testing.T, rt *taskrt.Runtime, side, ts int) (*Factor, *l
 	return fac, l
 }
 
-// waveTestLimits builds the three BenchmarkQuery regimes at dimension n.
+// waveTestLimits builds three limit regimes at dimension n: excursion (a
+// common lower limit), prefix (the first 16 coordinates constrained, the
+// rest free) and wide (a ±6 box, every lane alive).
 func waveTestLimits(n int) map[string][2][]float64 {
 	mk := func(f func(i int) (float64, float64)) [2][]float64 {
 		a := make([]float64, n)
@@ -49,7 +51,7 @@ func waveTestLimits(n int) map[string][2][]float64 {
 	}
 }
 
-// TestWaveErrorEstimatorValidity: across the three BenchmarkQuery regimes, the
+// TestWaveErrorEstimatorValidity: across the three waveTestLimits regimes, the
 // early-stopped estimate must agree with the (much larger N) sequential
 // reference to within a small multiple of its own reported error bar — the
 // reported relative error is a usable bound, not just a diagnostic.

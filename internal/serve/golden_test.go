@@ -74,7 +74,7 @@ const goldenGrid = 4 // 4×4 grid, n = 16
 // TestGoldenEndToEnd runs every fixture through BOTH entry surfaces — the
 // in-process Go API (a Session configured exactly as the server pool
 // configures its sessions) and the HTTP path (JSON in, JSON out, through
-// flights and batching) — and checks each against the checked-in golden and
+// the shard pool) — and checks each against the checked-in golden and
 // against the other. The two surfaces must agree bit-exactly: they run the
 // same deterministic engine, so any divergence is a serving-layer bug.
 func TestGoldenEndToEnd(t *testing.T) {

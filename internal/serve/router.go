@@ -2,14 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,16 +20,18 @@ import (
 
 // Router is the thin horizontal-scaling tier over N mvnserve backends:
 // it decodes just enough of each request to compute its parmvn.ProblemKey,
-// picks a backend by consistent hashing on ProblemKey.Hash(), and proxies
-// the request there — so one covariance model always lands on one
-// backend's factor cache, no matter how many replicas serve traffic.
+// picks a backend by rendezvous (highest-random-weight) hashing on
+// ProblemKey.Hash(), and proxies the request there — so one covariance
+// model always lands on one backend's factor cache, no matter how many
+// replicas serve traffic.
 //
-// Backends are health-checked in the background. When one fails its
-// checks, the hash ring is rebuilt without it: consistent hashing hands
-// only the failed backend's keys to their next replicas (everything else
-// keeps its placement), and hands them back when the backend recovers. A
-// request whose chosen backend fails mid-proxy retries on the next
-// distinct replica around the ring.
+// Every backend scores every key; the highest-scoring healthy backend owns
+// it. Backends are health-checked in the background. A backend that fails
+// its checks drops out of the ranking, so only its own keys move, each to
+// its next-highest scorer, and they move back when it recovers. A request
+// whose owner fails mid-proxy retries on the next backend in its ranking.
+// The ranking is a function of the key and the backend URLs alone, so
+// every router replica places every key the same way.
 //
 // The router holds no sessions and no factors; paired with a shared
 // persistent factor store on the backends, any replica can warm any key it
@@ -38,7 +40,6 @@ type Router struct {
 	cfg      RouterConfig
 	client   *http.Client
 	backends []*backend
-	ring     atomic.Pointer[hashRing]
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	start    time.Time
@@ -47,7 +48,6 @@ type Router struct {
 	badReqs   atomic.Uint64
 	retries   atomic.Uint64
 	noBackend atomic.Uint64
-	rebuilds  atomic.Uint64
 }
 
 // RouterConfig tunes a Router.
@@ -61,9 +61,6 @@ type RouterConfig struct {
 	// backend caching agree. A mismatch only costs cache locality, never
 	// correctness — every backend can serve every key.
 	Session parmvn.Config
-	// VirtualNodes is the number of hash-ring points per backend; more
-	// points smooth the key distribution. Default 128.
-	VirtualNodes int
 	// HealthInterval is the backend health-check period. Default 1s.
 	HealthInterval time.Duration
 	// HealthTimeout bounds one health probe. Default 500ms.
@@ -72,14 +69,9 @@ type RouterConfig struct {
 	MaxDim int
 	// MaxBodyBytes caps an HTTP request body. Default 8 MiB.
 	MaxBodyBytes int64
-	// Client optionally overrides the proxy HTTP client (tests).
-	Client *http.Client
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 128
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
 	}
@@ -98,23 +90,14 @@ func (c RouterConfig) withDefaults() RouterConfig {
 // backend is one replica and its health/traffic state.
 type backend struct {
 	url       string
+	seed      uint64 // fnvString(url): the backend's rendezvous seed
 	healthy   atomic.Bool
 	forwarded atomic.Uint64
 	failures  atomic.Uint64
 }
 
-// hashRing is an immutable consistent-hash ring over the currently healthy
-// backends: points[i].hash is sorted ascending, and a key is served by the
-// first point clockwise from its hash. Rebuilt (atomically swapped) on
-// membership change only, so lookups are lock-free.
-type hashRing struct {
-	points []ringPoint
-}
-
-type ringPoint struct {
-	hash uint64
-	idx  int // index into Router.backends
-}
+// score is key hash h's rendezvous weight on b.
+func (b *backend) score(h uint64) uint64 { return splitmix64(h ^ b.seed) }
 
 // NewRouter validates the backend list and starts the health loop. Close
 // stops it.
@@ -125,12 +108,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{
 		cfg:    c,
-		client: c.Client,
+		client: &http.Client{Timeout: 60 * time.Second},
 		stop:   make(chan struct{}),
 		start:  time.Now(),
-	}
-	if r.client == nil {
-		r.client = &http.Client{Timeout: 60 * time.Second}
 	}
 	seen := map[string]bool{}
 	for _, b := range c.Backends {
@@ -143,13 +123,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			return nil, fmt.Errorf("serve: duplicate router backend %q", base)
 		}
 		seen[base] = true
-		be := &backend{url: base}
+		be := &backend{url: base, seed: fnvString(base)}
 		// Optimistically healthy until the first probe says otherwise, so a
 		// router serves immediately after startup.
 		be.healthy.Store(true)
 		r.backends = append(r.backends, be)
 	}
-	r.rebuild()
 	r.wg.Add(1)
 	go r.healthLoop()
 	return r, nil
@@ -159,30 +138,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (r *Router) Close() {
 	close(r.stop)
 	r.wg.Wait()
-}
-
-// rebuild swaps in a fresh ring over the currently healthy backends — the
-// membership-change key handoff: only keys owned by departed backends move
-// (to their next clockwise replica), and they move back on recovery.
-func (r *Router) rebuild() {
-	ring := &hashRing{}
-	var key [2]uint64
-	for i, b := range r.backends {
-		if !b.healthy.Load() {
-			continue
-		}
-		// Virtual node hashes: FNV-1a over the backend URL and the node
-		// index, well mixed; stable across processes so every router replica
-		// computes the same placement.
-		h := fnvString(b.url)
-		for v := 0; v < r.cfg.VirtualNodes; v++ {
-			key[0], key[1] = h, uint64(v)
-			ring.points = append(ring.points, ringPoint{hash: mix128(key), idx: i})
-		}
-	}
-	sort.Slice(ring.points, func(a, b int) bool { return ring.points[a].hash < ring.points[b].hash })
-	r.ring.Store(ring)
-	r.rebuilds.Add(1)
 }
 
 // fnvString is FNV-1a/64 over s.
@@ -195,17 +150,10 @@ func fnvString(s string) uint64 {
 	return h
 }
 
-// mix128 hashes a (backend, vnode) pair to a ring position.
-func mix128(k [2]uint64) uint64 {
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:8], k[0])
-	binary.LittleEndian.PutUint64(b[8:], k[1])
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	// Final avalanche (splitmix64 tail) so sequential vnode indices spread.
+// splitmix64 is the SplitMix64 generator's output mix: a bijection on
+// uint64 whose every output bit depends on every input bit, so nearby key
+// hashes and seeds score independently.
+func splitmix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -214,33 +162,21 @@ func mix128(k [2]uint64) uint64 {
 	return h
 }
 
-// pick returns up to max distinct healthy backends for key hash h, in
-// consistent-hash order: the owner first, then the retry replicas walking
-// clockwise.
-func (r *Router) pick(h uint64, max int) []*backend {
-	ring := r.ring.Load()
-	if ring == nil || len(ring.points) == 0 {
-		return nil
-	}
-	start := sort.Search(len(ring.points), func(i int) bool { return ring.points[i].hash >= h })
+// pick returns the healthy backends for key hash h in descending score:
+// the owner first, then the failover and spill order.
+func (r *Router) pick(h uint64) []*backend {
 	var out []*backend
-	seen := map[int]bool{}
-	for i := 0; i < len(ring.points) && len(out) < max; i++ {
-		p := ring.points[(start+i)%len(ring.points)]
-		if seen[p.idx] {
-			continue
-		}
-		seen[p.idx] = true
-		b := r.backends[p.idx]
+	for _, b := range r.backends {
 		if b.healthy.Load() {
 			out = append(out, b)
 		}
 	}
+	slices.SortFunc(out, func(a, b *backend) int { return cmp.Compare(b.score(h), a.score(h)) })
 	return out
 }
 
-// healthLoop probes every backend each interval and rebuilds the ring when
-// membership changes.
+// healthLoop probes every backend each interval. A backend's keys follow
+// its health flag: pick skips it while it is down.
 func (r *Router) healthLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.HealthInterval)
@@ -251,15 +187,8 @@ func (r *Router) healthLoop() {
 			return
 		case <-t.C:
 		}
-		changed := false
 		for _, b := range r.backends {
-			ok := r.probe(b)
-			if b.healthy.Swap(ok) != ok {
-				changed = true
-			}
-		}
-		if changed {
-			r.rebuild()
+			b.healthy.Store(r.probe(b))
 		}
 	}
 }
@@ -281,15 +210,6 @@ func (r *Router) probe(b *backend) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// markDown flags a backend that failed a live request and rebuilds the
-// ring immediately — the fast handoff path; the health loop will bring the
-// backend back when it recovers.
-func (r *Router) markDown(b *backend) {
-	if b.healthy.Swap(false) {
-		r.rebuild()
-	}
-}
-
 // Handler returns the router's HTTP surface — the same /v1 endpoints as a
 // backend, plus the router's own /healthz and /stats.
 func (r *Router) Handler() http.Handler {
@@ -297,7 +217,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("/v1/mvnprob", r.handleProxy)
 	mux.HandleFunc("/v1/mvtprob", r.handleProxy)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		if len(r.pick(0, 1)) == 0 {
+		if !slices.ContainsFunc(r.backends, func(b *backend) bool { return b.healthy.Load() }) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			io.WriteString(w, "no healthy backends\n")
 			return
@@ -313,7 +233,7 @@ func (r *Router) Handler() http.Handler {
 
 // handleProxy routes one probability query: decode enough to compute the
 // problem key, pick the key's backend, proxy, and on backend failure retry
-// the next distinct replica around the ring.
+// the next backend in the key's ranking.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	r.requests.Add(1)
 	if req.Method != http.MethodPost {
@@ -338,7 +258,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		writeError(w, rerr)
 		return
 	}
-	cands := r.pick(h, len(r.backends))
+	cands := r.pick(h)
 	if len(cands) == 0 {
 		w.Header().Set("Retry-After", "1")
 		r.noBackend.Add(1)
@@ -352,10 +272,11 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		}
 		resp, err := r.forward(req.Context(), b, req.URL.Path, body)
 		if err != nil {
-			// Transport-level failure: the backend is gone or wedged. Hand
-			// its keys off immediately and try the next replica.
+			// Transport-level failure: the backend is gone or wedged. Mark
+			// it down, which hands its keys off at once, and try the next
+			// replica; the health loop brings it back when it recovers.
 			b.failures.Add(1)
-			r.markDown(b)
+			b.healthy.Store(false)
 			lastErr = err
 			continue
 		}
@@ -387,9 +308,6 @@ func (r *Router) routeHash(body []byte) (uint64, error) {
 	method, err := parseMethod(req.Method, r.cfg.Session.Method)
 	if err != nil {
 		return 0, err
-	}
-	if err := req.Kernel.Validate(); err != nil {
-		return 0, badReq("kernel", "%v", err)
 	}
 	cfg := sessionConfigFor(r.cfg.Session, method, len(req.Locs))
 	pk, err := cfg.ProblemKey(req.Locs, req.Kernel)
@@ -430,9 +348,6 @@ type RouterStats struct {
 	Retries uint64 `json:"retries"`
 	// NoBackend counts requests rejected because no backend was healthy.
 	NoBackend uint64 `json:"no_backend"`
-	// RingRebuilds counts membership changes (including the initial
-	// build): each one is a consistent-hash key handoff.
-	RingRebuilds uint64 `json:"ring_rebuilds"`
 	// HealthyBackends is the current healthy count.
 	HealthyBackends int                  `json:"healthy_backends"`
 	Backends        []RouterBackendStats `json:"backends"`
@@ -449,12 +364,11 @@ type RouterBackendStats struct {
 // Snapshot assembles the router statistics.
 func (r *Router) Snapshot() RouterStats {
 	st := RouterStats{
-		UptimeSec:    time.Since(r.start).Seconds(),
-		Requests:     r.requests.Load(),
-		BadRequests:  r.badReqs.Load(),
-		Retries:      r.retries.Load(),
-		NoBackend:    r.noBackend.Load(),
-		RingRebuilds: r.rebuilds.Load(),
+		UptimeSec:   time.Since(r.start).Seconds(),
+		Requests:    r.requests.Load(),
+		BadRequests: r.badReqs.Load(),
+		Retries:     r.retries.Load(),
+		NoBackend:   r.noBackend.Load(),
 	}
 	for _, b := range r.backends {
 		healthy := b.healthy.Load()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -87,8 +88,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestRouterPlacement checks consistent-hash placement: one key always
-// lands on one backend, and a spread of keys uses both.
+// TestRouterPlacement checks rendezvous placement: one key always lands
+// on one backend, and a spread of keys uses both.
 func TestRouterPlacement(t *testing.T) {
 	b1, b2 := newFakeBackend(t), newFakeBackend(t)
 	_, ts := newTestRouter(t, RouterConfig{Backends: []string{b1.ts.URL, b2.ts.URL}})
@@ -116,7 +117,7 @@ func TestRouterPlacement(t *testing.T) {
 }
 
 // TestRouterFailover kills one backend: requests owned by it must retry to
-// the surviving replica, and the dead backend must leave the ring.
+// the surviving replica, and the dead backend must be marked down.
 func TestRouterFailover(t *testing.T) {
 	b1 := newFakeBackend(t)
 	dead := newFakeBackend(t)
@@ -134,7 +135,7 @@ func TestRouterFailover(t *testing.T) {
 		t.Errorf("healthy backends = %d, want 1", st.HealthyBackends)
 	}
 	if st.Retries == 0 {
-		t.Error("no retries recorded despite a dead backend in the ring")
+		t.Error("no retries recorded despite a dead backend")
 	}
 	if b1.queries.Load() != 20 {
 		t.Errorf("surviving backend served %d, want all 20", b1.queries.Load())
@@ -142,8 +143,8 @@ func TestRouterFailover(t *testing.T) {
 }
 
 // TestRouterSpillOn503 checks overload spilling: a backend answering 503
-// keeps its ring membership (it is alive), but its requests spill to the
-// next replica instead of failing.
+// stays healthy (it is alive), but its requests spill to the next replica
+// instead of failing.
 func TestRouterSpillOn503(t *testing.T) {
 	ok, busy := newFakeBackend(t), newFakeBackend(t)
 	busy.reject.Store(true)
@@ -178,10 +179,10 @@ func TestRouterNoBackend(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("dead backend status %d, want 503", status)
 	}
-	// Later requests find an empty ring.
+	// Later requests find no healthy backend.
 	status, _ = post(t, ts.URL+"/v1/mvnprob", keyBody(0.3))
 	if status != http.StatusServiceUnavailable {
-		t.Fatalf("empty ring status %d, want 503", status)
+		t.Fatalf("no-backend status %d, want 503", status)
 	}
 	if st := r.Snapshot(); st.NoBackend == 0 {
 		t.Error("no_backend counter never moved")
@@ -196,19 +197,106 @@ func TestRouterNoBackend(t *testing.T) {
 	}
 }
 
-// TestRouterHealthRecovery flips a backend sick and back: the ring must
-// drop it and re-admit it (the key handoff round trip).
+// TestRouterHealthRecovery flips a backend sick and back through the
+// health loop: it must drop out and come back (the key handoff round
+// trip), and every key must return to its original owner.
 func TestRouterHealthRecovery(t *testing.T) {
 	b1, b2 := newFakeBackend(t), newFakeBackend(t)
 	r, _ := newTestRouter(t, RouterConfig{Backends: []string{b1.ts.URL, b2.ts.URL}})
 
+	hashes := routeHashes(t, r, 32)
 	waitFor(t, "both healthy", func() bool { return r.Snapshot().HealthyBackends == 2 })
+	before := owners(r, hashes)
 	b2.sick.Store(true)
-	waitFor(t, "sick backend leaving the ring", func() bool { return r.Snapshot().HealthyBackends == 1 })
+	waitFor(t, "sick backend marked down", func() bool { return r.Snapshot().HealthyBackends == 1 })
 	b2.sick.Store(false)
-	waitFor(t, "recovered backend rejoining", func() bool { return r.Snapshot().HealthyBackends == 2 })
-	if st := r.Snapshot(); st.RingRebuilds < 3 {
-		t.Errorf("ring rebuilds = %d, want ≥3 (initial + leave + rejoin)", st.RingRebuilds)
+	waitFor(t, "recovered backend marked up", func() bool { return r.Snapshot().HealthyBackends == 2 })
+	if after := owners(r, hashes); !slices.Equal(after, before) {
+		t.Errorf("placement after recovery %v, want the original %v", after, before)
+	}
+}
+
+// routeHashes returns the placement hashes of count distinct keys, computed
+// by r exactly as it routes a request body.
+func routeHashes(t *testing.T, r *Router, count int) []uint64 {
+	t.Helper()
+	hs := make([]uint64, count)
+	for i := range hs {
+		h, err := r.routeHash([]byte(keyBody(0.05 + float64(i)*0.001)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = h
+	}
+	return hs
+}
+
+// owners returns each hash's owner URL ("" with no healthy backend).
+func owners(r *Router, hashes []uint64) []string {
+	out := make([]string, len(hashes))
+	for i, h := range hashes {
+		if c := r.pick(h); len(c) > 0 {
+			out[i] = c[0].url
+		}
+	}
+	return out
+}
+
+// TestRouterHandoffMovesOnlyDeadKeys pins the placement contract on 200
+// keys and 3 backends: marking one backend down moves exactly its keys,
+// each to its second choice; marking it up restores the original
+// placement; and a second router over the same backends (listed in
+// another order) places every key the same way.
+func TestRouterHandoffMovesOnlyDeadKeys(t *testing.T) {
+	urls := []string{newFakeBackend(t).ts.URL, newFakeBackend(t).ts.URL, newFakeBackend(t).ts.URL}
+	// No probe within the test: health changes only as the test makes them.
+	r, _ := newTestRouter(t, RouterConfig{Backends: urls, HealthInterval: time.Hour})
+	hashes := routeHashes(t, r, 200)
+
+	ranks := make([][]*backend, len(hashes))
+	owned := map[*backend]int{}
+	for i, h := range hashes {
+		ranks[i] = r.pick(h)
+		if len(ranks[i]) != 3 {
+			t.Fatalf("key %d ranks %d backends, want 3", i, len(ranks[i]))
+		}
+		owned[ranks[i][0]]++
+	}
+	for _, b := range r.backends {
+		if owned[b] == 0 {
+			t.Fatalf("backend %s owns none of %d keys", b.url, len(hashes))
+		}
+	}
+
+	dead := r.backends[1]
+	dead.healthy.Store(false)
+	moved := 0
+	for i, h := range hashes {
+		got, want := r.pick(h)[0], ranks[i][0]
+		if want == dead {
+			want = ranks[i][1]
+			moved++
+		}
+		if got != want {
+			t.Errorf("key %d with %s down: owner %s, want %s", i, dead.url, got.url, want.url)
+		}
+	}
+	if moved != owned[dead] {
+		t.Errorf("%d keys moved, want the %d the dead backend owned", moved, owned[dead])
+	}
+
+	dead.healthy.Store(true)
+	for i, h := range hashes {
+		if got := r.pick(h); !slices.Equal(got, ranks[i]) {
+			t.Errorf("key %d after recovery ranks %v, want %v", i, got, ranks[i])
+		}
+	}
+
+	reversed := slices.Clone(urls)
+	slices.Reverse(reversed)
+	r2, _ := newTestRouter(t, RouterConfig{Backends: reversed, HealthInterval: time.Hour})
+	if o1, o2 := owners(r, hashes), owners(r2, hashes); !slices.Equal(o1, o2) {
+		t.Errorf("a second router places keys differently:\n%v\n%v", o1, o2)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro"
 )
 
 // counters is the server's live instrumentation — lock-free atomics on the
@@ -162,8 +160,7 @@ type Stats struct {
 	Factorizations uint64 `json:"factorizations"`
 
 	// CacheHits/Misses/CachedFactors aggregate the factor caches of the
-	// pooled sessions, counting a cache shared by f32/f64 twins once;
-	// Sessions is the pool size.
+	// pooled sessions; Sessions is the pool size.
 	CacheHits     int `json:"cache_hits"`
 	CacheMisses   int `json:"cache_misses"`
 	CachedFactors int `json:"cached_factors"`
@@ -256,18 +253,15 @@ func (s *Server) Snapshot() Stats {
 	st.LatencyP50Ms, st.LatencyP90Ms, st.LatencyP99Ms = s.ctr.latRes.percentiles()
 	st.RelErrP50, st.RelErrP90, st.RelErrP99 = s.ctr.relErrRes.percentiles()
 	st.SamplesP50, st.SamplesP90, st.SamplesP99 = s.ctr.samplesRes.percentiles()
-	counted := map[*parmvn.FactorCache]bool{}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, sess := range sh.sessions {
 			st.Sessions++
-			if c := sess.Cache(); !counted[c] {
-				counted[c] = true
-				h, m := c.Stats()
-				st.CacheHits += h
-				st.CacheMisses += m
-				st.CachedFactors += c.Len()
-			}
+			c := sess.Cache()
+			h, m := c.Stats()
+			st.CacheHits += h
+			st.CacheMisses += m
+			st.CachedFactors += c.Len()
 			sched := sess.SchedulerStats()
 			if sched.PeakInflight > st.SchedPeakInflight {
 				st.SchedPeakInflight = sched.PeakInflight

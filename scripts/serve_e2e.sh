@@ -5,7 +5,7 @@
 #      directory, and assert the first query after restart is served warm
 #      (factorizations 0, store_hits 1);
 #   2. router: run mvnload against one direct backend and against a
-#      2-backend consistent-hash router; mvnload prints each run's record
+#      2-backend rendezvous-hash router; mvnload prints each run's record
 #      and exits nonzero if any request failed, and the router must have
 #      forwarded to both backends.
 #
