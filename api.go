@@ -652,11 +652,18 @@ func CovarianceMatrix(locs []Point, kernel KernelSpec) [][]float64 {
 
 // Posterior computes the posterior covariance and mean of a latent Gaussian
 // field observed at obsIdx with i.i.d. N(0, tau2) noise (the paper's
-// equations 7–8):
+// equations 7–8, Σ_post = (Σ⁻¹ + (1/τ²)AᵀA)⁻¹ and µ_post = µ +
+// (1/τ²)Σ_post·Aᵀ(y − Aµ), A the indicator matrix of the observed locations)
+// in their kriging form:
 //
-//	Σ_post = (Σ⁻¹ + (1/τ²)AᵀA)⁻¹,  µ_post = µ + (1/τ²)Σ_post·Aᵀ(y − Aµ)
+//	Σ_post = Σ − Σ_{·O}(Σ_OO + τ²I)⁻¹Σ_{O·},  µ_post = µ + Σ_{·O}(Σ_OO + τ²I)⁻¹(y − µ_O)
 //
-// with A the indicator matrix of the observed locations.
+// For m observations of n locations that is one m×m Cholesky factorization
+// and O(m³ + m²n + mn²) work. Σ (symmetric) is not factored: an indefinite
+// prior is not refused here but by the next factorization of Σ_post (a
+// DetectRegionCov or MVNProbCov on it returns ErrNotPositiveDefinite). An
+// index listed twice is two independent observations of one site. tau2 must
+// be finite and positive.
 func Posterior(sigma [][]float64, mu []float64, obsIdx []int, y []float64, tau2 float64) ([][]float64, []float64, error) {
 	m, err := denseFromRows(sigma)
 	if err != nil {

@@ -200,3 +200,33 @@ func TestDetectRegionRejectsUnusableInput(t *testing.T) {
 		t.Error("want error for an empty problem")
 	}
 }
+
+// Posterior does not factor the prior, so an indefinite Σ passes through it;
+// the detection's factorization must then refuse the posterior with a typed
+// error, never return a region.
+func TestPosteriorIndefinitePriorIsTyped(t *testing.T) {
+	_, _, sigma, mean := detectProblem()
+	// Correlation 2 between sites 0 and 1: indefinite. Σ_post = Σ − WᵀW keeps
+	// every negative direction of Σ.
+	sigma[0] = append([]float64(nil), sigma[0]...)
+	sigma[1] = append([]float64(nil), sigma[1]...)
+	sigma[0][1], sigma[1][0] = 2*1.4, 2*1.4
+	var obsIdx []int
+	var y []float64
+	for i := 2; i < len(sigma); i += 3 {
+		obsIdx = append(obsIdx, i)
+		y = append(y, mean[i])
+	}
+	post, postMu, err := Posterior(sigma, mean, obsIdx, y, 0.25)
+	if err != nil {
+		t.Fatalf("Posterior: %v (Σ_OO + τ²I is positive definite)", err)
+	}
+	for _, m := range []Method{Dense, TLR, MethodAdaptive} {
+		s := NewSession(Config{Method: m, TileSize: 36, QMCSize: 100})
+		exc, err := s.DetectRegionCov(post, postMu, 0, 0.9, 16)
+		s.Close()
+		if exc != nil || !errors.Is(err, ErrNotPositiveDefinite) {
+			t.Errorf("%v: DetectRegionCov = (%v, %v), want no region and ErrNotPositiveDefinite", m, exc, err)
+		}
+	}
+}

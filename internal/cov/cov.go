@@ -295,16 +295,20 @@ func Block(dst *linalg.Matrix, g *geo.Geom, k Kernel, row0, col0 int) {
 }
 
 // Posterior computes the posterior covariance and mean of a latent field x
-// observed at a subset of locations with i.i.d. Gaussian noise (paper
-// eqs. 7–8):
+// observed at the locations obsIdx with i.i.d. N(0, tau2) noise: paper
+// eqs. 7–8, Σ_post = (Σ⁻¹ + (1/τ²)AᵀA)⁻¹ with A the indicator of obsIdx. By
+// Woodbury's identity that is the kriging form computed here,
 //
-//	Σ_post = (Σ⁻¹ + (1/τ²)·AᵀA)⁻¹
-//	µ_post = µ + (1/τ²)·Σ_post·Aᵀ·(y − Aµ)
+//	Σ_post = Σ − Σ_{·O}·(Σ_OO + τ²I)⁻¹·Σ_{O·}
+//	µ_post = µ + Σ_{·O}·(Σ_OO + τ²I)⁻¹·(y − µ_O)
 //
-// A is the indicator matrix selecting the observed locations obsIdx, y the
-// noisy observations and tau2 the noise variance. Because A is an indicator,
-// AᵀA is diagonal and Aᵀ(y−Aµ) is a scatter; both are formed without
-// materializing A.
+// With Σ_OO + τ²I = L·Lᵀ and W = L⁻¹Σ_{O·}, Σ_post = Σ − WᵀW (one SYRK) and
+// µ_post = µ + Wᵀ·L⁻¹(y − µ_O): for m observations of n locations, one m×m
+// Cholesky and O(m³ + m²n + mn²) work. Σ (symmetric) is not factored, so an
+// indefinite prior is not refused here but at the next factorization of
+// Σ_post. An index listed twice is two independent observations of one site.
+// tau2 must be finite and positive; a Σ_OO + τ²I that is not positive
+// definite is an error wrapping linalg.ErrNotPositiveDefinite.
 func Posterior(sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, tau2 float64) (*linalg.Matrix, []float64, error) {
 	n := sigma.Rows
 	if len(mu) != n {
@@ -313,28 +317,44 @@ func Posterior(sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, ta
 	if len(obsIdx) != len(y) {
 		return nil, nil, fmt.Errorf("cov: %d observation indices but %d values", len(obsIdx), len(y))
 	}
-	prec, err := linalg.InvSPD(sigma)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cov: inverting prior covariance: %w", err)
+	if !(tau2 > 0) || math.IsInf(tau2, 1) {
+		return nil, nil, fmt.Errorf("cov: noise variance %g, want finite and > 0", tau2)
 	}
-	invTau2 := 1 / tau2
 	for _, i := range obsIdx {
 		if i < 0 || i >= n {
 			return nil, nil, fmt.Errorf("cov: observation index %d out of range", i)
 		}
-		prec.Add(i, i, invTau2)
 	}
-	post, err := linalg.InvSPDInPlace(prec) // prec is ours: factor it where it lies
-	if err != nil {
-		return nil, nil, fmt.Errorf("cov: inverting posterior precision: %w", err)
-	}
-	// rhs = (1/τ²)·Aᵀ(y − Aµ), a scatter of the residuals.
-	rhs := make([]float64, n)
-	for k, i := range obsIdx {
-		rhs[i] += invTau2 * (y[k] - mu[i])
-	}
+	post := sigma.Clone()
 	muPost := make([]float64, n)
 	copy(muPost, mu)
-	linalg.Gemv(false, 1, post, rhs, 1, muPost)
+	m := len(obsIdx)
+	// W = Σ_{O·} gathered column by column; its last column holds y − µ_O, so
+	// one solve takes both right-hand sides.
+	w := linalg.NewMatrix(m, n+1)
+	for j := 0; j < n; j++ {
+		sj, wj := sigma.Col(j), w.Col(j)
+		for k, i := range obsIdx {
+			wj[k] = sj[i]
+		}
+	}
+	r := w.Col(n)
+	for k, i := range obsIdx {
+		r[k] = y[k] - mu[i]
+	}
+	s := linalg.NewMatrix(m, m)
+	for l, i := range obsIdx {
+		copy(s.Col(l), w.Col(i))
+		s.Add(l, l, tau2)
+	}
+	l, err := linalg.CholeskyInPlace(s)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cov: observation covariance Σ_OO + τ²I: %w", err)
+	}
+	linalg.TrsmLower(linalg.Left, false, 1, l, w)
+	wo := w.View(0, 0, m, n)
+	linalg.Syrk(true, -1, wo, 1, post)
+	post.SymmetrizeFromLower()
+	linalg.Gemv(true, 1, wo, r, 1, muPost)
 	return post, muPost, nil
 }

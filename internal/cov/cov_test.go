@@ -1,6 +1,7 @@
 package cov
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,7 +211,7 @@ func TestPosteriorAgainstDirectFormula(t *testing.T) {
 	for k, i := range obs {
 		a.Set(k, i, 1)
 	}
-	prior, _ := linalg.InvSPD(sigma)
+	prior := invSPD(t, sigma)
 	ata := linalg.NewMatrix(12, 12)
 	linalg.Gemm(true, false, 1/tau2, a, a, 0, ata)
 	for j := 0; j < 12; j++ {
@@ -218,7 +219,7 @@ func TestPosteriorAgainstDirectFormula(t *testing.T) {
 			prior.Add(i, j, ata.At(i, j))
 		}
 	}
-	wantPost, _ := linalg.InvSPD(prior)
+	wantPost := invSPD(t, prior)
 	resid := make([]float64, 3)
 	for k, i := range obs {
 		resid[k] = (y[k] - mu[i]) / tau2
@@ -255,6 +256,111 @@ func TestPosteriorErrors(t *testing.T) {
 	}
 	if _, _, err := Posterior(sigma, make([]float64, 5), []int{9}, []float64{1}, 1); err == nil {
 		t.Error("want error for out-of-range index")
+	}
+	for _, tau2 := range []float64{0, -0.25, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, _, err := Posterior(sigma, make([]float64, 5), []int{0}, []float64{1}, tau2); err == nil {
+			t.Errorf("want error for noise variance %v", tau2)
+		}
+	}
+	// Σ_OO + τ²I not positive definite: a typed error, not a posterior.
+	bad := sigma.Clone()
+	bad.Set(2, 2, -3)
+	if _, _, err := Posterior(bad, make([]float64, 5), []int{2}, []float64{1}, 1); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+		t.Errorf("indefinite observation covariance: err = %v, want ErrNotPositiveDefinite", err)
+	}
+}
+
+// invSPD is A⁻¹ through A's Cholesky factor: L⁻ᵀ·L⁻¹·I.
+func invSPD(t *testing.T, a *linalg.Matrix) *linalg.Matrix {
+	t.Helper()
+	l, err := linalg.Cholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := linalg.Eye(a.Rows)
+	linalg.TrsmLower(linalg.Left, false, 1, l, x)
+	linalg.TrsmLower(linalg.Left, true, 1, l, x)
+	return x
+}
+
+// precisionPosterior is eqs. 7–8 as written, the form Posterior computed
+// before its kriging form: invert Σ, add 1/τ² on the observed diagonal (once
+// per listing of a site) and invert again.
+func precisionPosterior(t *testing.T, sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, tau2 float64) (*linalg.Matrix, []float64) {
+	n := sigma.Rows
+	prec := invSPD(t, sigma)
+	for _, i := range obsIdx {
+		prec.Add(i, i, 1/tau2)
+	}
+	post := invSPD(t, prec)
+	rhs := make([]float64, n)
+	for k, i := range obsIdx {
+		rhs[i] += (y[k] - mu[i]) / tau2
+	}
+	muPost := make([]float64, n)
+	copy(muPost, mu)
+	linalg.Gemv(false, 1, post, rhs, 1, muPost)
+	return post, muPost
+}
+
+// The kriging form agrees with the precision form it replaces, from no
+// observation to every site and with one site observed twice; its result is
+// exactly symmetric and never raises a variance.
+func TestPosteriorMatchesPrecisionForm(t *testing.T) {
+	const n = 400
+	rng := rand.New(rand.NewSource(8))
+	g := uniformRandom(n, rng)
+	sigma := Matrix(g, &Exponential{Sigma2: 1, Range: 0.1})
+	mu := make([]float64, n)
+	for i := range mu {
+		mu[i] = 0.3 * rng.NormFloat64()
+	}
+	perm := rng.Perm(n)
+	cases := []struct {
+		name string
+		obs  []int
+	}{
+		{"none", nil},
+		{"one", perm[:1]},
+		{"100", perm[:100]},
+		{"all", perm},
+		{"repeated", append(append([]int(nil), perm[:100]...), perm[7])},
+	}
+	const tau2 = 0.25
+	for _, c := range cases {
+		name, obs := c.name, c.obs
+		y := make([]float64, len(obs))
+		for k := range y {
+			y[k] = rng.NormFloat64()
+		}
+		post, muPost, err := Posterior(sigma, mu, obs, y, tau2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(obs) == 0 && post.MaxAbsDiff(sigma) != 0 {
+			t.Errorf("no observation: posterior differs from the prior by %v", post.MaxAbsDiff(sigma))
+		}
+		wantPost, wantMu := precisionPosterior(t, sigma, mu, obs, y, tau2)
+		if d := post.MaxAbsDiff(wantPost); d > 1e-12 {
+			t.Errorf("%s: covariance differs from the precision form by %v", name, d)
+		}
+		dMu := 0.0
+		for i := range muPost {
+			dMu = math.Max(dMu, math.Abs(muPost[i]-wantMu[i]))
+		}
+		if dMu > 1e-12 {
+			t.Errorf("%s: mean differs from the precision form by %v", name, dMu)
+		}
+		for j := 0; j < n; j++ {
+			if v := post.At(j, j); v > sigma.At(j, j) {
+				t.Errorf("%s: variance at %d rose from %v to %v", name, j, sigma.At(j, j), v)
+			}
+			for i := j + 1; i < n; i++ {
+				if post.At(i, j) != post.At(j, i) {
+					t.Fatalf("%s: post(%d,%d) = %v but post(%d,%d) = %v", name, i, j, post.At(i, j), j, i, post.At(j, i))
+				}
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/datagen"
 	"repro/internal/excursion"
 	"repro/internal/linalg"
 	"repro/internal/taskrt"
@@ -49,12 +50,12 @@ func Fig1(w io.Writer, cfg Config) ([]Fig1Row, error) {
 	fmt.Fprintf(w, "%-8s %6s %8s %8s %9s %12s %12s %12s\n",
 		"level", "1-a", "|E|dense", "|E|tlr", "marginal", "MCerr-dense", "MCerr-tlr", "dense-tlr")
 	for _, lv := range Levels {
-		rng := rand.New(rand.NewSource(42))
-		post, mu, err := fig1Posterior(side, obsFrac, lv.Range, rng)
+		ds, err := datagen.NewSyntheticDataset(side, int(obsFrac*float64(side*side)), lv.Name, rand.New(rand.NewSource(42)))
 		if err != nil {
 			return nil, fmt.Errorf("fig1 %s: %w", lv.Name, err)
 		}
-		corr, sd := excursion.CorrelationFromCovariance(post)
+		mu := ds.PostMu
+		corr, sd := excursion.CorrelationFromCovariance(ds.PostCov)
 		lCorr, err := linalg.Cholesky(corr)
 		if err != nil {
 			return nil, err
@@ -96,40 +97,4 @@ func Fig1(w io.Writer, cfg Config) ([]Fig1Row, error) {
 		rt.Shutdown()
 	}
 	return rows, nil
-}
-
-// fig1Posterior reproduces the paper's synthetic posterior pipeline at a
-// harness-chosen size: simulate the exponential field, observe a random
-// subset with N(0,0.5²) noise and return the posterior covariance and mean
-// (eqs. 7–8). It builds the pieces directly (rather than via
-// datagen.NewSyntheticDataset) so the grid side and observation fraction
-// stay configurable.
-func fig1Posterior(side int, obsFrac, rng0 float64, rng *rand.Rand) (*linalg.Matrix, []float64, error) {
-	g, sigma := exponentialCorrelation(side, rng0)
-	l, err := linalg.Cholesky(sigma)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := g.Len()
-	z := make([]float64, n)
-	x := make([]float64, n)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	for i := 0; i < n; i++ {
-		acc := 0.0
-		for j := 0; j <= i; j++ {
-			acc += l.At(i, j) * z[j]
-		}
-		x[i] = acc
-	}
-	const tau = 0.5
-	nObs := int(obsFrac * float64(n))
-	obs := rng.Perm(n)[:nObs]
-	y := make([]float64, nObs)
-	for i, idx := range obs {
-		y[i] = x[idx] + tau*rng.NormFloat64()
-	}
-	mu := make([]float64, n)
-	return posteriorOf(sigma, mu, obs, y, tau*tau)
 }

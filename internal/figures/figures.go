@@ -154,11 +154,6 @@ func exponentialCorrelation(side int, rng float64) (*geo.Geom, *linalg.Matrix) {
 	return g, cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: rng})
 }
 
-// posteriorOf forwards to cov.Posterior (eqs. 7–8).
-func posteriorOf(sigma *linalg.Matrix, mu []float64, obs []int, y []float64, tau2 float64) (*linalg.Matrix, []float64, error) {
-	return cov.Posterior(sigma, mu, obs, y, tau2)
-}
-
 // detectDenseTLR runs one detection problem through a dense and a TLR factor
 // of the same marginal-ordered correlation matrix: corr is the field's
 // correlation in location order, (mean, sd) its marginals.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 func TestAsciiMapDimensions(t *testing.T) {
@@ -100,6 +102,19 @@ func TestLevelsMatchPaper(t *testing.T) {
 	for _, lv := range Levels {
 		if want[lv.Name] != lv.Range {
 			t.Errorf("level %s has range %v", lv.Name, lv.Range)
+		}
+	}
+}
+
+// Fig. 1 builds its fields through datagen by level name and Fig. 5
+// through Levels by range: the two tables must name the same fields.
+func TestLevelsMatchDatagen(t *testing.T) {
+	if len(Levels) != len(datagen.PaperSyntheticRanges) {
+		t.Fatalf("%d levels, datagen has %d", len(Levels), len(datagen.PaperSyntheticRanges))
+	}
+	for _, lv := range Levels {
+		if rg, ok := datagen.PaperSyntheticRanges[lv.Name]; !ok || rg != lv.Range {
+			t.Errorf("level %s: range %v here, %v (present %v) in datagen", lv.Name, lv.Range, rg, ok)
 		}
 	}
 }

@@ -86,19 +86,3 @@ func CholeskyInPlace(a *Matrix) (*Matrix, error) {
 	a.LowerFromFull()
 	return a, nil
 }
-
-// InvSPD returns the inverse of a symmetric positive definite matrix.
-func InvSPD(a *Matrix) (*Matrix, error) { return solveInPlace(a.Clone(), Eye(a.Rows)) }
-
-// InvSPDInPlace is InvSPD overwriting a with its factor: one n×n allocation, not two.
-func InvSPDInPlace(a *Matrix) (*Matrix, error) { return solveInPlace(a, Eye(a.Rows)) }
-
-// solveInPlace overwrites a with its Cholesky factor and x with A⁻¹·x.
-func solveInPlace(a, x *Matrix) (*Matrix, error) {
-	if _, err := CholeskyInPlace(a); err != nil {
-		return nil, err
-	}
-	TrsmLower(Left, false, 1, a, x)
-	TrsmLower(Left, true, 1, a, x)
-	return x, nil
-}

@@ -151,3 +151,19 @@ func TestInvSPD(t *testing.T) {
 // SolveSPD solves A·X = B for symmetric positive definite A, returning X.
 // B is not modified.
 func SolveSPD(a, b *Matrix) (*Matrix, error) { return solveInPlace(a.Clone(), b.Clone()) }
+
+// InvSPD returns the inverse of a symmetric positive definite matrix.
+func InvSPD(a *Matrix) (*Matrix, error) { return solveInPlace(a.Clone(), Eye(a.Rows)) }
+
+// InvSPDInPlace is InvSPD overwriting a with its factor: one n×n allocation, not two.
+func InvSPDInPlace(a *Matrix) (*Matrix, error) { return solveInPlace(a, Eye(a.Rows)) }
+
+// solveInPlace overwrites a with its Cholesky factor and x with A⁻¹·x.
+func solveInPlace(a, x *Matrix) (*Matrix, error) {
+	if _, err := CholeskyInPlace(a); err != nil {
+		return nil, err
+	}
+	TrsmLower(Left, false, 1, a, x)
+	TrsmLower(Left, true, 1, a, x)
+	return x, nil
+}
