@@ -38,6 +38,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mvn"
 	"repro/internal/taskrt"
+	"repro/internal/tile"
 )
 
 // Method names the preset of the one tile policy the Cholesky factor is
@@ -99,8 +100,10 @@ func (m Method) String() string {
 var ErrNotPositiveDefinite = linalg.ErrNotPositiveDefinite
 
 // ErrApproximationIndefinite reports a TLR or adaptive factorization that met
-// a non-positive pivot: the approximation at TLRTol, not necessarily Σ, is
-// indefinite (a tighter TLRTol or the Dense method may succeed). It wraps
+// a non-positive pivot computed from some tile held low rank or in float32:
+// the approximation at TLRTol, not necessarily Σ, is indefinite (a tighter
+// TLRTol or the Dense method may succeed). A pivot that no approximated tile
+// reached is plain ErrNotPositiveDefinite, as under Dense. It wraps
 // ErrNotPositiveDefinite; the returned error also names the method, TLRTol,
 // the tile and the pivot.
 var ErrApproximationIndefinite error = approximationIndefinite{}
@@ -401,7 +404,8 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 	pol := s.cfg.Method.policy(s.cfg.TLRTol)
 	rankLimit := pol.RankLimit(grid.TS, grid.TS) // of a full tile; 0 for the dense layout
 	err = engine.PotrfStream(s.rt.NewGroup(), grid, pol.EntryAssembler(grid, fill, inMemory))
-	if s.cfg.Method != Dense && errors.Is(err, ErrNotPositiveDefinite) {
+	var pe *engine.PivotError
+	if errors.As(err, &pe) && approximatedThrough(grid, pe.K) {
 		err = fmt.Errorf("%w: method %v, TLRTol %g, tile size %d: %v",
 			ErrApproximationIndefinite, s.cfg.Method, s.cfg.TLRTol, s.cfg.TileSize, err)
 	}
@@ -418,6 +422,21 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 		"probes_rejected_early", ps.RejectedEarly, "probes_skipped", ps.Skipped,
 		"elapsed", time.Since(start), "err", err)
 	return f, err
+}
+
+// approximatedThrough reports whether any tile of g's leading (k+1)×(k+1)
+// block, the tiles a failed pivot k was computed from, is held as other than
+// dense float64: only then can the approximation be what made it indefinite.
+// A low-rank tile that its update left dense (finishTile) counts as dense.
+func approximatedThrough(g *engine.Grid, k int) bool {
+	for i := 0; i <= k; i++ {
+		for j := 0; j <= i; j++ {
+			if _, ok := g.At(i, j).(*tile.DenseF64); !ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // validateTileSize checks the configured tile size against the problem

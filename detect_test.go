@@ -203,7 +203,9 @@ func TestDetectRegionRejectsUnusableInput(t *testing.T) {
 
 // Posterior does not factor the prior, so an indefinite Σ passes through it;
 // the detection's factorization must then refuse the posterior with a typed
-// error, never return a region.
+// error, never return a region. The pivot fails in diagonal tile (0,0), which
+// no approximation touches, so TLR and adaptive report Σ indefinite, not
+// their approximation.
 func TestPosteriorIndefinitePriorIsTyped(t *testing.T) {
 	_, _, sigma, mean := detectProblem()
 	// Correlation 2 between sites 0 and 1: indefinite. Σ_post = Σ − WᵀW keeps
@@ -225,8 +227,8 @@ func TestPosteriorIndefinitePriorIsTyped(t *testing.T) {
 		s := NewSession(Config{Method: m, TileSize: 36, QMCSize: 100})
 		exc, err := s.DetectRegionCov(post, postMu, 0, 0.9, 16)
 		s.Close()
-		if exc != nil || !errors.Is(err, ErrNotPositiveDefinite) {
-			t.Errorf("%v: DetectRegionCov = (%v, %v), want no region and ErrNotPositiveDefinite", m, exc, err)
+		if exc != nil || !errors.Is(err, ErrNotPositiveDefinite) || errors.Is(err, ErrApproximationIndefinite) {
+			t.Errorf("%v: DetectRegionCov = (%v, %v), want no region and ErrNotPositiveDefinite, not ErrApproximationIndefinite", m, exc, err)
 		}
 	}
 }

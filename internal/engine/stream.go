@@ -62,6 +62,21 @@ func PotrfStream(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 	return potrf(rt, g, asm)
 }
 
+// PivotError reports the diagonal tile (K,K) whose Cholesky met a
+// non-positive pivot; it unwraps to the in-tile failure, which wraps
+// linalg.ErrNotPositiveDefinite. The failed pivot was computed from the
+// leading (K+1)×(K+1) tiles alone.
+type PivotError struct {
+	K   int
+	Err error
+}
+
+func (e *PivotError) Error() string {
+	return fmt.Sprintf("engine: diagonal tile (%d,%d): %v", e.K, e.K, e.Err)
+}
+
+func (e *PivotError) Unwrap() error { return e.Err }
+
 // potrf builds PotrfStream's task graph. Kernel dispatch happens at
 // execution time — closures read the grid when they run — because assembly
 // decides tile representations after submission; the handle dependencies
@@ -166,7 +181,7 @@ func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 				err = linalg.PotrfUnblocked(dk)
 			}
 			if err != nil {
-				return fmt.Errorf("engine: diagonal tile (%d,%d): %w", k, k, err)
+				return &PivotError{K: k, Err: err}
 			}
 			return nil
 		}, taskrt.ReadWrite(h[k][k]))

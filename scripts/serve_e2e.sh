@@ -4,16 +4,17 @@
 #   1. store restart: factorize once with -store, restart over the same
 #      directory, and assert the first query after restart is served warm
 #      (factorizations 0, store_hits 1);
-#   2. router: run mvnload against one direct backend and against a
-#      2-backend rendezvous-hash router; mvnload prints each run's record
-#      and exits nonzero if any request failed, and the router must have
-#      forwarded to both backends.
+#   2. load: 64 requests, 8 in flight, over four kernels (every other group
+#      of four with a max_error budget) against one direct backend, whose
+#      /stats must then read 64 requests and no bad request, compute error
+#      or rejection; then the same load through a 2-backend rendezvous-hash
+#      router, which must have forwarded to both backends. Any non-2xx
+#      answer fails the script.
 #
-# Needs: go, curl, python3 (JSON assertions). Exits nonzero on any broken
-# invariant.
+# Needs: go, curl, xargs, python3 (JSON assertions). Exits nonzero on any
+# broken invariant.
 set -euo pipefail
 
-DUR="${MVNLOAD_DURATION:-2s}"
 QMC=500
 WORK="$(mktemp -d)"
 PIDS=()
@@ -24,7 +25,6 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$WORK/mvnserve" ./cmd/mvnserve
-go build -o "$WORK/mvnload" ./cmd/mvnload
 
 wait_healthy() {
   for _ in $(seq 1 100); do
@@ -37,6 +37,18 @@ wait_healthy() {
 
 stat_field() { # url field
   curl -fsS "$1/stats" | python3 -c "import json,sys; print(json.load(sys.stdin)[\"$2\"])"
+}
+
+load() { # url label: 64 POSTs, 8 in flight; request i asks for kernel range
+  # 0.05·(1 + i mod 4), and every other group of four carries max_error 0.01.
+  # A non-2xx answer fails curl -f, so xargs exits 123 and set -e stops here.
+  seq 0 63 | xargs -P 8 -I{} bash -c '
+    i=$1 budget=""
+    range=$(printf "0.%02d" $((5 + 5 * (i % 4))))
+    if [ $((i / 4 % 2)) = 1 ]; then budget=",\"max_error\":0.01"; fi
+    curl -fsS -o /dev/null -X POST "$0/v1/mvnprob" -d "{\"grid\":{\"nx\":12,\"ny\":12},\"kernel\":{\"family\":\"exponential\",\"sigma2\":1,\"range\":$range},\"lower\":-1$budget}"
+  ' "$1" {}
+  echo "load $2: 64 requests answered"
 }
 
 QUERY='{"grid":{"nx":12,"ny":12},"kernel":{"family":"exponential","range":0.1},"lower":-1}'
@@ -73,8 +85,18 @@ echo "== load: 1 direct backend =="
 "$WORK/mvnserve" -addr 127.0.0.1:18421 -qmc $QMC &
 B1=$!; PIDS+=("$B1")
 wait_healthy http://127.0.0.1:18421
-"$WORK/mvnload" -target http://127.0.0.1:18421 -duration "$DUR" -warmup 1s \
-  -keys 4 -grid 12 -conc 8 -budget-mix 0.5 -label direct-1
+load http://127.0.0.1:18421 direct-1
+
+# The backend counted every request, and none failed or was turned away.
+python3 <<'EOF'
+import json, sys, urllib.request
+st = json.load(urllib.request.urlopen("http://127.0.0.1:18421/stats"))
+want = {"requests": 64, "bad_requests": 0, "compute_errors": 0, "rejected": 0}
+got = {k: st[k] for k in want}
+if got != want:
+    sys.exit(f"direct load: /stats read {got}, want {want}")
+print(f"direct /stats {got}")
+EOF
 
 echo "== load: 2 backends behind the router =="
 "$WORK/mvnserve" -addr 127.0.0.1:18422 -qmc $QMC &
@@ -83,11 +105,10 @@ B2=$!; PIDS+=("$B2")
 RT=$!; PIDS+=("$RT")
 wait_healthy http://127.0.0.1:18422
 wait_healthy http://127.0.0.1:18423
-"$WORK/mvnload" -target http://127.0.0.1:18423 -duration "$DUR" -warmup 1s \
-  -keys 4 -grid 12 -conc 8 -budget-mix 0.5 -label router-2
+load http://127.0.0.1:18423 router-2
 
 # Both backends must have taken traffic (a failed request has already failed
-# the script through mvnload's exit status).
+# the script through load's exit status).
 python3 <<'EOF'
 import json, sys, urllib.request
 st = json.load(urllib.request.urlopen("http://127.0.0.1:18423/stats"))
