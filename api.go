@@ -27,8 +27,8 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"repro/internal/stats"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/cov"
@@ -37,6 +37,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/linalg"
 	"repro/internal/mvn"
+	"repro/internal/stats"
 	"repro/internal/taskrt"
 	"repro/internal/tile"
 )
@@ -331,6 +332,7 @@ type Session struct {
 	cfg   Config
 	rt    *taskrt.Runtime
 	cache *FactorCache
+	saves sync.WaitGroup // Warm's store write-throughs
 }
 
 // NewSession starts a session with the given configuration.
@@ -339,7 +341,7 @@ func NewSession(cfg Config) *Session {
 	return &Session{cfg: c, rt: taskrt.New(c.Workers), cache: newFactorCache(c.FactorCacheCap)}
 }
 
-// Cache exposes the session's factor cache (hit/miss statistics, purging).
+// Cache exposes the session's factor cache (hit, miss and wait statistics).
 func (s *Session) Cache() *FactorCache { return s.cache }
 
 // ShareCache redirects s's factor lookups to peer's cache, so sessions
@@ -351,8 +353,11 @@ func (s *Session) ShareCache(peer *Session) { s.cache = peer.cache }
 // Config returns the session's effective (defaulted) configuration.
 func (s *Session) Config() Config { return s.cfg }
 
-// Close shuts down the worker pool.
-func (s *Session) Close() { s.rt.Shutdown() }
+// Close waits for Warm's store write-throughs and shuts down the worker pool.
+func (s *Session) Close() {
+	s.saves.Wait()
+	s.rt.Shutdown()
+}
 
 // EnableTracing starts recording one event per executed runtime task;
 // retrieve the Chrome trace with WriteTrace.

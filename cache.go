@@ -1,6 +1,7 @@
 package parmvn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -29,18 +30,24 @@ type factorKey struct {
 	tol    float64
 }
 
-// cacheEntry builds its factor exactly once; concurrent requesters for the
-// same key block on the first build instead of duplicating it. done flips
-// after the build, opening the allocation-free hit fast path, and ready is
-// closed at the same moment so observers (FactorState) can wait for an
-// in-flight build without joining it.
+// cacheEntry is one key's factor and its only build: the caller that inserts
+// the entry leads the build, and every other caller for the key waits on
+// ready, which closes when f and err are final. done flips at the same
+// moment, opening the allocation-free hit fast path.
 type cacheEntry struct {
-	once    sync.Once
 	f       *mvn.Factor
 	err     error
 	done    atomic.Bool
 	ready   chan struct{}
 	lastUse int64 // LRU stamp, guarded by FactorCache.mu
+	pins    int   // Warm callers whose query has not run, guarded by FactorCache.mu
+}
+
+// settle publishes the build's outcome to the entry's waiters.
+func (e *cacheEntry) settle(f *mvn.Factor, err error) {
+	e.f, e.err = f, err
+	e.done.Store(true)
+	close(e.ready)
 }
 
 // FactorCache memoizes Cholesky factors (dense tiled or TLR) across the
@@ -59,6 +66,7 @@ type FactorCache struct {
 	entries map[factorKey]*cacheEntry
 	hits    int
 	misses  int
+	waits   int
 }
 
 func newFactorCache(cap int) *FactorCache {
@@ -85,103 +93,142 @@ func (c *FactorCache) lookupDone(key factorKey) *cacheEntry {
 }
 
 // getOrBuild returns the factor for key, invoking build at most once per key
-// across all goroutines.
+// across all goroutines: the caller that inserts the entry builds, the others
+// wait for its outcome — including a refused build (Warm's admission,
+// LoadFactor's load), the one outcome that is not cached.
 func (c *FactorCache) getOrBuild(key factorKey, build func() (*mvn.Factor, error)) (*mvn.Factor, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {
 		c.hits++
+		if !e.done.Load() {
+			c.waits++
+		}
 	} else {
 		e = &cacheEntry{ready: make(chan struct{})}
 		c.entries[key] = e
 		c.misses++
-		if c.cap > 0 && len(c.entries) > c.cap {
-			c.evictOldest(key)
-		}
+		c.evictOldest(key)
 	}
 	c.tick++
 	e.lastUse = c.tick
 	c.mu.Unlock()
-	e.once.Do(func() {
-		e.f, e.err = build()
-		e.done.Store(true)
-		close(e.ready)
-	})
+	if ok {
+		<-e.ready
+	} else {
+		e.settle(build())
+	}
 	return e.f, e.err
 }
 
-// install inserts an already-built factor — deserialized from a persistent
-// store — as a done entry, opening the warm-query fast path for its key
-// without any factorization. An existing entry (built, building or failed)
-// is left untouched: the cache's exactly-once build discipline must not be
-// upset by a concurrent warm load. Reports whether the factor was
-// installed. Counted as neither hit nor miss; the serving layer counts
-// store loads separately.
-func (c *FactorCache) install(key factorKey, f *mvn.Factor) bool {
-	e := &cacheEntry{ready: make(chan struct{}), f: f}
-	e.once.Do(func() {}) // consume the build slot: f is already set
-	e.done.Store(true)
-	close(e.ready)
+// pin returns key's entry pinned, so evictOldest spares it until unpin, with
+// its LRU stamp ticked but no hit counted. lead reports that pin inserted the
+// entry: the caller then leads its build, and calls keep once it is admitted
+// or has loaded the factor, or drop when the build is refused.
+func (c *FactorCache) pin(key factorKey) (e *cacheEntry, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return false
+	e, ok := c.entries[key]
+	if !ok {
+		e = &cacheEntry{ready: make(chan struct{})}
+		c.entries[key] = e
 	}
-	c.entries[key] = e
+	e.pins++
 	c.tick++
 	e.lastUse = c.tick
-	if c.cap > 0 && len(c.entries) > c.cap {
-		c.evictOldest(key)
-	}
-	return true
+	return e, !ok
 }
 
-// state reports whether key's factor is absent, mid-build or built; while a
-// build is in flight it also returns the channel closed at its completion.
-func (c *FactorCache) state(key factorKey) (FactorStatus, <-chan struct{}) {
+// unpin releases a pin and evicts down to the cap, which the pin may have
+// held the cache above.
+func (c *FactorCache) unpin(e *cacheEntry) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	e.pins--
+	c.evictOldest(factorKey{})
 	c.mu.Unlock()
-	switch {
-	case !ok:
-		return FactorAbsent, nil
-	case e.done.Load():
-		return FactorReady, nil
-	default:
-		return FactorBuilding, e.ready
+}
+
+// wait blocks until e settles or ctx ends, counting the wait.
+func (c *FactorCache) wait(ctx context.Context, e *cacheEntry) error {
+	c.mu.Lock()
+	c.waits++
+	c.mu.Unlock()
+	select {
+	case <-e.ready:
+		return e.err
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
-// evictOldest removes the least-recently-used done entry other than keep.
-// Entries whose build is still in flight are victims of last resort:
-// evicting a Building entry makes a concurrent FactorState report
-// FactorAbsent while the build it would have coalesced onto is still
-// running, so the serving layer burns a second factorization admission
-// slot for nothing. Only when every other entry is mid-build does the LRU
-// fall back to evicting one (the cache cap is a hard bound); a build still
-// running on an evicted entry completes normally for its waiters — the
-// entry is simply no longer findable. Called with mu held.
+// keep counts a led entry into the cache once its build may proceed: a miss
+// when it will factorize (a store load counts none), then eviction down to
+// the cap. Until then the entry neither evicts nor counts, so a request that
+// is shed leaves the cache as it found it.
+func (c *FactorCache) keep(key factorKey, miss bool) {
+	c.mu.Lock()
+	if miss {
+		c.misses++
+	}
+	c.evictOldest(key)
+	c.mu.Unlock()
+}
+
+// install settles e, the entry its caller leads for key, with the factor st
+// holds, or returns the load's error and leaves e unsettled.
+func (c *FactorCache) install(key factorKey, e *cacheEntry, st *FactorStore) error {
+	f, err := st.load(key)
+	if err == nil {
+		c.keep(key, false)
+		e.settle(f, nil)
+	}
+	return err
+}
+
+// drop settles a led entry whose build was refused with err and removes it,
+// so the refusal is not cached: the next caller for its key leads again.
+func (c *FactorCache) drop(key factorKey, e *cacheEntry, err error) {
+	c.mu.Lock()
+	if c.entries[key] == e {
+		delete(c.entries, key)
+	}
+	c.mu.Unlock()
+	e.settle(nil, err)
+}
+
+// evictOldest evicts least-recently-used entries down to the cap, sparing
+// keep and every pinned entry: one whose build a Warm leader owns or whose
+// query has not run yet, so that query never rebuilds it outside admission.
+// A built entry goes before one whose build is in flight, since evicting that
+// one lets the next caller for its key start a second build while the first
+// still runs; only when no built entry is left does the cap evict one mid-build
+// (the build completes for its waiters; the entry is no longer findable). When
+// every other entry is pinned the cache stays above the cap until unpin.
+// Called with mu held.
 func (c *FactorCache) evictOldest(keep factorKey) {
-	var victim factorKey
-	var vAge int64 = math.MaxInt64
-	found, victimDone := false, false
-	for k, e := range c.entries {
-		if k == keep {
-			continue
-		}
-		done := e.done.Load()
-		// A done entry always beats a building one; within a class, oldest
-		// last use wins.
-		if done != victimDone {
-			if !done {
+	for c.cap > 0 && len(c.entries) > c.cap {
+		var victim factorKey
+		var vAge int64 = math.MaxInt64
+		found, victimDone := false, false
+		for k, e := range c.entries {
+			if k == keep || e.pins > 0 {
 				continue
 			}
-		} else if e.lastUse >= vAge {
-			continue
+			done := e.done.Load()
+			// A done entry always beats a building one; within a class, oldest
+			// last use wins.
+			if done != victimDone {
+				if !done {
+					continue
+				}
+			} else if e.lastUse >= vAge {
+				continue
+			}
+			victim, vAge, found, victimDone = k, e.lastUse, true, done
 		}
-		victim, vAge, found, victimDone = k, e.lastUse, true, done
-	}
-	if found {
+		if !found {
+			return
+		}
 		delete(c.entries, victim)
 	}
 }
@@ -193,18 +240,19 @@ func (c *FactorCache) Stats() (hits, misses int) {
 	return c.hits, c.misses
 }
 
+// Waits returns how many callers found their key's build in flight and
+// waited for it instead of building the factor again.
+func (c *FactorCache) Waits() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.waits
+}
+
 // Len returns the number of cached factors.
 func (c *FactorCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Purge drops every cached factor (the counters are kept).
-func (c *FactorCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[factorKey]*cacheEntry{}
 }
 
 // fnv128a is an inline 128-bit FNV-1a hash (identical output to
@@ -282,8 +330,8 @@ func (c Config) key(kind byte, hash [2]uint64, n int, spec KernelSpec) factorKey
 // (locations and kernel) plus every configuration knob that changes the
 // factor — exactly as the session factor cache keys it. The type is opaque
 // and comparable (usable as a map key); serving layers use it to route all
-// requests for one problem to one place and to coalesce concurrent cold
-// queries onto a single factorization. MVN and MVT queries over the same
+// requests for one problem to one place, where Warm coalesces concurrent
+// cold queries onto a single factorization. MVN and MVT queries over the same
 // covariance share a key: the Cholesky factor does not depend on ν.
 type ProblemKey struct{ k factorKey }
 
@@ -328,39 +376,79 @@ func (s *Session) ProblemKey(locs []Point, spec KernelSpec) (ProblemKey, error) 
 	return ProblemKey{s.cfg.key('k', hashPoints(locs), len(locs), spec.normalized())}, nil
 }
 
-// FactorStatus is the cache state of one problem's factorization.
-type FactorStatus int
+// Warm makes the factor for spec's kernel at locs resident in the session
+// cache and pins it there until unpin, so the query that follows runs warm
+// and no eviction in between makes it factorize again. It is the cold-path
+// hook for serving layers: the first caller for a key leads the key's one
+// build, installing the factor st holds (st may be nil) or else factorizing
+// once admit grants it a slot — release follows the factorization — and
+// writing the new factor through to st in the background (Close waits for
+// the write). Every other caller waits for the leader's outcome until ctx
+// ends; waited reports that it did. An admit error reaches the leader and
+// its waiters and is not cached, so the next caller leads again; a
+// factorization error is cached as for a query. Warm counts no cache hit
+// (the query that follows does) and refuses what Prefactorize refuses.
+func (s *Session) Warm(ctx context.Context, locs []Point, spec KernelSpec, st *FactorStore, admit func() (release func(), err error)) (unpin func(), waited bool, err error) {
+	if err := validateDim(len(locs)); err != nil {
+		return nil, false, err
+	}
+	if err := s.validateTileSize(len(locs)); err != nil {
+		return nil, false, err
+	}
+	if err := spec.validate(); err != nil {
+		return nil, false, err
+	}
+	key := s.cfg.key('k', hashPoints(locs), len(locs), spec.normalized())
+	e, lead := s.cache.pin(key)
+	switch {
+	case lead:
+		err = s.lead(e, key, locs, spec, st, admit)
+	case !e.done.Load():
+		waited = true
+		err = s.cache.wait(ctx, e)
+	default:
+		err = e.err
+	}
+	if err != nil {
+		s.cache.unpin(e)
+		return nil, waited, err
+	}
+	return func() { s.cache.unpin(e) }, waited, nil
+}
 
-// Factor cache states, in build order.
-const (
-	// FactorAbsent: nothing cached — the next query factorizes (and a
-	// serving layer should charge it against its factorization budget).
-	FactorAbsent FactorStatus = iota
-	// FactorBuilding: a factorization is in flight; queries issued now
-	// block on its completion rather than duplicating it.
-	FactorBuilding
-	// FactorReady: the factor (or its deterministic failure) is cached and
-	// queries against it run warm.
-	FactorReady
-)
-
-// FactorState reports whether k's factor is absent, being built or ready.
-// While a build is in flight the returned channel is closed when it
-// completes (successfully or not), letting a serving layer coalesce onto an
-// existing factorization — wait for the channel, then query warm — instead
-// of spending another factorization slot. The state is a snapshot: an
-// Absent answer can be Building by the time the caller acts on it, but the
-// session cache still builds each cached key at most once.
-func (s *Session) FactorState(k ProblemKey) (FactorStatus, <-chan struct{}) {
-	return s.cache.state(k.k)
+// lead settles e, the entry Warm just inserted for key: with the factor st
+// holds, or with a factorization under admit's slot, written through to st on
+// a goroutine of its own. A refused admission drops the entry.
+func (s *Session) lead(e *cacheEntry, key factorKey, locs []Point, spec KernelSpec, st *FactorStore, admit func() (func(), error)) error {
+	if st != nil && s.cache.install(key, e, st) == nil {
+		return nil
+	}
+	release, err := admit()
+	if err != nil {
+		s.cache.drop(key, e, err)
+		return err
+	}
+	s.cache.keep(key, true)
+	f, err := s.buildKernelFactor(locs, spec)
+	release()
+	e.settle(f, err)
+	if err == nil && st != nil {
+		s.saves.Add(1)
+		go func() {
+			defer s.saves.Done()
+			if !st.Has(ProblemKey{key}) {
+				_ = st.write(key, f) // counted in st.Stats; the factor stays cached either way
+			}
+		}()
+	}
+	return err
 }
 
 // Prefactorize assembles, factorizes and caches the Cholesky factor for
-// spec's kernel at locs without running a query — the cold-path hook for
-// serving layers, which admission-control factorizations separately from the
-// cheap warm queries. Concurrent calls for one key share a single build. A
-// factorization failure (e.g. a non-SPD kernel matrix) is returned and also
-// cached, deterministically, for subsequent queries.
+// spec's kernel at locs without running a query. Concurrent calls for one key
+// share a single build. A factorization failure (e.g. a non-SPD kernel
+// matrix) is returned and also cached, deterministically, for subsequent
+// queries.
 func (s *Session) Prefactorize(locs []Point, spec KernelSpec) error {
 	_, err := s.factor(problem{locs: locs, kernel: spec})
 	return err

@@ -4,12 +4,13 @@
 // and admission-controls factorizations so overload degrades into fast-fail
 // backpressure instead of unbounded queues.
 //
-// The layering mirrors the session factor cache one level up: a request's
-// parmvn.ProblemKey routes it to a shard (so all traffic for one covariance
-// lands on one Session and its LRU factor cache). A cold key's first request
-// leads its build — store load or admitted factorization — and every other
-// request for the key, MVN or MVT, waits for it. Every request
-// then runs as one MVNProbOpts/MVTProbOpts call on its own goroutine.
+// A request's parmvn.ProblemKey routes it to a shard, so all traffic for one
+// covariance lands on one Session and its LRU factor cache. Session.Warm
+// makes the key's factor resident: a cold key's first request leads its one
+// build — store load or admitted factorization — and every other request for
+// the key, MVN or MVT, waits for it. Every request then runs as one
+// MVNProbOpts/MVTProbOpts call on its own goroutine, its factor pinned in the
+// cache until the call returns.
 package serve
 
 import (
@@ -102,25 +103,15 @@ type Server struct {
 	cfg       Config
 	shards    []*shard
 	factorSem chan struct{}
-	saves     sync.WaitGroup // background store write-throughs
 	ctr       counters
 	start     time.Time
 }
 
 // shard owns the Sessions (one per method × tile bucket, created lazily)
-// and the cold-key builds in progress for the problem keys that hash to it.
+// for the problem keys that hash to it.
 type shard struct {
-	srv      *Server
 	mu       sync.Mutex
 	sessions map[sessionKey]*parmvn.Session
-	builds   map[parmvn.ProblemKey]*build
-}
-
-// build is one cold key's factor being made warm. Its leader sets err and
-// then closes done; the requests waiting on it read err only after done.
-type build struct {
-	done chan struct{}
-	err  error
 }
 
 // sessionKey picks the pooled Session a request runs on: everything else in
@@ -140,17 +131,13 @@ func New(cfg Config) *Server {
 	}
 	s.shards = make([]*shard, c.Shards)
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			srv:      s,
-			sessions: map[sessionKey]*parmvn.Session{},
-			builds:   map[parmvn.ProblemKey]*build{},
-		}
+		s.shards[i] = &shard{sessions: map[sessionKey]*parmvn.Session{}}
 	}
 	return s
 }
 
-// Close rejects new requests, waits for admitted requests and in-progress
-// store saves to drain, and shuts down every pooled session.
+// Close rejects new requests, waits for admitted requests to drain, and
+// closes every pooled session, which waits for its store write-throughs.
 func (s *Server) Close() {
 	if !s.ctr.closed.CompareAndSwap(false, true) {
 		return
@@ -158,8 +145,6 @@ func (s *Server) Close() {
 	for s.ctr.inFlight.Load() > 0 {
 		time.Sleep(time.Millisecond)
 	}
-	// Only admitted requests start saves, so none starts after the drain.
-	s.saves.Wait()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, sess := range sh.sessions {
@@ -222,8 +207,8 @@ func (sh *shard) session(cfg parmvn.Config) *parmvn.Session {
 
 // Do serves one decoded request in-process (the HTTP handlers call it; Go
 // callers may too). It validates, routes by problem key, makes the key's
-// factor warm — leading its build or waiting on another request's — and runs
-// the query as one engine call on the caller's goroutine.
+// factor warm (Session.Warm: leading its build or waiting on another
+// request's) and runs the query as one engine call on the caller's goroutine.
 func (s *Server) Do(ctx context.Context, req *Request) (*Response, error) {
 	start := time.Now()
 	s.ctr.requests.Add(1)
@@ -305,10 +290,11 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	sh := s.shards[pk.Hash()%uint64(len(s.shards))]
 	sess := sh.session(cfg)
-	coalesced, err := sh.ready(ctx, sess, pk, req.Locs, req.Kernel)
+	unpin, coalesced, err := sess.Warm(ctx, req.Locs, req.Kernel, s.cfg.Store, s.admitFactor)
 	if err != nil {
 		return nil, err
 	}
+	defer unpin()
 	var r parmvn.Result
 	if req.Nu > 0 {
 		r, err = sess.MVTProbOpts(req.Locs, req.Kernel, req.Nu, req.A, req.B, opt)
@@ -387,136 +373,27 @@ func (s *Server) loadPressure() float64 {
 	return t
 }
 
-// ready makes pk's factor warm in sess before the query runs. A warm key
-// returns at once: no channel, no goroutine. On a cold key the first request
-// registers a build and leads it; every other request for the key — MVN or
-// MVT, since they share the factor — waits on the build or on its
-// own ctx (the build still completes for the others). Then it checks again:
-// a factor evicted in between loops back to a lead, so a rebuild cannot
-// dodge admission control. coalesced reports that this request waited on
-// another request's factorization.
-func (sh *shard) ready(ctx context.Context, sess *parmvn.Session, pk parmvn.ProblemKey, locs []parmvn.Point, kernel parmvn.KernelSpec) (coalesced bool, err error) {
-	for {
-		if st, _ := sess.FactorState(pk); st == parmvn.FactorReady {
-			return coalesced, nil
-		}
-		sh.mu.Lock()
-		b, building := sh.builds[pk]
-		if !building {
-			b = &build{done: make(chan struct{})}
-			sh.builds[pk] = b
-		}
-		sh.mu.Unlock()
-		if !building {
-			sh.lead(b, sess, pk, locs, kernel)
-		} else {
-			if !coalesced {
-				coalesced = true
-				sh.srv.ctr.coalesced.Add(1)
-			}
-			select {
-			case <-b.done:
-			case <-ctx.Done():
-				return coalesced, ctx.Err()
-			}
-		}
-		if b.err != nil {
-			return coalesced, b.err
-		}
-	}
-}
-
-// lead runs one cold key's build and publishes its outcome. It reads the
-// state again first: a build that completed between the caller's check and
-// its registration left the factor Ready, and a query rebuilding an evicted
-// factor leaves it Building — neither takes a slot. An absent factor is
-// installed from the store, or factorized under admission control and then
-// written through to the store in the background.
-func (sh *shard) lead(b *build, sess *parmvn.Session, pk parmvn.ProblemKey, locs []parmvn.Point, kernel parmvn.KernelSpec) {
-	srv := sh.srv
-	switch st, done := sess.FactorState(pk); st {
-	case parmvn.FactorBuilding:
-		<-done
-	case parmvn.FactorAbsent:
-		if srv.storeLoad(sess, pk) {
-			break
-		}
-		if b.err = srv.acquireFactorSlot(); b.err != nil {
-			break
-		}
-		srv.ctr.factorizations.Add(1)
-		b.err = sess.Prefactorize(locs, kernel)
-		<-srv.factorSem
-		if b.err == nil && srv.cfg.Store != nil {
-			srv.saves.Add(1)
-			go srv.storeSave(sess, pk, locs, kernel)
-		}
-	}
-	sh.mu.Lock()
-	delete(sh.builds, pk)
-	sh.mu.Unlock()
-	close(b.done)
-}
-
-// storeLoad tries to install pk's factor from the persistent store into the
-// session cache. A hit makes the key warm with zero factorizations; a miss
-// (or an unreadable file — corruption is counted but never fatal, the
-// build just factorizes as if the store were empty) falls through to the
-// admission-controlled factorization path.
-func (s *Server) storeLoad(sess *parmvn.Session, pk parmvn.ProblemKey) bool {
-	if s.cfg.Store == nil {
-		return false
-	}
-	switch err := sess.LoadFactor(s.cfg.Store, pk); {
-	case err == nil:
-		s.ctr.storeHits.Add(1)
-		return true
-	case errors.Is(err, parmvn.ErrStoreMiss):
-		s.ctr.storeMisses.Add(1)
-	default:
-		s.ctr.storeMisses.Add(1)
-		s.ctr.storeErrors.Add(1)
-	}
-	return false
-}
-
-// storeSave writes a freshly built factor through to the persistent store
-// (skipped when a file for the key already exists — replicas sharing one
-// directory race benignly, rename is atomic either way). Runs on a
-// goroutine of its own, so it never adds latency to a request; Close waits
-// for it through s.saves.
-func (s *Server) storeSave(sess *parmvn.Session, pk parmvn.ProblemKey, locs []parmvn.Point, kernel parmvn.KernelSpec) {
-	defer s.saves.Done()
-	if s.cfg.Store.Has(pk) {
-		return
-	}
-	if err := sess.SaveFactor(s.cfg.Store, locs, kernel); err != nil {
-		s.ctr.storeErrors.Add(1)
-		return
-	}
-	s.ctr.storeSaves.Add(1)
-}
-
-// acquireFactorSlot admission-controls factorizations: take a free slot if
-// one exists, otherwise wait in the bounded factorization queue — and when
-// that is full too, fail fast. This is what keeps an overloaded server at a
+// admitFactor admission-controls factorizations: take a free slot if one
+// exists, otherwise wait in the bounded factorization queue — and when that
+// is full too, fail fast. This is what keeps an overloaded server at a
 // predictable memory/CPU ceiling (MaxInflightFactor builds plus
 // FactorQueueDepth waiters) instead of stacking up O(n²) factorizations.
-func (s *Server) acquireFactorSlot() error {
+// A granted slot is counted as a factorization and freed by release.
+func (s *Server) admitFactor() (release func(), err error) {
 	select {
 	case s.factorSem <- struct{}{}:
-		return nil
 	default:
-	}
-	if s.ctr.factorQueue.Add(1) > int64(s.cfg.FactorQueueDepth) {
+		if s.ctr.factorQueue.Add(1) > int64(s.cfg.FactorQueueDepth) {
+			s.ctr.factorQueue.Add(-1)
+			// Not counted here: Do counts one rejection per request the
+			// refused build sheds, the leader and its waiters alike.
+			return nil, ErrOverloaded
+		}
+		s.factorSem <- struct{}{}
 		s.ctr.factorQueue.Add(-1)
-		// Not counted here: Do counts one rejection per request the failed
-		// build sheds, the leader and its waiters alike.
-		return ErrOverloaded
 	}
-	s.factorSem <- struct{}{}
-	s.ctr.factorQueue.Add(-1)
-	return nil
+	s.ctr.factorizations.Add(1)
+	return func() { <-s.factorSem }, nil
 }
 
 // validNu rejects a non-positive or non-finite ν with a typed request error.

@@ -362,6 +362,46 @@ func TestServeBackpressure(t *testing.T) {
 	}
 }
 
+// TestServeShedKeepsWarmFactor pins that a request shed by admission control
+// leaves the cache as it found it: with room for two factors, one warm and
+// one building, a third cold key rejected for want of a slot must not evict
+// the warm one, so re-querying it costs no second factorization.
+func TestServeShedKeepsWarmFactor(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 1
+	cfg.MaxInflightFactor = 1
+	cfg.FactorQueueDepth = -1
+	cfg.Session.FactorCacheCap = 2
+	srv := New(cfg)
+	defer srv.Close()
+
+	warm := testRequest(6, 0.3) // the blocker's tile size, so its session and cache
+	if _, err := srv.Do(context.Background(), warm); err != nil {
+		t.Fatal(err)
+	}
+	blockerDone := make(chan error, 1)
+	go func() {
+		_, err := srv.Do(context.Background(), testRequest(28, 0.1)) // n=784
+		blockerDone <- err
+	}()
+	for srv.Snapshot().Factorizations == 1 {
+		time.Sleep(200 * time.Microsecond)
+	}
+	if _, err := srv.Do(context.Background(), testRequest(6, 0.05)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("cold key while the slot is held: err = %v, want ErrOverloaded", err)
+	}
+	if err := <-blockerDone; err != nil {
+		t.Fatalf("blocker: %v", err)
+	}
+	if _, err := srv.Do(context.Background(), warm); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Snapshot(); st.Factorizations != 2 || st.CacheMisses != 2 {
+		t.Fatalf("factorizations/cache misses = %d/%d, want 2/2: the shed request evicted the warm factor",
+			st.Factorizations, st.CacheMisses)
+	}
+}
+
 // TestServeMaxInFlight exercises the total-request cap: a request held in
 // flight by a cold n = 784 build leaves no room for a second one, which is
 // rejected before it touches a session.

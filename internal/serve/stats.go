@@ -18,17 +18,11 @@ type counters struct {
 	badRequests    atomic.Uint64
 	computeErrors  atomic.Uint64
 	rejected       atomic.Uint64
-	coalesced      atomic.Uint64
 	engineCalls    atomic.Uint64
 	factorizations atomic.Uint64
 
 	inFlight    atomic.Int64
 	factorQueue atomic.Int64
-
-	storeHits   atomic.Uint64
-	storeMisses atomic.Uint64
-	storeSaves  atomic.Uint64
-	storeErrors atomic.Uint64
 
 	degraded        atomic.Uint64
 	budgeted        atomic.Uint64
@@ -147,11 +141,12 @@ type Stats struct {
 	// from the request cap and from the full factorization queue alike.
 	Rejected uint64 `json:"rejected"`
 
-	// Coalesced counts requests that waited on another request's
-	// factorization instead of starting their own. Factorizations counts
-	// admission slots acquired for cold (or evicted-and-rebuilt) keys; one
-	// build per key makes it equal CacheMisses, the factorizations the
-	// session caches ran, unless a query rebuilt a factor evicted under it.
+	// Coalesced counts requests that waited on another request's build
+	// instead of starting their own: the sum of the pooled sessions'
+	// FactorCache.Waits. Factorizations counts admission slots acquired for
+	// cold (or evicted-and-rebuilt) keys. A factor is built only under a slot
+	// and stays pinned until its query has run, so it equals CacheMisses, the
+	// factorizations the session caches ran, under eviction too.
 	// Batches and BatchedQueries both count engine calls — one per served
 	// query, so their ratio is exactly 1.
 	Coalesced      uint64 `json:"coalesced"`
@@ -169,11 +164,13 @@ type Stats struct {
 	InFlight         int64 `json:"in_flight"`
 	FactorQueueDepth int64 `json:"factor_queue_depth"`
 
-	// StoreHits counts cold keys served by installing a factor from the
-	// persistent store (zero factorizations spent); StoreMisses counts cold
-	// keys the store did not cover; StoreSaves counts factors written
-	// through after a factorization; StoreErrors counts unreadable or
-	// unwritable store files (corruption, I/O). All zero without a store.
+	// Store* are the persistent store's own counts (FactorStore.Stats), so
+	// servers sharing one FactorStore value share them. StoreHits counts cold
+	// keys served by installing a factor from the store (zero factorizations
+	// spent); StoreMisses counts cold keys the store did not cover;
+	// StoreSaves counts factors written through after a factorization;
+	// StoreErrors counts unreadable or unwritable store files (corruption,
+	// I/O). All zero without a store.
 	StoreHits   uint64 `json:"store_hits"`
 	StoreMisses uint64 `json:"store_misses"`
 	StoreSaves  uint64 `json:"store_saves"`
@@ -230,16 +227,11 @@ func (s *Server) Snapshot() Stats {
 		BadRequests:      s.ctr.badRequests.Load(),
 		ComputeErrors:    s.ctr.computeErrors.Load(),
 		Rejected:         s.ctr.rejected.Load(),
-		Coalesced:        s.ctr.coalesced.Load(),
 		Batches:          s.ctr.engineCalls.Load(),
 		BatchedQueries:   s.ctr.engineCalls.Load(),
 		Factorizations:   s.ctr.factorizations.Load(),
 		InFlight:         s.ctr.inFlight.Load(),
 		FactorQueueDepth: s.ctr.factorQueue.Load(),
-		StoreHits:        s.ctr.storeHits.Load(),
-		StoreMisses:      s.ctr.storeMisses.Load(),
-		StoreSaves:       s.ctr.storeSaves.Load(),
-		StoreErrors:      s.ctr.storeErrors.Load(),
 		LatencyCount:     s.ctr.latCount.Load(),
 		BudgetedQueries:  s.ctr.budgeted.Load(),
 		Degraded:         s.ctr.degraded.Load(),
@@ -253,6 +245,9 @@ func (s *Server) Snapshot() Stats {
 	st.LatencyP50Ms, st.LatencyP90Ms, st.LatencyP99Ms = s.ctr.latRes.percentiles()
 	st.RelErrP50, st.RelErrP90, st.RelErrP99 = s.ctr.relErrRes.percentiles()
 	st.SamplesP50, st.SamplesP90, st.SamplesP99 = s.ctr.samplesRes.percentiles()
+	if s.cfg.Store != nil {
+		st.StoreHits, st.StoreMisses, st.StoreSaves, st.StoreErrors = s.cfg.Store.Stats()
+	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, sess := range sh.sessions {
@@ -261,6 +256,7 @@ func (s *Server) Snapshot() Stats {
 			h, m := c.Stats()
 			st.CacheHits += h
 			st.CacheMisses += m
+			st.Coalesced += uint64(c.Waits())
 			st.CachedFactors += c.Len()
 			sched := sess.SchedulerStats()
 			if sched.PeakInflight > st.SchedPeakInflight {

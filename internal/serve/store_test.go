@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -104,6 +108,52 @@ func TestServerStoreWarmRestart(t *testing.T) {
 	}
 	if st = srv2.Snapshot(); st.Factorizations != 0 {
 		t.Errorf("MVT re-factorized (%d) despite the stored factor", st.Factorizations)
+	}
+}
+
+// TestServeChurnAdmitsEveryBuild pins that no factor is built outside
+// admission control, even when the cache holds one factor and 24 distinct
+// cold keys race through four slots: every served request paid exactly one
+// admitted factorization, one cache miss and one store write-through — no
+// query and no write-through rebuilt a factor evicted under it.
+func TestServeChurnAdmitsEveryBuild(t *testing.T) {
+	cfg := storeConfig(t, t.TempDir())
+	cfg.Shards = 1
+	cfg.MaxInflightFactor = 4
+	cfg.Session.FactorCacheCap = 1
+	srv := New(cfg)
+	defer srv.Close()
+
+	const keys = 24
+	var (
+		wg     sync.WaitGroup
+		gate   = make(chan struct{})
+		served atomic.Uint64
+	)
+	wg.Add(keys)
+	for i := 0; i < keys; i++ {
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			_, err := srv.Do(context.Background(), testRequest(12, 0.05+0.01*float64(i)))
+			if err != nil && !errors.Is(err, ErrOverloaded) {
+				t.Errorf("key %d: %v", i, err)
+			} else if err == nil {
+				served.Add(1)
+			}
+		}(i)
+	}
+	close(gate)
+	wg.Wait()
+	n := served.Load()
+	waitFor(t, "store write-throughs", func() bool {
+		st := srv.Snapshot()
+		return st.StoreSaves+st.StoreErrors >= n
+	})
+	st := srv.Snapshot()
+	if st.Factorizations != n || uint64(st.CacheMisses) != n || st.StoreSaves != n {
+		t.Fatalf("served %d, factorizations %d, cache misses %d, store saves %d: want all equal",
+			n, st.Factorizations, st.CacheMisses, st.StoreSaves)
 	}
 }
 

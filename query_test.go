@@ -186,6 +186,13 @@ func TestFactorCacheHitMiss(t *testing.T) {
 	}
 }
 
+// Purge drops every cached factor (the counters are kept).
+func (c *FactorCache) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries = map[factorKey]*cacheEntry{}
+}
+
 func TestFactorCacheLRUEviction(t *testing.T) {
 	locs := Grid(4, 4)
 	n := len(locs)
@@ -377,10 +384,10 @@ func TestConcurrentSessionUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := s.FactorState(warmKey); st != FactorReady {
+	if st := factorState(s.cache, warmKey.k); st != "ready" {
 		t.Errorf("warm key state %v, want ready", st)
 	}
-	if st, _ := s.FactorState(coldKey); st != FactorBuilding {
+	if st := factorState(s.cache, coldKey.k); st != "building" {
 		t.Error("the warm key's state was readable only after the cold build finished")
 	}
 	for i := 0; i < 2; i++ {

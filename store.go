@@ -9,7 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
+	"sync/atomic"
 
 	"repro/internal/factorio"
 	"repro/internal/mvn"
@@ -30,7 +30,8 @@ import (
 // error on load, never as a wrong factor. Safe for concurrent use by any
 // number of processes sharing the directory.
 type FactorStore struct {
-	dir string
+	dir                         string
+	hits, misses, saves, errors atomic.Uint64
 }
 
 // ErrStoreMiss reports that the store holds no factor for the requested
@@ -51,9 +52,6 @@ func OpenFactorStore(dir string) (*FactorStore, error) {
 	return &FactorStore{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (st *FactorStore) Dir() string { return st.dir }
-
 // path is the file a problem key persists under: the key's well-mixed
 // 64-bit hash in hex. Two distinct keys colliding on all 64 bits is
 // astronomically unlikely; the full key is verified on load regardless, so
@@ -69,19 +67,12 @@ func (st *FactorStore) Has(pk ProblemKey) bool {
 	return err == nil
 }
 
-// Len counts the factors currently persisted.
-func (st *FactorStore) Len() (int, error) {
-	ents, err := os.ReadDir(st.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), storeExt) {
-			n++
-		}
-	}
-	return n, nil
+// Stats returns the store's cumulative counts: loads that installed a
+// stored factor (hits) and loads that found none to install (misses, an
+// unreadable file included), factors written (saves), and files that could
+// not be read or written (errors).
+func (st *FactorStore) Stats() (hits, misses, saves, errors uint64) {
+	return st.hits.Load(), st.misses.Load(), st.saves.Load(), st.errors.Load()
 }
 
 // keyBlobVersion versions the factorKey serialization inside the container
@@ -125,20 +116,26 @@ func (s *Session) SaveFactor(st *FactorStore, locs []Point, spec KernelSpec) err
 	if err != nil {
 		return err
 	}
-	key := s.cfg.key('k', hashPoints(locs), len(locs), spec.normalized())
-	return st.write(ProblemKey{key}, encodeFactorKey(key), f)
+	return st.write(s.cfg.key('k', hashPoints(locs), len(locs), spec.normalized()), f)
 }
 
-// write encodes one factor container to a temp file and renames it into
-// place under pk's name.
-func (st *FactorStore) write(pk ProblemKey, keyBlob []byte, f *mvn.Factor) error {
+// write encodes key's factor container to a temp file and renames it into
+// place under the key's name, counting a save or an error.
+func (st *FactorStore) write(key factorKey, f *mvn.Factor) (err error) {
+	defer func() {
+		if err != nil {
+			st.errors.Add(1)
+		} else {
+			st.saves.Add(1)
+		}
+	}()
 	tmp, err := os.CreateTemp(st.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("parmvn: factor store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
 	w := bufio.NewWriterSize(tmp, 1<<20)
-	encErr := factorio.Encode(w, keyBlob, f)
+	encErr := factorio.Encode(w, encodeFactorKey(key), f)
 	if encErr == nil {
 		encErr = w.Flush()
 	}
@@ -151,7 +148,7 @@ func (st *FactorStore) write(pk ProblemKey, keyBlob []byte, f *mvn.Factor) error
 	if encErr != nil {
 		return fmt.Errorf("parmvn: factor store write: %w", encErr)
 	}
-	if err := os.Rename(tmp.Name(), st.path(pk)); err != nil {
+	if err := os.Rename(tmp.Name(), st.path(ProblemKey{key})); err != nil {
 		return fmt.Errorf("parmvn: factor store: %w", err)
 	}
 	return nil
@@ -169,28 +166,42 @@ func (st *FactorStore) write(pk ProblemKey, keyBlob []byte, f *mvn.Factor) error
 // factor can therefore never be installed under a configuration it was not
 // built for.
 func (s *Session) LoadFactor(st *FactorStore, pk ProblemKey) error {
-	if status, _ := s.cache.state(pk.k); status != FactorAbsent {
+	e, lead := s.cache.pin(pk.k)
+	defer s.cache.unpin(e)
+	if !lead {
 		return nil
 	}
-	blob, f, err := st.read(pk)
+	err := s.cache.install(pk.k, e, st)
 	if err != nil {
-		return err
+		s.cache.drop(pk.k, e, err)
 	}
-	if !bytes.Equal(blob, encodeFactorKey(pk.k)) {
-		return ErrStoreMiss
-	}
-	s.cache.install(pk.k, f)
-	return nil
+	return err
 }
 
-// read decodes pk's container from disk.
-func (st *FactorStore) read(pk ProblemKey) ([]byte, *mvn.Factor, error) {
-	data, err := os.ReadFile(st.path(pk))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, ErrStoreMiss
+// load decodes key's container from disk and verifies the key it embeds (a
+// mismatch is ErrStoreMiss). It counts a hit, or a miss and — for a file that
+// cannot be read or decoded — an error.
+func (st *FactorStore) load(key factorKey) (f *mvn.Factor, err error) {
+	defer func() {
+		switch {
+		case err == nil:
+			st.hits.Add(1)
+		case errors.Is(err, ErrStoreMiss):
+			st.misses.Add(1)
+		default:
+			st.misses.Add(1)
+			st.errors.Add(1)
 		}
-		return nil, nil, fmt.Errorf("parmvn: factor store: %w", err)
+	}()
+	data, err := os.ReadFile(st.path(ProblemKey{key}))
+	if os.IsNotExist(err) {
+		return nil, ErrStoreMiss
+	} else if err != nil {
+		return nil, fmt.Errorf("parmvn: factor store: %w", err)
 	}
-	return factorio.Decode(data)
+	blob, f, err := factorio.Decode(data)
+	if err == nil && !bytes.Equal(blob, encodeFactorKey(key)) {
+		return nil, ErrStoreMiss
+	}
+	return f, err
 }

@@ -2,20 +2,37 @@ package parmvn
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
+	"time"
 
 	"repro/internal/factorio"
 	"repro/internal/mvn"
 )
 
+// factorState reads key's entry in c: "absent", "building" or "ready".
+func factorState(c *FactorCache, key factorKey) string {
+	c.mu.Lock()
+	e, ok := c.entries[key]
+	c.mu.Unlock()
+	switch {
+	case !ok:
+		return "absent"
+	case e.done.Load():
+		return "ready"
+	}
+	return "building"
+}
+
 // TestEvictPrefersDoneOverBuilding pins the eviction policy: when the cache
 // overflows, a built (done) entry is evicted before any entry whose build is
 // still in flight, even when the building entry is older — evicting a
-// building entry would make concurrent FactorState observers see
-// FactorAbsent and burn a second factorization slot on a build already
-// running. Runs with a real blocked build so -race checks the interleaving.
+// building entry would let the next caller for its key start a second build
+// while the first still runs. Runs with a real blocked build so -race checks
+// the interleaving.
 func TestEvictPrefersDoneOverBuilding(t *testing.T) {
 	c := newFactorCache(2)
 	keyBuilding := factorKey{kind: 'k', n: 1}
@@ -43,11 +60,11 @@ func TestEvictPrefersDoneOverBuilding(t *testing.T) {
 	if _, err := c.getOrBuild(keyNew, func() (*mvn.Factor, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := c.state(keyBuilding); st != FactorBuilding {
-		t.Errorf("building entry state = %v, want FactorBuilding (was it evicted?)", st)
+	if st := factorState(c, keyBuilding); st != "building" {
+		t.Errorf("building entry state = %v, want building (was it evicted?)", st)
 	}
-	if st, _ := c.state(keyDone); st != FactorAbsent {
-		t.Errorf("done entry state = %v, want FactorAbsent (it was the LRU-newer but done victim)", st)
+	if st := factorState(c, keyDone); st != "absent" {
+		t.Errorf("done entry state = %v, want absent (it was the LRU-newer but done victim)", st)
 	}
 	close(release)
 	<-finished
@@ -70,14 +87,117 @@ func TestEvictPrefersDoneOverBuilding(t *testing.T) {
 	if _, err := c2.getOrBuild(keyNew, func() (*mvn.Factor, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := c2.state(keyBuilding); st != FactorAbsent {
-		t.Errorf("all-building overflow: state = %v, want FactorAbsent (cap is a hard bound)", st)
+	if st := factorState(c2, keyBuilding); st != "absent" {
+		t.Errorf("all-building overflow: state = %v, want absent (cap is a hard bound)", st)
 	}
 	if got := c2.Len(); got != 1 {
 		t.Errorf("cache len = %d, want cap 1", got)
 	}
 	close(release2)
 	<-finished2
+}
+
+// TestWarmOneFlight pins Warm's rules on one session: a refused admission
+// reaches the leader and the caller waiting on it and is not cached, so the
+// next caller leads again; a lead counts a miss only once it is admitted,
+// none for a store load, and no hit; a pinned factor outlives the cap until
+// its query has run; and Close waits for the write-through.
+func TestWarmOneFlight(t *testing.T) {
+	locs, spec, a, b := storeTestProblem()
+	cfg := Config{TileSize: 8, QMCSize: 200, Workers: 1, FactorCacheCap: 1}
+	st, err := OpenFactorStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := cfg.ProblemKey(locs, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	grant := func() (func(), error) { return func() {}, nil }
+	s := NewSession(cfg)
+
+	errShed := errors.New("shed")
+	admitting, refuse := make(chan struct{}), make(chan struct{})
+	led, joined := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, _, err := s.Warm(ctx, locs, spec, st, func() (func(), error) {
+			close(admitting)
+			<-refuse
+			return nil, errShed
+		})
+		led <- err
+	}()
+	<-admitting
+	go func() {
+		_, waited, err := s.Warm(ctx, locs, spec, st, grant)
+		if !waited {
+			err = fmt.Errorf("did not wait on the lead (err %v)", err)
+		}
+		joined <- err
+	}()
+	for s.Cache().Waits() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(refuse)
+	for _, ch := range []chan error{led, joined} {
+		if err := <-ch; !errors.Is(err, errShed) {
+			t.Fatalf("refused admission: err %v, want it for the leader and its waiter", err)
+		}
+	}
+	if got := factorState(s.cache, pk.k); got != "absent" {
+		t.Fatalf("refused admission left the key %s, want absent", got)
+	}
+	if h, m := s.Cache().Stats(); h != 0 || m != 0 {
+		t.Fatalf("refused admission counted hits/misses %d/%d, want 0/0", h, m)
+	}
+
+	unpin, waited, err := s.Warm(ctx, locs, spec, st, grant)
+	if err != nil || waited {
+		t.Fatalf("second lead: waited %v, err %v", waited, err)
+	}
+	if h, m := s.Cache().Stats(); h != 0 || m != 1 {
+		t.Fatalf("admitted lead counted hits/misses %d/%d, want 0/1", h, m)
+	}
+	if err := s.Prefactorize(locs, KernelSpec{Family: "exponential", Range: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := factorState(s.cache, pk.k); got != "ready" {
+		t.Fatalf("pinned factor is %s after a second key filled the cap", got)
+	}
+	if _, err := s.MVNProb(locs, spec, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := s.Cache().Stats(); h != 1 || m != 2 {
+		t.Fatalf("query after Warm counted hits/misses %d/%d, want 1/2", h, m)
+	}
+	unpin()
+	if got := s.Cache().Len(); got != 1 {
+		t.Fatalf("%d factors cached after unpin, want the cap 1", got)
+	}
+	s.Close()
+	if !st.Has(pk) {
+		t.Fatal("Close returned before the write-through")
+	}
+
+	s2 := NewSession(cfg)
+	defer s2.Close()
+	for i := 0; i < 2; i++ {
+		unpin, waited, err := s2.Warm(ctx, locs, spec, st, func() (func(), error) {
+			t.Error("admission asked for despite the stored factor")
+			return grant()
+		})
+		if err != nil || waited {
+			t.Fatalf("store lead %d: waited %v, err %v", i, waited, err)
+		}
+		unpin()
+	}
+	if h, m := s2.Cache().Stats(); h != 0 || m != 0 {
+		t.Fatalf("store load counted hits/misses %d/%d, want 0/0", h, m)
+	}
+	if hits, misses, saves, errs := st.Stats(); hits != 1 || misses != 2 || saves != 1 || errs != 0 {
+		t.Fatalf("store hits/misses/saves/errors = %d/%d/%d/%d, want 1/2/1/0", hits, misses, saves, errs)
+	}
 }
 
 func storeTestProblem() (locs []Point, spec KernelSpec, a, b []float64) {
@@ -139,8 +259,8 @@ func TestStoreRoundTripBitIdentical(t *testing.T) {
 			if err := s2.LoadFactor(st, pk); err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			if status, _ := s2.FactorState(pk); status != FactorReady {
-				t.Fatalf("loaded factor state = %v, want FactorReady", status)
+			if status := factorState(s2.cache, pk.k); status != "ready" {
+				t.Fatalf("loaded factor state = %v, want ready", status)
 			}
 			mvn2, err := s2.MVNProb(locs, spec, a, b)
 			if err != nil {
@@ -213,7 +333,7 @@ func TestStoreMissAndKeyVerification(t *testing.T) {
 	if err := s2.LoadFactor(st, pkOther); !errors.Is(err, ErrStoreMiss) {
 		t.Fatalf("load with mismatched embedded key: %v, want ErrStoreMiss", err)
 	}
-	if status, _ := s2.FactorState(pkOther); status != FactorAbsent {
+	if status := factorState(s2.cache, pkOther.k); status != "absent" {
 		t.Error("mismatched factor was installed")
 	}
 }
@@ -278,7 +398,7 @@ func TestStoreCorruption(t *testing.T) {
 	if err := s4.LoadFactor(st, pk); !errors.Is(err, factorio.ErrVersion) {
 		t.Errorf("future version: %v, want ErrVersion", err)
 	}
-	if status, _ := s4.FactorState(pk); status != FactorAbsent {
+	if status := factorState(s4.cache, pk.k); status != "absent" {
 		t.Error("corrupt factor was installed")
 	}
 	s4.Close()

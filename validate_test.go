@@ -1,7 +1,10 @@
 package parmvn
 
 import (
+	"context"
 	"math"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -56,10 +59,10 @@ func TestValidationConsistency(t *testing.T) {
 	}
 }
 
-// TestFactorOnlyCallsValidateLikeQueries: Prefactorize, SaveFactor and
-// FactorFootprint refuse an empty location set and a tile larger than the
-// problem with exactly the error a query on the same problem returns, before
-// anything is factorized, cached or stored.
+// TestFactorOnlyCallsValidateLikeQueries: Prefactorize, SaveFactor,
+// FactorFootprint and Warm refuse an empty location set and a tile larger
+// than the problem with exactly the error a query on the same problem
+// returns, before anything is factorized, cached or stored.
 func TestFactorOnlyCallsValidateLikeQueries(t *testing.T) {
 	st, err := OpenFactorStore(t.TempDir())
 	if err != nil {
@@ -90,6 +93,10 @@ func TestFactorOnlyCallsValidateLikeQueries(t *testing.T) {
 			{"Prefactorize", func() error { return s.Prefactorize(tc.locs, kernel) }},
 			{"SaveFactor", func() error { return s.SaveFactor(st, tc.locs, kernel) }},
 			{"FactorFootprint", func() error { _, err := s.FactorFootprint(tc.locs, kernel); return err }},
+			{"Warm", func() error {
+				_, _, err := s.Warm(context.Background(), tc.locs, kernel, st, func() (func(), error) { return func() {}, nil })
+				return err
+			}},
 		}
 		for _, c := range calls {
 			if err := c.call(); err == nil || err.Error() != want.Error() {
@@ -104,6 +111,21 @@ func TestFactorOnlyCallsValidateLikeQueries(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// Len counts the factors currently persisted.
+func (st *FactorStore) Len() (int, error) {
+	ents, err := os.ReadDir(st.dir)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, e := range ents {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), storeExt) {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // TestEmptyBoxConsistency pins the degenerate-box semantics: a box with some
@@ -142,9 +164,9 @@ func TestEmptyBoxConsistency(t *testing.T) {
 	}
 }
 
-// TestProblemKeyAndFactorState covers the exported serving hooks: key
-// equality/inequality, Config/Session agreement, and the factor state
-// transitions around Prefactorize.
+// TestProblemKeyAndFactorState covers the problem key — equality and
+// inequality, Config/Session agreement — and the cache state of its factor
+// around Prefactorize.
 func TestProblemKeyAndFactorState(t *testing.T) {
 	cfg := Config{TileSize: 4, QMCSize: 100, Method: TLR}
 	s := NewSession(cfg)
@@ -185,15 +207,14 @@ func TestProblemKeyAndFactorState(t *testing.T) {
 		t.Fatal("ProblemKey accepted an invalid spec")
 	}
 
-	if st, _ := s.FactorState(k1); st != FactorAbsent {
-		t.Fatalf("state before any query = %v, want FactorAbsent", st)
+	if st := factorState(s.cache, k1.k); st != "absent" {
+		t.Fatalf("state before any query = %v, want absent", st)
 	}
 	if err := s.Prefactorize(locs, spec); err != nil {
 		t.Fatal(err)
 	}
-	st, ch := s.FactorState(k1)
-	if st != FactorReady || ch != nil {
-		t.Fatalf("state after Prefactorize = %v (ch=%v), want FactorReady", st, ch)
+	if st := factorState(s.cache, k1.k); st != "ready" {
+		t.Fatalf("state after Prefactorize = %v, want ready", st)
 	}
 	// The prefactorized query is a pure cache hit.
 	h0, m0 := s.Cache().Stats()
