@@ -375,18 +375,42 @@ func toGeom(locs []Point) *geo.Geom {
 	return g
 }
 
+// transposeBlock is the side of the blocks denseFromRows transposes: each
+// destination run is contiguous, and the block's source rows stay in cache
+// across its columns.
+const transposeBlock = 16
+
+// denseFromRows lays the rows of sigma out column-major, as they are: the
+// matrix need not be symmetric.
 func denseFromRows(sigma [][]float64) (*linalg.Matrix, error) {
 	n := len(sigma)
-	m := linalg.NewMatrix(n, n)
 	for i, row := range sigma {
 		if len(row) != n {
 			return nil, fmt.Errorf("parmvn: covariance row %d has %d entries, want %d", i, len(row), n)
 		}
-		for j, v := range row {
-			m.Set(i, j, v)
+	}
+	m := linalg.NewMatrix(n, n)
+	for ib := 0; ib < n; ib += transposeBlock {
+		rows := sigma[ib:min(ib+transposeBlock, n)]
+		for j := 0; j < n; j++ {
+			dst := m.Col(j)[ib : ib+len(rows)]
+			for t, row := range rows {
+				dst[t] = row[j]
+			}
 		}
 	}
 	return m, nil
+}
+
+// rowsFromSymmetric returns the rows of m, which is exactly symmetric (its
+// upper triangle mirrored from its lower): row i is column i, copied whole.
+func rowsFromSymmetric(m *linalg.Matrix) [][]float64 {
+	out := make([][]float64, m.Rows)
+	for i := range out {
+		out[i] = make([]float64, m.Cols)
+		copy(out[i], m.Col(i))
+	}
+	return out
 }
 
 // factorize is the one production factorization: the Cholesky factor of the
@@ -663,15 +687,7 @@ func CovarianceMatrix(locs []Point, kernel KernelSpec) [][]float64 {
 	if err != nil {
 		panic(err)
 	}
-	sigma := cov.Matrix(toGeom(locs), k)
-	out := make([][]float64, sigma.Rows)
-	for i := range out {
-		out[i] = make([]float64, sigma.Cols)
-		for j := 0; j < sigma.Cols; j++ {
-			out[i][j] = sigma.At(i, j)
-		}
-	}
-	return out
+	return rowsFromSymmetric(cov.Matrix(toGeom(locs), k))
 }
 
 // Posterior computes the posterior covariance and mean of a latent Gaussian
@@ -687,7 +703,9 @@ func CovarianceMatrix(locs []Point, kernel KernelSpec) [][]float64 {
 // prior is not refused here but by the next factorization of Σ_post (a
 // DetectRegionCov or MVNProbCov on it returns ErrNotPositiveDefinite). An
 // index listed twice is two independent observations of one site. tau2 must
-// be finite and positive.
+// be finite and positive, and every y[k] and mu[i] finite: a NaN or ±Inf is
+// an error naming its index, not a NaN in µ_post. The algebra runs on a task
+// runtime of GOMAXPROCS workers and returns the serial kernels' bits.
 func Posterior(sigma [][]float64, mu []float64, obsIdx []int, y []float64, tau2 float64) ([][]float64, []float64, error) {
 	m, err := denseFromRows(sigma)
 	if err != nil {
@@ -697,14 +715,7 @@ func Posterior(sigma [][]float64, mu []float64, obsIdx []int, y []float64, tau2 
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([][]float64, post.Rows)
-	for i := range out {
-		out[i] = make([]float64, post.Cols)
-		for j := 0; j < post.Cols; j++ {
-			out[i][j] = post.At(i, j)
-		}
-	}
-	return out, muPost, nil
+	return rowsFromSymmetric(post), muPost, nil
 }
 
 // Phi is the univariate standard normal distribution function, exposed for

@@ -25,10 +25,12 @@ package cov
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/geo"
 	"repro/internal/linalg"
 	"repro/internal/stats"
+	"repro/internal/taskrt"
 )
 
 // Kernel is a stationary isotropic covariance function C(h) of the distance
@@ -272,14 +274,26 @@ func fillHalfScalar(dst []float64, pts []geo.Point, q geo.Point, c []float64, si
 	}
 }
 
-// Matrix assembles the full covariance matrix Σ with Σij = C(‖si−sj‖).
+// Matrix assembles the full covariance matrix Σ with Σij = C(‖si−sj‖), on
+// a task runtime of GOMAXPROCS workers.
 func Matrix(g *geo.Geom, k Kernel) *linalg.Matrix {
+	rt := taskrt.New(runtime.GOMAXPROCS(0))
+	defer rt.Shutdown()
+	return matrix(rt, g, k)
+}
+
+// matrix is Matrix on rt: one task per 256 columns fills their lower part,
+// one Fill per column, and mirrors them into the upper triangle — the serial
+// column loop's bits.
+func matrix(rt taskrt.Submitter, g *geo.Geom, k Kernel) *linalg.Matrix {
 	n := g.Len()
 	sigma := linalg.NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		Fill(k, sigma.Col(j)[j:], g.Pts[j:], g.Pts[j])
-	}
-	sigma.SymmetrizeFromLower()
+	linalg.BlockTasks(rt, "fill", n, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			Fill(k, sigma.Col(j)[j:], g.Pts[j:], g.Pts[j])
+		}
+		sigma.SymmetrizeCols(lo, hi)
+	})
 	return sigma
 }
 
@@ -307,9 +321,21 @@ func Block(dst *linalg.Matrix, g *geo.Geom, k Kernel, row0, col0 int) {
 // Cholesky and O(m³ + m²n + mn²) work. Σ (symmetric) is not factored, so an
 // indefinite prior is not refused here but at the next factorization of
 // Σ_post. An index listed twice is two independent observations of one site.
-// tau2 must be finite and positive; a Σ_OO + τ²I that is not positive
-// definite is an error wrapping linalg.ErrNotPositiveDefinite.
+// tau2 must be finite and positive and every y[k] and mu[i] finite; a
+// Σ_OO + τ²I that is not positive definite is an error wrapping
+// linalg.ErrNotPositiveDefinite. The algebra runs on a task runtime of
+// GOMAXPROCS workers, with the serial kernels' bits.
 func Posterior(sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, tau2 float64) (*linalg.Matrix, []float64, error) {
+	rt := taskrt.New(runtime.GOMAXPROCS(0))
+	defer rt.Shutdown()
+	return posterior(rt, sigma, mu, obsIdx, y, tau2)
+}
+
+// posterior is Posterior on rt: the m×m Cholesky, the solve (a task per 256
+// columns of W, each gathering its columns first), the SYRK (a task per
+// 256×256 tile of Σ_post's lower triangle) and the mirror (a task per 256
+// columns) are linalg's task forms of the serial kernels.
+func posterior(rt taskrt.Submitter, sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, tau2 float64) (*linalg.Matrix, []float64, error) {
 	n := sigma.Rows
 	if len(mu) != n {
 		return nil, nil, fmt.Errorf("cov: mu length %d != n %d", len(mu), n)
@@ -320,41 +346,59 @@ func Posterior(sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, ta
 	if !(tau2 > 0) || math.IsInf(tau2, 1) {
 		return nil, nil, fmt.Errorf("cov: noise variance %g, want finite and > 0", tau2)
 	}
-	for _, i := range obsIdx {
+	for k, i := range obsIdx {
 		if i < 0 || i >= n {
 			return nil, nil, fmt.Errorf("cov: observation index %d out of range", i)
 		}
-	}
-	post := sigma.Clone()
-	muPost := make([]float64, n)
-	copy(muPost, mu)
-	m := len(obsIdx)
-	// W = Σ_{O·} gathered column by column; its last column holds y − µ_O, so
-	// one solve takes both right-hand sides.
-	w := linalg.NewMatrix(m, n+1)
-	for j := 0; j < n; j++ {
-		sj, wj := sigma.Col(j), w.Col(j)
-		for k, i := range obsIdx {
-			wj[k] = sj[i]
+		if v := y[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, fmt.Errorf("cov: observation y[%d] = %g, want finite", k, v)
 		}
 	}
+	for i, v := range mu {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, fmt.Errorf("cov: prior mean mu[%d] = %g, want finite", i, v)
+		}
+	}
+	m := len(obsIdx)
+	s := linalg.NewMatrix(m, m)
+	for l, i := range obsIdx {
+		sl, si := s.Col(l), sigma.Col(i)
+		for k, o := range obsIdx {
+			sl[k] = si[o]
+		}
+		s.Add(l, l, tau2)
+	}
+	l, err := linalg.CholeskyTasks(rt, s)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cov: observation covariance Σ_OO + τ²I: %w", err)
+	}
+	// W = L⁻¹·Σ_{O·}, gathered column by column; its last column holds
+	// L⁻¹(y − µ_O), so one solve takes both right-hand sides.
+	w := linalg.NewMatrix(m, n+1)
 	r := w.Col(n)
 	for k, i := range obsIdx {
 		r[k] = y[k] - mu[i]
 	}
-	s := linalg.NewMatrix(m, m)
-	for l, i := range obsIdx {
-		copy(s.Col(l), w.Col(i))
-		s.Add(l, l, tau2)
-	}
-	l, err := linalg.CholeskyInPlace(s)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cov: observation covariance Σ_OO + τ²I: %w", err)
-	}
-	linalg.TrsmLower(linalg.Left, false, 1, l, w)
+	linalg.BlockTasks(rt, "solve", n+1, func(lo, hi int) {
+		for j := lo; j < min(hi, n); j++ {
+			sj, wj := sigma.Col(j), w.Col(j)
+			for k, i := range obsIdx {
+				wj[k] = sj[i]
+			}
+		}
+		linalg.TrsmLowerPart(linalg.Left, false, l, w, lo, hi)
+	})
+	post := linalg.NewMatrix(n, n)
+	linalg.BlockTasks(rt, "copy", n, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			copy(post.Col(j)[j:], sigma.Col(j)[j:]) // the mirror writes the upper triangle
+		}
+	})
 	wo := w.View(0, 0, m, n)
-	linalg.Syrk(true, -1, wo, 1, post)
-	post.SymmetrizeFromLower()
+	linalg.SyrkTasks(rt, true, -1, wo, post)
+	linalg.SymmetrizeTasks(rt, post)
+	muPost := make([]float64, n)
+	copy(muPost, mu)
 	linalg.Gemv(true, 1, wo, r, 1, muPost)
 	return post, muPost, nil
 }

@@ -8,10 +8,12 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/cov"
 	"repro/internal/geo"
 	"repro/internal/linalg"
+	"repro/internal/taskrt"
 )
 
 // Field is a simulated Gaussian random field: locations, values and the
@@ -23,7 +25,8 @@ type Field struct {
 }
 
 // Simulate draws one mean-zero realization of the Gaussian field with the
-// given kernel at the locations of g.
+// given kernel at the locations of g. Σ is assembled and factored on the
+// task runtime, with the serial kernels' bits.
 func Simulate(g *geo.Geom, k cov.Kernel, rng *rand.Rand) (*Field, error) {
 	field, err := newSampler(cov.Matrix(g, k))
 	if err != nil {
@@ -42,26 +45,32 @@ type sampler struct {
 	e []float64
 }
 
-// newSampler factors sigma in place.
+// newSampler factors sigma in place, on a runtime of GOMAXPROCS workers
+// (linalg.CholeskyTasks: CholeskyInPlace's bits).
 func newSampler(sigma *linalg.Matrix) (*sampler, error) {
-	l, err := linalg.CholeskyInPlace(sigma)
+	rt := taskrt.New(runtime.GOMAXPROCS(0))
+	defer rt.Shutdown()
+	l, err := linalg.CholeskyTasks(rt, sigma)
 	if err != nil {
 		return nil, fmt.Errorf("datagen: covariance not PD: %w", err)
 	}
 	return &sampler{l: l, e: make([]float64, l.Rows)}, nil
 }
 
-// draw fills z with one realization, e drawn from rng.
+// draw fills z with one realization, e drawn from rng. L is walked down its
+// columns, not along its rows, and each z[i] still sums its terms from
+// j = 0 up, from zero: the row-by-row dot product's bits.
 func (s *sampler) draw(rng *rand.Rand, z []float64) {
 	for i := range s.e {
 		s.e[i] = rng.NormFloat64()
 	}
-	for i := range z {
-		acc := 0.0
-		for j := 0; j <= i; j++ {
-			acc += s.l.At(i, j) * s.e[j]
+	clear(z)
+	for j, ej := range s.e {
+		lj := s.l.Col(j)[j:]
+		zj := z[j : j+len(lj)]
+		for i, v := range lj {
+			zj[i] += v * ej
 		}
-		z[i] = acc
 	}
 }
 

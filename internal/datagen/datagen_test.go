@@ -1,12 +1,15 @@
 package datagen
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cov"
 	"repro/internal/geo"
+	"repro/internal/linalg"
 )
 
 func TestSimulateMomentsMatchKernel(t *testing.T) {
@@ -76,5 +79,36 @@ func TestSyntheticDatasetLevels(t *testing.T) {
 		if _, err := NewSyntheticDataset(6, 10, level, rng); err != nil {
 			t.Errorf("level %s: %v", level, err)
 		}
+	}
+}
+
+// nearPairKernel is not a covariance: sites closer than 0.011 covary by 1.5
+// against a variance of 1, so any such pair makes Σ indefinite.
+type nearPairKernel struct{}
+
+func (nearPairKernel) Cov(h float64) float64 {
+	switch {
+	case h == 0:
+		return 1
+	case h < 0.011:
+		return 1.5
+	}
+	return 0
+}
+func (nearPairKernel) Variance() float64 { return 1 }
+func (nearPairKernel) Params() []float64 { return nil }
+
+// An indefinite Σ is refused as "covariance not PD" wrapping
+// linalg.ErrNotPositiveDefinite, also when the failing pivot lies in a late
+// step of the factorization (the pair at sites 298 and 299).
+func TestSimulateNotPositiveDefinite(t *testing.T) {
+	g := &geo.Geom{Pts: make([]geo.Point, 300)}
+	for i := range g.Pts {
+		g.Pts[i] = geo.Point{X: 0.02 * float64(i)}
+	}
+	g.Pts[299] = geo.Point{X: g.Pts[298].X, Y: 0.01}
+	_, err := Simulate(g, nearPairKernel{}, rand.New(rand.NewSource(1)))
+	if !errors.Is(err, linalg.ErrNotPositiveDefinite) || !strings.Contains(err.Error(), "covariance not PD") {
+		t.Fatalf("err = %v, want covariance not PD", err)
 	}
 }

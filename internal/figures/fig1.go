@@ -56,11 +56,12 @@ func Fig1(w io.Writer, cfg Config) ([]Fig1Row, error) {
 		}
 		mu := ds.PostMu
 		corr, sd := excursion.CorrelationFromCovariance(ds.PostCov)
-		lCorr, err := linalg.Cholesky(corr)
+		rt := taskrt.New(cfg.workers())
+		lCorr, err := linalg.CholeskyTasks(rt, corr.Clone())
 		if err != nil {
+			rt.Shutdown()
 			return nil, err
 		}
-		rt := taskrt.New(cfg.workers())
 		ts := side * side / 8
 		cD, cT, err := detectDenseTLR(rt, corr, mu, sd, u, ts, tlrTol, qmcN)
 		if err != nil {

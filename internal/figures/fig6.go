@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/excursion"
 	"repro/internal/linalg"
+	"repro/internal/taskrt"
 )
 
 // Fig6Row is one timing of the MC validation process.
@@ -28,12 +29,14 @@ func Fig6(w io.Writer, cfg Config) ([]Fig6Row, error) {
 		sides = []int{20, 30, 40}
 		samples = 50000
 	}
+	rt := taskrt.New(cfg.workers())
+	defer rt.Shutdown()
 	var rows []Fig6Row
 	fmt.Fprintf(w, "Figure 6: MC validation cost (N=%d samples)\n", samples)
 	fmt.Fprintf(w, "%8s %10s %12s %10s\n", "dim", "samples", "seconds", "p-hat")
 	for _, side := range sides {
 		_, sigma := exponentialCorrelation(side, 0.1)
-		lCorr, err := linalg.Cholesky(sigma)
+		lCorr, err := linalg.CholeskyTasks(rt, sigma)
 		if err != nil {
 			return nil, err
 		}

@@ -22,11 +22,21 @@ func Dot(x, y []float64) float64 {
 }
 
 // Axpy computes y += alpha·x.
-func Axpy(alpha float64, x, y []float64) {
+func Axpy(alpha float64, x, y []float64) { axpy(alpha, x, y, vecLen(len(x))) }
+
+// vecLen reports whether the level-1 kernels take the vector body for a
+// slice of n elements.
+func vecLen(n int) bool { return hasVectorKernels && n >= vecMinLen }
+
+// axpy is Axpy with the vector body chosen by vec, not by len(x): daxpy
+// fuses each element's multiply and add and the scalar loop does not, so a
+// part of a longer slice passes the whole slice's vecLen to round as the
+// whole does.
+func axpy(alpha float64, x, y []float64, vec bool) {
 	if alpha == 0 {
 		return
 	}
-	if hasVectorKernels && len(x) >= vecMinLen {
+	if vec && len(x) > 0 {
 		axpyVec(alpha, x, y[:len(x)])
 		return
 	}
@@ -151,13 +161,19 @@ func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 // stride 1. It is the reference implementation the blocked kernel is tested
 // against and the fast path for tiny products.
 func gemmNaive(transA, transB bool, alpha float64, a, b, c *Matrix, m, n, k int) {
+	gemmNaiveVec(transA, transB, alpha, a, b, c, m, n, k, vecLen(m))
+}
+
+// gemmNaiveVec is gemmNaive with the vector body of its m-long axpys chosen
+// by vec (see axpy).
+func gemmNaiveVec(transA, transB bool, alpha float64, a, b, c *Matrix, m, n, k int, vec bool) {
 	switch {
 	case !transA && !transB:
 		// C(:,j) += alpha * A(:,l) * B(l,j): axpy panels, all stride-1.
 		for j := 0; j < n; j++ {
 			cc, bc := c.Col(j), b.Col(j)
 			for l := 0; l < k; l++ {
-				Axpy(alpha*bc[l], a.Col(l), cc)
+				axpy(alpha*bc[l], a.Col(l), cc, vec)
 			}
 		}
 	case transA && !transB:
@@ -174,7 +190,7 @@ func gemmNaive(transA, transB bool, alpha float64, a, b, c *Matrix, m, n, k int)
 			ac, bc := a.Col(l), b.Col(l)
 			for j := 0; j < n; j++ {
 				if bl := bc[j]; bl != 0 {
-					Axpy(alpha*bl, ac, c.Col(j))
+					axpy(alpha*bl, ac, c.Col(j), vec)
 				}
 			}
 		}
@@ -219,36 +235,69 @@ func Syrk(trans bool, alpha float64, a *Matrix, beta float64, c *Matrix) {
 			}
 		}
 	}
+	syrkTile(trans, alpha, a, c, n, k, 0, n, 0, n)
+}
+
+// SyrkTile is the part of Syrk(trans, alpha, a, 1, c) that updates the lower
+// triangle of c within rows [i0, i0+ni) and columns [j0, j0+nj). The range
+// is cut along Syrk's own blocks — i0 and j0 multiples of 64, and ni and nj
+// too unless the range ends at c's last row or column — and the
+// kernel is picked by c's whole order, so every element gets the bits the
+// whole call gives it: tiles that cover the lower triangle once, run in any
+// order or at once, are the whole update.
+func SyrkTile(trans bool, alpha float64, a, c *Matrix, i0, j0, ni, nj int) {
+	n, k := a.Rows, a.Cols
+	if trans {
+		n, k = k, n
+	}
+	aligned := func(p, q int) bool {
+		return p >= 0 && q >= 0 && p+q <= n && p%syrkBlockSize == 0 && (q%syrkBlockSize == 0 || p+q == n)
+	}
+	if c.Rows != n || c.Cols != n || !aligned(i0, ni) || !aligned(j0, nj) {
+		panic(fmt.Sprintf("linalg: SyrkTile (%d,%d,%d,%d) of a %dx%d update of order %d", i0, j0, ni, nj, c.Rows, c.Cols, n))
+	}
+	syrkTile(trans, alpha, a, c, n, k, i0, i0+ni, j0, j0+nj)
+}
+
+// syrkTile runs the lower-triangle elements of rows [i0, i1) and columns
+// [j0, j1) of the validated Syrk update of order n and depth k.
+func syrkTile(trans bool, alpha float64, a, c *Matrix, n, k, i0, i1, j0, j1 int) {
 	if alpha == 0 || k == 0 {
 		return
 	}
 	if !hasVectorKernels || n*n*k <= gemmNaiveCutoff {
-		syrkNaive(trans, alpha, a, c, n, k)
+		syrkNaiveTile(trans, alpha, a, c, k, i0, i1, j0, j1)
 		return
 	}
-	syrkBlocked(trans, alpha, a, c, n, k)
+	syrkBlockedTile(trans, alpha, a, c, n, k, i0, i1, j0, j1)
 }
 
 // syrkNaive is the historical unpacked SYRK, kept as the blocked kernel's
 // reference and the small-size fast path.
 func syrkNaive(trans bool, alpha float64, a, c *Matrix, n, k int) {
+	syrkNaiveTile(trans, alpha, a, c, k, 0, n, 0, n)
+}
+
+// syrkNaiveTile is syrkNaive on the elements of rows [i0, i1) and columns
+// [j0, j1): each element takes the same terms in the same order.
+func syrkNaiveTile(trans bool, alpha float64, a, c *Matrix, k, i0, i1, j0, j1 int) {
 	if !trans {
 		for l := 0; l < k; l++ {
 			al := a.Col(l)
-			for j := 0; j < n; j++ {
+			for j := j0; j < j1; j++ {
 				if v := alpha * al[j]; v != 0 {
 					cc := c.Col(j)
-					for i := j; i < n; i++ {
+					for i := max(j, i0); i < i1; i++ {
 						cc[i] += v * al[i]
 					}
 				}
 			}
 		}
 	} else {
-		for j := 0; j < n; j++ {
+		for j := j0; j < j1; j++ {
 			aj := a.Col(j)[:k]
 			cc := c.Col(j)
-			for i := j; i < n; i++ {
+			for i := max(j, i0); i < i1; i++ {
 				cc[i] += alpha * Dot(a.Col(i)[:k], aj)
 			}
 		}
@@ -288,19 +337,56 @@ func TrsmLower(side TrsmSide, trans bool, alpha float64, l, b *Matrix) {
 			Scal(alpha, b.Col(j))
 		}
 	}
+	trsmLower(side, trans, l, b, b.Rows, b.Cols)
+}
+
+// TrsmLowerPart solves the part of TrsmLower(side, trans, 1, l, b) that b's
+// rows [lo, hi) hold for side Right, or its columns [lo, hi) for side Left:
+// a right-side solve acts on each row of b alone, a left-side one on each
+// column. The kernels are picked by b's whole shape, so every element gets
+// the bits the whole call gives it: parts that cover b once, run in any
+// order or at once, are the whole solve.
+func TrsmLowerPart(side TrsmSide, trans bool, l, b *Matrix, lo, hi int) {
+	n, ext := l.Rows, b.Cols
+	if side == Right {
+		ext = b.Rows
+	}
+	if l.Cols != n || (side == Left && b.Rows != n) || (side == Right && b.Cols != n) || lo < 0 || lo > hi || hi > ext {
+		panic(fmt.Sprintf("linalg: TrsmLowerPart [%d,%d) of a %dx%d right-hand side, L %dx%d", lo, hi, b.Rows, b.Cols, l.Rows, l.Cols))
+	}
+	if lo == hi || b.Rows == 0 || b.Cols == 0 {
+		return
+	}
+	if side == Right {
+		trsmLower(side, trans, l, b.View(lo, 0, hi-lo, b.Cols), b.Rows, b.Cols)
+		return
+	}
+	trsmLower(side, trans, l, b.View(0, lo, b.Rows, hi-lo), b.Rows, b.Cols)
+}
+
+// trsmLower solves into b, a part of a right-hand side of wr rows and wc
+// columns, choosing every kernel by that whole shape.
+func trsmLower(side TrsmSide, trans bool, l, b *Matrix, wr, wc int) {
+	n := l.Rows
 	if n == 0 || b.Rows == 0 || b.Cols == 0 {
 		return
 	}
 	if !hasVectorKernels || n <= trsmBlockSize {
-		trsmLowerUnblocked(side, trans, l, b)
+		trsmLowerUnblockedVec(side, trans, l, b, vecLen(wr))
 		return
 	}
-	trsmLowerBlocked(side, trans, l, b)
+	trsmLowerBlocked(side, trans, l, b, wr, wc)
 }
 
 // trsmLowerUnblocked is the historical substitution kernel, the per-block
 // solve of the blocked algorithm and the reference implementation.
 func trsmLowerUnblocked(side TrsmSide, trans bool, l, b *Matrix) {
+	trsmLowerUnblockedVec(side, trans, l, b, vecLen(b.Rows))
+}
+
+// trsmLowerUnblockedVec is trsmLowerUnblocked with the vector body of the
+// right-side cases' axpys down b's columns chosen by vec (see axpy).
+func trsmLowerUnblockedVec(side TrsmSide, trans bool, l, b *Matrix, vec bool) {
 	n := l.Rows
 	switch {
 	case side == Left && !trans:
@@ -337,7 +423,7 @@ func trsmLowerUnblocked(side TrsmSide, trans bool, l, b *Matrix) {
 			lk := l.Col(k)
 			xk := b.Col(k)
 			for i := k + 1; i < n; i++ {
-				Axpy(-lk[i], b.Col(i), xk)
+				axpy(-lk[i], b.Col(i), xk, vec)
 			}
 			Scal(1/lk[k], xk)
 		}
@@ -347,7 +433,7 @@ func trsmLowerUnblocked(side TrsmSide, trans bool, l, b *Matrix) {
 		for k := 0; k < n; k++ {
 			xk := b.Col(k)
 			for i := 0; i < k; i++ {
-				Axpy(-l.At(k, i), b.Col(i), xk)
+				axpy(-l.At(k, i), b.Col(i), xk, vec)
 			}
 			Scal(1/l.At(k, k), xk)
 		}

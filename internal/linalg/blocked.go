@@ -296,6 +296,16 @@ const syrkBlockSize = 64
 // formed fully into pooled scratch (its strict upper half is redundant work,
 // bounded by the block size) and its lower triangle accumulated.
 func syrkBlocked(trans bool, alpha float64, a *Matrix, c *Matrix, n, k int) {
+	syrkBlockedTile(trans, alpha, a, c, n, k, 0, n, 0, n)
+}
+
+// syrkBlockedTile is syrkBlocked on its blocks within rows [i0, i1) and
+// columns [j0, j1), all four on block boundaries (or at n). Every block is
+// computed on its own, so the blocks of a tile get the whole call's bits.
+// Off-diagonal blocks that would each take the packed kernel are run as one
+// GEMM over their union: a packed element's bits do not depend on the block
+// it is computed in, and the operands are packed once instead of per block.
+func syrkBlockedTile(trans bool, alpha float64, a *Matrix, c *Matrix, n, k, i0, i1, j0, j1 int) {
 	opView := func(i0, rows int) *Matrix {
 		if trans {
 			return a.View(0, i0, k, rows)
@@ -306,24 +316,53 @@ func syrkBlocked(trans bool, alpha float64, a *Matrix, c *Matrix, n, k int) {
 	if trans {
 		ta, tb = true, false // … = A_Iᵀ·A_J
 	}
-	for jb := 0; jb < n; jb += syrkBlockSize {
-		jn := min(syrkBlockSize, n-jb)
-		aj := opView(jb, jn)
-		// Diagonal block: full product into scratch, fold in the triangle.
-		s := GetMat(jn, jn)
-		gemmAny(ta, tb, alpha, aj, aj, s, jn, jn, k, true)
-		cv := c.View(jb, jb, jn, jn)
-		for j := 0; j < jn; j++ {
-			sc, cc := s.Col(j), cv.Col(j)
-			for i := j; i < jn; i++ {
-				cc[i] += sc[i]
+	// offDiag runs the blocks of rows [r0, r1) × columns [c0, c1), all below
+	// the diagonal. The smallest block of a range is its ragged last one.
+	offDiag := func(r0, r1, c0, c1 int) {
+		if r0 >= r1 || c0 >= c1 {
+			return
+		}
+		minBlock := func(lo, hi int) int {
+			if r := (hi - lo) % syrkBlockSize; r != 0 {
+				return r
+			}
+			return syrkBlockSize
+		}
+		if minBlock(r0, r1)*minBlock(c0, c1)*k > gemmNaiveCutoff {
+			gemmBlocked(ta, tb, alpha, opView(r0, r1-r0), opView(c0, c1-c0), c.View(r0, c0, r1-r0, c1-c0), r1-r0, c1-c0, k)
+			return
+		}
+		for jb := c0; jb < c1; jb += syrkBlockSize {
+			jn := min(syrkBlockSize, n-jb)
+			for ib := r0; ib < r1; ib += syrkBlockSize {
+				in := min(syrkBlockSize, n-ib)
+				gemmAny(ta, tb, alpha, opView(ib, in), opView(jb, jn), c.View(ib, jb, in, jn), in, jn, k, false)
 			}
 		}
-		PutMat(s)
-		for ib := jb + jn; ib < n; ib += syrkBlockSize {
-			in := min(syrkBlockSize, n-ib)
-			gemmAny(ta, tb, alpha, opView(ib, in), aj, c.View(ib, jb, in, jn), in, jn, k, false)
+	}
+	if i0 >= j1 {
+		offDiag(i0, i1, j0, j1)
+		return
+	}
+	for jb := j0; jb < j1; jb += syrkBlockSize {
+		jn := min(syrkBlockSize, n-jb)
+		ib := max(jb, i0)
+		if ib == jb && jb < i1 {
+			// Diagonal block: full product into scratch, fold in the triangle.
+			aj := opView(jb, jn)
+			s := GetMat(jn, jn)
+			gemmAny(ta, tb, alpha, aj, aj, s, jn, jn, k, true)
+			cv := c.View(jb, jb, jn, jn)
+			for j := 0; j < jn; j++ {
+				sc, cc := s.Col(j), cv.Col(j)
+				for i := j; i < jn; i++ {
+					cc[i] += sc[i]
+				}
+			}
+			PutMat(s)
+			ib += jn
 		}
+		offDiag(ib, i1, jb, jb+jn)
 	}
 }
 
@@ -333,14 +372,21 @@ func gemmAny(transA, transB bool, alpha float64, a, b, c *Matrix, m, n, k int, z
 	if zero {
 		c.Zero()
 	}
-	if alpha == 0 || k == 0 || m == 0 || n == 0 {
+	gemmPart(transA, transB, alpha, a, b, c, m, n, k)
+}
+
+// gemmPart is gemmAny's accumulation for c a part of the product of an
+// m-row op(A) and an n-column op(B): the kernel is picked by that whole
+// shape, so c's elements get the whole product's bits.
+func gemmPart(transA, transB bool, alpha float64, a, b, c *Matrix, m, n, k int) {
+	if alpha == 0 || k == 0 || c.Rows == 0 || c.Cols == 0 {
 		return
 	}
 	if !hasVectorKernels || m*n*k <= gemmNaiveCutoff {
-		gemmNaive(transA, transB, alpha, a, b, c, m, n, k)
+		gemmNaiveVec(transA, transB, alpha, a, b, c, c.Rows, c.Cols, k, vecLen(m))
 		return
 	}
-	gemmBlocked(transA, transB, alpha, a, b, c, m, n, k)
+	gemmBlocked(transA, transB, alpha, a, b, c, c.Rows, c.Cols, k)
 }
 
 // trsmBlockSize partitions blocked triangular solves; diagonal blocks run
@@ -350,7 +396,9 @@ const trsmBlockSize = 32
 // trsmLowerBlocked solves the four lower-triangular variants blockwise,
 // right-looking: each diagonal block is an unblocked substitution, and the
 // bulk of the work — the trailing updates — becomes level-3 GEMM calls.
-func trsmLowerBlocked(side TrsmSide, trans bool, l, b *Matrix) {
+// A part of a right-hand side of wr rows and wc columns passes them, so its
+// GEMMs are picked as the whole solve's are.
+func trsmLowerBlocked(side TrsmSide, trans bool, l, b *Matrix, wr, wc int) {
 	n := l.Rows
 	nb := trsmBlockSize
 	switch {
@@ -360,10 +408,10 @@ func trsmLowerBlocked(side TrsmSide, trans bool, l, b *Matrix) {
 		for kb := 0; kb < n; kb += nb {
 			kn := min(nb, n-kb)
 			xk := b.View(kb, 0, kn, b.Cols)
-			trsmLowerUnblocked(Left, false, l.View(kb, kb, kn, kn), xk)
+			trsmLowerUnblockedVec(Left, false, l.View(kb, kb, kn, kn), xk, vecLen(wr))
 			if rem := n - kb - kn; rem > 0 {
-				gemmAny(false, false, -1, l.View(kb+kn, kb, rem, kn), xk,
-					b.View(kb+kn, 0, rem, b.Cols), rem, b.Cols, kn, false)
+				gemmPart(false, false, -1, l.View(kb+kn, kb, rem, kn), xk,
+					b.View(kb+kn, 0, rem, b.Cols), rem, wc, kn)
 			}
 		}
 	case side == Left && trans:
@@ -372,10 +420,10 @@ func trsmLowerBlocked(side TrsmSide, trans bool, l, b *Matrix) {
 			kn := min(nb, n-kb)
 			xk := b.View(kb, 0, kn, b.Cols)
 			if rem := n - kb - kn; rem > 0 {
-				gemmAny(true, false, -1, l.View(kb+kn, kb, rem, kn),
-					b.View(kb+kn, 0, rem, b.Cols), xk, kn, b.Cols, rem, false)
+				gemmPart(true, false, -1, l.View(kb+kn, kb, rem, kn),
+					b.View(kb+kn, 0, rem, b.Cols), xk, kn, wc, rem)
 			}
-			trsmLowerUnblocked(Left, true, l.View(kb, kb, kn, kn), xk)
+			trsmLowerUnblockedVec(Left, true, l.View(kb, kb, kn, kn), xk, vecLen(wr))
 		}
 	case side == Right && !trans:
 		// X·L = B: block column J depends on the columns right of it.
@@ -383,10 +431,10 @@ func trsmLowerBlocked(side TrsmSide, trans bool, l, b *Matrix) {
 			jn := min(nb, n-jb)
 			xj := b.View(0, jb, b.Rows, jn)
 			if rem := n - jb - jn; rem > 0 {
-				gemmAny(false, false, -1, b.View(0, jb+jn, b.Rows, rem),
-					l.View(jb+jn, jb, rem, jn), xj, b.Rows, jn, rem, false)
+				gemmPart(false, false, -1, b.View(0, jb+jn, b.Rows, rem),
+					l.View(jb+jn, jb, rem, jn), xj, wr, jn, rem)
 			}
-			trsmLowerUnblocked(Right, false, l.View(jb, jb, jn, jn), xj)
+			trsmLowerUnblockedVec(Right, false, l.View(jb, jb, jn, jn), xj, vecLen(wr))
 		}
 	default: // side == Right && trans
 		// X·Lᵀ = B: block column J depends on the columns left of it;
@@ -394,10 +442,10 @@ func trsmLowerBlocked(side TrsmSide, trans bool, l, b *Matrix) {
 		for jb := 0; jb < n; jb += nb {
 			jn := min(nb, n-jb)
 			xj := b.View(0, jb, b.Rows, jn)
-			trsmLowerUnblocked(Right, true, l.View(jb, jb, jn, jn), xj)
+			trsmLowerUnblockedVec(Right, true, l.View(jb, jb, jn, jn), xj, vecLen(wr))
 			if rem := n - jb - jn; rem > 0 {
-				gemmAny(false, true, -1, xj, l.View(jb+jn, jb, rem, jn),
-					b.View(0, jb+jn, b.Rows, rem), b.Rows, rem, jn, false)
+				gemmPart(false, true, -1, xj, l.View(jb+jn, jb, rem, jn),
+					b.View(0, jb+jn, b.Rows, rem), wr, rem, jn)
 			}
 		}
 	}

@@ -154,7 +154,7 @@ func TestTrsmBlockedMatchesUnblocked(t *testing.T) {
 				want := b0.Clone()
 				got := b0.Clone()
 				trsmLowerUnblocked(side, trans, l, want)
-				trsmLowerBlocked(side, trans, l, got)
+				trsmLowerBlocked(side, trans, l, got, got.Rows, got.Cols)
 				if d := relDiff(got, want); d > 1e-12 {
 					t.Errorf("n=%d side=%v trans=%v: blocked vs unblocked diff %g", n, side, trans, d)
 				}
@@ -306,7 +306,7 @@ func BenchmarkKernels(b *testing.B) {
 	b.Run("TrsmBlocked/n=96", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			trsmLowerBlocked(Right, true, l, x)
+			trsmLowerBlocked(Right, true, l, x, x.Rows, x.Cols)
 		}
 	})
 	b.Run("TrsmUnblocked/n=96", func(b *testing.B) {

@@ -78,9 +78,12 @@ func PotrfBlocked(a *Matrix, nb int) error {
 // modified.
 func Cholesky(a *Matrix) (*Matrix, error) { return CholeskyInPlace(a.Clone()) }
 
+// cholStep is the block size of CholeskyInPlace and CholeskyTasks.
+const cholStep = 64
+
 // CholeskyInPlace is Cholesky for a caller done with a, which it overwrites.
 func CholeskyInPlace(a *Matrix) (*Matrix, error) {
-	if err := PotrfBlocked(a, 64); err != nil {
+	if err := PotrfBlocked(a, cholStep); err != nil {
 		return nil, err
 	}
 	a.LowerFromFull()

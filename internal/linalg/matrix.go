@@ -2,7 +2,9 @@
 // matrix type with shared-backing views, the BLAS-3 kernels the tiled
 // algorithms are built from (GEMM, SYRK, TRSM), Cholesky factorization,
 // Householder QR and the Golub–Reinsch SVD (with a one-sided Jacobi SVD the
-// tests use as reference). It plays the role Intel MKL and the Chameleon
+// tests use as reference), and the task forms of the Cholesky, TRSM, SYRK
+// and mirror for whole-matrix set-up algebra (tasks.go: the serial kernels'
+// bits at any worker count). It plays the role Intel MKL and the Chameleon
 // kernels play in the paper.
 package linalg
 
@@ -181,11 +183,33 @@ func (m *Matrix) LowerFromFull() {
 }
 
 // SymmetrizeFromLower mirrors the lower triangle into the upper triangle.
-func (m *Matrix) SymmetrizeFromLower() {
+func (m *Matrix) SymmetrizeFromLower() { m.SymmetrizeCols(0, min(m.Rows, m.Cols)) }
+
+// mirrorBlock is the side of the square blocks SymmetrizeCols transposes:
+// within one, each destination run is contiguous and the strided source
+// lines are reused across the block's neighbouring columns.
+const mirrorBlock = 16
+
+// SymmetrizeCols mirrors the columns [j0, j1) of the lower triangle of the
+// leading min(Rows, Cols) square into the rows [j0, j1) of its upper
+// triangle, a block at a time. Disjoint column ranges read and write
+// disjoint elements, so they may be mirrored at once.
+func (m *Matrix) SymmetrizeCols(j0, j1 int) {
 	n := min(m.Rows, m.Cols)
-	for j := 0; j < n; j++ {
-		for i := j + 1; i < n; i++ {
-			m.Set(j, i, m.At(i, j))
+	if j0 < 0 || j0 > j1 || j1 > n {
+		panic(fmt.Sprintf("linalg: SymmetrizeCols [%d,%d) of order %d", j0, j1, n))
+	}
+	s, d := m.Stride, m.Data
+	for jb := j0; jb < j1; jb += mirrorBlock {
+		je := min(jb+mirrorBlock, j1)
+		for ib := jb; ib < n; ib += mirrorBlock {
+			for i := ib; i < min(ib+mirrorBlock, n); i++ {
+				// Column i's rows jb… of the upper triangle from row i of the lower.
+				dst := d[i*s+jb : i*s+min(je, i)]
+				for t := range dst {
+					dst[t] = d[i+(jb+t)*s]
+				}
+			}
 		}
 	}
 }
