@@ -3,7 +3,7 @@ package parmvn
 import (
 	"math"
 	"math/rand"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -57,11 +57,21 @@ func TestMVNProbAdaptiveMatchesDense(t *testing.T) {
 }
 
 // TestAdaptiveMethodPlumbing pins the public surface of the methods: their
-// names and the policy each names, at the session's TLRTol. An unknown
-// method is dense, as its name says.
+// names, which ParseMethod inverts exactly, and the policy each names, at the
+// session's TLRTol. An unknown method is dense, as its name says.
 func TestAdaptiveMethodPlumbing(t *testing.T) {
 	if MethodAdaptive.String() != "adaptive" {
 		t.Errorf("MethodAdaptive.String() = %q", MethodAdaptive.String())
+	}
+	for m := Dense; int(m) < len(engine.Presets); m++ {
+		if got, err := ParseMethod(m.String()); got != m || err != nil {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"TLR", "tlrr", ""} {
+		if _, err := ParseMethod(name); err == nil {
+			t.Errorf("ParseMethod(%q) accepted an unknown name", name)
+		}
 	}
 	s := NewSession(Config{Method: MethodAdaptive})
 	defer s.Close()
@@ -102,38 +112,72 @@ func TestAdaptiveRankLimitHoldsForFactor(t *testing.T) {
 	}
 }
 
-// TestTileSizeValidatedAtEntryPoints checks every Session entry point rejects
-// a tile size larger than the problem dimension with a clear error instead
-// of failing deep inside tiling.
-func TestTileSizeValidatedAtEntryPoints(t *testing.T) {
-	s := NewSession(Config{TileSize: 64, QMCSize: 200})
-	defer s.Close()
-	locs := Grid(3, 3) // n = 9 < 64
+// TestTileSizeIsACap: a TileSize above the problem dimension is capped at
+// it. At n = 9, sessions with TileSize 64 and 9 return the same bits from
+// every entry point and share the ProblemKey, and a factor either one saves
+// the other loads without factorizing.
+func TestTileSizeIsACap(t *testing.T) {
+	locs := Grid(3, 3)
 	n := len(locs)
 	kernel := KernelSpec{Range: 0.2}
 	a := make([]float64, n)
 	b := make([]float64, n)
+	mean := make([]float64, n)
 	for i := range b {
 		a[i], b[i] = -1, 1
+		mean[i] = float64(i % 3)
 	}
 	sigma := CovarianceMatrix(locs, kernel)
-	mean := make([]float64, n)
-
-	checks := []struct {
-		name string
-		err  func() error
-	}{
-		{"MVNProb", func() error { _, err := s.MVNProb(locs, kernel, a, b); return err }},
-		{"MVNProbCov", func() error { _, err := s.MVNProbCov(sigma, a, b); return err }},
-		{"MVTProb", func() error { _, err := s.MVTProb(locs, kernel, 4, a, b); return err }},
-		{"DetectRegion", func() error { _, err := s.DetectRegion(locs, kernel, mean, 0, 0.9, 4); return err }},
-		{"DetectRegionCov", func() error { _, err := s.DetectRegionCov(sigma, mean, 0, 0.9, 4); return err }},
-	}
-	for _, c := range checks {
-		err := c.err()
-		if err == nil || !strings.Contains(err.Error(), "TileSize") {
-			t.Errorf("%s: want TileSize validation error, got %v", c.name, err)
+	must := func(tile int, what string, err error) {
+		if err != nil {
+			t.Fatalf("TileSize %d: %s: %v", tile, what, err)
 		}
+	}
+	type answers struct {
+		mvn, mvnCov, mvt  Result
+		detect, detectCov *Excursion
+		footprint         FactorFootprint
+		key               ProblemKey
+	}
+	run := func(tile int) (r answers) {
+		s := NewSession(Config{TileSize: tile, QMCSize: 200, Replicates: 2})
+		defer s.Close()
+		var err error
+		r.mvn, err = s.MVNProb(locs, kernel, a, b)
+		must(tile, "MVNProb", err)
+		r.mvnCov, err = s.MVNProbCov(sigma, a, b)
+		must(tile, "MVNProbCov", err)
+		r.mvt, err = s.MVTProb(locs, kernel, 4, a, b)
+		must(tile, "MVTProb", err)
+		r.detect, err = s.DetectRegion(locs, kernel, mean, 0.5, 0.8, 0)
+		must(tile, "DetectRegion", err)
+		r.detectCov, err = s.DetectRegionCov(sigma, mean, 0.5, 0.8, 0)
+		must(tile, "DetectRegionCov", err)
+		r.footprint, err = s.FactorFootprint(locs, kernel)
+		must(tile, "FactorFootprint", err)
+		r.key, err = s.ProblemKey(locs, kernel)
+		must(tile, "ProblemKey", err)
+		return r
+	}
+	if capped, exact := run(64), run(n); !reflect.DeepEqual(capped, exact) {
+		t.Errorf("TileSize 64 at n = %d answers\n%+v\nTileSize %d answers\n%+v", n, capped, n, exact)
+	}
+	for _, tiles := range [][2]int{{64, n}, {n, 64}} {
+		st, err := OpenFactorStore(t.TempDir())
+		must(tiles[0], "OpenFactorStore", err)
+		saver := NewSession(Config{TileSize: tiles[0], QMCSize: 200})
+		must(tiles[0], "SaveFactor", saver.SaveFactor(st, locs, kernel))
+		saver.Close()
+		loader := NewSession(Config{TileSize: tiles[1], QMCSize: 200})
+		pk, err := loader.ProblemKey(locs, kernel)
+		must(tiles[1], "ProblemKey", err)
+		must(tiles[1], "LoadFactor", loader.LoadFactor(st, pk))
+		_, err = loader.MVNProb(locs, kernel, a, b)
+		must(tiles[1], "MVNProb", err)
+		if _, misses := loader.Cache().Stats(); misses != 0 {
+			t.Errorf("TileSize %d loading TileSize %d's factor paid %d factorizations, want 0", tiles[1], tiles[0], misses)
+		}
+		loader.Close()
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -43,8 +42,8 @@ import (
 )
 
 // Method names the preset of the one tile policy the Cholesky factor is
-// built with (see presets). Every method is the same tile Cholesky on the
-// same engine; the preset decides each tile's representation.
+// built with (see engine.Presets). Every method is the same tile Cholesky on
+// the same engine; the preset decides each tile's representation.
 type Method int
 
 // Factorization methods.
@@ -63,22 +62,13 @@ const (
 	MethodAdaptive
 )
 
-// presets is the one table from a Method to the engine policy it names; the
-// session sets Tol from TLRTol. Ranks are limited as a fraction of the tile
-// side (RankFrac); a finished low-rank tile is recompressed within its byte
-// break-even, half the side, and no tile is truncated past TLRTol.
-var presets = [...]engine.Policy{
-	Dense:          {Band: math.MaxInt},
-	TLR:            {RankFrac: 0.5},
-	MethodAdaptive: {Band: 1, RankFrac: 0.25, F32Norm: 0.1},
-}
-
-// policy is the engine policy m names, at accuracy tol; an unknown method
-// is Dense, as String says.
+// policy is the engine policy m names, at accuracy tol: its row of
+// engine.Presets, which the Method constants index. An unknown method is
+// Dense, as String says.
 func (m Method) policy(tol float64) engine.Policy {
-	p := presets[Dense]
-	if m >= 0 && int(m) < len(presets) {
-		p = presets[m]
+	p := engine.Presets[Dense]
+	if m >= 0 && int(m) < len(engine.Presets) {
+		p = engine.Presets[m]
 	}
 	p.Tol = tol
 	return p
@@ -94,6 +84,17 @@ func (m Method) String() string {
 	default:
 		return "dense"
 	}
+}
+
+// ParseMethod is the inverse of String: the method named "dense", "tlr" or
+// "adaptive", or an error for any other name.
+func ParseMethod(name string) (Method, error) {
+	for m := Dense; int(m) < len(engine.Presets); m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return Dense, fmt.Errorf("parmvn: unknown method %q (want dense, tlr or adaptive)", name)
 }
 
 // ErrNotPositiveDefinite reports a covariance whose Cholesky factorization
@@ -222,7 +223,9 @@ type Config struct {
 	Method Method
 	// Workers is the worker-goroutine count (default GOMAXPROCS).
 	Workers int
-	// TileSize is the tile size (default 64).
+	// TileSize caps the tile side (default 64): an n-dimensional problem is
+	// tiled at min(TileSize, n), with a ragged last tile, so one session
+	// serves every n ≥ 1 and a problem smaller than TileSize is one tile.
 	TileSize int
 	// TLRTol is the accuracy ε of every low-rank tile under TLR and
 	// MethodAdaptive (default 1e-6).
@@ -426,7 +429,7 @@ func rowsFromSymmetric(m *linalg.Matrix) [][]float64 {
 // finishes or fails logs one slog.Debug line; warm queries never get here.
 func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory bool) (*mvn.Factor, error) {
 	start := time.Now()
-	grid, err := engine.NewGridChecked(n, s.cfg.TileSize)
+	grid, err := engine.NewGridChecked(n, min(s.cfg.TileSize, n))
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +439,7 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 	var pe *engine.PivotError
 	if errors.As(err, &pe) && approximatedThrough(grid, pe.K) {
 		err = fmt.Errorf("%w: method %v, TLRTol %g, tile size %d: %v",
-			ErrApproximationIndefinite, s.cfg.Method, s.cfg.TLRTol, s.cfg.TileSize, err)
+			ErrApproximationIndefinite, s.cfg.Method, s.cfg.TLRTol, grid.TS, err)
 	}
 	var f *mvn.Factor
 	var bytes int64 // none for a failed build
@@ -445,7 +448,7 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 		bytes = grid.Bytes()
 	}
 	ps := grid.ProbeStats()
-	slog.Debug("parmvn: factorization", "source", source, "n", n, "tile", s.cfg.TileSize,
+	slog.Debug("parmvn: factorization", "source", source, "n", n, "tile", grid.TS,
 		"method", s.cfg.Method.String(), "mix", grid.Mix(), "factor_bytes", bytes,
 		"rank_limit", rankLimit, "probes", ps.Probed, "probes_rejected", ps.Rejected,
 		"probes_rejected_early", ps.RejectedEarly, "probes_skipped", ps.Skipped,
@@ -466,20 +469,6 @@ func approximatedThrough(g *engine.Grid, k int) bool {
 		}
 	}
 	return false
-}
-
-// validateTileSize checks the configured tile size against the problem
-// dimension, uniformly at every Session entry point, so a bad configuration
-// fails with a clear error instead of deep inside tiling.
-func (s *Session) validateTileSize(n int) error {
-	ts := s.cfg.TileSize
-	if ts <= 0 {
-		return fmt.Errorf("parmvn: TileSize must be positive, got %d", ts)
-	}
-	if n > 0 && ts > n {
-		return fmt.Errorf("parmvn: TileSize %d exceeds problem dimension %d", ts, n)
-	}
-	return nil
 }
 
 func (s *Session) mvnOpts() mvn.Options {
@@ -650,9 +639,6 @@ func (s *Session) detectSigma(row func(i int) []float64, mean []float64, u, conf
 	}
 	if conf <= 0 || conf >= 1 {
 		return nil, fmt.Errorf("parmvn: confidence %g must be in (0,1)", conf)
-	}
-	if err := s.validateTileSize(n); err != nil {
-		return nil, err
 	}
 	sd, err := excursion.StdDevs(row, n)
 	if err != nil {

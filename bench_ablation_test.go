@@ -1,5 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: tile
-// size and worker count.
+// Ablation benchmarks for two design choices of the dense tile Cholesky:
+// tile size and worker count.
 package parmvn
 
 import (
@@ -21,7 +21,7 @@ func BenchmarkAblationTileSize(b *testing.B) {
 			rt := taskrt.New(4)
 			defer rt.Shutdown()
 			for i := 0; i < b.N; i++ {
-				mvn.PMVN(rt, benchFactor(b, rt, benchGrid(sigma, ts, 0), 0), a, up, mvn.Options{N: 500})
+				mvn.PMVN(rt, benchFactor(b, rt, benchGrid(sigma, ts)), a, up, mvn.Options{N: 500})
 			}
 		})
 	}
@@ -37,7 +37,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 			rt := taskrt.New(w)
 			defer rt.Shutdown()
 			for i := 0; i < b.N; i++ {
-				benchFactor(b, rt, benchGrid(sigma, 45, 0), 0)
+				benchFactor(b, rt, benchGrid(sigma, 45))
 			}
 		})
 	}

@@ -318,11 +318,13 @@ func hashRow(row []float64) (d [2]uint64, bad int) {
 }
 
 // key assembles the cache key under an effective (already defaulted)
-// configuration.
+// configuration. It records the tile the factor is built at, TileSize capped
+// at n (see factorize), so configurations that differ only in tile sizes of
+// n or more share the key.
 func (c Config) key(kind byte, hash [2]uint64, n int, spec KernelSpec) factorKey {
 	return factorKey{
 		kind: kind, hash: hash, n: n, kernel: spec,
-		method: c.Method, tile: c.TileSize, tol: c.TLRTol,
+		method: c.Method, tile: min(c.TileSize, n), tol: c.TLRTol,
 	}
 }
 
@@ -390,9 +392,6 @@ func (s *Session) ProblemKey(locs []Point, spec KernelSpec) (ProblemKey, error) 
 // (the query that follows does) and refuses what Prefactorize refuses.
 func (s *Session) Warm(ctx context.Context, locs []Point, spec KernelSpec, st *FactorStore, admit func() (release func(), err error)) (unpin func(), waited bool, err error) {
 	if err := validateDim(len(locs)); err != nil {
-		return nil, false, err
-	}
-	if err := s.validateTileSize(len(locs)); err != nil {
 		return nil, false, err
 	}
 	if err := spec.validate(); err != nil {

@@ -31,6 +31,11 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines")
 	flag.Parse()
 
+	m, err := parmvn.ParseMethod(*method)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crd:", err)
+		os.Exit(2)
+	}
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "crd:", err)
 		os.Exit(1)
@@ -42,15 +47,8 @@ func main() {
 		die(err)
 	}
 
-	m := parmvn.Dense
-	switch *method {
-	case "tlr":
-		m = parmvn.TLR
-	case "adaptive":
-		m = parmvn.MethodAdaptive
-	}
 	s := parmvn.NewSession(parmvn.Config{
-		Method: m, Workers: *workers, TileSize: min(max(16, n/8), n), QMCSize: *qmc, TLRTol: 1e-4,
+		Method: m, Workers: *workers, TileSize: max(16, n/8), QMCSize: *qmc, TLRTol: 1e-4,
 	})
 	defer s.Close()
 

@@ -87,6 +87,11 @@ func main() {
 	maxRelErr := flag.Float64("maxrelerr", 0, "early-stop relative-error target: the integration runs incremental waves and stops once the streaming error estimate meets it (0 = fixed -qmc samples)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per query (e.g. 50ms); the running estimate is returned when it expires (0 = none)")
 	flag.Parse()
+	m, err := parmvn.ParseMethod(*method)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mvnprob:", err)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -118,17 +123,9 @@ func main() {
 		}()
 	}
 
-	m := parmvn.Dense
-	switch *method {
-	case "tlr":
-		m = parmvn.TLR
-	case "adaptive":
-		m = parmvn.MethodAdaptive
-	}
 	ts := *tile
 	if ts == 0 {
-		// Auto tile size, clamped to the dimension so tiny grids still run.
-		ts = min(max(16, (*grid)*(*grid)/10), (*grid)*(*grid))
+		ts = max(16, (*grid)*(*grid)/10)
 	}
 	s := parmvn.NewSession(parmvn.Config{
 		Method: m, Workers: *workers, TileSize: ts,

@@ -53,7 +53,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	method := flag.String("method", "dense", "default factorization method: dense, tlr or adaptive (requests may override)")
-	tile := flag.Int("tile", 0, "tile size for large problems (0 = 64; small problems are bucketed automatically)")
+	tile := flag.Int("tile", 0, "largest tile side (0 = 64; a smaller problem is one tile)")
 	tol := flag.Float64("tlr-tol", 1e-4, "TLR compression accuracy")
 	qmc := flag.Int("qmc", 2000, "QMC sample size")
 	reps := flag.Int("reps", 1, "randomized QMC replicates per query")
@@ -69,15 +69,9 @@ func main() {
 	healthEvery := flag.Duration("health-interval", 0, "router backend health-check period (0 = default 1s)")
 	flag.Parse()
 
-	m := parmvn.Dense
-	switch *method {
-	case "dense":
-	case "tlr":
-		m = parmvn.TLR
-	case "adaptive":
-		m = parmvn.MethodAdaptive
-	default:
-		fmt.Fprintf(os.Stderr, "mvnserve: unknown method %q\n", *method)
+	m, err := parmvn.ParseMethod(*method)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mvnserve:", err)
 		os.Exit(2)
 	}
 	session := parmvn.Config{

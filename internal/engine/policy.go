@@ -50,6 +50,18 @@ type Policy struct {
 	F32Norm float64
 }
 
+// Presets are the layouts a session builds, indexed as the facade's methods
+// (dense, TLR, adaptive): every tile dense float64; no band and ranks up to
+// half the tile side; one dense sub-diagonal, ranks up to a quarter of the
+// side and float32. The caller sets Tol. A finished low-rank tile is
+// recompressed within its byte break-even, half the side, and no tile is
+// truncated past Tol.
+var Presets = [...]Policy{
+	{Band: math.MaxInt},
+	{RankFrac: 0.5},
+	{Band: 1, RankFrac: 0.25, F32Norm: 0.1},
+}
+
 // RankLimit is the largest low-rank tile rank the policy accepts for an
 // m×n tile.
 func (p Policy) RankLimit(m, n int) int {

@@ -75,9 +75,11 @@ func sigmaFill(sigma *linalg.Matrix) engine.RunFill {
 // layout at accuracy tol > 0.
 func layout(tol float64) engine.Policy {
 	if tol > 0 {
-		return engine.Policy{Tol: tol, RankFrac: 0.5}
+		p := engine.Presets[1] // TLR
+		p.Tol = tol
+		return p
 	}
-	return engine.Policy{Band: math.MaxInt}
+	return engine.Presets[0] // dense
 }
 
 // factorize computes the tiled Cholesky factor of sigma the way MVNProbCov

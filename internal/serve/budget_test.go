@@ -135,7 +135,7 @@ func TestServeBudgetValidation(t *testing.T) {
 	defer srv.Close()
 	for _, tc := range []struct{ maxErr, deadlineMs float64 }{
 		{maxErr: 1.5}, {maxErr: -0.1}, {maxErr: math.NaN()},
-		{deadlineMs: -5}, {deadlineMs: math.Inf(1)},
+		{deadlineMs: -5}, {deadlineMs: math.Inf(1)}, {deadlineMs: 1e13},
 	} {
 		req := testRequest(4, 0.2)
 		req.MaxError, req.DeadlineMs = tc.maxErr, tc.deadlineMs
@@ -147,6 +147,11 @@ func TestServeBudgetValidation(t *testing.T) {
 	}
 	if _, err := DecodeRequest([]byte(`{"grid":{"nx":4,"ny":4},"kernel":{"family":"exponential","range":0.2},"max_error":2}`), Limits{}); err == nil {
 		t.Error("decoder accepted max_error=2")
+	}
+	// Past 2^63 ns a deadline overflows time.Duration into an expired one.
+	var reqErr *RequestError
+	if _, err := DecodeRequest([]byte(`{"grid":{"nx":4,"ny":4},"kernel":{"family":"exponential","range":0.2},"deadline_ms":1e13}`), Limits{}); !errors.As(err, &reqErr) || reqErr.Field != "deadline_ms" {
+		t.Errorf("decoder on deadline_ms=1e13: got %v, want a deadline_ms RequestError", err)
 	}
 	req, err := DecodeRequest([]byte(`{"grid":{"nx":4,"ny":4},"kernel":{"family":"exponential","range":0.2},"max_error":1e-3,"deadline_ms":50}`), Limits{})
 	if err != nil {

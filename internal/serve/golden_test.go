@@ -21,7 +21,7 @@ import (
 // point variation (FMA contraction, the CPUID-gated assembly kernels vs the
 // portable fallbacks), which is orders of magnitude below it. Any serving-
 // layer regression — wrong factor served, limits misrouted in batch fan-in,
-// seed drift, tile-bucket changes — moves the result far more than 1e-6
+// seed drift, tile-size changes — moves the result far more than 1e-6
 // relative, so it cannot hide behind the engine's own tolerance tests.
 const goldenTol = 1e-6
 
@@ -88,7 +88,7 @@ func TestGoldenEndToEnd(t *testing.T) {
 	for _, gc := range goldenCases {
 		// Surface 1: the Go API, on a session configured like the pool's.
 		method := mustMethod(t, gc.method)
-		sess := parmvn.NewSession(srv.sessionConfig(method, len(locs)))
+		sess := parmvn.NewSession(srv.sessionConfig(method))
 		a := make([]float64, len(locs))
 		b := make([]float64, len(locs))
 		for i := range a {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"time"
 
 	"repro"
 )
@@ -272,16 +273,17 @@ func limitVector(field string, arr []*float64, scalar *float64, n int, open floa
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // validBudgets accepts the per-request accuracy/latency budgets: both
-// optional (0 = unset), both finite and non-negative, max_error below 1 (a
+// optional (0 = unset), both non-negative, max_error below 1 (a
 // relative-error budget of 1 or more stops after the first wave regardless
-// of the estimate — certainly a client mistake). Shared by DecodeRequest and
-// Server.do.
+// of the estimate — certainly a client mistake), deadline_ms short enough to
+// be a time.Duration (a longer one would overflow into an expired deadline
+// in Server.queryOpts). Shared by DecodeRequest and Server.do.
 func validBudgets(maxError, deadlineMs float64) error {
 	if math.IsNaN(maxError) || maxError < 0 || maxError >= 1 {
 		return badReq("max_error", "relative-error budget %g must be in [0,1)", maxError)
 	}
-	if math.IsNaN(deadlineMs) || math.IsInf(deadlineMs, 0) || deadlineMs < 0 {
-		return badReq("deadline_ms", "deadline %g must be finite and non-negative", deadlineMs)
+	if !(deadlineMs >= 0 && deadlineMs*float64(time.Millisecond) < math.MaxInt64) {
+		return badReq("deadline_ms", "deadline %g must be non-negative and fit a time.Duration", deadlineMs)
 	}
 	return nil
 }

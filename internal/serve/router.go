@@ -309,7 +309,8 @@ func (r *Router) routeHash(body []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg := sessionConfigFor(r.cfg.Session, method, len(req.Locs))
+	cfg := r.cfg.Session // as Server.sessionConfig derives it
+	cfg.Method = method
 	pk, err := cfg.ProblemKey(req.Locs, req.Kernel)
 	if err != nil {
 		return 0, badReq("kernel", "%v", err)

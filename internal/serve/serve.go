@@ -37,10 +37,10 @@ var errClosed = errors.New("serve: server closed")
 type Config struct {
 	// Session is the engine configuration every pooled Session is built
 	// from. Session.Method is the default factorization method; requests
-	// may override it per query. Session.TileSize (default 64) is the tile
-	// size for large problems — small problems get a power-of-two tile
-	// bucket ≤ n so any dimension is servable. Session.FactorCacheCap
-	// bounds the factors each shard session retains (LRU).
+	// may override it per query, and each shard keeps one session per
+	// method. Session.TileSize (default 64) caps the tile side: a problem
+	// smaller than it is one tile. Session.FactorCacheCap bounds the
+	// factors each shard session retains (LRU).
 	Session parmvn.Config
 	// Shards is the number of session shards; requests route by
 	// ProblemKey hash, so one covariance always hits one shard's factor
@@ -107,18 +107,11 @@ type Server struct {
 	start     time.Time
 }
 
-// shard owns the Sessions (one per method × tile bucket, created lazily)
-// for the problem keys that hash to it.
+// shard owns the Sessions (one per method, created lazily) for the problem
+// keys that hash to it.
 type shard struct {
 	mu       sync.Mutex
-	sessions map[sessionKey]*parmvn.Session
-}
-
-// sessionKey picks the pooled Session a request runs on: everything else in
-// the session configuration is fixed server-wide.
-type sessionKey struct {
-	method parmvn.Method
-	tile   int
+	sessions map[parmvn.Method]*parmvn.Session
 }
 
 // New starts a server. It owns the Sessions it creates; Close releases them.
@@ -131,7 +124,7 @@ func New(cfg Config) *Server {
 	}
 	s.shards = make([]*shard, c.Shards)
 	for i := range s.shards {
-		s.shards[i] = &shard{sessions: map[sessionKey]*parmvn.Session{}}
+		s.shards[i] = &shard{sessions: map[parmvn.Method]*parmvn.Session{}}
 	}
 	return s
 }
@@ -150,56 +143,28 @@ func (s *Server) Close() {
 		for _, sess := range sh.sessions {
 			sess.Close()
 		}
-		sh.sessions = map[sessionKey]*parmvn.Session{}
+		sh.sessions = map[parmvn.Method]*parmvn.Session{}
 		sh.mu.Unlock()
 	}
 }
 
-// tileFor buckets the session tile size by problem dimension: the
-// configured tile for problems at least that large, otherwise the largest
-// power of two ≤ n. Bucketing (rather than min(tile, n)) bounds the session
-// pool at a handful of sizes per method while keeping every n servable.
-func tileFor(n, base int) int {
-	if n >= base {
-		return base
-	}
-	t := 1
-	for t*2 <= n {
-		t *= 2
-	}
-	return t
-}
-
-// sessionConfig is the exact parmvn.Config the pooled session for (method,
-// n) is built from — and therefore also the config whose ProblemKey routes
-// the request, keeping routing and caching definitionally consistent.
-func (s *Server) sessionConfig(method parmvn.Method, n int) parmvn.Config {
-	return sessionConfigFor(s.cfg.Session, method, n)
-}
-
-// sessionConfigFor derives the per-request session configuration from a
-// base config. Shared with the router, which must compute the same
-// ProblemKey for a request as the backend serving it — same base config in,
-// same key out — so one covariance lands on one backend's cache.
-func sessionConfigFor(base parmvn.Config, method parmvn.Method, n int) parmvn.Config {
-	cfg := base
+// sessionConfig is the exact parmvn.Config the pooled session for method is
+// built from, and therefore also the config whose ProblemKey routes the
+// request; the router derives a backend's the same way, so routing and
+// caching agree.
+func (s *Server) sessionConfig(method parmvn.Method) parmvn.Config {
+	cfg := s.cfg.Session
 	cfg.Method = method
-	bt := cfg.TileSize
-	if bt <= 0 {
-		bt = 64
-	}
-	cfg.TileSize = tileFor(n, bt)
 	return cfg
 }
 
 // session returns the shard's session for cfg, creating it on first use.
 func (sh *shard) session(cfg parmvn.Config) *parmvn.Session {
-	k := sessionKey{method: cfg.Method, tile: cfg.TileSize}
 	sh.mu.Lock()
-	sess, ok := sh.sessions[k]
+	sess, ok := sh.sessions[cfg.Method]
 	if !ok {
 		sess = parmvn.NewSession(cfg)
-		sh.sessions[k] = sess
+		sh.sessions[cfg.Method] = sess
 	}
 	sh.mu.Unlock()
 	return sess
@@ -283,7 +248,7 @@ func (s *Server) do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	opt, degraded := s.queryOpts(ctx, req)
 
-	cfg := s.sessionConfig(method, n)
+	cfg := s.sessionConfig(method)
 	pk, err := cfg.ProblemKey(req.Locs, req.Kernel)
 	if err != nil {
 		return nil, badReq("kernel", "%v", err)
@@ -406,15 +371,12 @@ func validNu(nu float64) error {
 
 // parseMethod resolves a request's method string against the server default.
 func parseMethod(m string, def parmvn.Method) (parmvn.Method, error) {
-	switch m {
-	case "":
+	if m == "" {
 		return def, nil
-	case "dense":
-		return parmvn.Dense, nil
-	case "tlr":
-		return parmvn.TLR, nil
-	case "adaptive":
-		return parmvn.MethodAdaptive, nil
 	}
-	return 0, badReq("method", "unknown method %q (want dense, tlr or adaptive)", m)
+	method, err := parmvn.ParseMethod(m)
+	if err != nil {
+		return 0, badReq("method", "%v", err)
+	}
+	return method, nil
 }

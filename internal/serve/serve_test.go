@@ -80,7 +80,7 @@ func TestServeMatchesSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		cfg := srv.sessionConfig(mustMethod(t, method), len(req.Locs))
+		cfg := srv.sessionConfig(mustMethod(t, method))
 		sess := parmvn.NewSession(cfg)
 		want, err := sess.MVNProb(req.Locs, req.Kernel, req.A, req.B)
 		sess.Close()
@@ -107,6 +107,23 @@ func TestServeMatchesSession(t *testing.T) {
 		if gotT.Prob != wantT.Prob {
 			t.Fatalf("%s mvt: served %g != session %g", method, gotT.Prob, wantT.Prob)
 		}
+	}
+}
+
+// TestServeOneSessionPerMethod: the session's TileSize caps the tile, so
+// requests of any dimension for one method share their shard's one session.
+func TestServeOneSessionPerMethod(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards, cfg.Session.TileSize = 1, 64
+	srv := New(cfg)
+	defer srv.Close()
+	for _, grid := range []int{5, 10} { // n = 25 and 100
+		if _, err := srv.Do(context.Background(), testRequest(grid, 0.3)); err != nil {
+			t.Fatalf("n = %d: %v", grid*grid, err)
+		}
+	}
+	if st := srv.Snapshot(); st.Sessions != 1 {
+		t.Fatalf("sessions = %d after n = 25 and n = 100 on one method, want 1", st.Sessions)
 	}
 }
 
@@ -253,7 +270,7 @@ func TestServeCoalesce(t *testing.T) {
 
 	for k, kind := range kinds {
 		req := kind()
-		sess := parmvn.NewSession(srv.sessionConfig(parmvn.Dense, len(req.Locs)))
+		sess := parmvn.NewSession(srv.sessionConfig(parmvn.Dense))
 		var want parmvn.Result
 		var err error
 		if req.Nu > 0 {

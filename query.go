@@ -25,14 +25,14 @@ func (p *problem) dim() int {
 }
 
 // eval is the one query path: every exported *Prob* method builds a problem
-// and integrates one box [a,b] over it here. It checks ν, then the box, then
-// the tile size. An empty box (some a[i] ≥ b[i]) has probability exactly 0:
-// nothing is assembled or factorized, though a kernel spec is still
-// validated. Otherwise it fetches the (possibly cached) factor and integrates
-// the box as a task graph on the session runtime — inline on a one-worker
-// session. A query's replicate shifts are a deterministic function of its
-// options, so its result does not depend on the worker count, on the factor
-// being warm or cold, or on the other queries running on the session.
+// and integrates one box [a,b] over it here. It checks ν, then the box. An
+// empty box (some a[i] ≥ b[i]) has probability exactly 0: nothing is
+// assembled or factorized, though a kernel spec is still validated.
+// Otherwise it fetches the (possibly cached) factor and integrates the box as
+// a task graph on the session runtime — inline on a one-worker session. A
+// query's replicate shifts are a deterministic function of its options, so
+// its result does not depend on the worker count, on the factor being warm or
+// cold, or on the other queries running on the session.
 func (s *Session) eval(p problem, a, b []float64, opts QueryOpts) (Result, error) {
 	if p.mvt {
 		if err := validateNu(p.nu); err != nil {
@@ -42,9 +42,6 @@ func (s *Session) eval(p problem, a, b []float64, opts QueryOpts) (Result, error
 	n := p.dim()
 	empty, err := validateQuery(n, a, b)
 	if err != nil {
-		return Result{}, err
-	}
-	if err := s.validateTileSize(n); err != nil {
 		return Result{}, err
 	}
 	if empty {
@@ -82,14 +79,10 @@ func (s *Session) fetch(p *problem) (*mvn.Factor, error) {
 }
 
 // factor is the factor-only calls' path (Prefactorize, SaveFactor,
-// FactorFootprint): it refuses what a query on p would refuse before touching
-// the cache — an empty problem, a tile size larger than it — and then fetches
-// the factor as a query would.
+// FactorFootprint): it refuses an empty problem, as a query on p would, before
+// touching the cache, and then fetches the factor as a query would.
 func (s *Session) factor(p problem) (*mvn.Factor, error) {
 	if err := validateDim(p.dim()); err != nil {
-		return nil, err
-	}
-	if err := s.validateTileSize(p.dim()); err != nil {
 		return nil, err
 	}
 	return s.fetch(&p)

@@ -60,9 +60,9 @@ func TestValidationConsistency(t *testing.T) {
 }
 
 // TestFactorOnlyCallsValidateLikeQueries: Prefactorize, SaveFactor,
-// FactorFootprint and Warm refuse an empty location set and a tile larger
-// than the problem with exactly the error a query on the same problem
-// returns, before anything is factorized, cached or stored.
+// FactorFootprint and Warm refuse an empty location set with exactly the
+// error a query on the same problem returns, before anything is factorized,
+// cached or stored.
 func TestFactorOnlyCallsValidateLikeQueries(t *testing.T) {
 	st, err := OpenFactorStore(t.TempDir())
 	if err != nil {
@@ -75,7 +75,6 @@ func TestFactorOnlyCallsValidateLikeQueries(t *testing.T) {
 		locs []Point
 	}{
 		{"nil locations", 4, nil},
-		{"tile larger than n", 16, Grid(3, 3)},
 	} {
 		s := NewSession(Config{TileSize: tc.tile, QMCSize: 100})
 		a, b := make([]float64, len(tc.locs)), make([]float64, len(tc.locs))
