@@ -47,8 +47,8 @@ func TestMVNProbAdaptiveMatchesDense(t *testing.T) {
 		if probs[0] <= 0 || probs[0] >= 1 {
 			t.Fatalf("trial %d: implausible dense probability %v", trial, probs[0])
 		}
-		// Accuracy budget: TLRTol-level compression plus f32 tile rounding,
-		// both far below the QMC standard error at N=2000.
+		// Accuracy budget: TLRTol-level compression, far below the QMC
+		// standard error at N=2000.
 		if d := math.Abs(probs[0] - probs[1]); d > 1e-3*math.Max(probs[0], 0.01) {
 			t.Errorf("trial %d (n=%d %s): dense %v vs adaptive %v differ by %v",
 				trial, n, kernel.Family, probs[0], probs[1], d)
@@ -79,7 +79,7 @@ func TestAdaptiveMethodPlumbing(t *testing.T) {
 	for m, want := range map[Method]engine.Policy{
 		Dense:          {Band: math.MaxInt, Tol: tol},
 		TLR:            {Tol: tol, RankFrac: 0.5},
-		MethodAdaptive: {Band: 1, Tol: tol, RankFrac: 0.25, F32Norm: 0.1},
+		MethodAdaptive: {Band: 1, Tol: tol, RankFrac: 0.25},
 		Method(7):      {Band: math.MaxInt, Tol: tol},
 	} {
 		if got := m.policy(tol); got != want {
@@ -105,7 +105,7 @@ func TestAdaptiveRankLimitHoldsForFactor(t *testing.T) {
 	}
 	c := s.Config()
 	if nt := (len(locs) + c.TileSize - 1) / c.TileSize; fp.Dense64 <= nt {
-		t.Fatalf("mix %d/%d/%d: the probe rejected no off-diagonal tile", fp.Dense64, fp.Dense32, fp.LowRank)
+		t.Fatalf("mix %d/%d: the probe rejected no off-diagonal tile", fp.Dense64, fp.LowRank)
 	}
 	if limit := MethodAdaptive.policy(c.TLRTol).RankLimit(c.TileSize, c.TileSize); fp.MaxRank > limit {
 		t.Errorf("factor holds a rank-%d tile, above the adaptive limit %d", fp.MaxRank, limit)

@@ -57,8 +57,8 @@ const (
 	TLR
 	// MethodAdaptive keeps one sub-diagonal dense float64 and tries the
 	// tiles past it as low rank within a quarter of the tile side, the
-	// measured break-even; an incompressible tile whose norm is small
-	// against its diagonal blocks' is stored in float32.
+	// measured break-even; any other stays dense float64. Where no tile
+	// compresses, its factor is the Dense one bit for bit.
 	MethodAdaptive
 )
 
@@ -102,7 +102,7 @@ func ParseMethod(name string) (Method, error) {
 var ErrNotPositiveDefinite = linalg.ErrNotPositiveDefinite
 
 // ErrApproximationIndefinite reports a TLR or adaptive factorization that met
-// a non-positive pivot computed from some tile held low rank or in float32:
+// a non-positive pivot computed from some tile held low rank:
 // the approximation at TLRTol, not necessarily Σ, is indefinite (a tighter
 // TLRTol or the Dense method may succeed). A pivot that no approximated tile
 // reached is plain ErrNotPositiveDefinite, as under Dense. It wraps
@@ -457,8 +457,8 @@ func (s *Session) factorize(source string, n int, fill engine.RunFill, inMemory 
 }
 
 // approximatedThrough reports whether any tile of g's leading (k+1)×(k+1)
-// block, the tiles a failed pivot k was computed from, is held as other than
-// dense float64: only then can the approximation be what made it indefinite.
+// block, the tiles a failed pivot k was computed from, is held low rank: only
+// then can the approximation be what made it indefinite.
 // A low-rank tile that its update left dense (finishTile) counts as dense.
 func approximatedThrough(g *engine.Grid, k int) bool {
 	for i := 0; i <= k; i++ {
@@ -528,12 +528,12 @@ func (s *Session) SchedulerStats() taskrt.Stats { return s.rt.Snapshot() }
 // the per-representation tile counts and the payload bytes. It backs
 // capacity planning for the serving layer.
 type FactorFootprint struct {
-	// Dense64, Dense32 and LowRank count the factor's tiles by
-	// representation; MaxRank is the largest low-rank tile rank.
-	Dense64, Dense32, LowRank, MaxRank int
+	// Dense64 and LowRank count the factor's tiles by representation;
+	// MaxRank is the largest low-rank tile rank.
+	Dense64, LowRank, MaxRank int
 	// Bytes is the factor's payload as the session holds it: every tile once,
-	// in its representation (8 bytes an entry dense float64, 4 float32,
-	// 8·rank·(rows+cols) low rank).
+	// in its representation (8 bytes an entry dense, 8·rank·(rows+cols) low
+	// rank).
 	Bytes int64
 	// TilesEvicted is always 0: a tile keeps the representation it was
 	// assembled in. It remains for readers of the benchmark ledger's
@@ -551,8 +551,7 @@ func (s *Session) FactorFootprint(locs []Point, kernel KernelSpec) (FactorFootpr
 	}
 	mix := f.G.Mix()
 	return FactorFootprint{
-		Dense64: mix.Dense64, Dense32: mix.Dense32,
-		LowRank: mix.LowRank, MaxRank: mix.MaxRank,
+		Dense64: mix.Dense64, LowRank: mix.LowRank, MaxRank: mix.MaxRank,
 		Bytes: f.G.Bytes(),
 	}, nil
 }

@@ -25,7 +25,7 @@ type factorKey struct {
 	hash   [2]uint64 // FNV-1a/128 over the locations' float64 bits ('k'), or sigmaKey's ('c')
 	n      int       // problem dimension, cheap collision guard
 	kernel KernelSpec
-	method Method // the preset: band, rank limit and float32 threshold
+	method Method // the preset: band and rank limit
 	tile   int
 	tol    float64
 }
@@ -417,7 +417,10 @@ func (s *Session) Warm(ctx context.Context, locs []Point, spec KernelSpec, st *F
 
 // lead settles e, the entry Warm just inserted for key: with the factor st
 // holds, or with a factorization under admit's slot, written through to st on
-// a goroutine of its own. A refused admission drops the entry.
+// a goroutine of its own. The write replaces whatever file st held under the
+// key's name, which st could not load (corrupt, another version, another key
+// hashing alike); the rename that ends it is atomic. A refused admission
+// drops the entry.
 func (s *Session) lead(e *cacheEntry, key factorKey, locs []Point, spec KernelSpec, st *FactorStore, admit func() (func(), error)) error {
 	if st != nil && s.cache.install(key, e, st) == nil {
 		return nil
@@ -435,9 +438,7 @@ func (s *Session) lead(e *cacheEntry, key factorKey, locs []Point, spec KernelSp
 		s.saves.Add(1)
 		go func() {
 			defer s.saves.Done()
-			if !st.Has(ProblemKey{key}) {
-				_ = st.write(key, f) // counted in st.Stats; the factor stays cached either way
-			}
+			_ = st.write(key, f) // counted in st.Stats; the factor stays cached either way
 		}()
 	}
 	return err

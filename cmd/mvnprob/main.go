@@ -140,7 +140,12 @@ func main() {
 	n := len(locs)
 	kernel := parmvn.KernelSpec{Family: *family, Range: *rng, Nu: *nu, Nugget: *nugget}
 	fmt.Printf("dimension      %d\n", n)
-	fmt.Printf("method         %s (tile %d)\n", m, ts)
+	if built := min(ts, n); built < ts {
+		// TileSize caps the tile: a problem smaller than it is one tile.
+		fmt.Printf("method         %s (tile %d, cap %d)\n", m, built, ts)
+	} else {
+		fmt.Printf("method         %s (tile %d)\n", m, ts)
+	}
 	fmt.Printf("QMC            N=%d, %d replicates\n", *qmc, *reps)
 	budgeted := *maxRelErr > 0 || *deadline > 0
 	if budgeted {

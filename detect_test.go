@@ -2,9 +2,13 @@ package parmvn
 
 import (
 	"errors"
+	"log/slog"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 // detectProblem is a 12×12 exponential field whose mean falls from west to
@@ -229,6 +233,53 @@ func TestPosteriorIndefinitePriorIsTyped(t *testing.T) {
 		s.Close()
 		if exc != nil || !errors.Is(err, ErrNotPositiveDefinite) || errors.Is(err, ErrApproximationIndefinite) {
 			t.Errorf("%v: DetectRegionCov = (%v, %v), want no region and ErrNotPositiveDefinite, not ErrApproximationIndefinite", m, exc, err)
+		}
+	}
+}
+
+// TestAdaptiveWithNothingToCompressIsDense: crd_2k's shape at n = 400 — the
+// posterior of a synthetic field, a quarter of it observed, detected in
+// marginal order, so no off-band tile compresses and column 0's probes all
+// reject. The adaptive factor is then the dense one, and so is every bit of
+// the confidence function.
+func TestAdaptiveWithNothingToCompressIsDense(t *testing.T) {
+	ds, err := datagen.NewSyntheticDataset(20, 100, "medium", rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ds.PostCov.Rows
+	sigma := make([][]float64, n)
+	for i := range sigma {
+		sigma[i] = ds.PostCov.Col(i) // PostCov is symmetric
+	}
+	h := &recordHandler{}
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(h))
+	var exc [2]*Excursion
+	for k, m := range []Method{Dense, MethodAdaptive} {
+		s := NewSession(Config{Method: m, Workers: 2, TileSize: 50, TLRTol: 1e-4, QMCSize: 500})
+		exc[k], err = s.DetectRegionCov(sigma, ds.PostMu, 0, 0.9, 0)
+		s.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+	}
+	if len(h.recs) != 2 {
+		t.Fatalf("%d log records for two detections, want 2", len(h.recs))
+	}
+	attrs := map[string]slog.Value{}
+	h.recs[1].Attrs(func(a slog.Attr) bool { attrs[a.Key] = a.Value; return true })
+	// NT = 8: column 0's 6 off-band tiles probed and rejected, the other 15
+	// skipped.
+	if p, rej, skip := attrs["probes"].Int64(), attrs["probes_rejected"].Int64(), attrs["probes_skipped"].Int64(); p != 6 || rej != 6 || skip != 15 {
+		t.Fatalf("adaptive probes %d, rejected %d, skipped %d; want 6, 6 and 15", p, rej, skip)
+	}
+	if !reflect.DeepEqual(exc[0].Region, exc[1].Region) || !reflect.DeepEqual(exc[0].Order, exc[1].Order) {
+		t.Errorf("adaptive region %v, dense %v", exc[1].Region, exc[0].Region)
+	}
+	for i, f := range exc[0].F {
+		if math.Float64bits(exc[1].F[i]) != math.Float64bits(f) {
+			t.Fatalf("F[%d] = %v under adaptive, %v under dense", i, exc[1].F[i], f)
 		}
 	}
 }

@@ -1,13 +1,13 @@
 // Package engine is the single tile-Cholesky task-graph builder of the
 // repository: one POTRF/TRSM/SYRK/GEMM dependency graph whose kernels
-// dispatch over polymorphic tile representations (dense float64, dense
-// float32, low rank). There is one factor representation, a Grid, and one
-// assembler, Policy.EntryAssembler: the dense (Chameleon-style), TLR
-// (HiCMA-style) and adaptive factorizations are presets of the one Policy —
-// a dense band around the diagonal, and off it a tile low rank where it
-// compresses at the tolerance within the rank limit, float32 where it is
-// small, float64 otherwise. The per-tile adaptive representation the paper
-// names as future work falls out of mixing representations within one grid.
+// dispatch over polymorphic tile representations (dense float64, low rank).
+// There is one factor representation, a Grid, and one assembler,
+// Policy.EntryAssembler: the dense (Chameleon-style), TLR (HiCMA-style) and
+// adaptive factorizations are presets of the one Policy — a dense band
+// around the diagonal, and off it a tile low rank where it compresses at the
+// tolerance within the rank limit, dense otherwise. The per-tile adaptive
+// representation the paper names as future work falls out of mixing
+// representations within one grid.
 //
 // The band decides how a tile's Schur updates arrive. A band tile is dense
 // and updated right-looking, one GEMM task per panel. An off-band tile is
@@ -122,8 +122,8 @@ func (g *Grid) Diag(k int) *linalg.Matrix {
 // Mix counts the tiles of the lower triangle by representation — the
 // footprint report behind the adaptive policy.
 type Mix struct {
-	Dense64, Dense32, LowRank int
-	MaxRank                   int // largest low-rank tile rank
+	Dense64, LowRank int
+	MaxRank          int // largest low-rank tile rank
 }
 
 // Mix reports the grid's representation mix. Unassigned tiles are skipped,
@@ -133,8 +133,6 @@ func (g *Grid) Mix() Mix {
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j <= i; j++ {
 			switch t := g.tiles[i][j].(type) {
-			case *tile.DenseF32:
-				m.Dense32++
 			case *tile.LowRank:
 				m.LowRank++
 				if r := t.Rank(); r > m.MaxRank {
@@ -167,7 +165,7 @@ func (g *Grid) Ranks() [][]int {
 }
 
 // Bytes reports the payload bytes of the grid's tiles in their current
-// representations (8·r·c dense f64, 4·r·c dense f32, 8·k·(m+n) low rank) —
+// representations (8·r·c dense, 8·k·(m+n) low rank) —
 // the footprint the low-rank and streaming paths exist to shrink.
 // Unassigned tiles count zero.
 func (g *Grid) Bytes() int64 {
@@ -178,8 +176,6 @@ func (g *Grid) Bytes() int64 {
 			case *tile.DenseF64, *tile.PackedF64:
 				r, c := t.Dims()
 				b += 8 * int64(r) * int64(c)
-			case *tile.DenseF32:
-				b += 4 * int64(t.D.Rows) * int64(t.D.Cols)
 			case *tile.LowRank:
 				b += 8 * int64(t.Rank()) * int64(t.M+t.N)
 			}
@@ -221,13 +217,6 @@ func syrkInto(a tile.Tile, d *linalg.Matrix) {
 	switch a := a.(type) {
 	case *tile.DenseF64:
 		linalg.Syrk(false, -1, a.D, 1, d)
-	case *tile.DenseF32:
-		// Diagonal updates run in double precision whatever the operand
-		// (the banded mixed-precision semantics: destination chooses).
-		w := getMat(a.D.Rows, a.D.Cols)
-		a.D.ToDoubleInto(w)
-		linalg.Syrk(false, -1, w, 1, d)
-		putMat(w)
 	case *tile.LowRank:
 		k := a.Rank()
 		if k == 0 {
@@ -244,42 +233,20 @@ func syrkInto(a tile.Tile, d *linalg.Matrix) {
 	}
 }
 
-// gemmInto applies C ← C − A·Bᵀ into a dense destination, whose precision
-// decides the arithmetic; the operands are adapted to it. A low-rank
-// destination never gets here: its updates are finishTile's. Operand
-// conversions draw from the workspace pools (never the heap), so the tasks
-// of a steady-state factorization allocate nothing here.
+// gemmInto applies C ← C − A·Bᵀ into the dense float64 tile c. A low-rank
+// destination never gets here: its updates are finishTile's.
 func gemmInto(a, b, c tile.Tile) {
-	switch c := c.(type) {
-	case *tile.DenseF64:
-		gemmIntoDense64(a, b, c.D)
-	case *tile.DenseF32:
-		if ad, ok := a.(*tile.DenseF32); ok {
-			gemm32RightOf(ad.D, b, c.D)
-		} else {
-			a32 := to32Pooled(a)
-			gemm32RightOf(a32, b, c.D)
-			tile.PutMat32(a32)
-		}
-	case *tile.LowRank:
+	d, ok := c.(*tile.DenseF64)
+	if !ok {
 		panic("engine: per-update GEMM into a low-rank tile")
 	}
+	gemmIntoDense64(a, b, d.D)
 }
 
-// gemm32RightOf finishes dst −= A·Bᵀ in single precision once the left
-// operand is already float32, adapting the right operand.
-func gemm32RightOf(a32 *tile.Matrix32, b tile.Tile, dst *tile.Matrix32) {
-	if bd, ok := b.(*tile.DenseF32); ok {
-		tile.Gemm32(-1, a32, bd.D, dst)
-		return
-	}
-	b32 := to32Pooled(b)
-	tile.Gemm32(-1, a32, b32, dst)
-	tile.PutMat32(b32)
-}
-
-// gemmIntoDense64 accumulates dst −= A·Bᵀ in double precision, using the
-// cheap U·(…)·Vᵀ forms when an operand is low rank.
+// gemmIntoDense64 accumulates dst −= A·Bᵀ, each operand dense float64 or
+// low rank, using the cheap U·(…)·Vᵀ forms when an operand is low rank.
+// Scratch draws from the workspace pool (never the heap), so the tasks of a
+// steady-state factorization allocate nothing here.
 func gemmIntoDense64(a, b tile.Tile, dst *linalg.Matrix) {
 	la, aIsLR := a.(*tile.LowRank)
 	lb, bIsLR := b.(*tile.LowRank)
@@ -297,35 +264,15 @@ func gemmIntoDense64(a, b tile.Tile, dst *linalg.Matrix) {
 		putMat(u2)
 		putMat(s)
 	case aIsLR:
-		if la.Rank() == 0 {
-			return
-		}
-		if bd, ok := b.(*tile.DenseF64); ok {
-			gemmLRxDense64(la, bd.D, dst)
-		} else {
-			bd := to64Pooled(b)
-			gemmLRxDense64(la, bd, dst)
-			putMat(bd)
+		if la.Rank() > 0 {
+			gemmLRxDense64(la, b.(*tile.DenseF64).D, dst)
 		}
 	case bIsLR:
-		if lb.Rank() == 0 {
-			return
-		}
-		if ad, ok := a.(*tile.DenseF64); ok {
-			gemmDense64xLR(ad.D, lb, dst)
-		} else {
-			ad := to64Pooled(a)
-			gemmDense64xLR(ad, lb, dst)
-			putMat(ad)
+		if lb.Rank() > 0 {
+			gemmDense64xLR(a.(*tile.DenseF64).D, lb, dst)
 		}
 	default:
-		if ad, ok := a.(*tile.DenseF64); ok {
-			gemmDense64RightOf(ad.D, b, dst)
-		} else {
-			ad := to64Pooled(a)
-			gemmDense64RightOf(ad, b, dst)
-			putMat(ad)
-		}
+		linalg.Gemm(false, true, -1, a.(*tile.DenseF64).D, b.(*tile.DenseF64).D, 1, dst)
 	}
 }
 
@@ -345,61 +292,11 @@ func gemmDense64xLR(ad *linalg.Matrix, lb *tile.LowRank, dst *linalg.Matrix) {
 	putMat(w)
 }
 
-// gemmDense64RightOf finishes dst −= A·Bᵀ once the left operand is already
-// dense float64, adapting the right operand.
-func gemmDense64RightOf(ad *linalg.Matrix, b tile.Tile, dst *linalg.Matrix) {
-	if bd, ok := b.(*tile.DenseF64); ok {
-		linalg.Gemm(false, true, -1, ad, bd.D, 1, dst)
-		return
-	}
-	bd := to64Pooled(b)
-	linalg.Gemm(false, true, -1, ad, bd, 1, dst)
-	putMat(bd)
-}
-
-// to64Pooled converts a float32 or low-rank tile into a pooled dense float64
-// matrix; the caller must putMat it. Dense float64 tiles never route here —
-// they pass their matrix through directly, so the hot dense path copies
-// nothing.
-func to64Pooled(t tile.Tile) *linalg.Matrix {
-	switch t := t.(type) {
-	case *tile.DenseF32:
-		w := getMat(t.D.Rows, t.D.Cols)
-		t.D.ToDoubleInto(w)
-		return w
-	case *tile.LowRank:
-		w := getMat(t.M, t.N)
-		t.DenseInto(w)
-		return w
-	}
-	panic("engine: to64Pooled on a dense float64 tile")
-}
-
-// to32Pooled converts a float64 or low-rank tile into a pooled dense float32
-// matrix; the caller must tile.PutMat32 it. Dense float32 tiles never route
-// here.
-func to32Pooled(t tile.Tile) *tile.Matrix32 {
-	switch t := t.(type) {
-	case *tile.DenseF64:
-		w := tile.GetMat32(t.D.Rows, t.D.Cols)
-		tile.ToSingleInto(t.D, w)
-		return w
-	case *tile.LowRank:
-		d := getMat(t.M, t.N)
-		t.DenseInto(d)
-		w := tile.GetMat32(t.M, t.N)
-		tile.ToSingleInto(d, w)
-		putMat(d)
-		return w
-	}
-	panic("engine: to32Pooled on a dense float32 tile")
-}
-
 // finishTile builds the off-band tile (i,j), j > 0, from t, its assembled
 // form, once its column's last panel has been applied — the point where its
 // Schur complement is complete — and before its own panel solve. A dense
-// tile (float64 or float32) takes the j updates as the same gemmInto calls,
-// in panel order, that a band tile takes one task each. A low-rank tile is
+// tile takes the j updates as the same gemmInto calls, in panel order, that
+// a band tile takes one task each. A low-rank tile is
 // densified into one pooled accumulator, the updates land there as plain
 // GEMMs in panel order, and the result is compressed once, the sketch started
 // from the rank the tile came with — where rounding after each update, as

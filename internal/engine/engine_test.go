@@ -21,20 +21,6 @@ func covGrid(side int, rng float64) *linalg.Matrix {
 	return cov.Matrix(g, &cov.Exponential{Sigma2: 1, Range: rng})
 }
 
-// toSingle is a float32 copy of m.
-func toSingle(m *linalg.Matrix) *tile.Matrix32 {
-	out := tile.NewMatrix32(m.Rows, m.Cols)
-	tile.ToSingleInto(m, out)
-	return out
-}
-
-// toDouble is a float64 copy of m.
-func toDouble(m *tile.Matrix32) *linalg.Matrix {
-	out := linalg.NewMatrix(m.Rows, m.Cols)
-	m.ToDoubleInto(out)
-	return out
-}
-
 // randSPD returns GᵀG + n·I for a Gaussian n×n G.
 func randSPD(n int, rng *rand.Rand) *linalg.Matrix {
 	gm := linalg.NewMatrix(n, n)
@@ -50,22 +36,6 @@ func randSPD(n int, rng *rand.Rand) *linalg.Matrix {
 		sigma.Add(i, i, float64(n))
 	}
 	return sigma
-}
-
-// banded is the banded mixed-precision layout of sigma: tiles with i−j ≤ band
-// in float64, the rest in float32 (band ≥ nt−1 degenerates to the dense
-// layout). A hand-built assembler, it states its band: the tiles off it are
-// built and updated in one task each.
-func banded(sigma *linalg.Matrix, band int) layout {
-	return func(g *engine.Grid) *engine.Assembler {
-		return &engine.Assembler{Policy: engine.Policy{Band: band}, Tile: func(i, j int) tile.Tile {
-			d := blockOf(sigma, g, i, j)
-			if i-j <= band {
-				return &tile.DenseF64{D: d}
-			}
-			return &tile.DenseF32{D: toSingle(d)}
-		}}
-	}
 }
 
 // refDensePotrf is the historical sequential dense tile Cholesky, in place
@@ -167,60 +137,6 @@ func refTLRPotrf(g *engine.Grid, tol float64) error {
 	return nil
 }
 
-// refMixedPotrf is the historical sequential banded mixed-precision Cholesky
-// on an assembled banded layout, in place: the destination tile's precision chooses the
-// arithmetic, operands are converted to it.
-func refMixedPotrf(g *engine.Grid, band int) {
-	nt := g.NT
-	as64 := func(i, j int) *linalg.Matrix {
-		if t, ok := g.At(i, j).(*tile.DenseF32); ok {
-			return toDouble(t.D)
-		}
-		return g.At(i, j).(*tile.DenseF64).D
-	}
-	as32 := func(i, j int) *tile.Matrix32 {
-		if t, ok := g.At(i, j).(*tile.DenseF64); ok {
-			return toSingle(t.D)
-		}
-		return g.At(i, j).(*tile.DenseF32).D
-	}
-	for k := 0; k < nt; k++ {
-		dk := g.Diag(k)
-		if err := linalg.PotrfUnblocked(dk); err != nil {
-			panic(err)
-		}
-		var dk32 *tile.Matrix32
-		if k+band+1 < nt {
-			dk32 = toSingle(dk)
-		}
-		for i := k + 1; i < nt; i++ {
-			switch t := g.At(i, k).(type) {
-			case *tile.DenseF64:
-				linalg.TrsmLower(linalg.Right, true, 1, dk, t.D)
-			case *tile.DenseF32:
-				tile.TrsmRightLowerTrans32(dk32, t.D)
-			}
-		}
-		for i := k + 1; i < nt; i++ {
-			for j := k + 1; j <= i; j++ {
-				switch c := g.At(i, j).(type) {
-				case *tile.DenseF64:
-					if i == j {
-						linalg.Syrk(false, -1, as64(i, k), 1, c.D)
-					} else {
-						linalg.Gemm(false, true, -1, as64(i, k), as64(j, k), 1, c.D)
-					}
-				case *tile.DenseF32:
-					tile.Gemm32(-1, as32(i, k), as32(j, k), c.D)
-				}
-			}
-		}
-	}
-	for k := 0; k < nt; k++ {
-		g.Diag(k).LowerFromFull()
-	}
-}
-
 // Engine-vs-sequential-reference tolerance. The pre-PR3 versions of these
 // regression tests pinned the engine bit-identical to the sequential
 // references. With the packed register-blocked kernels that contract is
@@ -282,27 +198,6 @@ func TestEngineTLRMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEngineMixedMatchesReference checks the engine-backed banded
-// mixed-precision layout against the sequential implementation. The
-// comparison happens after promoting f32 tiles, so kernel reassociation in
-// the single-precision updates shows up at f32 roundoff (~1e-7 relative);
-// the tolerance sits a little above that, far below the band accuracy the
-// mixed-precision method itself targets.
-func TestEngineMixedMatchesReference(t *testing.T) {
-	sigma := covGrid(8, 0.15) // n=64
-	for _, band := range []int{0, 1, 3} {
-		want := assembled(sigma.Rows, 8, banded(sigma, band))
-		refMixedPotrf(want, band)
-		got, err := potrfOn(sigma.Rows, 8, 4, banded(sigma, band))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := relMaxDiff(densifyFactor(got), densifyFactor(want)); d > 5e-6 {
-			t.Errorf("band=%d: engine mixed factor differs from reference by %v", band, d)
-		}
-	}
-}
-
 // TestEngineErrorPropagation checks non-SPD failures surface through the
 // submitter's SubmitErr/Err scope, on both the runtime and a group, and that
 // the scope resets so the runtime can be reused.
@@ -341,7 +236,7 @@ func TestAdaptiveAssemblyMixesAndFactorizes(t *testing.T) {
 	g12 := geo.RegularGrid(12, 12)
 	sigma := cov.Matrix(g12, &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}) // n=144
 	g := streamFactor(t, 144, 24, policyLayout(sigma, engine.Policy{
-		Band: 1, Tol: 1e-4, RankFrac: 0.5, F32Norm: 0.5,
+		Band: 1, Tol: 1e-4, RankFrac: 0.5,
 	}))
 	// A tile keeps the representation it was assembled in.
 	mix := g.Mix()
@@ -407,7 +302,7 @@ func posteriorCorrelation(t *testing.T, side int) *linalg.Matrix {
 func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 	const ts, tol = 100, 1e-4
 	corr := posteriorCorrelation(t, 30)
-	g := assembled(corr.Rows, ts, policyLayout(corr, engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.1}))
+	g := assembled(corr.Rows, ts, policyLayout(corr, engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5}))
 	lowRank := 0
 	for i := 0; i < g.NT; i++ {
 		for j := 0; j < i; j++ {
@@ -434,7 +329,7 @@ func TestAssembleAdaptiveMeasuresMaterializedProbes(t *testing.T) {
 // side, switches the low-rank form off where it cannot repay its compression
 // and leaves it on where it does. On posteriorCorrelation — crd_2k's matrix at
 // toy size, off-band ranks past a third of the tile — every probe is rejected
-// and the grid is the dense layout in two precisions. Only column 0's NT − 2
+// and the grid is the dense layout. Only column 0's NT − 2
 // off-band tiles are probed: once all of them reject, the policy skips the
 // probes of every later column. On the benchmark's smooth Matérn-5/2 grid at
 // ts = 256 and tol 1e-6 every off-band tile is still low rank, in memory and

@@ -14,9 +14,9 @@ import (
 	"repro/internal/tile"
 )
 
-// Tests of the dense, TLR and banded mixed-precision layouts against dense
-// linear algebra (linalg.Cholesky, ‖LLᵀ−Σ‖), as opposed to engine_test.go's
-// comparisons against sequential tile algorithms.
+// Tests of the dense, TLR and banded layouts against dense linear algebra
+// (linalg.Cholesky, ‖LLᵀ−Σ‖), as opposed to engine_test.go's comparisons
+// against sequential tile algorithms.
 
 // lowerResidual is max |(L·Lᵀ − Σ)(i,j)| over the lower triangle.
 func lowerResidual(l, sigma *linalg.Matrix) float64 {
@@ -87,10 +87,10 @@ func TestDenseLayoutMatchesCholesky(t *testing.T) {
 // POTRFs, nt(nt−1)/2 TRSMs and SYRKs and nt(nt−1)(nt−2)/6 GEMMs — the counts
 // the cluster simulator and the bench ledger's tasks_total assume — and
 // assembles each of its nt(nt+1)/2 tiles in a task of its own. A TLR one runs
-// one GEMM task per low-rank tile that receives updates, (nt−1)(nt−2)/2, and
-// assembles only the diagonal and column 0 in tasks of their own: the other
-// tiles are built inside their GEMM task. Both hold for a kernel and for a Σ
-// in memory.
+// one GEMM task per low-rank tile that receives updates, (nt−1)(nt−2)/2,
+// assembles only the diagonal and column 0 in tasks of their own — the other
+// tiles are built inside their GEMM task — and runs one verdict task. Both
+// hold for a kernel and for a Σ in memory, and no other task kind runs.
 func TestPotrfTaskCounts(t *testing.T) {
 	geom := geo.RegularGrid(12, 12) // n = 144
 	kern := &cov.Exponential{Sigma2: 1, Range: 0.15}
@@ -98,17 +98,17 @@ func TestPotrfTaskCounts(t *testing.T) {
 	for _, nt := range []int{4, 6} {
 		ts := geom.Len() / nt
 		for name, tc := range map[string]struct {
-			n, ts          int
-			mk             layout
-			gemm, assemble int
+			n, ts                   int
+			mk                      layout
+			gemm, assemble, verdict int
 		}{
 			"dense": {5 * nt, 5, denseLayout(randSPD(5*nt, rand.New(rand.NewSource(4)))),
-				nt * (nt - 1) * (nt - 2) / 6, nt * (nt + 1) / 2},
+				nt * (nt - 1) * (nt - 2) / 6, nt * (nt + 1) / 2, 0},
 			"tlr": {geom.Len(), ts, tlrLayout(cov.Matrix(geom, kern), tol),
-				(nt - 1) * (nt - 2) / 2, nt + nt - 1},
+				(nt - 1) * (nt - 2) / 2, nt + nt - 1, 1},
 			"tlr kernel": {geom.Len(), ts, func(g *engine.Grid) *engine.Assembler {
 				return tlr(tol).EntryAssembler(g, fillOf(geom, kern), false)
-			}, (nt - 1) * (nt - 2) / 2, nt + nt - 1},
+			}, (nt - 1) * (nt - 2) / 2, nt + nt - 1, 1},
 		} {
 			rt := taskrt.New(2)
 			g := engine.NewGrid(tc.n, tc.ts)
@@ -119,10 +119,15 @@ func TestPotrfTaskCounts(t *testing.T) {
 			}
 			got := rt.Snapshot().Tasks
 			want := map[string]int{"potrf": nt, "trsm": nt * (nt - 1) / 2, "syrk": nt * (nt - 1) / 2,
-				"gemm": tc.gemm, "assemble": tc.assemble}
+				"gemm": tc.gemm, "assemble": tc.assemble, "verdict": tc.verdict}
 			for kind, n := range want {
 				if got[kind] != n {
 					t.Errorf("%s nt=%d: executed %d %s tasks, want %d (all: %v)", name, nt, got[kind], kind, n, got)
+				}
+			}
+			for kind := range got {
+				if _, ok := want[kind]; !ok {
+					t.Errorf("%s nt=%d: executed %d %s tasks, a kind the graph does not have (all: %v)", name, nt, got[kind], kind, got)
 				}
 			}
 		}
@@ -146,7 +151,7 @@ func TestLayoutsDeterministicAcrossWorkers(t *testing.T) {
 	}{
 		{"dense", 60, 5, []int{1, 2, 8}, denseLayout(spd)},
 		{"tlr", 100, 25, []int{1, 2, 8}, tlrLayout(smooth, 1e-8)},
-		{"mixed", 36, 9, []int{1, 2, 8}, banded(covGrid(6, 0.2), 1)},
+		{"banded", 36, 9, []int{1, 2, 8}, policyLayout(covGrid(6, 0.2), engine.Policy{Band: 1})},
 		{"adaptive", 60, 9, []int{1, 2, 8}, policyLayout(spd, adaptive(1e-6))},
 		{"tlr kernel", geom.Len(), 24, []int{1, 2, 4}, func(g *engine.Grid) *engine.Assembler {
 			return tlr(1e-6).EntryAssembler(g, fill, false)
@@ -277,37 +282,6 @@ func TestTLRStreamingPotrfEndToEnd(t *testing.T) {
 	})
 	if res := lowerResidual(densifyFactor(g), cov.Matrix(geom, k)); res > 1e-5 {
 		t.Errorf("ACA TLR Cholesky residual %v", res)
-	}
-}
-
-// TestMixedPotrfAccuracyLadder: the residual improves (up to noise) as the
-// double-precision band widens, and hits f64 accuracy at full band.
-func TestMixedPotrfAccuracyLadder(t *testing.T) {
-	sigma := covGrid(8, 0.15) // n=64, 8×8 tiles
-	want, err := linalg.Cholesky(sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var errs []float64
-	for _, band := range []int{0, 2, 7} {
-		g, err := potrfOn(64, 8, 3, banded(sigma, band))
-		if err != nil {
-			t.Fatalf("band %d: %v", band, err)
-		}
-		errs = append(errs, densifyFactor(g).MaxAbsDiff(want))
-	}
-	if errs[2] > 1e-12 {
-		t.Errorf("full-band mixed factorization differs from f64 by %v", errs[2])
-	}
-	if errs[0] < errs[2] {
-		t.Errorf("band 0 cannot beat full double precision: %v", errs)
-	}
-	// Single precision should still be near-f32-accurate.
-	if errs[0] > 1e-3 {
-		t.Errorf("band 0 error %v too large", errs[0])
-	}
-	if errs[1] > errs[0]+1e-12 {
-		t.Errorf("widening the band did not help: %v", errs)
 	}
 }
 

@@ -10,12 +10,10 @@ import (
 
 // Policy is the one per-tile representation rule: dense float64 on a band
 // around the diagonal (the Cholesky pivots and their strongest couplings),
-// and off the band either low rank — when the tile compresses at Tol within
-// the rank limit — or dense float32 — when it does not compress but its norm
-// is small enough that single precision stays below the requested accuracy —
-// falling back to dense float64. The dense, TLR and adaptive layouts are
-// presets of it: a band that covers every tile; no band, a rank limit of half
-// the tile side and no float32; one sub-diagonal, a quarter and float32.
+// and off the band low rank when the tile compresses at Tol within the rank
+// limit, dense float64 otherwise. The dense, TLR and adaptive layouts are
+// presets of it: a band that covers every tile; no band and a rank limit of
+// half the tile side; one sub-diagonal and a quarter.
 //
 // A tile is low rank only if its tolerance is met within the limit: an
 // off-band tile is probed, and one whose probe does not converge there stays
@@ -27,12 +25,11 @@ import (
 // Its off-band tiles, one at each distance from the diagonal past the band,
 // are probed first; they include the pairs any locality-preserving order
 // makes most compressible. If every one of them is rejected, no later
-// off-band tile is probed: each goes straight to the f32/f64 rule, exactly
-// the tile a rejected probe would have left, so a Σ whose probes all reject
-// gets the same factor bit for bit. The rule is the same for both probe
-// kinds, ACA on a kernel and tile.CompressWithin on an in-memory Σ. A wrong
-// verdict can only leave a compressible tile dense, which costs bytes and
-// apply time, never accuracy.
+// off-band tile is probed: each is built dense, exactly the tile a rejected
+// probe would have left, so a Σ whose probes all reject gets the same factor
+// bit for bit. The rule is the same for both probe kinds, ACA on a kernel
+// and tile.CompressWithin on an in-memory Σ. A wrong verdict can only leave a
+// compressible tile dense, which costs bytes and apply time, never accuracy.
 type Policy struct {
 	// Band is the number of sub-diagonals kept dense float64; a band of at
 	// least NT−1 tiles makes every tile dense (the dense layout).
@@ -43,23 +40,17 @@ type Policy struct {
 	// RankFrac accepts the low-rank representation when the compressed rank
 	// is at most RankFrac·min(tile dims) (0: no tile is low rank).
 	RankFrac float64
-	// F32Norm stores an incompressible off-band tile in float32 when its
-	// Frobenius norm relative to the geometric mean of its diagonal blocks'
-	// norms is at most F32Norm, so the f32 rounding (~1e-7 relative) stays
-	// commensurate with the compression tolerance (0: no float32 tile).
-	F32Norm float64
 }
 
 // Presets are the layouts a session builds, indexed as the facade's methods
 // (dense, TLR, adaptive): every tile dense float64; no band and ranks up to
-// half the tile side; one dense sub-diagonal, ranks up to a quarter of the
-// side and float32. The caller sets Tol. A finished low-rank tile is
-// recompressed within its byte break-even, half the side, and no tile is
-// truncated past Tol.
+// half the tile side; one dense sub-diagonal and ranks up to a quarter of the
+// side. The caller sets Tol. A finished low-rank tile is recompressed within
+// its byte break-even, half the side, and no tile is truncated past Tol.
 var Presets = [...]Policy{
 	{Band: math.MaxInt},
 	{RankFrac: 0.5},
-	{Band: 1, RankFrac: 0.25, F32Norm: 0.1},
+	{Band: 1, RankFrac: 0.25},
 }
 
 // RankLimit is the largest low-rank tile rank the policy accepts for an
@@ -74,13 +65,9 @@ func (p Policy) offBand(i, j int) bool { return i-j > p.Band }
 // hasOffBand reports whether a grid of nt tile rows has any off-band tile.
 func (p Policy) hasOffBand(nt int) bool { return p.Band < nt-1 }
 
-// diagFirst reports whether off-band assembly reads the diagonal norms (the
-// f32 test), so the graph must order it after the diagonal assemblies.
-func (p Policy) diagFirst(nt int) bool { return p.hasOffBand(nt) && p.F32Norm > 0 }
-
 // probe runs the compressibility test for the off-band r×c tile at
 // (row0,col0) and returns the accepted low-rank tile, or the dense block the
-// f32/f64 rule takes over from.
+// tile is built from instead.
 //
 // A kernel is probed by ACA with a rank budget one past the acceptance limit:
 // a probe that CONVERGES within the limit — the cross iteration stopped on
@@ -126,20 +113,13 @@ func (p Policy) probe(g *Grid, r, c, row0, col0 int, fill RunFill, inMemory bool
 // EntryAssembler returns the engine's assembler: the policy applied to every
 // tile of the run evaluator, for PotrfStream or Assemble. Band tiles are
 // dense float64; off-band tiles are probed (see probe; after column 0's
-// verdict, or skipped) with the dense f32/f64 fallback. Every tile is built by
-// a task of the factorization graph only when the graph first needs it. When
-// float32 tiles can exist, the diagonal Frobenius norms anchoring their test
-// reach the off-band tiles through the engine's norm handles, so those always
-// observe assembled, unfactored diagonals. Dense tiles draw from the
-// workspace pool (the grid becomes engine-owned). The grid must be the one
-// passed to PotrfStream or Assemble.
+// verdict, or skipped) and built dense float64 where the probe rejects. Every
+// tile is built by a task of the factorization graph only when the graph
+// first needs it. Dense tiles draw from the workspace pool (the grid becomes
+// engine-owned). The grid must be the one passed to PotrfStream or Assemble.
 func (p Policy) EntryAssembler(g *Grid, fill RunFill, inMemory bool) *Assembler {
 	ts := g.TS
 	asm := &Assembler{Policy: p}
-	var diagNorm []float64
-	if p.diagFirst(g.NT) {
-		diagNorm = make([]float64, g.NT)
-	}
 	col0Accepted := make([]bool, g.NT) // written by tile (i,0) alone
 	skip := false                      // set by the verdict
 	if p.hasOffBand(g.NT) {
@@ -148,40 +128,21 @@ func (p Policy) EntryAssembler(g *Grid, fill RunFill, inMemory bool) *Assembler 
 	asm.Tile = func(i, j int) tile.Tile {
 		ri, rj := g.TileRows(i), g.TileRows(j)
 		row0, col0 := i*ts, j*ts
-		if i == j {
-			d := denseBlock(ri, ri, row0, row0, fill)
-			if diagNorm != nil {
-				diagNorm[i] = d.FrobNorm()
-			}
-			return &tile.DenseF64{D: d}
-		}
 		if !p.offBand(i, j) {
 			return &tile.DenseF64{D: denseBlock(ri, rj, row0, col0, fill)}
 		}
-		var blk *linalg.Matrix
 		if j > 0 && skip {
 			g.probesSkipped.Add(1)
-			blk = denseBlock(ri, rj, row0, col0, fill)
-		} else {
-			lr, rejected := p.probe(g, ri, rj, row0, col0, fill, inMemory)
-			if lr != nil {
-				if j == 0 {
-					col0Accepted[i] = true
-				}
-				return lr
-			}
-			blk = rejected
+			return &tile.DenseF64{D: denseBlock(ri, rj, row0, col0, fill)}
 		}
-		if diagNorm != nil {
-			scale := math.Sqrt(diagNorm[i] * diagNorm[j])
-			if scale > 0 && blk.FrobNorm() <= p.F32Norm*scale {
-				w := tile.GetMat32(ri, rj)
-				tile.ToSingleInto(blk, w)
-				putMat(blk)
-				return &tile.DenseF32{D: w}
-			}
+		lr, rejected := p.probe(g, ri, rj, row0, col0, fill, inMemory)
+		if lr == nil {
+			return &tile.DenseF64{D: rejected}
 		}
-		return &tile.DenseF64{D: blk}
+		if j == 0 {
+			col0Accepted[i] = true
+		}
+		return lr
 	}
 	return asm
 }

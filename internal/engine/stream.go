@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/taskrt"
@@ -102,24 +101,16 @@ func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 	pol := asm.Policy
 
 	// Assembly bookkeeping: ensure(i,j) submits the tile's assemble task
-	// exactly once, before the first factorization task that touches it. Norm
-	// handles (nh) order off-band assembly after the diagonal norms without
-	// entangling the pivot handles; column-0 handles (ch) and the verdict
-	// handle (vh) order the verdict after column 0's assemblies and every
-	// later column's after the verdict. assembleDeps adds both orderings to
-	// an off-band tile's task.
+	// exactly once, before the first factorization task that touches it.
+	// Column-0 handles (ch) and the verdict handle (vh) order the verdict
+	// after column 0's assemblies and every later column's after the verdict;
+	// verdictDep adds that ordering to an off-band tile's task.
 	assembled := make([][]bool, nt)
 	for i := range assembled {
 		assembled[i] = make([]bool, i+1)
 	}
-	var nh, ch []*taskrt.Handle
+	var ch []*taskrt.Handle
 	var vh *taskrt.Handle
-	if pol.diagFirst(nt) {
-		nh = make([]*taskrt.Handle, nt)
-		for i := range nh {
-			nh[i] = sub.NewHandle("N(%d)", i)
-		}
-	}
 	if asm.verdict != nil {
 		ch = make([]*taskrt.Handle, nt)
 		for i := 1; i < nt; i++ {
@@ -127,13 +118,7 @@ func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 		}
 		vh = sub.NewHandle("V")
 	}
-	var ensure func(i, j int)
-	assembleDeps := func(deps []taskrt.Dep, i, j int) []taskrt.Dep {
-		if nh != nil {
-			ensure(i, i)
-			ensure(j, j)
-			deps = append(deps, taskrt.Read(nh[i]), taskrt.Read(nh[j]))
-		}
+	verdictDep := func(deps []taskrt.Dep, i, j int) []taskrt.Dep {
 		switch {
 		case vh == nil:
 		case j == 0:
@@ -143,18 +128,15 @@ func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 		}
 		return deps
 	}
-	ensure = func(i, j int) {
+	ensure := func(i, j int) {
 		if assembled[i][j] || j > 0 && pol.offBand(i, j) {
 			// An off-band tile past column 0 is built in its finishTile task.
 			return
 		}
 		assembled[i][j] = true
 		deps, prio := []taskrt.Dep{taskrt.Write(h[i][j])}, 3*nt+2
-		switch {
-		case i == j && nh != nil:
-			deps = append(deps, taskrt.Write(nh[i]))
-		case i != j && pol.offBand(i, j):
-			deps, prio = assembleDeps(deps, i, j), 3*nt+1
+		if i != j && pol.offBand(i, j) {
+			deps, prio = verdictDep(deps, i, j), 3*nt+1
 		}
 		sub.Submit("assemble", prio, func() {
 			t := asm.Tile(i, j)
@@ -186,17 +168,11 @@ func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 			return nil
 		}, taskrt.ReadWrite(h[k][k]))
 
-		// Single-precision panel tiles solve against a float32 copy of the
-		// factored diagonal, materialized lazily at execution time by the
-		// first solve that needs it: the representation of a panel tile is
-		// decided on the workers, so submission time cannot know whether the
-		// copy will be needed.
-		l32 := &lazy32{}
 		for i := k + 1; i < nt; i++ {
 			i := i
 			ensure(i, k)
 			sub.Submit("trsm", 3*nt-3*k-1, func() {
-				trsmPanel(g, k, i, l32)
+				trsmPanel(g, k, i)
 			}, taskrt.Read(h[k][k]), taskrt.ReadWrite(h[i][k]))
 		}
 		if k == 0 && vh != nil {
@@ -206,11 +182,6 @@ func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 				deps = append(deps, taskrt.Read(ch[i]))
 			}
 			sub.Submit("verdict", 3*nt+1, asm.verdict, append(deps, taskrt.Write(vh))...)
-		}
-		if k+1 < nt {
-			// Runs after every panel solve (they read h[k][k]); recycles the
-			// f32 diagonal copy, or no-ops if none was materialized.
-			sub.Submit("free32", 3*nt-3*k-1, l32.free, taskrt.ReadWrite(h[k][k]))
 		}
 		for i := k + 1; i < nt; i++ {
 			i := i
@@ -239,7 +210,7 @@ func potrf(rt taskrt.Submitter, g *Grid, asm *Assembler) error {
 			for p := 0; p < j; p++ {
 				deps = append(deps, taskrt.Read(h[i][p]), taskrt.Read(h[j][p]))
 			}
-			deps = assembleDeps(append(deps, taskrt.ReadWrite(h[i][j])), i, j)
+			deps = verdictDep(append(deps, taskrt.ReadWrite(h[i][j])), i, j)
 			sub.Submit("gemm", 3*nt-3*k-2, func() {
 				g.finishTile(i, j, asm.Tile(i, j), pol.Tol)
 			}, deps...)
@@ -280,7 +251,7 @@ func Assemble(g *Grid, asm *Assembler) {
 
 // trsmPanel solves panel tile (i,k) against the factored diagonal k in the
 // tile's representation at execution time.
-func trsmPanel(g *Grid, k, i int, l32 *lazy32) {
+func trsmPanel(g *Grid, k, i int) {
 	dk := g.Diag(k)
 	switch t := g.tiles[i][k].(type) {
 	case *tile.DenseF64:
@@ -289,33 +260,6 @@ func trsmPanel(g *Grid, k, i int, l32 *lazy32) {
 		if t.Rank() > 0 {
 			linalg.TrsmLower(linalg.Left, false, 1, dk, t.V)
 		}
-	case *tile.DenseF32:
-		tile.TrsmRightLowerTrans32(l32.get(dk), t.D)
-	}
-}
-
-// lazy32 is the per-panel float32 copy of the factored diagonal, built by
-// the first single-precision solve that needs it (sync.Once makes the
-// concurrent first touches safe) and recycled by the panel's free32 task,
-// which the handle graph orders after every solve.
-type lazy32 struct {
-	once sync.Once
-	d    *tile.Matrix32
-}
-
-func (l *lazy32) get(dk *linalg.Matrix) *tile.Matrix32 {
-	l.once.Do(func() {
-		w := tile.GetMat32(dk.Rows, dk.Cols)
-		tile.ToSingleInto(dk, w)
-		l.d = w
-	})
-	return l.d
-}
-
-func (l *lazy32) free() {
-	if l.d != nil {
-		tile.PutMat32(l.d)
-		l.d = nil
 	}
 }
 

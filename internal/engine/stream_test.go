@@ -25,8 +25,6 @@ func densifyFactor(g *engine.Grid) *linalg.Matrix {
 			switch t := g.At(i, j).(type) {
 			case *tile.DenseF64:
 				d = t.D
-			case *tile.DenseF32:
-				d = toDouble(t.D)
 			case *tile.LowRank:
 				d = t.Dense()
 			}
@@ -92,7 +90,7 @@ var dense = engine.Policy{Band: math.MaxInt}
 func tlr(tol float64) engine.Policy { return engine.Policy{Tol: tol, RankFrac: 0.5} }
 
 func adaptive(tol float64) engine.Policy {
-	return engine.Policy{Band: 1, Tol: tol, RankFrac: 0.25, F32Norm: 0.1}
+	return engine.Policy{Band: 1, Tol: tol, RankFrac: 0.25}
 }
 
 // policyLayout is the layout p gives an in-memory Σ, as a session builds it:
@@ -133,7 +131,7 @@ func TestPotrfStreamingMatchesMaterialized(t *testing.T) {
 		entry(sigma.Col(j), 0, j)
 	}
 
-	mixed := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5}
+	mixed := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5}
 	builders := []struct {
 		name string
 		mk   layout
@@ -194,9 +192,6 @@ func sameTile(a, b tile.Tile) bool {
 	case *tile.DenseF64:
 		b, ok := b.(*tile.DenseF64)
 		return ok && same(a.D, b.D)
-	case *tile.DenseF32:
-		b, ok := b.(*tile.DenseF32)
-		return ok && same(toDouble(a.D), toDouble(b.D))
 	case *tile.LowRank:
 		b, ok := b.(*tile.LowRank)
 		return ok && a.Rank() == b.Rank() && (a.Rank() == 0 || same(a.U, b.U) && same(a.V, b.V))
@@ -212,11 +207,11 @@ func sameTile(a, b tile.Tile) bool {
 // workers, on ragged grids. Σ is the Matérn-5/2-plus-nugget field of the root
 // package's pinned-bits problem with a third of its locations swapped at
 // random, so tiles are not smooth in their indices and the adaptive policy
-// uses all three representations.
+// holds both representations off its band.
 func TestInMemoryStreamMatchesMaterializedBits(t *testing.T) {
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.2, 2.5), Tau2: 0.05}
 	const tol = 1e-4
-	var seen engine.Mix
+	seen := map[tile.Kind]int{} // the adaptive grids' off-band tiles
 	for _, tc := range []struct{ nx, ny, ts int }{{9, 5, 8}, {12, 12, 24}} {
 		geom := geo.RegularGrid(tc.nx, tc.ny)
 		rng := rand.New(rand.NewSource(5))
@@ -229,7 +224,7 @@ func TestInMemoryStreamMatchesMaterializedBits(t *testing.T) {
 		for name, policy := range map[string]engine.Policy{
 			"dense":    dense,
 			"tlr":      tlr(tol),
-			"adaptive": {Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5},
+			"adaptive": {Band: 1, Tol: tol, RankFrac: 0.5},
 		} {
 			mk := policyLayout(sigma, policy)
 			for _, workers := range []int{1, 2} {
@@ -252,15 +247,16 @@ func TestInMemoryStreamMatchesMaterializedBits(t *testing.T) {
 						}
 					}
 				}
-				if m := got.Mix(); name == "adaptive" {
-					seen.Dense32 += m.Dense32
-					seen.LowRank += m.LowRank
+				for i := 0; name == "adaptive" && i < got.NT; i++ {
+					for j := 0; j < i-policy.Band; j++ {
+						seen[got.At(i, j).Kind()]++
+					}
 				}
 			}
 		}
 	}
-	if seen.Dense32 == 0 || seen.LowRank == 0 {
-		t.Errorf("adaptive grids held %d float32 and %d low-rank tiles: not every representation was compared", seen.Dense32, seen.LowRank)
+	if seen[tile.KindDenseF64] == 0 || seen[tile.KindLowRank] == 0 {
+		t.Errorf("adaptive grids held %v off-band tiles: not every representation was compared", seen)
 	}
 }
 
@@ -274,7 +270,7 @@ func TestRunAssemblyMatchesPerEntry(t *testing.T) {
 	geom := geo.RegularGrid(12, 12) // n = 144
 	geom.Pts[77] = geom.Pts[30]     // a zero distance off the diagonal
 	const tol = 1e-4
-	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5, F32Norm: 0.5}
+	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.5}
 	builders := map[string]func(*engine.Grid, engine.RunFill) *engine.Assembler{
 		"dense": func(g *engine.Grid, fill engine.RunFill) *engine.Assembler {
 			return dense.EntryAssembler(g, fill, false)
@@ -386,8 +382,7 @@ func TestGridSizeGuard(t *testing.T) {
 // and a tight RankFrac, band tiles are dense and updated panel by panel, while
 // every off-band tile past column 0 is built inside one task that applies all
 // of its updates: far tiles pass the probe and are accumulated and
-// recompressed, nearer ones stay dense (float64 or float32) and take the same
-// GEMMs there. A tile keeps its assembled kind, except that a low-rank one
+// recompressed, nearer ones stay dense and take the same GEMMs there. A tile keeps its assembled kind, except that a low-rank one
 // whose tolerance its recompression misses ends dense float64; a tile whose
 // updates were applied twice, or not at all, breaks the residual (a pivot
 // goes to −100).
@@ -396,7 +391,7 @@ func TestBandAndOffBandTilesInOneGrid(t *testing.T) {
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.3, 2.5), Tau2: 0.05}
 	const tol, ts = 1e-4, 32
 	n := geom.Len()
-	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.35, F32Norm: 0.1}
+	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.35}
 	mk := func(g *engine.Grid) *engine.Assembler { return policy.EntryAssembler(g, fillOf(geom, kern), false) }
 
 	asIs := assembled(n, ts, mk)

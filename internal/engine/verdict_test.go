@@ -30,8 +30,8 @@ func TestVerdictSameAtEveryWorkerCount(t *testing.T) {
 	}
 	ps, mix := want.ProbeStats(), want.Mix()
 	offBand := (want.NT - 1) * (want.NT - 2) / 2
-	if ps.Probed != want.NT-2 || ps.Rejected != ps.Probed || ps.Skipped != offBand-ps.Probed || mix.LowRank != 0 || mix.Dense32 == 0 {
-		t.Fatalf("probes %+v, mix %+v: want column 0's %d probes all rejected, the other %d skipped, f32 tiles present",
+	if ps.Probed != want.NT-2 || ps.Rejected != ps.Probed || ps.Skipped != offBand-ps.Probed || mix.LowRank != 0 {
+		t.Fatalf("probes %+v, mix %+v: want column 0's %d probes all rejected, the other %d skipped, no low-rank tile",
 			ps, mix, want.NT-2, offBand-(want.NT-2))
 	}
 	for _, workers := range []int{1, 2} {
@@ -117,7 +117,7 @@ func TestVerdictLeavesLaterCompressibleTileDense(t *testing.T) {
 	// (8,1) on fall to 10–12.
 	kern := &cov.Nugget{Kernel: cov.NewMatern(1, 0.1, 2.5), Tau2: 0.05}
 	sigma := cov.Matrix(geom, kern)
-	policy := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.25, F32Norm: 1e-12}
+	policy := adaptive(tol)
 	limit := policy.RankLimit(ts, ts)
 
 	inMemory := assembled(geom.Len(), ts, policyLayout(sigma, policy))

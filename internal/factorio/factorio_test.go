@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -30,18 +29,9 @@ func mat(r, c int, seed uint64) *linalg.Matrix {
 	return m
 }
 
-func mat32(r, c int, seed uint64) *tile.Matrix32 {
-	m := tile.NewMatrix32(r, c)
-	src := mat(r, c, seed)
-	for i := range m.Data {
-		m.Data[i] = float32(src.Data[i])
-	}
-	return m
-}
-
 // testFactors builds one hand-assembled factor per layout over n=10, ts=4
 // (tile dims 4,4,2 — a ragged edge on purpose): all dense, TLR (with one
-// rank-0 tile), and an adaptive mix holding every wire kind.
+// rank-0 tile), and an adaptive mix holding both wire kinds off the diagonal.
 func testFactors(t testing.TB) map[string]*mvn.Factor {
 	t.Helper()
 	const n, ts = 10, 4
@@ -78,10 +68,7 @@ func testFactors(t testing.TB) map[string]*mvn.Factor {
 			return lowRank(i, j, 1, uint64(300+10*i+j))
 		}),
 		"adaptive": grid(400, func(i, j int) tile.Tile {
-			switch {
-			case i == 1:
-				return &tile.DenseF32{D: mat32(dims(i), dims(j), 500)}
-			case j == 0:
+			if i == 2 && j == 0 {
 				return lowRank(i, j, 2, 501)
 			}
 			return &tile.DenseF64{D: mat(dims(i), dims(j), 503)}
@@ -319,7 +306,9 @@ func fixCRC(dst, payload []byte) {
 // NewFactor re-laid in place encodes to the bytes of the same grid before
 // the re-lay — the store format stays column-major. The tiles are 13 and 4
 // rows, so the packed order differs from column-major (two full panels and
-// a ragged row), and the grid holds every wire kind.
+// a ragged row), and the grid holds both wire kinds. Decoded, the file holds
+// its dense tiles packed and re-encodes to itself: the round trip of a packed
+// dense off-diagonal tile.
 func TestEncodePackedFactorColumnMajor(t *testing.T) {
 	const n, ts = 30, 13
 	g, err := engine.NewGridChecked(n, ts)
@@ -330,12 +319,9 @@ func TestEncodePackedFactorColumnMajor(t *testing.T) {
 		g.Set(i, i, &tile.DenseF64{D: mat(g.TileRows(i), g.TileRows(i), uint64(i))})
 		for j := 0; j < i; j++ {
 			r, c := g.TileRows(i), g.TileRows(j)
-			switch {
-			case i == 2 && j == 0:
-				g.Set(i, j, &tile.DenseF32{D: mat32(r, c, 7)})
-			case i == 2 && j == 1:
+			if i == 2 && j == 1 {
 				g.Set(i, j, &tile.LowRank{M: r, N: c, U: mat(r, 2, 8), V: mat(c, 2, 9)})
-			default:
+			} else {
 				g.Set(i, j, &tile.DenseF64{D: mat(r, c, uint64(10*i+j))})
 			}
 		}
@@ -354,6 +340,18 @@ func TestEncodePackedFactorColumnMajor(t *testing.T) {
 	if got := encode(t, key, f); !bytes.Equal(got, want) {
 		t.Errorf("packed factor encodes to %d bytes differing from the column-major grid's %d", len(got), len(want))
 	}
+	_, dec, err := Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < dec.NT(); i++ {
+		if _, ok := dec.G.At(i, 0).(*tile.PackedF64); !ok {
+			t.Errorf("decoded tile (%d,0) is %T, want *tile.PackedF64", i, dec.G.At(i, 0))
+		}
+	}
+	if got := encode(t, key, dec); !bytes.Equal(got, want) {
+		t.Errorf("decoded factor re-encodes to %d bytes differing from the file's %d", len(got), len(want))
+	}
 }
 
 func equalBits(a, b []float64) bool {
@@ -369,51 +367,15 @@ func equalBits(a, b []float64) bool {
 }
 
 // TestDecodeParentMixedContainer: testdata/parent_mixed_n42_ts16.fac was
-// written by the commit before factor tiles were kept packed (a dense
-// Matérn factor at n = 42, tile 16, its tile (2,0) narrowed to float32), so
-// its dense tiles are stored column-major. Loaded, it must hold them packed,
-// re-encode to the same file, and answer with the bits that commit computed
-// from the same file, in both sweeps, on the vector and on the scalar
-// kernels.
+// written by an earlier commit (a dense Matérn factor at n = 42, tile 16, its
+// tile (2,0) narrowed to float32). Tile kind tag 2, dense float32, is retired:
+// the file is malformed, so a store reports it and rebuilds the factor.
 func TestDecodeParentMixedContainer(t *testing.T) {
 	file, err := os.ReadFile("testdata/parent_mixed_n42_ts16.fac")
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, f, err := Decode(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mix := f.G.Mix(); f.N() != 42 || f.TS() != 16 || mix.Dense64 != 5 || mix.Dense32 != 1 {
-		t.Fatalf("decoded n=%d ts=%d mix %+v, want 42, 16 and 5 dense64 + 1 dense32 tiles", f.N(), f.TS(), mix)
-	}
-	if _, ok := f.G.At(1, 0).(*tile.PackedF64); !ok {
-		t.Errorf("tile (1,0) decoded as %T, want *tile.PackedF64", f.G.At(1, 0))
-	}
-	if re := encode(t, key, f); !bytes.Equal(re, file) {
-		t.Errorf("re-encoded container differs from the parent's file (%d vs %d bytes)", len(re), len(file))
-	}
-	// Prob and StdErr bits, recorded by the parent.
-	want := [2]uint64{0x3fde691a41936549, 0x3f7302a34c31a806}
-	switch {
-	case linalg.HasVectorKernels():
-	case runtime.GOARCH == "amd64":
-		want = [2]uint64{0x3fde691a41936549, 0x3f7302a34c31a823}
-	default:
-		t.Skip("the parent's answers were recorded on amd64")
-	}
-	n := f.N()
-	a, b := make([]float64, n), make([]float64, n)
-	for i := range a {
-		a[i], b[i] = -1.5, 2
-		if i%3 == 0 {
-			b[i] = math.Inf(1)
-		}
-	}
-	rt := taskrt.New(2)
-	defer rt.Shutdown()
-	r := mvn.PMVN(rt, f, a, b, mvn.Options{N: 300, Replicates: 3})
-	if got := [2]uint64{math.Float64bits(r.Prob), math.Float64bits(r.StdErr)}; got != want {
-		t.Errorf("prob/stderr bits %#x, the parent computed %#x", got, want)
+	if _, _, err := Decode(file); !errors.Is(err, ErrFormat) {
+		t.Errorf("a container holding a float32 tile: error %v, want ErrFormat", err)
 	}
 }

@@ -29,7 +29,8 @@ func refreshCRCs(data []byte) []byte {
 // FuzzDecode: Decode never panics; every failure is exactly one of the four
 // typed errors; whatever decodes re-encodes to the input byte for byte
 // (only canonical containers are accepted), which also means no container
-// with a reserved kind byte (1, 2) ever decodes — Encode writes kind 3.
+// with a reserved kind byte (1, 2) ever decodes — Encode writes kind 3 — and
+// no tile with the retired tag 2 (dense float32) does either.
 func FuzzDecode(f *testing.F) {
 	for _, fac := range testFactors(f) {
 		enc := encode(f, []byte("key"), fac)
@@ -48,6 +49,11 @@ func FuzzDecode(f *testing.F) {
 			res[metaOff+3] = kind
 			f.Add(refreshCRCs(res))
 		}
+		// Tile (1,0) tagged dense float32: it follows the 4×4 dense
+		// diagonal tile (0,0), after the tiles section's header.
+		retired := bytes.Clone(enc)
+		retired[metaOff+3+metaLen+4+12+1+8+8*16] = 2
+		f.Add(refreshCRCs(retired))
 	}
 	typed := []error{ErrFormat, ErrChecksum, ErrVersion, ErrFeature}
 	f.Fuzz(func(t *testing.T, data []byte) {

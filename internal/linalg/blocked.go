@@ -52,11 +52,6 @@ const (
 	mcBlk = 128 // packed A block rows (multiple of mrReg)
 	ncBlk = 504 // packed B block cols (multiple of nrReg)
 
-	// MrF32×NrF32 is the single-precision micro-tile (MicroF32): the same
-	// 128-byte depth step, so twice the rows.
-	MrF32 = 2 * mrReg
-	NrF32 = nrReg
-
 	// gemmNaiveCutoff routes tiny products (rank-k cores of the low-rank
 	// arithmetic, boundary slivers) to the unpacked kernel, whose constant
 	// factor is smaller than pack-and-micro-kernel below ~20³ flops.

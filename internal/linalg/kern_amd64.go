@@ -9,7 +9,7 @@ import "os"
 func cpuKernelLevel() int
 
 // The micro-kernels of kern_amd64.s, one contract (blocked.go): a full
-// mrReg×nrReg (MrF32×NrF32) tile of C at c, ldc elements between columns,
+// mrReg×nrReg tile of C at c, ldc elements between columns,
 // += alpha · packed-A panel · packed-B panel, written unchecked.
 //
 //go:noescape
@@ -17,12 +17,6 @@ func dgemmKern16x6Z(k int, ap, bp, c *float64, ldc int, alpha float64)
 
 //go:noescape
 func dgemmKern16x6Y(k int, ap, bp, c *float64, ldc int, alpha float64)
-
-//go:noescape
-func sgemmKern32x6Z(k int, ap, bp, c *float32, ldc int, alpha float32)
-
-//go:noescape
-func sgemmKern32x6Y(k int, ap, bp, c *float32, ldc int, alpha float32)
 
 // ddot returns Σ x[i]·y[i] (AVX2+FMA).
 //
@@ -81,16 +75,4 @@ func microF64(k int, ap, bp, c []float64, ldc int, alpha float64) {
 	default:
 		microF64Go(k, ap, bp, c, ldc, alpha)
 	}
-}
-
-// MicroF32 is the single-precision contract for the float32 tile kernels
-// (package tile): C[MrF32×NrF32 at c, ldc between columns] += alpha · Σ_l
-// ap[MrF32·l+i]·bp[NrF32·l+j]. Callers must check HasVectorKernels first.
-func MicroF32(k int, ap, bp, c []float32, ldc int, alpha float32) {
-	_ = c[(NrF32-1)*ldc+MrF32-1]
-	if kernelISA == isaAVX512 {
-		sgemmKern32x6Z(k, &ap[0], &bp[0], &c[0], ldc, alpha)
-		return
-	}
-	sgemmKern32x6Y(k, &ap[0], &bp[0], &c[0], ldc, alpha)
 }

@@ -1,11 +1,11 @@
 // Micro-kernels for the packed blocked GEMM (see blocked.go), and the
 // level-1 AVX2 kernels beside them.
 //
-// One contract, both precisions: a packed A micro-panel holds mr rows per
-// depth step (16 doubles or 32 floats — 128 bytes, two cache lines), a packed
-// B micro-panel nr = 6 values per depth step, and a kernel computes
+// One contract: a packed A micro-panel holds 16 doubles per depth step (128
+// bytes, two cache lines), a packed B micro-panel 6 per depth step, and a
+// kernel computes
 //
-//	C[i, j] += alpha · Σ_l ap[mr·l + i] · bp[6·l + j],   i < mr, j < 6,
+//	C[i, j] += alpha · Σ_l ap[16·l + i] · bp[6·l + j],   i < 16, j < 6,
 //
 // straight into the column-major destination at c with ldc elements between
 // columns. The sum is one FMA chain per element, from +0, in depth order; the
@@ -13,13 +13,13 @@
 // NOT an FMA — which is what the Go loop it replaces did, so an answer does
 // not depend on which kernel produced it.
 //
-// Two bodies per precision share that layout. The AVX-512 one (suffix Z)
-// holds the whole mr×6 tile in 12 ZMM accumulators: two 64-byte packed-A
-// loads and six packed-B broadcasts feed 12 FMAs per depth step, which keeps
-// two 512-bit FMA pipes busy. The AVX2 one (suffix Y) is the classic BLIS
-// shape for 16 YMM registers — 12 accumulators over half the panel height —
-// run twice, once over each cache line of the depth step. The Z kernels use
-// AVX512F encodings only (VPXORQ: VXORPD on a ZMM register is AVX512DQ).
+// Two bodies share that layout. The AVX-512 one (suffix Z) holds the whole
+// 16×6 tile in 12 ZMM accumulators: two 64-byte packed-A loads and six
+// packed-B broadcasts feed 12 FMAs per depth step, which keeps two 512-bit
+// FMA pipes busy. The AVX2 one (suffix Y) is the classic BLIS shape for 16
+// YMM registers — 12 accumulators over half the panel height — run twice,
+// once over each cache line of the depth step. The Z kernel uses AVX512F
+// encodings only (VPXORQ: VXORPD on a ZMM register is AVX512DQ).
 
 #include "textflag.h"
 
@@ -63,13 +63,13 @@ done:
 
 // WBCOL writes one column of the register tile back: (r0, r1) hold its two
 // vectors, DX points at the column and R8 is the column stride in bytes.
-#define WBCOL(MUL, ADD, MOV, alpha, r0, r1, off) \
-	MUL alpha, r0, r0; \
-	MUL alpha, r1, r1; \
-	ADD (DX), r0, r0; \
-	ADD off(DX), r1, r1; \
-	MOV r0, (DX); \
-	MOV r1, off(DX); \
+#define WBCOL(alpha, r0, r1, off) \
+	VMULPD alpha, r0, r0; \
+	VMULPD alpha, r1, r1; \
+	VADDPD (DX), r0, r0; \
+	VADDPD off(DX), r1, r1; \
+	VMOVUPD r0, (DX); \
+	VMOVUPD r1, off(DX); \
 	ADDQ R8, DX
 
 // func dgemmKern16x6Z(k int, ap, bp, c *float64, ldc int, alpha float64)
@@ -121,12 +121,12 @@ dzloop:
 	JNZ  dzloop
 dzwb:
 	VBROADCASTSD alpha+40(FP), Z14
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z0, Z1, 64)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z2, Z3, 64)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z4, Z5, 64)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z6, Z7, 64)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z8, Z9, 64)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Z14, Z10, Z11, 64)
+	WBCOL(Z14, Z0, Z1, 64)
+	WBCOL(Z14, Z2, Z3, 64)
+	WBCOL(Z14, Z4, Z5, 64)
+	WBCOL(Z14, Z6, Z7, 64)
+	WBCOL(Z14, Z8, Z9, 64)
+	WBCOL(Z14, Z10, Z11, 64)
 	VZEROUPPER
 	RET
 
@@ -184,144 +184,18 @@ dyloop:
 	JNZ  dyloop
 dywb:
 	VBROADCASTSD alpha+40(FP), Y14
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y0, Y1, 32)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y2, Y3, 32)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y4, Y5, 32)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y6, Y7, 32)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y8, Y9, 32)
-	WBCOL(VMULPD, VADDPD, VMOVUPD, Y14, Y10, Y11, 32)
+	WBCOL(Y14, Y0, Y1, 32)
+	WBCOL(Y14, Y2, Y3, 32)
+	WBCOL(Y14, Y4, Y5, 32)
+	WBCOL(Y14, Y6, Y7, 32)
+	WBCOL(Y14, Y8, Y9, 32)
+	WBCOL(Y14, Y10, Y11, 32)
 	// Second half: 8 rows down in the panel and in C, back up six columns.
 	ADDQ $64, SI
 	MOVQ c+24(FP), DX
 	ADDQ $64, DX
 	DECQ R9
 	JNZ  dyhalf
-	VZEROUPPER
-	RET
-
-// func sgemmKern32x6Z(k int, ap, bp, c *float32, ldc int, alpha float32)
-TEXT ·sgemmKern32x6Z(SB), NOSPLIT, $0-44
-	MOVQ k+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
-	SHLQ $2, R8
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	TESTQ CX, CX
-	JZ   szwb
-szloop:
-	VMOVUPS (SI), Z12
-	VMOVUPS 64(SI), Z13
-	VBROADCASTSS (DI), Z14
-	VFMADD231PS Z12, Z14, Z0
-	VFMADD231PS Z13, Z14, Z1
-	VBROADCASTSS 4(DI), Z15
-	VFMADD231PS Z12, Z15, Z2
-	VFMADD231PS Z13, Z15, Z3
-	VBROADCASTSS 8(DI), Z14
-	VFMADD231PS Z12, Z14, Z4
-	VFMADD231PS Z13, Z14, Z5
-	VBROADCASTSS 12(DI), Z15
-	VFMADD231PS Z12, Z15, Z6
-	VFMADD231PS Z13, Z15, Z7
-	VBROADCASTSS 16(DI), Z14
-	VFMADD231PS Z12, Z14, Z8
-	VFMADD231PS Z13, Z14, Z9
-	VBROADCASTSS 20(DI), Z15
-	VFMADD231PS Z12, Z15, Z10
-	VFMADD231PS Z13, Z15, Z11
-	ADDQ $128, SI
-	ADDQ $24, DI
-	DECQ CX
-	JNZ  szloop
-szwb:
-	VBROADCASTSS alpha+40(FP), Z14
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z0, Z1, 64)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z2, Z3, 64)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z4, Z5, 64)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z6, Z7, 64)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z8, Z9, 64)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Z14, Z10, Z11, 64)
-	VZEROUPPER
-	RET
-
-// func sgemmKern32x6Y(k int, ap, bp, c *float32, ldc int, alpha float32)
-//
-// The 16×6 YMM body over rows 0-15, then rows 16-31, of the 32-row panel.
-TEXT ·sgemmKern32x6Y(SB), NOSPLIT, $0-44
-	MOVQ ap+8(FP), SI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
-	SHLQ $2, R8
-	MOVQ $2, R9
-syhalf:
-	MOVQ k+0(FP), CX
-	MOVQ bp+16(FP), DI
-	MOVQ SI, R10
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	TESTQ CX, CX
-	JZ   sywb
-syloop:
-	VMOVUPS (R10), Y12
-	VMOVUPS 32(R10), Y13
-	VBROADCASTSS (DI), Y14
-	VFMADD231PS Y12, Y14, Y0
-	VFMADD231PS Y13, Y14, Y1
-	VBROADCASTSS 4(DI), Y15
-	VFMADD231PS Y12, Y15, Y2
-	VFMADD231PS Y13, Y15, Y3
-	VBROADCASTSS 8(DI), Y14
-	VFMADD231PS Y12, Y14, Y4
-	VFMADD231PS Y13, Y14, Y5
-	VBROADCASTSS 12(DI), Y15
-	VFMADD231PS Y12, Y15, Y6
-	VFMADD231PS Y13, Y15, Y7
-	VBROADCASTSS 16(DI), Y14
-	VFMADD231PS Y12, Y14, Y8
-	VFMADD231PS Y13, Y14, Y9
-	VBROADCASTSS 20(DI), Y15
-	VFMADD231PS Y12, Y15, Y10
-	VFMADD231PS Y13, Y15, Y11
-	ADDQ $128, R10
-	ADDQ $24, DI
-	DECQ CX
-	JNZ  syloop
-sywb:
-	VBROADCASTSS alpha+40(FP), Y14
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y0, Y1, 32)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y2, Y3, 32)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y4, Y5, 32)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y6, Y7, 32)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y8, Y9, 32)
-	WBCOL(VMULPS, VADDPS, VMOVUPS, Y14, Y10, Y11, 32)
-	ADDQ $64, SI
-	MOVQ c+24(FP), DX
-	ADDQ $64, DX
-	DECQ R9
-	JNZ  syhalf
 	VZEROUPPER
 	RET
 

@@ -16,12 +16,6 @@ func microF64(k int, ap, bp, c []float64, ldc int, alpha float64) {
 	microF64Go(k, ap, bp, c, ldc, alpha)
 }
 
-// MicroF32 exists only on platforms with native kernels; see
-// HasVectorKernels.
-func MicroF32(k int, ap, bp, c []float32, ldc int, alpha float32) {
-	panic("linalg: MicroF32 without vector kernels")
-}
-
 // The level-1 vector kernels are never reached when hasVectorKernels is
 // false; the dispatchers fall back to the scalar loops first.
 func dotVec(x, y []float64) float64       { panic("linalg: no vector kernels") }

@@ -99,8 +99,8 @@ type PackedB struct {
 }
 
 // PackBInto lays the n×k column-major matrix src (ld elements between
-// columns) into dst[:n·k] in PackedB order, widening float32 sources exactly.
-func PackBInto[T float32 | float64](dst []float64, src []T, ld, n, k int) PackedB {
+// columns) into dst[:n·k] in PackedB order.
+func PackBInto(dst, src []float64, ld, n, k int) PackedB {
 	p := PackedB{Data: dst[:n*k], N: n, K: k}
 	for jc := 0; jc < n; jc += ncBlk {
 		nc := min(ncBlk, n-jc)
@@ -115,20 +115,12 @@ func PackBInto[T float32 | float64](dst []float64, src []T, ld, n, k int) Packed
 				for l := 0; l < kcc; l++ {
 					col := src[(pc+l)*ld+jc+g0 : (pc+l)*ld+jc+g1]
 					for jp := g0; jp < g1; jp += nrReg {
-						d := blk[jp*kcc+l*nrReg : jp*kcc+l*nrReg+nrReg]
-						s := col[jp-g0 : jp-g0+nrReg]
-						for j := range d {
-							d[j] = float64(s[j])
-						}
+						copy(blk[jp*kcc+l*nrReg:jp*kcc+l*nrReg+nrReg], col[jp-g0:jp-g0+nrReg])
 					}
 				}
 			}
 			for l := 0; l < kcc; l++ {
-				col := src[(pc+l)*ld+jc+full : (pc+l)*ld+jc+nc]
-				d := blk[full*kcc+l*rem : full*kcc+l*rem+rem]
-				for j := range d {
-					d[j] = float64(col[j])
-				}
+				copy(blk[full*kcc+l*rem:full*kcc+l*rem+rem], src[(pc+l)*ld+jc+full:(pc+l)*ld+jc+nc])
 			}
 		}
 	}

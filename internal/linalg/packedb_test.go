@@ -73,7 +73,7 @@ func TestGemmPackedABMatchesGemmPackedA(t *testing.T) {
 
 // TestPackedBRoundTrip: packing and unpacking give the matrix back exactly,
 // for every ragged class and block count, whether packed from a copy, from a
-// strided view, from float32, or in place over the matrix's own storage.
+// strided view, or in place over the matrix's own storage.
 func TestPackedBRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 5, 6, 7, 12, 13, 503, 504, 505, 1013} {
@@ -113,13 +113,6 @@ func TestPackedBRoundTrip(t *testing.T) {
 				}
 			}
 			check("in place", p)
-
-			b32 := make([]float32, n*k)
-			for i := range b32 {
-				b32[i] = float32(b.Data[i])
-				b.Data[i] = float64(b32[i])
-			}
-			check("float32", PackBInto(make([]float64, n*k), b32, n, n, k))
 		}
 	}
 }

@@ -27,9 +27,8 @@ import (
 // The dense float64 off-diagonal tiles are stored the way those GEMMs read
 // them: NewFactor re-lays each one, in place, into the micro-kernel's B-panel
 // order (a tile.PackedF64 over the same storage), so no product packs it
-// again. A float32 tile is kept only as float32 and widened into that order
-// in pooled scratch by each apply. Every tile is held once, so the factor's
-// payload is its grid's (engine.Grid.Bytes). The diagonal tiles stay
+// again. Every tile is held once, so the factor's payload is its grid's
+// (engine.Grid.Bytes). The diagonal tiles stay
 // column-major. Whatever reads a packed tile as a matrix — the store's
 // codec — unpacks it, so the stored file is the column-major grid's.
 type Factor struct {
@@ -69,10 +68,9 @@ func (f *Factor) Diag(k int) *linalg.Matrix { return f.G.Diag(k) }
 // strictly-lower tile (i,j), i > j, in the lane-major (chains × rows)
 // layout of the chain-blocked sweep: y holds the source tile's
 // conditioning values — as the packed GEMM operand the sweep keeps them
-// in, as a dense float64 L(i,j) is kept packed (see Factor), so an apply
-// packs neither; a float32 L(i,j) is widened into a pooled packed copy —
-// and dst the accumulated conditioning sums the A/B limits of Algorithm 2
-// are shifted by. (The A and B limits share one conditioning sum, so a
+// in, as a dense L(i,j) is kept packed (see Factor), so an apply packs
+// neither — and dst the accumulated conditioning sums the A/B limits of
+// Algorithm 2 are shifted by. (The A and B limits share one conditioning sum, so a
 // single accumulation replaces the seed's paired A/B tile updates — half
 // the propagation GEMMs; beta = 0 overwrites dst, sparing the sweep a
 // zeroing pass over pooled scratch.)
@@ -82,10 +80,5 @@ func (f *Factor) ApplyOffDiagLanes(i, j int, alpha float64, y linalg.PackedA, be
 		linalg.GemmPackedAB(alpha, y, t.P, beta, dst)
 	case *tile.LowRank:
 		t.ApplyRightTransPacked(alpha, y, beta, dst)
-	case *tile.DenseF32:
-		r, c := t.Dims()
-		buf := linalg.GetVec(r * c)
-		linalg.GemmPackedAB(alpha, y, linalg.PackBInto(buf, t.D.Data, r, r, c), beta, dst)
-		linalg.PutVec(&buf)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestNewFactorPacksInPlace is the footprint gate of the packed factor. An
-// adaptive factor holding every representation (Matérn ν 1.5 on a 40×25
+// adaptive factor holding both representations (Matérn ν 1.5 on a 40×25
 // grid, tile 64, so the last tile row is ragged; its tiles probed by ACA as
 // a kernel's are): NewFactor re-lays every
 // dense float64 off-diagonal tile over its own storage, keeps the bits
@@ -27,13 +27,13 @@ func TestNewFactorPacksInPlace(t *testing.T) {
 	defer rt.Shutdown()
 	g := engine.NewGrid(sigma.Rows, 64)
 	fill := func(dst []float64, row0, j int) { copy(dst, sigma.Col(j)[row0:]) }
-	pol := engine.Policy{Band: 1, Tol: 1e-4, RankFrac: 0.25, F32Norm: 0.1}
+	pol := engine.Policy{Band: 1, Tol: 1e-4, RankFrac: 0.25}
 	if err := engine.PotrfStream(rt, g, pol.EntryAssembler(g, fill, false)); err != nil {
 		t.Fatal(err)
 	}
 	mix, gridBytes := g.Mix(), g.Bytes()
-	if mix.Dense32 == 0 || mix.LowRank == 0 || mix.Dense64 <= g.NT {
-		t.Fatalf("mix %+v: want float32, low-rank and off-diagonal float64 tiles", mix)
+	if mix.LowRank == 0 || mix.Dense64 <= g.NT {
+		t.Fatalf("mix %+v: want low-rank and off-diagonal dense tiles", mix)
 	}
 	type denseTile struct {
 		i, j  int
@@ -81,8 +81,6 @@ func TestNewFactorPacksInPlace(t *testing.T) {
 				live += 8 * int64(len(tt.D.Data))
 			case *tile.PackedF64:
 				live += 8 * int64(len(tt.P.Data))
-			case *tile.DenseF32:
-				live += 4 * int64(len(tt.D.Data))
 			case *tile.LowRank:
 				if tt.Rank() > 0 {
 					live += 8 * int64(len(tt.U.Data)+len(tt.V.Data))

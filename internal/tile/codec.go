@@ -33,6 +33,8 @@ func codecErr(format string, args ...any) error {
 // Wire kind tags. These are persistent format values — append only, never
 // renumber. They deliberately mirror Kind but are decoupled from it so a
 // Kind reordering in memory cannot silently corrupt stored factors.
+// Tag 2 named a dense float32 tile, a representation no longer built; it
+// stays reserved and decodes as an error.
 const (
 	wireDenseF64 = byte(1)
 	wireDenseF32 = byte(2)
@@ -102,37 +104,6 @@ func DecodeMatrix(b []byte) (*linalg.Matrix, []byte, error) {
 	return m, b[8*r*c:], nil
 }
 
-// AppendMatrix32 appends a dense float32 matrix (rows, cols, raw bits).
-func AppendMatrix32(buf []byte, m *Matrix32) []byte {
-	buf = appendU32(buf, uint32(m.Rows))
-	buf = appendU32(buf, uint32(m.Cols))
-	for _, v := range m.Data {
-		buf = appendU32(buf, math.Float32bits(v))
-	}
-	return buf
-}
-
-// DecodeMatrix32 decodes one AppendMatrix32 payload.
-func DecodeMatrix32(b []byte) (*Matrix32, []byte, error) {
-	rows, b, err := decodeU32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols, b, err := decodeU32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, c, err := checkDims(rows, cols, 4, len(b))
-	if err != nil {
-		return nil, nil, err
-	}
-	m := NewMatrix32(r, c)
-	for i := range m.Data {
-		m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return m, b[4*r*c:], nil
-}
-
 // AppendTile appends one tile in its representation: a wire kind tag, then
 // the representation payload.
 func AppendTile(buf []byte, t Tile) ([]byte, error) {
@@ -149,9 +120,6 @@ func AppendTile(buf []byte, t Tile) ([]byte, error) {
 		buf = AppendMatrix(buf, m)
 		linalg.PutMat(m)
 		return buf, nil
-	case *DenseF32:
-		buf = append(buf, wireDenseF32)
-		return AppendMatrix32(buf, tt.D), nil
 	case *LowRank:
 		buf = append(buf, wireLowRank)
 		buf = appendU32(buf, uint32(tt.M))
@@ -184,11 +152,7 @@ func DecodeTile(b []byte) (Tile, []byte, error) {
 		}
 		return &DenseF64{D: m}, rest, nil
 	case wireDenseF32:
-		m, rest, err := DecodeMatrix32(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &DenseF32{D: m}, rest, nil
+		return nil, nil, codecErr("tile kind tag %d (dense float32) is retired", kind)
 	case wireLowRank:
 		mm, b, err := decodeU32(b)
 		if err != nil {

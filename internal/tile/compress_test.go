@@ -275,37 +275,6 @@ func TestCompressACAConvergenceFlag(t *testing.T) {
 	}
 }
 
-// TestGemm32BlockedMatchesNaive pins the packed float32 kernel against the
-// unpacked loops across ragged sizes. The blocked kernel reassociates sums,
-// so agreement is to f32 roundoff.
-func TestGemm32BlockedMatchesNaive(t *testing.T) {
-	if !linalg.HasVectorKernels() {
-		t.Skip("no vector kernels on this platform")
-	}
-	rng := rand.New(rand.NewSource(11))
-	for _, sz := range []struct{ m, n, k int }{{48, 48, 48}, {65, 30, 17}, {16, 96, 40}, {33, 33, 257}} {
-		mk := func(r, c int) *Matrix32 {
-			x := NewMatrix32(r, c)
-			for i := range x.Data {
-				x.Data[i] = float32(rng.NormFloat64())
-			}
-			return x
-		}
-		a, b := mk(sz.m, sz.k), mk(sz.n, sz.k)
-		want := mk(sz.m, sz.n)
-		got := NewMatrix32(sz.m, sz.n)
-		copy(got.Data, want.Data)
-		gemm32Naive(-1, a, b, want)
-		gemm32Blocked(-1, a, b, got, sz.m, sz.n, sz.k)
-		for i := range want.Data {
-			diff := float64(want.Data[i] - got.Data[i])
-			if math.Abs(diff) > 1e-3*float64(sz.k) {
-				t.Fatalf("m=%d n=%d k=%d: idx %d diff %g", sz.m, sz.n, sz.k, i, diff)
-			}
-		}
-	}
-}
-
 // BenchmarkKernelsLowRankUpdate measures the steady-state low-rank update
 // (AddLowRank: concat + QR + small SVD + truncate) — the recompression hot
 // loop of the TLR/adaptive factorization — with allocation reporting. The

@@ -32,6 +32,20 @@ func (t *LowRank) Dense() *linalg.Matrix {
 	return d
 }
 
+// DenseInto materializes U·Vᵀ into the preallocated t.M×t.N matrix dst, the
+// form for a pooled destination: the factorization's updates densify an
+// operand without allocating per task.
+func (t *LowRank) DenseInto(dst *linalg.Matrix) {
+	if dst.Rows != t.M || dst.Cols != t.N {
+		panic("tile: DenseInto shape mismatch")
+	}
+	if t.Rank() == 0 {
+		dst.Zero()
+		return
+	}
+	linalg.Gemm(false, true, 1, t.U, t.V, 0, dst)
+}
+
 // Clone returns a deep copy.
 func (t *LowRank) Clone() *LowRank {
 	c := &LowRank{M: t.M, N: t.N}

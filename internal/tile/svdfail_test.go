@@ -18,8 +18,7 @@ func failingSVD(a, v *linalg.Matrix, s []float64) bool { return false }
 // compressor reports failure instead of returning a tile, and a factorization
 // under the adaptive policy — ACA probes on a kernel, CompressWithin on an
 // explicit Σ, CompressNear after the Schur updates — succeeds with every tile
-// the working SVD made low rank stored dense: float64, or float32 where the
-// policy's norm rule takes an incompressible tile.
+// the working SVD made low rank stored dense.
 func TestGolubReinschFailureKeepsTilesDense(t *testing.T) {
 	const side, ts, tol = 32, 64, 1e-4
 	g := geo.RegularGrid(side, side)
@@ -35,7 +34,7 @@ func TestGolubReinschFailureKeepsTilesDense(t *testing.T) {
 
 	rt := taskrt.New(2)
 	defer rt.Shutdown()
-	adaptive := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.25, F32Norm: 0.1}
+	adaptive := engine.Policy{Band: 1, Tol: tol, RankFrac: 0.25}
 	factor := func(fill engine.RunFill, inMemory bool) *engine.Grid {
 		t.Helper()
 		grid := engine.NewGrid(n, ts)
@@ -75,9 +74,7 @@ func TestGolubReinschFailureKeepsTilesDense(t *testing.T) {
 				if _, lr := before.At(i, j).(*tile.LowRank); !lr {
 					continue
 				}
-				switch after.At(i, j).(type) {
-				case *tile.DenseF64, *tile.DenseF32:
-				default:
+				if _, dense := after.At(i, j).(*tile.DenseF64); !dense {
 					t.Errorf("inMemory=%v: tile (%d,%d) is %T with a failing SVD, want it dense", inMemory, i, j, after.At(i, j))
 				}
 			}

@@ -9,9 +9,8 @@ import (
 
 // The pool-balance gate. Every pooled buffer has one owner, and the owner
 // hands it back: a warm query returns every buffer it takes, and a cold
-// factorization keeps exactly one per dense tile it stores (float64 tiles
-// from linalg's pool, float32 tiles from tile's) and no int slice or view
-// header. The pools count the items they have handed out and not taken
+// factorization keeps exactly one per dense tile it stores, from linalg's
+// pool, and no int slice or view header. The pools count the items they have handed out and not taken
 // back, so a missing Put on either path shows as a count that drifts, and a
 // double Put as one that falls short. The factor's own scratch is covered
 // the same way: mvn.NewFactor's copy of each tile it re-lays in place, and
@@ -25,23 +24,23 @@ import (
 // factor holds exactly the tiles its row names: largeBox under TLR
 // keeps off-band tiles past column 0 dense (their finish task's dense
 // accumulator is the buffer that stays out), maternBox under the adaptive
-// preset holds every representation.
+// preset holds both representations.
 func TestPoolBalance(t *testing.T) {
 	for _, c := range []struct {
 		m   Method
 		q   warmBox
 		tol float64
-		mix [3]int
+		mix [2]int
 	}{
-		{Dense, largeBox(), 1e-6, [3]int{10, 0, 0}},
-		{TLR, largeBox(), 1e-6, [3]int{9, 0, 1}},
+		{Dense, largeBox(), 1e-6, [2]int{10, 0}},
+		{TLR, largeBox(), 1e-6, [2]int{9, 1}},
 		{MethodAdaptive, maternBox(), 1e-4, maternMix},
 	} {
 		m, q := c.m, c.q
 		t.Run(m.String()+"/f64", func(t *testing.T) {
 			s := NewSession(Config{Workers: 2, TileSize: 64, QMCSize: 200, TLRTol: c.tol, Method: m})
 			defer s.Close()
-			base64, base32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
+			base := linalg.OutstandingVecs()
 			baseInts, baseViews := linalg.OutstandingInts(), linalg.OutstandingMatViews()
 			fp, err := s.FactorFootprint(q.locs, q.kernel)
 			if err != nil {
@@ -59,13 +58,10 @@ func TestPoolBalance(t *testing.T) {
 					t.Fatalf("tile (%d,1) is %s: no off-band tile past column 0 stayed dense", f.NT()-1, late.Kind())
 				}
 			}
-			want64, want32 := base64+int64(fp.Dense64), base32+int64(fp.Dense32)
 			check := func(when string) {
 				t.Helper()
-				got64, got32 := linalg.OutstandingVecs(), tile.OutstandingVec32()
-				if got64 != want64 || got32 != want32 {
-					t.Fatalf("%s: %d f64 and %d f32 buffers outstanding, want %d and %d (one per Dense64/Dense32 tile of %+v)",
-						when, got64-base64, got32-base32, fp.Dense64, fp.Dense32, fp)
+				if got := linalg.OutstandingVecs() - base; got != int64(fp.Dense64) {
+					t.Fatalf("%s: %d buffers outstanding, want %d (one per dense tile of %+v)", when, got, fp.Dense64, fp)
 				}
 				if ints, views := linalg.OutstandingInts()-baseInts, linalg.OutstandingMatViews()-baseViews; ints != 0 || views != 0 {
 					t.Fatalf("%s: %d int slices and %d view headers outstanding, want 0 and 0", when, ints, views)

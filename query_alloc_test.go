@@ -55,14 +55,14 @@ func maternBox() warmBox {
 	return warmBox{locs, KernelSpec{Family: "matern", Range: 0.1, Nu: 1.5}, a, b}
 }
 
-// maternMix is maternBox's adaptive factor at tile 64, TLRTol 1e-4: every
-// representation, the low-rank tiles both in column 0 and past it.
-var maternMix = [3]int{91, 30, 15} // Dense64, Dense32, LowRank
+// maternMix is maternBox's adaptive factor at tile 64, TLRTol 1e-4: both
+// representations, the low-rank tiles both in column 0 and past it.
+var maternMix = [2]int{121, 15} // Dense64, LowRank
 
 // mixIs checks a footprint's exact tile counts.
-func mixIs(fp FactorFootprint, want [3]int) error {
-	if got := [3]int{fp.Dense64, fp.Dense32, fp.LowRank}; got != want {
-		return fmt.Errorf("tiles %v (Dense64, Dense32, LowRank), want %v: %+v", got, want, fp)
+func mixIs(fp FactorFootprint, want [2]int) error {
+	if got := [2]int{fp.Dense64, fp.LowRank}; got != want {
+		return fmt.Errorf("tiles %v (Dense64, LowRank), want %v: %+v", got, want, fp)
 	}
 	return nil
 }
@@ -140,7 +140,7 @@ func warmRows() []warmRow {
 		layout func(FactorFootprint) error
 	}{
 		{"dense", Dense, 24, mixedBox(), nil},
-		{"tlr", TLR, 24, mixedBox(), func(fp FactorFootprint) error { return mixIs(fp, [3]int{18, 0, 3}) }},
+		{"tlr", TLR, 24, mixedBox(), func(fp FactorFootprint) error { return mixIs(fp, [2]int{18, 3}) }},
 		{"adaptive", MethodAdaptive, 64, maternBox(), func(fp FactorFootprint) error { return mixIs(fp, maternMix) }},
 	}
 	var rows []warmRow

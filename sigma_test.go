@@ -296,7 +296,7 @@ func TestFactorizationLogLine(t *testing.T) {
 			t.Errorf("%s: attrs %v", source, attrs)
 		}
 		mix, _ := attrs["mix"].Any().(engine.Mix)
-		if mix.Dense64+mix.Dense32+mix.LowRank != 136 || mix.LowRank == 0 || mix.MaxRank == 0 {
+		if mix.Dense64+mix.LowRank != 136 || mix.LowRank == 0 || mix.MaxRank == 0 {
 			t.Errorf("%s: tile mix %+v, want 136 tiles, some low rank", source, mix)
 		}
 		if attrs["factor_bytes"].Int64() <= 0 || attrs["elapsed"].Duration() <= 0 || !attrs["err"].Equal(slog.AnyValue(nil)) {
@@ -369,8 +369,8 @@ func TestFactorizationLogLineCountsSkippedProbes(t *testing.T) {
 // TestFootprintIsTilePayload: FactorFootprint.Bytes, and the cold build's
 // factor_bytes record, is the payload of the factor's live tiles, each held
 // once in its representation, for the dense, TLR and adaptive presets on
-// maternBox (whose adaptive factor holds float32 tiles). A float32 tile costs
-// 4 bytes an entry, so the adaptive factor is no larger than the dense one.
+// maternBox, whose TLR and adaptive factors hold low-rank tiles, so neither
+// is larger than the dense one.
 func TestFootprintIsTilePayload(t *testing.T) {
 	h := &recordHandler{}
 	defer slog.SetDefault(slog.Default())
@@ -399,8 +399,6 @@ func TestFootprintIsTilePayload(t *testing.T) {
 					live += 8 * int64(len(tt.D.Data))
 				case *tile.PackedF64:
 					live += 8 * int64(len(tt.P.Data))
-				case *tile.DenseF32:
-					live += 4 * int64(len(tt.D.Data))
 				case *tile.LowRank:
 					if tt.Rank() > 0 {
 						live += 8 * int64(len(tt.U.Data)+len(tt.V.Data))
@@ -427,11 +425,9 @@ func TestFootprintIsTilePayload(t *testing.T) {
 			t.Errorf("%v: record factor_bytes %d, footprint %d", m, logged, fp.Bytes)
 		}
 	}
-	dense, adaptive := footprint[Dense], footprint[MethodAdaptive]
-	if adaptive.Dense32 == 0 || footprint[TLR].LowRank == 0 {
-		t.Fatalf("adaptive %+v, TLR %+v: want float32 and low-rank tiles", adaptive, footprint[TLR])
-	}
-	if adaptive.Bytes > dense.Bytes {
-		t.Errorf("adaptive factor %d bytes, dense %d", adaptive.Bytes, dense.Bytes)
+	for _, m := range []Method{TLR, MethodAdaptive} {
+		if fp := footprint[m]; fp.LowRank == 0 || fp.Bytes > footprint[Dense].Bytes {
+			t.Errorf("%v factor %+v: want low-rank tiles and no more bytes than dense's %d", m, fp, footprint[Dense].Bytes)
+		}
 	}
 }

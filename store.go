@@ -60,13 +60,6 @@ func (st *FactorStore) path(pk ProblemKey) string {
 	return filepath.Join(st.dir, fmt.Sprintf("%016x%s", pk.Hash(), storeExt))
 }
 
-// Has reports whether a file for pk's factor exists (without validating
-// it; LoadFactor verifies the full key and every checksum on load).
-func (st *FactorStore) Has(pk ProblemKey) bool {
-	_, err := os.Stat(st.path(pk))
-	return err == nil
-}
-
 // Stats returns the store's cumulative counts: loads that installed a
 // stored factor (hits) and loads that found none to install (misses, an
 // unreadable file included), factors written (saves), and files that could

@@ -27,6 +27,12 @@ func factorState(c *FactorCache, key factorKey) string {
 	return "building"
 }
 
+// stored reports whether st holds a file under pk's name, without reading it.
+func stored(st *FactorStore, pk ProblemKey) bool {
+	_, err := os.Stat(st.path(pk))
+	return err == nil
+}
+
 // TestEvictPrefersDoneOverBuilding pins the eviction policy: when the cache
 // overflows, a built (done) entry is evicted before any entry whose build is
 // still in flight, even when the building entry is older — evicting a
@@ -176,7 +182,7 @@ func TestWarmOneFlight(t *testing.T) {
 		t.Fatalf("%d factors cached after unpin, want the cap 1", got)
 	}
 	s.Close()
-	if !st.Has(pk) {
+	if !stored(st, pk) {
 		t.Fatal("Close returned before the write-through")
 	}
 
@@ -242,7 +248,7 @@ func TestStoreRoundTripBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !st.Has(pk) {
+			if !stored(st, pk) {
 				t.Fatal("store reports no factor after SaveFactor")
 			}
 			mvn1, err := s1.MVNProb(locs, spec, a, b)
@@ -402,6 +408,53 @@ func TestStoreCorruption(t *testing.T) {
 		t.Error("corrupt factor was installed")
 	}
 	s4.Close()
+}
+
+// TestWarmReplacesUnreadableStoreFile: a file the store cannot load under a
+// key's name — here seven bytes of garbage — is replaced by the factor the
+// leader builds instead, so the next session loads it and factorizes nothing.
+func TestWarmReplacesUnreadableStoreFile(t *testing.T) {
+	locs, spec, a, b := storeTestProblem()
+	cfg := Config{TileSize: 8, QMCSize: 200, Workers: 1}
+	st, err := OpenFactorStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := cfg.ProblemKey(locs, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.path(pk), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	grant := func() (func(), error) { return func() {}, nil }
+	s := NewSession(cfg)
+	unpin, _, err := s.Warm(context.Background(), locs, spec, st, grant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpin()
+	want, err := s.MVNProb(locs, spec, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2 := NewSession(cfg)
+	defer s2.Close()
+	if err := s2.LoadFactor(st, pk); err != nil {
+		t.Fatalf("load after the write-through: %v", err)
+	}
+	got, err := s2.MVNProb(locs, spec, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := s2.Cache().Stats(); misses != 0 || got != want {
+		t.Errorf("loaded session: %d factorizations, answer %+v; want 0 and %+v", misses, got, want)
+	}
+	if hits, _, saves, errs := st.Stats(); hits != 1 || saves != 1 || errs != 1 {
+		t.Errorf("store hits/saves/errors = %d/%d/%d, want 1/1/1 (the garbage read once)", hits, saves, errs)
+	}
 }
 
 // TestFactorKeyBlobSeparatesKeys checks the key serialization LoadFactor
