@@ -236,8 +236,9 @@ type Config struct {
 	// estimates (default 1; a budgeted query runs at least 4).
 	Replicates int
 	// FactorCacheCap bounds how many Cholesky factors the session keeps
-	// (LRU eviction; each dense factor is O(n²) memory). Default 8; 0
-	// keeps the default, negative means unbounded.
+	// (LRU eviction; each dense factor is O(n²) memory). The cache exceeds
+	// it only while builds in flight (and Warm's factors) are pinned.
+	// Default 8; 0 keeps the default, negative means unbounded.
 	FactorCacheCap int
 	// SweepF32 is ignored: every query runs the one float64 sweep, bit for
 	// bit what a session without it returns. The float32 sweep it used to
@@ -647,7 +648,11 @@ func (s *Session) detectSigma(row func(i int) []float64, mean []float64, u, conf
 	if err != nil {
 		return nil, err
 	}
-	f, err := s.factorForSigma(row, n, plan.Ordering(), sd, plan.CorrelationRuns(row, sd))
+	key, err := s.sigmaKey(row, n, plan.Ordering(), sd)
+	if err != nil {
+		return nil, err
+	}
+	f, err := s.acquire(key, source{n: n, fill: plan.CorrelationRuns(row, sd)})
 	if err != nil {
 		return nil, err
 	}

@@ -37,10 +37,11 @@ type factorKey struct {
 type cacheEntry struct {
 	f       *mvn.Factor
 	err     error
+	dropped bool // the build was refused and the entry removed; set before ready closes
 	done    atomic.Bool
 	ready   chan struct{}
 	lastUse int64 // LRU stamp, guarded by FactorCache.mu
-	pins    int   // Warm callers whose query has not run, guarded by FactorCache.mu
+	pins    int   // callers holding the entry (its leader among them while it builds), guarded by FactorCache.mu
 }
 
 // settle publishes the build's outcome to the entry's waiters.
@@ -58,7 +59,10 @@ func (e *cacheEntry) settle(f *mvn.Factor, err error) {
 // non-SPD matrix, are deterministic). The cache holds at most cap factors
 // (least-recently-used eviction; cap ≤ 0 means unbounded), since a dense
 // factor is O(n²) memory and workflows that stream ever-new covariances
-// would otherwise grow the session without limit. Safe for concurrent use.
+// would otherwise grow the session without limit. Every build in flight is
+// pinned by its leader, and a Warm caller's factor until its query has run;
+// only while entries are pinned does the cache sit above the cap. Safe for
+// concurrent use.
 type FactorCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -76,8 +80,7 @@ func newFactorCache(cap int) *FactorCache {
 // lookupDone returns the entry for key when its factor is already built,
 // recording a cache hit — the warm-query fast path, which performs no
 // allocation. It returns nil on a miss or while the first build is still in
-// flight; callers then take getOrBuild (whose build closure is the only
-// allocation, paid on the cold path).
+// flight; callers then take the pinned flight (Session.acquire).
 func (c *FactorCache) lookupDone(key factorKey) *cacheEntry {
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -92,46 +95,20 @@ func (c *FactorCache) lookupDone(key factorKey) *cacheEntry {
 	return e
 }
 
-// getOrBuild returns the factor for key, invoking build at most once per key
-// across all goroutines: the caller that inserts the entry builds, the others
-// wait for its outcome — including a refused build (Warm's admission,
-// LoadFactor's load), the one outcome that is not cached.
-func (c *FactorCache) getOrBuild(key factorKey, build func() (*mvn.Factor, error)) (*mvn.Factor, error) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		c.hits++
-		if !e.done.Load() {
-			c.waits++
-		}
-	} else {
-		e = &cacheEntry{ready: make(chan struct{})}
-		c.entries[key] = e
-		c.misses++
-		c.evictOldest(key)
-	}
-	c.tick++
-	e.lastUse = c.tick
-	c.mu.Unlock()
-	if ok {
-		<-e.ready
-	} else {
-		e.settle(build())
-	}
-	return e.f, e.err
-}
-
 // pin returns key's entry pinned, so evictOldest spares it until unpin, with
-// its LRU stamp ticked but no hit counted. lead reports that pin inserted the
-// entry: the caller then leads its build, and calls keep once it is admitted
-// or has loaded the factor, or drop when the build is refused.
-func (c *FactorCache) pin(key factorKey) (e *cacheEntry, lead bool) {
+// its LRU stamp ticked; hit counts a cache hit when the entry exists. lead
+// reports that pin inserted the entry: the caller then leads its build, and
+// calls keep once it is admitted or has loaded the factor, or drop when the
+// build is refused.
+func (c *FactorCache) pin(key factorKey, hit bool) (e *cacheEntry, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
 		e = &cacheEntry{ready: make(chan struct{})}
 		c.entries[key] = e
+	} else if hit {
+		c.hits++
 	}
 	e.pins++
 	c.tick++
@@ -144,7 +121,7 @@ func (c *FactorCache) pin(key factorKey) (e *cacheEntry, lead bool) {
 func (c *FactorCache) unpin(e *cacheEntry) {
 	c.mu.Lock()
 	e.pins--
-	c.evictOldest(factorKey{})
+	c.evictOldest()
 	c.mu.Unlock()
 }
 
@@ -165,12 +142,12 @@ func (c *FactorCache) wait(ctx context.Context, e *cacheEntry) error {
 // when it will factorize (a store load counts none), then eviction down to
 // the cap. Until then the entry neither evicts nor counts, so a request that
 // is shed leaves the cache as it found it.
-func (c *FactorCache) keep(key factorKey, miss bool) {
+func (c *FactorCache) keep(miss bool) {
 	c.mu.Lock()
 	if miss {
 		c.misses++
 	}
-	c.evictOldest(key)
+	c.evictOldest()
 	c.mu.Unlock()
 }
 
@@ -179,52 +156,35 @@ func (c *FactorCache) keep(key factorKey, miss bool) {
 func (c *FactorCache) install(key factorKey, e *cacheEntry, st *FactorStore) error {
 	f, err := st.load(key)
 	if err == nil {
-		c.keep(key, false)
+		c.keep(false)
 		e.settle(f, nil)
 	}
 	return err
 }
 
-// drop settles a led entry whose build was refused with err and removes it,
-// so the refusal is not cached: the next caller for its key leads again.
+// drop settles a led entry whose build was refused with err and removes it
+// (its leader's pin kept it from eviction), so the refusal is not cached: the
+// next caller for its key leads again.
 func (c *FactorCache) drop(key factorKey, e *cacheEntry, err error) {
 	c.mu.Lock()
-	if c.entries[key] == e {
-		delete(c.entries, key)
-	}
+	delete(c.entries, key)
 	c.mu.Unlock()
+	e.dropped = true
 	e.settle(nil, err)
 }
 
-// evictOldest evicts least-recently-used entries down to the cap, sparing
-// keep and every pinned entry: one whose build a Warm leader owns or whose
-// query has not run yet, so that query never rebuilds it outside admission.
-// A built entry goes before one whose build is in flight, since evicting that
-// one lets the next caller for its key start a second build while the first
-// still runs; only when no built entry is left does the cap evict one mid-build
-// (the build completes for its waiters; the entry is no longer findable). When
-// every other entry is pinned the cache stays above the cap until unpin.
-// Called with mu held.
-func (c *FactorCache) evictOldest(keep factorKey) {
+// evictOldest evicts the least-recently-used unpinned entries down to the
+// cap. A build in flight is pinned by its leader, so only built entries are
+// evicted; when every entry is pinned the cache stays above the cap until
+// the last unpin. Called with mu held.
+func (c *FactorCache) evictOldest() {
 	for c.cap > 0 && len(c.entries) > c.cap {
 		var victim factorKey
-		var vAge int64 = math.MaxInt64
-		found, victimDone := false, false
+		age, found := int64(math.MaxInt64), false
 		for k, e := range c.entries {
-			if k == keep || e.pins > 0 {
-				continue
+			if e.pins == 0 && e.lastUse < age {
+				victim, age, found = k, e.lastUse, true
 			}
-			done := e.done.Load()
-			// A done entry always beats a building one; within a class, oldest
-			// last use wins.
-			if done != victimDone {
-				if !done {
-					continue
-				}
-			} else if e.lastUse >= vAge {
-				continue
-			}
-			victim, vAge, found, victimDone = k, e.lastUse, true, done
 		}
 		if !found {
 			return
@@ -387,9 +347,10 @@ func (s *Session) ProblemKey(locs []Point, spec KernelSpec) (ProblemKey, error) 
 // writing the new factor through to st in the background (Close waits for
 // the write). Every other caller waits for the leader's outcome until ctx
 // ends; waited reports that it did. An admit error reaches the leader and
-// its waiters and is not cached, so the next caller leads again; a
-// factorization error is cached as for a query. Warm counts no cache hit
-// (the query that follows does) and refuses what Prefactorize refuses.
+// the Warm callers waiting on it and is not cached, so the next caller leads
+// again (a direct query waiting on it leads the key itself); a factorization
+// error is cached as for a query. Warm counts no cache hit (the query that
+// follows does) and refuses what Prefactorize refuses.
 func (s *Session) Warm(ctx context.Context, locs []Point, spec KernelSpec, st *FactorStore, admit func() (release func(), err error)) (unpin func(), waited bool, err error) {
 	if err := validateDim(len(locs)); err != nil {
 		return nil, false, err
@@ -398,16 +359,7 @@ func (s *Session) Warm(ctx context.Context, locs []Point, spec KernelSpec, st *F
 		return nil, false, err
 	}
 	key := s.cfg.key('k', hashPoints(locs), len(locs), spec.normalized())
-	e, lead := s.cache.pin(key)
-	switch {
-	case lead:
-		err = s.lead(e, key, locs, spec, st, admit)
-	case !e.done.Load():
-		waited = true
-		err = s.cache.wait(ctx, e)
-	default:
-		err = e.err
-	}
+	e, waited, err := s.join(ctx, key, source{locs: locs, spec: spec}, st, admit, false)
 	if err != nil {
 		s.cache.unpin(e)
 		return nil, waited, err
@@ -415,13 +367,53 @@ func (s *Session) Warm(ctx context.Context, locs []Point, spec KernelSpec, st *F
 	return func() { s.cache.unpin(e) }, waited, nil
 }
 
-// lead settles e, the entry Warm just inserted for key: with the factor st
-// holds, or with a factorization under admit's slot, written through to st on
-// a goroutine of its own. The write replaces whatever file st held under the
-// key's name, which st could not load (corrupt, another version, another key
-// hashing alike); the rename that ends it is atomic. A refused admission
-// drops the entry.
-func (s *Session) lead(e *cacheEntry, key factorKey, locs []Point, spec KernelSpec, st *FactorStore, admit func() (func(), error)) error {
+// acquire returns key's (possibly cached) factor, building it from src on a
+// miss: the warm fast path, else the key's one pinned flight, led with no
+// store and an admission that always grants, or waited on. A direct caller
+// has no admission of its own to be refused, so when the flight it joined is
+// dropped (a Warm lead refused, a LoadFactor that found nothing to install)
+// it joins again and leads the key itself.
+func (s *Session) acquire(key factorKey, src source) (*mvn.Factor, error) {
+	if e := s.cache.lookupDone(key); e != nil {
+		return e.f, e.err
+	}
+	for {
+		e, _, _ := s.join(context.Background(), key, src, nil, granted, true)
+		s.cache.unpin(e)
+		if !e.dropped {
+			return e.f, e.err
+		}
+	}
+}
+
+// granted is the admission of a caller that has none of its own.
+func granted() (func(), error) { return func() {}, nil }
+
+// join pins key's entry and settles it: the caller that inserted it leads its
+// build (lead), every other caller waits for the build in flight until ctx
+// ends, counting a wait. hit counts a cache hit when the entry was found. The
+// caller unpins e.
+func (s *Session) join(ctx context.Context, key factorKey, src source, st *FactorStore, admit func() (func(), error), hit bool) (e *cacheEntry, waited bool, err error) {
+	e, lead := s.cache.pin(key, hit)
+	switch {
+	case lead:
+		err = s.lead(e, key, src, st, admit)
+	case !e.done.Load():
+		waited = true
+		err = s.cache.wait(ctx, e)
+	default:
+		err = e.err
+	}
+	return e, waited, err
+}
+
+// lead settles e, the entry its caller just inserted for key: with the factor
+// st holds, or with src's factorization under admit's slot, written through
+// to st on a goroutine of its own. The write replaces whatever file st held
+// under the key's name, which st could not load (corrupt, another version,
+// another key hashing alike); the rename that ends it is atomic. A refused
+// admission drops the entry.
+func (s *Session) lead(e *cacheEntry, key factorKey, src source, st *FactorStore, admit func() (func(), error)) error {
 	if st != nil && s.cache.install(key, e, st) == nil {
 		return nil
 	}
@@ -430,8 +422,8 @@ func (s *Session) lead(e *cacheEntry, key factorKey, locs []Point, spec KernelSp
 		s.cache.drop(key, e, err)
 		return err
 	}
-	s.cache.keep(key, true)
-	f, err := s.buildKernelFactor(locs, spec)
+	s.cache.keep(true)
+	f, err := s.build(src)
 	release()
 	e.settle(f, err)
 	if err == nil && st != nil {
@@ -454,37 +446,26 @@ func (s *Session) Prefactorize(locs []Point, spec KernelSpec) error {
 	return err
 }
 
-// factorForKernel returns the (possibly cached) factor of the covariance of
-// spec's kernel at locs; the kernel itself is only built — and Σ only
-// assembled — on a cache miss, so a warm query pays nothing but the content
-// hash and the lookup. The spec is normalized before keying so equivalent
-// specs (defaulted Sigma2, implicit exponential family, family-irrelevant
-// Nu) share a factor.
-func (s *Session) factorForKernel(locs []Point, spec KernelSpec) (*mvn.Factor, error) {
-	// Reject malformed specs before keying: error entries must not occupy
-	// the bounded cache and evict real factors.
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	key := s.cfg.key('k', hashPoints(locs), len(locs), spec.normalized())
-	if e := s.cache.lookupDone(key); e != nil {
-		return e.f, e.err
-	}
-	// Cold path only: the build closure below is the single allocation the
-	// cache layer ever makes per query, and it is never reached warm.
-	return s.cache.getOrBuild(key, func() (*mvn.Factor, error) {
-		return s.buildKernelFactor(locs, spec)
-	})
+// source is what a lead factorizes: spec's kernel at locs or, when fill is
+// set, the explicit n×n Σ that fill reads in place.
+type source struct {
+	locs []Point
+	spec KernelSpec
+	n    int
+	fill engine.RunFill
 }
 
-// buildKernelFactor builds the kernel from its spec and factorizes its
-// covariance at locs (the cache-miss path).
-func (s *Session) buildKernelFactor(locs []Point, spec KernelSpec) (*mvn.Factor, error) {
-	k, err := spec.build()
+// build factorizes src: the kernel is built from its spec and its
+// covariance at locs assembled tile by tile, or Σ is read through fill.
+func (s *Session) build(src source) (*mvn.Factor, error) {
+	if src.fill != nil {
+		return s.factorize("sigma", src.n, src.fill, true)
+	}
+	k, err := src.spec.build()
 	if err != nil {
 		return nil, err
 	}
-	g := toGeom(locs)
+	g := toGeom(src.locs)
 	return s.factorize("kernel", g.Len(), func(dst []float64, row0, j int) { cov.Fill(k, dst, g.Pts[row0:], g.Pts[j]) }, false)
 }
 
@@ -526,17 +507,4 @@ func (s *Session) sigmaKey(row func(i int) []float64, n int, order []int, sd []f
 		h.writeFloat(v)
 	}
 	return s.cfg.key('c', h.sum(), n, KernelSpec{}), nil
-}
-
-// factorForSigma returns the (possibly cached) factor of the matrix fill
-// evaluates from that Σ; one that sigmaKey refuses is neither factored nor cached.
-func (s *Session) factorForSigma(row func(i int) []float64, n int, order []int, sd []float64, fill engine.RunFill) (*mvn.Factor, error) {
-	key, err := s.sigmaKey(row, n, order, sd)
-	if err != nil {
-		return nil, err
-	}
-	if e := s.cache.lookupDone(key); e != nil {
-		return e.f, e.err
-	}
-	return s.cache.getOrBuild(key, func() (*mvn.Factor, error) { return s.factorize("sigma", n, fill, true) })
 }

@@ -67,15 +67,23 @@ func (s *Session) eval(p problem, a, b []float64, opts QueryOpts) (Result, error
 	}, nil
 }
 
-// fetch returns the problem's (possibly cached) factor.
+// fetch returns the problem's (possibly cached) factor: its key, then the one
+// acquire path. A malformed spec or a Σ that sigmaKey refuses is neither
+// factored nor cached, so it never evicts a real factor.
 func (s *Session) fetch(p *problem) (*mvn.Factor, error) {
 	if !p.cov {
-		return s.factorForKernel(p.locs, p.kernel)
+		if err := p.kernel.validate(); err != nil {
+			return nil, err
+		}
+		key := s.cfg.key('k', hashPoints(p.locs), len(p.locs), p.kernel.normalized())
+		return s.acquire(key, source{locs: p.locs, spec: p.kernel})
 	}
 	sigma := p.sigma
-	row := func(i int) []float64 { return sigma[i] }
-	// explicit-Σ keying: every entry hashed in tasks, tiles filled from the rows
-	return s.factorForSigma(row, len(sigma), nil, nil, func(dst []float64, row0, j int) { copy(dst, sigma[j][row0:]) })
+	key, err := s.sigmaKey(func(i int) []float64 { return sigma[i] }, len(sigma), nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return s.acquire(key, source{n: len(sigma), fill: func(dst []float64, row0, j int) { copy(dst, sigma[j][row0:]) }})
 }
 
 // factor is the factor-only calls' path (Prefactorize, SaveFactor,

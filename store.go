@@ -159,7 +159,7 @@ func (st *FactorStore) write(key factorKey, f *mvn.Factor) (err error) {
 // factor can therefore never be installed under a configuration it was not
 // built for.
 func (s *Session) LoadFactor(st *FactorStore, pk ProblemKey) error {
-	e, lead := s.cache.pin(pk.k)
+	e, lead := s.cache.pin(pk.k, false)
 	defer s.cache.unpin(e)
 	if !lead {
 		return nil

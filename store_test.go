@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/factorio"
-	"repro/internal/mvn"
 )
 
 // factorState reads key's entry in c: "absent", "building" or "ready".
@@ -33,39 +32,48 @@ func stored(st *FactorStore, pk ProblemKey) bool {
 	return err == nil
 }
 
-// TestEvictPrefersDoneOverBuilding pins the eviction policy: when the cache
-// overflows, a built (done) entry is evicted before any entry whose build is
-// still in flight, even when the building entry is older — evicting a
-// building entry would let the next caller for its key start a second build
-// while the first still runs. Runs with a real blocked build so -race checks
-// the interleaving.
+// leadStub leads key's flight on c as an admitted Session.lead does, with a
+// stub build that blocks until release closes: it returns once the lead has
+// counted its miss, and finished closes when the leader has settled the
+// entry and unpinned it.
+func leadStub(t *testing.T, c *FactorCache, key factorKey, release <-chan struct{}) (finished <-chan struct{}) {
+	t.Helper()
+	e, lead := c.pin(key, true)
+	if !lead {
+		t.Fatalf("key %d: joined a flight, want to lead it", key.n)
+	}
+	c.keep(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		<-release
+		e.settle(nil, nil)
+		c.unpin(e)
+	}()
+	return done
+}
+
+// TestEvictPrefersDoneOverBuilding pins the eviction policy on the pinned
+// flight: every build in flight is pinned by its leader, so a built entry is
+// evicted before any building one, even an older one, and a building entry is
+// never evicted — that would let the next caller for its key start a second
+// build while the first still runs. The cache sits above its cap only while
+// entries are pinned, and is back at the cap once the pins end. Leaders run on
+// goroutines of their own, so -race checks the interleaving.
 func TestEvictPrefersDoneOverBuilding(t *testing.T) {
-	c := newFactorCache(2)
 	keyBuilding := factorKey{kind: 'k', n: 1}
 	keyDone := factorKey{kind: 'k', n: 2}
 	keyNew := factorKey{kind: 'k', n: 3}
+	now := make(chan struct{})
+	close(now)
 
-	entered := make(chan struct{})
+	c := newFactorCache(2)
 	release := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		c.getOrBuild(keyBuilding, func() (*mvn.Factor, error) {
-			close(entered)
-			<-release
-			return nil, errors.New("stub build")
-		})
-	}()
-	<-entered // keyBuilding is now mid-build with the oldest LRU stamp
-
-	if _, err := c.getOrBuild(keyDone, func() (*mvn.Factor, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
+	building := leadStub(t, c, keyBuilding, release) // the oldest LRU stamp
+	<-leadStub(t, c, keyDone, now)
 	// Inserting a third key overflows cap 2. LRU alone would evict
 	// keyBuilding (oldest); the policy must pick keyDone instead.
-	if _, err := c.getOrBuild(keyNew, func() (*mvn.Factor, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
+	<-leadStub(t, c, keyNew, now)
 	if st := factorState(c, keyBuilding); st != "building" {
 		t.Errorf("building entry state = %v, want building (was it evicted?)", st)
 	}
@@ -73,34 +81,97 @@ func TestEvictPrefersDoneOverBuilding(t *testing.T) {
 		t.Errorf("done entry state = %v, want absent (it was the LRU-newer but done victim)", st)
 	}
 	close(release)
-	<-finished
+	<-building
 
-	// Fall-back: when every other entry is mid-build, the cap still holds —
-	// the oldest building entry is evicted as a last resort.
-	c2 := newFactorCache(1)
-	entered2 := make(chan struct{})
-	release2 := make(chan struct{})
-	finished2 := make(chan struct{})
+	// Cap 1 under three builds in flight: none is evicted, and the cache
+	// holds max(cap, pinned entries) after every unpin, the oldest first.
+	c1 := newFactorCache(1)
+	keys := []factorKey{keyBuilding, keyDone, keyNew}
+	var releases []chan struct{}
+	var finished []<-chan struct{}
+	for _, k := range keys {
+		releases = append(releases, make(chan struct{}))
+		finished = append(finished, leadStub(t, c1, k, releases[len(releases)-1]))
+	}
+	for _, k := range keys {
+		if st := factorState(c1, k); st != "building" {
+			t.Fatalf("key %d is %s with every build pinned, want building", k.n, st)
+		}
+	}
+	for i := range keys {
+		close(releases[i])
+		<-finished[i]
+		if got, want := c1.Len(), max(1, len(keys)-1-i); got != want {
+			t.Fatalf("after unpin %d: %d entries, want %d (cap 1, %d still pinned)", i+1, got, want, len(keys)-1-i)
+		}
+		for _, k := range keys[i+1:] {
+			if st := factorState(c1, k); st != "building" {
+				t.Fatalf("after unpin %d: key %d is %s, want building", i+1, k.n, st)
+			}
+		}
+	}
+	if st := factorState(c1, keyNew); st != "ready" {
+		t.Fatalf("last factor built is %s after the last unpin, want ready", st)
+	}
+}
+
+// TestQueryLeadsRefusedFlight pins that no refusal reaches a caller that
+// cannot be refused: a query that joins a Warm lead whose admission is then
+// refused leads the key itself and answers as a fresh session does. It counts
+// the hit of the flight it found, the wait, and its own lead's miss.
+func TestQueryLeadsRefusedFlight(t *testing.T) {
+	locs, spec, a, b := storeTestProblem()
+	cfg := Config{TileSize: 8, QMCSize: 200, Workers: 1}
+	s := NewSession(cfg)
+	defer s.Close()
+
+	errShed := errors.New("shed")
+	admitting, refuse := make(chan struct{}), make(chan struct{})
+	led := make(chan error, 1)
 	go func() {
-		defer close(finished2)
-		c2.getOrBuild(keyBuilding, func() (*mvn.Factor, error) {
-			close(entered2)
-			<-release2
-			return nil, nil
+		_, _, err := s.Warm(context.Background(), locs, spec, nil, func() (func(), error) {
+			close(admitting)
+			<-refuse
+			return nil, errShed
 		})
+		led <- err
 	}()
-	<-entered2
-	if _, err := c2.getOrBuild(keyNew, func() (*mvn.Factor, error) { return nil, nil }); err != nil {
+	<-admitting
+	type answer struct {
+		r   Result
+		err error
+	}
+	joined := make(chan answer, 1)
+	go func() {
+		r, err := s.MVNProb(locs, spec, a, b)
+		joined <- answer{r, err}
+	}()
+	for s.Cache().Waits() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(refuse)
+	if err := <-led; !errors.Is(err, errShed) {
+		t.Fatalf("refused Warm lead: err %v, want %v", err, errShed)
+	}
+	got := <-joined
+	if got.err != nil {
+		t.Fatalf("query that joined the refused lead: %v, want its own lead", got.err)
+	}
+	fresh := NewSession(cfg)
+	defer fresh.Close()
+	want, err := fresh.MVNProb(locs, spec, a, b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := factorState(c2, keyBuilding); st != "absent" {
-		t.Errorf("all-building overflow: state = %v, want absent (cap is a hard bound)", st)
+	if got.r != want {
+		t.Fatalf("query after the refused lead = %+v, fresh session %+v", got.r, want)
 	}
-	if got := c2.Len(); got != 1 {
-		t.Errorf("cache len = %d, want cap 1", got)
+	if h, m := s.Cache().Stats(); h != 1 || m != 1 {
+		t.Fatalf("hits/misses %d/%d, want 1/1 (the flight found, its own lead)", h, m)
 	}
-	close(release2)
-	<-finished2
+	if w := s.Cache().Waits(); w != 1 {
+		t.Fatalf("waits %d, want 1", w)
+	}
 }
 
 // TestWarmOneFlight pins Warm's rules on one session: a refused admission
