@@ -351,16 +351,25 @@ func (s *Session) Cache() *FactorCache { return s.cache }
 // ShareCache redirects s's factor lookups to peer's cache, so sessions
 // whose configurations differ only in knobs outside the factor key (e.g.
 // QMCSize or Replicates) reuse one set of Cholesky factors instead of each
-// building its own. Must be called before s serves its first query.
+// building its own. Must be called before s serves its first query. One
+// sharer's Close detaches only that sharer: the cache stays whole for every
+// sharer still open, and its factors become collectable once the last
+// sharer is closed.
 func (s *Session) ShareCache(peer *Session) { s.cache = peer.cache }
 
 // Config returns the session's effective (defaulted) configuration.
 func (s *Session) Config() Config { return s.cfg }
 
-// Close waits for Warm's store write-throughs and shuts down the worker pool.
+// Close waits for Warm's store write-throughs, shuts down the worker pool
+// and releases the session's factors: the session drops its reference to
+// the factor cache and keeps a stand-in holding the same hit, miss and wait
+// counts and no factor, so Cache().Stats() reads the same after Close and a
+// *Session held past Close pins no O(n²) memory. A closed session answers
+// nothing; call no query, factor or Warm method on it.
 func (s *Session) Close() {
 	s.saves.Wait()
 	s.rt.Shutdown()
+	s.cache = s.cache.detached()
 }
 
 // EnableTracing starts recording one event per executed runtime task;
@@ -695,7 +704,9 @@ func CovarianceMatrix(locs []Point, kernel KernelSpec) [][]float64 {
 // index listed twice is two independent observations of one site. tau2 must
 // be finite and positive, and every y[k] and mu[i] finite: a NaN or ±Inf is
 // an error naming its index, not a NaN in µ_post. The algebra runs on a task
-// runtime of GOMAXPROCS workers and returns the serial kernels' bits.
+// runtime of GOMAXPROCS workers and returns the serial kernels' bits. Σ's
+// rows are copied once into the matrix Σ_post is formed in; the caller's
+// rows are never written.
 func Posterior(sigma [][]float64, mu []float64, obsIdx []int, y []float64, tau2 float64) ([][]float64, []float64, error) {
 	m, err := denseFromRows(sigma)
 	if err != nil {

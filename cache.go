@@ -193,6 +193,17 @@ func (c *FactorCache) evictOldest() {
 	}
 }
 
+// detached returns a cache with c's cap, hit, miss and wait counts and no
+// entries: what a closed session keeps in place of c. c itself is left
+// whole for the sessions still sharing it.
+func (c *FactorCache) detached() *FactorCache {
+	d := newFactorCache(c.cap)
+	c.mu.Lock()
+	d.hits, d.misses, d.waits = c.hits, c.misses, c.waits
+	c.mu.Unlock()
+	return d
+}
+
 // Stats returns the cumulative hit and miss counts.
 func (c *FactorCache) Stats() (hits, misses int) {
 	c.mu.Lock()
@@ -359,12 +370,13 @@ func (s *Session) Warm(ctx context.Context, locs []Point, spec KernelSpec, st *F
 		return nil, false, err
 	}
 	key := s.cfg.key('k', hashPoints(locs), len(locs), spec.normalized())
+	c := s.cache // unpin releases the pin in the cache that took it, even past Close
 	e, waited, err := s.join(ctx, key, source{locs: locs, spec: spec}, st, admit, false)
 	if err != nil {
-		s.cache.unpin(e)
+		c.unpin(e)
 		return nil, waited, err
 	}
-	return func() { s.cache.unpin(e) }, waited, nil
+	return func() { c.unpin(e) }, waited, nil
 }
 
 // acquire returns key's (possibly cached) factor, building it from src on a

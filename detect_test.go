@@ -237,6 +237,37 @@ func TestPosteriorIndefinitePriorIsTyped(t *testing.T) {
 	}
 }
 
+// Posterior copies the caller's rows once and forms Σ_post in that copy: the
+// caller's rows come back bit for bit, and no returned row aliases one of
+// them.
+func TestPosteriorLeavesCallerRowsUnwritten(t *testing.T) {
+	_, _, sigma, mean := detectProblem()
+	want := make([][]float64, len(sigma))
+	for i, row := range sigma {
+		want[i] = append([]float64(nil), row...)
+	}
+	var obsIdx []int
+	var y []float64
+	for i := 0; i < len(sigma); i += 5 {
+		obsIdx = append(obsIdx, i)
+		y = append(y, mean[i]+0.1)
+	}
+	post, _, err := Posterior(sigma, mean, obsIdx, y, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range sigma {
+		for j, v := range row {
+			if math.Float64bits(v) != math.Float64bits(want[i][j]) {
+				t.Fatalf("Posterior wrote the caller's Σ[%d][%d]: %v, was %v", i, j, v, want[i][j])
+			}
+		}
+		if &post[i][0] == &row[0] {
+			t.Fatalf("Σ_post row %d aliases the caller's row", i)
+		}
+	}
+}
+
 // TestAdaptiveWithNothingToCompressIsDense: crd_2k's shape at n = 400 — the
 // posterior of a synthetic field, a quarter of it observed, detected in
 // marginal order, so no off-band tile compresses and column 0's probes all

@@ -325,6 +325,10 @@ func Block(dst *linalg.Matrix, g *geo.Geom, k Kernel, row0, col0 int) {
 // Σ_OO + τ²I that is not positive definite is an error wrapping
 // linalg.ErrNotPositiveDefinite. The algebra runs on a task runtime of
 // GOMAXPROCS workers, with the serial kernels' bits.
+//
+// Posterior overwrites sigma with Σ_post and returns that storage, so it
+// needs no second n×n matrix; pass a copy to keep Σ. On an error sigma is
+// left as it was.
 func Posterior(sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, tau2 float64) (*linalg.Matrix, []float64, error) {
 	rt := taskrt.New(runtime.GOMAXPROCS(0))
 	defer rt.Shutdown()
@@ -333,8 +337,8 @@ func Posterior(sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, ta
 
 // posterior is Posterior on rt: the m×m Cholesky, the solve (a task per 256
 // columns of W, each gathering its columns first), the SYRK (a task per
-// 256×256 tile of Σ_post's lower triangle) and the mirror (a task per 256
-// columns) are linalg's task forms of the serial kernels.
+// 256×256 tile of Σ_post's lower triangle, in sigma) and the mirror (a task
+// per 256 columns) are linalg's task forms of the serial kernels.
 func posterior(rt taskrt.Submitter, sigma *linalg.Matrix, mu []float64, obsIdx []int, y []float64, tau2 float64) (*linalg.Matrix, []float64, error) {
 	n := sigma.Rows
 	if len(mu) != n {
@@ -388,17 +392,13 @@ func posterior(rt taskrt.Submitter, sigma *linalg.Matrix, mu []float64, obsIdx [
 		}
 		linalg.TrsmLowerPart(linalg.Left, false, l, w, lo, hi)
 	})
-	post := linalg.NewMatrix(n, n)
-	linalg.BlockTasks(rt, "copy", n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			copy(post.Col(j)[j:], sigma.Col(j)[j:]) // the mirror writes the upper triangle
-		}
-	})
+	// The solve has read Σ_{O·} into W, so Σ_post is formed in Σ's storage:
+	// the SYRK updates the lower triangle and the mirror writes the upper.
 	wo := w.View(0, 0, m, n)
-	linalg.SyrkTasks(rt, true, -1, wo, post)
-	linalg.SymmetrizeTasks(rt, post)
+	linalg.SyrkTasks(rt, true, -1, wo, sigma)
+	linalg.SymmetrizeTasks(rt, sigma)
 	muPost := make([]float64, n)
 	copy(muPost, mu)
 	linalg.Gemv(true, 1, wo, r, 1, muPost)
-	return post, muPost, nil
+	return sigma, muPost, nil
 }

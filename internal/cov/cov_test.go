@@ -171,7 +171,7 @@ func TestPosteriorShrinksVariance(t *testing.T) {
 	for i := range y {
 		y[i] = rng.NormFloat64()
 	}
-	post, muPost, err := Posterior(sigma, mu, obs, y, 0.25)
+	post, muPost, err := Posterior(sigma.Clone(), mu, obs, y, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +270,38 @@ func TestPosteriorErrors(t *testing.T) {
 	}
 }
 
+// Posterior forms Σ_post in its argument's storage and returns it, and on an
+// error leaves the argument as it was.
+func TestPosteriorFormsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sigma := Matrix(uniformRandom(300, rng), &Exponential{Sigma2: 1, Range: 0.1})
+	want, _, err := Posterior(sigma.Clone(), make([]float64, 300), []int{3, 40, 299}, []float64{1, -1, 0.5}, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := &sigma.Data[0]
+	post, _, err := Posterior(sigma, make([]float64, 300), []int{3, 40, 299}, []float64{1, -1, 0.5}, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post != sigma || &post.Data[0] != data {
+		t.Fatal("Σ_post is not formed in Σ's storage")
+	}
+	if d := post.MaxAbsDiff(want); d != 0 {
+		t.Errorf("in place differs from a posterior of a copy by %v", d)
+	}
+
+	bad := Matrix(uniformRandom(5, rng), &Exponential{Sigma2: 1, Range: 0.2})
+	bad.Set(2, 2, -3)
+	kept := bad.Clone()
+	if _, _, err := Posterior(bad, make([]float64, 5), []int{2}, []float64{1}, 1); err == nil {
+		t.Fatal("indefinite observation covariance: no error")
+	}
+	if d := bad.MaxAbsDiff(kept); d != 0 {
+		t.Errorf("a refused posterior changed Σ by %v", d)
+	}
+}
+
 // invSPD is A⁻¹ through A's Cholesky factor: L⁻ᵀ·L⁻¹·I.
 func invSPD(t *testing.T, a *linalg.Matrix) *linalg.Matrix {
 	t.Helper()
@@ -333,7 +365,7 @@ func TestPosteriorMatchesPrecisionForm(t *testing.T) {
 		for k := range y {
 			y[k] = rng.NormFloat64()
 		}
-		post, muPost, err := Posterior(sigma, mu, obs, y, tau2)
+		post, muPost, err := Posterior(sigma.Clone(), mu, obs, y, tau2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -128,7 +128,7 @@ func TestPosteriorTasksMatchSerial(t *testing.T) {
 		}
 		for _, w := range taskWorkers {
 			rt := taskrt.New(w)
-			post, muPost, err := posterior(rt, sigma, mu, obs, y, 0.25)
+			post, muPost, err := posterior(rt, sigma.Clone(), mu, obs, y, 0.25)
 			rt.Shutdown()
 			what := fmt.Sprintf("n=%d m=%d, %d workers", c.n, c.m, w)
 			if err != nil {

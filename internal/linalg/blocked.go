@@ -71,9 +71,6 @@ const (
 // vector FMA underneath.
 func HasVectorKernels() bool { return hasVectorKernels }
 
-// KernelISA names the micro-kernel in use: "avx512", "avx2" or "go".
-func KernelISA() string { return [...]string{"go", "avx2", "avx512"}[kernelISA] }
-
 // gemmBlocked computes C += alpha·op(A)·op(B) for the already-validated,
 // beta-scaled destination: the five-loop packed algorithm. m, n, k are the
 // logical op() dimensions.

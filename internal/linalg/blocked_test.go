@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// KernelISA names the micro-kernel in use: "avx512", "avx2" or "go".
+func KernelISA() string { return [...]string{"go", "avx2", "avx512"}[kernelISA] }
+
 func randMat(r, c int, rng *rand.Rand) *Matrix {
 	m := NewMatrix(r, c)
 	for i := range m.Data {

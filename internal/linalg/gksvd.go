@@ -252,3 +252,16 @@ func GolubReinschSVD(a, v *Matrix, s []float64) bool {
 	}
 	return true
 }
+
+// rotate applies the plane rotation (c, s) to the column pair (x, y).
+func rotate(x, y []float64, c, s float64) {
+	if hasVectorKernels && len(x) >= vecMinLen {
+		rotVec(x, y, c, s)
+		return
+	}
+	for i := range x {
+		xi, yi := x[i], y[i]
+		x[i] = c*xi - s*yi
+		y[i] = s*xi + c*yi
+	}
+}

@@ -1,6 +1,7 @@
 package parmvn
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -76,4 +77,63 @@ func TestStreamingMemorySmoke(t *testing.T) {
 	if got > streamSmokeHeapCeiling {
 		t.Errorf("peak HeapAlloc %d exceeds the streaming ceiling %d", got, streamSmokeHeapCeiling)
 	}
+}
+
+// TestClosedSessionMemorySmoke: a *Session held past Close pins no factor.
+// Two sessions share one cache; closing the first keeps its counters and
+// leaves the cache whole for the second, which still hits. Closing the
+// second, the last sharer, makes the factor collectable while both *Session
+// values stay reachable: after a GC the heap has fallen by at least the
+// factor's payload.
+func TestClosedSessionMemorySmoke(t *testing.T) {
+	cfg := Config{Method: Dense, TileSize: 64, QMCSize: 200}
+	s, peer := NewSession(cfg), NewSession(cfg)
+	peer.ShareCache(s)
+	locs := Grid(32, 32) // n = 1024: a 4.4 MB dense factor
+	kernel := KernelSpec{Family: "exponential", Range: 0.1}
+	a, b := make([]float64, len(locs)), make([]float64, len(locs))
+	for i := range a {
+		a[i], b[i] = -1, math.Inf(1)
+	}
+	fp, err := s.FactorFootprint(locs, kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.MVNProb(locs, kernel, a, b); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := s.Cache().Stats()
+	waits := s.Cache().Waits()
+
+	s.Close()
+	if h, m := s.Cache().Stats(); h != hits || m != misses || s.Cache().Waits() != waits {
+		t.Errorf("closed session's cache reads %d hits, %d misses, %d waits; before Close %d, %d, %d",
+			h, m, s.Cache().Waits(), hits, misses, waits)
+	}
+	if n := s.Cache().Len(); n != 0 {
+		t.Errorf("closed session still holds %d factors", n)
+	}
+	if _, err := peer.MVNProb(locs, kernel, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := peer.Cache().Stats(); h != hits+1 || m != misses {
+		t.Errorf("sharer after the first Close: %d hits, %d misses, want %d and %d (a hit)", h, m, hits+1, misses)
+	}
+
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // and the pools' victim caches
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	peer.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	freed := int64(before) - int64(ms.HeapAlloc)
+	t.Logf("heap %.1f → %.1f MiB after the last Close, factor %.1f MiB",
+		float64(before)/(1<<20), float64(ms.HeapAlloc)/(1<<20), float64(fp.Bytes)/(1<<20))
+	if freed < fp.Bytes {
+		t.Errorf("closing the last sharer freed %d bytes, want at least the factor's %d", freed, fp.Bytes)
+	}
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(peer)
 }
